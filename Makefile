@@ -3,9 +3,9 @@
 # layer, run the seeded chaos soak, the sgserve process smoke test, then
 # the full suite (which includes the CLI trace smoke test and the
 # sustained serving load test).
-.PHONY: verify build vet lint lint-check test race smoke serve-smoke serve-dist-smoke chaos fleet-chaos mutate-chaos bench-baseline bench-check
+.PHONY: verify build vet lint lint-check test race smoke serve-smoke serve-dist-smoke chaos fleet-chaos mutate-chaos bench-baseline bench-check bench-build
 
-verify: build lint lint-check race chaos fleet-chaos mutate-chaos serve-smoke serve-dist-smoke test
+verify: build bench-build lint lint-check race chaos fleet-chaos mutate-chaos serve-smoke serve-dist-smoke test
 
 build:
 	go build ./...
@@ -13,6 +13,15 @@ build:
 
 vet:
 	go vet ./...
+
+# The repository benchmark is a nested module (benchmark/go.mod) that
+# `go build ./...` here does not reach, yet it calls internal/ APIs
+# (mutate.Apply, Store.Commit, Diff, the trackers, graph.Symmetrize,
+# graph.RandomWeights, ...). Compile and vet it so a signature change
+# breaks the gate, not the next benchmark run. (-o /dev/null: the module
+# is one main package, which a bare `go build` would drop into benchmark/.)
+bench-build:
+	cd benchmark && go vet ./... && go build -o /dev/null ./...
 
 # Project-invariant lint: the full sgvet suite (nine analyzers; the
 # flow-sensitive engine backs bufown, lockorder and leakgo) over the

@@ -486,21 +486,32 @@ func (c *Cluster) runOnce(ctx context.Context, prog func(w *Worker) error) error
 			}
 		})
 	}
-	watchDone := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
+	// The cancel watcher may poison only while a node is still running.
+	// Once every node has reported, the caller is about to hand the
+	// cluster back (a pool parks it on a free list); a cancellation that
+	// lands after that — net/http cancels a request's context as its
+	// handler returns — must find the watcher disarmed. The mutex orders
+	// the two: a watcher already poisoning finishes before finished is
+	// set, and one that fires later sees it.
+	var watch sync.Mutex
+	finished := false
+	stopWatch := context.AfterFunc(ctx, func() {
+		watch.Lock()
+		defer watch.Unlock()
+		if !finished {
 			poison(ctx.Err())
-		case <-watchDone:
 		}
-	}()
+	})
 	for k := 0; k < len(nodes); k++ {
 		i := <-done
 		if errs[i] != nil {
 			poison(errs[i])
 		}
 	}
-	close(watchDone)
+	watch.Lock()
+	finished = true
+	watch.Unlock()
+	stopWatch()
 	elapsed := time.Since(start)
 
 	var stats RunStats

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -98,6 +99,32 @@ func TestRunContextCancellation(t *testing.T) {
 	}
 	if err := c.Run(func(w *Worker) error { return w.Barrier() }); err != nil {
 		t.Fatalf("run after Reset: %v", err)
+	}
+}
+
+// TestCancelAfterRunDoesNotPoison is the regression test for the cancel
+// watcher outliving its run: a context cancelled right after RunContext
+// returns (net/http does exactly that when a handler returns) used to
+// race the watcher's shutdown and could poison a cluster its pool had
+// already parked, failing the next query leased onto it. Once every
+// node has reported, cancellation must be a no-op.
+func TestCancelAfterRunDoesNotPoison(t *testing.T) {
+	c := mustCluster(t, graph.Ring(16), Options{NumNodes: 2})
+	for i := 0; i < 10000; i++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		err := c.RunContext(ctx, func(w *Worker) error { return nil })
+		cancel()
+		runtime.Gosched() // let a watcher that is still alive observe the cancellation
+		if err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+		if cause := c.Poisoned(); cause != nil {
+			t.Fatalf("run %d: cluster poisoned after a completed run: %v", i, cause)
+		}
+	}
+	// A watcher that fired late would also have closed the endpoints.
+	if err := c.Run(func(w *Worker) error { return w.Barrier() }); err != nil {
+		t.Fatalf("run after 10000 cancelled contexts: %v", err)
 	}
 }
 

@@ -85,7 +85,9 @@ func FromEdges(n int, edges []Edge, opts BuildOptions) (*Graph, error) {
 		if opts.Weighted {
 			g.outWeights[i] = e.Weight
 		}
-		_ = i
+		if i > 0 && work[i-1].Src == e.Src && work[i-1].Dst == e.Dst {
+			g.parallel = true
+		}
 	}
 
 	// CSC: count in-degrees, then place each edge at its destination

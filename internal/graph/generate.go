@@ -138,14 +138,25 @@ func Grid(rows, cols int) *Graph {
 	return MustFromEdges(n, edges, BuildOptions{})
 }
 
-// RandomWeights returns a copy of g with edge weights drawn uniformly from
-// (0, 1], deterministic for a given seed. Weighted graphs drive SSSP and
-// weighted neighbor sampling.
+// RandomWeights returns g with edge weights drawn uniformly from (0, 1],
+// deterministic for a given seed. Weighted graphs drive SSSP and
+// weighted neighbor sampling. The result shares g's immutable offset
+// and adjacency arrays; only the weight arrays are new.
 func RandomWeights(g *Graph, seed int64) *Graph {
 	rng := rand.New(rand.NewSource(seed))
-	edges := g.Edges()
-	for i := range edges {
-		edges[i].Weight = float32(1 - rng.Float64()) // in (0, 1]
+	w := *g
+	w.outWeights = make([]float32, len(g.outTargets))
+	for i := range w.outWeights { // source-major, the order Edges() lists them
+		w.outWeights[i] = float32(1 - rng.Float64()) // in (0, 1]
 	}
-	return MustFromEdges(g.NumVertices(), edges, BuildOptions{Weighted: true})
+	// Visiting arcs source-major reaches each destination's in-arcs in
+	// ascending source order, which is the order inSources stores them.
+	w.inWeights = make([]float32, len(g.inSources))
+	cursor := make([]int64, g.n)
+	copy(cursor, g.inOffsets[:g.n])
+	for i, dst := range g.outTargets {
+		w.inWeights[cursor[dst]] = w.outWeights[i]
+		cursor[dst]++
+	}
+	return &w
 }

@@ -34,6 +34,9 @@ type Edge struct {
 // are stored only when the graph is weighted; Weighted() reports this.
 type Graph struct {
 	n int
+	// parallel records, at construction, that some arc appears more than
+	// once (only an edge list built without Dedupe can do that).
+	parallel bool
 
 	outOffsets []int64
 	outTargets []VertexID
@@ -110,20 +113,43 @@ func (g *Graph) Edges() []Edge {
 	return edges
 }
 
+// Simple reports whether no arc appears twice, i.e. every adjacency row
+// is strictly sorted. Graphs from the generators and from builders run
+// with Dedupe are simple; files may hold parallel arcs.
+func (g *Graph) Simple() bool { return !g.parallel }
+
 // HasEdge reports whether the directed edge (src, dst) exists, by binary
 // search over src's sorted adjacency.
 func (g *Graph) HasEdge(src, dst VertexID) bool {
-	nbrs := g.OutNeighbors(src)
-	lo, hi := 0, len(nbrs)
+	_, ok := g.findEdge(src, dst)
+	return ok
+}
+
+// EdgeWeight returns the weight of the directed edge (src, dst) and
+// whether the edge exists; the weight is 1 on an unweighted graph.
+func (g *Graph) EdgeWeight(src, dst VertexID) (float32, bool) {
+	i, ok := g.findEdge(src, dst)
+	if !ok {
+		return 0, false
+	}
+	if g.outWeights == nil {
+		return 1, true
+	}
+	return g.outWeights[i], true
+}
+
+// findEdge returns the index of (src, dst) in the out arrays.
+func (g *Graph) findEdge(src, dst VertexID) (int64, bool) {
+	lo, hi := g.outOffsets[src], g.outOffsets[src+1]
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if nbrs[mid] < dst {
+		if g.outTargets[mid] < dst {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	return lo < len(nbrs) && nbrs[lo] == dst
+	return lo, lo < g.outOffsets[src+1] && g.outTargets[lo] == dst
 }
 
 // MaxDegree returns the maximum total (in+out) degree over all vertices,

@@ -268,6 +268,23 @@ func TestRandomWeights(t *testing.T) {
 			t.Fatal("RandomWeights not deterministic")
 		}
 	}
+	// Bit-identical to the construction it replaced: weights drawn in
+	// Edges() order, the graph rebuilt from the weighted edge list.
+	for _, src := range []*Graph{Ring(16), Star(9), RMAT(9, 8, Graph500Params(), 5), MustFromEdges(3, nil, BuildOptions{})} {
+		rng := rand.New(rand.NewSource(42))
+		edges := src.Edges()
+		for i := range edges {
+			edges[i].Weight = float32(1 - rng.Float64())
+		}
+		want := MustFromEdges(src.NumVertices(), edges, BuildOptions{Weighted: true})
+		got := RandomWeights(src, 42)
+		if err := got.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		if !sameArrays(got, want) {
+			t.Fatalf("RandomWeights(%v) differs from the edge-list rebuild", src)
+		}
+	}
 }
 
 func TestLargestOutDegreeVertex(t *testing.T) {

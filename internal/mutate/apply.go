@@ -2,64 +2,235 @@ package mutate
 
 import (
 	"fmt"
+	"math"
+	"sort"
 
 	"repro/internal/graph"
 )
 
-// edgeKey packs a directed edge into one map key.
-func edgeKey(src, dst graph.VertexID) uint64 {
-	return uint64(src)<<32 | uint64(dst)
-}
-
 // Apply executes the batch against g and builds the successor graph.
 // g is untouched (snapshots are immutable); the result preserves g's
-// weightedness. Ops execute in order over a live edge set, so
-// "remove-vertex 3; add-edge 3→5" leaves 3→5 present while the
-// reverse order removes it.
+// weightedness. Ops execute in order, so "remove-vertex 3; add-edge
+// 3→5" leaves 3→5 present while the reverse order removes it.
 func Apply(g *graph.Graph, b Batch) (*graph.Graph, error) {
+	ng, _, err := apply(g, b)
+	return ng, err
+}
+
+// apply is Apply that also returns the batch's effective delta: the
+// canonical batch (vertex growth, then sorted removals, then sorted
+// additions and weight updates) that Diff(g, successor) would compute.
+// The successor is g patched with that delta, so a commit costs row
+// copies plus work proportional to the arcs the batch touches.
+func apply(g *graph.Graph, b Batch) (*graph.Graph, Batch, error) {
 	if err := b.Validate(g); err != nil {
-		return nil, err
+		return nil, Batch{}, err
 	}
-	edges := make(map[uint64]float32, g.NumEdges())
-	for _, e := range g.Edges() {
-		edges[edgeKey(e.Src, e.Dst)] = e.Weight
+	if !g.Simple() {
+		var err error
+		if g, err = collapseParallel(g); err != nil {
+			return nil, Batch{}, err
+		}
 	}
-	n := g.NumVertices()
-	for _, m := range b.Ops {
+	d := effective(g, b)
+	ng, err := graph.Patch(g, g.NumVertices()+d.grow, d.removes, d.upserts)
+	if err != nil {
+		return nil, Batch{}, fmt.Errorf("mutate: patch after batch: %w", err)
+	}
+	return ng, d.batch(), nil
+}
+
+// collapseParallel rebuilds a graph loaded with parallel arcs as a
+// simple one, keeping each arc's last weight. A batch addresses an arc
+// by its endpoints, so a successor never carries parallel arcs; only a
+// root snapshot read from a file can, and it pays this once.
+func collapseParallel(g *graph.Graph) (*graph.Graph, error) {
+	edges := g.Edges()
+	kept := edges[:0]
+	for i, e := range edges {
+		if i+1 < len(edges) && edges[i+1].Src == e.Src && edges[i+1].Dst == e.Dst {
+			continue
+		}
+		kept = append(kept, e)
+	}
+	return graph.FromEdges(g.NumVertices(), kept, graph.BuildOptions{Weighted: g.Weighted()})
+}
+
+// delta is a canonical change between two graphs in the form
+// graph.Patch takes: both arc lists strictly sorted by (src, dst) and
+// disjoint.
+type delta struct {
+	grow    int          // vertices appended
+	removes []graph.Edge // arcs the old graph has and the new one lacks
+	upserts []graph.Edge // arcs the new graph gains, or whose weight changed
+}
+
+// batch spells the delta in Diff's op order.
+func (d delta) batch() Batch {
+	ops := make([]Mutation, 0, d.grow+len(d.removes)+len(d.upserts))
+	for i := 0; i < d.grow; i++ {
+		ops = append(ops, Mutation{Op: OpAddVertex})
+	}
+	for _, e := range d.removes {
+		ops = append(ops, Mutation{Op: OpRemoveEdge, Src: e.Src, Dst: e.Dst})
+	}
+	for _, e := range d.upserts {
+		ops = append(ops, Mutation{Op: OpAddEdge, Src: e.Src, Dst: e.Dst, Weight: e.Weight})
+	}
+	return Batch{Ops: ops}
+}
+
+// touch records that the batch reaches one arc: through an edge op
+// (at = the op's index) or because a remove-vertex op meets the arc in
+// the parent graph (at = -1).
+type touch struct {
+	key uint64 // src<<32 | dst
+	at  int32
+	add bool
+	w   float32
+}
+
+func arcKey(src, dst graph.VertexID) uint64 { return uint64(src)<<32 | uint64(dst) }
+
+// effective replays a validated batch over only the arcs it touches
+// and returns what actually changes. An arc's final state follows
+// from two timestamps, whatever the order ops arrived in: its last edge
+// op, and the last remove-vertex op on either endpoint. It is present
+// iff that edge op is an add and comes after both removals. Comparing
+// the final state with the parent's (one binary search per touched arc)
+// drops the no-ops: adds of present arcs, removes of absent ones,
+// add-then-remove pairs.
+func effective(g *graph.Graph, b Batch) delta {
+	n0 := graph.VertexID(g.NumVertices())
+	weighted := g.Weighted()
+	var d delta
+	var touches []touch
+	var removedAt map[graph.VertexID]int32 // last remove-vertex op per vertex
+	for i, m := range b.Ops {
 		switch m.Op {
 		case OpAddEdge:
 			w := m.Weight
-			if !g.Weighted() {
+			if !weighted {
 				w = 1
 			}
-			edges[edgeKey(m.Src, m.Dst)] = w
+			touches = append(touches, touch{key: arcKey(m.Src, m.Dst), at: int32(i), add: true, w: w})
 		case OpRemoveEdge:
-			delete(edges, edgeKey(m.Src, m.Dst))
+			touches = append(touches, touch{key: arcKey(m.Src, m.Dst), at: int32(i)})
 		case OpAddVertex:
-			n++
+			d.grow++
 		case OpRemoveVertex:
-			for k := range edges {
-				if graph.VertexID(k>>32) == m.Src || graph.VertexID(k&0xffffffff) == m.Src {
-					delete(edges, k)
+			if removedAt == nil {
+				removedAt = make(map[graph.VertexID]int32)
+			}
+			if _, again := removedAt[m.Src]; !again && m.Src < n0 {
+				for _, u := range g.OutNeighbors(m.Src) {
+					touches = append(touches, touch{key: arcKey(m.Src, u), at: -1})
+				}
+				for _, u := range g.InNeighbors(m.Src) {
+					touches = append(touches, touch{key: arcKey(u, m.Src), at: -1})
 				}
 			}
+			removedAt[m.Src] = int32(i)
 		}
 	}
-	out := make([]graph.Edge, 0, len(edges))
-	for k, w := range edges {
-		out = append(out, graph.Edge{
-			Src:    graph.VertexID(k >> 32),
-			Dst:    graph.VertexID(k & 0xffffffff),
-			Weight: w,
-		})
+	sort.Slice(touches, func(i, j int) bool {
+		if touches[i].key != touches[j].key {
+			return touches[i].key < touches[j].key
+		}
+		return touches[i].at < touches[j].at
+	})
+	for i := 0; i < len(touches); i++ {
+		if i+1 < len(touches) && touches[i+1].key == touches[i].key {
+			continue // not this arc's last touch
+		}
+		last := touches[i]
+		src, dst := graph.VertexID(last.key>>32), graph.VertexID(last.key)
+		present := last.add
+		for _, v := range [2]graph.VertexID{src, dst} {
+			if at, removed := removedAt[v]; removed && at > last.at {
+				present = false
+			}
+		}
+		var oldW float32
+		had := false
+		if src < n0 {
+			oldW, had = g.EdgeWeight(src, dst)
+		}
+		switch {
+		case had && !present:
+			d.removes = append(d.removes, graph.Edge{Src: src, Dst: dst})
+		case present && (!had || weighted && math.Float32bits(oldW) != math.Float32bits(last.w)):
+			d.upserts = append(d.upserts, graph.Edge{Src: src, Dst: dst, Weight: last.w})
+		}
 	}
-	// FromEdges sorts by (src, dst), so map iteration order cannot leak
-	// into the CSR layout.
-	ng, err := graph.FromEdges(n, out, graph.BuildOptions{Weighted: g.Weighted()})
+	return d
+}
+
+// SymmetricDelta derives the canonical delta between the symmetrized
+// variants of parent and child (graph.Symmetrize: both directions, no
+// self loops) from the directed effective delta eff between them,
+// without materializing either variant. Only an unordered pair {u, v}
+// that eff touches can change, and it is linked in a variant iff
+// either arc is present in the base graph. Additions carry weight 1:
+// on a weighted base the result describes the topology change only.
+func SymmetricDelta(parent, child *graph.Graph, eff Batch) Batch {
+	return symmetricDelta(parent, child, eff).batch()
+}
+
+// PatchUndirected advances the undirected variant of an unweighted
+// graph across one commit: parentU is graph.Symmetrize(parent), and the
+// result is graph.Symmetrize(child) array for array, built by patching
+// parentU with the symmetric delta (also returned, as SymmetricDelta
+// spells it) instead of re-symmetrizing child. When eff changes no
+// undirected pair and adds no vertex the result is parentU itself. The
+// delta goes to graph.Patch as arc lists, so it may hold more than
+// MaxBatchOps arcs: removing one hub vertex touches every pair it is in.
+func PatchUndirected(parentU, parent, child *graph.Graph, eff Batch) (*graph.Graph, Batch, error) {
+	d := symmetricDelta(parent, child, eff)
+	if d.grow == 0 && len(d.removes) == 0 && len(d.upserts) == 0 {
+		return parentU, Batch{}, nil
+	}
+	g, err := graph.Patch(parentU, child.NumVertices(), d.removes, d.upserts)
 	if err != nil {
-		return nil, fmt.Errorf("mutate: rebuild after batch: %w", err)
+		return nil, Batch{}, fmt.Errorf("mutate: patching the undirected variant: %w", err)
 	}
-	return ng, nil
+	return g, d.batch(), nil
+}
+
+func symmetricDelta(parent, child *graph.Graph, eff Batch) delta {
+	linked := func(g *graph.Graph, u, v graph.VertexID) bool {
+		n := graph.VertexID(g.NumVertices())
+		return u < n && v < n && (g.HasEdge(u, v) || g.HasEdge(v, u))
+	}
+	var pairs []uint64 // arcKey(min, max) of every touched pair
+	for _, m := range eff.Ops {
+		if (m.Op == OpAddEdge || m.Op == OpRemoveEdge) && m.Src != m.Dst {
+			u, v := m.Src, m.Dst
+			if u > v {
+				u, v = v, u
+			}
+			pairs = append(pairs, arcKey(u, v))
+		}
+	}
+	sort.Slice(pairs, func(i, j int) bool { return pairs[i] < pairs[j] })
+	d := delta{grow: child.NumVertices() - parent.NumVertices()}
+	for i, p := range pairs {
+		if i > 0 && pairs[i-1] == p {
+			continue
+		}
+		u, v := graph.VertexID(p>>32), graph.VertexID(p)
+		was, is := linked(parent, u, v), linked(child, u, v)
+		switch {
+		case was && !is:
+			d.removes = append(d.removes, graph.Edge{Src: u, Dst: v}, graph.Edge{Src: v, Dst: u})
+		case !was && is:
+			d.upserts = append(d.upserts, graph.Edge{Src: u, Dst: v, Weight: 1}, graph.Edge{Src: v, Dst: u, Weight: 1})
+		}
+	}
+	for _, l := range [][]graph.Edge{d.removes, d.upserts} {
+		sort.Slice(l, func(i, j int) bool { return arcKey(l[i].Src, l[i].Dst) < arcKey(l[j].Src, l[j].Dst) })
+	}
+	return d
 }
 
 // Diff computes a canonical batch transforming old into new:
@@ -67,6 +238,10 @@ func Apply(g *graph.Graph, b Batch) (*graph.Graph, error) {
 // additions/weight updates, each in sorted (src, dst) order. It is the
 // inverse of Apply in the sense the fuzz target asserts:
 // Apply(old, Diff(old, new)) is edge- and vertex-identical to new.
+// Weights are compared by bit pattern. Diff walks the adjacency rows of
+// both graphs in place, so it allocates only its result. Commits do
+// not call it; it is the oracle their effective delta is tested
+// against.
 func Diff(oldG, newG *graph.Graph) (Batch, error) {
 	if newG.NumVertices() < oldG.NumVertices() {
 		return Batch{}, fmt.Errorf("mutate: diff target has fewer vertices (%d < %d); vertex slots are never reclaimed",
@@ -79,36 +254,43 @@ func Diff(oldG, newG *graph.Graph) (Batch, error) {
 	for i := oldG.NumVertices(); i < newG.NumVertices(); i++ {
 		b.Ops = append(b.Ops, Mutation{Op: OpAddVertex})
 	}
-	// Both edge lists are sorted by (src, dst): one merge pass.
-	oldE, newE := oldG.Edges(), newG.Edges()
 	weighted := newG.Weighted()
 	var adds []Mutation
-	i, j := 0, 0
-	for i < len(oldE) || j < len(newE) {
-		switch {
-		case j == len(newE) || (i < len(oldE) && less(oldE[i], newE[j])):
-			b.Ops = append(b.Ops, Mutation{Op: OpRemoveEdge, Src: oldE[i].Src, Dst: oldE[i].Dst})
-			i++
-		case i == len(oldE) || less(newE[j], oldE[i]):
-			adds = append(adds, Mutation{Op: OpAddEdge, Src: newE[j].Src, Dst: newE[j].Dst, Weight: newE[j].Weight})
-			j++
-		default: // same (src, dst)
-			if weighted && oldE[i].Weight != newE[j].Weight {
-				adds = append(adds, Mutation{Op: OpAddEdge, Src: newE[j].Src, Dst: newE[j].Dst, Weight: newE[j].Weight})
+	for v := 0; v < newG.NumVertices(); v++ {
+		src := graph.VertexID(v)
+		var oldRow []graph.VertexID
+		var oldW []float32
+		if v < oldG.NumVertices() {
+			oldRow, oldW = oldG.OutNeighbors(src), oldG.OutWeights(src)
+		}
+		newRow, newW := newG.OutNeighbors(src), newG.OutWeights(src)
+		add := func(j int) {
+			w := float32(1)
+			if weighted {
+				w = newW[j]
 			}
-			i++
-			j++
+			adds = append(adds, Mutation{Op: OpAddEdge, Src: src, Dst: newRow[j], Weight: w})
+		}
+		i, j := 0, 0
+		for i < len(oldRow) || j < len(newRow) {
+			switch {
+			case j == len(newRow) || (i < len(oldRow) && oldRow[i] < newRow[j]):
+				b.Ops = append(b.Ops, Mutation{Op: OpRemoveEdge, Src: src, Dst: oldRow[i]})
+				i++
+			case i == len(oldRow) || newRow[j] < oldRow[i]:
+				add(j)
+				j++
+			default: // same (src, dst)
+				if weighted && math.Float32bits(oldW[i]) != math.Float32bits(newW[j]) {
+					add(j)
+				}
+				i++
+				j++
+			}
 		}
 	}
 	b.Ops = append(b.Ops, adds...)
 	return b, nil
-}
-
-func less(a, b graph.Edge) bool {
-	if a.Src != b.Src {
-		return a.Src < b.Src
-	}
-	return a.Dst < b.Dst
 }
 
 // Equal reports structural equality: same vertex count, same sorted

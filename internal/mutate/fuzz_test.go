@@ -39,13 +39,43 @@ func FuzzBatchCodec(f *testing.F) {
 	})
 }
 
+// batchFromBytes reads an ordered batch over a graph of n vertices from
+// fuzz bytes, three per op: kind, src, dst. Every op it returns is
+// valid where it stands in the batch.
+func batchFromBytes(data []byte, n int) Batch {
+	var b Batch
+	for i := 0; i+2 < len(data); i += 3 {
+		src, dst := graph.VertexID(int(data[i+1])%n), graph.VertexID(int(data[i+2])%n)
+		switch data[i] % 8 {
+		case 0:
+			b.Ops = append(b.Ops, Mutation{Op: OpAddVertex})
+			n++
+		case 1:
+			b.Ops = append(b.Ops, Mutation{Op: OpRemoveVertex, Src: src})
+		case 2, 3:
+			b.Ops = append(b.Ops, Mutation{Op: OpRemoveEdge, Src: src, Dst: dst})
+		default:
+			b.Ops = append(b.Ops, Mutation{Op: OpAddEdge, Src: src, Dst: dst, Weight: float32(data[i] / 8)})
+		}
+	}
+	return b
+}
+
 // FuzzDiffApply drives two graphs from fuzz bytes and asserts the
 // delta property the shipping path relies on:
-// Apply(old, Diff(old, new)) == new.
+// Apply(old, Diff(old, new)) == new. It then reads the second byte
+// string as an ordered batch and asserts the commit identities:
+// Apply matches the map-and-sort reference array for array, the
+// effective delta is Diff's, and the patched undirected variant is
+// Symmetrize's.
 func FuzzDiffApply(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, []byte{8, 7, 6, 5}, false)
 	f.Add([]byte{0xff, 0x00, 0x10}, []byte{}, true)
 	f.Add([]byte{}, []byte{1, 1, 1, 1, 1, 1}, false)
+	// remove-vertex 1 then add-edge 1→2; add-vertex, an arc onto it, add
+	// then remove 3→4; a self loop.
+	f.Add([]byte{1, 2, 2, 3, 3, 1}, []byte{1, 1, 0, 4, 1, 2, 0, 0, 0, 4, 0, 8, 4, 3, 4, 2, 3, 4, 12, 5, 5}, false)
+	f.Add([]byte{1, 2, 2, 3, 3, 1, 1, 2}, []byte{20, 1, 2, 36, 1, 2, 2, 2, 3, 1, 3, 0, 4, 3, 1}, true)
 	f.Fuzz(func(t *testing.T, oldBytes, newBytes []byte, weighted bool) {
 		build := func(data []byte, n int) *graph.Graph {
 			edges := make([]graph.Edge, 0, len(data)/2)
@@ -70,6 +100,9 @@ func FuzzDiffApply(f *testing.F) {
 		newN := oldN + len(newBytes)%4 // vertex slots only grow
 		oldG := build(oldBytes, oldN)
 		newG := build(newBytes, newN)
+		if b := batchFromBytes(newBytes, oldN); len(b.Ops) > 0 {
+			checkCommit(t, oldG, graph.Symmetrize(oldG), b)
+		}
 		d, err := Diff(oldG, newG)
 		if err != nil {
 			t.Fatalf("diff: %v", err)

@@ -32,6 +32,7 @@ type Snapshot struct {
 	fp       string
 	parentFP string
 	delta    Batch // empty for the root snapshot
+	eff      Batch // what delta changes, in Diff's canonical form
 
 	blobOnce sync.Once
 	blob     []byte
@@ -54,6 +55,12 @@ func (s *Snapshot) ParentFingerprint() string { return s.parentFP }
 // Delta returns the batch that produced this snapshot from its parent
 // (zero-length for the root).
 func (s *Snapshot) Delta() Batch { return s.delta }
+
+// Effective returns what Delta actually changed, as the canonical batch
+// Diff(parent graph, this graph) would compute (zero-length for the
+// root): no-op ops dropped, remove-vertex ops expanded into their arcs.
+// The incremental trackers advance on it.
+func (s *Snapshot) Effective() Batch { return s.eff }
 
 // Blob serializes the snapshot's graph (SGG1 binary form) and returns
 // it with its sha256, memoized. The sha travels next to full-graph
@@ -180,7 +187,7 @@ func (st *Store) Window() (lo, hi uint64) {
 // serialize Commit calls per store.
 func (st *Store) Commit(b Batch) (*Snapshot, error) {
 	parent := st.Latest()
-	ng, err := Apply(parent.g, b)
+	ng, eff, err := apply(parent.g, b)
 	if err != nil {
 		return nil, err
 	}
@@ -190,6 +197,7 @@ func (st *Store) Commit(b Batch) (*Snapshot, error) {
 		fp:       ChainFingerprint(parent.fp, b.Encode()),
 		parentFP: parent.fp,
 		delta:    b,
+		eff:      eff,
 	}
 	st.mu.Lock()
 	st.snaps = append(st.snaps, child)

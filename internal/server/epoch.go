@@ -243,16 +243,36 @@ func (st *epochState) computeDelta(v graphVariant, parent *epochState) *variantD
 		}
 		return &variantDelta{bytes: b.Encode(), chained: true}
 	}
+	// The commit path records the undirected variant's delta when it
+	// patches the variant (install), so this fallback diffs only the
+	// variants built lazily: the weighted one, and the undirected one of
+	// a weighted base.
 	diff, err := mutate.Diff(parent.Graph(v), st.Graph(v))
-	if err != nil || len(diff.Ops) > mutate.MaxBatchOps {
+	if err != nil {
 		return &variantDelta{}
 	}
+	return st.unchainedDelta(diff)
+}
+
+// unchainedDelta wraps a canonical variant delta for shipping, or
+// returns the "no delta path" value when a full ship is cheaper.
+func (st *epochState) unchainedDelta(diff mutate.Batch) *variantDelta {
 	// A delta near the graph's own edge count ships more bytes than
 	// the blob (13 B/op vs ~8 B/edge serialized); fall back to full.
-	if int64(len(diff.Ops)) > st.info.edges/2 {
+	if len(diff.Ops) > mutate.MaxBatchOps || int64(len(diff.Ops)) > st.info.edges/2 {
 		return &variantDelta{}
 	}
 	return &variantDelta{bytes: diff.Encode(), chained: false}
+}
+
+// install memoizes a variant the commit path derived from the parent
+// epoch's, together with the canonical delta between the two, so the
+// first query and the first remote ship of this epoch find both ready.
+func (st *epochState) install(v graphVariant, g *graph.Graph, delta mutate.Batch) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	st.variants[v] = g
+	st.deltas[v] = st.unchainedDelta(delta)
 }
 
 // buildSpec assembles the provider handoff for one (epoch, variant)
@@ -289,18 +309,22 @@ type commitResult struct {
 }
 
 // commit validates and applies one batch, advances the incremental
-// trackers against the canonical diff, and (when verify is set)
+// trackers on the snapshot's effective delta, and (when verify is set)
 // asserts the trackers are bit-identical to a from-scratch recompute
-// on the new epoch. Caller-visible invariant: the store, the state
-// map, and the trackers move together — the commit mutex makes the
-// epoch bump atomic with respect to other commits, and queries pinned
-// to older epochs keep resolving their snapshots untouched.
+// on the new epoch. Nothing here rebuilds or diffs a whole graph: the
+// store patches the parent snapshot, and the undirected variant is the
+// parent epoch's patched with the symmetric form of the same delta.
+// Caller-visible invariant: the store, the state map, and the trackers
+// move together — the commit mutex makes the epoch bump atomic with
+// respect to other commits, and queries pinned to older epochs keep
+// resolving their snapshots untouched.
 func (e *graphEntry) commit(b mutate.Batch, verify bool) (commitResult, error) {
 	e.commitMu.Lock()
 	defer e.commitMu.Unlock()
 
 	parent := e.Latest()
-	if err := b.Validate(parent.Graph(variantDirected)); err != nil {
+	parentG := parent.Graph(variantDirected)
+	if err := b.Validate(parentG); err != nil {
 		return commitResult{}, err
 	}
 
@@ -311,7 +335,7 @@ func (e *graphEntry) commit(b mutate.Batch, verify bool) (commitResult, error) {
 		e.core = mutate.NewCoreTracker(parent.Graph(variantUndirected), e.coreK)
 	}
 	if e.bfs == nil {
-		e.bfs = mutate.NewBFSTracker(parent.Graph(variantDirected), e.bfsRoot)
+		e.bfs = mutate.NewBFSTracker(parentG, e.bfsRoot)
 	}
 
 	snap, err := e.store.Commit(b)
@@ -322,14 +346,9 @@ func (e *graphEntry) commit(b mutate.Batch, verify bool) (commitResult, error) {
 
 	res := commitResult{snap: snap, state: st}
 	incStart := time.Now()
-	baseDiff, err := mutate.Diff(parent.Graph(variantDirected), st.Graph(variantDirected))
-	if err == nil {
-		res.bfsRelabeled = e.bfs.Update(st.Graph(variantDirected), baseDiff)
-	}
-	undirDiff, err := mutate.Diff(parent.Graph(variantUndirected), st.Graph(variantUndirected))
-	if err == nil {
-		res.coreChanged = e.core.Update(st.Graph(variantUndirected), undirDiff)
-	}
+	eff := snap.Effective()
+	res.bfsRelabeled = e.bfs.Update(snap.Graph(), eff)
+	res.coreChanged = e.advanceUndirected(parent, st, eff)
 	res.incDur = time.Since(incStart)
 	e.incNanos.Add(res.incDur.Nanoseconds())
 
@@ -345,13 +364,43 @@ func (e *graphEntry) commit(b mutate.Batch, verify bool) (commitResult, error) {
 			e.verifyFails.Add(1)
 			// Re-anchor the diverged tracker from scratch so later
 			// commits are not poisoned, then surface the bug loudly.
-			e.core = mutate.NewCoreTracker(st.Graph(variantUndirected), e.coreK)
-			e.bfs = mutate.NewBFSTracker(st.Graph(variantDirected), e.bfsRoot)
+			e.reanchor(st)
 			return res, fmt.Errorf("server: incremental recompute diverged from scratch at epoch %d (core_ok=%v bfs_ok=%v)",
 				snap.Epoch(), coreOK, bfsOK)
 		}
 	}
 	return res, nil
+}
+
+// advanceUndirected carries the undirected variant and the k-core
+// tracker that follows it across the commit parent→st, and returns how
+// many vertices changed core membership. On an unweighted base the
+// variant is a function of the arc set, so it is the parent epoch's
+// variant patched with the symmetric form of eff, installed at commit
+// time so the first undirected query of the epoch finds it memoized. A
+// weighted base keeps the full Symmetrize: which of an arc's two
+// weights its dedupe keeps depends on an unstable sort, and a delta
+// cannot reproduce that. The commit has landed by now, so this cannot
+// fail it: if the patch is ever refused, the variant is re-symmetrized
+// and the tracker rebuilt on it.
+func (e *graphEntry) advanceUndirected(parent, st *epochState, eff mutate.Batch) int {
+	parentG, childG := parent.Graph(variantDirected), st.Graph(variantDirected)
+	if st.info.weighted {
+		return e.core.Update(st.Graph(variantUndirected), mutate.SymmetricDelta(parentG, childG, eff))
+	}
+	g, symDelta, err := mutate.PatchUndirected(parent.Graph(variantUndirected), parentG, childG, eff)
+	if err != nil {
+		e.core = mutate.NewCoreTracker(st.Graph(variantUndirected), e.coreK)
+		return 0
+	}
+	st.install(variantUndirected, g, symDelta)
+	return e.core.Update(g, symDelta)
+}
+
+// reanchor rebuilds both trackers from scratch on st's epoch.
+func (e *graphEntry) reanchor(st *epochState) {
+	e.core = mutate.NewCoreTracker(st.Graph(variantUndirected), e.coreK)
+	e.bfs = mutate.NewBFSTracker(st.Graph(variantDirected), e.bfsRoot)
 }
 
 // EpochStatus is one graph's versioning state for /statusz.

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -14,6 +15,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/mutate"
 )
 
 // postMutate fires one mutation batch and decodes the response.
@@ -417,5 +419,129 @@ func TestMutateBinnedScanIdentity(t *testing.T) {
 					url, binned.Result, binned.Epoch, legacy.Result, legacy.Epoch)
 			}
 		}
+	}
+}
+
+// TestCommitDerivesUndirectedVariant checks the epoch layer's half of
+// the O(delta) commit: at every epoch the undirected variant installed
+// at commit time equals graph.Symmetrize of the snapshot, the delta
+// recorded for shipping it equals Diff's, and a batch that changes no
+// undirected pair shares the parent's variant outright. A weighted
+// base keeps the full Symmetrize and still advances its trackers.
+func TestCommitDerivesUndirectedVariant(t *testing.T) {
+	for _, weighted := range []bool{false, true} {
+		base := graph.RMAT(7, 6, graph.Graph500Params(), 3)
+		if weighted {
+			base = graph.RandomWeights(base, 5)
+		}
+		ge, err := newGraphEntry("g", base, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(9))
+		n := base.NumVertices()
+		for epoch := 0; epoch < 12; epoch++ {
+			parent := ge.Latest()
+			var b mutate.Batch
+			switch epoch {
+			case 3: // only reverse arcs of existing ones: no undirected pair changes
+				for v := 0; len(b.Ops) < 4; v++ {
+					pg := parent.Graph(variantDirected)
+					for _, u := range pg.OutNeighbors(graph.VertexID(v)) {
+						if !pg.HasEdge(u, graph.VertexID(v)) {
+							b.Ops = append(b.Ops, mutate.Mutation{Op: mutate.OpAddEdge, Src: u, Dst: graph.VertexID(v), Weight: 1})
+							break
+						}
+					}
+				}
+			case 5:
+				b.Ops = []mutate.Mutation{{Op: mutate.OpAddVertex}, {Op: mutate.OpAddEdge, Src: graph.VertexID(n), Dst: 0, Weight: 1},
+					{Op: mutate.OpRemoveVertex, Src: 1}}
+				n++
+			default:
+				for i := 0; i < 8; i++ {
+					op := mutate.OpAddEdge
+					if i%3 == 0 {
+						op = mutate.OpRemoveEdge
+					}
+					b.Ops = append(b.Ops, mutate.Mutation{Op: op, Src: graph.VertexID(rng.Intn(n)), Dst: graph.VertexID(rng.Intn(n)), Weight: float32(1 + rng.Intn(3))})
+				}
+				if nb := parent.Graph(variantDirected).OutNeighbors(2); len(nb) > 0 {
+					b.Ops = append(b.Ops, mutate.Mutation{Op: mutate.OpRemoveEdge, Src: 2, Dst: nb[0]})
+				}
+			}
+			res, err := ge.commit(b, true)
+			if err != nil {
+				t.Fatalf("weighted=%v epoch %d: %v", weighted, epoch, err)
+			}
+			st := res.state
+			st.mu.Lock()
+			gotU, installed := st.variants[variantUndirected]
+			st.mu.Unlock()
+			if !installed {
+				t.Fatalf("weighted=%v epoch %d: undirected variant not memoized by the commit", weighted, epoch)
+			}
+			wantU := graph.Symmetrize(st.Graph(variantDirected))
+			if err := gotU.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(gotU.Edges(), wantU.Edges()) || gotU.NumVertices() != wantU.NumVertices() {
+				t.Fatalf("weighted=%v epoch %d: undirected variant differs from Symmetrize", weighted, epoch)
+			}
+			if !weighted && epoch == 3 && gotU != parent.Graph(variantUndirected) {
+				t.Fatalf("epoch %d: a batch of reverse arcs should share the parent's undirected variant", epoch)
+			}
+			diff, err := mutate.Diff(parent.Graph(variantUndirected), wantU)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := st.computeDelta(variantUndirected, parent)
+			st.mu.Lock()
+			if d, ok := st.deltas[variantUndirected]; ok {
+				got = d
+			} else if !weighted {
+				t.Fatalf("epoch %d: no undirected ship delta recorded at commit", epoch)
+			}
+			st.mu.Unlock()
+			if want := st.unchainedDelta(diff); !bytes.Equal(got.bytes, want.bytes) {
+				t.Fatalf("weighted=%v epoch %d: undirected ship delta differs from Diff's", weighted, epoch)
+			}
+		}
+	}
+}
+
+// TestCommitHubBeyondBatchLimit: removing a hub vertex is one submitted
+// op, but its effective delta and the symmetric delta the undirected
+// variant is patched with hold more arcs than MaxBatchOps. The limit
+// bounds what a client submits, not what a commit derives.
+func TestCommitHubBeyondBatchLimit(t *testing.T) {
+	ge, err := newGraphEntry("star", graph.Star(40000), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := ge.commit(mutate.Batch{Ops: []mutate.Mutation{{Op: mutate.OpRemoveVertex, Src: 0}}}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(res.snap.Effective().Ops); n <= mutate.MaxBatchOps {
+		t.Fatalf("effective delta of %d ops does not exceed the batch limit", n)
+	}
+	st := res.state
+	st.mu.Lock()
+	gotU, installed := st.variants[variantUndirected]
+	st.mu.Unlock()
+	if !installed {
+		t.Fatal("undirected variant not memoized by the commit")
+	}
+	wantU := graph.Symmetrize(st.Graph(variantDirected))
+	if err := gotU.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if gotU.NumVertices() != wantU.NumVertices() || gotU.NumEdges() != 0 || wantU.NumEdges() != 0 {
+		t.Fatalf("undirected variant %v, want %v", gotU, wantU)
+	}
+	// Too large to ship as a delta: workers get the full blob.
+	if _, _, _, ok := st.shipDelta(variantUndirected); ok {
+		t.Fatal("an over-limit symmetric delta was offered for delta shipping")
 	}
 }

@@ -111,8 +111,14 @@ type Pool struct {
 	graphs    map[string]*graphEntry
 	mu        sync.Mutex
 	entries   map[entryKey]*poolEntry
-	slots     []*slot // every slot ever built, for stats aggregation
 	nextID    int
+
+	// Stats aggregation over every slot ever built, without keeping a
+	// closed slot (its engine, layouts and blocked CSR) reachable: open
+	// slots are tracked until retire folds their counters in.
+	open           map[*slot]struct{}
+	built          map[string]int // provider → slots ever built
+	closedRestarts int64          // Restarts of engines already closed
 }
 
 // NewPool validates the configuration and indexes the graphs and
@@ -133,6 +139,8 @@ func NewPool(cfg PoolConfig) (*Pool, error) {
 		providers: make(map[string]EngineProvider, len(cfg.Providers)),
 		graphs:    make(map[string]*graphEntry, len(cfg.Graphs)),
 		entries:   make(map[entryKey]*poolEntry),
+		open:      make(map[*slot]struct{}),
+		built:     make(map[string]int, len(cfg.Providers)),
 	}
 	for _, prov := range cfg.Providers {
 		if _, dup := p.providers[prov.Name()]; dup {
@@ -287,7 +295,7 @@ func (p *Pool) freshen(prov EngineProvider, ge *graphEntry, e *poolEntry, s *slo
 	if !isStale(s.eng) {
 		return s, nil
 	}
-	s.eng.Close()
+	p.retire(s)
 	fresh, err := p.build(prov, ge, s.epoch, s.variant, s.mode)
 	if err != nil {
 		e.mu.Lock()
@@ -314,9 +322,21 @@ func (p *Pool) build(prov EngineProvider, ge *graphEntry, epoch uint64, v graphV
 	}
 	s := &slot{eng: eng, provider: prov.Name(), graph: ge.name, epoch: st.Epoch(), variant: v, mode: mode, id: id}
 	p.mu.Lock()
-	p.slots = append(p.slots, s)
+	p.open[s] = struct{}{}
+	p.built[s.provider]++
 	p.mu.Unlock()
 	return s, nil
+}
+
+// retire closes a slot's engine and stops tracking it, keeping only
+// what the "ever built" statistics need.
+func (p *Pool) retire(s *slot) {
+	restarts := s.eng.Stats().Restarts
+	p.mu.Lock()
+	delete(p.open, s)
+	p.closedRestarts += restarts
+	p.mu.Unlock()
+	s.eng.Close()
 }
 
 // Release returns the slot to its free list. The engine first completes
@@ -336,7 +356,7 @@ func (p *Pool) Release(s *slot) {
 
 	if ge := p.graphs[s.graph]; ge != nil {
 		if _, hi := ge.store.Window(); s.epoch < hi {
-			s.eng.Close()
+			p.retire(s)
 			e := p.entry(keyOf(s))
 			e.mu.Lock()
 			e.built--
@@ -357,7 +377,7 @@ func (p *Pool) Release(s *slot) {
 		rebuild = true
 	}
 	if rebuild {
-		s.eng.Close()
+		p.retire(s)
 		prov := p.providers[s.provider]
 		ge := p.graphs[s.graph]
 		var fresh *slot
@@ -385,7 +405,7 @@ func (p *Pool) Release(s *slot) {
 		// Free list full: a replacement was built while this slot was
 		// out (can't happen in the current accounting, but never block
 		// a release).
-		s.eng.Close()
+		p.retire(s)
 	}
 }
 
@@ -417,7 +437,7 @@ func (p *Pool) RetireEpochs(graphName string) int {
 		for {
 			select {
 			case s := <-v.e.free:
-				s.eng.Close()
+				p.retire(s)
 				v.e.mu.Lock()
 				v.e.built--
 				v.e.mu.Unlock()
@@ -457,10 +477,13 @@ func (p *Pool) Close() {
 // absorbed. Reading a leased engine's stats mid-run is safe.
 func (p *Pool) Restarts() int64 {
 	p.mu.Lock()
-	slots := append([]*slot(nil), p.slots...)
+	total := p.closedRestarts
+	open := make([]*slot, 0, len(p.open))
+	for s := range p.open {
+		open = append(open, s)
+	}
 	p.mu.Unlock()
-	var total int64
-	for _, s := range slots {
+	for _, s := range open {
 		total += s.eng.Stats().Restarts
 	}
 	return total
@@ -470,7 +493,11 @@ func (p *Pool) Restarts() int64 {
 func (p *Pool) Slots() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return len(p.slots)
+	total := 0
+	for _, n := range p.built {
+		total += n
+	}
+	return total
 }
 
 // Fleets collects the roster snapshot of every provider that tracks
@@ -491,10 +518,7 @@ func (p *Pool) ProviderSlots() map[string]int {
 	defer p.mu.Unlock()
 	out := make(map[string]int, len(p.providers))
 	for n := range p.providers {
-		out[n] = 0
-	}
-	for _, s := range p.slots {
-		out[s.provider]++
+		out[n] = p.built[n]
 	}
 	return out
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/algorithms"
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/mutate"
 )
 
 // localTestPool builds a pool backed by the in-process provider alone.
@@ -191,5 +192,75 @@ func TestPoolNamesSorted(t *testing.T) {
 	}
 	if got := p.ProviderNames(); !reflect.DeepEqual(got, []string{"local"}) {
 		t.Fatalf("ProviderNames() = %v", got)
+	}
+}
+
+// TestPoolDropsClosedSlots: every commit obsoletes the previous epoch's
+// engines, and the pool must not keep a closed one reachable (each pins
+// its layouts and blocked CSR). Across many commits the slots it still
+// tracks stay within what the retained epochs can hold, while Slots,
+// ProviderSlots and Restarts keep counting every engine ever built.
+func TestPoolDropsClosedSlots(t *testing.T) {
+	const retention, commits = 3, 12
+	p, err := NewPool(PoolConfig{
+		Graphs:        map[string]*graph.Graph{"g": testGraph(7, 1)},
+		Providers:     []EngineProvider{NewLocalProvider(LocalProviderConfig{Options: core.Options{NumNodes: 2, Mode: core.ModeSympleGraph}})},
+		SlotsPerEntry: 2,
+		Retention:     retention,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(p.Close)
+	ge, _ := p.Entry("g")
+	variants := []graphVariant{variantDirected, variantUndirected, variantWeighted}
+	perEpoch := len(variants) * 2 // two leases per variant below
+
+	live := func() int {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		return len(p.open)
+	}
+	built := 0
+	var held *slot // one lease that outlives its epoch
+	for c := 0; c < commits; c++ {
+		for _, v := range variants {
+			a, err := p.Lease(context.Background(), "", "g", 0, v, core.ModeSympleGraph)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := p.Lease(context.Background(), "", "g", 0, v, core.ModeSympleGraph)
+			if err != nil {
+				t.Fatal(err)
+			}
+			built += 2
+			if c == 1 && v == variantDirected {
+				held = a
+			} else {
+				p.Release(a)
+			}
+			p.Release(b)
+		}
+		if _, err := ge.commit(mutate.Batch{Ops: []mutate.Mutation{{Op: mutate.OpAddEdge, Src: graph.VertexID(c), Dst: graph.VertexID(c + 40)}}}, false); err != nil {
+			t.Fatal(err)
+		}
+		p.RetireEpochs("g")
+		if got, max := live(), retention*perEpoch; got > max {
+			t.Fatalf("after commit %d the pool still tracks %d slots, want at most %d (retention %d × %d per epoch)",
+				c, got, max, retention, perEpoch)
+		}
+	}
+	if got := live(); got != 1 {
+		t.Fatalf("idle pool after the last retire tracks %d slots, want only the held lease", got)
+	}
+	p.Release(held) // superseded epoch: closed on the way back
+	if got := live(); got != 0 {
+		t.Fatalf("pool tracks %d slots after the last release, want 0", got)
+	}
+	if p.Slots() != built || p.ProviderSlots()["local"] != built {
+		t.Fatalf("ever-built counters: Slots=%d ProviderSlots=%v, want %d", p.Slots(), p.ProviderSlots(), built)
+	}
+	if p.Restarts() != 0 {
+		t.Fatalf("Restarts = %d on a fault-free pool", p.Restarts())
 	}
 }
