@@ -3,9 +3,9 @@
 # layer, run the seeded chaos soak, the sgserve process smoke test, then
 # the full suite (which includes the CLI trace smoke test and the
 # sustained serving load test).
-.PHONY: verify build vet lint lint-check test race smoke serve-smoke serve-dist-smoke chaos fleet-chaos mutate-chaos bench-baseline bench-check bench-build
+.PHONY: verify build vet lint lint-check test race smoke serve-smoke serve-dist-smoke chaos fleet-chaos mutate-chaos bench-baseline bench-check bench-build microbench-smoke
 
-verify: build bench-build lint lint-check race chaos fleet-chaos mutate-chaos serve-smoke serve-dist-smoke test
+verify: build bench-build microbench-smoke lint lint-check race chaos fleet-chaos mutate-chaos serve-smoke serve-dist-smoke test
 
 build:
 	go build ./...
@@ -22,6 +22,13 @@ vet:
 # is one main package, which a bare `go build` would drop into benchmark/.)
 bench-build:
 	cd benchmark && go vet ./... && go build -o /dev/null ./...
+
+# The per-layer microbenchmarks (bitset kernels, bufpool, blocked CSR,
+# graph.Patch, Symmetrize, mutate.Apply/Commit, BuildLayout, NewCluster)
+# are only ever read by hand; one iteration each keeps them compiling
+# and running, so a signature change or a panic breaks the gate.
+microbench-smoke:
+	go test -run '^$$' -bench . -benchtime 1x ./internal/graph ./internal/partition ./internal/mutate ./internal/core ./internal/bitset ./internal/bufpool
 
 # Project-invariant lint: the full sgvet suite (nine analyzers; the
 # flow-sensitive engine backs bufown, lockorder and leakgo) over the

@@ -153,34 +153,15 @@ func NewCluster(g *graph.Graph, opts Options) (*Cluster, error) {
 	if err := opts.validateAndDefault(); err != nil {
 		return nil, err
 	}
-	pt, err := partition.NewChunked(g, opts.NumNodes, opts.Alpha)
+	machines := make([]int, opts.NumNodes)
+	for m := range machines {
+		machines[m] = m
+	}
+	c, err := newCluster(g, opts, machines)
 	if err != nil {
 		return nil, err
 	}
-	threshold := opts.DepThreshold
-	if opts.Mode == ModeGemini {
-		threshold = 0 // classification irrelevant; track-all keeps layouts uniform
-	}
-	class := partition.BuildDegreeClass(g, pt, threshold)
-	c := &Cluster{
-		g:         g,
-		opts:      opts,
-		part:      pt,
-		class:     class,
-		layouts:   make([]*partition.Layout, opts.NumNodes),
-		localNode: -1,
-	}
-	for m := 0; m < opts.NumNodes; m++ {
-		c.layouts[m] = partition.BuildLayout(g, pt, class, m)
-		if opts.binnedScan() {
-			// The binned sparse scan reads the partition-blocked CSR.
-			// Derivation is deterministic from (graph, partition), so a
-			// rebuilt engine over any epoch snapshot blocks identically.
-			if err := c.layouts[m].AttachBlocked(g, 0); err != nil {
-				return nil, err
-			}
-		}
-	}
+	c.localNode = -1
 	if opts.Endpoints != nil {
 		c.endpoints = opts.Endpoints
 		if opts.Fault != nil {
@@ -190,6 +171,42 @@ func NewCluster(g *graph.Graph, opts Options) (*Cluster, error) {
 		c.buildMemTransport()
 	}
 	c.initCheckpoints()
+	return c, nil
+}
+
+// newCluster is the part of construction every kind of cluster shares:
+// chunk the vertices, classify them by the mode's threshold, and lay out
+// the listed machines (all of them in process; the one this process
+// hosts in distributed mode). opts must already be validated. Endpoints,
+// localNode and checkpoints are the caller's to fill in.
+func newCluster(g *graph.Graph, opts Options, machines []int) (*Cluster, error) {
+	pt, err := partition.NewChunked(g, opts.NumNodes, opts.Alpha)
+	if err != nil {
+		return nil, err
+	}
+	threshold := opts.DepThreshold
+	if opts.Mode == ModeGemini {
+		threshold = 0 // classification irrelevant; track-all keeps layouts uniform
+	}
+	c := &Cluster{
+		g:       g, // also pins the arrays the layouts' blocks alias
+		opts:    opts,
+		part:    pt,
+		class:   partition.BuildDegreeClass(g, pt, threshold),
+		layouts: make([]*partition.Layout, opts.NumNodes),
+	}
+	for _, m := range machines {
+		c.layouts[m] = partition.BuildLayout(g, pt, c.class, m)
+		if opts.binnedScan() {
+			// The binned sparse scan reads the partition-blocked CSR.
+			// Like the blocks, it is derived from (graph, partition)
+			// alone, so a rebuilt engine over any epoch snapshot lays
+			// out identically.
+			if err := c.layouts[m].AttachBlocked(g, 0); err != nil {
+				return nil, err
+			}
+		}
+	}
 	return c, nil
 }
 
@@ -233,36 +250,18 @@ func NewDistributedNode(g *graph.Graph, opts Options, ep comm.Endpoint) (*Cluste
 	if ep.N() != opts.NumNodes {
 		return nil, fmt.Errorf("core: endpoint knows %d nodes, options say %d", ep.N(), opts.NumNodes)
 	}
-	pt, err := partition.NewChunked(g, opts.NumNodes, opts.Alpha)
+	// Only the local machine's layout and endpoint exist in this
+	// process — the memory footprint a real cluster member would have.
+	id := int(ep.ID())
+	c, err := newCluster(g, opts, []int{id})
 	if err != nil {
 		return nil, err
 	}
-	threshold := opts.DepThreshold
-	if opts.Mode == ModeGemini {
-		threshold = 0
-	}
-	class := partition.BuildDegreeClass(g, pt, threshold)
-	id := int(ep.ID())
-	c := &Cluster{
-		g:         g,
-		opts:      opts,
-		part:      pt,
-		class:     class,
-		layouts:   make([]*partition.Layout, opts.NumNodes),
-		endpoints: make([]comm.Endpoint, opts.NumNodes),
-		localNode: id,
-	}
-	// Only the local machine's layout and endpoint exist in this
-	// process — the memory footprint a real cluster member would have.
-	c.layouts[id] = partition.BuildLayout(g, pt, class, id)
-	if opts.binnedScan() {
-		if err := c.layouts[id].AttachBlocked(g, 0); err != nil {
-			return nil, err
-		}
-	}
+	c.localNode = id
 	if opts.Fault != nil {
 		ep = opts.Fault.WrapOne(ep)
 	}
+	c.endpoints = make([]comm.Endpoint, opts.NumNodes)
 	c.endpoints[id] = ep
 	c.initCheckpoints()
 	return c, nil

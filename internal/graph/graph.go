@@ -96,6 +96,16 @@ func (g *Graph) InWeights(v VertexID) []float32 {
 	return g.inWeights[g.inOffsets[v]:g.inOffsets[v+1]]
 }
 
+// InCSC returns the in-side arrays whole: the sources of every arc in
+// destination-major order (sources ascending within a destination), the
+// weights parallel to them (nil for unweighted graphs), and the n+1
+// offsets that delimit each destination's row. Index-only views
+// (partition.Block) keep positions into these arrays instead of copying
+// arcs. The slices alias internal storage and must not be modified.
+func (g *Graph) InCSC() (offsets []int64, sources []VertexID, weights []float32) {
+	return g.inOffsets, g.inSources, g.inWeights
+}
+
 // Edges materializes all edges in source-major order. Intended for tests
 // and I/O, not hot paths.
 func (g *Graph) Edges() []Edge {

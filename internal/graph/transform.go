@@ -4,17 +4,80 @@ package graph
 // directions (deduplicated, self loops dropped). This is how the paper
 // runs undirected algorithms — MIS, K-core, K-means — on directed
 // datasets.
+//
+// Row v of the result is the merge of v's out-row and in-row, both
+// already sorted, so nothing is sorted here. On a weighted graph an arc
+// that g has keeps its own weight (its first copy's, if g repeats it)
+// and an arc added as a reverse takes the weight of the arc it
+// reverses. A symmetric graph's in-CSC equals its out-CSR, so the
+// result's in-side offsets and sources are its out-side arrays; only
+// the weights, which the rule above leaves direction-dependent, are
+// stored per side.
 func Symmetrize(g *Graph) *Graph {
-	edges := g.Edges()
-	both := make([]Edge, 0, 2*len(edges))
-	for _, e := range edges {
-		both = append(both, e, Edge{Src: e.Dst, Dst: e.Src, Weight: e.Weight})
+	s := &Graph{n: g.n, outOffsets: make([]int64, g.n+1)}
+	for v := 0; v < g.n; v++ { // counting pass: s has no arrays to fill yet
+		s.outOffsets[v+1] = s.outOffsets[v] + mergeRows(g, VertexID(v), s, 0)
 	}
-	return MustFromEdges(g.NumVertices(), both, BuildOptions{
-		Dedupe:        true,
-		DropSelfLoops: true,
-		Weighted:      g.Weighted(),
-	})
+	s.outTargets = make([]VertexID, s.outOffsets[g.n])
+	if g.Weighted() {
+		s.outWeights = make([]float32, len(s.outTargets))
+		s.inWeights = make([]float32, len(s.outTargets))
+	}
+	for v := 0; v < g.n; v++ {
+		mergeRows(g, VertexID(v), s, s.outOffsets[v])
+	}
+	s.inOffsets, s.inSources = s.outOffsets, s.outTargets
+	return s
+}
+
+// mergeRows merges v's out-row and in-row in g, skipping v itself and
+// repeated neighbors, and returns how many neighbors that leaves. Once s
+// has its arrays they are written from position at on: the neighbors
+// and, on a weighted graph, per neighbor u the weight of v→u on the out
+// side (g's own if it has the arc, else that of u→v) and of u→v on the
+// in side (likewise).
+func mergeRows(g *Graph, v VertexID, s *Graph, at int64) int64 {
+	out, in := g.OutNeighbors(v), g.InNeighbors(v)
+	ow, iw := g.OutWeights(v), g.InWeights(v)
+	nbrs, outW, inW := s.outTargets, s.outWeights, s.inWeights
+	var n int64
+	i, j := 0, 0
+	for i < len(out) || j < len(in) {
+		// The smaller head is next; a neighbor on both sides heads both.
+		hasOut := i < len(out) && (j == len(in) || out[i] <= in[j])
+		hasIn := j < len(in) && (i == len(out) || in[j] <= out[i])
+		oi, ij := i, j // u's first copy on each side it is on
+		var u VertexID
+		if hasOut {
+			u = out[i]
+		} else {
+			u = in[j]
+		}
+		for i < len(out) && out[i] == u {
+			i++
+		}
+		for j < len(in) && in[j] == u {
+			j++
+		}
+		if u == v {
+			continue
+		}
+		if nbrs != nil {
+			nbrs[at+n] = u
+		}
+		if outW != nil {
+			switch {
+			case !hasIn:
+				outW[at+n], inW[at+n] = ow[oi], ow[oi]
+			case !hasOut:
+				outW[at+n], inW[at+n] = iw[ij], iw[ij]
+			default:
+				outW[at+n], inW[at+n] = ow[oi], iw[ij]
+			}
+		}
+		n++
+	}
+	return n
 }
 
 // Reverse returns the transpose of g: edge (u,v) becomes (v,u).

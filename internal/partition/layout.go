@@ -2,44 +2,60 @@ package partition
 
 import (
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 
 	"repro/internal/graph"
 )
 
-// Block holds the edges whose sources are one machine's masters and whose
-// destinations are masters of one (possibly the same) partition — the
-// subgraph "[i,j]" of the paper's Figure 7 — grouped by destination for
-// pull-mode processing. Dsts is ascending; Srcs within a destination's
-// segment are ascending too, so a dependency-respecting scan visits
-// neighbors in a deterministic global order fixed by the circulant ring.
+// Block is the set of edges whose sources are one machine's masters and
+// whose destinations are masters of one (possibly the same) partition —
+// the subgraph "[i,j]" of the paper's Figure 7 — grouped by destination
+// for pull-mode processing.
+//
+// A Block copies no arc. The graph's in-CSC is already destination-major
+// with sources ascending, and a machine's masters are one contiguous ID
+// range, so the block's share of a destination's in-row is one contiguous
+// subrange of it: the block keeps the destinations that have a non-empty
+// subrange and, per destination, the subrange's bounds in the graph's own
+// in-side arrays. It is the pull-side dual of graph.BlockedCSR and, like
+// it, a pure function of (graph, partition starts). Dsts is ascending and
+// Sources within a destination are ascending too, so a
+// dependency-respecting scan visits neighbors in a deterministic global
+// order fixed by the circulant ring.
 type Block struct {
-	Dsts    []graph.VertexID // destinations with ≥1 edge in this block, ascending
-	Offsets []int64          // len(Dsts)+1 prefix offsets into Srcs
-	Srcs    []graph.VertexID // source masters (global IDs)
-	Weights []float32        // parallel to Srcs; nil when unweighted
+	Dsts []graph.VertexID // destinations with ≥1 edge in this block, ascending
 
 	// TrackedPos/LowPos split positions into Dsts by dependency class:
 	// TrackedPos lists positions whose destination participates in
 	// dependency propagation (ascending tracked index), LowPos the rest.
 	TrackedPos []int32
 	LowPos     []int32
+
+	// span[2i]:span[2i+1] is destination Dsts[i]'s range in srcs and
+	// weights, which are the graph's in-side arrays (graph.InCSC), not
+	// copies: a Block is valid for as long as its graph is reachable.
+	span    []int64
+	srcs    []graph.VertexID
+	weights []float32 // nil when unweighted
+	edges   int64
 }
 
 // NumEdges returns the edge count of the block.
-func (b *Block) NumEdges() int64 { return int64(len(b.Srcs)) }
+func (b *Block) NumEdges() int64 { return b.edges }
 
-// Sources returns the source list of the i-th destination in Dsts.
+// Sources returns the source list of the i-th destination in Dsts. The
+// slice aliases the graph's storage and must not be modified.
 func (b *Block) Sources(i int) []graph.VertexID {
-	return b.Srcs[b.Offsets[i]:b.Offsets[i+1]]
+	return b.srcs[b.span[2*i]:b.span[2*i+1]]
 }
 
 // SourceWeights returns the weights parallel to Sources(i), or nil.
 func (b *Block) SourceWeights(i int) []float32 {
-	if b.Weights == nil {
+	if b.weights == nil {
 		return nil
 	}
-	return b.Weights[b.Offsets[i]:b.Offsets[i+1]]
+	return b.weights[b.span[2*i]:b.span[2*i+1]]
 }
 
 // DegreeClass classifies vertices for differentiated dependency
@@ -102,64 +118,65 @@ type Layout struct {
 	// Blocked is the partition-blocked view of the machine's out-CSR
 	// (push mode's source-blocked, destination-partitioned scan order).
 	// Built on demand by AttachBlocked when the binned scan is enabled;
-	// nil layouts fall back to the flat push scan. Pull mode needs no
-	// analogue: Blocks already group edges by (machine block,
-	// destination partition).
+	// nil layouts fall back to the flat push scan. Blocks are its
+	// pull-side counterpart over the in-CSC.
 	Blocked *graph.BlockedCSR
 }
 
-// BuildLayout constructs machine m's layout.
+// BuildLayout constructs machine m's layout: one forward sweep over the
+// in-rows of each destination partition, locating the machine's source
+// range in every row by binary search (the first position not below each
+// end of the machine's ID range). The cost is O(|V|·log) index work
+// per machine; nothing is sorted and nothing proportional to |E| is
+// allocated or copied.
 func BuildLayout(g *graph.Graph, pt *Partition, dc *DegreeClass, m int) *Layout {
-	lo, hi := pt.Range(m)
-	type rec struct {
-		src, dst graph.VertexID
-		w        float32
-	}
-	perPart := make([][]rec, pt.P)
-	for u := lo; u < hi; u++ {
-		nbrs := g.OutNeighbors(graph.VertexID(u))
-		ws := g.OutWeights(graph.VertexID(u))
-		for i, v := range nbrs {
-			d := pt.Owner(v)
-			w := float32(1)
-			if ws != nil {
-				w = ws[i]
-			}
-			perPart[d] = append(perPart[d], rec{src: graph.VertexID(u), dst: v, w: w})
-		}
-	}
+	mlo, mhi := pt.Range(m)
+	inOff, inSrc, inW := g.InCSC()
+	blocks := make([]Block, pt.P)
 	lay := &Layout{Machine: m, Part: pt, Class: dc, Blocks: make([]*Block, pt.P)}
-	for d := 0; d < pt.P; d++ {
-		recs := perPart[d]
-		sort.Slice(recs, func(i, j int) bool {
-			if recs[i].dst != recs[j].dst {
-				return recs[i].dst < recs[j].dst
+	for d := range blocks {
+		blocks[d].srcs, blocks[d].weights = inSrc, inW
+		lay.Blocks[d] = &blocks[d]
+	}
+
+	// A destination is listed in at most one of the machine's blocks, and
+	// only if one of the machine's out-arcs reaches it, so min(|V|, |E_m|)
+	// bounds the p blocks together and one backing array per field serves
+	// them all.
+	arcs := 0
+	for u := mlo; u < mhi; u++ {
+		arcs += g.OutDegree(graph.VertexID(u))
+	}
+	bound := min(arcs, g.NumVertices())
+	dsts := make([]graph.VertexID, 0, bound)
+	span := make([]int64, 0, 2*bound)
+	tracked := make([]int32, 0, bound)
+	low := make([]int32, 0, bound)
+	for d := range blocks {
+		b := &blocks[d]
+		d0, t0, l0 := len(dsts), len(tracked), len(low)
+		plo, phi := pt.Range(d)
+		for v := plo; v < phi; v++ {
+			row := inSrc[inOff[v]:inOff[v+1]]
+			lo, _ := slices.BinarySearch(row, graph.VertexID(mlo))
+			n, _ := slices.BinarySearch(row[lo:], graph.VertexID(mhi))
+			if n == 0 {
+				continue
 			}
-			return recs[i].src < recs[j].src
-		})
-		b := &Block{}
-		if g.Weighted() {
-			b.Weights = make([]float32, 0, len(recs))
-		}
-		for _, r := range recs {
-			if len(b.Dsts) == 0 || b.Dsts[len(b.Dsts)-1] != r.dst {
-				b.Dsts = append(b.Dsts, r.dst)
-				b.Offsets = append(b.Offsets, int64(len(b.Srcs)))
-			}
-			b.Srcs = append(b.Srcs, r.src)
-			if b.Weights != nil {
-				b.Weights = append(b.Weights, r.w)
-			}
-		}
-		b.Offsets = append(b.Offsets, int64(len(b.Srcs)))
-		for pos, dst := range b.Dsts {
-			if dc.Tracked(dst) {
-				b.TrackedPos = append(b.TrackedPos, int32(pos))
+			if pos := int32(len(dsts) - d0); dc.TrackIndex[v] >= 0 {
+				tracked = append(tracked, pos)
 			} else {
-				b.LowPos = append(b.LowPos, int32(pos))
+				low = append(low, pos)
 			}
+			at := inOff[v] + int64(lo)
+			dsts = append(dsts, graph.VertexID(v))
+			span = append(span, at, at+int64(n))
+			b.edges += int64(n)
 		}
-		lay.Blocks[d] = b
+		b.Dsts = dsts[d0:len(dsts):len(dsts)]
+		b.span = span[2*d0 : len(span) : len(span)]
+		b.TrackedPos = tracked[t0:len(tracked):len(tracked)]
+		b.LowPos = low[l0:len(low):len(low)]
 	}
 	return lay
 }
@@ -185,10 +202,15 @@ func (lay *Layout) AttachBlocked(g *graph.Graph, blockVerts int) error {
 }
 
 // Validate checks layout invariants against the source graph, for tests:
-// every out-edge of the machine's masters appears in exactly one block,
-// destinations route to the right partition, and orderings hold.
+// every block lists exactly the destinations of its partition that some
+// local master points at, each with exactly the maximal run of local
+// masters in its in-row — so the runs of one in-row across the p machines
+// tile it — every listed arc exists on the out side with the same weight
+// bit for bit, every out-edge of the machine's masters is covered, and
+// the dependency-class split is ordered.
 func (lay *Layout) Validate(g *graph.Graph) error {
 	lo, hi := lay.Part.Range(lay.Machine)
+	inOff, inSrc, _ := g.InCSC()
 	var want int64
 	for u := lo; u < hi; u++ {
 		want += int64(g.OutDegree(graph.VertexID(u)))
@@ -196,35 +218,59 @@ func (lay *Layout) Validate(g *graph.Graph) error {
 	var got int64
 	for d, b := range lay.Blocks {
 		got += b.NumEdges()
-		if len(b.Offsets) != len(b.Dsts)+1 {
-			return fmt.Errorf("layout: block %d has %d offsets for %d dsts", d, len(b.Offsets), len(b.Dsts))
+		if len(b.span) != 2*len(b.Dsts) {
+			return fmt.Errorf("layout: block %d has %d range bounds for %d dsts", d, len(b.span), len(b.Dsts))
 		}
 		if len(b.TrackedPos)+len(b.LowPos) != len(b.Dsts) {
 			return fmt.Errorf("layout: block %d tracked+low != dsts", d)
 		}
+		var edges int64
+		i := 0 // next unmatched position in b.Dsts
 		plo, phi := lay.Part.Range(d)
-		for i, dst := range b.Dsts {
-			if int(dst) < plo || int(dst) >= phi {
-				return fmt.Errorf("layout: block %d dst %d outside partition [%d,%d)", d, dst, plo, phi)
+		for v := plo; v < phi; v++ {
+			// The maximal run of local masters in v's in-row, by linear scan.
+			rlo := inOff[v]
+			for rlo < inOff[v+1] && int(inSrc[rlo]) < lo {
+				rlo++
 			}
-			if i > 0 && b.Dsts[i-1] >= dst {
-				return fmt.Errorf("layout: block %d dsts not strictly ascending", d)
+			rhi := rlo
+			for rhi < inOff[v+1] && int(inSrc[rhi]) < hi {
+				rhi++
 			}
-			srcs := b.Sources(i)
-			if len(srcs) == 0 {
-				return fmt.Errorf("layout: block %d dst %d has no sources", d, dst)
-			}
-			for j, src := range srcs {
-				if int(src) < lo || int(src) >= hi {
-					return fmt.Errorf("layout: block %d src %d not a local master", d, src)
+			listed := i < len(b.Dsts) && b.Dsts[i] == graph.VertexID(v)
+			if rlo == rhi {
+				if listed {
+					return fmt.Errorf("layout: block %d dst %d has no sources", d, v)
 				}
-				if !g.HasEdge(src, dst) {
-					return fmt.Errorf("layout: phantom edge (%d,%d)", src, dst)
+				continue
+			}
+			if !listed {
+				return fmt.Errorf("layout: block %d misses dst %d (%d local sources)", d, v, rhi-rlo)
+			}
+			if b.span[2*i] != rlo || b.span[2*i+1] != rhi {
+				return fmt.Errorf("layout: block %d dst %d covers in-arcs [%d,%d), local masters are [%d,%d)",
+					d, v, b.span[2*i], b.span[2*i+1], rlo, rhi)
+			}
+			ws := b.SourceWeights(i)
+			for j, src := range b.Sources(i) {
+				w, ok := g.EdgeWeight(src, graph.VertexID(v))
+				if !ok {
+					return fmt.Errorf("layout: phantom edge (%d,%d)", src, v)
 				}
-				if j > 0 && srcs[j-1] >= src {
-					return fmt.Errorf("layout: block %d dst %d sources not ascending", d, dst)
+				// Parallel arcs may carry different weights, and EdgeWeight
+				// reports only one of them.
+				if ws != nil && g.Simple() && math.Float32bits(ws[j]) != math.Float32bits(w) {
+					return fmt.Errorf("layout: edge (%d,%d) weight %v, graph has %v", src, v, ws[j], w)
 				}
 			}
+			edges += rhi - rlo
+			i++
+		}
+		if i != len(b.Dsts) {
+			return fmt.Errorf("layout: block %d lists dst %d outside partition [%d,%d) or out of order", d, b.Dsts[i], plo, phi)
+		}
+		if edges != b.NumEdges() {
+			return fmt.Errorf("layout: block %d counts %d edges, its ranges hold %d", d, b.NumEdges(), edges)
 		}
 		last := int32(-1)
 		for _, pos := range b.TrackedPos {

@@ -1,0 +1,327 @@
+package partition
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"runtime"
+	"slices"
+	"sort"
+	"testing"
+
+	"repro/internal/graph"
+)
+
+// refBlock is a block in the copied form the engine used before blocks
+// became views: the arcs themselves, grouped by destination.
+type refBlock struct {
+	Dsts       []graph.VertexID
+	Offsets    []int64
+	Srcs       []graph.VertexID
+	Weights    []float32
+	TrackedPos []int32
+	LowPos     []int32
+}
+
+// buildLayoutReference is the sort-based builder BuildLayout replaced,
+// kept as the oracle: copy every out-arc of machine m, sort each
+// destination partition's share by (dst, src), split by dependency
+// class. The sort is stable so parallel arcs keep their out-row order,
+// which is the order FromEdges files them in the in-CSC.
+func buildLayoutReference(g *graph.Graph, pt *Partition, dc *DegreeClass, m int) []*refBlock {
+	lo, hi := pt.Range(m)
+	type rec struct {
+		src, dst graph.VertexID
+		w        float32
+	}
+	perPart := make([][]rec, pt.P)
+	for u := lo; u < hi; u++ {
+		nbrs := g.OutNeighbors(graph.VertexID(u))
+		ws := g.OutWeights(graph.VertexID(u))
+		for i, v := range nbrs {
+			d := pt.Owner(v)
+			w := float32(1)
+			if ws != nil {
+				w = ws[i]
+			}
+			perPart[d] = append(perPart[d], rec{src: graph.VertexID(u), dst: v, w: w})
+		}
+	}
+	blocks := make([]*refBlock, pt.P)
+	for d := 0; d < pt.P; d++ {
+		recs := perPart[d]
+		sort.SliceStable(recs, func(i, j int) bool {
+			if recs[i].dst != recs[j].dst {
+				return recs[i].dst < recs[j].dst
+			}
+			return recs[i].src < recs[j].src
+		})
+		b := &refBlock{}
+		for _, r := range recs {
+			if len(b.Dsts) == 0 || b.Dsts[len(b.Dsts)-1] != r.dst {
+				b.Dsts = append(b.Dsts, r.dst)
+				b.Offsets = append(b.Offsets, int64(len(b.Srcs)))
+			}
+			b.Srcs = append(b.Srcs, r.src)
+			if g.Weighted() {
+				b.Weights = append(b.Weights, r.w)
+			}
+		}
+		b.Offsets = append(b.Offsets, int64(len(b.Srcs)))
+		for pos, dst := range b.Dsts {
+			if dc.Tracked(dst) {
+				b.TrackedPos = append(b.TrackedPos, int32(pos))
+			} else {
+				b.LowPos = append(b.LowPos, int32(pos))
+			}
+		}
+		blocks[d] = b
+	}
+	return blocks
+}
+
+// requireMatchesReference builds machine m's view, compares it with the
+// reference field by field and weight bit by weight bit, and returns it.
+func requireMatchesReference(t testing.TB, g *graph.Graph, pt *Partition, dc *DegreeClass, m int) *Layout {
+	t.Helper()
+	lay := BuildLayout(g, pt, dc, m)
+	ref := buildLayoutReference(g, pt, dc, m)
+	if len(lay.Blocks) != len(ref) {
+		t.Fatalf("m=%d: %d blocks, reference has %d", m, len(lay.Blocks), len(ref))
+	}
+	for d, b := range lay.Blocks {
+		r := ref[d]
+		if b.NumEdges() != int64(len(r.Srcs)) {
+			t.Fatalf("m=%d d=%d: NumEdges %d, reference %d", m, d, b.NumEdges(), len(r.Srcs))
+		}
+		if !slices.Equal(b.Dsts, r.Dsts) {
+			t.Fatalf("m=%d d=%d: Dsts %v, reference %v", m, d, b.Dsts, r.Dsts)
+		}
+		if !slices.Equal(b.TrackedPos, r.TrackedPos) || !slices.Equal(b.LowPos, r.LowPos) {
+			t.Fatalf("m=%d d=%d: class split (%v | %v), reference (%v | %v)",
+				m, d, b.TrackedPos, b.LowPos, r.TrackedPos, r.LowPos)
+		}
+		for i, dst := range b.Dsts {
+			rlo, rhi := r.Offsets[i], r.Offsets[i+1]
+			if !slices.Equal(b.Sources(i), r.Srcs[rlo:rhi]) {
+				t.Fatalf("m=%d d=%d dst=%d: sources %v, reference %v", m, d, dst, b.Sources(i), r.Srcs[rlo:rhi])
+			}
+			ws := b.SourceWeights(i)
+			if (ws != nil) != g.Weighted() {
+				t.Fatalf("m=%d d=%d dst=%d: weights present=%v on weighted=%v graph", m, d, dst, ws != nil, g.Weighted())
+			}
+			for j := range ws {
+				if math.Float32bits(ws[j]) != math.Float32bits(r.Weights[rlo+int64(j)]) {
+					t.Fatalf("m=%d d=%d dst=%d src=%d: weight %v, reference %v",
+						m, d, dst, b.Sources(i)[j], ws[j], r.Weights[rlo+int64(j)])
+				}
+			}
+		}
+	}
+	return lay
+}
+
+// multigraph draws m arcs over n vertices with replacement and keeps the
+// repeats, each with its own weight.
+func multigraph(n, m int, seed int64, weighted bool) *graph.Graph {
+	rng := rand.New(rand.NewSource(seed))
+	edges := make([]graph.Edge, m)
+	for i := range edges {
+		edges[i] = graph.Edge{
+			Src:    graph.VertexID(rng.Intn(n)),
+			Dst:    graph.VertexID(rng.Intn(n)),
+			Weight: rng.Float32(),
+		}
+	}
+	return graph.MustFromEdges(n, edges, graph.BuildOptions{Weighted: weighted})
+}
+
+// TestLayoutMatchesReference pins the view to the sort-based builder it
+// replaced, over graph shapes × machine counts (including more machines
+// than vertices, hence empty machines) × thresholds × weight forms.
+func TestLayoutMatchesReference(t *testing.T) {
+	shapes := map[string]*graph.Graph{
+		"rmat":    graph.RMAT(9, 8, graph.Graph500Params(), 5),
+		"uniform": graph.Uniform(300, 2400, 6),
+		"star":    graph.Star(200),
+		"path":    graph.Path(130),
+		"tiny":    graph.Path(5),
+	}
+	graphs := map[string]*graph.Graph{
+		"parallel":          multigraph(64, 2000, 7, false),
+		"parallel-weighted": multigraph(64, 2000, 8, true),
+	}
+	for name, g := range shapes {
+		graphs[name] = g
+		graphs[name+"-weighted"] = graph.RandomWeights(g, 9)
+	}
+	if graphs["parallel"].Simple() {
+		t.Fatal("multigraph drew no parallel arc")
+	}
+	for name, g := range graphs {
+		for _, p := range []int{1, 2, 3, 4, 7, 16} {
+			pt, err := NewChunked(g, p, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, threshold := range []int{0, 2, 32} {
+				dc := BuildDegreeClass(g, pt, threshold)
+				t.Run(fmt.Sprintf("%s/p=%d/t=%d", name, p, threshold), func(t *testing.T) {
+					for m := 0; m < p; m++ {
+						if err := requireMatchesReference(t, g, pt, dc, m).Validate(g); err != nil {
+							t.Fatalf("m=%d: %v", m, err)
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestLayoutValidateRejectsTampering checks the invariants Validate adds
+// for the view: a range that is not the maximal run of local masters, a
+// missing destination, and a weight that differs from the out side.
+func TestLayoutValidateRejectsTampering(t *testing.T) {
+	g := graph.RandomWeights(graph.Uniform(256, 4096, 3), 4)
+	pt, err := NewChunked(g, 4, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dc := BuildDegreeClass(g, pt, 8)
+	fresh := func() (*Layout, *Block) {
+		lay := BuildLayout(g, pt, dc, 1)
+		for _, b := range lay.Blocks {
+			if len(b.Dsts) > 1 && b.span[1]-b.span[0] > 1 {
+				return lay, b
+			}
+		}
+		t.Fatal("no block with a multi-arc first destination")
+		return nil, nil
+	}
+	if lay, _ := fresh(); lay.Validate(g) != nil {
+		t.Fatal("untampered layout rejected")
+	}
+
+	lay, b := fresh()
+	b.span[1]-- // drops the row's last local master: the machines no longer tile it
+	b.edges--
+	if lay.Validate(g) == nil {
+		t.Fatal("short range accepted")
+	}
+
+	lay, b = fresh()
+	b.Dsts, b.span = b.Dsts[1:], b.span[2:]
+	if lay.Validate(g) == nil {
+		t.Fatal("missing destination accepted")
+	}
+
+	lay, b = fresh()
+	ws := append([]float32(nil), b.weights...)
+	ws[b.span[0]] = math.Float32frombits(math.Float32bits(ws[b.span[0]]) ^ 1)
+	b.weights = ws
+	if lay.Validate(g) == nil {
+		t.Fatal("weight differing in the last bit accepted")
+	}
+}
+
+// FuzzLayoutView drives the in-side builder the way FuzzBlockedCSR drives
+// the out-side one: random multigraphs, random (unaligned, possibly
+// empty) machine ranges, random thresholds, checked against both the
+// reference builder and Validate.
+func FuzzLayoutView(f *testing.F) {
+	f.Add(int64(1), uint16(32), uint16(40), uint8(2), uint8(4), false)
+	f.Add(int64(2), uint16(1), uint16(0), uint8(1), uint8(0), true)
+	f.Add(int64(3), uint16(100), uint16(900), uint8(7), uint8(3), false)
+	f.Add(int64(4), uint16(257), uint16(50), uint8(3), uint8(200), true)
+	f.Add(int64(5), uint16(3), uint16(30), uint8(7), uint8(1), true)
+	f.Fuzz(func(t *testing.T, seed int64, nRaw, mRaw uint16, pRaw, thRaw uint8, weighted bool) {
+		rng := rand.New(rand.NewSource(seed))
+		n := int(nRaw)%1024 + 1
+		p := int(pRaw)%8 + 1
+		g := multigraph(n, int(mRaw), seed, weighted)
+
+		starts := make([]int, p+1)
+		for q := 1; q < p; q++ {
+			starts[q] = rng.Intn(n + 1)
+		}
+		starts[p] = n
+		sort.Ints(starts)
+		pt := &Partition{P: p, NumV: n, Starts: starts}
+		dc := BuildDegreeClass(g, pt, int(thRaw)%40)
+
+		var total int64
+		for m := 0; m < p; m++ {
+			lay := requireMatchesReference(t, g, pt, dc, m)
+			if err := lay.Validate(g); err != nil {
+				t.Fatalf("n=%d p=%d starts=%v m=%d: %v", n, p, starts, m, err)
+			}
+			for _, b := range lay.Blocks {
+				total += b.NumEdges()
+			}
+		}
+		if total != g.NumEdges() {
+			t.Fatalf("the %d machines' blocks hold %d edges, graph has %d", p, total, g.NumEdges())
+		}
+	})
+}
+
+// BenchmarkBuildLayout builds all four machines' layouts of a scale-13
+// graph. The ef8/ef32 pair shares its vertex set: a view's B/op follows
+// |V|, not |E|, so the two must report nearly the same bytes.
+func BenchmarkBuildLayout(b *testing.B) {
+	const scale, nodes = 13, 4
+	base := graph.RMAT(scale, 16, graph.Graph500Params(), 1)
+	cases := []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"directed", base},
+		{"undirected", graph.Symmetrize(base)},
+		{"weighted", graph.RandomWeights(base, 7)},
+		{"ef8", graph.RMAT(scale, 8, graph.Graph500Params(), 1)},
+		{"ef32", graph.RMAT(scale, 32, graph.Graph500Params(), 1)},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			pt, err := NewChunked(c.g, nodes, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			dc := BuildDegreeClass(c.g, pt, 32)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for m := 0; m < nodes; m++ {
+					benchLayout = BuildLayout(c.g, pt, dc, m)
+				}
+			}
+		})
+	}
+}
+
+var benchLayout *Layout
+
+// TestBuildLayoutAllocatesPerVertex is the benchmark's B/op property as a
+// test: quadrupling the edge factor over the same vertices moves the
+// bytes a layout build allocates by less than 10 %.
+func TestBuildLayoutAllocatesPerVertex(t *testing.T) {
+	bytesPerBuild := func(ef int) float64 {
+		g := graph.RMAT(13, ef, graph.Graph500Params(), 1)
+		pt, err := NewChunked(g, 4, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dc := BuildDegreeClass(g, pt, 32)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for m := 0; m < 4; m++ {
+			benchLayout = BuildLayout(g, pt, dc, m)
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc - before.TotalAlloc)
+	}
+	lo, hi := bytesPerBuild(8), bytesPerBuild(32)
+	if math.Abs(hi-lo) > 0.1*lo {
+		t.Fatalf("edge factor 8 allocates %.0f B per build, edge factor 32 %.0f B: more than 10%% apart", lo, hi)
+	}
+}

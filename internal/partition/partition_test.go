@@ -218,9 +218,8 @@ func TestLayoutWeightsPreserved(t *testing.T) {
 	dc := BuildDegreeClass(g, pt, 0)
 	for m := 0; m < 3; m++ {
 		lay := BuildLayout(g, pt, dc, m)
-		for d, b := range lay.Blocks {
-			_ = d
-			if b.NumEdges() > 0 && b.Weights == nil {
+		for _, b := range lay.Blocks {
+			if b.NumEdges() > 0 && b.SourceWeights(0) == nil {
 				t.Fatal("weighted graph produced unweighted block")
 			}
 			for i := range b.Dsts {

@@ -118,9 +118,13 @@ func (e *graphEntry) stateFor(snap *mutate.Snapshot) *epochState {
 	for ep, old := range e.states {
 		if ep < lo {
 			delete(e.states, ep)
-		} else if old.parent != nil && old.parent.snap.Epoch() < lo {
+			continue
+		}
+		old.mu.Lock() // shipDelta reads the link under the state's own mutex
+		if old.parent != nil && old.parent.snap.Epoch() < lo {
 			old.parent = nil
 		}
+		old.mu.Unlock()
 	}
 	return st
 }
@@ -378,9 +382,10 @@ func (e *graphEntry) commit(b mutate.Batch, verify bool) (commitResult, error) {
 // variant is a function of the arc set, so it is the parent epoch's
 // variant patched with the symmetric form of eff, installed at commit
 // time so the first undirected query of the epoch finds it memoized. A
-// weighted base keeps the full Symmetrize: which of an arc's two
-// weights its dedupe keeps depends on an unstable sort, and a delta
-// cannot reproduce that. The commit has landed by now, so this cannot
+// weighted base keeps the full Symmetrize: there an arc added as a
+// reverse carries the weight of the arc it reverses, so one edit can
+// change two arcs' weights, and PatchUndirected does not derive the
+// second yet. The commit has landed by now, so this cannot
 // fail it: if the patch is ever refused, the variant is re-symmetrized
 // and the tracker rebuilt on it.
 func (e *graphEntry) advanceUndirected(parent, st *epochState, eff mutate.Batch) int {

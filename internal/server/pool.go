@@ -73,8 +73,7 @@ type entryKey struct {
 // leases reuse warm slots — up to the pool's per-entry cap.
 type poolEntry struct {
 	free  chan *slot
-	mu    sync.Mutex
-	built int
+	built int // slots counted against the cap, leased or free; guarded by Pool.mu
 }
 
 // PoolConfig configures the engine pool.
@@ -210,7 +209,12 @@ func (p *Pool) ProviderNames() []string {
 	return names
 }
 
-func (p *Pool) entry(k entryKey) *poolEntry {
+// reserve looks the entry for k up — creating it on first use — and, in
+// the same critical section, either takes a free slot from it or, when
+// the entry has spare capacity, counts one more slot against its cap for
+// the caller to build. Doing the three together is what lets unbuilt
+// delete a superseded entry without stranding a concurrent lease on it.
+func (p *Pool) reserve(k entryKey) (e *poolEntry, s *slot, build bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	e, ok := p.entries[k]
@@ -218,7 +222,34 @@ func (p *Pool) entry(k entryKey) *poolEntry {
 		e = &poolEntry{free: make(chan *slot, p.cfg.SlotsPerEntry)}
 		p.entries[k] = e
 	}
-	return e
+	select {
+	case s = <-e.free:
+	default:
+		if e.built < p.cfg.SlotsPerEntry {
+			e.built++
+			build = true
+		}
+	}
+	return e, s, build
+}
+
+// unbuilt takes one slot that is no longer (or was never) built off k's
+// count. An entry of a superseded epoch left with nothing built and
+// nothing free is deleted, so a server under mutation holds entries for
+// live epochs only; nothing re-creates it but a lease pinning its epoch.
+func (p *Pool) unbuilt(k entryKey) {
+	superseded := false
+	if ge := p.graphs[k.graph]; ge != nil {
+		_, hi := ge.store.Window()
+		superseded = k.epoch < hi
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	e := p.entries[k] // present: the slot being taken off still counts in it
+	e.built--
+	if superseded && e.built == 0 && len(e.free) == 0 {
+		delete(p.entries, k)
+	}
 }
 
 func keyOf(s *slot) entryKey {
@@ -249,30 +280,21 @@ func (p *Pool) Lease(ctx context.Context, provider, graphName string, epoch uint
 	}
 	epoch = st.Epoch()
 	k := entryKey{provider: provider, graph: graphName, epoch: epoch, variant: v, mode: mode}
-	e := p.entry(k)
-
-	select {
-	case s := <-e.free:
-		return p.freshen(prov, ge, e, s)
-	default:
-	}
-	e.mu.Lock()
-	if e.built < p.cfg.SlotsPerEntry {
-		e.built++
-		e.mu.Unlock()
+	e, s, build := p.reserve(k)
+	switch {
+	case s != nil:
+		return p.freshen(prov, ge, s)
+	case build:
 		s, err := p.build(prov, ge, epoch, v, mode)
 		if err != nil {
-			e.mu.Lock()
-			e.built--
-			e.mu.Unlock()
+			p.unbuilt(k)
 			return nil, err
 		}
 		return s, nil
 	}
-	e.mu.Unlock()
 	select {
 	case s := <-e.free:
-		return p.freshen(prov, ge, e, s)
+		return p.freshen(prov, ge, s)
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
@@ -291,16 +313,14 @@ func isStale(e Engine) bool {
 // lease taken after a worker rejoined runs at full width — and one
 // taken after a worker died does not pay a mid-query poisoning. Fresh
 // slots pass through untouched.
-func (p *Pool) freshen(prov EngineProvider, ge *graphEntry, e *poolEntry, s *slot) (*slot, error) {
+func (p *Pool) freshen(prov EngineProvider, ge *graphEntry, s *slot) (*slot, error) {
 	if !isStale(s.eng) {
 		return s, nil
 	}
 	p.retire(s)
 	fresh, err := p.build(prov, ge, s.epoch, s.variant, s.mode)
 	if err != nil {
-		e.mu.Lock()
-		e.built--
-		e.mu.Unlock()
+		p.unbuilt(keyOf(s))
 		return nil, err
 	}
 	return fresh, nil
@@ -356,11 +376,11 @@ func (p *Pool) Release(s *slot) {
 
 	if ge := p.graphs[s.graph]; ge != nil {
 		if _, hi := ge.store.Window(); s.epoch < hi {
+			// Uncounted before the engine closes: a lease pinning this
+			// epoch meanwhile must see the spare capacity and build, not
+			// queue for a slot that is not coming back.
+			p.unbuilt(keyOf(s))
 			p.retire(s)
-			e := p.entry(keyOf(s))
-			e.mu.Lock()
-			e.built--
-			e.mu.Unlock()
 			return
 		}
 	}
@@ -390,15 +410,16 @@ func (p *Pool) Release(s *slot) {
 		if berr != nil {
 			// Capacity shrinks by one slot; the next lease with
 			// spare room rebuilds it.
-			e := p.entry(keyOf(s))
-			e.mu.Lock()
-			e.built--
-			e.mu.Unlock()
+			p.unbuilt(keyOf(s))
 			return
 		}
 		s = fresh
 	}
-	e := p.entry(keyOf(s))
+	// The slot still counts against its entry's cap, and an entry with
+	// anything built is never deleted, so the entry is there.
+	p.mu.Lock()
+	e := p.entries[keyOf(s)]
+	p.mu.Unlock()
 	select {
 	case e.free <- s:
 	default:
@@ -420,35 +441,34 @@ func (p *Pool) RetireEpochs(graphName string) int {
 		return 0
 	}
 	_, hi := ge.store.Window()
+	// Slots leave the free list and the count in one critical section
+	// with reserve, so a concurrent lease pinning an old epoch either
+	// takes a slot before it is drained or finds the capacity to build.
+	var victims []*slot
 	p.mu.Lock()
-	type victim struct {
-		key entryKey
-		e   *poolEntry
-	}
-	var victims []victim
 	for k, e := range p.entries {
-		if k.graph == graphName && k.epoch < hi {
-			victims = append(victims, victim{key: k, e: e})
+		if k.graph != graphName || k.epoch >= hi {
+			continue
+		}
+	drain:
+		for {
+			select {
+			case s := <-e.free:
+				victims = append(victims, s)
+				e.built--
+			default:
+				break drain
+			}
+		}
+		if e.built == 0 {
+			delete(p.entries, k)
 		}
 	}
 	p.mu.Unlock()
-	retired := 0
-	for _, v := range victims {
-		for {
-			select {
-			case s := <-v.e.free:
-				p.retire(s)
-				v.e.mu.Lock()
-				v.e.built--
-				v.e.mu.Unlock()
-				retired++
-			default:
-				goto next
-			}
-		}
-	next:
+	for _, s := range victims {
+		p.retire(s)
 	}
-	return retired
+	return len(victims)
 }
 
 // Close tears down every idle engine and then the providers. Leased

@@ -264,3 +264,98 @@ func TestPoolDropsClosedSlots(t *testing.T) {
 		t.Fatalf("Restarts = %d on a fault-free pool", p.Restarts())
 	}
 }
+
+// TestPoolEntriesBounded: the free-list map must hold entries for live
+// epochs only. 200 commits, with a query at the latest epoch between
+// each — some pinned to the previous epoch, some held across the commit
+// that supersedes them, one reader leasing concurrently (run under
+// -race in `make race`) — leave at most retention × variants × modes
+// entries, and only the latest epoch's once everything is home.
+func TestPoolEntriesBounded(t *testing.T) {
+	const retention, commits = 3, 200
+	p, err := NewPool(PoolConfig{
+		Graphs:        map[string]*graph.Graph{"g": testGraph(6, 1)},
+		Providers:     []EngineProvider{NewLocalProvider(LocalProviderConfig{Options: core.Options{NumNodes: 2}})},
+		SlotsPerEntry: 2, // the loop and the reader never queue for each other's slot
+		Retention:     retention,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(p.Close)
+	ge, _ := p.Entry("g")
+	variants := []graphVariant{variantDirected, variantUndirected, variantWeighted}
+	modes := []core.Mode{core.ModeSympleGraph, core.ModeGemini}
+	bound := retention * len(variants) * len(modes)
+	entries := func() int {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		return len(p.entries)
+	}
+
+	// The concurrent reader: latest-epoch and pinned-epoch leases racing
+	// the commits' retire. A pinned epoch may have been evicted by the
+	// time it resolves; that lease fails and the reader moves on.
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			epoch := uint64(0)
+			if i%2 == 1 {
+				_, epoch = ge.store.Window()
+			}
+			if s, err := p.Lease(context.Background(), "", "g", epoch, variants[i%len(variants)], modes[i%len(modes)]); err == nil {
+				p.Release(s)
+			}
+		}
+	}()
+
+	for c := 0; c < commits; c++ {
+		_, hi := ge.store.Window()
+		pin := uint64(0)
+		if c%5 == 4 {
+			pin = hi - 1 // the epoch the last commit superseded
+		}
+		s, err := p.Lease(context.Background(), "", "g", pin, variants[c%len(variants)], modes[c%len(modes)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		held := c%7 == 0
+		if !held {
+			p.Release(s)
+		}
+		if _, err := ge.commit(mutate.Batch{Ops: []mutate.Mutation{{Op: mutate.OpAddEdge, Src: graph.VertexID(c % 64), Dst: graph.VertexID((c*7 + 1) % 64)}}}, false); err != nil {
+			t.Fatal(err)
+		}
+		p.RetireEpochs("g")
+		if held {
+			p.Release(s) // superseded: closed, and its entry goes with it
+		}
+		// The reader may hold one lease of an epoch past retention.
+		if got := entries(); got > bound+1 {
+			t.Fatalf("after commit %d the pool holds %d entries, want at most %d (retention %d × %d variants × %d modes)",
+				c, got, bound, retention, len(variants), len(modes))
+		}
+	}
+	close(stop)
+	wg.Wait()
+	p.RetireEpochs("g")
+	_, hi := ge.store.Window()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for k, e := range p.entries {
+		if k.epoch != hi {
+			t.Errorf("entry for superseded epoch %d (latest %d) survives with built=%d free=%d", k.epoch, hi, e.built, len(e.free))
+		}
+	}
+	if got, max := len(p.entries), len(variants)*len(modes); got > max {
+		t.Errorf("idle pool holds %d entries, want at most %d", got, max)
+	}
+}

@@ -521,10 +521,13 @@ func (d *WorkerDaemon) serveSlot(wc *workerConn, bm buildMsg) {
 		return
 	}
 	defer eng.Close()
+	// Counted before "up" goes out: whoever hears it may read the counter
+	// at once (the master's side of a build now takes microseconds).
+	d.slotsBuilt.Add(1)
 	if err := cc.Send("up", upMsg{}); err != nil {
+		d.slotsBuilt.Add(-1)
 		return
 	}
-	d.slotsBuilt.Add(1)
 	d.cfg.Logf("sgworker: slot up as node %d/%d for %s/%s (%v)",
 		bm.Node, bm.Nodes, bm.Graph, bm.Variant, mode)
 
