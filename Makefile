@@ -24,11 +24,12 @@ bench-build:
 	cd benchmark && go vet ./... && go build -o /dev/null ./...
 
 # The per-layer microbenchmarks (bitset kernels, bufpool, blocked CSR,
-# graph.Patch, Symmetrize, mutate.Apply/Commit, BuildLayout, NewCluster)
-# are only ever read by hand; one iteration each keeps them compiling
-# and running, so a signature change or a panic breaks the gate.
+# graph.Patch, Symmetrize, mutate.Apply/Commit, BuildLayout, NewCluster,
+# CC/SSSP/PageRank with their update bytes) are only ever read by hand;
+# one iteration each keeps them compiling and running, so a signature
+# change or a panic breaks the gate.
 microbench-smoke:
-	go test -run '^$$' -bench . -benchtime 1x ./internal/graph ./internal/partition ./internal/mutate ./internal/core ./internal/bitset ./internal/bufpool
+	go test -run '^$$' -bench . -benchtime 1x ./internal/graph ./internal/partition ./internal/mutate ./internal/core ./internal/algorithms ./internal/bitset ./internal/bufpool
 
 # Project-invariant lint: the full sgvet suite (nine analyzers; the
 # flow-sensitive engine backs bufown, lockorder and leakgo) over the
@@ -59,7 +60,7 @@ bench-check:
 	go run ./cmd/sgbench -bench-check
 
 race:
-	go test -race -count=1 ./internal/comm/... ./internal/core/... ./internal/mutate/... ./internal/server/...
+	go test -race -count=1 ./internal/comm/... ./internal/core/... ./internal/algorithms/... ./internal/mutate/... ./internal/server/...
 
 test:
 	go test ./...

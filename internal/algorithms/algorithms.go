@@ -46,7 +46,7 @@ func frontierEdges(w *core.Worker, frontier *bitset.Bitmap) (int64, error) {
 // frontier bitmap.
 func localFrontierList(w *core.Worker, frontier *bitset.Bitmap) []graph.VertexID {
 	lo, hi := w.MasterRange()
-	var out []graph.VertexID
+	out := make([]graph.VertexID, 0, frontier.CountSegment(lo, hi))
 	frontier.RangeSegment(lo, hi, func(v int) bool {
 		out = append(out, graph.VertexID(v))
 		return true

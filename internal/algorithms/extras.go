@@ -23,20 +23,22 @@ func ConnectedComponents(c core.Engine) ([]uint32, error) {
 			label[v] = uint32(v)
 		}
 		lo, hi := w.MasterRange()
-		changed := bitset.New(n)
+		changed, next := bitset.New(n), bitset.New(n)
 		for v := lo; v < hi; v++ {
 			changed.Set(v)
 		}
+		filter := core.NewMinFilter(w, math.MaxUint32)
 		for {
-			frontier := localFrontierList(w, changed)
-			next := bitset.New(n)
 			red, err := core.ProcessEdgesSparse(w, core.SparseParams[uint32]{
 				Codec:    core.U32Codec{},
-				Frontier: frontier,
+				Frontier: localFrontierList(w, changed),
 				Signal: func(ctx *core.SparseCtx[uint32], src graph.VertexID, dsts []graph.VertexID, _ []float32) {
+					l := label[src]
 					for _, d := range dsts {
 						ctx.Edge()
-						ctx.EmitTo(d, label[src])
+						if filter.ImprovesU32(d, l, label) {
+							ctx.EmitTo(d, l)
+						}
 					}
 				},
 				Slot: func(dst graph.VertexID, l uint32) int64 {
@@ -56,7 +58,8 @@ func ConnectedComponents(c core.Engine) ([]uint32, error) {
 			}
 			// changed is only read for local masters, so no sync is
 			// needed — next already holds exactly our changed masters.
-			changed = next
+			changed, next = next, changed
+			next.ClearAll()
 		}
 		if err := w.GatherU32(label); err != nil {
 			return err
@@ -90,11 +93,13 @@ func SSSP(c core.Engine, root graph.VertexID) ([]float32, error) {
 		for v := range dist {
 			dist[v] = InfDist
 		}
-		changed := bitset.New(n)
+		changed, next := bitset.New(n), bitset.New(n)
 		if w.Owns(root) {
 			dist[root] = 0
 			changed.Set(int(root))
 		}
+		// Not checkpointed: a restored run starts with an empty filter.
+		filter := core.NewMinFilter(w, math.Float32bits(InfDist))
 		// Superstep checkpointing: resume relaxation from the last
 		// committed round after a recovery.
 		ck := w.Checkpoint()
@@ -115,15 +120,15 @@ func SSSP(c core.Engine, root graph.VertexID) ([]float32, error) {
 				sw.bitmap(changed)
 				ck.Save(iter, sw.bytes())
 			}
-			frontier := localFrontierList(w, changed)
-			next := bitset.New(n)
 			red, err := core.ProcessEdgesSparse(w, core.SparseParams[float32]{
 				Codec:    core.F32Codec{},
-				Frontier: frontier,
+				Frontier: localFrontierList(w, changed),
 				Signal: func(ctx *core.SparseCtx[float32], src graph.VertexID, dsts []graph.VertexID, ws []float32) {
 					for i, d := range dsts {
 						ctx.Edge()
-						ctx.EmitTo(d, dist[src]+ws[i])
+						if cand := dist[src] + ws[i]; filter.ImprovesF32(d, cand, dist) {
+							ctx.EmitTo(d, cand)
+						}
 					}
 				},
 				Slot: func(dst graph.VertexID, cand float32) int64 {
@@ -141,7 +146,8 @@ func SSSP(c core.Engine, root graph.VertexID) ([]float32, error) {
 			if red == 0 {
 				break
 			}
-			changed = next
+			changed, next = next, changed
+			next.ClearAll()
 			iter++
 		}
 		// Publish as bit patterns to survive the u32 gather.

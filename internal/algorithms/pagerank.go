@@ -25,19 +25,24 @@ func PageRank(c core.Engine, iters int, damping float64) ([]float64, error) {
 	}
 	out := make([]float64, n)
 	err := c.Execute(func(w *core.Worker) error {
-		// The signal reads rank[u] for local masters only (sources are
-		// always local in pull mode), so the array needs no mid-run
-		// replication: masters update their own range each iteration.
+		// Only masters' entries of either array are used until the final
+		// gather: the signal reads share[u] = rank[u]/outdeg(u) of local
+		// masters (sources are always local in pull mode), taken once
+		// per iteration so an edge costs a load and an add, and the
+		// slot then accumulates the next rank where the old one was.
 		rank := make([]float64, n)
-		next := make([]float64, n)
-		for v := range rank {
-			rank[v] = 1 / float64(n)
-		}
+		share := make([]float64, n)
 		base := (1 - damping) / float64(n)
 		lo, hi := w.MasterRange()
+		for v := lo; v < hi; v++ {
+			rank[v] = 1 / float64(n)
+		}
 		for it := 0; it < iters; it++ {
 			for v := lo; v < hi; v++ {
-				next[v] = 0
+				if d := g.OutDegree(graph.VertexID(v)); d > 0 {
+					share[v] = rank[v] / float64(d)
+				}
+				rank[v] = 0
 			}
 			if _, err := core.ProcessEdgesDense(w, core.DenseParams[float64]{
 				Codec: core.F64Codec{},
@@ -45,21 +50,19 @@ func PageRank(c core.Engine, iters int, damping float64) ([]float64, error) {
 					sum := 0.0
 					for _, u := range srcs {
 						ctx.Edge()
-						if d := g.OutDegree(u); d > 0 {
-							sum += rank[u] / float64(d)
-						}
+						sum += share[u] // set: an in-neighbour has an out-edge
 					}
 					ctx.Emit(sum)
 				},
 				Slot: func(dst graph.VertexID, contrib float64) int64 {
-					next[dst] += contrib
+					rank[dst] += contrib
 					return 0
 				},
 			}); err != nil {
 				return err
 			}
 			for v := lo; v < hi; v++ {
-				rank[v] = base + damping*next[v]
+				rank[v] = base + damping*rank[v]
 			}
 		}
 		if err := w.AllGatherF64(rank); err != nil {

@@ -3,7 +3,9 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/bufpool"
@@ -38,6 +40,13 @@ type SparseParams[M any] struct {
 	// in the supplied slice, and EmitTo only those destinations. There
 	// is no sparse analogue of the dense loop-carried break, so this
 	// costs no expressiveness.
+	//
+	// Contract: emit only candidates that can still win. Every EmitTo
+	// is encoded, shipped, decoded and fed to Slot, so a record Slot is
+	// bound to reject is pure cost; a min-combining program (CC, SSSP)
+	// tests each candidate with a MinFilter first, which makes that one
+	// load and compare per edge, and a program with replicated state
+	// tests that (BFS's visited bitmap).
 	Signal func(ctx *SparseCtx[M], src graph.VertexID, dsts []graph.VertexID, weights []float32)
 	// Slot aggregates one message at the destination's master and
 	// returns a contribution to the pass's reduced value.
@@ -117,6 +126,80 @@ func (ctx *SparseCtx[M]) EmitTo(dst graph.VertexID, msg M) {
 	binary.LittleEndian.PutUint32(buf[off:], uint32(dst))
 	ctx.codec.Encode(buf[off+4:], msg)
 	ctx.bufs[owner] = buf
+}
+
+// MinFilter is the sender-side half of a min-combining sparse push (CC
+// labels, SSSP distances): it says whether a candidate can still win at
+// its destination's master, so that Signal emits improvements, not
+// edges. For a destination this machine owns the test is against the
+// authoritative master value, which no scan writes; for a remote one,
+// against the smallest candidate this machine has already emitted to it.
+//
+// Dropping a candidate that fails the test is sound because values only
+// decrease and a peer's frames are applied in emission order: by the
+// dropped record's turn the master would hold a value at least as small,
+// and a strict-less Slot would reject it. Results, next sets, reduced
+// counts and supersteps are those of the unfiltered push; only update
+// bytes fall. With Workers > 1 concurrent scans race to lower an entry,
+// so which records survive — never what the master ends up with — can
+// differ between runs.
+//
+// A filter lives for one program run on one machine and is not part of a
+// checkpoint: a restored run starts with an empty filter and merely
+// re-sends candidates its lost incarnation had already sent.
+type MinFilter struct {
+	lo, hi graph.VertexID
+	sent   []uint32 // per remote vertex: bit pattern of the best candidate emitted (atomic)
+}
+
+// NewMinFilter returns w's empty filter. top is the bit pattern of the
+// value domain's maximum (^uint32(0), +Inf), which no strict-less Slot
+// accepts.
+func NewMinFilter(w *Worker, top uint32) *MinFilter {
+	lo, hi := w.MasterRange()
+	f := &MinFilter{lo: graph.VertexID(lo), hi: graph.VertexID(hi),
+		sent: make([]uint32, w.cluster.g.NumVertices())}
+	for i := range f.sent {
+		f.sent[i] = top // plain: no scan has the filter yet
+	}
+	return f
+}
+
+// ImprovesU32 reports whether cand can still win at v — against
+// master[v] when this machine owns v, else against the best candidate
+// emitted to v so far, which cand then replaces. The comparison is made
+// in the value domain; only the swap is on the bit pattern.
+func (f *MinFilter) ImprovesU32(v graph.VertexID, cand uint32, master []uint32) bool {
+	if v >= f.lo && v < f.hi {
+		return cand < master[v]
+	}
+	p := &f.sent[v]
+	for {
+		old := atomic.LoadUint32(p)
+		if !(cand < old) {
+			return false
+		}
+		if atomic.CompareAndSwapUint32(p, old, cand) {
+			return true
+		}
+	}
+}
+
+// ImprovesF32 is ImprovesU32 for float32 values.
+func (f *MinFilter) ImprovesF32(v graph.VertexID, cand float32, master []float32) bool {
+	if v >= f.lo && v < f.hi {
+		return cand < master[v]
+	}
+	p := &f.sent[v]
+	for {
+		old := atomic.LoadUint32(p)
+		if !(cand < math.Float32frombits(old)) {
+			return false
+		}
+		if atomic.CompareAndSwapUint32(p, old, math.Float32bits(cand)) {
+			return true
+		}
+	}
 }
 
 // beginPart switches the context's current bin to destination partition
@@ -326,10 +409,11 @@ func sparseExchange[M any](w *Worker, params *SparseParams[M], base int32, pass 
 
 func applySparseUpdates[M any](w *Worker, params *SparseParams[M], payload []byte) int64 {
 	rec := 4 + params.Codec.Size()
+	lo, hi := w.MasterRange()
 	var reduced int64
 	for off := 0; off+rec <= len(payload); off += rec {
 		dst := graph.VertexID(binary.LittleEndian.Uint32(payload[off:]))
-		if !w.Owns(dst) {
+		if int(dst) < lo || int(dst) >= hi {
 			panic(fmt.Sprintf("core: node %d received sparse update for vertex %d it does not own", w.id, dst))
 		}
 		reduced += params.Slot(dst, params.Codec.Decode(payload[off+4:]))

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"sync"
 	"testing"
 
 	"repro/internal/comm"
@@ -196,5 +198,87 @@ func TestTCPBackedCluster(t *testing.T) {
 		if got, want := counts[v], uint32(g.InDegree(graph.VertexID(v))); got != want {
 			t.Fatalf("vertex %d: %d, want %d", v, got, want)
 		}
+	}
+}
+
+// TestMinFilter pins the filter's three rules: an owned vertex is
+// decided against the master value and never recorded; a remote vertex
+// admits exactly the candidates that lower its running minimum, from any
+// number of goroutines; and float candidates are ordered as values, not
+// as bit patterns (negatives, NaN).
+func TestMinFilter(t *testing.T) {
+	g := graph.Ring(256)
+	c := mustCluster(t, g, Options{NumNodes: 2})
+	err := c.Run(func(w *Worker) error {
+		if w.ID() != 0 {
+			return nil
+		}
+		lo, hi := w.MasterRange()
+		owned, remote := graph.VertexID(lo), graph.VertexID(hi)
+
+		f := NewMinFilter(w, math.MaxUint32)
+		master := make([]uint32, g.NumVertices())
+		master[owned] = 10
+		for i := 0; i < 2; i++ { // owned: master value, no memory
+			if !f.ImprovesU32(owned, 9, master) || f.ImprovesU32(owned, 10, master) {
+				return fmt.Errorf("owned vertex not decided against its master value")
+			}
+		}
+		if f.ImprovesU32(remote, math.MaxUint32, master) {
+			return fmt.Errorf("the domain's maximum passed an empty filter")
+		}
+
+		// Four goroutines offer every value in [1000, 5096) to each of 64
+		// remote vertices in different orders: whatever the interleaving,
+		// the admitted candidates of a vertex strictly descend to 1000.
+		const goroutines, span, verts = 4, 4096, 64 // odd strides permute a power-of-two span
+		admitted := make([][]uint32, goroutines)
+		var wg sync.WaitGroup
+		for gi := 0; gi < goroutines; gi++ {
+			wg.Add(1)
+			go func(gi int) {
+				defer wg.Done()
+				for k := 0; k < span; k++ {
+					cand := uint32(1000 + (k*(2*gi+1)+gi*977)%span)
+					for v := 0; v < verts; v++ {
+						if f.ImprovesU32(remote+graph.VertexID(v), cand, master) && v == 0 {
+							admitted[gi] = append(admitted[gi], cand)
+						}
+					}
+				}
+			}(gi)
+		}
+		wg.Wait()
+		seen := map[uint32]bool{}
+		for _, a := range admitted {
+			for i, cand := range a {
+				if seen[cand] || (i > 0 && cand >= a[i-1]) {
+					return fmt.Errorf("candidate %d admitted twice or out of order", cand)
+				}
+				seen[cand] = true
+			}
+		}
+		for v := 0; v < verts; v++ {
+			if !seen[1000] || f.ImprovesU32(remote+graph.VertexID(v), 1000, master) ||
+				!f.ImprovesU32(remote+graph.VertexID(v), 999, master) {
+				return fmt.Errorf("vertex %d did not settle at the minimum offered", v)
+			}
+		}
+
+		inf := float32(math.Inf(1))
+		ff := NewMinFilter(w, math.Float32bits(inf))
+		for _, step := range []struct {
+			cand float32
+			want bool
+		}{{inf, false}, {float32(math.NaN()), false}, {2.5, true}, {2.5, false}, {3, false},
+			{-1, true}, {-0.5, false}, {-2, true}, {float32(math.NaN()), false}} {
+			if got := ff.ImprovesF32(remote, step.cand, nil); got != step.want {
+				return fmt.Errorf("ImprovesF32(%g) = %v, want %v", step.cand, got, step.want)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
