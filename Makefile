@@ -3,9 +3,9 @@
 # layer, run the seeded chaos soak, the sgserve process smoke test, then
 # the full suite (which includes the CLI trace smoke test and the
 # sustained serving load test).
-.PHONY: verify build vet lint lint-check test race smoke serve-smoke serve-dist-smoke chaos fleet-chaos mutate-chaos bench-baseline bench-check bench-build microbench-smoke
+.PHONY: verify build vet lint lint-check test race smoke serve-smoke serve-dist-smoke chaos fleet-chaos mutate-chaos bench-baseline bench-check bench-build microbench-smoke inline-check
 
-verify: build bench-build microbench-smoke lint lint-check race chaos fleet-chaos mutate-chaos serve-smoke serve-dist-smoke test
+verify: build inline-check bench-build microbench-smoke lint lint-check race chaos fleet-chaos mutate-chaos serve-smoke serve-dist-smoke test
 
 build:
 	go build ./...
@@ -23,9 +23,21 @@ vet:
 bench-build:
 	cd benchmark && go vet ./... && go build -o /dev/null ./...
 
-# The per-layer microbenchmarks (bitset kernels, bufpool, blocked CSR,
-# graph.Patch, Symmetrize, mutate.Apply/Commit, BuildLayout, NewCluster,
-# CC/SSSP/PageRank with their update bytes) are only ever read by hand;
+# The single-bit accessors of bitset.Bitmap run once per scanned edge and
+# per visited destination of every dependency kernel, and they are cheap
+# only inlined: a fmt call in their range check once pushed them over the
+# compiler's budget and cost the dense pass 12 % as real CALLs. Hold each
+# to "can inline", so that creeping back breaks the gate, not a profile.
+inline-check:
+	@out=$$(go build -gcflags=-m ./internal/bitset 2>&1); \
+	for f in Get Set Clear GetAtomic SetAtomic TestAndSetAtomic; do \
+		echo "$$out" | grep -q "can inline (\*Bitmap)\.$$f$$" || { echo "inline-check: bitset.(*Bitmap).$$f is not inlinable"; exit 1; }; \
+	done; echo "inline-check: the six single-bit accessors inline"
+
+# The per-layer microbenchmarks (bitset kernels and the single-bit probe,
+# bufpool, blocked CSR, graph.Patch, Symmetrize, mutate.Apply/Commit,
+# BuildLayout, NewCluster, one dense pass in both modes, CC/SSSP/PageRank
+# with their update bytes) are only ever read by hand;
 # one iteration each keeps them compiling and running, so a signature
 # change or a panic breaks the gate.
 microbench-smoke:

@@ -75,7 +75,7 @@ func main() {
 		parents[i] = ^uint32(0)
 	}
 	err = cluster.Run(func(w *core.Worker) error {
-		params := dsl.Params(fold, core.U32Codec{}, nil,
+		params := dsl.Params(fold, core.U32Codec{},
 			func(dst graph.VertexID, u uint32) int64 {
 				if parents[dst] == ^uint32(0) {
 					parents[dst] = u

@@ -113,8 +113,8 @@ func BFSWithDirection(c core.Engine, root graph.VertexID, dir Direction) (*BFSRe
 				// frontier in-neighbor — Figure 1's UDF, instrumented.
 				bottomUp++
 				newly, err = core.ProcessEdgesDense(w, core.DenseParams[uint32]{
-					Codec:     core.U32Codec{},
-					ActiveDst: func(dst graph.VertexID) bool { return !visited.Get(int(dst)) },
+					Codec:  core.U32Codec{},
+					Except: visited,
 					Signal: func(ctx *core.DenseCtx[uint32], dst graph.VertexID, srcs []graph.VertexID, _ []float32) {
 						for _, u := range srcs {
 							ctx.Edge()

@@ -1,0 +1,179 @@
+package algorithms
+
+import (
+	"encoding/binary"
+	"fmt"
+	"hash"
+	"hash/fnv"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/graph"
+)
+
+// goldenRow is one cell of the golden-counter table: the exact work and
+// traffic counters of one dependency algorithm under one configuration,
+// plus a digest of everything the algorithm returned.
+type goldenRow struct {
+	edges, skipped, supersteps int64
+	updateB, depB, controlB    int64
+	digest                     uint64
+}
+
+// goldenCounters was pinned at the commit before the dense pass moved
+// from a per-destination ActiveDst closure over position lists to bitmap
+// filters over packed per-class streams, with Workers == 1, where the
+// engine is deterministic. Every counter and every result byte is a
+// function of the visit order and of the records emitted, so an engine
+// that reproduces this table visits the same (destination, block) pairs,
+// scans the same neighbors, breaks at the same ones and ships the same
+// update and dependency frames. A deliberate change to partition cuts,
+// the threshold or the schedule re-pins it once; a refactor of the scan
+// must not move it.
+var goldenCounters = map[string]goldenRow{
+	"bfs/gemini/n2":           {2219, 0, 10, 6850, 0, 11578, 0xfb50a439f7bac106},
+	"bfs/gemini/n4":           {2790, 0, 20, 13172, 0, 18662, 0xc816ee75619cfd21},
+	"bfs/symplegraph/n2":      {2164, 44, 10, 6850, 116, 11578, 0xfb50a439f7bac106},
+	"bfs/symplegraph/n4":      {2622, 121, 20, 12628, 600, 18662, 0xc816ee75619cfd21},
+	"kcore/gemini/n2":         {26033, 0, 8, 48428, 0, 8938, 0xeb1481b0eeb06661},
+	"kcore/gemini/n4":         {39441, 0, 16, 125988, 0, 27144, 0xeb1481b0eeb06661},
+	"kcore/symplegraph/n2":    {20249, 1445, 8, 48428, 328, 8938, 0xeb1481b0eeb06661},
+	"kcore/symplegraph/n4":    {23961, 4117, 16, 94164, 1296, 27144, 0xeb1481b0eeb06661},
+	"mis/gemini/n2":           {19786, 0, 16, 7032, 0, 7621, 0x39460f652a40e120},
+	"mis/gemini/n4":           {27960, 0, 32, 14980, 0, 14015, 0x39460f652a40e120},
+	"mis/symplegraph/n2":      {17271, 622, 16, 7032, 656, 7621, 0x39460f652a40e120},
+	"mis/symplegraph/n4":      {19006, 1863, 32, 11880, 2592, 14015, 0x39460f652a40e120},
+	"kmeans/gemini/n2":        {58398, 0, 20, 18764, 0, 13720, 0x78d0a2b4e298d00},
+	"kmeans/gemini/n4":        {65215, 0, 40, 35464, 0, 23266, 0xd32b6f2552638a08},
+	"kmeans/symplegraph/n2":   {51893, 612, 20, 18764, 820, 13720, 0x78d0a2b4e298d00},
+	"kmeans/symplegraph/n4":   {54781, 1732, 40, 30456, 3240, 23266, 0xd32b6f2552638a08},
+	"sampling/gemini/n2":      {41523, 0, 6, 53166, 0, 15525, 0xeb9a3b468a57d39e},
+	"sampling/gemini/n4":      {41523, 0, 12, 116004, 0, 21999, 0xae5d78690d5554af},
+	"sampling/symplegraph/n2": {38222, 283, 8, 46824, 7496, 31977, 0x316da2225974cd06},
+	"sampling/symplegraph/n4": {37924, 951, 16, 92096, 22992, 71433, 0xd91ee7fa082c61ec},
+}
+
+// digest folds result arrays into one FNV-1a value.
+type digest struct{ hash.Hash64 }
+
+func (d digest) u64(xs ...uint64) {
+	var b [8]byte
+	for _, x := range xs {
+		binary.LittleEndian.PutUint64(b[:], x)
+		d.Write(b[:])
+	}
+}
+
+func (d digest) u32s(xs []uint32) {
+	for _, x := range xs {
+		d.u64(uint64(x))
+	}
+}
+
+func (d digest) i32s(xs []int32) {
+	for _, x := range xs {
+		d.u64(uint64(uint32(x)))
+	}
+}
+
+func (d digest) bools(xs []bool) {
+	for _, x := range xs {
+		if x {
+			d.u64(1)
+		} else {
+			d.u64(0)
+		}
+	}
+}
+
+// runGolden runs algo on c and returns the digest of its whole result.
+func runGolden(t *testing.T, algo string, c *core.Cluster) uint64 {
+	t.Helper()
+	d := digest{fnv.New64a()}
+	var err error
+	switch algo {
+	case "bfs":
+		var res *BFSResult
+		root, _ := graph.LargestOutDegreeVertex(c.Graph())
+		if res, err = BFS(c, root); err == nil {
+			d.u32s(res.Parent)
+			d.i32s(res.Depth)
+			d.u64(uint64(res.TopDownSteps), uint64(res.BottomUpSteps))
+		}
+	case "kcore":
+		var res *KCoreResult
+		if res, err = KCore(c, 4); err == nil {
+			d.bools(res.InCore)
+			d.u64(uint64(res.Rounds))
+		}
+	case "mis":
+		var res *MISResult
+		if res, err = MIS(c, 7); err == nil {
+			d.bools(res.InMIS)
+			d.u64(uint64(res.Rounds))
+		}
+	case "kmeans":
+		res, kerr := KMeans(c, 8, 2, 7)
+		if err = kerr; err == nil {
+			d.u32s(res.Cluster)
+			d.i32s(res.Dist)
+			for _, cv := range res.Centers {
+				d.u64(uint64(cv))
+			}
+			for _, s := range res.DistSums {
+				d.u64(uint64(s))
+			}
+			d.u64(uint64(res.Rounds))
+		}
+	case "sampling":
+		var res *SampleResult
+		if res, err = Sample(c, 7, 3); err == nil {
+			for _, p := range res.Picks {
+				d.u32s(p)
+			}
+			d.u64(uint64(res.ExactPicks))
+		}
+	default:
+		t.Fatalf("unknown algorithm %q", algo)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d.Sum64()
+}
+
+// TestGoldenCounters holds the five dependency algorithms × both modes ×
+// {2, 4} machines to the pinned table.
+func TestGoldenCounters(t *testing.T) {
+	base := graph.RMAT(11, 8, graph.Graph500Params(), 20)
+	sym := graph.Symmetrize(base)
+	for _, algo := range []string{"bfs", "kcore", "mis", "kmeans", "sampling"} {
+		for _, mode := range []core.Mode{core.ModeGemini, core.ModeSympleGraph} {
+			for _, nodes := range []int{2, 4} {
+				name := fmt.Sprintf("%s/%v/n%d", algo, mode, nodes)
+				t.Run(name, func(t *testing.T) {
+					g := sym
+					if algo == "bfs" || algo == "sampling" {
+						g = base
+					}
+					c, err := core.NewCluster(g, core.Options{
+						NumNodes: nodes, Mode: mode, DepThreshold: 16, NumBuffers: 2,
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer c.Close()
+					got := goldenRow{digest: runGolden(t, algo, c)}
+					s := c.Stats().Totals
+					got.edges, got.skipped, got.supersteps = s.EdgesTraversed, s.VerticesSkipped, s.Supersteps
+					got.updateB, got.depB, got.controlB = s.UpdateBytes, s.DependencyBytes, s.ControlBytes
+					if got != goldenCounters[name] {
+						t.Errorf("counters moved; got\n\t%q: {%d, %d, %d, %d, %d, %d, %#x},\npinned\n\t%+v",
+							name, got.edges, got.skipped, got.supersteps,
+							got.updateB, got.depB, got.controlB, got.digest, goldenCounters[name])
+					}
+				})
+			}
+		}
+	}
+}

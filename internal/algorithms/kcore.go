@@ -33,7 +33,7 @@ func KCore(c core.Engine, k int) (*KCoreResult, error) {
 	n := g.NumVertices()
 	res := &KCoreResult{}
 	err := c.Execute(func(w *core.Worker) error {
-		active := bitset.New(n)
+		active, removed := bitset.New(n), bitset.New(n)
 		active.Fill()
 		lo, hi := w.MasterRange()
 		counts := make([]int64, n) // master partial-count accumulator
@@ -44,8 +44,8 @@ func KCore(c core.Engine, k int) (*KCoreResult, error) {
 				counts[v] = 0
 			}
 			if _, err := core.ProcessEdgesDense(w, core.DenseParams[int64]{
-				Codec:     core.I64Codec{},
-				ActiveDst: func(dst graph.VertexID) bool { return active.Get(int(dst)) },
+				Codec:  core.I64Codec{},
+				Active: active,
 				Signal: func(ctx *core.DenseCtx[int64], dst graph.VertexID, srcs []graph.VertexID, _ []float32) {
 					var cnt int64
 					for _, u := range srcs {
@@ -71,7 +71,7 @@ func KCore(c core.Engine, k int) (*KCoreResult, error) {
 			}); err != nil {
 				return err
 			}
-			removed := bitset.New(n)
+			removed.ClearAll()
 			nRemoved, err := w.ProcessVertices(func(v graph.VertexID) int64 {
 				if !active.Get(int(v)) {
 					return 0

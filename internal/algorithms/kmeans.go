@@ -28,19 +28,13 @@ func KMeans(c core.Engine, centers, iters int, seed uint64) (*seq.KMeansResult, 
 		return nil, fmt.Errorf("algorithms: %d centers for %d vertices", centers, n)
 	}
 	res := &seq.KMeansResult{}
+	// Initial centers: one deterministic draw, read by every node.
+	initial := seq.KMeansCenters(n, centers, seed)
 	err := c.Execute(func(w *core.Worker) error {
-		// Initial centers: identical deterministic choice on every node.
-		perm := xrand.Perm(n, xrand.Mix(seed, 0x4b3))
-		cs := make([]graph.VertexID, 0, centers)
-		for _, v := range perm {
-			if len(cs) == centers {
-				break
-			}
-			cs = append(cs, graph.VertexID(v))
-		}
-
+		cs := initial
 		cluster := make([]uint32, n) // masters authoritative
 		dist := make([]int32, n)
+		assigned, newAssigned := bitset.New(n), bitset.New(n)
 		var distSums []int64
 		totalRounds := 0
 		for iter := 0; iter < iters; iter++ {
@@ -48,7 +42,7 @@ func KMeans(c core.Engine, centers, iters int, seed uint64) (*seq.KMeansResult, 
 				cluster[v] = seq.NoCluster
 				dist[v] = -1
 			}
-			assigned := bitset.New(n)
+			assigned.ClearAll()
 			for cid, cv := range cs {
 				cluster[cv] = uint32(cid)
 				dist[cv] = 0
@@ -56,10 +50,10 @@ func KMeans(c core.Engine, centers, iters int, seed uint64) (*seq.KMeansResult, 
 			}
 			for round := int32(1); ; round++ {
 				totalRounds++
-				newAssigned := bitset.New(n)
+				newAssigned.ClearAll()
 				adopted, err := core.ProcessEdgesDense(w, core.DenseParams[uint32]{
-					Codec:     core.U32Codec{},
-					ActiveDst: func(dst graph.VertexID) bool { return !assigned.Get(int(dst)) },
+					Codec:  core.U32Codec{},
+					Except: assigned,
 					Signal: func(ctx *core.DenseCtx[uint32], dst graph.VertexID, srcs []graph.VertexID, _ []float32) {
 						for _, u := range srcs {
 							ctx.Edge()

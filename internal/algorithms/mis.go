@@ -31,6 +31,7 @@ func MIS(c core.Engine, seed uint64) (*MISResult, error) {
 	err := c.Execute(func(w *core.Worker) error {
 		active := bitset.New(n)
 		active.Fill()
+		vetoed, newMIS, covered := bitset.New(n), bitset.New(n), bitset.New(n)
 		inMIS := make([]bool, n) // masters authoritative
 		rounds := 0
 		for active.Any() {
@@ -38,10 +39,10 @@ func MIS(c core.Engine, seed uint64) (*MISResult, error) {
 			// Phase 1: veto pass. A vertex is vetoed when some active
 			// neighbor has a smaller color; un-vetoed active vertices
 			// join the MIS.
-			vetoed := bitset.New(n)
+			vetoed.ClearAll()
 			if _, err := core.ProcessEdgesDense(w, core.DenseParams[struct{}]{
-				Codec:     core.UnitCodec{},
-				ActiveDst: func(dst graph.VertexID) bool { return active.Get(int(dst)) },
+				Codec:  core.UnitCodec{},
+				Active: active,
 				Signal: func(ctx *core.DenseCtx[struct{}], dst graph.VertexID, srcs []graph.VertexID, _ []float32) {
 					for _, u := range srcs {
 						ctx.Edge()
@@ -62,7 +63,7 @@ func MIS(c core.Engine, seed uint64) (*MISResult, error) {
 			}); err != nil {
 				return err
 			}
-			newMIS := bitset.New(n)
+			newMIS.ClearAll()
 			joined, err := w.ProcessVertices(func(v graph.VertexID) int64 {
 				if active.Get(int(v)) && !vetoed.Get(int(v)) {
 					inMIS[v] = true
@@ -82,10 +83,11 @@ func MIS(c core.Engine, seed uint64) (*MISResult, error) {
 			}
 			// Phase 2: cover pass. Active vertices adjacent to a new
 			// member deactivate (first member neighbor suffices).
-			covered := bitset.New(n)
+			covered.ClearAll()
 			if _, err := core.ProcessEdgesDense(w, core.DenseParams[struct{}]{
-				Codec:     core.UnitCodec{},
-				ActiveDst: func(dst graph.VertexID) bool { return active.Get(int(dst)) && !newMIS.Get(int(dst)) },
+				Codec:  core.UnitCodec{},
+				Active: active,
+				Except: newMIS,
 				Signal: func(ctx *core.DenseCtx[struct{}], dst graph.VertexID, srcs []graph.VertexID, _ []float32) {
 					for _, u := range srcs {
 						ctx.Edge()

@@ -48,6 +48,9 @@ func Sample(c core.Engine, seed uint64, rounds int) (*SampleResult, error) {
 	n := g.NumVertices()
 	depOn := c.Options().Mode == core.ModeSympleGraph && c.Options().NumNodes > 1
 	res := &SampleResult{}
+	// The vertex weights are a replicated vertex property (Figure 3d):
+	// tabulated once, read by every machine per scanned edge.
+	wt := seq.VertexWeights(seed, n)
 	err := c.Execute(func(w *core.Worker) error {
 		totalW := make([]float64, n)
 		if depOn {
@@ -64,7 +67,7 @@ func Sample(c core.Engine, seed uint64, rounds int) (*SampleResult, error) {
 					acc := ctx.DepFloat(0)
 					for _, u := range srcs {
 						ctx.Edge()
-						acc += seq.VertexWeight(seed, u)
+						acc += wt[u]
 					}
 					ctx.SetDepFloat(0, acc)
 				},
@@ -84,13 +87,21 @@ func Sample(c core.Engine, seed uint64, rounds int) (*SampleResult, error) {
 
 		var exactPicks int64
 		allPicks := make([][]uint32, rounds)
+		lo, hi := w.MasterRange()
+		hierMass := make([]float64, n) // running mass at master
+		hierSeq := make([]uint64, n)   // arrival index at master
+		var pick []uint32
 		for round := 0; round < rounds; round++ {
-			pick := make([]uint32, n)
-			for i := range pick {
-				pick[i] = None
+			// Slots write masters only and the gather overwrites the rest
+			// at node 0, the one node that keeps a round's picks.
+			if pick == nil || w.ID() == 0 {
+				pick = make([]uint32, n)
 			}
-			hierMass := make([]float64, n) // running mass at master
-			hierSeq := make([]uint64, n)   // arrival index at master
+			for v := lo; v < hi; v++ {
+				pick[v] = None
+			}
+			clear(hierMass[lo:hi])
+			clear(hierSeq[lo:hi])
 			exact, err := core.ProcessEdgesDense(w, core.DenseParams[core.WeightedPick]{
 				Codec: core.WeightedPickCodec{},
 				Signal: func(ctx *core.DenseCtx[core.WeightedPick], dst graph.VertexID, srcs []graph.VertexID, _ []float32) {
@@ -99,7 +110,7 @@ func Sample(c core.Engine, seed uint64, rounds int) (*SampleResult, error) {
 						r := seq.SampleThresholdFromTotal(seed, round, dst, totalW[dst])
 						for _, u := range srcs {
 							ctx.Edge()
-							acc += seq.VertexWeight(seed, u)
+							acc += wt[u]
 							if acc >= r {
 								ctx.Emit(core.WeightedPick{Sum: -1, Cand: uint32(u)})
 								ctx.EmitDep()
@@ -115,13 +126,13 @@ func Sample(c core.Engine, seed uint64, rounds int) (*SampleResult, error) {
 					var mass float64
 					for _, u := range srcs {
 						ctx.Edge()
-						mass += seq.VertexWeight(seed, u)
+						mass += wt[u]
 					}
 					r := seq.SampleThresholdFromTotal(seed, round, dst, mass)
 					acc := 0.0
 					cand := srcs[len(srcs)-1]
 					for _, u := range srcs {
-						acc += seq.VertexWeight(seed, u)
+						acc += wt[u]
 						if acc >= r {
 							cand = u
 							// Machine-local pick over neighbors the mass

@@ -201,38 +201,42 @@ func (b *Bitmap) Range(fn func(i int) bool) {
 // RangeSegment calls fn for each set bit i with lo <= i < hi, in ascending
 // order. It panics if the segment is out of range.
 func (b *Bitmap) RangeSegment(lo, hi int, fn func(i int) bool) {
-	if lo < 0 || hi > b.n || lo > hi {
-		panic(fmt.Sprintf("bitset: segment [%d,%d) out of range [0,%d)", lo, hi, b.n))
-	}
-	if lo == hi {
-		return
-	}
-	loWord, hiWord := lo/wordBits, (hi-1)/wordBits
-	for wi := loWord; wi <= hiWord; wi++ {
-		w := b.words[wi]
-		if wi == loWord {
-			w &= ^uint64(0) << (uint(lo) % wordBits)
-		}
-		if wi == hiWord {
-			if rem := hi % wordBits; rem != 0 {
-				w &= (1 << uint(rem)) - 1
-			}
-		}
-		for w != 0 {
-			bit := bits.TrailingZeros64(w)
-			if !fn(wi*wordBits + bit) {
+	b.checkSegment(lo, hi)
+	for wi := lo / wordBits; wi*wordBits < hi; wi++ {
+		for w := b.segmentWord(wi, lo, hi); w != 0; w &= w - 1 {
+			if !fn(wi*wordBits + bits.TrailingZeros64(w)) {
 				return
 			}
-			w &= w - 1
 		}
 	}
 }
 
 // CountSegment returns the number of set bits i with lo <= i < hi.
 func (b *Bitmap) CountSegment(lo, hi int) int {
+	b.checkSegment(lo, hi)
 	c := 0
-	b.RangeSegment(lo, hi, func(int) bool { c++; return true })
+	for wi := lo / wordBits; wi*wordBits < hi; wi++ {
+		c += bits.OnesCount64(b.segmentWord(wi, lo, hi))
+	}
 	return c
+}
+
+func (b *Bitmap) checkSegment(lo, hi int) {
+	if lo < 0 || hi > b.n || lo > hi {
+		panic(fmt.Sprintf("bitset: segment [%d,%d) out of range [0,%d)", lo, hi, b.n))
+	}
+}
+
+// segmentWord returns word wi with the bits outside [lo, hi) cleared.
+func (b *Bitmap) segmentWord(wi, lo, hi int) uint64 {
+	w := b.words[wi]
+	if wi == lo/wordBits {
+		w &= ^uint64(0) << (uint(lo) % wordBits)
+	}
+	if rem := hi - wi*wordBits; rem < wordBits {
+		w &= (1 << uint(rem)) - 1
+	}
+	return w
 }
 
 // AppendSet appends the indices of all set bits to dst and returns it.
@@ -288,10 +292,22 @@ func (b *Bitmap) String() string {
 	return out + "}"
 }
 
+// check panics unless 0 <= i < n, as one unsigned compare. The panic
+// value formats its message only when somebody reads it: a fmt call here
+// would push every single-bit accessor over the compiler's inlining
+// budget and turn each probe of a per-edge loop into a real call
+// (`make inline-check` holds the accessors to "can inline").
 func (b *Bitmap) check(i int) {
-	if i < 0 || i >= b.n {
-		panic(fmt.Sprintf("bitset: index %d out of range [0,%d)", i, b.n))
+	if uint(i) >= uint(b.n) {
+		panic(indexError{i, b.n})
 	}
+}
+
+// indexError is the panic value of an out-of-range single-bit access.
+type indexError struct{ i, n int }
+
+func (e indexError) Error() string {
+	return fmt.Sprintf("bitset: index %d out of range [0,%d)", e.i, e.n)
 }
 
 func (b *Bitmap) sameLen(other *Bitmap) {

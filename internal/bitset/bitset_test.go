@@ -1,6 +1,7 @@
 package bitset
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -256,21 +257,45 @@ func TestUnmarshalSizeMismatch(t *testing.T) {
 	}
 }
 
+// TestOutOfRangePanics: the range check survives the accessors becoming
+// inlinable — every single-bit accessor panics one past the end and on a
+// negative index, and the panic value still reads as the old message.
 func TestOutOfRangePanics(t *testing.T) {
-	cases := []func(*Bitmap){
-		func(b *Bitmap) { b.Set(-1) },
-		func(b *Bitmap) { b.Set(10) },
-		func(b *Bitmap) { b.Get(10) },
-		func(b *Bitmap) { b.Clear(10) },
-		func(b *Bitmap) { b.SetAtomic(10) },
+	accessors := map[string]func(*Bitmap, int){
+		"Set":              func(b *Bitmap, i int) { b.Set(i) },
+		"Get":              func(b *Bitmap, i int) { b.Get(i) },
+		"Clear":            func(b *Bitmap, i int) { b.Clear(i) },
+		"SetAtomic":        func(b *Bitmap, i int) { b.SetAtomic(i) },
+		"GetAtomic":        func(b *Bitmap, i int) { b.GetAtomic(i) },
+		"TestAndSetAtomic": func(b *Bitmap, i int) { b.TestAndSetAtomic(i) },
+	}
+	for name, fn := range accessors {
+		for _, i := range []int{10, -1, 64, -1 << 62} {
+			func() {
+				defer func() {
+					want := fmt.Sprintf("bitset: index %d out of range [0,10)", i)
+					if r := recover(); r == nil {
+						t.Fatalf("%s(%d): no panic", name, i)
+					} else if got := fmt.Sprint(r); got != want {
+						t.Fatalf("%s(%d): panic reads %q, want %q", name, i, got, want)
+					}
+				}()
+				fn(New(10), i)
+			}()
+		}
+		fn(New(10), 9) // the last valid index does not panic
+	}
+	segments := []func(*Bitmap){
 		func(b *Bitmap) { b.RangeSegment(0, 11, func(int) bool { return true }) },
 		func(b *Bitmap) { b.RangeSegment(5, 4, func(int) bool { return true }) },
+		func(b *Bitmap) { b.CountSegment(-1, 4) },
+		func(b *Bitmap) { b.CountSegment(0, 11) },
 	}
-	for i, fn := range cases {
+	for i, fn := range segments {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Fatalf("case %d: no panic", i)
+					t.Fatalf("segment case %d: no panic", i)
 				}
 			}()
 			fn(New(10))
@@ -343,6 +368,27 @@ func BenchmarkSetSequential(b *testing.B) {
 		bm.Set(i & (1<<20 - 1))
 	}
 }
+
+// BenchmarkBitmapGet is the per-edge probe of every dependency kernel: a
+// read of a pseudo-random bit of a cache-resident bitmap. It costs a few
+// ns inlined and several times that as a call, which is what a fmt call in
+// check makes it (`make inline-check`).
+func BenchmarkBitmapGet(b *testing.B) {
+	bm := New(1 << 16)
+	for i := 0; i < bm.Len(); i += 3 {
+		bm.Set(i)
+	}
+	hits := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if bm.Get((i * 40503) & (1<<16 - 1)) {
+			hits++
+		}
+	}
+	benchHits = hits
+}
+
+var benchHits int
 
 func BenchmarkRangeDense(b *testing.B) {
 	bm := New(1 << 20)

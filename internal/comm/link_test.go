@@ -139,3 +139,61 @@ func TestTransferTime(t *testing.T) {
 		t.Fatalf("infinite bandwidth transfer = %v", got)
 	}
 }
+
+// TestFreeLinkModelIsInstant: a model that costs nothing — what the
+// benchmark and the servers pass as "instant" — behaves as a nil link:
+// per-pair order, byte and message counts equal a nil-link cluster's,
+// delivery completes inside Send, and no link worker is started.
+func TestFreeLinkModelIsInstant(t *testing.T) {
+	const k = 100
+	type counts struct{ sentB, recvB, sentM int64 }
+	run := func(link *LinkModel) (got [numKinds]counts) {
+		c := NewMemClusterWithLink(3, link)
+		defer c.Close()
+		for i := int32(0); i < k; i++ {
+			kind := Kind(i % int32(numKinds))
+			if err := c.Endpoint(0).Send(1, kind, i, []byte{byte(i)}); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Endpoint(0).SendBufs(2, kind, i, Buffers{[]byte{byte(i)}, []byte{1, 2}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Instant delivery happened inside Send: everything is already
+		// received as far as the accounting goes, and no worker exists.
+		if n := len(c.links); n != 0 {
+			t.Fatalf("link=%+v: %d link workers started", link, n)
+		}
+		for i := int32(0); i < k; i++ {
+			kind := Kind(i % int32(numKinds))
+			m, err := c.Endpoint(1).Recv(0, kind, i)
+			if err != nil || len(m.Payload) != 1 || m.Payload[0] != byte(i) {
+				t.Fatalf("link=%+v: message %d to node 1: %v %v", link, i, m.Payload, err)
+			}
+			if m, err = c.Endpoint(2).Recv(0, kind, i); err != nil || len(m.Payload) != 3 || m.Payload[0] != byte(i) {
+				t.Fatalf("link=%+v: frame %d to node 2: %v %v", link, i, m.Payload, err)
+			}
+			m.Release()
+		}
+		for kind := Kind(0); kind < numKinds; kind++ {
+			got[kind] = counts{
+				c.Endpoint(0).Stats().SentBytes(kind),
+				c.Endpoint(1).Stats().ReceivedBytes(kind) + c.Endpoint(2).Stats().ReceivedBytes(kind),
+				c.Endpoint(0).Stats().SentMessages(kind),
+			}
+		}
+		if d := c.Endpoint(0).Stats().QueueDelay(); d != 0 {
+			t.Fatalf("link=%+v: queue delay %v on an instant cluster", link, d)
+		}
+		return got
+	}
+	want := run(nil)
+	if want[KindUpdate].sentM == 0 || want[KindUpdate].sentB != want[KindUpdate].recvB {
+		t.Fatalf("nil-link reference looks wrong: %+v", want)
+	}
+	for _, link := range []*LinkModel{{}, {Latency: -time.Second, BytesPerSecond: -1}} {
+		if got := run(link); got != want {
+			t.Fatalf("link=%+v: counts %+v, nil link %+v", link, got, want)
+		}
+	}
+}

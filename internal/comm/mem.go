@@ -28,10 +28,15 @@ type MemCluster struct {
 func NewMemCluster(n int) *MemCluster { return NewMemClusterWithLink(n, nil) }
 
 // NewMemClusterWithLink creates a cluster whose deliveries follow the
-// link model (nil = instant).
+// link model. A nil model, or one that costs nothing (no latency and
+// infinite bandwidth), is instant delivery: the sender hands the message
+// to the receiver's inbox itself, with no link worker in between.
 func NewMemClusterWithLink(n int, link *LinkModel) *MemCluster {
 	if n <= 0 {
 		panic(fmt.Sprintf("comm: cluster size %d", n))
+	}
+	if link != nil && link.Latency <= 0 && link.BytesPerSecond <= 0 {
+		link = nil
 	}
 	c := &MemCluster{
 		endpoints: make([]*memEndpoint, n),

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
+	"repro/internal/bitset"
 	"repro/internal/graph"
 )
 
@@ -30,4 +32,113 @@ func BenchmarkNewCluster(b *testing.B) {
 			}
 		})
 	}
+}
+
+// firstHitPass runs `passes` dense passes of the bottom-up-BFS skeleton —
+// destinations outside `visited` look for their first `frontier`
+// in-neighbor and break — and returns how many signals ran.
+func firstHitPass(c *Cluster, visited, frontier *bitset.Bitmap, passes int) (visits int64, err error) {
+	perNode := make([]int64, c.Options().NumNodes)
+	err = c.Run(func(w *Worker) error {
+		params := DenseParams[uint32]{
+			Codec:  U32Codec{},
+			Except: visited,
+			Signal: func(ctx *DenseCtx[uint32], dst graph.VertexID, srcs []graph.VertexID, _ []float32) {
+				perNode[w.ID()]++
+				for _, u := range srcs {
+					ctx.Edge()
+					if frontier.Get(int(u)) {
+						ctx.Emit(uint32(u))
+						ctx.EmitDep()
+						break
+					}
+				}
+			},
+			Slot: func(graph.VertexID, uint32) int64 { return 1 },
+		}
+		for i := 0; i < passes; i++ {
+			if _, err := ProcessEdgesDense(w, params); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	for _, v := range perNode {
+		visits += v
+	}
+	return visits, err
+}
+
+// firstHitSets marks a quarter of the vertices visited and a sixteenth
+// frontier — a mid-traversal bottom-up BFS step.
+func firstHitSets(n int) (visited, frontier *bitset.Bitmap) {
+	visited, frontier = bitset.New(n), bitset.New(n)
+	for v := 0; v < n; v++ {
+		if v%4 == 1 {
+			visited.Set(v)
+		}
+		if v%16 == 1 {
+			frontier.Set(v)
+		}
+	}
+	return visited, frontier
+}
+
+// BenchmarkDensePass times one dense pass on a warm 4-node cluster over
+// the memory transport, in both modes: what a destination visit and an
+// edge cost through the engine. visits/op and edges/op are the work the
+// pass did (signals run, neighbors scanned), so ns/op divides into a
+// per-visit and a per-edge price.
+func BenchmarkDensePass(b *testing.B) {
+	for _, scale := range []int{13, 15} {
+		g := graph.RMAT(scale, 16, graph.Graph500Params(), 1)
+		visited, frontier := firstHitSets(g.NumVertices())
+		for _, mode := range []Mode{ModeSympleGraph, ModeGemini} {
+			b.Run(fmt.Sprintf("scale%d/%v", scale, mode), func(b *testing.B) {
+				c := mustCluster(b, g, Options{NumNodes: 4, Mode: mode, DepThreshold: DefaultDepThreshold, NumBuffers: 2})
+				if _, err := firstHitPass(c, visited, frontier, 1); err != nil { // warm the slab and the scratch
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				visits, err := firstHitPass(c, visited, frontier, b.N)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ReportMetric(float64(visits)/float64(b.N), "visits/op")
+				b.ReportMetric(float64(c.Stats().Totals.EdgesTraversed)/float64(b.N), "edges/op")
+			})
+		}
+	}
+}
+
+// TestDensePassAllocations bounds what a dense pass allocates on a warm
+// 4-node SympleGraph cluster. The engine's scratch lives on the worker, so
+// beyond the first pass of a run a pass allocates only its contexts, its
+// params, the one-element vector each dependency frame is sent as, and
+// the message headers of its closing collective: 6.5 objects per
+// machine-pass measured (50.8 before the scratch moved), held here with
+// 20 % headroom. A per-step bitmap, lane array, scan closure or buffer
+// list creeping back costs 4 or more.
+func TestDensePassAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	g := graph.RMAT(10, 16, graph.Graph500Params(), 1)
+	visited, frontier := firstHitSets(g.NumVertices())
+	c := mustCluster(t, g, Options{NumNodes: 4, Mode: ModeSympleGraph, DepThreshold: 8, NumBuffers: 2})
+	run := func(passes int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if _, err := firstHitPass(c, visited, frontier, passes); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	run(1) // warm the slab
+	const extra = 20
+	perMachinePass := (run(1+extra) - run(1)) / (extra * 4)
+	if bound := 6.5 * 1.2; perMachinePass > bound {
+		t.Fatalf("a dense pass allocates %.2f objects per machine, bound %.2f", perMachinePass, bound)
+	}
+	t.Logf("%.2f allocations per machine-pass", perMachinePass)
 }

@@ -20,10 +20,16 @@ import (
 type DenseParams[M any] struct {
 	// Codec serializes update messages.
 	Codec Codec[M]
-	// ActiveDst filters destination vertices; it is evaluated on the
-	// processing machine against replicated state (e.g. "not yet
-	// visited"). nil processes every destination.
-	ActiveDst func(dst graph.VertexID) bool
+	// Active and Except filter destination vertices: a destination is
+	// visited only if its bit is set in Active (nil visits all) and clear
+	// in Except (nil skips none) — "still active", "not yet visited".
+	// Both are replicated |V|-bitmaps, tested inline on the processing
+	// machine, and must not change during the pass (slots record into a
+	// separate bitmap that is merged afterwards). The filter is applied
+	// before the dependency skip test — a filtered destination counts as
+	// neither visited nor skipped — and, identically, in the Finalize
+	// sweep. A bitmap of any other length is an error.
+	Active, Except *bitset.Bitmap
 	// Signal is the dense-signal UDF, executed once per (destination,
 	// block): it scans the destination's incoming neighbors local to
 	// the machine, calling ctx.Edge per neighbor examined, ctx.Emit to
@@ -60,32 +66,72 @@ type DenseParams[M any] struct {
 // vectored (no concatenation) through comm.SendBufs.
 const emitChunkBytes = 64 << 10
 
-// DenseCtx is the per-worker signal context. It carries the update buffer,
-// traversal counters, and — in SympleGraph mode — the dependency state of
-// the destination being processed (the engine-side realization of the
-// paper's receive_dep/emit_dep primitives, Figure 5).
+// DenseCtx is the per-worker signal context, made once per pass. It
+// carries the update buffer, traversal counters, and — in SympleGraph mode
+// — the dependency state of the destination being processed (the
+// engine-side realization of the paper's receive_dep/emit_dep primitives,
+// Figure 5).
 type DenseCtx[M any] struct {
 	codec Codec[M]
 	size  int
 	buf   []byte
 
 	// pooled selects the slab emit path: buf is a fixed-capacity chunk
-	// from bufpool, pushed to chunks when full. When false (legacy data
-	// plane) buf grows through the garbage collector instead.
-	pooled   bool
-	chunks   *[][]byte
-	chunksMu *sync.Mutex
+	// from bufpool, pushed to the step's buffer list when full. When
+	// false (legacy data plane) buf grows through the garbage collector
+	// instead.
+	pooled bool
+	sc     *denseScratch
 
 	edges   int64
 	skipped int64
 
-	depOn    bool
-	tracked  bool
+	tracked  bool // dependency state propagates for curDst
 	trackIdx int32
 	curDst   graph.VertexID
 	depBreak bool
-	depSkip  *bitset.Bitmap
-	depData  [][]float64
+}
+
+// denseScratch is the engine-side state of a dense pass. It lives on the
+// Worker, so steps and passes reuse it instead of allocating per step.
+// The rule that makes the reuse safe: only the containers are kept — a
+// buffer handed to SendBufs belongs to the transport and one parked for
+// the local apply goes back to the slab, so bins is truncated, never
+// rewritten in place, and every list entry is a fresh slab chunk.
+type denseScratch struct {
+	// skip and data are the dependency state of the step in flight,
+	// cleared at its start (skip is sized for the largest tracked set and
+	// addressed by explicit bounds); after the last step — the worker's
+	// own partition — they hold its fully circulated state.
+	skip *bitset.Bitmap
+	data [][]float64
+	lane []float64 // Finalize's view of one vertex
+
+	mu   sync.Mutex
+	bins [][]byte // the step's update buffers
+}
+
+// beginStep zeroes the dependency state for a step over `tracked`
+// vertices.
+func (sc *denseScratch) beginStep(class *partition.DegreeClass, tracked, lanes int) {
+	if sc.skip == nil {
+		most := 0
+		for _, highs := range class.Highs {
+			most = max(most, len(highs))
+		}
+		sc.skip = bitset.New(most)
+	}
+	sc.skip.ClearAll()
+	if len(sc.data) != lanes {
+		sc.data, sc.lane = make([][]float64, lanes), make([]float64, lanes)
+	}
+	for l := range sc.data {
+		if cap(sc.data[l]) < tracked {
+			sc.data[l] = make([]float64, tracked)
+		}
+		sc.data[l] = sc.data[l][:tracked]
+		clear(sc.data[l])
+	}
 }
 
 // Edge records one neighbor traversal (the paper's computation metric).
@@ -110,9 +156,9 @@ func (ctx *DenseCtx[M]) Emit(msg M) {
 // vectored frame decodes identically to a concatenated payload.
 func (ctx *DenseCtx[M]) flushChunk() {
 	if len(ctx.buf) > 0 {
-		ctx.chunksMu.Lock()
-		*ctx.chunks = append(*ctx.chunks, ctx.buf)
-		ctx.chunksMu.Unlock()
+		ctx.sc.mu.Lock()
+		ctx.sc.bins = append(ctx.sc.bins, ctx.buf)
+		ctx.sc.mu.Unlock()
 	} else if ctx.buf != nil {
 		bufpool.Put(ctx.buf)
 	}
@@ -130,7 +176,7 @@ func (ctx *DenseCtx[M]) EmitDep() { ctx.depBreak = true }
 // the current destination. UDFs with data dependency use it to fall back
 // to a parallel-decomposable path (e.g. hierarchical sampling) when the
 // carried state is unavailable.
-func (ctx *DenseCtx[M]) Tracked() bool { return ctx.depOn && ctx.tracked }
+func (ctx *DenseCtx[M]) Tracked() bool { return ctx.tracked }
 
 // DepFloat returns the carried data-dependency value of lane for the
 // current destination, accumulated by machines earlier in the ring; 0 for
@@ -139,7 +185,7 @@ func (ctx *DenseCtx[M]) DepFloat(lane int) float64 {
 	if !ctx.Tracked() {
 		return 0
 	}
-	return ctx.depData[lane][ctx.trackIdx]
+	return ctx.sc.data[lane][ctx.trackIdx]
 }
 
 // SetDepFloat stores the data-dependency value handed to machines later
@@ -148,7 +194,7 @@ func (ctx *DenseCtx[M]) SetDepFloat(lane int, v float64) {
 	if !ctx.Tracked() {
 		return
 	}
-	ctx.depData[lane][ctx.trackIdx] = v
+	ctx.sc.data[lane][ctx.trackIdx] = v
 }
 
 // ProcessEdgesDense runs one dense pass under the cluster's mode and
@@ -173,11 +219,21 @@ func ProcessEdgesDense[M any](w *Worker, params DenseParams[M]) (int64, error) {
 	if lanes < 0 {
 		return 0, fmt.Errorf("core: negative Lanes %d", lanes)
 	}
-	depOn := opts.Mode == ModeSympleGraph && p > 1
-	if opts.binnedScan() {
-		return processEdgesDenseBinned(w, &params, depOn)
+	for _, f := range []*bitset.Bitmap{params.Active, params.Except} {
+		if n := w.cluster.g.NumVertices(); f != nil && f.Len() != n {
+			return 0, fmt.Errorf("core: destination filter holds %d bits, the graph has %d vertices", f.Len(), n)
+		}
 	}
+	depOn := opts.Mode == ModeSympleGraph && p > 1
 	pooled := !opts.LegacyDataPlane
+	sc := &w.dense
+	ctxs := make([]DenseCtx[M], opts.Workers)
+	for k := range ctxs {
+		ctxs[k] = DenseCtx[M]{codec: params.Codec, size: params.Codec.Size(), pooled: pooled, sc: sc}
+	}
+	if opts.binnedScan() {
+		return processEdgesDenseBinned(w, &params, ctxs, depOn)
+	}
 	base := w.nextTags(int32(p*B + p)) // p*B dependency frames + p update rounds
 	rn := (w.id + 1) % p
 	ln := (w.id - 1 + p) % p
@@ -185,33 +241,23 @@ func ProcessEdgesDense[M any](w *Worker, params DenseParams[M]) (int64, error) {
 	pass := w.densePass
 	w.densePass++
 
-	var reduced int64
-	var localChunks [][]byte   // our own block's updates, applied in ring order below
-	var depSkip *bitset.Bitmap // state for the step in flight; after the
-	var depData [][]float64    // loop, the final state of our own partition
 	for j := 0; j < p; j++ {
 		stepStart := w.spanStart()
 		d := (w.id + 1 + j) % p
 		block := w.layout.Blocks[d]
 		tracked := len(w.cluster.class.Highs[d])
-
+		sc.bins = sc.bins[:0]
 		if depOn {
-			depSkip = bitset.New(tracked)
-			depData = make([][]float64, lanes)
-			for l := range depData {
-				depData[l] = make([]float64, tracked)
-			}
+			sc.beginStep(w.cluster.class, tracked, lanes)
 		}
 
-		var bufs [][]byte
-		var bufsMu sync.Mutex
 		// Low-degree destinations first: no dependency input needed, so
 		// this computation overlaps the predecessor still working on the
 		// groups we are about to wait for.
-		processDensePositions(w, &params, block, block.LowPos, false, nil, nil, pooled, &bufs, &bufsMu)
+		scanDests(w, &params, ctxs, block.Low, false)
 
 		bounds := groupBounds(tracked, B)
-		splits := splitTrackedByGroup(w.cluster.class, block, bounds)
+		rest := block.Tracked // ascending by tracked index: a group is a prefix
 		for g := 0; g < B; g++ {
 			if depOn && j > 0 {
 				m, err := w.recvTimed(&w.depWait, comm.NodeID(rn), comm.KindDependency, base+int32((j-1)*B+g),
@@ -219,15 +265,20 @@ func ProcessEdgesDense[M any](w *Worker, params DenseParams[M]) (int64, error) {
 				if err != nil {
 					return 0, err
 				}
-				if err := applyDepFrame(m.Payload, depSkip, depData, bounds[g], bounds[g+1]); err != nil {
+				if err := applyDepFrame(m.Payload, sc.skip, sc.data, bounds[g], bounds[g+1]); err != nil {
 					return 0, err
 				}
 				m.Release()
 			}
-			processDensePositions(w, &params, block, splits[g], depOn, depSkip, depData, pooled, &bufs, &bufsMu)
+			n := 0
+			for n < len(rest) && int(rest[n].Idx) < bounds[g+1] {
+				n++
+			}
+			scanDests(w, &params, ctxs, rest[:n], depOn)
+			rest = rest[n:]
 			if depOn && j < p-1 {
 				flushStart := w.spanStart()
-				frame := encodeDepFrame(depSkip, depData, bounds[g], bounds[g+1], pooled)
+				frame := encodeDepFrame(sc.skip, sc.data, bounds[g], bounds[g+1], pooled)
 				var err error
 				if pooled {
 					err = w.ep.SendBufs(comm.NodeID(ln), comm.KindDependency, base+int32(j*B+g), comm.Buffers{frame})
@@ -241,75 +292,25 @@ func ProcessEdgesDense[M any](w *Worker, params DenseParams[M]) (int64, error) {
 			}
 		}
 
-		updateTag := base + int32(p*B+j)
-		if d != w.id {
-			if pooled {
-				// Vectored hand-off: the chunks go out as one frame with
-				// no intermediate concatenation and return to the slab.
-				if err := w.ep.SendBufs(comm.NodeID(d), comm.KindUpdate, updateTag, comm.Buffers(bufs)); err != nil {
-					return 0, err
-				}
-			} else {
-				var total int
-				for _, b := range bufs {
-					total += len(b)
-				}
-				payload := make([]byte, 0, total)
-				for _, b := range bufs {
-					payload = append(payload, b...)
-				}
-				if err := w.ep.Send(comm.NodeID(d), comm.KindUpdate, updateTag, payload); err != nil {
-					return 0, err
-				}
+		endStep(ctxs)
+		if d != w.id && pooled {
+			// Vectored hand-off: the chunks go out as one frame with
+			// no intermediate concatenation and return to the slab.
+			if err := w.ep.SendBufs(comm.NodeID(d), comm.KindUpdate, base+int32(p*B+j), comm.Buffers(sc.bins)); err != nil {
+				return 0, err
 			}
-		} else {
-			localChunks = bufs // our own block, applied in ring position below
+		} else if d != w.id {
+			payload := make([]byte, 0, comm.Buffers(sc.bins).TotalLen())
+			for _, b := range sc.bins {
+				payload = append(payload, b...)
+			}
+			if err := w.ep.Send(comm.NodeID(d), comm.KindUpdate, base+int32(p*B+j), payload); err != nil {
+				return 0, err
+			}
 		}
 		w.endSpan(obs.PhaseDenseStep, pass, j, -1, stepStart)
 	}
-	// Update communication overlaps with computation (§5.1: "the
-	// computation and update communication of each step can be largely
-	// overlapped"): the per-step messages were sent as each block
-	// finished; collect and slot them only now that all steps are done,
-	// in ring order so first-wins slots stay deterministic.
-	for j := 0; j < p; j++ {
-		src := ((w.id-1-j)%p + p) % p
-		if src == w.id {
-			// Chunks hold whole records, so per-chunk application equals
-			// applying the concatenation.
-			for _, b := range localChunks {
-				reduced += applyDenseUpdates(w, &params, b)
-			}
-			if pooled {
-				for _, b := range localChunks {
-					bufpool.Put(b)
-				}
-			}
-			continue
-		}
-		m, err := w.recvTimed(&w.updWait, comm.NodeID(src), comm.KindUpdate, base+int32(p*B+j),
-			obs.PhaseUpdateWait, pass, j, -1)
-		if err != nil {
-			return 0, err
-		}
-		reduced += applyDenseUpdates(w, &params, m.Payload)
-		m.Release()
-	}
-	if depOn && params.Finalize != nil {
-		// depSkip/depData now hold the fully circulated state of our
-		// own partition (processed in the final step).
-		lane := make([]float64, lanes)
-		for idx, dst := range w.cluster.class.Highs[w.id] {
-			if params.ActiveDst != nil && !params.ActiveDst(dst) {
-				continue
-			}
-			for l := range lane {
-				lane[l] = depData[l][idx]
-			}
-			reduced += params.Finalize(dst, depSkip.Get(idx), lane)
-		}
-	}
-	return w.AllReduceSum(reduced)
+	return finishDensePass(w, &params, ctxs, depOn, base+int32(p*B), pass)
 }
 
 // processEdgesDenseBinned is the partition-binned dense pass (PR 9's
@@ -339,9 +340,9 @@ func ProcessEdgesDense[M any](w *Worker, params DenseParams[M]) (int64, error) {
 // the §5.3 overlap with the predecessor is preserved; double buffering
 // within a step no longer applies (NumBuffers only shapes the legacy
 // scan's framing).
-func processEdgesDenseBinned[M any](w *Worker, params *DenseParams[M], depOn bool) (int64, error) {
+func processEdgesDenseBinned[M any](w *Worker, params *DenseParams[M], ctxs []DenseCtx[M], depOn bool) (int64, error) {
 	p := w.N()
-	lanes := params.Lanes
+	sc := &w.dense
 	base := w.nextTags(int32(2 * p)) // p dependency frames + p update rounds
 	rn := (w.id + 1) % p
 	ln := (w.id - 1 + p) % p
@@ -349,31 +350,21 @@ func processEdgesDenseBinned[M any](w *Worker, params *DenseParams[M], depOn boo
 	pass := w.densePass
 	w.densePass++
 
-	var reduced int64
-	var localChunks [][]byte   // our own block's updates, applied in ring order below
-	var depSkip *bitset.Bitmap // state for the step in flight; after the
-	var depData [][]float64    // loop, the final state of our own partition
 	for j := 0; j < p; j++ {
 		stepStart := w.spanStart()
 		d := (w.id + 1 + j) % p
 		block := w.layout.Blocks[d]
 		tracked := len(w.cluster.class.Highs[d])
-
+		sc.bins = sc.bins[:0]
 		if depOn {
-			depSkip = bitset.New(tracked)
-			depData = make([][]float64, lanes)
-			for l := range depData {
-				depData[l] = make([]float64, tracked)
-			}
+			sc.beginStep(w.cluster.class, tracked, params.Lanes)
 		}
 
-		var bins [][]byte
-		var binsMu sync.Mutex
 		// Low-degree destinations first: no dependency input needed, so
 		// this computation overlaps the predecessor still working on the
 		// tracked slice we are about to wait for.
 		scanStart := w.spanStart()
-		processDensePositions(w, params, block, block.LowPos, false, nil, nil, true, &bins, &binsMu)
+		scanDests(w, params, ctxs, block.Low, false)
 		w.endSpan(obs.PhaseDenseScan, pass, j, 0, scanStart)
 
 		if depOn && tracked > 0 && j > 0 {
@@ -382,19 +373,19 @@ func processEdgesDenseBinned[M any](w *Worker, params *DenseParams[M], depOn boo
 			if err != nil {
 				return 0, err
 			}
-			if err := applyDepFrame(m.Payload, depSkip, depData, 0, tracked); err != nil {
+			if err := applyDepFrame(m.Payload, sc.skip, sc.data, 0, tracked); err != nil {
 				return 0, err
 			}
 			m.Release()
 		}
-		if len(block.TrackedPos) > 0 {
+		if len(block.Tracked) > 0 {
 			scanStart = w.spanStart()
-			processDensePositions(w, params, block, block.TrackedPos, depOn, depSkip, depData, true, &bins, &binsMu)
+			scanDests(w, params, ctxs, block.Tracked, depOn)
 			w.endSpan(obs.PhaseDenseScan, pass, j, 1, scanStart)
 		}
 		if depOn && tracked > 0 && j < p-1 {
 			binStart := w.spanStart()
-			frame := encodeDepFrame(depSkip, depData, 0, tracked, true)
+			frame := encodeDepFrame(sc.skip, sc.data, 0, tracked, true)
 			w.endSpan(obs.PhaseDenseBin, pass, j, -1, binStart)
 			flushStart := w.spanStart()
 			if err := w.ep.SendBufs(comm.NodeID(ln), comm.KindDependency, base+int32(j), comm.Buffers{frame}); err != nil {
@@ -403,36 +394,56 @@ func processEdgesDenseBinned[M any](w *Worker, params *DenseParams[M], depOn boo
 			w.endSpan(obs.PhaseDenseFlush, pass, j, -1, flushStart)
 		}
 
+		endStep(ctxs)
 		if d != w.id {
 			// Vectored hand-off: the step's bins leave as one frame with
 			// no intermediate concatenation and return to the slab; bin
 			// ownership passes to the transport here.
 			flushStart := w.spanStart()
-			if err := w.ep.SendBufs(comm.NodeID(d), comm.KindUpdate, base+int32(p+j), comm.Buffers(bins)); err != nil {
+			if err := w.ep.SendBufs(comm.NodeID(d), comm.KindUpdate, base+int32(p+j), comm.Buffers(sc.bins)); err != nil {
 				return 0, err
 			}
 			w.endSpan(obs.PhaseDenseFlush, pass, j, -1, flushStart)
-		} else {
-			localChunks = bins // our own block, applied in ring position below
 		}
 		w.endSpan(obs.PhaseDenseStep, pass, j, -1, stepStart)
 	}
-	// Update application is identical to the legacy scan: collect in ring
-	// order so first-wins slots stay deterministic. Received frames are
-	// whole-bin concatenations; applyDenseUpdates walks them bin-at-a-time
-	// on the local side and as one frame from remote peers.
+	return finishDensePass(w, params, ctxs, depOn, base+int32(p), pass)
+}
+
+// finishDensePass is the tail both drivers share. Update communication
+// overlaps with computation (§5.1: "the computation and update
+// communication of each step can be largely overlapped"): the per-step
+// messages were sent as each block finished; they are collected and
+// slotted only now that all steps are done, in ring order so first-wins
+// slots stay deterministic. The last step was the worker's own block,
+// whose chunks are still in the step's buffer list (chunks hold whole
+// records, so per-chunk application equals applying the concatenation).
+// Then the Finalize sweep over the fully circulated dependency state of
+// the worker's own partition, and the global reduction.
+func finishDensePass[M any](w *Worker, params *DenseParams[M], ctxs []DenseCtx[M], depOn bool, updBase int32, pass int) (int64, error) {
+	p := w.N()
+	sc := &w.dense
+	pooled := !w.cluster.opts.LegacyDataPlane
+	for k := range ctxs {
+		w.addEdges(ctxs[k].edges)
+		w.addSkipped(ctxs[k].skipped)
+		if pooled && ctxs[k].buf != nil {
+			bufpool.Put(ctxs[k].buf)
+		}
+	}
+	var reduced int64
 	for j := 0; j < p; j++ {
 		src := ((w.id-1-j)%p + p) % p
 		if src == w.id {
-			for _, b := range localChunks {
+			for _, b := range sc.bins {
 				reduced += applyDenseUpdates(w, params, b)
-			}
-			for _, b := range localChunks {
-				bufpool.Put(b)
+				if pooled {
+					bufpool.Put(b)
+				}
 			}
 			continue
 		}
-		m, err := w.recvTimed(&w.updWait, comm.NodeID(src), comm.KindUpdate, base+int32(p+j),
+		m, err := w.recvTimed(&w.updWait, comm.NodeID(src), comm.KindUpdate, updBase+int32(j),
 			obs.PhaseUpdateWait, pass, j, -1)
 		if err != nil {
 			return 0, err
@@ -441,81 +452,81 @@ func processEdgesDenseBinned[M any](w *Worker, params *DenseParams[M], depOn boo
 		m.Release()
 	}
 	if depOn && params.Finalize != nil {
-		// depSkip/depData now hold the fully circulated state of our
-		// own partition (processed in the final step).
-		lane := make([]float64, lanes)
 		for idx, dst := range w.cluster.class.Highs[w.id] {
-			if params.ActiveDst != nil && !params.ActiveDst(dst) {
-				continue
+			if (params.Active != nil && !params.Active.Get(int(dst))) || (params.Except != nil && params.Except.Get(int(dst))) {
+				continue // the scan's filter, applied identically
 			}
-			for l := range lane {
-				lane[l] = depData[l][idx]
+			for l := range sc.lane {
+				sc.lane[l] = sc.data[l][idx]
 			}
-			reduced += params.Finalize(dst, depSkip.Get(idx), lane)
+			reduced += params.Finalize(dst, sc.skip.Get(idx), sc.lane)
 		}
 	}
 	return w.AllReduceSum(reduced)
 }
 
-// processDensePositions runs the signal over the block destinations at
-// the given positions, in parallel chunks, collecting update buffers.
-func processDensePositions[M any](w *Worker, params *DenseParams[M], block *partition.Block,
-	positions []int32, depOn bool, depSkip *bitset.Bitmap, depData [][]float64,
-	pooled bool, bufs *[][]byte, bufsMu *sync.Mutex) {
-	if len(positions) == 0 {
+// endStep closes the step's update stream: every context's partly filled
+// chunk joins the buffer list (an untouched one stays for the next step).
+func endStep[M any](ctxs []DenseCtx[M]) {
+	for k := range ctxs {
+		if ctx := &ctxs[k]; len(ctx.buf) > 0 {
+			ctx.sc.bins = append(ctx.sc.bins, ctx.buf)
+			ctx.buf = nil
+		}
+	}
+}
+
+// scanDests runs the signal over one stream of a block, in parallel
+// chunks when the machine has several workers; ctxs[k] serves the k-th
+// chunk. The single-worker path makes no closure, hence no allocation.
+func scanDests[M any](w *Worker, params *DenseParams[M], ctxs []DenseCtx[M], dests []partition.Dest, dep bool) {
+	if w.serial(len(dests)) {
+		scanRange(w, params, &ctxs[0], dests, dep)
 		return
 	}
-	class := w.cluster.class
-	w.parallelRange(len(positions), func(start, end int) {
-		ctx := &DenseCtx[M]{
-			codec:    params.Codec,
-			size:     params.Codec.Size(),
-			pooled:   pooled,
-			chunks:   bufs,
-			chunksMu: bufsMu,
-			depOn:    depOn,
-			depSkip:  depSkip,
-			depData:  depData,
-		}
-		for _, pos := range positions[start:end] {
-			dst := block.Dsts[pos]
-			if params.ActiveDst != nil && !params.ActiveDst(dst) {
-				continue
-			}
-			idx := class.TrackIndex[dst]
-			ctx.tracked = idx >= 0
-			ctx.trackIdx = idx
-			if depOn && ctx.tracked && depSkip.GetAtomic(int(idx)) {
-				ctx.skipped++
-				continue
-			}
-			ctx.curDst = dst
-			ctx.depBreak = false
-			params.Signal(ctx, dst, block.Sources(int(pos)), block.SourceWeights(int(pos)))
-			if depOn && ctx.tracked && ctx.depBreak {
-				depSkip.SetAtomic(int(idx))
-			}
-		}
-		w.addEdges(ctx.edges)
-		w.addSkipped(ctx.skipped)
-		if len(ctx.buf) > 0 {
-			bufsMu.Lock()
-			*bufs = append(*bufs, ctx.buf)
-			bufsMu.Unlock()
-		} else if pooled && ctx.buf != nil {
-			bufpool.Put(ctx.buf)
-		}
+	w.parallelRange(len(dests), func(k, start, end int) {
+		scanRange(w, params, &ctxs[k], dests[start:end], dep)
 	})
+}
+
+// scanRange walks a run of stream entries front to back. An entry carries
+// the destination, its tracked index and its range in the graph's
+// in-arrays, so a visit costs the filter probes, the dependency skip test
+// when dep is set (never on the low stream) and the signal call.
+func scanRange[M any](w *Worker, params *DenseParams[M], ctx *DenseCtx[M], dests []partition.Dest, dep bool) {
+	_, inSrc, inW := w.cluster.g.InCSC()
+	active, except, skip := params.Active, params.Except, w.dense.skip
+	ctx.tracked = dep
+	for i := range dests {
+		e := &dests[i]
+		if (active != nil && !active.Get(int(e.Dst))) || (except != nil && except.Get(int(e.Dst))) {
+			continue
+		}
+		if dep && skip.GetAtomic(int(e.Idx)) {
+			ctx.skipped++
+			continue
+		}
+		ctx.curDst, ctx.trackIdx, ctx.depBreak = e.Dst, e.Idx, false
+		var ws []float32
+		if inW != nil {
+			ws = inW[e.Lo:e.Hi]
+		}
+		params.Signal(ctx, e.Dst, inSrc[e.Lo:e.Hi], ws)
+		if dep && ctx.depBreak {
+			skip.SetAtomic(int(e.Idx))
+		}
+	}
 }
 
 // applyDenseUpdates decodes (dst, msg) records and applies the slot at
 // the master, returning the summed slot contributions.
 func applyDenseUpdates[M any](w *Worker, params *DenseParams[M], payload []byte) int64 {
 	rec := 4 + params.Codec.Size()
+	lo, hi := w.MasterRange()
 	var reduced int64
 	for off := 0; off+rec <= len(payload); off += rec {
 		dst := graph.VertexID(binary.LittleEndian.Uint32(payload[off:]))
-		if !w.Owns(dst) {
+		if int(dst) < lo || int(dst) >= hi {
 			panic(fmt.Sprintf("core: node %d received update for vertex %d it does not own", w.id, dst))
 		}
 		reduced += params.Slot(dst, params.Codec.Decode(payload[off+4:]))
@@ -542,24 +553,6 @@ func groupBounds(T, B int) []int {
 		}
 	}
 	return bounds
-}
-
-// splitTrackedByGroup slices block.TrackedPos into per-group position
-// lists. TrackedPos is ascending by tracked index, so a single pass
-// suffices.
-func splitTrackedByGroup(class *partition.DegreeClass, block *partition.Block, bounds []int) [][]int32 {
-	B := len(bounds) - 1
-	splits := make([][]int32, B)
-	tp := block.TrackedPos
-	i := 0
-	for g := 0; g < B; g++ {
-		start := i
-		for i < len(tp) && int(class.TrackIndex[block.Dsts[tp[i]]]) < bounds[g+1] {
-			i++
-		}
-		splits[g] = tp[start:i]
-	}
-	return splits
 }
 
 // encodeDepFrame serializes the dependency state for tracked indices

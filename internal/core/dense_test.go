@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/bitset"
@@ -288,35 +289,112 @@ func TestDenseDataLane(t *testing.T) {
 	}
 }
 
-// TestDenseActiveDstFilter ensures filtered destinations are neither
-// signaled nor slotted.
+// TestDenseActiveDstFilter holds the destination filter to a hand-computed
+// answer: under {no filter, Active, Except, both} × both modes × the
+// binned and the legacy scan × {1, 2, 4} machines × {1, 2} workers, a
+// pass that counts in-neighbors must deliver exactly in-degree(v) to
+// every destination the filter lets through and nothing to the rest,
+// through updates and through Finalize alike, and traverse exactly the
+// edges into the destinations it visits. A filter of the wrong length is
+// an error, not a panic.
 func TestDenseActiveDstFilter(t *testing.T) {
-	g := graph.Complete(32)
-	c := mustCluster(t, g, Options{NumNodes: 3, Mode: ModeSympleGraph})
-	touched := make([]bool, 32)
-	err := c.Run(func(w *Worker) error {
-		_, err := ProcessEdgesDense(w, DenseParams[uint32]{
-			Codec:     U32Codec{},
-			ActiveDst: func(dst graph.VertexID) bool { return dst%2 == 0 },
-			Signal: func(ctx *DenseCtx[uint32], dst graph.VertexID, srcs []graph.VertexID, _ []float32) {
-				if dst%2 != 0 {
-					t.Errorf("signal ran for filtered vertex %d", dst)
-				}
-				ctx.Emit(1)
-			},
-			Slot: func(dst graph.VertexID, msg uint32) int64 {
-				touched[dst] = true
-				return 1
-			},
-		})
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
+	g := graph.RMAT(8, 8, graph.Graph500Params(), 11)
+	n := g.NumVertices()
+	active, except := bitset.New(n), bitset.New(n)
+	for v := 0; v < n; v++ {
+		if v%3 != 0 {
+			active.Set(v)
+		}
+		if v%5 == 0 || v%64 > 40 {
+			except.Set(v)
+		}
 	}
-	for v := 0; v < 32; v++ {
-		if touched[v] != (v%2 == 0) {
-			t.Fatalf("vertex %d touched=%v", v, touched[v])
+	filters := []struct {
+		name           string
+		active, except *bitset.Bitmap
+	}{{"none", nil, nil}, {"active", active, nil}, {"except", nil, except}, {"both", active, except}}
+	for _, f := range filters {
+		for _, mode := range []Mode{ModeGemini, ModeSympleGraph} {
+			for _, legacy := range []bool{false, true} {
+				for _, p := range []int{1, 2, 4} {
+					for _, workers := range []int{1, 2} {
+						name := fmt.Sprintf("%s/%v/legacy=%v/p=%d/w=%d", f.name, mode, legacy, p, workers)
+						t.Run(name, func(t *testing.T) {
+							c := mustCluster(t, g, Options{NumNodes: p, Mode: mode, LegacyScan: legacy,
+								Workers: workers, DepThreshold: 8, NumBuffers: 2})
+							counts := make([]int64, n)
+							filtered := func(v int) bool {
+								return (f.active != nil && !f.active.Get(v)) || (f.except != nil && f.except.Get(v))
+							}
+							err := c.Run(func(w *Worker) error {
+								_, err := ProcessEdgesDense(w, DenseParams[int64]{
+									Codec:  I64Codec{},
+									Active: f.active,
+									Except: f.except,
+									Signal: func(ctx *DenseCtx[int64], dst graph.VertexID, srcs []graph.VertexID, _ []float32) {
+										if filtered(int(dst)) {
+											t.Errorf("signal ran for filtered vertex %d", dst)
+										}
+										for range srcs {
+											ctx.Edge()
+										}
+										if ctx.Tracked() {
+											ctx.SetDepFloat(0, ctx.DepFloat(0)+float64(len(srcs)))
+										} else {
+											ctx.Emit(int64(len(srcs)))
+										}
+									},
+									Slot: func(dst graph.VertexID, msg int64) int64 {
+										counts[dst] += msg // masters own disjoint ranges
+										return 0
+									},
+									Finalize: func(dst graph.VertexID, _ bool, data []float64) int64 {
+										if filtered(int(dst)) {
+											t.Errorf("finalize ran for filtered vertex %d", dst)
+										}
+										counts[dst] += int64(data[0])
+										return 0
+									},
+									Lanes: 1,
+								})
+								return err
+							})
+							if err != nil {
+								t.Fatal(err)
+							}
+							var edges int64
+							for v := 0; v < n; v++ {
+								want := int64(g.InDegree(graph.VertexID(v)))
+								if filtered(v) {
+									want = 0
+								}
+								if counts[v] != want {
+									t.Fatalf("vertex %d: counted %d in-neighbors, want %d", v, counts[v], want)
+								}
+								edges += want
+							}
+							if got := c.Stats().Totals.EdgesTraversed; got != edges {
+								t.Fatalf("traversed %d edges, the visited destinations have %d", got, edges)
+							}
+						})
+					}
+				}
+			}
+		}
+	}
+
+	c := mustCluster(t, g, Options{NumNodes: 2})
+	for _, params := range []DenseParams[uint32]{{Active: bitset.New(n - 1)}, {Except: bitset.New(n + 64)}} {
+		params.Codec = U32Codec{}
+		err := c.Run(func(w *Worker) error {
+			_, err := ProcessEdgesDense(w, params)
+			return err
+		})
+		if err == nil || !strings.Contains(err.Error(), "destination filter") {
+			t.Fatalf("wrong-length filter: got %v, want a destination-filter error", err)
+		}
+		if err := c.Reset(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

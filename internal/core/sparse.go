@@ -229,7 +229,7 @@ func ProcessEdgesSparse[M any](w *Worker, params SparseParams[M]) (int64, error)
 	pooled := !w.cluster.opts.LegacyDataPlane
 	chunks := make([][][]byte, p) // per-peer buffer lists (whole records per buffer)
 	var mu sync.Mutex
-	w.parallelRange(len(params.Frontier), func(start, end int) {
+	w.parallelRange(len(params.Frontier), func(_, start, end int) {
 		ctx := &SparseCtx[M]{
 			w:        w,
 			codec:    params.Codec,
@@ -300,7 +300,7 @@ func processEdgesSparseBinned[M any](w *Worker, params *SparseParams[M]) (int64,
 
 	chunks := make([][][]byte, p) // per-peer bin lists (whole records per bin)
 	var mu sync.Mutex
-	w.parallelRange(len(groups), func(start, end int) {
+	w.parallelRange(len(groups), func(_, start, end int) {
 		ctx := &SparseCtx[M]{
 			w:        w,
 			codec:    params.Codec,

@@ -37,6 +37,8 @@ type Worker struct {
 	depWait atomic.Int64 // ns blocked waiting for dependency frames
 	updWait atomic.Int64 // ns blocked waiting for update messages
 
+	dense denseScratch // dense-pass state reused across steps and passes
+
 	tr         *obs.Tracer // nil when tracing is off
 	densePass  int         // dense ProcessEdges* passes completed (the tracer's iteration axis)
 	sparsePass int
@@ -115,11 +117,13 @@ func (w *Worker) recvTimed(counter *atomic.Int64, from comm.NodeID, kind comm.Ki
 	start := time.Now()
 	timeout := w.cluster.opts.StallTimeout
 	m, err := comm.RecvTimeout(w.ep, from, kind, tag, timeout)
-	var te *comm.TimeoutError
-	if errors.As(err, &te) {
-		w.cluster.stalls.Add(1)
-		err = &StallError{Node: w.id, Phase: ph, From: from, Kind: kind, Tag: tag,
-			Timeout: timeout, cause: err}
+	if err != nil { // te escapes: declared here, a good receive allocates nothing
+		var te *comm.TimeoutError
+		if errors.As(err, &te) {
+			w.cluster.stalls.Add(1)
+			err = &StallError{Node: w.id, Phase: ph, From: from, Kind: kind, Tag: tag,
+				Timeout: timeout, cause: err}
+		}
 	}
 	d := time.Since(start)
 	counter.Add(int64(d))
@@ -201,9 +205,7 @@ func encodeBitmapSegment(b *bitset.Bitmap, lo, hi int) []byte {
 		out := make([]byte, 1, 1+count*4)
 		out[0] = segSparse
 		b.RangeSegment(lo, hi, func(v int) bool {
-			var tmp [4]byte
-			binary.LittleEndian.PutUint32(tmp[:], uint32(v-lo))
-			out = append(out, tmp[:]...)
+			out = binary.LittleEndian.AppendUint32(out, uint32(v-lo))
 			return true
 		})
 		return out
@@ -344,7 +346,7 @@ func (w *Worker) AllGatherBlob(blob []byte) ([][]byte, error) {
 func (w *Worker) ProcessVertices(fn func(v graph.VertexID) int64) (int64, error) {
 	lo, hi := w.MasterRange()
 	var local atomic.Int64
-	w.parallelRange(hi-lo, func(start, end int) {
+	w.parallelRange(hi-lo, func(_, start, end int) {
 		var acc int64
 		for v := lo + start; v < lo+end; v++ {
 			acc += fn(graph.VertexID(v))
@@ -354,28 +356,31 @@ func (w *Worker) ProcessVertices(fn func(v graph.VertexID) int64) (int64, error)
 	return w.AllReduceSum(local.Load())
 }
 
-// parallelRange splits [0, n) into Options.Workers chunks and runs fn on
-// each concurrently. With Workers == 1 it runs inline.
-func (w *Worker) parallelRange(n int, fn func(start, end int)) {
+// serial reports whether parallelRange runs n items inline.
+func (w *Worker) serial(n int) bool {
 	nw := w.cluster.opts.Workers
-	if nw <= 1 || n < 2*nw {
+	return nw <= 1 || n < 2*nw
+}
+
+// parallelRange splits [0, n) into at most Options.Workers chunks and
+// runs fn on each concurrently, passing the chunk's index k. With
+// Workers == 1 it runs inline.
+func (w *Worker) parallelRange(n int, fn func(k, start, end int)) {
+	if w.serial(n) {
 		if n > 0 {
-			fn(0, n)
+			fn(0, 0, n)
 		}
 		return
 	}
+	nw := w.cluster.opts.Workers
 	var wg sync.WaitGroup
 	chunk := (n + nw - 1) / nw
-	for start := 0; start < n; start += chunk {
-		end := start + chunk
-		if end > n {
-			end = n
-		}
+	for k := 0; k*chunk < n; k++ {
 		wg.Add(1)
-		go func(start, end int) {
+		go func(k int) {
 			defer wg.Done()
-			fn(start, end)
-		}(start, end)
+			fn(k, k*chunk, min(k*chunk+chunk, n))
+		}(k)
 	}
 	wg.Wait()
 }

@@ -99,7 +99,8 @@ func Compile[S, M any](fw FoldWhile[S, M]) (func(ctx *core.DenseCtx[M], dst grap
 }
 
 // Params assembles a complete core.DenseParams from the fold plus the
-// caller's codec, filters and slot functions.
+// caller's codec and slot functions; a caller that filters destinations
+// sets Active/Except on the result.
 //
 // finalize runs at the master for tracked destinations whose fold
 // completed the whole ring *without* firing, receiving the final carried
@@ -108,16 +109,14 @@ func Compile[S, M any](fw FoldWhile[S, M]) (func(ctx *core.DenseCtx[M], dst grap
 // finalize is not invoked — exactly one of Emit/finalize reports per
 // tracked destination.
 func Params[S, M any](fw FoldWhile[S, M], codec core.Codec[M],
-	activeDst func(graph.VertexID) bool,
 	slot func(graph.VertexID, M) int64,
 	finalize func(dst graph.VertexID, s S) int64) core.DenseParams[M] {
 	signal, lanes := Compile(fw)
 	p := core.DenseParams[M]{
-		Codec:     codec,
-		ActiveDst: activeDst,
-		Signal:    signal,
-		Slot:      slot,
-		Lanes:     lanes,
+		Codec:  codec,
+		Signal: signal,
+		Slot:   slot,
+		Lanes:  lanes,
 	}
 	if finalize != nil {
 		p.Finalize = func(dst graph.VertexID, skip bool, data []float64) int64 {

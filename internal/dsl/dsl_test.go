@@ -53,7 +53,7 @@ func TestFoldBFSIterationMatchesHandWritten(t *testing.T) {
 				err = c.Run(func(w *core.Worker) error {
 					var params core.DenseParams[uint32]
 					if useDSL {
-						params = Params(bfsFold(frontier), core.U32Codec{}, nil, slot, nil)
+						params = Params(bfsFold(frontier), core.U32Codec{}, slot, nil)
 					} else {
 						params = core.DenseParams[uint32]{
 							Codec: core.U32Codec{},
@@ -130,7 +130,7 @@ func TestFoldKCoreCountsMatchDegrees(t *testing.T) {
 				defer c.Close()
 				counts := make([]int64, n)
 				err = c.Run(func(w *core.Worker) error {
-					params := Params(kcoreFold(active, k), core.I64Codec{}, nil,
+					params := Params(kcoreFold(active, k), core.I64Codec{},
 						func(dst graph.VertexID, partial int64) int64 {
 							counts[dst] += partial
 							return 0
@@ -204,7 +204,7 @@ func TestFoldSamplingMatchesOracle(t *testing.T) {
 		pick[i] = ^uint32(0)
 	}
 	err = c.Run(func(w *core.Worker) error {
-		params := Params(sampleFold(seed, round, totalW), core.U32Codec{}, nil,
+		params := Params(sampleFold(seed, round, totalW), core.U32Codec{},
 			func(dst graph.VertexID, u uint32) int64 {
 				pick[dst] = u
 				return 1

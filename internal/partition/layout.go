@@ -16,47 +16,39 @@ import (
 // A Block copies no arc. The graph's in-CSC is already destination-major
 // with sources ascending, and a machine's masters are one contiguous ID
 // range, so the block's share of a destination's in-row is one contiguous
-// subrange of it: the block keeps the destinations that have a non-empty
-// subrange and, per destination, the subrange's bounds in the graph's own
-// in-side arrays. It is the pull-side dual of graph.BlockedCSR and, like
-// it, a pure function of (graph, partition starts). Dsts is ascending and
-// Sources within a destination are ascending too, so a
-// dependency-respecting scan visits neighbors in a deterministic global
-// order fixed by the circulant ring.
+// subrange of it: the block lists the destinations that have a non-empty
+// subrange, each with the subrange's bounds in the graph's own in-side
+// arrays (graph.InCSC) — it is valid for as long as its graph is
+// reachable. It is the pull-side dual of graph.BlockedCSR and, like it, a
+// pure function of (graph, partition starts).
+//
+// The destinations come as two packed streams, one per dependency class,
+// each ascending by destination — and sources within a destination are
+// ascending too, so a dependency-respecting scan visits neighbors in a
+// deterministic global order fixed by the circulant ring. A dense step
+// reads each stream front to back and finds in the entry itself all it
+// needs to run the signal: Low holds the destinations that take no part
+// in dependency propagation, so its scan never consults the degree class;
+// Tracked holds the rest with their tracked index, which ascends with the
+// destination, so a buffer group is an index range of the stream.
 type Block struct {
-	Dsts []graph.VertexID // destinations with ≥1 edge in this block, ascending
+	Low     []Dest // Idx is -1
+	Tracked []Dest
 
-	// TrackedPos/LowPos split positions into Dsts by dependency class:
-	// TrackedPos lists positions whose destination participates in
-	// dependency propagation (ascending tracked index), LowPos the rest.
-	TrackedPos []int32
-	LowPos     []int32
+	edges int64
+}
 
-	// span[2i]:span[2i+1] is destination Dsts[i]'s range in srcs and
-	// weights, which are the graph's in-side arrays (graph.InCSC), not
-	// copies: a Block is valid for as long as its graph is reachable.
-	span    []int64
-	srcs    []graph.VertexID
-	weights []float32 // nil when unweighted
-	edges   int64
+// Dest is one destination of a block: in-arcs [Lo, Hi) of the graph's
+// in-CSC are the arcs from the machine's masters to Dst, and Idx is Dst's
+// tracked index within its partition (DegreeClass.TrackIndex).
+type Dest struct {
+	Dst    graph.VertexID
+	Idx    int32
+	Lo, Hi int64
 }
 
 // NumEdges returns the edge count of the block.
 func (b *Block) NumEdges() int64 { return b.edges }
-
-// Sources returns the source list of the i-th destination in Dsts. The
-// slice aliases the graph's storage and must not be modified.
-func (b *Block) Sources(i int) []graph.VertexID {
-	return b.srcs[b.span[2*i]:b.span[2*i+1]]
-}
-
-// SourceWeights returns the weights parallel to Sources(i), or nil.
-func (b *Block) SourceWeights(i int) []float32 {
-	if b.weights == nil {
-		return nil
-	}
-	return b.weights[b.span[2*i]:b.span[2*i+1]]
-}
 
 // DegreeClass classifies vertices for differentiated dependency
 // propagation (paper §5.2): vertices with in-degree ≥ Threshold are
@@ -131,30 +123,30 @@ type Layout struct {
 // allocated or copied.
 func BuildLayout(g *graph.Graph, pt *Partition, dc *DegreeClass, m int) *Layout {
 	mlo, mhi := pt.Range(m)
-	inOff, inSrc, inW := g.InCSC()
+	inOff, inSrc, _ := g.InCSC()
 	blocks := make([]Block, pt.P)
 	lay := &Layout{Machine: m, Part: pt, Class: dc, Blocks: make([]*Block, pt.P)}
 	for d := range blocks {
-		blocks[d].srcs, blocks[d].weights = inSrc, inW
 		lay.Blocks[d] = &blocks[d]
 	}
 
 	// A destination is listed in at most one of the machine's blocks, and
 	// only if one of the machine's out-arcs reaches it, so min(|V|, |E_m|)
-	// bounds the p blocks together and one backing array per field serves
-	// them all.
+	// bounds the p blocks together — and the class sizes bound each stream
+	// — and one backing array per stream serves them all.
 	arcs := 0
 	for u := mlo; u < mhi; u++ {
 		arcs += g.OutDegree(graph.VertexID(u))
 	}
-	bound := min(arcs, g.NumVertices())
-	dsts := make([]graph.VertexID, 0, bound)
-	span := make([]int64, 0, 2*bound)
-	tracked := make([]int32, 0, bound)
-	low := make([]int32, 0, bound)
+	nTracked := 0
+	for _, highs := range dc.Highs {
+		nTracked += len(highs)
+	}
+	low := make([]Dest, 0, min(arcs, g.NumVertices()-nTracked))
+	tracked := make([]Dest, 0, min(arcs, nTracked))
 	for d := range blocks {
 		b := &blocks[d]
-		d0, t0, l0 := len(dsts), len(tracked), len(low)
+		l0, t0 := len(low), len(tracked)
 		plo, phi := pt.Range(d)
 		for v := plo; v < phi; v++ {
 			row := inSrc[inOff[v]:inOff[v+1]]
@@ -163,20 +155,17 @@ func BuildLayout(g *graph.Graph, pt *Partition, dc *DegreeClass, m int) *Layout 
 			if n == 0 {
 				continue
 			}
-			if pos := int32(len(dsts) - d0); dc.TrackIndex[v] >= 0 {
-				tracked = append(tracked, pos)
-			} else {
-				low = append(low, pos)
-			}
 			at := inOff[v] + int64(lo)
-			dsts = append(dsts, graph.VertexID(v))
-			span = append(span, at, at+int64(n))
+			e := Dest{Dst: graph.VertexID(v), Idx: dc.TrackIndex[v], Lo: at, Hi: at + int64(n)}
+			if e.Idx >= 0 {
+				tracked = append(tracked, e)
+			} else {
+				low = append(low, e)
+			}
 			b.edges += int64(n)
 		}
-		b.Dsts = dsts[d0:len(dsts):len(dsts)]
-		b.span = span[2*d0 : len(span) : len(span)]
-		b.TrackedPos = tracked[t0:len(tracked):len(tracked)]
-		b.LowPos = low[l0:len(low):len(low)]
+		b.Low = low[l0:len(low):len(low)]
+		b.Tracked = tracked[t0:len(tracked):len(tracked)]
 	}
 	return lay
 }
@@ -202,15 +191,16 @@ func (lay *Layout) AttachBlocked(g *graph.Graph, blockVerts int) error {
 }
 
 // Validate checks layout invariants against the source graph, for tests:
-// every block lists exactly the destinations of its partition that some
-// local master points at, each with exactly the maximal run of local
-// masters in its in-row — so the runs of one in-row across the p machines
-// tile it — every listed arc exists on the out side with the same weight
-// bit for bit, every out-edge of the machine's masters is covered, and
-// the dependency-class split is ordered.
+// every block's two streams together list exactly the destinations of its
+// partition that some local master points at — each in the stream of its
+// dependency class, with its tracked index, ascending — each with exactly
+// the maximal run of local masters in its in-row — so the runs of one
+// in-row across the p machines tile it — every listed arc exists on the
+// out side with the same weight bit for bit, and every out-edge of the
+// machine's masters is covered.
 func (lay *Layout) Validate(g *graph.Graph) error {
 	lo, hi := lay.Part.Range(lay.Machine)
-	inOff, inSrc, _ := g.InCSC()
+	inOff, inSrc, inW := g.InCSC()
 	var want int64
 	for u := lo; u < hi; u++ {
 		want += int64(g.OutDegree(graph.VertexID(u)))
@@ -218,14 +208,8 @@ func (lay *Layout) Validate(g *graph.Graph) error {
 	var got int64
 	for d, b := range lay.Blocks {
 		got += b.NumEdges()
-		if len(b.span) != 2*len(b.Dsts) {
-			return fmt.Errorf("layout: block %d has %d range bounds for %d dsts", d, len(b.span), len(b.Dsts))
-		}
-		if len(b.TrackedPos)+len(b.LowPos) != len(b.Dsts) {
-			return fmt.Errorf("layout: block %d tracked+low != dsts", d)
-		}
 		var edges int64
-		i := 0 // next unmatched position in b.Dsts
+		rest := [2][]Dest{b.Low, b.Tracked} // unmatched tail of each stream
 		plo, phi := lay.Part.Range(d)
 		for v := plo; v < phi; v++ {
 			// The maximal run of local masters in v's in-row, by linear scan.
@@ -237,7 +221,12 @@ func (lay *Layout) Validate(g *graph.Graph) error {
 			for rhi < inOff[v+1] && int(inSrc[rhi]) < hi {
 				rhi++
 			}
-			listed := i < len(b.Dsts) && b.Dsts[i] == graph.VertexID(v)
+			idx := lay.Class.TrackIndex[v]
+			class := 0
+			if idx >= 0 {
+				class = 1
+			}
+			listed := len(rest[class]) > 0 && rest[class][0].Dst == graph.VertexID(v)
 			if rlo == rhi {
 				if listed {
 					return fmt.Errorf("layout: block %d dst %d has no sources", d, v)
@@ -245,43 +234,38 @@ func (lay *Layout) Validate(g *graph.Graph) error {
 				continue
 			}
 			if !listed {
-				return fmt.Errorf("layout: block %d misses dst %d (%d local sources)", d, v, rhi-rlo)
+				return fmt.Errorf("layout: block %d misses dst %d (%d local sources) in its class-%d stream", d, v, rhi-rlo, class)
 			}
-			if b.span[2*i] != rlo || b.span[2*i+1] != rhi {
+			e := rest[class][0]
+			rest[class] = rest[class][1:]
+			if e.Lo != rlo || e.Hi != rhi {
 				return fmt.Errorf("layout: block %d dst %d covers in-arcs [%d,%d), local masters are [%d,%d)",
-					d, v, b.span[2*i], b.span[2*i+1], rlo, rhi)
+					d, v, e.Lo, e.Hi, rlo, rhi)
 			}
-			ws := b.SourceWeights(i)
-			for j, src := range b.Sources(i) {
-				w, ok := g.EdgeWeight(src, graph.VertexID(v))
+			if e.Idx != idx {
+				return fmt.Errorf("layout: block %d dst %d carries tracked index %d, class says %d", d, v, e.Idx, idx)
+			}
+			for at := rlo; at < rhi; at++ {
+				w, ok := g.EdgeWeight(inSrc[at], graph.VertexID(v))
 				if !ok {
-					return fmt.Errorf("layout: phantom edge (%d,%d)", src, v)
+					return fmt.Errorf("layout: phantom edge (%d,%d)", inSrc[at], v)
 				}
 				// Parallel arcs may carry different weights, and EdgeWeight
 				// reports only one of them.
-				if ws != nil && g.Simple() && math.Float32bits(ws[j]) != math.Float32bits(w) {
-					return fmt.Errorf("layout: edge (%d,%d) weight %v, graph has %v", src, v, ws[j], w)
+				if inW != nil && g.Simple() && math.Float32bits(inW[at]) != math.Float32bits(w) {
+					return fmt.Errorf("layout: edge (%d,%d) weight %v, graph has %v", inSrc[at], v, inW[at], w)
 				}
 			}
 			edges += rhi - rlo
-			i++
 		}
-		if i != len(b.Dsts) {
-			return fmt.Errorf("layout: block %d lists dst %d outside partition [%d,%d) or out of order", d, b.Dsts[i], plo, phi)
+		for class, r := range rest {
+			if len(r) != 0 {
+				return fmt.Errorf("layout: block %d class-%d stream lists dst %d outside partition [%d,%d), out of order or in the wrong class",
+					d, class, r[0].Dst, plo, phi)
+			}
 		}
 		if edges != b.NumEdges() {
 			return fmt.Errorf("layout: block %d counts %d edges, its ranges hold %d", d, b.NumEdges(), edges)
-		}
-		last := int32(-1)
-		for _, pos := range b.TrackedPos {
-			idx := lay.Class.TrackIndex[b.Dsts[pos]]
-			if idx < 0 {
-				return fmt.Errorf("layout: low vertex in TrackedPos")
-			}
-			if idx <= last {
-				return fmt.Errorf("layout: TrackedPos not ascending by tracked index")
-			}
-			last = idx
 		}
 	}
 	if got != want {

@@ -15,20 +15,18 @@ import (
 // refBlock is a block in the copied form the engine used before blocks
 // became views: the arcs themselves, grouped by destination.
 type refBlock struct {
-	Dsts       []graph.VertexID
-	Offsets    []int64
-	Srcs       []graph.VertexID
-	Weights    []float32
-	TrackedPos []int32
-	LowPos     []int32
+	Dsts    []graph.VertexID
+	Offsets []int64
+	Srcs    []graph.VertexID
+	Weights []float32
 }
 
 // buildLayoutReference is the sort-based builder BuildLayout replaced,
 // kept as the oracle: copy every out-arc of machine m, sort each
-// destination partition's share by (dst, src), split by dependency
-// class. The sort is stable so parallel arcs keep their out-row order,
-// which is the order FromEdges files them in the in-CSC.
-func buildLayoutReference(g *graph.Graph, pt *Partition, dc *DegreeClass, m int) []*refBlock {
+// destination partition's share by (dst, src). The sort is stable so
+// parallel arcs keep their out-row order, which is the order FromEdges
+// files them in the in-CSC.
+func buildLayoutReference(g *graph.Graph, pt *Partition, m int) []*refBlock {
 	lo, hi := pt.Range(m)
 	type rec struct {
 		src, dst graph.VertexID
@@ -68,52 +66,56 @@ func buildLayoutReference(g *graph.Graph, pt *Partition, dc *DegreeClass, m int)
 			}
 		}
 		b.Offsets = append(b.Offsets, int64(len(b.Srcs)))
-		for pos, dst := range b.Dsts {
-			if dc.Tracked(dst) {
-				b.TrackedPos = append(b.TrackedPos, int32(pos))
-			} else {
-				b.LowPos = append(b.LowPos, int32(pos))
-			}
-		}
 		blocks[d] = b
 	}
 	return blocks
 }
 
 // requireMatchesReference builds machine m's view, compares it with the
-// reference field by field and weight bit by weight bit, and returns it.
+// reference destination by destination and weight bit by weight bit, and
+// returns it. Merged, the two streams must list exactly the reference's
+// ascending destinations: each destination is looked for at the head of
+// its own class's stream, so an entry in the wrong stream, out of order,
+// missing or extra fails, and so does a tracked index that is not the
+// degree class's (which ascends with the destination).
 func requireMatchesReference(t testing.TB, g *graph.Graph, pt *Partition, dc *DegreeClass, m int) *Layout {
 	t.Helper()
 	lay := BuildLayout(g, pt, dc, m)
-	ref := buildLayoutReference(g, pt, dc, m)
+	ref := buildLayoutReference(g, pt, m)
 	if len(lay.Blocks) != len(ref) {
 		t.Fatalf("m=%d: %d blocks, reference has %d", m, len(lay.Blocks), len(ref))
+	}
+	_, inSrc, inW := g.InCSC()
+	if (inW != nil) != g.Weighted() {
+		t.Fatalf("in-side weights present=%v on weighted=%v graph", inW != nil, g.Weighted())
 	}
 	for d, b := range lay.Blocks {
 		r := ref[d]
 		if b.NumEdges() != int64(len(r.Srcs)) {
 			t.Fatalf("m=%d d=%d: NumEdges %d, reference %d", m, d, b.NumEdges(), len(r.Srcs))
 		}
-		if !slices.Equal(b.Dsts, r.Dsts) {
-			t.Fatalf("m=%d d=%d: Dsts %v, reference %v", m, d, b.Dsts, r.Dsts)
+		if len(b.Low)+len(b.Tracked) != len(r.Dsts) {
+			t.Fatalf("m=%d d=%d: streams list %d+%d destinations, reference %d", m, d, len(b.Low), len(b.Tracked), len(r.Dsts))
 		}
-		if !slices.Equal(b.TrackedPos, r.TrackedPos) || !slices.Equal(b.LowPos, r.LowPos) {
-			t.Fatalf("m=%d d=%d: class split (%v | %v), reference (%v | %v)",
-				m, d, b.TrackedPos, b.LowPos, r.TrackedPos, r.LowPos)
-		}
-		for i, dst := range b.Dsts {
+		low, tracked := b.Low, b.Tracked
+		for i, dst := range r.Dsts {
+			stream := &low
+			if dc.Tracked(dst) {
+				stream = &tracked
+			}
+			if len(*stream) == 0 || (*stream)[0].Dst != dst || (*stream)[0].Idx != dc.TrackIndex[dst] {
+				t.Fatalf("m=%d d=%d: dst %d (tracked index %d) is not next in its stream (low %v | tracked %v)",
+					m, d, dst, dc.TrackIndex[dst], b.Low, b.Tracked)
+			}
+			e := (*stream)[0]
+			*stream = (*stream)[1:]
 			rlo, rhi := r.Offsets[i], r.Offsets[i+1]
-			if !slices.Equal(b.Sources(i), r.Srcs[rlo:rhi]) {
-				t.Fatalf("m=%d d=%d dst=%d: sources %v, reference %v", m, d, dst, b.Sources(i), r.Srcs[rlo:rhi])
+			if !slices.Equal(inSrc[e.Lo:e.Hi], r.Srcs[rlo:rhi]) {
+				t.Fatalf("m=%d d=%d dst=%d: sources %v, reference %v", m, d, dst, inSrc[e.Lo:e.Hi], r.Srcs[rlo:rhi])
 			}
-			ws := b.SourceWeights(i)
-			if (ws != nil) != g.Weighted() {
-				t.Fatalf("m=%d d=%d dst=%d: weights present=%v on weighted=%v graph", m, d, dst, ws != nil, g.Weighted())
-			}
-			for j := range ws {
-				if math.Float32bits(ws[j]) != math.Float32bits(r.Weights[rlo+int64(j)]) {
-					t.Fatalf("m=%d d=%d dst=%d src=%d: weight %v, reference %v",
-						m, d, dst, b.Sources(i)[j], ws[j], r.Weights[rlo+int64(j)])
+			for j := e.Lo; inW != nil && j < e.Hi; j++ {
+				if want := r.Weights[rlo+j-e.Lo]; math.Float32bits(inW[j]) != math.Float32bits(want) {
+					t.Fatalf("m=%d d=%d dst=%d src=%d: weight %v, reference %v", m, d, dst, inSrc[j], inW[j], want)
 				}
 			}
 		}
@@ -180,22 +182,23 @@ func TestLayoutMatchesReference(t *testing.T) {
 
 // TestLayoutValidateRejectsTampering checks the invariants Validate adds
 // for the view: a range that is not the maximal run of local masters, a
-// missing destination, and a weight that differs from the out side.
+// missing destination, a destination in the wrong class's stream, and a
+// tracked index that is not the degree class's.
 func TestLayoutValidateRejectsTampering(t *testing.T) {
 	g := graph.RandomWeights(graph.Uniform(256, 4096, 3), 4)
 	pt, err := NewChunked(g, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dc := BuildDegreeClass(g, pt, 8)
+	dc := BuildDegreeClass(g, pt, 16)
 	fresh := func() (*Layout, *Block) {
 		lay := BuildLayout(g, pt, dc, 1)
 		for _, b := range lay.Blocks {
-			if len(b.Dsts) > 1 && b.span[1]-b.span[0] > 1 {
+			if len(b.Low) > 1 && len(b.Tracked) > 1 && b.Low[0].Hi-b.Low[0].Lo > 1 {
 				return lay, b
 			}
 		}
-		t.Fatal("no block with a multi-arc first destination")
+		t.Fatal("no block with both classes and a multi-arc first low destination")
 		return nil, nil
 	}
 	if lay, _ := fresh(); lay.Validate(g) != nil {
@@ -203,24 +206,28 @@ func TestLayoutValidateRejectsTampering(t *testing.T) {
 	}
 
 	lay, b := fresh()
-	b.span[1]-- // drops the row's last local master: the machines no longer tile it
+	b.Low[0].Hi-- // drops the row's last local master: the machines no longer tile it
 	b.edges--
 	if lay.Validate(g) == nil {
 		t.Fatal("short range accepted")
 	}
 
 	lay, b = fresh()
-	b.Dsts, b.span = b.Dsts[1:], b.span[2:]
+	b.Low = b.Low[1:]
 	if lay.Validate(g) == nil {
 		t.Fatal("missing destination accepted")
 	}
 
 	lay, b = fresh()
-	ws := append([]float32(nil), b.weights...)
-	ws[b.span[0]] = math.Float32frombits(math.Float32bits(ws[b.span[0]]) ^ 1)
-	b.weights = ws
+	b.Low, b.Tracked = b.Low[1:], slices.Insert(slices.Clone(b.Tracked), 0, b.Low[0])
 	if lay.Validate(g) == nil {
-		t.Fatal("weight differing in the last bit accepted")
+		t.Fatal("low destination in the tracked stream accepted")
+	}
+
+	lay, b = fresh()
+	b.Tracked[0].Idx, b.Tracked[1].Idx = b.Tracked[1].Idx, b.Tracked[0].Idx
+	if lay.Validate(g) == nil {
+		t.Fatal("tracked indices out of order accepted")
 	}
 }
 

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -215,27 +216,27 @@ func TestLayoutAttachBlocked(t *testing.T) {
 func TestLayoutWeightsPreserved(t *testing.T) {
 	g := graph.RandomWeights(graph.Grid(6, 6), 9)
 	pt, _ := NewChunked(g, 3, 0)
-	dc := BuildDegreeClass(g, pt, 0)
+	dc := BuildDegreeClass(g, pt, 2)
+	_, inSrc, inW := g.InCSC()
+	if inW == nil {
+		t.Fatal("weighted graph has no in-side weights")
+	}
 	for m := 0; m < 3; m++ {
 		lay := BuildLayout(g, pt, dc, m)
 		for _, b := range lay.Blocks {
-			if b.NumEdges() > 0 && b.SourceWeights(0) == nil {
-				t.Fatal("weighted graph produced unweighted block")
-			}
-			for i := range b.Dsts {
-				srcs, ws := b.Sources(i), b.SourceWeights(i)
-				for j, src := range srcs {
+			for _, e := range slices.Concat(b.Low, b.Tracked) {
+				for j := e.Lo; j < e.Hi; j++ {
 					// Find weight of (src, dst) in the graph.
 					found := false
-					gws := g.OutWeights(src)
-					for k, nb := range g.OutNeighbors(src) {
-						if nb == b.Dsts[i] && gws[k] == ws[j] {
+					gws := g.OutWeights(inSrc[j])
+					for k, nb := range g.OutNeighbors(inSrc[j]) {
+						if nb == e.Dst && gws[k] == inW[j] {
 							found = true
 							break
 						}
 					}
 					if !found {
-						t.Fatalf("weight mismatch for edge (%d,%d)", src, b.Dsts[i])
+						t.Fatalf("weight mismatch for edge (%d,%d)", inSrc[j], e.Dst)
 					}
 				}
 			}
@@ -254,6 +255,7 @@ func TestQuickBlocksPartitionEdges(t *testing.T) {
 			return false
 		}
 		dc := BuildDegreeClass(g, pt, 32)
+		_, inSrc, _ := g.InCSC()
 		type edge struct{ s, d graph.VertexID }
 		seen := map[edge]int{}
 		for m := 0; m < p; m++ {
@@ -262,9 +264,9 @@ func TestQuickBlocksPartitionEdges(t *testing.T) {
 				return false
 			}
 			for _, b := range lay.Blocks {
-				for i, dst := range b.Dsts {
-					for _, src := range b.Sources(i) {
-						seen[edge{src, dst}]++
+				for _, e := range slices.Concat(b.Low, b.Tracked) {
+					for _, src := range inSrc[e.Lo:e.Hi] {
+						seen[edge{src, e.Dst}]++
 					}
 				}
 			}

@@ -38,16 +38,7 @@ func KMeans(g *graph.Graph, centers, iters int, seed uint64, order NeighborOrder
 		Cluster: make([]uint32, n),
 		Dist:    make([]int32, n),
 	}
-	// Initial centers: the first `centers` entries of a deterministic
-	// permutation.
-	perm := xrand.Perm(n, xrand.Mix(seed, 0x4b3))
-	cs := make([]graph.VertexID, 0, centers)
-	for _, v := range perm {
-		if len(cs) == centers {
-			break
-		}
-		cs = append(cs, graph.VertexID(v))
-	}
+	cs := KMeansCenters(n, centers, seed)
 
 	for iter := 0; iter < iters; iter++ {
 		for v := range res.Cluster {
@@ -101,6 +92,18 @@ func KMeans(g *graph.Graph, centers, iters int, seed uint64, order NeighborOrder
 	}
 	res.Centers = cs
 	return res
+}
+
+// KMeansCenters returns the initial centers: the first `centers` entries
+// of a deterministic permutation of the n vertices, the same on every
+// machine and in the oracle.
+func KMeansCenters(n, centers int, seed uint64) []graph.VertexID {
+	perm := xrand.Perm(n, xrand.Mix(seed, 0x4b3))
+	cs := make([]graph.VertexID, min(centers, n))
+	for i := range cs {
+		cs[i] = graph.VertexID(perm[i])
+	}
+	return cs
 }
 
 // Recenter picks each cluster's next center: the member minimizing a

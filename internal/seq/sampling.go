@@ -24,6 +24,7 @@ func SampleNeighbors(g *graph.Graph, seed uint64, round int, order NeighborOrder
 		order = AscendingOrder
 	}
 	n := g.NumVertices()
+	wt := VertexWeights(seed, n)
 	pick := make([]uint32, n)
 	var visits int64
 	for v := 0; v < n; v++ {
@@ -32,11 +33,21 @@ func SampleNeighbors(g *graph.Graph, seed uint64, round int, order NeighborOrder
 		if len(nbrs) == 0 {
 			continue
 		}
-		r := SampleThresholdOrdered(seed, round, graph.VertexID(v), nbrs)
+		// r_v is a uniform draw in (0, W_v], with W_v accumulated in visit
+		// order: the prefix walk below follows the same left-to-right
+		// addition chain, so floating-point non-associativity cannot push
+		// r_v past the final prefix sum — the walk is guaranteed to cross.
+		// The distributed engine computes the same W_v through a
+		// dependency-lane pass over the same ring order.
+		total := 0.0
+		for _, u := range nbrs {
+			total += wt[u]
+		}
+		r := SampleThresholdFromTotal(seed, round, graph.VertexID(v), total)
 		acc := 0.0
 		for _, u := range nbrs {
 			visits++
-			acc += VertexWeight(seed, u)
+			acc += wt[u]
 			if acc >= r {
 				pick[v] = uint32(u)
 				break // the loop-carried dependency
@@ -59,22 +70,8 @@ func TotalInWeight(g *graph.Graph, seed uint64, v graph.VertexID) float64 {
 	return total
 }
 
-// SampleThresholdOrdered returns r_v: the deterministic uniform draw in
-// (0, W_v], where W_v is the sum of the listed neighbors' weights
-// accumulated *in the given order*. The same left-to-right addition chain
-// is used by the prefix walk, so floating-point non-associativity cannot
-// push r_v past the final prefix sum — the walk is guaranteed to cross.
-// The distributed engine computes the same W_v through a dependency-lane
-// pass over the same ring order.
-func SampleThresholdOrdered(seed uint64, round int, v graph.VertexID, ordered []graph.VertexID) float64 {
-	var w float64
-	for _, u := range ordered {
-		w += VertexWeight(seed, u)
-	}
-	return SampleThresholdFromTotal(seed, round, v, w)
-}
-
-// SampleThresholdFromTotal returns r_v given a precomputed total weight.
+// SampleThresholdFromTotal returns r_v, the deterministic uniform draw in
+// (0, total], given v's total in-neighbor weight.
 func SampleThresholdFromTotal(seed uint64, round int, v graph.VertexID, total float64) float64 {
 	return sampleUnit(seed, round, v) * total
 }

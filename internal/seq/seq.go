@@ -62,3 +62,15 @@ func RingOrder(pt *partition.Partition) NeighborOrder {
 func VertexWeight(seed uint64, v graph.VertexID) float64 {
 	return xrand.UniformWeight(seed, 0xabcd, uint64(v))
 }
+
+// VertexWeights tabulates VertexWeight for vertices [0, n): the sampling
+// kernel's replicated vertex property (paper Figure 3d). A prefix walk
+// reads the table per scanned edge instead of re-hashing, and the entries
+// are the very float64s VertexWeight returns, so picks do not change.
+func VertexWeights(seed uint64, n int) []float64 {
+	wt := make([]float64, n)
+	for v := range wt {
+		wt[v] = VertexWeight(seed, graph.VertexID(v))
+	}
+	return wt
+}

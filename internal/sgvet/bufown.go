@@ -265,8 +265,23 @@ func (a *bufownAnalysis) checkAssign(s *ast.AssignStmt, f *bufFact) {
 		a.checkNode(lhs, f)
 	}
 	for _, rhs := range s.Rhs {
-		a.checkNode(rhs, f)
+		if !isTruncation(rhs) {
+			a.checkNode(rhs, f)
+		}
 	}
+}
+
+// isTruncation reports whether e is x[:0]. It keeps x's backing array as
+// an empty container and reads no element, so `x.f = x.f[:0]` is how a
+// buffer list is reused once its buffers were handed off: a re-binding,
+// not a use.
+func isTruncation(e ast.Expr) bool {
+	se, ok := unparen(e).(*ast.SliceExpr)
+	if !ok || se.Low != nil || se.Max != nil {
+		return false
+	}
+	lit, ok := se.High.(*ast.BasicLit)
+	return ok && lit.Value == "0"
 }
 
 // checkNode walks a node flagging uses of poisoned state. Nested

@@ -513,6 +513,18 @@ func okFieldRebind(ctx *binCtx) (int, error) {
 	return len(ctx.bins), err
 }
 
+func okFieldTruncate(ctx *binCtx) (int, error) {
+	err := ep.SendBufs(1, comm.KindUpdate, 1, comm.Buffers(ctx.bins))
+	ctx.bins = ctx.bins[:0]
+	return len(ctx.bins), err
+}
+
+func fieldResliceAfterSendBufs(ctx *binCtx) (int, error) {
+	err := ep.SendBufs(1, comm.KindUpdate, 1, comm.Buffers(ctx.bins))
+	ctx.bins = ctx.bins[:1] // want:bufown
+	return len(ctx.bins), err
+}
+
 func okReceiverRebind(ctx, fresh *binCtx) (int, error) {
 	err := ep.SendBufs(1, comm.KindUpdate, 1, comm.Buffers{ctx.frame})
 	ctx = fresh
