@@ -3,7 +3,7 @@
 # layer, run the seeded chaos soak, the sgserve process smoke test, then
 # the full suite (which includes the CLI trace smoke test and the
 # sustained serving load test).
-.PHONY: verify build vet lint lint-check test race smoke serve-smoke serve-dist-smoke chaos fleet-chaos mutate-chaos bench-baseline bench-check bench-build microbench-smoke inline-check
+.PHONY: verify build vet lint lint-check test race smoke serve-smoke serve-dist-smoke chaos fleet-chaos mutate-chaos bench-build microbench-smoke inline-check size
 
 verify: build inline-check bench-build microbench-smoke lint lint-check race chaos fleet-chaos mutate-chaos serve-smoke serve-dist-smoke test
 
@@ -58,18 +58,23 @@ lint:
 lint-check:
 	go run ./cmd/sgvet -check-artifact sgvet-findings.json
 
-# Perf baseline: run the deterministic 8-algorithm sweep and append the
-# next BENCH_<n>.json to the committed trajectory (the first invocation
-# writes BENCH_0.json from the legacy data plane and BENCH_1.json from
-# the current one, in a single run).
-bench-baseline:
-	go run ./cmd/sgbench -baseline
-
-# Regression gate: re-run the sweep and fail if engine seconds (above
-# the 50ms noise floor) or allocs/op regressed >10% vs the newest
-# committed BENCH_<n>.json.
-bench-check:
-	go run ./cmd/sgbench -bench-check
+# The numbers ROADMAP aim 2 asks every deletion PR to report before and
+# after: non-test Go lines (the repo outside benchmark/, and the engine's
+# two hot packages), the exported surface of the engine and the harness
+# (declarations, methods, fields and grouped constants, one per line of
+# `go doc -all`), core.Options fields, and the flags each command defines
+# (internal/cliutil holds the groups several commands share).
+FLAGDEF = \b(flag|fs|f)\.(Bool|Int|Int64|Uint|Uint64|Float64|String|Duration|Var|Func)(Var)?\(
+size:
+	@echo "non-test Go LOC, repo: $$(find . -name '*.go' ! -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l)"
+	@echo "non-test Go LOC, internal/core + internal/comm: $$(find internal/core internal/comm -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
+	@for p in core comm bench; do \
+		echo "exported identifiers, internal/$$p: $$(go doc -all ./internal/$$p | grep -cE '^(func|type) |^(const|var) [A-Z]|^	[A-Z]')"; \
+	done
+	@echo "core.Options fields: $$(go doc ./internal/core Options | grep -c '^	[A-Z]')"
+	@for d in cmd/*/ internal/cliutil/; do \
+		echo "flags, $$d: $$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | grep -cE '$(FLAGDEF)')"; \
+	done
 
 race:
 	go test -race -count=1 ./internal/comm/... ./internal/core/... ./internal/algorithms/... ./internal/mutate/... ./internal/server/...

@@ -17,9 +17,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
-	"sort"
-	"strconv"
 	"strings"
 	"time"
 
@@ -47,10 +44,6 @@ func main() {
 		export  = flag.String("export", "", "write the Table 4/5/6 matrix to a .csv or .json file")
 		verbose = flag.Bool("v", false, "verbose: per-phase histogram summary after tracing runs")
 
-		baseline   = flag.Bool("baseline", false, "run the perf baseline sweep and write the next BENCH_<n>.json")
-		benchCheck = flag.Bool("bench-check", false, "re-run the baseline sweep and fail on >10% regression vs the newest BENCH_<n>.json")
-		benchDir   = flag.String("bench-dir", ".", "directory holding the BENCH_<n>.json trajectory")
-
 		loadURL    = flag.String("load", "", "load-generate against a running sgserve at this base URL")
 		loadGraphs = flag.String("load-graphs", "default", "comma-separated serving graph names for -load")
 		loadFor    = flag.Duration("load-duration", 5*time.Second, "how long -load sustains traffic")
@@ -60,13 +53,6 @@ func main() {
 		mutateOps  = flag.Int("mutate-ops", 32, "ops per -mutate-mix batch")
 	)
 	flag.Parse()
-
-	if *baseline || *benchCheck {
-		if err := runBaseline(*benchDir, *benchCheck); err != nil {
-			cliutil.Fatalf("sgbench", "baseline: %v", err)
-		}
-		return
-	}
 
 	if *loadURL != "" {
 		res, err := bench.RunLoad(bench.LoadConfig{
@@ -243,123 +229,4 @@ func main() {
 	if err := obsFlags.Close(); err != nil {
 		cliutil.Fatalf("sgbench", "%v", err)
 	}
-}
-
-// benchFiles returns the BENCH_<n>.json trajectory in dir, sorted by
-// index, as (index, path) pairs.
-func benchFiles(dir string) ([]int, []string, error) {
-	matches, err := filepath.Glob(filepath.Join(dir, "BENCH_*.json"))
-	if err != nil {
-		return nil, nil, err
-	}
-	byIdx := map[int]string{}
-	var idxs []int
-	for _, m := range matches {
-		name := filepath.Base(m)
-		numStr := strings.TrimSuffix(strings.TrimPrefix(name, "BENCH_"), ".json")
-		n, err := strconv.Atoi(numStr)
-		if err != nil {
-			continue
-		}
-		byIdx[n] = m
-		idxs = append(idxs, n)
-	}
-	sort.Ints(idxs)
-	paths := make([]string, len(idxs))
-	for i, n := range idxs {
-		paths[i] = byIdx[n]
-	}
-	return idxs, paths, nil
-}
-
-func writeBaseline(path string, rep *bench.BaselineReport) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := rep.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// runBaseline implements -baseline and -bench-check.
-//
-// -baseline with an empty trajectory writes BENCH_0.json from the
-// legacy (pre-zero-copy) data plane and BENCH_1.json from the current
-// one, in a single invocation, so the pair is directly comparable. With
-// an existing trajectory it appends BENCH_<n+1>.json from the current
-// tree.
-//
-// -bench-check re-runs the sweep with the newest committed file's
-// scale/seed and exits nonzero if engine seconds or allocs/op regressed
-// by more than 10%.
-func runBaseline(dir string, check bool) error {
-	idxs, paths, err := benchFiles(dir)
-	if err != nil {
-		return err
-	}
-
-	if check {
-		if len(paths) == 0 {
-			return fmt.Errorf("no BENCH_<n>.json in %s to check against", dir)
-		}
-		newest := paths[len(paths)-1]
-		f, err := os.Open(newest)
-		if err != nil {
-			return err
-		}
-		prev, err := bench.ReadBaseline(f)
-		f.Close()
-		if err != nil {
-			return err
-		}
-		cur, err := bench.RunBaseline(bench.BaselineConfig{Scale: prev.Scale, Seed: prev.Seed})
-		if err != nil {
-			return err
-		}
-		regressions := bench.CompareBaselines(prev, cur, 0.10)
-		if len(regressions) > 0 {
-			fmt.Fprintf(os.Stderr, "sgbench: %d regression(s) vs %s:\n", len(regressions), newest)
-			for _, r := range regressions {
-				fmt.Fprintf(os.Stderr, "  %s\n", r)
-			}
-			os.Exit(1)
-		}
-		fmt.Printf("bench-check: no regressions vs %s (%d cells)\n", newest, len(cur.Cells))
-		return nil
-	}
-
-	if len(idxs) == 0 {
-		legacy, err := bench.RunBaseline(bench.BaselineConfig{LegacyDataPlane: true})
-		if err != nil {
-			return err
-		}
-		if err := writeBaseline(filepath.Join(dir, "BENCH_0.json"), legacy); err != nil {
-			return err
-		}
-		fmt.Println("wrote BENCH_0.json (legacy data plane)")
-		cur, err := bench.RunBaseline(bench.BaselineConfig{})
-		if err != nil {
-			return err
-		}
-		if err := writeBaseline(filepath.Join(dir, "BENCH_1.json"), cur); err != nil {
-			return err
-		}
-		fmt.Println("wrote BENCH_1.json (zero-copy data plane)")
-		return nil
-	}
-
-	next := idxs[len(idxs)-1] + 1
-	cur, err := bench.RunBaseline(bench.BaselineConfig{})
-	if err != nil {
-		return err
-	}
-	path := filepath.Join(dir, fmt.Sprintf("BENCH_%d.json", next))
-	if err := writeBaseline(path, cur); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", filepath.Base(path))
-	return nil
 }

@@ -103,7 +103,7 @@ func main() {
 		workerRoster  = flag.String("workers", "", "comma-separated sgworker control addresses (host:port,...); enables the remote provider and makes it the default")
 		advertiseHost = flag.String("advertise-host", "", "host workers dial back for the data plane (default 127.0.0.1)")
 		threshold     = flag.Int("threshold", core.DefaultDepThreshold, "differentiated-propagation degree threshold")
-		buffers       = flag.Int("buffers", 2, "double-buffering group count")
+		buffers       = flag.Int("buffers", 2, "double-buffering group count (1 = off)")
 		maxInflight   = flag.Int("max-inflight", 2, "queries executing concurrently")
 		maxQueue      = flag.Int("max-queue", 0, "queries waiting for a slot before shedding with 429 (0 = 4×max-inflight)")
 		cacheEntries  = flag.Int("cache-entries", 256, "result cache capacity in entries (-1 disables)")

@@ -53,6 +53,33 @@ var goldenCounters = map[string]goldenRow{
 	"sampling/symplegraph/n4": {37924, 951, 16, 92096, 22992, 71433, 0xd91ee7fa082c61ec},
 }
 
+// goldenCountersB2 is the same table at NumBuffers 2, pinned when the
+// dense driver began to cut a step's dependency state into NumBuffers
+// segments: the rows are goldenCounters' but for depB, which grows by 13
+// bytes per extra frame.
+var goldenCountersB2 = map[string]goldenRow{
+	"bfs/gemini/n2":           {2219, 0, 10, 6850, 0, 11578, 0xfb50a439f7bac106},
+	"bfs/gemini/n4":           {2790, 0, 20, 13172, 0, 18662, 0xc816ee75619cfd21},
+	"bfs/symplegraph/n2":      {2164, 44, 10, 6850, 142, 11578, 0xfb50a439f7bac106},
+	"bfs/symplegraph/n4":      {2622, 121, 20, 12628, 756, 18662, 0xc816ee75619cfd21},
+	"kcore/gemini/n2":         {26033, 0, 8, 48428, 0, 8938, 0xeb1481b0eeb06661},
+	"kcore/gemini/n4":         {39441, 0, 16, 125988, 0, 27144, 0xeb1481b0eeb06661},
+	"kcore/symplegraph/n2":    {20249, 1445, 8, 48428, 432, 8938, 0xeb1481b0eeb06661},
+	"kcore/symplegraph/n4":    {23961, 4117, 16, 94164, 1764, 27144, 0xeb1481b0eeb06661},
+	"mis/gemini/n2":           {19786, 0, 16, 7032, 0, 7621, 0x39460f652a40e120},
+	"mis/gemini/n4":           {27960, 0, 32, 14980, 0, 14015, 0x39460f652a40e120},
+	"mis/symplegraph/n2":      {17271, 622, 16, 7032, 864, 7621, 0x39460f652a40e120},
+	"mis/symplegraph/n4":      {19006, 1863, 32, 11880, 3528, 14015, 0x39460f652a40e120},
+	"kmeans/gemini/n2":        {58398, 0, 20, 18764, 0, 13720, 0x78d0a2b4e298d00},
+	"kmeans/gemini/n4":        {65215, 0, 40, 35464, 0, 23266, 0xd32b6f2552638a08},
+	"kmeans/symplegraph/n2":   {51893, 612, 20, 18764, 1080, 13720, 0x78d0a2b4e298d00},
+	"kmeans/symplegraph/n4":   {54781, 1732, 40, 30456, 4410, 23266, 0xd32b6f2552638a08},
+	"sampling/gemini/n2":      {41523, 0, 6, 53166, 0, 15525, 0xeb9a3b468a57d39e},
+	"sampling/gemini/n4":      {41523, 0, 12, 116004, 0, 21999, 0xae5d78690d5554af},
+	"sampling/symplegraph/n2": {38222, 283, 8, 46824, 7548, 31977, 0x316da2225974cd06},
+	"sampling/symplegraph/n4": {37924, 951, 16, 92096, 23304, 71433, 0xd91ee7fa082c61ec},
+}
+
 // digest folds result arrays into one FNV-1a value.
 type digest struct{ hash.Hash64 }
 
@@ -142,9 +169,31 @@ func runGolden(t *testing.T, algo string, c *core.Cluster) uint64 {
 	return d.Sum64()
 }
 
+// goldenAt runs one cell of the table at the given NumBuffers.
+func goldenAt(t *testing.T, algo string, g *graph.Graph, mode core.Mode, nodes, buffers int) (goldenRow, int64) {
+	t.Helper()
+	c, err := core.NewCluster(g, core.Options{NumNodes: nodes, Mode: mode, DepThreshold: 16, NumBuffers: buffers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	got := goldenRow{digest: runGolden(t, algo, c)}
+	s := c.Stats().Totals
+	got.edges, got.skipped, got.supersteps = s.EdgesTraversed, s.VerticesSkipped, s.Supersteps
+	got.updateB, got.depB, got.controlB = s.UpdateBytes, s.DependencyBytes, s.ControlBytes
+	return got, s.DependencyMessages
+}
+
 // TestGoldenCounters holds the five dependency algorithms × both modes ×
-// {2, 4} machines to the pinned table.
+// {2, 4} machines to the pinned tables: NumBuffers 1 to goldenCounters,
+// recorded while a dense step sent its dependency state as one frame
+// whatever NumBuffers said, and NumBuffers 2 to goldenCountersB2. The
+// second table may differ from the first only in dependency bytes, and
+// only by comm's 13-byte accounted header per extra frame the split
+// sends — asserted here against the measured frame counts rather than
+// trusted to the paste.
 func TestGoldenCounters(t *testing.T) {
+	const frameHeader = 13
 	base := graph.RMAT(11, 8, graph.Graph500Params(), 20)
 	sym := graph.Symmetrize(base)
 	for _, algo := range []string{"bfs", "kcore", "mis", "kmeans", "sampling"} {
@@ -156,21 +205,27 @@ func TestGoldenCounters(t *testing.T) {
 					if algo == "bfs" || algo == "sampling" {
 						g = base
 					}
-					c, err := core.NewCluster(g, core.Options{
-						NumNodes: nodes, Mode: mode, DepThreshold: 16, NumBuffers: 2,
-					})
-					if err != nil {
-						t.Fatal(err)
+					report := func(buffers int, got, pinned goldenRow) {
+						t.Errorf("NumBuffers %d: counters moved; got\n\t%q: {%d, %d, %d, %d, %d, %d, %#x},\npinned\n\t%+v",
+							buffers, name, got.edges, got.skipped, got.supersteps,
+							got.updateB, got.depB, got.controlB, got.digest, pinned)
 					}
-					defer c.Close()
-					got := goldenRow{digest: runGolden(t, algo, c)}
-					s := c.Stats().Totals
-					got.edges, got.skipped, got.supersteps = s.EdgesTraversed, s.VerticesSkipped, s.Supersteps
-					got.updateB, got.depB, got.controlB = s.UpdateBytes, s.DependencyBytes, s.ControlBytes
-					if got != goldenCounters[name] {
-						t.Errorf("counters moved; got\n\t%q: {%d, %d, %d, %d, %d, %d, %#x},\npinned\n\t%+v",
-							name, got.edges, got.skipped, got.supersteps,
-							got.updateB, got.depB, got.controlB, got.digest, goldenCounters[name])
+					one, framesOne := goldenAt(t, algo, g, mode, nodes, 1)
+					if one != goldenCounters[name] {
+						report(1, one, goldenCounters[name])
+					}
+					two, framesTwo := goldenAt(t, algo, g, mode, nodes, 2)
+					if two != goldenCountersB2[name] {
+						report(2, two, goldenCountersB2[name])
+					}
+					if mode == core.ModeSympleGraph && framesTwo <= framesOne {
+						t.Errorf("%d dependency frames at NumBuffers 2, %d at 1: nothing was split", framesTwo, framesOne)
+					}
+					want := one
+					want.depB += frameHeader * (framesTwo - framesOne)
+					if two != want {
+						t.Errorf("NumBuffers 2 differs from NumBuffers 1 by more than %d extra frame headers:\n\t%+v\n\t%+v",
+							framesTwo-framesOne, two, one)
 					}
 				})
 			}

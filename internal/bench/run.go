@@ -147,6 +147,11 @@ type Measurement struct {
 	// Supported is false for cells the system cannot run (D-Galois has
 	// no sampling implementation, §7.1).
 	Supported bool
+
+	// dependencyFrames counts the dependency messages behind
+	// DependencyBytes, so a test can take the accounted frame headers
+	// off and compare payloads across NumBuffers.
+	dependencyFrames int64
 }
 
 // TotalBytes returns the cell's total sent traffic.
@@ -239,6 +244,7 @@ func runVariantOnce(v Variant, a Algo, d *Dataset, cfg Config) (Measurement, err
 		m.EdgesTraversed += s.EdgesTraversed
 		m.UpdateBytes += s.UpdateBytes
 		m.DependencyBytes += s.DependencyBytes
+		m.dependencyFrames += s.DependencyMessages
 		m.ControlBytes += s.ControlBytes
 		m.DependencyWaitSeconds += s.DependencyWait.Seconds()
 		m.UpdateWaitSeconds += s.UpdateWait.Seconds()

@@ -10,8 +10,8 @@ import (
 // kernels move whole words between a Bitmap and a byte buffer in one
 // pass, so the data plane never touches bits one at a time. Segments
 // are addressed in bit coordinates: lo rounds down and hi rounds up to
-// word boundaries, which is why the engine aligns its group bounds to
-// 64 (see core.groupBounds).
+// word boundaries, which is why the engine aligns its range cuts to
+// 64 (see core.groupCut).
 
 // SegmentWordBytes returns the number of bytes the word-aligned
 // little-endian encoding of bits [lo, hi) occupies.

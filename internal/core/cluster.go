@@ -197,14 +197,11 @@ func newCluster(g *graph.Graph, opts Options, machines []int) (*Cluster, error) 
 	}
 	for _, m := range machines {
 		c.layouts[m] = partition.BuildLayout(g, pt, c.class, m)
-		if opts.binnedScan() {
-			// The binned sparse scan reads the partition-blocked CSR.
-			// Like the blocks, it is derived from (graph, partition)
-			// alone, so a rebuilt engine over any epoch snapshot lays
-			// out identically.
-			if err := c.layouts[m].AttachBlocked(g, 0); err != nil {
-				return nil, err
-			}
+		// The sparse scan reads the partition-blocked CSR. Like the
+		// blocks, it is derived from (graph, partition) alone, so a
+		// rebuilt engine over any epoch snapshot lays out identically.
+		if err := c.layouts[m].AttachBlocked(g, 0); err != nil {
+			return nil, err
 		}
 	}
 	return c, nil

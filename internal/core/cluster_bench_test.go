@@ -117,28 +117,49 @@ func BenchmarkDensePass(b *testing.B) {
 // beyond the first pass of a run a pass allocates only its contexts, its
 // params, the one-element vector each dependency frame is sent as, and
 // the message headers of its closing collective: 6.5 objects per
-// machine-pass measured (50.8 before the scratch moved), held here with
-// 20 % headroom. A per-step bitmap, lane array, scan closure or buffer
-// list creeping back costs 4 or more.
+// machine-pass measured at NumBuffers 1 (50.8 before the scratch moved),
+// held here with 20 % headroom. A per-step bitmap, lane array, scan
+// closure or buffer list creeping back costs 4 or more.
+//
+// NumBuffers 2 may add exactly one object per extra dependency frame it
+// sends — that frame's vector. The vector is not parked in the worker's
+// scratch: SendBufs transfers ownership of bufs and the caller must not
+// touch them afterwards (DESIGN §5.2, enforced by sgvet's bufown), so
+// reusing one across sends would break the contract the transports are
+// free to rely on.
 func TestDensePassAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
 	}
 	g := graph.RMAT(10, 16, graph.Graph500Params(), 1)
 	visited, frontier := firstHitSets(g.NumVertices())
-	c := mustCluster(t, g, Options{NumNodes: 4, Mode: ModeSympleGraph, DepThreshold: 8, NumBuffers: 2})
-	run := func(passes int) float64 {
-		return testing.AllocsPerRun(5, func() {
-			if _, err := firstHitPass(c, visited, frontier, passes); err != nil {
-				t.Fatal(err)
-			}
-		})
+	// measure returns allocations and dependency frames per machine-pass.
+	measure := func(buffers int) (allocs, frames float64) {
+		c := mustCluster(t, g, Options{NumNodes: 4, Mode: ModeSympleGraph, DepThreshold: 8, NumBuffers: buffers})
+		run := func(passes int) float64 {
+			return testing.AllocsPerRun(5, func() {
+				if _, err := firstHitPass(c, visited, frontier, passes); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		run(1) // warm the slab
+		const extra = 20
+		allocs = (run(1+extra) - run(1)) / (extra * 4)
+		return allocs, float64(c.Stats().Totals.DependencyMessages) / 4 // Stats covers the last run: one pass
 	}
-	run(1) // warm the slab
-	const extra = 20
-	perMachinePass := (run(1+extra) - run(1)) / (extra * 4)
-	if bound := 6.5 * 1.2; perMachinePass > bound {
-		t.Fatalf("a dense pass allocates %.2f objects per machine, bound %.2f", perMachinePass, bound)
+	const bound = 6.5 * 1.2
+	one, framesOne := measure(1)
+	if one > bound {
+		t.Fatalf("a dense pass allocates %.2f objects per machine, bound %.2f", one, bound)
 	}
-	t.Logf("%.2f allocations per machine-pass", perMachinePass)
+	two, framesTwo := measure(2)
+	if framesTwo <= framesOne {
+		t.Fatalf("NumBuffers 2 sends %.2f dependency frames per machine-pass, NumBuffers 1 %.2f: nothing was split", framesTwo, framesOne)
+	}
+	if limit := bound + framesTwo - framesOne; two > limit {
+		t.Fatalf("at NumBuffers 2 a dense pass allocates %.2f objects per machine for %.2f extra frames, bound %.2f",
+			two, framesTwo-framesOne, limit)
+	}
+	t.Logf("allocations per machine-pass: %.2f at NumBuffers 1, %.2f at 2 (%.2f extra dependency frames)", one, two, framesTwo-framesOne)
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"sort"
 	"sync"
 
 	"repro/internal/bitset"
@@ -74,14 +75,8 @@ const emitChunkBytes = 64 << 10
 type DenseCtx[M any] struct {
 	codec Codec[M]
 	size  int
-	buf   []byte
-
-	// pooled selects the slab emit path: buf is a fixed-capacity chunk
-	// from bufpool, pushed to the step's buffer list when full. When
-	// false (legacy data plane) buf grows through the garbage collector
-	// instead.
-	pooled bool
-	sc     *denseScratch
+	buf   []byte // the open emit chunk: fixed capacity, from bufpool
+	sc    *denseScratch
 
 	edges   int64
 	skipped int64
@@ -141,7 +136,7 @@ func (ctx *DenseCtx[M]) Edge() { ctx.edges++ }
 // Emit sends msg for the current destination to its master's slot.
 func (ctx *DenseCtx[M]) Emit(msg M) {
 	rec := 4 + ctx.size
-	if ctx.pooled && cap(ctx.buf)-len(ctx.buf) < rec {
+	if cap(ctx.buf)-len(ctx.buf) < rec {
 		ctx.flushChunk()
 	}
 	off := len(ctx.buf)
@@ -205,19 +200,28 @@ func (ctx *DenseCtx[M]) SetDepFloat(lane int, v float64) {
 // Untracked (low-degree) destinations are processed at step start — they
 // need no dependency input, so their computation overlaps the
 // predecessor's work (§5.3's low/high overlap). Tracked destinations are
-// processed in NumBuffers groups: each group's dependency frame is
-// received from the right neighbor just before the group and forwarded to
-// the left neighbor right after (double buffering). Updates for the block
-// are sent to the destination partition's master machine at the end of
-// the step, and the update destined to this machine for the same step is
-// received and slotted before the next step begins.
+// scanned in NumBuffers ranges of the tracked index space (groupCut):
+// each non-empty range's dependency segment is received from the right
+// neighbor just before the range and leaves for the left neighbor right
+// after it, while the next range scans (§5.3 double buffering, §6's
+// generalization to more buffers). Sender and receiver derive the same
+// cuts from (len(Highs[d]), NumBuffers); a block whose destination
+// partition tracks nothing exchanges no dependency frame at all. With
+// NumBuffers = 1 a step's dependency state travels as a single frame.
+//
+// A step's update records accumulate into slab bins (filled per worker,
+// no intermediate concatenation) and leave as one vectored frame per
+// step — bin ownership passes to the transport at SendBufs and the
+// buffers must not be touched after (DESIGN.md §5.2). The update destined
+// to this machine for the same step is received and slotted after the
+// last step. DenseStep splits into traced sub-phases: DenseScan (signal
+// loops), DenseBin (dependency-segment assembly), DenseFlush (vectored
+// hand-off).
 func ProcessEdgesDense[M any](w *Worker, params DenseParams[M]) (int64, error) {
 	p := w.N()
 	opts := w.cluster.opts
-	B := opts.NumBuffers
-	lanes := params.Lanes
-	if lanes < 0 {
-		return 0, fmt.Errorf("core: negative Lanes %d", lanes)
+	if params.Lanes < 0 {
+		return 0, fmt.Errorf("core: negative Lanes %d", params.Lanes)
 	}
 	for _, f := range []*bitset.Bitmap{params.Active, params.Except} {
 		if n := w.cluster.g.NumVertices(); f != nil && f.Len() != n {
@@ -225,125 +229,16 @@ func ProcessEdgesDense[M any](w *Worker, params DenseParams[M]) (int64, error) {
 		}
 	}
 	depOn := opts.Mode == ModeSympleGraph && p > 1
-	pooled := !opts.LegacyDataPlane
+	B := opts.NumBuffers
+	if !depOn {
+		B = 1 // nothing circulates, so nothing to pipeline
+	}
 	sc := &w.dense
 	ctxs := make([]DenseCtx[M], opts.Workers)
 	for k := range ctxs {
-		ctxs[k] = DenseCtx[M]{codec: params.Codec, size: params.Codec.Size(), pooled: pooled, sc: sc}
+		ctxs[k] = DenseCtx[M]{codec: params.Codec, size: params.Codec.Size(), sc: sc}
 	}
-	if opts.binnedScan() {
-		return processEdgesDenseBinned(w, &params, ctxs, depOn)
-	}
-	base := w.nextTags(int32(p*B + p)) // p*B dependency frames + p update rounds
-	rn := (w.id + 1) % p
-	ln := (w.id - 1 + p) % p
-	w.observeStep()
-	pass := w.densePass
-	w.densePass++
-
-	for j := 0; j < p; j++ {
-		stepStart := w.spanStart()
-		d := (w.id + 1 + j) % p
-		block := w.layout.Blocks[d]
-		tracked := len(w.cluster.class.Highs[d])
-		sc.bins = sc.bins[:0]
-		if depOn {
-			sc.beginStep(w.cluster.class, tracked, lanes)
-		}
-
-		// Low-degree destinations first: no dependency input needed, so
-		// this computation overlaps the predecessor still working on the
-		// groups we are about to wait for.
-		scanDests(w, &params, ctxs, block.Low, false)
-
-		bounds := groupBounds(tracked, B)
-		rest := block.Tracked // ascending by tracked index: a group is a prefix
-		for g := 0; g < B; g++ {
-			if depOn && j > 0 {
-				m, err := w.recvTimed(&w.depWait, comm.NodeID(rn), comm.KindDependency, base+int32((j-1)*B+g),
-					obs.PhaseDepWait, pass, j, g)
-				if err != nil {
-					return 0, err
-				}
-				if err := applyDepFrame(m.Payload, sc.skip, sc.data, bounds[g], bounds[g+1]); err != nil {
-					return 0, err
-				}
-				m.Release()
-			}
-			n := 0
-			for n < len(rest) && int(rest[n].Idx) < bounds[g+1] {
-				n++
-			}
-			scanDests(w, &params, ctxs, rest[:n], depOn)
-			rest = rest[n:]
-			if depOn && j < p-1 {
-				flushStart := w.spanStart()
-				frame := encodeDepFrame(sc.skip, sc.data, bounds[g], bounds[g+1], pooled)
-				var err error
-				if pooled {
-					err = w.ep.SendBufs(comm.NodeID(ln), comm.KindDependency, base+int32(j*B+g), comm.Buffers{frame})
-				} else {
-					err = w.ep.Send(comm.NodeID(ln), comm.KindDependency, base+int32(j*B+g), frame)
-				}
-				if err != nil {
-					return 0, err
-				}
-				w.endSpan(obs.PhaseBufferFlush, pass, j, g, flushStart)
-			}
-		}
-
-		endStep(ctxs)
-		if d != w.id && pooled {
-			// Vectored hand-off: the chunks go out as one frame with
-			// no intermediate concatenation and return to the slab.
-			if err := w.ep.SendBufs(comm.NodeID(d), comm.KindUpdate, base+int32(p*B+j), comm.Buffers(sc.bins)); err != nil {
-				return 0, err
-			}
-		} else if d != w.id {
-			payload := make([]byte, 0, comm.Buffers(sc.bins).TotalLen())
-			for _, b := range sc.bins {
-				payload = append(payload, b...)
-			}
-			if err := w.ep.Send(comm.NodeID(d), comm.KindUpdate, base+int32(p*B+j), payload); err != nil {
-				return 0, err
-			}
-		}
-		w.endSpan(obs.PhaseDenseStep, pass, j, -1, stepStart)
-	}
-	return finishDensePass(w, &params, ctxs, depOn, base+int32(p*B), pass)
-}
-
-// processEdgesDenseBinned is the partition-binned dense pass (PR 9's
-// scan). The circulant schedule, signal/slot semantics, and low/high
-// overlap are identical to the legacy scan; what changes is framing and
-// accounting:
-//
-//   - A step's update records accumulate into slab bins (one list per
-//     destination partition, filled per worker with no intermediate
-//     concatenation) and leave as a single vectored frame per (peer,
-//     pass) — the flush contract DESIGN.md documents: bin ownership
-//     passes to the transport at SendBufs and the buffers must not be
-//     touched after.
-//   - The NumBuffers dependency-frame groups of a step batch into one
-//     frame covering the whole tracked index space [0, T). Group state
-//     is index-disjoint and the predecessor has finished the entire
-//     block before this machine's tracked slice runs, so the batched
-//     frame carries byte-for-byte the concatenation of the per-group
-//     frames: results are bit-identical, only frame count drops (×B
-//     fewer dependency frames, and none at all for blocks with no
-//     tracked vertices).
-//   - DenseStep splits into traced sub-phases: DenseScan (signal
-//     loops), DenseBin (dependency-frame assembly), DenseFlush
-//     (vectored hand-off).
-//
-// Low-degree destinations still run before the dependency receive, so
-// the §5.3 overlap with the predecessor is preserved; double buffering
-// within a step no longer applies (NumBuffers only shapes the legacy
-// scan's framing).
-func processEdgesDenseBinned[M any](w *Worker, params *DenseParams[M], ctxs []DenseCtx[M], depOn bool) (int64, error) {
-	p := w.N()
-	sc := &w.dense
-	base := w.nextTags(int32(2 * p)) // p dependency frames + p update rounds
+	base := w.nextTags(int32(p*B + p)) // p*B dependency segments + p update rounds
 	rn := (w.id + 1) % p
 	ln := (w.id - 1 + p) % p
 	w.observeStep()
@@ -362,36 +257,48 @@ func processEdgesDenseBinned[M any](w *Worker, params *DenseParams[M], ctxs []De
 
 		// Low-degree destinations first: no dependency input needed, so
 		// this computation overlaps the predecessor still working on the
-		// tracked slice we are about to wait for.
+		// ranges we are about to wait for.
 		scanStart := w.spanStart()
-		scanDests(w, params, ctxs, block.Low, false)
+		scanDests(w, &params, ctxs, block.Low, false)
 		w.endSpan(obs.PhaseDenseScan, pass, j, 0, scanStart)
 
-		if depOn && tracked > 0 && j > 0 {
-			m, err := w.recvTimed(&w.depWait, comm.NodeID(rn), comm.KindDependency, base+int32(j-1),
-				obs.PhaseDepWait, pass, j, -1)
-			if err != nil {
-				return 0, err
+		rest := block.Tracked // ascending by tracked index: a range is a prefix
+		for g := 0; g < B; g++ {
+			lo, hi := groupCut(tracked, B, g), groupCut(tracked, B, g+1)
+			if lo == hi {
+				continue
 			}
-			if err := applyDepFrame(m.Payload, sc.skip, sc.data, 0, tracked); err != nil {
-				return 0, err
+			if depOn && j > 0 {
+				m, err := w.recvTimed(&w.depWait, comm.NodeID(rn), comm.KindDependency, base+int32((j-1)*B+g),
+					obs.PhaseDepWait, pass, j, g)
+				if err != nil {
+					return 0, err
+				}
+				if err := applyDepFrame(m.Payload, sc.skip, sc.data, lo, hi); err != nil {
+					return 0, err
+				}
+				m.Release()
 			}
-			m.Release()
-		}
-		if len(block.Tracked) > 0 {
-			scanStart = w.spanStart()
-			scanDests(w, params, ctxs, block.Tracked, depOn)
-			w.endSpan(obs.PhaseDenseScan, pass, j, 1, scanStart)
-		}
-		if depOn && tracked > 0 && j < p-1 {
-			binStart := w.spanStart()
-			frame := encodeDepFrame(sc.skip, sc.data, 0, tracked, true)
-			w.endSpan(obs.PhaseDenseBin, pass, j, -1, binStart)
-			flushStart := w.spanStart()
-			if err := w.ep.SendBufs(comm.NodeID(ln), comm.KindDependency, base+int32(j), comm.Buffers{frame}); err != nil {
-				return 0, err
+			n := len(rest) // the last range takes the remainder
+			if g < B-1 {
+				n = sort.Search(len(rest), func(i int) bool { return int(rest[i].Idx) >= hi })
 			}
-			w.endSpan(obs.PhaseDenseFlush, pass, j, -1, flushStart)
+			if n > 0 {
+				scanStart = w.spanStart()
+				scanDests(w, &params, ctxs, rest[:n], depOn)
+				w.endSpan(obs.PhaseDenseScan, pass, j, g+1, scanStart)
+				rest = rest[n:]
+			}
+			if depOn && j < p-1 {
+				binStart := w.spanStart()
+				frame := encodeDepFrame(sc.skip, sc.data, lo, hi)
+				w.endSpan(obs.PhaseDenseBin, pass, j, g, binStart)
+				flushStart := w.spanStart()
+				if err := w.ep.SendBufs(comm.NodeID(ln), comm.KindDependency, base+int32(j*B+g), comm.Buffers{frame}); err != nil {
+					return 0, err
+				}
+				w.endSpan(obs.PhaseDenseFlush, pass, j, g, flushStart)
+			}
 		}
 
 		endStep(ctxs)
@@ -400,17 +307,17 @@ func processEdgesDenseBinned[M any](w *Worker, params *DenseParams[M], ctxs []De
 			// no intermediate concatenation and return to the slab; bin
 			// ownership passes to the transport here.
 			flushStart := w.spanStart()
-			if err := w.ep.SendBufs(comm.NodeID(d), comm.KindUpdate, base+int32(p+j), comm.Buffers(sc.bins)); err != nil {
+			if err := w.ep.SendBufs(comm.NodeID(d), comm.KindUpdate, base+int32(p*B+j), comm.Buffers(sc.bins)); err != nil {
 				return 0, err
 			}
 			w.endSpan(obs.PhaseDenseFlush, pass, j, -1, flushStart)
 		}
 		w.endSpan(obs.PhaseDenseStep, pass, j, -1, stepStart)
 	}
-	return finishDensePass(w, params, ctxs, depOn, base+int32(p), pass)
+	return finishDensePass(w, &params, ctxs, depOn, base+int32(p*B), pass)
 }
 
-// finishDensePass is the tail both drivers share. Update communication
+// finishDensePass is the tail of a dense pass. Update communication
 // overlaps with computation (§5.1: "the computation and update
 // communication of each step can be largely overlapped"): the per-step
 // messages were sent as each block finished; they are collected and
@@ -423,11 +330,10 @@ func processEdgesDenseBinned[M any](w *Worker, params *DenseParams[M], ctxs []De
 func finishDensePass[M any](w *Worker, params *DenseParams[M], ctxs []DenseCtx[M], depOn bool, updBase int32, pass int) (int64, error) {
 	p := w.N()
 	sc := &w.dense
-	pooled := !w.cluster.opts.LegacyDataPlane
 	for k := range ctxs {
 		w.addEdges(ctxs[k].edges)
 		w.addSkipped(ctxs[k].skipped)
-		if pooled && ctxs[k].buf != nil {
+		if ctxs[k].buf != nil {
 			bufpool.Put(ctxs[k].buf)
 		}
 	}
@@ -437,9 +343,7 @@ func finishDensePass[M any](w *Worker, params *DenseParams[M], ctxs []DenseCtx[M
 		if src == w.id {
 			for _, b := range sc.bins {
 				reduced += applyDenseUpdates(w, params, b)
-				if pooled {
-					bufpool.Put(b)
-				}
+				bufpool.Put(b)
 			}
 			continue
 		}
@@ -534,48 +438,27 @@ func applyDenseUpdates[M any](w *Worker, params *DenseParams[M], payload []byte)
 	return reduced
 }
 
-// groupBounds splits the tracked index space [0, T) into B contiguous
-// groups with 64-aligned interior boundaries, so dependency frames
-// exchange whole bitmap words.
-func groupBounds(T, B int) []int {
-	bounds := make([]int, B+1)
-	for g := 1; g < B; g++ {
-		b := (T*g/B + 63) &^ 63
-		if b > T {
-			b = T
-		}
-		bounds[g] = b
+// groupCut returns where range g of B starts in the tracked index space
+// [0, T): cuts are 64-aligned, so dependency segments exchange whole
+// bitmap words, and clamp to T, which is also where range B "starts".
+// Small T leaves trailing ranges empty; those exchange nothing.
+func groupCut(T, B, g int) int {
+	if g >= B {
+		return T
 	}
-	bounds[B] = T
-	for g := 1; g <= B; g++ {
-		if bounds[g] < bounds[g-1] {
-			bounds[g] = bounds[g-1]
-		}
-	}
-	return bounds
+	return min((T*g/B+63)&^63, T)
 }
 
 // encodeDepFrame serializes the dependency state for tracked indices
 // [gLo, gHi): the skip bitmap words followed by each data lane's values —
-// the paper's DepMessage in struct-of-arrays form (§6). With pooled set
-// the frame lives in a slab buffer whose ownership passes to the
-// transport via SendBufs; otherwise it is a plain allocation for the
-// aliasing Send (legacy data plane).
-func encodeDepFrame(depSkip *bitset.Bitmap, depData [][]float64, gLo, gHi int, pooled bool) []byte {
-	if gLo >= gHi {
-		return nil
-	}
+// the paper's DepMessage in struct-of-arrays form (§6). The frame lives
+// in a slab buffer whose ownership passes to the transport via SendBufs.
+func encodeDepFrame(depSkip *bitset.Bitmap, depData [][]float64, gLo, gHi int) []byte {
 	if gLo%64 != 0 {
 		panic("core: dependency frame start not word-aligned")
 	}
 	n := bitset.SegmentWordBytes(gLo, gHi) + len(depData)*(gHi-gLo)*8
-	var out []byte
-	if pooled {
-		out = bufpool.Get(n)[:0]
-	} else {
-		out = make([]byte, 0, n)
-	}
-	out = depSkip.AppendSegmentLE(out, gLo, gHi)
+	out := depSkip.AppendSegmentLE(bufpool.Get(n)[:0], gLo, gHi)
 	for _, lane := range depData {
 		off := len(out)
 		out = out[:off+(gHi-gLo)*8]
@@ -591,12 +474,6 @@ func encodeDepFrame(depSkip *bitset.Bitmap, depData [][]float64, gLo, gHi int, p
 // overwritten (the predecessor's value is the accumulated state). The
 // caller Releases the payload afterwards.
 func applyDepFrame(payload []byte, depSkip *bitset.Bitmap, depData [][]float64, gLo, gHi int) error {
-	if gLo >= gHi {
-		if len(payload) != 0 {
-			return fmt.Errorf("core: non-empty dependency frame for empty group")
-		}
-		return nil
-	}
 	wb := bitset.SegmentWordBytes(gLo, gHi)
 	want := wb + len(depData)*(gHi-gLo)*8
 	if len(payload) != want {

@@ -290,9 +290,9 @@ func TestDenseDataLane(t *testing.T) {
 }
 
 // TestDenseActiveDstFilter holds the destination filter to a hand-computed
-// answer: under {no filter, Active, Except, both} × both modes × the
-// binned and the legacy scan × {1, 2, 4} machines × {1, 2} workers, a
-// pass that counts in-neighbors must deliver exactly in-degree(v) to
+// answer: under {no filter, Active, Except, both} × both modes ×
+// NumBuffers {1, 2, 3} × {1, 2, 4} machines × {1, 2} workers, a pass that
+// counts in-neighbors must deliver exactly in-degree(v) to
 // every destination the filter lets through and nothing to the rest,
 // through updates and through Finalize alike, and traverse exactly the
 // edges into the destinations it visits. A filter of the wrong length is
@@ -315,13 +315,13 @@ func TestDenseActiveDstFilter(t *testing.T) {
 	}{{"none", nil, nil}, {"active", active, nil}, {"except", nil, except}, {"both", active, except}}
 	for _, f := range filters {
 		for _, mode := range []Mode{ModeGemini, ModeSympleGraph} {
-			for _, legacy := range []bool{false, true} {
+			for _, bc := range buffersCases {
 				for _, p := range []int{1, 2, 4} {
 					for _, workers := range []int{1, 2} {
-						name := fmt.Sprintf("%s/%v/legacy=%v/p=%d/w=%d", f.name, mode, legacy, p, workers)
+						name := fmt.Sprintf("%s/%v/%s/p=%d/w=%d", f.name, mode, bc.label, p, workers)
 						t.Run(name, func(t *testing.T) {
-							c := mustCluster(t, g, Options{NumNodes: p, Mode: mode, LegacyScan: legacy,
-								Workers: workers, DepThreshold: 8, NumBuffers: 2})
+							c := mustCluster(t, g, Options{NumNodes: p, Mode: mode,
+								Workers: workers, DepThreshold: 8, NumBuffers: bc.buffers})
 							counts := make([]int64, n)
 							filtered := func(v int) bool {
 								return (f.active != nil && !f.active.Get(v)) || (f.except != nil && f.except.Get(v))
@@ -435,20 +435,22 @@ func TestDenseSkippedVerticesCounted(t *testing.T) {
 	}
 }
 
+// TestGroupBounds holds groupCut to what both ends of a dependency
+// segment rely on: range 0 starts at 0, range B at T, cuts never go back,
+// and interior cuts are word-aligned unless clamped to T (which leaves
+// the following ranges empty).
 func TestGroupBounds(t *testing.T) {
-	for _, tc := range []struct{ T, B int }{{0, 1}, {0, 3}, {1, 1}, {64, 2}, {100, 3}, {1000, 4}, {63, 8}} {
-		b := groupBounds(tc.T, tc.B)
-		if len(b) != tc.B+1 || b[0] != 0 || b[tc.B] != tc.T {
-			t.Fatalf("T=%d B=%d: bounds %v", tc.T, tc.B, b)
+	for _, tc := range []struct{ T, B int }{{0, 1}, {0, 3}, {1, 1}, {64, 2}, {100, 3}, {1000, 4}, {63, 8}, {1 << 31, maxNumBuffers}} {
+		if lo, hi := groupCut(tc.T, tc.B, 0), groupCut(tc.T, tc.B, tc.B); lo != 0 || hi != tc.T {
+			t.Fatalf("T=%d B=%d: ranges span [%d, %d)", tc.T, tc.B, lo, hi)
 		}
 		for g := 1; g <= tc.B; g++ {
-			if b[g] < b[g-1] {
-				t.Fatalf("T=%d B=%d: bounds not monotone %v", tc.T, tc.B, b)
+			prev, cut := groupCut(tc.T, tc.B, g-1), groupCut(tc.T, tc.B, g)
+			if cut < prev {
+				t.Fatalf("T=%d B=%d: cut %d = %d after %d", tc.T, tc.B, g, cut, prev)
 			}
-			// Interior bounds are word-aligned unless clamped to T
-			// (which makes the following groups empty).
-			if g < tc.B && b[g]%64 != 0 && b[g] != tc.T {
-				t.Fatalf("T=%d B=%d: interior bound %d unaligned", tc.T, tc.B, b[g])
+			if g < tc.B && cut%64 != 0 && cut != tc.T {
+				t.Fatalf("T=%d B=%d: interior cut %d unaligned", tc.T, tc.B, cut)
 			}
 		}
 	}

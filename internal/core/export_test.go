@@ -1,0 +1,20 @@
+package core
+
+import "repro/internal/graph"
+
+// DepSegments returns how many dependency segments one ring hop of a
+// dense pass moves at NumBuffers B, by the driver's own cuts: one per
+// non-empty range of each partition's tracked index space (highs is a
+// DegreeClass's Highs). Shared by the span-count test in this package and
+// the external identity matrix.
+func DepSegments(highs [][]graph.VertexID, B int) int64 {
+	var n int64
+	for _, h := range highs {
+		for g := 0; g < B; g++ {
+			if groupCut(len(h), B, g) < groupCut(len(h), B, g+1) {
+				n++
+			}
+		}
+	}
+	return n
+}

@@ -16,9 +16,10 @@
 //     in-degree ≥ DepThreshold circulate dependency state; the rest fall
 //     back to plain mirror→master updates;
 //   - double buffering (§5.3, generalized to ≥2 buffers as in §6): each
-//     step's tracked vertices are split into groups whose dependency
-//     frames are sent as soon as the group is processed, overlapping
-//     dependency communication with computation of the next group.
+//     step's tracked vertices are scanned in NumBuffers index ranges whose
+//     dependency segments are sent as soon as the range is processed,
+//     overlapping dependency communication with computation of the next
+//     range.
 //
 // ModeGemini runs the identical engine with dependency propagation
 // disabled — the paper's baseline ("Gemini can be considered as a special
@@ -62,6 +63,11 @@ func (m Mode) String() string {
 // evaluation experiments" (§6).
 const DefaultDepThreshold = 32
 
+// maxNumBuffers bounds Options.NumBuffers: a dense pass reserves
+// NumNodes·NumBuffers message tags and walks NumBuffers cuts per step, and
+// ranges are 64-aligned, so more of them than this only adds empty ones.
+const maxNumBuffers = 64
+
 // Options configure a Cluster.
 type Options struct {
 	// NumNodes is the number of simulated machines p. Required ≥ 1.
@@ -74,9 +80,14 @@ type Options struct {
 	// communication. 0 disables differentiation (every vertex
 	// participates). Ignored in ModeGemini.
 	DepThreshold int
-	// NumBuffers is the double-buffering group count per step. 1
-	// disables double buffering; the paper's default is 2, and §6
-	// generalizes to more buffers.
+	// NumBuffers is the double-buffering range count per dense step: the
+	// tracked vertices of a block are scanned in this many index ranges,
+	// each range's dependency segment leaving for the next machine while
+	// the following range scans. 1 (also what 0 selects) disables double
+	// buffering — one dependency frame per step; the paper's default is
+	// 2, and §6 generalizes to more buffers. Results and update traffic
+	// do not depend on it; only dependency frame count and timing do.
+	// At most 64.
 	NumBuffers int
 	// Workers is the number of worker goroutines per simulated machine
 	// (the paper's per-node worker threads). Defaults to 1.
@@ -93,31 +104,10 @@ type Options struct {
 	// cluster is created. len(Endpoints) must equal NumNodes.
 	Endpoints []comm.Endpoint
 	// Tracer receives per-phase span timings from the workers (dense
-	// steps, dependency/update waits, barriers, buffer flushes). nil
-	// disables tracing; the hot paths then pay one pointer test.
+	// steps and their scan/bin/flush sub-phases, dependency/update waits,
+	// barriers). nil disables tracing; the hot paths then pay one pointer
+	// test.
 	Tracer *obs.Tracer
-	// LegacyDataPlane selects the pre-zero-copy message assembly:
-	// garbage-collected per-chunk buffers concatenated into one payload
-	// per (step, destination) and sent through the aliasing Send, with
-	// dependency frames allocated per frame. The default (false) runs
-	// the slab-backed path — fixed-size chunks from internal/bufpool,
-	// vectored SendBufs with no concatenation, and Release after apply.
-	// Results are identical; only allocation and copy behavior differ.
-	// The benchmark harness uses this to reproduce the committed
-	// BENCH_0 baseline from the same tree.
-	LegacyDataPlane bool
-	// LegacyScan selects the pre-binning edge-scan loops: dense steps
-	// that send one dependency frame per (step, buffer group) and
-	// sparse pushes that route every emitted record through a per-emit
-	// owner lookup. The default (false) runs the partition-binned scan
-	// built on the blocked CSR: updates accumulate into cache-resident
-	// per-destination-partition bins flushed as one vectored frame per
-	// (peer, pass), and a step's dependency groups batch into a single
-	// frame. Results are bit-identical under the engine's determinism
-	// contract (Workers == 1); only cache behavior, frame counts and
-	// phase timings differ. The binned scan is built on the slab data
-	// plane, so LegacyDataPlane implies LegacyScan.
-	LegacyScan bool
 
 	// StallTimeout bounds every engine receive inside an edge-processing
 	// pass: a receive blocked longer returns a *StallError naming the
@@ -161,11 +151,6 @@ type Options struct {
 // (nil before a cluster is built from these options).
 func (o Options) Warnings() []string { return o.warnings }
 
-// binnedScan reports whether the partition-binned edge scans are in
-// effect: they require the slab data plane, so the legacy data plane
-// forces the legacy scan too.
-func (o Options) binnedScan() bool { return !o.LegacyScan && !o.LegacyDataPlane }
-
 // validateAndDefault checks o and fills defaults. Error messages name
 // the CLI flag conventionally bound to the offending field so
 // command-line users can see what to change.
@@ -183,6 +168,9 @@ func (o *Options) validateAndDefault() error {
 				fmt.Sprintf("NumBuffers clamped from %d to 1 (flag -buffers)", o.NumBuffers))
 		}
 		o.NumBuffers = 1
+	}
+	if o.NumBuffers > maxNumBuffers {
+		return fmt.Errorf("core: NumBuffers = %d (flag -buffers): at most %d ranges per step", o.NumBuffers, maxNumBuffers)
 	}
 	if o.Workers < 1 {
 		if o.Workers != 0 {

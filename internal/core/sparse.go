@@ -24,16 +24,15 @@ import (
 type SparseParams[M any] struct {
 	// Codec serializes update messages.
 	Codec Codec[M]
-	// Frontier lists the local master vertices to process. Engine
-	// determinism (and bit-identity between the legacy and binned
-	// scans) assumes ascending vertex order, which is how every
-	// in-tree frontier is built.
+	// Frontier lists the local master vertices to process. It must be
+	// strictly ascending — bitmap order, which is how every in-tree
+	// frontier is built; anything else fails the pass.
 	Frontier []graph.VertexID
 	// Signal is the sparse-signal UDF: it scans src's outgoing
 	// neighbors, calling ctx.Edge per neighbor examined and ctx.EmitTo
 	// to send a message to a destination's master.
 	//
-	// The binned scan may invoke Signal several times for one src —
+	// The scan may invoke Signal several times for one src —
 	// once per destination partition, with the adjacency subrange
 	// (still in adjacency order) owned by that partition. Sparse UDFs
 	// must therefore be per-edge decomposable: decide per destination
@@ -58,21 +57,19 @@ type SparseCtx[M any] struct {
 	w     *Worker
 	codec Codec[M]
 	size  int
-	bufs  [][]byte // per destination machine (the current chunk when pooled)
 	edges int64
 
-	// pooled selects slab-backed chunked assembly (see emitChunkBytes);
-	// full chunks retire into the shared per-peer lists under chunksMu.
-	pooled   bool
+	// Update assembly is slab-backed and chunked (see emitChunkBytes):
+	// bufs holds the open chunk per destination partition, and full
+	// chunks retire into the shared per-peer lists under chunksMu.
+	bufs     [][]byte
 	chunks   [][][]byte
 	chunksMu *sync.Mutex
 
-	// Binned scan state: the scan fixes the destination partition
-	// before invoking Signal, so EmitTo appends to the current bin
-	// directly — no per-emit owner lookup. curLo/curHi bound the
-	// current partition's vertex range; emitting outside it is a UDF
-	// contract violation.
-	binned       bool
+	// The scan fixes the destination partition before invoking Signal,
+	// so EmitTo appends to the current bin directly — no per-emit owner
+	// lookup. curLo/curHi bound the current partition's vertex range;
+	// emitting outside it is a UDF contract violation.
 	cur          []byte
 	curQ         int
 	curLo, curHi graph.VertexID
@@ -83,38 +80,18 @@ func (ctx *SparseCtx[M]) Edge() { ctx.edges++ }
 
 // EmitTo sends msg to dst's master slot.
 func (ctx *SparseCtx[M]) EmitTo(dst graph.VertexID, msg M) {
-	rec := 4 + ctx.size
-	if ctx.binned {
-		// The scan pinned the destination partition: append to its bin,
-		// asserting the UDF kept to the supplied adjacency slice.
-		if dst < ctx.curLo || dst >= ctx.curHi {
-			panic(fmt.Sprintf("core: sparse signal emitted to vertex %d outside partition %d [%d,%d)",
-				dst, ctx.curQ, ctx.curLo, ctx.curHi))
-		}
-		buf := ctx.cur
-		if cap(buf)-len(buf) < rec {
-			if len(buf) > 0 {
-				ctx.chunksMu.Lock()
-				ctx.chunks[ctx.curQ] = append(ctx.chunks[ctx.curQ], buf)
-				ctx.chunksMu.Unlock()
-			} else if buf != nil {
-				bufpool.Put(buf)
-			}
-			buf = bufpool.Get(emitChunkBytes)[:0]
-		}
-		off := len(buf)
-		buf = append(buf, make([]byte, rec)...)
-		binary.LittleEndian.PutUint32(buf[off:], uint32(dst))
-		ctx.codec.Encode(buf[off+4:], msg)
-		ctx.cur = buf
-		return
+	// The scan pinned the destination partition: append to its bin,
+	// asserting the UDF kept to the supplied adjacency slice.
+	if dst < ctx.curLo || dst >= ctx.curHi {
+		panic(fmt.Sprintf("core: sparse signal emitted to vertex %d outside partition %d [%d,%d)",
+			dst, ctx.curQ, ctx.curLo, ctx.curHi))
 	}
-	owner := ctx.w.cluster.part.Owner(dst)
-	buf := ctx.bufs[owner]
-	if ctx.pooled && cap(buf)-len(buf) < rec {
+	rec := 4 + ctx.size
+	buf := ctx.cur
+	if cap(buf)-len(buf) < rec {
 		if len(buf) > 0 {
 			ctx.chunksMu.Lock()
-			ctx.chunks[owner] = append(ctx.chunks[owner], buf)
+			ctx.chunks[ctx.curQ] = append(ctx.chunks[ctx.curQ], buf)
 			ctx.chunksMu.Unlock()
 		} else if buf != nil {
 			bufpool.Put(buf)
@@ -125,7 +102,7 @@ func (ctx *SparseCtx[M]) EmitTo(dst graph.VertexID, msg M) {
 	buf = append(buf, make([]byte, rec)...)
 	binary.LittleEndian.PutUint32(buf[off:], uint32(dst))
 	ctx.codec.Encode(buf[off+4:], msg)
-	ctx.bufs[owner] = buf
+	ctx.cur = buf
 }
 
 // MinFilter is the sender-side half of a min-combining sparse push (CC
@@ -214,64 +191,24 @@ func (ctx *SparseCtx[M]) beginPart(q int) {
 
 // ProcessEdgesSparse runs one sparse pass and returns the global sum of
 // slot contributions. Every frontier vertex must be a local master.
-func ProcessEdgesSparse[M any](w *Worker, params SparseParams[M]) (int64, error) {
-	if w.cluster.opts.binnedScan() && w.layout.Blocked != nil && frontierAscending(params.Frontier) {
-		return processEdgesSparseBinned(w, &params)
-	}
-	p := w.N()
-	base := w.nextTags(1)
-	g := w.cluster.g
-	w.observeStep()
-	pass := w.sparsePass
-	w.sparsePass++
-	pushStart := w.spanStart()
-
-	pooled := !w.cluster.opts.LegacyDataPlane
-	chunks := make([][][]byte, p) // per-peer buffer lists (whole records per buffer)
-	var mu sync.Mutex
-	w.parallelRange(len(params.Frontier), func(_, start, end int) {
-		ctx := &SparseCtx[M]{
-			w:        w,
-			codec:    params.Codec,
-			size:     params.Codec.Size(),
-			bufs:     make([][]byte, p),
-			pooled:   pooled,
-			chunks:   chunks,
-			chunksMu: &mu,
-		}
-		for _, src := range params.Frontier[start:end] {
-			if !w.Owns(src) {
-				panic(fmt.Sprintf("core: node %d asked to push from vertex %d it does not own", w.id, src))
-			}
-			params.Signal(ctx, src, g.OutNeighbors(src), g.OutWeights(src))
-		}
-		w.addEdges(ctx.edges)
-		mu.Lock()
-		for peer, b := range ctx.bufs {
-			if len(b) > 0 {
-				chunks[peer] = append(chunks[peer], b)
-			} else if pooled && b != nil {
-				bufpool.Put(b)
-			}
-		}
-		mu.Unlock()
-	})
-	return sparseExchange(w, &params, base, pass, pooled, chunks, pushStart)
-}
-
-// processEdgesSparseBinned is the partition-binned sparse pass (PR 9's
-// scan). The frontier is split into source blocks of the blocked CSR;
+//
+// The frontier is split into source blocks of the partition-blocked CSR;
 // for each (block, destination partition) range the scan fixes the bin
-// once and signals every frontier source's partition-restricted
-// adjacency row into it — replacing the legacy path's per-emit owner
-// binary search with a slice append, and confining the scan's writes to
-// one cache-resident bin at a time. Per destination peer the emitted
-// byte stream is identical to the legacy scan's (sources ascend across
-// blocks, adjacency order within a row), so results — including
-// first-wins slots — are bit-identical under the engine's determinism
-// contract (Workers == 1). Scan work stays frontier-proportional: rows
-// are offset lookups, never block-wide edge sweeps.
-func processEdgesSparseBinned[M any](w *Worker, params *SparseParams[M]) (int64, error) {
+// once and signals every frontier source's partition-restricted adjacency
+// row into it — a slice append per emit, the scan's writes confined to
+// one cache-resident bin at a time. Per destination peer the records
+// leave in (source, adjacency) order — sources ascend across blocks — so
+// results, including first-wins slots, are deterministic under the
+// engine's determinism contract (Workers == 1). Scan work stays
+// frontier-proportional: rows are offset lookups, never block-wide edge
+// sweeps.
+func ProcessEdgesSparse[M any](w *Worker, params SparseParams[M]) (int64, error) {
+	f := params.Frontier
+	for i := 1; i < len(f); i++ {
+		if f[i-1] >= f[i] {
+			return 0, fmt.Errorf("core: sparse frontier not strictly ascending at index %d (%d ≥ %d)", i-1, f[i-1], f[i])
+		}
+	}
 	p := w.N()
 	base := w.nextTags(1)
 	bc := w.layout.Blocked
@@ -283,7 +220,6 @@ func processEdgesSparseBinned[M any](w *Worker, params *SparseParams[M]) (int64,
 	// Group the ascending frontier into per-source-block subslices.
 	srcLo, _ := bc.SrcRange()
 	bv := bc.BlockVerts()
-	f := params.Frontier
 	var groups [][]graph.VertexID
 	for i := 0; i < len(f); {
 		if !w.Owns(f[i]) {
@@ -306,10 +242,8 @@ func processEdgesSparseBinned[M any](w *Worker, params *SparseParams[M]) (int64,
 			codec:    params.Codec,
 			size:     params.Codec.Size(),
 			bufs:     make([][]byte, p),
-			pooled:   true,
 			chunks:   chunks,
 			chunksMu: &mu,
-			binned:   true,
 		}
 		ctx.beginPart(0)
 		for _, srcs := range groups[start:end] {
@@ -336,59 +270,28 @@ func processEdgesSparseBinned[M any](w *Worker, params *SparseParams[M]) (int64,
 		}
 		mu.Unlock()
 	})
-	return sparseExchange(w, params, base, pass, true, chunks, pushStart)
-}
-
-// frontierAscending reports whether the frontier is strictly ascending —
-// the order both scans emit in. A non-ascending frontier (possible for
-// out-of-tree callers) falls back to the legacy scan, which follows
-// list order exactly.
-func frontierAscending(f []graph.VertexID) bool {
-	for i := 1; i < len(f); i++ {
-		if f[i-1] >= f[i] {
-			return false
-		}
-	}
-	return true
+	return sparseExchange(w, &params, base, pass, chunks, pushStart)
 }
 
 // sparseExchange ships the pass's per-peer buffers, applies the local
-// share, then receives and applies each peer's frame — common to both
-// scans. Remote frames arrive as one vectored frame per (peer, pass).
+// share, then receives and applies each peer's frame. Remote frames
+// arrive as one vectored frame per (peer, pass).
 func sparseExchange[M any](w *Worker, params *SparseParams[M], base int32, pass int,
-	pooled bool, chunks [][][]byte, pushStart time.Time) (int64, error) {
+	chunks [][][]byte, pushStart time.Time) (int64, error) {
 	p := w.N()
 	var reduced int64
 	for peer := 0; peer < p; peer++ {
 		if peer == w.id {
 			for _, b := range chunks[peer] {
 				reduced += applySparseUpdates(w, params, b)
-			}
-			if pooled {
-				for _, b := range chunks[peer] {
-					bufpool.Put(b)
-				}
+				bufpool.Put(b)
 			}
 			continue
 		}
-		if pooled {
-			// Vectored hand-off: no concatenation, chunks return to the
-			// slab after the write.
-			if err := w.ep.SendBufs(comm.NodeID(peer), comm.KindUpdate, base, comm.Buffers(chunks[peer])); err != nil {
-				return 0, err
-			}
-		} else {
-			var total int
-			for _, b := range chunks[peer] {
-				total += len(b)
-			}
-			payload := make([]byte, 0, total)
-			for _, b := range chunks[peer] {
-				payload = append(payload, b...)
-			}
-			if err := w.ep.Send(comm.NodeID(peer), comm.KindUpdate, base, payload); err != nil {
-				return 0, err
-			}
+		// Vectored hand-off: no concatenation, chunks return to the slab
+		// after the write.
+		if err := w.ep.SendBufs(comm.NodeID(peer), comm.KindUpdate, base, comm.Buffers(chunks[peer])); err != nil {
+			return 0, err
 		}
 	}
 	w.endSpan(obs.PhaseSparsePush, pass, -1, -1, pushStart)

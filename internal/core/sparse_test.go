@@ -108,6 +108,56 @@ func TestSparseEmptyFrontier(t *testing.T) {
 	}
 }
 
+// TestSparseFrontierMustAscend: a frontier that is not strictly ascending
+// — descending, or with a vertex listed twice — fails the pass on every
+// node with an error naming the offending pair, before anything is
+// signalled or sent; there is no second scan to fall back to.
+func TestSparseFrontierMustAscend(t *testing.T) {
+	g := graph.RMAT(9, 8, graph.Graph500Params(), 3) // every one of three machines owns vertices
+	for name, build := range map[string]func(lo, hi int) []graph.VertexID{
+		"descending": func(lo, hi int) []graph.VertexID {
+			return []graph.VertexID{graph.VertexID(lo), graph.VertexID(hi - 1), graph.VertexID(hi - 2)}
+		},
+		"duplicate": func(lo, hi int) []graph.VertexID {
+			return []graph.VertexID{graph.VertexID(lo), graph.VertexID(lo + 1), graph.VertexID(lo + 1)}
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			c := mustCluster(t, g, Options{NumNodes: 3})
+			errs := make([]error, 3)
+			err := c.Run(func(w *Worker) error {
+				lo, hi := w.MasterRange()
+				_, err := ProcessEdgesSparse(w, SparseParams[uint32]{
+					Codec:    U32Codec{},
+					Frontier: build(lo, hi),
+					Signal: func(*SparseCtx[uint32], graph.VertexID, []graph.VertexID, []float32) {
+						t.Error("signal ran for a rejected frontier")
+					},
+					Slot: func(graph.VertexID, uint32) int64 { return 1 },
+				})
+				errs[w.ID()] = err
+				return err
+			})
+			if err == nil {
+				t.Fatal("run succeeded")
+			}
+			for node, err := range errs {
+				lo, hi := c.Partition().Range(node)
+				want := fmt.Sprintf("core: sparse frontier not strictly ascending at index 1 (%d ≥ %d)", hi-1, hi-2)
+				if name == "duplicate" {
+					want = fmt.Sprintf("core: sparse frontier not strictly ascending at index 1 (%d ≥ %d)", lo+1, lo+1)
+				}
+				if err == nil || err.Error() != want {
+					t.Fatalf("node %d: error %v, want %q", node, err, want)
+				}
+			}
+			if s := c.Stats().Totals; s.UpdateMessages != 0 || s.EdgesTraversed != 0 {
+				t.Fatalf("a rejected frontier still moved: %+v", s)
+			}
+		})
+	}
+}
+
 // TestSparseThenDenseInterleaved ensures tag bookkeeping stays aligned
 // when passes alternate (as direction-optimizing BFS does).
 func TestSparseThenDenseInterleaved(t *testing.T) {

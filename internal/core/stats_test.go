@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -126,23 +127,19 @@ func TestStatsNodeSharesSumToTotals(t *testing.T) {
 }
 
 // TestStatsTracerPhases checks that an attached tracer yields per-phase
-// histograms in the snapshot, covering dense steps, waits and barriers —
-// under both scan paths, whose framing (and therefore span counts)
-// differ: the legacy scan sends one dependency frame per (step, buffer
-// group), the binned scan one per step (none for blocks with no tracked
-// vertices) and splits DenseStep into scan/bin/flush sub-phases.
+// histograms in the snapshot, covering dense steps, their scan/bin/flush
+// sub-phases, waits and barriers — at NumBuffers 1, 2 and 3, whose
+// framing (and therefore span counts) differ: a step exchanges one
+// dependency segment per non-empty range of the destination partition's
+// tracked index space, none for a partition that tracks nothing.
 func TestStatsTracerPhases(t *testing.T) {
-	g := graph.RMAT(9, 8, graph.Graph500Params(), 11)
-	for _, legacyScan := range []bool{true, false} {
-		name := "binned"
-		if legacyScan {
-			name = "legacy"
-		}
-		t.Run(name, func(t *testing.T) {
+	g := graph.RMAT(11, 8, graph.Graph500Params(), 11) // 34–132 tracked per partition: up to three segments
+	for _, B := range []int{1, 2, 3} {
+		t.Run(fmt.Sprintf("B=%d", B), func(t *testing.T) {
 			tr := obs.NewTracer()
 			c := mustCluster(t, g, Options{
-				NumNodes: 4, Mode: ModeSympleGraph, DepThreshold: 8, NumBuffers: 2,
-				Tracer: tr, LegacyScan: legacyScan,
+				NumNodes: 4, Mode: ModeSympleGraph, DepThreshold: 8, NumBuffers: B,
+				Tracer: tr,
 			})
 			if err := c.Run(denseCountProgram(true)); err != nil {
 				t.Fatal(err)
@@ -167,36 +164,21 @@ func TestStatsTracerPhases(t *testing.T) {
 			if len(nodesSeen) != 4 {
 				t.Fatalf("phases cover %d nodes", len(nodesSeen))
 			}
-			if legacyScan {
-				// Each node receives and forwards (p-1)×B dependency
-				// frames; no binned sub-phases exist on this path.
-				if byPhase[obs.PhaseDepWait] != 4*3*2 {
-					t.Fatalf("DepWait count %d, want 24", byPhase[obs.PhaseDepWait])
-				}
-				if byPhase[obs.PhaseBufferFlush] != 4*3*2 {
-					t.Fatalf("BufferFlush count %d, want 24", byPhase[obs.PhaseBufferFlush])
-				}
-				for _, ph := range []obs.Phase{obs.PhaseDenseScan, obs.PhaseDenseBin, obs.PhaseDenseFlush} {
-					if byPhase[ph] != 0 {
-						t.Fatalf("%v count %d on the legacy scan", ph, byPhase[ph])
-					}
-				}
-				return
+			// A partition's block crosses p-1 = 3 ring hops, one segment
+			// per non-empty range each.
+			segments := DepSegments(c.class.Highs, B)
+			if B > 1 && segments <= int64(len(c.class.Highs)) {
+				t.Fatalf("%d segments over %d partitions: NumBuffers %d splits nothing", segments, len(c.class.Highs), B)
 			}
-			// Binned: one batched dependency frame per step, and only for
-			// blocks whose destination partition has tracked vertices.
-			trackedParts := int64(0)
-			for _, highs := range c.class.Highs {
-				if len(highs) > 0 {
-					trackedParts++
-				}
-			}
-			wantDep := 3 * trackedParts // (p-1) × partitions with tracked vertices
+			wantDep := 3 * segments
 			if byPhase[obs.PhaseDepWait] != wantDep {
 				t.Fatalf("DepWait count %d, want %d", byPhase[obs.PhaseDepWait], wantDep)
 			}
 			if byPhase[obs.PhaseDenseBin] != wantDep {
 				t.Fatalf("DenseBin count %d, want %d", byPhase[obs.PhaseDenseBin], wantDep)
+			}
+			if got := s.Totals.DependencyMessages; got != wantDep {
+				t.Fatalf("%d dependency frames, want %d", got, wantDep)
 			}
 			// Dep flushes plus one update flush per remote step.
 			if byPhase[obs.PhaseDenseFlush] != wantDep+4*3 {
@@ -206,7 +188,7 @@ func TestStatsTracerPhases(t *testing.T) {
 				t.Fatalf("DenseScan count %d, want ≥ 16", byPhase[obs.PhaseDenseScan])
 			}
 			if byPhase[obs.PhaseBufferFlush] != 0 {
-				t.Fatalf("BufferFlush count %d on the binned scan", byPhase[obs.PhaseBufferFlush])
+				t.Fatalf("BufferFlush count %d: no path emits it", byPhase[obs.PhaseBufferFlush])
 			}
 		})
 	}
@@ -248,6 +230,8 @@ func TestOptionErrorsNameFlags(t *testing.T) {
 	}{
 		{Options{NumNodes: 0}, "-nodes"},
 		{Options{NumNodes: 2, DepThreshold: -1}, "-threshold"},
+		{Options{NumNodes: 2, NumBuffers: maxNumBuffers + 1}, "-buffers"},
+		{Options{NumNodes: 2, NumBuffers: 1000000000}, "-buffers"},
 		{Options{NumNodes: 2, Mode: Mode(99)}, "-mode"},
 	}
 	for _, tc := range cases {

@@ -17,6 +17,17 @@ func mustCluster(t testing.TB, g *graph.Graph, opts Options) *Cluster {
 	return c
 }
 
+// buffersCases is the NumBuffers dimension of the matrix tests. The first
+// two cells keep the labels they carried while the dimension was the scan
+// generation — "legacy" framing was one dependency frame per (step,
+// buffer group), which is what NumBuffers > 1 does on the one driver, and
+// the binned scan's one frame per step is NumBuffers 1 — so test ids stay
+// comparable across the retirement of that flag.
+var buffersCases = []struct {
+	label   string
+	buffers int
+}{{"legacy=false", 1}, {"legacy=true", 2}, {"B=3", 3}}
+
 func TestClusterOptionValidation(t *testing.T) {
 	g := graph.Ring(8)
 	if _, err := NewCluster(g, Options{NumNodes: 0}); err == nil {

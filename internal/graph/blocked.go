@@ -21,8 +21,7 @@ import "fmt"
 // Iterating a fixed (block, partition) pair visits sources in
 // ascending ID order and, within a source, edges in adjacency order —
 // exactly the flat scan's order restricted to that partition. The
-// binned scans rely on this to reproduce the legacy scan's per-peer
-// byte streams bit-identically.
+// sparse scan relies on this for deterministic per-peer byte streams.
 type BlockedCSR struct {
 	g *Graph
 

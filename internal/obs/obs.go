@@ -30,7 +30,8 @@ import "fmt"
 // the paper's cost model (§5, §7): dense edge processing is dominated
 // by per-step computation (PhaseDenseStep), the synchronization costs
 // double buffering is designed to hide show up as PhaseDepWait and
-// PhaseUpdateWait, and dependency-frame forwarding is PhaseBufferFlush.
+// PhaseUpdateWait, and dependency-segment forwarding is PhaseDenseBin
+// plus PhaseDenseFlush.
 type Phase uint8
 
 const (
@@ -48,8 +49,10 @@ const (
 	PhaseUpdateWait
 	// PhaseBarrier is time spent in inter-iteration barriers.
 	PhaseBarrier
-	// PhaseBufferFlush is the send of one buffer group's dependency
-	// frame to the left neighbor.
+	// PhaseBufferFlush is recorded by no engine path: sending a
+	// dependency segment is PhaseDenseBin plus PhaseDenseFlush. It
+	// stays declared so the later phases keep their numbers and readers
+	// that map every phase to a metric key keep compiling.
 	PhaseBufferFlush
 	// PhaseCheckpoint is the serialization and storage of one node's
 	// superstep checkpoint.
@@ -57,16 +60,18 @@ const (
 	// PhaseRecovery is cluster re-formation plus checkpoint restore
 	// after a failed run.
 	PhaseRecovery
-	// PhaseDenseScan is the binned dense scan's signal loop over one
-	// (block, degree-class) slice: edge reads and bin appends, no
-	// transport. Sub-phase of PhaseDenseStep.
+	// PhaseDenseScan is the dense step's signal loop over one stream of
+	// a block — the low-degree stream, or one double-buffering range of
+	// the tracked stream: edge reads and bin appends, no transport.
+	// Sub-phase of PhaseDenseStep.
 	PhaseDenseScan
-	// PhaseDenseBin is frame assembly in the binned dense step:
-	// encoding the batched dependency frame from the step's skip/lane
-	// state. Sub-phase of PhaseDenseStep.
+	// PhaseDenseBin is frame assembly in the dense step: encoding one
+	// range's dependency segment from the step's skip/lane state.
+	// Sub-phase of PhaseDenseStep.
 	PhaseDenseBin
-	// PhaseDenseFlush is the vectored hand-off of a step's bins (one
-	// SendBufs per peer) in the binned dense step. Sub-phase of
+	// PhaseDenseFlush is a vectored hand-off in the dense step (one
+	// SendBufs): a dependency segment to the left neighbor, or the
+	// step's update bins to the block's master. Sub-phase of
 	// PhaseDenseStep.
 	PhaseDenseFlush
 	// NumPhases is the number of phases; valid phases are < NumPhases.

@@ -360,24 +360,27 @@ func TestMutateChaos(t *testing.T) {
 }
 
 // TestMutateBinnedScanIdentity drives the real POST /mutate route on
-// two servers that differ only in the engine's scan path (binned vs
-// legacy), then compares answers on the parent epoch and on the
-// post-commit epoch for a mix of dense- and sparse-heavy algorithms.
-// Every epoch advance rebuilds engines from the new snapshot, so this
-// proves the partition-blocked CSR is re-derived correctly (not carried
-// stale) across mutations reaching the engine through the serving
-// layer.
+// three servers that differ only in the engine's NumBuffers (1, 2, 3),
+// then compares answers on the parent epoch and on the post-commit epoch
+// for a mix of dense- and sparse-heavy algorithms: results, epochs, edges
+// traversed, update and control bytes equal NumBuffers 1's, and
+// dependency bytes differ only by whole 13-byte frame headers — more of
+// them for the programs that pull. Every epoch advance rebuilds engines
+// from the new snapshot, so this proves the partition-blocked CSR and
+// the range cuts are re-derived correctly (not carried stale) across
+// mutations reaching the engine through the serving layer.
 func TestMutateBinnedScanIdentity(t *testing.T) {
-	g := graph.Symmetrize(graph.RMAT(8, 8, graph.Graph500Params(), 17))
-	servers := map[string]*httptest.Server{}
-	for name, legacy := range map[string]bool{"binned": false, "legacy": true} {
+	g := graph.Symmetrize(graph.RMAT(10, 8, graph.Graph500Params(), 17)) // enough tracked vertices per partition to split
+	buffers := []int{1, 2, 3}
+	servers := map[int]*httptest.Server{}
+	for _, B := range buffers {
 		s := testServer(t, Config{
 			Graphs: map[string]*graph.Graph{"g": g},
-			Engine: core.Options{NumNodes: 4, Mode: core.ModeSympleGraph, DepThreshold: 8, NumBuffers: 2, LegacyScan: legacy},
+			Engine: core.Options{NumNodes: 4, Mode: core.ModeSympleGraph, DepThreshold: 8, NumBuffers: B},
 		})
 		ts := httptest.NewServer(s.Handler())
 		defer ts.Close()
-		servers[name] = ts
+		servers[B] = ts
 	}
 
 	batch := MutateRequest{
@@ -388,35 +391,48 @@ func TestMutateBinnedScanIdentity(t *testing.T) {
 		},
 		Verify: true,
 	}
-	epochs := map[string]uint64{}
-	for name, ts := range servers {
+	epochs := map[int]uint64{}
+	for B, ts := range servers {
 		code, mr, body := postMutate(t, ts.URL, batch)
 		if code != http.StatusOK || !mr.Verified {
-			t.Fatalf("%s mutate: %d %s", name, code, body)
+			t.Fatalf("NumBuffers %d mutate: %d %s", B, code, body)
 		}
-		epochs[name] = mr.Epoch
+		epochs[B] = mr.Epoch
 	}
-	if epochs["binned"] != epochs["legacy"] {
+	if epochs[1] != epochs[2] || epochs[1] != epochs[3] {
 		t.Fatalf("epoch skew: %v", epochs)
 	}
 
-	queries := []string{
-		"algo=bfs&root=1", "algo=cc", "algo=kcore&k=4", "algo=sssp&root=1", "algo=pagerank&iters=4",
+	queries := []struct {
+		q     string
+		pulls bool // every run makes dense passes, so more ranges means more frames
+	}{
+		{"algo=bfs&root=1", false}, {"algo=cc", false}, {"algo=kcore&k=4", true},
+		{"algo=sssp&root=1", false}, {"algo=pagerank&iters=4", true},
 	}
 	for _, q := range queries {
-		for _, pin := range []string{"", fmt.Sprintf("&epoch=%d", epochs["binned"]-1)} {
-			url := "/query?graph=g&no_cache=1&" + q + pin
-			code, binned, body := getResponse(t, servers["binned"].URL+url)
+		for _, pin := range []string{"", fmt.Sprintf("&epoch=%d", epochs[1]-1)} {
+			url := "/query?graph=g&no_cache=1&" + q.q + pin
+			code, one, body := getResponse(t, servers[1].URL+url)
 			if code != http.StatusOK {
-				t.Fatalf("binned %s: %d %s", url, code, body)
+				t.Fatalf("NumBuffers 1 %s: %d %s", url, code, body)
 			}
-			code, legacy, body := getResponse(t, servers["legacy"].URL+url)
-			if code != http.StatusOK {
-				t.Fatalf("legacy %s: %d %s", url, code, body)
-			}
-			if !reflect.DeepEqual(binned.Result, legacy.Result) || binned.Epoch != legacy.Epoch {
-				t.Fatalf("%s: binned %+v (epoch %d) != legacy %+v (epoch %d)",
-					url, binned.Result, binned.Epoch, legacy.Result, legacy.Epoch)
+			for _, B := range buffers[1:] {
+				code, got, body := getResponse(t, servers[B].URL+url)
+				if code != http.StatusOK {
+					t.Fatalf("NumBuffers %d %s: %d %s", B, url, code, body)
+				}
+				if !reflect.DeepEqual(got.Result, one.Result) || got.Epoch != one.Epoch {
+					t.Fatalf("%s: NumBuffers %d %+v (epoch %d) != NumBuffers 1 %+v (epoch %d)",
+						url, B, got.Result, got.Epoch, one.Result, one.Epoch)
+				}
+				extra := got.Engine.DependencyBytes - one.Engine.DependencyBytes
+				want := one.Engine
+				want.DependencyBytes += extra
+				if got.Engine != want || extra < 0 || extra%13 != 0 || (q.pulls && extra == 0) {
+					t.Fatalf("%s: NumBuffers %d engine stats %+v, NumBuffers 1 %+v: want a difference of whole dependency frame headers only",
+						url, B, got.Engine, one.Engine)
+				}
 			}
 		}
 	}
