@@ -3,9 +3,9 @@
 # layer, run the seeded chaos soak, the sgserve process smoke test, then
 # the full suite (which includes the CLI trace smoke test and the
 # sustained serving load test).
-.PHONY: verify build vet lint lint-check test race smoke serve-smoke serve-dist-smoke chaos fleet-chaos mutate-chaos bench-build microbench-smoke inline-check size
+.PHONY: verify build vet lint lint-check test race smoke serve-smoke serve-dist-smoke chaos fleet-chaos mutate-chaos bench-build microbench-smoke fuzz-smoke inline-check size
 
-verify: build inline-check bench-build microbench-smoke lint lint-check race chaos fleet-chaos mutate-chaos serve-smoke serve-dist-smoke test
+verify: build inline-check bench-build microbench-smoke fuzz-smoke lint lint-check race chaos fleet-chaos mutate-chaos serve-smoke serve-dist-smoke test
 
 build:
 	go build ./...
@@ -43,6 +43,14 @@ inline-check:
 microbench-smoke:
 	go test -run '^$$' -bench . -benchtime 1x ./internal/graph ./internal/partition ./internal/mutate ./internal/core ./internal/algorithms ./internal/bitset ./internal/bufpool
 
+# The two analysis front ends that must hold on any parseable Go, fuzzed
+# for 15 s each: the instrumenter (output parses, is a fixed point, and
+# leaves the checker no uncovered break — all of which rest on go/types
+# tolerating whatever the parser accepts) and sgvet's CFG builder.
+fuzz-smoke:
+	go test -run '^$$' -fuzz FuzzInstrument -fuzztime 15s ./internal/analyzer
+	go test -run '^$$' -fuzz FuzzCFGBuild -fuzztime 15s ./internal/sgvet
+
 # Project-invariant lint: the full sgvet suite (nine analyzers; the
 # flow-sensitive engine backs bufown, lockorder and leakgo) over the
 # whole module, with the per-analyzer wall-time report and a JSON
@@ -59,16 +67,18 @@ lint-check:
 	go run ./cmd/sgvet -check-artifact sgvet-findings.json
 
 # The numbers ROADMAP aim 2 asks every deletion PR to report before and
-# after: non-test Go lines (the repo outside benchmark/, and the engine's
-# two hot packages), the exported surface of the engine and the harness
-# (declarations, methods, fields and grouped constants, one per line of
-# `go doc -all`), core.Options fields, and the flags each command defines
-# (internal/cliutil holds the groups several commands share).
+# after: non-test Go lines (the repo outside benchmark/, the engine's two
+# hot packages, and the §4 tool), the exported surface of the engine, the
+# harness and the §4 analysis (declarations, methods, fields and grouped
+# constants, one per line of `go doc -all`), core.Options fields, and the
+# flags each command defines (internal/cliutil holds the groups several
+# commands share).
 FLAGDEF = \b(flag|fs|f)\.(Bool|Int|Int64|Uint|Uint64|Float64|String|Duration|Var|Func)(Var)?\(
 size:
 	@echo "non-test Go LOC, repo: $$(find . -name '*.go' ! -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l)"
 	@echo "non-test Go LOC, internal/core + internal/comm: $$(find internal/core internal/comm -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
-	@for p in core comm bench; do \
+	@echo "non-test Go LOC, internal/analyzer/... + cmd/sgc: $$(find internal/analyzer cmd/sgc -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
+	@for p in core comm bench analyzer analyzer/typed; do \
 		echo "exported identifiers, internal/$$p: $$(go doc -all ./internal/$$p | grep -cE '^(func|type) |^(const|var) [A-Z]|^	[A-Z]')"; \
 	done
 	@echo "core.Options fields: $$(go doc ./internal/core Options | grep -c '^	[A-Z]')"

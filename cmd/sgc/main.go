@@ -6,10 +6,12 @@
 //
 // Usage:
 //
-//	sgc analyze udf.go            # print the dependency report
-//	sgc analyze -r ./pkg          # analyze every .go file under a directory
-//	sgc analyze -typed ./pkg      # type-resolved analysis (whole package,
-//	                              # aliased contexts, helper breaks)
+//	sgc analyze udf.go            # print the dependency report of one file,
+//	                              # taken in isolation
+//	sgc analyze ./pkg             # every .go file under a directory, each in
+//	                              # isolation
+//	sgc analyze -typed ./pkg      # load the whole package: imported types
+//	                              # resolve, helper breaks are followed
 //	sgc analyze -json udf.go      # machine-readable report (stable schema)
 //	sgc instrument udf.go         # print instrumented source to stdout
 //	sgc instrument -w udf.go      # rewrite the file in place
@@ -34,9 +36,8 @@ func main() {
 	fs := flag.NewFlagSet(mode, flag.ExitOnError)
 	write := fs.Bool("w", false, "rewrite files in place (instrument)")
 	out := fs.String("o", "", "output path (instrument; default stdout)")
-	recursive := fs.Bool("r", false, "treat arguments as directories (analyze)")
-	verbose := fs.Bool("v", false, "verbose: include files without signal UDFs, print reports while instrumenting")
-	useTyped := fs.Bool("typed", false, "type-resolved analysis: load whole packages, resolve aliases and helper calls (analyze)")
+	verbose := fs.Bool("v", false, "verbose: include targets without signal UDFs, print reports while instrumenting")
+	useTyped := fs.Bool("typed", false, "load whole packages: imported types resolve and helper calls are followed (analyze)")
 	asJSON := fs.Bool("json", false, "emit the report as JSON (analyze)")
 	if err := fs.Parse(os.Args[2:]); err != nil {
 		fatalf("%v", err)
@@ -48,40 +49,25 @@ func main() {
 
 	switch mode {
 	case "analyze":
-		if *useTyped || *asJSON {
-			analyzeDocument(files, *useTyped, *asJSON, *verbose)
-			return
+		doc, err := typed.AnalyzeTargets(*useTyped, files...)
+		if err != nil {
+			fatalf("%v", err)
 		}
-		if *recursive {
-			for _, dir := range files {
-				reports, err := analyzer.AnalyzeDir(dir)
-				if err != nil {
-					fatalf("%v", err)
-				}
-				for _, fr := range reports {
-					if len(fr.Report.Funcs) == 0 {
-						if *verbose {
-							fmt.Printf("== %s ==\n(no signal UDFs)\n", fr.Path)
-						}
-						continue
-					}
-					fmt.Printf("== %s ==\n%s", fr.Path, fr.Report)
-				}
-				signals, carried := analyzer.Summary(reports)
-				fmt.Printf("-- %s: %d signal UDFs, %d with loop-carried dependency\n", dir, signals, carried)
-			}
-			return
-		}
-		for _, path := range files {
-			src, err := os.ReadFile(path)
+		if *asJSON {
+			b, err := doc.MarshalIndent()
 			if err != nil {
 				fatalf("%v", err)
 			}
-			rep, err := analyzer.Analyze(path, src)
-			if err != nil {
-				fatalf("%v", err)
+			os.Stdout.Write(b)
+			return
+		}
+		for i := range doc.Packages {
+			pr := &doc.Packages[i]
+			if len(pr.Funcs) == 0 && !*verbose {
+				continue
 			}
-			fmt.Printf("== %s ==\n%s", path, rep)
+			fmt.Printf("== %s (%s) ==\n%s", pr.ImportPath, doc.Mode, pr)
+			fmt.Printf("-- %s: %d signal UDFs, %d with loop-carried dependency\n", pr.Dir, len(pr.Funcs), len(pr.LoopCarriedFuncs()))
 		}
 	case "instrument":
 		for _, path := range files {
@@ -116,40 +102,8 @@ func main() {
 	}
 }
 
-// analyzeDocument is the document-shaped analyze path behind -typed and
-// -json: typed whole-package analysis (with syntactic fallback for
-// targets outside a module), or the forced syntactic pass when -typed is
-// absent, rendered as JSON or human-readable reports.
-func analyzeDocument(targets []string, useTyped, asJSON, verbose bool) {
-	var doc *typed.Document
-	var err error
-	if useTyped {
-		doc, err = typed.AnalyzeTargets(targets...)
-	} else {
-		doc, err = typed.AnalyzeTargetsSyntactic(targets...)
-	}
-	if err != nil {
-		fatalf("%v", err)
-	}
-	if asJSON {
-		b, err := doc.MarshalIndent()
-		if err != nil {
-			fatalf("%v", err)
-		}
-		os.Stdout.Write(b)
-		return
-	}
-	for i := range doc.Packages {
-		pr := &doc.Packages[i]
-		if len(pr.Funcs) == 0 && !verbose {
-			continue
-		}
-		fmt.Printf("== %s (%s) ==\n%s", pr.ImportPath, doc.Mode, pr)
-	}
-}
-
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: sgc analyze [-r] [-typed] [-json] [-v] target... | sgc instrument [-w] [-o out.go] [-v] file.go...")
+	fmt.Fprintln(os.Stderr, "usage: sgc analyze [-typed] [-json] [-v] target... | sgc instrument [-w] [-o out.go] [-v] file.go...")
 	os.Exit(2)
 }
 

@@ -1,24 +1,34 @@
 // Package analyzer is SympleGraph's UDF analysis and instrumentation tool
-// (paper §4), reimplemented over go/ast instead of clang LibTooling. It
-// performs the paper's two passes on Go source containing signal UDFs:
+// (paper §4), reimplemented over go/ast and go/types instead of clang
+// LibTooling. One walker (walker.go) produces one per-loop record, and
+// everything else derives from it:
 //
-//  1. Analysis — locate dense-signal functions (parameters include a
-//     *core.DenseCtx[...] context and a neighbor slice), find the loops
-//     that traverse neighbors, and decide whether loop-carried dependency
-//     exists: a break bound to the neighbor loop (control dependency),
-//     possibly together with accumulators declared outside the loop and
-//     updated inside it (data dependency, e.g. K-core's count and
-//     sampling's prefix sum).
-//  2. Instrumentation — a source-to-source transformation that inserts
-//     the framework's dependency-communication primitives: ctx.EmitDep()
-//     before each neighbor-loop break (the paper's emit_dep, Figure 5)
-//     and ctx.Edge() at the top of the loop body (traversal accounting).
-//     The receive_dep/skip check of Figure 5 is performed by the engine
-//     before the signal is invoked, so no code is inserted for it.
+//  1. Analysis — locate dense-signal functions (a *core.DenseCtx[M]
+//     context parameter and a []graph.VertexID neighbor slice), follow
+//     local aliases of both, find the loops that traverse neighbors, and
+//     list each loop's early exits: breaks bound to the loop (plain or
+//     labeled), continues to an enclosing loop, returns inside it, and — in a loaded package — exits of
+//     package-local helpers the slice is handed to. An exit is covered
+//     when ctx.EmitDep() is the statement before it. Variables declared
+//     outside the loop and written inside it are the candidate
+//     loop-carried data state (K-core's count, sampling's prefix sum).
+//  2. Instrumentation — a source-to-source transformation (instrument.go)
+//     that inserts ctx.EmitDep() before each uncovered break the record
+//     lists (the paper's emit_dep, Figure 5) and ctx.Edge() at the top of
+//     the loop body (traversal accounting). The receive_dep/skip check of
+//     Figure 5 is performed by the engine before the signal is invoked,
+//     so no code is inserted for it.
 //
-// The analyzer is purely syntactic: it keys on the *DenseCtx parameter
-// shape rather than resolved types, so it works on isolated files the way
-// the paper's tool works on isolated translation units.
+// The walker runs over go/types resolution in two settings. AnalyzeFiles
+// takes the files of a loaded, type-checked package (internal/loader via
+// analyzer/typed; sgvet's depbreak) and follows helpers four hops deep.
+// Analyze and Instrument take one isolated file, the way the paper's tool
+// takes one translation unit: the file is type-checked on its own with an
+// importer that resolves nothing, so parameters, := aliases, the builtin
+// len and in-file declarations all resolve and only imported types come
+// back invalid — there, and only there, the parameter's spelled type
+// decides (isDenseCtxPtr, isVertexSlice) — and helpers are not followed:
+// one function at a time, the prototype's limit.
 package analyzer
 
 import (
@@ -26,54 +36,132 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
+	"path"
+	"path/filepath"
 	"strings"
 )
 
-// LoopReport describes one neighbor-traversal loop inside a signal UDF.
+// Instrumentation state of a signal UDF.
+const (
+	// InstrumentedNotNeeded — no neighbor-loop early exit, nothing to
+	// instrument.
+	InstrumentedNotNeeded = "not-needed"
+	// InstrumentedYes — every neighbor-loop early exit is immediately
+	// preceded by ctx.EmitDep().
+	InstrumentedYes = "yes"
+	// InstrumentedPartial — some early exits are covered, others not:
+	// the paper Listing 2 manual-fix failure class.
+	InstrumentedPartial = "partial"
+	// InstrumentedNo — early exits exist and none is covered.
+	InstrumentedNo = "no"
+)
+
+// CarriedVar is one loop-carried data-dependency candidate: a variable
+// declared outside the neighbor loop and written inside it — a
+// DepMessage data member in the paper's terms.
+type CarriedVar struct {
+	Name string `json:"name"`
+	// Type is the variable's resolved type; empty when it does not
+	// resolve (an imported type in an isolated file).
+	Type string `json:"type,omitempty"`
+	// Access is "write" or "readwrite". An accumulator the loop both
+	// reads and updates (cnt++, sum += w) is "readwrite" — true carried
+	// state; a write-only variable is a result slot.
+	Access string `json:"access"`
+}
+
+// InterBreak is an interprocedural early exit: the UDF (or a helper)
+// passes the neighbor slice to a callee whose loop over it exits early.
+type InterBreak struct {
+	// Callee is the helper's name.
+	Callee string `json:"callee"`
+	// CallLine is the call site's line in the caller.
+	CallLine int `json:"call_line"`
+	// ExitLine is the early exit's line inside the (possibly nested)
+	// callee.
+	ExitLine int `json:"exit_line"`
+	// Depth is the call depth (1 = direct helper).
+	Depth int `json:"depth"`
+	// Covered reports that the helper emits the dependency itself
+	// (ctx.EmitDep() immediately before the exit).
+	Covered bool `json:"covered"`
+}
+
+// LoopReport is the record of one neighbor-traversal loop.
 type LoopReport struct {
-	// Line is the loop's 1-based source line.
-	Line int
-	// HasBreak reports a break statement bound to this loop — the
-	// loop-carried control dependency.
-	HasBreak bool
-	// Breaks counts such break statements.
-	Breaks int
-	// LocalBreaks counts bound breaks annotated //sgc:local: declared
-	// machine-local early exits (e.g. a re-walk of neighbors already
-	// fully scanned) that are not loop-carried dependencies and must
-	// not be instrumented.
-	LocalBreaks int
-	// CarriedVars lists variables declared outside the loop and
-	// assigned inside it — candidate loop-carried data-dependency state
-	// (the paper's DepMessage data members).
-	CarriedVars []string
+	Line int `json:"line"`
+	// Breaks counts branch statements that leave the loop: plain breaks
+	// bound to it, labeled breaks whose label lies outside its body, and
+	// continues to an enclosing loop's label.
+	Breaks int `json:"breaks"`
+	// Returns counts return statements inside the loop.
+	Returns int `json:"returns,omitempty"`
+	// LocalExits counts early exits annotated //sgc:local — intentional
+	// machine-local breaks that are not loop-carried dependencies (e.g.
+	// a re-walk of neighbors already fully scanned). They need no
+	// EmitDep and are excluded from Breaks/Returns.
+	LocalExits int `json:"local_exits,omitempty"`
+	// UncoveredExits lists the lines of breaks/returns not immediately
+	// preceded by ctx.EmitDep().
+	UncoveredExits []int `json:"uncovered_exits,omitempty"`
+	// UncoveredReturns is the subset of UncoveredExits that are return
+	// statements: Instrument patches breaks only, a return needs its
+	// ctx.EmitDep() written by hand.
+	UncoveredReturns []int `json:"uncovered_returns,omitempty"`
+	// Carried lists loop-carried data-dependency candidates.
+	Carried []CarriedVar `json:"carried,omitempty"`
+
+	// What Instrument rewrites: the loop body, whether it already opens
+	// with ctx.Edge(), and the uncovered breaks.
+	body  *ast.BlockStmt
+	edged bool
+	patch []exit
 }
 
-// FuncReport describes one analyzed signal UDF.
+// FuncReport describes one signal UDF.
 type FuncReport struct {
-	// Name is the function name, or "<anonymous>" for function
-	// literals.
-	Name string
-	// Line is the function's 1-based source line.
-	Line int
-	// CtxParam and NeighborParam are the identified parameter names.
-	CtxParam, NeighborParam string
-	// Loops lists the neighbor-traversal loops found.
-	Loops []LoopReport
-	// LoopCarried reports whether any neighbor loop breaks — i.e. the
-	// UDF needs dependency propagation.
-	LoopCarried bool
-	// AlreadyInstrumented reports that the function contains EmitDep
-	// calls; instrumentation will leave it unchanged.
-	AlreadyInstrumented bool
+	// Name is the function name, or "<anonymous>" for function literals.
+	Name string `json:"name"`
+	File string `json:"file"`
+	Line int    `json:"line"`
+	// Path is the file's full path (excluded from JSON, which keeps the
+	// stable base name in File).
+	Path string `json:"-"`
+
+	CtxParam      string `json:"ctx_param"`
+	NeighborParam string `json:"neighbor_param"`
+	// MsgType is the DenseCtx type argument (the update-message type M),
+	// where it resolves.
+	MsgType string `json:"msg_type,omitempty"`
+
+	Loops []LoopReport `json:"loops"`
+	// InterBreaks lists early exits reached through helpers.
+	InterBreaks []InterBreak `json:"inter_breaks,omitempty"`
+
+	// LoopCarried reports whether any path — direct or through a
+	// helper — exits neighbor traversal early.
+	LoopCarried bool `json:"loop_carried"`
+	// Instrumented is one of the Instrumented* constants.
+	Instrumented string `json:"instrumented"`
+
+	// emitsDep records an EmitDep call anywhere in the function — it was
+	// instrumented before, by hand or by an earlier pass. Instrument
+	// still adds the EmitDep calls it lacks but leaves its traversal
+	// accounting as written.
+	emitsDep bool
 }
 
-// Report is the analysis result for one source file.
+// Report is the analysis of one package, or of one isolated file or
+// directory of isolated files.
 type Report struct {
-	Funcs []FuncReport
+	ImportPath string       `json:"import_path"`
+	Dir        string       `json:"dir,omitempty"`
+	Funcs      []FuncReport `json:"funcs"`
+	TypeErrors []string     `json:"type_errors,omitempty"`
 }
 
-// LoopCarriedFuncs returns the names of functions needing dependency
+// LoopCarriedFuncs returns the names of UDFs needing dependency
 // propagation.
 func (r *Report) LoopCarriedFuncs() []string {
 	var out []string
@@ -85,412 +173,101 @@ func (r *Report) LoopCarriedFuncs() []string {
 	return out
 }
 
-// Analyze parses src (a complete Go file; filename is for positions) and
-// runs the analysis pass.
-func Analyze(filename string, src []byte) (*Report, error) {
-	fset := token.NewFileSet()
-	file, err := parser.ParseFile(fset, filename, src, parser.ParseComments)
-	if err != nil {
-		return nil, fmt.Errorf("analyzer: %w", err)
-	}
-	return analyzeFile(fset, file), nil
-}
-
-func analyzeFile(fset *token.FileSet, file *ast.File) *Report {
-	rep := &Report{}
-	local := LocalDirectiveLines(fset, file)
-	ast.Inspect(file, func(n ast.Node) bool {
-		switch fn := n.(type) {
-		case *ast.FuncDecl:
-			if fr, ok := analyzeFunc(fset, fn.Name.Name, fn.Type, fn.Body, local); ok {
-				rep.Funcs = append(rep.Funcs, fr)
-			}
-		case *ast.FuncLit:
-			if fr, ok := analyzeFunc(fset, "<anonymous>", fn.Type, fn.Body, local); ok {
-				rep.Funcs = append(rep.Funcs, fr)
-			}
-		}
-		return true
-	})
-	return rep
-}
-
-// LocalDirectiveLines returns the lines of file carrying an //sgc:local
-// directive. The directive declares a bound break to be a machine-local
-// early exit rather than a loop-carried dependency: the analysis does
-// not count it and the instrumenter does not insert EmitDep before it.
-// It applies to a break on the same line or the line directly below the
-// comment.
-func LocalDirectiveLines(fset *token.FileSet, file *ast.File) map[int]bool {
-	lines := map[int]bool{}
-	for _, cg := range file.Comments {
-		for _, c := range cg.List {
-			text := strings.TrimPrefix(c.Text, "//")
-			text = strings.TrimPrefix(text, "/*")
-			if strings.HasPrefix(strings.TrimSpace(text), "sgc:local") {
-				lines[fset.Position(c.Pos()).Line] = true
-			}
-		}
-	}
-	return lines
-}
-
-// isLocalExit reports whether the statement at pos is covered by an
-// //sgc:local directive (same line or line above).
-func isLocalExit(fset *token.FileSet, local map[int]bool, pos token.Pos) bool {
-	if len(local) == 0 {
-		return false
-	}
-	line := fset.Position(pos).Line
-	return local[line] || local[line-1]
-}
-
-// analyzeFunc recognizes a dense-signal UDF and analyzes its neighbor
-// loops.
-func analyzeFunc(fset *token.FileSet, name string, typ *ast.FuncType, body *ast.BlockStmt, local map[int]bool) (FuncReport, bool) {
-	if body == nil || typ.Params == nil {
-		return FuncReport{}, false
-	}
-	ctxName, nbrName := signalParams(typ)
-	if ctxName == "" || nbrName == "" {
-		return FuncReport{}, false
-	}
-	fr := FuncReport{
-		Name:          name,
-		Line:          fset.Position(typ.Pos()).Line,
-		CtxParam:      ctxName,
-		NeighborParam: nbrName,
-	}
-	fr.AlreadyInstrumented = containsCall(body, ctxName, "EmitDep")
-	for _, loop := range neighborLoops(body, nbrName) {
-		lr := LoopReport{Line: fset.Position(loop.Pos()).Line}
-		for _, br := range loopBreaks(loop) {
-			if isLocalExit(fset, local, br.Pos()) {
-				lr.LocalBreaks++
-				continue
-			}
-			lr.Breaks++
-		}
-		lr.HasBreak = lr.Breaks > 0
-		lr.CarriedVars = carriedVars(loop, body)
-		fr.Loops = append(fr.Loops, lr)
-		if lr.HasBreak {
-			fr.LoopCarried = true
-		}
-	}
-	return fr, true
-}
-
-// signalParams identifies the context and neighbor-slice parameters of a
-// dense-signal UDF: a pointer-to-DenseCtx parameter and a slice-of-
-// VertexID parameter. Empty strings mean "not a signal UDF".
-func signalParams(typ *ast.FuncType) (ctxName, nbrName string) {
-	for _, field := range typ.Params.List {
-		switch {
-		case isDenseCtxPtr(field.Type):
-			if len(field.Names) > 0 && ctxName == "" {
-				ctxName = field.Names[0].Name
-			}
-		case isVertexSlice(field.Type):
-			if len(field.Names) > 0 && nbrName == "" {
-				nbrName = field.Names[0].Name
-			}
-		}
-	}
-	return ctxName, nbrName
-}
-
-// isDenseCtxPtr matches *pkg.DenseCtx[...] and *DenseCtx[...].
-func isDenseCtxPtr(e ast.Expr) bool {
-	star, ok := e.(*ast.StarExpr)
-	if !ok {
-		return false
-	}
-	inner := star.X
-	if idx, ok := inner.(*ast.IndexExpr); ok {
-		inner = idx.X
-	} else if idx, ok := inner.(*ast.IndexListExpr); ok {
-		inner = idx.X
-	}
-	return typeName(inner) == "DenseCtx"
-}
-
-// isVertexSlice matches []pkg.VertexID and []VertexID.
-func isVertexSlice(e ast.Expr) bool {
-	arr, ok := e.(*ast.ArrayType)
-	if !ok || arr.Len != nil {
-		return false
-	}
-	return typeName(arr.Elt) == "VertexID"
-}
-
-// typeName returns the rightmost identifier of a (possibly selector)
-// type expression.
-func typeName(e ast.Expr) string {
-	switch t := e.(type) {
-	case *ast.Ident:
-		return t.Name
-	case *ast.SelectorExpr:
-		return t.Sel.Name
-	}
-	return ""
-}
-
-// neighborLoop is a loop that traverses the neighbor parameter — either
-// a range loop over it or a C-style index loop bounded by its length.
-type neighborLoop struct {
-	rng *ast.RangeStmt // nil for index loops
-	fr  *ast.ForStmt   // nil for range loops
-}
-
-func (nl neighborLoop) Pos() token.Pos {
-	if nl.rng != nil {
-		return nl.rng.Pos()
-	}
-	return nl.fr.Pos()
-}
-
-func (nl neighborLoop) body() *ast.BlockStmt {
-	if nl.rng != nil {
-		return nl.rng.Body
-	}
-	return nl.fr.Body
-}
-
-// neighborLoops returns the loops over the neighbor parameter, anywhere
-// in the body (the paper's analyzer similarly searches "all for-loops
-// that traverse neighbors"): `for _, u := range srcs` and
-// `for i := 0; i < len(srcs); i++` shapes both count.
-func neighborLoops(body *ast.BlockStmt, nbrName string) []neighborLoop {
-	var loops []neighborLoop
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch l := n.(type) {
-		case *ast.RangeStmt:
-			if id, ok := l.X.(*ast.Ident); ok && id.Name == nbrName {
-				loops = append(loops, neighborLoop{rng: l})
-			}
-		case *ast.ForStmt:
-			if forBoundsOnLen(l, nbrName) {
-				loops = append(loops, neighborLoop{fr: l})
-			}
-		}
-		return true
-	})
-	return loops
-}
-
-// forBoundsOnLen reports whether the for condition compares against
-// len(nbrName) — the index-loop traversal shape.
-func forBoundsOnLen(l *ast.ForStmt, nbrName string) bool {
-	bin, ok := l.Cond.(*ast.BinaryExpr)
-	if !ok {
-		return false
-	}
-	isLen := func(e ast.Expr) bool {
-		call, ok := e.(*ast.CallExpr)
-		if !ok {
-			return false
-		}
-		fn, ok := call.Fun.(*ast.Ident)
-		if !ok || fn.Name != "len" || len(call.Args) != 1 {
-			return false
-		}
-		arg, ok := call.Args[0].(*ast.Ident)
-		return ok && arg.Name == nbrName
-	}
-	return isLen(bin.X) || isLen(bin.Y)
-}
-
-// loopBreaks returns the break statements that bind to this loop.
-func loopBreaks(loop neighborLoop) []*ast.BranchStmt {
-	return BoundBreaks(loop.body())
-}
-
-// BoundBreaks returns the break statements in loopBody that bind to the
-// loop owning that body: plain breaks not captured by a nested
-// for/range/switch/select. The binding rules mirror the Go spec. Labeled
-// breaks are conservatively treated as not-ours (the loop's label is not
-// visible from its own body, and a labeled break to an *outer* statement
-// must not count). Shared by this syntactic pass and the type-resolved
-// pass in analyzer/typed, so both agree on what "a neighbor-loop break"
-// means.
-func BoundBreaks(loopBody *ast.BlockStmt) []*ast.BranchStmt {
-	var out []*ast.BranchStmt
-	var walk func(n ast.Stmt, inOurLoop bool)
-	walk = func(n ast.Stmt, inOurLoop bool) {
-		switch s := n.(type) {
-		case nil:
-		case *ast.BranchStmt:
-			if s.Tok == token.BREAK && s.Label == nil && inOurLoop {
-				out = append(out, s)
-			}
-		case *ast.BlockStmt:
-			for _, st := range s.List {
-				walk(st, inOurLoop)
-			}
-		case *ast.IfStmt:
-			walk(s.Body, inOurLoop)
-			walk(s.Else, inOurLoop)
-		case *ast.ForStmt:
-			// A nested loop captures plain breaks.
-			walk(s.Body, false)
-		case *ast.RangeStmt:
-			walk(s.Body, false)
-		case *ast.SwitchStmt:
-			walk(s.Body, false)
-		case *ast.TypeSwitchStmt:
-			walk(s.Body, false)
-		case *ast.SelectStmt:
-			walk(s.Body, false)
-		case *ast.CaseClause:
-			for _, st := range s.Body {
-				walk(st, inOurLoop)
-			}
-		case *ast.CommClause:
-			for _, st := range s.Body {
-				walk(st, inOurLoop)
-			}
-		case *ast.LabeledStmt:
-			walk(s.Stmt, inOurLoop)
-		}
-	}
-	walk(loopBody, true)
-	return out
-}
-
-// carriedVars lists identifiers assigned inside the loop but declared
-// outside it within the function — loop-carried data state. Loop
-// iteration variables and blank identifiers are excluded.
-func carriedVars(loop neighborLoop, body *ast.BlockStmt) []string {
-	declaredInLoop := map[string]bool{}
-	if loop.rng != nil {
-		if id, ok := loop.rng.Key.(*ast.Ident); ok && id.Name != "_" {
-			declaredInLoop[id.Name] = true
-		}
-		if id, ok := loop.rng.Value.(*ast.Ident); ok && id.Name != "_" {
-			declaredInLoop[id.Name] = true
-		}
-	} else if init, ok := loop.fr.Init.(*ast.AssignStmt); ok && init.Tok == token.DEFINE {
-		for _, lhs := range init.Lhs {
-			if id, ok := lhs.(*ast.Ident); ok {
-				declaredInLoop[id.Name] = true
-			}
-		}
-	}
-	ast.Inspect(loop.body(), func(n ast.Node) bool {
-		if as, ok := n.(*ast.AssignStmt); ok && as.Tok == token.DEFINE {
-			for _, lhs := range as.Lhs {
-				if id, ok := lhs.(*ast.Ident); ok {
-					declaredInLoop[id.Name] = true
-				}
-			}
-		}
-		return true
-	})
-
-	declaredOutside := map[string]bool{}
-	collect := func(n ast.Node) bool {
-		// Skip the loop subtree itself.
-		if n == ast.Node(loop.rng) && loop.rng != nil {
-			return false
-		}
-		if n == ast.Node(loop.fr) && loop.fr != nil {
-			return false
-		}
-		switch s := n.(type) {
-		case *ast.AssignStmt:
-			if s.Tok == token.DEFINE {
-				for _, lhs := range s.Lhs {
-					if id, ok := lhs.(*ast.Ident); ok {
-						declaredOutside[id.Name] = true
-					}
-				}
-			}
-		case *ast.DeclStmt:
-			if gd, ok := s.Decl.(*ast.GenDecl); ok && gd.Tok == token.VAR {
-				for _, spec := range gd.Specs {
-					if vs, ok := spec.(*ast.ValueSpec); ok {
-						for _, id := range vs.Names {
-							declaredOutside[id.Name] = true
-						}
-					}
-				}
-			}
-		}
-		return true
-	}
-	ast.Inspect(body, collect)
-
-	seen := map[string]bool{}
-	var out []string
-	ast.Inspect(loop.body(), func(n ast.Node) bool {
-		switch s := n.(type) {
-		case *ast.AssignStmt:
-			for _, lhs := range s.Lhs {
-				id, ok := lhs.(*ast.Ident)
-				if !ok || id.Name == "_" {
-					continue
-				}
-				if s.Tok == token.DEFINE || declaredInLoop[id.Name] || !declaredOutside[id.Name] {
-					continue
-				}
-				if !seen[id.Name] {
-					seen[id.Name] = true
-					out = append(out, id.Name)
-				}
-			}
-		case *ast.IncDecStmt:
-			if id, ok := s.X.(*ast.Ident); ok && declaredOutside[id.Name] && !declaredInLoop[id.Name] && !seen[id.Name] {
-				seen[id.Name] = true
-				out = append(out, id.Name)
-			}
-		}
-		return true
-	})
-	return out
-}
-
-// containsCall reports whether body contains a recv.method(...) call.
-func containsCall(body *ast.BlockStmt, recv, method string) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		if id, ok := sel.X.(*ast.Ident); ok && id.Name == recv && sel.Sel.Name == method {
-			found = true
-		}
-		return true
-	})
-	return found
-}
-
 // String renders the report in the tool's human format.
 func (r *Report) String() string {
 	var b strings.Builder
 	for _, f := range r.Funcs {
-		fmt.Fprintf(&b, "func %s (line %d): ctx=%s neighbors=%s", f.Name, f.Line, f.CtxParam, f.NeighborParam)
-		if f.AlreadyInstrumented {
-			b.WriteString(" [instrumented]")
+		fmt.Fprintf(&b, "func %s (%s:%d): ctx=%s neighbors=%s", f.Name, f.File, f.Line, f.CtxParam, f.NeighborParam)
+		if f.MsgType != "" {
+			fmt.Fprintf(&b, " msg=%s", f.MsgType)
 		}
-		b.WriteString("\n")
+		fmt.Fprintf(&b, " [instrumented=%s]\n", f.Instrumented)
 		for _, l := range f.Loops {
 			fmt.Fprintf(&b, "  loop at line %d: breaks=%d", l.Line, l.Breaks)
-			if len(l.CarriedVars) > 0 {
-				fmt.Fprintf(&b, " carried=%v", l.CarriedVars)
+			if l.Returns > 0 {
+				fmt.Fprintf(&b, " returns=%d", l.Returns)
+			}
+			if len(l.Carried) > 0 {
+				names := make([]string, len(l.Carried))
+				for i, c := range l.Carried {
+					desc := c.Access
+					if c.Type != "" {
+						desc = c.Type + " " + c.Access
+					}
+					names[i] = fmt.Sprintf("%s(%s)", c.Name, desc)
+				}
+				fmt.Fprintf(&b, " carried=%v", names)
 			}
 			b.WriteString("\n")
 		}
+		for _, ib := range f.InterBreaks {
+			fmt.Fprintf(&b, "  helper exit via %s (call line %d, exit line %d, depth %d, covered=%v)\n",
+				ib.Callee, ib.CallLine, ib.ExitLine, ib.Depth, ib.Covered)
+		}
 		if f.LoopCarried {
-			b.WriteString("  => loop-carried dependency: instrument with EmitDep\n")
+			b.WriteString("  => loop-carried dependency\n")
 		} else {
 			b.WriteString("  => no loop-carried dependency\n")
 		}
 	}
 	return b.String()
+}
+
+// Helper hops the walker follows from a UDF: four in a loaded package,
+// none in an isolated file.
+const (
+	packageHelperDepth  = 4
+	isolatedHelperDepth = 0
+)
+
+// AnalyzeFiles runs the analysis over the files of one loaded package,
+// type-checked into info (Types, Defs and Uses are read).
+func AnalyzeFiles(fset *token.FileSet, files []*ast.File, info *types.Info) []FuncReport {
+	return newWalker(fset, files, info, packageHelperDepth).funcs()
+}
+
+// Analyze runs the analysis over src, a complete Go file taken in
+// isolation (filename is for positions).
+func Analyze(filename string, src []byte) (*Report, error) {
+	w, err := isolated(filename, src)
+	if err != nil {
+		return nil, err
+	}
+	return isolatedReport(filename, w.funcs()), nil
+}
+
+// isolatedReport is the record of an isolated target: a file, or a
+// directory of files each checked on its own.
+func isolatedReport(target string, funcs []FuncReport) *Report {
+	return &Report{ImportPath: "file:" + filepath.ToSlash(target), Dir: target, Funcs: funcs}
+}
+
+// nothing is the isolated pass's importer: every import resolves to an
+// empty package, so the file checks without reading anything else and
+// each imported name comes back invalid.
+type nothing struct{}
+
+func (nothing) Import(pkgPath string) (*types.Package, error) {
+	pkg := types.NewPackage(pkgPath, path.Base(pkgPath))
+	pkg.MarkComplete()
+	return pkg, nil
+}
+
+// isolated parses src and type-checks it on its own, tolerantly: type
+// errors (every use of an import, at the least) are expected and
+// ignored; the walker proceeds on what resolved.
+func isolated(filename string, src []byte) (*walker, error) {
+	fset := token.NewFileSet()
+	file, err := parser.ParseFile(fset, filename, src, parser.ParseComments)
+	if err != nil {
+		return nil, fmt.Errorf("analyzer: %w", err)
+	}
+	info := &types.Info{
+		Types: make(map[ast.Expr]types.TypeAndValue),
+		Defs:  make(map[*ast.Ident]types.Object),
+		Uses:  make(map[*ast.Ident]types.Object),
+	}
+	conf := types.Config{Importer: nothing{}, Error: func(error) {}}
+	_, _ = conf.Check(file.Name.Name, fset, []*ast.File{file}, info) // the errors went to conf.Error
+	return newWalker(fset, []*ast.File{file}, info, isolatedHelperDepth), nil
 }

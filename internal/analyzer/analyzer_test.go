@@ -49,6 +49,14 @@ func bfsSignal(ctx *core.DenseCtx[uint32], dst graph.VertexID, srcs []graph.Vert
 }
 `
 
+func carriedNames(l LoopReport) []string {
+	var names []string
+	for _, c := range l.Carried {
+		names = append(names, c.Name)
+	}
+	return names
+}
+
 func TestAnalyzeDetectsLoopCarriedDependency(t *testing.T) {
 	rep, err := Analyze("bfs.go", []byte(bfsInput))
 	if err != nil {
@@ -61,7 +69,7 @@ func TestAnalyzeDetectsLoopCarriedDependency(t *testing.T) {
 	if f.Name != "bfsSignal" || f.CtxParam != "ctx" || f.NeighborParam != "srcs" {
 		t.Fatalf("got %+v", f)
 	}
-	if !f.LoopCarried || f.AlreadyInstrumented {
+	if !f.LoopCarried || f.Instrumented != InstrumentedNo {
 		t.Fatalf("got %+v", f)
 	}
 	if len(f.Loops) != 1 || f.Loops[0].Breaks != 1 {
@@ -105,7 +113,7 @@ func TestInstrumentIsIdempotent(t *testing.T) {
 	if string(once) != string(twice) {
 		t.Fatalf("second pass changed output:\n%s", twice)
 	}
-	if !rep.Funcs[0].AlreadyInstrumented {
+	if rep.Funcs[0].Instrumented != InstrumentedYes {
 		t.Fatal("second pass did not flag instrumented function")
 	}
 }
@@ -141,8 +149,8 @@ func kcoreSignal(ctx *core.DenseCtx[int64], dst graph.VertexID, srcs []graph.Ver
 	if !f.LoopCarried {
 		t.Fatal("missed control dependency")
 	}
-	if len(f.Loops[0].CarriedVars) != 1 || f.Loops[0].CarriedVars[0] != "cnt" {
-		t.Fatalf("carried vars = %v, want [cnt]", f.Loops[0].CarriedVars)
+	if got := carriedNames(f.Loops[0]); len(got) != 1 || got[0] != "cnt" {
+		t.Fatalf("carried vars = %v, want [cnt]", got)
 	}
 }
 
@@ -171,7 +179,7 @@ func pagerankSignal(ctx *core.DenseCtx[float64], dst graph.VertexID, srcs []grap
 	if f.LoopCarried {
 		t.Fatal("false positive dependency")
 	}
-	if len(f.Loops) != 1 || f.Loops[0].HasBreak {
+	if len(f.Loops) != 1 || f.Loops[0].Breaks != 0 {
 		t.Fatalf("loops: %+v", f.Loops)
 	}
 	// Instrumentation still adds traversal accounting but no EmitDep.
@@ -212,23 +220,71 @@ func nested(ctx *core.DenseCtx[uint32], srcs []graph.VertexID) {
 		_ = u
 	}
 }
+
+func labeled(ctx *core.DenseCtx[uint32], srcs []graph.VertexID) {
+outer:
+	for _, u := range srcs {
+		// A labeled break leaves the neighbor loop, from any depth,
+		// unless its label sits inside the loop's body.
+	inner:
+		for _, h := range hot[0] {
+			switch {
+			case h == u:
+				ctx.Emit(uint32(u))
+				break outer
+			case h == 0:
+				break inner
+			}
+		}
+	}
+}
+
+func resumed(ctx *core.DenseCtx[uint32], srcs []graph.VertexID) {
+rounds:
+	for r := 0; r < 2; r++ {
+	nbrs:
+		for _, u := range srcs {
+			// A continue to an enclosing loop's label cuts the traversal
+			// short like a break; a plain one, or one to the neighbor
+			// loop's own label, goes on with it.
+			if u == 0 {
+				continue nbrs
+			}
+			if u == 1 {
+				continue
+			}
+			for _, h := range hot[0] {
+				if h == u {
+					continue rounds
+				}
+			}
+		}
+	}
+}
 `
 	rep, err := Analyze("nested.go", []byte(src))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Funcs) != 1 {
+	if len(rep.Funcs) != 3 {
 		t.Fatalf("funcs: %d", len(rep.Funcs))
 	}
 	if rep.Funcs[0].LoopCarried {
 		t.Fatal("nested/switch breaks misattributed to the neighbor loop")
 	}
+	if f := rep.Funcs[1]; !f.LoopCarried || len(f.Loops) != 1 || f.Loops[0].Breaks != 1 {
+		t.Fatalf("break outer must bind to the neighbor loop, break inner must not: %+v", f)
+	}
+	if f := rep.Funcs[2]; !f.LoopCarried || len(f.Loops) != 1 || f.Loops[0].Breaks != 1 {
+		t.Fatalf("continue rounds must count as an exit of the neighbor loop, continue nbrs and plain continue must not: %+v", f)
+	}
 	out, _, err := Instrument("nested.go", []byte(src))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(string(out), "EmitDep") {
-		t.Fatalf("EmitDep inserted for non-binding breaks:\n%s", out)
+	if strings.Count(string(out), "EmitDep") != 2 || !strings.Contains(string(out), "ctx.EmitDep()\n\t\t\t\tbreak outer") ||
+		!strings.Contains(string(out), "ctx.EmitDep()\n\t\t\t\t\tcontinue rounds") {
+		t.Fatalf("want two EmitDep, before break outer and continue rounds, none for the non-binding branches:\n%s", out)
 	}
 }
 
@@ -386,7 +442,7 @@ func sampleSignal(ctx *core.DenseCtx[uint32], dst graph.VertexID, srcs []graph.V
 		t.Fatal(err)
 	}
 	f := rep.Funcs[0]
-	if !f.LoopCarried || len(f.Loops[0].CarriedVars) != 1 || f.Loops[0].CarriedVars[0] != "weight" {
+	if got := carriedNames(f.Loops[0]); !f.LoopCarried || len(got) != 1 || got[0] != "weight" {
 		t.Fatalf("got %+v", f)
 	}
 }
@@ -423,8 +479,8 @@ func indexed(ctx *core.DenseCtx[uint32], srcs []graph.VertexID, ws []float32) {
 	if !f.LoopCarried || len(f.Loops) != 1 {
 		t.Fatalf("index loop missed: %+v", f)
 	}
-	if len(f.Loops[0].CarriedVars) != 1 || f.Loops[0].CarriedVars[0] != "acc" {
-		t.Fatalf("carried vars: %v", f.Loops[0].CarriedVars)
+	if got := carriedNames(f.Loops[0]); len(got) != 1 || got[0] != "acc" {
+		t.Fatalf("carried vars: %v", got)
 	}
 	out, _, err := Instrument("idx.go", []byte(src))
 	if err != nil {
@@ -542,10 +598,10 @@ func s(ctx *core.DenseCtx[uint32], dst graph.VertexID, srcs []graph.VertexID, _ 
 	if len(f.Loops) != 2 {
 		t.Fatalf("loops: %+v", f.Loops)
 	}
-	if f.Loops[0].Breaks != 0 || f.Loops[0].LocalBreaks != 1 {
+	if f.Loops[0].Breaks != 0 || f.Loops[0].LocalExits != 1 {
 		t.Fatalf("annotated loop miscounted: %+v", f.Loops[0])
 	}
-	if f.Loops[1].Breaks != 1 || f.Loops[1].LocalBreaks != 0 {
+	if f.Loops[1].Breaks != 1 || f.Loops[1].LocalExits != 0 {
 		t.Fatalf("plain loop miscounted: %+v", f.Loops[1])
 	}
 	// Idempotence across the directive: re-instrumenting must not touch

@@ -8,18 +8,11 @@ import (
 	"strings"
 )
 
-// FileReport pairs a file path with its analysis.
-type FileReport struct {
-	Path   string
-	Report *Report
-}
-
 // AnalyzeDir analyzes every .go file under dir (recursively, skipping
-// _test.go files, testdata and hidden directories) — the package-level
-// counterpart of the paper's whole-translation-unit analysis. Files that
-// fail to parse are reported as errors; the rest are analyzed
-// independently.
-func AnalyzeDir(dir string) ([]FileReport, error) {
+// _test.go files, testdata and hidden directories), each in isolation,
+// into one report for the directory. A file that fails to parse fails
+// the call.
+func AnalyzeDir(dir string) (*Report, error) {
 	var files []string
 	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
@@ -41,27 +34,17 @@ func AnalyzeDir(dir string) ([]FileReport, error) {
 		return nil, fmt.Errorf("analyzer: walking %s: %w", dir, err)
 	}
 	sort.Strings(files)
-	out := make([]FileReport, 0, len(files))
+	var funcs []FuncReport
 	for _, path := range files {
 		src, err := os.ReadFile(path)
 		if err != nil {
 			return nil, err
 		}
-		rep, err := Analyze(path, src)
+		w, err := isolated(path, src)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, FileReport{Path: path, Report: rep})
+		funcs = append(funcs, w.funcs()...)
 	}
-	return out, nil
-}
-
-// Summary aggregates directory results: total signal UDFs found and how
-// many carry loop dependency.
-func Summary(reports []FileReport) (signalFuncs, loopCarried int) {
-	for _, fr := range reports {
-		signalFuncs += len(fr.Report.Funcs)
-		loopCarried += len(fr.Report.LoopCarriedFuncs())
-	}
-	return signalFuncs, loopCarried
+	return isolatedReport(dir, funcs), nil
 }

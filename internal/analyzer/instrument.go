@@ -5,135 +5,68 @@ import (
 	"fmt"
 	"go/ast"
 	"go/format"
-	"go/parser"
-	"go/token"
+	"slices"
 )
 
 // Instrument runs the source-to-source transformation pass (paper §4.2)
-// on a complete Go file: in every dense-signal UDF with loop-carried
-// dependency it inserts ctx.EmitDep() immediately before each break bound
-// to a neighbor loop, and ctx.Edge() as the loop body's first statement.
-// Functions already containing EmitDep calls are left untouched
-// (idempotence). It returns the formatted transformed source and the
-// analysis report.
+// on a complete Go file taken in isolation. It rewrites what the record
+// lists: in every dense-signal UDF, ctx.EmitDep() goes immediately before
+// each uncovered break that leaves a neighbor loop — plain or labeled,
+// through aliases of the slice or the context — and ctx.Edge() becomes
+// the loop body's first statement. Returns and helper exits are reported,
+// not patched, and //sgc:local exits are left alone. A function that
+// already calls EmitDep — instrumented by hand, or partly: the paper's
+// Listing 2 — gets the EmitDep calls it lacks and keeps its traversal
+// accounting as written (sampling's re-walk of neighbors already counted
+// has no ctx.Edge() on purpose). Covered exits are not in the list, so a
+// second pass over the output changes nothing. It returns the formatted
+// transformed source and the record of the input.
 func Instrument(filename string, src []byte) ([]byte, *Report, error) {
-	fset := token.NewFileSet()
-	file, err := parser.ParseFile(fset, filename, src, parser.ParseComments)
+	w, err := isolated(filename, src)
 	if err != nil {
-		return nil, nil, fmt.Errorf("analyzer: %w", err)
+		return nil, nil, err
 	}
-	rep := analyzeFile(fset, file)
-	local := LocalDirectiveLines(fset, file)
+	rep := isolatedReport(filename, w.funcs())
 
-	ast.Inspect(file, func(n ast.Node) bool {
-		var typ *ast.FuncType
-		var body *ast.BlockStmt
-		switch fn := n.(type) {
-		case *ast.FuncDecl:
-			typ, body = fn.Type, fn.Body
-		case *ast.FuncLit:
-			typ, body = fn.Type, fn.Body
-		default:
-			return true
+	// insertion is one ctx.method() statement to place at slot idx of a
+	// statement list.
+	type insertion struct {
+		exit
+		ctx, method string
+	}
+	var emits, edges []insertion
+	// A loop reached from two records (a UDF literal nested in a UDF) is
+	// rewritten once, for the first.
+	done := map[ast.Node]bool{}
+	for _, f := range rep.Funcs {
+		for _, l := range f.Loops {
+			if done[l.body] {
+				continue
+			}
+			done[l.body] = true
+			for _, ex := range l.patch {
+				if !done[ex.stmt] {
+					done[ex.stmt] = true
+					emits = append(emits, insertion{ex, f.CtxParam, "EmitDep"})
+				}
+			}
+			if !l.edged && !f.emitsDep {
+				edges = append(edges, insertion{exit{list: &l.body.List}, f.CtxParam, "Edge"})
+			}
 		}
-		if body == nil {
-			return true
-		}
-		ctxName, nbrName := signalParams(typ)
-		if ctxName == "" || nbrName == "" {
-			return true
-		}
-		if containsCall(body, ctxName, "EmitDep") {
-			return true // already instrumented
-		}
-		for _, loop := range neighborLoops(body, nbrName) {
-			instrumentLoop(fset, loop, ctxName, local)
-		}
-		return true
-	})
+	}
+	// Last slot first, so an insertion never shifts a slot still to be
+	// filled in the same list; loop heads after every exit for the same
+	// reason.
+	slices.SortFunc(emits, func(a, b insertion) int { return int(b.stmt.Pos() - a.stmt.Pos()) })
+	for _, in := range append(emits, edges...) {
+		call := &ast.CallExpr{Fun: &ast.SelectorExpr{X: ast.NewIdent(in.ctx), Sel: ast.NewIdent(in.method)}}
+		*in.list = slices.Insert(*in.list, in.idx, ast.Stmt(&ast.ExprStmt{X: call}))
+	}
 
 	var buf bytes.Buffer
-	if err := format.Node(&buf, fset, file); err != nil {
+	if err := format.Node(&buf, w.fset, w.files[0]); err != nil {
 		return nil, nil, fmt.Errorf("analyzer: formatting instrumented source: %w", err)
 	}
 	return buf.Bytes(), rep, nil
-}
-
-// instrumentLoop inserts ctx.Edge() at the loop head (unless present)
-// and ctx.EmitDep() before each break bound to the loop. Breaks under
-// an //sgc:local directive are declared machine-local and skipped.
-func instrumentLoop(fset *token.FileSet, loop neighborLoop, ctxName string, local map[int]bool) {
-	breaks := map[*ast.BranchStmt]bool{}
-	for _, br := range loopBreaks(loop) {
-		if isLocalExit(fset, local, br.Pos()) {
-			continue
-		}
-		breaks[br] = true
-	}
-	body := loop.body()
-	insertBeforeBreaks(body, breaks, ctxName)
-	if !startsWithCall(body, ctxName, "Edge") {
-		body.List = append([]ast.Stmt{callStmt(ctxName, "Edge")}, body.List...)
-	}
-}
-
-func startsWithCall(body *ast.BlockStmt, recv, method string) bool {
-	if len(body.List) == 0 {
-		return false
-	}
-	es, ok := body.List[0].(*ast.ExprStmt)
-	if !ok {
-		return false
-	}
-	call, ok := es.X.(*ast.CallExpr)
-	if !ok {
-		return false
-	}
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	id, ok := sel.X.(*ast.Ident)
-	return ok && id.Name == recv && sel.Sel.Name == method
-}
-
-// insertBeforeBreaks rewrites statement lists so that each break in
-// `breaks` is preceded by ctx.EmitDep(). It recurses exactly along the
-// paths loopBreaks walked, so nested loops and switches are untouched.
-func insertBeforeBreaks(n ast.Stmt, breaks map[*ast.BranchStmt]bool, ctxName string) {
-	switch s := n.(type) {
-	case *ast.BlockStmt:
-		s.List = rewriteList(s.List, breaks, ctxName)
-	case *ast.IfStmt:
-		insertBeforeBreaks(s.Body, breaks, ctxName)
-		if s.Else != nil {
-			insertBeforeBreaks(s.Else, breaks, ctxName)
-		}
-	case *ast.CaseClause:
-		s.Body = rewriteList(s.Body, breaks, ctxName)
-	case *ast.CommClause:
-		s.Body = rewriteList(s.Body, breaks, ctxName)
-	case *ast.LabeledStmt:
-		insertBeforeBreaks(s.Stmt, breaks, ctxName)
-	}
-}
-
-func rewriteList(list []ast.Stmt, breaks map[*ast.BranchStmt]bool, ctxName string) []ast.Stmt {
-	out := make([]ast.Stmt, 0, len(list))
-	for _, st := range list {
-		if br, ok := st.(*ast.BranchStmt); ok && breaks[br] {
-			out = append(out, callStmt(ctxName, "EmitDep"), st)
-			continue
-		}
-		insertBeforeBreaks(st, breaks, ctxName)
-		out = append(out, st)
-	}
-	return out
-}
-
-// callStmt builds the statement `recv.method()`.
-func callStmt(recv, method string) ast.Stmt {
-	return &ast.ExprStmt{X: &ast.CallExpr{
-		Fun: &ast.SelectorExpr{X: ast.NewIdent(recv), Sel: ast.NewIdent(method)},
-	}}
 }

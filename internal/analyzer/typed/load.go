@@ -1,19 +1,12 @@
-// Package typed is the type-resolved half of SympleGraph's §4 UDF
-// analysis. The syntactic pass in internal/analyzer keys on parameter
-// *shape* (a pointer parameter whose type is spelled DenseCtx) so it can
-// run on an isolated file; this package loads whole packages, resolves
-// types with go/types, and re-runs the analysis over resolved objects:
-//
-//   - a signal UDF is a function with a parameter of resolved type
-//     *core.DenseCtx[M] and one of resolved type []graph.VertexID —
-//     regardless of what the parameters are named or how the types are
-//     spelled at the use site;
-//   - neighbor loops are found through local aliases of the neighbor
-//     slice (ns := srcs; for _, u := range ns), and EmitDep calls are
-//     recognized through aliases of the context (c := ctx; c.EmitDep());
-//   - break detection is interprocedural: a UDF that hands the neighbor
-//     slice to a helper whose loop exits early carries the dependency
-//     even though the UDF itself contains no loop.
+// Package typed is the loader glue of SympleGraph's §4 UDF analysis. The
+// analysis itself — one walker over go/types, in internal/analyzer —
+// needs only parsed files and their resolution; this package feeds it
+// whole packages loaded through internal/loader, so that imported types
+// resolve (a signal UDF is a function with a parameter of resolved type
+// *core.DenseCtx[M] and one of resolved type []graph.VertexID, however
+// they are spelled) and helpers the neighbor slice is handed to are
+// followed across the package's files. It also owns the JSON document
+// `sgc analyze -json` emits.
 //
 // Package loading and type resolution live in the shared
 // internal/loader package — one loader serves this analysis, the sgvet
@@ -22,7 +15,10 @@
 // typed.Package while resolution policy is maintained in one place.
 package typed
 
-import "repro/internal/loader"
+import (
+	"repro/internal/analyzer"
+	"repro/internal/loader"
+)
 
 // Package is one loaded, type-checked package (alias of the shared
 // loader's type — a *typed.Package and a *loader.Package are the same
@@ -39,5 +35,15 @@ type Loader = loader.Loader
 // error when no go.mod can be found.
 func NewLoader(cfg Config) (*Loader, error) { return loader.NewLoader(cfg) }
 
-// findModuleRoot walks up from dir to the nearest go.mod.
-func findModuleRoot(dir string) (string, error) { return loader.FindModuleRoot(dir) }
+// AnalyzePackage runs the §4 analysis over one loaded package.
+func AnalyzePackage(pkg *Package) *analyzer.Report {
+	rep := &analyzer.Report{
+		ImportPath: pkg.ImportPath,
+		Dir:        pkg.Dir,
+		Funcs:      analyzer.AnalyzeFiles(pkg.Fset, pkg.Files, pkg.Info),
+	}
+	for _, err := range pkg.TypeErrors {
+		rep.TypeErrors = append(rep.TypeErrors, err.Error())
+	}
+	return rep
+}

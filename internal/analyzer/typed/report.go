@@ -7,16 +7,17 @@ import (
 	"path/filepath"
 
 	"repro/internal/analyzer"
+	"repro/internal/loader"
 )
 
-// Document is the stable JSON schema emitted by `sgc analyze -json`, in
-// both typed and syntactic modes. Mode records which pass produced it so
-// downstream tooling knows how much to trust the report: "typed" reports
-// are resolution-precise; "syntactic" reports are the isolated-file
-// fallback and can miss aliased contexts and helper breaks.
+// Document is the stable JSON schema emitted by `sgc analyze -json`.
+// Mode records how the targets were resolved so downstream tooling knows
+// how much to trust the report: "typed" reports come from loaded
+// packages; "syntactic" (the schema's name for the isolated-file pass)
+// reports resolve nothing imported and follow no helper.
 type Document struct {
-	Mode     string          `json:"mode"` // "typed" | "syntactic"
-	Packages []PackageReport `json:"packages"`
+	Mode     string            `json:"mode"` // "typed" | "syntactic"
+	Packages []analyzer.Report `json:"packages"`
 }
 
 // MarshalIndent renders the document as stable, indented JSON.
@@ -28,74 +29,65 @@ func (d *Document) MarshalIndent() ([]byte, error) {
 	return append(b, '\n'), nil
 }
 
-// AnalyzeTargets runs the typed analysis over the given targets (files
-// or directories). Directories are loaded as packages; a lone file is
-// loaded with its surrounding directory so its imports resolve. When
-// typed loading fails for a target — it is outside any module, or its
-// package does not type-check at all — the syntactic pass runs on the
-// file(s) instead and the result is folded into the same document with
-// Mode "syntactic" for that package. The returned error is non-nil only
-// when a target cannot be analyzed by either pass.
-func AnalyzeTargets(targets ...string) (*Document, error) {
-	doc := &Document{Mode: "typed"}
-	var loader *Loader // lazily constructed per run; memoizes across targets
-	for _, target := range targets {
-		fi, err := os.Stat(target)
-		if err != nil {
-			return nil, err
-		}
-		dir := target
-		if !fi.IsDir() {
-			dir = filepath.Dir(target)
-		}
-		pr, terr := analyzeTypedDir(&loader, dir, target, fi.IsDir())
-		if terr == nil {
-			doc.Packages = append(doc.Packages, *pr)
-			continue
-		}
-		// Fallback: the paper-style isolated-file pass.
-		pr, serr := analyzeSyntactic(target, fi.IsDir())
-		if serr != nil {
-			return nil, fmt.Errorf("typed analysis failed (%v); syntactic fallback failed: %w", terr, serr)
-		}
-		doc.Mode = "syntactic"
-		doc.Packages = append(doc.Packages, *pr)
-	}
-	return doc, nil
-}
-
-// AnalyzeTargetsSyntactic forces the isolated-file pass over every
-// target, producing the same document shape as AnalyzeTargets with Mode
-// "syntactic". This is what `sgc analyze -json` (without -typed) emits:
-// the paper's per-translation-unit analysis, faithful to the prototype's
-// per-file view.
-func AnalyzeTargetsSyntactic(targets ...string) (*Document, error) {
+// AnalyzeTargets runs the analysis over the given targets (files or
+// directories). With resolve, directories are loaded as packages and a
+// lone file is loaded with its surrounding directory so its imports
+// resolve; a target that cannot be loaded — it is outside any module, or
+// its package does not type-check at all — falls back to the isolated
+// pass, and the document's Mode says so. Without resolve every target
+// takes the isolated pass: the paper's per-translation-unit analysis.
+// The returned error is non-nil only when a target cannot be analyzed
+// at all.
+func AnalyzeTargets(resolve bool, targets ...string) (*Document, error) {
 	doc := &Document{Mode: "syntactic"}
+	if resolve {
+		doc.Mode = "typed"
+	}
+	var ld *Loader // built on first use; memoizes across targets
 	for _, target := range targets {
 		fi, err := os.Stat(target)
 		if err != nil {
 			return nil, err
 		}
-		pr, err := analyzeSyntactic(target, fi.IsDir())
+		var loadErr error
+		if resolve {
+			var rep *analyzer.Report
+			if rep, loadErr = analyzeLoaded(&ld, target, fi.IsDir()); loadErr == nil {
+				doc.Packages = append(doc.Packages, *rep)
+				continue
+			}
+			doc.Mode = "syntactic"
+		}
+		rep, err := analyzeIsolated(target, fi.IsDir())
 		if err != nil {
+			if loadErr != nil {
+				err = fmt.Errorf("typed analysis failed (%v); isolated fallback failed: %w", loadErr, err)
+			}
 			return nil, err
 		}
-		doc.Packages = append(doc.Packages, *pr)
+		doc.Packages = append(doc.Packages, *rep)
 	}
 	return doc, nil
 }
 
-// analyzeTypedDir loads dir as a package and analyzes it. When the
-// target was a single file, the report is filtered to that file.
-func analyzeTypedDir(loader **Loader, dir, target string, isDir bool) (*PackageReport, error) {
-	if *loader == nil {
-		l, err := NewLoader(Config{ModuleRoot: moduleRootFor(dir)})
+// analyzeLoaded loads the target's directory as a package and analyzes
+// it. When the target is a single file, the report is filtered to it.
+func analyzeLoaded(ld **Loader, target string, isDir bool) (*analyzer.Report, error) {
+	dir := target
+	if !isDir {
+		dir = filepath.Dir(target)
+	}
+	if *ld == nil {
+		// Outside any module the root stays empty and NewLoader falls
+		// back to the working directory.
+		root, _ := loader.FindModuleRoot(dir)
+		l, err := NewLoader(Config{ModuleRoot: root})
 		if err != nil {
 			return nil, err
 		}
-		*loader = l
+		*ld = l
 	}
-	pkg, err := (*loader).LoadDir(dir)
+	pkg, err := (*ld).LoadDir(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -113,70 +105,13 @@ func analyzeTypedDir(loader **Loader, dir, target string, isDir bool) (*PackageR
 	return rep, nil
 }
 
-// moduleRootFor finds the module root above dir, or "" to let NewLoader
-// fall back to the working directory.
-func moduleRootFor(dir string) string {
-	root, err := findModuleRoot(dir)
-	if err != nil {
-		return ""
-	}
-	return root
-}
-
-// analyzeSyntactic runs the isolated-file pass over a file or directory
-// and converts its reports into the typed document shape.
-func analyzeSyntactic(target string, isDir bool) (*PackageReport, error) {
-	pr := &PackageReport{Dir: target, ImportPath: "file:" + filepath.ToSlash(target)}
+func analyzeIsolated(target string, isDir bool) (*analyzer.Report, error) {
 	if isDir {
-		reports, err := analyzer.AnalyzeDir(target)
-		if err != nil {
-			return nil, err
-		}
-		for _, fr := range reports {
-			appendSyntactic(pr, fr.Path, fr.Report)
-		}
-		return pr, nil
+		return analyzer.AnalyzeDir(target)
 	}
 	src, err := os.ReadFile(target)
 	if err != nil {
 		return nil, err
 	}
-	rep, err := analyzer.Analyze(target, src)
-	if err != nil {
-		return nil, err
-	}
-	appendSyntactic(pr, target, rep)
-	return pr, nil
-}
-
-// appendSyntactic converts one syntactic file report. The syntactic
-// pass has no notion of exit coverage beyond "an EmitDep call appears
-// somewhere in the function", so Instrumented is mapped coarsely.
-func appendSyntactic(pr *PackageReport, path string, rep *analyzer.Report) {
-	for _, f := range rep.Funcs {
-		fr := FuncReport{
-			Name:          f.Name,
-			File:          filepath.Base(path),
-			Line:          f.Line,
-			CtxParam:      f.CtxParam,
-			NeighborParam: f.NeighborParam,
-			LoopCarried:   f.LoopCarried,
-		}
-		switch {
-		case !f.LoopCarried:
-			fr.Instrumented = InstrumentedNotNeeded
-		case f.AlreadyInstrumented:
-			fr.Instrumented = InstrumentedYes
-		default:
-			fr.Instrumented = InstrumentedNo
-		}
-		for _, l := range f.Loops {
-			lr := LoopReport{Line: l.Line, Breaks: l.Breaks}
-			for _, v := range l.CarriedVars {
-				lr.Carried = append(lr.Carried, CarriedVar{Name: v, Access: "readwrite"})
-			}
-			fr.Loops = append(fr.Loops, lr)
-		}
-		pr.Funcs = append(pr.Funcs, fr)
-	}
+	return analyzer.Analyze(target, src)
 }

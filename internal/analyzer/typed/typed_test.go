@@ -8,18 +8,23 @@ import (
 	"repro/internal/analyzer"
 )
 
-// repoRoot walks up from the working directory to go.mod.
-func repoRoot(t *testing.T) string {
+// shared is the one loader of this test binary (the module is found by
+// walking up from the working directory): the Loader memoizes by import
+// path and every fixture lives in its own temp dir, so internal/core,
+// internal/graph and the stdlib behind them are type-checked once, not
+// once per test.
+var shared *Loader
+
+func sharedLoader(t *testing.T) *Loader {
 	t.Helper()
-	wd, err := os.Getwd()
-	if err != nil {
-		t.Fatal(err)
+	if shared == nil {
+		l, err := NewLoader(Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		shared = l
 	}
-	root, err := findModuleRoot(wd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return root
+	return shared
 }
 
 // loadFixture writes src as a single-file package in a temp dir and
@@ -30,11 +35,7 @@ func loadFixture(t *testing.T, src string) *Package {
 	if err := os.WriteFile(filepath.Join(dir, "fixture.go"), []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	loader, err := NewLoader(Config{ModuleRoot: repoRoot(t)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkg, err := loader.LoadDir(dir)
+	pkg, err := sharedLoader(t).LoadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,9 +55,11 @@ var _ core.Mode
 `
 
 func TestResolvedTypeDiscrimination(t *testing.T) {
-	// A local generic type also named DenseCtx: the syntactic pass
-	// (shape match on the spelled type name) is fooled; the typed pass
-	// resolves the package and rejects it.
+	// A local generic type also named DenseCtx resolves, in the loaded
+	// package and in the isolated file alike, to a type that is not
+	// internal/core's: both reject it. The genuine parameter is found by
+	// resolved type in the package and by spelling in the isolated file,
+	// where the import does not resolve.
 	src := header + `
 type DenseCtx[M any] struct{}
 
@@ -84,8 +87,8 @@ func genuine(c *core.DenseCtx[uint32], others []graph.VertexID) {
 	for _, f := range syn.Funcs {
 		synNames[f.Name] = true
 	}
-	if !synNames["impostor"] {
-		t.Fatalf("expected the syntactic pass to be fooled by the impostor; got %+v", syn.Funcs)
+	if synNames["impostor"] || !synNames["genuine"] {
+		t.Fatalf("isolated pass funcs = %+v, want exactly [genuine]", syn.Funcs)
 	}
 
 	rep := AnalyzePackage(loadFixture(t, src))
@@ -93,7 +96,7 @@ func genuine(c *core.DenseCtx[uint32], others []graph.VertexID) {
 		t.Fatalf("typed pass funcs = %+v, want exactly [genuine]", rep.Funcs)
 	}
 	f := rep.Funcs[0]
-	if !f.LoopCarried || f.Instrumented != InstrumentedNo {
+	if !f.LoopCarried || f.Instrumented != analyzer.InstrumentedNo {
 		t.Fatalf("genuine: %+v", f)
 	}
 	if f.MsgType != "uint32" {
@@ -103,8 +106,8 @@ func genuine(c *core.DenseCtx[uint32], others []graph.VertexID) {
 
 func TestAliasedContextAndNeighbors(t *testing.T) {
 	// The context and the neighbor slice both flow through local
-	// aliases. The syntactic pass sees no neighbor loop at all (the
-	// range subject is ns, not srcs) and no EmitDep on ctx.
+	// aliases, which resolve inside the file: the isolated pass and the
+	// loaded package agree on the loop and on its coverage.
 	src := header + `
 func aliased(ctx *core.DenseCtx[uint32], dst graph.VertexID, srcs []graph.VertexID, _ []float32) {
 	c := ctx
@@ -123,10 +126,10 @@ func aliased(ctx *core.DenseCtx[uint32], dst graph.VertexID, srcs []graph.Vertex
 		t.Fatal(err)
 	}
 	if len(syn.Funcs) != 1 {
-		t.Fatalf("syntactic funcs: %+v", syn.Funcs)
+		t.Fatalf("isolated pass funcs: %+v", syn.Funcs)
 	}
-	if len(syn.Funcs[0].Loops) != 0 {
-		t.Fatalf("syntactic pass unexpectedly resolved the aliased loop: %+v", syn.Funcs[0])
+	if f := syn.Funcs[0]; len(f.Loops) != 1 || f.Loops[0].Breaks != 1 || f.Instrumented != analyzer.InstrumentedYes {
+		t.Fatalf("isolated pass lost the aliased loop or its EmitDep: %+v", f)
 	}
 
 	rep := AnalyzePackage(loadFixture(t, src))
@@ -137,15 +140,15 @@ func aliased(ctx *core.DenseCtx[uint32], dst graph.VertexID, srcs []graph.Vertex
 	if len(f.Loops) != 1 || f.Loops[0].Breaks != 1 {
 		t.Fatalf("aliased loop not found: %+v", f)
 	}
-	if !f.LoopCarried || f.Instrumented != InstrumentedYes {
+	if !f.LoopCarried || f.Instrumented != analyzer.InstrumentedYes {
 		t.Fatalf("aliased EmitDep not recognized: %+v", f)
 	}
 }
 
 // TestInterproceduralHelperBreak is the acceptance fixture: the UDF has
 // no loop of its own — it hands the neighbor slice to a helper whose
-// loop returns early. The syntactic pass reports no loop-carried
-// dependency; the typed pass must.
+// loop returns early. The isolated pass reports no loop-carried
+// dependency; the loaded package must.
 func TestInterproceduralHelperBreak(t *testing.T) {
 	src := header + `
 func udf(ctx *core.DenseCtx[uint32], dst graph.VertexID, srcs []graph.VertexID, _ []float32) {
@@ -168,14 +171,14 @@ func firstActive(srcs []graph.VertexID) int {
 		t.Fatal(err)
 	}
 	if len(syn.Funcs) != 1 {
-		t.Fatalf("syntactic funcs: %+v", syn.Funcs)
+		t.Fatalf("isolated pass funcs: %+v", syn.Funcs)
 	}
 	if syn.Funcs[0].LoopCarried {
-		t.Fatalf("syntactic pass should not see the helper break (it analyzes one function at a time): %+v", syn.Funcs[0])
+		t.Fatalf("isolated pass should not see the helper break (it analyzes one function at a time): %+v", syn.Funcs[0])
 	}
 
 	rep := AnalyzePackage(loadFixture(t, src))
-	var udf *FuncReport
+	var udf *analyzer.FuncReport
 	for i := range rep.Funcs {
 		if rep.Funcs[i].Name == "udf" {
 			udf = &rep.Funcs[i]
@@ -190,7 +193,7 @@ func firstActive(srcs []graph.VertexID) int {
 	if len(udf.InterBreaks) == 0 || udf.InterBreaks[0].Callee != "firstActive" || udf.InterBreaks[0].Covered {
 		t.Fatalf("inter breaks: %+v", udf.InterBreaks)
 	}
-	if udf.Instrumented != InstrumentedNo {
+	if udf.Instrumented != analyzer.InstrumentedNo {
 		t.Fatalf("instrumented = %s, want no", udf.Instrumented)
 	}
 }
@@ -218,7 +221,7 @@ func inner(ctx *core.DenseCtx[uint32], srcs []graph.VertexID) bool {
 }
 `
 	rep := AnalyzePackage(loadFixture(t, src))
-	var udf *FuncReport
+	var udf *analyzer.FuncReport
 	for i := range rep.Funcs {
 		if rep.Funcs[i].Name == "udf" {
 			udf = &rep.Funcs[i]
@@ -232,7 +235,7 @@ func inner(ctx *core.DenseCtx[uint32], srcs []graph.VertexID) bool {
 			t.Fatalf("covered helper reported uncovered: %+v", udf.InterBreaks)
 		}
 	}
-	if udf.Instrumented != InstrumentedYes {
+	if udf.Instrumented != analyzer.InstrumentedYes {
 		t.Fatalf("instrumented = %s, want yes", udf.Instrumented)
 	}
 }
@@ -260,7 +263,7 @@ func kcoreish(ctx *core.DenseCtx[int64], dst graph.VertexID, srcs []graph.Vertex
 	if len(rep.Funcs) != 1 || len(rep.Funcs[0].Loops) != 1 {
 		t.Fatalf("funcs: %+v", rep.Funcs)
 	}
-	got := map[string]CarriedVar{}
+	got := map[string]analyzer.CarriedVar{}
 	for _, c := range rep.Funcs[0].Loops[0].Carried {
 		got[c.Name] = c
 	}
@@ -284,8 +287,41 @@ func early(ctx *core.DenseCtx[uint32], srcs []graph.VertexID) {
 `
 	rep := AnalyzePackage(loadFixture(t, src))
 	f := rep.Funcs[0]
-	if !f.LoopCarried || f.Loops[0].Returns != 1 || f.Instrumented != InstrumentedNo {
+	if !f.LoopCarried || f.Loops[0].Returns != 1 || f.Instrumented != analyzer.InstrumentedNo {
 		t.Fatalf("return-in-loop: %+v", f)
+	}
+}
+
+// TestLabeledBreakIsEarlyExit: a labeled break that leaves the neighbor
+// loop — from a nested loop, through the loop's own label — is a break
+// of that loop; one whose label sits inside the body is not.
+func TestLabeledBreakIsEarlyExit(t *testing.T) {
+	src := header + `
+var hot [][]graph.VertexID
+
+func labeled(ctx *core.DenseCtx[uint32], srcs []graph.VertexID) {
+outer:
+	for _, u := range srcs {
+	inner:
+		for _, h := range hot[0] {
+			switch {
+			case h == u:
+				ctx.Emit(uint32(u))
+				break outer
+			case h == 0:
+				break inner
+			}
+		}
+	}
+}
+`
+	rep := AnalyzePackage(loadFixture(t, src))
+	f := rep.Funcs[0]
+	if !f.LoopCarried || len(f.Loops) != 1 || f.Loops[0].Breaks != 1 || f.Instrumented != analyzer.InstrumentedNo {
+		t.Fatalf("break outer: %+v", f)
+	}
+	if got := f.Loops[0].UncoveredExits; len(got) != 1 || len(f.Loops[0].UncoveredReturns) != 0 {
+		t.Fatalf("uncovered exits = %v (returns %v), want the one labeled break", got, f.Loops[0].UncoveredReturns)
 	}
 }
 
@@ -305,7 +341,7 @@ func partial(ctx *core.DenseCtx[uint32], srcs []graph.VertexID) {
 `
 	rep := AnalyzePackage(loadFixture(t, src))
 	f := rep.Funcs[0]
-	if f.Instrumented != InstrumentedPartial {
+	if f.Instrumented != analyzer.InstrumentedPartial {
 		t.Fatalf("instrumented = %s, want partial (the Listing 2 failure class): %+v", f.Instrumented, f)
 	}
 	if len(f.Loops[0].UncoveredExits) != 1 {
@@ -317,11 +353,8 @@ func partial(ctx *core.DenseCtx[uint32], srcs []graph.VertexID) {
 // function in internal/algorithms must analyze as fully instrumented —
 // the framework's own kernels obey the invariant sgvet enforces.
 func TestRealAlgorithmsPackage(t *testing.T) {
-	loader, err := NewLoader(Config{ModuleRoot: repoRoot(t)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkg, err := loader.LoadDir(filepath.Join(repoRoot(t), "internal", "algorithms"))
+	loader := sharedLoader(t)
+	pkg, err := loader.LoadDir(filepath.Join(loader.ModuleRoot(), "internal", "algorithms"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +367,7 @@ func TestRealAlgorithmsPackage(t *testing.T) {
 	}
 	carried := 0
 	for _, f := range rep.Funcs {
-		if f.Instrumented == InstrumentedNo || f.Instrumented == InstrumentedPartial {
+		if f.Instrumented == analyzer.InstrumentedNo || f.Instrumented == analyzer.InstrumentedPartial {
 			t.Errorf("uninstrumented UDF in tree: %s (%s:%d) state=%s", f.Name, f.File, f.Line, f.Instrumented)
 		}
 		if f.LoopCarried {
@@ -347,11 +380,7 @@ func TestRealAlgorithmsPackage(t *testing.T) {
 }
 
 func TestLoadPatternsWildcard(t *testing.T) {
-	loader, err := NewLoader(Config{ModuleRoot: repoRoot(t)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := loader.LoadPatterns("./internal/analyzer/...")
+	pkgs, err := sharedLoader(t).LoadPatterns("./internal/analyzer/...")
 	if err != nil {
 		t.Fatal(err)
 	}

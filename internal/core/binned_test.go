@@ -70,7 +70,7 @@ func runAlgo(t *testing.T, algo string, g *graph.Graph, opts core.Options) (inte
 
 // depSegments is core.DepSegments for the cluster opts would build over g.
 func depSegments(g *graph.Graph, opts core.Options, B int) int64 {
-	pt, err := partition.NewChunked(g, opts.NumNodes, opts.Alpha)
+	pt, err := partition.NewChunked(g, opts.NumNodes, 0)
 	if err != nil {
 		panic(err)
 	}

@@ -180,7 +180,7 @@ func NewCluster(g *graph.Graph, opts Options) (*Cluster, error) {
 // hosts in distributed mode). opts must already be validated. Endpoints,
 // localNode and checkpoints are the caller's to fill in.
 func newCluster(g *graph.Graph, opts Options, machines []int) (*Cluster, error) {
-	pt, err := partition.NewChunked(g, opts.NumNodes, opts.Alpha)
+	pt, err := partition.NewChunked(g, opts.NumNodes, 0) // 0: partition.DefaultAlpha
 	if err != nil {
 		return nil, err
 	}

@@ -92,9 +92,6 @@ type Options struct {
 	// Workers is the number of worker goroutines per simulated machine
 	// (the paper's per-node worker threads). Defaults to 1.
 	Workers int
-	// Alpha is the partition balance factor (α·|V|+|E|); 0 selects the
-	// package default.
-	Alpha float64
 	// Link simulates interconnect latency and bandwidth for the
 	// in-memory transport (nil = instant delivery). Ignored when
 	// Endpoints is set.

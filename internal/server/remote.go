@@ -73,12 +73,11 @@ const (
 // wireOptions is the engine configuration shipped to workers — the
 // subset of core.Options that is meaningful across process boundaries.
 type wireOptions struct {
-	Mode         string  `json:"mode"`
-	DepThreshold int     `json:"dep_threshold"`
-	NumBuffers   int     `json:"num_buffers"`
-	Workers      int     `json:"workers"`
-	Alpha        float64 `json:"alpha"`
-	StallMs      int64   `json:"stall_ms"`
+	Mode         string `json:"mode"`
+	DepThreshold int    `json:"dep_threshold"`
+	NumBuffers   int    `json:"num_buffers"`
+	Workers      int    `json:"workers"`
+	StallMs      int64  `json:"stall_ms"`
 }
 
 type buildMsg struct {
@@ -513,7 +512,6 @@ func (p *RemoteProvider) buildAttempt(spec BuildSpec, ship *shipEntry, targets [
 		DepThreshold: opts.DepThreshold,
 		NumBuffers:   opts.NumBuffers,
 		Workers:      opts.Workers,
-		Alpha:        opts.Alpha,
 		StallMs:      opts.StallTimeout.Milliseconds(),
 	}
 

@@ -511,7 +511,6 @@ func (d *WorkerDaemon) serveSlot(wc *workerConn, bm buildMsg) {
 		DepThreshold: bm.Opts.DepThreshold,
 		NumBuffers:   bm.Opts.NumBuffers,
 		Workers:      bm.Opts.Workers,
-		Alpha:        bm.Opts.Alpha,
 		StallTimeout: time.Duration(bm.Opts.StallMs) * time.Millisecond,
 	}
 	eng, err := core.NewDistributedEngine(g, opts, ep)

@@ -1,6 +1,10 @@
 package sgvet
 
-import "repro/internal/analyzer/typed"
+import (
+	"slices"
+
+	"repro/internal/analyzer"
+)
 
 // DepBreak enforces the paper's §4 invariant: every early exit from a
 // dense-signal UDF's neighbor traversal must be announced with
@@ -11,10 +15,13 @@ import "repro/internal/analyzer/typed"
 // the uninstrumented-UDF trap: code that compiles, runs, and degrades
 // the guarantee without any error.
 //
-// The check runs the type-resolved analysis, so it sees through aliased
-// contexts and neighbor slices and through helper functions the slice
-// is handed to (interprocedural breaks). Intentional machine-local
-// exits are declared with //sgc:local on the break.
+// The check reads the same record `sgc analyze` prints and `sgc
+// instrument` rewrites from, over the loaded package: it sees through
+// aliased contexts and neighbor slices, labeled breaks, and helper
+// functions the slice is handed to (interprocedural breaks). Its advice
+// follows what the instrumenter can do — it patches breaks; a return or
+// a helper's exit needs its ctx.EmitDep() written by hand. Intentional
+// machine-local exits are declared with //sgc:local on the exit.
 var DepBreak = &Analyzer{
 	Name: "depbreak",
 	Doc:  "neighbor-loop early exit without ctx.EmitDep() in a signal UDF",
@@ -22,15 +29,15 @@ var DepBreak = &Analyzer{
 }
 
 func runDepBreak(p *Pass) {
-	rep := typed.AnalyzePackage(p.Pkg)
-	for _, f := range rep.Funcs {
-		if f.Instrumented != typed.InstrumentedNo && f.Instrumented != typed.InstrumentedPartial {
-			continue
-		}
+	for _, f := range analyzer.AnalyzeFiles(p.Pkg.Fset, p.Pkg.Files, p.Pkg.Info) {
 		for _, l := range f.Loops {
 			for _, line := range l.UncoveredExits {
+				fix := "run `sgc instrument`"
+				if slices.Contains(l.UncoveredReturns, line) {
+					fix = "add `ctx.EmitDep()` before the exit"
+				}
 				p.ReportAt(f.Path, line, 1,
-					"signal UDF %s: neighbor-loop early exit without ctx.EmitDep() — the loop-carried dependency is not propagated (run `sgc instrument`, or mark a machine-local exit with //sgc:local)", f.Name)
+					"signal UDF %s: neighbor-loop early exit without ctx.EmitDep() — the loop-carried dependency is not propagated (%s, or mark a machine-local exit with //sgc:local)", f.Name, fix)
 			}
 		}
 		for _, ib := range f.InterBreaks {
@@ -38,7 +45,7 @@ func runDepBreak(p *Pass) {
 				continue
 			}
 			p.ReportAt(f.Path, ib.CallLine, 1,
-				"signal UDF %s: helper %s exits neighbor traversal early (line %d) without ctx.EmitDep() — interprocedural loop-carried dependency is not propagated", f.Name, ib.Callee, ib.ExitLine)
+				"signal UDF %s: helper %s exits neighbor traversal early (line %d) without ctx.EmitDep() — interprocedural loop-carried dependency is not propagated (add `ctx.EmitDep()` before the exit)", f.Name, ib.Callee, ib.ExitLine)
 		}
 	}
 }

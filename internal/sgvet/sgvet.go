@@ -10,8 +10,8 @@
 //   - depbreak — a dense-signal UDF whose neighbor traversal exits
 //     early without ctx.EmitDep() silently loses the precise
 //     loop-carried-dependency guarantee (paper Listing 2's failure
-//     class). Backed by the type-resolved analysis in analyzer/typed,
-//     including interprocedural helper breaks.
+//     class). Reads the §4 record of internal/analyzer over the loaded
+//     package, including interprocedural helper breaks.
 //   - snapdet — map iteration feeding an order-sensitive sink inside
 //     snapshot/checkpoint/stats code is nondeterministic and breaks the
 //     bit-identical recovery contract.
@@ -80,7 +80,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // ReportAt records a diagnostic at an explicit file/line, for findings
-// derived from reports that carry positions as lines (analyzer/typed).
+// derived from reports that carry positions as lines (internal/analyzer).
 func (p *Pass) ReportAt(file string, line, col int, format string, args ...any) {
 	*p.diags = append(*p.diags, Diagnostic{
 		Analyzer: p.name,

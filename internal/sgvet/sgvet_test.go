@@ -8,32 +8,20 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/analyzer/typed"
+	"repro/internal/loader"
 )
 
-// repoRoot walks up from the working directory to go.mod.
-func repoRoot(t *testing.T) string {
-	t.Helper()
-	dir, err := os.Getwd()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for {
-		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
-			return dir
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			t.Fatal("go.mod not found above working directory")
-		}
-		dir = parent
-	}
-}
+// shared is the one loader of this test binary (the module is found by
+// walking up from the working directory): the Loader memoizes by import
+// path and every fixture lives in its own temp dir, so the module's
+// packages and the stdlib behind them are type-checked once, not once
+// per fixture.
+var shared *loader.Loader
 
 // loadFixture writes src as a single-file package under an optional
 // subdir (some analyzers scope by import-path suffix) and loads it with
 // imports resolving against the real module.
-func loadFixture(t *testing.T, subdir, src string) *typed.Package {
+func loadFixture(t *testing.T, subdir, src string) *loader.Package {
 	t.Helper()
 	dir := t.TempDir()
 	if subdir != "" {
@@ -45,11 +33,14 @@ func loadFixture(t *testing.T, subdir, src string) *typed.Package {
 	if err := os.WriteFile(filepath.Join(dir, "fixture.go"), []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	loader, err := typed.NewLoader(typed.Config{ModuleRoot: repoRoot(t)})
-	if err != nil {
-		t.Fatal(err)
+	if shared == nil {
+		l, err := loader.NewLoader(loader.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		shared = l
 	}
-	pkg, err := loader.LoadDir(dir)
+	pkg, err := shared.LoadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +57,7 @@ func loadFixture(t *testing.T, subdir, src string) *typed.Package {
 func checkFixture(t *testing.T, src, subdir string, analyzers ...*Analyzer) []Diagnostic {
 	t.Helper()
 	pkg := loadFixture(t, subdir, src)
-	diags := Run([]*typed.Package{pkg}, analyzers)
+	diags := Run([]*loader.Package{pkg}, analyzers)
 
 	want := map[int][]string{}
 	for i, line := range strings.Split(src, "\n") {
@@ -160,6 +151,30 @@ func good(ctx *core.DenseCtx[uint32], dst graph.VertexID, srcs []graph.VertexID,
 	}
 }
 
+var hot [][]graph.VertexID
+
+func labeledBad(ctx *core.DenseCtx[uint32], dst graph.VertexID, srcs []graph.VertexID, _ []float32) {
+outer:
+	for _, u := range srcs {
+		ctx.Edge()
+		for _, h := range hot[0] {
+			if h == u {
+				ctx.Emit(uint32(u))
+				break outer // want:depbreak
+			}
+		}
+	}
+}
+
+func returnBad(ctx *core.DenseCtx[uint32], dst graph.VertexID, srcs []graph.VertexID, _ []float32) {
+	for _, u := range srcs {
+		ctx.Edge()
+		if frontier.Get(int(u)) {
+			return // want:depbreak
+		}
+	}
+}
+
 func localPick(ctx *core.DenseCtx[uint32], dst graph.VertexID, srcs []graph.VertexID, _ []float32) {
 	for _, u := range srcs {
 		ctx.Edge()
@@ -168,8 +183,45 @@ func localPick(ctx *core.DenseCtx[uint32], dst graph.VertexID, srcs []graph.Vert
 		}
 	}
 }
+
+// Paper Listing 2: one exit fixed by hand, the next one forgotten.
+func partialBad(ctx *core.DenseCtx[uint32], dst graph.VertexID, srcs []graph.VertexID, _ []float32) {
+	for _, u := range srcs {
+		ctx.Edge()
+		if frontier.Get(int(u)) {
+			ctx.EmitDep()
+			break
+		}
+		if u == dst {
+			break // want:depbreak
+		}
+	}
+}
+
+var spare *core.DenseCtx[uint32]
+
+// An EmitDep on some other context value announces nothing for this call.
+func otherCtxBad(ctx *core.DenseCtx[uint32], dst graph.VertexID, srcs []graph.VertexID, _ []float32) {
+	for _, u := range srcs {
+		ctx.Edge()
+		if frontier.Get(int(u)) {
+			spare.EmitDep()
+			break // want:depbreak
+		}
+	}
+}
 `
-	checkFixture(t, src, "", DepBreak)
+	// The advice names a tool only where the tool helps: `sgc instrument`
+	// patches breaks, in a partly hand-instrumented function too; returns
+	// and helper exits are fixed by hand.
+	for _, d := range checkFixture(t, src, "", DepBreak) {
+		byTool := strings.Contains(d.Message, "run `sgc instrument`")
+		byHand := strings.Contains(d.Message, "add `ctx.EmitDep()` before the exit")
+		isBreak := !strings.Contains(d.Message, "signal UDF helperBad:") && !strings.Contains(d.Message, "signal UDF returnBad:")
+		if byTool != isBreak || byHand == isBreak {
+			t.Errorf("wrong advice: %s", d)
+		}
+	}
 }
 
 func TestSnapDetFixture(t *testing.T) {

@@ -15,7 +15,7 @@ import (
 // computed once even when lockorder walks the same call site.
 //
 // Summaries are depth-bounded (maxSummaryDepth, the same discipline as
-// the §4 analysis in internal/analyzer/typed) and memoized with an
+// the §4 analysis in internal/analyzer) and memoized with an
 // in-progress marker, so mutual recursion degrades to "no summary"
 // instead of looping.
 type Facts struct {
@@ -32,7 +32,7 @@ type Facts struct {
 
 // maxSummaryDepth bounds transitive helper-summary computation: a
 // release (or lock acquisition) more than four in-package calls deep
-// is out of scope, matching maxHelperDepth in internal/analyzer/typed.
+// is out of scope, matching packageHelperDepth in internal/analyzer.
 const maxSummaryDepth = 4
 
 func newFacts(pkg *loader.Package) *Facts {

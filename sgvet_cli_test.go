@@ -37,8 +37,9 @@ func goldenCompare(t *testing.T, goldenPath, got string) {
 // TestSgcAnalyzeJSONGolden pins the stable JSON schema of `sgc analyze
 // -json` in both modes, and with it the PR's acceptance property: the
 // fixture's viaHelper UDF breaks its neighbor traversal inside a helper
-// function, which the syntactic pass cannot see (loop_carried=false,
-// instrumented=not-needed) and the typed pass must (loop_carried=true
+// function, which the isolated-file pass (mode "syntactic": one function
+// at a time, helper depth 0) does not follow (loop_carried=false,
+// instrumented=not-needed) and the loaded package must (loop_carried=true
 // with an uncovered inter_break, instrumented=no).
 func TestSgcAnalyzeJSONGolden(t *testing.T) {
 	if testing.Short() {
@@ -90,7 +91,7 @@ func TestSgcAnalyzeJSONGolden(t *testing.T) {
 		return
 	}
 	if lc, inst, _ := find(sd, "viaHelper"); lc || inst != "not-needed" {
-		t.Fatalf("syntactic pass should miss the helper break: loop_carried=%v instrumented=%s", lc, inst)
+		t.Fatalf("isolated pass should miss the helper break: loop_carried=%v instrumented=%s", lc, inst)
 	}
 	if lc, inst, helpers := find(td, "viaHelper"); !lc || inst != "no" || len(helpers) != 1 || helpers[0] != "firstActive" {
 		t.Fatalf("typed pass must see the helper break: loop_carried=%v instrumented=%s helpers=%v", lc, inst, helpers)
