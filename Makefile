@@ -3,9 +3,9 @@
 # layer, run the seeded chaos soak, the sgserve process smoke test, then
 # the full suite (which includes the CLI trace smoke test and the
 # sustained serving load test).
-.PHONY: verify build vet lint lint-check test race smoke serve-smoke serve-dist-smoke chaos fleet-chaos mutate-chaos bench-build microbench-smoke fuzz-smoke inline-check size
+.PHONY: verify build vet lint lint-check test race smoke serve-smoke serve-dist-smoke chaos fleet-chaos mutate-chaos bench-build microbench-smoke fuzz-smoke inline-check size size-check
 
-verify: build inline-check bench-build microbench-smoke fuzz-smoke lint lint-check race chaos fleet-chaos mutate-chaos serve-smoke serve-dist-smoke test
+verify: build inline-check size-check bench-build microbench-smoke fuzz-smoke lint lint-check race chaos fleet-chaos mutate-chaos serve-smoke serve-dist-smoke test
 
 build:
 	go build ./...
@@ -85,6 +85,35 @@ size:
 	@for d in cmd/*/ internal/cliutil/; do \
 		echo "flags, $$d: $$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | grep -cE '$(FLAGDEF)')"; \
 	done
+
+# The size budget as a gate: every line below is a `make size` line with
+# the figure the tree had when it was last lowered (PR 23). size-check
+# recomputes them and fails on any that grew — a PR that needs more code,
+# surface, options or flags raises the number here, in its own diff, and
+# says why in CHANGES.md; one that shrinks a figure lowers it.
+define SIZE_BUDGET
+non-test Go LOC, repo: 25148
+non-test Go LOC, internal/core + internal/comm: 4724
+exported identifiers, internal/core: 195
+exported identifiers, internal/comm: 152
+core.Options fields: 14
+flags, cmd/sgbench/: 19
+flags, cmd/sgc/: 5
+flags, cmd/sggen/: 12
+flags, cmd/sgserve/: 14
+flags, cmd/sgvet/: 6
+flags, cmd/sgworker/: 4
+flags, cmd/symplegraph/: 16
+flags, internal/cliutil/: 15
+endef
+export SIZE_BUDGET
+size-check:
+	@{ echo "$$SIZE_BUDGET"; echo "--"; $(MAKE) -s --no-print-directory size; } | awk -F': ' ' \
+		$$0 == "--" { measuring = 1; next } \
+		!measuring { budget[$$1] = $$2; next } \
+		$$1 in budget { seen[$$1] = 1; if ($$2 + 0 > budget[$$1] + 0) { printf "size-check: %s is %d, over the budget of %d\n", $$1, $$2, budget[$$1]; bad = 1 } } \
+		END { for (k in budget) if (!(k in seen)) { printf "size-check: nothing measured for \"%s\"\n", k; bad = 1 } \
+			if (!bad) print "size-check: every figure within its budget"; exit bad }'
 
 race:
 	go test -race -count=1 ./internal/comm/... ./internal/core/... ./internal/algorithms/... ./internal/mutate/... ./internal/server/...

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/obs"
 	"repro/internal/seq"
 )
 
@@ -67,20 +68,36 @@ func TestBFSMatchesSequential(t *testing.T) {
 func TestBFSUsesBothDirections(t *testing.T) {
 	g := graph.Symmetrize(graph.RMAT(11, 16, graph.Graph500Params(), 3))
 	root, _ := graph.LargestOutDegreeVertex(g)
-	c, err := core.NewCluster(g, core.Options{NumNodes: 4, Mode: core.ModeSympleGraph, DepThreshold: 32, NumBuffers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	res, err := BFS(c, root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.BottomUpSteps == 0 {
-		t.Fatalf("adaptive BFS never went bottom-up: %+v", res)
-	}
-	if res.TopDownSteps == 0 {
-		t.Fatalf("adaptive BFS never went top-down: %+v", res)
+	for _, B := range []int{1, 2, 3} {
+		tr := obs.NewTracer()
+		c, err := core.NewCluster(g, core.Options{NumNodes: 4, Mode: core.ModeSympleGraph, DepThreshold: 32, NumBuffers: B, Tracer: tr})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		res, err := BFS(c, root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.BottomUpSteps == 0 {
+			t.Fatalf("adaptive BFS never went bottom-up: %+v", res)
+		}
+		if res.TopDownSteps == 0 {
+			t.Fatalf("adaptive BFS never went top-down: %+v", res)
+		}
+		// Every collective call is one Barrier span on each node: per
+		// level the frontier statistic, the pass's reduce and (but for
+		// the last, empty level) the frontier sync, then two gathers.
+		levels := int64(res.TopDownSteps + res.BottomUpSteps)
+		var barriers int64
+		for _, ps := range c.Stats().Phases {
+			if ps.Phase == obs.PhaseBarrier {
+				barriers += ps.Hist.Count
+			}
+		}
+		if want := 4 * (3*levels - 1 + 2); barriers != want {
+			t.Fatalf("B=%d: %d Barrier spans over %d levels, want %d", B, barriers, levels, want)
+		}
 	}
 }
 

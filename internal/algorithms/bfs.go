@@ -175,20 +175,13 @@ func BFSWithDirection(c core.Engine, root graph.VertexID, dir Direction) (*BFSRe
 		}
 
 		// Publish results to node 0, whose copy becomes the return value.
-		if err := w.GatherU32(parent); err != nil {
+		if err := core.Gather(w, parent); err != nil {
 			return err
 		}
-		depthU := make([]uint32, n)
-		for i, d := range depth {
-			depthU[i] = uint32(d)
-		}
-		if err := w.GatherU32(depthU); err != nil {
+		if err := core.Gather(w, depth); err != nil {
 			return err
 		}
 		if w.ID() == 0 {
-			for i, d := range depthU {
-				depth[i] = int32(d)
-			}
 			res.Parent = parent
 			res.Depth = depth
 			res.TopDownSteps = topDown

@@ -61,7 +61,7 @@ func ConnectedComponents(c core.Engine) ([]uint32, error) {
 			changed, next = next, changed
 			next.ClearAll()
 		}
-		if err := w.GatherU32(label); err != nil {
+		if err := core.Gather(w, label); err != nil {
 			return err
 		}
 		if w.ID() == 0 {
@@ -150,19 +150,11 @@ func SSSP(c core.Engine, root graph.VertexID) ([]float32, error) {
 			next.ClearAll()
 			iter++
 		}
-		// Publish as bit patterns to survive the u32 gather.
-		bits := make([]uint32, n)
-		lo, hi := w.MasterRange()
-		for v := lo; v < hi; v++ {
-			bits[v] = math.Float32bits(dist[v])
-		}
-		if err := w.GatherU32(bits); err != nil {
+		if err := core.Gather(w, dist); err != nil {
 			return err
 		}
 		if w.ID() == 0 {
-			for v, b := range bits {
-				out[v] = math.Float32frombits(b)
-			}
+			copy(out, dist)
 		}
 		return nil
 	})

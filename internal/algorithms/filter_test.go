@@ -57,7 +57,7 @@ func refConnectedComponents(c core.Engine) ([]uint32, error) {
 			}
 			changed = next
 		}
-		if err := w.GatherU32(label); err != nil {
+		if err := core.Gather(w, label); err != nil {
 			return err
 		}
 		if w.ID() == 0 {
@@ -115,7 +115,7 @@ func refSSSP(c core.Engine, root graph.VertexID) ([]uint32, error) {
 		for v := lo; v < hi; v++ {
 			bits[v] = math.Float32bits(dist[v])
 		}
-		if err := w.GatherU32(bits); err != nil {
+		if err := core.Gather(w, bits); err != nil {
 			return err
 		}
 		if w.ID() == 0 {
@@ -165,7 +165,7 @@ func refPageRank(c core.Engine, iters int, damping float64) ([]float64, error) {
 				rank[v] = base + damping*next[v]
 			}
 		}
-		if err := w.AllGatherF64(rank); err != nil {
+		if err := core.AllGather(w, rank); err != nil {
 			return err
 		}
 		if w.ID() == 0 {

@@ -96,7 +96,7 @@ func KCore(c core.Engine, k int) (*KCoreResult, error) {
 
 		out := make([]uint32, n)
 		active.RangeSegment(lo, hi, func(v int) bool { out[v] = 1; return true })
-		if err := w.AllGatherU32(out); err != nil {
+		if err := core.AllGather(w, out); err != nil {
 			return err
 		}
 		if w.ID() == 0 {

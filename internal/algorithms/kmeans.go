@@ -108,22 +108,15 @@ func KMeans(c core.Engine, centers, iters int, seed uint64) (*seq.KMeansResult, 
 			cs = cs2
 		}
 
-		if err := w.GatherU32(cluster); err != nil {
+		if err := core.Gather(w, cluster); err != nil {
 			return err
 		}
-		distU := make([]uint32, n)
-		for v, d := range dist {
-			distU[v] = uint32(d)
-		}
-		if err := w.GatherU32(distU); err != nil {
+		if err := core.Gather(w, dist); err != nil {
 			return err
 		}
 		if w.ID() == 0 {
 			res.Cluster = cluster
-			res.Dist = make([]int32, n)
-			for v, d := range distU {
-				res.Dist[v] = int32(d)
-			}
+			res.Dist = dist
 			res.Centers = cs
 			res.DistSums = distSums
 			res.Rounds = totalRounds
@@ -165,28 +158,21 @@ func recenterDistributed(w *core.Worker, cluster []uint32, prev []graph.VertexID
 		binary.LittleEndian.PutUint64(blob[cid*12:], math.Float64bits(bestKey[cid]))
 		binary.LittleEndian.PutUint32(blob[cid*12+8:], uint32(bestV[cid]))
 	}
-	all, err := w.AllGatherBlob(blob)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]graph.VertexID, k)
-	outKey := make([]float64, k)
-	for cid := 0; cid < k; cid++ {
-		outKey[cid] = math.Inf(1)
-		out[cid] = prev[cid]
-	}
-	for _, payload := range all {
+	// Fold every peer's minima into ours; ties go to the lower vertex,
+	// as the oracle's ascending scan breaks them.
+	err := w.AllGatherBlob(blob, func(_ int, payload []byte) error {
 		if len(payload) != k*12 {
-			return nil, fmt.Errorf("algorithms: recenter blob is %d bytes, want %d", len(payload), k*12)
+			return fmt.Errorf("algorithms: recenter blob is %d bytes, want %d", len(payload), k*12)
 		}
 		for cid := 0; cid < k; cid++ {
 			key := math.Float64frombits(binary.LittleEndian.Uint64(payload[cid*12:]))
 			v := graph.VertexID(binary.LittleEndian.Uint32(payload[cid*12+8:]))
-			if key < outKey[cid] {
-				outKey[cid] = key
-				out[cid] = v
+			if key < bestKey[cid] || (key == bestKey[cid] && v < bestV[cid]) {
+				bestKey[cid] = key
+				bestV[cid] = v
 			}
 		}
-	}
-	return out, nil
+		return nil
+	})
+	return bestV, err
 }

@@ -123,7 +123,7 @@ func MIS(c core.Engine, seed uint64) (*MISResult, error) {
 				out[v] = 1
 			}
 		}
-		if err := w.GatherU32(out); err != nil {
+		if err := core.Gather(w, out); err != nil {
 			return err
 		}
 		if w.ID() == 0 {

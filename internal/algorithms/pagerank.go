@@ -65,7 +65,7 @@ func PageRank(c core.Engine, iters int, damping float64) ([]float64, error) {
 				rank[v] = base + damping*rank[v]
 			}
 		}
-		if err := w.AllGatherF64(rank); err != nil {
+		if err := core.AllGather(w, rank); err != nil {
 			return err
 		}
 		if w.ID() == 0 {

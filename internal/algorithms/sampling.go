@@ -80,7 +80,7 @@ func Sample(c core.Engine, seed uint64, rounds int) (*SampleResult, error) {
 			}); err != nil {
 				return err
 			}
-			if err := w.AllGatherF64(totalW); err != nil {
+			if err := core.AllGather(w, totalW); err != nil {
 				return err
 			}
 		}
@@ -165,7 +165,7 @@ func Sample(c core.Engine, seed uint64, rounds int) (*SampleResult, error) {
 				return err
 			}
 			exactPicks += exact // already globally reduced by the pass
-			if err := w.GatherU32(pick); err != nil {
+			if err := core.Gather(w, pick); err != nil {
 				return err
 			}
 			allPicks[round] = pick

@@ -165,6 +165,36 @@ func TestTCPOversizedFrameClosesInbox(t *testing.T) {
 	}
 }
 
+// TestTCPFrameFromWrongSenderClosesInbox pins that a frame whose header
+// names a sender other than the connection's peer — bytes the peer
+// controls — closes the inbox like any other stream corruption instead
+// of panicking the reader goroutine, and with it the process.
+func TestTCPFrameFromWrongSenderClosesInbox(t *testing.T) {
+	eps, err := NewTCPClusterLoopback(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range eps {
+		defer e.Close()
+	}
+	frame := make([]byte, headerBytes+4)
+	putFrameHeader(frame, 2, KindUpdate, 0, 4) // node 0's connection, claiming to be node 2
+	c := eps[0].conns[1]
+	c.mu.Lock()
+	_, err = c.c.Write(frame)
+	c.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ce *ClosedError
+	if _, err = eps[1].Recv(0, KindUpdate, 0); !errors.As(err, &ce) {
+		t.Fatalf("Recv after a frame from the wrong sender: %v, want *ClosedError", err)
+	}
+	if _, err = eps[1].RecvTimeout(2, KindUpdate, 0, time.Second); !errors.As(err, &ce) {
+		t.Fatalf("the forged frame was delivered as node 2's: %v, want *ClosedError", err)
+	}
+}
+
 // TestSlabReuseNoCrossPollination floods the slab from concurrent
 // sender/receiver pairs — every frame acquired from the pool, handed
 // off, verified and Released — and checks no receiver ever observes

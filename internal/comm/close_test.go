@@ -109,15 +109,15 @@ func TestConcurrentCloseDuringRecv(t *testing.T) {
 // timely message is delivered, an absent one times out with context.
 func TestRecvTimeout(t *testing.T) {
 	endpointsUnderTest(t, 2, func(t *testing.T, eps []Endpoint) {
-		if err := eps[0].Send(1, KindUpdate, 3, []byte("x")); err != nil {
+		if err := eps[0].SendBufs(1, KindUpdate, 3, Buffers{[]byte("x")}); err != nil {
 			t.Fatal(err)
 		}
-		m, err := RecvTimeout(eps[1], 0, KindUpdate, 3, time.Second)
+		m, err := eps[1].RecvTimeout(0, KindUpdate, 3, time.Second)
 		if err != nil || string(m.Payload) != "x" {
 			t.Fatalf("timely recv: %v %q", err, m.Payload)
 		}
 		start := time.Now()
-		_, err = RecvTimeout(eps[1], 0, KindUpdate, 4, 50*time.Millisecond)
+		_, err = eps[1].RecvTimeout(0, KindUpdate, 4, 50*time.Millisecond)
 		var te *TimeoutError
 		if !errors.As(err, &te) {
 			t.Fatalf("missing message returned %v, want *TimeoutError", err)

@@ -2,16 +2,20 @@ package comm
 
 import (
 	"encoding/binary"
+	"fmt"
 
 	"repro/internal/bufpool"
 )
 
-// Collectives used by the engine between iterations: a barrier, integer
-// all-reduce (for frontier sizes, active counts and termination votes),
-// and all-gather of byte blobs (for frontier bitmap exchange in dense
-// mode). All are implemented over point-to-point Control messages with a
+// Collectives used by the engine between iterations: a barrier and
+// integer all-reduce (for frontier sizes, active counts and termination
+// votes), over point-to-point Control messages with a
 // gather-to-root/broadcast tree of depth 1, which is plenty at the
-// cluster sizes the paper evaluates (≤16 nodes).
+// cluster sizes the paper evaluates (≤16 nodes). They wait with the
+// endpoint's plain Recv: a caller that wants its collectives deadlined
+// hands in an endpoint whose Recv carries the deadline (core.Worker
+// does). Segment exchanges — bitmap sync, the gathers — live with the
+// engine, which knows the partition.
 //
 // Each collective call site must pass a tag that is unique within the
 // current communication phase; the engine derives tags from iteration and
@@ -34,22 +38,15 @@ func AllReduceInt64(e Endpoint, x int64, tag int32, op func(a, b int64) int64) (
 		if err := sendInt64(e, 0, tag, x); err != nil {
 			return 0, err
 		}
-		m, err := e.Recv(0, KindControl, tag)
-		if err != nil {
-			return 0, err
-		}
-		v := int64(binary.LittleEndian.Uint64(m.Payload))
-		m.Release()
-		return v, nil
+		return recvInt64(e, 0, tag)
 	}
 	acc := x
 	for from := 1; from < e.N(); from++ {
-		m, err := e.Recv(NodeID(from), KindControl, tag)
+		v, err := recvInt64(e, NodeID(from), tag)
 		if err != nil {
 			return 0, err
 		}
-		acc = op(acc, int64(binary.LittleEndian.Uint64(m.Payload)))
-		m.Release()
+		acc = op(acc, v)
 	}
 	for to := 1; to < e.N(); to++ {
 		if err := sendInt64(e, NodeID(to), tag, acc); err != nil {
@@ -66,6 +63,21 @@ func sendInt64(e Endpoint, to NodeID, tag int32, v int64) error {
 	return e.SendBufs(to, KindControl, tag, Buffers{buf})
 }
 
+// recvInt64 receives what sendInt64 shipped; a frame of any other size is
+// a protocol violation, not eight bytes to guess at.
+func recvInt64(e Endpoint, from NodeID, tag int32) (int64, error) {
+	m, err := e.Recv(from, KindControl, tag)
+	if err != nil {
+		return 0, err
+	}
+	defer m.Release()
+	if len(m.Payload) != 8 {
+		return 0, &ProtocolError{Node: e.ID(), From: from, Kind: KindControl, WantTag: tag, GotTag: tag,
+			Reason: fmt.Sprintf("reduce frame is %d bytes, want 8", len(m.Payload))}
+	}
+	return int64(binary.LittleEndian.Uint64(m.Payload)), nil
+}
+
 // AllReduceBool ORs a boolean across all nodes (used for "any vertex still
 // active" termination checks).
 func AllReduceBool(e Endpoint, x bool, tag int32) (bool, error) {
@@ -75,37 +87,4 @@ func AllReduceBool(e Endpoint, x bool, tag int32) (bool, error) {
 	}
 	r, err := AllReduceInt64(e, v, tag, func(a, b int64) int64 { return a | b })
 	return r != 0, err
-}
-
-// AllGatherBytes distributes each node's blob to every node; the result
-// slice is indexed by node ID. Blobs may have different lengths. The
-// caller's own blob is aliased, not copied — which is why this fan-out
-// uses the aliasing Send, never SendBufs: one buffer goes to N-1 peers,
-// so no single recipient may own it. The gathered payloads are retained
-// by the caller (never Released), so slab-backed TCP reads simply age
-// out to the garbage collector.
-func AllGatherBytes(e Endpoint, blob []byte, tag int32) ([][]byte, error) {
-	out := make([][]byte, e.N())
-	out[e.ID()] = blob
-	// Send to all peers, then collect from all peers. The per-stream
-	// demux queues make the all-to-all exchange deadlock-free.
-	for to := 0; to < e.N(); to++ {
-		if NodeID(to) == e.ID() {
-			continue
-		}
-		if err := e.Send(NodeID(to), KindControl, tag, blob); err != nil {
-			return nil, err
-		}
-	}
-	for from := 0; from < e.N(); from++ {
-		if NodeID(from) == e.ID() {
-			continue
-		}
-		m, err := e.Recv(NodeID(from), KindControl, tag)
-		if err != nil {
-			return nil, err
-		}
-		out[from] = m.Payload
-	}
-	return out, nil
 }

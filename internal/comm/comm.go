@@ -62,35 +62,26 @@ func (k Kind) String() string {
 // iteration numbers); a mismatch indicates a protocol bug and surfaces as
 // a *ProtocolError at the receiver.
 //
-// A received Message leases its payload: once the receiver has consumed
-// (or copied out) the bytes it needs, Release returns the backing array
-// to the payload slab (internal/bufpool) for the next superstep's
-// frames. Release is always safe — payloads the transport does not own
-// (aliased plain-Send deliveries on the memory transport) make it a
-// no-op — but after calling it the payload must not be touched again;
-// the sgvet bufown analyzer polices that invariant. Receivers that
-// retain the payload (collective results handed to algorithms) simply
-// never Release.
+// A received Message leases its payload: every delivery is a buffer the
+// sender handed off (SendBufs) or the transport read into the payload
+// slab (internal/bufpool), never memory anyone else still holds. Once
+// the receiver has consumed (or copied out) the bytes it needs, Release
+// returns the backing array to the slab for the next superstep's
+// frames; after calling it the payload must not be touched again — the
+// sgvet bufown analyzer polices that invariant. A receiver that keeps
+// the payload instead simply never Releases and the garbage collector
+// takes it.
 type Message struct {
 	From    NodeID
 	Kind    Kind
 	Tag     int32
 	Payload []byte
-
-	// pooled marks a payload the transport owns outright (hand-off via
-	// SendBufs, or a slab-backed TCP read); only those return to the
-	// slab on Release.
-	pooled bool
 }
 
-// Release returns the payload to the slab when the transport owned it
-// and poisons the message against reuse. Idempotent; safe on the zero
-// Message.
+// Release returns the payload to the slab and poisons the message
+// against reuse. Idempotent; safe on the zero Message.
 func (m *Message) Release() {
-	if m.pooled && m.Payload != nil {
-		bufpool.Put(m.Payload)
-	}
-	m.pooled = false
+	bufpool.Put(m.Payload)
 	m.Payload = nil
 }
 
@@ -99,7 +90,8 @@ func (m *Message) Release() {
 // Handing a Buffers to SendBufs passes ownership of every element to
 // the transport — the caller must not retain, reuse or mutate them
 // afterwards (bufown lints this); the transport recycles them through
-// internal/bufpool once the frame is delivered or abandoned. Elements
+// internal/bufpool once the frame is delivered or abandoned. The vector
+// itself stays the caller's, to refill once SendBufs returns. Elements
 // may be empty; a nil Buffers is an empty frame.
 type Buffers [][]byte
 
@@ -117,9 +109,7 @@ func (b Buffers) TotalLen() int {
 // off. Elements with foreign capacities are left to the GC by the pool.
 func (b Buffers) release() {
 	for _, buf := range b {
-		if buf != nil {
-			bufpool.Put(buf)
-		}
+		bufpool.Put(buf)
 	}
 }
 
@@ -130,13 +120,11 @@ const headerBytes = 13
 
 // Endpoint is one machine's connection to the cluster.
 //
-// SendBufs is the data plane's primary send: a vectored frame whose
-// buffers the transport takes ownership of — written with writev (no
-// intermediate concatenation) on TCP, handed off by reference on the
-// memory transport — and recycles through the payload slab after
-// delivery. Send is the legacy convenience wrapper for single-buffer
-// callers whose payload the transport may alias but does not own (the
-// caller still must not mutate it after the call).
+// SendBufs is the one send: a vectored frame whose buffers the
+// transport takes ownership of — written with writev (no intermediate
+// concatenation) on TCP, handed off by reference on the memory
+// transport — and recycles through the payload slab after delivery. A
+// sender with one payload for several peers gives each its own copy.
 //
 // Sends may block if the destination's inbox is full (memory transport)
 // or the socket buffer is full (TCP); the engine's communication
@@ -145,8 +133,11 @@ const headerBytes = 13
 // the given source and kind arrives, and returns a *ProtocolError if
 // its tag does not match — tags are a protocol assertion, not a
 // selection mechanism — or a *ClosedError if the endpoint shut down
-// while the receive was pending. Received messages are leases: see
-// Message.Release.
+// while the receive was pending. RecvTimeout is Recv with a deadline:
+// it fails with a *TimeoutError once timeout has passed without the
+// message (a non-positive timeout blocks like Recv), which is how the
+// engine turns an indefinitely stalled superstep into a structured
+// error. Received messages are leases: see Message.Release.
 //
 // Concurrent Recv calls are safe as long as no two goroutines receive the
 // same (from, kind) pair concurrently, which the engine guarantees by
@@ -157,39 +148,19 @@ type Endpoint interface {
 	ID() NodeID
 	// N returns the cluster size.
 	N() int
-	// Send delivers payload to node `to`. The payload may be aliased by
-	// the transport after the call and must not be mutated or reused by
-	// the caller.
-	Send(to NodeID, kind Kind, tag int32, payload []byte) error
 	// SendBufs delivers the concatenation of bufs to node `to`,
 	// transferring ownership of every buffer to the transport.
 	SendBufs(to NodeID, kind Kind, tag int32, bufs Buffers) error
 	// Recv returns the next message from `from` of kind `kind`,
 	// blocking as needed.
 	Recv(from NodeID, kind Kind, tag int32) (Message, error)
+	// RecvTimeout is Recv that gives up after timeout (when positive).
+	RecvTimeout(from NodeID, kind Kind, tag int32, timeout time.Duration) (Message, error)
 	// Stats returns this endpoint's traffic counters.
 	Stats() *Stats
 	// Close releases transport resources. The endpoint is unusable
 	// afterwards.
 	Close() error
-}
-
-// DeadlineRecver is the optional deadline-receive capability. Both
-// built-in transports (and FaultPlan wrappers around them) implement it;
-// the engine uses it to turn an indefinitely stalled superstep into a
-// structured error. A non-positive timeout blocks like Recv.
-type DeadlineRecver interface {
-	RecvTimeout(from NodeID, kind Kind, tag int32, timeout time.Duration) (Message, error)
-}
-
-// RecvTimeout performs a deadline receive when e supports it, falling
-// back to a plain blocking Recv otherwise (or when timeout <= 0). The
-// error is a *TimeoutError when the deadline expired.
-func RecvTimeout(e Endpoint, from NodeID, kind Kind, tag int32, timeout time.Duration) (Message, error) {
-	if dr, ok := e.(DeadlineRecver); ok && timeout > 0 {
-		return dr.RecvTimeout(from, kind, tag, timeout)
-	}
-	return e.Recv(from, kind, tag)
 }
 
 // StepObserver is the optional superstep-progress capability: the engine
@@ -262,12 +233,13 @@ func (d *demux) deliver(m Message) {
 	}
 }
 
-// recv is the one deadline-aware receive implementation every built-in
-// transport (and the fault wrapper above them) funnels through: the
-// leased-receive semantics — tag assertion, closed-inbox drain, timeout
-// classification, payload lease intact as delivered — are defined here
-// and nowhere else. A non-positive timeout blocks indefinitely.
-func (d *demux) recv(from NodeID, kind Kind, tag int32, timeout time.Duration) (Message, error) {
+// RecvTimeout implements Endpoint for both built-in transports, which
+// embed the demux (the fault wrapper above them funnels through it too):
+// the leased-receive semantics — tag assertion, closed-inbox drain,
+// timeout classification, payload lease intact as delivered — are
+// defined here and nowhere else. A non-positive timeout blocks
+// indefinitely.
+func (d *demux) RecvTimeout(from NodeID, kind Kind, tag int32, timeout time.Duration) (Message, error) {
 	q := d.queue(from, kind)
 	// Fast path: a message is already queued (also the only path a
 	// zero-timeout caller should pay a timer for — it never does).
@@ -276,22 +248,18 @@ func (d *demux) recv(from NodeID, kind Kind, tag int32, timeout time.Duration) (
 		return d.checkTag(m, from, kind, tag)
 	default:
 	}
-	if timeout <= 0 {
-		select {
-		case m := <-q:
-			return d.checkTag(m, from, kind, tag)
-		case <-d.done:
-			return d.drain(q, from, kind, tag)
-		}
+	var expired <-chan time.Time // never fires without a deadline
+	if timeout > 0 {
+		t := time.NewTimer(timeout)
+		defer t.Stop()
+		expired = t.C
 	}
-	t := time.NewTimer(timeout)
-	defer t.Stop()
 	select {
 	case m := <-q:
 		return d.checkTag(m, from, kind, tag)
 	case <-d.done:
 		return d.drain(q, from, kind, tag)
-	case <-t.C:
+	case <-expired:
 		return Message{}, &TimeoutError{Node: d.self, From: from, Kind: kind, Tag: tag, Timeout: timeout}
 	}
 }
@@ -308,22 +276,9 @@ func (d *demux) drain(q chan Message, from NodeID, kind Kind, tag int32) (Messag
 	}
 }
 
-// recvInbox is the shared receive half of the built-in transports: both
-// memEndpoint and TCPEndpoint embed it, so Recv and RecvTimeout have
-// exactly one definition, delegating to the demux's deadline-aware
-// receive.
-type recvInbox struct {
-	inbox *demux
-}
-
 // Recv implements Endpoint.
-func (r *recvInbox) Recv(from NodeID, kind Kind, tag int32) (Message, error) {
-	return r.inbox.recv(from, kind, tag, 0)
-}
-
-// RecvTimeout implements DeadlineRecver.
-func (r *recvInbox) RecvTimeout(from NodeID, kind Kind, tag int32, timeout time.Duration) (Message, error) {
-	return r.inbox.recv(from, kind, tag, timeout)
+func (d *demux) Recv(from NodeID, kind Kind, tag int32) (Message, error) {
+	return d.RecvTimeout(from, kind, tag, 0)
 }
 
 func (d *demux) checkTag(m Message, from NodeID, kind Kind, tag int32) (Message, error) {

@@ -3,9 +3,10 @@ package comm
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"sync"
 	"testing"
+
+	"repro/internal/bufpool"
 )
 
 // endpointsUnderTest runs a subtest against both transports.
@@ -37,7 +38,7 @@ func endpointsUnderTest(t *testing.T, n int, fn func(t *testing.T, eps []Endpoin
 func TestSendRecvBasic(t *testing.T) {
 	endpointsUnderTest(t, 2, func(t *testing.T, eps []Endpoint) {
 		payload := []byte("hello graph")
-		if err := eps[0].Send(1, KindUpdate, 7, append([]byte(nil), payload...)); err != nil {
+		if err := eps[0].SendBufs(1, KindUpdate, 7, Buffers{append([]byte(nil), payload...)}); err != nil {
 			t.Fatal(err)
 		}
 		m, err := eps[1].Recv(0, KindUpdate, 7)
@@ -53,10 +54,10 @@ func TestSendRecvBasic(t *testing.T) {
 func TestKindsAreIndependentStreams(t *testing.T) {
 	endpointsUnderTest(t, 2, func(t *testing.T, eps []Endpoint) {
 		// Interleave kinds; receive in the opposite order.
-		if err := eps[0].Send(1, KindUpdate, 1, []byte("u")); err != nil {
+		if err := eps[0].SendBufs(1, KindUpdate, 1, Buffers{[]byte("u")}); err != nil {
 			t.Fatal(err)
 		}
-		if err := eps[0].Send(1, KindDependency, 2, []byte("d")); err != nil {
+		if err := eps[0].SendBufs(1, KindDependency, 2, Buffers{[]byte("d")}); err != nil {
 			t.Fatal(err)
 		}
 		md, err := eps[1].Recv(0, KindDependency, 2)
@@ -77,7 +78,7 @@ func TestFIFOPerStream(t *testing.T) {
 	endpointsUnderTest(t, 2, func(t *testing.T, eps []Endpoint) {
 		const k = 100
 		for i := 0; i < k; i++ {
-			if err := eps[0].Send(1, KindUpdate, int32(i), []byte{byte(i)}); err != nil {
+			if err := eps[0].SendBufs(1, KindUpdate, int32(i), Buffers{[]byte{byte(i)}}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -96,7 +97,7 @@ func TestFIFOPerStream(t *testing.T) {
 func TestTagMismatchIsProtocolError(t *testing.T) {
 	c := NewMemCluster(2)
 	defer c.Close()
-	if err := c.Endpoint(0).Send(1, KindUpdate, 5, nil); err != nil {
+	if err := c.Endpoint(0).SendBufs(1, KindUpdate, 5, nil); err != nil {
 		t.Fatal(err)
 	}
 	_, err := c.Endpoint(1).Recv(0, KindUpdate, 6)
@@ -112,7 +113,7 @@ func TestTagMismatchIsProtocolError(t *testing.T) {
 func TestStatsAccounting(t *testing.T) {
 	endpointsUnderTest(t, 2, func(t *testing.T, eps []Endpoint) {
 		payload := make([]byte, 100)
-		if err := eps[0].Send(1, KindDependency, 0, payload); err != nil {
+		if err := eps[0].SendBufs(1, KindDependency, 0, Buffers{payload}); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := eps[1].Recv(0, KindDependency, 0); err != nil {
@@ -160,7 +161,7 @@ func TestStatsConservation(t *testing.T) {
 					for m := 0; m < 10; m++ {
 						kind := Kind(m % 2)
 						payload := make([]byte, (i+j+m)%17)
-						if err := eps[i].Send(NodeID(j), kind, int32(m), payload); err != nil {
+						if err := eps[i].SendBufs(NodeID(j), kind, int32(m), Buffers{payload}); err != nil {
 							t.Error(err)
 							return
 						}
@@ -265,39 +266,10 @@ func TestAllReduceBool(t *testing.T) {
 	})
 }
 
-func TestAllGatherBytes(t *testing.T) {
-	endpointsUnderTest(t, 3, func(t *testing.T, eps []Endpoint) {
-		out := make([][][]byte, len(eps))
-		var wg sync.WaitGroup
-		for i, e := range eps {
-			wg.Add(1)
-			go func(i int, e Endpoint) {
-				defer wg.Done()
-				blob := []byte(fmt.Sprintf("node-%d", i))
-				got, err := AllGatherBytes(e, blob, 0)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				out[i] = got
-			}(i, e)
-		}
-		wg.Wait()
-		for i := range eps {
-			for j := range eps {
-				want := fmt.Sprintf("node-%d", j)
-				if string(out[i][j]) != want {
-					t.Fatalf("node %d slot %d = %q, want %q", i, j, out[i][j], want)
-				}
-			}
-		}
-	})
-}
-
 func TestSendToInvalidNode(t *testing.T) {
 	c := NewMemCluster(2)
 	defer c.Close()
-	if err := c.Endpoint(0).Send(5, KindUpdate, 0, nil); err == nil {
+	if err := c.Endpoint(0).SendBufs(5, KindUpdate, 0, nil); err == nil {
 		t.Fatal("send to node 5 of 2 succeeded")
 	}
 }
@@ -323,15 +295,16 @@ func TestKindString(t *testing.T) {
 func BenchmarkMemSendRecv(b *testing.B) {
 	c := NewMemCluster(2)
 	defer c.Close()
-	payload := make([]byte, 1024)
 	b.SetBytes(1024)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := c.Endpoint(0).Send(1, KindUpdate, int32(i), payload); err != nil {
+		if err := c.Endpoint(0).SendBufs(1, KindUpdate, int32(i), Buffers{bufpool.Get(1024)}); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := c.Endpoint(1).Recv(0, KindUpdate, int32(i)); err != nil {
+		m, err := c.Endpoint(1).Recv(0, KindUpdate, int32(i))
+		if err != nil {
 			b.Fatal(err)
 		}
+		m.Release()
 	}
 }

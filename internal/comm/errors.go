@@ -8,9 +8,10 @@ import (
 // The comm error taxonomy separates the three failure classes a caller
 // reacts to differently:
 //
-//   - *ProtocolError — a tag mismatch at the receiver. The message stream
-//     between two nodes diverged from the SPMD protocol; this is a bug in
-//     the program or the engine, never recoverable by retrying.
+//   - *ProtocolError — a tag mismatch at the receiver, or a collective
+//     frame whose payload is not the shape its tag promises. The message
+//     stream between two nodes diverged from the SPMD protocol; this is
+//     a bug in the program or the engine, never recoverable by retrying.
 //   - *ClosedError — the endpoint shut down while a receive was pending:
 //     local Close, cluster teardown, or (on TCP) a vanished peer. The
 //     awaited message will never arrive; the run is lost but the process
@@ -25,16 +26,24 @@ import (
 
 // ProtocolError reports a receive whose next queued message carried the
 // wrong tag — a protocol bug (desynchronized SPMD streams), as opposed to
-// peer loss. Node is the receiving endpoint, From the sender.
+// peer loss. Node is the receiving endpoint, From the sender. Reason is
+// set instead when the tag matched but the payload did not decode (a
+// reduce frame that is not 8 bytes, a gather segment that is not the
+// sender's range).
 type ProtocolError struct {
 	Node    NodeID
 	From    NodeID
 	Kind    Kind
 	WantTag int32
 	GotTag  int32
+	Reason  string
 }
 
 func (e *ProtocolError) Error() string {
+	if e.Reason != "" {
+		return fmt.Sprintf("comm: protocol violation at node %d: frame from node %d kind %v tag %d: %s",
+			e.Node, e.From, e.Kind, e.GotTag, e.Reason)
+	}
 	return fmt.Sprintf("comm: protocol violation at node %d: received tag %d from node %d kind %v, expected %d",
 		e.Node, e.GotTag, e.From, e.Kind, e.WantTag)
 }

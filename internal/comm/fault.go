@@ -108,8 +108,8 @@ func (p *FaultPlan) WrapOne(ep Endpoint) Endpoint {
 }
 
 // faultEndpoint interposes the plan on one endpoint. It implements
-// Endpoint, DeadlineRecver and StepObserver, forwarding to the wrapped
-// transport after the fault draw.
+// Endpoint and StepObserver, forwarding to the wrapped transport after
+// the fault draw.
 type faultEndpoint struct {
 	inner Endpoint
 	plan  *FaultPlan
@@ -156,10 +156,10 @@ func (e *faultEndpoint) partitioned(peer NodeID) (cut, drop bool) {
 	return false, false
 }
 
-// sendFault runs the per-send fault draws shared by Send and SendBufs:
-// crash check, delay spike, partition cut, transient error. swallow
-// means the frame is silently discarded (a dropping partition) — the
-// caller reports success but delivers nothing.
+// sendFault runs the per-send fault draws: crash check, delay spike,
+// partition cut, transient error. swallow means the frame is silently
+// discarded (a dropping partition) — the caller reports success but
+// delivers nothing.
 func (e *faultEndpoint) sendFault(to NodeID) (swallow bool, err error) {
 	if e.crashed.Load() {
 		return false, e.crashErr()
@@ -186,14 +186,6 @@ func (e *faultEndpoint) sendFault(to NodeID) (swallow bool, err error) {
 	return false, nil
 }
 
-func (e *faultEndpoint) Send(to NodeID, kind Kind, tag int32, payload []byte) error {
-	swallow, err := e.sendFault(to)
-	if err != nil || swallow {
-		return err
-	}
-	return e.inner.Send(to, kind, tag, payload)
-}
-
 // SendBufs implements Endpoint. Ownership of bufs passes to the
 // transport even when the fault plan drops or fails the frame: the
 // buffers return to the slab rather than leaking, matching what a real
@@ -207,23 +199,15 @@ func (e *faultEndpoint) SendBufs(to NodeID, kind Kind, tag int32, bufs Buffers) 
 	return e.inner.SendBufs(to, kind, tag, bufs)
 }
 
-// recv is the single crash-checking receive path behind both Recv and
-// RecvTimeout; the deadline semantics themselves live in demux.recv.
-func (e *faultEndpoint) recv(from NodeID, kind Kind, tag int32, timeout time.Duration) (Message, error) {
+func (e *faultEndpoint) Recv(from NodeID, kind Kind, tag int32) (Message, error) {
+	return e.RecvTimeout(from, kind, tag, 0)
+}
+
+// RecvTimeout implements Endpoint: the crash check, then the wrapped
+// transport's receive, which owns the deadline semantics.
+func (e *faultEndpoint) RecvTimeout(from NodeID, kind Kind, tag int32, timeout time.Duration) (Message, error) {
 	if e.crashed.Load() {
 		return Message{}, e.crashErr()
 	}
-	if timeout > 0 {
-		return RecvTimeout(e.inner, from, kind, tag, timeout)
-	}
-	return e.inner.Recv(from, kind, tag)
-}
-
-func (e *faultEndpoint) Recv(from NodeID, kind Kind, tag int32) (Message, error) {
-	return e.recv(from, kind, tag, 0)
-}
-
-// RecvTimeout implements DeadlineRecver over the wrapped transport.
-func (e *faultEndpoint) RecvTimeout(from NodeID, kind Kind, tag int32, timeout time.Duration) (Message, error) {
-	return e.recv(from, kind, tag, timeout)
+	return e.inner.RecvTimeout(from, kind, tag, timeout)
 }

@@ -12,7 +12,7 @@ import (
 func chatter(t *testing.T, eps []Endpoint, rounds int) (sendErrs int) {
 	t.Helper()
 	for r := 0; r < rounds; r++ {
-		if err := eps[0].Send(1, KindUpdate, int32(r), []byte{byte(r)}); err != nil {
+		if err := eps[0].SendBufs(1, KindUpdate, int32(r), Buffers{[]byte{byte(r)}}); err != nil {
 			var ie *InjectedError
 			if !errors.As(err, &ie) {
 				t.Fatalf("round %d: unexpected send error %v", r, err)
@@ -77,7 +77,7 @@ func TestFaultPlanCrashAtSuperstep(t *testing.T) {
 
 	// Before superstep 3 the node works.
 	ObserveSuperstep(eps[1], 2)
-	if err := eps[1].Send(0, KindControl, 0, nil); err != nil {
+	if err := eps[1].SendBufs(0, KindControl, 0, nil); err != nil {
 		t.Fatalf("pre-crash send: %v", err)
 	}
 	if _, err := eps[0].Recv(1, KindControl, 0); err != nil {
@@ -87,7 +87,7 @@ func TestFaultPlanCrashAtSuperstep(t *testing.T) {
 	// At superstep 3 every operation fails with a *CrashError.
 	ObserveSuperstep(eps[1], 3)
 	var ce *CrashError
-	if err := eps[1].Send(0, KindControl, 1, nil); !errors.As(err, &ce) {
+	if err := eps[1].SendBufs(0, KindControl, 1, nil); !errors.As(err, &ce) {
 		t.Fatalf("post-crash send returned %v, want *CrashError", err)
 	}
 	if ce.Node != 1 || ce.Superstep != 3 {
@@ -106,7 +106,7 @@ func TestFaultPlanCrashAtSuperstep(t *testing.T) {
 	defer c2.Close()
 	eps2 := plan.Wrap(c2.Endpoints())
 	ObserveSuperstep(eps2[1], 5)
-	if err := eps2[1].Send(0, KindControl, 2, nil); err != nil {
+	if err := eps2[1].SendBufs(0, KindControl, 2, nil); err != nil {
 		t.Fatalf("post-recovery send: %v", err)
 	}
 	if plan.Counters().Crashes != 1 {
@@ -123,38 +123,38 @@ func TestFaultPlanPartitionWindow(t *testing.T) {
 	eps := plan.Wrap(c.Endpoints())
 
 	// Outside the window: delivered.
-	if err := eps[0].Send(1, KindUpdate, 0, []byte("a")); err != nil {
+	if err := eps[0].SendBufs(1, KindUpdate, 0, Buffers{[]byte("a")}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RecvTimeout(eps[1], 0, KindUpdate, 0, time.Second); err != nil {
+	if _, err := eps[1].RecvTimeout(0, KindUpdate, 0, time.Second); err != nil {
 		t.Fatalf("pre-window recv: %v", err)
 	}
 
 	// Inside the window: silently dropped; the receiver's deadline
 	// receive must time out — the stall substrate.
 	ObserveSuperstep(eps[0], 2)
-	if err := eps[0].Send(1, KindUpdate, 1, []byte("b")); err != nil {
+	if err := eps[0].SendBufs(1, KindUpdate, 1, Buffers{[]byte("b")}); err != nil {
 		t.Fatalf("dropped send must report success: %v", err)
 	}
 	var te *TimeoutError
-	if _, err := RecvTimeout(eps[1], 0, KindUpdate, 1, 50*time.Millisecond); !errors.As(err, &te) {
+	if _, err := eps[1].RecvTimeout(0, KindUpdate, 1, 50*time.Millisecond); !errors.As(err, &te) {
 		t.Fatalf("partitioned recv returned %v, want *TimeoutError", err)
 	}
 	// Unrelated pair unaffected.
-	if err := eps[0].Send(2, KindUpdate, 0, []byte("c")); err != nil {
+	if err := eps[0].SendBufs(2, KindUpdate, 0, Buffers{[]byte("c")}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RecvTimeout(eps[2], 0, KindUpdate, 0, time.Second); err != nil {
+	if _, err := eps[2].RecvTimeout(0, KindUpdate, 0, time.Second); err != nil {
 		t.Fatalf("third-party recv: %v", err)
 	}
 
 	// Past the window: traffic flows again. The dropped tag-1 message
 	// never entered the queue, so the stream continues at tag 2.
 	ObserveSuperstep(eps[0], 4)
-	if err := eps[0].Send(1, KindUpdate, 2, []byte("d")); err != nil {
+	if err := eps[0].SendBufs(1, KindUpdate, 2, Buffers{[]byte("d")}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RecvTimeout(eps[1], 0, KindUpdate, 2, time.Second); err != nil {
+	if _, err := eps[1].RecvTimeout(0, KindUpdate, 2, time.Second); err != nil {
 		t.Fatalf("post-window recv: %v", err)
 	}
 	if got := plan.Counters().Drops; got != 1 {

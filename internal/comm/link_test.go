@@ -11,7 +11,7 @@ func TestLinkedClusterDelaysDelivery(t *testing.T) {
 	c := NewMemClusterWithLink(2, link)
 	defer c.Close()
 	start := time.Now()
-	if err := c.Endpoint(0).Send(1, KindUpdate, 0, []byte("x")); err != nil {
+	if err := c.Endpoint(0).SendBufs(1, KindUpdate, 0, Buffers{[]byte("x")}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Endpoint(1).Recv(0, KindUpdate, 0); err != nil {
@@ -29,7 +29,7 @@ func TestLinkedClusterBandwidthSerializes(t *testing.T) {
 	defer c.Close()
 	start := time.Now()
 	for i := int32(0); i < 2; i++ {
-		if err := c.Endpoint(0).Send(1, KindUpdate, i, make([]byte, 50_000)); err != nil {
+		if err := c.Endpoint(0).SendBufs(1, KindUpdate, i, Buffers{make([]byte, 50_000)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -53,7 +53,7 @@ func TestLinkedClusterPreservesFIFO(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := int32(0); i < k; i++ {
-			if err := c.Endpoint(0).Send(1, KindUpdate, i, []byte{byte(i)}); err != nil {
+			if err := c.Endpoint(0).SendBufs(1, KindUpdate, i, Buffers{[]byte{byte(i)}}); err != nil {
 				t.Error(err)
 				return
 			}
@@ -77,7 +77,7 @@ func TestLinkedClusterCountsBytesIdentically(t *testing.T) {
 	for _, link := range []*LinkModel{nil, {Latency: time.Millisecond}} {
 		c := NewMemClusterWithLink(2, link)
 		payload := make([]byte, 123)
-		if err := c.Endpoint(0).Send(1, KindDependency, 0, payload); err != nil {
+		if err := c.Endpoint(0).SendBufs(1, KindDependency, 0, Buffers{payload}); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := c.Endpoint(1).Recv(0, KindDependency, 0); err != nil {
@@ -124,7 +124,7 @@ func TestLinkedClusterCollectives(t *testing.T) {
 func TestSendAfterCloseFails(t *testing.T) {
 	c := NewMemClusterWithLink(2, &LinkModel{Latency: time.Millisecond})
 	c.Close()
-	if err := c.Endpoint(0).Send(1, KindUpdate, 0, nil); err == nil {
+	if err := c.Endpoint(0).SendBufs(1, KindUpdate, 0, nil); err == nil {
 		t.Fatal("send after close succeeded")
 	}
 }
@@ -152,7 +152,7 @@ func TestFreeLinkModelIsInstant(t *testing.T) {
 		defer c.Close()
 		for i := int32(0); i < k; i++ {
 			kind := Kind(i % int32(numKinds))
-			if err := c.Endpoint(0).Send(1, kind, i, []byte{byte(i)}); err != nil {
+			if err := c.Endpoint(0).SendBufs(1, kind, i, Buffers{[]byte{byte(i)}}); err != nil {
 				t.Fatal(err)
 			}
 			if err := c.Endpoint(0).SendBufs(2, kind, i, Buffers{[]byte{byte(i)}, []byte{1, 2}}); err != nil {

@@ -46,9 +46,9 @@ func NewMemClusterWithLink(n int, link *LinkModel) *MemCluster {
 	}
 	for i := range c.endpoints {
 		c.endpoints[i] = &memEndpoint{
-			recvInbox: recvInbox{inbox: newDemux(NodeID(i), n)},
-			id:        NodeID(i),
-			peers:     c,
+			demux: newDemux(NodeID(i), n),
+			id:    NodeID(i),
+			peers: c,
 		}
 		c.endpoints[i].stats.initPeers(n)
 	}
@@ -132,7 +132,7 @@ func (lw *linkWorker) run(model *LinkModel) {
 }
 
 type memEndpoint struct {
-	recvInbox
+	*demux    // the inbox: Recv and RecvTimeout
 	id        NodeID
 	peers     *MemCluster
 	stats     Stats
@@ -142,14 +142,6 @@ type memEndpoint struct {
 func (e *memEndpoint) ID() NodeID { return e.id }
 
 func (e *memEndpoint) N() int { return len(e.peers.endpoints) }
-
-// Send delivers an aliased payload: the receiver sees the caller's
-// slice (zero copy, as this transport always has) but the message is
-// not slab-owned, so a Release at the receiver is a no-op. This is what
-// keeps collectives that fan one blob out to every peer safe.
-func (e *memEndpoint) Send(to NodeID, kind Kind, tag int32, payload []byte) error {
-	return e.send(to, Message{From: e.id, Kind: kind, Tag: tag, Payload: payload})
-}
 
 // SendBufs implements Endpoint: ownership of every buffer passes to the
 // transport. A single-buffer frame is handed to the receiver by
@@ -169,7 +161,7 @@ func (e *memEndpoint) SendBufs(to NodeID, kind Kind, tag int32, bufs Buffers) er
 		}
 		bufs.release()
 	}
-	return e.send(to, Message{From: e.id, Kind: kind, Tag: tag, Payload: payload, pooled: true})
+	return e.send(to, Message{From: e.id, Kind: kind, Tag: tag, Payload: payload})
 }
 
 // send is the shared delivery path: instant hand-off, or the simulated
@@ -181,8 +173,7 @@ func (e *memEndpoint) send(to NodeID, m Message) error {
 	e.stats.countSend(to, m.Kind, len(m.Payload))
 	dst := e.peers.endpoints[to]
 	if e.peers.link == nil {
-		dst.stats.countRecv(e.id, m.Kind, len(m.Payload))
-		dst.inbox.deliver(m)
+		dst.deliverSafe(m)
 		return nil
 	}
 	lw := e.peers.linkFor(e.id, to)
@@ -197,12 +188,12 @@ func (e *memEndpoint) send(to NodeID, m Message) error {
 // closed while the simulated delivery was in flight, the demux drops it.
 func (e *memEndpoint) deliverSafe(m Message) {
 	e.stats.countRecv(m.From, m.Kind, len(m.Payload))
-	e.inbox.deliver(m)
+	e.demux.deliver(m)
 }
 
 func (e *memEndpoint) Stats() *Stats { return &e.stats }
 
 func (e *memEndpoint) Close() error {
-	e.closeOnce.Do(e.inbox.close)
+	e.closeOnce.Do(e.demux.close)
 	return nil
 }

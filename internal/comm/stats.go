@@ -129,19 +129,3 @@ func (s *Stats) Reset() {
 	}
 	s.queueDelayNs.Store(0)
 }
-
-// Snapshot is an immutable copy of one kind's counters.
-type Snapshot struct {
-	SentMessages, SentBytes         int64
-	ReceivedMessages, ReceivedBytes int64
-}
-
-// Snapshot returns a copy of the counters for a kind.
-func (s *Stats) Snapshot(kind Kind) Snapshot {
-	return Snapshot{
-		SentMessages:     s.SentMessages(kind),
-		SentBytes:        s.SentBytes(kind),
-		ReceivedMessages: s.ReceivedMessages(kind),
-		ReceivedBytes:    s.ReceivedBytes(kind),
-	}
-}

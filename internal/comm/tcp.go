@@ -20,12 +20,12 @@ import (
 // j < i and accepts connections from every j > i; the dialer announces its
 // ID in a 4-byte hello. Dials retry until the peer's listener is up.
 type TCPEndpoint struct {
-	recvInbox
-	id    NodeID
-	n     int
-	ln    net.Listener
-	conns []*tcpConn
-	stats Stats
+	*demux // the inbox: Recv and RecvTimeout
+	id     NodeID
+	n      int
+	ln     net.Listener
+	conns  []*tcpConn
+	stats  Stats
 
 	closeOnce sync.Once
 	closeErr  error
@@ -129,11 +129,11 @@ func NewTCPEndpoint(id NodeID, ln net.Listener, addrs []string, opts ...TCPOptio
 		return nil, fmt.Errorf("comm: node id %d outside cluster of %d", id, n)
 	}
 	e := &TCPEndpoint{
-		recvInbox: recvInbox{inbox: newDemux(id, n)},
-		id:        id,
-		n:         n,
-		ln:        ln,
-		conns:     make([]*tcpConn, n),
+		demux: newDemux(id, n),
+		id:    id,
+		n:     n,
+		ln:    ln,
+		conns: make([]*tcpConn, n),
 	}
 	e.stats.initPeers(n)
 
@@ -214,22 +214,25 @@ func dialWithRetry(addr string, budget time.Duration, dialKey uint64) (net.Conn,
 }
 
 func (e *TCPEndpoint) readLoop(from NodeID) {
+	// A peer vanishing — clean close at a frame boundary, or a short
+	// read inside the length-prefixed header or payload — is fatal to
+	// the SPMD run: messages that were due will never arrive. Closing
+	// the inbox turns every pending and future Recv into an error
+	// instead of a hang; already-delivered messages remain drainable
+	// from the closed queues.
+	defer e.demux.close()
 	conn := e.conns[from].c
 	var hdr [headerBytes]byte
 	for {
-		// A peer vanishing — clean close at a frame boundary, or a
-		// short read inside the length-prefixed header or payload — is
-		// fatal to the SPMD run: messages that were due will never
-		// arrive. Closing the inbox turns every pending and future Recv
-		// into an error instead of a hang; already-delivered messages
-		// remain drainable from the closed queues.
 		if _, err := io.ReadFull(conn, hdr[:]); err != nil {
-			e.inbox.close()
 			return
 		}
 		src, kind, tag, size := parseFrameHeader(hdr[:])
-		if size > maxFrameSize {
-			e.inbox.close()
+		// The header is the peer's to write: an absurd length or a
+		// frame naming another sender is stream corruption — the peer
+		// is as good as lost — not a length to allocate or a local bug
+		// to crash a daemon over.
+		if size > maxFrameSize || src != from {
 			return
 		}
 		m := Message{From: src, Kind: kind, Tag: tag}
@@ -237,14 +240,9 @@ func (e *TCPEndpoint) readLoop(from NodeID) {
 			// Payloads are read into slab buffers and owned by the
 			// receiver: Message.Release returns them for the next frame.
 			m.Payload = bufpool.Get(size)
-			m.pooled = true
 		}
 		if _, err := io.ReadFull(conn, m.Payload); err != nil {
-			e.inbox.close()
 			return
-		}
-		if m.From != from {
-			panic(fmt.Sprintf("comm: frame from %d arrived on connection to %d", m.From, from))
 		}
 		e.deliverSafe(m)
 	}
@@ -256,7 +254,7 @@ func (e *TCPEndpoint) readLoop(from NodeID) {
 func (e *TCPEndpoint) deliverSafe(m Message) {
 	defer func() { recover() }()
 	e.stats.countRecv(m.From, m.Kind, len(m.Payload))
-	e.inbox.deliver(m)
+	e.demux.deliver(m)
 }
 
 // ID returns this endpoint's node ID.
@@ -265,37 +263,23 @@ func (e *TCPEndpoint) ID() NodeID { return e.id }
 // N returns the cluster size.
 func (e *TCPEndpoint) N() int { return e.n }
 
-// Send implements Endpoint: the legacy aliasing path. The frame goes
-// out through the same gather write as SendBufs, but the transport does
-// not take ownership — the caller's buffer is never recycled, so it is
-// safe to send one blob to many peers (as the collectives do).
-func (e *TCPEndpoint) Send(to NodeID, kind Kind, tag int32, payload []byte) error {
-	_, err := e.sendVec(to, kind, tag, Buffers{payload})
-	return err
-}
-
 // SendBufs implements Endpoint: ownership of every buffer passes to the
 // transport. The kernel copies the bytes during writev, so the buffers
 // return to the slab as soon as the write completes — success or not.
 func (e *TCPEndpoint) SendBufs(to NodeID, kind Kind, tag int32, bufs Buffers) error {
-	_, err := e.sendVec(to, kind, tag, bufs)
-	bufs.release()
-	return err
-}
-
-func (e *TCPEndpoint) sendVec(to NodeID, kind Kind, tag int32, bufs Buffers) (int, error) {
+	defer bufs.release()
 	if int(to) < 0 || int(to) >= e.n || to == e.id {
-		return 0, fmt.Errorf("comm: node %d cannot send to %d", e.id, to)
+		return fmt.Errorf("comm: node %d cannot send to %d", e.id, to)
 	}
 	total := bufs.TotalLen()
 	// A failed write means the peer (or our own endpoint) is gone — the
 	// same transport cut a closed inbox reports — so it carries the
 	// peer-lost type, not a bare I/O error.
 	if err := e.conns[to].writeFrame(e.id, kind, tag, bufs); err != nil {
-		return 0, &ClosedError{Node: e.id, From: to, Kind: kind, Op: "send", Cause: err}
+		return &ClosedError{Node: e.id, From: to, Kind: kind, Op: "send", Cause: err}
 	}
 	e.stats.countSend(to, kind, total)
-	return total, nil
+	return nil
 }
 
 // Stats implements Endpoint.
@@ -312,7 +296,7 @@ func (e *TCPEndpoint) Close() error {
 				c.c.Close()
 			}
 		}
-		e.inbox.close()
+		e.demux.close()
 	})
 	return e.closeErr
 }

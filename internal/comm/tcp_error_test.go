@@ -87,7 +87,7 @@ func TestTCPMessagesBeforeFailureStayReadable(t *testing.T) {
 	defer eps[0].Close()
 	defer eps[1].Close()
 
-	if err := eps[1].Send(0, KindControl, 3, []byte("ok")); err != nil {
+	if err := eps[1].SendBufs(0, KindControl, 3, Buffers{[]byte("ok")}); err != nil {
 		t.Fatal(err)
 	}
 	// Wait for delivery, then kill the connection mid-nothing (clean
@@ -119,10 +119,10 @@ func TestPerLinkAccounting(t *testing.T) {
 	c := NewMemCluster(3)
 	defer c.Close()
 	payload := make([]byte, 50)
-	if err := c.Endpoint(0).Send(1, KindUpdate, 0, payload); err != nil {
+	if err := c.Endpoint(0).SendBufs(1, KindUpdate, 0, Buffers{payload}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Endpoint(0).Send(2, KindDependency, 0, make([]byte, 20)); err != nil {
+	if err := c.Endpoint(0).SendBufs(2, KindDependency, 0, Buffers{make([]byte, 20)}); err != nil {
 		t.Fatal(err)
 	}
 	s := c.Endpoint(0).Stats()
@@ -159,7 +159,7 @@ func TestLinkQueueDelayAccounted(t *testing.T) {
 	c := NewMemClusterWithLink(2, &LinkModel{BytesPerSecond: 10e6})
 	defer c.Close()
 	for i := int32(0); i < 2; i++ {
-		if err := c.Endpoint(0).Send(1, KindUpdate, i, make([]byte, 50_000)); err != nil {
+		if err := c.Endpoint(0).SendBufs(1, KindUpdate, i, Buffers{make([]byte, 50_000)}); err != nil {
 			t.Fatal(err)
 		}
 	}

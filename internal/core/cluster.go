@@ -85,27 +85,13 @@ type RunStats struct {
 // TotalBytes returns all sent traffic.
 func (s RunStats) TotalBytes() int64 { return s.UpdateBytes + s.DependencyBytes + s.ControlBytes }
 
-// NodeRunStats is one machine's share of a Run: the same work and
-// traffic counters as RunStats, attributed to a single node. Byte
-// counts are sender-side, so summing a field over all nodes yields
-// exactly the corresponding RunStats total.
+// NodeRunStats is one machine's share of a Run: RunStats' work and
+// traffic counters attributed to a single node (Elapsed, which belongs
+// to the run, stays zero). Byte counts are sender-side, so adding up the
+// nodes yields exactly the run's totals.
 type NodeRunStats struct {
-	Node               int
-	EdgesTraversed     int64
-	VerticesSkipped    int64
-	UpdateBytes        int64
-	DependencyBytes    int64
-	ControlBytes       int64
-	UpdateMessages     int64
-	DependencyMessages int64
-	DependencyWait     time.Duration
-	UpdateWait         time.Duration
-	Supersteps         int64
-}
-
-// TotalBytes returns the node's total sent traffic.
-func (s NodeRunStats) TotalBytes() int64 {
-	return s.UpdateBytes + s.DependencyBytes + s.ControlBytes
+	Node int
+	RunStats
 }
 
 // StatsSnapshot is the cluster's full statistics surface for the most
@@ -435,14 +421,9 @@ func (c *Cluster) runOnce(ctx context.Context, prog func(w *Worker) error) error
 	}
 	c.poisonMu.Unlock()
 	nodes := c.localNodes()
-	before := make(map[int]map[comm.Kind]comm.Snapshot, len(nodes))
+	before := make([]RunStats, c.opts.NumNodes)
 	for _, i := range nodes {
-		ep := c.endpoints[i]
-		before[i] = map[comm.Kind]comm.Snapshot{
-			comm.KindUpdate:     ep.Stats().Snapshot(comm.KindUpdate),
-			comm.KindDependency: ep.Stats().Snapshot(comm.KindDependency),
-			comm.KindControl:    ep.Stats().Snapshot(comm.KindControl),
-		}
+		before[i] = sentTraffic(c.endpoints[i].Stats())
 	}
 
 	workers := make([]*Worker, c.opts.NumNodes)
@@ -451,13 +432,15 @@ func (c *Cluster) runOnce(ctx context.Context, prog func(w *Worker) error) error
 	done := make(chan int, len(nodes))
 	runTracer := c.tracer()
 	for _, i := range nodes {
-		workers[i] = &Worker{
+		w := &Worker{
 			cluster: c,
 			id:      i,
 			ep:      c.endpoints[i],
 			layout:  c.layouts[i],
 			tr:      runTracer,
 		}
+		w.coll = deadlined{Endpoint: w.ep, w: w}
+		workers[i] = w
 		go func(i int) {
 			defer func() {
 				if r := recover(); r != nil {
@@ -511,39 +494,24 @@ func (c *Cluster) runOnce(ctx context.Context, prog func(w *Worker) error) error
 	elapsed := time.Since(start)
 
 	var stats RunStats
-	stats.Elapsed = elapsed
 	nodeStats := make([]NodeRunStats, 0, len(nodes))
 	for _, i := range nodes {
-		ep := c.endpoints[i]
 		w := workers[i]
-		u := ep.Stats().Snapshot(comm.KindUpdate)
-		d := ep.Stats().Snapshot(comm.KindDependency)
-		ct := ep.Stats().Snapshot(comm.KindControl)
-		ns := NodeRunStats{
-			Node:               i,
-			EdgesTraversed:     w.edges.Load(),
-			VerticesSkipped:    w.skipped.Load(),
-			DependencyWait:     time.Duration(w.depWait.Load()),
-			UpdateWait:         time.Duration(w.updWait.Load()),
-			UpdateBytes:        u.SentBytes - before[i][comm.KindUpdate].SentBytes,
-			UpdateMessages:     u.SentMessages - before[i][comm.KindUpdate].SentMessages,
-			DependencyBytes:    d.SentBytes - before[i][comm.KindDependency].SentBytes,
-			DependencyMessages: d.SentMessages - before[i][comm.KindDependency].SentMessages,
-			ControlBytes:       ct.SentBytes - before[i][comm.KindControl].SentBytes,
-			Supersteps:         int64(w.densePass + w.sparsePass),
-		}
-		nodeStats = append(nodeStats, ns)
-		stats.EdgesTraversed += ns.EdgesTraversed
-		stats.VerticesSkipped += ns.VerticesSkipped
-		stats.DependencyWait += ns.DependencyWait
-		stats.UpdateWait += ns.UpdateWait
-		stats.UpdateBytes += ns.UpdateBytes
-		stats.UpdateMessages += ns.UpdateMessages
-		stats.DependencyBytes += ns.DependencyBytes
-		stats.DependencyMessages += ns.DependencyMessages
-		stats.ControlBytes += ns.ControlBytes
-		stats.Supersteps += ns.Supersteps
+		ns := sentTraffic(c.endpoints[i].Stats())
+		ns.UpdateBytes -= before[i].UpdateBytes
+		ns.UpdateMessages -= before[i].UpdateMessages
+		ns.DependencyBytes -= before[i].DependencyBytes
+		ns.DependencyMessages -= before[i].DependencyMessages
+		ns.ControlBytes -= before[i].ControlBytes
+		ns.EdgesTraversed = w.edges.Load()
+		ns.VerticesSkipped = w.skipped.Load()
+		ns.DependencyWait = time.Duration(w.depWait.Load())
+		ns.UpdateWait = time.Duration(w.updWait.Load())
+		ns.Supersteps = int64(w.densePass + w.sparsePass)
+		nodeStats = append(nodeStats, NodeRunStats{Node: i, RunStats: ns})
+		stats.Add(ns)
 	}
+	stats.Elapsed = elapsed
 	c.statsMu.Lock()
 	c.lastStats = stats
 	c.lastNodes = nodeStats
@@ -558,6 +526,18 @@ func (c *Cluster) runOnce(ctx context.Context, prog func(w *Worker) error) error
 		}
 	}
 	return nil
+}
+
+// sentTraffic reads an endpoint's lifetime sender-side counters into the
+// RunStats fields they feed; a run's share is the difference of two.
+func sentTraffic(st *comm.Stats) RunStats {
+	return RunStats{
+		UpdateBytes:        st.SentBytes(comm.KindUpdate),
+		UpdateMessages:     st.SentMessages(comm.KindUpdate),
+		DependencyBytes:    st.SentBytes(comm.KindDependency),
+		DependencyMessages: st.SentMessages(comm.KindDependency),
+		ControlBytes:       st.SentBytes(comm.KindControl),
+	}
 }
 
 // localNodes lists the machine IDs this process hosts.

@@ -64,7 +64,7 @@ func TestDistributedNodeClusters(t *testing.T) {
 					return err
 				}
 				// Gather results at the node-0 process.
-				return w.GatherU32(local)
+				return Gather(w, local)
 			})
 			if errs[i] == nil {
 				s := c.Stats().Totals

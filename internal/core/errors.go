@@ -9,7 +9,7 @@ import (
 	"repro/internal/obs"
 )
 
-// StallError reports a superstep receive that exceeded
+// StallError reports a receive — a pass's or a collective's — that exceeded
 // Options.StallTimeout: the structured replacement for a run hanging
 // forever behind a slow, partitioned or dead peer. It names the blocked
 // node, the engine phase it was executing, and the exact awaited stream,
@@ -17,7 +17,8 @@ import (
 type StallError struct {
 	// Node is the machine whose receive stalled.
 	Node int
-	// Phase is the engine phase that was blocked (DepWait, UpdateWait).
+	// Phase is the engine phase that was blocked (DepWait, UpdateWait,
+	// Barrier for any collective).
 	Phase obs.Phase
 	// From, Kind, Tag identify the awaited message stream.
 	From comm.NodeID

@@ -19,7 +19,7 @@ func TestGatherU32CollectsAtRoot(t *testing.T) {
 		for v := lo; v < hi; v++ {
 			arr[v] = uint32(v * 3)
 		}
-		if err := w.GatherU32(arr); err != nil {
+		if err := Gather(w, arr); err != nil {
 			return err
 		}
 		if w.ID() == 0 {
@@ -83,7 +83,7 @@ func TestEncodeBitmapSegmentRoundTrip(t *testing.T) {
 	for _, i := range []int{64, 65, 100, 127} {
 		b.Set(i)
 	}
-	blob := encodeBitmapSegment(b, 64, 128)
+	blob := appendBitmapSegment(nil, b, 64, 128)
 	out := bitset.New(256)
 	if err := applyBitmapSegment(out, 64, 128, blob); err != nil {
 		t.Fatal(err)
@@ -97,7 +97,7 @@ func TestEncodeBitmapSegmentRoundTrip(t *testing.T) {
 	for i := 64; i < 128; i++ {
 		b.Set(i)
 	}
-	blob = encodeBitmapSegment(b, 64, 128)
+	blob = appendBitmapSegment(nil, b, 64, 128)
 	if blob[0] != segDense {
 		t.Fatalf("full segment encoded as form %d", blob[0])
 	}

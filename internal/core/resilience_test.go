@@ -38,7 +38,7 @@ func TestStallErrorOnDroppedUpdate(t *testing.T) {
 				obs.PhaseUpdateWait, 0, -1, -1)
 			return err
 		}
-		return w.ep.Send(0, comm.KindUpdate, 0, []byte{1}) // silently dropped
+		return w.ep.SendBufs(0, comm.KindUpdate, 0, comm.Buffers{{1}}) // silently dropped
 	})
 	elapsed := time.Since(start)
 	var se *StallError

@@ -5,7 +5,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/comm"
+	"repro/internal/bitset"
 	"repro/internal/graph"
 	"repro/internal/obs"
 )
@@ -65,15 +65,7 @@ func TestStatsNodeSharesSumToTotals(t *testing.T) {
 			t.Run(mode.String()+"/"+transport, func(t *testing.T) {
 				opts := Options{NumNodes: 4, Mode: mode, DepThreshold: 8, NumBuffers: 2}
 				if transport == "tcp" {
-					eps, err := comm.NewTCPClusterLoopback(4)
-					if err != nil {
-						t.Fatal(err)
-					}
-					opts.Endpoints = make([]comm.Endpoint, len(eps))
-					for i, e := range eps {
-						opts.Endpoints[i] = e
-						defer e.Close()
-					}
+					opts.Endpoints = tcpEndpoints(t, 4)
 				}
 				c := mustCluster(t, g, opts)
 				if err := c.Run(denseCountProgram(mode == ModeSympleGraph)); err != nil {
@@ -83,37 +75,23 @@ func TestStatsNodeSharesSumToTotals(t *testing.T) {
 				if len(s.Nodes) != 4 {
 					t.Fatalf("%d node entries", len(s.Nodes))
 				}
-				var sum NodeRunStats
+				var sum RunStats
 				for i, n := range s.Nodes {
 					if n.Node != i {
 						t.Fatalf("node entry %d has ID %d", i, n.Node)
 					}
-					sum.EdgesTraversed += n.EdgesTraversed
-					sum.VerticesSkipped += n.VerticesSkipped
-					sum.UpdateBytes += n.UpdateBytes
-					sum.DependencyBytes += n.DependencyBytes
-					sum.ControlBytes += n.ControlBytes
-					sum.UpdateMessages += n.UpdateMessages
-					sum.DependencyMessages += n.DependencyMessages
-					sum.DependencyWait += n.DependencyWait
-					sum.UpdateWait += n.UpdateWait
+					if n.Elapsed != 0 {
+						t.Fatalf("node %d carries the run's Elapsed %v", i, n.Elapsed)
+					}
+					sum.Add(n.RunStats)
 				}
 				tot := s.Totals
-				if sum.UpdateBytes != tot.UpdateBytes ||
-					sum.DependencyBytes != tot.DependencyBytes ||
-					sum.ControlBytes != tot.ControlBytes {
-					t.Fatalf("byte shares %+v do not sum to totals %+v", sum, tot)
+				sum.Elapsed = tot.Elapsed
+				if sum != tot {
+					t.Fatalf("node shares %+v do not sum to totals %+v", sum, tot)
 				}
-				if sum.UpdateBytes+sum.DependencyBytes+sum.ControlBytes != tot.TotalBytes() {
+				if sum.TotalBytes() != tot.UpdateBytes+tot.DependencyBytes+tot.ControlBytes {
 					t.Fatalf("per-node TotalBytes mismatch")
-				}
-				if sum.EdgesTraversed != tot.EdgesTraversed ||
-					sum.VerticesSkipped != tot.VerticesSkipped ||
-					sum.UpdateMessages != tot.UpdateMessages ||
-					sum.DependencyMessages != tot.DependencyMessages ||
-					sum.DependencyWait != tot.DependencyWait ||
-					sum.UpdateWait != tot.UpdateWait {
-					t.Fatalf("work shares %+v do not sum to totals %+v", sum, tot)
 				}
 				if mode == ModeSympleGraph && tot.DependencyBytes == 0 {
 					t.Fatal("no dependency traffic in SympleGraph mode")
@@ -141,7 +119,26 @@ func TestStatsTracerPhases(t *testing.T) {
 				NumNodes: 4, Mode: ModeSympleGraph, DepThreshold: 8, NumBuffers: B,
 				Tracer: tr,
 			})
-			if err := c.Run(denseCountProgram(true)); err != nil {
+			// denseCountProgram's three collectives (each pass's reduce
+			// and the barrier), then one of every other shape.
+			const collectivesPerNode = 3 + 4
+			err := c.Run(func(w *Worker) error {
+				if err := denseCountProgram(true)(w); err != nil {
+					return err
+				}
+				n := g.NumVertices()
+				if err := w.SyncBitmap(bitset.New(n)); err != nil {
+					return err
+				}
+				if err := Gather(w, make([]uint32, n)); err != nil {
+					return err
+				}
+				if err := AllGather(w, make([]float64, n)); err != nil {
+					return err
+				}
+				return w.AllGatherBlob([]byte{1}, func(int, []byte) error { return nil })
+			})
+			if err != nil {
 				t.Fatal(err)
 			}
 			s := c.Stats()
@@ -158,8 +155,13 @@ func TestStatsTracerPhases(t *testing.T) {
 			if byPhase[obs.PhaseSparsePush] != 4 {
 				t.Fatalf("SparsePush count %d, want 4", byPhase[obs.PhaseSparsePush])
 			}
-			if byPhase[obs.PhaseBarrier] == 0 || byPhase[obs.PhaseUpdateWait] == 0 {
-				t.Fatalf("missing barrier/update-wait spans: %v", byPhase)
+			// One Barrier span per collective call per node, however many
+			// frames the call exchanged.
+			if byPhase[obs.PhaseBarrier] != 4*collectivesPerNode {
+				t.Fatalf("Barrier count %d, want %d", byPhase[obs.PhaseBarrier], 4*collectivesPerNode)
+			}
+			if byPhase[obs.PhaseUpdateWait] == 0 {
+				t.Fatalf("missing update-wait spans: %v", byPhase)
 			}
 			if len(nodesSeen) != 4 {
 				t.Fatalf("phases cover %d nodes", len(nodesSeen))

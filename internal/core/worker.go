@@ -5,9 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"repro/internal/bitset"
 	"repro/internal/bufpool"
@@ -29,6 +31,7 @@ type Worker struct {
 	cluster *Cluster
 	id      int
 	ep      comm.Endpoint
+	coll    comm.Endpoint // ep with every Recv deadlined, for comm's collectives
 	layout  *partition.Layout
 
 	tag     int32
@@ -38,6 +41,8 @@ type Worker struct {
 	updWait atomic.Int64 // ns blocked waiting for update messages
 
 	dense denseScratch // dense-pass state reused across steps and passes
+	seg   []byte       // this machine's encoded segment, reused across exchanges
+	frame [1][]byte    // the one-buffer vector an exchange sends, reused likewise
 
 	tr         *obs.Tracer // nil when tracing is off
 	densePass  int         // dense ProcessEdges* passes completed (the tracer's iteration axis)
@@ -105,18 +110,14 @@ func (w *Worker) endSpan(ph obs.Phase, iter, step, group int, start time.Time) {
 	w.tr.Record(w.id, ph, iter, step, group, start, time.Since(start))
 }
 
-// recvTimed performs a receive and accounts the blocked time into the
-// given wait counter — the engine's overlap instrumentation (§5.3's
-// "synchronization wait time") — and emits a tracer span of phase ph
-// tagged (iter, step, group). With Options.StallTimeout set, the receive
-// carries a deadline: instead of hanging forever behind a slow or dead
-// peer, it fails fast with a *StallError naming this node, the phase,
-// and the awaited stream.
-func (w *Worker) recvTimed(counter *atomic.Int64, from comm.NodeID, kind comm.Kind, tag int32,
-	ph obs.Phase, iter, step, group int) (comm.Message, error) {
-	start := time.Now()
+// recv is the one receive a Worker issues, data plane and collectives
+// alike. With Options.StallTimeout set it carries a deadline: instead
+// of hanging forever behind a slow, partitioned or dead peer, it fails
+// with a *StallError naming this node, the phase ph it was in, and the
+// awaited stream, and counts in Stats().Stalls.
+func (w *Worker) recv(from comm.NodeID, kind comm.Kind, tag int32, ph obs.Phase) (comm.Message, error) {
 	timeout := w.cluster.opts.StallTimeout
-	m, err := comm.RecvTimeout(w.ep, from, kind, tag, timeout)
+	m, err := w.ep.RecvTimeout(from, kind, tag, timeout)
 	if err != nil { // te escapes: declared here, a good receive allocates nothing
 		var te *comm.TimeoutError
 		if errors.As(err, &te) {
@@ -125,12 +126,35 @@ func (w *Worker) recvTimed(counter *atomic.Int64, from comm.NodeID, kind comm.Ki
 				Timeout: timeout, cause: err}
 		}
 	}
+	return m, err
+}
+
+// recvTimed is recv for the data plane: it accounts the blocked time
+// into the given wait counter — the engine's overlap instrumentation
+// (§5.3's "synchronization wait time") — and emits a tracer span of
+// phase ph tagged (iter, step, group).
+func (w *Worker) recvTimed(counter *atomic.Int64, from comm.NodeID, kind comm.Kind, tag int32,
+	ph obs.Phase, iter, step, group int) (comm.Message, error) {
+	start := time.Now()
+	m, err := w.recv(from, kind, tag, ph)
 	d := time.Since(start)
 	counter.Add(int64(d))
 	if w.tr != nil {
 		w.tr.Record(w.id, ph, iter, step, group, start, d)
 	}
 	return m, err
+}
+
+// deadlined is the worker's endpoint as comm's collectives see it: the
+// same sends, and a Recv that is the worker's own — deadlined, counted,
+// reported as a stall in PhaseBarrier.
+type deadlined struct {
+	comm.Endpoint
+	w *Worker
+}
+
+func (d deadlined) Recv(from comm.NodeID, kind comm.Kind, tag int32) (comm.Message, error) {
+	return d.w.recv(from, kind, tag, obs.PhaseBarrier)
 }
 
 // observeStep announces the next edge-processing pass to the transport:
@@ -142,26 +166,63 @@ func (w *Worker) observeStep() {
 
 // Barrier blocks until all machines reach it.
 func (w *Worker) Barrier() error {
-	t0 := w.spanStart()
-	err := comm.Barrier(w.ep, w.nextTags(1))
-	w.endSpan(obs.PhaseBarrier, -1, -1, -1, t0)
+	_, err := w.AllReduceSum(0)
 	return err
 }
 
-// AllReduceInt64 combines x across machines with op (associative and
-// commutative) and returns the result everywhere.
-func (w *Worker) AllReduceInt64(x int64, op func(a, b int64) int64) (int64, error) {
-	return comm.AllReduceInt64(w.ep, x, w.nextTags(1), op)
-}
-
-// AllReduceSum returns the sum of x across machines.
+// AllReduceSum returns the sum of x across machines. Like every
+// collective it is one PhaseBarrier span.
 func (w *Worker) AllReduceSum(x int64) (int64, error) {
-	return w.AllReduceInt64(x, func(a, b int64) int64 { return a + b })
+	t0 := w.spanStart()
+	v, err := comm.AllReduceInt64(w.coll, x, w.nextTags(1), func(a, b int64) int64 { return a + b })
+	w.endSpan(obs.PhaseBarrier, -1, -1, -1, t0)
+	return v, err
 }
 
-// AllReduceBool ORs x across machines.
-func (w *Worker) AllReduceBool(x bool) (bool, error) {
-	return comm.AllReduceBool(w.ep, x, w.nextTags(1))
+// everyone is exchange's root for an all-gather.
+const everyone = -1
+
+// exchange is the worker's one segment exchange, behind SyncBitmap and
+// every gather. seg is this machine's encoded segment, borrowed for the
+// call. With root == everyone each machine sends its segment to every
+// peer and applies every peer's; otherwise the peers send to root and
+// root alone applies. Every destination is handed a slab copy of its
+// own, and every received payload is released once apply returns. A
+// segment apply rejects is a *comm.ProtocolError naming the stream. The
+// per-stream demux queues make the all-to-all deadlock-free. The whole
+// call is one PhaseBarrier span.
+func (w *Worker) exchange(root int, seg []byte, apply func(peer int, payload []byte) error) error {
+	t0 := w.spanStart()
+	defer w.endSpan(obs.PhaseBarrier, -1, -1, -1, t0)
+	tag := w.nextTags(1)
+	for peer := 0; peer < w.N(); peer++ {
+		if peer == w.id || (root != everyone && peer != root) {
+			continue
+		}
+		w.frame[0] = append(bufpool.Get(len(seg))[:0], seg...)
+		if err := w.ep.SendBufs(comm.NodeID(peer), comm.KindControl, tag, w.frame[:]); err != nil {
+			return err
+		}
+	}
+	if root != everyone && root != w.id {
+		return nil
+	}
+	for peer := 0; peer < w.N(); peer++ {
+		if peer == w.id {
+			continue
+		}
+		m, err := w.recv(comm.NodeID(peer), comm.KindControl, tag, obs.PhaseBarrier)
+		if err != nil {
+			return err
+		}
+		err = apply(peer, m.Payload)
+		m.Release()
+		if err != nil {
+			return &comm.ProtocolError{Node: comm.NodeID(w.id), From: comm.NodeID(peer), Kind: comm.KindControl,
+				WantTag: tag, GotTag: tag, Reason: err.Error()}
+		}
+	}
+	return nil
 }
 
 // SyncBitmap merges each machine's master segment of b into every
@@ -178,41 +239,29 @@ func (w *Worker) SyncBitmap(b *bitset.Bitmap) error {
 		panic("core: SyncBitmap wants a full-length bitmap")
 	}
 	lo, hi := w.MasterRange()
-	blob := encodeBitmapSegment(b, lo, hi)
-	all, err := comm.AllGatherBytes(w.ep, blob, w.nextTags(1))
-	if err != nil {
-		return err
-	}
-	for peer, payload := range all {
-		if peer == w.id {
-			continue
-		}
+	w.seg = appendBitmapSegment(w.seg[:0], b, lo, hi)
+	return w.exchange(everyone, w.seg, func(peer int, payload []byte) error {
 		plo, phi := w.cluster.part.Range(peer)
-		if err := applyBitmapSegment(b, plo, phi, payload); err != nil {
-			return err
-		}
-	}
-	return nil
+		return applyBitmapSegment(b, plo, phi, payload)
+	})
 }
 
-// encodeBitmapSegment serializes bits [lo, hi) of b: a 1-byte form tag,
-// then either little-endian u32 indices relative to lo (sparse) or the
-// covering words (dense), whichever is smaller.
-func encodeBitmapSegment(b *bitset.Bitmap, lo, hi int) []byte {
+// appendBitmapSegment appends bits [lo, hi) of b to out: a 1-byte form
+// tag, then either little-endian u32 indices relative to lo (sparse) or
+// the covering words (dense), whichever is smaller.
+func appendBitmapSegment(out []byte, b *bitset.Bitmap, lo, hi int) []byte {
 	count := b.CountSegment(lo, hi)
 	denseBytes := ((hi+63)/64 - lo/64) * 8
+	out = slices.Grow(out, 1+min(count*4, denseBytes))
 	if count*4 < denseBytes {
-		out := make([]byte, 1, 1+count*4)
-		out[0] = segSparse
+		out = append(out, segSparse)
 		b.RangeSegment(lo, hi, func(v int) bool {
 			out = binary.LittleEndian.AppendUint32(out, uint32(v-lo))
 			return true
 		})
 		return out
 	}
-	out := make([]byte, 1, 1+denseBytes)
-	out[0] = segDense
-	return b.AppendSegmentLE(out, lo, hi)
+	return b.AppendSegmentLE(append(out, segDense), lo, hi)
 }
 
 const (
@@ -248,96 +297,93 @@ func applyBitmapSegment(b *bitset.Bitmap, lo, hi int, payload []byte) error {
 	return nil
 }
 
-// GatherU32 collects every master's value of arr at node 0, which is
-// where algorithms materialize their results (other nodes' copies stay
-// partial). Far cheaper than AllGatherU32 for result publication.
-func (w *Worker) GatherU32(arr []uint32) error {
-	if len(arr) != w.cluster.g.NumVertices() {
-		panic("core: GatherU32 wants a full-length array")
-	}
-	tag := w.nextTags(1)
-	lo, hi := w.MasterRange()
-	if w.id != 0 {
-		blob := bufpool.Get((hi - lo) * 4)
-		for i := lo; i < hi; i++ {
-			binary.LittleEndian.PutUint32(blob[(i-lo)*4:], arr[i])
-		}
-		return w.ep.SendBufs(0, comm.KindControl, tag, comm.Buffers{blob})
-	}
-	for peer := 1; peer < w.N(); peer++ {
-		m, err := w.ep.Recv(comm.NodeID(peer), comm.KindControl, tag)
-		if err != nil {
-			return err
-		}
-		plo := w.cluster.part.Starts[peer]
-		for off := 0; off+4 <= len(m.Payload); off += 4 {
-			arr[plo+off/4] = binary.LittleEndian.Uint32(m.Payload[off:])
-		}
-		m.Release()
-	}
-	return nil
+// elem is what a per-vertex array exchanged between machines may hold;
+// each travels as its little-endian bit pattern.
+type elem interface {
+	uint32 | int32 | float32 | float64
 }
 
-// AllGatherU32 fills arr (full length |V|) so that every machine sees
-// every master's value: machine i contributes arr[lo_i:hi_i]. Used to
-// publish results and replicated vertex properties.
-func (w *Worker) AllGatherU32(arr []uint32) error {
-	if len(arr) != w.cluster.g.NumVertices() {
-		panic("core: AllGatherU32 wants a full-length array")
-	}
-	lo, hi := w.MasterRange()
-	blob := make([]byte, (hi-lo)*4)
-	for i := lo; i < hi; i++ {
-		binary.LittleEndian.PutUint32(blob[(i-lo)*4:], arr[i])
-	}
-	all, err := comm.AllGatherBytes(w.ep, blob, w.nextTags(1))
-	if err != nil {
-		return err
-	}
-	for peer, payload := range all {
-		if peer == w.id {
-			continue
+// encodeElems writes src's elements into dst, which has exactly their
+// size.
+func encodeElems[T elem](dst []byte, src []T) {
+	switch s := any(src).(type) {
+	case []uint32:
+		for i, x := range s {
+			binary.LittleEndian.PutUint32(dst[4*i:], x)
 		}
-		plo := w.cluster.part.Starts[peer]
-		for off := 0; off+4 <= len(payload); off += 4 {
-			arr[plo+off/4] = binary.LittleEndian.Uint32(payload[off:])
+	case []int32:
+		for i, x := range s {
+			binary.LittleEndian.PutUint32(dst[4*i:], uint32(x))
+		}
+	case []float32:
+		for i, x := range s {
+			binary.LittleEndian.PutUint32(dst[4*i:], math.Float32bits(x))
+		}
+	case []float64:
+		for i, x := range s {
+			binary.LittleEndian.PutUint64(dst[8*i:], math.Float64bits(x))
 		}
 	}
-	return nil
 }
 
-// AllGatherF64 is AllGatherU32 for float64 arrays.
-func (w *Worker) AllGatherF64(arr []float64) error {
-	if len(arr) != w.cluster.g.NumVertices() {
-		panic("core: AllGatherF64 wants a full-length array")
-	}
-	lo, hi := w.MasterRange()
-	blob := make([]byte, (hi-lo)*8)
-	for i := lo; i < hi; i++ {
-		binary.LittleEndian.PutUint64(blob[(i-lo)*8:], math.Float64bits(arr[i]))
-	}
-	all, err := comm.AllGatherBytes(w.ep, blob, w.nextTags(1))
-	if err != nil {
-		return err
-	}
-	for peer, payload := range all {
-		if peer == w.id {
-			continue
+// decodeElems fills dst from what encodeElems wrote.
+func decodeElems[T elem](dst []T, src []byte) {
+	switch d := any(dst).(type) {
+	case []uint32:
+		for i := range d {
+			d[i] = binary.LittleEndian.Uint32(src[4*i:])
 		}
-		plo := w.cluster.part.Starts[peer]
-		for off := 0; off+8 <= len(payload); off += 8 {
-			arr[plo+off/8] = math.Float64frombits(binary.LittleEndian.Uint64(payload[off:]))
+	case []int32:
+		for i := range d {
+			d[i] = int32(binary.LittleEndian.Uint32(src[4*i:]))
+		}
+	case []float32:
+		for i := range d {
+			d[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:]))
+		}
+	case []float64:
+		for i := range d {
+			d[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
 		}
 	}
-	return nil
 }
 
-// AllGatherBlob exchanges an arbitrary per-node byte blob: the result is
-// indexed by node ID and includes this node's own blob (aliased, not
-// copied). Used by algorithms for custom reductions such as K-means
-// re-centering.
-func (w *Worker) AllGatherBlob(blob []byte) ([][]byte, error) {
-	return comm.AllGatherBytes(w.ep, blob, w.nextTags(1))
+// gather exchanges arr (full length |V|) by master segment: machine i
+// contributes arr[lo_i:hi_i], and root (or everyone) ends up with every
+// master's values. A peer's segment must be exactly its range.
+func gather[T elem](w *Worker, root int, arr []T) error {
+	if len(arr) != w.cluster.g.NumVertices() {
+		panic("core: gather wants a full-length array")
+	}
+	var zero T
+	width := int(unsafe.Sizeof(zero))
+	lo, hi := w.MasterRange()
+	w.seg = slices.Grow(w.seg[:0], (hi-lo)*width)[:(hi-lo)*width]
+	encodeElems(w.seg, arr[lo:hi])
+	return w.exchange(root, w.seg, func(peer int, payload []byte) error {
+		plo, phi := w.cluster.part.Range(peer)
+		if len(payload) != (phi-plo)*width {
+			return fmt.Errorf("core: segment of [%d,%d) is %d bytes, want %d", plo, phi, len(payload), (phi-plo)*width)
+		}
+		decodeElems(arr[plo:phi], payload)
+		return nil
+	})
+}
+
+// Gather collects every master's value of arr at node 0, which is where
+// algorithms materialize their results (other nodes' copies stay
+// partial). Far cheaper than AllGather for result publication.
+func Gather[T elem](w *Worker, arr []T) error { return gather(w, 0, arr) }
+
+// AllGather fills arr so that every machine sees every master's value.
+// Used to publish results and replicated vertex properties.
+func AllGather[T elem](w *Worker, arr []T) error { return gather(w, everyone, arr) }
+
+// AllGatherBlob exchanges an arbitrary per-node byte blob — a custom
+// reduction such as K-means re-centering: apply sees every peer's blob
+// (not this node's own) and must not keep it.
+func (w *Worker) AllGatherBlob(blob []byte, apply func(peer int, payload []byte) error) error {
+	return w.exchange(everyone, blob, apply)
 }
 
 // ProcessVertices applies fn to every owned master vertex (in parallel

@@ -134,7 +134,7 @@ func TestAllGatherU32(t *testing.T) {
 		for v := lo; v < hi; v++ {
 			arr[v] = uint32(v * 7)
 		}
-		if err := w.AllGatherU32(arr); err != nil {
+		if err := AllGather(w, arr); err != nil {
 			return err
 		}
 		for v := 0; v < 150; v++ {
@@ -158,7 +158,7 @@ func TestAllGatherF64(t *testing.T) {
 		for v := lo; v < hi; v++ {
 			arr[v] = float64(v) / 3
 		}
-		if err := w.AllGatherF64(arr); err != nil {
+		if err := AllGather(w, arr); err != nil {
 			return err
 		}
 		for v := 0; v < 100; v++ {

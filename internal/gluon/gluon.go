@@ -26,6 +26,7 @@ import (
 	"sync"
 
 	"repro/internal/bitset"
+	"repro/internal/bufpool"
 	"repro/internal/comm"
 	"repro/internal/graph"
 	"repro/internal/partition"
@@ -197,24 +198,22 @@ func (w *Worker) SyncReduceBroadcastU32(field []uint32, touched *bitset.Bitmap, 
 	lo, hi := w.MasterRange()
 	pt := w.engine.pt
 
-	// Reduce phase: route touched non-owned entries to owners.
+	// Reduce phase: route touched non-owned entries to owners. Each
+	// owner's buffer is handed to the transport outright.
 	bufs := make([][]byte, p)
 	touched.Range(func(v int) bool {
 		owner := pt.Owner(graph.VertexID(v))
 		if owner == w.id {
 			return true
 		}
-		var rec [8]byte
-		binary.LittleEndian.PutUint32(rec[0:], uint32(v))
-		binary.LittleEndian.PutUint32(rec[4:], field[v])
-		bufs[owner] = append(bufs[owner], rec[:]...)
+		bufs[owner] = appendRecord(bufs[owner], v, field[v])
 		return true
 	})
 	for peer := 0; peer < p; peer++ {
 		if peer == w.id {
 			continue
 		}
-		if err := w.ep.Send(comm.NodeID(peer), comm.KindUpdate, base, bufs[peer]); err != nil {
+		if err := w.ep.SendBufs(comm.NodeID(peer), comm.KindUpdate, base, comm.Buffers{bufs[peer]}); err != nil {
 			return 0, err
 		}
 	}
@@ -239,23 +238,22 @@ func (w *Worker) SyncReduceBroadcastU32(field []uint32, touched *bitset.Bitmap, 
 				changedMasters.Set(v - lo)
 			}
 		}
+		m.Release()
 	}
 
-	// Broadcast phase: publish changed master values to every machine.
+	// Broadcast phase: publish changed master values to every machine,
+	// each of which gets (and later releases) a copy of its own.
 	var bcast []byte
 	changedMasters.Range(func(i int) bool {
-		v := lo + i
-		var rec [8]byte
-		binary.LittleEndian.PutUint32(rec[0:], uint32(v))
-		binary.LittleEndian.PutUint32(rec[4:], field[v])
-		bcast = append(bcast, rec[:]...)
+		bcast = appendRecord(bcast, lo+i, field[lo+i])
 		return true
 	})
 	for peer := 0; peer < p; peer++ {
 		if peer == w.id {
 			continue
 		}
-		if err := w.ep.Send(comm.NodeID(peer), comm.KindUpdate, base+1, bcast); err != nil {
+		clone := append(bufpool.Get(len(bcast))[:0], bcast...)
+		if err := w.ep.SendBufs(comm.NodeID(peer), comm.KindUpdate, base+1, comm.Buffers{clone}); err != nil {
 			return 0, err
 		}
 	}
@@ -271,7 +269,14 @@ func (w *Worker) SyncReduceBroadcastU32(field []uint32, touched *bitset.Bitmap, 
 			v := int(binary.LittleEndian.Uint32(m.Payload[off:]))
 			field[v] = binary.LittleEndian.Uint32(m.Payload[off+4:])
 		}
+		m.Release()
 	}
 	touched.ClearAll()
 	return w.AllReduceSum(int64(changedMasters.Count()))
+}
+
+// appendRecord appends one (vertex, value) synchronization record.
+func appendRecord(buf []byte, v int, val uint32) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(v))
+	return binary.LittleEndian.AppendUint32(buf, val)
 }

@@ -47,7 +47,8 @@ const (
 	PhaseDepWait
 	// PhaseUpdateWait is time blocked receiving update messages.
 	PhaseUpdateWait
-	// PhaseBarrier is time spent in inter-iteration barriers.
+	// PhaseBarrier is time spent in every collective: barrier, reduce,
+	// bitmap sync, gathers — one span per call, sends and waits alike.
 	PhaseBarrier
 	// PhaseBufferFlush is recorded by no engine path: sending a
 	// dependency segment is PhaseDenseBin plus PhaseDenseFlush. It

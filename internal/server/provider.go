@@ -112,13 +112,19 @@ func (p *localProvider) Name() string { return "local" }
 func (p *localProvider) Close() {}
 
 func (p *localProvider) Build(spec BuildSpec) (Engine, error) {
-	opts := p.cfg.Options
+	return newLocalEngine(spec, p.cfg.Options, p.cfg.Tracer, p.cfg.CheckpointRoot)
+}
+
+// newLocalEngine is the one constructor of in-process engines: the local
+// provider's slots, and the remote provider's degraded fallback (which
+// passes no checkpoint root).
+func newLocalEngine(spec BuildSpec, opts core.Options, tr *obs.Tracer, checkpointRoot string) (*localEngine, error) {
 	opts.Mode = spec.Mode
-	opts.Tracer = p.cfg.Tracer
+	opts.Tracer = tr
 	var fs *core.FileCheckpointStore
-	if p.cfg.CheckpointRoot != "" {
+	if checkpointRoot != "" {
 		var err error
-		fs, err = core.NewFileCheckpointStore(filepath.Join(p.cfg.CheckpointRoot, fmt.Sprintf("slot-%d", spec.SlotID)))
+		fs, err = core.NewFileCheckpointStore(filepath.Join(checkpointRoot, fmt.Sprintf("slot-%d", spec.SlotID)))
 		if err != nil {
 			return nil, fmt.Errorf("checkpoint store for slot %d: %w", spec.SlotID, err)
 		}

@@ -624,38 +624,26 @@ func (p *RemoteProvider) buildAttempt(spec BuildSpec, ship *shipEntry, targets [
 func (p *RemoteProvider) buildDegraded(spec BuildSpec) (Engine, error) {
 	p.degradedBuilds.Add(1)
 	opts := p.cfg.Options
-	opts.Mode = spec.Mode
-	opts.Tracer = p.cfg.Tracer
 	opts.Endpoints = nil
 	opts.Link = nil
 	opts.Fault = nil
 	if opts.NumNodes <= 0 {
 		opts.NumNodes = 1
 	}
-	eng, err := core.NewEngine(spec.Graph, opts)
+	eng, err := newLocalEngine(spec, opts, p.cfg.Tracer, "")
 	if err != nil {
-		return nil, fmt.Errorf("degraded in-process engine for %s/%v: %w", spec.GraphName, spec.Variant, err)
+		return nil, fmt.Errorf("degraded in-process engine: %w", err)
 	}
 	p.cfg.Logf("server: no usable worker; serving %s/%v degraded in-process", spec.GraphName, spec.Variant)
-	return &degradedEngine{Engine: eng, prov: p}, nil
+	return &degradedEngine{localEngine: eng, prov: p}, nil
 }
 
 // degradedEngine is the zero-worker fallback: the local simulated
 // cluster behind the remote provider's name, flagged on every response.
 type degradedEngine struct {
-	core.Engine
+	*localEngine
 	prov *RemoteProvider
 }
-
-func (e *degradedEngine) BindQuery(ctx context.Context, q Request, key string, tr *obs.Tracer) error {
-	e.SetBaseContext(ctx)
-	if tr != nil {
-		e.SetTracer(tr)
-	}
-	return nil
-}
-
-func (e *degradedEngine) FinishQuery() error { return nil }
 
 // Degraded marks responses served below the requested fleet width.
 func (e *degradedEngine) Degraded() bool { return true }

@@ -285,7 +285,7 @@ func (b *box) selectHeld() int {
 func (b *box) commHeld() error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return ep.Send(1, comm.KindUpdate, 1, nil) // want:lockorder
+	return ep.SendBufs(1, comm.KindUpdate, 1, nil) // want:lockorder
 }
 
 func waitCh() int {

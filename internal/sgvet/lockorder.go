@@ -23,7 +23,7 @@ import (
 //     an in-package helper whose summary says it acquires it.
 //   - lock held across a blocking point: a channel send/receive
 //     outside a default-armed select, a select with no default, or a
-//     blocking internal/comm call (Send/Recv/SendBufs/Expect/Dial...)
+//     blocking internal/comm call (SendBufs/Recv/Expect/Dial...)
 //     while any mutex is may-held. A stalled peer then wedges every
 //     contender of the mutex.
 //
@@ -381,11 +381,12 @@ func (a *lockAnalysis) blockingOp(blk *Block, idx int, n ast.Node) (string, toke
 	return desc, pos, found
 }
 
-// blockingCommNames is internal/comm's parking API: data-plane
-// send/receive, the acknowledged control protocol, and dials.
+// blockingCommNames is internal/comm's parking API: the data plane's
+// SendBufs/Recv/RecvTimeout, the acknowledged control protocol
+// (CtrlConn's Send/Recv/Expect and blobs), and dials.
 var blockingCommNames = map[string]bool{
-	"Send": true, "Recv": true, "SendBufs": true, "RecvTimeout": true,
-	"Expect": true, "SendBlob": true, "RecvBlob": true,
+	"SendBufs": true, "Recv": true, "RecvTimeout": true,
+	"Send": true, "Expect": true, "SendBlob": true, "RecvBlob": true,
 	"SendBlobChunked": true, "RecvBlobChunked": true,
 	"DialCtrl": true, "DialCtrlRetry": true,
 }
