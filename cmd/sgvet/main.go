@@ -9,7 +9,6 @@
 //	sgvet -c depbreak,commerr ./...
 //	sgvet -json ./...             # machine-readable diagnostics
 //	sgvet -times ./...            # per-analyzer wall-time report
-//	sgvet -artifact lint.json ./... # findings artifact for make verify
 //	sgvet -audit ./...            # list //sgvet:ignore suppressions
 //
 // Exit status is 0 when clean, 1 when diagnostics were reported (or,
@@ -20,13 +19,6 @@
 // analyzer list and justification text; a suppression with an empty
 // justification fails the audit, so silencing an analyzer without
 // saying why cannot survive CI.
-//
-// -artifact writes a JSON findings artifact (per-analyzer timings,
-// surviving diagnostics, and the suppression inventory);
-// -check-artifact validates one — it parses, reports zero findings,
-// covers the full analyzer suite, and justifies every suppression —
-// which is how `make verify` consumes the `make lint` run instead of
-// re-linting.
 //
 // sgvet also speaks enough of the `go vet -vettool` unit-checker
 // protocol to be used as
@@ -78,11 +70,8 @@ func main() {
 	asJSON := fs.Bool("json", false, "emit diagnostics as JSON")
 	audit := fs.Bool("audit", false, "list //sgvet:ignore suppressions; fail on empty justifications")
 	times := fs.Bool("times", false, "report per-analyzer wall time on stderr")
-	artifact := fs.String("artifact", "", "write a JSON findings artifact (timings, diagnostics, suppressions) to this path")
-	checkArtifact := fs.String("check-artifact", "", "validate a findings artifact written by -artifact and exit")
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: sgvet [-c analyzers] [-json] [-audit] [-times] [-artifact path] [patterns...]")
-		fmt.Fprintln(os.Stderr, "       sgvet -check-artifact path")
+		fmt.Fprintln(os.Stderr, "usage: sgvet [-c analyzers] [-json] [-audit] [-times] [patterns...]")
 		fmt.Fprintln(os.Stderr, "analyzers:")
 		for _, a := range sgvet.All() {
 			fmt.Fprintf(os.Stderr, "  %-10s %s\n", a.Name, a.Doc)
@@ -91,9 +80,6 @@ func main() {
 	}
 	if err := fs.Parse(os.Args[1:]); err != nil {
 		os.Exit(2)
-	}
-	if *checkArtifact != "" {
-		os.Exit(runCheckArtifact(*checkArtifact))
 	}
 	analyzers, err := sgvet.ByName(*checks)
 	if err != nil {
@@ -127,28 +113,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "sgvet: per-analyzer wall time:")
 		for _, tm := range timings {
 			fmt.Fprintf(os.Stderr, "  %-12s %8.1f ms  %d finding(s)\n", tm.Analyzer, tm.Millis, tm.Findings)
-		}
-	}
-	if *artifact != "" {
-		art := sgvet.Artifact{
-			Analyzers:    timings,
-			Diagnostics:  diags,
-			Suppressions: sgvet.CollectSuppressions(pkgs),
-		}
-		// Empty lists marshal as [] rather than null: artifact consumers
-		// key on list length, not presence.
-		if art.Diagnostics == nil {
-			art.Diagnostics = []sgvet.Diagnostic{}
-		}
-		if art.Suppressions == nil {
-			art.Suppressions = []sgvet.Suppression{}
-		}
-		blob, err := json.MarshalIndent(art, "", "  ")
-		if err != nil {
-			fatalf("%v", err)
-		}
-		if err := os.WriteFile(*artifact, append(blob, '\n'), 0o644); err != nil {
-			fatalf("%v", err)
 		}
 	}
 	if *asJSON {
@@ -190,52 +154,6 @@ func runAudit(pkgs []*loader.Package) int {
 		fmt.Fprintf(os.Stderr, "sgvet: audit failed: %d suppression(s) have no justification\n", bad)
 		return 1
 	}
-	return 0
-}
-
-// runCheckArtifact validates a findings artifact written by -artifact:
-// it must parse, report zero findings, cover every analyzer in the
-// suite (so a stale artifact from before an analyzer landed cannot
-// green-light verify), and justify every suppression.
-func runCheckArtifact(path string) int {
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "sgvet: check-artifact: %v (run `make lint` first)\n", err)
-		return 1
-	}
-	var art sgvet.Artifact
-	if err := json.Unmarshal(blob, &art); err != nil {
-		fmt.Fprintf(os.Stderr, "sgvet: check-artifact: parsing %s: %v\n", path, err)
-		return 1
-	}
-	covered := map[string]bool{}
-	for _, tm := range art.Analyzers {
-		covered[tm.Analyzer] = true
-	}
-	ok := true
-	for _, a := range sgvet.All() {
-		if !covered[a.Name] {
-			fmt.Fprintf(os.Stderr, "sgvet: check-artifact: analyzer %s missing from %s (stale artifact?)\n", a.Name, path)
-			ok = false
-		}
-	}
-	if len(art.Diagnostics) > 0 {
-		fmt.Fprintf(os.Stderr, "sgvet: check-artifact: %d finding(s) recorded in %s:\n", len(art.Diagnostics), path)
-		for _, d := range art.Diagnostics {
-			fmt.Fprintf(os.Stderr, "  %s\n", d)
-		}
-		ok = false
-	}
-	for _, s := range art.Suppressions {
-		if s.Reason == "" {
-			fmt.Fprintf(os.Stderr, "sgvet: check-artifact: %s:%d suppression has no justification\n", s.File, s.Line)
-			ok = false
-		}
-	}
-	if !ok {
-		return 1
-	}
-	fmt.Printf("sgvet: artifact %s ok: %d analyzers, 0 findings, %d justified suppression(s)\n", path, len(art.Analyzers), len(art.Suppressions))
 	return 0
 }
 

@@ -77,14 +77,3 @@ func recvInt64(e Endpoint, from NodeID, tag int32) (int64, error) {
 	}
 	return int64(binary.LittleEndian.Uint64(m.Payload)), nil
 }
-
-// AllReduceBool ORs a boolean across all nodes (used for "any vertex still
-// active" termination checks).
-func AllReduceBool(e Endpoint, x bool, tag int32) (bool, error) {
-	v := int64(0)
-	if x {
-		v = 1
-	}
-	r, err := AllReduceInt64(e, v, tag, func(a, b int64) int64 { return a | b })
-	return r != 0, err
-}

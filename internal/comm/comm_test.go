@@ -237,35 +237,6 @@ func TestAllReduce(t *testing.T) {
 	})
 }
 
-func TestAllReduceBool(t *testing.T) {
-	endpointsUnderTest(t, 3, func(t *testing.T, eps []Endpoint) {
-		check := func(inputs []bool, want bool, tag int32) {
-			results := make([]bool, len(eps))
-			var wg sync.WaitGroup
-			for i, e := range eps {
-				wg.Add(1)
-				go func(i int, e Endpoint) {
-					defer wg.Done()
-					r, err := AllReduceBool(e, inputs[i], tag)
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					results[i] = r
-				}(i, e)
-			}
-			wg.Wait()
-			for i, r := range results {
-				if r != want {
-					t.Fatalf("inputs %v: node %d got %v, want %v", inputs, i, r, want)
-				}
-			}
-		}
-		check([]bool{false, false, false}, false, 0)
-		check([]bool{false, true, false}, true, 1)
-	})
-}
-
 func TestSendToInvalidNode(t *testing.T) {
 	c := NewMemCluster(2)
 	defer c.Close()

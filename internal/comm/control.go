@@ -77,27 +77,6 @@ func DialCtrl(addr string, timeout time.Duration) (*CtrlConn, error) {
 	return NewCtrlConn(c), nil
 }
 
-// DialCtrlRetry dials a control address with the shared Backoff policy
-// until it succeeds or the budget elapses — the control-plane analogue
-// of the data plane's dialWithRetry, so slot builds ride out a worker
-// that is mid-restart instead of failing on the first refused dial.
-// Each individual attempt is bounded by attemptTimeout.
-func DialCtrlRetry(addr string, budget, attemptTimeout time.Duration, bo Backoff) (*CtrlConn, error) {
-	var cc *CtrlConn
-	err := bo.Retry(budget, func(uint64) error {
-		c, err := net.DialTimeout("tcp", addr, attemptTimeout)
-		if err != nil {
-			return err
-		}
-		cc = NewCtrlConn(c)
-		return nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("comm: control dial %s: %w", addr, err)
-	}
-	return cc, nil
-}
-
 // RemoteAddr names the peer, for logs and error messages.
 func (cc *CtrlConn) RemoteAddr() string { return cc.c.RemoteAddr().String() }
 

@@ -109,9 +109,10 @@ type Layout struct {
 
 	// Blocked is the partition-blocked view of the machine's out-CSR
 	// (push mode's source-blocked, destination-partitioned scan order).
-	// Built on demand by AttachBlocked when the binned scan is enabled;
-	// nil layouts fall back to the flat push scan. Blocks are its
-	// pull-side counterpart over the in-CSC.
+	// AttachBlocked builds it; every cluster attaches one per machine,
+	// because the sparse scan has no other order (a nil Blocked is a
+	// layout no engine runs on). Blocks are its pull-side counterpart
+	// over the in-CSC.
 	Blocked *graph.BlockedCSR
 }
 

@@ -61,15 +61,6 @@ func SampleNeighbors(g *graph.Graph, seed uint64, round int, order NeighborOrder
 	return pick, visits
 }
 
-// TotalInWeight returns the sum of in-neighbor weights of v.
-func TotalInWeight(g *graph.Graph, seed uint64, v graph.VertexID) float64 {
-	total := 0.0
-	for _, u := range g.InNeighbors(v) {
-		total += VertexWeight(seed, u)
-	}
-	return total
-}
-
 // SampleThresholdFromTotal returns r_v, the deterministic uniform draw in
 // (0, total], given v's total in-neighbor weight.
 func SampleThresholdFromTotal(seed uint64, round int, v graph.VertexID, total float64) float64 {

@@ -164,7 +164,11 @@ func TestFleetCapacityReject(t *testing.T) {
 	}).(*RemoteProvider)
 	defer prov.Close()
 
-	spec := BuildSpec{GraphName: "g", Variant: variantDirected, Graph: testGraph(6, 1), Mode: core.ModeSympleGraph}
+	ge, err := newGraphEntry("g", testGraph(6, 1), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := ge.Latest().buildSpec("g", variantDirected, core.ModeSympleGraph, 0)
 	first, err := prov.Build(spec)
 	if err != nil {
 		t.Fatalf("first build: %v", err)

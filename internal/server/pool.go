@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"sync"
@@ -43,22 +42,12 @@ type graphInfo struct {
 	epoch       uint64
 }
 
-// slot is one leased unit: a warm engine plus the coordinates it was
-// built for, so Release can route it home without the caller re-stating
-// them.
-type slot struct {
-	eng      Engine
-	provider string
-	graph    string
-	epoch    uint64
-	variant  graphVariant
-	mode     core.Mode
-	id       int
-}
-
-// entryKey identifies one free list: slots are keyed by epoch, so a
+// entryKey identifies one idle list. Slots are keyed by epoch, so a
 // commit naturally drains old-epoch entries while in-flight queries
-// finish on the version they started on.
+// finish on the version they started on. An entry exists only while it
+// holds idle engines: the first lease of a key builds (paying partition
+// and, for remote providers, graph-shipping cost), later leases reuse
+// what earlier ones released.
 type entryKey struct {
 	provider string
 	graph    string
@@ -67,13 +56,11 @@ type entryKey struct {
 	mode     core.Mode
 }
 
-// poolEntry is the free list for one (provider, graph, epoch, variant,
-// mode) tuple. Engines are built lazily — the first lease pays
-// partition (and, for remote providers, graph-shipping) cost, later
-// leases reuse warm slots — up to the pool's per-entry cap.
-type poolEntry struct {
-	free  chan *slot
-	built int // slots counted against the cap, leased or free; guarded by Pool.mu
+// slot is one leased unit: a warm engine plus the key it was built for,
+// so Release can route it home without the caller re-stating it.
+type slot struct {
+	entryKey
+	eng Engine
 }
 
 // PoolConfig configures the engine pool.
@@ -87,8 +74,9 @@ type PoolConfig struct {
 	// DefaultProvider names the provider used when a request does not
 	// pick one; empty selects the first entry of Providers.
 	DefaultProvider string
-	// SlotsPerEntry caps concurrent engines per (provider, graph,
-	// epoch, variant, mode).
+	// SlotsPerEntry caps the idle engines kept per (provider, graph,
+	// epoch, variant, mode). It does not cap leases: admission decides
+	// how many queries run at once, the pool caches what they release.
 	SlotsPerEntry int
 	// Retention is how many epochs each graph keeps resolvable
 	// (default mutate.DefaultRetention).
@@ -98,25 +86,25 @@ type PoolConfig struct {
 	Tracer *obs.Tracer
 }
 
-// Pool owns the warm engines the server leases per request. Slots from
-// different providers coexist: the pool key is (provider, graph, epoch,
-// variant, mode), so an in-process cluster and a remote worker ring for
-// the same graph are separate free lists, and two epochs of one graph
-// never share an engine.
+// Pool caches the warm engines the server leases per request. Slots
+// from different providers coexist: the pool key is (provider, graph,
+// epoch, variant, mode), so an in-process cluster and a remote worker
+// ring for the same graph are separate idle lists, and two epochs of one
+// graph never share an engine.
 type Pool struct {
 	cfg       PoolConfig
 	providers map[string]EngineProvider
 	defName   string
 	graphs    map[string]*graphEntry
 	mu        sync.Mutex
-	entries   map[entryKey]*poolEntry
+	entries   map[entryKey][]*slot // idle engines, at most SlotsPerEntry per key
 	nextID    int
 
 	// Stats aggregation over every slot ever built, without keeping a
 	// closed slot (its engine, layouts and blocked CSR) reachable: open
 	// slots are tracked until retire folds their counters in.
 	open           map[*slot]struct{}
-	built          map[string]int // provider → slots ever built
+	builds         map[string]int // provider → slots ever built
 	closedRestarts int64          // Restarts of engines already closed
 }
 
@@ -137,9 +125,9 @@ func NewPool(cfg PoolConfig) (*Pool, error) {
 		cfg:       cfg,
 		providers: make(map[string]EngineProvider, len(cfg.Providers)),
 		graphs:    make(map[string]*graphEntry, len(cfg.Graphs)),
-		entries:   make(map[entryKey]*poolEntry),
+		entries:   make(map[entryKey][]*slot),
 		open:      make(map[*slot]struct{}),
-		built:     make(map[string]int, len(cfg.Providers)),
+		builds:    make(map[string]int, len(cfg.Providers)),
 	}
 	for _, prov := range cfg.Providers {
 		if _, dup := p.providers[prov.Name()]; dup {
@@ -209,60 +197,15 @@ func (p *Pool) ProviderNames() []string {
 	return names
 }
 
-// reserve looks the entry for k up — creating it on first use — and, in
-// the same critical section, either takes a free slot from it or, when
-// the entry has spare capacity, counts one more slot against its cap for
-// the caller to build. Doing the three together is what lets unbuilt
-// delete a superseded entry without stranding a concurrent lease on it.
-func (p *Pool) reserve(k entryKey) (e *poolEntry, s *slot, build bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	e, ok := p.entries[k]
-	if !ok {
-		e = &poolEntry{free: make(chan *slot, p.cfg.SlotsPerEntry)}
-		p.entries[k] = e
-	}
-	select {
-	case s = <-e.free:
-	default:
-		if e.built < p.cfg.SlotsPerEntry {
-			e.built++
-			build = true
-		}
-	}
-	return e, s, build
-}
-
-// unbuilt takes one slot that is no longer (or was never) built off k's
-// count. An entry of a superseded epoch left with nothing built and
-// nothing free is deleted, so a server under mutation holds entries for
-// live epochs only; nothing re-creates it but a lease pinning its epoch.
-func (p *Pool) unbuilt(k entryKey) {
-	superseded := false
-	if ge := p.graphs[k.graph]; ge != nil {
-		_, hi := ge.store.Window()
-		superseded = k.epoch < hi
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	e := p.entries[k] // present: the slot being taken off still counts in it
-	e.built--
-	if superseded && e.built == 0 && len(e.free) == 0 {
-		delete(p.entries, k)
-	}
-}
-
-func keyOf(s *slot) entryKey {
-	return entryKey{provider: s.provider, graph: s.graph, epoch: s.epoch, variant: s.variant, mode: s.mode}
-}
-
-// Lease hands out a warm engine for (provider, graphName, epoch,
-// variant), building one if the entry has spare capacity, otherwise
-// blocking until a slot is released or ctx is done. An empty provider
-// selects the pool's default. epoch 0 resolves to latest; it is pinned
-// to a concrete epoch here, before any blocking, so a commit mid-wait
+// Lease hands out an engine for (provider, graphName, epoch, variant,
+// mode): an idle one when the entry holds any — a stale one is retired
+// on the way, never handed out — and a freshly built one otherwise. It
+// never waits: how many leases may be out at once is admission's
+// decision, the pool only caches what they leave behind. An empty
+// provider selects the pool's default; epoch 0 resolves to latest and is
+// pinned to a concrete epoch here, so a commit landing during the build
 // cannot move the query to a different version than the one reported.
-func (p *Pool) Lease(ctx context.Context, provider, graphName string, epoch uint64, v graphVariant, mode core.Mode) (*slot, error) {
+func (p *Pool) Lease(provider, graphName string, epoch uint64, v graphVariant, mode core.Mode) (*slot, error) {
 	if provider == "" {
 		provider = p.defName
 	}
@@ -278,26 +221,34 @@ func (p *Pool) Lease(ctx context.Context, provider, graphName string, epoch uint
 	if err != nil {
 		return nil, err
 	}
-	epoch = st.Epoch()
-	k := entryKey{provider: provider, graph: graphName, epoch: epoch, variant: v, mode: mode}
-	e, s, build := p.reserve(k)
-	switch {
-	case s != nil:
-		return p.freshen(prov, ge, s)
-	case build:
-		s, err := p.build(prov, ge, epoch, v, mode)
-		if err != nil {
-			p.unbuilt(k)
-			return nil, err
+	k := entryKey{provider: provider, graph: graphName, epoch: st.Epoch(), variant: v, mode: mode}
+	for s := p.popIdle(k); s != nil; s = p.popIdle(k) {
+		if !isStale(s.eng) {
+			return s, nil
 		}
-		return s, nil
+		p.retire(s)
 	}
-	select {
-	case s := <-e.free:
-		return p.freshen(prov, ge, s)
-	case <-ctx.Done():
-		return nil, ctx.Err()
+	return p.build(prov, k, st)
+}
+
+// popIdle takes one idle engine off k's entry, deleting the entry with
+// its last one: an entry exists only while it holds idle engines.
+func (p *Pool) popIdle(k entryKey) *slot {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	idle := p.entries[k]
+	n := len(idle)
+	if n == 0 {
+		return nil
 	}
+	s := idle[n-1]
+	idle[n-1] = nil // the backing array must not keep a leased slot reachable
+	if n == 1 {
+		delete(p.entries, k)
+	} else {
+		p.entries[k] = idle[:n-1]
+	}
+	return s
 }
 
 // isStale asks an engine whether the world it was built for has moved
@@ -309,47 +260,28 @@ func isStale(e Engine) bool {
 	return ok && st.Stale()
 }
 
-// freshen rebuilds a stale free-list slot before handing it out, so a
-// lease taken after a worker rejoined runs at full width — and one
-// taken after a worker died does not pay a mid-query poisoning. Fresh
-// slots pass through untouched.
-func (p *Pool) freshen(prov EngineProvider, ge *graphEntry, s *slot) (*slot, error) {
-	if !isStale(s.eng) {
-		return s, nil
-	}
-	p.retire(s)
-	fresh, err := p.build(prov, ge, s.epoch, s.variant, s.mode)
-	if err != nil {
-		p.unbuilt(keyOf(s))
-		return nil, err
-	}
-	return fresh, nil
-}
-
-func (p *Pool) build(prov EngineProvider, ge *graphEntry, epoch uint64, v graphVariant, mode core.Mode) (*slot, error) {
-	st, err := ge.Resolve(epoch)
-	if err != nil {
-		return nil, err
-	}
+func (p *Pool) build(prov EngineProvider, k entryKey, st *epochState) (*slot, error) {
 	p.mu.Lock()
 	id := p.nextID
 	p.nextID++
 	p.mu.Unlock()
 
-	eng, err := prov.Build(st.buildSpec(ge.name, v, mode, id))
+	eng, err := prov.Build(st.buildSpec(k.graph, k.variant, k.mode, id))
 	if err != nil {
-		return nil, fmt.Errorf("provider %s: %w", prov.Name(), err)
+		return nil, fmt.Errorf("provider %s: %w", k.provider, err)
 	}
-	s := &slot{eng: eng, provider: prov.Name(), graph: ge.name, epoch: st.Epoch(), variant: v, mode: mode, id: id}
+	s := &slot{entryKey: k, eng: eng}
 	p.mu.Lock()
 	p.open[s] = struct{}{}
-	p.built[s.provider]++
+	p.builds[s.provider]++
 	p.mu.Unlock()
 	return s, nil
 }
 
-// retire closes a slot's engine and stops tracking it, keeping only
-// what the "ever built" statistics need.
+// retire closes the engine of a slot that will never be leased again,
+// removes what it kept on disk (slot ids are pool-unique, so nothing
+// would ever read its checkpoint directory again), and stops tracking it,
+// keeping only what the "ever built" statistics need.
 func (p *Pool) retire(s *slot) {
 	restarts := s.eng.Stats().Restarts
 	p.mu.Lock()
@@ -357,110 +289,66 @@ func (p *Pool) retire(s *slot) {
 	p.closedRestarts += restarts
 	p.mu.Unlock()
 	s.eng.Close()
+	if d, ok := s.eng.(interface{ removeStore() }); ok {
+		d.removeStore()
+	}
 }
 
-// Release returns the slot to its free list. The engine first completes
-// its request protocol (FinishQuery — for remote engines, collecting
-// worker acknowledgements); a poisoned or finish-failed engine is Reset
-// in place when the implementation supports it, and rebuilt from
-// scratch through its provider otherwise — so the pool never recycles a
-// broken slot, and a dead remote worker triggers a rebuild that
-// re-evaluates the roster and re-forms the ring over the survivors.
-// A slot whose epoch has been superseded is closed instead of pooled:
-// the query that held it finished on the version it started on, and
-// the next lease builds at the epoch it asks for.
+// Release takes a slot back. The engine first completes its request
+// protocol (FinishQuery — for remote engines, collecting worker
+// acknowledgements). A clean engine of the current epoch is parked for
+// the next lease; a poisoned one is Reset in place when the
+// implementation supports it and parked too. Everything else — a failed
+// finish, a poisoned engine that cannot Reset (a remote ring), a ring the
+// roster moved away from, a superseded epoch, an entry already holding
+// SlotsPerEntry idle engines — is retired, and the next lease builds:
+// over the roster's survivors, at the epoch it asks for. Nothing is
+// built here, so the request that broke a slot is answered without
+// waiting for a replacement it will never use.
 func (p *Pool) Release(s *slot) {
-	finishErr := s.eng.FinishQuery()
+	fit := s.eng.FinishQuery() == nil
 	s.eng.SetBaseContext(nil)
 	s.eng.SetTracer(p.cfg.Tracer)
-
-	if ge := p.graphs[s.graph]; ge != nil {
-		if _, hi := ge.store.Window(); s.epoch < hi {
-			// Uncounted before the engine closes: a lease pinning this
-			// epoch meanwhile must see the spare capacity and build, not
-			// queue for a slot that is not coming back.
-			p.unbuilt(keyOf(s))
-			p.retire(s)
-			return
-		}
+	fit = fit && !isStale(s.eng)
+	if fit && s.eng.Poisoned() != nil {
+		fit = s.eng.Reset() == nil
 	}
-
-	rebuild := false
-	if finishErr != nil || s.eng.Poisoned() != nil {
-		if err := s.eng.Reset(); err != nil || finishErr != nil {
-			rebuild = true
-		}
-	} else if isStale(s.eng) {
-		// The slot is healthy but the roster moved under it (worker
-		// died or rejoined while this query ran): rebuild at current
-		// width instead of parking a stale ring on the free list.
-		rebuild = true
-	}
-	if rebuild {
-		p.retire(s)
-		prov := p.providers[s.provider]
-		ge := p.graphs[s.graph]
-		var fresh *slot
-		var berr error
-		if prov != nil && ge != nil {
-			fresh, berr = p.build(prov, ge, s.epoch, s.variant, s.mode)
-		} else {
-			berr = fmt.Errorf("slot %d has no provider/graph to rebuild from", s.id)
-		}
-		if berr != nil {
-			// Capacity shrinks by one slot; the next lease with
-			// spare room rebuilds it.
-			p.unbuilt(keyOf(s))
-			return
-		}
-		s = fresh
-	}
-	// The slot still counts against its entry's cap, and an entry with
-	// anything built is never deleted, so the entry is there.
-	p.mu.Lock()
-	e := p.entries[keyOf(s)]
-	p.mu.Unlock()
-	select {
-	case e.free <- s:
-	default:
-		// Free list full: a replacement was built while this slot was
-		// out (can't happen in the current accounting, but never block
-		// a release).
+	if !fit || !p.park(s) {
 		p.retire(s)
 	}
 }
 
-// RetireEpochs drains and closes every idle slot of graphName built
-// for an epoch older than the latest, reclaiming engines (and remote
-// worker slots) the new version obsoletes. Leased slots are untouched:
-// their queries finish on the epoch they started on, and Release
-// closes them on the way back.
+// park puts s on its entry's idle list unless its epoch has been
+// superseded or the list is full. The window is read under mu, which
+// RetireEpochs takes after the commit that moves it: either this sees the
+// new window, or the retire pass sees the parked slot.
+func (p *Pool) park(s *slot) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	idle := p.entries[s.entryKey]
+	if _, hi := p.graphs[s.graph].store.Window(); s.epoch < hi || len(idle) >= p.cfg.SlotsPerEntry {
+		return false
+	}
+	p.entries[s.entryKey] = append(idle, s)
+	return true
+}
+
+// RetireEpochs closes every idle engine of graphName built for an epoch
+// older than the latest, reclaiming engines (and remote worker slots)
+// the new version obsoletes. Leased slots are untouched: their queries
+// finish on the epoch they started on, and Release retires them on the
+// way back.
 func (p *Pool) RetireEpochs(graphName string) int {
 	ge, ok := p.graphs[graphName]
 	if !ok {
 		return 0
 	}
 	_, hi := ge.store.Window()
-	// Slots leave the free list and the count in one critical section
-	// with reserve, so a concurrent lease pinning an old epoch either
-	// takes a slot before it is drained or finds the capacity to build.
 	var victims []*slot
 	p.mu.Lock()
-	for k, e := range p.entries {
-		if k.graph != graphName || k.epoch >= hi {
-			continue
-		}
-	drain:
-		for {
-			select {
-			case s := <-e.free:
-				victims = append(victims, s)
-				e.built--
-			default:
-				break drain
-			}
-		}
-		if e.built == 0 {
+	for k, idle := range p.entries {
+		if k.graph == graphName && k.epoch < hi {
+			victims = append(victims, idle...)
 			delete(p.entries, k)
 		}
 	}
@@ -472,19 +360,16 @@ func (p *Pool) RetireEpochs(graphName string) int {
 }
 
 // Close tears down every idle engine and then the providers. Leased
-// slots are abandoned; call only after the server has drained.
+// slots are abandoned; call only after the server has drained. Engines
+// are closed, not retired: their checkpoint directories stay, so a
+// restarted daemon re-running the same query resumes it.
 func (p *Pool) Close() {
 	p.mu.Lock()
-	for _, e := range p.entries {
-		for {
-			select {
-			case s := <-e.free:
-				s.eng.Close()
-			default:
-				goto next
-			}
+	for k, idle := range p.entries {
+		for _, s := range idle {
+			s.eng.Close()
 		}
-	next:
+		delete(p.entries, k)
 	}
 	p.mu.Unlock()
 	for _, prov := range p.providers {
@@ -514,7 +399,7 @@ func (p *Pool) Slots() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	total := 0
-	for _, n := range p.built {
+	for _, n := range p.builds {
 		total += n
 	}
 	return total
@@ -538,7 +423,7 @@ func (p *Pool) ProviderSlots() map[string]int {
 	defer p.mu.Unlock()
 	out := make(map[string]int, len(p.providers))
 	for n := range p.providers {
-		out[n] = p.built[n]
+		out[n] = p.builds[n]
 	}
 	return out
 }

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"reflect"
 	"sync"
 	"testing"
@@ -26,6 +25,13 @@ func localTestPool(t *testing.T, g *graph.Graph, opts core.Options, slots int) *
 	}
 	t.Cleanup(p.Close)
 	return p
+}
+
+// openSlots counts the engines the pool still tracks: built, not retired.
+func openSlots(p *Pool) int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.open)
 }
 
 // TestPoolConcurrentLeasesMatchSequential leases two engines from the
@@ -61,13 +67,12 @@ func TestPoolConcurrentLeasesMatchSequential(t *testing.T) {
 
 	// Concurrent: two different algorithms on two leased slots, several
 	// rounds so the slots are recycled through Release in between.
-	ctx := context.Background()
 	for round := 0; round < 3; round++ {
-		s1, err := p.Lease(ctx, "", "g", 0, variantDirected, mode)
+		s1, err := p.Lease("", "g", 0, variantDirected, mode)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s2, err := p.Lease(ctx, "local", "g", 0, variantUndirected, mode)
+		s2, err := p.Lease("local", "g", 0, variantUndirected, mode)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,59 +114,69 @@ func TestPoolConcurrentLeasesMatchSequential(t *testing.T) {
 	}
 }
 
-// TestPoolLeaseBlocksAtCapacity pins the capacity contract: a third
-// lease with 2 slots outstanding waits until one is released, and a
-// cancelled context unblocks it with ctx.Err().
-func TestPoolLeaseBlocksAtCapacity(t *testing.T) {
+// TestPoolLeaseNeverWaits pins the cache contract that replaced the
+// per-entry slot cap: with SlotsPerEntry engines already out, a further
+// lease builds at once instead of queueing for a release (admission is
+// the one concurrency gate), an entry keeps at most SlotsPerEntry idle
+// engines — the surplus is retired on release — and exists only while it
+// holds some.
+func TestPoolLeaseNeverWaits(t *testing.T) {
 	p := localTestPool(t, testGraph(6, 1), core.Options{NumNodes: 2}, 2)
 	mode := core.ModeSympleGraph
-	ctx := context.Background()
-
-	s1, err := p.Lease(ctx, "", "g", 0, variantDirected, mode)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := p.Lease(ctx, "", "g", 0, variantDirected, mode)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	done := make(chan *slot)
-	go func() {
-		s3, err := p.Lease(ctx, "", "g", 0, variantDirected, mode)
-		if err != nil {
-			t.Errorf("blocked lease: %v", err)
+	idle := func() (entries, engines int) {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		for _, e := range p.entries {
+			engines += len(e)
 		}
-		done <- s3
-	}()
-	select {
-	case <-done:
-		t.Fatal("third lease did not block at capacity")
-	case <-time.After(50 * time.Millisecond):
+		return len(p.entries), engines
 	}
-	p.Release(s1)
-	s3 := <-done
-	if s3 == nil {
-		t.Fatal("no slot after release")
-	}
-	p.Release(s2)
-	p.Release(s3)
 
-	// At capacity with nothing released, a deadline unblocks the wait.
-	a, _ := p.Lease(ctx, "", "g", 0, variantDirected, mode)
-	b, _ := p.Lease(ctx, "", "g", 0, variantDirected, mode)
-	cctx, cancel := context.WithCancel(ctx)
-	cancel()
-	if _, err := p.Lease(cctx, "", "g", 0, variantDirected, mode); err != context.Canceled {
-		t.Fatalf("cancelled lease: %v", err)
+	var held []*slot
+	for i := 0; i < 3; i++ {
+		done := make(chan *slot, 1)
+		go func() {
+			s, err := p.Lease("", "g", 0, variantDirected, mode)
+			if err != nil {
+				t.Errorf("lease %d: %v", i, err)
+			}
+			done <- s
+		}()
+		select {
+		case s := <-done:
+			held = append(held, s)
+		case <-time.After(2 * time.Second):
+			t.Fatalf("lease %d waited with %d slots out", i, len(held))
+		}
+	}
+	if p.Slots() != 3 {
+		t.Fatalf("three concurrent leases built %d engines, want 3", p.Slots())
+	}
+	if e, n := idle(); e != 0 || n != 0 {
+		t.Fatalf("with every engine leased the pool holds %d entries / %d idle engines, want none", e, n)
+	}
+	for _, s := range held {
+		p.Release(s)
+	}
+	if e, n := idle(); e != 1 || n != 2 {
+		t.Fatalf("after three releases: %d entries / %d idle engines, want 1 / 2 (SlotsPerEntry)", e, n)
+	}
+	if open := openSlots(p); open != 2 {
+		t.Fatalf("pool tracks %d open slots, want 2: the surplus engine must be retired, not dropped", open)
+	}
+	// Warm leases reuse the parked engines.
+	a, _ := p.Lease("", "g", 0, variantDirected, mode)
+	b, _ := p.Lease("", "g", 0, variantDirected, mode)
+	if e, _ := idle(); e != 0 || p.Slots() != 3 {
+		t.Fatalf("warm leases: %d entries left, %d engines built (want 0, 3)", e, p.Slots())
 	}
 	p.Release(a)
 	p.Release(b)
 
-	if _, err := p.Lease(ctx, "", "missing", 0, variantDirected, mode); err == nil {
+	if _, err := p.Lease("", "missing", 0, variantDirected, mode); err == nil {
 		t.Fatal("unknown graph leased")
 	}
-	if _, err := p.Lease(ctx, "nosuch", "g", 0, variantDirected, mode); err == nil {
+	if _, err := p.Lease("nosuch", "g", 0, variantDirected, mode); err == nil {
 		t.Fatal("unknown provider leased")
 	}
 }
@@ -216,20 +231,16 @@ func TestPoolDropsClosedSlots(t *testing.T) {
 	variants := []graphVariant{variantDirected, variantUndirected, variantWeighted}
 	perEpoch := len(variants) * 2 // two leases per variant below
 
-	live := func() int {
-		p.mu.Lock()
-		defer p.mu.Unlock()
-		return len(p.open)
-	}
+	live := func() int { return openSlots(p) }
 	built := 0
 	var held *slot // one lease that outlives its epoch
 	for c := 0; c < commits; c++ {
 		for _, v := range variants {
-			a, err := p.Lease(context.Background(), "", "g", 0, v, core.ModeSympleGraph)
+			a, err := p.Lease("", "g", 0, v, core.ModeSympleGraph)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := p.Lease(context.Background(), "", "g", 0, v, core.ModeSympleGraph)
+			b, err := p.Lease("", "g", 0, v, core.ModeSympleGraph)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -265,7 +276,7 @@ func TestPoolDropsClosedSlots(t *testing.T) {
 	}
 }
 
-// TestPoolEntriesBounded: the free-list map must hold entries for live
+// TestPoolEntriesBounded: the idle-list map must hold entries for live
 // epochs only. 200 commits, with a query at the latest epoch between
 // each — some pinned to the previous epoch, some held across the commit
 // that supersedes them, one reader leasing concurrently (run under
@@ -276,7 +287,7 @@ func TestPoolEntriesBounded(t *testing.T) {
 	p, err := NewPool(PoolConfig{
 		Graphs:        map[string]*graph.Graph{"g": testGraph(6, 1)},
 		Providers:     []EngineProvider{NewLocalProvider(LocalProviderConfig{Options: core.Options{NumNodes: 2}})},
-		SlotsPerEntry: 2, // the loop and the reader never queue for each other's slot
+		SlotsPerEntry: 2,
 		Retention:     retention,
 	})
 	if err != nil {
@@ -311,7 +322,7 @@ func TestPoolEntriesBounded(t *testing.T) {
 			if i%2 == 1 {
 				_, epoch = ge.store.Window()
 			}
-			if s, err := p.Lease(context.Background(), "", "g", epoch, variants[i%len(variants)], modes[i%len(modes)]); err == nil {
+			if s, err := p.Lease("", "g", epoch, variants[i%len(variants)], modes[i%len(modes)]); err == nil {
 				p.Release(s)
 			}
 		}
@@ -323,7 +334,7 @@ func TestPoolEntriesBounded(t *testing.T) {
 		if c%5 == 4 {
 			pin = hi - 1 // the epoch the last commit superseded
 		}
-		s, err := p.Lease(context.Background(), "", "g", pin, variants[c%len(variants)], modes[c%len(modes)])
+		s, err := p.Lease("", "g", pin, variants[c%len(variants)], modes[c%len(modes)])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -350,9 +361,12 @@ func TestPoolEntriesBounded(t *testing.T) {
 	_, hi := ge.store.Window()
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for k, e := range p.entries {
+	for k, idle := range p.entries {
 		if k.epoch != hi {
-			t.Errorf("entry for superseded epoch %d (latest %d) survives with built=%d free=%d", k.epoch, hi, e.built, len(e.free))
+			t.Errorf("entry for superseded epoch %d (latest %d) survives with %d idle engines", k.epoch, hi, len(idle))
+		}
+		if len(idle) == 0 || len(idle) > 2 {
+			t.Errorf("entry %+v holds %d idle engines, want 1..SlotsPerEntry", k, len(idle))
 		}
 	}
 	if got, max := len(p.entries), len(variants)*len(modes); got > max {

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"fmt"
+	"os"
 	"path/filepath"
 
 	"repro/internal/core"
@@ -29,7 +30,7 @@ type Engine interface {
 	// FinishQuery completes the request's engine-side protocol on
 	// release (collecting worker acknowledgements, surfacing failures
 	// the local run did not observe). A non-nil error marks the engine
-	// unfit for reuse; the pool resets or rebuilds it.
+	// unfit for reuse; the pool retires it.
 	FinishQuery() error
 }
 
@@ -69,9 +70,9 @@ type BuildSpec struct {
 // EngineProvider builds warm engines for the pool. The provider owns
 // everything behind the Engine surface — where the machines live, how
 // the graph reaches them, what happens when one dies. Build is called
-// lazily (first lease of each pool entry) and again whenever a poisoned
-// slot could not be reset in place, so a provider backed by fallible
-// workers re-evaluates its roster on every build.
+// by every lease that finds no idle engine — the first of a pool entry,
+// and the one after a slot was retired — so a provider backed by
+// fallible workers re-evaluates its roster on every build.
 type EngineProvider interface {
 	// Name identifies the provider in pool keys, request routing and
 	// /statusz ("local", "remote").
@@ -163,3 +164,12 @@ func (e *localEngine) BindQuery(ctx context.Context, q Request, key string, tr *
 }
 
 func (e *localEngine) FinishQuery() error { return nil }
+
+// removeStore deletes the slot's checkpoint directory; the pool calls it
+// when it retires the slot for good (never at shutdown, so a restarted
+// daemon still finds what it saved).
+func (e *localEngine) removeStore() {
+	if e.fs != nil {
+		_ = os.RemoveAll(e.fs.Dir()) // a directory left behind costs disk, never an answer
+	}
+}

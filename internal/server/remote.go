@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"sort"
@@ -14,7 +15,6 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/core"
-	"repro/internal/mutate"
 	"repro/internal/obs"
 )
 
@@ -51,10 +51,10 @@ import (
 // Remote engines run with recovery and checkpointing disabled: a node
 // cannot re-form a ring it does not own. The failure model is the
 // roster's probe/rejoin state machine (roster.go): a worker loss
-// poisons the slot, the rebuild re-forms the ring over the healthy
-// members, and a restarted worker is preloaded and folded back in on
-// the next rebuild — queries keep being served at reduced width in
-// between, flagged degraded.
+// poisons the slot, the pool retires it, the next lease's build re-forms
+// the ring over the healthy members, and a restarted worker is preloaded
+// and folded back in by a later build — queries keep being served at
+// reduced width in between, flagged degraded.
 
 const (
 	defaultCtrlDialTimeout = 3 * time.Second
@@ -63,7 +63,7 @@ const (
 	defaultBuildTimeout = 2 * time.Minute
 	// defaultFinishTimeout bounds waiting for per-query worker
 	// acknowledgements; a worker that cannot answer by then is treated
-	// as lost and the slot is rebuilt.
+	// as lost and the slot is retired.
 	defaultFinishTimeout = 30 * time.Second
 	// maxBuildAttempts bounds how many times one Build re-forms the
 	// ring after a worker dies mid-handshake before going degraded.
@@ -167,11 +167,6 @@ type RemoteProviderConfig struct {
 	// AdvertiseHost is the host workers dial back for node 0's data
 	// plane; default 127.0.0.1.
 	AdvertiseHost string
-	// DialTimeout bounds each control dial; BuildTimeout each build
-	// step; FinishTimeout the per-query acknowledgement wait.
-	DialTimeout   time.Duration
-	BuildTimeout  time.Duration
-	FinishTimeout time.Duration
 	// ProbeInterval / ProbeTimeout / DeadAfter / BackoffCap tune the
 	// roster's health probing (see RosterConfig for defaults).
 	ProbeInterval time.Duration
@@ -185,56 +180,26 @@ type RemoteProviderConfig struct {
 	Registry *obs.Registry
 }
 
-// maxCachedShips bounds the fp-keyed ship cache: old epochs' payloads
-// age out in insertion order once no build references them.
-const maxCachedShips = 32
-
 // RemoteProvider builds engines over a roster of sgworker processes.
 type RemoteProvider struct {
 	cfg    RemoteProviderConfig
 	roster *rosterManager
 
-	mu        sync.Mutex
-	ships     map[string]*shipEntry // fp → ship payloads
-	shipOrder []string              // insertion order, for eviction
+	// newest is the latest-epoch spec Build was handed per graph/variant:
+	// what the rejoin hook preloads. The payloads are memoized once, on
+	// the epoch (epochState.blob, shipDelta); a spec only points at them.
+	mu     sync.Mutex
+	newest map[string]BuildSpec
 
 	deltaShips     atomic.Int64
 	degradedBuilds atomic.Int64
 }
 
-// shipEntry is everything needed to get one (epoch, variant) graph
-// onto a worker: the delta path (when the front-end could compute one)
-// and the lazily materialized full blob.
-type shipEntry struct {
-	fp       string
-	parentFP string
-	delta    []byte
-	deltaSHA string
-	chained  bool
+// rejectedError is a worker's build-reject answer: it is at slot
+// capacity, which excludes it from this build without a health penalty.
+type rejectedError struct{ reason string }
 
-	blobFn  func() ([]byte, string, error)
-	mu      sync.Mutex
-	blob    []byte
-	blobSHA string
-}
-
-// fullBlob materializes (once) the full serialized graph.
-func (e *shipEntry) fullBlob() ([]byte, string, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.blob != nil {
-		return e.blob, e.blobSHA, nil
-	}
-	if e.blobFn == nil {
-		return nil, "", fmt.Errorf("no blob source for fp %.12s", e.fp)
-	}
-	data, sha, err := e.blobFn()
-	if err != nil {
-		return nil, "", err
-	}
-	e.blob, e.blobSHA = data, sha
-	return data, sha, nil
-}
+func (e *rejectedError) Error() string { return "rejected build: " + e.reason }
 
 // NewRemoteProvider returns a provider that schedules onto cfg.Workers,
 // tracking their health with a probing roster.
@@ -242,19 +207,10 @@ func NewRemoteProvider(cfg RemoteProviderConfig) EngineProvider {
 	if cfg.AdvertiseHost == "" {
 		cfg.AdvertiseHost = "127.0.0.1"
 	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = defaultCtrlDialTimeout
-	}
-	if cfg.BuildTimeout <= 0 {
-		cfg.BuildTimeout = defaultBuildTimeout
-	}
-	if cfg.FinishTimeout <= 0 {
-		cfg.FinishTimeout = defaultFinishTimeout
-	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
-	p := &RemoteProvider{cfg: cfg, ships: make(map[string]*shipEntry)}
+	p := &RemoteProvider{cfg: cfg, newest: make(map[string]BuildSpec)}
 	p.roster = newRosterManager(RosterConfig{
 		Workers:       cfg.Workers,
 		ProbeInterval: cfg.ProbeInterval,
@@ -278,85 +234,58 @@ func (p *RemoteProvider) Close() { p.roster.Close() }
 // Fleet exposes the roster snapshot for /statusz.
 func (p *RemoteProvider) Fleet() FleetStatus { return p.roster.Fleet() }
 
-// shipFor indexes the spec's ship payloads by fingerprint: every slot
-// build for the same (epoch, variant) reuses them, workers that
-// already hold the fingerprint skip the transfer entirely, and workers
-// holding the parent epoch receive only the delta. A spec without
-// version metadata (tests building the provider directly) falls back
-// to serializing the engine graph, fingerprinted by its blob hash.
-func (p *RemoteProvider) shipFor(spec BuildSpec) (*shipEntry, error) {
-	fp := spec.FP
-	blobFn := spec.Blob
-	if blobFn == nil {
-		g := spec.Graph
-		blobFn = func() ([]byte, string, error) { return mutate.SerializeGraph(g) }
-	}
-	if fp == "" {
-		data, sha, err := blobFn()
-		if err != nil {
-			return nil, err
-		}
-		fp = sha
-		blobFn = func() ([]byte, string, error) { return data, sha, nil }
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	e, ok := p.ships[fp]
-	if !ok {
-		e = &shipEntry{fp: fp, blobFn: blobFn}
-		if len(spec.DeltaBytes) > 0 && spec.ParentFP != "" {
-			sum := sha256.Sum256(spec.DeltaBytes)
-			e.parentFP = spec.ParentFP
-			e.delta = spec.DeltaBytes
-			e.deltaSHA = hex.EncodeToString(sum[:])
-			e.chained = spec.DeltaChained
-		}
-		p.ships[fp] = e
-		p.shipOrder = append(p.shipOrder, fp)
-		for len(p.shipOrder) > maxCachedShips {
-			delete(p.ships, p.shipOrder[0])
-			p.shipOrder = p.shipOrder[1:]
-		}
-	}
-	return e, nil
-}
-
 // DeltaShips counts graph transfers satisfied by a delta frame instead
 // of a full blob; test harnesses assert the cheap path was taken.
 func (p *RemoteProvider) DeltaShips() int64 { return p.deltaShips.Load() }
 
-// cachedShips snapshots the ship cache for preloading, sorted by
-// fingerprint so rejoin transfers are ordered deterministically.
-func (p *RemoteProvider) cachedShips() []*shipEntry {
+// remember keeps spec as what a rejoining worker is preloaded with for
+// its graph/variant, unless a newer epoch's is already held.
+func (p *RemoteProvider) remember(spec BuildSpec) {
+	k := spec.GraphName + "/" + spec.Variant.String()
+	p.mu.Lock()
+	if cur, ok := p.newest[k]; !ok || spec.Epoch >= cur.Epoch {
+		p.newest[k] = spec
+	}
+	p.mu.Unlock()
+}
+
+// newestSpecs snapshots the remembered specs in graph/variant order, so
+// rejoin transfers are ordered deterministically.
+func (p *RemoteProvider) newestSpecs() []BuildSpec {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	out := make([]*shipEntry, 0, len(p.ships))
-	for _, e := range p.ships {
-		out = append(out, e)
+	keys := make([]string, 0, len(p.newest))
+	for k := range p.newest {
+		keys = append(keys, k)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].fp < out[j].fp })
+	sort.Strings(keys)
+	out := make([]BuildSpec, len(keys))
+	for i, k := range keys {
+		out[i] = p.newest[k]
+	}
 	return out
 }
 
-// preload is the roster's rejoin hook: re-ship every cached graph to a
-// worker coming back from dead, so its re-admission never stalls a slot
-// build on a cold transfer. A worker that retained the parent epoch of
-// a cached ship gets only the delta; interrupted full transfers resume
-// from the worker's retained offset.
+// preload is the roster's rejoin hook: ship the newest version of every
+// graph/variant slots were built for to a worker coming back from dead,
+// so its re-admission never stalls a slot build on a cold transfer.
+// Superseded epochs are not re-shipped — no build will ask for them. A
+// worker that retained the parent epoch gets only the delta; interrupted
+// full transfers resume from the worker's retained offset.
 func (p *RemoteProvider) preload(addr string) error {
-	ships := p.cachedShips()
-	if len(ships) == 0 {
+	specs := p.newestSpecs()
+	if len(specs) == 0 {
 		return nil
 	}
-	cc, err := comm.DialCtrl(addr, p.cfg.DialTimeout)
+	cc, err := comm.DialCtrl(addr, defaultCtrlDialTimeout)
 	if err != nil {
 		return err
 	}
 	defer cc.Close()
 	//sgvet:ignore commerr deadline-arm failure means the conn is already dead; the preload traffic below reports the real error
-	cc.SetDeadline(time.Now().Add(p.cfg.BuildTimeout))
-	for _, e := range ships {
-		if err := p.shipGraph(cc, "preload", preloadMsg{FP: e.fp, ParentFP: e.parentFP}, e); err != nil {
+	cc.SetDeadline(time.Now().Add(defaultBuildTimeout))
+	for _, spec := range specs {
+		if err := p.shipGraph(cc, "preload", preloadMsg{FP: spec.FP, ParentFP: spec.ParentFP}, spec); err != nil {
 			return fmt.Errorf("preloading %s: %w", addr, err)
 		}
 		var up upMsg
@@ -370,40 +299,49 @@ func (p *RemoteProvider) preload(addr string) error {
 	return nil
 }
 
-// shipGraph runs the announce → graph-state → chunked-transfer exchange
-// shared by preloading and slot builds: the worker reports what it has
+// shipGraph is the front-end's half of the one graph negotiation, shared
+// by preloading and slot builds: announce, read the worker's graph-state
 // (the fingerprint itself, the parent epoch, a retained partial offset)
-// and the sender picks the cheapest sufficient path — nothing, the
-// canonical delta, or the full blob's missing suffix.
-func (p *RemoteProvider) shipGraph(cc *comm.CtrlConn, announce string, msg any, e *shipEntry) error {
+// and ship the cheapest sufficient payload — nothing, the canonical
+// delta, or the full blob's missing suffix. A build-reject in place of
+// the state is a *rejectedError.
+func (p *RemoteProvider) shipGraph(cc *comm.CtrlConn, announce string, msg any, spec BuildSpec) error {
 	if err := cc.Send(announce, msg); err != nil {
 		return err
 	}
-	var gs graphStateMsg
-	if err := cc.Expect("graph-state", &gs); err != nil {
+	env, err := cc.Recv()
+	if err != nil {
 		return err
 	}
-	return p.shipPayload(cc, gs, e)
-}
-
-// shipPayload is the transfer step after graph-state: nothing if the
-// worker has the fingerprint, the delta if it has the parent and one
-// exists, the full blob (resumed from the retained offset) otherwise.
-func (p *RemoteProvider) shipPayload(cc *comm.CtrlConn, gs graphStateMsg, e *shipEntry) error {
-	if gs.Have {
-		return nil
-	}
-	if gs.HaveParent && len(e.delta) > 0 {
-		if err := cc.Send("delta", deltaMsg{Size: len(e.delta), SHA: e.deltaSHA, Chained: e.chained}); err != nil {
+	var gs graphStateMsg
+	switch env.Type {
+	case "build-reject":
+		var rej rejectMsg
+		//sgvet:ignore commerr a malformed reject body still rejects; the reason is advisory
+		json.Unmarshal(env.Body, &rej)
+		return &rejectedError{reason: rej.Reason}
+	case "graph-state":
+		if err := json.Unmarshal(env.Body, &gs); err != nil {
 			return err
 		}
-		if err := cc.SendBlobChunked(e.delta, 0, comm.DefaultChunkBytes); err != nil {
+	default:
+		return fmt.Errorf("unexpected control message %q answering %s", env.Type, announce)
+	}
+	switch {
+	case gs.Have:
+		return nil
+	case gs.HaveParent && len(spec.DeltaBytes) > 0:
+		sum := sha256.Sum256(spec.DeltaBytes)
+		if err := cc.Send("delta", deltaMsg{Size: len(spec.DeltaBytes), SHA: hex.EncodeToString(sum[:]), Chained: spec.DeltaChained}); err != nil {
+			return err
+		}
+		if err := cc.SendBlobChunked(spec.DeltaBytes, 0, comm.DefaultChunkBytes); err != nil {
 			return err
 		}
 		p.deltaShips.Add(1)
 		return nil
 	}
-	blob, sha, err := e.fullBlob()
+	blob, sha, err := spec.Blob()
 	if err != nil {
 		return err
 	}
@@ -423,11 +361,7 @@ func (p *RemoteProvider) shipPayload(cc *comm.CtrlConn, gs graphStateMsg, e *shi
 // build degrades to an in-process engine flagged degraded rather than
 // failing the query path.
 func (p *RemoteProvider) Build(spec BuildSpec) (Engine, error) {
-	ship, err := p.shipFor(spec)
-	if err != nil {
-		return nil, err
-	}
-
+	p.remember(spec)
 	exclude := make(map[string]bool)
 	var lastErr error
 	for attempt := 0; attempt < maxBuildAttempts; attempt++ {
@@ -440,17 +374,18 @@ func (p *RemoteProvider) Build(spec BuildSpec) (Engine, error) {
 		if len(targets) == 0 {
 			break
 		}
-		eng, badAddr, rejected, err := p.buildAttempt(spec, ship, targets)
+		eng, badAddr, err := p.buildAttempt(spec, targets)
 		if err == nil {
 			return eng, nil
 		}
 		lastErr = err
-		if badAddr != "" {
-			if rejected {
-				exclude[badAddr] = true
-			} else {
-				p.roster.ObserveFailure(badAddr)
-			}
+		var rej *rejectedError
+		switch {
+		case badAddr == "":
+		case errors.As(err, &rej):
+			exclude[badAddr] = true
+		default:
+			p.roster.ObserveFailure(badAddr)
 		}
 	}
 	if lastErr != nil {
@@ -467,12 +402,12 @@ type workerLink struct {
 }
 
 // buildAttempt forms one ring over targets. On failure it names the
-// worker that broke the handshake (empty when the failure was local)
-// and whether it was a capacity rejection rather than a fault.
-func (p *RemoteProvider) buildAttempt(spec BuildSpec, ship *shipEntry, targets []string) (eng Engine, badAddr string, rejected bool, err error) {
+// worker that broke the handshake (empty when the failure was local); a
+// capacity rejection rather than a fault wraps a *rejectedError.
+func (p *RemoteProvider) buildAttempt(spec BuildSpec, targets []string) (eng Engine, badAddr string, err error) {
 	var links []workerLink
 	for _, addr := range targets {
-		cc, derr := comm.DialCtrl(addr, p.cfg.DialTimeout)
+		cc, derr := comm.DialCtrl(addr, defaultCtrlDialTimeout)
 		if derr != nil {
 			// Report the dial failure immediately so the retry skips
 			// this worker, and keep forming the ring over the rest.
@@ -482,16 +417,16 @@ func (p *RemoteProvider) buildAttempt(spec BuildSpec, ship *shipEntry, targets [
 		links = append(links, workerLink{addr: addr, cc: cc})
 	}
 	if len(links) == 0 {
-		return nil, "", false, fmt.Errorf("no sgworker reachable (targets %v)", targets)
+		return nil, "", fmt.Errorf("no sgworker reachable (targets %v)", targets)
 	}
 	closeAll := func() {
 		for _, l := range links {
 			l.cc.Close()
 		}
 	}
-	fail := func(l workerLink, e error) (Engine, string, bool, error) {
+	fail := func(l workerLink, e error) (Engine, string, error) {
 		closeAll()
-		return nil, l.addr, false, fmt.Errorf("worker %s: %w", l.addr, e)
+		return nil, l.addr, fmt.Errorf("worker %s: %w", l.addr, e)
 	}
 
 	n := len(links) + 1 // node 0 is this process
@@ -515,7 +450,7 @@ func (p *RemoteProvider) buildAttempt(spec BuildSpec, ship *shipEntry, targets [
 		StallMs:      opts.StallTimeout.Milliseconds(),
 	}
 
-	deadline := time.Now().Add(p.cfg.BuildTimeout)
+	deadline := time.Now().Add(defaultBuildTimeout)
 	for _, l := range links {
 		//sgvet:ignore commerr deadline-arm failure means the conn is already dead; the next Expect/Send on it reports the real error
 		l.cc.SetDeadline(deadline)
@@ -526,32 +461,10 @@ func (p *RemoteProvider) buildAttempt(spec BuildSpec, ship *shipEntry, targets [
 	for i, l := range links {
 		node := i + 1
 		msg := buildMsg{Graph: spec.GraphName, Variant: spec.Variant.String(),
-			FP: ship.fp, ParentFP: spec.ParentFP, Epoch: spec.Epoch,
+			FP: spec.FP, ParentFP: spec.ParentFP, Epoch: spec.Epoch,
 			Node: node, Nodes: n, Opts: wire}
-		if err := l.cc.Send("build", msg); err != nil {
+		if err := p.shipGraph(l.cc, "build", msg, spec); err != nil {
 			return fail(l, err)
-		}
-		env, err := l.cc.Recv()
-		if err != nil {
-			return fail(l, err)
-		}
-		switch env.Type {
-		case "build-reject":
-			var rej rejectMsg
-			//sgvet:ignore commerr a malformed reject body still rejects; the reason is advisory
-			json.Unmarshal(env.Body, &rej)
-			closeAll()
-			return nil, l.addr, true, fmt.Errorf("worker %s rejected build: %s", l.addr, rej.Reason)
-		case "graph-state":
-			var gs graphStateMsg
-			if err := json.Unmarshal(env.Body, &gs); err != nil {
-				return fail(l, err)
-			}
-			if err := p.shipPayload(l.cc, gs, ship); err != nil {
-				return fail(l, fmt.Errorf("shipping graph: %w", err))
-			}
-		default:
-			return fail(l, fmt.Errorf("unexpected control message %q answering build", env.Type))
 		}
 		var rd readyMsg
 		if err := l.cc.Expect("ready", &rd); err != nil {
@@ -566,7 +479,7 @@ func (p *RemoteProvider) buildAttempt(spec BuildSpec, ship *shipEntry, targets [
 	ln, err := net.Listen("tcp", net.JoinHostPort(p.cfg.AdvertiseHost, "0"))
 	if err != nil {
 		closeAll()
-		return nil, "", false, fmt.Errorf("node-0 data listener: %w", err)
+		return nil, "", fmt.Errorf("node-0 data listener: %w", err)
 	}
 	addrs[0] = ln.Addr().String()
 	for _, l := range links {
@@ -578,7 +491,7 @@ func (p *RemoteProvider) buildAttempt(spec BuildSpec, ship *shipEntry, targets [
 	ep, err := comm.NewTCPEndpoint(0, ln, addrs)
 	if err != nil {
 		closeAll()
-		return nil, "", false, fmt.Errorf("forming data plane: %w", err)
+		return nil, "", fmt.Errorf("forming data plane: %w", err)
 	}
 	for _, l := range links {
 		var up upMsg
@@ -600,21 +513,20 @@ func (p *RemoteProvider) buildAttempt(spec BuildSpec, ship *shipEntry, targets [
 	if err != nil {
 		ep.Close()
 		closeAll()
-		return nil, "", false, fmt.Errorf("building node-0 engine: %w", err)
+		return nil, "", fmt.Errorf("building node-0 engine: %w", err)
 	}
 	members := make([]string, len(links))
 	for i, l := range links {
 		members[i] = l.addr
 	}
 	return &remoteEngine{
-		Engine:        ceng,
-		ep:            ep,
-		links:         links,
-		finishTimeout: p.cfg.FinishTimeout,
-		prov:          p,
-		members:       members,
-		degraded:      len(members) < len(p.cfg.Workers),
-	}, "", false, nil
+		Engine:   ceng,
+		ep:       ep,
+		links:    links,
+		prov:     p,
+		members:  members,
+		degraded: len(members) < len(p.cfg.Workers),
+	}, "", nil
 }
 
 // buildDegraded serves the slot from an in-process engine when no
@@ -649,7 +561,8 @@ type degradedEngine struct {
 func (e *degradedEngine) Degraded() bool { return true }
 
 // Stale turns true the moment any worker is usable again: the pool
-// rebuilds this slot into a real ring on its next lease or release.
+// retires this slot on its next lease or release, and the lease builds a
+// real ring.
 func (e *degradedEngine) Stale() bool {
 	return len(e.prov.roster.UsableWithCapacity()) > 0
 }
@@ -662,15 +575,14 @@ func (e *degradedEngine) Stale() bool {
 // slot lease, so the per-query fields need no locking.
 type remoteEngine struct {
 	core.Engine
-	ep            *comm.TCPEndpoint
-	links         []workerLink
-	finishTimeout time.Duration
-	prov          *RemoteProvider
-	members       []string
-	degraded      bool
+	ep       *comm.TCPEndpoint
+	links    []workerLink
+	prov     *RemoteProvider
+	members  []string
+	degraded bool
 
 	inFlight bool
-	failed   error // sticky: a worker-side failure marks the slot for rebuild
+	failed   error // sticky: a worker-side failure marks the slot for retirement
 }
 
 // Degraded marks a ring formed below the configured fleet width.
@@ -679,7 +591,7 @@ func (e *remoteEngine) Degraded() bool { return e.degraded }
 // Stale reports whether the roster has diverged from the ring this slot
 // was built over: a member died (shrink), or — when the ring is running
 // below the configured width — a non-member worker with free slot
-// capacity is healthy again (grow). Stale slots are rebuilt by the pool
+// capacity is healthy again (grow). Stale slots are retired by the pool
 // on lease/release, never mid-query.
 func (e *remoteEngine) Stale() bool {
 	for _, m := range e.members {
@@ -725,14 +637,14 @@ func (e *remoteEngine) BindQuery(ctx context.Context, q Request, key string, tr 
 
 // FinishQuery collects one done acknowledgement per worker. Any worker
 // error — or a worker that cannot answer within the finish timeout —
-// poisons the slot: the pool rebuilds it through the provider, which
+// poisons the slot: the pool retires it and the next lease builds, which
 // re-evaluates the roster.
 func (e *remoteEngine) FinishQuery() error {
 	if !e.inFlight {
 		return e.failed
 	}
 	e.inFlight = false
-	deadline := time.Now().Add(e.finishTimeout)
+	deadline := time.Now().Add(defaultFinishTimeout)
 	for _, l := range e.links {
 		//sgvet:ignore commerr deadline-arm failure means the conn is already dead; Expect below reports it
 		l.cc.SetDeadline(deadline)
@@ -752,9 +664,9 @@ func (e *remoteEngine) FinishQuery() error {
 }
 
 // Reset always fails: node 0 does not own the workers' endpoints, so a
-// poisoned remote engine is rebuilt through the provider instead.
+// poisoned remote engine is retired and the next lease builds a new one.
 func (e *remoteEngine) Reset() error {
-	return fmt.Errorf("server: remote engine cannot reset in place; rebuild through the provider")
+	return fmt.Errorf("server: remote engine cannot reset in place; build a new one through the provider")
 }
 
 // Close tears the slot down: a best-effort close message lets each

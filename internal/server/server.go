@@ -390,11 +390,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 func (s *Server) execute(ctx context.Context, q Request, key string) (Response, int, error) {
 	v := variantFor(q.Algo)
 	mode, _ := cliutil.ParseMode(q.Mode) // canonicalize validated it
-	slot, err := s.pool.Lease(ctx, q.Provider, q.Graph, q.Epoch, v, mode)
+	slot, err := s.pool.Lease(q.Provider, q.Graph, q.Epoch, v, mode)
 	if err != nil {
-		if ctx.Err() != nil {
-			return Response{}, http.StatusGatewayTimeout, err
-		}
 		return Response{}, http.StatusInternalServerError, err
 	}
 	defer s.pool.Release(slot)

@@ -422,26 +422,39 @@ func (d *WorkerDaemon) serveConn(wc *workerConn) {
 	}
 }
 
+// negotiateGraph is the worker's half of the one graph negotiation,
+// shared by preloads and slot builds: announce what is held of fp (the
+// graph itself, its parent epoch, the retained prefix of an interrupted
+// transfer; seenEpoch rides along for observability) and receive
+// whatever the front-end then ships. shipped is false when fp was cached.
+func (d *WorkerDaemon) negotiateGraph(cc *comm.CtrlConn, fp, parentFP string, seenEpoch uint64) (g *graph.Graph, shipped bool, err error) {
+	g, have := d.graphFor(fp)
+	var haveParent bool
+	if !have && parentFP != "" {
+		_, haveParent = d.graphFor(parentFP)
+	}
+	buf := d.takePartial(fp)
+	if err := cc.Send("graph-state", graphStateMsg{Have: have, HaveParent: haveParent, Offset: len(buf), Epoch: seenEpoch}); err != nil {
+		d.stashPartial(fp, buf)
+		return nil, false, err
+	}
+	if have {
+		return g, false, nil
+	}
+	g, err = d.recvGraphPayload(cc, fp, parentFP, buf)
+	return g, true, err
+}
+
 // handlePreload warms one graph fingerprint ahead of slot builds: a
-// rejoining worker receives every graph the front-end serves, chunked,
-// resuming interrupted transfers.
+// rejoining worker receives the newest version of every graph the
+// front-end built slots for, chunked, resuming interrupted transfers.
 func (d *WorkerDaemon) handlePreload(cc *comm.CtrlConn, pm preloadMsg) error {
 	d.preloads.Add(1)
-	_, have := d.graphFor(pm.FP)
-	var haveParent bool
-	if !have && pm.ParentFP != "" {
-		_, haveParent = d.graphFor(pm.ParentFP)
-	}
-	buf := d.takePartial(pm.FP)
-	if err := cc.Send("graph-state", graphStateMsg{Have: have, HaveParent: haveParent, Offset: len(buf)}); err != nil {
-		d.stashPartial(pm.FP, buf)
+	g, shipped, err := d.negotiateGraph(cc, pm.FP, pm.ParentFP, 0)
+	if err != nil {
 		return err
 	}
-	if !have {
-		g, err := d.recvGraphPayload(cc, pm.FP, pm.ParentFP, buf)
-		if err != nil {
-			return err
-		}
+	if shipped {
 		d.cfg.Logf("sgworker: preloaded graph fp %.12s (%d vertices)", pm.FP, g.NumVertices())
 	}
 	return cc.Send("preloaded", upMsg{})
@@ -453,24 +466,12 @@ func (d *WorkerDaemon) handlePreload(cc *comm.CtrlConn, pm preloadMsg) error {
 // fails.
 func (d *WorkerDaemon) serveSlot(wc *workerConn, bm buildMsg) {
 	cc := wc.cc
-	g, have := d.graphFor(bm.FP)
-	var haveParent bool
-	if !have && bm.ParentFP != "" {
-		_, haveParent = d.graphFor(bm.ParentFP)
-	}
-	buf := d.takePartial(bm.FP)
-	prevEpoch := d.noteEpoch(bm.Graph, bm.Variant, bm.Epoch)
-	if err := cc.Send("graph-state", graphStateMsg{Have: have, HaveParent: haveParent, Offset: len(buf), Epoch: prevEpoch}); err != nil {
-		d.stashPartial(bm.FP, buf)
+	g, shipped, err := d.negotiateGraph(cc, bm.FP, bm.ParentFP, d.noteEpoch(bm.Graph, bm.Variant, bm.Epoch))
+	if err != nil {
+		d.cfg.Logf("sgworker: graph transfer failed: %v", err)
 		return
 	}
-	if !have {
-		var err error
-		g, err = d.recvGraphPayload(cc, bm.FP, bm.ParentFP, buf)
-		if err != nil {
-			d.cfg.Logf("sgworker: graph transfer failed: %v", err)
-			return
-		}
+	if shipped {
 		d.cfg.Logf("sgworker: cached graph %s/%s@%d (%d vertices, fp %.12s)",
 			bm.Graph, bm.Variant, bm.Epoch, g.NumVertices(), bm.FP)
 	}
@@ -555,7 +556,7 @@ func (d *WorkerDaemon) serveSlot(wc *workerConn, bm buildMsg) {
 			}
 			if runErr != nil {
 				// The engine is poisoned and this node cannot re-form
-				// the ring; the front-end rebuilds the slot.
+				// the ring; the front-end retires the slot.
 				d.cfg.Logf("sgworker: run failed, retiring slot: %v", runErr)
 				return
 			}

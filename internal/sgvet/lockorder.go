@@ -388,7 +388,7 @@ var blockingCommNames = map[string]bool{
 	"SendBufs": true, "Recv": true, "RecvTimeout": true,
 	"Send": true, "Expect": true, "SendBlob": true, "RecvBlob": true,
 	"SendBlobChunked": true, "RecvBlobChunked": true,
-	"DialCtrl": true, "DialCtrlRetry": true,
+	"DialCtrl": true,
 }
 
 func blockingCommCall(info *types.Info, call *ast.CallExpr) (string, bool) {

@@ -142,12 +142,11 @@ func Run(pkgs []*loader.Package, analyzers []*Analyzer) []Diagnostic {
 }
 
 // Timing is one analyzer's aggregate wall time and surviving finding
-// count over a RunTimed call — the `make lint` per-analyzer report and
-// the findings artifact's cost ledger.
+// count over a RunTimed call — the `make lint` per-analyzer report.
 type Timing struct {
-	Analyzer string  `json:"analyzer"`
-	Millis   float64 `json:"millis"`
-	Findings int     `json:"findings"`
+	Analyzer string
+	Millis   float64
+	Findings int
 }
 
 // RunTimed is Run with a per-analyzer wall-time and finding-count
@@ -227,23 +226,13 @@ func (s ignoreSet) covers(d Diagnostic) bool {
 	return false
 }
 
-// Artifact is the machine-readable record of one full lint run:
-// `sgvet -artifact` writes it, `sgvet -check-artifact` (wired into
-// `make verify`) validates it, and the timing ledger doubles as proof
-// of which analyzers actually ran.
-type Artifact struct {
-	Analyzers    []Timing      `json:"analyzers"`
-	Diagnostics  []Diagnostic  `json:"diagnostics"`
-	Suppressions []Suppression `json:"suppressions"`
-}
-
 // Suppression is one //sgvet:ignore directive, with its justification
 // text — the audit surface `sgvet -audit` renders and polices.
 type Suppression struct {
-	File      string   `json:"file"`
-	Line      int      `json:"line"`
-	Analyzers []string `json:"analyzers"`
-	Reason    string   `json:"reason"`
+	File      string
+	Line      int
+	Analyzers []string
+	Reason    string
 }
 
 // CollectSuppressions parses every //sgvet:ignore directive in the

@@ -6,8 +6,6 @@
 // avalanche tests and is the stdlib-independent workhorse for this use.
 package xrand
 
-import "math"
-
 // Mix hashes an arbitrary coordinate tuple into a uint64.
 func Mix(vals ...uint64) uint64 {
 	h := uint64(0x9e3779b97f4a7c15)
@@ -69,13 +67,4 @@ func Perm(n int, seed uint64) []uint32 {
 		p[i], p[j] = p[j], p[i]
 	}
 	return p
-}
-
-// NaNGuard converts NaN to 0; useful when mixing measured floats into
-// deterministic decisions.
-func NaNGuard(f float64) float64 {
-	if math.IsNaN(f) {
-		return 0
-	}
-	return f
 }
