@@ -63,7 +63,8 @@ lint:
 # after: non-test Go lines (the repo outside benchmark/, the engine's two
 # hot packages, the serving layer, and the §4 tool), the exported surface of the engine, the
 # harness and the §4 analysis (declarations, methods, fields and grouped
-# constants, one per line of `go doc -all`), core.Options fields, and the
+# constants, one per line of `go doc -all`), core.Options fields, the
+# methods of the core.Engine interface, and the
 # flags each command defines (internal/cliutil holds the groups several
 # commands share).
 FLAGDEF = \b(flag|fs|f)\.(Bool|Int|Int64|Uint|Uint64|Float64|String|Duration|Var|Func)(Var)?\(
@@ -76,30 +77,32 @@ size:
 		echo "exported identifiers, internal/$$p: $$(go doc -all ./internal/$$p | grep -cE '^(func|type) |^(const|var) [A-Z]|^	[A-Z]')"; \
 	done
 	@echo "core.Options fields: $$(go doc ./internal/core Options | grep -c '^	[A-Z]')"
+	@echo "methods, core.Engine: $$(go doc ./internal/core Engine | grep -cE '^	[A-Z][A-Za-z]*\(')"
 	@for d in cmd/*/ internal/cliutil/; do \
 		echo "flags, $$d: $$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | grep -cE '$(FLAGDEF)')"; \
 	done
 
 # The size budget as a gate: every line below is a `make size` line with
-# the figure the tree had when it was last lowered (PR 24). size-check
+# the figure the tree had when it was last lowered (PR 25). size-check
 # recomputes them and fails on any that grew — a PR that needs more code,
 # surface, options or flags raises the number here, in its own diff, and
 # says why in CHANGES.md; one that shrinks a figure lowers it.
 define SIZE_BUDGET
-non-test Go LOC, repo: 24809
-non-test Go LOC, internal/core + internal/comm: 4692
-non-test Go LOC, internal/server: 4280
-exported identifiers, internal/core: 195
+non-test Go LOC, repo: 24511
+non-test Go LOC, internal/core + internal/comm: 4627
+non-test Go LOC, internal/server: 4275
+exported identifiers, internal/core: 181
 exported identifiers, internal/comm: 150
 core.Options fields: 14
+methods, core.Engine: 9
 flags, cmd/sgbench/: 19
 flags, cmd/sgc/: 5
 flags, cmd/sggen/: 12
-flags, cmd/sgserve/: 14
+flags, cmd/sgserve/: 15
 flags, cmd/sgvet/: 4
 flags, cmd/sgworker/: 4
-flags, cmd/symplegraph/: 16
-flags, internal/cliutil/: 15
+flags, cmd/symplegraph/: 15
+flags, internal/cliutil/: 14
 endef
 export SIZE_BUDGET
 size-check:

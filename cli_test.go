@@ -1,15 +1,23 @@
 package repro
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/cliutil"
+	"repro/internal/core"
+	"repro/internal/graph"
+	"repro/internal/server"
 )
 
 // buildTools compiles the repository's CLIs once into a temp dir and
@@ -245,5 +253,66 @@ func TestCLIMultiProcessTCP(t *testing.T) {
 	// assert instead that node 0's size is positive.
 	if strings.Contains(outs[0], "mis: size=0 ") {
 		t.Fatalf("node 0 found empty MIS:\n%s", outs[0])
+	}
+}
+
+// TestCLIMatchesService: symplegraph answers through the service's
+// dispatch, so for every algorithm its printed result line equals the
+// in-process server's Result for the same canonical query — defaults
+// included (PageRank once ran 3 iterations on the CLI, 20 in /query).
+func TestCLIMatchesService(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries")
+	}
+	tools := buildTools(t, "symplegraph")
+	const rmat = "9,8,3"
+	g, err := (&cliutil.GraphSpec{RMAT: rmat}).Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := server.New(server.Config{
+		Graphs: map[string]*graph.Graph{"g": g},
+		Engine: core.Options{NumNodes: 4, DepThreshold: core.DefaultDepThreshold, NumBuffers: 2},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Drain(context.Background())
+
+	for _, algo := range []string{"bfs", "sssp", "kcore", "mis", "kmeans", "sampling", "pagerank", "cc"} {
+		out := run(t, tools["symplegraph"], "-algo", algo, "-rmat", rmat, "-nodes", "4")
+		var got string
+		for _, line := range strings.Split(out, "\n") {
+			if strings.HasPrefix(line, algo+": ") {
+				got = line
+			}
+		}
+
+		q, _, err := server.Prepare(server.Request{Algo: algo, Root: -1}, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, fmt.Sprintf(
+			"/query?graph=g&algo=%s&root=%d&k=%d&centers=%d&iters=%d&rounds=%d&seed=%d",
+			algo, q.Root, q.K, q.Centers, q.Iters, q.Rounds, q.Seed), nil))
+		var resp server.Response
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatalf("%s: /query answered %d %s", algo, rec.Code, rec.Body)
+		}
+		r := resp.Result
+		want := map[string]string{
+			"bfs":      fmt.Sprintf("bfs: root=%d reached=%d top-down=%d bottom-up=%d", q.Root, r.Reached, r.TopDownSteps, r.BottomUpSteps),
+			"sssp":     fmt.Sprintf("sssp: root=%d reached=%d", q.Root, r.Reached),
+			"mis":      fmt.Sprintf("mis: size=%d rounds=%d", r.Size, r.Rounds),
+			"kcore":    fmt.Sprintf("kcore: k=%d size=%d rounds=%d", q.K, r.Size, r.Rounds),
+			"kmeans":   fmt.Sprintf("kmeans: centers=%d iterations=%d distsums=%v", q.Centers, q.Iters, r.DistSums),
+			"sampling": fmt.Sprintf("sampling: rounds=%d exact-picks=%d", q.Rounds, r.ExactPicks),
+			"cc":       fmt.Sprintf("cc: components=%d", r.Components),
+			"pagerank": fmt.Sprintf("pagerank: iterations=%d top vertex=%d rank=%.6f", q.Iters, r.TopVertex, r.TopRank),
+		}[algo]
+		if got != want {
+			t.Errorf("%s: symplegraph printed %q, the service answers %q", algo, got, want)
+		}
 	}
 }

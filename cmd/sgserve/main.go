@@ -110,6 +110,7 @@ func main() {
 		cacheBytes    = flag.Int64("cache-bytes", 64<<20, "result cache capacity in marshaled bytes")
 		retention     = flag.Int("retention", 0, "graph epochs kept resolvable for ?epoch= pinned queries (0 = default)")
 		drainWait     = flag.Duration("drain-timeout", 30*time.Second, "how long a shutdown signal waits for in-flight queries")
+		checkpointDir = flag.String("checkpoint-dir", "", "persist each pool slot's superstep checkpoints under this directory, so a restarted daemon resumes the same query (default in-memory)")
 	)
 	flag.Parse()
 
@@ -148,7 +149,7 @@ func main() {
 		CacheEntries:    *cacheEntries,
 		CacheBytes:      *cacheBytes,
 		Retention:       *retention,
-		CheckpointRoot:  resilience.CheckpointDir,
+		CheckpointRoot:  *checkpointDir,
 		Workers:         roster,
 		AdvertiseHost:   *advertiseHost,
 		ProbeInterval:   fleet.ProbeInterval,

@@ -3,6 +3,12 @@
 // execution time, edges traversed, and communication volume broken down
 // into update and dependency traffic.
 //
+// A run is one query of the graph service answered without the daemon:
+// the flags form a server.Request, canonicalized with the service's
+// defaults, and the service's own dispatch runs it on a cluster built
+// over the graph variant the service would use (symmetrized for mis,
+// kcore and kmeans; weighted for sssp).
+//
 // Usage:
 //
 //	symplegraph -algo bfs -rmat 14,16,1 -nodes 8 -mode symplegraph
@@ -15,16 +21,15 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math"
 	"net"
 	"os"
 	"strings"
 
-	"repro/internal/algorithms"
 	"repro/internal/cliutil"
 	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/server"
 )
 
 func main() {
@@ -35,45 +40,39 @@ func main() {
 	obsFlags.Register(flag.CommandLine)
 	resilience.Register(flag.CommandLine)
 	var (
-		algo       = flag.String("algo", "bfs", "algorithm: bfs, mis, kcore, kmeans, sampling, cc, sssp, pagerank")
-		nodes      = flag.Int("nodes", 8, "simulated cluster size")
-		mode       = flag.String("mode", "symplegraph", "engine mode: symplegraph or gemini")
-		threshold  = flag.Int("threshold", core.DefaultDepThreshold, "differentiated-propagation degree threshold (0 = track all)")
-		buffers    = flag.Int("buffers", 2, "double-buffering group count (1 = off)")
-		workers    = flag.Int("workers", 1, "worker goroutines per node")
-		root       = flag.Int("root", -1, "BFS/SSSP root (-1 = highest-degree vertex)")
-		k          = flag.Int("k", 8, "K for K-core")
-		centers    = flag.Int("centers", 0, "K-means centers (0 = sqrt(|V|))")
-		iters      = flag.Int("iters", 3, "K-means outer iterations")
-		rounds     = flag.Int("rounds", 4, "sampling rounds")
-		seed       = flag.Uint64("seed", 42, "algorithm seed")
-		symmetrize = flag.Bool("symmetrize", true, "symmetrize for undirected algorithms")
-		verbose    = flag.Bool("v", false, "verbose: per-node stats, phase histograms, engine warnings")
-		tcpID      = flag.Int("tcp-id", -1, "multi-process mode: this process's node ID")
-		tcpAddrs   = flag.String("tcp-addrs", "", "multi-process mode: comma-separated listen addresses, one per node")
+		algo      = flag.String("algo", "bfs", "algorithm: bfs, mis, kcore, kmeans, sampling, cc, sssp, pagerank")
+		nodes     = flag.Int("nodes", 8, "simulated cluster size")
+		mode      = flag.String("mode", "symplegraph", "engine mode: symplegraph or gemini")
+		threshold = flag.Int("threshold", core.DefaultDepThreshold, "differentiated-propagation degree threshold (0 = track all)")
+		buffers   = flag.Int("buffers", 2, "double-buffering group count (1 = off)")
+		workers   = flag.Int("workers", 1, "worker goroutines per node")
+		root      = flag.Int("root", -1, "BFS/SSSP root (-1 = highest-degree vertex)")
+		k         = flag.Int("k", 0, "K for K-core (0 = the service default, 8)")
+		centers   = flag.Int("centers", 0, "K-means centers (0 = sqrt(|V|))")
+		iters     = flag.Int("iters", 0, "K-means outer iterations / PageRank iterations (0 = the service default, 3 / 20)")
+		rounds    = flag.Int("rounds", 0, "sampling rounds (0 = the service default, 4)")
+		seed      = flag.Uint64("seed", 0, "algorithm seed (0 = the service default, 42)")
+		verbose   = flag.Bool("v", false, "verbose: per-node stats, phase histograms, engine warnings")
+		tcpID     = flag.Int("tcp-id", -1, "multi-process mode: this process's node ID")
+		tcpAddrs  = flag.String("tcp-addrs", "", "multi-process mode: comma-separated listen addresses, one per node")
 	)
 	flag.Parse()
 
-	g, err := gspec.Load()
+	base, err := gspec.Load()
 	if err != nil {
 		fatalf("%v", err)
 	}
-	needsUndirected := *algo == "mis" || *algo == "kcore" || *algo == "kmeans"
-	if needsUndirected && *symmetrize {
-		g = graph.Symmetrize(g)
-	}
-	if *algo == "sssp" && !g.Weighted() {
-		g = graph.RandomWeights(g, 7)
-	}
-
-	m, err := cliutil.ParseMode(*mode)
+	q, g, err := server.Prepare(server.Request{Algo: *algo, Mode: *mode, Root: *root, K: *k,
+		Centers: *centers, Iters: *iters, Rounds: *rounds, Seed: *seed}, base)
 	if err != nil {
 		fatalf("%v", err)
 	}
+	m, _ := cliutil.ParseMode(q.Mode) // Prepare validated it
 	if err := obsFlags.Start("symplegraph"); err != nil {
 		fatalf("%v", err)
 	}
 	opts := core.Options{
+		NumNodes:     *nodes,
 		Mode:         m,
 		DepThreshold: *threshold,
 		NumBuffers:   *buffers,
@@ -81,41 +80,11 @@ func main() {
 		Tracer:       obsFlags.Tracer,
 	}
 	resilience.Apply(&opts)
-	if _, err := resilience.OpenCheckpointStore(&opts, false); err != nil {
+	cluster, release, err := newCluster(g, opts, *tcpID, *tcpAddrs)
+	if err != nil {
 		fatalf("%v", err)
 	}
-	var cluster *core.Cluster
-	if *tcpID >= 0 {
-		// Genuinely distributed: this process hosts one machine; run
-		// the same command with each -tcp-id on every machine.
-		addrs := strings.Split(*tcpAddrs, ",")
-		if len(addrs) < 2 || *tcpID >= len(addrs) {
-			fatalf("-tcp-id %d needs -tcp-addrs with at least 2 entries", *tcpID)
-		}
-		ln, err := net.Listen("tcp", addrs[*tcpID])
-		if err != nil {
-			fatalf("listening on %s: %v", addrs[*tcpID], err)
-		}
-		ep, err := comm.NewTCPEndpoint(comm.NodeID(*tcpID), ln, addrs)
-		if err != nil {
-			fatalf("joining cluster: %v", err)
-		}
-		defer ep.Close()
-		opts.NumNodes = len(addrs)
-		cluster, err = core.NewDistributedNode(g, opts, ep)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		*nodes = len(addrs)
-	} else {
-		var err error
-		opts.NumNodes = *nodes
-		cluster, err = core.NewCluster(g, opts)
-		if err != nil {
-			fatalf("%v", err)
-		}
-	}
-	defer cluster.Close()
+	defer release()
 	if obsFlags.Registry != nil {
 		cluster.RegisterMetrics(obsFlags.Registry)
 	}
@@ -123,104 +92,14 @@ func main() {
 		cliutil.Warnf("symplegraph", "%s", warn)
 	}
 
-	fmt.Printf("graph: %v  nodes: %d  mode: %v\n", g, *nodes, m)
-	rootV := graph.VertexID(*root)
-	if *root < 0 {
-		rootV, _ = graph.LargestOutDegreeVertex(g)
+	fmt.Printf("graph: %v  nodes: %d  mode: %v\n", g, cluster.Options().NumNodes, m)
+	res, _, err := server.RunAlgorithm(cluster, q)
+	if err != nil {
+		// The typed-error taxonomy picks the exit code and keeps the
+		// structured context (blocked node, phase, awaited peer).
+		cliutil.FatalErr("symplegraph", err)
 	}
-
-	switch *algo {
-	case "bfs":
-		res, err := algorithms.BFS(cluster, rootV)
-		if err != nil {
-			runFatal(err)
-		}
-		reached := 0
-		for _, d := range res.Depth {
-			if d >= 0 {
-				reached++
-			}
-		}
-		fmt.Printf("bfs: root=%d reached=%d top-down=%d bottom-up=%d\n",
-			rootV, reached, res.TopDownSteps, res.BottomUpSteps)
-	case "mis":
-		res, err := algorithms.MIS(cluster, *seed)
-		if err != nil {
-			runFatal(err)
-		}
-		size := 0
-		for _, in := range res.InMIS {
-			if in {
-				size++
-			}
-		}
-		fmt.Printf("mis: size=%d rounds=%d\n", size, res.Rounds)
-	case "kcore":
-		res, err := algorithms.KCore(cluster, *k)
-		if err != nil {
-			runFatal(err)
-		}
-		size := 0
-		for _, in := range res.InCore {
-			if in {
-				size++
-			}
-		}
-		fmt.Printf("kcore: k=%d size=%d rounds=%d\n", *k, size, res.Rounds)
-	case "kmeans":
-		c := *centers
-		if c == 0 {
-			c = int(math.Sqrt(float64(g.NumVertices())))
-		}
-		res, err := algorithms.KMeans(cluster, c, *iters, *seed)
-		if err != nil {
-			runFatal(err)
-		}
-		fmt.Printf("kmeans: centers=%d iterations=%d distsums=%v\n", c, *iters, res.DistSums)
-	case "sampling":
-		res, err := algorithms.Sample(cluster, *seed, *rounds)
-		if err != nil {
-			runFatal(err)
-		}
-		fmt.Printf("sampling: rounds=%d exact-picks=%d\n", *rounds, res.ExactPicks)
-	case "cc":
-		labels, err := algorithms.ConnectedComponents(cluster)
-		if err != nil {
-			runFatal(err)
-		}
-		comps := map[uint32]bool{}
-		for _, l := range labels {
-			comps[l] = true
-		}
-		fmt.Printf("cc: components=%d\n", len(comps))
-	case "pagerank":
-		rank, err := algorithms.PageRank(cluster, *iters, 0.85)
-		if err != nil {
-			runFatal(err)
-		}
-		best, bestRank := 0, 0.0
-		for v, r := range rank {
-			if r > bestRank {
-				best, bestRank = v, r
-			}
-		}
-		fmt.Printf("pagerank: iterations=%d top vertex=%d rank=%.6f\n", *iters, best, bestRank)
-	case "sssp":
-		dist, err := algorithms.SSSP(cluster, rootV)
-		if err != nil {
-			runFatal(err)
-		}
-		reached := 0
-		for _, d := range dist {
-			if d < algorithms.InfDist {
-				reached++
-			}
-		}
-		fmt.Printf("sssp: root=%d reached=%d\n", rootV, reached)
-	default:
-		fatalf("unknown algorithm %q", *algo)
-	}
-
+	printResult(q, res)
 	cliutil.PrintStats(os.Stdout, cluster.Stats(), g.NumEdges(), *verbose)
 	resilience.PrintCounters(os.Stdout, cluster.Stats())
 	if err := obsFlags.Close(); err != nil {
@@ -228,13 +107,62 @@ func main() {
 	}
 }
 
-func fatalf(format string, args ...any) {
-	cliutil.Fatalf("symplegraph", format, args...)
+// newCluster builds the engine the query runs on: every machine in this
+// process, or — with -tcp-id — the one machine this process hosts of a
+// TCP ring whose other members run the same command with their own ID.
+// release closes the cluster and, in TCP mode, the endpoint it does not
+// own.
+func newCluster(g *graph.Graph, opts core.Options, tcpID int, tcpAddrs string) (c *core.Cluster, release func(), err error) {
+	if tcpID < 0 {
+		c, err = core.NewCluster(g, opts)
+		if err != nil {
+			return nil, nil, err
+		}
+		return c, func() { c.Close() }, nil
+	}
+	addrs := strings.Split(tcpAddrs, ",")
+	if len(addrs) < 2 || tcpID >= len(addrs) {
+		return nil, nil, fmt.Errorf("-tcp-id %d needs -tcp-addrs with at least 2 entries", tcpID)
+	}
+	ln, err := net.Listen("tcp", addrs[tcpID])
+	if err != nil {
+		return nil, nil, fmt.Errorf("listening on %s: %w", addrs[tcpID], err)
+	}
+	ep, err := comm.NewTCPEndpoint(comm.NodeID(tcpID), ln, addrs)
+	if err != nil {
+		return nil, nil, fmt.Errorf("joining cluster: %w", err)
+	}
+	opts.NumNodes = len(addrs)
+	if c, err = core.NewDistributedNode(g, opts, ep); err != nil {
+		ep.Close()
+		return nil, nil, err
+	}
+	return c, func() { c.Close(); ep.Close() }, nil
 }
 
-// runFatal reports an algorithm run failure through the typed-error
-// taxonomy: the structured context (blocked node, phase, awaited peer)
-// reaches stderr and the failure class picks the exit code.
-func runFatal(err error) {
-	cliutil.FatalErr("symplegraph", err)
+// printResult writes the query's answer line: the canonical parameters
+// the run used and the service's Result for them.
+func printResult(q server.Request, r server.Result) {
+	switch q.Algo {
+	case "bfs":
+		fmt.Printf("bfs: root=%d reached=%d top-down=%d bottom-up=%d\n", q.Root, r.Reached, r.TopDownSteps, r.BottomUpSteps)
+	case "sssp":
+		fmt.Printf("sssp: root=%d reached=%d\n", q.Root, r.Reached)
+	case "mis":
+		fmt.Printf("mis: size=%d rounds=%d\n", r.Size, r.Rounds)
+	case "kcore":
+		fmt.Printf("kcore: k=%d size=%d rounds=%d\n", q.K, r.Size, r.Rounds)
+	case "kmeans":
+		fmt.Printf("kmeans: centers=%d iterations=%d distsums=%v\n", q.Centers, q.Iters, r.DistSums)
+	case "sampling":
+		fmt.Printf("sampling: rounds=%d exact-picks=%d\n", q.Rounds, r.ExactPicks)
+	case "cc":
+		fmt.Printf("cc: components=%d\n", r.Components)
+	case "pagerank":
+		fmt.Printf("pagerank: iterations=%d top vertex=%d rank=%.6f\n", q.Iters, r.TopVertex, r.TopRank)
+	}
+}
+
+func fatalf(format string, args ...any) {
+	cliutil.Fatalf("symplegraph", format, args...)
 }

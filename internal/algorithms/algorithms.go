@@ -22,13 +22,6 @@ import (
 // None marks absent vertex values (no parent, no cluster, no pick).
 const None = ^uint32(0)
 
-// syncMasterBitmapFrom builds a full-length bitmap whose master segment
-// contains the bits this worker's slot pass recorded, then merges all
-// segments. It is the per-iteration frontier publication step.
-func syncMasterBitmapFrom(w *core.Worker, local *bitset.Bitmap) error {
-	return w.SyncBitmap(local)
-}
-
 // frontierEdges sums the out-degrees of this worker's master vertices in
 // the frontier — the direction-switch statistic — and reduces globally.
 func frontierEdges(w *core.Worker, frontier *bitset.Bitmap) (int64, error) {

@@ -53,7 +53,7 @@ func BFSWithDirection(c core.Engine, root graph.VertexID, dir Direction) (*BFSRe
 		return nil, fmt.Errorf("algorithms: BFS root %d out of range", root)
 	}
 	res := &BFSResult{}
-	err := c.Execute(func(w *core.Worker) error {
+	err := c.Run(func(w *core.Worker) error {
 		// Per-node replicated state: what a real machine would hold.
 		visited := bitset.New(n)
 		frontier := bitset.New(n)
@@ -166,7 +166,7 @@ func BFSWithDirection(c core.Engine, root graph.VertexID, dir Direction) (*BFSRe
 			if newly == 0 {
 				break
 			}
-			if err := syncMasterBitmapFrom(w, next); err != nil {
+			if err := w.SyncBitmap(next); err != nil {
 				return err
 			}
 			visited.Union(next)

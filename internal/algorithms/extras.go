@@ -17,7 +17,7 @@ func ConnectedComponents(c core.Engine) ([]uint32, error) {
 	g := c.Graph()
 	n := g.NumVertices()
 	out := make([]uint32, n)
-	err := c.Execute(func(w *core.Worker) error {
+	err := c.Run(func(w *core.Worker) error {
 		label := make([]uint32, n) // masters authoritative
 		for v := range label {
 			label[v] = uint32(v)
@@ -88,7 +88,7 @@ func SSSP(c core.Engine, root graph.VertexID) ([]float32, error) {
 	}
 	n := g.NumVertices()
 	out := make([]float32, n)
-	err := c.Execute(func(w *core.Worker) error {
+	err := c.Run(func(w *core.Worker) error {
 		dist := make([]float32, n) // masters authoritative
 		for v := range dist {
 			dist[v] = InfDist

@@ -19,7 +19,7 @@ import (
 func refConnectedComponents(c core.Engine) ([]uint32, error) {
 	n := c.Graph().NumVertices()
 	out := make([]uint32, n)
-	err := c.Execute(func(w *core.Worker) error {
+	err := c.Run(func(w *core.Worker) error {
 		label := make([]uint32, n)
 		for v := range label {
 			label[v] = uint32(v)
@@ -72,7 +72,7 @@ func refConnectedComponents(c core.Engine) ([]uint32, error) {
 func refSSSP(c core.Engine, root graph.VertexID) ([]uint32, error) {
 	n := c.Graph().NumVertices()
 	out := make([]uint32, n)
-	err := c.Execute(func(w *core.Worker) error {
+	err := c.Run(func(w *core.Worker) error {
 		dist := make([]float32, n)
 		for v := range dist {
 			dist[v] = InfDist
@@ -130,7 +130,7 @@ func refPageRank(c core.Engine, iters int, damping float64) ([]float64, error) {
 	g := c.Graph()
 	n := g.NumVertices()
 	out := make([]float64, n)
-	err := c.Execute(func(w *core.Worker) error {
+	err := c.Run(func(w *core.Worker) error {
 		rank := make([]float64, n)
 		next := make([]float64, n)
 		for v := range rank {

@@ -32,7 +32,7 @@ func KCore(c core.Engine, k int) (*KCoreResult, error) {
 	g := c.Graph()
 	n := g.NumVertices()
 	res := &KCoreResult{}
-	err := c.Execute(func(w *core.Worker) error {
+	err := c.Run(func(w *core.Worker) error {
 		active, removed := bitset.New(n), bitset.New(n)
 		active.Fill()
 		lo, hi := w.MasterRange()
@@ -88,7 +88,7 @@ func KCore(c core.Engine, k int) (*KCoreResult, error) {
 			if nRemoved == 0 {
 				break
 			}
-			if err := syncMasterBitmapFrom(w, removed); err != nil {
+			if err := w.SyncBitmap(removed); err != nil {
 				return err
 			}
 			active.AndNot(removed)

@@ -30,7 +30,7 @@ func KMeans(c core.Engine, centers, iters int, seed uint64) (*seq.KMeansResult, 
 	res := &seq.KMeansResult{}
 	// Initial centers: one deterministic draw, read by every node.
 	initial := seq.KMeansCenters(n, centers, seed)
-	err := c.Execute(func(w *core.Worker) error {
+	err := c.Run(func(w *core.Worker) error {
 		cs := initial
 		cluster := make([]uint32, n) // masters authoritative
 		dist := make([]int32, n)
@@ -80,7 +80,7 @@ func KMeans(c core.Engine, centers, iters int, seed uint64) (*seq.KMeansResult, 
 				if adopted == 0 {
 					break
 				}
-				if err := syncMasterBitmapFrom(w, newAssigned); err != nil {
+				if err := w.SyncBitmap(newAssigned); err != nil {
 					return err
 				}
 				assigned.Union(newAssigned)

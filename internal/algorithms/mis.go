@@ -28,7 +28,7 @@ func MIS(c core.Engine, seed uint64) (*MISResult, error) {
 	n := g.NumVertices()
 	colors := seq.MISColors(n, seed)
 	res := &MISResult{}
-	err := c.Execute(func(w *core.Worker) error {
+	err := c.Run(func(w *core.Worker) error {
 		active := bitset.New(n)
 		active.Fill()
 		vetoed, newMIS, covered := bitset.New(n), bitset.New(n), bitset.New(n)
@@ -78,7 +78,7 @@ func MIS(c core.Engine, seed uint64) (*MISResult, error) {
 			if joined == 0 {
 				break
 			}
-			if err := syncMasterBitmapFrom(w, newMIS); err != nil {
+			if err := w.SyncBitmap(newMIS); err != nil {
 				return err
 			}
 			// Phase 2: cover pass. Active vertices adjacent to a new
@@ -108,7 +108,7 @@ func MIS(c core.Engine, seed uint64) (*MISResult, error) {
 			}); err != nil {
 				return err
 			}
-			if err := syncMasterBitmapFrom(w, covered); err != nil {
+			if err := w.SyncBitmap(covered); err != nil {
 				return err
 			}
 			active.AndNot(newMIS)

@@ -24,7 +24,7 @@ func PageRank(c core.Engine, iters int, damping float64) ([]float64, error) {
 		return nil, nil
 	}
 	out := make([]float64, n)
-	err := c.Execute(func(w *core.Worker) error {
+	err := c.Run(func(w *core.Worker) error {
 		// Only masters' entries of either array are used until the final
 		// gather: the signal reads share[u] = rank[u]/outdeg(u) of local
 		// masters (sources are always local in pull mode), taken once

@@ -51,7 +51,7 @@ func Sample(c core.Engine, seed uint64, rounds int) (*SampleResult, error) {
 	// The vertex weights are a replicated vertex property (Figure 3d):
 	// tabulated once, read by every machine per scanned edge.
 	wt := seq.VertexWeights(seed, n)
-	err := c.Execute(func(w *core.Worker) error {
+	err := c.Run(func(w *core.Worker) error {
 		totalW := make([]float64, n)
 		if depOn {
 			// Setup: circulate each tracked vertex's weight sum around

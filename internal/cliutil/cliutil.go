@@ -167,7 +167,6 @@ func (f *Fleet) Register(fs *flag.FlagSet) {
 type Resilience struct {
 	ChaosSeed       uint64
 	CheckpointEvery int
-	CheckpointDir   string
 	StallTimeout    time.Duration
 	MaxRestarts     int
 	CrashNode       int
@@ -181,7 +180,6 @@ type Resilience struct {
 func (r *Resilience) Register(fs *flag.FlagSet) {
 	fs.Uint64Var(&r.ChaosSeed, "chaos-seed", 0, "deterministic fault injection seed (0 = off)")
 	fs.IntVar(&r.CheckpointEvery, "checkpoint-every", 0, "superstep checkpoint cadence K (0 = off)")
-	fs.StringVar(&r.CheckpointDir, "checkpoint-dir", "", "persist superstep checkpoints to this directory (survives process death; default in-memory)")
 	fs.DurationVar(&r.StallTimeout, "stall-timeout", 0, "per-receive deadline before a stalled superstep fails (0 = wait forever)")
 	fs.IntVar(&r.MaxRestarts, "max-restarts", 0, "recoverable-failure restarts before giving up (0 = fail fast)")
 	fs.IntVar(&r.CrashNode, "chaos-crash-node", 0, "node the chaos plan crashes (with -chaos-crash-at)")
@@ -216,23 +214,6 @@ func (r *Resilience) Apply(opts *core.Options) *comm.FaultPlan {
 	opts.MaxRestarts = r.MaxRestarts
 	opts.Fault = r.BuildPlan()
 	return opts.Fault
-}
-
-// OpenCheckpointStore builds the file-backed store when -checkpoint-dir
-// is set (nil otherwise, selecting the engine's in-memory default) and
-// threads it into opts. Resume controls whether the engine adopts a
-// previous process's committed snapshot instead of clearing it.
-func (r *Resilience) OpenCheckpointStore(opts *core.Options, resume bool) (*core.FileCheckpointStore, error) {
-	if r.CheckpointDir == "" {
-		return nil, nil
-	}
-	st, err := core.NewFileCheckpointStore(r.CheckpointDir)
-	if err != nil {
-		return nil, err
-	}
-	opts.Checkpoints = st
-	opts.ResumeCheckpoints = resume
-	return st, nil
 }
 
 // PrintCounters reports the faults the chaos plan injected and the

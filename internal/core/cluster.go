@@ -40,9 +40,9 @@ type Cluster struct {
 	poisonMu sync.Mutex
 	poisoned error
 
-	// baseCtx, when set, governs the context-less entry points (Run,
-	// Execute): a serving layer leases the cluster, binds the request's
-	// deadline here, and every algorithm call inherits it unchanged.
+	// baseCtx, when set, governs Run: a serving layer leases the
+	// cluster, binds the request's deadline here, and every algorithm
+	// call inherits it unchanged.
 	baseMu  sync.Mutex
 	baseCtx context.Context
 
@@ -112,7 +112,7 @@ type StatsSnapshot struct {
 	// (e.g. an out-of-range NumBuffers clamped to 1).
 	Warnings []string
 	// Restarts counts recovery re-runs performed over the cluster's
-	// lifetime (RunWithRecovery); Stalls counts receives that hit
+	// lifetime (Options.MaxRestarts); Stalls counts receives that hit
 	// Options.StallTimeout.
 	Restarts int64
 	Stalls   int64
@@ -134,10 +134,14 @@ func (s *RunStats) Add(other RunStats) {
 }
 
 // NewCluster partitions g across opts.NumNodes machines and connects
-// them. Close releases the transport.
+// them. Close releases the transport. Over caller-supplied
+// opts.Endpoints, opts.MaxRestarts must be 0.
 func NewCluster(g *graph.Graph, opts Options) (*Cluster, error) {
 	if err := opts.validateAndDefault(); err != nil {
 		return nil, err
+	}
+	if opts.Endpoints != nil && opts.MaxRestarts > 0 {
+		return nil, errNoReset(opts)
 	}
 	machines := make([]int, opts.NumNodes)
 	for m := range machines {
@@ -193,6 +197,14 @@ func newCluster(g *graph.Graph, opts Options, machines []int) (*Cluster, error) 
 	return c, nil
 }
 
+// errNoReset refuses MaxRestarts on a cluster that does not own its
+// transport. Such a cluster cannot Reset, so its recovery loop could
+// only fail, burying the run's typed error (*StallError, a lost peer)
+// under the Reset refusal.
+func errNoReset(opts Options) error {
+	return fmt.Errorf("core: MaxRestarts = %d (flag -max-restarts) needs a cluster-owned transport; over external endpoints or as a distributed node, rebuild the cluster instead", opts.MaxRestarts)
+}
+
 // initCheckpoints binds the configured (or default in-memory)
 // checkpoint store to this cluster's quorum.
 func (c *Cluster) initCheckpoints() {
@@ -225,13 +237,16 @@ func (c *Cluster) buildMemTransport() {
 // machine. Every process of the cluster must load the same graph and
 // call the same programs in the same order; results materialize on the
 // node-0 process, and Stats reports this machine's share.
-// opts.Endpoints and opts.Link are ignored.
+// opts.Endpoints and opts.Link are ignored; opts.MaxRestarts must be 0.
 func NewDistributedNode(g *graph.Graph, opts Options, ep comm.Endpoint) (*Cluster, error) {
 	if err := opts.validateAndDefault(); err != nil {
 		return nil, err
 	}
 	if ep.N() != opts.NumNodes {
 		return nil, fmt.Errorf("core: endpoint knows %d nodes, options say %d", ep.N(), opts.NumNodes)
+	}
+	if opts.MaxRestarts > 0 {
+		return nil, errNoReset(opts)
 	}
 	// Only the local machine's layout and endpoint exist in this
 	// process — the memory footprint a real cluster member would have.
@@ -273,19 +288,45 @@ func (c *Cluster) Close() error {
 // returns the first error. Statistics for the run are available from
 // Stats afterwards.
 //
+// The run starts from a cleared checkpoint store (kept under
+// Options.ResumeCheckpoints) and is governed by the SetBaseContext
+// context: cancelling it poisons the transport, every blocked worker
+// unwinds, and Run returns the context's error.
+//
 // A failed run poisons the cluster — the transport is closed so the
 // surviving machines' pending receives return instead of hanging — and
-// subsequent Runs return a *PoisonedError until Reset re-forms it.
+// subsequent Runs return a *PoisonedError until Reset re-forms it. With
+// Options.MaxRestarts > 0 a recoverable failure (stall, peer loss,
+// injected fault or crash — see IsRecoverable) is instead followed by a
+// Reset and a re-run, up to MaxRestarts times; programs that checkpoint
+// through Worker.Checkpoint resume from the last committed superstep
+// snapshot, others start over. Stats().Restarts counts the re-runs.
 func (c *Cluster) Run(prog func(w *Worker) error) error {
-	return c.RunContext(c.base(), prog)
+	ctx := c.base()
+	if c.ckpt != nil && !c.opts.ResumeCheckpoints {
+		c.ckpt.Clear() // a fresh program must not restore its predecessor's state
+	}
+	for attempt := 0; ; attempt++ {
+		err := c.runOnce(ctx, prog)
+		if err == nil || ctx.Err() != nil || !IsRecoverable(err) || attempt >= c.opts.MaxRestarts {
+			return err
+		}
+		start := time.Now()
+		if c.Reset() != nil {
+			return err // unreachable: construction refuses MaxRestarts without an owned transport
+		}
+		c.restarts.Add(1)
+		if tr := c.tracer(); tr != nil {
+			tr.Record(0, obs.PhaseRecovery, attempt, -1, -1, start, time.Since(start))
+		}
+	}
 }
 
-// SetBaseContext installs the context that governs the context-less
-// entry points Run and Execute (nil restores the default,
-// context.Background). A serving layer leases the cluster, binds the
-// request's deadline here before dispatching an algorithm — whose
-// internal Execute calls then inherit the deadline — and clears it on
-// release. Must not be called while a run is in progress.
+// SetBaseContext installs the context that governs Run (nil restores the
+// default, context.Background). A serving layer leases the cluster,
+// binds the request's deadline here before dispatching an algorithm —
+// whose Run calls then inherit the deadline — and clears it on release.
+// Must not be called while a run is in progress.
 func (c *Cluster) SetBaseContext(ctx context.Context) {
 	c.baseMu.Lock()
 	c.baseCtx = ctx
@@ -300,70 +341,6 @@ func (c *Cluster) base() context.Context {
 		return c.baseCtx
 	}
 	return context.Background()
-}
-
-// clearCkpt discards prior snapshots at the top of a fresh program,
-// unless Options.ResumeCheckpoints asked to adopt them (a restarted
-// process resuming a persistent FileCheckpointStore).
-func (c *Cluster) clearCkpt() {
-	if c.ckpt != nil && !c.opts.ResumeCheckpoints {
-		c.ckpt.Clear()
-	}
-}
-
-// ClearCheckpoints explicitly discards the cluster's checkpoint store.
-// Callers running with Options.ResumeCheckpoints use it between
-// different programs on a reused cluster, so one query's snapshots
-// never leak into the next.
-func (c *Cluster) ClearCheckpoints() {
-	if c.ckpt != nil {
-		c.ckpt.Clear()
-	}
-}
-
-// RunContext is Run with cooperative cancellation: when ctx is cancelled
-// the transport is poisoned, every blocked worker unwinds with an error,
-// and RunContext returns ctx's error once all workers have exited. The
-// cluster then needs a Reset like any other failed run.
-func (c *Cluster) RunContext(ctx context.Context, prog func(w *Worker) error) error {
-	c.clearCkpt() // a fresh program must not restore its predecessor's state
-	return c.runOnce(ctx, prog)
-}
-
-// Execute runs prog under the cluster's configured resilience policy:
-// plain single-attempt Run when Options.MaxRestarts is 0, otherwise
-// RunWithRecovery. Algorithms call Execute so the -max-restarts flag
-// governs every entry point uniformly.
-func (c *Cluster) Execute(prog func(w *Worker) error) error {
-	if c.opts.MaxRestarts > 0 {
-		_, err := c.RunWithRecovery(c.base(), prog)
-		return err
-	}
-	return c.Run(prog)
-}
-
-// RunWithRecovery runs prog and, on a recoverable failure (stall, peer
-// loss, injected fault or crash — see IsRecoverable), re-forms the
-// cluster with Reset and re-runs it, up to Options.MaxRestarts times.
-// Programs that checkpoint through Worker.Checkpoint resume from the
-// last committed superstep snapshot; others simply start over. Returns
-// the number of restarts performed alongside the final error.
-func (c *Cluster) RunWithRecovery(ctx context.Context, prog func(w *Worker) error) (restarts int, err error) {
-	c.clearCkpt()
-	for attempt := 0; ; attempt++ {
-		err = c.runOnce(ctx, prog)
-		if err == nil || ctx.Err() != nil || !IsRecoverable(err) || attempt >= c.opts.MaxRestarts {
-			return attempt, err
-		}
-		start := time.Now()
-		if rerr := c.Reset(); rerr != nil {
-			return attempt, fmt.Errorf("core: recovering from %q: %w", err, rerr)
-		}
-		c.restarts.Add(1)
-		if tr := c.tracer(); tr != nil {
-			tr.Record(0, obs.PhaseRecovery, attempt, -1, -1, start, time.Since(start))
-		}
-	}
 }
 
 // Poisoned returns the error of the failed run that poisoned the

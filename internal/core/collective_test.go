@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -207,16 +206,16 @@ func TestRunWithRecoveryRestartsAfterCollectiveStall(t *testing.T) {
 		NumNodes: 2, Fault: plan, MaxRestarts: 2, StallTimeout: 50 * time.Millisecond,
 	})
 	attempts := make([]int, 2)
-	restarts, err := c.RunWithRecovery(context.Background(), func(w *Worker) error {
+	err := c.Run(func(w *Worker) error {
 		attempts[w.ID()]++
 		comm.ObserveSuperstep(w.ep, attempts[w.ID()])
 		_, err := w.AllReduceSum(1)
 		return err
 	})
 	if err != nil {
-		t.Fatalf("RunWithRecovery: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
-	if restarts != 1 || c.Stats().Stalls == 0 {
+	if restarts := c.Stats().Restarts; restarts != 1 || c.Stats().Stalls == 0 {
 		t.Fatalf("restarts = %d, stalls = %d, want one restart after a counted stall", restarts, c.Stats().Stalls)
 	}
 }

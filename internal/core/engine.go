@@ -3,10 +3,8 @@ package core
 import (
 	"context"
 
-	"repro/internal/comm"
 	"repro/internal/graph"
 	"repro/internal/obs"
-	"repro/internal/partition"
 )
 
 // Engine is the surface the serving and algorithm layers program
@@ -25,18 +23,12 @@ type Engine interface {
 	Graph() *graph.Graph
 	// Options returns the engine's configuration.
 	Options() Options
-	// Partition returns the vertex partition.
-	Partition() *partition.Partition
 
 	// Run executes prog SPMD-style across the engine's machines and
-	// blocks until every machine this process hosts has finished.
+	// blocks until every machine this process hosts has finished. It
+	// runs under the SetBaseContext context and applies
+	// Options.MaxRestarts; it is the only way to run a program.
 	Run(prog func(w *Worker) error) error
-	// RunContext is Run with cooperative cancellation.
-	RunContext(ctx context.Context, prog func(w *Worker) error) error
-	// Execute runs prog under the engine's configured resilience
-	// policy (plain Run, or RunWithRecovery when MaxRestarts > 0).
-	// Algorithms call Execute so one policy governs every entry point.
-	Execute(prog func(w *Worker) error) error
 
 	// Poisoned returns the error of the failed run that poisoned the
 	// engine, or nil while it is healthy.
@@ -52,34 +44,14 @@ type Engine interface {
 	// run; Stats().Totals holds the aggregate totals.
 	Stats() StatsSnapshot
 
-	// SetBaseContext installs the context governing the context-less
-	// entry points (nil restores context.Background); SetTracer swaps
-	// the tracer subsequent runs record into. A serving layer binds
-	// both per leased request and clears them on release. Neither may
-	// be called while a run is in progress.
+	// SetBaseContext installs the context governing Run (nil restores
+	// context.Background); SetTracer swaps the tracer subsequent runs
+	// record into. A serving layer binds both per leased request and
+	// clears them on release. Neither may be called while a run is in
+	// progress.
 	SetBaseContext(ctx context.Context)
 	SetTracer(tr *obs.Tracer)
-
-	// ClearCheckpoints discards the engine's checkpoint store, so one
-	// query's snapshots never leak into the next on a reused engine.
-	ClearCheckpoints()
 }
 
 // *Cluster is the reference Engine implementation.
 var _ Engine = (*Cluster)(nil)
-
-// NewEngine builds an in-process engine: every machine of the simulated
-// cluster lives in this process, wired over memory channels. It is
-// NewCluster behind the interface, for callers (the serving layer) that
-// program against Engine and never touch the concrete type.
-func NewEngine(g *graph.Graph, opts Options) (Engine, error) {
-	return NewCluster(g, opts)
-}
-
-// NewDistributedEngine builds the engine for one machine of a genuinely
-// distributed cluster: this process hosts the single node ep.ID() and
-// reaches its peers through ep. It is NewDistributedNode behind the
-// interface.
-func NewDistributedEngine(g *graph.Graph, opts Options, ep comm.Endpoint) (Engine, error) {
-	return NewDistributedNode(g, opts, ep)
-}

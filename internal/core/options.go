@@ -124,13 +124,14 @@ type Options struct {
 	// ResumeCheckpoints keeps the engine from clearing the checkpoint
 	// store at the top of a program: the first Restore then adopts
 	// whatever a previous process incarnation committed. Callers that
-	// reuse one cluster for different programs must ClearCheckpoints
-	// between them (or retag a FileCheckpointStore).
+	// reuse one cluster for different programs must retag a
+	// FileCheckpointStore between them.
 	ResumeCheckpoints bool
-	// MaxRestarts is how many times Execute/RunWithRecovery re-forms
-	// the cluster and re-runs a program after a recoverable failure
-	// (stall, peer loss, injected fault). 0 disables recovery: Execute
-	// behaves exactly like Run.
+	// MaxRestarts is how many times Run re-forms the cluster and
+	// re-runs a program after a recoverable failure (stall, peer loss,
+	// injected fault). 0 disables recovery. Only a cluster that owns
+	// its transport can re-form, so NewDistributedNode and NewCluster
+	// over Endpoints refuse a positive value.
 	MaxRestarts int
 	// Fault, when non-nil, layers deterministic fault injection over the
 	// cluster's transport — the chaos-testing substrate. The plan's

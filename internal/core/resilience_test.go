@@ -63,18 +63,20 @@ func TestStallErrorOnDroppedUpdate(t *testing.T) {
 	}
 }
 
-// TestRunContextCancellation cancels a run whose workers are blocked in
-// Recv, and checks the poisoning/Reset lifecycle: the cancelled run
-// returns ctx's error, subsequent runs fail fast with *PoisonedError,
-// and Reset restores the cluster to working order.
+// TestRunContextCancellation cancels the base context of a run whose
+// workers are blocked in Recv, and checks the poisoning/Reset
+// lifecycle: the cancelled run returns ctx's error, subsequent runs fail
+// fast with *PoisonedError, and Reset restores the cluster to working
+// order. MaxRestarts does not retry a cancelled run.
 func TestRunContextCancellation(t *testing.T) {
-	c := mustCluster(t, graph.Ring(16), Options{NumNodes: 2})
+	c := mustCluster(t, graph.Ring(16), Options{NumNodes: 2, MaxRestarts: 2})
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(20 * time.Millisecond)
 		cancel()
 	}()
-	err := c.RunContext(ctx, func(w *Worker) error {
+	c.SetBaseContext(ctx)
+	err := c.Run(func(w *Worker) error {
 		if w.ID() == 0 {
 			_, err := w.ep.Recv(1, comm.KindUpdate, 0) // never sent: blocks until poisoned
 			return err
@@ -85,6 +87,10 @@ func TestRunContextCancellation(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want wrapped context.Canceled", err)
 	}
+	if got := c.Stats().Restarts; got != 0 {
+		t.Fatalf("Stats().Restarts = %d after a cancelled run, want 0", got)
+	}
+	c.SetBaseContext(nil)
 
 	var pe *PoisonedError
 	if err := c.Run(func(w *Worker) error { return nil }); !errors.As(err, &pe) {
@@ -97,13 +103,13 @@ func TestRunContextCancellation(t *testing.T) {
 	if err := c.Reset(); err != nil {
 		t.Fatalf("Reset: %v", err)
 	}
-	if err := c.Run(func(w *Worker) error { return w.Barrier() }); err != nil {
+	if err := c.Run(func(w *Worker) error { return barrier(w) }); err != nil {
 		t.Fatalf("run after Reset: %v", err)
 	}
 }
 
 // TestCancelAfterRunDoesNotPoison is the regression test for the cancel
-// watcher outliving its run: a context cancelled right after RunContext
+// watcher outliving its run: a context cancelled right after Run
 // returns (net/http does exactly that when a handler returns) used to
 // race the watcher's shutdown and could poison a cluster its pool had
 // already parked, failing the next query leased onto it. Once every
@@ -112,7 +118,8 @@ func TestCancelAfterRunDoesNotPoison(t *testing.T) {
 	c := mustCluster(t, graph.Ring(16), Options{NumNodes: 2})
 	for i := 0; i < 10000; i++ {
 		ctx, cancel := context.WithCancel(context.Background())
-		err := c.RunContext(ctx, func(w *Worker) error { return nil })
+		c.SetBaseContext(ctx)
+		err := c.Run(func(w *Worker) error { return nil })
 		cancel()
 		runtime.Gosched() // let a watcher that is still alive observe the cancellation
 		if err != nil {
@@ -123,14 +130,15 @@ func TestCancelAfterRunDoesNotPoison(t *testing.T) {
 		}
 	}
 	// A watcher that fired late would also have closed the endpoints.
-	if err := c.Run(func(w *Worker) error { return w.Barrier() }); err != nil {
+	c.SetBaseContext(nil)
+	if err := c.Run(func(w *Worker) error { return barrier(w) }); err != nil {
 		t.Fatalf("run after 10000 cancelled contexts: %v", err)
 	}
 }
 
 // TestRunWithRecoveryRestartsAfterCrash kills node 1 at superstep 1 and
-// checks that RunWithRecovery re-forms the cluster and the second
-// attempt — against the same one-shot plan — completes cleanly.
+// checks that Run, under MaxRestarts, re-forms the cluster and the
+// second attempt — against the same one-shot plan — completes cleanly.
 func TestRunWithRecoveryRestartsAfterCrash(t *testing.T) {
 	plan := &comm.FaultPlan{Seed: 42, CrashNode: 1, CrashAtSuperstep: 1}
 	c := mustCluster(t, graph.Ring(16), Options{
@@ -139,29 +147,26 @@ func TestRunWithRecoveryRestartsAfterCrash(t *testing.T) {
 		MaxRestarts: 2,
 	})
 	var attempts atomic.Int32
-	restarts, err := c.RunWithRecovery(context.Background(), func(w *Worker) error {
+	err := c.Run(func(w *Worker) error {
 		if w.ID() == 0 {
 			attempts.Add(1)
 		}
 		for step := 1; step <= 3; step++ {
 			comm.ObserveSuperstep(w.ep, step)
-			if err := w.Barrier(); err != nil {
+			if err := barrier(w); err != nil {
 				return err
 			}
 		}
 		return nil
 	})
 	if err != nil {
-		t.Fatalf("RunWithRecovery: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
-	if restarts != 1 || attempts.Load() != 2 {
+	if restarts := c.Stats().Restarts; restarts != 1 || attempts.Load() != 2 {
 		t.Fatalf("restarts = %d, attempts = %d, want 1 restart over 2 attempts", restarts, attempts.Load())
 	}
 	if got := plan.Counters().Crashes; got != 1 {
 		t.Fatalf("Crashes = %d, want 1 (one-shot)", got)
-	}
-	if got := c.Stats().Restarts; got != 1 {
-		t.Fatalf("Stats().Restarts = %d, want 1", got)
 	}
 }
 
@@ -171,11 +176,11 @@ func TestRunWithRecoveryGivesUpOnProtocolError(t *testing.T) {
 	c := mustCluster(t, graph.Ring(16), Options{NumNodes: 1, MaxRestarts: 3})
 	var attempts atomic.Int32
 	perr := &comm.ProtocolError{Node: 0, From: 0, Kind: comm.KindUpdate, WantTag: 1, GotTag: 2}
-	restarts, err := c.RunWithRecovery(context.Background(), func(w *Worker) error {
+	err := c.Run(func(w *Worker) error {
 		attempts.Add(1)
 		return perr
 	})
-	if restarts != 0 || attempts.Load() != 1 {
+	if restarts := c.Stats().Restarts; restarts != 0 || attempts.Load() != 1 {
 		t.Fatalf("restarts = %d, attempts = %d, want no retry of a protocol bug", restarts, attempts.Load())
 	}
 	if !errors.Is(err, perr) {
@@ -183,13 +188,13 @@ func TestRunWithRecoveryGivesUpOnProtocolError(t *testing.T) {
 	}
 }
 
-// TestExecuteHonorsMaxRestarts checks the algorithm entry point: with
-// MaxRestarts configured Execute recovers; without it the fault is fatal.
+// TestExecuteHonorsMaxRestarts checks the one run entry: with
+// MaxRestarts configured Run recovers; without it the fault is fatal.
 func TestExecuteHonorsMaxRestarts(t *testing.T) {
 	prog := func(w *Worker) error {
 		for step := 1; step <= 3; step++ {
 			comm.ObserveSuperstep(w.ep, step)
-			if err := w.Barrier(); err != nil {
+			if err := barrier(w); err != nil {
 				return err
 			}
 		}
@@ -198,15 +203,40 @@ func TestExecuteHonorsMaxRestarts(t *testing.T) {
 
 	plan := &comm.FaultPlan{Seed: 9, CrashNode: 0, CrashAtSuperstep: 2}
 	c := mustCluster(t, graph.Ring(16), Options{NumNodes: 2, Fault: plan, MaxRestarts: 1})
-	if err := c.Execute(prog); err != nil {
-		t.Fatalf("Execute with MaxRestarts=1: %v", err)
+	if err := c.Run(prog); err != nil {
+		t.Fatalf("Run with MaxRestarts=1: %v", err)
 	}
 
 	plan2 := &comm.FaultPlan{Seed: 9, CrashNode: 0, CrashAtSuperstep: 2}
 	c2 := mustCluster(t, graph.Ring(16), Options{NumNodes: 2, Fault: plan2})
-	if err := c2.Execute(prog); err == nil {
-		t.Fatal("Execute without restarts survived a crash")
+	if err := c2.Run(prog); err == nil {
+		t.Fatal("Run without restarts survived a crash")
 	}
+}
+
+// TestMaxRestartsNeedsOwnedTransport: a cluster that cannot Reset — a
+// distributed node, or one over caller-supplied endpoints — refuses
+// MaxRestarts at construction. Accepting it used to bury a stalled
+// run's *StallError under the Reset refusal of the recovery loop.
+func TestMaxRestartsNeedsOwnedTransport(t *testing.T) {
+	g := graph.Ring(16)
+	mc := comm.NewMemCluster(2)
+	defer mc.Close()
+	eps := mc.Endpoints()
+	if _, err := NewCluster(g, Options{NumNodes: 2, Endpoints: eps, MaxRestarts: 1}); err == nil {
+		t.Fatal("NewCluster over external endpoints accepted MaxRestarts")
+	}
+	if _, err := NewDistributedNode(g, Options{NumNodes: 2, MaxRestarts: 1}, eps[0]); err == nil {
+		t.Fatal("NewDistributedNode accepted MaxRestarts")
+	}
+	// MaxRestarts 0 builds both, and an owned transport takes any value.
+	if _, err := NewCluster(g, Options{NumNodes: 2, Endpoints: eps}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewDistributedNode(g, Options{NumNodes: 2}, eps[0]); err != nil {
+		t.Fatal(err)
+	}
+	mustCluster(t, g, Options{NumNodes: 2, MaxRestarts: 1})
 }
 
 // TestCheckpointStoreTwoPhaseCommit exercises both store
@@ -263,7 +293,7 @@ func TestCheckpointStoreTwoPhaseCommit(t *testing.T) {
 
 // TestWorkerCheckpointHandle checks the worker-facing surface: cadence,
 // saves committing across all nodes, restore after a simulated failure,
-// and RunContext clearing state for a fresh program.
+// and Run clearing state for a fresh program.
 func TestWorkerCheckpointHandle(t *testing.T) {
 	c := mustCluster(t, graph.Ring(16), Options{NumNodes: 2, CheckpointEvery: 2, MaxRestarts: 1})
 	err := c.Run(func(w *Worker) error {
@@ -294,7 +324,7 @@ func TestWorkerCheckpointHandle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A fresh program (RunContext) must not see its predecessor's state.
+	// A fresh program (Run) must not see its predecessor's state.
 	err = c.Run(func(w *Worker) error {
 		if _, _, ok := w.Checkpoint().Restore(); ok {
 			t.Errorf("node %d: fresh Run restored stale snapshot", w.ID())

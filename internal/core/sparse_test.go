@@ -195,7 +195,7 @@ func TestSparseThenDenseInterleaved(t *testing.T) {
 			}); err != nil {
 				return err
 			}
-			if err := w.Barrier(); err != nil {
+			if err := barrier(w); err != nil {
 				return err
 			}
 		}

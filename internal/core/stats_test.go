@@ -51,7 +51,7 @@ func denseCountProgram(breakEarly bool) func(w *Worker) error {
 		}); err != nil {
 			return err
 		}
-		return w.Barrier()
+		return barrier(w)
 	}
 }
 

@@ -55,19 +55,10 @@ func (w *Worker) ID() int { return w.id }
 // N returns the cluster size p.
 func (w *Worker) N() int { return w.cluster.opts.NumNodes }
 
-// Mode returns the cluster's execution mode.
-func (w *Worker) Mode() Mode { return w.cluster.opts.Mode }
-
-// Options returns the cluster's configuration.
-func (w *Worker) Options() Options { return w.cluster.opts }
-
 // Graph returns the full graph. Programs must restrict themselves to
 // vertex state they own or have synchronized; the engine's own edge
 // access goes through the machine's layout only.
 func (w *Worker) Graph() *graph.Graph { return w.cluster.g }
-
-// Part returns the vertex partition.
-func (w *Worker) Part() *partition.Partition { return w.cluster.part }
 
 // MasterRange returns this machine's owned vertex range [lo, hi).
 func (w *Worker) MasterRange() (lo, hi int) { return w.cluster.part.Range(w.id) }
@@ -162,12 +153,6 @@ func (d deadlined) Recv(from comm.NodeID, kind comm.Kind, tag int32) (comm.Messa
 // making "node 2 dies at superstep 7" a deterministic, replayable event.
 func (w *Worker) observeStep() {
 	comm.ObserveSuperstep(w.ep, w.densePass+w.sparsePass)
-}
-
-// Barrier blocks until all machines reach it.
-func (w *Worker) Barrier() error {
-	_, err := w.AllReduceSum(0)
-	return err
 }
 
 // AllReduceSum returns the sum of x across machines. Like every

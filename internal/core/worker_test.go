@@ -17,6 +17,12 @@ func mustCluster(t testing.TB, g *graph.Graph, opts Options) *Cluster {
 	return c
 }
 
+// barrier blocks until every machine reaches it: an all-reduce of 0.
+func barrier(w *Worker) error {
+	_, err := w.AllReduceSum(0)
+	return err
+}
+
 // buffersCases is the NumBuffers dimension of the matrix tests. The first
 // two cells keep the labels they carried while the dimension was the scan
 // generation — "legacy" framing was one dependency frame per (step,
@@ -187,7 +193,7 @@ func TestRunPropagatesPanicsAsErrors(t *testing.T) {
 func TestRunStatsControlBytesCounted(t *testing.T) {
 	g := graph.Ring(64)
 	c := mustCluster(t, g, Options{NumNodes: 2})
-	if err := c.Run(func(w *Worker) error { return w.Barrier() }); err != nil {
+	if err := c.Run(func(w *Worker) error { return barrier(w) }); err != nil {
 		t.Fatal(err)
 	}
 	s := c.Stats().Totals

@@ -52,20 +52,3 @@ func FuzzReadBinary(f *testing.F) {
 		}
 	})
 }
-
-// FuzzReadMatrixMarket checks the Matrix Market parser likewise.
-func FuzzReadMatrixMarket(f *testing.F) {
-	f.Add("%%MatrixMarket matrix coordinate pattern general\n2 2 1\n1 2\n")
-	f.Add("%%MatrixMarket matrix coordinate real symmetric\n2 2 1\n2 1 0.5\n")
-	f.Add("%%MatrixMarket matrix coordinate pattern general\n")
-	f.Add("garbage")
-	f.Fuzz(func(t *testing.T, input string) {
-		g, err := ReadMatrixMarket(strings.NewReader(input), BuildOptions{})
-		if err != nil {
-			return
-		}
-		if err := g.Validate(); err != nil {
-			t.Fatalf("accepted input produced invalid graph: %v\ninput: %q", err, input)
-		}
-	})
-}

@@ -45,7 +45,7 @@ func TestPoolConcurrentLeasesMatchSequential(t *testing.T) {
 	mode := core.ModeSympleGraph
 
 	// Sequential baselines on dedicated engines.
-	baseBFS, err := core.NewEngine(g, core.Options{NumNodes: 2, Mode: mode})
+	baseBFS, err := core.NewCluster(g, core.Options{NumNodes: 2, Mode: mode})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestPoolConcurrentLeasesMatchSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseKC, err := core.NewEngine(graph.Symmetrize(g), core.Options{NumNodes: 2, Mode: mode})
+	baseKC, err := core.NewCluster(graph.Symmetrize(g), core.Options{NumNodes: 2, Mode: mode})
 	if err != nil {
 		t.Fatal(err)
 	}

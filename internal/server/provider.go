@@ -135,7 +135,7 @@ func newLocalEngine(spec BuildSpec, opts core.Options, tr *obs.Tracer, checkpoin
 		// daemon re-running the same query resumes it.
 		opts.ResumeCheckpoints = true
 	}
-	eng, err := core.NewEngine(spec.Graph, opts)
+	eng, err := core.NewCluster(spec.Graph, opts)
 	if err != nil {
 		return nil, fmt.Errorf("building cluster for %s/%v: %w", spec.GraphName, spec.Variant, err)
 	}

@@ -13,6 +13,7 @@ import (
 	"math"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
 	"time"
 
@@ -56,15 +57,6 @@ type Request struct {
 // dispatch switch both range over it.
 var algoNames = []string{"bfs", "sssp", "kcore", "mis", "kmeans", "sampling", "pagerank", "cc"}
 
-func validAlgo(a string) bool {
-	for _, n := range algoNames {
-		if n == a {
-			return true
-		}
-	}
-	return false
-}
-
 // parseRequest decodes a query from either the URL query string (GET)
 // or a JSON body (POST).
 func parseRequest(r *http.Request) (Request, error) {
@@ -101,20 +93,18 @@ func parseQueryValues(v url.Values) (Request, error) {
 	geti("iters", &q.Iters)
 	geti("rounds", &q.Rounds)
 	geti("deadline_ms", &q.DeadlineMs)
-	if s := v.Get("seed"); s != "" && err == nil {
-		n, e := strconv.ParseUint(s, 10, 64)
-		if e != nil {
-			err = fmt.Errorf("bad seed=%q", s)
+	getu := func(key string, dst *uint64) {
+		if s := v.Get(key); s != "" && err == nil {
+			n, e := strconv.ParseUint(s, 10, 64)
+			if e != nil {
+				err = fmt.Errorf("bad %s=%q", key, s)
+				return
+			}
+			*dst = n
 		}
-		q.Seed = n
 	}
-	if s := v.Get("epoch"); s != "" && err == nil {
-		n, e := strconv.ParseUint(s, 10, 64)
-		if e != nil {
-			err = fmt.Errorf("bad epoch=%q", s)
-		}
-		q.Epoch = n
-	}
+	getu("seed", &q.Seed)
+	getu("epoch", &q.Epoch)
 	q.NoCache = v.Get("no_cache") == "1" || v.Get("no_cache") == "true"
 	q.Trace = v.Get("trace") == "1" || v.Get("trace") == "true"
 	q.Provider = v.Get("provider")
@@ -126,7 +116,7 @@ func parseQueryValues(v url.Values) (Request, error) {
 // identifies the work actually performed. info supplies graph-derived
 // defaults (the fallback BFS root, |V| for the kmeans center count).
 func canonicalize(q Request, info graphInfo) (Request, error) {
-	if !validAlgo(q.Algo) {
+	if !slices.Contains(algoNames, q.Algo) {
 		return q, fmt.Errorf("unknown algo %q (want one of %v)", q.Algo, algoNames)
 	}
 	if q.Mode == "" {
@@ -179,6 +169,21 @@ func canonicalize(q Request, info graphInfo) (Request, error) {
 		// graph and mode only
 	}
 	return c, nil
+}
+
+// Prepare is the front half of a query for a caller that builds its own
+// engine (symplegraph): q canonicalized against base as a one-epoch
+// graph entry, and the variant that epoch materializes for q.Algo.
+func Prepare(q Request, base *graph.Graph) (Request, *graph.Graph, error) {
+	ge, err := newGraphEntry(q.Graph, base, 1)
+	if err != nil {
+		return q, nil, err
+	}
+	st := ge.Latest()
+	if q, err = canonicalize(q, st.Info()); err != nil {
+		return q, nil, err
+	}
+	return q, st.Graph(variantFor(q.Algo)), nil
 }
 
 func defaultSeed(s uint64) uint64 {
@@ -265,12 +270,12 @@ type Response struct {
 	Trace       []TraceSpan `json:"trace,omitempty"`
 }
 
-// runAlgorithm dispatches a canonicalized request on a leased engine
-// and distills the algorithm's answer into the compact Result. The
-// engine's graph is the variant variantFor(q.Algo) selected. The same
-// dispatch runs on every machine of a distributed engine — the
-// canonical request is the SPMD program selector, so front-end and
-// workers issue identical Execute sequences.
+// RunAlgorithm dispatches a canonicalized request on an engine and
+// distills the algorithm's answer into the compact Result. The engine's
+// graph is the variant variantFor(q.Algo) selected. The same dispatch
+// runs on every machine of a distributed engine — the canonical request
+// is the SPMD program selector, so front-end, workers and every
+// symplegraph -tcp-id process issue identical Run sequences.
 //
 // The returned Region is the answer's read-set signature, for
 // delta-keyed cache invalidation: traversals from a root read only the
@@ -278,7 +283,7 @@ type Response struct {
 // change the answer — an arc out of an unreached vertex never relaxes,
 // and an arc into one would have made it reached), so they report the
 // reached set; whole-graph algorithms report the full region.
-func runAlgorithm(c core.Engine, q Request) (Result, mutate.Region, error) {
+func RunAlgorithm(c core.Engine, q Request) (Result, mutate.Region, error) {
 	var res Result
 	region := mutate.FullRegion()
 	switch q.Algo {

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -44,9 +45,9 @@ import (
 // died instead of starting over.
 //
 // Closures cannot cross process boundaries, so queries ship as the
-// canonical Request and every machine runs the same runAlgorithm
-// dispatch — the SPMD contract: identical Execute sequences on every
-// node, differing only in which vertex partition each owns.
+// canonical Request and every machine runs the same RunAlgorithm
+// dispatch — the SPMD contract: identical Run sequences on every node,
+// differing only in which vertex partition each owns.
 
 // Remote engines run with recovery and checkpointing disabled: a node
 // cannot re-form a ring it does not own. The failure model is the
@@ -509,7 +510,7 @@ func (p *RemoteProvider) buildAttempt(spec BuildSpec, targets []string) (eng Eng
 		l.cc.SetDeadline(time.Time{})
 	}
 
-	ceng, err := core.NewDistributedEngine(spec.Graph, opts, ep)
+	ceng, err := core.NewDistributedNode(spec.Graph, opts, ep)
 	if err != nil {
 		ep.Close()
 		closeAll()
@@ -569,7 +570,9 @@ func (e *degradedEngine) Stale() bool {
 
 // remoteEngine is node 0 of a worker ring: the embedded engine runs the
 // local share of every program over the TCP endpoint, and the control
-// connections keep the workers' dispatch in lockstep with ours.
+// connections keep the workers' dispatch in lockstep with ours. Reset is
+// the embedded distributed node's, which always fails: a poisoned ring
+// is retired and the next lease builds a new one.
 //
 // BindQuery/FinishQuery are called by the single request holding the
 // slot lease, so the per-query fields need no locking.
@@ -601,14 +604,7 @@ func (e *remoteEngine) Stale() bool {
 	}
 	if len(e.members) < len(e.prov.cfg.Workers) {
 		for _, addr := range e.prov.roster.UsableWithCapacity() {
-			member := false
-			for _, m := range e.members {
-				if m == addr {
-					member = true
-					break
-				}
-			}
-			if !member {
+			if !slices.Contains(e.members, addr) {
 				return true
 			}
 		}
@@ -617,7 +613,7 @@ func (e *remoteEngine) Stale() bool {
 }
 
 // BindQuery announces the canonicalized request to every worker — each
-// starts the same runAlgorithm dispatch — and binds the local context
+// starts the same RunAlgorithm dispatch — and binds the local context
 // and tracer. The request context does not propagate to workers; a
 // cancelled node 0 tears its endpoint down, which unblocks them.
 func (e *remoteEngine) BindQuery(ctx context.Context, q Request, key string, tr *obs.Tracer) error {
@@ -661,12 +657,6 @@ func (e *remoteEngine) FinishQuery() error {
 		l.cc.SetDeadline(time.Time{})
 	}
 	return e.failed
-}
-
-// Reset always fails: node 0 does not own the workers' endpoints, so a
-// poisoned remote engine is retired and the next lease builds a new one.
-func (e *remoteEngine) Reset() error {
-	return fmt.Errorf("server: remote engine cannot reset in place; build a new one through the provider")
 }
 
 // Close tears the slot down: a best-effort close message lets each

@@ -406,7 +406,7 @@ func (s *Server) execute(ctx context.Context, q Request, key string) (Response, 
 
 	statsBefore := slot.eng.Stats().Restarts
 	engineStart := time.Now()
-	result, region, err := runAlgorithm(slot.eng, q)
+	result, region, err := RunAlgorithm(slot.eng, q)
 	engineDur := time.Since(engineStart)
 	s.algos[q.Algo].engine.Observe(engineDur)
 	if err != nil {

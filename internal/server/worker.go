@@ -514,7 +514,7 @@ func (d *WorkerDaemon) serveSlot(wc *workerConn, bm buildMsg) {
 		Workers:      bm.Opts.Workers,
 		StallTimeout: time.Duration(bm.Opts.StallMs) * time.Millisecond,
 	}
-	eng, err := core.NewDistributedEngine(g, opts, ep)
+	eng, err := core.NewDistributedNode(g, opts, ep)
 	if err != nil {
 		//sgvet:ignore commerr best-effort error reply: if the send fails the master's Expect fails too and reports the drop
 		cc.Send("up", upMsg{Error: err.Error()})
@@ -545,7 +545,7 @@ func (d *WorkerDaemon) serveSlot(wc *workerConn, bm buildMsg) {
 				return
 			}
 			d.runsStarted.Add(1)
-			_, _, runErr := runAlgorithm(eng, q)
+			_, _, runErr := RunAlgorithm(eng, q)
 			var dm doneMsg
 			if runErr != nil {
 				d.runsFailed.Add(1)
