@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"repro/internal/bitset"
+	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/seq"
@@ -160,7 +161,7 @@ func recenterDistributed(w *core.Worker, cluster []uint32, prev []graph.VertexID
 	}
 	// Fold every peer's minima into ours; ties go to the lower vertex,
 	// as the oracle's ascending scan breaks them.
-	err := w.AllGatherBlob(blob, func(_ int, payload []byte) error {
+	err := w.AllToAll(comm.KindControl, func(int) []byte { return blob }, func(_ int, payload []byte) error {
 		if len(payload) != k*12 {
 			return fmt.Errorf("algorithms: recenter blob is %d bytes, want %d", len(payload), k*12)
 		}

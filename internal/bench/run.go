@@ -85,14 +85,20 @@ type Config struct {
 	// Repeats re-runs each cell and keeps the fastest time (work and
 	// traffic are deterministic across repeats). Defaults to 1.
 	Repeats int
-	// Tracer, when non-nil, records per-phase spans for every core-engine
-	// cell (gluon and sequential baselines are not traced).
+	// Tracer, when non-nil, records per-phase spans for every cell that
+	// runs on core.Cluster: the Gemini/SympleGraph variants and D-Galois
+	// (the sequential baseline is not traced).
 	Tracer *obs.Tracer
-	// StallTimeout, CheckpointEvery, MaxRestarts and Fault thread the
-	// resilience policy into every core-engine cell — benchmarking under
-	// chaos measures recovery overhead with the usual metrics. Baseline
-	// systems (gluon, sequential) run without them.
-	StallTimeout    time.Duration
+	// StallTimeout bounds every receive of those same cells, D-Galois
+	// included.
+	StallTimeout time.Duration
+	// CheckpointEvery, MaxRestarts and Fault thread the rest of the
+	// resilience policy into the Gemini/SympleGraph cells — benchmarking
+	// under chaos measures recovery overhead with the usual metrics.
+	// D-Galois and sequential cells run without them: gluon rounds are
+	// not edge-processing passes, so they never advance the fault plan's
+	// superstep counter that crashes and partition windows key on, and
+	// they take no checkpoints to recover from.
 	CheckpointEvery int
 	MaxRestarts     int
 	Fault           *comm.FaultPlan
@@ -238,50 +244,53 @@ func runVariantOnce(v Variant, a Algo, d *Dataset, cfg Config) (Measurement, err
 	defer c.Close()
 
 	m := Measurement{System: v.Name, Dataset: d.Name, Algo: a, Supported: true}
-	accumulate := func() {
-		s := c.Stats().Totals
-		m.Seconds += s.Elapsed.Seconds()
-		m.EdgesTraversed += s.EdgesTraversed
-		m.UpdateBytes += s.UpdateBytes
-		m.DependencyBytes += s.DependencyBytes
-		m.dependencyFrames += s.DependencyMessages
-		m.ControlBytes += s.ControlBytes
-		m.DependencyWaitSeconds += s.DependencyWait.Seconds()
-		m.UpdateWaitSeconds += s.UpdateWait.Seconds()
-	}
 	switch a {
 	case AlgoBFS:
 		for _, root := range bfsRoots(g, cfg.Seed, cfg.BFSRoots) {
 			if _, err := algorithms.BFS(c, root); err != nil {
 				return m, err
 			}
-			accumulate()
+			m.accumulate(c)
 		}
 	case AlgoMIS:
 		if _, err := algorithms.MIS(c, cfg.Seed); err != nil {
 			return m, err
 		}
-		accumulate()
+		m.accumulate(c)
 	case AlgoKCore:
 		if _, err := algorithms.KCore(c, cfg.KCoreK); err != nil {
 			return m, err
 		}
-		accumulate()
+		m.accumulate(c)
 	case AlgoKMeans:
 		centers := int(math.Sqrt(float64(g.NumVertices())))
 		if _, err := algorithms.KMeans(c, centers, cfg.KMeansIters, cfg.Seed); err != nil {
 			return m, err
 		}
-		accumulate()
+		m.accumulate(c)
 	case AlgoSampling:
 		if _, err := algorithms.Sample(c, cfg.Seed, cfg.SampleRounds); err != nil {
 			return m, err
 		}
-		accumulate()
+		m.accumulate(c)
 	default:
 		return m, fmt.Errorf("bench: unknown algorithm %q", a)
 	}
 	return m, nil
+}
+
+// accumulate adds the cluster's most recent run to the cell: its time is
+// the run's Elapsed, its work and traffic the run's totals.
+func (m *Measurement) accumulate(c *core.Cluster) {
+	s := c.Stats().Totals
+	m.Seconds += s.Elapsed.Seconds()
+	m.EdgesTraversed += s.EdgesTraversed
+	m.UpdateBytes += s.UpdateBytes
+	m.DependencyBytes += s.DependencyBytes
+	m.dependencyFrames += s.DependencyMessages
+	m.ControlBytes += s.ControlBytes
+	m.DependencyWaitSeconds += s.DependencyWait.Seconds()
+	m.UpdateWaitSeconds += s.UpdateWait.Seconds()
 }
 
 // RunDGalois runs one cell on the gluon baseline, repeating like
@@ -308,46 +317,44 @@ func runDGaloisOnce(a Algo, d *Dataset, cfg Config) (Measurement, error) {
 		return m, nil
 	}
 	g := workGraph(d, a)
-	e, err := gluon.NewWithLink(g, cfg.Nodes, cfg.Link)
+	e, err := gluon.New(g, core.Options{
+		NumNodes:     cfg.Nodes,
+		Link:         cfg.Link,
+		Tracer:       cfg.Tracer,
+		StallTimeout: cfg.StallTimeout,
+	})
 	if err != nil {
 		return m, err
 	}
 	defer e.Close()
 	m.Supported = true
-	start := time.Now()
 	switch a {
 	case AlgoBFS:
 		for _, root := range bfsRoots(g, cfg.Seed, cfg.BFSRoots) {
 			if _, err := gluon.BFS(e, root); err != nil {
 				return m, err
 			}
-			m.EdgesTraversed += e.LastRunStats().EdgesTraversed
-			m.UpdateBytes += e.LastRunStats().SyncBytes
-			m.ControlBytes += e.LastRunStats().ControlBytes
+			m.accumulate(e.Cluster)
 		}
 	case AlgoMIS:
 		if _, err := gluon.MIS(e, cfg.Seed); err != nil {
 			return m, err
 		}
+		m.accumulate(e.Cluster)
 	case AlgoKCore:
 		if _, err := gluon.KCore(e, cfg.KCoreK); err != nil {
 			return m, err
 		}
+		m.accumulate(e.Cluster)
 	case AlgoKMeans:
 		centers := int(math.Sqrt(float64(g.NumVertices())))
 		if _, err := gluon.KMeans(e, centers, cfg.KMeansIters, cfg.Seed); err != nil {
 			return m, err
 		}
+		m.accumulate(e.Cluster)
 	default:
 		return m, fmt.Errorf("bench: unknown algorithm %q", a)
 	}
-	if a != AlgoBFS {
-		s := e.LastRunStats()
-		m.EdgesTraversed = s.EdgesTraversed
-		m.UpdateBytes = s.SyncBytes
-		m.ControlBytes = s.ControlBytes
-	}
-	m.Seconds = time.Since(start).Seconds()
 	return m, nil
 }
 

@@ -29,9 +29,11 @@ func tcpEndpoints(t *testing.T, n int) []comm.Endpoint {
 	return eps
 }
 
-// TestAllGatherBlob checks the blob exchange on both transports: every
-// node's apply sees exactly every peer's blob, blobs of different
-// lengths included, and the caller's own blob is left intact.
+// TestAllGatherBlob checks AllToAll on both transports, as an all-gather
+// of one blob per node (control traffic) and with a segment per peer
+// (update traffic): every node's apply sees exactly what each peer sent
+// it, segments of different lengths included, the caller's own segments
+// are left intact, and each exchange's frames are accounted to its kind.
 func TestAllGatherBlob(t *testing.T) {
 	for _, transport := range []string{"mem", "tcp"} {
 		t.Run(transport, func(t *testing.T) {
@@ -40,32 +42,50 @@ func TestAllGatherBlob(t *testing.T) {
 				opts.Endpoints = tcpEndpoints(t, 3)
 			}
 			c := mustCluster(t, graph.Ring(30), opts)
-			blobOf := func(node int) string { return fmt.Sprintf("node-%d%s", node, "!!!"[:node]) }
+			// sent is what node from sends node to: one blob for every
+			// peer on the control plane, a segment per peer on the update
+			// plane.
+			sent := func(kind comm.Kind, from, to int) string {
+				if kind == comm.KindControl {
+					return fmt.Sprintf("node-%d%s", from, "!!!"[:from])
+				}
+				return fmt.Sprintf("%d→%d%s", from, to, "??"[:to])
+			}
 			err := c.Run(func(w *Worker) error {
-				got := map[int]string{}
-				mine := []byte(blobOf(w.ID()))
-				err := w.AllGatherBlob(mine, func(peer int, payload []byte) error {
-					got[peer] = string(payload)
-					return nil
-				})
-				if err != nil {
-					return err
-				}
-				if string(mine) != blobOf(w.ID()) {
-					t.Errorf("node %d: own blob became %q", w.ID(), mine)
-				}
-				for peer := 0; peer < 3; peer++ {
-					if peer != w.ID() && got[peer] != blobOf(peer) {
-						t.Errorf("node %d: peer %d's blob = %q, want %q", w.ID(), peer, got[peer], blobOf(peer))
+				me := w.ID()
+				for _, kind := range []comm.Kind{comm.KindControl, comm.KindUpdate} {
+					mine := make([][]byte, 3)
+					for peer := range mine {
+						mine[peer] = []byte(sent(kind, me, peer))
 					}
-				}
-				if len(got) != 2 {
-					t.Errorf("node %d: apply saw %d blobs, want 2", w.ID(), len(got))
+					got := map[int]string{}
+					err := w.AllToAll(kind, func(peer int) []byte { return mine[peer] }, func(peer int, payload []byte) error {
+						got[peer] = string(payload)
+						return nil
+					})
+					if err != nil {
+						return err
+					}
+					for peer := range mine {
+						if string(mine[peer]) != sent(kind, me, peer) {
+							t.Errorf("node %d, %v: own segment for %d became %q", me, kind, peer, mine[peer])
+						}
+						if peer != me && got[peer] != sent(kind, peer, me) {
+							t.Errorf("node %d, %v: peer %d sent %q, want %q", me, kind, peer, got[peer], sent(kind, peer, me))
+						}
+					}
+					if len(got) != 2 {
+						t.Errorf("node %d, %v: apply saw %d segments, want 2", me, kind, len(got))
+					}
 				}
 				return nil
 			})
 			if err != nil {
 				t.Fatal(err)
+			}
+			// Two frames per node per kind, nothing on the dependency plane.
+			if s := c.Stats().Totals; s.UpdateMessages != 6 || s.DependencyMessages != 0 || s.UpdateBytes == 0 || s.ControlBytes == 0 {
+				t.Fatalf("traffic %+v, want 6 update frames beside the control ones", s)
 			}
 		})
 	}
@@ -109,16 +129,22 @@ func TestGatherElementTypes(t *testing.T) {
 	}
 }
 
-// collectives are the three shapes a Worker's agreement traffic takes:
-// the star all-reduce, the all-to-all segment exchange, and the gather to
-// node 0.
+// collectives are the shapes a Worker's agreement traffic takes: the star
+// all-reduce, the all-to-all segment exchange on the control plane, the
+// gather to node 0, and the same exchange on the update plane (the
+// D-Galois baseline's label reduce and broadcast), each with the kind of
+// traffic it awaits.
 var collectives = []struct {
 	name string
+	kind comm.Kind
 	call func(w *Worker) error
 }{
-	{"AllReduceSum", func(w *Worker) error { _, err := w.AllReduceSum(1); return err }},
-	{"SyncBitmap", func(w *Worker) error { return w.SyncBitmap(bitset.New(w.Graph().NumVertices())) }},
-	{"Gather", func(w *Worker) error { return Gather(w, make([]uint32, w.Graph().NumVertices())) }},
+	{"AllReduceSum", comm.KindControl, func(w *Worker) error { _, err := w.AllReduceSum(1); return err }},
+	{"SyncBitmap", comm.KindControl, func(w *Worker) error { return w.SyncBitmap(bitset.New(w.Graph().NumVertices())) }},
+	{"Gather", comm.KindControl, func(w *Worker) error { return Gather(w, make([]uint32, w.Graph().NumVertices())) }},
+	{"AllToAll/update", comm.KindUpdate, func(w *Worker) error {
+		return w.AllToAll(comm.KindUpdate, func(int) []byte { return nil }, func(int, []byte) error { return nil })
+	}},
 }
 
 // TestStallErrorInCollective closes the hole DESIGN used to document: a
@@ -126,7 +152,7 @@ var collectives = []struct {
 // PhaseBarrier naming the awaited peer, instead of hanging past
 // StallTimeout. On the memory transport a dropping partition cuts nodes
 // 0 and 1; on TCP node 1 returns without joining. Node 0 waits on node 1
-// first in all three shapes; which node's deadline fires first (and
+// first in every shape; which node's deadline fires first (and
 // poisons the rest into *ClosedError) is the scheduler's, so the
 // per-node errors are collected and every stall among them checked.
 func TestStallErrorInCollective(t *testing.T) {
@@ -174,8 +200,8 @@ func TestStallErrorInCollective(t *testing.T) {
 							continue
 						}
 						stalls++
-						if se.Node != node || se.Phase != obs.PhaseBarrier || se.Kind != comm.KindControl || se.Timeout != stall {
-							t.Errorf("node %d: %v, want its own stall in %v on control traffic after %v", node, se, obs.PhaseBarrier, stall)
+						if se.Node != node || se.Phase != obs.PhaseBarrier || se.Kind != coll.kind || se.Timeout != stall {
+							t.Errorf("node %d: %v, want its own stall in %v on %v traffic after %v", node, se, obs.PhaseBarrier, coll.kind, stall)
 						}
 						if node == 0 && se.From != 1 {
 							t.Errorf("node 0 stalled awaiting %d, want the cut peer 1", se.From)

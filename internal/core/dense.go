@@ -331,7 +331,7 @@ func finishDensePass[M any](w *Worker, params *DenseParams[M], ctxs []DenseCtx[M
 	p := w.N()
 	sc := &w.dense
 	for k := range ctxs {
-		w.addEdges(ctxs[k].edges)
+		w.AddEdges(ctxs[k].edges)
 		w.addSkipped(ctxs[k].skipped)
 		if ctxs[k].buf != nil {
 			bufpool.Put(ctxs[k].buf)

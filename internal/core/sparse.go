@@ -259,7 +259,7 @@ func ProcessEdgesSparse[M any](w *Worker, params SparseParams[M]) (int64, error)
 			}
 		}
 		ctx.bufs[ctx.curQ] = ctx.cur
-		w.addEdges(ctx.edges)
+		w.AddEdges(ctx.edges)
 		mu.Lock()
 		for peer, b := range ctx.bufs {
 			if len(b) > 0 {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/bitset"
+	"repro/internal/comm"
 	"repro/internal/graph"
 	"repro/internal/obs"
 )
@@ -136,7 +137,7 @@ func TestStatsTracerPhases(t *testing.T) {
 				if err := AllGather(w, make([]float64, n)); err != nil {
 					return err
 				}
-				return w.AllGatherBlob([]byte{1}, func(int, []byte) error { return nil })
+				return w.AllToAll(comm.KindControl, func(int) []byte { return []byte{1} }, func(int, []byte) error { return nil })
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -77,8 +77,10 @@ func (w *Worker) nextTags(k int32) int32 {
 	return t
 }
 
-// addEdges accounts k neighbor traversals.
-func (w *Worker) addEdges(k int64) { w.edges.Add(k) }
+// AddEdges accounts k neighbor traversals into the run's EdgesTraversed:
+// the engine's passes call it once per scan chunk, and so does a program
+// that scans edges itself (the D-Galois baseline's local CSR rounds).
+func (w *Worker) AddEdges(k int64) { w.edges.Add(k) }
 
 // addSkipped accounts k dependency-skipped signal executions.
 func (w *Worker) addSkipped(k int64) { w.skipped.Add(k) }
@@ -167,16 +169,21 @@ func (w *Worker) AllReduceSum(x int64) (int64, error) {
 // everyone is exchange's root for an all-gather.
 const everyone = -1
 
-// exchange is the worker's one segment exchange, behind SyncBitmap and
-// every gather. seg is this machine's encoded segment, borrowed for the
-// call. With root == everyone each machine sends its segment to every
-// peer and applies every peer's; otherwise the peers send to root and
-// root alone applies. Every destination is handed a slab copy of its
-// own, and every received payload is released once apply returns. A
-// segment apply rejects is a *comm.ProtocolError naming the stream. The
-// per-stream demux queues make the all-to-all deadlock-free. The whole
-// call is one PhaseBarrier span.
-func (w *Worker) exchange(root int, seg []byte, apply func(peer int, payload []byte) error) error {
+// ownSegment is exchange's seg for the collectives that send every peer
+// the same encoded segment, w.seg.
+func (w *Worker) ownSegment(int) []byte { return w.seg }
+
+// exchange is the worker's one segment exchange, behind SyncBitmap,
+// every gather and AllToAll. seg(peer) is the segment this machine sends
+// peer, borrowed for the call; every frame travels as kind. With root ==
+// everyone each machine sends to every peer and applies every peer's
+// segment; otherwise the peers send to root and root alone applies.
+// Every destination is handed a slab copy of its own, and every received
+// payload is released once apply returns. A segment apply rejects is a
+// *comm.ProtocolError naming the stream. The per-stream demux queues
+// make the all-to-all deadlock-free. The whole call is one PhaseBarrier
+// span.
+func (w *Worker) exchange(root int, kind comm.Kind, seg func(peer int) []byte, apply func(peer int, payload []byte) error) error {
 	t0 := w.spanStart()
 	defer w.endSpan(obs.PhaseBarrier, -1, -1, -1, t0)
 	tag := w.nextTags(1)
@@ -184,8 +191,9 @@ func (w *Worker) exchange(root int, seg []byte, apply func(peer int, payload []b
 		if peer == w.id || (root != everyone && peer != root) {
 			continue
 		}
-		w.frame[0] = append(bufpool.Get(len(seg))[:0], seg...)
-		if err := w.ep.SendBufs(comm.NodeID(peer), comm.KindControl, tag, w.frame[:]); err != nil {
+		s := seg(peer)
+		w.frame[0] = append(bufpool.Get(len(s))[:0], s...)
+		if err := w.ep.SendBufs(comm.NodeID(peer), kind, tag, w.frame[:]); err != nil {
 			return err
 		}
 	}
@@ -196,18 +204,29 @@ func (w *Worker) exchange(root int, seg []byte, apply func(peer int, payload []b
 		if peer == w.id {
 			continue
 		}
-		m, err := w.recv(comm.NodeID(peer), comm.KindControl, tag, obs.PhaseBarrier)
+		m, err := w.recv(comm.NodeID(peer), kind, tag, obs.PhaseBarrier)
 		if err != nil {
 			return err
 		}
 		err = apply(peer, m.Payload)
 		m.Release()
 		if err != nil {
-			return &comm.ProtocolError{Node: comm.NodeID(w.id), From: comm.NodeID(peer), Kind: comm.KindControl,
+			return &comm.ProtocolError{Node: comm.NodeID(w.id), From: comm.NodeID(peer), Kind: kind,
 				WantTag: tag, GotTag: tag, Reason: err.Error()}
 		}
 	}
 	return nil
+}
+
+// AllToAll is the segment exchange among all machines: seg(peer) is what
+// this machine sends peer (borrowed for the call; one segment for every
+// peer makes it an all-gather), apply sees every peer's segment to this
+// machine — not its own — and must not keep it. The frames travel as
+// kind: control for framework agreement such as K-means' re-centering
+// minima, update for vertex-label synchronization such as the D-Galois
+// baseline's reduce and broadcast.
+func (w *Worker) AllToAll(kind comm.Kind, seg func(peer int) []byte, apply func(peer int, payload []byte) error) error {
+	return w.exchange(everyone, kind, seg, apply)
 }
 
 // SyncBitmap merges each machine's master segment of b into every
@@ -225,7 +244,7 @@ func (w *Worker) SyncBitmap(b *bitset.Bitmap) error {
 	}
 	lo, hi := w.MasterRange()
 	w.seg = appendBitmapSegment(w.seg[:0], b, lo, hi)
-	return w.exchange(everyone, w.seg, func(peer int, payload []byte) error {
+	return w.exchange(everyone, comm.KindControl, w.ownSegment, func(peer int, payload []byte) error {
 		plo, phi := w.cluster.part.Range(peer)
 		return applyBitmapSegment(b, plo, phi, payload)
 	})
@@ -345,7 +364,7 @@ func gather[T elem](w *Worker, root int, arr []T) error {
 	lo, hi := w.MasterRange()
 	w.seg = slices.Grow(w.seg[:0], (hi-lo)*width)[:(hi-lo)*width]
 	encodeElems(w.seg, arr[lo:hi])
-	return w.exchange(root, w.seg, func(peer int, payload []byte) error {
+	return w.exchange(root, comm.KindControl, w.ownSegment, func(peer int, payload []byte) error {
 		plo, phi := w.cluster.part.Range(peer)
 		if len(payload) != (phi-plo)*width {
 			return fmt.Errorf("core: segment of [%d,%d) is %d bytes, want %d", plo, phi, len(payload), (phi-plo)*width)
@@ -363,13 +382,6 @@ func Gather[T elem](w *Worker, arr []T) error { return gather(w, 0, arr) }
 // AllGather fills arr so that every machine sees every master's value.
 // Used to publish results and replicated vertex properties.
 func AllGather[T elem](w *Worker, arr []T) error { return gather(w, everyone, arr) }
-
-// AllGatherBlob exchanges an arbitrary per-node byte blob — a custom
-// reduction such as K-means re-centering: apply sees every peer's blob
-// (not this node's own) and must not keep it.
-func (w *Worker) AllGatherBlob(blob []byte, apply func(peer int, payload []byte) error) error {
-	return w.exchange(everyone, blob, apply)
-}
 
 // ProcessVertices applies fn to every owned master vertex (in parallel
 // across the machine's workers) and returns the global sum of fn's

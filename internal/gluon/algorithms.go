@@ -4,9 +4,9 @@ import (
 	"fmt"
 
 	"repro/internal/bitset"
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/seq"
-	"repro/internal/xrand"
 )
 
 // Inf marks unreached/unset entries in gluon label arrays.
@@ -33,10 +33,9 @@ func addU32(a, b uint32) uint32 { return a + b }
 // pruning — the baseline profile the paper measures for D-Galois (with
 // adaptive switch treated as an orthogonal fairness add-on).
 func BFS(e *Engine, root graph.VertexID) ([]uint32, error) {
-	g := e.g
-	n := g.NumVertices()
+	n := e.Graph().NumVertices()
 	out := make([]uint32, n)
-	err := e.Run(func(w *Worker) error {
+	err := e.Run(func(w *core.Worker) error {
 		depth := make([]uint32, n)
 		for i := range depth {
 			depth[i] = Inf
@@ -46,24 +45,27 @@ func BFS(e *Engine, root graph.VertexID) ([]uint32, error) {
 		if w.Owns(root) {
 			touched.Set(int(root))
 		}
-		if _, err := w.SyncReduceBroadcastU32(depth, touched, minU32); err != nil {
+		if _, err := e.syncReduceBroadcastU32(w, depth, touched, minU32); err != nil {
 			return err
 		}
-		local := w.Local()
+		local := e.local[w.ID()]
 		for round := uint32(1); ; round++ {
+			var edges int64
 			for i, u := range local.Srcs {
 				if depth[u] != round-1 {
 					continue
 				}
-				for _, v := range local.Dests(i) {
-					w.CountEdge()
+				ds := local.Dests(i)
+				edges += int64(len(ds))
+				for _, v := range ds {
 					if round < depth[v] {
 						depth[v] = round
 						touched.Set(int(v))
 					}
 				}
 			}
-			changed, err := w.SyncReduceBroadcastU32(depth, touched, minU32)
+			w.AddEdges(edges)
+			changed, err := e.syncReduceBroadcastU32(w, depth, touched, minU32)
 			if err != nil {
 				return err
 			}
@@ -82,22 +84,15 @@ func BFS(e *Engine, root graph.VertexID) ([]uint32, error) {
 	return out, nil
 }
 
-// Owns reports master ownership of v.
-func (w *Worker) Owns(v graph.VertexID) bool {
-	lo, hi := w.MasterRange()
-	return int(v) >= lo && int(v) < hi
-}
-
 // MIS computes the color-based maximal independent set (same rule as
 // algorithms.MIS and seq.GreedyMIS) under gluon synchronization: veto
 // flags and membership are full-array reduce+broadcast fields. The graph
 // must be symmetric.
 func MIS(e *Engine, seedVal uint64) ([]bool, error) {
-	g := e.g
-	n := g.NumVertices()
+	n := e.Graph().NumVertices()
 	colors := seq.MISColors(n, seedVal)
 	out := make([]bool, n)
-	err := e.Run(func(w *Worker) error {
+	err := e.Run(func(w *core.Worker) error {
 		active := make([]uint32, n)
 		for i := range active {
 			active[i] = 1
@@ -105,23 +100,26 @@ func MIS(e *Engine, seedVal uint64) ([]bool, error) {
 		inMIS := make([]uint32, n)
 		touched := bitset.New(n)
 		lo, hi := w.MasterRange()
-		local := w.Local()
+		local := e.local[w.ID()]
 		for {
 			// Veto pass over local edges (u → v proxies).
 			veto := make([]uint32, n)
+			var edges int64
 			for i, u := range local.Srcs {
 				if active[u] == 0 {
 					continue
 				}
-				for _, v := range local.Dests(i) {
-					w.CountEdge()
+				ds := local.Dests(i)
+				edges += int64(len(ds))
+				for _, v := range ds {
 					if active[v] != 0 && colors[u] < colors[v] && veto[v] == 0 {
 						veto[v] = 1
 						touched.Set(int(v))
 					}
 				}
 			}
-			if _, err := w.SyncReduceBroadcastU32(veto, touched, maxU32); err != nil {
+			w.AddEdges(edges)
+			if _, err := e.syncReduceBroadcastU32(w, veto, touched, maxU32); err != nil {
 				return err
 			}
 			// Join: unvetoed active masters enter the set.
@@ -133,11 +131,9 @@ func MIS(e *Engine, seedVal uint64) ([]bool, error) {
 					joinedLocal++
 				}
 			}
-			joined, err := w.SyncReduceBroadcastU32(inMIS, touched, maxU32)
-			if err != nil {
+			if _, err := e.syncReduceBroadcastU32(w, inMIS, touched, maxU32); err != nil {
 				return err
 			}
-			_ = joined
 			total, err := w.AllReduceSum(joinedLocal)
 			if err != nil {
 				return err
@@ -153,19 +149,22 @@ func MIS(e *Engine, seedVal uint64) ([]bool, error) {
 					touched.Set(v)
 				}
 			}
+			edges = 0
 			for i, u := range local.Srcs {
 				if inMIS[u] == 0 {
 					continue
 				}
-				for _, v := range local.Dests(i) {
-					w.CountEdge()
+				ds := local.Dests(i)
+				edges += int64(len(ds))
+				for _, v := range ds {
 					if active[v] != 0 {
 						active[v] = 0
 						touched.Set(int(v))
 					}
 				}
 			}
-			if _, err := w.SyncReduceBroadcastU32(active, touched, minU32); err != nil {
+			w.AddEdges(edges)
+			if _, err := e.syncReduceBroadcastU32(w, active, touched, minU32); err != nil {
 				return err
 			}
 			remaining := int64(0)
@@ -202,32 +201,34 @@ func KCore(e *Engine, k int) ([]bool, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("gluon: KCore k = %d", k)
 	}
-	g := e.g
-	n := g.NumVertices()
+	n := e.Graph().NumVertices()
 	out := make([]bool, n)
-	err := e.Run(func(w *Worker) error {
+	err := e.Run(func(w *core.Worker) error {
 		active := make([]uint32, n)
 		for i := range active {
 			active[i] = 1
 		}
 		touched := bitset.New(n)
 		lo, hi := w.MasterRange()
-		local := w.Local()
+		local := e.local[w.ID()]
 		for {
 			count := make([]uint32, n)
+			var edges int64
 			for i, u := range local.Srcs {
 				if active[u] == 0 {
 					continue
 				}
-				for _, v := range local.Dests(i) {
-					w.CountEdge()
+				ds := local.Dests(i)
+				edges += int64(len(ds))
+				for _, v := range ds {
 					if active[v] != 0 {
 						count[v]++
 						touched.Set(int(v))
 					}
 				}
 			}
-			if _, err := w.SyncReduceBroadcastU32(count, touched, addU32); err != nil {
+			w.AddEdges(edges)
+			if _, err := e.syncReduceBroadcastU32(w, count, touched, addU32); err != nil {
 				return err
 			}
 			removedLocal := int64(0)
@@ -238,7 +239,7 @@ func KCore(e *Engine, k int) ([]bool, error) {
 					removedLocal++
 				}
 			}
-			if _, err := w.SyncReduceBroadcastU32(active, touched, minU32); err != nil {
+			if _, err := e.syncReduceBroadcastU32(w, active, touched, minU32); err != nil {
 				return err
 			}
 			removed, err := w.AllReduceSum(removedLocal)
@@ -265,24 +266,26 @@ func KCore(e *Engine, k int) ([]bool, error) {
 // KMeans runs the assignment phase of graph K-means (the measured kernel)
 // under gluon sync: candidate clusters propagate with min-combine, so the
 // tie-break is "smallest cluster ID" rather than ring order — a valid
-// assignment with the same per-iteration BFS levels.
+// assignment with the same per-iteration BFS levels. Centers start, and
+// move, by the rules algorithms.KMeans and the oracle share; the cluster
+// array is fully replicated under gluon sync, so every machine re-centers
+// locally.
 func KMeans(e *Engine, centers, iters int, seedVal uint64) (*seq.KMeansResult, error) {
 	if centers < 1 || iters < 1 {
 		return nil, fmt.Errorf("gluon: KMeans centers=%d iters=%d", centers, iters)
 	}
-	g := e.g
-	n := g.NumVertices()
+	n := e.Graph().NumVertices()
 	if centers > n {
 		return nil, fmt.Errorf("gluon: %d centers for %d vertices", centers, n)
 	}
 	res := &seq.KMeansResult{}
-	err := e.Run(func(w *Worker) error {
-		cs := seqInitialCenters(n, centers, seedVal)
+	err := e.Run(func(w *core.Worker) error {
+		cs := seq.KMeansCenters(n, centers, seedVal)
 		cluster := make([]uint32, n)
 		dist := make([]int32, n)
 		touched := bitset.New(n)
 		lo, hi := w.MasterRange()
-		local := w.Local()
+		local := e.local[w.ID()]
 		var distSums []int64
 		rounds := 0
 		for iter := 0; iter < iters; iter++ {
@@ -300,19 +303,22 @@ func KMeans(e *Engine, centers, iters int, seedVal uint64) (*seq.KMeansResult, e
 				for i := range cand {
 					cand[i] = Inf
 				}
+				var edges int64
 				for i, u := range local.Srcs {
 					if dist[u] < 0 || dist[u] >= round {
 						continue
 					}
-					for _, v := range local.Dests(i) {
-						w.CountEdge()
+					ds := local.Dests(i)
+					edges += int64(len(ds))
+					for _, v := range ds {
 						if cluster[v] == Inf && cluster[u] < cand[v] {
 							cand[v] = cluster[u]
 							touched.Set(int(v))
 						}
 					}
 				}
-				if _, err := w.SyncReduceBroadcastU32(cand, touched, minU32); err != nil {
+				w.AddEdges(edges)
+				if _, err := e.syncReduceBroadcastU32(w, cand, touched, minU32); err != nil {
 					return err
 				}
 				adoptedLocal := int64(0)
@@ -324,7 +330,7 @@ func KMeans(e *Engine, centers, iters int, seedVal uint64) (*seq.KMeansResult, e
 						adoptedLocal++
 					}
 				}
-				if _, err := w.SyncReduceBroadcastU32(cluster, touched, minU32); err != nil {
+				if _, err := e.syncReduceBroadcastU32(w, cluster, touched, minU32); err != nil {
 					return err
 				}
 				// Distances are derivable (assignment round), broadcast
@@ -356,7 +362,7 @@ func KMeans(e *Engine, centers, iters int, seedVal uint64) (*seq.KMeansResult, e
 			if iter == iters-1 {
 				break
 			}
-			cs = seqRecenter(cluster, cs, seedVal, iter)
+			cs = seq.Recenter(cluster, len(cs), seedVal, iter, cs)
 		}
 		if w.ID() == 0 {
 			res.Cluster = append([]uint32(nil), cluster...)
@@ -371,25 +377,4 @@ func KMeans(e *Engine, centers, iters int, seedVal uint64) (*seq.KMeansResult, e
 		return nil, err
 	}
 	return res, nil
-}
-
-// seqInitialCenters mirrors algorithms.KMeans's deterministic center
-// choice so the two engines start from identical configurations.
-func seqInitialCenters(n, centers int, seedVal uint64) []graph.VertexID {
-	perm := xrand.Perm(n, xrand.Mix(seedVal, 0x4b3))
-	cs := make([]graph.VertexID, 0, centers)
-	for _, v := range perm {
-		if len(cs) == centers {
-			break
-		}
-		cs = append(cs, graph.VertexID(v))
-	}
-	return cs
-}
-
-// seqRecenter applies the shared deterministic re-centering rule; the
-// cluster array is fully replicated under gluon sync so every machine
-// computes the same centers locally.
-func seqRecenter(cluster []uint32, prev []graph.VertexID, seedVal uint64, iter int) []graph.VertexID {
-	return seq.Recenter(cluster, len(prev), seedVal, iter, prev)
 }

@@ -1,38 +1,11 @@
 package gluon
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/graph"
+	"repro/internal/partition"
 )
-
-// PartitionKind selects how the gluon engine distributes edges.
-type PartitionKind int
-
-const (
-	// PartitionCVC is the Cartesian vertex-cut D-Galois defaults to
-	// ("since it performs well at scale", paper §2.3): machines form an
-	// r×c grid, edge (u,v) is placed on the machine at (row of u's
-	// owner, column of v's owner), so both endpoints' proxies may be
-	// remote.
-	PartitionCVC PartitionKind = iota
-	// Partition1D places every out-edge with its source's owner —
-	// the outgoing edge-cut, for comparison with the core engine.
-	Partition1D
-)
-
-// String returns the kind's name.
-func (k PartitionKind) String() string {
-	switch k {
-	case PartitionCVC:
-		return "cvc"
-	case Partition1D:
-		return "1d"
-	default:
-		return fmt.Sprintf("PartitionKind(%d)", int(k))
-	}
-}
 
 // localCSR is one machine's edge share grouped by source: Srcs lists the
 // sources with ≥1 local edge (ascending), Offsets delimits each source's
@@ -62,24 +35,22 @@ func gridShape(p int) (r, c int) {
 	return r, p / r
 }
 
-// buildLocalCSRs distributes g's edges to p machines under the given
-// partition kind (owner is the 1D master assignment shared with the sync
-// layer) and builds each machine's local CSR.
-func buildLocalCSRs(g *graph.Graph, owner func(graph.VertexID) int, p int, kind PartitionKind) []*localCSR {
+// buildLocalCSRs distributes g's edges to the machines of pt by the
+// Cartesian vertex-cut D-Galois defaults to ("since it performs well at
+// scale", paper §2.3) and builds each machine's local CSR. Machines form
+// an r×c grid, and edge (u,v) is placed on the machine at (row of u's
+// owner, column of v's owner), so both endpoints' proxies may be remote;
+// the owners are pt's masters, which the sync layer shares.
+func buildLocalCSRs(g *graph.Graph, pt *partition.Partition) []*localCSR {
 	type rec struct{ src, dst graph.VertexID }
+	p := pt.P
 	perMachine := make([][]rec, p)
-	rows, cols := gridShape(p)
-	_ = rows
+	_, cols := gridShape(p)
 	for u := 0; u < g.NumVertices(); u++ {
 		src := graph.VertexID(u)
+		row := pt.Owner(src) / cols
 		for _, dst := range g.OutNeighbors(src) {
-			var m int
-			switch kind {
-			case Partition1D:
-				m = owner(src)
-			default: // PartitionCVC
-				m = (owner(src)/cols)*cols + owner(dst)%cols
-			}
+			m := row*cols + pt.Owner(dst)%cols
 			perMachine[m] = append(perMachine[m], rec{src, dst})
 		}
 	}

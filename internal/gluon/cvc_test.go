@@ -24,30 +24,23 @@ func TestGridShape(t *testing.T) {
 	}
 }
 
-// Property: under both partition kinds, every edge lands on exactly one
-// machine and the local CSRs reconstruct the graph's edge multiset.
+// Property: every edge lands on exactly one machine and the local CSRs
+// reconstruct the graph's edge multiset.
 func TestQuickLocalCSRsPartitionEdges(t *testing.T) {
-	f := func(seed int64, pRaw uint8, cvc bool) bool {
+	f := func(seed int64, pRaw uint8) bool {
 		p := int(pRaw)%8 + 1
 		g := graph.Uniform(128, 768, seed)
 		pt, err := partition.NewChunked(g, p, 0)
 		if err != nil {
 			return false
 		}
-		kind := Partition1D
-		if cvc {
-			kind = PartitionCVC
-		}
-		csrs := buildLocalCSRs(g, func(v graph.VertexID) int { return pt.Owner(v) }, p, kind)
+		csrs := buildLocalCSRs(g, pt)
 		type edge struct{ s, d graph.VertexID }
 		seen := map[edge]int{}
 		var total int64
-		for m, csr := range csrs {
+		for _, csr := range csrs {
 			total += csr.NumEdges()
 			for i, u := range csr.Srcs {
-				if kind == Partition1D && pt.Owner(u) != m {
-					return false
-				}
 				for _, v := range csr.Dests(i) {
 					if !g.HasEdge(u, v) {
 						return false
@@ -81,7 +74,7 @@ func TestCVCPlacementRule(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, cols := gridShape(p)
-	csrs := buildLocalCSRs(g, func(v graph.VertexID) int { return pt.Owner(v) }, p, PartitionCVC)
+	csrs := buildLocalCSRs(g, pt)
 	for m, csr := range csrs {
 		for i, u := range csr.Srcs {
 			for _, v := range csr.Dests(i) {
@@ -94,53 +87,39 @@ func TestCVCPlacementRule(t *testing.T) {
 	}
 }
 
-// Both partition kinds must produce identical algorithm results.
+// The vertex-cut engine must reproduce the oracles on a square and a
+// non-square grid.
 func TestGluonPartitionKindsAgree(t *testing.T) {
 	g := graph.Symmetrize(graph.RMAT(8, 8, graph.Graph500Params(), 9))
 	const seed = 4
 	want := seq.GreedyMIS(g, seq.MISColors(g.NumVertices(), seed))
-	for _, kind := range []PartitionKind{Partition1D, PartitionCVC} {
-		for _, p := range []int{4, 6} {
-			t.Run(fmt.Sprintf("%v/p=%d", kind, p), func(t *testing.T) {
-				e, err := NewWithOptions(g, p, nil, kind)
-				if err != nil {
-					t.Fatal(err)
+	for _, p := range []int{4, 6} {
+		t.Run(fmt.Sprintf("cvc/p=%d", p), func(t *testing.T) {
+			e := mustEngine(t, g, p)
+			got, err := MIS(e, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for v := range want {
+				if got[v] != want[v] {
+					t.Fatalf("vertex %d: %v, want %v", v, got[v], want[v])
 				}
-				defer e.Close()
-				if e.PartitionKindUsed() != kind {
-					t.Fatal("kind not recorded")
+			}
+			root, _ := graph.LargestOutDegreeVertex(g)
+			depth, err := BFS(e, root)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := seq.TopDownBFS(g, root)
+			for v := range depth {
+				wantD := uint32(ref.Depth[v])
+				if ref.Depth[v] < 0 {
+					wantD = Inf
 				}
-				got, err := MIS(e, seed)
-				if err != nil {
-					t.Fatal(err)
+				if depth[v] != wantD {
+					t.Fatalf("vertex %d: depth %d, want %d", v, depth[v], wantD)
 				}
-				for v := range want {
-					if got[v] != want[v] {
-						t.Fatalf("vertex %d: %v, want %v", v, got[v], want[v])
-					}
-				}
-				root, _ := graph.LargestOutDegreeVertex(g)
-				depth, err := BFS(e, root)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ref := seq.TopDownBFS(g, root)
-				for v := range depth {
-					wantD := uint32(ref.Depth[v])
-					if ref.Depth[v] < 0 {
-						wantD = Inf
-					}
-					if depth[v] != wantD {
-						t.Fatalf("vertex %d: depth %d, want %d", v, depth[v], wantD)
-					}
-				}
-			})
-		}
-	}
-}
-
-func TestPartitionKindString(t *testing.T) {
-	if PartitionCVC.String() != "cvc" || Partition1D.String() != "1d" || PartitionKind(9).String() == "" {
-		t.Fatal("PartitionKind.String wrong")
+			}
+		})
 	}
 }

@@ -1,18 +1,22 @@
 package gluon
 
 import (
+	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/algorithms"
+	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/obs"
 	"repro/internal/seq"
 )
 
 func mustEngine(t testing.TB, g *graph.Graph, p int) *Engine {
 	t.Helper()
-	e, err := New(g, p)
+	e, err := New(g, core.Options{NumNodes: p})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,8 +135,8 @@ func TestGluonStatsRecorded(t *testing.T) {
 	if _, err := BFS(e, root); err != nil {
 		t.Fatal(err)
 	}
-	s := e.LastRunStats()
-	if s.EdgesTraversed == 0 || s.SyncBytes == 0 || s.ControlBytes == 0 {
+	s := e.Stats().Totals
+	if s.EdgesTraversed == 0 || s.UpdateBytes == 0 || s.ControlBytes == 0 {
 		t.Fatalf("stats empty: %+v", s)
 	}
 }
@@ -146,7 +150,7 @@ func TestGluonHeavierThanGeminiEngine(t *testing.T) {
 	if _, err := MIS(e, seed); err != nil {
 		t.Fatal(err)
 	}
-	gluonBytes := e.LastRunStats().SyncBytes
+	gluonBytes := e.Stats().Totals.UpdateBytes
 
 	// Same algorithm on the core engine in Gemini mode.
 	gemBytes := geminiMISUpdateBytes(t, g, seed)
@@ -170,10 +174,65 @@ func geminiMISUpdateBytes(t *testing.T, g *graph.Graph, seed uint64) int64 {
 	return c.Stats().Totals.UpdateBytes
 }
 
+// A D-Galois run behind a dropping partition fails the way the engine's
+// runs do: a deadlined receive reports the stall well within a few
+// timeouts instead of hanging, the failure poisons the cluster, and once
+// the partition heals Reset re-forms it for a correct run.
+func TestGluonStallPoisonsAndResets(t *testing.T) {
+	const stall = 100 * time.Millisecond
+	g := graph.Symmetrize(graph.RMAT(8, 8, graph.Graph500Params(), 2))
+	plan := &comm.FaultPlan{Seed: 1, Partitions: []comm.PartitionWindow{
+		{A: 0, B: 1, FromStep: 0, ToStep: 1 << 30, Drop: true}}}
+	e, err := New(g, core.Options{NumNodes: 4, StallTimeout: stall, Fault: plan})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { e.Close() })
+
+	start := time.Now()
+	_, err = MIS(e, 3)
+	if elapsed := time.Since(start); elapsed > 10*stall {
+		t.Fatalf("MIS failed after %v, want within 10× the %v stall timeout", elapsed, stall)
+	}
+	if err == nil || !core.IsRecoverable(err) {
+		t.Fatalf("MIS across a partition returned %v, want a recoverable failure", err)
+	}
+	if e.Stats().Stalls == 0 {
+		t.Fatalf("no node reported a *core.StallError; the run failed with %v", err)
+	}
+	if se := (*core.StallError)(nil); errors.As(err, &se) && (se.Phase != obs.PhaseBarrier || se.Kind != comm.KindUpdate) {
+		t.Fatalf("%v, want a stall in %v on the update plane", se, obs.PhaseBarrier)
+	}
+	var pe *core.PoisonedError
+	if _, err := MIS(e, 3); !errors.As(err, &pe) {
+		t.Fatalf("run after the failure returned %v, want *core.PoisonedError", err)
+	}
+
+	plan.Partitions = nil // the partition heals
+	if err := e.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	root, _ := graph.LargestOutDegreeVertex(g)
+	depth, err := BFS(e, root)
+	if err != nil {
+		t.Fatalf("BFS after Reset: %v", err)
+	}
+	want := seq.TopDownBFS(g, root)
+	for v := range depth {
+		wantD := uint32(want.Depth[v])
+		if want.Depth[v] < 0 {
+			wantD = Inf
+		}
+		if depth[v] != wantD {
+			t.Fatalf("vertex %d: depth %d, want %d", v, depth[v], wantD)
+		}
+	}
+}
+
 func TestGluonRunPropagatesErrors(t *testing.T) {
 	g := graph.Ring(64)
 	e := mustEngine(t, g, 2)
-	if err := e.Run(func(w *Worker) error {
+	if err := e.Run(func(w *core.Worker) error {
 		if w.ID() == 1 {
 			panic("boom")
 		}
