@@ -76,15 +76,12 @@ func main() {
 	}
 	err = cluster.Run(func(w *core.Worker) error {
 		params := dsl.Params(fold, core.U32Codec{},
-			func(dst graph.VertexID, u uint32) int64 {
+			func(dst graph.VertexID, u uint32) {
 				if parents[dst] == ^uint32(0) {
 					parents[dst] = u
-					return 1
 				}
-				return 0
 			}, nil)
-		_, err := core.ProcessEdgesDense(w, params)
-		return err
+		return core.ProcessEdgesDense(w, params)
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -22,19 +22,6 @@ import (
 // None marks absent vertex values (no parent, no cluster, no pick).
 const None = ^uint32(0)
 
-// frontierEdges sums the out-degrees of this worker's master vertices in
-// the frontier — the direction-switch statistic — and reduces globally.
-func frontierEdges(w *core.Worker, frontier *bitset.Bitmap) (int64, error) {
-	g := w.Graph()
-	lo, hi := w.MasterRange()
-	var local int64
-	frontier.RangeSegment(lo, hi, func(v int) bool {
-		local += int64(g.OutDegree(graph.VertexID(v)))
-		return true
-	})
-	return w.AllReduceSum(local)
-}
-
 // localFrontierList materializes this worker's master vertices in the
 // frontier bitmap.
 func localFrontierList(w *core.Worker, frontier *bitset.Bitmap) []graph.VertexID {

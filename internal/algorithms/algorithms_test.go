@@ -86,8 +86,9 @@ func TestBFSUsesBothDirections(t *testing.T) {
 			t.Fatalf("adaptive BFS never went top-down: %+v", res)
 		}
 		// Every collective call is one Barrier span on each node: per
-		// level the frontier statistic, the pass's reduce and (but for
-		// the last, empty level) the frontier sync, then two gathers.
+		// level the frontier sync alone — the direction statistic is
+		// computed from the replicated frontier and the pass ends in no
+		// collective — then two gathers.
 		levels := int64(res.TopDownSteps + res.BottomUpSteps)
 		var barriers int64
 		for _, ps := range c.Stats().Phases {
@@ -95,7 +96,7 @@ func TestBFSUsesBothDirections(t *testing.T) {
 				barriers += ps.Hist.Count
 			}
 		}
-		if want := 4 * (3*levels - 1 + 2); barriers != want {
+		if want := 4 * (levels + 2); barriers != want {
 			t.Fatalf("B=%d: %d Barrier spans over %d levels, want %d", B, barriers, levels, want)
 		}
 	}

@@ -99,20 +99,24 @@ func BFSWithDirection(c core.Engine, root graph.VertexID, dir Direction) (*BFSRe
 				sw.bitmap(frontier)
 				ck.Save(iter, sw.bytes())
 			}
-			fe, err := frontierEdges(w, frontier)
-			if err != nil {
-				return err
-			}
+			// The direction statistic, the frontier's out-edge count:
+			// the frontier is replicated, so every node computes the
+			// same sum by itself.
+			var fe int64
+			frontier.Range(func(v int) bool {
+				fe += int64(g.OutDegree(graph.VertexID(v)))
+				return true
+			})
 			level++
 			next := bitset.New(n)
-			var newly int64
+			var err error
 			bottomUpNow := dir == DirectionBottomUp ||
 				(dir == DirectionAdaptive && fe > g.NumEdges()/20)
 			if bottomUpNow {
 				// Bottom-up (dense/pull): unvisited vertices look for a
 				// frontier in-neighbor — Figure 1's UDF, instrumented.
 				bottomUp++
-				newly, err = core.ProcessEdgesDense(w, core.DenseParams[uint32]{
+				err = core.ProcessEdgesDense(w, core.DenseParams[uint32]{
 					Codec:  core.U32Codec{},
 					Except: visited,
 					Signal: func(ctx *core.DenseCtx[uint32], dst graph.VertexID, srcs []graph.VertexID, _ []float32) {
@@ -125,20 +129,18 @@ func BFSWithDirection(c core.Engine, root graph.VertexID, dir Direction) (*BFSRe
 							}
 						}
 					},
-					Slot: func(dst graph.VertexID, u uint32) int64 {
-						if parent[dst] != None {
-							return 0
+					Slot: func(dst graph.VertexID, u uint32) {
+						if parent[dst] == None {
+							parent[dst] = u
+							depth[dst] = level
+							next.Set(int(dst))
 						}
-						parent[dst] = u
-						depth[dst] = level
-						next.Set(int(dst))
-						return 1
 					},
 				})
 			} else {
 				// Top-down (sparse/push).
 				topDown++
-				newly, err = core.ProcessEdgesSparse(w, core.SparseParams[uint32]{
+				_, err = core.ProcessEdgesSparse(w, core.SparseParams[uint32]{
 					Codec:    core.U32Codec{},
 					Frontier: localFrontierList(w, frontier),
 					Signal: func(ctx *core.SparseCtx[uint32], src graph.VertexID, dsts []graph.VertexID, _ []float32) {
@@ -149,25 +151,23 @@ func BFSWithDirection(c core.Engine, root graph.VertexID, dir Direction) (*BFSRe
 							}
 						}
 					},
-					Slot: func(dst graph.VertexID, u uint32) int64 {
-						if parent[dst] != None {
-							return 0
+					Slot: func(dst graph.VertexID, u uint32) {
+						if parent[dst] == None {
+							parent[dst] = u
+							depth[dst] = level
+							next.Set(int(dst))
 						}
-						parent[dst] = u
-						depth[dst] = level
-						next.Set(int(dst))
-						return 1
 					},
 				})
 			}
 			if err != nil {
 				return err
 			}
-			if newly == 0 {
-				break
-			}
 			if err := w.SyncBitmap(next); err != nil {
 				return err
+			}
+			if !next.Any() {
+				break
 			}
 			visited.Union(next)
 			frontier = next

@@ -29,7 +29,7 @@ func ConnectedComponents(c core.Engine) ([]uint32, error) {
 		}
 		filter := core.NewMinFilter(w, math.MaxUint32)
 		for {
-			red, err := core.ProcessEdgesSparse(w, core.SparseParams[uint32]{
+			emitted, err := core.ProcessEdgesSparse(w, core.SparseParams[uint32]{
 				Codec:    core.U32Codec{},
 				Frontier: localFrontierList(w, changed),
 				Signal: func(ctx *core.SparseCtx[uint32], src graph.VertexID, dsts []graph.VertexID, _ []float32) {
@@ -41,20 +41,18 @@ func ConnectedComponents(c core.Engine) ([]uint32, error) {
 						}
 					}
 				},
-				Slot: func(dst graph.VertexID, l uint32) int64 {
+				Slot: func(dst graph.VertexID, l uint32) {
 					if l < label[dst] {
 						label[dst] = l
 						next.Set(int(dst))
-						return 1
 					}
-					return 0
 				},
 			})
 			if err != nil {
 				return err
 			}
-			if red == 0 {
-				break
+			if emitted == 0 {
+				break // no machine emitted anything: nothing changed anywhere
 			}
 			// changed is only read for local masters, so no sync is
 			// needed — next already holds exactly our changed masters.
@@ -120,7 +118,7 @@ func SSSP(c core.Engine, root graph.VertexID) ([]float32, error) {
 				sw.bitmap(changed)
 				ck.Save(iter, sw.bytes())
 			}
-			red, err := core.ProcessEdgesSparse(w, core.SparseParams[float32]{
+			emitted, err := core.ProcessEdgesSparse(w, core.SparseParams[float32]{
 				Codec:    core.F32Codec{},
 				Frontier: localFrontierList(w, changed),
 				Signal: func(ctx *core.SparseCtx[float32], src graph.VertexID, dsts []graph.VertexID, ws []float32) {
@@ -131,19 +129,17 @@ func SSSP(c core.Engine, root graph.VertexID) ([]float32, error) {
 						}
 					}
 				},
-				Slot: func(dst graph.VertexID, cand float32) int64 {
+				Slot: func(dst graph.VertexID, cand float32) {
 					if cand < dist[dst] {
 						dist[dst] = cand
 						next.Set(int(dst))
-						return 1
 					}
-					return 0
 				},
 			})
 			if err != nil {
 				return err
 			}
-			if red == 0 {
+			if emitted == 0 {
 				break
 			}
 			changed, next = next, changed

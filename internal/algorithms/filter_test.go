@@ -31,7 +31,7 @@ func refConnectedComponents(c core.Engine) ([]uint32, error) {
 		}
 		for {
 			next := bitset.New(n)
-			red, err := core.ProcessEdgesSparse(w, core.SparseParams[uint32]{
+			emitted, err := core.ProcessEdgesSparse(w, core.SparseParams[uint32]{
 				Codec:    core.U32Codec{},
 				Frontier: localFrontierList(w, changed),
 				Signal: func(ctx *core.SparseCtx[uint32], src graph.VertexID, dsts []graph.VertexID, _ []float32) {
@@ -40,19 +40,17 @@ func refConnectedComponents(c core.Engine) ([]uint32, error) {
 						ctx.EmitTo(d, label[src])
 					}
 				},
-				Slot: func(dst graph.VertexID, l uint32) int64 {
+				Slot: func(dst graph.VertexID, l uint32) {
 					if l < label[dst] {
 						label[dst] = l
 						next.Set(int(dst))
-						return 1
 					}
-					return 0
 				},
 			})
 			if err != nil {
 				return err
 			}
-			if red == 0 {
+			if emitted == 0 {
 				break
 			}
 			changed = next
@@ -84,7 +82,7 @@ func refSSSP(c core.Engine, root graph.VertexID) ([]uint32, error) {
 		}
 		for {
 			next := bitset.New(n)
-			red, err := core.ProcessEdgesSparse(w, core.SparseParams[float32]{
+			emitted, err := core.ProcessEdgesSparse(w, core.SparseParams[float32]{
 				Codec:    core.F32Codec{},
 				Frontier: localFrontierList(w, changed),
 				Signal: func(ctx *core.SparseCtx[float32], src graph.VertexID, dsts []graph.VertexID, ws []float32) {
@@ -93,19 +91,17 @@ func refSSSP(c core.Engine, root graph.VertexID) ([]uint32, error) {
 						ctx.EmitTo(d, dist[src]+ws[i])
 					}
 				},
-				Slot: func(dst graph.VertexID, cand float32) int64 {
+				Slot: func(dst graph.VertexID, cand float32) {
 					if cand < dist[dst] {
 						dist[dst] = cand
 						next.Set(int(dst))
-						return 1
 					}
-					return 0
 				},
 			})
 			if err != nil {
 				return err
 			}
-			if red == 0 {
+			if emitted == 0 {
 				break
 			}
 			changed = next
@@ -142,7 +138,7 @@ func refPageRank(c core.Engine, iters int, damping float64) ([]float64, error) {
 			for v := lo; v < hi; v++ {
 				next[v] = 0
 			}
-			if _, err := core.ProcessEdgesDense(w, core.DenseParams[float64]{
+			if err := core.ProcessEdgesDense(w, core.DenseParams[float64]{
 				Codec: core.F64Codec{},
 				Signal: func(ctx *core.DenseCtx[float64], dst graph.VertexID, srcs []graph.VertexID, _ []float32) {
 					sum := 0.0
@@ -154,9 +150,8 @@ func refPageRank(c core.Engine, iters int, damping float64) ([]float64, error) {
 					}
 					ctx.Emit(sum)
 				},
-				Slot: func(dst graph.VertexID, contrib float64) int64 {
+				Slot: func(dst graph.VertexID, contrib float64) {
 					next[dst] += contrib
-					return 0
 				},
 			}); err != nil {
 				return err
@@ -272,8 +267,14 @@ func TestMinFilterIdentity(t *testing.T) {
 							want, ref := runStats(t, c, mp.ref)
 							got, st := runStats(t, c, mp.filtered)
 							equalBits(t, got, want)
-							if st.Supersteps != ref.Supersteps || st.EdgesTraversed != ref.EdgesTraversed ||
-								st.UpdateMessages != ref.UpdateMessages {
+							// Both stop after the first pass that emitted
+							// nothing; the filtered push may get there one
+							// pass sooner (its last improving pass's
+							// successor can emit nothing), and a pass costs
+							// the same frames in both.
+							passes, refPasses := st.Supersteps/int64(p), ref.Supersteps/int64(p)
+							if (passes != refPasses && passes != refPasses-1) || st.EdgesTraversed != ref.EdgesTraversed ||
+								st.UpdateMessages*ref.Supersteps != ref.UpdateMessages*st.Supersteps {
 								t.Fatalf("%s: supersteps/edges/frames %d/%d/%d, reference %d/%d/%d", mp.name,
 									st.Supersteps, st.EdgesTraversed, st.UpdateMessages,
 									ref.Supersteps, ref.EdgesTraversed, ref.UpdateMessages)

@@ -43,7 +43,7 @@ func KCore(c core.Engine, k int) (*KCoreResult, error) {
 			for v := lo; v < hi; v++ {
 				counts[v] = 0
 			}
-			if _, err := core.ProcessEdgesDense(w, core.DenseParams[int64]{
+			if err := core.ProcessEdgesDense(w, core.DenseParams[int64]{
 				Codec:  core.I64Codec{},
 				Active: active,
 				Signal: func(ctx *core.DenseCtx[int64], dst graph.VertexID, srcs []graph.VertexID, _ []float32) {
@@ -64,39 +64,31 @@ func KCore(c core.Engine, k int) (*KCoreResult, error) {
 						ctx.Emit(cnt)
 					}
 				},
-				Slot: func(dst graph.VertexID, partial int64) int64 {
+				Slot: func(dst graph.VertexID, partial int64) {
 					counts[dst] += partial
-					return 0
 				},
 			}); err != nil {
 				return err
 			}
 			removed.ClearAll()
-			nRemoved, err := w.ProcessVertices(func(v graph.VertexID) int64 {
-				if !active.Get(int(v)) {
-					return 0
+			w.ProcessVertices(func(v graph.VertexID) int64 {
+				if active.Get(int(v)) && counts[v] < int64(k) {
+					removed.SetAtomic(int(v)) // workers share words
 				}
-				if counts[v] >= int64(k) {
-					return 0
-				}
-				removed.SetAtomic(int(v)) // workers share words
-				return 1
+				return 0
 			})
-			if err != nil {
-				return err
-			}
-			if nRemoved == 0 {
-				break
-			}
 			if err := w.SyncBitmap(removed); err != nil {
 				return err
+			}
+			if !removed.Any() {
+				break
 			}
 			active.AndNot(removed)
 		}
 
 		out := make([]uint32, n)
 		active.RangeSegment(lo, hi, func(v int) bool { out[v] = 1; return true })
-		if err := core.AllGather(w, out); err != nil {
+		if err := core.Gather(w, out); err != nil {
 			return err
 		}
 		if w.ID() == 0 {

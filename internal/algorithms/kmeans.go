@@ -52,7 +52,7 @@ func KMeans(c core.Engine, centers, iters int, seed uint64) (*seq.KMeansResult, 
 			for round := int32(1); ; round++ {
 				totalRounds++
 				newAssigned.ClearAll()
-				adopted, err := core.ProcessEdgesDense(w, core.DenseParams[uint32]{
+				err := core.ProcessEdgesDense(w, core.DenseParams[uint32]{
 					Codec:  core.U32Codec{},
 					Except: assigned,
 					Signal: func(ctx *core.DenseCtx[uint32], dst graph.VertexID, srcs []graph.VertexID, _ []float32) {
@@ -65,34 +65,32 @@ func KMeans(c core.Engine, centers, iters int, seed uint64) (*seq.KMeansResult, 
 							}
 						}
 					},
-					Slot: func(dst graph.VertexID, cid uint32) int64 {
-						if cluster[dst] != seq.NoCluster {
-							return 0
+					Slot: func(dst graph.VertexID, cid uint32) {
+						if cluster[dst] == seq.NoCluster {
+							cluster[dst] = cid
+							dist[dst] = round
+							newAssigned.Set(int(dst))
 						}
-						cluster[dst] = cid
-						dist[dst] = round
-						newAssigned.Set(int(dst))
-						return 1
 					},
 				})
 				if err != nil {
 					return err
 				}
-				if adopted == 0 {
-					break
-				}
 				if err := w.SyncBitmap(newAssigned); err != nil {
 					return err
+				}
+				if !newAssigned.Any() {
+					break
 				}
 				assigned.Union(newAssigned)
 			}
 			// Step 3: total distance.
-			sum, err := w.ProcessVertices(func(v graph.VertexID) int64 {
+			sum, err := w.AllReduceSum(w.ProcessVertices(func(v graph.VertexID) int64 {
 				if dist[v] > 0 {
 					return int64(dist[v])
 				}
 				return 0
-			})
+			}))
 			if err != nil {
 				return err
 			}

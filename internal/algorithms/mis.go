@@ -40,7 +40,7 @@ func MIS(c core.Engine, seed uint64) (*MISResult, error) {
 			// neighbor has a smaller color; un-vetoed active vertices
 			// join the MIS.
 			vetoed.ClearAll()
-			if _, err := core.ProcessEdgesDense(w, core.DenseParams[struct{}]{
+			if err := core.ProcessEdgesDense(w, core.DenseParams[struct{}]{
 				Codec:  core.UnitCodec{},
 				Active: active,
 				Signal: func(ctx *core.DenseCtx[struct{}], dst graph.VertexID, srcs []graph.VertexID, _ []float32) {
@@ -53,38 +53,30 @@ func MIS(c core.Engine, seed uint64) (*MISResult, error) {
 						}
 					}
 				},
-				Slot: func(dst graph.VertexID, _ struct{}) int64 {
-					if vetoed.Get(int(dst)) {
-						return 0
-					}
+				Slot: func(dst graph.VertexID, _ struct{}) {
 					vetoed.Set(int(dst))
-					return 1
 				},
 			}); err != nil {
 				return err
 			}
 			newMIS.ClearAll()
-			joined, err := w.ProcessVertices(func(v graph.VertexID) int64 {
+			w.ProcessVertices(func(v graph.VertexID) int64 {
 				if active.Get(int(v)) && !vetoed.Get(int(v)) {
 					inMIS[v] = true
 					newMIS.SetAtomic(int(v)) // workers share words
-					return 1
 				}
 				return 0
 			})
-			if err != nil {
-				return err
-			}
-			if joined == 0 {
-				break
-			}
 			if err := w.SyncBitmap(newMIS); err != nil {
 				return err
+			}
+			if !newMIS.Any() {
+				break
 			}
 			// Phase 2: cover pass. Active vertices adjacent to a new
 			// member deactivate (first member neighbor suffices).
 			covered.ClearAll()
-			if _, err := core.ProcessEdgesDense(w, core.DenseParams[struct{}]{
+			if err := core.ProcessEdgesDense(w, core.DenseParams[struct{}]{
 				Codec:  core.UnitCodec{},
 				Active: active,
 				Except: newMIS,
@@ -98,12 +90,8 @@ func MIS(c core.Engine, seed uint64) (*MISResult, error) {
 						}
 					}
 				},
-				Slot: func(dst graph.VertexID, _ struct{}) int64 {
-					if covered.Get(int(dst)) {
-						return 0
-					}
+				Slot: func(dst graph.VertexID, _ struct{}) {
 					covered.Set(int(dst))
-					return 1
 				},
 			}); err != nil {
 				return err

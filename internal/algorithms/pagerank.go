@@ -44,7 +44,7 @@ func PageRank(c core.Engine, iters int, damping float64) ([]float64, error) {
 				}
 				rank[v] = 0
 			}
-			if _, err := core.ProcessEdgesDense(w, core.DenseParams[float64]{
+			if err := core.ProcessEdgesDense(w, core.DenseParams[float64]{
 				Codec: core.F64Codec{},
 				Signal: func(ctx *core.DenseCtx[float64], dst graph.VertexID, srcs []graph.VertexID, _ []float32) {
 					sum := 0.0
@@ -54,9 +54,8 @@ func PageRank(c core.Engine, iters int, damping float64) ([]float64, error) {
 					}
 					ctx.Emit(sum)
 				},
-				Slot: func(dst graph.VertexID, contrib float64) int64 {
+				Slot: func(dst graph.VertexID, contrib float64) {
 					rank[dst] += contrib
-					return 0
 				},
 			}); err != nil {
 				return err
@@ -65,7 +64,7 @@ func PageRank(c core.Engine, iters int, damping float64) ([]float64, error) {
 				rank[v] = base + damping*rank[v]
 			}
 		}
-		if err := core.AllGather(w, rank); err != nil {
+		if err := core.Gather(w, rank); err != nil {
 			return err
 		}
 		if w.ID() == 0 {

@@ -58,7 +58,7 @@ func Sample(c core.Engine, seed uint64, rounds int) (*SampleResult, error) {
 			// the ring so W_v is the exact ring-ordered addition chain —
 			// the same chain the per-round walks will follow, so the
 			// crossing is guaranteed despite floating-point rounding.
-			if _, err := core.ProcessEdgesDense(w, core.DenseParams[struct{}]{
+			if err := core.ProcessEdgesDense(w, core.DenseParams[struct{}]{
 				Codec: core.UnitCodec{},
 				Signal: func(ctx *core.DenseCtx[struct{}], dst graph.VertexID, srcs []graph.VertexID, _ []float32) {
 					if !ctx.Tracked() {
@@ -71,10 +71,9 @@ func Sample(c core.Engine, seed uint64, rounds int) (*SampleResult, error) {
 					}
 					ctx.SetDepFloat(0, acc)
 				},
-				Slot: func(graph.VertexID, struct{}) int64 { return 0 },
-				Finalize: func(dst graph.VertexID, _ bool, data []float64) int64 {
+				Slot: func(graph.VertexID, struct{}) {},
+				Finalize: func(dst graph.VertexID, _ bool, data []float64) {
 					totalW[dst] = data[0]
-					return 0
 				},
 				Lanes: 1,
 			}); err != nil {
@@ -85,7 +84,7 @@ func Sample(c core.Engine, seed uint64, rounds int) (*SampleResult, error) {
 			}
 		}
 
-		var exactPicks int64
+		var exactPicks int64 // picks this machine's masters took from exact walks
 		allPicks := make([][]uint32, rounds)
 		lo, hi := w.MasterRange()
 		hierMass := make([]float64, n) // running mass at master
@@ -102,7 +101,7 @@ func Sample(c core.Engine, seed uint64, rounds int) (*SampleResult, error) {
 			}
 			clear(hierMass[lo:hi])
 			clear(hierSeq[lo:hi])
-			exact, err := core.ProcessEdgesDense(w, core.DenseParams[core.WeightedPick]{
+			err := core.ProcessEdgesDense(w, core.DenseParams[core.WeightedPick]{
 				Codec: core.WeightedPickCodec{},
 				Signal: func(ctx *core.DenseCtx[core.WeightedPick], dst graph.VertexID, srcs []graph.VertexID, _ []float32) {
 					if ctx.Tracked() {
@@ -144,12 +143,13 @@ func Sample(c core.Engine, seed uint64, rounds int) (*SampleResult, error) {
 					}
 					ctx.Emit(core.WeightedPick{Sum: mass, Cand: uint32(cand)})
 				},
-				Slot: func(dst graph.VertexID, msg core.WeightedPick) int64 {
+				Slot: func(dst graph.VertexID, msg core.WeightedPick) {
 					if msg.Sum < 0 {
 						// Exact pick from the dependency-propagated walk;
 						// at most one arrives per vertex.
 						pick[dst] = msg.Cand
-						return 1
+						exactPicks++
+						return
 					}
 					hierMass[dst] += msg.Sum
 					take := xrand.Uniform01(seed, 0x99, uint64(round), uint64(dst), hierSeq[dst]) < msg.Sum/hierMass[dst]
@@ -157,18 +157,20 @@ func Sample(c core.Engine, seed uint64, rounds int) (*SampleResult, error) {
 					if pick[dst] == None || take {
 						pick[dst] = msg.Cand
 					}
-					return 0
 				},
 				Lanes: 1,
 			})
 			if err != nil {
 				return err
 			}
-			exactPicks += exact // already globally reduced by the pass
 			if err := core.Gather(w, pick); err != nil {
 				return err
 			}
 			allPicks[round] = pick
+		}
+		exactPicks, err := w.AllReduceSum(exactPicks) // counted at the masters
+		if err != nil {
+			return err
 		}
 		if w.ID() == 0 {
 			res.Picks = allPicks

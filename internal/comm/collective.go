@@ -7,11 +7,12 @@ import (
 	"repro/internal/bufpool"
 )
 
-// Collectives used by the engine between iterations: a barrier and
-// integer all-reduce (for frontier sizes, active counts and termination
-// votes), over point-to-point Control messages with a
-// gather-to-root/broadcast tree of depth 1, which is plenty at the
-// cluster sizes the paper evaluates (≤16 nodes). They wait with the
+// Collectives a program calls explicitly: a barrier and integer
+// all-reduce (a global sum such as K-means' distance total), over
+// point-to-point Control messages with a gather-to-root/broadcast tree
+// of depth 1 — two hops, which is plenty at the cluster sizes the paper
+// evaluates (≤16 nodes). No engine pass calls them: a superstep's
+// termination rides its update frames or the bitmap it syncs, one hop. They wait with the
 // endpoint's plain Recv: a caller that wants its collectives deadlined
 // hands in an endpoint whose Recv carries the deadline (core.Worker
 // does). Segment exchanges — bitmap sync, the gathers — live with the

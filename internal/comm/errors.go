@@ -29,7 +29,8 @@ import (
 // peer loss. Node is the receiving endpoint, From the sender. Reason is
 // set instead when the tag matched but the payload did not decode (a
 // reduce frame that is not 8 bytes, a gather segment that is not the
-// sender's range).
+// sender's range, an update record for a vertex the receiver does not
+// own).
 type ProtocolError struct {
 	Node    NodeID
 	From    NodeID

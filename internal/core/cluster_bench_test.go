@@ -54,10 +54,10 @@ func firstHitPass(c *Cluster, visited, frontier *bitset.Bitmap, passes int) (vis
 					}
 				}
 			},
-			Slot: func(graph.VertexID, uint32) int64 { return 1 },
+			Slot: func(graph.VertexID, uint32) {},
 		}
 		for i := 0; i < passes; i++ {
-			if _, err := ProcessEdgesDense(w, params); err != nil {
+			if err := ProcessEdgesDense(w, params); err != nil {
 				return err
 			}
 		}

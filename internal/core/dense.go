@@ -38,10 +38,9 @@ type DenseParams[M any] struct {
 	// loop-carried break condition fires.
 	Signal func(ctx *DenseCtx[M], dst graph.VertexID, srcs []graph.VertexID, weights []float32)
 	// Slot aggregates one update at the destination's master (it runs
-	// only there) and returns a contribution to the pass's global
-	// reduced value. It must be commutative and associative across
-	// messages for the same destination.
-	Slot func(dst graph.VertexID, msg M) int64
+	// only there). It must be commutative and associative across messages
+	// for the same destination.
+	Slot func(dst graph.VertexID, msg M)
 	// Finalize, when non-nil, is called at the master for every tracked
 	// destination of its own partition after the circulant ring
 	// completes, with the final carried dependency state (skip bit and
@@ -52,7 +51,7 @@ type DenseParams[M any] struct {
 	// must emit ordinary updates for untracked vertices instead, which
 	// also covers ModeGemini and single-machine runs where ctx.Tracked
 	// reports false.
-	Finalize func(dst graph.VertexID, skip bool, data []float64) int64
+	Finalize func(dst graph.VertexID, skip bool, data []float64)
 	// Lanes is the number of float64 data-dependency lanes carried per
 	// tracked vertex in this pass's dependency frames, for algorithms
 	// whose loop-carried state is data (K-core counts, sampling prefix
@@ -192,8 +191,10 @@ func (ctx *DenseCtx[M]) SetDepFloat(lane int, v float64) {
 	ctx.sc.data[lane][ctx.trackIdx] = v
 }
 
-// ProcessEdgesDense runs one dense pass under the cluster's mode and
-// returns the global sum of slot contributions.
+// ProcessEdgesDense runs one dense pass under the cluster's mode and ends
+// in no collective: programs agree afterwards through a bitmap their
+// slots filled. (It returns no count: a step's update frame leaves before
+// its sender has scanned later blocks.)
 //
 // The pass executes the circulant schedule (paper §5.1): in step j this
 // machine processes the block destined to partition (id+1+j) mod p.
@@ -217,15 +218,15 @@ func (ctx *DenseCtx[M]) SetDepFloat(lane int, v float64) {
 // last step. DenseStep splits into traced sub-phases: DenseScan (signal
 // loops), DenseBin (dependency-segment assembly), DenseFlush (vectored
 // hand-off).
-func ProcessEdgesDense[M any](w *Worker, params DenseParams[M]) (int64, error) {
+func ProcessEdgesDense[M any](w *Worker, params DenseParams[M]) error {
 	p := w.N()
 	opts := w.cluster.opts
 	if params.Lanes < 0 {
-		return 0, fmt.Errorf("core: negative Lanes %d", params.Lanes)
+		return fmt.Errorf("core: negative Lanes %d", params.Lanes)
 	}
 	for _, f := range []*bitset.Bitmap{params.Active, params.Except} {
 		if n := w.cluster.g.NumVertices(); f != nil && f.Len() != n {
-			return 0, fmt.Errorf("core: destination filter holds %d bits, the graph has %d vertices", f.Len(), n)
+			return fmt.Errorf("core: destination filter holds %d bits, the graph has %d vertices", f.Len(), n)
 		}
 	}
 	depOn := opts.Mode == ModeSympleGraph && p > 1
@@ -272,10 +273,10 @@ func ProcessEdgesDense[M any](w *Worker, params DenseParams[M]) (int64, error) {
 				m, err := w.recvTimed(&w.depWait, comm.NodeID(rn), comm.KindDependency, base+int32((j-1)*B+g),
 					obs.PhaseDepWait, pass, j, g)
 				if err != nil {
-					return 0, err
+					return err
 				}
 				if err := applyDepFrame(m.Payload, sc.skip, sc.data, lo, hi); err != nil {
-					return 0, err
+					return err
 				}
 				m.Release()
 			}
@@ -295,7 +296,7 @@ func ProcessEdgesDense[M any](w *Worker, params DenseParams[M]) (int64, error) {
 				w.endSpan(obs.PhaseDenseBin, pass, j, g, binStart)
 				flushStart := w.spanStart()
 				if err := w.ep.SendBufs(comm.NodeID(ln), comm.KindDependency, base+int32(j*B+g), comm.Buffers{frame}); err != nil {
-					return 0, err
+					return err
 				}
 				w.endSpan(obs.PhaseDenseFlush, pass, j, g, flushStart)
 			}
@@ -308,7 +309,7 @@ func ProcessEdgesDense[M any](w *Worker, params DenseParams[M]) (int64, error) {
 			// ownership passes to the transport here.
 			flushStart := w.spanStart()
 			if err := w.ep.SendBufs(comm.NodeID(d), comm.KindUpdate, base+int32(p*B+j), comm.Buffers(sc.bins)); err != nil {
-				return 0, err
+				return err
 			}
 			w.endSpan(obs.PhaseDenseFlush, pass, j, -1, flushStart)
 		}
@@ -326,8 +327,8 @@ func ProcessEdgesDense[M any](w *Worker, params DenseParams[M]) (int64, error) {
 // whose chunks are still in the step's buffer list (chunks hold whole
 // records, so per-chunk application equals applying the concatenation).
 // Then the Finalize sweep over the fully circulated dependency state of
-// the worker's own partition, and the global reduction.
-func finishDensePass[M any](w *Worker, params *DenseParams[M], ctxs []DenseCtx[M], depOn bool, updBase int32, pass int) (int64, error) {
+// the worker's own partition.
+func finishDensePass[M any](w *Worker, params *DenseParams[M], ctxs []DenseCtx[M], depOn bool, updBase int32, pass int) error {
 	p := w.N()
 	sc := &w.dense
 	for k := range ctxs {
@@ -337,23 +338,24 @@ func finishDensePass[M any](w *Worker, params *DenseParams[M], ctxs []DenseCtx[M
 			bufpool.Put(ctxs[k].buf)
 		}
 	}
-	var reduced int64
 	for j := 0; j < p; j++ {
 		src := ((w.id-1-j)%p + p) % p
 		if src == w.id {
-			for _, b := range sc.bins {
-				reduced += applyDenseUpdates(w, params, b)
-				bufpool.Put(b)
+			if err := applyOwn(w, params.Codec, params.Slot, sc.bins); err != nil {
+				return updateError(w, src, updBase+int32(j), err)
 			}
 			continue
 		}
 		m, err := w.recvTimed(&w.updWait, comm.NodeID(src), comm.KindUpdate, updBase+int32(j),
 			obs.PhaseUpdateWait, pass, j, -1)
 		if err != nil {
-			return 0, err
+			return err
 		}
-		reduced += applyDenseUpdates(w, params, m.Payload)
+		err = applyUpdates(w, params.Codec, params.Slot, m.Payload)
 		m.Release()
+		if err != nil {
+			return updateError(w, src, updBase+int32(j), err)
+		}
 	}
 	if depOn && params.Finalize != nil {
 		for idx, dst := range w.cluster.class.Highs[w.id] {
@@ -363,10 +365,10 @@ func finishDensePass[M any](w *Worker, params *DenseParams[M], ctxs []DenseCtx[M
 			for l := range sc.lane {
 				sc.lane[l] = sc.data[l][idx]
 			}
-			reduced += params.Finalize(dst, sc.skip.Get(idx), sc.lane)
+			params.Finalize(dst, sc.skip.Get(idx), sc.lane)
 		}
 	}
-	return w.AllReduceSum(reduced)
+	return nil
 }
 
 // endStep closes the step's update stream: every context's partly filled
@@ -420,22 +422,6 @@ func scanRange[M any](w *Worker, params *DenseParams[M], ctx *DenseCtx[M], dests
 			skip.SetAtomic(int(e.Idx))
 		}
 	}
-}
-
-// applyDenseUpdates decodes (dst, msg) records and applies the slot at
-// the master, returning the summed slot contributions.
-func applyDenseUpdates[M any](w *Worker, params *DenseParams[M], payload []byte) int64 {
-	rec := 4 + params.Codec.Size()
-	lo, hi := w.MasterRange()
-	var reduced int64
-	for off := 0; off+rec <= len(payload); off += rec {
-		dst := graph.VertexID(binary.LittleEndian.Uint32(payload[off:]))
-		if int(dst) < lo || int(dst) >= hi {
-			panic(fmt.Sprintf("core: node %d received update for vertex %d it does not own", w.id, dst))
-		}
-		reduced += params.Slot(dst, params.Codec.Decode(payload[off+4:]))
-	}
-	return reduced
 }
 
 // groupCut returns where range g of B starts in the tracked index space

@@ -45,7 +45,7 @@ func TestDenseInDegreeCount(t *testing.T) {
 		c := mustCluster(t, g, opts)
 		counts := make([]uint32, g.NumVertices())
 		err := c.Run(func(w *Worker) error {
-			_, err := ProcessEdgesDense(w, DenseParams[uint32]{
+			err := ProcessEdgesDense(w, DenseParams[uint32]{
 				Codec: U32Codec{},
 				Signal: func(ctx *DenseCtx[uint32], dst graph.VertexID, srcs []graph.VertexID, _ []float32) {
 					for range srcs {
@@ -53,9 +53,8 @@ func TestDenseInDegreeCount(t *testing.T) {
 					}
 					ctx.Emit(uint32(len(srcs)))
 				},
-				Slot: func(dst graph.VertexID, msg uint32) int64 {
+				Slot: func(dst graph.VertexID, msg uint32) {
 					counts[dst] += msg // masters own disjoint ranges
-					return int64(msg)
 				},
 			})
 			return err
@@ -115,7 +114,7 @@ func TestDenseBreakFirstMatch(t *testing.T) {
 			parent[i] = none
 		}
 		err := c.Run(func(w *Worker) error {
-			_, err := ProcessEdgesDense(w, DenseParams[uint32]{
+			err := ProcessEdgesDense(w, DenseParams[uint32]{
 				Codec: U32Codec{},
 				Signal: func(ctx *DenseCtx[uint32], dst graph.VertexID, srcs []graph.VertexID, _ []float32) {
 					for _, u := range srcs {
@@ -127,12 +126,10 @@ func TestDenseBreakFirstMatch(t *testing.T) {
 						}
 					}
 				},
-				Slot: func(dst graph.VertexID, msg uint32) int64 {
+				Slot: func(dst graph.VertexID, msg uint32) {
 					if parent[dst] == none {
 						parent[dst] = msg
-						return 1
 					}
-					return 0
 				},
 			})
 			return err
@@ -183,7 +180,7 @@ func TestDenseDepPruningExactness(t *testing.T) {
 	c := mustCluster(t, g, Options{NumNodes: 4, Mode: ModeSympleGraph, DepThreshold: 0, NumBuffers: 2})
 	emitted := make([]int, n)
 	err := c.Run(func(w *Worker) error {
-		_, err := ProcessEdgesDense(w, DenseParams[uint32]{
+		err := ProcessEdgesDense(w, DenseParams[uint32]{
 			Codec: U32Codec{},
 			Signal: func(ctx *DenseCtx[uint32], dst graph.VertexID, srcs []graph.VertexID, _ []float32) {
 				for _, u := range srcs {
@@ -195,9 +192,8 @@ func TestDenseDepPruningExactness(t *testing.T) {
 					}
 				}
 			},
-			Slot: func(dst graph.VertexID, msg uint32) int64 {
+			Slot: func(dst graph.VertexID, msg uint32) {
 				emitted[dst]++ // master-only, disjoint
-				return 1
 			},
 		})
 		return err
@@ -246,7 +242,7 @@ func TestDenseDataLane(t *testing.T) {
 					})
 					counts := make([]int64, n)
 					err := c.Run(func(w *Worker) error {
-						_, err := ProcessEdgesDense(w, DenseParams[int64]{
+						err := ProcessEdgesDense(w, DenseParams[int64]{
 							Codec: I64Codec{},
 							Signal: func(ctx *DenseCtx[int64], dst graph.VertexID, srcs []graph.VertexID, _ []float32) {
 								if ctx.Tracked() {
@@ -263,13 +259,11 @@ func TestDenseDataLane(t *testing.T) {
 									ctx.Emit(int64(len(srcs)))
 								}
 							},
-							Slot: func(dst graph.VertexID, msg int64) int64 {
+							Slot: func(dst graph.VertexID, msg int64) {
 								counts[dst] += msg
-								return 0
 							},
-							Finalize: func(dst graph.VertexID, skip bool, data []float64) int64 {
+							Finalize: func(dst graph.VertexID, skip bool, data []float64) {
 								counts[dst] += int64(data[0])
-								return 0
 							},
 							Lanes: 1,
 						})
@@ -327,7 +321,7 @@ func TestDenseActiveDstFilter(t *testing.T) {
 								return (f.active != nil && !f.active.Get(v)) || (f.except != nil && f.except.Get(v))
 							}
 							err := c.Run(func(w *Worker) error {
-								_, err := ProcessEdgesDense(w, DenseParams[int64]{
+								err := ProcessEdgesDense(w, DenseParams[int64]{
 									Codec:  I64Codec{},
 									Active: f.active,
 									Except: f.except,
@@ -344,16 +338,14 @@ func TestDenseActiveDstFilter(t *testing.T) {
 											ctx.Emit(int64(len(srcs)))
 										}
 									},
-									Slot: func(dst graph.VertexID, msg int64) int64 {
+									Slot: func(dst graph.VertexID, msg int64) {
 										counts[dst] += msg // masters own disjoint ranges
-										return 0
 									},
-									Finalize: func(dst graph.VertexID, _ bool, data []float64) int64 {
+									Finalize: func(dst graph.VertexID, _ bool, data []float64) {
 										if filtered(int(dst)) {
 											t.Errorf("finalize ran for filtered vertex %d", dst)
 										}
 										counts[dst] += int64(data[0])
-										return 0
 									},
 									Lanes: 1,
 								})
@@ -387,7 +379,7 @@ func TestDenseActiveDstFilter(t *testing.T) {
 	for _, params := range []DenseParams[uint32]{{Active: bitset.New(n - 1)}, {Except: bitset.New(n + 64)}} {
 		params.Codec = U32Codec{}
 		err := c.Run(func(w *Worker) error {
-			_, err := ProcessEdgesDense(w, params)
+			err := ProcessEdgesDense(w, params)
 			return err
 		})
 		if err == nil || !strings.Contains(err.Error(), "destination filter") {
@@ -410,7 +402,7 @@ func TestDenseSkippedVerticesCounted(t *testing.T) {
 	frontier.Fill()
 	c := mustCluster(t, g, Options{NumNodes: 4, Mode: ModeSympleGraph, DepThreshold: 32})
 	err := c.Run(func(w *Worker) error {
-		_, err := ProcessEdgesDense(w, DenseParams[uint32]{
+		err := ProcessEdgesDense(w, DenseParams[uint32]{
 			Codec: U32Codec{},
 			Signal: func(ctx *DenseCtx[uint32], dst graph.VertexID, srcs []graph.VertexID, _ []float32) {
 				for _, u := range srcs {
@@ -422,7 +414,7 @@ func TestDenseSkippedVerticesCounted(t *testing.T) {
 					}
 				}
 			},
-			Slot: func(graph.VertexID, uint32) int64 { return 1 },
+			Slot: func(graph.VertexID, uint32) {},
 		})
 		return err
 	})

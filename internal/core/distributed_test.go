@@ -47,7 +47,7 @@ func TestDistributedNodeClusters(t *testing.T) {
 				if w.ID() != i {
 					t.Errorf("process %d hosts worker %d", i, w.ID())
 				}
-				_, err := ProcessEdgesDense(w, DenseParams[uint32]{
+				err := ProcessEdgesDense(w, DenseParams[uint32]{
 					Codec: U32Codec{},
 					Signal: func(ctx *DenseCtx[uint32], dst graph.VertexID, srcs []graph.VertexID, _ []float32) {
 						for range srcs {
@@ -55,9 +55,8 @@ func TestDistributedNodeClusters(t *testing.T) {
 						}
 						ctx.Emit(uint32(len(srcs)))
 					},
-					Slot: func(dst graph.VertexID, msg uint32) int64 {
+					Slot: func(dst graph.VertexID, msg uint32) {
 						local[dst] += msg
-						return 0
 					},
 				})
 				if err != nil {
@@ -113,7 +112,7 @@ func TestWaitInstrumentation(t *testing.T) {
 		Link:     comm.DefaultLink(),
 	})
 	err := c.Run(func(w *Worker) error {
-		_, err := ProcessEdgesDense(w, DenseParams[uint32]{
+		err := ProcessEdgesDense(w, DenseParams[uint32]{
 			Codec: U32Codec{},
 			Signal: func(ctx *DenseCtx[uint32], dst graph.VertexID, srcs []graph.VertexID, _ []float32) {
 				for range srcs {
@@ -121,7 +120,7 @@ func TestWaitInstrumentation(t *testing.T) {
 				}
 				ctx.Emit(1)
 			},
-			Slot: func(graph.VertexID, uint32) int64 { return 1 },
+			Slot: func(graph.VertexID, uint32) {},
 		})
 		return err
 	})

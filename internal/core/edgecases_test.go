@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/graph"
@@ -15,7 +16,7 @@ func TestMoreNodesThanVertices(t *testing.T) {
 		c := mustCluster(t, g, Options{NumNodes: 8, Mode: mode, NumBuffers: 2})
 		counts := make([]uint32, 5)
 		err := c.Run(func(w *Worker) error {
-			_, err := ProcessEdgesDense(w, DenseParams[uint32]{
+			err := ProcessEdgesDense(w, DenseParams[uint32]{
 				Codec: U32Codec{},
 				Signal: func(ctx *DenseCtx[uint32], dst graph.VertexID, srcs []graph.VertexID, _ []float32) {
 					for range srcs {
@@ -23,9 +24,8 @@ func TestMoreNodesThanVertices(t *testing.T) {
 					}
 					ctx.Emit(uint32(len(srcs)))
 				},
-				Slot: func(dst graph.VertexID, msg uint32) int64 {
+				Slot: func(dst graph.VertexID, msg uint32) {
 					counts[dst] += msg
-					return 0
 				},
 			})
 			return err
@@ -46,24 +46,24 @@ func TestEmptyGraphCluster(t *testing.T) {
 	g := graph.MustFromEdges(0, nil, graph.BuildOptions{})
 	c := mustCluster(t, g, Options{NumNodes: 3, Mode: ModeSympleGraph})
 	err := c.Run(func(w *Worker) error {
-		red, err := ProcessEdgesDense(w, DenseParams[uint32]{
+		err := ProcessEdgesDense(w, DenseParams[uint32]{
 			Codec: U32Codec{},
 			Signal: func(*DenseCtx[uint32], graph.VertexID, []graph.VertexID, []float32) {
 				t.Error("signal ran on empty graph")
 			},
-			Slot: func(graph.VertexID, uint32) int64 { return 1 },
+			Slot: func(graph.VertexID, uint32) {},
 		})
-		if red != 0 {
-			t.Errorf("reduced %d", red)
-		}
 		if err != nil {
 			return err
 		}
-		_, err = ProcessEdgesSparse(w, SparseParams[uint32]{
+		emitted, err := ProcessEdgesSparse(w, SparseParams[uint32]{
 			Codec:  U32Codec{},
 			Signal: func(*SparseCtx[uint32], graph.VertexID, []graph.VertexID, []float32) {},
-			Slot:   func(graph.VertexID, uint32) int64 { return 1 },
+			Slot:   func(graph.VertexID, uint32) {},
 		})
+		if emitted != 0 {
+			t.Errorf("emitted %d", emitted)
+		}
 		return err
 	})
 	if err != nil {
@@ -78,18 +78,17 @@ func TestIsolatedVerticesOnlyGraph(t *testing.T) {
 	c := mustCluster(t, g, Options{NumNodes: 4, Mode: ModeSympleGraph, DepThreshold: 0})
 	finalized := make([]bool, 200)
 	err := c.Run(func(w *Worker) error {
-		_, err := ProcessEdgesDense(w, DenseParams[struct{}]{
+		err := ProcessEdgesDense(w, DenseParams[struct{}]{
 			Codec: UnitCodec{},
 			Signal: func(*DenseCtx[struct{}], graph.VertexID, []graph.VertexID, []float32) {
 				t.Error("signal ran without edges")
 			},
-			Slot: func(graph.VertexID, struct{}) int64 { return 1 },
-			Finalize: func(dst graph.VertexID, skip bool, data []float64) int64 {
+			Slot: func(graph.VertexID, struct{}) {},
+			Finalize: func(dst graph.VertexID, skip bool, data []float64) {
 				if skip || data[0] != 0 {
 					t.Errorf("vertex %d has dependency state without edges", dst)
 				}
 				finalized[dst] = true
-				return 0
 			},
 			Lanes: 1,
 		})
@@ -109,9 +108,9 @@ func TestIsolatedVerticesOnlyGraph(t *testing.T) {
 func TestManyWorkersFewVertices(t *testing.T) {
 	g := graph.Complete(6)
 	c := mustCluster(t, g, Options{NumNodes: 2, Mode: ModeSympleGraph, Workers: 16})
-	total := 0
+	var slotted atomic.Int64
 	err := c.Run(func(w *Worker) error {
-		red, err := ProcessEdgesDense(w, DenseParams[uint32]{
+		return ProcessEdgesDense(w, DenseParams[uint32]{
 			Codec: U32Codec{},
 			Signal: func(ctx *DenseCtx[uint32], dst graph.VertexID, srcs []graph.VertexID, _ []float32) {
 				for range srcs {
@@ -119,13 +118,10 @@ func TestManyWorkersFewVertices(t *testing.T) {
 				}
 				ctx.Emit(1)
 			},
-			Slot: func(graph.VertexID, uint32) int64 { return 1 },
+			Slot: func(graph.VertexID, uint32) { slotted.Add(1) },
 		})
-		if w.ID() == 0 {
-			total = int(red)
-		}
-		return err
 	})
+	total := int(slotted.Load())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +150,7 @@ func TestRepeatedRunsReuseCluster(t *testing.T) {
 	for round := 0; round < 5; round++ {
 		counts := make([]uint32, g.NumVertices())
 		err := c.Run(func(w *Worker) error {
-			_, err := ProcessEdgesDense(w, DenseParams[uint32]{
+			err := ProcessEdgesDense(w, DenseParams[uint32]{
 				Codec: U32Codec{},
 				Signal: func(ctx *DenseCtx[uint32], dst graph.VertexID, srcs []graph.VertexID, _ []float32) {
 					for range srcs {
@@ -162,9 +158,8 @@ func TestRepeatedRunsReuseCluster(t *testing.T) {
 					}
 					ctx.Emit(uint32(len(srcs)))
 				},
-				Slot: func(dst graph.VertexID, msg uint32) int64 {
+				Slot: func(dst graph.VertexID, msg uint32) {
 					counts[dst] += msg
-					return 0
 				},
 			})
 			return err
@@ -190,8 +185,9 @@ func TestSingleNodeAllOptionCombos(t *testing.T) {
 				c := mustCluster(t, g, Options{
 					NumNodes: 1, Mode: ModeSympleGraph, NumBuffers: buffers, DepThreshold: thr,
 				})
+				slotted := 0
 				err := c.Run(func(w *Worker) error {
-					red, err := ProcessEdgesDense(w, DenseParams[uint32]{
+					return ProcessEdgesDense(w, DenseParams[uint32]{
 						Codec: U32Codec{},
 						Signal: func(ctx *DenseCtx[uint32], dst graph.VertexID, srcs []graph.VertexID, _ []float32) {
 							if ctx.Tracked() {
@@ -199,13 +195,12 @@ func TestSingleNodeAllOptionCombos(t *testing.T) {
 							}
 							ctx.Emit(1)
 						},
-						Slot: func(graph.VertexID, uint32) int64 { return 1 },
+						Slot: func(graph.VertexID, uint32) { slotted++ },
 					})
-					if red != 100 { // hub + 99 spokes have in-edges
-						t.Errorf("reduced %d", red)
-					}
-					return err
 				})
+				if slotted != 100 { // hub + 99 spokes have in-edges
+					t.Errorf("slotted %d updates", slotted)
+				}
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -28,8 +28,9 @@ func Example() {
 	defer cluster.Close()
 
 	parent := make([]uint32, g.NumVertices())
+	found := bitset.New(g.NumVertices())
 	err = cluster.Run(func(w *core.Worker) error {
-		found, err := core.ProcessEdgesDense(w, core.DenseParams[uint32]{
+		return core.ProcessEdgesDense(w, core.DenseParams[uint32]{
 			Codec: core.U32Codec{},
 			Signal: func(ctx *core.DenseCtx[uint32], dst graph.VertexID, srcs []graph.VertexID, _ []float32) {
 				for _, u := range srcs {
@@ -41,19 +42,16 @@ func Example() {
 					}
 				}
 			},
-			Slot: func(dst graph.VertexID, u uint32) int64 {
+			Slot: func(dst graph.VertexID, u uint32) {
 				parent[dst] = u
-				return 1
+				found.SetAtomic(int(dst)) // machines share words
 			},
 		})
-		if w.ID() == 0 && err == nil {
-			fmt.Printf("found parents for %d vertices\n", found)
-		}
-		return err
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
+	fmt.Printf("found parents for %d vertices\n", found.Count())
 	s := cluster.Stats().Totals
 	fmt.Printf("edges traversed: %d of %d\n", s.EdgesTraversed, g.NumEdges())
 	// Output:

@@ -142,7 +142,7 @@ func TestClusterWithLinkModel(t *testing.T) {
 	})
 	counts := make([]uint32, g.NumVertices())
 	err := c.Run(func(w *Worker) error {
-		_, err := ProcessEdgesDense(w, DenseParams[uint32]{
+		err := ProcessEdgesDense(w, DenseParams[uint32]{
 			Codec: U32Codec{},
 			Signal: func(ctx *DenseCtx[uint32], dst graph.VertexID, srcs []graph.VertexID, _ []float32) {
 				for range srcs {
@@ -150,9 +150,8 @@ func TestClusterWithLinkModel(t *testing.T) {
 				}
 				ctx.Emit(uint32(len(srcs)))
 			},
-			Slot: func(dst graph.VertexID, msg uint32) int64 {
+			Slot: func(dst graph.VertexID, msg uint32) {
 				counts[dst] += msg
-				return 0
 			},
 		})
 		return err

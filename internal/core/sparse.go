@@ -47,9 +47,8 @@ type SparseParams[M any] struct {
 	// load and compare per edge, and a program with replicated state
 	// tests that (BFS's visited bitmap).
 	Signal func(ctx *SparseCtx[M], src graph.VertexID, dsts []graph.VertexID, weights []float32)
-	// Slot aggregates one message at the destination's master and
-	// returns a contribution to the pass's reduced value.
-	Slot func(dst graph.VertexID, msg M) int64
+	// Slot aggregates one message at the destination's master.
+	Slot func(dst graph.VertexID, msg M)
 }
 
 // SparseCtx is the per-worker sparse signal context.
@@ -115,9 +114,9 @@ func (ctx *SparseCtx[M]) EmitTo(dst graph.VertexID, msg M) {
 // Dropping a candidate that fails the test is sound because values only
 // decrease and a peer's frames are applied in emission order: by the
 // dropped record's turn the master would hold a value at least as small,
-// and a strict-less Slot would reject it. Results, next sets, reduced
-// counts and supersteps are those of the unfiltered push; only update
-// bytes fall. With Workers > 1 concurrent scans race to lower an entry,
+// and a strict-less Slot would reject it. Results and next sets are those
+// of the unfiltered push; update bytes fall, and so may the count a pass
+// returns — a last pass whose candidates all lose can emit nothing. With Workers > 1 concurrent scans race to lower an entry,
 // so which records survive — never what the master ends up with — can
 // differ between runs.
 //
@@ -189,8 +188,9 @@ func (ctx *SparseCtx[M]) beginPart(q int) {
 	ctx.curLo, ctx.curHi = graph.VertexID(lo), graph.VertexID(hi)
 }
 
-// ProcessEdgesSparse runs one sparse pass and returns the global sum of
-// slot contributions. Every frontier vertex must be a local master.
+// ProcessEdgesSparse runs one sparse pass and returns the number of
+// records emitted in it by all machines together. Every frontier vertex
+// must be a local master.
 //
 // The frontier is split into source blocks of the partition-blocked CSR;
 // for each (block, destination partition) range the scan fixes the bin
@@ -201,7 +201,8 @@ func (ctx *SparseCtx[M]) beginPart(q int) {
 // results, including first-wins slots, are deterministic under the
 // engine's determinism contract (Workers == 1). Scan work stays
 // frontier-proportional: rows are offset lookups, never block-wide edge
-// sweeps.
+// sweeps. The count costs no collective: every frame starts with its
+// sender's total (updCount), and every machine gets one from every peer.
 func ProcessEdgesSparse[M any](w *Worker, params SparseParams[M]) (int64, error) {
 	f := params.Frontier
 	for i := 1; i < len(f); i++ {
@@ -235,6 +236,9 @@ func ProcessEdgesSparse[M any](w *Worker, params SparseParams[M]) (int64, error)
 	}
 
 	chunks := make([][][]byte, p) // per-peer bin lists (whole records per bin)
+	for peer := range chunks {
+		chunks[peer] = make([][]byte, 1, 2) // [0]: the frame's count, set at the send
+	}
 	var mu sync.Mutex
 	w.parallelRange(len(groups), func(_, start, end int) {
 		ctx := &SparseCtx[M]{
@@ -273,29 +277,41 @@ func ProcessEdgesSparse[M any](w *Worker, params SparseParams[M]) (int64, error)
 	return sparseExchange(w, &params, base, pass, chunks, pushStart)
 }
 
-// sparseExchange ships the pass's per-peer buffers, applies the local
-// share, then receives and applies each peer's frame. Remote frames
-// arrive as one vectored frame per (peer, pass).
+// updCount is the size of the count that starts every sparse update
+// frame: the sender's records emitted in the pass, to all destinations,
+// as a little-endian uint64.
+const updCount = 8
+
+// sparseExchange ships the pass's per-peer buffers, each frame behind the
+// machine's emitted count, applies the local share, then receives and
+// applies each peer's frame and adds up the counts. Remote frames arrive
+// as one vectored frame per (peer, pass).
 func sparseExchange[M any](w *Worker, params *SparseParams[M], base int32, pass int,
 	chunks [][][]byte, pushStart time.Time) (int64, error) {
-	p := w.N()
-	var reduced int64
-	for peer := 0; peer < p; peer++ {
+	rec := 4 + params.Codec.Size()
+	var sent int64
+	for _, bins := range chunks {
+		for _, b := range bins {
+			sent += int64(len(b) / rec) // the unset count slot is nil
+		}
+	}
+	for peer, bins := range chunks {
 		if peer == w.id {
-			for _, b := range chunks[peer] {
-				reduced += applySparseUpdates(w, params, b)
-				bufpool.Put(b)
-			}
 			continue
 		}
 		// Vectored hand-off: no concatenation, chunks return to the slab
 		// after the write.
-		if err := w.ep.SendBufs(comm.NodeID(peer), comm.KindUpdate, base, comm.Buffers(chunks[peer])); err != nil {
+		bins[0] = binary.LittleEndian.AppendUint64(bufpool.Get(updCount)[:0], uint64(sent))
+		if err := w.ep.SendBufs(comm.NodeID(peer), comm.KindUpdate, base, comm.Buffers(bins)); err != nil {
 			return 0, err
 		}
 	}
+	if err := applyOwn(w, params.Codec, params.Slot, chunks[w.id][1:]); err != nil {
+		return 0, updateError(w, w.id, base, err)
+	}
 	w.endSpan(obs.PhaseSparsePush, pass, -1, -1, pushStart)
-	for peer := 0; peer < p; peer++ {
+	total := sent
+	for peer := range chunks {
 		if peer == w.id {
 			continue
 		}
@@ -304,22 +320,57 @@ func sparseExchange[M any](w *Worker, params *SparseParams[M], base int32, pass 
 		if err != nil {
 			return 0, err
 		}
-		reduced += applySparseUpdates(w, params, m.Payload)
+		var n int64
+		if len(m.Payload) < updCount {
+			err = fmt.Errorf("update frame is %d bytes, shorter than its %d-byte count", len(m.Payload), updCount)
+		} else if n = int64(binary.LittleEndian.Uint64(m.Payload)); n < int64((len(m.Payload)-updCount)/rec) {
+			err = fmt.Errorf("update frame holds more records than its count of %d", n)
+		} else {
+			err = applyUpdates(w, params.Codec, params.Slot, m.Payload[updCount:])
+		}
 		m.Release()
+		if err != nil {
+			return 0, updateError(w, peer, base, err)
+		}
+		total += n
 	}
-	return w.AllReduceSum(reduced)
+	return total, nil
 }
 
-func applySparseUpdates[M any](w *Worker, params *SparseParams[M], payload []byte) int64 {
-	rec := 4 + params.Codec.Size()
+// applyUpdates feeds payload's (dst, msg) records to slot, which runs at
+// dst's master: a record for a vertex this machine does not own, or a
+// torn trailing record, is an error.
+func applyUpdates[M any](w *Worker, codec Codec[M], slot func(graph.VertexID, M), payload []byte) error {
+	rec := 4 + codec.Size()
+	if len(payload)%rec != 0 {
+		return fmt.Errorf("%d record bytes are not a whole number of %d-byte records", len(payload), rec)
+	}
 	lo, hi := w.MasterRange()
-	var reduced int64
-	for off := 0; off+rec <= len(payload); off += rec {
+	for off := 0; off < len(payload); off += rec {
 		dst := graph.VertexID(binary.LittleEndian.Uint32(payload[off:]))
 		if int(dst) < lo || int(dst) >= hi {
-			panic(fmt.Sprintf("core: node %d received sparse update for vertex %d it does not own", w.id, dst))
+			return fmt.Errorf("record for vertex %d, which node %d does not own", dst, w.id)
 		}
-		reduced += params.Slot(dst, params.Codec.Decode(payload[off+4:]))
+		slot(dst, codec.Decode(payload[off+4:]))
 	}
-	return reduced
+	return nil
+}
+
+// applyOwn applies the machine's own update chunks, which never leave
+// it, and returns them to the slab.
+func applyOwn[M any](w *Worker, codec Codec[M], slot func(graph.VertexID, M), bins [][]byte) (err error) {
+	for _, b := range bins {
+		if err == nil {
+			err = applyUpdates(w, codec, slot, b)
+		}
+		bufpool.Put(b)
+	}
+	return err
+}
+
+// updateError names the update stream a frame that failed to apply came
+// from: a protocol violation, never retried.
+func updateError(w *Worker, from int, tag int32, err error) error {
+	return &comm.ProtocolError{Node: comm.NodeID(w.id), From: comm.NodeID(from), Kind: comm.KindUpdate,
+		WantTag: tag, GotTag: tag, Reason: err.Error()}
 }

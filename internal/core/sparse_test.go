@@ -1,13 +1,18 @@
 package core
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/bufpool"
 	"repro/internal/comm"
 	"repro/internal/graph"
+	"repro/internal/obs"
 )
 
 // TestSparsePushCounts pushes one message along every out-edge of a
@@ -22,7 +27,7 @@ func TestSparsePushCounts(t *testing.T) {
 			t.Run(fmt.Sprintf("p=%d/w=%d", p, workers), func(t *testing.T) {
 				c := mustCluster(t, g, Options{NumNodes: p, Workers: workers})
 				counts := make([]int64, n)
-				var sent int64
+				sent := make([]int64, p)
 				err := c.Run(func(w *Worker) error {
 					lo, hi := w.MasterRange()
 					var frontier []graph.VertexID
@@ -40,14 +45,11 @@ func TestSparsePushCounts(t *testing.T) {
 								ctx.EmitTo(d, uint32(src))
 							}
 						},
-						Slot: func(dst graph.VertexID, msg uint32) int64 {
+						Slot: func(dst graph.VertexID, msg uint32) {
 							counts[dst]++
-							return 1
 						},
 					})
-					if w.ID() == 0 {
-						sent = red
-					}
+					sent[w.ID()] = red
 					return err
 				})
 				if err != nil {
@@ -66,45 +68,126 @@ func TestSparsePushCounts(t *testing.T) {
 						t.Fatalf("vertex %d: %d messages, want %d", v, counts[v], wantV)
 					}
 				}
-				if sent != want {
-					t.Fatalf("reduced %d, want %d", sent, want)
-				}
-				// Edge traversals equal the frontier's out-degree sum.
-				var frontierEdges int64
-				for v := 0; v < n; v++ {
-					if inFrontier(v) {
-						frontierEdges += int64(g.OutDegree(graph.VertexID(v)))
+				for i, got := range sent {
+					if got != want {
+						t.Fatalf("node %d: pass returned %d records emitted, want %d", i, got, want)
 					}
 				}
-				if got := c.Stats().Totals.EdgesTraversed; got != frontierEdges {
-					t.Fatalf("edges traversed %d, want %d", got, frontierEdges)
+				// Edge traversals equal the frontier's out-degree sum.
+				var frontierOut int64
+				for v := 0; v < n; v++ {
+					if inFrontier(v) {
+						frontierOut += int64(g.OutDegree(graph.VertexID(v)))
+					}
+				}
+				if got := c.Stats().Totals.EdgesTraversed; got != frontierOut {
+					t.Fatalf("edges traversed %d, want %d", got, frontierOut)
 				}
 			})
 		}
 	}
 }
 
-// TestSparseEmptyFrontier completes without traffic problems and reduces
-// to zero.
+// TestSparseEmptyFrontier: a pass over a globally empty frontier still
+// sends every peer its frame — the count alone — returns 0 on every node,
+// and agrees on that without a collective: no Barrier span.
 func TestSparseEmptyFrontier(t *testing.T) {
 	g := graph.Ring(128)
-	c := mustCluster(t, g, Options{NumNodes: 3})
-	err := c.Run(func(w *Worker) error {
-		red, err := ProcessEdgesSparse(w, SparseParams[uint32]{
-			Codec:    U32Codec{},
-			Frontier: nil,
-			Signal: func(*SparseCtx[uint32], graph.VertexID, []graph.VertexID, []float32) {
-				t.Error("signal ran with empty frontier")
-			},
-			Slot: func(graph.VertexID, uint32) int64 { return 1 },
+	for _, transport := range []string{"mem", "tcp"} {
+		t.Run(transport, func(t *testing.T) {
+			tr := obs.NewTracer()
+			opts := Options{NumNodes: 3, Tracer: tr}
+			if transport == "tcp" {
+				opts.Endpoints = tcpEndpoints(t, 3)
+			}
+			c := mustCluster(t, g, opts)
+			err := c.Run(func(w *Worker) error {
+				emitted, err := ProcessEdgesSparse(w, SparseParams[uint32]{
+					Codec:    U32Codec{},
+					Frontier: nil,
+					Signal: func(*SparseCtx[uint32], graph.VertexID, []graph.VertexID, []float32) {
+						t.Error("signal ran with empty frontier")
+					},
+					Slot: func(graph.VertexID, uint32) {},
+				})
+				if emitted != 0 {
+					t.Errorf("node %d: emitted %d", w.ID(), emitted)
+				}
+				return err
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := c.Stats()
+			for _, ps := range s.Phases {
+				if ps.Phase == obs.PhaseBarrier && ps.Hist.Count > 0 {
+					t.Fatalf("node %d recorded %d Barrier spans", ps.Node, ps.Hist.Count)
+				}
+			}
+			if got, want := s.Totals.UpdateBytes, int64(3*2*(13+updCount)); got != want {
+				t.Fatalf("update bytes %d, want %d: one bare count behind each 13-byte frame header", got, want)
+			}
 		})
-		if red != 0 {
-			t.Errorf("reduced %d", red)
+	}
+}
+
+// TestBadUpdateFrameIsProtocolError: a malformed update frame — shorter
+// than the sparse count, a record for a vertex the receiver does not own,
+// a torn trailing record — fails the receiving node with a
+// *comm.ProtocolError naming the stream, on both transports, instead of
+// panicking it or dropping the bytes. Node 1 puts the frame where node
+// 0's pass awaits its own.
+func TestBadUpdateFrameIsProtocolError(t *testing.T) {
+	g := graph.Ring(128)                                                                        // node 0 owns [0, 64), node 1 [64, 128)
+	record := func(dst uint32) []byte { return binary.LittleEndian.AppendUint32(nil, dst)[:8] } // U32Codec: 4 + 4 bytes
+	count := func(n uint64) []byte { return binary.LittleEndian.AppendUint64(nil, n) }
+	cases := []struct {
+		name    string
+		dense   bool
+		payload []byte
+		reason  string
+	}{
+		{"sparse/short", false, []byte{1, 2, 3}, "shorter than its 8-byte count"},
+		{"sparse/unowned", false, append(count(1), record(127)...), "does not own"},
+		{"sparse/torn", false, append(count(1), 0, 0, 0), "not a whole number"},
+		{"sparse/undercounted", false, append(count(0), record(1)...), "more records than its count"},
+		{"dense/unowned", true, record(127), "does not own"},
+		{"dense/torn", true, append(record(1), 9), "not a whole number"},
+	}
+	for _, transport := range []string{"mem", "tcp"} {
+		for _, tc := range cases {
+			t.Run(transport+"/"+tc.name, func(t *testing.T) {
+				opts := Options{NumNodes: 2, Mode: ModeGemini}
+				if transport == "tcp" {
+					opts.Endpoints = tcpEndpoints(t, 2)
+				}
+				c := mustCluster(t, g, opts)
+				err := c.Run(func(w *Worker) error {
+					if w.ID() == 1 {
+						tag := int32(0) // the sparse pass's one tag
+						if tc.dense {
+							tag = 2 // after p·B dependency tags: node 1's update to node 0 in step 0
+						}
+						return w.ep.SendBufs(0, comm.KindUpdate, tag, comm.Buffers{append(bufpool.Get(len(tc.payload))[:0], tc.payload...)})
+					}
+					signal := func(*DenseCtx[uint32], graph.VertexID, []graph.VertexID, []float32) {}
+					if tc.dense {
+						return ProcessEdgesDense(w, DenseParams[uint32]{Codec: U32Codec{}, Signal: signal, Slot: func(graph.VertexID, uint32) {}})
+					}
+					_, err := ProcessEdgesSparse(w, SparseParams[uint32]{Codec: U32Codec{},
+						Signal: func(*SparseCtx[uint32], graph.VertexID, []graph.VertexID, []float32) {},
+						Slot:   func(graph.VertexID, uint32) {}})
+					return err
+				})
+				var pe *comm.ProtocolError
+				if !errors.As(err, &pe) {
+					t.Fatalf("got %v, want a *comm.ProtocolError", err)
+				}
+				if pe.Node != 0 || pe.From != 1 || pe.Kind != comm.KindUpdate || !strings.Contains(pe.Reason, tc.reason) {
+					t.Fatalf("got %v, want node 0's update stream from node 1 rejected for %q", pe, tc.reason)
+				}
+			})
 		}
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -133,7 +216,7 @@ func TestSparseFrontierMustAscend(t *testing.T) {
 					Signal: func(*SparseCtx[uint32], graph.VertexID, []graph.VertexID, []float32) {
 						t.Error("signal ran for a rejected frontier")
 					},
-					Slot: func(graph.VertexID, uint32) int64 { return 1 },
+					Slot: func(graph.VertexID, uint32) {},
 				})
 				errs[w.ID()] = err
 				return err
@@ -179,11 +262,11 @@ func TestSparseThenDenseInterleaved(t *testing.T) {
 						ctx.EmitTo(d, 1)
 					}
 				},
-				Slot: func(graph.VertexID, uint32) int64 { return 1 },
+				Slot: func(graph.VertexID, uint32) {},
 			}); err != nil {
 				return err
 			}
-			if _, err := ProcessEdgesDense(w, DenseParams[uint32]{
+			if err := ProcessEdgesDense(w, DenseParams[uint32]{
 				Codec: U32Codec{},
 				Signal: func(ctx *DenseCtx[uint32], dst graph.VertexID, srcs []graph.VertexID, _ []float32) {
 					for range srcs {
@@ -191,7 +274,7 @@ func TestSparseThenDenseInterleaved(t *testing.T) {
 					}
 					ctx.Emit(uint32(len(srcs)))
 				},
-				Slot: func(graph.VertexID, uint32) int64 { return 1 },
+				Slot: func(graph.VertexID, uint32) {},
 			}); err != nil {
 				return err
 			}
@@ -226,7 +309,7 @@ func TestTCPBackedCluster(t *testing.T) {
 	c := mustCluster(t, g, Options{NumNodes: 3, Mode: ModeSympleGraph, Endpoints: eps})
 	counts := make([]uint32, g.NumVertices())
 	err = c.Run(func(w *Worker) error {
-		_, err := ProcessEdgesDense(w, DenseParams[uint32]{
+		err := ProcessEdgesDense(w, DenseParams[uint32]{
 			Codec: U32Codec{},
 			Signal: func(ctx *DenseCtx[uint32], dst graph.VertexID, srcs []graph.VertexID, _ []float32) {
 				for range srcs {
@@ -234,9 +317,8 @@ func TestTCPBackedCluster(t *testing.T) {
 				}
 				ctx.Emit(uint32(len(srcs)))
 			},
-			Slot: func(dst graph.VertexID, msg uint32) int64 {
+			Slot: func(dst graph.VertexID, msg uint32) {
 				counts[dst] += msg
-				return 0
 			},
 		})
 		return err

@@ -16,7 +16,7 @@ import (
 // dependency traffic), a sparse push, and a barrier.
 func denseCountProgram(breakEarly bool) func(w *Worker) error {
 	return func(w *Worker) error {
-		_, err := ProcessEdgesDense(w, DenseParams[uint32]{
+		err := ProcessEdgesDense(w, DenseParams[uint32]{
 			Codec: U32Codec{},
 			Signal: func(ctx *DenseCtx[uint32], dst graph.VertexID, srcs []graph.VertexID, _ []float32) {
 				for range srcs {
@@ -29,7 +29,7 @@ func denseCountProgram(breakEarly bool) func(w *Worker) error {
 				}
 				ctx.Emit(uint32(len(srcs)))
 			},
-			Slot: func(dst graph.VertexID, msg uint32) int64 { return int64(msg) },
+			Slot: func(dst graph.VertexID, msg uint32) {},
 		})
 		if err != nil {
 			return err
@@ -48,7 +48,7 @@ func denseCountProgram(breakEarly bool) func(w *Worker) error {
 					ctx.EmitTo(d, 1)
 				}
 			},
-			Slot: func(dst graph.VertexID, msg uint32) int64 { return int64(msg) },
+			Slot: func(dst graph.VertexID, msg uint32) {},
 		}); err != nil {
 			return err
 		}
@@ -120,9 +120,9 @@ func TestStatsTracerPhases(t *testing.T) {
 				NumNodes: 4, Mode: ModeSympleGraph, DepThreshold: 8, NumBuffers: B,
 				Tracer: tr,
 			})
-			// denseCountProgram's three collectives (each pass's reduce
-			// and the barrier), then one of every other shape.
-			const collectivesPerNode = 3 + 4
+			// denseCountProgram's one collective (the barrier: its passes
+			// end in none), then one of every other shape.
+			const collectivesPerNode = 1 + 4
 			err := c.Run(func(w *Worker) error {
 				if err := denseCountProgram(true)(w); err != nil {
 					return err

@@ -384,9 +384,10 @@ func Gather[T elem](w *Worker, arr []T) error { return gather(w, 0, arr) }
 func AllGather[T elem](w *Worker, arr []T) error { return gather(w, everyone, arr) }
 
 // ProcessVertices applies fn to every owned master vertex (in parallel
-// across the machine's workers) and returns the global sum of fn's
-// results across all machines.
-func (w *Worker) ProcessVertices(fn func(v graph.VertexID) int64) (int64, error) {
+// across the machine's workers) and returns this machine's sum of fn's
+// results. It is no collective: a program that needs the global sum
+// reduces it with AllReduceSum.
+func (w *Worker) ProcessVertices(fn func(v graph.VertexID) int64) int64 {
 	lo, hi := w.MasterRange()
 	var local atomic.Int64
 	w.parallelRange(hi-lo, func(_, start, end int) {
@@ -396,7 +397,7 @@ func (w *Worker) ProcessVertices(fn func(v graph.VertexID) int64) (int64, error)
 		}
 		local.Add(acc)
 	})
-	return w.AllReduceSum(local.Load())
+	return local.Load()
 }
 
 // serial reports whether parallelRange runs n items inline.

@@ -62,7 +62,12 @@ func TestProcessVerticesSumsAcrossMachines(t *testing.T) {
 		c := mustCluster(t, g, Options{NumNodes: p})
 		sums := make([]int64, p)
 		err := c.Run(func(w *Worker) error {
-			s, err := w.ProcessVertices(func(v graph.VertexID) int64 { return int64(v) })
+			local := w.ProcessVertices(func(v graph.VertexID) int64 { return int64(v) })
+			lo, hi := w.MasterRange()
+			if want := int64(hi-1+lo) * int64(hi-lo) / 2; local != want {
+				t.Errorf("p=%d node %d: local sum %d, want %d over [%d,%d)", p, w.ID(), local, want, lo, hi)
+			}
+			s, err := w.AllReduceSum(local)
 			sums[w.ID()] = s
 			return err
 		})
@@ -83,13 +88,13 @@ func TestProcessVerticesCoversExactlyOwnedRange(t *testing.T) {
 	c := mustCluster(t, g, Options{NumNodes: 3, Workers: 4})
 	visited := bitset.New(130)
 	err := c.Run(func(w *Worker) error {
-		_, err := w.ProcessVertices(func(v graph.VertexID) int64 {
+		w.ProcessVertices(func(v graph.VertexID) int64 {
 			if !visited.TestAndSetAtomic(int(v)) {
 				t.Errorf("vertex %d visited twice", v)
 			}
 			return 1
 		})
-		return err
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)

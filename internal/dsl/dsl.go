@@ -109,8 +109,8 @@ func Compile[S, M any](fw FoldWhile[S, M]) (func(ctx *core.DenseCtx[M], dst grap
 // finalize is not invoked — exactly one of Emit/finalize reports per
 // tracked destination.
 func Params[S, M any](fw FoldWhile[S, M], codec core.Codec[M],
-	slot func(graph.VertexID, M) int64,
-	finalize func(dst graph.VertexID, s S) int64) core.DenseParams[M] {
+	slot func(graph.VertexID, M),
+	finalize func(dst graph.VertexID, s S)) core.DenseParams[M] {
 	signal, lanes := Compile(fw)
 	p := core.DenseParams[M]{
 		Codec:  codec,
@@ -119,9 +119,9 @@ func Params[S, M any](fw FoldWhile[S, M], codec core.Codec[M],
 		Lanes:  lanes,
 	}
 	if finalize != nil {
-		p.Finalize = func(dst graph.VertexID, skip bool, data []float64) int64 {
+		p.Finalize = func(dst graph.VertexID, skip bool, data []float64) {
 			if skip {
-				return 0
+				return
 			}
 			var s S
 			if fw.Lanes > 0 {
@@ -129,7 +129,7 @@ func Params[S, M any](fw FoldWhile[S, M], codec core.Codec[M],
 			} else {
 				s = fw.Init(dst)
 			}
-			return finalize(dst, s)
+			finalize(dst, s)
 		}
 	}
 	return p

@@ -43,12 +43,10 @@ func TestFoldBFSIterationMatchesHandWritten(t *testing.T) {
 				for i := range parent {
 					parent[i] = ^uint32(0)
 				}
-				slot := func(dst graph.VertexID, u uint32) int64 {
+				slot := func(dst graph.VertexID, u uint32) {
 					if parent[dst] == ^uint32(0) {
 						parent[dst] = u
-						return 1
 					}
-					return 0
 				}
 				err = c.Run(func(w *core.Worker) error {
 					var params core.DenseParams[uint32]
@@ -70,8 +68,7 @@ func TestFoldBFSIterationMatchesHandWritten(t *testing.T) {
 							Slot: slot,
 						}
 					}
-					_, err := core.ProcessEdgesDense(w, params)
-					return err
+					return core.ProcessEdgesDense(w, params)
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -131,16 +128,13 @@ func TestFoldKCoreCountsMatchDegrees(t *testing.T) {
 				counts := make([]int64, n)
 				err = c.Run(func(w *core.Worker) error {
 					params := Params(kcoreFold(active, k), core.I64Codec{},
-						func(dst graph.VertexID, partial int64) int64 {
+						func(dst graph.VertexID, partial int64) {
 							counts[dst] += partial
-							return 0
 						},
-						func(dst graph.VertexID, cnt int64) int64 {
+						func(dst graph.VertexID, cnt int64) {
 							counts[dst] += cnt
-							return 0
 						})
-					_, err := core.ProcessEdgesDense(w, params)
-					return err
+					return core.ProcessEdgesDense(w, params)
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -205,12 +199,10 @@ func TestFoldSamplingMatchesOracle(t *testing.T) {
 	}
 	err = c.Run(func(w *core.Worker) error {
 		params := Params(sampleFold(seed, round, totalW), core.U32Codec{},
-			func(dst graph.VertexID, u uint32) int64 {
+			func(dst graph.VertexID, u uint32) {
 				pick[dst] = u
-				return 1
 			}, nil)
-		_, err := core.ProcessEdgesDense(w, params)
-		return err
+		return core.ProcessEdgesDense(w, params)
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -53,12 +53,12 @@ func DirectionOptimizingBFS(g *graph.Graph, root graph.VertexID) *BFSResult {
 	frontier := []graph.VertexID{root}
 	depth := int32(0)
 	for len(frontier) > 0 {
-		var frontierEdges int64
+		var frontierOut int64
 		for _, u := range frontier {
-			frontierEdges += int64(g.OutDegree(u))
+			frontierOut += int64(g.OutDegree(u))
 		}
 		depth++
-		if useBottomUp(g, frontierEdges) {
+		if useBottomUp(g, frontierOut) {
 			inFrontier := make([]bool, n)
 			for _, u := range frontier {
 				inFrontier[u] = true
@@ -97,8 +97,8 @@ func DirectionOptimizingBFS(g *graph.Graph, root graph.VertexID) *BFSResult {
 
 // useBottomUp is the direction heuristic: switch to bottom-up when the
 // frontier's out-edges exceed |E|/20, the Ligra/Gemini threshold.
-func useBottomUp(g *graph.Graph, frontierEdges int64) bool {
-	return frontierEdges > g.NumEdges()/20
+func useBottomUp(g *graph.Graph, frontierOut int64) bool {
+	return frontierOut > g.NumEdges()/20
 }
 
 // ValidateBFS checks that a result is a correct BFS tree for (g, root):
