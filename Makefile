@@ -90,8 +90,8 @@ size:
 # surface, options or flags raises the number here, in its own diff, and
 # says why in CHANGES.md; one that shrinks a figure lowers it.
 define SIZE_BUDGET
-non-test Go LOC, repo: 24332
-non-test Go LOC, internal/core + internal/comm: 4679
+non-test Go LOC, repo: 24388
+non-test Go LOC, internal/core + internal/comm: 4689
 non-test Go LOC, internal/server: 4275
 non-test Go LOC, internal/gluon: 586
 exported identifiers, internal/core: 182

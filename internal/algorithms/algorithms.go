@@ -33,3 +33,17 @@ func localFrontierList(w *core.Worker, frontier *bitset.Bitmap) []graph.VertexID
 	})
 	return out
 }
+
+// pushFrom is the direction statistic (Beamer's switch) of every
+// first-hit frontier pass — BFS levels, K-means adoption rounds, MIS's
+// cover pass: push from the frontier when its out-edges number at most
+// |E|/20, else pull. The frontier is replicated, so every node sums the
+// same out-degrees and decides alike with no collective.
+func pushFrom(g *graph.Graph, frontier *bitset.Bitmap) bool {
+	limit, fe := g.NumEdges()/20, int64(0)
+	frontier.Range(func(v int) bool {
+		fe += int64(g.OutDegree(graph.VertexID(v)))
+		return fe <= limit
+	})
+	return fe <= limit
+}

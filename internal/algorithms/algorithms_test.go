@@ -164,10 +164,13 @@ func TestKCoreRejectsBadK(t *testing.T) {
 	}
 }
 
+// TestKMeansMatchesSequentialRingOrder also runs with scans that really
+// fork: at scale 15 one machine holds 8 source blocks (Workers 4) and two
+// hold 4 each (Workers 2), so push rounds merge concurrently scanned
+// bins, which must keep source order.
 func TestKMeansMatchesSequentialRingOrder(t *testing.T) {
-	g := graph.Symmetrize(graph.RMAT(9, 8, graph.Graph500Params(), 6))
-	const seed, centers, iters = 11, 16, 3
-	forAllConfigs(t, g, func(t *testing.T, c *core.Cluster) {
+	check := func(t *testing.T, g *graph.Graph, c *core.Cluster, centers, iters int) {
+		const seed = 11
 		res, err := KMeans(c, centers, iters, seed)
 		if err != nil {
 			t.Fatal(err)
@@ -189,6 +192,78 @@ func TestKMeansMatchesSequentialRingOrder(t *testing.T) {
 				t.Fatalf("iteration %d: dist sum %d, want %d", i, res.DistSums[i], want.DistSums[i])
 			}
 		}
+	}
+	g := graph.Symmetrize(graph.RMAT(9, 8, graph.Graph500Params(), 6))
+	forAllConfigs(t, g, func(t *testing.T, c *core.Cluster) { check(t, g, c, 16, 3) })
+	if testing.Short() {
+		return
+	}
+	big := graph.Symmetrize(graph.RMAT(15, 4, graph.Graph500Params(), 6))
+	for _, opts := range []core.Options{
+		{NumNodes: 1, Mode: core.ModeSympleGraph, Workers: 4},
+		{NumNodes: 2, Mode: core.ModeGemini, Workers: 2},
+		{NumNodes: 2, Mode: core.ModeSympleGraph, Workers: 2},
+	} {
+		t.Run("scale15/"+cfgName(opts), func(t *testing.T) {
+			check(t, big, mustAlgCluster(t, big, opts), 64, 2) // centers in every source block
+		})
+	}
+}
+
+// usesBothDirections runs prog on a traced cluster per configuration and
+// requires at least one sparse pass and one dense pass of the switched
+// kind per run: the direction statistic (pushFrom) must pick each side.
+// prog returns how many of its dense passes are not switched (MIS's veto
+// passes); a sparse pass is one SparsePush span per node, a dense pass
+// one DenseStep span per node and step.
+func usesBothDirections(t *testing.T, g *graph.Graph, prog func(core.Engine) (fixedPulls int64, err error)) {
+	t.Helper()
+	for _, opts := range []core.Options{
+		{NumNodes: 2, Mode: core.ModeGemini},
+		{NumNodes: 4, Mode: core.ModeSympleGraph, DepThreshold: 32, NumBuffers: 2},
+	} {
+		tr := obs.NewTracer()
+		opts.Tracer = tr
+		c := mustAlgCluster(t, g, opts)
+		fixed, err := prog(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var pushSpans, pullSpans int64
+		for _, s := range tr.Summaries() {
+			switch s.Phase {
+			case obs.PhaseSparsePush:
+				pushSpans += s.Hist.Count
+			case obs.PhaseDenseStep:
+				pullSpans += s.Hist.Count
+			}
+		}
+		p := int64(opts.NumNodes)
+		push, pull := pushSpans/p, pullSpans/(p*p)-fixed
+		if push == 0 || pull == 0 {
+			t.Fatalf("%s: %d switched passes pushed and %d pulled, want both", cfgName(opts), push, pull)
+		}
+	}
+}
+
+func TestKMeansUsesBothDirections(t *testing.T) {
+	g := graph.Symmetrize(graph.RMAT(9, 8, graph.Graph500Params(), 6))
+	usesBothDirections(t, g, func(c core.Engine) (int64, error) {
+		_, err := KMeans(c, 16, 3, 11)
+		return 0, err
+	})
+}
+
+// TestMISCoverUsesBothDirections: each round's veto pass always pulls;
+// the cover passes must go both ways.
+func TestMISCoverUsesBothDirections(t *testing.T) {
+	g := graph.Symmetrize(graph.RMAT(9, 8, graph.Graph500Params(), 4))
+	usesBothDirections(t, g, func(c core.Engine) (int64, error) {
+		res, err := MIS(c, 7)
+		if err != nil {
+			return 0, err
+		}
+		return int64(res.Rounds), nil
 	})
 }
 

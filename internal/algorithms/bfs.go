@@ -56,7 +56,7 @@ func BFSWithDirection(c core.Engine, root graph.VertexID, dir Direction) (*BFSRe
 	err := c.Run(func(w *core.Worker) error {
 		// Per-node replicated state: what a real machine would hold.
 		visited := bitset.New(n)
-		frontier := bitset.New(n)
+		frontier, next := bitset.New(n), bitset.New(n)
 		parent := make([]uint32, n)
 		depth := make([]int32, n)
 		for i := range parent {
@@ -99,19 +99,18 @@ func BFSWithDirection(c core.Engine, root graph.VertexID, dir Direction) (*BFSRe
 				sw.bitmap(frontier)
 				ck.Save(iter, sw.bytes())
 			}
-			// The direction statistic, the frontier's out-edge count:
-			// the frontier is replicated, so every node computes the
-			// same sum by itself.
-			var fe int64
-			frontier.Range(func(v int) bool {
-				fe += int64(g.OutDegree(graph.VertexID(v)))
-				return true
-			})
 			level++
-			next := bitset.New(n)
+			next.ClearAll()
+			adopt := func(dst graph.VertexID, u uint32) {
+				if parent[dst] == None {
+					parent[dst] = u
+					depth[dst] = level
+					next.Set(int(dst))
+				}
+			}
 			var err error
 			bottomUpNow := dir == DirectionBottomUp ||
-				(dir == DirectionAdaptive && fe > g.NumEdges()/20)
+				(dir == DirectionAdaptive && !pushFrom(g, frontier))
 			if bottomUpNow {
 				// Bottom-up (dense/pull): unvisited vertices look for a
 				// frontier in-neighbor — Figure 1's UDF, instrumented.
@@ -129,13 +128,7 @@ func BFSWithDirection(c core.Engine, root graph.VertexID, dir Direction) (*BFSRe
 							}
 						}
 					},
-					Slot: func(dst graph.VertexID, u uint32) {
-						if parent[dst] == None {
-							parent[dst] = u
-							depth[dst] = level
-							next.Set(int(dst))
-						}
-					},
+					Slot: adopt,
 				})
 			} else {
 				// Top-down (sparse/push).
@@ -151,13 +144,7 @@ func BFSWithDirection(c core.Engine, root graph.VertexID, dir Direction) (*BFSRe
 							}
 						}
 					},
-					Slot: func(dst graph.VertexID, u uint32) {
-						if parent[dst] == None {
-							parent[dst] = u
-							depth[dst] = level
-							next.Set(int(dst))
-						}
-					},
+					Slot: adopt,
 				})
 			}
 			if err != nil {
@@ -170,7 +157,7 @@ func BFSWithDirection(c core.Engine, root graph.VertexID, dir Direction) (*BFSRe
 				break
 			}
 			visited.Union(next)
-			frontier = next
+			frontier, next = next, frontier
 			iter++
 		}
 

@@ -17,8 +17,12 @@ import (
 // `centers` clusters, `iters` outer iterations of assign / measure /
 // re-center. The assignment phase is BFS-like adoption — an unassigned
 // vertex adopts the cluster of its first assigned neighbor, the
-// loop-carried dependency — executed as dense pull rounds. Results match
-// seq.KMeans under seq.RingOrder(c.Partition()) exactly.
+// loop-carried dependency — in rounds that pull, or push from the last
+// round's newly assigned vertices when those are few (pushFrom). An
+// unassigned vertex's assigned in-neighbors are exactly that frontier,
+// and a push applies its candidates in ring order, so both directions
+// adopt the same cluster. Results match seq.KMeans under
+// seq.RingOrder(c.Partition()) exactly.
 func KMeans(c core.Engine, centers, iters int, seed uint64) (*seq.KMeansResult, error) {
 	if centers < 1 || iters < 1 {
 		return nil, fmt.Errorf("algorithms: KMeans centers=%d iters=%d", centers, iters)
@@ -35,7 +39,7 @@ func KMeans(c core.Engine, centers, iters int, seed uint64) (*seq.KMeansResult, 
 		cs := initial
 		cluster := make([]uint32, n) // masters authoritative
 		dist := make([]int32, n)
-		assigned, newAssigned := bitset.New(n), bitset.New(n)
+		assigned, frontier, next := bitset.New(n), bitset.New(n), bitset.New(n)
 		var distSums []int64
 		totalRounds := 0
 		for iter := 0; iter < iters; iter++ {
@@ -44,45 +48,66 @@ func KMeans(c core.Engine, centers, iters int, seed uint64) (*seq.KMeansResult, 
 				dist[v] = -1
 			}
 			assigned.ClearAll()
+			frontier.ClearAll()
 			for cid, cv := range cs {
 				cluster[cv] = uint32(cid)
 				dist[cv] = 0
 				assigned.Set(int(cv))
+				frontier.Set(int(cv))
 			}
 			for round := int32(1); ; round++ {
 				totalRounds++
-				newAssigned.ClearAll()
-				err := core.ProcessEdgesDense(w, core.DenseParams[uint32]{
-					Codec:  core.U32Codec{},
-					Except: assigned,
-					Signal: func(ctx *core.DenseCtx[uint32], dst graph.VertexID, srcs []graph.VertexID, _ []float32) {
-						for _, u := range srcs {
-							ctx.Edge()
-							if assigned.Get(int(u)) {
-								ctx.Emit(cluster[u])
-								ctx.EmitDep()
-								break
+				next.ClearAll()
+				adopt := func(dst graph.VertexID, cid uint32) {
+					if cluster[dst] == seq.NoCluster {
+						cluster[dst] = cid
+						dist[dst] = round
+						next.Set(int(dst))
+					}
+				}
+				var err error
+				if pushFrom(g, frontier) {
+					_, err = core.ProcessEdgesSparse(w, core.SparseParams[uint32]{
+						Codec:    core.U32Codec{},
+						Frontier: localFrontierList(w, frontier),
+						Signal: func(ctx *core.SparseCtx[uint32], src graph.VertexID, dsts []graph.VertexID, _ []float32) {
+							for _, v := range dsts {
+								ctx.Edge()
+								if !assigned.Get(int(v)) {
+									ctx.EmitTo(v, cluster[src])
+								}
 							}
-						}
-					},
-					Slot: func(dst graph.VertexID, cid uint32) {
-						if cluster[dst] == seq.NoCluster {
-							cluster[dst] = cid
-							dist[dst] = round
-							newAssigned.Set(int(dst))
-						}
-					},
-				})
+						},
+						Slot: adopt,
+					})
+				} else {
+					err = core.ProcessEdgesDense(w, core.DenseParams[uint32]{
+						Codec:  core.U32Codec{},
+						Except: assigned,
+						Signal: func(ctx *core.DenseCtx[uint32], dst graph.VertexID, srcs []graph.VertexID, _ []float32) {
+							for _, u := range srcs {
+								ctx.Edge()
+								if assigned.Get(int(u)) {
+									ctx.Emit(cluster[u])
+									ctx.EmitDep()
+									break
+								}
+							}
+						},
+						Slot: adopt,
+					})
+				}
 				if err != nil {
 					return err
 				}
-				if err := w.SyncBitmap(newAssigned); err != nil {
+				if err := w.SyncBitmap(next); err != nil {
 					return err
 				}
-				if !newAssigned.Any() {
+				if !next.Any() {
 					break
 				}
-				assigned.Union(newAssigned)
+				assigned.Union(next)
+				frontier, next = next, frontier
 			}
 			// Step 3: total distance.
 			sum, err := w.AllReduceSum(w.ProcessVertices(func(v graph.VertexID) int64 {

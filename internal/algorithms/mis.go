@@ -74,26 +74,46 @@ func MIS(c core.Engine, seed uint64) (*MISResult, error) {
 				break
 			}
 			// Phase 2: cover pass. Active vertices adjacent to a new
-			// member deactivate (first member neighbor suffices).
+			// member deactivate (first member neighbor suffices): a pull
+			// over the active vertices, or a push from the new members
+			// when those are few (pushFrom). Covering is idempotent, so
+			// the two directions cover the same set.
 			covered.ClearAll()
-			if err := core.ProcessEdgesDense(w, core.DenseParams[struct{}]{
-				Codec:  core.UnitCodec{},
-				Active: active,
-				Except: newMIS,
-				Signal: func(ctx *core.DenseCtx[struct{}], dst graph.VertexID, srcs []graph.VertexID, _ []float32) {
-					for _, u := range srcs {
-						ctx.Edge()
-						if newMIS.Get(int(u)) {
-							ctx.Emit(struct{}{})
-							ctx.EmitDep()
-							break
+			cover := func(dst graph.VertexID, _ struct{}) { covered.Set(int(dst)) }
+			var err error
+			if pushFrom(g, newMIS) {
+				_, err = core.ProcessEdgesSparse(w, core.SparseParams[struct{}]{
+					Codec:    core.UnitCodec{},
+					Frontier: localFrontierList(w, newMIS),
+					Signal: func(ctx *core.SparseCtx[struct{}], src graph.VertexID, dsts []graph.VertexID, _ []float32) {
+						for _, v := range dsts {
+							ctx.Edge()
+							if active.Get(int(v)) && !newMIS.Get(int(v)) {
+								ctx.EmitTo(v, struct{}{})
+							}
 						}
-					}
-				},
-				Slot: func(dst graph.VertexID, _ struct{}) {
-					covered.Set(int(dst))
-				},
-			}); err != nil {
+					},
+					Slot: cover,
+				})
+			} else {
+				err = core.ProcessEdgesDense(w, core.DenseParams[struct{}]{
+					Codec:  core.UnitCodec{},
+					Active: active,
+					Except: newMIS,
+					Signal: func(ctx *core.DenseCtx[struct{}], dst graph.VertexID, srcs []graph.VertexID, _ []float32) {
+						for _, u := range srcs {
+							ctx.Edge()
+							if newMIS.Get(int(u)) {
+								ctx.Emit(struct{}{})
+								ctx.EmitDep()
+								break
+							}
+						}
+					},
+					Slot: cover,
+				})
+			}
+			if err != nil {
 				return err
 			}
 			if err := w.SyncBitmap(covered); err != nil {

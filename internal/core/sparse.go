@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -60,10 +59,10 @@ type SparseCtx[M any] struct {
 
 	// Update assembly is slab-backed and chunked (see emitChunkBytes):
 	// bufs holds the open chunk per destination partition, and full
-	// chunks retire into the shared per-peer lists under chunksMu.
-	bufs     [][]byte
-	chunks   [][][]byte
-	chunksMu *sync.Mutex
+	// chunks retire into this context's own per-peer lists, merged in
+	// scan-range order once every range is done.
+	bufs   [][]byte
+	chunks [][][]byte
 
 	// The scan fixes the destination partition before invoking Signal,
 	// so EmitTo appends to the current bin directly — no per-emit owner
@@ -89,9 +88,7 @@ func (ctx *SparseCtx[M]) EmitTo(dst graph.VertexID, msg M) {
 	buf := ctx.cur
 	if cap(buf)-len(buf) < rec {
 		if len(buf) > 0 {
-			ctx.chunksMu.Lock()
 			ctx.chunks[ctx.curQ] = append(ctx.chunks[ctx.curQ], buf)
-			ctx.chunksMu.Unlock()
 		} else if buf != nil {
 			bufpool.Put(buf)
 		}
@@ -197,12 +194,14 @@ func (ctx *SparseCtx[M]) beginPart(q int) {
 // once and signals every frontier source's partition-restricted adjacency
 // row into it — a slice append per emit, the scan's writes confined to
 // one cache-resident bin at a time. Per destination peer the records
-// leave in (source, adjacency) order — sources ascend across blocks — so
-// results, including first-wins slots, are deterministic under the
-// engine's determinism contract (Workers == 1). Scan work stays
-// frontier-proportional: rows are offset lookups, never block-wide edge
-// sweeps. The count costs no collective: every frame starts with its
-// sender's total (updCount), and every machine gets one from every peer.
+// leave in (source, adjacency) order — sources ascend across blocks, and
+// parallel scan ranges merge their bins in range order — and
+// sparseExchange applies them in ring order, so results, including
+// first-wins slots, are deterministic at any Workers and equal to a
+// pull's. Scan work stays frontier-proportional: rows are offset lookups,
+// never block-wide edge sweeps. The count costs no collective: every
+// frame starts with its sender's total (updCount), and every machine gets
+// one from every peer.
 func ProcessEdgesSparse[M any](w *Worker, params SparseParams[M]) (int64, error) {
 	f := params.Frontier
 	for i := 1; i < len(f); i++ {
@@ -235,19 +234,14 @@ func ProcessEdgesSparse[M any](w *Worker, params SparseParams[M]) (int64, error)
 		i = j
 	}
 
-	chunks := make([][][]byte, p) // per-peer bin lists (whole records per bin)
-	for peer := range chunks {
-		chunks[peer] = make([][]byte, 1, 2) // [0]: the frame's count, set at the send
-	}
-	var mu sync.Mutex
-	w.parallelRange(len(groups), func(_, start, end int) {
+	ctxs := make([]*SparseCtx[M], w.cluster.opts.Workers) // one per scan range
+	w.parallelRange(len(groups), func(k, start, end int) {
 		ctx := &SparseCtx[M]{
-			w:        w,
-			codec:    params.Codec,
-			size:     params.Codec.Size(),
-			bufs:     make([][]byte, p),
-			chunks:   chunks,
-			chunksMu: &mu,
+			w:      w,
+			codec:  params.Codec,
+			size:   params.Codec.Size(),
+			bufs:   make([][]byte, p),
+			chunks: make([][][]byte, p),
 		}
 		ctx.beginPart(0)
 		for _, srcs := range groups[start:end] {
@@ -263,17 +257,28 @@ func ProcessEdgesSparse[M any](w *Worker, params SparseParams[M]) (int64, error)
 			}
 		}
 		ctx.bufs[ctx.curQ] = ctx.cur
-		w.AddEdges(ctx.edges)
-		mu.Lock()
 		for peer, b := range ctx.bufs {
 			if len(b) > 0 {
-				chunks[peer] = append(chunks[peer], b)
+				ctx.chunks[peer] = append(ctx.chunks[peer], b)
 			} else if b != nil {
 				bufpool.Put(b)
 			}
 		}
-		mu.Unlock()
+		w.AddEdges(ctx.edges)
+		ctxs[k] = ctx
 	})
+	// Ranges cover ascending sources, so merging their bins in range
+	// order, not completion order, keeps each peer's records in source
+	// order.
+	chunks := make([][][]byte, p) // per-peer bin lists (whole records per bin)
+	for peer := range chunks {
+		chunks[peer] = [][]byte{nil} // [0]: the frame's count, set at the send
+		for _, ctx := range ctxs {
+			if ctx != nil {
+				chunks[peer] = append(chunks[peer], ctx.chunks[peer]...)
+			}
+		}
+	}
 	return sparseExchange(w, &params, base, pass, chunks, pushStart)
 }
 
@@ -283,11 +288,15 @@ func ProcessEdgesSparse[M any](w *Worker, params SparseParams[M]) (int64, error)
 const updCount = 8
 
 // sparseExchange ships the pass's per-peer buffers, each frame behind the
-// machine's emitted count, applies the local share, then receives and
-// applies each peer's frame and adds up the counts. Remote frames arrive
-// as one vectored frame per (peer, pass).
+// machine's emitted count, then applies every machine's share in the
+// dense pass's ring order — peers id−1, id−2, …, its own block last — and
+// adds up the counts. Together with each sender's records leaving in
+// source order, this makes a first-wins slot keep the candidate a pull
+// would find first (seq.RingOrder), so both directions give one answer.
+// Remote frames arrive as one vectored frame per (peer, pass).
 func sparseExchange[M any](w *Worker, params *SparseParams[M], base int32, pass int,
 	chunks [][][]byte, pushStart time.Time) (int64, error) {
+	p := w.N()
 	rec := 4 + params.Codec.Size()
 	var sent int64
 	for _, bins := range chunks {
@@ -306,13 +315,14 @@ func sparseExchange[M any](w *Worker, params *SparseParams[M], base int32, pass 
 			return 0, err
 		}
 	}
-	if err := applyOwn(w, params.Codec, params.Slot, chunks[w.id][1:]); err != nil {
-		return 0, updateError(w, w.id, base, err)
-	}
 	w.endSpan(obs.PhaseSparsePush, pass, -1, -1, pushStart)
 	total := sent
-	for peer := range chunks {
+	for j := 1; j <= p; j++ {
+		peer := (w.id - j + p) % p
 		if peer == w.id {
+			if err := applyOwn(w, params.Codec, params.Slot, chunks[w.id][1:]); err != nil {
+				return 0, updateError(w, w.id, base, err)
+			}
 			continue
 		}
 		m, err := w.recvTimed(&w.updWait, comm.NodeID(peer), comm.KindUpdate, base,

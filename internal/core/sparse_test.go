@@ -13,6 +13,7 @@ import (
 	"repro/internal/comm"
 	"repro/internal/graph"
 	"repro/internal/obs"
+	"repro/internal/partition"
 )
 
 // TestSparsePushCounts pushes one message along every out-edge of a
@@ -412,5 +413,216 @@ func TestMinFilter(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// firstWins is a first-wins slot over vertex IDs: the first candidate
+// applied at a vertex stays. noWin marks a vertex no candidate reached.
+const noWin = math.MaxUint32
+
+func firstWins(n int) ([]uint32, func(graph.VertexID, uint32)) {
+	win := make([]uint32, n)
+	for i := range win {
+		win[i] = noWin
+	}
+	return win, func(dst graph.VertexID, src uint32) {
+		if win[dst] == noWin {
+			win[dst] = src
+		}
+	}
+}
+
+// localFrontier lists w's masters that satisfy in, ascending.
+func localFrontier(w *Worker, in func(v int) bool) []graph.VertexID {
+	lo, hi := w.MasterRange()
+	var f []graph.VertexID
+	for v := lo; v < hi; v++ {
+		if in(v) {
+			f = append(f, graph.VertexID(v))
+		}
+	}
+	return f
+}
+
+// TestSparseAppliesInRingOrder: a sparse pass applies the frames of
+// machines owner−1, owner−2, …, owner in that order, as the dense pass
+// visits them, so a first-wins slot keeps the candidate a pull finds
+// first. On a complete graph every machine pushes a candidate — the
+// source's ID — to the same destinations: each vertex ≢ 3 (mod 4) hears
+// from every machine and must keep the smallest source of the first
+// non-empty machine in owner−1, owner−2, …; a vertex ≡ 3 (mod 4) hears
+// only from its owner and keeps the owner's smallest. Then a push
+// and a pull with the same first-wins slot must agree on every vertex
+// of an RMAT graph.
+func TestSparseAppliesInRingOrder(t *testing.T) {
+	const n = 5 * partition.Align
+	var edges []graph.Edge
+	for u := 0; u < n; u++ {
+		for d := 0; d < n; d++ {
+			if d != u {
+				edges = append(edges, graph.Edge{Src: graph.VertexID(u), Dst: graph.VertexID(d)})
+			}
+		}
+	}
+	dup := graph.MustFromEdges(n, edges, graph.BuildOptions{})
+	rmat := graph.Symmetrize(graph.RMAT(9, 8, graph.Graph500Params(), 21))
+	inFrontier := func(v int) bool { return v%3 == 0 }
+	for _, transport := range []string{"mem", "tcp"} {
+		for _, p := range []int{2, 4, 5} {
+			t.Run(fmt.Sprintf("%s/p=%d", transport, p), func(t *testing.T) {
+				opts := Options{NumNodes: p, Mode: ModeSympleGraph}
+				if transport == "tcp" {
+					opts.Endpoints = tcpEndpoints(t, p)
+				}
+				c := mustCluster(t, dup, opts)
+				win, slot := firstWins(n)
+				err := c.Run(func(w *Worker) error {
+					_, err := ProcessEdgesSparse(w, SparseParams[uint32]{
+						Codec:    U32Codec{},
+						Frontier: localFrontier(w, func(int) bool { return true }),
+						Signal: func(ctx *SparseCtx[uint32], src graph.VertexID, dsts []graph.VertexID, _ []float32) {
+							for _, d := range dsts {
+								if d%4 != 3 || w.Owns(d) {
+									ctx.EmitTo(d, uint32(src))
+								}
+							}
+						},
+						Slot: slot,
+					})
+					return err
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				pt := c.Partition()
+				for d := 0; d < n; d++ {
+					owner := pt.Owner(graph.VertexID(d))
+					want := uint32(noWin)
+					for j := 1; j <= p && want == noWin; j++ {
+						m := (owner - j + p) % p
+						if d%4 == 3 && m != owner {
+							continue
+						}
+						lo, hi := pt.Range(m)
+						for u := lo; u < hi; u++ {
+							if u != d {
+								want = uint32(u)
+								break
+							}
+						}
+					}
+					if win[d] != want {
+						t.Fatalf("vertex %d (owner %d): kept candidate %d, want %d", d, owner, win[d], want)
+					}
+				}
+
+				c = mustCluster(t, rmat, Options{NumNodes: p, Mode: ModeSympleGraph, Endpoints: freshEndpoints(t, transport, p)})
+				frontier := make([]bool, rmat.NumVertices())
+				for v := range frontier {
+					frontier[v] = inFrontier(v)
+				}
+				push, pushSlot := firstWins(rmat.NumVertices())
+				pull, pullSlot := firstWins(rmat.NumVertices())
+				err = c.Run(func(w *Worker) error {
+					if _, err := ProcessEdgesSparse(w, SparseParams[uint32]{
+						Codec:    U32Codec{},
+						Frontier: localFrontier(w, inFrontier),
+						Signal: func(ctx *SparseCtx[uint32], src graph.VertexID, dsts []graph.VertexID, _ []float32) {
+							for _, d := range dsts {
+								if !frontier[d] {
+									ctx.EmitTo(d, uint32(src))
+								}
+							}
+						},
+						Slot: pushSlot,
+					}); err != nil {
+						return err
+					}
+					return ProcessEdgesDense(w, DenseParams[uint32]{
+						Codec: U32Codec{},
+						Signal: func(ctx *DenseCtx[uint32], dst graph.VertexID, srcs []graph.VertexID, _ []float32) {
+							if frontier[dst] {
+								return
+							}
+							for _, u := range srcs {
+								if frontier[u] {
+									ctx.Emit(uint32(u))
+									ctx.EmitDep()
+									break
+								}
+							}
+						},
+						Slot: pullSlot,
+					})
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for v := range push {
+					if push[v] != pull[v] {
+						t.Fatalf("vertex %d: push kept %d, pull %d", v, push[v], pull[v])
+					}
+				}
+			})
+		}
+	}
+}
+
+// freshEndpoints returns nil for the memory transport (the cluster builds
+// its own) or a new loopback TCP cluster.
+func freshEndpoints(t *testing.T, transport string, p int) []comm.Endpoint {
+	if transport == "tcp" {
+		return tcpEndpoints(t, p)
+	}
+	return nil
+}
+
+// TestSparseSourceOrderParallel: scan ranges that run concurrently merge
+// their bins in range order, so a first-wins sparse pass gives the
+// Workers == 1 answer at Workers 4. Every source pushes its ID to 97 hub
+// destinations per machine, and each machine owns 8 source blocks, so
+// the scan really forks.
+func TestSparseSourceOrderParallel(t *testing.T) {
+	const p, hubs = 2, 97
+	n := p * 8 * graph.DefaultBlockVerts
+	var edges []graph.Edge
+	for u := 0; u < n; u++ {
+		for q := 0; q < p; q++ {
+			edges = append(edges, graph.Edge{Src: graph.VertexID(u), Dst: graph.VertexID(q*n/p + (u*31)%hubs)})
+		}
+	}
+	g := graph.MustFromEdges(n, edges, graph.BuildOptions{})
+	run := func(workers int) []uint32 {
+		c := mustCluster(t, g, Options{NumNodes: p, Workers: workers})
+		win, slot := firstWins(n)
+		err := c.Run(func(w *Worker) error {
+			if lo, hi := w.MasterRange(); hi-lo < 8*graph.DefaultBlockVerts {
+				return fmt.Errorf("node %d owns %d vertices, fewer than 8 source blocks", w.ID(), hi-lo)
+			}
+			_, err := ProcessEdgesSparse(w, SparseParams[uint32]{
+				Codec:    U32Codec{},
+				Frontier: localFrontier(w, func(int) bool { return true }),
+				Signal: func(ctx *SparseCtx[uint32], src graph.VertexID, dsts []graph.VertexID, _ []float32) {
+					for _, d := range dsts {
+						ctx.EmitTo(d, uint32(src))
+					}
+				},
+				Slot: slot,
+			})
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return win
+	}
+	want := run(1)
+	for rep := 0; rep < 20; rep++ {
+		got := run(4)
+		for v := range want {
+			if got[v] != want[v] {
+				t.Fatalf("repeat %d, vertex %d: Workers 4 kept %d, Workers 1 kept %d", rep, v, got[v], want[v])
+			}
+		}
 	}
 }
