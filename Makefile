@@ -90,11 +90,11 @@ size:
 # surface, options or flags raises the number here, in its own diff, and
 # says why in CHANGES.md; one that shrinks a figure lowers it.
 define SIZE_BUDGET
-non-test Go LOC, repo: 24388
-non-test Go LOC, internal/core + internal/comm: 4689
+non-test Go LOC, repo: 24534
+non-test Go LOC, internal/core + internal/comm: 4729
 non-test Go LOC, internal/server: 4275
 non-test Go LOC, internal/gluon: 586
-exported identifiers, internal/core: 182
+exported identifiers, internal/core: 184
 exported identifiers, internal/comm: 150
 exported identifiers, internal/gluon: 7
 core.Options fields: 14

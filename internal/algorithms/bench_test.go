@@ -2,6 +2,7 @@ package algorithms
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/core"
@@ -60,4 +61,59 @@ func BenchmarkPageRank(b *testing.B) {
 		_, err := PageRank(c, 5, 0.85)
 		return err
 	})
+}
+
+// BenchmarkSSSPBucketWidth sweeps SSSP's bucket width — ½, 1 and 2 × the
+// rule's Δ, and +Inf, one bucket, which is the frontier Bellman-Ford —
+// over the two weighted graphs the repo benchmark runs SSSP on (wsym:
+// the symmetrized R-MAT with random weights, update_tcp's; wbase: the
+// directed R-MAT with random weights, what the server weighs) on a warm
+// 4-node cluster over the memory transport and loopback TCP. Beside the
+// time it reports edges/|E| and passes per run; EXPERIMENTS.md's "SSSP
+// bucket width" table is its output.
+func BenchmarkSSSPBucketWidth(b *testing.B) {
+	for _, scale := range []int{13, 15} {
+		var graphs []namedGraph // built once, not once per b.N calibration round
+		for _, gname := range []string{"wsym", "wbase"} {
+			for _, transport := range []string{"mem", "tcp"} {
+				for _, width := range []string{"half", "rule", "double", "bellman-ford"} {
+					b.Run(fmt.Sprintf("scale%d/%s/%s/%s", scale, gname, transport, width), func(b *testing.B) {
+						if graphs == nil {
+							base := graph.RMAT(scale, 16, graph.Graph500Params(), 1)
+							graphs = []namedGraph{
+								{"wsym", graph.RandomWeights(graph.Symmetrize(base), 2)},
+								{"wbase", graph.RandomWeights(base, 7)},
+							}
+						}
+						g := graphs[0].g
+						if gname == "wbase" {
+							g = graphs[1].g
+						}
+						delta := map[string]float64{"half": 0.5, "rule": 1, "double": 2, "bellman-ford": math.Inf(1)}[width] * bucketWidth(g)
+						root, _ := graph.LargestOutDegreeVertex(g)
+						opts := core.Options{NumNodes: 4}
+						if transport == "tcp" {
+							opts.Endpoints = loopback(b, 4)
+						}
+						c := mustAlgCluster(b, g, opts)
+						if _, err := ssspBuckets(c, root, delta); err != nil { // warm-up: slabs, heap
+							b.Fatal(err)
+						}
+						b.ResetTimer()
+						var edges, steps int64
+						for i := 0; i < b.N; i++ {
+							if _, err := ssspBuckets(c, root, delta); err != nil {
+								b.Fatal(err)
+							}
+							st := c.Stats().Totals
+							edges, steps = edges+st.EdgesTraversed, steps+st.Supersteps
+						}
+						b.ReportMetric(float64(edges)/float64(b.N)/float64(g.NumEdges()), "edges/E")
+						b.ReportMetric(float64(steps)/float64(b.N)/4, "passes")
+						b.ReportMetric(bucketWidth(g), "rule-Δ")
+					})
+				}
+			}
+		}
+	}
 }

@@ -52,6 +52,10 @@ func (sw *snapWriter) f32s(vs []float32) {
 	}
 }
 
+func (sw *snapWriter) f64(v float64) {
+	sw.buf = binary.LittleEndian.AppendUint64(sw.buf, math.Float64bits(v))
+}
+
 func (sw *snapWriter) bitmap(b *bitset.Bitmap) {
 	sw.buf = b.MarshalBinaryTo(sw.buf)
 }
@@ -104,6 +108,11 @@ func (sr *snapReader) f32s(dst []float32) {
 	for i := range dst {
 		dst[i] = math.Float32frombits(sr.u32())
 	}
+}
+
+func (sr *snapReader) f64() float64 {
+	lo, hi := sr.u32(), sr.u32()
+	return math.Float64frombits(uint64(hi)<<32 | uint64(lo))
 }
 
 func (sr *snapReader) bitmap(b *bitset.Bitmap) {

@@ -3,6 +3,7 @@ package algorithms
 import (
 	"math"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -64,20 +65,26 @@ func TestChaosBFSRecoversBitIdentical(t *testing.T) {
 }
 
 // TestChaosSSSPRecoversBitIdentical is the same claim for SSSP: float
-// distances must match bit for bit, not approximately.
+// distances must match bit for bit, not approximately. The bucket bound
+// is part of the snapshot, so the recovered run also spends exactly the
+// fault-free run's passes from the restored superstep on: a restore that
+// reset the bound to Δ would reach the same bits a pass later.
 func TestChaosSSSPRecoversBitIdentical(t *testing.T) {
 	g := graph.RandomWeights(chaosGraph(64), 5)
 
-	baseline, err := SSSP(mustAlgCluster(t, g, core.Options{NumNodes: 2}), 0)
+	ff := mustAlgCluster(t, g, core.Options{NumNodes: 2})
+	baseline, err := SSSP(ff, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	plan := &comm.FaultPlan{Seed: 11, CrashNode: 0, CrashAtSuperstep: 9}
+	store := &restoreLog{CheckpointStore: core.NewMemCheckpointStore()}
 	c := mustAlgCluster(t, g, core.Options{
 		NumNodes:        2,
 		Fault:           plan,
 		CheckpointEvery: 3,
+		Checkpoints:     store,
 		MaxRestarts:     1,
 	})
 	got, err := SSSP(c, 0)
@@ -95,6 +102,32 @@ func TestChaosSSSPRecoversBitIdentical(t *testing.T) {
 				v, math.Float32bits(got[v]), math.Float32bits(baseline[v]))
 		}
 	}
+	if len(store.iters) != 2 || store.iters[0] != store.iters[1] || store.iters[0] == 0 {
+		t.Fatalf("restored iterations %v, want one non-zero iteration per node", store.iters)
+	}
+	// Stats cover the last attempt: the recovered run alone.
+	passes, ffPasses := c.Stats().Totals.Supersteps/2, ff.Stats().Totals.Supersteps/2
+	if want := ffPasses - int64(store.iters[0]); passes != want {
+		t.Fatalf("recovered run took %d passes from iteration %d, the fault-free run %d (of %d)",
+			passes, store.iters[0], want, ffPasses)
+	}
+}
+
+// restoreLog records the iteration every successful Restore hands back.
+type restoreLog struct {
+	core.CheckpointStore
+	mu    sync.Mutex
+	iters []int
+}
+
+func (s *restoreLog) Restore(node int) (int, []byte, bool) {
+	iter, blob, ok := s.CheckpointStore.Restore(node)
+	if ok {
+		s.mu.Lock()
+		s.iters = append(s.iters, iter)
+		s.mu.Unlock()
+	}
+	return iter, blob, ok
 }
 
 // TestChaosBFSWithoutCheckpointsStartsOver checks the restart-only

@@ -48,6 +48,12 @@ type SparseParams[M any] struct {
 	Signal func(ctx *SparseCtx[M], src graph.VertexID, dsts []graph.VertexID, weights []float32)
 	// Slot aggregates one message at the destination's master.
 	Slot func(dst graph.VertexID, msg M)
+	// Least, when set, joins the pass's agreement on a minimum, which
+	// rides the frame headers and so costs no hop: on entry it holds
+	// this machine's contribution beside what the scan reports through
+	// SparseCtx.Least, on return the minimum over every machine's (+Inf
+	// when there is none). SSSP's bucket bound advances on it.
+	Least *float64
 }
 
 // SparseCtx is the per-worker sparse signal context.
@@ -56,6 +62,7 @@ type SparseCtx[M any] struct {
 	codec Codec[M]
 	size  int
 	edges int64
+	least float64 // this scan range's contribution to SparseParams.Least
 
 	// Update assembly is slab-backed and chunked (see emitChunkBytes):
 	// bufs holds the open chunk per destination partition, and full
@@ -75,6 +82,14 @@ type SparseCtx[M any] struct {
 
 // Edge records one neighbor traversal.
 func (ctx *SparseCtx[M]) Edge() { ctx.edges++ }
+
+// Least lowers this machine's contribution to the pass's agreed minimum
+// (SparseParams.Least) to x; a NaN is ignored.
+func (ctx *SparseCtx[M]) Least(x float64) {
+	if x < ctx.least {
+		ctx.least = x
+	}
+}
 
 // EmitTo sends msg to dst's master slot.
 func (ctx *SparseCtx[M]) EmitTo(dst graph.VertexID, msg M) {
@@ -199,9 +214,10 @@ func (ctx *SparseCtx[M]) beginPart(q int) {
 // sparseExchange applies them in ring order, so results, including
 // first-wins slots, are deterministic at any Workers and equal to a
 // pull's. Scan work stays frontier-proportional: rows are offset lookups,
-// never block-wide edge sweeps. The count costs no collective: every
-// frame starts with its sender's total (updCount), and every machine gets
-// one from every peer.
+// never block-wide edge sweeps. The count, like the least of
+// SparseParams.Least, costs no collective: every frame starts with its
+// sender's total and least (updHeader), and every machine gets one from
+// every peer.
 func ProcessEdgesSparse[M any](w *Worker, params SparseParams[M]) (int64, error) {
 	f := params.Frontier
 	for i := 1; i < len(f); i++ {
@@ -240,6 +256,7 @@ func ProcessEdgesSparse[M any](w *Worker, params SparseParams[M]) (int64, error)
 			w:      w,
 			codec:  params.Codec,
 			size:   params.Codec.Size(),
+			least:  math.Inf(1),
 			bufs:   make([][]byte, p),
 			chunks: make([][][]byte, p),
 		}
@@ -269,33 +286,49 @@ func ProcessEdgesSparse[M any](w *Worker, params SparseParams[M]) (int64, error)
 	})
 	// Ranges cover ascending sources, so merging their bins in range
 	// order, not completion order, keeps each peer's records in source
-	// order.
+	// order. Each range kept its own minimum; they merge here too.
+	least := math.Inf(1)
+	if params.Least != nil && *params.Least < least {
+		least = *params.Least
+	}
 	chunks := make([][][]byte, p) // per-peer bin lists (whole records per bin)
 	for peer := range chunks {
-		chunks[peer] = [][]byte{nil} // [0]: the frame's count, set at the send
+		chunks[peer] = [][]byte{nil} // [0]: the frame's header, set at the send
 		for _, ctx := range ctxs {
 			if ctx != nil {
 				chunks[peer] = append(chunks[peer], ctx.chunks[peer]...)
 			}
 		}
 	}
-	return sparseExchange(w, &params, base, pass, chunks, pushStart)
+	for _, ctx := range ctxs {
+		if ctx != nil && ctx.least < least {
+			least = ctx.least
+		}
+	}
+	total, least, err := sparseExchange(w, &params, base, pass, chunks, least, pushStart)
+	if params.Least != nil {
+		*params.Least = least
+	}
+	return total, err
 }
 
-// updCount is the size of the count that starts every sparse update
+// updHeader is the size of the header that starts every sparse update
 // frame: the sender's records emitted in the pass, to all destinations,
-// as a little-endian uint64.
-const updCount = 8
+// as a little-endian uint64, then its contribution to the pass's agreed
+// minimum (SparseParams.Least) as a little-endian float64, +Inf when it
+// has none.
+const updHeader = 16
 
 // sparseExchange ships the pass's per-peer buffers, each frame behind the
-// machine's emitted count, then applies every machine's share in the
-// dense pass's ring order — peers id−1, id−2, …, its own block last — and
-// adds up the counts. Together with each sender's records leaving in
-// source order, this makes a first-wins slot keep the candidate a pull
-// would find first (seq.RingOrder), so both directions give one answer.
-// Remote frames arrive as one vectored frame per (peer, pass).
+// machine's header (emitted count and least), then applies every
+// machine's share in the dense pass's ring order — peers id−1, id−2, …,
+// its own block last — adding up the counts and taking the minimum of
+// the leasts. Together with each sender's records leaving in source
+// order, this makes a first-wins slot keep the candidate a pull would
+// find first (seq.RingOrder), so both directions give one answer. Remote
+// frames arrive as one vectored frame per (peer, pass).
 func sparseExchange[M any](w *Worker, params *SparseParams[M], base int32, pass int,
-	chunks [][][]byte, pushStart time.Time) (int64, error) {
+	chunks [][][]byte, least float64, pushStart time.Time) (int64, float64, error) {
 	p := w.N()
 	rec := 4 + params.Codec.Size()
 	var sent int64
@@ -310,9 +343,10 @@ func sparseExchange[M any](w *Worker, params *SparseParams[M], base int32, pass 
 		}
 		// Vectored hand-off: no concatenation, chunks return to the slab
 		// after the write.
-		bins[0] = binary.LittleEndian.AppendUint64(bufpool.Get(updCount)[:0], uint64(sent))
+		hdr := binary.LittleEndian.AppendUint64(bufpool.Get(updHeader)[:0], uint64(sent))
+		bins[0] = binary.LittleEndian.AppendUint64(hdr, math.Float64bits(least))
 		if err := w.ep.SendBufs(comm.NodeID(peer), comm.KindUpdate, base, comm.Buffers(bins)); err != nil {
-			return 0, err
+			return 0, 0, err
 		}
 	}
 	w.endSpan(obs.PhaseSparsePush, pass, -1, -1, pushStart)
@@ -321,30 +355,36 @@ func sparseExchange[M any](w *Worker, params *SparseParams[M], base int32, pass 
 		peer := (w.id - j + p) % p
 		if peer == w.id {
 			if err := applyOwn(w, params.Codec, params.Slot, chunks[w.id][1:]); err != nil {
-				return 0, updateError(w, w.id, base, err)
+				return 0, 0, updateError(w, w.id, base, err)
 			}
 			continue
 		}
 		m, err := w.recvTimed(&w.updWait, comm.NodeID(peer), comm.KindUpdate, base,
 			obs.PhaseUpdateWait, pass, -1, -1)
 		if err != nil {
-			return 0, err
+			return 0, 0, err
 		}
 		var n int64
-		if len(m.Payload) < updCount {
-			err = fmt.Errorf("update frame is %d bytes, shorter than its %d-byte count", len(m.Payload), updCount)
-		} else if n = int64(binary.LittleEndian.Uint64(m.Payload)); n < int64((len(m.Payload)-updCount)/rec) {
+		var l float64
+		if len(m.Payload) < updHeader {
+			err = fmt.Errorf("update frame is %d bytes, shorter than its %d-byte header", len(m.Payload), updHeader)
+		} else if n = int64(binary.LittleEndian.Uint64(m.Payload)); n < int64((len(m.Payload)-updHeader)/rec) {
 			err = fmt.Errorf("update frame holds more records than its count of %d", n)
+		} else if l = math.Float64frombits(binary.LittleEndian.Uint64(m.Payload[8:])); math.IsNaN(l) {
+			err = fmt.Errorf("update frame's least is NaN") // would stall a loop that advances on it
 		} else {
-			err = applyUpdates(w, params.Codec, params.Slot, m.Payload[updCount:])
+			err = applyUpdates(w, params.Codec, params.Slot, m.Payload[updHeader:])
 		}
 		m.Release()
 		if err != nil {
-			return 0, updateError(w, peer, base, err)
+			return 0, 0, updateError(w, peer, base, err)
 		}
 		total += n
+		if l < least {
+			least = l
+		}
 	}
-	return total, nil
+	return total, least, nil
 }
 
 // applyUpdates feeds payload's (dst, msg) records to slot, which runs at

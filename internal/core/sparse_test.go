@@ -90,8 +90,9 @@ func TestSparsePushCounts(t *testing.T) {
 }
 
 // TestSparseEmptyFrontier: a pass over a globally empty frontier still
-// sends every peer its frame — the count alone — returns 0 on every node,
-// and agrees on that without a collective: no Barrier span.
+// sends every peer its frame — the 16-byte header alone, count and least,
+// 29 bytes on the wire — returns 0 and a least of +Inf on every node, and
+// agrees on that without a collective: no Barrier span.
 func TestSparseEmptyFrontier(t *testing.T) {
 	g := graph.Ring(128)
 	for _, transport := range []string{"mem", "tcp"} {
@@ -103,16 +104,18 @@ func TestSparseEmptyFrontier(t *testing.T) {
 			}
 			c := mustCluster(t, g, opts)
 			err := c.Run(func(w *Worker) error {
+				least := math.Inf(1)
 				emitted, err := ProcessEdgesSparse(w, SparseParams[uint32]{
 					Codec:    U32Codec{},
 					Frontier: nil,
 					Signal: func(*SparseCtx[uint32], graph.VertexID, []graph.VertexID, []float32) {
 						t.Error("signal ran with empty frontier")
 					},
-					Slot: func(graph.VertexID, uint32) {},
+					Slot:  func(graph.VertexID, uint32) {},
+					Least: &least,
 				})
-				if emitted != 0 {
-					t.Errorf("node %d: emitted %d", w.ID(), emitted)
+				if emitted != 0 || !math.IsInf(least, 1) {
+					t.Errorf("node %d: emitted %d, least %g", w.ID(), emitted, least)
 				}
 				return err
 			})
@@ -125,33 +128,87 @@ func TestSparseEmptyFrontier(t *testing.T) {
 					t.Fatalf("node %d recorded %d Barrier spans", ps.Node, ps.Hist.Count)
 				}
 			}
-			if got, want := s.Totals.UpdateBytes, int64(3*2*(13+updCount)); got != want {
-				t.Fatalf("update bytes %d, want %d: one bare count behind each 13-byte frame header", got, want)
+			if got, want := s.Totals.UpdateBytes, int64(3*2*(13+16)); got != want || updHeader != 16 {
+				t.Fatalf("update bytes %d, want %d: a bare %d-byte count and least behind each 13-byte frame header",
+					got, want, updHeader)
 			}
 		})
 	}
 }
 
+// TestSparseLeastAgreement: every node returns the same minimum over each
+// machine's own contribution and the values its scan reported through
+// SparseCtx.Least, whichever scan range reported them — scans fork at
+// Workers 2 on this graph's four source blocks per machine.
+func TestSparseLeastAgreement(t *testing.T) {
+	g := graph.RMAT(15, 2, graph.Graph500Params(), 5)
+	for _, transport := range []string{"mem", "tcp"} {
+		for _, workers := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/w=%d", transport, workers), func(t *testing.T) {
+				const p = 2
+				c := mustCluster(t, g, Options{NumNodes: p, Workers: workers, Endpoints: freshEndpoints(t, transport, p)})
+				got := make([]float64, p)
+				err := c.Run(func(w *Worker) error {
+					least := float64(1e6 + w.ID()) // above every scan report
+					_, err := ProcessEdgesSparse(w, SparseParams[uint32]{
+						Codec:    U32Codec{},
+						Frontier: localFrontier(w, func(int) bool { return true }),
+						Signal: func(ctx *SparseCtx[uint32], src graph.VertexID, dsts []graph.VertexID, _ []float32) {
+							if w.ID() == 1 { // node 1's smallest report comes from its last source
+								ctx.Least(float64(2*g.NumVertices()) - float64(src))
+							}
+							ctx.Least(math.NaN())
+						},
+						Slot:  func(graph.VertexID, uint32) {},
+						Least: &least,
+					})
+					got[w.ID()] = least
+					return err
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, hi := c.Partition().Range(1)
+				last := hi - 1
+				for g.OutDegree(graph.VertexID(last)) == 0 {
+					last--
+				}
+				want := float64(2*g.NumVertices() - last)
+				for node, l := range got {
+					if l != want {
+						t.Fatalf("node %d: least %g, want %g", node, l, want)
+					}
+				}
+			})
+		}
+	}
+}
+
 // TestBadUpdateFrameIsProtocolError: a malformed update frame — shorter
-// than the sparse count, a record for a vertex the receiver does not own,
-// a torn trailing record — fails the receiving node with a
-// *comm.ProtocolError naming the stream, on both transports, instead of
-// panicking it or dropping the bytes. Node 1 puts the frame where node
-// 0's pass awaits its own.
+// than the sparse header, a record for a vertex the receiver does not
+// own, a torn trailing record, more records than the count, a NaN least
+// (which would stall a loop that advances on the agreed minimum) — fails
+// the receiving node with a *comm.ProtocolError naming the stream, on
+// both transports, instead of panicking it or dropping the bytes. Node 1
+// puts the frame where node 0's pass awaits its own.
 func TestBadUpdateFrameIsProtocolError(t *testing.T) {
 	g := graph.Ring(128)                                                                        // node 0 owns [0, 64), node 1 [64, 128)
 	record := func(dst uint32) []byte { return binary.LittleEndian.AppendUint32(nil, dst)[:8] } // U32Codec: 4 + 4 bytes
-	count := func(n uint64) []byte { return binary.LittleEndian.AppendUint64(nil, n) }
+	header := func(n uint64, least float64) []byte {                                            // count, then least
+		return binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(nil, n), math.Float64bits(least))
+	}
+	count := func(n uint64) []byte { return header(n, math.Inf(1)) }
 	cases := []struct {
 		name    string
 		dense   bool
 		payload []byte
 		reason  string
 	}{
-		{"sparse/short", false, []byte{1, 2, 3}, "shorter than its 8-byte count"},
+		{"sparse/short", false, count(0)[:15], "shorter than its 16-byte header"},
 		{"sparse/unowned", false, append(count(1), record(127)...), "does not own"},
 		{"sparse/torn", false, append(count(1), 0, 0, 0), "not a whole number"},
 		{"sparse/undercounted", false, append(count(0), record(1)...), "more records than its count"},
+		{"sparse/nan-least", false, append(header(1, math.NaN()), record(1)...), "least is NaN"},
 		{"dense/unowned", true, record(127), "does not own"},
 		{"dense/torn", true, append(record(1), 9), "not a whole number"},
 	}

@@ -114,7 +114,7 @@ func FromEdges(n int, edges []Edge, opts BuildOptions) (*Graph, error) {
 			g.inWeights[at] = e.Weight
 		}
 	}
-	return g, nil
+	return g.cacheMaxWeight(), nil
 }
 
 // MustFromEdges is FromEdges that panics on error, for tests and

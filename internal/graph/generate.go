@@ -158,5 +158,5 @@ func RandomWeights(g *Graph, seed int64) *Graph {
 		w.inWeights[cursor[dst]] = w.outWeights[i]
 		cursor[dst]++
 	}
-	return &w
+	return w.cacheMaxWeight()
 }

@@ -45,6 +45,8 @@ type Graph struct {
 	inOffsets []int64
 	inSources []VertexID
 	inWeights []float32 // nil if unweighted
+
+	maxWeight float32 // largest out-side weight (0 if none is positive), set by cacheMaxWeight
 }
 
 // NumVertices returns |V|.
@@ -55,6 +57,29 @@ func (g *Graph) NumEdges() int64 { return int64(len(g.outTargets)) }
 
 // Weighted reports whether edges carry weights.
 func (g *Graph) Weighted() bool { return g.outWeights != nil }
+
+// MaxWeight returns the largest edge weight, 1 on an unweighted graph
+// and 0 on a weighted one with no positive weight. It is found once, when
+// the graph is built, so a per-query rule that scales with it (SSSP's
+// bucket width) costs nothing per query.
+func (g *Graph) MaxWeight() float32 {
+	if g.outWeights == nil {
+		return 1
+	}
+	return g.maxWeight
+}
+
+// cacheMaxWeight records the largest weight for MaxWeight and returns g;
+// every constructor that fills weights ends with it.
+func (g *Graph) cacheMaxWeight() *Graph {
+	g.maxWeight = 0
+	for _, w := range g.outWeights {
+		if w > g.maxWeight {
+			g.maxWeight = w
+		}
+	}
+	return g
+}
 
 // OutDegree returns the number of outgoing edges of v.
 func (g *Graph) OutDegree(v VertexID) int {

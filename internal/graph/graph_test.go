@@ -338,3 +338,36 @@ func TestQuickDualViewConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestMaxWeight: every constructor that fills weights records the
+// largest one — a self loop's drops out with the loop under Symmetrize,
+// and a patch that lowers the heaviest arc lowers it — and an unweighted
+// graph reports 1.
+func TestMaxWeight(t *testing.T) {
+	edges := []Edge{{0, 1, 0.5}, {1, 2, 2.5}, {2, 2, 9}, {2, 0, 1}}
+	g := MustFromEdges(3, edges, BuildOptions{Weighted: true})
+	patched, err := Patch(g, 3, nil, []Edge{{2, 2, 0.25}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rw := RandomWeights(Path(50), 1)
+	var rwMax float32
+	for _, e := range rw.Edges() {
+		rwMax = max(rwMax, e.Weight)
+	}
+	for _, tc := range []struct {
+		name string
+		g    *Graph
+		want float32
+	}{
+		{"FromEdges", g, 9},
+		{"Symmetrize", Symmetrize(g), 2.5},
+		{"Patch", patched, 2.5},
+		{"RandomWeights", rw, rwMax},
+		{"unweighted", MustFromEdges(3, edges, BuildOptions{}), 1},
+	} {
+		if got := tc.g.MaxWeight(); got != tc.want {
+			t.Errorf("%s: MaxWeight %g, want %g", tc.name, got, tc.want)
+		}
+	}
+}

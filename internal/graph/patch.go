@@ -47,7 +47,7 @@ func Patch(g *Graph, n int, removes, upserts []Edge) (*Graph, error) {
 	if p.inOffsets, p.inSources, p.inWeights, err = patchSide(g.n, n, g.inOffsets, g.inSources, g.inWeights, in); err != nil {
 		return nil, err
 	}
-	return p, nil
+	return p.cacheMaxWeight(), nil
 }
 
 // edit is one arc of a patch, addressed as (row, col) of whichever side

@@ -27,7 +27,7 @@ func Symmetrize(g *Graph) *Graph {
 		mergeRows(g, VertexID(v), s, s.outOffsets[v])
 	}
 	s.inOffsets, s.inSources = s.outOffsets, s.outTargets
-	return s
+	return s.cacheMaxWeight()
 }
 
 // mergeRows merges v's out-row and in-row in g, skipping v itself and
