@@ -90,16 +90,17 @@ size:
 # surface, options or flags raises the number here, in its own diff, and
 # says why in CHANGES.md; one that shrinks a figure lowers it.
 define SIZE_BUDGET
-non-test Go LOC, repo: 24534
+non-test Go LOC, repo: 24090
 non-test Go LOC, internal/core + internal/comm: 4729
 non-test Go LOC, internal/server: 4275
 non-test Go LOC, internal/gluon: 586
 exported identifiers, internal/core: 184
 exported identifiers, internal/comm: 150
+exported identifiers, internal/bench: 87
 exported identifiers, internal/gluon: 7
 core.Options fields: 14
 methods, core.Engine: 9
-flags, cmd/sgbench/: 19
+flags, cmd/sgbench/: 12
 flags, cmd/sgc/: 5
 flags, cmd/sggen/: 12
 flags, cmd/sgserve/: 15

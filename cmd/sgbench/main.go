@@ -43,37 +43,8 @@ func main() {
 		study   = flag.String("study", "", "extra study: partition or direction")
 		export  = flag.String("export", "", "write the Table 4/5/6 matrix to a .csv or .json file")
 		verbose = flag.Bool("v", false, "verbose: per-phase histogram summary after tracing runs")
-
-		loadURL    = flag.String("load", "", "load-generate against a running sgserve at this base URL")
-		loadGraphs = flag.String("load-graphs", "default", "comma-separated serving graph names for -load")
-		loadFor    = flag.Duration("load-duration", 5*time.Second, "how long -load sustains traffic")
-		loadQPS    = flag.Int("load-clients", 8, "concurrent closed-loop clients for -load")
-		loadSpread = flag.Int("load-spread", 4, "distinct parameter values per algorithm for -load (small = cache-heavy)")
-		mutateMix  = flag.Int("mutate-mix", 0, "interleave this many seeded mutation batches with -load traffic (reports epoch lag and incremental-vs-scratch speedup)")
-		mutateOps  = flag.Int("mutate-ops", 32, "ops per -mutate-mix batch")
 	)
 	flag.Parse()
-
-	if *loadURL != "" {
-		res, err := bench.RunLoad(bench.LoadConfig{
-			BaseURL:   strings.TrimSuffix(*loadURL, "/"),
-			Graphs:    strings.Split(*loadGraphs, ","),
-			Clients:   *loadQPS,
-			Duration:  *loadFor,
-			Seed:      *seed,
-			Spread:    *loadSpread,
-			MutateMix: *mutateMix,
-			MutateOps: *mutateOps,
-		})
-		if err != nil {
-			cliutil.Fatalf("sgbench", "load: %v", err)
-		}
-		res.Print(os.Stdout)
-		if res.TransportErrors > 0 || res.ServerErrors() > 0 {
-			os.Exit(1)
-		}
-		return
-	}
 
 	if err := obsFlags.Start("sgbench"); err != nil {
 		cliutil.Fatalf("sgbench", "%v", err)

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/algorithms"
 	"repro/internal/core"
@@ -180,14 +179,4 @@ func DirectionStudy(s *Suite, cfg Config) (string, error) {
 	}
 	w.Flush()
 	return b.String(), nil
-}
-
-// sortedDatasetNames is a small helper for stable study output.
-func sortedDatasetNames(s *Suite) []string {
-	names := make([]string, 0, len(s.Main))
-	for _, d := range s.Main {
-		names = append(names, d.Name)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -65,8 +65,4 @@ func TestImbalanceHelpers(t *testing.T) {
 	if d <= 0 || g.InDegree(v) != d {
 		t.Fatalf("largestInDegree wrong: %d %d", v, d)
 	}
-	names := sortedDatasetNames(testSuite())
-	if len(names) != 5 || names[0] > names[1] {
-		t.Fatalf("sortedDatasetNames: %v", names)
-	}
 }
