@@ -61,7 +61,8 @@ lint:
 
 # The numbers ROADMAP aim 2 asks every deletion PR to report before and
 # after: non-test Go lines (the repo outside benchmark/, the engine's two
-# hot packages, the serving layer, the D-Galois baseline and the §4 tool),
+# hot packages, the algorithms, the serving layer, the D-Galois baseline
+# and the §4 tool),
 # the exported surface of the engine, the harness, the baseline and the
 # §4 analysis (declarations, methods, fields and grouped
 # constants, one per line of `go doc -all`), core.Options fields, the
@@ -72,6 +73,7 @@ FLAGDEF = \b(flag|fs|f)\.(Bool|Int|Int64|Uint|Uint64|Float64|String|Duration|Var
 size:
 	@echo "non-test Go LOC, repo: $$(find . -name '*.go' ! -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l)"
 	@echo "non-test Go LOC, internal/core + internal/comm: $$(find internal/core internal/comm -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
+	@echo "non-test Go LOC, internal/algorithms: $$(find internal/algorithms -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
 	@echo "non-test Go LOC, internal/server: $$(find internal/server -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
 	@echo "non-test Go LOC, internal/gluon: $$(find internal/gluon -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
 	@echo "non-test Go LOC, internal/analyzer/... + cmd/sgc: $$(find internal/analyzer cmd/sgc -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
@@ -90,15 +92,16 @@ size:
 # surface, options or flags raises the number here, in its own diff, and
 # says why in CHANGES.md; one that shrinks a figure lowers it.
 define SIZE_BUDGET
-non-test Go LOC, repo: 24090
-non-test Go LOC, internal/core + internal/comm: 4729
+non-test Go LOC, repo: 24014
+non-test Go LOC, internal/core + internal/comm: 4775
+non-test Go LOC, internal/algorithms: 1197
 non-test Go LOC, internal/server: 4275
 non-test Go LOC, internal/gluon: 586
-exported identifiers, internal/core: 184
+exported identifiers, internal/core: 180
 exported identifiers, internal/comm: 150
 exported identifiers, internal/bench: 87
 exported identifiers, internal/gluon: 7
-core.Options fields: 14
+core.Options fields: 13
 methods, core.Engine: 9
 flags, cmd/sgbench/: 12
 flags, cmd/sgc/: 5

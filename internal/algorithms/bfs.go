@@ -71,34 +71,13 @@ func BFSWithDirection(c core.Engine, root graph.VertexID, dir Direction) (*BFSRe
 		topDown, bottomUp := 0, 0
 		// Superstep checkpointing: on a recovery re-run, resume from the
 		// last committed level instead of the root.
-		ck := w.Checkpoint()
-		iter := 0
-		if it, blob, ok := ck.Restore(); ok {
-			r := newSnapReader(blob)
-			level = int32(r.u32())
-			topDown = int(r.u32())
-			bottomUp = int(r.u32())
-			r.u32s(parent)
-			r.i32s(depth)
-			r.bitmap(visited)
-			r.bitmap(frontier)
-			if err := r.finish(); err != nil {
-				return err
-			}
-			iter = it
+		ck := w.Checkpoint(&level, &topDown, &bottomUp, parent, depth, visited, frontier)
+		iter, err := ck.Restore()
+		if err != nil {
+			return err
 		}
-		for {
-			if ck.Due(iter) {
-				sw := newSnapWriter()
-				sw.u32(uint32(level))
-				sw.u32(uint32(topDown))
-				sw.u32(uint32(bottomUp))
-				sw.u32s(parent)
-				sw.i32s(depth)
-				sw.bitmap(visited)
-				sw.bitmap(frontier)
-				ck.Save(iter, sw.bytes())
-			}
+		for ; ; iter++ {
+			ck.Save(iter)
 			level++
 			next.ClearAll()
 			adopt := func(dst graph.VertexID, u uint32) {
@@ -157,8 +136,7 @@ func BFSWithDirection(c core.Engine, root graph.VertexID, dir Direction) (*BFSRe
 				break
 			}
 			visited.Union(next)
-			frontier, next = next, frontier
-			iter++
+			frontier.Swap(next)
 		}
 
 		// Publish results to node 0, whose copy becomes the return value.

@@ -28,7 +28,13 @@ func ConnectedComponents(c core.Engine) ([]uint32, error) {
 			changed.Set(v)
 		}
 		filter := core.NewMinFilter(w, math.MaxUint32)
-		for {
+		ck := w.Checkpoint(label, changed)
+		iter, err := ck.Restore()
+		if err != nil {
+			return err
+		}
+		for ; ; iter++ {
+			ck.Save(iter)
 			emitted, err := core.ProcessEdgesSparse(w, core.SparseParams[uint32]{
 				Codec:    core.U32Codec{},
 				Frontier: localFrontierList(w, changed),
@@ -56,7 +62,7 @@ func ConnectedComponents(c core.Engine) ([]uint32, error) {
 			}
 			// changed is only read for local masters, so no sync is
 			// needed — next already holds exactly our changed masters.
-			changed, next = next, changed
+			changed.Swap(next)
 			next.ClearAll()
 		}
 		if err := core.Gather(w, label); err != nil {
@@ -152,28 +158,15 @@ func ssspBuckets(c core.Engine, root graph.VertexID, delta float64) ([]float32, 
 		filter := core.NewMinFilter(w, math.Float32bits(InfDist))
 		// Superstep checkpointing: resume relaxation, bound included, from
 		// the last committed round after a recovery.
-		ck := w.Checkpoint()
-		iter := 0
-		if it, blob, ok := ck.Restore(); ok {
-			r := newSnapReader(blob)
-			r.f32s(dist)
-			r.bitmap(changed)
-			bound = r.f64()
-			if err := r.finish(); err != nil {
-				return err
-			}
-			iter = it
+		ck := w.Checkpoint(dist, changed, &bound)
+		iter, err := ck.Restore()
+		if err != nil {
+			return err
 		}
 		lo, hi := w.MasterRange()
 		var frontier []graph.VertexID
-		for {
-			if ck.Due(iter) {
-				sw := newSnapWriter()
-				sw.f32s(dist)
-				sw.bitmap(changed)
-				sw.f64(bound)
-				ck.Save(iter, sw.bytes())
-			}
+		for ; ; iter++ {
+			ck.Save(iter)
 			frontier = frontier[:0]
 			least := math.Inf(1) // over the masters that wait
 			changed.RangeSegment(lo, hi, func(v int) bool {
@@ -216,7 +209,6 @@ func ssspBuckets(c core.Engine, root graph.VertexID, delta float64) ([]float32, 
 			if least >= bound {
 				bound = nextBound(least, delta)
 			}
-			iter++
 		}
 		if err := core.Gather(w, dist); err != nil {
 			return err

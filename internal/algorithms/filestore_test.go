@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/core"
+	"repro/internal/graph"
 )
 
 // TestChaosBFSRecoversViaFileStore is TestChaosBFSRecoversBitIdentical
@@ -52,51 +53,56 @@ func TestChaosBFSRecoversViaFileStore(t *testing.T) {
 }
 
 // TestBFSResumesAcrossProcessRestart simulates a daemon dying and
-// restarting mid-query: the first incarnation runs checkpointed BFS to
-// completion (committing snapshots to disk), the second builds a fresh
-// cluster over a reopened store with ResumeCheckpoints — its run
-// restores the committed superstep instead of starting from the root,
-// and its result matches the first run exactly.
+// restarting mid-query, for BFS, K-means (checkpointed at outer
+// iterations) and Sample (at rounds): the first incarnation runs to
+// completion, committing snapshots to disk; the second builds a fresh
+// cluster over a reopened store, which the engine never clears because
+// it is the caller's. Its run restores the committed superstep instead of
+// starting over, and its result matches the first run exactly.
 func TestBFSResumesAcrossProcessRestart(t *testing.T) {
-	g := chaosGraph(64)
-	dir := t.TempDir()
+	sym := graph.Symmetrize(chaosGraph(64))
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+		run  func(core.Engine) (any, error)
+	}{
+		{"bfs", chaosGraph(64), func(c core.Engine) (any, error) { return BFS(c, 0) }},
+		{"kmeans", sym, func(c core.Engine) (any, error) { return KMeans(c, 2, 4, 5) }},
+		{"sampling", sym, func(c core.Engine) (any, error) { return Sample(c, 9, 4) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s1, err := core.NewFileCheckpointStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := tc.run(mustAlgCluster(t, tc.g, core.Options{NumNodes: 2, CheckpointEvery: 2, Checkpoints: s1}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s1.Stats().Commits == 0 {
+				t.Fatal("first incarnation committed no checkpoints")
+			}
 
-	s1, err := core.NewFileCheckpointStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c1 := mustAlgCluster(t, g, core.Options{NumNodes: 2, CheckpointEvery: 4, Checkpoints: s1})
-	want, err := BFS(c1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s1.Stats().Commits == 0 {
-		t.Fatal("first incarnation committed no checkpoints")
-	}
-
-	// "Process restart": new store object on the same directory, new
-	// cluster, resume enabled so the engine keeps the on-disk snapshot.
-	s2, err := core.NewFileCheckpointStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s2.Stats().CommittedIter < 0 {
-		t.Fatal("reopened store lost the committed snapshot")
-	}
-	c2 := mustAlgCluster(t, g, core.Options{
-		NumNodes:          2,
-		CheckpointEvery:   4,
-		Checkpoints:       s2,
-		ResumeCheckpoints: true,
-	})
-	got, err := BFS(c2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s2.Stats().Restores == 0 {
-		t.Fatal("resumed run restored nothing from disk")
-	}
-	if !reflect.DeepEqual(got.Parent, want.Parent) || !reflect.DeepEqual(got.Depth, want.Depth) {
-		t.Fatal("resumed BFS result differs from the first incarnation")
+			// "Process restart": new store object on the same directory,
+			// new cluster.
+			s2, err := core.NewFileCheckpointStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s2.Stats().CommittedIter < 0 {
+				t.Fatal("reopened store lost the committed snapshot")
+			}
+			got, err := tc.run(mustAlgCluster(t, tc.g, core.Options{NumNodes: 2, CheckpointEvery: 2, Checkpoints: s2}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s2.Stats().Restores == 0 {
+				t.Fatal("resumed run restored nothing from disk")
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatal("resumed result differs from the first incarnation")
+			}
+		})
 	}
 }

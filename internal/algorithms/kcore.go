@@ -38,7 +38,12 @@ func KCore(c core.Engine, k int) (*KCoreResult, error) {
 		lo, hi := w.MasterRange()
 		counts := make([]int64, n) // master partial-count accumulator
 		rounds := 0
+		ck := w.Checkpoint(active, &rounds)
+		if _, err := ck.Restore(); err != nil {
+			return err
+		}
 		for {
+			ck.Save(rounds)
 			rounds++
 			for v := lo; v < hi; v++ {
 				counts[v] = 0

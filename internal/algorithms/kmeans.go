@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/bitset"
 	"repro/internal/comm"
@@ -36,13 +37,21 @@ func KMeans(c core.Engine, centers, iters int, seed uint64) (*seq.KMeansResult, 
 	// Initial centers: one deterministic draw, read by every node.
 	initial := seq.KMeansCenters(n, centers, seed)
 	err := c.Run(func(w *core.Worker) error {
-		cs := initial
+		cs := slices.Clone(initial)
 		cluster := make([]uint32, n) // masters authoritative
 		dist := make([]int32, n)
 		assigned, frontier, next := bitset.New(n), bitset.New(n), bitset.New(n)
-		var distSums []int64
+		distSums := make([]int64, iters)
 		totalRounds := 0
-		for iter := 0; iter < iters; iter++ {
+		// Checkpointed at outer-iteration boundaries, where the centers,
+		// the sums so far and the round count are the whole state.
+		ck := w.Checkpoint(cs, distSums, &totalRounds)
+		start, err := ck.Restore()
+		if err != nil {
+			return err
+		}
+		for iter := start; iter < iters; iter++ {
+			ck.Save(iter)
 			for v := range cluster {
 				cluster[v] = seq.NoCluster
 				dist[v] = -1
@@ -119,7 +128,7 @@ func KMeans(c core.Engine, centers, iters int, seed uint64) (*seq.KMeansResult, 
 			if err != nil {
 				return err
 			}
-			distSums = append(distSums, sum)
+			distSums[iter] = sum
 			if iter == iters-1 {
 				break
 			}
@@ -129,7 +138,7 @@ func KMeans(c core.Engine, centers, iters int, seed uint64) (*seq.KMeansResult, 
 			if err != nil {
 				return err
 			}
-			cs = cs2
+			copy(cs, cs2)
 		}
 
 		if err := core.Gather(w, cluster); err != nil {

@@ -32,9 +32,14 @@ func MIS(c core.Engine, seed uint64) (*MISResult, error) {
 		active := bitset.New(n)
 		active.Fill()
 		vetoed, newMIS, covered := bitset.New(n), bitset.New(n), bitset.New(n)
-		inMIS := make([]bool, n) // masters authoritative
+		member := bitset.New(n) // masters authoritative
 		rounds := 0
+		ck := w.Checkpoint(active, member, &rounds)
+		if _, err := ck.Restore(); err != nil {
+			return err
+		}
 		for active.Any() {
+			ck.Save(rounds)
 			rounds++
 			// Phase 1: veto pass. A vertex is vetoed when some active
 			// neighbor has a smaller color; un-vetoed active vertices
@@ -62,8 +67,8 @@ func MIS(c core.Engine, seed uint64) (*MISResult, error) {
 			newMIS.ClearAll()
 			w.ProcessVertices(func(v graph.VertexID) int64 {
 				if active.Get(int(v)) && !vetoed.Get(int(v)) {
-					inMIS[v] = true
-					newMIS.SetAtomic(int(v)) // workers share words
+					member.SetAtomic(int(v)) // workers share words
+					newMIS.SetAtomic(int(v))
 				}
 				return 0
 			})
@@ -126,11 +131,7 @@ func MIS(c core.Engine, seed uint64) (*MISResult, error) {
 		// Publish membership.
 		out := make([]uint32, n)
 		lo, hi := w.MasterRange()
-		for v := lo; v < hi; v++ {
-			if inMIS[v] {
-				out[v] = 1
-			}
-		}
+		member.RangeSegment(lo, hi, func(v int) bool { out[v] = 1; return true })
 		if err := core.Gather(w, out); err != nil {
 			return err
 		}

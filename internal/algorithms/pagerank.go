@@ -37,7 +37,13 @@ func PageRank(c core.Engine, iters int, damping float64) ([]float64, error) {
 		for v := lo; v < hi; v++ {
 			rank[v] = 1 / float64(n)
 		}
-		for it := 0; it < iters; it++ {
+		ck := w.Checkpoint(rank)
+		it, err := ck.Restore()
+		if err != nil {
+			return err
+		}
+		for ; it < iters; it++ {
+			ck.Save(it)
 			for v := lo; v < hi; v++ {
 				if d := g.OutDegree(graph.VertexID(v)); d > 0 {
 					share[v] = rank[v] / float64(d)

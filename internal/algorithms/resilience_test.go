@@ -1,8 +1,11 @@
 package algorithms
 
 import (
+	"cmp"
+	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -11,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/obs"
+	"repro/internal/seq"
 )
 
 // chaosGraph is a long directed path: BFS and SSSP need one superstep
@@ -185,6 +189,142 @@ func TestChaosSoak(t *testing.T) {
 				}
 				if plan.Counters().Crashes != 1 {
 					t.Fatalf("nodes=%d crashAt=%d seed=%d: crashes = %d", nodes, crashAt, seed, plan.Counters().Crashes)
+				}
+			}
+		}
+	}
+}
+
+// chaosCase is one algorithm of the chaos table: its graph, checkpoint
+// cadence and run, and a check of a result against the sequential oracle
+// ("" when it matches).
+type chaosCase struct {
+	name   string
+	g      *graph.Graph
+	every  int
+	run    func(core.Engine) (any, error)
+	oracle func(c *core.Cluster, got any) string
+}
+
+// chaosCases covers all eight algorithms on graphs where each oracle is
+// exact: a directed path gives BFS a unique tree, SSSP a unique path and
+// PageRank one term per sum.
+func chaosCases() []chaosCase {
+	const n = 191 // machines own 64-vertex chunks: all three at p = 3
+	path, sym := chaosGraph(n), graph.Symmetrize(chaosGraph(n))
+	weighted := graph.RandomWeights(path, 5)
+	// MIS settles a random path in two or three rounds; a path through
+	// the vertices in falling color order settles from one end, a vertex
+	// per round.
+	colors := seq.MISColors(n, 8)
+	order := make([]graph.VertexID, n)
+	for v := range order {
+		order[v] = graph.VertexID(v)
+	}
+	slices.SortFunc(order, func(a, b graph.VertexID) int { return cmp.Compare(colors[b], colors[a]) })
+	var edges []graph.Edge
+	for i := 1; i < n; i++ {
+		edges = append(edges, graph.Edge{Src: order[i-1], Dst: order[i]})
+	}
+	misGraph := graph.Symmetrize(graph.MustFromEdges(n, edges, graph.BuildOptions{}))
+	mismatch := func(what string, got, want any) string {
+		if !reflect.DeepEqual(got, want) {
+			return fmt.Sprintf("%s = %v, oracle %v", what, got, want)
+		}
+		return ""
+	}
+	return []chaosCase{
+		{"bfs", path, 5, func(c core.Engine) (any, error) { return BFS(c, 0) }, func(_ *core.Cluster, got any) string {
+			r, want := got.(*BFSResult), seq.TopDownBFS(path, 0)
+			return mismatch("parent", r.Parent, want.Parent) + mismatch("depth", r.Depth, want.Depth)
+		}},
+		{"sssp", weighted, 4, func(c core.Engine) (any, error) { return SSSP(c, 0) }, func(_ *core.Cluster, got any) string {
+			return mismatch("dist", got, dijkstra(weighted, 0))
+		}},
+		{"cc", sym, 3, func(c core.Engine) (any, error) { return ConnectedComponents(c) }, func(_ *core.Cluster, got any) string {
+			return mismatch("labels", got, make([]uint32, n)) // one component
+		}},
+		{"pagerank", path, 4, func(c core.Engine) (any, error) { return PageRank(c, 24, 0.85) }, func(_ *core.Cluster, got any) string {
+			return mismatch("rank", got, seqPageRank(path, 24, 0.85))
+		}},
+		{"kcore", sym, 3, func(c core.Engine) (any, error) { return KCore(c, 2) }, func(_ *core.Cluster, got any) string {
+			want, _ := seq.KCoreIterative(sym, 2)
+			return mismatch("in core", got.(*KCoreResult).InCore, want)
+		}},
+		{"mis", misGraph, 4, func(c core.Engine) (any, error) { return MIS(c, 8) }, func(_ *core.Cluster, got any) string {
+			return mismatch("in MIS", got.(*MISResult).InMIS, seq.GreedyMIS(misGraph, colors))
+		}},
+		{"kmeans", sym, 1, func(c core.Engine) (any, error) { return KMeans(c, 6, 5, 5) }, func(c *core.Cluster, got any) string {
+			r, want := got.(*seq.KMeansResult), seq.KMeans(sym, 6, 5, 5, seq.RingOrder(c.Partition()))
+			return mismatch("cluster", r.Cluster, want.Cluster) + mismatch("dist", r.Dist, want.Dist) +
+				mismatch("dist sums", r.DistSums, want.DistSums) + mismatch("centers", r.Centers, want.Centers)
+		}},
+		// The exact prefix walk is SympleGraph's with every vertex tracked;
+		// Gemini's hierarchical picks have no sequential twin, only a
+		// validity check.
+		{"sampling", sym, 1, func(c core.Engine) (any, error) { return Sample(c, 9, 9) }, func(c *core.Cluster, got any) string {
+			for round, pick := range got.(*SampleResult).Picks {
+				if c.Options().Mode == core.ModeGemini {
+					if msg := seq.ValidateSample(sym, pick); msg != "" {
+						return fmt.Sprintf("round %d: %s", round, msg)
+					}
+					continue
+				}
+				want, _ := seq.SampleNeighbors(sym, 9, round, seq.RingOrder(c.Partition()))
+				if msg := mismatch(fmt.Sprintf("round %d picks", round), pick, want); msg != "" {
+					return msg
+				}
+			}
+			return ""
+		}},
+	}
+}
+
+// TestChaosEveryAlgorithmRecoversBitIdentical crashes one node halfway and
+// five sixths of the way through each algorithm's fault-free run, in both
+// modes at p = 2 and 3. Every recovered run must have restored a committed
+// snapshot, not started over, and its result must equal the fault-free
+// run's and the sequential oracle's bit for bit.
+func TestChaosEveryAlgorithmRecoversBitIdentical(t *testing.T) {
+	for _, tc := range chaosCases() {
+		for _, mode := range []core.Mode{core.ModeSympleGraph, core.ModeGemini} {
+			for _, p := range []int{2, 3} {
+				name := fmt.Sprintf("%s/%v/p=%d", tc.name, mode, p)
+				ff := mustAlgCluster(t, tc.g, core.Options{NumNodes: p, Mode: mode})
+				want, err := tc.run(ff)
+				if err != nil {
+					t.Fatalf("%s fault-free: %v", name, err)
+				}
+				if msg := tc.oracle(ff, want); msg != "" {
+					t.Fatalf("%s fault-free: %s", name, msg)
+				}
+				for i := 0; i < p; i++ {
+					if lo, hi := ff.Partition().Range(i); hi <= lo {
+						t.Fatalf("%s: node %d owns no vertex", name, i)
+					}
+				}
+				steps := int(ff.Stats().Totals.Supersteps) / p
+				for k, crashAt := range []int{steps / 2, 5 * steps / 6} {
+					plan := &comm.FaultPlan{Seed: uint64(k), CrashNode: comm.NodeID(k % p), CrashAtSuperstep: crashAt}
+					c := mustAlgCluster(t, tc.g, core.Options{NumNodes: p, Mode: mode, Fault: plan,
+						CheckpointEvery: tc.every, MaxRestarts: 1, StallTimeout: 10 * time.Second})
+					got, err := tc.run(c)
+					if err != nil {
+						t.Fatalf("%s crash at %d: %v", name, crashAt, err)
+					}
+					reg := obs.NewRegistry()
+					c.RegisterMetrics(reg)
+					restores, _ := reg.Snapshot()["resilience.checkpoint.restores"].(int64)
+					if plan.Counters().Crashes != 1 || c.Stats().Restarts != 1 || restores == 0 {
+						t.Fatalf("%s crash at %d of %d: crashes %d, restarts %d, restores %d, want 1, 1 and > 0",
+							name, crashAt, steps, plan.Counters().Crashes, c.Stats().Restarts, restores)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s crash at %d: recovered result differs from the fault-free run", name, crashAt)
+					}
+					if msg := tc.oracle(c, got); msg != "" {
+						t.Fatalf("%s crash at %d: %s", name, crashAt, msg)
+					}
 				}
 			}
 		}

@@ -53,7 +53,19 @@ func Sample(c core.Engine, seed uint64, rounds int) (*SampleResult, error) {
 	wt := seq.VertexWeights(seed, n)
 	err := c.Run(func(w *core.Worker) error {
 		totalW := make([]float64, n)
-		if depOn {
+		var exactPicks int64 // picks this machine's masters took from exact walks
+		var kept []uint32    // node 0's picks, round r's at [r·n, (r+1)·n)
+		if w.ID() == 0 {
+			kept = make([]uint32, rounds*n)
+		}
+		// Checkpointed at round boundaries; a restored run skips the setup
+		// pass, whose weight sums are in the snapshot.
+		ck := w.Checkpoint(totalW, &exactPicks, kept)
+		start, err := ck.Restore()
+		if err != nil {
+			return err
+		}
+		if depOn && start == 0 {
 			// Setup: circulate each tracked vertex's weight sum around
 			// the ring so W_v is the exact ring-ordered addition chain —
 			// the same chain the per-round walks will follow, so the
@@ -84,17 +96,19 @@ func Sample(c core.Engine, seed uint64, rounds int) (*SampleResult, error) {
 			}
 		}
 
-		var exactPicks int64 // picks this machine's masters took from exact walks
-		allPicks := make([][]uint32, rounds)
 		lo, hi := w.MasterRange()
 		hierMass := make([]float64, n) // running mass at master
 		hierSeq := make([]uint64, n)   // arrival index at master
 		var pick []uint32
-		for round := 0; round < rounds; round++ {
+		if w.ID() != 0 {
+			pick = make([]uint32, n)
+		}
+		for round := start; round < rounds; round++ {
+			ck.Save(round)
 			// Slots write masters only and the gather overwrites the rest
 			// at node 0, the one node that keeps a round's picks.
-			if pick == nil || w.ID() == 0 {
-				pick = make([]uint32, n)
+			if w.ID() == 0 {
+				pick = kept[round*n : (round+1)*n : (round+1)*n]
 			}
 			for v := lo; v < hi; v++ {
 				pick[v] = None
@@ -166,15 +180,17 @@ func Sample(c core.Engine, seed uint64, rounds int) (*SampleResult, error) {
 			if err := core.Gather(w, pick); err != nil {
 				return err
 			}
-			allPicks[round] = pick
 		}
-		exactPicks, err := w.AllReduceSum(exactPicks) // counted at the masters
+		exact, err := w.AllReduceSum(exactPicks) // counted at the masters
 		if err != nil {
 			return err
 		}
 		if w.ID() == 0 {
-			res.Picks = allPicks
-			res.ExactPicks = exactPicks
+			res.Picks = make([][]uint32, rounds)
+			for r := range res.Picks {
+				res.Picks[r] = kept[r*n : (r+1)*n : (r+1)*n]
+			}
+			res.ExactPicks = exact
 		}
 		return nil
 	})

@@ -164,6 +164,14 @@ func (b *Bitmap) CopyFrom(other *Bitmap) {
 	copy(b.words, other.words)
 }
 
+// Swap exchanges the contents of b and other in O(1). Lengths must
+// match. A double-buffered frontier swaps this way when something else
+// holds its two bitmaps, such as a declared checkpoint.
+func (b *Bitmap) Swap(other *Bitmap) {
+	b.sameLen(other)
+	b.words, other.words = other.words, b.words
+}
+
 // Clone returns a deep copy of b.
 func (b *Bitmap) Clone() *Bitmap {
 	c := New(b.n)

@@ -1,188 +1,195 @@
 package core
 
 import (
-	"sync"
+	"encoding/binary"
+	"fmt"
+	"slices"
 	"time"
+	"unsafe"
 
+	"repro/internal/bitset"
+	"repro/internal/graph"
 	"repro/internal/obs"
 )
 
-// CheckpointStats summarizes a store's lifetime activity.
-type CheckpointStats struct {
-	// Saved counts blobs accepted, Commits iterations fully committed,
-	// Restores blobs handed back to recovering workers.
-	Saved, Commits, Restores int64
-	// CommittedIter is the last globally consistent iteration, -1 when
-	// no checkpoint has committed yet.
-	CommittedIter int
-}
-
-// CheckpointStore is stable storage for superstep snapshots. The engine
-// enforces a two-phase rule through it: Save stages one node's blob for
-// an iteration, and the iteration commits only once every member node
-// has saved it, so a crash landing mid-save can never leave a torn
-// snapshot visible to Restore.
-//
-// The default store (used whenever Options.Checkpoints is nil) keeps
-// blobs in process memory — they survive the simulated machine death of
-// a chaos run but not a real process death. FileCheckpointStore persists
-// them to a directory so a restarted process can resume.
-//
-// Implementations must be safe for concurrent use by the workers of a
-// run.
-type CheckpointStore interface {
-	// SetMembers declares the node IDs that must save an iteration
-	// before it commits. The cluster calls it once at construction.
-	SetMembers(members []int)
-	// Save stages node's blob for iteration iter; the store takes
-	// ownership of blob. Saves at or below the committed iteration are
-	// ignored (a straggler re-saving the past after a restore).
-	Save(node, iter int, blob []byte)
-	// Restore returns node's blob at the last committed iteration, or
-	// ok=false when nothing has committed.
-	Restore(node int) (iter int, blob []byte, ok bool)
-	// Clear discards every staged and committed snapshot.
-	Clear()
-	// Stats reports lifetime counters.
-	Stats() CheckpointStats
-}
-
-// memCheckpointStore is the cluster's default stand-in for stable
-// storage: it holds the last globally consistent superstep snapshot
-// across run failures and transport resets, in process memory.
-type memCheckpointStore struct {
-	mu            sync.Mutex
-	members       []int // node IDs that must save before an iter commits
-	committedIter int
-	committed     map[int][]byte
-	staging       map[int]map[int][]byte // iter → node → blob
-
-	saved    int64 // blobs accepted
-	commits  int64 // iterations fully committed
-	restores int64 // blobs handed back
-}
-
-// NewMemCheckpointStore returns the default in-memory store.
-func NewMemCheckpointStore() CheckpointStore {
-	return &memCheckpointStore{
-		committedIter: -1,
-		staging:       make(map[int]map[int][]byte),
-	}
-}
-
-// SetMembers declares the committing quorum.
-func (s *memCheckpointStore) SetMembers(members []int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.members = append([]int(nil), members...)
-}
-
-// Save stages node's blob for iteration iter and commits the iteration
-// when every member has saved it.
-func (s *memCheckpointStore) Save(node, iter int, blob []byte) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if iter <= s.committedIter {
-		return // a straggler re-saving the past after a restore
-	}
-	blobs, ok := s.staging[iter]
-	if !ok {
-		blobs = make(map[int][]byte, len(s.members))
-		s.staging[iter] = blobs
-	}
-	blobs[node] = blob
-	s.saved++
-	for _, m := range s.members {
-		if blobs[m] == nil {
-			return
-		}
-	}
-	s.committedIter = iter
-	s.committed = blobs
-	s.commits++
-	for k := range s.staging {
-		if k <= s.committedIter {
-			delete(s.staging, k)
-		}
-	}
-}
-
-// Restore returns node's blob at the last committed iteration.
-func (s *memCheckpointStore) Restore(node int) (iter int, blob []byte, ok bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.committedIter < 0 {
-		return 0, nil, false
-	}
-	s.restores++
-	return s.committedIter, s.committed[node], true
-}
-
-// Clear empties the store for a fresh program.
-func (s *memCheckpointStore) Clear() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.committedIter = -1
-	s.committed = nil
-	s.staging = make(map[int]map[int][]byte)
-}
-
-// Stats reports lifetime counters.
-func (s *memCheckpointStore) Stats() CheckpointStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return CheckpointStats{Saved: s.saved, Commits: s.commits, Restores: s.restores, CommittedIter: s.committedIter}
-}
-
-// Checkpoint is a worker's handle on superstep checkpointing. Programs
-// that opt in call Restore once at the top of their superstep loop and
-// Save at every iteration Due reports true for; the engine keeps the
-// last globally consistent snapshot and hands it back after a recovery.
-// All methods are no-ops (and Restore reports false) when
-// Options.CheckpointEvery is 0.
+// Checkpoint is a worker's handle on its program's declared superstep
+// state. The program declares that state once per Run, restores it once
+// before its superstep loop and calls Save at the top of every iteration;
+// the engine encodes the state at Options.CheckpointEvery's boundaries,
+// keeps the last snapshot every node committed, and decodes it back into
+// the declared variables after a recovery. Programs never see bytes.
+// With checkpointing off, Save does nothing and Restore returns 0.
 type Checkpoint struct {
-	w *Worker
+	w     *Worker
+	items []stateItem
 }
 
-// Checkpoint returns this worker's checkpoint handle.
-func (w *Worker) Checkpoint() Checkpoint { return Checkpoint{w: w} }
-
-// Enabled reports whether checkpointing is configured for this cluster.
-func (c Checkpoint) Enabled() bool { return c.w.cluster.ckpt != nil }
-
-// Every returns the configured checkpoint cadence K (0 when disabled).
-func (c Checkpoint) Every() int { return c.w.cluster.opts.CheckpointEvery }
-
-// Due reports whether iteration iter is a checkpoint boundary. All
-// workers see the same answer for the same iter, preserving SPMD
-// alignment of the save calls.
-func (c Checkpoint) Due(iter int) bool {
-	return c.Enabled() && iter > 0 && iter%c.Every() == 0
+// Checkpoint declares this worker's superstep state: pointers to int,
+// int32, int64 or float64 scalars, slices of uint32 (graph.VertexID
+// too), int32, int64, float32 or float64 whose length never changes,
+// and *bitset.Bitmap. Saves read the items and a restore overwrites
+// them in place, so each must stay the variable the loop uses — swap
+// bitmap contents (Bitmap.Swap), not pointers. Any other type panics.
+func (w *Worker) Checkpoint(state ...any) Checkpoint {
+	items := make([]stateItem, len(state))
+	for i, x := range state {
+		items[i] = declare(x)
+	}
+	return Checkpoint{w: w, items: items}
 }
 
-// Save stores this node's snapshot for iteration iter. The blob must be
-// non-empty and becomes engine-owned. The iteration commits once every
-// node has saved it.
-func (c Checkpoint) Save(iter int, blob []byte) {
-	if !c.Enabled() || len(blob) == 0 {
+// Save snapshots the declared state as iteration iter's when iter is a
+// positive multiple of Options.CheckpointEvery — the same answer on every
+// node, so saves stay SPMD-aligned. The iteration commits once every node
+// has saved it.
+func (c Checkpoint) Save(iter int) {
+	if c.w.cluster.ckpt == nil || iter <= 0 || iter%c.w.cluster.opts.CheckpointEvery != 0 {
 		return
 	}
 	start := c.w.spanStart()
-	c.w.cluster.ckpt.Save(c.w.id, iter, blob)
+	c.w.cluster.ckpt.Save(c.w.id, iter, encodeState(c.items))
 	c.w.endSpan(obs.PhaseCheckpoint, iter, -1, -1, start)
 }
 
-// Restore returns this node's blob at the last committed iteration, or
-// ok=false when there is none (fresh program or checkpointing off) —
-// in which case the program starts from its initial state.
-func (c Checkpoint) Restore() (iter int, blob []byte, ok bool) {
-	if !c.Enabled() {
-		return 0, nil, false
+// Restore overwrites the declared state with this node's snapshot at the
+// last committed iteration and returns that iteration, or returns 0 and
+// leaves the state as the program set it when nothing has committed. A
+// snapshot that does not decode against the declaration fails with an
+// error naming the node and iteration, and restores nothing.
+func (c Checkpoint) Restore() (int, error) {
+	if c.w.cluster.ckpt == nil {
+		return 0, nil
 	}
 	start := time.Now()
-	iter, blob, ok = c.w.cluster.ckpt.Restore(c.w.id)
-	if ok && c.w.tr != nil {
+	iter, blob, ok := c.w.cluster.ckpt.Restore(c.w.id)
+	if !ok {
+		return 0, nil
+	}
+	if err := decodeState(c.items, blob); err != nil {
+		return 0, fmt.Errorf("core: node %d: checkpoint of iteration %d: %w", c.w.id, iter, err)
+	}
+	if c.w.tr != nil {
 		c.w.tr.Record(c.w.id, obs.PhaseRecovery, iter, -1, -1, start, time.Since(start))
 	}
-	return iter, blob, ok
+	return iter, nil
+}
+
+// stateVersion heads every snapshot, followed by the item count and each
+// item's byte length (little-endian u32s), then the items' bytes.
+const stateVersion = 1
+
+// stateItem is one declared variable, encoded by the engine's element
+// codec or, for a bitmap, as its words.
+type stateItem interface {
+	size() int
+	appendTo(out []byte) []byte
+	decode(src []byte) // src is exactly size() bytes
+}
+
+type elems[T elem] []T
+
+func (e elems[T]) size() int {
+	var zero T
+	return len(e) * int(unsafe.Sizeof(zero))
+}
+func (e elems[T]) decode(src []byte) { decodeElems(e, src) }
+func (e elems[T]) appendTo(out []byte) []byte {
+	n := len(out)
+	out = slices.Grow(out, e.size())[:n+e.size()]
+	encodeElems(out[n:], e)
+	return out
+}
+
+type bitmapItem struct{ b *bitset.Bitmap }
+
+func (m bitmapItem) size() int                  { return m.b.MarshaledSize() }
+func (m bitmapItem) appendTo(out []byte) []byte { return m.b.MarshalBinaryTo(out) }
+func (m bitmapItem) decode(src []byte)          { _ = m.b.UnmarshalBinary(src) } // it checks the length alone
+
+type intItem struct{ p *int }
+
+func (x intItem) size() int { return 8 }
+func (x intItem) appendTo(out []byte) []byte {
+	return binary.LittleEndian.AppendUint64(out, uint64(*x.p))
+}
+func (x intItem) decode(src []byte) { *x.p = int(binary.LittleEndian.Uint64(src)) }
+
+// declare maps a declared variable to its item; a scalar is a slice of
+// one.
+func declare(x any) stateItem {
+	switch v := x.(type) {
+	case *int:
+		return intItem{v}
+	case *int32:
+		return elems[int32](unsafe.Slice(v, 1))
+	case *int64:
+		return elems[int64](unsafe.Slice(v, 1))
+	case *float64:
+		return elems[float64](unsafe.Slice(v, 1))
+	case []uint32:
+		return elems[uint32](v)
+	case []graph.VertexID:
+		return elems[uint32](unsafe.Slice((*uint32)(unsafe.SliceData(v)), len(v)))
+	case []int32:
+		return elems[int32](v)
+	case []int64:
+		return elems[int64](v)
+	case []float32:
+		return elems[float32](v)
+	case []float64:
+		return elems[float64](v)
+	case *bitset.Bitmap:
+		return bitmapItem{v}
+	}
+	panic(fmt.Sprintf("core: cannot checkpoint a %T", x))
+}
+
+// encodeState is the snapshot of items as they stand.
+func encodeState(items []stateItem) []byte {
+	size := 8 + 4*len(items)
+	for _, it := range items {
+		size += it.size()
+	}
+	out := binary.LittleEndian.AppendUint32(make([]byte, 0, size), stateVersion)
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(items)))
+	for _, it := range items {
+		out = binary.LittleEndian.AppendUint32(out, uint32(it.size()))
+	}
+	for _, it := range items {
+		out = it.appendTo(out)
+	}
+	return out
+}
+
+// decodeState checks blob's whole layout against items, then overwrites
+// them: a foreign version, a truncated blob, trailing bytes or an item of
+// another length fails before any item changes.
+func decodeState(items []stateItem, blob []byte) error {
+	head := 8 + 4*len(items)
+	word := func(i int) int { return int(binary.LittleEndian.Uint32(blob[4*i:])) }
+	switch {
+	case len(blob) < 8:
+		return fmt.Errorf("snapshot truncated to %d bytes", len(blob))
+	case word(0) != stateVersion:
+		return fmt.Errorf("snapshot version %d, want %d", word(0), stateVersion)
+	case word(1) != len(items):
+		return fmt.Errorf("snapshot holds %d items, %d declared", word(1), len(items))
+	case len(blob) < head:
+		return fmt.Errorf("snapshot truncated to %d bytes", len(blob))
+	}
+	total := head
+	for i, it := range items {
+		if n := word(2 + i); n != it.size() {
+			return fmt.Errorf("snapshot item %d is %d bytes, declared %d", i, n, it.size())
+		}
+		total += it.size()
+	}
+	if len(blob) != total {
+		return fmt.Errorf("snapshot is %d bytes, its header says %d", len(blob), total)
+	}
+	for _, it := range items {
+		it.decode(blob[head : head+it.size()])
+		head += it.size()
+	}
+	return nil
 }

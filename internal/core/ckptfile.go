@@ -9,11 +9,48 @@ import (
 	"sync"
 )
 
-// FileCheckpointStore is a CheckpointStore backed by a directory of
-// blobs — the external stable storage DESIGN.md §5 names as the gap the
-// in-memory store leaves: snapshots that survive a real process death,
-// so a restarted daemon (sgserve) can resume a long query from its last
-// committed superstep instead of starting over.
+// CheckpointStats summarizes a store's lifetime activity.
+type CheckpointStats struct {
+	// Saved counts blobs accepted, Commits iterations fully committed,
+	// Restores blobs handed back to recovering workers.
+	Saved, Commits, Restores int64
+	// CommittedIter is the last globally consistent iteration, -1 when
+	// no checkpoint has committed yet.
+	CommittedIter int
+}
+
+// CheckpointStore is stable storage for superstep snapshots. The engine
+// enforces a two-phase rule through it: Save stages one node's blob for
+// an iteration, and the iteration commits only once every member node
+// has saved it, so a crash landing mid-save can never leave a torn
+// snapshot visible to Restore.
+//
+// Implementations must be safe for concurrent use by the workers of a
+// run.
+type CheckpointStore interface {
+	// SetMembers declares the node IDs that must save an iteration
+	// before it commits. The cluster calls it once at construction.
+	SetMembers(members []int)
+	// Save stages node's blob for iteration iter; the store takes
+	// ownership of blob. Saves at or below the committed iteration are
+	// ignored (a straggler re-saving the past after a restore).
+	Save(node, iter int, blob []byte)
+	// Restore returns node's blob at the last committed iteration, or
+	// ok=false when nothing has committed.
+	Restore(node int) (iter int, blob []byte, ok bool)
+	// Clear discards every staged and committed snapshot.
+	Clear()
+	// Stats reports lifetime counters.
+	Stats() CheckpointStats
+}
+
+// FileCheckpointStore is the one CheckpointStore. It holds the staged
+// and committed blobs in memory; NewFileCheckpointStore's also writes
+// them through to a directory — the external stable storage DESIGN.md §5
+// names — so a restarted daemon (sgserve) can resume a long query from
+// its last committed superstep instead of starting over, while
+// NewMemCheckpointStore's, the cluster's default, survives the simulated
+// machine deaths of a chaos run but not a process death.
 //
 // Layout:
 //
@@ -24,19 +61,20 @@ import (
 // Every write is write-to-temp + atomic rename, and the commit itself
 // is a single rename of CURRENT — readers either see the previous
 // consistent snapshot or the new one, never a torn mix. An iteration
-// commits once every member node's blob is on disk, at which point
-// older iteration directories are discarded.
+// commits once every member node's blob is stored, at which point older
+// iterations are discarded.
 //
-// I/O errors never fail the engine (Save is fire-and-forget, like the
-// in-memory store); a failed save simply leaves the iteration
-// uncommitted, and the first error is retained for Err.
+// I/O errors never fail the engine (Save is fire-and-forget); a failed
+// write simply leaves the iteration uncommitted, and the first error is
+// retained for Err.
 type FileCheckpointStore struct {
-	dir string
+	dir string // "" keeps the blobs in memory only
 
 	mu            sync.Mutex
 	members       []int
 	committedIter int
-	staged        map[int]map[int]bool // iter → node → blob on disk
+	committed     map[int][]byte         // node → blob at committedIter
+	staging       map[int]map[int][]byte // iter → node → blob
 	firstErr      error
 
 	saved    int64
@@ -44,55 +82,46 @@ type FileCheckpointStore struct {
 	restores int64
 }
 
+// NewMemCheckpointStore returns the default, in-memory store.
+func NewMemCheckpointStore() CheckpointStore { return newCheckpointStore("") }
+
+func newCheckpointStore(dir string) *FileCheckpointStore {
+	return &FileCheckpointStore{dir: dir, committedIter: -1, staging: make(map[int]map[int][]byte)}
+}
+
 // NewFileCheckpointStore opens (creating if needed) a file-backed store
-// rooted at dir. An existing CURRENT pointer and any staged iteration
-// directories are adopted, so a store reopened after a process death
-// resumes exactly where the previous incarnation committed.
+// rooted at dir. An existing CURRENT pointer, its blobs and any newer
+// staged iteration are adopted, so a store reopened after a process
+// death resumes exactly where the previous incarnation committed, and a
+// partially saved iteration can still complete.
 func NewFileCheckpointStore(dir string) (*FileCheckpointStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("core: checkpoint dir: %w", err)
 	}
-	s := &FileCheckpointStore{
-		dir:           dir,
-		committedIter: -1,
-		staged:        make(map[int]map[int]bool),
-	}
+	s := newCheckpointStore(dir)
 	if b, err := os.ReadFile(s.currentPath()); err == nil {
 		if it, err := strconv.Atoi(strings.TrimSpace(string(b))); err == nil && it >= 0 {
-			s.committedIter = it
+			s.committedIter, s.committed = it, make(map[int][]byte)
 		}
 	}
-	// Rebuild the staging index from iteration directories newer than
-	// the commit, so a partially saved iteration can still complete.
-	entries, err := os.ReadDir(dir)
+	paths, err := filepath.Glob(filepath.Join(dir, "iter-*", "node-*.ckpt"))
 	if err != nil {
 		return nil, fmt.Errorf("core: checkpoint dir: %w", err)
 	}
-	for _, e := range entries {
-		if !e.IsDir() || !strings.HasPrefix(e.Name(), "iter-") {
+	for _, path := range paths {
+		var iter, node int
+		rel, _ := filepath.Rel(dir, path)
+		if _, err := fmt.Sscanf(filepath.ToSlash(rel), "iter-%d/node-%d.ckpt", &iter, &node); err != nil || iter < s.committedIter {
 			continue
 		}
-		it, err := strconv.Atoi(strings.TrimPrefix(e.Name(), "iter-"))
-		if err != nil || it <= s.committedIter {
-			continue
-		}
-		blobs, err := os.ReadDir(filepath.Join(dir, e.Name()))
+		blob, err := os.ReadFile(path)
 		if err != nil {
 			continue
 		}
-		nodes := make(map[int]bool)
-		for _, be := range blobs {
-			name := be.Name()
-			if !strings.HasPrefix(name, "node-") || !strings.HasSuffix(name, ".ckpt") {
-				continue
-			}
-			n, err := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(name, "node-"), ".ckpt"))
-			if err == nil {
-				nodes[n] = true
-			}
-		}
-		if len(nodes) > 0 {
-			s.staged[it] = nodes
+		if iter == s.committedIter {
+			s.committed[node] = blob
+		} else {
+			s.stage(iter, node, blob)
 		}
 	}
 	return s, nil
@@ -105,9 +134,6 @@ func (s *FileCheckpointStore) currentPath() string { return filepath.Join(s.dir,
 func (s *FileCheckpointStore) tagPath() string     { return filepath.Join(s.dir, "TAG") }
 func (s *FileCheckpointStore) iterDir(iter int) string {
 	return filepath.Join(s.dir, fmt.Sprintf("iter-%d", iter))
-}
-func (s *FileCheckpointStore) blobPath(iter, node int) string {
-	return filepath.Join(s.iterDir(iter), fmt.Sprintf("node-%d.ckpt", node))
 }
 
 // writeAtomic writes data to path via a temp file and rename, so a
@@ -172,66 +198,71 @@ func (s *FileCheckpointStore) SetTag(tag string) bool {
 	return same
 }
 
-// Save writes node's blob for iteration iter and commits the iteration
-// when every member's blob is on disk.
+// stage records node's blob for iteration iter.
+func (s *FileCheckpointStore) stage(iter, node int, blob []byte) map[int][]byte {
+	blobs, ok := s.staging[iter]
+	if !ok {
+		blobs = make(map[int][]byte, len(s.members))
+		s.staging[iter] = blobs
+	}
+	blobs[node] = blob
+	return blobs
+}
+
+// Save stores node's blob for iteration iter and commits the iteration
+// when every member has saved it.
 func (s *FileCheckpointStore) Save(node, iter int, blob []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if iter <= s.committedIter {
 		return
 	}
-	if err := os.MkdirAll(s.iterDir(iter), 0o755); err != nil {
-		s.fail(err)
-		return
+	if s.dir != "" {
+		path := filepath.Join(s.iterDir(iter), fmt.Sprintf("node-%d.ckpt", node))
+		if err := os.MkdirAll(s.iterDir(iter), 0o755); err != nil {
+			s.fail(err)
+			return
+		}
+		if err := s.writeAtomic(path, blob); err != nil {
+			s.fail(err)
+			return
+		}
 	}
-	if err := s.writeAtomic(s.blobPath(iter, node), blob); err != nil {
-		s.fail(err)
-		return
-	}
-	nodes, ok := s.staged[iter]
-	if !ok {
-		nodes = make(map[int]bool, len(s.members))
-		s.staged[iter] = nodes
-	}
-	nodes[node] = true
+	blobs := s.stage(iter, node, blob)
 	s.saved++
 	for _, m := range s.members {
-		if !nodes[m] {
+		if _, ok := blobs[m]; !ok {
 			return
 		}
 	}
 	// All members saved: move the commit pointer, then prune history.
-	if err := s.writeAtomic(s.currentPath(), []byte(strconv.Itoa(iter))); err != nil {
-		s.fail(err)
-		return
-	}
-	prev := s.committedIter
-	s.committedIter = iter
-	s.commits++
-	for k := range s.staged {
-		if k <= iter {
-			delete(s.staged, k)
+	if s.dir != "" {
+		if err := s.writeAtomic(s.currentPath(), []byte(strconv.Itoa(iter))); err != nil {
+			s.fail(err)
+			return
+		}
+		for k := s.committedIter; k < iter; k++ {
+			os.RemoveAll(s.iterDir(k))
 		}
 	}
-	for k := prev; k < iter; k++ {
-		os.RemoveAll(s.iterDir(k))
+	s.committedIter, s.committed = iter, blobs
+	s.commits++
+	for k := range s.staging {
+		if k <= iter {
+			delete(s.staging, k)
+		}
 	}
 }
 
-// Restore reads node's blob at the last committed iteration.
+// Restore returns node's blob at the last committed iteration.
 func (s *FileCheckpointStore) Restore(node int) (iter int, blob []byte, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.committedIter < 0 {
-		return 0, nil, false
-	}
-	b, err := os.ReadFile(s.blobPath(s.committedIter, node))
-	if err != nil {
-		s.fail(err)
+	if blob, ok = s.committed[node]; !ok || s.committedIter < 0 {
 		return 0, nil, false
 	}
 	s.restores++
-	return s.committedIter, b, true
+	return s.committedIter, blob, true
 }
 
 // Clear discards every snapshot (the TAG survives).
@@ -242,15 +273,16 @@ func (s *FileCheckpointStore) Clear() {
 }
 
 func (s *FileCheckpointStore) clearLocked() {
-	os.Remove(s.currentPath())
-	entries, _ := os.ReadDir(s.dir)
-	for _, e := range entries {
-		if e.IsDir() && strings.HasPrefix(e.Name(), "iter-") {
-			os.RemoveAll(filepath.Join(s.dir, e.Name()))
-		}
+	s.committedIter, s.committed = -1, nil
+	s.staging = make(map[int]map[int][]byte)
+	if s.dir == "" {
+		return
 	}
-	s.committedIter = -1
-	s.staged = make(map[int]map[int]bool)
+	os.Remove(s.currentPath())
+	dirs, _ := filepath.Glob(filepath.Join(s.dir, "iter-*"))
+	for _, d := range dirs {
+		os.RemoveAll(d)
+	}
 }
 
 // Stats reports lifetime counters of this store instance (a reopened

@@ -109,5 +109,5 @@ func TestFileCheckpointStoreAtomicLayout(t *testing.T) {
 
 // Cluster-level coverage (chaos recovery through the file store, and
 // resuming a program across a simulated process restart) lives in
-// internal/algorithms/filestore_test.go, where a checkpointing program
-// (BFS) is available.
+// internal/algorithms/filestore_test.go, where the checkpointing
+// programs are.

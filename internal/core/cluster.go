@@ -288,22 +288,23 @@ func (c *Cluster) Close() error {
 // returns the first error. Statistics for the run are available from
 // Stats afterwards.
 //
-// The run starts from a cleared checkpoint store (kept under
-// Options.ResumeCheckpoints) and is governed by the SetBaseContext
-// context: cancelling it poisons the transport, every blocked worker
-// unwinds, and Run returns the context's error.
+// The run starts from a cleared checkpoint store when the store is the
+// default in-memory one (a caller-supplied Options.Checkpoints is the
+// caller's to clear) and is governed by the SetBaseContext context:
+// cancelling it poisons the transport, every blocked worker unwinds, and
+// Run returns the context's error.
 //
 // A failed run poisons the cluster — the transport is closed so the
 // surviving machines' pending receives return instead of hanging — and
 // subsequent Runs return a *PoisonedError until Reset re-forms it. With
 // Options.MaxRestarts > 0 a recoverable failure (stall, peer loss,
 // injected fault or crash — see IsRecoverable) is instead followed by a
-// Reset and a re-run, up to MaxRestarts times; programs that checkpoint
-// through Worker.Checkpoint resume from the last committed superstep
-// snapshot, others start over. Stats().Restarts counts the re-runs.
+// Reset and a re-run, up to MaxRestarts times; a program that declared
+// its superstep state (Worker.Checkpoint) resumes from the last committed
+// snapshot. Stats().Restarts counts the re-runs.
 func (c *Cluster) Run(prog func(w *Worker) error) error {
 	ctx := c.base()
-	if c.ckpt != nil && !c.opts.ResumeCheckpoints {
+	if c.ckpt != nil && c.opts.Checkpoints == nil {
 		c.ckpt.Clear() // a fresh program must not restore its predecessor's state
 	}
 	for attempt := 0; ; attempt++ {

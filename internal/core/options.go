@@ -112,21 +112,19 @@ type Options struct {
 	// forever behind a slow or dead machine. 0 disables the deadline.
 	StallTimeout time.Duration
 	// CheckpointEvery is the superstep checkpoint cadence K: programs
-	// that opt in (via Worker.Checkpoint) snapshot their state every K
+	// snapshot the state they declare (Worker.Checkpoint) every K
 	// iterations, and a recovered run resumes from the last snapshot
 	// every machine completed. 0 disables checkpointing.
 	CheckpointEvery int
 	// Checkpoints selects the stable storage snapshots land in. nil
-	// selects the default in-memory store, which survives simulated
-	// machine deaths but not a process death; a FileCheckpointStore
-	// persists across restarts. Ignored when CheckpointEvery is 0.
+	// selects a default in-memory store, which survives simulated
+	// machine deaths but not a process death, and which Run clears for
+	// every program. A caller's store is never cleared by the engine:
+	// its first Restore adopts whatever a previous process incarnation
+	// committed, and the caller clears or retags it (a
+	// FileCheckpointStore's SetTag) between programs. Ignored when
+	// CheckpointEvery is 0.
 	Checkpoints CheckpointStore
-	// ResumeCheckpoints keeps the engine from clearing the checkpoint
-	// store at the top of a program: the first Restore then adopts
-	// whatever a previous process incarnation committed. Callers that
-	// reuse one cluster for different programs must retag a
-	// FileCheckpointStore between them.
-	ResumeCheckpoints bool
 	// MaxRestarts is how many times Run re-forms the cluster and
 	// re-runs a program after a recoverable failure (stall, peer loss,
 	// injected fault). 0 disables recovery. Only a cluster that owns

@@ -3,12 +3,17 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"reflect"
 	"runtime"
+	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/bitset"
 	"repro/internal/comm"
 	"repro/internal/graph"
 	"repro/internal/obs"
@@ -291,33 +296,63 @@ func TestCheckpointStoreTwoPhaseCommit(t *testing.T) {
 	}
 }
 
-// TestWorkerCheckpointHandle checks the worker-facing surface: cadence,
-// saves committing across all nodes, restore after a simulated failure,
-// and Run clearing state for a fresh program.
+// TestWorkerCheckpointHandle checks the worker-facing surface: the save
+// cadence, every declarable kind round-tripping through a commit into a
+// recovery re-run, and Run clearing the default store for a fresh
+// program.
 func TestWorkerCheckpointHandle(t *testing.T) {
 	c := mustCluster(t, graph.Ring(16), Options{NumNodes: 2, CheckpointEvery: 2, MaxRestarts: 1})
+	type state struct {
+		i   int
+		i32 int32
+		i64 int64
+		f   float64
+		u   []uint32
+		vs  []graph.VertexID
+		s32 []int32
+		s64 []int64
+		f32 []float32
+		f64 []float64
+		b   *bitset.Bitmap
+	}
+	fresh := func() *state {
+		return &state{u: make([]uint32, 3), vs: make([]graph.VertexID, 2), s32: make([]int32, 2),
+			s64: make([]int64, 2), f32: make([]float32, 2), f64: make([]float64, 2), b: bitset.New(70)}
+	}
+	fill := func(s *state, id int) *state { // in place: the slices and bitmap are declared
+		s.i, s.i32, s.i64, s.f = -1-id, int32(-2-id), -1<<40-int64(id), 0.1*float64(id+1)
+		s.u[2], s.vs[1], s.s32[0], s.s64[1] = uint32(7+id), graph.VertexID(9+id), int32(-id-3), int64(id)<<50
+		s.f32[1], s.f64[0] = float32(id)+0.5, -float64(id)-0.25
+		s.b.Set(65 + id)
+		return s
+	}
+	declare := func(w *Worker, s *state) Checkpoint {
+		return w.Checkpoint(&s.i, &s.i32, &s.i64, &s.f, s.u, s.vs, s.s32, s.s64, s.f32, s.f64, s.b)
+	}
 	err := c.Run(func(w *Worker) error {
-		ck := w.Checkpoint()
-		if !ck.Enabled() || ck.Every() != 2 {
-			t.Errorf("node %d: Enabled/Every = %v/%d", w.ID(), ck.Enabled(), ck.Every())
+		s := fresh()
+		ck := declare(w, s)
+		if iter, err := ck.Restore(); iter != 0 || err != nil {
+			t.Errorf("node %d: fresh program restored (%d, %v)", w.ID(), iter, err)
 		}
-		if ck.Due(0) || ck.Due(1) || !ck.Due(2) || ck.Due(3) || !ck.Due(4) {
-			t.Errorf("node %d: Due cadence wrong", w.ID())
+		fill(s, w.ID())
+		for iter := 0; iter < 5; iter++ {
+			ck.Save(iter) // due at 2 and 4 only
 		}
-		if _, _, ok := ck.Restore(); ok {
-			t.Errorf("node %d: fresh program restored a snapshot", w.ID())
-		}
-		ck.Save(2, []byte{byte(w.ID())})
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if st := c.ckpt.Stats(); st.Saved != 4 || st.Commits != 2 || st.CommittedIter != 4 {
+		t.Fatalf("Stats = %+v, want 4 saves, 2 commits, committed 4", st)
+	}
 	// The commit survives into a recovery re-run (runOnce does not clear).
 	err = c.runOnce(context.Background(), func(w *Worker) error {
-		iter, blob, ok := w.Checkpoint().Restore()
-		if !ok || iter != 2 || len(blob) != 1 || blob[0] != byte(w.ID()) {
-			t.Errorf("node %d: restore = (%d, %v, %v)", w.ID(), iter, blob, ok)
+		s := fresh()
+		iter, err := declare(w, s).Restore()
+		if iter != 4 || err != nil || !reflect.DeepEqual(s, fill(fresh(), w.ID())) {
+			t.Errorf("node %d: restore = (%d, %v), state %+v", w.ID(), iter, err, s)
 		}
 		return nil
 	})
@@ -326,8 +361,8 @@ func TestWorkerCheckpointHandle(t *testing.T) {
 	}
 	// A fresh program (Run) must not see its predecessor's state.
 	err = c.Run(func(w *Worker) error {
-		if _, _, ok := w.Checkpoint().Restore(); ok {
-			t.Errorf("node %d: fresh Run restored stale snapshot", w.ID())
+		if iter, err := declare(w, fresh()).Restore(); iter != 0 || err != nil {
+			t.Errorf("node %d: fresh Run restored (%d, %v)", w.ID(), iter, err)
 		}
 		return nil
 	})
@@ -336,21 +371,82 @@ func TestWorkerCheckpointHandle(t *testing.T) {
 	}
 }
 
-// TestCheckpointDisabledIsNoop checks the zero-config path.
+// TestCheckpointDisabledIsNoop checks the zero-config path, and that an
+// undeclarable type is refused even then.
 func TestCheckpointDisabledIsNoop(t *testing.T) {
 	c := mustCluster(t, graph.Ring(16), Options{NumNodes: 2})
 	err := c.Run(func(w *Worker) error {
-		ck := w.Checkpoint()
-		if ck.Enabled() || ck.Due(4) {
-			t.Errorf("node %d: checkpointing reported enabled without CheckpointEvery", w.ID())
+		x := 7
+		ck := w.Checkpoint(&x)
+		ck.Save(4) // must not panic
+		if iter, err := ck.Restore(); iter != 0 || err != nil || x != 7 {
+			t.Errorf("node %d: restore = (%d, %v), x = %d while disabled", w.ID(), iter, err, x)
 		}
-		ck.Save(4, []byte{1}) // must not panic
-		if _, _, ok := ck.Restore(); ok {
-			t.Errorf("node %d: restore succeeded while disabled", w.ID())
-		}
+		defer func() {
+			if recover() == nil {
+				t.Errorf("node %d: a []bool was declared", w.ID())
+			}
+		}()
+		w.Checkpoint([]bool{true})
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// corruptStore hands node 1 a damaged copy of its committed snapshot.
+type corruptStore struct {
+	CheckpointStore
+	damage func([]byte) []byte
+}
+
+func (s corruptStore) Restore(node int) (int, []byte, bool) {
+	iter, blob, ok := s.CheckpointStore.Restore(node)
+	if ok && node == 1 {
+		blob = s.damage(slices.Clone(blob))
+	}
+	return iter, blob, ok
+}
+
+// TestCheckpointRejectsCorruptSnapshot: snapshot decode is a checked
+// boundary. Each damaged blob fails the run with an error naming the node
+// and iteration, never panics, and leaves the declared state untouched.
+func TestCheckpointRejectsCorruptSnapshot(t *testing.T) {
+	for name, damage := range map[string]func([]byte) []byte{
+		"version":   func(b []byte) []byte { b[0] = 9; return b },
+		"short":     func(b []byte) []byte { return b[:5] },
+		"items":     func(b []byte) []byte { b[4] = 3; return b },
+		"truncated": func(b []byte) []byte { return b[:len(b)-1] },
+		"trailing":  func(b []byte) []byte { return append(b, 0) },
+		"length":    func(b []byte) []byte { binary.LittleEndian.PutUint32(b[8:], 20); return b },
+	} {
+		t.Run(name, func(t *testing.T) {
+			store := corruptStore{CheckpointStore: NewMemCheckpointStore(), damage: damage}
+			c := mustCluster(t, graph.Ring(16), Options{NumNodes: 2, CheckpointEvery: 1, Checkpoints: store})
+			err := c.Run(func(w *Worker) error {
+				arr, x := []uint32{1, 2, 3, 4}, 5
+				w.Checkpoint(arr, &x).Save(1)
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The store is the caller's, so the next program resumes it.
+			err = c.Run(func(w *Worker) error {
+				arr, x := make([]uint32, 4), 0
+				_, err := w.Checkpoint(arr, &x).Restore()
+				if w.ID() == 1 && (x != 0 || slices.Max(arr) != 0) {
+					t.Errorf("a rejected snapshot restored x = %d, arr = %v", x, arr)
+				}
+				if w.ID() == 0 && (err != nil || x != 5) {
+					t.Errorf("node 0's intact snapshot: x = %d, %v", x, err)
+				}
+				return err
+			})
+			if err == nil || !strings.Contains(err.Error(), "node 1") || !strings.Contains(err.Error(), "iteration 1") {
+				t.Fatalf("corrupt snapshot: err = %v, want one naming node 1 and iteration 1", err)
+			}
+		})
 	}
 }

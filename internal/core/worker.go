@@ -301,10 +301,10 @@ func applyBitmapSegment(b *bitset.Bitmap, lo, hi int, payload []byte) error {
 	return nil
 }
 
-// elem is what a per-vertex array exchanged between machines may hold;
-// each travels as its little-endian bit pattern.
+// elem is what a per-vertex array exchanged between machines or saved in
+// a checkpoint may hold; each travels as its little-endian bit pattern.
 type elem interface {
-	uint32 | int32 | float32 | float64
+	uint32 | int32 | int64 | float32 | float64
 }
 
 // encodeElems writes src's elements into dst, which has exactly their
@@ -318,6 +318,10 @@ func encodeElems[T elem](dst []byte, src []T) {
 	case []int32:
 		for i, x := range s {
 			binary.LittleEndian.PutUint32(dst[4*i:], uint32(x))
+		}
+	case []int64:
+		for i, x := range s {
+			binary.LittleEndian.PutUint64(dst[8*i:], uint64(x))
 		}
 	case []float32:
 		for i, x := range s {
@@ -340,6 +344,10 @@ func decodeElems[T elem](dst []T, src []byte) {
 	case []int32:
 		for i := range d {
 			d[i] = int32(binary.LittleEndian.Uint32(src[4*i:]))
+		}
+	case []int64:
+		for i := range d {
+			d[i] = int64(binary.LittleEndian.Uint64(src[8*i:]))
 		}
 	case []float32:
 		for i := range d {

@@ -129,11 +129,11 @@ func newLocalEngine(spec BuildSpec, opts core.Options, tr *obs.Tracer, checkpoin
 		if err != nil {
 			return nil, fmt.Errorf("checkpoint store for slot %d: %w", spec.SlotID, err)
 		}
+		// A caller's store is never cleared at program start: the slot
+		// store is cleared by tag (BindQuery), so one query's snapshots
+		// never leak into another and a restarted daemon re-running the
+		// same query resumes it.
 		opts.Checkpoints = fs
-		// The slot store is cleared by tag (one query's snapshots never
-		// leak into another), not at program start, so a restarted
-		// daemon re-running the same query resumes it.
-		opts.ResumeCheckpoints = true
 	}
 	eng, err := core.NewCluster(spec.Graph, opts)
 	if err != nil {
@@ -156,9 +156,10 @@ func (e *localEngine) BindQuery(ctx context.Context, q Request, key string, tr *
 		e.SetTracer(tr)
 	}
 	if e.fs != nil {
-		// Re-tag with the query key: wipes snapshots of a different
-		// previous query, keeps them when the same query is resumed.
-		e.fs.SetTag(key)
+		// Re-tag with the query key and the cluster shape: wipes the
+		// snapshots of another query, or of this one over another partition
+		// (-nodes, -threshold); keeps them when the same query resumes.
+		e.fs.SetTag(fmt.Sprintf("%s|nodes=%d|threshold=%d", key, e.Options().NumNodes, e.Options().DepThreshold))
 	}
 	return nil
 }

@@ -193,8 +193,8 @@ func defaultSeed(s uint64) uint64 {
 	return s
 }
 
-// cacheKey identifies the cache entry (and the checkpoint tag) for a
-// canonicalized request. Scheduling knobs are deliberately absent: a
+// cacheKey identifies the cache entry (and, with the cluster shape, the
+// checkpoint tag) for a canonicalized request. Scheduling knobs are deliberately absent: a
 // traced query and an untraced one compute the same answer.
 func cacheKey(q Request) string {
 	return fmt.Sprintf("g=%s|e=%d|algo=%s|mode=%s|root=%d|k=%d|centers=%d|iters=%d|rounds=%d|seed=%d",

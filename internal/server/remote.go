@@ -441,7 +441,6 @@ func (p *RemoteProvider) buildAttempt(spec BuildSpec, targets []string) (eng Eng
 	opts.MaxRestarts = 0
 	opts.CheckpointEvery = 0
 	opts.Checkpoints = nil
-	opts.ResumeCheckpoints = false
 
 	wire := wireOptions{
 		Mode:         spec.Mode.String(),

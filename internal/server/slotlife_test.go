@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -10,6 +11,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/algorithms"
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/seq"
 )
@@ -298,5 +301,41 @@ func TestRetiredSlotsRemoveCheckpointDirs(t *testing.T) {
 	s.pool.Close()
 	if got := dirs(); got != 2 {
 		t.Fatalf("shutdown left %d slot directories, want the 2 live ones kept for resume", got)
+	}
+}
+
+// TestCheckpointDirRestartAtOtherShape: a slot's snapshots hold one
+// partition's master arrays, so a daemon restarted over the same
+// -checkpoint-dir at another -nodes must not resume them. The query
+// commits snapshots at p=4; the reopened slot at p=2 answers like seq.
+func TestCheckpointDirRestartAtOtherShape(t *testing.T) {
+	q, g, err := Prepare(Request{Graph: "g", Algo: "bfs", Root: 0}, graph.Grid(32, 32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := t.TempDir()
+	run := func(nodes int) *algorithms.BFSResult {
+		eng, err := newLocalEngine(BuildSpec{GraphName: "g", Graph: g, SlotID: 1},
+			core.Options{NumNodes: nodes, CheckpointEvery: 4}, nil, root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer eng.Close()
+		if err := eng.BindQuery(context.Background(), q, cacheKey(q), nil); err != nil {
+			t.Fatal(err)
+		}
+		res, err := algorithms.BFS(eng, graph.VertexID(q.Root))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	run(4)
+	got := run(2)
+	if msg := seq.ValidateBFS(g, 0, &seq.BFSResult{Depth: got.Depth, Parent: got.Parent}); msg != "" {
+		t.Fatalf("p=2 over p=4's checkpoint dir: %s", msg)
+	}
+	if want := seq.TopDownBFS(g, 0); !reflect.DeepEqual(got.Depth, want.Depth) {
+		t.Fatalf("p=2 over p=4's checkpoint dir: depth %v, want %v", got.Depth, want.Depth)
 	}
 }
