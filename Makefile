@@ -92,12 +92,12 @@ size:
 # surface, options or flags raises the number here, in its own diff, and
 # says why in CHANGES.md; one that shrinks a figure lowers it.
 define SIZE_BUDGET
-non-test Go LOC, repo: 24014
-non-test Go LOC, internal/core + internal/comm: 4775
-non-test Go LOC, internal/algorithms: 1197
-non-test Go LOC, internal/server: 4275
+non-test Go LOC, repo: 23920
+non-test Go LOC, internal/core + internal/comm: 4676
+non-test Go LOC, internal/algorithms: 1184
+non-test Go LOC, internal/server: 4297
 non-test Go LOC, internal/gluon: 586
-exported identifiers, internal/core: 180
+exported identifiers, internal/core: 151
 exported identifiers, internal/comm: 150
 exported identifiers, internal/bench: 87
 exported identifiers, internal/gluon: 7

@@ -130,6 +130,28 @@ func TestCLITextFormat(t *testing.T) {
 	}
 }
 
+// TestCLIChaosCrashRecovers runs README's fault-injection walkthrough:
+// node 1 crashes at superstep 3, the run restarts once from the
+// checkpoint of superstep 2, exits 0 and prints the fault-free answer.
+func TestCLIChaosCrashRecovers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries")
+	}
+	tools := buildTools(t, "symplegraph")
+	out := run(t, tools["symplegraph"], "-algo", "bfs", "-rmat", "14,16,1", "-nodes", "4",
+		"-chaos-seed", "7", "-chaos-crash-node", "1", "-chaos-crash-at", "3",
+		"-checkpoint-every", "2", "-max-restarts", "1", "-stall-timeout", "5s")
+	for _, want := range []string{
+		"bfs: root=0 reached=10993 top-down=4 bottom-up=2\n",
+		"resilience: restarts=1 ",
+		"crashes=1; restarts=1 ",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output lacks %q:\n%s", want, out)
+		}
+	}
+}
+
 // TestCLITraceOutput runs BFS with -trace and checks the emitted file
 // is a parseable Chrome trace_event document whose DenseStep/DepWait
 // spans show the circulant pipeline overlapping across nodes.

@@ -75,7 +75,7 @@ func main() {
 		parents[i] = ^uint32(0)
 	}
 	err = cluster.Run(func(w *core.Worker) error {
-		params := dsl.Params(fold, core.U32Codec{},
+		params := dsl.Params(fold,
 			func(dst graph.VertexID, u uint32) {
 				if parents[dst] == ^uint32(0) {
 					parents[dst] = u

@@ -95,7 +95,6 @@ func BFSWithDirection(c core.Engine, root graph.VertexID, dir Direction) (*BFSRe
 				// frontier in-neighbor — Figure 1's UDF, instrumented.
 				bottomUp++
 				err = core.ProcessEdgesDense(w, core.DenseParams[uint32]{
-					Codec:  core.U32Codec{},
 					Except: visited,
 					Signal: func(ctx *core.DenseCtx[uint32], dst graph.VertexID, srcs []graph.VertexID, _ []float32) {
 						for _, u := range srcs {
@@ -113,7 +112,6 @@ func BFSWithDirection(c core.Engine, root graph.VertexID, dir Direction) (*BFSRe
 				// Top-down (sparse/push).
 				topDown++
 				_, err = core.ProcessEdgesSparse(w, core.SparseParams[uint32]{
-					Codec:    core.U32Codec{},
 					Frontier: localFrontierList(w, frontier),
 					Signal: func(ctx *core.SparseCtx[uint32], src graph.VertexID, dsts []graph.VertexID, _ []float32) {
 						for _, v := range dsts {

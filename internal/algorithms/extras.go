@@ -36,7 +36,6 @@ func ConnectedComponents(c core.Engine) ([]uint32, error) {
 		for ; ; iter++ {
 			ck.Save(iter)
 			emitted, err := core.ProcessEdgesSparse(w, core.SparseParams[uint32]{
-				Codec:    core.U32Codec{},
 				Frontier: localFrontierList(w, changed),
 				Signal: func(ctx *core.SparseCtx[uint32], src graph.VertexID, dsts []graph.VertexID, _ []float32) {
 					l := label[src]
@@ -181,7 +180,6 @@ func ssspBuckets(c core.Engine, root graph.VertexID, delta float64) ([]float32, 
 				changed.Clear(int(v))
 			}
 			emitted, err := core.ProcessEdgesSparse(w, core.SparseParams[float32]{
-				Codec:    core.F32Codec{},
 				Frontier: frontier,
 				Signal: func(ctx *core.SparseCtx[float32], src graph.VertexID, dsts []graph.VertexID, ws []float32) {
 					for i, d := range dsts {

@@ -32,7 +32,6 @@ func refConnectedComponents(c core.Engine) ([]uint32, error) {
 		for {
 			next := bitset.New(n)
 			emitted, err := core.ProcessEdgesSparse(w, core.SparseParams[uint32]{
-				Codec:    core.U32Codec{},
 				Frontier: localFrontierList(w, changed),
 				Signal: func(ctx *core.SparseCtx[uint32], src graph.VertexID, dsts []graph.VertexID, _ []float32) {
 					for _, d := range dsts {
@@ -100,7 +99,6 @@ func refSSSP(c core.Engine, root graph.VertexID) ([]uint32, error) {
 				}
 			}
 			emitted, err := core.ProcessEdgesSparse(w, core.SparseParams[float32]{
-				Codec:    core.F32Codec{},
 				Frontier: frontier,
 				Signal: func(ctx *core.SparseCtx[float32], src graph.VertexID, dsts []graph.VertexID, ws []float32) {
 					for i, d := range dsts {
@@ -150,7 +148,6 @@ func refBellmanFord(c core.Engine, root graph.VertexID) ([]uint32, error) {
 		filter := core.NewMinFilter(w, math.Float32bits(InfDist))
 		for {
 			emitted, err := core.ProcessEdgesSparse(w, core.SparseParams[float32]{
-				Codec:    core.F32Codec{},
 				Frontier: localFrontierList(w, changed),
 				Signal: func(ctx *core.SparseCtx[float32], src graph.VertexID, dsts []graph.VertexID, ws []float32) {
 					for i, d := range dsts {
@@ -215,7 +212,6 @@ func refPageRank(c core.Engine, iters int, damping float64) ([]float64, error) {
 				next[v] = 0
 			}
 			if err := core.ProcessEdgesDense(w, core.DenseParams[float64]{
-				Codec: core.F64Codec{},
 				Signal: func(ctx *core.DenseCtx[float64], dst graph.VertexID, srcs []graph.VertexID, _ []float32) {
 					sum := 0.0
 					for _, u := range srcs {

@@ -49,7 +49,6 @@ func KCore(c core.Engine, k int) (*KCoreResult, error) {
 				counts[v] = 0
 			}
 			if err := core.ProcessEdgesDense(w, core.DenseParams[int64]{
-				Codec:  core.I64Codec{},
 				Active: active,
 				Signal: func(ctx *core.DenseCtx[int64], dst graph.VertexID, srcs []graph.VertexID, _ []float32) {
 					var cnt int64

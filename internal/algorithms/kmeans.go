@@ -77,7 +77,6 @@ func KMeans(c core.Engine, centers, iters int, seed uint64) (*seq.KMeansResult, 
 				var err error
 				if pushFrom(g, frontier) {
 					_, err = core.ProcessEdgesSparse(w, core.SparseParams[uint32]{
-						Codec:    core.U32Codec{},
 						Frontier: localFrontierList(w, frontier),
 						Signal: func(ctx *core.SparseCtx[uint32], src graph.VertexID, dsts []graph.VertexID, _ []float32) {
 							for _, v := range dsts {
@@ -91,7 +90,6 @@ func KMeans(c core.Engine, centers, iters int, seed uint64) (*seq.KMeansResult, 
 					})
 				} else {
 					err = core.ProcessEdgesDense(w, core.DenseParams[uint32]{
-						Codec:  core.U32Codec{},
 						Except: assigned,
 						Signal: func(ctx *core.DenseCtx[uint32], dst graph.VertexID, srcs []graph.VertexID, _ []float32) {
 							for _, u := range srcs {

@@ -46,7 +46,6 @@ func MIS(c core.Engine, seed uint64) (*MISResult, error) {
 			// join the MIS.
 			vetoed.ClearAll()
 			if err := core.ProcessEdgesDense(w, core.DenseParams[struct{}]{
-				Codec:  core.UnitCodec{},
 				Active: active,
 				Signal: func(ctx *core.DenseCtx[struct{}], dst graph.VertexID, srcs []graph.VertexID, _ []float32) {
 					for _, u := range srcs {
@@ -88,7 +87,6 @@ func MIS(c core.Engine, seed uint64) (*MISResult, error) {
 			var err error
 			if pushFrom(g, newMIS) {
 				_, err = core.ProcessEdgesSparse(w, core.SparseParams[struct{}]{
-					Codec:    core.UnitCodec{},
 					Frontier: localFrontierList(w, newMIS),
 					Signal: func(ctx *core.SparseCtx[struct{}], src graph.VertexID, dsts []graph.VertexID, _ []float32) {
 						for _, v := range dsts {
@@ -102,7 +100,6 @@ func MIS(c core.Engine, seed uint64) (*MISResult, error) {
 				})
 			} else {
 				err = core.ProcessEdgesDense(w, core.DenseParams[struct{}]{
-					Codec:  core.UnitCodec{},
 					Active: active,
 					Except: newMIS,
 					Signal: func(ctx *core.DenseCtx[struct{}], dst graph.VertexID, srcs []graph.VertexID, _ []float32) {

@@ -51,7 +51,6 @@ func PageRank(c core.Engine, iters int, damping float64) ([]float64, error) {
 				rank[v] = 0
 			}
 			if err := core.ProcessEdgesDense(w, core.DenseParams[float64]{
-				Codec: core.F64Codec{},
 				Signal: func(ctx *core.DenseCtx[float64], dst graph.VertexID, srcs []graph.VertexID, _ []float32) {
 					sum := 0.0
 					for _, u := range srcs {

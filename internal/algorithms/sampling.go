@@ -71,7 +71,6 @@ func Sample(c core.Engine, seed uint64, rounds int) (*SampleResult, error) {
 			// the same chain the per-round walks will follow, so the
 			// crossing is guaranteed despite floating-point rounding.
 			if err := core.ProcessEdgesDense(w, core.DenseParams[struct{}]{
-				Codec: core.UnitCodec{},
 				Signal: func(ctx *core.DenseCtx[struct{}], dst graph.VertexID, srcs []graph.VertexID, _ []float32) {
 					if !ctx.Tracked() {
 						return
@@ -116,7 +115,6 @@ func Sample(c core.Engine, seed uint64, rounds int) (*SampleResult, error) {
 			clear(hierMass[lo:hi])
 			clear(hierSeq[lo:hi])
 			err := core.ProcessEdgesDense(w, core.DenseParams[core.WeightedPick]{
-				Codec: core.WeightedPickCodec{},
 				Signal: func(ctx *core.DenseCtx[core.WeightedPick], dst graph.VertexID, srcs []graph.VertexID, _ []float32) {
 					if ctx.Tracked() {
 						acc := ctx.DepFloat(0)

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
+	"strconv"
 	"time"
 	"unsafe"
 
@@ -86,17 +87,14 @@ type stateItem interface {
 	decode(src []byte) // src is exactly size() bytes
 }
 
-type elems[T elem] []T
+type elems[T Wire] []T
 
-func (e elems[T]) size() int {
-	var zero T
-	return len(e) * int(unsafe.Sizeof(zero))
-}
-func (e elems[T]) decode(src []byte) { decodeElems(e, src) }
+func (e elems[T]) size() int         { return len(e) * codecOf[T]().size }
+func (e elems[T]) decode(src []byte) { codecOf[T]().getAll(e, src) }
 func (e elems[T]) appendTo(out []byte) []byte {
 	n := len(out)
 	out = slices.Grow(out, e.size())[:n+e.size()]
-	encodeElems(out[n:], e)
+	codecOf[T]().putAll(out[n:], e)
 	return out
 }
 
@@ -106,20 +104,15 @@ func (m bitmapItem) size() int                  { return m.b.MarshaledSize() }
 func (m bitmapItem) appendTo(out []byte) []byte { return m.b.MarshalBinaryTo(out) }
 func (m bitmapItem) decode(src []byte)          { _ = m.b.UnmarshalBinary(src) } // it checks the length alone
 
-type intItem struct{ p *int }
-
-func (x intItem) size() int { return 8 }
-func (x intItem) appendTo(out []byte) []byte {
-	return binary.LittleEndian.AppendUint64(out, uint64(*x.p))
-}
-func (x intItem) decode(src []byte) { *x.p = int(binary.LittleEndian.Uint64(src)) }
-
 // declare maps a declared variable to its item; a scalar is a slice of
 // one.
 func declare(x any) stateItem {
 	switch v := x.(type) {
-	case *int:
-		return intItem{v}
+	case *int: // as an int64, or an int32 where int is 32 bits wide
+		if strconv.IntSize == 32 {
+			return elems[int32](unsafe.Slice((*int32)(unsafe.Pointer(v)), 1))
+		}
+		return elems[int64](unsafe.Slice((*int64)(unsafe.Pointer(v)), 1))
 	case *int32:
 		return elems[int32](unsafe.Slice(v, 1))
 	case *int64:

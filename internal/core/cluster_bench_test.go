@@ -41,7 +41,6 @@ func firstHitPass(c *Cluster, visited, frontier *bitset.Bitmap, passes int) (vis
 	perNode := make([]int64, c.Options().NumNodes)
 	err = c.Run(func(w *Worker) error {
 		params := DenseParams[uint32]{
-			Codec:  U32Codec{},
 			Except: visited,
 			Signal: func(ctx *DenseCtx[uint32], dst graph.VertexID, srcs []graph.VertexID, _ []float32) {
 				perNode[w.ID()]++

@@ -5,85 +5,15 @@ import (
 	"math"
 )
 
-// Codec serializes fixed-size update messages. Update communication in
-// both dense and sparse modes carries (vertex, message) records; a fixed
-// message size keeps framing trivial and byte accounting exact.
-type Codec[M any] interface {
-	// Size is the encoded size in bytes. It must be constant.
-	Size() int
-	// Encode writes m into dst[:Size()].
-	Encode(dst []byte, m M)
-	// Decode reads a message from src[:Size()].
-	Decode(src []byte) M
-}
-
-// UnitCodec encodes struct{} in zero bytes, for algorithms whose update
-// message is pure presence (MIS vetoes).
-type UnitCodec struct{}
-
-// Size implements Codec.
-func (UnitCodec) Size() int { return 0 }
-
-// Encode implements Codec.
-func (UnitCodec) Encode([]byte, struct{}) {}
-
-// Decode implements Codec.
-func (UnitCodec) Decode([]byte) struct{} { return struct{}{} }
-
-// U32Codec encodes a uint32 (BFS parent IDs, K-means cluster IDs).
-type U32Codec struct{}
-
-// Size implements Codec.
-func (U32Codec) Size() int { return 4 }
-
-// Encode implements Codec.
-func (U32Codec) Encode(dst []byte, m uint32) { binary.LittleEndian.PutUint32(dst, m) }
-
-// Decode implements Codec.
-func (U32Codec) Decode(src []byte) uint32 { return binary.LittleEndian.Uint32(src) }
-
-// I64Codec encodes an int64 (K-core partial counts, distance sums).
-type I64Codec struct{}
-
-// Size implements Codec.
-func (I64Codec) Size() int { return 8 }
-
-// Encode implements Codec.
-func (I64Codec) Encode(dst []byte, m int64) { binary.LittleEndian.PutUint64(dst, uint64(m)) }
-
-// Decode implements Codec.
-func (I64Codec) Decode(src []byte) int64 { return int64(binary.LittleEndian.Uint64(src)) }
-
-// F64Codec encodes a float64.
-type F64Codec struct{}
-
-// Size implements Codec.
-func (F64Codec) Size() int { return 8 }
-
-// Encode implements Codec.
-func (F64Codec) Encode(dst []byte, m float64) {
-	binary.LittleEndian.PutUint64(dst, math.Float64bits(m))
-}
-
-// Decode implements Codec.
-func (F64Codec) Decode(src []byte) float64 {
-	return math.Float64frombits(binary.LittleEndian.Uint64(src))
-}
-
-// F32Codec encodes a float32 (SSSP distances).
-type F32Codec struct{}
-
-// Size implements Codec.
-func (F32Codec) Size() int { return 4 }
-
-// Encode implements Codec.
-func (F32Codec) Encode(dst []byte, m float32) {
-	binary.LittleEndian.PutUint32(dst, math.Float32bits(m))
-}
-
-// Decode implements Codec.
-func (F32Codec) Decode(src []byte) float32 {
-	return math.Float32frombits(binary.LittleEndian.Uint32(src))
+// Wire names the types core puts on the wire or in a snapshot: a pass's
+// update message M, the elements of a gathered array, and the declared
+// state of a checkpoint. The type alone picks the encoding, so programs
+// never serialize: each travels in a fixed width as its little-endian bit
+// pattern — struct{} in 0 bytes, uint32, int32 and float32 in 4, int64
+// and float64 in 8, WeightedPick as Sum then Cand in 12. A fixed width
+// keeps framing trivial and byte accounting exact.
+type Wire interface {
+	struct{} | uint32 | int32 | int64 | float32 | float64 | WeightedPick
 }
 
 // WeightedPick is the Gemini-mode sampling message: a machine's local
@@ -95,22 +25,74 @@ type WeightedPick struct {
 	Cand uint32
 }
 
-// WeightedPickCodec encodes WeightedPick in 12 bytes.
-type WeightedPickCodec struct{}
-
-// Size implements Codec.
-func (WeightedPickCodec) Size() int { return 12 }
-
-// Encode implements Codec.
-func (WeightedPickCodec) Encode(dst []byte, m WeightedPick) {
-	binary.LittleEndian.PutUint64(dst, math.Float64bits(m.Sum))
-	binary.LittleEndian.PutUint32(dst[8:], m.Cand)
+// codec is the encoding of one Wire type: size bytes per value, written
+// by put and read by get. A pass resolves it once (codecOf), so a record
+// costs one call and no type switch.
+type codec[T Wire] struct {
+	size int
+	put  func(dst []byte, x T)
+	get  func(src []byte) T
 }
 
-// Decode implements Codec.
-func (WeightedPickCodec) Decode(src []byte) WeightedPick {
-	return WeightedPick{
-		Sum:  math.Float64frombits(binary.LittleEndian.Uint64(src)),
-		Cand: binary.LittleEndian.Uint32(src[8:]),
+// The codec of each Wire type, handed out by codecOf.
+var (
+	unitCodec = codec[struct{}]{0, func([]byte, struct{}) {}, func([]byte) struct{} { return struct{}{} }}
+	u32Codec  = codec[uint32]{4, binary.LittleEndian.PutUint32, binary.LittleEndian.Uint32}
+	i32Codec  = codec[int32]{4,
+		func(dst []byte, x int32) { binary.LittleEndian.PutUint32(dst, uint32(x)) },
+		func(src []byte) int32 { return int32(binary.LittleEndian.Uint32(src)) }}
+	i64Codec = codec[int64]{8,
+		func(dst []byte, x int64) { binary.LittleEndian.PutUint64(dst, uint64(x)) },
+		func(src []byte) int64 { return int64(binary.LittleEndian.Uint64(src)) }}
+	f32Codec = codec[float32]{4,
+		func(dst []byte, x float32) { binary.LittleEndian.PutUint32(dst, math.Float32bits(x)) },
+		func(src []byte) float32 { return math.Float32frombits(binary.LittleEndian.Uint32(src)) }}
+	f64Codec = codec[float64]{8,
+		func(dst []byte, x float64) { binary.LittleEndian.PutUint64(dst, math.Float64bits(x)) },
+		func(src []byte) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(src)) }}
+	pickCodec = codec[WeightedPick]{12,
+		func(dst []byte, x WeightedPick) {
+			binary.LittleEndian.PutUint64(dst, math.Float64bits(x.Sum))
+			binary.LittleEndian.PutUint32(dst[8:], x.Cand)
+		},
+		func(src []byte) WeightedPick {
+			return WeightedPick{Sum: math.Float64frombits(binary.LittleEndian.Uint64(src)),
+				Cand: binary.LittleEndian.Uint32(src[8:])}
+		}}
+)
+
+// codecOf returns T's codec.
+func codecOf[T Wire]() *codec[T] {
+	var c any
+	switch any((*T)(nil)).(type) {
+	case *struct{}:
+		c = &unitCodec
+	case *uint32:
+		c = &u32Codec
+	case *int32:
+		c = &i32Codec
+	case *int64:
+		c = &i64Codec
+	case *float32:
+		c = &f32Codec
+	case *float64:
+		c = &f64Codec
+	case *WeightedPick:
+		c = &pickCodec
+	}
+	return c.(*codec[T])
+}
+
+// putAll writes src's values into dst, which holds exactly their size.
+func (c *codec[T]) putAll(dst []byte, src []T) {
+	for i, x := range src {
+		c.put(dst[i*c.size:], x)
+	}
+}
+
+// getAll fills dst from what putAll wrote.
+func (c *codec[T]) getAll(dst []T, src []byte) {
+	for i := range dst {
+		dst[i] = c.get(src[i*c.size:])
 	}
 }

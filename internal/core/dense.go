@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 
@@ -18,9 +17,7 @@ import (
 // DenseParams configure one dense (pull-mode) edge-processing pass — the
 // paper's signal/slot in pull mode (Figure 4), with dependency enforcement
 // when the cluster runs in ModeSympleGraph.
-type DenseParams[M any] struct {
-	// Codec serializes update messages.
-	Codec Codec[M]
+type DenseParams[M Wire] struct {
 	// Active and Except filter destination vertices: a destination is
 	// visited only if its bit is set in Active (nil visits all) and clear
 	// in Except (nil skips none) — "still active", "not yet visited".
@@ -71,9 +68,8 @@ const emitChunkBytes = 64 << 10
 // — the dependency state of the destination being processed (the
 // engine-side realization of the paper's receive_dep/emit_dep primitives,
 // Figure 5).
-type DenseCtx[M any] struct {
-	codec Codec[M]
-	size  int
+type DenseCtx[M Wire] struct {
+	codec *codec[M]
 	buf   []byte // the open emit chunk: fixed capacity, from bufpool
 	sc    *denseScratch
 
@@ -134,14 +130,14 @@ func (ctx *DenseCtx[M]) Edge() { ctx.edges++ }
 
 // Emit sends msg for the current destination to its master's slot.
 func (ctx *DenseCtx[M]) Emit(msg M) {
-	rec := 4 + ctx.size
+	rec := 4 + ctx.codec.size
 	if cap(ctx.buf)-len(ctx.buf) < rec {
 		ctx.flushChunk()
 	}
 	off := len(ctx.buf)
 	ctx.buf = append(ctx.buf, make([]byte, rec)...)
 	binary.LittleEndian.PutUint32(ctx.buf[off:], uint32(ctx.curDst))
-	ctx.codec.Encode(ctx.buf[off+4:], msg)
+	ctx.codec.put(ctx.buf[off+4:], msg)
 }
 
 // flushChunk retires the current emit chunk — into the step's buffer
@@ -218,7 +214,7 @@ func (ctx *DenseCtx[M]) SetDepFloat(lane int, v float64) {
 // last step. DenseStep splits into traced sub-phases: DenseScan (signal
 // loops), DenseBin (dependency-segment assembly), DenseFlush (vectored
 // hand-off).
-func ProcessEdgesDense[M any](w *Worker, params DenseParams[M]) error {
+func ProcessEdgesDense[M Wire](w *Worker, params DenseParams[M]) error {
 	p := w.N()
 	opts := w.cluster.opts
 	if params.Lanes < 0 {
@@ -235,9 +231,10 @@ func ProcessEdgesDense[M any](w *Worker, params DenseParams[M]) error {
 		B = 1 // nothing circulates, so nothing to pipeline
 	}
 	sc := &w.dense
+	c := codecOf[M]()
 	ctxs := make([]DenseCtx[M], opts.Workers)
 	for k := range ctxs {
-		ctxs[k] = DenseCtx[M]{codec: params.Codec, size: params.Codec.Size(), sc: sc}
+		ctxs[k] = DenseCtx[M]{codec: c, sc: sc}
 	}
 	base := w.nextTags(int32(p*B + p)) // p*B dependency segments + p update rounds
 	rn := (w.id + 1) % p
@@ -328,7 +325,7 @@ func ProcessEdgesDense[M any](w *Worker, params DenseParams[M]) error {
 // records, so per-chunk application equals applying the concatenation).
 // Then the Finalize sweep over the fully circulated dependency state of
 // the worker's own partition.
-func finishDensePass[M any](w *Worker, params *DenseParams[M], ctxs []DenseCtx[M], depOn bool, updBase int32, pass int) error {
+func finishDensePass[M Wire](w *Worker, params *DenseParams[M], ctxs []DenseCtx[M], depOn bool, updBase int32, pass int) error {
 	p := w.N()
 	sc := &w.dense
 	for k := range ctxs {
@@ -341,7 +338,7 @@ func finishDensePass[M any](w *Worker, params *DenseParams[M], ctxs []DenseCtx[M
 	for j := 0; j < p; j++ {
 		src := ((w.id-1-j)%p + p) % p
 		if src == w.id {
-			if err := applyOwn(w, params.Codec, params.Slot, sc.bins); err != nil {
+			if err := applyOwn(w, ctxs[0].codec, params.Slot, sc.bins); err != nil {
 				return updateError(w, src, updBase+int32(j), err)
 			}
 			continue
@@ -351,7 +348,7 @@ func finishDensePass[M any](w *Worker, params *DenseParams[M], ctxs []DenseCtx[M
 		if err != nil {
 			return err
 		}
-		err = applyUpdates(w, params.Codec, params.Slot, m.Payload)
+		err = applyUpdates(w, ctxs[0].codec, params.Slot, m.Payload)
 		m.Release()
 		if err != nil {
 			return updateError(w, src, updBase+int32(j), err)
@@ -373,7 +370,7 @@ func finishDensePass[M any](w *Worker, params *DenseParams[M], ctxs []DenseCtx[M
 
 // endStep closes the step's update stream: every context's partly filled
 // chunk joins the buffer list (an untouched one stays for the next step).
-func endStep[M any](ctxs []DenseCtx[M]) {
+func endStep[M Wire](ctxs []DenseCtx[M]) {
 	for k := range ctxs {
 		if ctx := &ctxs[k]; len(ctx.buf) > 0 {
 			ctx.sc.bins = append(ctx.sc.bins, ctx.buf)
@@ -385,7 +382,7 @@ func endStep[M any](ctxs []DenseCtx[M]) {
 // scanDests runs the signal over one stream of a block, in parallel
 // chunks when the machine has several workers; ctxs[k] serves the k-th
 // chunk. The single-worker path makes no closure, hence no allocation.
-func scanDests[M any](w *Worker, params *DenseParams[M], ctxs []DenseCtx[M], dests []partition.Dest, dep bool) {
+func scanDests[M Wire](w *Worker, params *DenseParams[M], ctxs []DenseCtx[M], dests []partition.Dest, dep bool) {
 	if w.serial(len(dests)) {
 		scanRange(w, params, &ctxs[0], dests, dep)
 		return
@@ -399,7 +396,7 @@ func scanDests[M any](w *Worker, params *DenseParams[M], ctxs []DenseCtx[M], des
 // the destination, its tracked index and its range in the graph's
 // in-arrays, so a visit costs the filter probes, the dependency skip test
 // when dep is set (never on the low stream) and the signal call.
-func scanRange[M any](w *Worker, params *DenseParams[M], ctx *DenseCtx[M], dests []partition.Dest, dep bool) {
+func scanRange[M Wire](w *Worker, params *DenseParams[M], ctx *DenseCtx[M], dests []partition.Dest, dep bool) {
 	_, inSrc, inW := w.cluster.g.InCSC()
 	active, except, skip := params.Active, params.Except, w.dense.skip
 	ctx.tracked = dep
@@ -448,9 +445,7 @@ func encodeDepFrame(depSkip *bitset.Bitmap, depData [][]float64, gLo, gHi int) [
 	for _, lane := range depData {
 		off := len(out)
 		out = out[:off+(gHi-gLo)*8]
-		for i, v := range lane[gLo:gHi] {
-			binary.LittleEndian.PutUint64(out[off+i*8:], math.Float64bits(v))
-		}
+		f64Codec.putAll(out[off:], lane[gLo:gHi])
 	}
 	return out
 }
@@ -468,12 +463,8 @@ func applyDepFrame(payload []byte, depSkip *bitset.Bitmap, depData [][]float64, 
 	if err := depSkip.OrSegmentLE(payload[:wb], gLo, gHi); err != nil {
 		return fmt.Errorf("core: dependency frame: %w", err)
 	}
-	off := wb
-	for _, lane := range depData {
-		for i := gLo; i < gHi; i++ {
-			lane[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[off:]))
-			off += 8
-		}
+	for l, lane := range depData {
+		f64Codec.getAll(lane[gLo:gHi], payload[wb+l*(gHi-gLo)*8:])
 	}
 	return nil
 }

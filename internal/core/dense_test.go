@@ -46,7 +46,6 @@ func TestDenseInDegreeCount(t *testing.T) {
 		counts := make([]uint32, g.NumVertices())
 		err := c.Run(func(w *Worker) error {
 			err := ProcessEdgesDense(w, DenseParams[uint32]{
-				Codec: U32Codec{},
 				Signal: func(ctx *DenseCtx[uint32], dst graph.VertexID, srcs []graph.VertexID, _ []float32) {
 					for range srcs {
 						ctx.Edge()
@@ -115,7 +114,6 @@ func TestDenseBreakFirstMatch(t *testing.T) {
 		}
 		err := c.Run(func(w *Worker) error {
 			err := ProcessEdgesDense(w, DenseParams[uint32]{
-				Codec: U32Codec{},
 				Signal: func(ctx *DenseCtx[uint32], dst graph.VertexID, srcs []graph.VertexID, _ []float32) {
 					for _, u := range srcs {
 						ctx.Edge()
@@ -181,7 +179,6 @@ func TestDenseDepPruningExactness(t *testing.T) {
 	emitted := make([]int, n)
 	err := c.Run(func(w *Worker) error {
 		err := ProcessEdgesDense(w, DenseParams[uint32]{
-			Codec: U32Codec{},
 			Signal: func(ctx *DenseCtx[uint32], dst graph.VertexID, srcs []graph.VertexID, _ []float32) {
 				for _, u := range srcs {
 					ctx.Edge()
@@ -243,7 +240,6 @@ func TestDenseDataLane(t *testing.T) {
 					counts := make([]int64, n)
 					err := c.Run(func(w *Worker) error {
 						err := ProcessEdgesDense(w, DenseParams[int64]{
-							Codec: I64Codec{},
 							Signal: func(ctx *DenseCtx[int64], dst graph.VertexID, srcs []graph.VertexID, _ []float32) {
 								if ctx.Tracked() {
 									acc := ctx.DepFloat(0)
@@ -322,7 +318,6 @@ func TestDenseActiveDstFilter(t *testing.T) {
 							}
 							err := c.Run(func(w *Worker) error {
 								err := ProcessEdgesDense(w, DenseParams[int64]{
-									Codec:  I64Codec{},
 									Active: f.active,
 									Except: f.except,
 									Signal: func(ctx *DenseCtx[int64], dst graph.VertexID, srcs []graph.VertexID, _ []float32) {
@@ -377,7 +372,6 @@ func TestDenseActiveDstFilter(t *testing.T) {
 
 	c := mustCluster(t, g, Options{NumNodes: 2})
 	for _, params := range []DenseParams[uint32]{{Active: bitset.New(n - 1)}, {Except: bitset.New(n + 64)}} {
-		params.Codec = U32Codec{}
 		err := c.Run(func(w *Worker) error {
 			err := ProcessEdgesDense(w, params)
 			return err
@@ -403,7 +397,6 @@ func TestDenseSkippedVerticesCounted(t *testing.T) {
 	c := mustCluster(t, g, Options{NumNodes: 4, Mode: ModeSympleGraph, DepThreshold: 32})
 	err := c.Run(func(w *Worker) error {
 		err := ProcessEdgesDense(w, DenseParams[uint32]{
-			Codec: U32Codec{},
 			Signal: func(ctx *DenseCtx[uint32], dst graph.VertexID, srcs []graph.VertexID, _ []float32) {
 				for _, u := range srcs {
 					ctx.Edge()

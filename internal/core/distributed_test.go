@@ -48,7 +48,6 @@ func TestDistributedNodeClusters(t *testing.T) {
 					t.Errorf("process %d hosts worker %d", i, w.ID())
 				}
 				err := ProcessEdgesDense(w, DenseParams[uint32]{
-					Codec: U32Codec{},
 					Signal: func(ctx *DenseCtx[uint32], dst graph.VertexID, srcs []graph.VertexID, _ []float32) {
 						for range srcs {
 							ctx.Edge()
@@ -113,7 +112,6 @@ func TestWaitInstrumentation(t *testing.T) {
 	})
 	err := c.Run(func(w *Worker) error {
 		err := ProcessEdgesDense(w, DenseParams[uint32]{
-			Codec: U32Codec{},
 			Signal: func(ctx *DenseCtx[uint32], dst graph.VertexID, srcs []graph.VertexID, _ []float32) {
 				for range srcs {
 					ctx.Edge()

@@ -17,7 +17,6 @@ func TestMoreNodesThanVertices(t *testing.T) {
 		counts := make([]uint32, 5)
 		err := c.Run(func(w *Worker) error {
 			err := ProcessEdgesDense(w, DenseParams[uint32]{
-				Codec: U32Codec{},
 				Signal: func(ctx *DenseCtx[uint32], dst graph.VertexID, srcs []graph.VertexID, _ []float32) {
 					for range srcs {
 						ctx.Edge()
@@ -47,7 +46,6 @@ func TestEmptyGraphCluster(t *testing.T) {
 	c := mustCluster(t, g, Options{NumNodes: 3, Mode: ModeSympleGraph})
 	err := c.Run(func(w *Worker) error {
 		err := ProcessEdgesDense(w, DenseParams[uint32]{
-			Codec: U32Codec{},
 			Signal: func(*DenseCtx[uint32], graph.VertexID, []graph.VertexID, []float32) {
 				t.Error("signal ran on empty graph")
 			},
@@ -57,7 +55,6 @@ func TestEmptyGraphCluster(t *testing.T) {
 			return err
 		}
 		emitted, err := ProcessEdgesSparse(w, SparseParams[uint32]{
-			Codec:  U32Codec{},
 			Signal: func(*SparseCtx[uint32], graph.VertexID, []graph.VertexID, []float32) {},
 			Slot:   func(graph.VertexID, uint32) {},
 		})
@@ -79,7 +76,6 @@ func TestIsolatedVerticesOnlyGraph(t *testing.T) {
 	finalized := make([]bool, 200)
 	err := c.Run(func(w *Worker) error {
 		err := ProcessEdgesDense(w, DenseParams[struct{}]{
-			Codec: UnitCodec{},
 			Signal: func(*DenseCtx[struct{}], graph.VertexID, []graph.VertexID, []float32) {
 				t.Error("signal ran without edges")
 			},
@@ -111,7 +107,6 @@ func TestManyWorkersFewVertices(t *testing.T) {
 	var slotted atomic.Int64
 	err := c.Run(func(w *Worker) error {
 		return ProcessEdgesDense(w, DenseParams[uint32]{
-			Codec: U32Codec{},
 			Signal: func(ctx *DenseCtx[uint32], dst graph.VertexID, srcs []graph.VertexID, _ []float32) {
 				for range srcs {
 					ctx.Edge()
@@ -151,7 +146,6 @@ func TestRepeatedRunsReuseCluster(t *testing.T) {
 		counts := make([]uint32, g.NumVertices())
 		err := c.Run(func(w *Worker) error {
 			err := ProcessEdgesDense(w, DenseParams[uint32]{
-				Codec: U32Codec{},
 				Signal: func(ctx *DenseCtx[uint32], dst graph.VertexID, srcs []graph.VertexID, _ []float32) {
 					for range srcs {
 						ctx.Edge()
@@ -188,7 +182,6 @@ func TestSingleNodeAllOptionCombos(t *testing.T) {
 				slotted := 0
 				err := c.Run(func(w *Worker) error {
 					return ProcessEdgesDense(w, DenseParams[uint32]{
-						Codec: U32Codec{},
 						Signal: func(ctx *DenseCtx[uint32], dst graph.VertexID, srcs []graph.VertexID, _ []float32) {
 							if ctx.Tracked() {
 								t.Error("Tracked() true on a single machine")

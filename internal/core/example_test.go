@@ -31,7 +31,6 @@ func Example() {
 	found := bitset.New(g.NumVertices())
 	err = cluster.Run(func(w *core.Worker) error {
 		return core.ProcessEdgesDense(w, core.DenseParams[uint32]{
-			Codec: core.U32Codec{},
 			Signal: func(ctx *core.DenseCtx[uint32], dst graph.VertexID, srcs []graph.VertexID, _ []float32) {
 				for _, u := range srcs {
 					ctx.Edge()

@@ -143,7 +143,6 @@ func TestClusterWithLinkModel(t *testing.T) {
 	counts := make([]uint32, g.NumVertices())
 	err := c.Run(func(w *Worker) error {
 		err := ProcessEdgesDense(w, DenseParams[uint32]{
-			Codec: U32Codec{},
 			Signal: func(ctx *DenseCtx[uint32], dst graph.VertexID, srcs []graph.VertexID, _ []float32) {
 				for range srcs {
 					ctx.Edge()

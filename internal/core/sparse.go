@@ -20,9 +20,7 @@ import (
 // paper's optimization targets pull mode (§2.2: "SympleGraph optimization
 // focuses on pull mode") — but it is required by direction-optimizing BFS
 // and general Gemini programs.
-type SparseParams[M any] struct {
-	// Codec serializes update messages.
-	Codec Codec[M]
+type SparseParams[M Wire] struct {
 	// Frontier lists the local master vertices to process. It must be
 	// strictly ascending — bitmap order, which is how every in-tree
 	// frontier is built; anything else fails the pass.
@@ -57,10 +55,9 @@ type SparseParams[M any] struct {
 }
 
 // SparseCtx is the per-worker sparse signal context.
-type SparseCtx[M any] struct {
+type SparseCtx[M Wire] struct {
 	w     *Worker
-	codec Codec[M]
-	size  int
+	codec *codec[M]
 	edges int64
 	least float64 // this scan range's contribution to SparseParams.Least
 
@@ -99,7 +96,7 @@ func (ctx *SparseCtx[M]) EmitTo(dst graph.VertexID, msg M) {
 		panic(fmt.Sprintf("core: sparse signal emitted to vertex %d outside partition %d [%d,%d)",
 			dst, ctx.curQ, ctx.curLo, ctx.curHi))
 	}
-	rec := 4 + ctx.size
+	rec := 4 + ctx.codec.size
 	buf := ctx.cur
 	if cap(buf)-len(buf) < rec {
 		if len(buf) > 0 {
@@ -112,7 +109,7 @@ func (ctx *SparseCtx[M]) EmitTo(dst graph.VertexID, msg M) {
 	off := len(buf)
 	buf = append(buf, make([]byte, rec)...)
 	binary.LittleEndian.PutUint32(buf[off:], uint32(dst))
-	ctx.codec.Encode(buf[off+4:], msg)
+	ctx.codec.put(buf[off+4:], msg)
 	ctx.cur = buf
 }
 
@@ -218,7 +215,7 @@ func (ctx *SparseCtx[M]) beginPart(q int) {
 // SparseParams.Least, costs no collective: every frame starts with its
 // sender's total and least (updHeader), and every machine gets one from
 // every peer.
-func ProcessEdgesSparse[M any](w *Worker, params SparseParams[M]) (int64, error) {
+func ProcessEdgesSparse[M Wire](w *Worker, params SparseParams[M]) (int64, error) {
 	f := params.Frontier
 	for i := 1; i < len(f); i++ {
 		if f[i-1] >= f[i] {
@@ -250,12 +247,12 @@ func ProcessEdgesSparse[M any](w *Worker, params SparseParams[M]) (int64, error)
 		i = j
 	}
 
+	c := codecOf[M]()
 	ctxs := make([]*SparseCtx[M], w.cluster.opts.Workers) // one per scan range
 	w.parallelRange(len(groups), func(k, start, end int) {
 		ctx := &SparseCtx[M]{
 			w:      w,
-			codec:  params.Codec,
-			size:   params.Codec.Size(),
+			codec:  c,
 			least:  math.Inf(1),
 			bufs:   make([][]byte, p),
 			chunks: make([][][]byte, p),
@@ -305,7 +302,7 @@ func ProcessEdgesSparse[M any](w *Worker, params SparseParams[M]) (int64, error)
 			least = ctx.least
 		}
 	}
-	total, least, err := sparseExchange(w, &params, base, pass, chunks, least, pushStart)
+	total, least, err := sparseExchange(w, c, params.Slot, base, pass, chunks, least, pushStart)
 	if params.Least != nil {
 		*params.Least = least
 	}
@@ -327,10 +324,10 @@ const updHeader = 16
 // order, this makes a first-wins slot keep the candidate a pull would
 // find first (seq.RingOrder), so both directions give one answer. Remote
 // frames arrive as one vectored frame per (peer, pass).
-func sparseExchange[M any](w *Worker, params *SparseParams[M], base int32, pass int,
+func sparseExchange[M Wire](w *Worker, c *codec[M], slot func(graph.VertexID, M), base int32, pass int,
 	chunks [][][]byte, least float64, pushStart time.Time) (int64, float64, error) {
 	p := w.N()
-	rec := 4 + params.Codec.Size()
+	rec := 4 + c.size
 	var sent int64
 	for _, bins := range chunks {
 		for _, b := range bins {
@@ -354,7 +351,7 @@ func sparseExchange[M any](w *Worker, params *SparseParams[M], base int32, pass 
 	for j := 1; j <= p; j++ {
 		peer := (w.id - j + p) % p
 		if peer == w.id {
-			if err := applyOwn(w, params.Codec, params.Slot, chunks[w.id][1:]); err != nil {
+			if err := applyOwn(w, c, slot, chunks[w.id][1:]); err != nil {
 				return 0, 0, updateError(w, w.id, base, err)
 			}
 			continue
@@ -373,7 +370,7 @@ func sparseExchange[M any](w *Worker, params *SparseParams[M], base int32, pass 
 		} else if l = math.Float64frombits(binary.LittleEndian.Uint64(m.Payload[8:])); math.IsNaN(l) {
 			err = fmt.Errorf("update frame's least is NaN") // would stall a loop that advances on it
 		} else {
-			err = applyUpdates(w, params.Codec, params.Slot, m.Payload[updHeader:])
+			err = applyUpdates(w, c, slot, m.Payload[updHeader:])
 		}
 		m.Release()
 		if err != nil {
@@ -390,8 +387,8 @@ func sparseExchange[M any](w *Worker, params *SparseParams[M], base int32, pass 
 // applyUpdates feeds payload's (dst, msg) records to slot, which runs at
 // dst's master: a record for a vertex this machine does not own, or a
 // torn trailing record, is an error.
-func applyUpdates[M any](w *Worker, codec Codec[M], slot func(graph.VertexID, M), payload []byte) error {
-	rec := 4 + codec.Size()
+func applyUpdates[M Wire](w *Worker, c *codec[M], slot func(graph.VertexID, M), payload []byte) error {
+	rec := 4 + c.size
 	if len(payload)%rec != 0 {
 		return fmt.Errorf("%d record bytes are not a whole number of %d-byte records", len(payload), rec)
 	}
@@ -401,17 +398,17 @@ func applyUpdates[M any](w *Worker, codec Codec[M], slot func(graph.VertexID, M)
 		if int(dst) < lo || int(dst) >= hi {
 			return fmt.Errorf("record for vertex %d, which node %d does not own", dst, w.id)
 		}
-		slot(dst, codec.Decode(payload[off+4:]))
+		slot(dst, c.get(payload[off+4:]))
 	}
 	return nil
 }
 
 // applyOwn applies the machine's own update chunks, which never leave
 // it, and returns them to the slab.
-func applyOwn[M any](w *Worker, codec Codec[M], slot func(graph.VertexID, M), bins [][]byte) (err error) {
+func applyOwn[M Wire](w *Worker, c *codec[M], slot func(graph.VertexID, M), bins [][]byte) (err error) {
 	for _, b := range bins {
 		if err == nil {
-			err = applyUpdates(w, codec, slot, b)
+			err = applyUpdates(w, c, slot, b)
 		}
 		bufpool.Put(b)
 	}

@@ -38,7 +38,6 @@ func TestSparsePushCounts(t *testing.T) {
 						}
 					}
 					red, err := ProcessEdgesSparse(w, SparseParams[uint32]{
-						Codec:    U32Codec{},
 						Frontier: frontier,
 						Signal: func(ctx *SparseCtx[uint32], src graph.VertexID, dsts []graph.VertexID, _ []float32) {
 							for _, d := range dsts {
@@ -106,7 +105,6 @@ func TestSparseEmptyFrontier(t *testing.T) {
 			err := c.Run(func(w *Worker) error {
 				least := math.Inf(1)
 				emitted, err := ProcessEdgesSparse(w, SparseParams[uint32]{
-					Codec:    U32Codec{},
 					Frontier: nil,
 					Signal: func(*SparseCtx[uint32], graph.VertexID, []graph.VertexID, []float32) {
 						t.Error("signal ran with empty frontier")
@@ -151,7 +149,6 @@ func TestSparseLeastAgreement(t *testing.T) {
 				err := c.Run(func(w *Worker) error {
 					least := float64(1e6 + w.ID()) // above every scan report
 					_, err := ProcessEdgesSparse(w, SparseParams[uint32]{
-						Codec:    U32Codec{},
 						Frontier: localFrontier(w, func(int) bool { return true }),
 						Signal: func(ctx *SparseCtx[uint32], src graph.VertexID, dsts []graph.VertexID, _ []float32) {
 							if w.ID() == 1 { // node 1's smallest report comes from its last source
@@ -193,7 +190,7 @@ func TestSparseLeastAgreement(t *testing.T) {
 // puts the frame where node 0's pass awaits its own.
 func TestBadUpdateFrameIsProtocolError(t *testing.T) {
 	g := graph.Ring(128)                                                                        // node 0 owns [0, 64), node 1 [64, 128)
-	record := func(dst uint32) []byte { return binary.LittleEndian.AppendUint32(nil, dst)[:8] } // U32Codec: 4 + 4 bytes
+	record := func(dst uint32) []byte { return binary.LittleEndian.AppendUint32(nil, dst)[:8] } // a uint32 record: 4 + 4 bytes
 	header := func(n uint64, least float64) []byte {                                            // count, then least
 		return binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(nil, n), math.Float64bits(least))
 	}
@@ -230,9 +227,9 @@ func TestBadUpdateFrameIsProtocolError(t *testing.T) {
 					}
 					signal := func(*DenseCtx[uint32], graph.VertexID, []graph.VertexID, []float32) {}
 					if tc.dense {
-						return ProcessEdgesDense(w, DenseParams[uint32]{Codec: U32Codec{}, Signal: signal, Slot: func(graph.VertexID, uint32) {}})
+						return ProcessEdgesDense(w, DenseParams[uint32]{Signal: signal, Slot: func(graph.VertexID, uint32) {}})
 					}
-					_, err := ProcessEdgesSparse(w, SparseParams[uint32]{Codec: U32Codec{},
+					_, err := ProcessEdgesSparse(w, SparseParams[uint32]{
 						Signal: func(*SparseCtx[uint32], graph.VertexID, []graph.VertexID, []float32) {},
 						Slot:   func(graph.VertexID, uint32) {}})
 					return err
@@ -269,7 +266,6 @@ func TestSparseFrontierMustAscend(t *testing.T) {
 			err := c.Run(func(w *Worker) error {
 				lo, hi := w.MasterRange()
 				_, err := ProcessEdgesSparse(w, SparseParams[uint32]{
-					Codec:    U32Codec{},
 					Frontier: build(lo, hi),
 					Signal: func(*SparseCtx[uint32], graph.VertexID, []graph.VertexID, []float32) {
 						t.Error("signal ran for a rejected frontier")
@@ -312,7 +308,6 @@ func TestSparseThenDenseInterleaved(t *testing.T) {
 				frontier = append(frontier, graph.VertexID(v))
 			}
 			if _, err := ProcessEdgesSparse(w, SparseParams[uint32]{
-				Codec:    U32Codec{},
 				Frontier: frontier,
 				Signal: func(ctx *SparseCtx[uint32], src graph.VertexID, dsts []graph.VertexID, _ []float32) {
 					for _, d := range dsts {
@@ -325,7 +320,6 @@ func TestSparseThenDenseInterleaved(t *testing.T) {
 				return err
 			}
 			if err := ProcessEdgesDense(w, DenseParams[uint32]{
-				Codec: U32Codec{},
 				Signal: func(ctx *DenseCtx[uint32], dst graph.VertexID, srcs []graph.VertexID, _ []float32) {
 					for range srcs {
 						ctx.Edge()
@@ -368,7 +362,6 @@ func TestTCPBackedCluster(t *testing.T) {
 	counts := make([]uint32, g.NumVertices())
 	err = c.Run(func(w *Worker) error {
 		err := ProcessEdgesDense(w, DenseParams[uint32]{
-			Codec: U32Codec{},
 			Signal: func(ctx *DenseCtx[uint32], dst graph.VertexID, srcs []graph.VertexID, _ []float32) {
 				for range srcs {
 					ctx.Edge()
@@ -535,7 +528,6 @@ func TestSparseAppliesInRingOrder(t *testing.T) {
 				win, slot := firstWins(n)
 				err := c.Run(func(w *Worker) error {
 					_, err := ProcessEdgesSparse(w, SparseParams[uint32]{
-						Codec:    U32Codec{},
 						Frontier: localFrontier(w, func(int) bool { return true }),
 						Signal: func(ctx *SparseCtx[uint32], src graph.VertexID, dsts []graph.VertexID, _ []float32) {
 							for _, d := range dsts {
@@ -582,7 +574,6 @@ func TestSparseAppliesInRingOrder(t *testing.T) {
 				pull, pullSlot := firstWins(rmat.NumVertices())
 				err = c.Run(func(w *Worker) error {
 					if _, err := ProcessEdgesSparse(w, SparseParams[uint32]{
-						Codec:    U32Codec{},
 						Frontier: localFrontier(w, inFrontier),
 						Signal: func(ctx *SparseCtx[uint32], src graph.VertexID, dsts []graph.VertexID, _ []float32) {
 							for _, d := range dsts {
@@ -596,7 +587,6 @@ func TestSparseAppliesInRingOrder(t *testing.T) {
 						return err
 					}
 					return ProcessEdgesDense(w, DenseParams[uint32]{
-						Codec: U32Codec{},
 						Signal: func(ctx *DenseCtx[uint32], dst graph.VertexID, srcs []graph.VertexID, _ []float32) {
 							if frontier[dst] {
 								return
@@ -657,7 +647,6 @@ func TestSparseSourceOrderParallel(t *testing.T) {
 				return fmt.Errorf("node %d owns %d vertices, fewer than 8 source blocks", w.ID(), hi-lo)
 			}
 			_, err := ProcessEdgesSparse(w, SparseParams[uint32]{
-				Codec:    U32Codec{},
 				Frontier: localFrontier(w, func(int) bool { return true }),
 				Signal: func(ctx *SparseCtx[uint32], src graph.VertexID, dsts []graph.VertexID, _ []float32) {
 					for _, d := range dsts {

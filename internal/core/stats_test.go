@@ -17,7 +17,6 @@ import (
 func denseCountProgram(breakEarly bool) func(w *Worker) error {
 	return func(w *Worker) error {
 		err := ProcessEdgesDense(w, DenseParams[uint32]{
-			Codec: U32Codec{},
 			Signal: func(ctx *DenseCtx[uint32], dst graph.VertexID, srcs []graph.VertexID, _ []float32) {
 				for range srcs {
 					ctx.Edge()
@@ -40,7 +39,6 @@ func denseCountProgram(breakEarly bool) func(w *Worker) error {
 			frontier = append(frontier, graph.VertexID(v))
 		}
 		if _, err := ProcessEdgesSparse(w, SparseParams[uint32]{
-			Codec:    U32Codec{},
 			Frontier: frontier,
 			Signal: func(ctx *SparseCtx[uint32], src graph.VertexID, dsts []graph.VertexID, _ []float32) {
 				for _, d := range dsts {

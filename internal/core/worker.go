@@ -4,12 +4,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
-	"unsafe"
 
 	"repro/internal/bitset"
 	"repro/internal/bufpool"
@@ -301,83 +299,23 @@ func applyBitmapSegment(b *bitset.Bitmap, lo, hi int, payload []byte) error {
 	return nil
 }
 
-// elem is what a per-vertex array exchanged between machines or saved in
-// a checkpoint may hold; each travels as its little-endian bit pattern.
-type elem interface {
-	uint32 | int32 | int64 | float32 | float64
-}
-
-// encodeElems writes src's elements into dst, which has exactly their
-// size.
-func encodeElems[T elem](dst []byte, src []T) {
-	switch s := any(src).(type) {
-	case []uint32:
-		for i, x := range s {
-			binary.LittleEndian.PutUint32(dst[4*i:], x)
-		}
-	case []int32:
-		for i, x := range s {
-			binary.LittleEndian.PutUint32(dst[4*i:], uint32(x))
-		}
-	case []int64:
-		for i, x := range s {
-			binary.LittleEndian.PutUint64(dst[8*i:], uint64(x))
-		}
-	case []float32:
-		for i, x := range s {
-			binary.LittleEndian.PutUint32(dst[4*i:], math.Float32bits(x))
-		}
-	case []float64:
-		for i, x := range s {
-			binary.LittleEndian.PutUint64(dst[8*i:], math.Float64bits(x))
-		}
-	}
-}
-
-// decodeElems fills dst from what encodeElems wrote.
-func decodeElems[T elem](dst []T, src []byte) {
-	switch d := any(dst).(type) {
-	case []uint32:
-		for i := range d {
-			d[i] = binary.LittleEndian.Uint32(src[4*i:])
-		}
-	case []int32:
-		for i := range d {
-			d[i] = int32(binary.LittleEndian.Uint32(src[4*i:]))
-		}
-	case []int64:
-		for i := range d {
-			d[i] = int64(binary.LittleEndian.Uint64(src[8*i:]))
-		}
-	case []float32:
-		for i := range d {
-			d[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:]))
-		}
-	case []float64:
-		for i := range d {
-			d[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
-		}
-	}
-}
-
 // gather exchanges arr (full length |V|) by master segment: machine i
 // contributes arr[lo_i:hi_i], and root (or everyone) ends up with every
 // master's values. A peer's segment must be exactly its range.
-func gather[T elem](w *Worker, root int, arr []T) error {
+func gather[T Wire](w *Worker, root int, arr []T) error {
 	if len(arr) != w.cluster.g.NumVertices() {
 		panic("core: gather wants a full-length array")
 	}
-	var zero T
-	width := int(unsafe.Sizeof(zero))
+	c := codecOf[T]()
 	lo, hi := w.MasterRange()
-	w.seg = slices.Grow(w.seg[:0], (hi-lo)*width)[:(hi-lo)*width]
-	encodeElems(w.seg, arr[lo:hi])
+	w.seg = slices.Grow(w.seg[:0], (hi-lo)*c.size)[:(hi-lo)*c.size]
+	c.putAll(w.seg, arr[lo:hi])
 	return w.exchange(root, comm.KindControl, w.ownSegment, func(peer int, payload []byte) error {
 		plo, phi := w.cluster.part.Range(peer)
-		if len(payload) != (phi-plo)*width {
-			return fmt.Errorf("core: segment of [%d,%d) is %d bytes, want %d", plo, phi, len(payload), (phi-plo)*width)
+		if len(payload) != (phi-plo)*c.size {
+			return fmt.Errorf("core: segment of [%d,%d) is %d bytes, want %d", plo, phi, len(payload), (phi-plo)*c.size)
 		}
-		decodeElems(arr[plo:phi], payload)
+		c.getAll(arr[plo:phi], payload)
 		return nil
 	})
 }
@@ -385,11 +323,11 @@ func gather[T elem](w *Worker, root int, arr []T) error {
 // Gather collects every master's value of arr at node 0, which is where
 // algorithms materialize their results (other nodes' copies stay
 // partial). Far cheaper than AllGather for result publication.
-func Gather[T elem](w *Worker, arr []T) error { return gather(w, 0, arr) }
+func Gather[T Wire](w *Worker, arr []T) error { return gather(w, 0, arr) }
 
 // AllGather fills arr so that every machine sees every master's value.
 // Used to publish results and replicated vertex properties.
-func AllGather[T elem](w *Worker, arr []T) error { return gather(w, everyone, arr) }
+func AllGather[T Wire](w *Worker, arr []T) error { return gather(w, everyone, arr) }
 
 // ProcessVertices applies fn to every owned master vertex (in parallel
 // across the machine's workers) and returns this machine's sum of fn's

@@ -52,7 +52,7 @@ type FoldWhile[S, M any] struct {
 // Compile generates the instrumented dense-signal UDF and the lane count
 // for core.DenseParams — the DSL equivalent of the analyzer's Figure 5
 // transformation.
-func Compile[S, M any](fw FoldWhile[S, M]) (func(ctx *core.DenseCtx[M], dst graph.VertexID, srcs []graph.VertexID, ws []float32), int) {
+func Compile[S any, M core.Wire](fw FoldWhile[S, M]) (func(ctx *core.DenseCtx[M], dst graph.VertexID, srcs []graph.VertexID, ws []float32), int) {
 	signal := func(ctx *core.DenseCtx[M], dst graph.VertexID, srcs []graph.VertexID, ws []float32) {
 		var s S
 		carried := ctx.Tracked()
@@ -99,7 +99,7 @@ func Compile[S, M any](fw FoldWhile[S, M]) (func(ctx *core.DenseCtx[M], dst grap
 }
 
 // Params assembles a complete core.DenseParams from the fold plus the
-// caller's codec and slot functions; a caller that filters destinations
+// caller's slot functions; a caller that filters destinations
 // sets Active/Except on the result.
 //
 // finalize runs at the master for tracked destinations whose fold
@@ -108,12 +108,11 @@ func Compile[S, M any](fw FoldWhile[S, M]) (func(ctx *core.DenseCtx[M], dst grap
 // delivered the outcome (and the carried lanes stop updating), so
 // finalize is not invoked — exactly one of Emit/finalize reports per
 // tracked destination.
-func Params[S, M any](fw FoldWhile[S, M], codec core.Codec[M],
+func Params[S any, M core.Wire](fw FoldWhile[S, M],
 	slot func(graph.VertexID, M),
 	finalize func(dst graph.VertexID, s S)) core.DenseParams[M] {
 	signal, lanes := Compile(fw)
 	p := core.DenseParams[M]{
-		Codec:  codec,
 		Signal: signal,
 		Slot:   slot,
 		Lanes:  lanes,

@@ -51,10 +51,9 @@ func TestFoldBFSIterationMatchesHandWritten(t *testing.T) {
 				err = c.Run(func(w *core.Worker) error {
 					var params core.DenseParams[uint32]
 					if useDSL {
-						params = Params(bfsFold(frontier), core.U32Codec{}, slot, nil)
+						params = Params(bfsFold(frontier), slot, nil)
 					} else {
 						params = core.DenseParams[uint32]{
-							Codec: core.U32Codec{},
 							Signal: func(ctx *core.DenseCtx[uint32], dst graph.VertexID, srcs []graph.VertexID, _ []float32) {
 								for _, u := range srcs {
 									ctx.Edge()
@@ -127,7 +126,7 @@ func TestFoldKCoreCountsMatchDegrees(t *testing.T) {
 				defer c.Close()
 				counts := make([]int64, n)
 				err = c.Run(func(w *core.Worker) error {
-					params := Params(kcoreFold(active, k), core.I64Codec{},
+					params := Params(kcoreFold(active, k),
 						func(dst graph.VertexID, partial int64) {
 							counts[dst] += partial
 						},
@@ -198,7 +197,7 @@ func TestFoldSamplingMatchesOracle(t *testing.T) {
 		pick[i] = ^uint32(0)
 	}
 	err = c.Run(func(w *core.Worker) error {
-		params := Params(sampleFold(seed, round, totalW), core.U32Codec{},
+		params := Params(sampleFold(seed, round, totalW),
 			func(dst graph.VertexID, u uint32) {
 				pick[dst] = u
 			}, nil)

@@ -27,15 +27,20 @@ import (
 // Request is one algorithm query. Fields irrelevant to the requested
 // algorithm are ignored and zeroed by canonicalization so that, e.g.,
 // two BFS queries differing only in -k share a cache entry.
+//
+// Canonicalization also bounds the parameters that size a query's
+// allocations (see each field), so that a client's choice is a 400, not
+// a failure deep in the engine or an allocation no deadline can stop.
+// PageRank's Iters allocates nothing and stays unbounded.
 type Request struct {
 	Graph   string `json:"graph"`
 	Algo    string `json:"algo"`
 	Mode    string `json:"mode"`    // symplegraph (default) or gemini
 	Root    int    `json:"root"`    // bfs/sssp; -1 = highest out-degree vertex
 	K       int    `json:"k"`       // kcore
-	Centers int    `json:"centers"` // kmeans; 0 = sqrt(|V|)
-	Iters   int    `json:"iters"`   // kmeans outer iterations / pagerank iterations
-	Rounds  int    `json:"rounds"`  // sampling
+	Centers int    `json:"centers"` // kmeans; 0 = sqrt(|V|), at most |V|
+	Iters   int    `json:"iters"`   // kmeans outer iterations (at most maxKMeansIters) / pagerank iterations
+	Rounds  int    `json:"rounds"`  // sampling; Rounds·|V| at most maxSampleCells
 	Seed    uint64 `json:"seed"`    // mis/kmeans/sampling
 	// Epoch pins the query to one graph version; 0 resolves to the
 	// latest at admission time and is rewritten to the concrete epoch,
@@ -52,6 +57,14 @@ type Request struct {
 	Trace      bool   `json:"trace"`       // capture a per-request phase trace
 	Provider   string `json:"provider"`    // engine provider ("local", "remote"); "" = server default
 }
+
+// The bounds canonicalize puts on a query's allocation-sizing
+// parameters: K-means keeps one int64 per iteration on every node, and
+// sampling a table of Rounds·|V| 4-byte picks on node 0.
+const (
+	maxKMeansIters = 1 << 10
+	maxSampleCells = 1 << 24
+)
 
 // algoNames is the fixed serving vocabulary; per-algo histograms and the
 // dispatch switch both range over it.
@@ -150,15 +163,24 @@ func canonicalize(q Request, info graphInfo) (Request, error) {
 		if c.Centers <= 0 {
 			c.Centers = int(math.Sqrt(float64(info.vertices)))
 		}
+		if c.Centers > info.vertices {
+			return q, fmt.Errorf("centers=%d exceeds the graph's %d vertices", c.Centers, info.vertices)
+		}
 		c.Iters = q.Iters
 		if c.Iters <= 0 {
 			c.Iters = 3
+		}
+		if c.Iters > maxKMeansIters {
+			return q, fmt.Errorf("kmeans iters=%d exceeds the bound of %d", c.Iters, maxKMeansIters)
 		}
 	case "sampling":
 		c.Seed = defaultSeed(q.Seed)
 		c.Rounds = q.Rounds
 		if c.Rounds <= 0 {
 			c.Rounds = 4
+		}
+		if c.Rounds > maxSampleCells/max(info.vertices, 1) {
+			return q, fmt.Errorf("sampling rounds=%d over %d vertices exceeds the bound of %d picks", c.Rounds, info.vertices, maxSampleCells)
 		}
 	case "pagerank":
 		c.Iters = q.Iters

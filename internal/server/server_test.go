@@ -72,6 +72,53 @@ func TestCanonicalize(t *testing.T) {
 	if _, err := canonicalize(Request{Graph: "g", Algo: "bfs", Mode: "giraph"}, info); err == nil {
 		t.Fatal("bad mode accepted")
 	}
+
+	// The allocation-sizing parameters are accepted up to their bound
+	// and refused one past it.
+	for _, tc := range []struct {
+		q  Request
+		ok bool
+	}{
+		{Request{Algo: "kmeans", Centers: 128}, true},
+		{Request{Algo: "kmeans", Centers: 129}, false},
+		{Request{Algo: "kmeans", Iters: maxKMeansIters}, true},
+		{Request{Algo: "kmeans", Iters: maxKMeansIters + 1}, false},
+		{Request{Algo: "sampling", Rounds: maxSampleCells / 128}, true},
+		{Request{Algo: "sampling", Rounds: maxSampleCells/128 + 1}, false},
+		{Request{Algo: "pagerank", Iters: 1 << 40}, true},
+	} {
+		tc.q.Graph = "g"
+		if _, err := canonicalize(tc.q, info); (err == nil) != tc.ok {
+			t.Errorf("%+v: err=%v, want accepted=%v", tc.q, err, tc.ok)
+		}
+	}
+}
+
+// TestWorkParametersRefusedBeforeLease: a work parameter out of its
+// bound is the client's error, answered 400 before any pool lease — not
+// a 500 from deep in the engine, and no cluster built for it.
+func TestWorkParametersRefusedBeforeLease(t *testing.T) {
+	s := testServer(t, Config{}) // g1: 128 vertices
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	queries := []string{
+		"algo=kmeans&centers=5000",
+		"algo=kmeans&centers=129",
+		"algo=kmeans&iters=1125899906842624",
+		"algo=sampling&rounds=1099511627776",
+	}
+	for _, q := range queries {
+		if code, _, body := getResponse(t, ts.URL+"/query?graph=g1&"+q); code != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400: %s", q, code, body)
+		}
+	}
+	st := s.StatusSnapshot()
+	if st.Requests.ServerErrors != 0 || st.Requests.ClientErrors != int64(len(queries)) {
+		t.Errorf("requests %+v: want %d client errors and no server error", st.Requests, len(queries))
+	}
+	if st.Pool.Clusters != 0 {
+		t.Errorf("%d clusters built for refused queries", st.Pool.Clusters)
+	}
 }
 
 func TestResultCacheLRUAndBudgets(t *testing.T) {
