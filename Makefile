@@ -92,12 +92,12 @@ size:
 # surface, options or flags raises the number here, in its own diff, and
 # says why in CHANGES.md; one that shrinks a figure lowers it.
 define SIZE_BUDGET
-non-test Go LOC, repo: 23920
-non-test Go LOC, internal/core + internal/comm: 4676
+non-test Go LOC, repo: 24210
+non-test Go LOC, internal/core + internal/comm: 4714
 non-test Go LOC, internal/algorithms: 1184
-non-test Go LOC, internal/server: 4297
+non-test Go LOC, internal/server: 4368
 non-test Go LOC, internal/gluon: 586
-exported identifiers, internal/core: 151
+exported identifiers, internal/core: 152
 exported identifiers, internal/comm: 150
 exported identifiers, internal/bench: 87
 exported identifiers, internal/gluon: 7
@@ -145,8 +145,11 @@ fleet-chaos:
 # version (remote answers bit-identical to local at every queried
 # epoch), new epochs reach survivors as verified deltas, and the
 # rejoined worker returns the ring to full width on the newest epoch.
+# Idle local engines outlive commits: an advanced cluster equals a fresh
+# build field for field, and the pool advances instead of building.
 mutate-chaos:
-	go test -race -count=1 -run 'TestMutateChaos|TestQueryPinnedEpochSurvivesCommit' ./internal/server
+	go test -race -count=1 -run 'TestMutateChaos|TestQueryPinnedEpochSurvivesCommit|TestCommitAdvancesIdleEngines' ./internal/server
+	go test -race -count=1 -run 'TestAdvanceMatchesFreshBuild' ./internal/core
 
 # The -trace acceptance path on its own, for quick iteration.
 smoke:

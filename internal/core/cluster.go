@@ -3,12 +3,14 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/comm"
 	"repro/internal/graph"
+	"repro/internal/mutate"
 	"repro/internal/obs"
 	"repro/internal/partition"
 )
@@ -174,27 +176,63 @@ func newCluster(g *graph.Graph, opts Options, machines []int) (*Cluster, error) 
 	if err != nil {
 		return nil, err
 	}
-	threshold := opts.DepThreshold
-	if opts.Mode == ModeGemini {
+	c := &Cluster{opts: opts}
+	return c, c.derive(g, pt, machines)
+}
+
+// derive sets the cluster's graph and everything laid out from it over
+// pt: the degree class and the listed machines' layouts.
+func (c *Cluster) derive(g *graph.Graph, pt *partition.Partition, machines []int) error {
+	threshold := c.opts.DepThreshold
+	if c.opts.Mode == ModeGemini {
 		threshold = 0 // classification irrelevant; track-all keeps layouts uniform
 	}
-	c := &Cluster{
-		g:       g, // also pins the arrays the layouts' blocks alias
-		opts:    opts,
-		part:    pt,
-		class:   partition.BuildDegreeClass(g, pt, threshold),
-		layouts: make([]*partition.Layout, opts.NumNodes),
-	}
+	c.g = g // also pins the arrays the layouts' blocks alias
+	c.part = pt
+	c.class = partition.BuildDegreeClass(g, pt, threshold)
+	c.layouts = make([]*partition.Layout, c.opts.NumNodes)
 	for _, m := range machines {
 		c.layouts[m] = partition.BuildLayout(g, pt, c.class, m)
 		// The sparse scan reads the partition-blocked CSR. Like the
 		// blocks, it is derived from (graph, partition) alone, so a
 		// rebuilt engine over any epoch snapshot lays out identically.
 		if err := c.layouts[m].AttachBlocked(g, 0); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return c, nil
+	return nil
+}
+
+// Advance moves the cluster to g, the next version of its graph, keeping
+// its transport. delta names every arc that differs (Snapshot.Effective,
+// or several epochs' concatenated). When |V| and the chunk starts hold,
+// only the rows at delta's endpoints are derived again and every other
+// layout entry shifts; otherwise the layouts are derived afresh. Either
+// way the cluster equals NewCluster(g) field for field; after an error
+// it is unusable. Must not be called while a run is in progress.
+func (c *Cluster) Advance(g *graph.Graph, delta mutate.Batch) error {
+	pt, err := partition.NewChunked(g, c.opts.NumNodes, 0)
+	if err != nil {
+		return err
+	}
+	touched := make([]graph.VertexID, 0, 2*len(delta.Ops))
+	patch := g.NumVertices() == c.g.NumVertices() && slices.Equal(pt.Starts, c.part.Starts)
+	for _, m := range delta.Ops {
+		// Both endpoints: a symmetrized variant changes at either end.
+		touched = append(touched, m.Src, m.Dst)
+		patch = patch && (m.Op == mutate.OpAddEdge || m.Op == mutate.OpRemoveEdge)
+	}
+	if !patch {
+		return c.derive(g, pt, c.localNodes())
+	}
+	slices.Sort(touched)
+	touched = slices.Compact(touched)
+	reclassed := c.class.Reclassify(g, c.part, touched)
+	for _, m := range c.localNodes() {
+		c.layouts[m].Advance(c.g, g, touched, reclassed)
+	}
+	c.g = g
+	return nil
 }
 
 // errNoReset refuses MaxRestarts on a cluster that does not own its

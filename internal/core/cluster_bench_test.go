@@ -2,10 +2,12 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/bitset"
 	"repro/internal/graph"
+	"repro/internal/mutate"
 )
 
 // BenchmarkNewCluster is what a pool slot pays per (epoch, variant,
@@ -29,6 +31,59 @@ func BenchmarkNewCluster(b *testing.B) {
 					b.Fatal(err)
 				}
 				cl.Close()
+			}
+		})
+	}
+}
+
+// BenchmarkAdvance is what a re-filed pool slot pays instead of
+// BenchmarkNewCluster when a 32-op commit lands: the same scale-13
+// clusters moved to the next epoch's graph by Advance. Iterations
+// alternate between the two epochs; the batch's effective delta names
+// the arcs that differ either way.
+func BenchmarkAdvance(b *testing.B) {
+	base := graph.RMAT(13, 16, graph.Graph500Params(), 1)
+	edges := base.Edges()
+	rng := rand.New(rand.NewSource(1))
+	var batch mutate.Batch
+	for j := 0; j < 32; j++ {
+		m := mutate.Mutation{Op: mutate.OpAddEdge, Src: graph.VertexID(rng.Intn(base.NumVertices())), Dst: graph.VertexID(rng.Intn(base.NumVertices())), Weight: 1}
+		if j%3 == 2 {
+			e := edges[rng.Intn(len(edges))]
+			m = mutate.Mutation{Op: mutate.OpRemoveEdge, Src: e.Src, Dst: e.Dst}
+		}
+		batch.Ops = append(batch.Ops, m)
+	}
+	store, err := mutate.NewStore(base, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	snap, err := store.Commit(batch)
+	if err != nil {
+		b.Fatal(err)
+	}
+	next := snap.Graph()
+	for _, c := range []struct {
+		name    string
+		variant func(*graph.Graph) *graph.Graph
+	}{
+		{"directed", func(g *graph.Graph) *graph.Graph { return g }},
+		{"undirected", graph.Symmetrize},
+		{"weighted", func(g *graph.Graph) *graph.Graph { return graph.RandomWeights(g, 7) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			epochs := [2]*graph.Graph{c.variant(base), c.variant(next)}
+			cl, err := NewCluster(epochs[0], Options{NumNodes: 4, Mode: ModeSympleGraph})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer cl.Close()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := cl.Advance(epochs[(i+1)%2], snap.Effective()); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

@@ -18,3 +18,8 @@ func DepSegments(highs [][]graph.VertexID, B int) int64 {
 	}
 	return n
 }
+
+// Derived returns everything a cluster lays out from its graph — the
+// graph, partition, degree class and per-machine layouts with their
+// blocked CSRs — for field-for-field identity tests.
+func Derived(c *Cluster) []any { return []any{c.g, c.part, c.class, c.layouts} }

@@ -1,6 +1,9 @@
 package graph
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // BlockedCSR is the partition-blocked view of a source range of the
 // out-CSR, the representation behind the binned edge scan (GPOP's
@@ -108,6 +111,51 @@ func BuildBlockedCSR(g *Graph, srcLo, srcHi, blockVerts int, partStarts []int) (
 		bc.blockOff[i] += bc.blockOff[i-1]
 	}
 	return bc, nil
+}
+
+// Advance re-points the view at g, a successor of its graph in which
+// only the out-rows of touched (ascending) may differ: those are split
+// afresh, every other row's split shifts by how far the row moved. The
+// result equals BuildBlockedCSR over g.
+func (bc *BlockedCSR) Advance(g *Graph, touched []VertexID) {
+	old, p := bc.g, bc.NumParts()
+	diff := make([]int64, len(bc.blockOff)) // count changes per (block, partition)
+	for v := bc.srcLo; ; v++ {
+		for len(touched) > 0 && int(touched[0]) < v {
+			touched = touched[1:]
+		}
+		// Rows [v, next) are untouched and all moved by one count.
+		next := bc.srcHi
+		if len(touched) > 0 && int(touched[0]) < next {
+			next = int(touched[0])
+		}
+		if shift := g.outOffsets[v] - old.outOffsets[v]; v < next && shift != 0 {
+			run := bc.rowOff[(v-bc.srcLo)*p : (next-bc.srcLo)*p]
+			for i := range run {
+				run[i] += shift
+			}
+		}
+		if v = next; v == bc.srcHi {
+			break
+		}
+		b := (v - bc.srcLo) / bc.blockVerts
+		row := bc.rowOff[(v-bc.srcLo)*p : (v-bc.srcLo+1)*p+1] // row[p], the next row's start, is still old
+		nbrs := g.outTargets[g.outOffsets[v]:g.outOffsets[v+1]]
+		for q := 0; q < p; q++ {
+			diff[b*p+q] -= row[q+1] - row[q]
+			i, _ := slices.BinarySearch(nbrs, VertexID(bc.partStarts[q]))
+			j, _ := slices.BinarySearch(nbrs, VertexID(bc.partStarts[q+1]))
+			row[q] = g.outOffsets[v] + int64(i)
+			diff[b*p+q] += int64(j - i)
+		}
+	}
+	bc.rowOff[len(bc.rowOff)-1] = g.outOffsets[bc.srcHi]
+	var acc int64
+	for k := 0; k+1 < len(bc.blockOff); k++ {
+		acc += diff[k]
+		bc.blockOff[k+1] += acc
+	}
+	bc.g = g
 }
 
 // SrcRange returns the source vertex range [lo, hi) the view covers.

@@ -143,12 +143,28 @@ func Grid(rows, cols int) *Graph {
 // weighted neighbor sampling. The result shares g's immutable offset
 // and adjacency arrays; only the weight arrays are new.
 func RandomWeights(g *Graph, seed int64) *Graph {
-	rng := rand.New(rand.NewSource(seed))
-	w := *g
-	w.outWeights = make([]float32, len(g.outTargets))
-	for i := range w.outWeights { // source-major, the order Edges() lists them
-		w.outWeights[i] = float32(1 - rng.Float64()) // in (0, 1]
+	draws := make([]float32, 0, len(g.outTargets))
+	return WithWeights(g, DrawWeights(draws, rand.New(rand.NewSource(seed)), len(g.outTargets)))
+}
+
+// DrawWeights extends draws to n weights from rng, one per arc in the
+// order RandomWeights draws them: RandomWeights(g, seed)'s are the first
+// |E| of seed's stream, so graphs of a version chain can share a prefix.
+func DrawWeights(draws []float32, rng *rand.Rand, n int) []float32 {
+	for len(draws) < n {
+		draws = append(draws, float32(1-rng.Float64())) // in (0, 1]
 	}
+	return draws
+}
+
+// WithWeights returns g sharing its arrays and carrying out (|E| weights
+// in Edges() order, kept without copying) with the in-side scattered.
+func WithWeights(g *Graph, out []float32) *Graph {
+	if out == nil {
+		out = []float32{} // an arcless graph is weighted too
+	}
+	w := *g
+	w.outWeights = out[:len(g.outTargets):len(g.outTargets)]
 	// Visiting arcs source-major reaches each destination's in-arcs in
 	// ascending source order, which is the order inSources stores them.
 	w.inWeights = make([]float32, len(g.inSources))

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sort"
 
 	"repro/internal/graph"
 )
@@ -78,19 +79,43 @@ func BuildDegreeClass(g *graph.Graph, pt *Partition, threshold int) *DegreeClass
 		Highs:      make([][]graph.VertexID, pt.P),
 	}
 	for d := 0; d < pt.P; d++ {
-		lo, hi := pt.Range(d)
-		var highs []graph.VertexID
-		for v := lo; v < hi; v++ {
-			if threshold <= 0 || g.InDegree(graph.VertexID(v)) >= threshold {
-				dc.TrackIndex[v] = int32(len(highs))
-				highs = append(highs, graph.VertexID(v))
-			} else {
-				dc.TrackIndex[v] = -1
-			}
-		}
-		dc.Highs[d] = highs
+		dc.classify(g, pt, d)
 	}
 	return dc
+}
+
+// classify (re)derives partition d's tracked set and indices.
+func (dc *DegreeClass) classify(g *graph.Graph, pt *Partition, d int) {
+	lo, hi := pt.Range(d)
+	var highs []graph.VertexID
+	for v := lo; v < hi; v++ {
+		if dc.tracks(g, graph.VertexID(v)) {
+			dc.TrackIndex[v] = int32(len(highs))
+			highs = append(highs, graph.VertexID(v))
+		} else {
+			dc.TrackIndex[v] = -1
+		}
+	}
+	dc.Highs[d] = highs
+}
+
+func (dc *DegreeClass) tracks(g *graph.Graph, v graph.VertexID) bool {
+	return dc.Threshold <= 0 || g.InDegree(v) >= dc.Threshold
+}
+
+// Reclassify moves dc to g, a successor of its graph in which only the
+// in-degrees of touched may differ, classifying afresh (and flagging)
+// each partition whose tracked set changed. The result equals
+// BuildDegreeClass(g, pt, Threshold).
+func (dc *DegreeClass) Reclassify(g *graph.Graph, pt *Partition, touched []graph.VertexID) (changed []bool) {
+	changed = make([]bool, pt.P)
+	for _, v := range touched {
+		if dc.tracks(g, v) != dc.Tracked(v) {
+			changed[pt.Owner(v)] = true
+			dc.classify(g, pt, pt.Owner(v))
+		}
+	}
+	return changed
 }
 
 // Tracked reports whether v participates in dependency propagation.
@@ -124,7 +149,6 @@ type Layout struct {
 // allocated or copied.
 func BuildLayout(g *graph.Graph, pt *Partition, dc *DegreeClass, m int) *Layout {
 	mlo, mhi := pt.Range(m)
-	inOff, inSrc, _ := g.InCSC()
 	blocks := make([]Block, pt.P)
 	lay := &Layout{Machine: m, Part: pt, Class: dc, Blocks: make([]*Block, pt.P)}
 	for d := range blocks {
@@ -146,29 +170,122 @@ func BuildLayout(g *graph.Graph, pt *Partition, dc *DegreeClass, m int) *Layout 
 	low := make([]Dest, 0, min(arcs, g.NumVertices()-nTracked))
 	tracked := make([]Dest, 0, min(arcs, nTracked))
 	for d := range blocks {
-		b := &blocks[d]
-		l0, t0 := len(low), len(tracked)
-		plo, phi := pt.Range(d)
-		for v := plo; v < phi; v++ {
-			row := inSrc[inOff[v]:inOff[v+1]]
-			lo, _ := slices.BinarySearch(row, graph.VertexID(mlo))
-			n, _ := slices.BinarySearch(row[lo:], graph.VertexID(mhi))
-			if n == 0 {
-				continue
-			}
-			at := inOff[v] + int64(lo)
-			e := Dest{Dst: graph.VertexID(v), Idx: dc.TrackIndex[v], Lo: at, Hi: at + int64(n)}
-			if e.Idx >= 0 {
-				tracked = append(tracked, e)
-			} else {
-				low = append(low, e)
-			}
-			b.edges += int64(n)
-		}
-		b.Low = low[l0:len(low):len(low)]
-		b.Tracked = tracked[t0:len(tracked):len(tracked)]
+		low, tracked = lay.sweep(g, d, low, tracked)
 	}
 	return lay
+}
+
+// sweep lists block d afresh, one forward pass over the in-rows of
+// partition d, and points the block at the two streams' new tails.
+func (lay *Layout) sweep(g *graph.Graph, d int, low, tracked []Dest) ([]Dest, []Dest) {
+	b := lay.Blocks[d]
+	l0, t0 := len(low), len(tracked)
+	mlo, mhi := lay.Part.Range(lay.Machine)
+	plo, phi := lay.Part.Range(d)
+	inOff, inSrc, _ := g.InCSC()
+	trackIndex := lay.Class.TrackIndex
+	var edges int64
+	for v := plo; v < phi; v++ {
+		// locate, inlined by hand: this loop is every cluster build's.
+		row := inSrc[inOff[v]:inOff[v+1]]
+		lo, _ := slices.BinarySearch(row, graph.VertexID(mlo))
+		n, _ := slices.BinarySearch(row[lo:], graph.VertexID(mhi))
+		if n == 0 {
+			continue
+		}
+		at := inOff[v] + int64(lo)
+		e := Dest{Dst: graph.VertexID(v), Idx: trackIndex[v], Lo: at, Hi: at + int64(n)}
+		if e.Idx >= 0 {
+			tracked = append(tracked, e)
+		} else {
+			low = append(low, e)
+		}
+		edges += int64(n)
+	}
+	b.Low = low[l0:len(low):len(low)]
+	b.Tracked = tracked[t0:len(tracked):len(tracked)]
+	b.edges = edges
+	return low, tracked
+}
+
+// locate finds the run of the machine's masters in v's in-row; ok is
+// false when it is empty.
+func (lay *Layout) locate(g *graph.Graph, v graph.VertexID) (e Dest, ok bool) {
+	mlo, mhi := lay.Part.Range(lay.Machine)
+	inOff, inSrc, _ := g.InCSC()
+	row := inSrc[inOff[v]:inOff[v+1]]
+	lo, _ := slices.BinarySearch(row, graph.VertexID(mlo))
+	n, _ := slices.BinarySearch(row[lo:], graph.VertexID(mhi))
+	at := inOff[v] + int64(lo)
+	return Dest{Dst: v, Idx: lay.Class.TrackIndex[v], Lo: at, Hi: at + int64(n)}, n > 0
+}
+
+// Advance moves the layout from old to g, a successor in which only the
+// rows of touched (ascending, no repeats) may differ, once its class was
+// Reclassify'd (reclassed). Entries between two touched destinations
+// shift by one common count; touched ones are located afresh; reclassed
+// partitions' blocks are swept afresh. The result equals BuildLayout
+// plus AttachBlocked over g.
+func (lay *Layout) Advance(old, g *graph.Graph, touched []graph.VertexID, reclassed []bool) {
+	oldOff, _, _ := old.InCSC()
+	inOff, _, _ := g.InCSC()
+	// move appends stream s, advanced, and returns its arc-count change.
+	move := func(out, s []Dest, ts []graph.VertexID, tracked bool) ([]Dest, int64) {
+		var edges int64
+		for {
+			j := len(s)
+			if len(ts) > 0 {
+				j = sort.Search(len(s), func(i int) bool { return s[i].Dst >= ts[0] })
+			}
+			if j > 0 {
+				shift, at := inOff[s[0].Dst]-oldOff[s[0].Dst], len(out)
+				out = append(out, s[:j]...)
+				for k := at; shift != 0 && k < len(out); k++ {
+					out[k].Lo += shift
+					out[k].Hi += shift
+				}
+			}
+			if len(ts) == 0 {
+				return out, edges
+			}
+			v := ts[0]
+			ts, s = ts[1:], s[j:]
+			if len(s) > 0 && s[0].Dst == v {
+				edges -= s[0].Hi - s[0].Lo
+				s = s[1:]
+			}
+			if lay.Class.Tracked(v) != tracked {
+				continue
+			}
+			if e, ok := lay.locate(g, v); ok {
+				out = append(out, e)
+				edges += e.Hi - e.Lo
+			}
+		}
+	}
+	var nLow, nTracked int
+	for _, b := range lay.Blocks {
+		nLow, nTracked = nLow+len(b.Low), nTracked+len(b.Tracked)
+	}
+	low := make([]Dest, 0, nLow+len(touched))
+	tracked := make([]Dest, 0, nTracked+len(touched))
+	for d, b := range lay.Blocks {
+		if reclassed[d] {
+			low, tracked = lay.sweep(g, d, low, tracked)
+			continue
+		}
+		plo, phi := lay.Part.Range(d)
+		ts := touched[sort.Search(len(touched), func(i int) bool { return int(touched[i]) >= plo }):]
+		ts = ts[:sort.Search(len(ts), func(i int) bool { return int(ts[i]) >= phi })]
+		l0, t0 := len(low), len(tracked)
+		var dl, dt int64
+		low, dl = move(low, b.Low, ts, false)
+		tracked, dt = move(tracked, b.Tracked, ts, true)
+		b.Low = low[l0:len(low):len(low)]
+		b.Tracked = tracked[t0:len(tracked):len(tracked)]
+		b.edges += dl + dt
+	}
+	lay.Blocked.Advance(g, touched)
 }
 
 // AttachBlocked builds the machine's partition-blocked CSR view over

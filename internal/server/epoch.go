@@ -7,6 +7,7 @@ package server
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -30,6 +31,8 @@ type graphEntry struct {
 	mu     sync.Mutex
 	states map[uint64]*epochState
 
+	weights weightStream // every epoch's synthesized-weights variant draws here
+
 	// Incremental recompute trackers, advanced under commitMu on every
 	// commit. The k-core tracker follows the undirected variant at the
 	// serving default k; the BFS tracker follows the base graph from
@@ -45,17 +48,41 @@ type graphEntry struct {
 	verifyFails  atomic.Int64
 }
 
+// weightStream is graph.RandomWeights(g, 7)'s draw sequence, kept across
+// epochs: every epoch's synthesized weights are its first |E| draws, one
+// prefix shared and never written again.
+type weightStream struct {
+	mu    sync.Mutex
+	rng   *rand.Rand
+	draws []float32
+}
+
+// weigh returns g carrying the stream's first |E| draws, bit for bit
+// graph.RandomWeights(g, 7).
+func (ws *weightStream) weigh(g *graph.Graph) *graph.Graph {
+	ws.mu.Lock()
+	if ws.draws == nil { // sized once, with room for the chain to grow
+		ws.draws = make([]float32, 0, g.NumEdges()+g.NumEdges()/8)
+	}
+	ws.draws = graph.DrawWeights(ws.draws, ws.rng, int(g.NumEdges()))
+	draws := ws.draws
+	ws.mu.Unlock()
+	return graph.WithWeights(g, draws)
+}
+
 // epochState is everything derived from one immutable snapshot:
 // canonicalization defaults, lazily built serving variants, their
 // fingerprints, and the per-variant ship payloads (blob or delta).
 type epochState struct {
-	snap *mutate.Snapshot
-	info graphInfo
+	snap    *mutate.Snapshot
+	info    graphInfo
+	weights *weightStream // the graph entry's
 
 	mu       sync.Mutex
 	variants map[graphVariant]*graph.Graph
 	blobs    map[graphVariant]*variantBlob  // memoized full serializations
 	deltas   map[graphVariant]*variantDelta // memoized deltas vs parent epoch
+	symDelta *mutate.Batch                  // the undirected variant's, when the commit patched it
 	parent   *epochState                    // nil when the parent epoch aged out
 }
 
@@ -67,9 +94,11 @@ type variantBlob struct {
 }
 
 // variantDelta is the canonical delta from the parent epoch's variant
-// graph to this epoch's, for delta shipping. nil bytes mean "no delta
-// path" (parent unavailable or the delta would not beat a full ship).
+// graph to this epoch's, for delta shipping, computed at most once and
+// only when a remote build ships it. nil bytes mean "no delta path"
+// (the delta would not beat a full ship).
 type variantDelta struct {
+	once    sync.Once
 	bytes   []byte
 	chained bool // FP == ChainFingerprint(parent FP, bytes), verifiable by the receiver
 }
@@ -80,6 +109,7 @@ func newGraphEntry(name string, g *graph.Graph, retention int) (*graphEntry, err
 		return nil, fmt.Errorf("server: versioning %s: %w", name, err)
 	}
 	e := &graphEntry{name: name, store: store, states: make(map[uint64]*epochState)}
+	e.weights.rng = rand.New(rand.NewSource(7))
 	root, _ := graph.LargestOutDegreeVertex(g)
 	e.bfsRoot = root
 	e.coreK = 8 // the kcore serving default; canonicalize uses the same fallback
@@ -98,7 +128,8 @@ func (e *graphEntry) stateFor(snap *mutate.Snapshot) *epochState {
 	g := snap.Graph()
 	root, _ := graph.LargestOutDegreeVertex(g)
 	st := &epochState{
-		snap: snap,
+		snap:    snap,
+		weights: &e.weights,
 		info: graphInfo{
 			vertices:    g.NumVertices(),
 			edges:       g.NumEdges(),
@@ -144,6 +175,20 @@ func (e *graphEntry) Latest() *epochState {
 	return e.stateFor(e.store.Latest())
 }
 
+// effectiveSince concatenates the effective deltas of epochs from+1..to:
+// what turns epoch from's graph (of any variant) into epoch to's.
+func (e *graphEntry) effectiveSince(from, to uint64) (mutate.Batch, error) {
+	var delta mutate.Batch
+	for ep := from + 1; ep <= to; ep++ {
+		snap, err := e.store.At(ep)
+		if err != nil {
+			return mutate.Batch{}, err
+		}
+		delta.Ops = append(delta.Ops, snap.Effective().Ops...)
+	}
+	return delta, nil
+}
+
 // Epoch returns the snapshot's version number.
 func (st *epochState) Epoch() uint64 { return st.snap.Epoch() }
 
@@ -172,7 +217,7 @@ func (st *epochState) graphLocked(v graphVariant) *graph.Graph {
 		g = graph.Symmetrize(base)
 	case variantWeighted:
 		if !base.Weighted() {
-			g = graph.RandomWeights(base, 7)
+			g = st.weights.weigh(base)
 		}
 	}
 	st.variants[v] = g
@@ -210,78 +255,69 @@ func (st *epochState) blob(v graphVariant) ([]byte, string, error) {
 	return b.data, b.sha, b.err
 }
 
-// shipDelta returns the canonical delta (and the parent variant's
-// fingerprint) that turns the parent epoch's variant into this one,
-// for workers that already hold the parent. Returns ok=false when the
-// parent epoch aged out or a delta would not beat the full blob —
-// notably the synthesized-weights variant of an unweighted base, whose
-// weights are positional and churn wholesale on any topology change.
-func (st *epochState) shipDelta(v graphVariant) (bytes []byte, parentFP string, chained bool, ok bool) {
+// shipDelta returns, computed once, the canonical delta from the parent
+// epoch's variant to this one, or nil when the full blob is cheaper.
+func (st *epochState) shipDelta(v graphVariant) (bytes []byte, chained bool) {
 	st.mu.Lock()
-	parent := st.parent
-	d, have := st.deltas[v]
-	st.mu.Unlock()
-	if parent == nil {
-		return nil, "", false, false
-	}
-	if !have {
-		d = st.computeDelta(v, parent)
-		st.mu.Lock()
+	d, ok := st.deltas[v]
+	if !ok {
+		d = &variantDelta{}
 		st.deltas[v] = d
-		st.mu.Unlock()
 	}
-	if d.bytes == nil {
-		return nil, "", false, false
-	}
-	return d.bytes, parent.VariantFP(v), d.chained, true
+	parent := st.parent
+	st.mu.Unlock()
+	d.once.Do(func() {
+		if parent != nil {
+			d.bytes, d.chained = st.computeDelta(v, parent)
+		}
+	})
+	return d.bytes, d.chained
 }
 
-func (st *epochState) computeDelta(v graphVariant, parent *epochState) *variantDelta {
+func (st *epochState) computeDelta(v graphVariant, parent *epochState) ([]byte, bool) {
 	if v == variantDirected {
 		// The committed batch is exactly the delta the base chain
 		// fingerprint hashed, so the receiver can verify
 		// ChainFingerprint(parentFP, bytes) == FP.
 		b := st.snap.Delta()
 		if len(b.Ops) == 0 {
-			return &variantDelta{}
+			return nil, false
 		}
-		return &variantDelta{bytes: b.Encode(), chained: true}
+		return b.Encode(), true
 	}
-	// The commit path records the undirected variant's delta when it
-	// patches the variant (install), so this fallback diffs only the
-	// variants built lazily: the weighted one, and the undirected one of
-	// a weighted base.
-	diff, err := mutate.Diff(parent.Graph(v), st.Graph(v))
-	if err != nil {
-		return &variantDelta{}
+	st.mu.Lock()
+	diff := st.symDelta
+	st.mu.Unlock()
+	if diff == nil || v != variantUndirected {
+		// Diff what the commit does not patch: the undirected variant of
+		// a weighted base, and a weighted base itself.
+		d, err := mutate.Diff(parent.Graph(v), st.Graph(v))
+		if err != nil {
+			return nil, false
+		}
+		diff = &d
 	}
-	return st.unchainedDelta(diff)
-}
-
-// unchainedDelta wraps a canonical variant delta for shipping, or
-// returns the "no delta path" value when a full ship is cheaper.
-func (st *epochState) unchainedDelta(diff mutate.Batch) *variantDelta {
 	// A delta near the graph's own edge count ships more bytes than
 	// the blob (13 B/op vs ~8 B/edge serialized); fall back to full.
 	if len(diff.Ops) > mutate.MaxBatchOps || int64(len(diff.Ops)) > st.info.edges/2 {
-		return &variantDelta{}
+		return nil, false
 	}
-	return &variantDelta{bytes: diff.Encode(), chained: false}
+	return diff.Encode(), false
 }
 
 // install memoizes a variant the commit path derived from the parent
-// epoch's, together with the canonical delta between the two, so the
-// first query and the first remote ship of this epoch find both ready.
+// epoch's, and the canonical delta between the two for shipping.
 func (st *epochState) install(v graphVariant, g *graph.Graph, delta mutate.Batch) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	st.variants[v] = g
-	st.deltas[v] = st.unchainedDelta(delta)
+	st.symDelta = &delta
 }
 
 // buildSpec assembles the provider handoff for one (epoch, variant)
-// slot build: the materialized graph, its fingerprint identity, the
-// lazily serialized blob, and the delta ship path when available.
+// slot build: the graph, its fingerprint, the lazy blob and, while the
+// parent is retained, the lazy delta — but not for synthesized weights,
+// which are positional and churn wholesale on any topology change.
 func (st *epochState) buildSpec(name string, v graphVariant, mode core.Mode, slotID int) BuildSpec {
 	spec := BuildSpec{
 		GraphName: name,
@@ -293,10 +329,12 @@ func (st *epochState) buildSpec(name string, v graphVariant, mode core.Mode, slo
 		FP:        st.VariantFP(v),
 		Blob:      func() ([]byte, string, error) { return st.blob(v) },
 	}
-	if bytes, parentFP, chained, ok := st.shipDelta(v); ok {
-		spec.ParentFP = parentFP
-		spec.DeltaBytes = bytes
-		spec.DeltaChained = chained
+	st.mu.Lock()
+	parent := st.parent
+	st.mu.Unlock()
+	if parent != nil && (v != variantWeighted || st.info.weighted) {
+		spec.ParentFP = parent.VariantFP(v)
+		spec.Delta = func() ([]byte, bool) { return st.shipDelta(v) }
 	}
 	return spec
 }

@@ -514,15 +514,17 @@ func TestCommitDerivesUndirectedVariant(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := st.computeDelta(variantUndirected, parent)
 			st.mu.Lock()
-			if d, ok := st.deltas[variantUndirected]; ok {
-				got = d
-			} else if !weighted {
-				t.Fatalf("epoch %d: no undirected ship delta recorded at commit", epoch)
-			}
+			recorded := st.symDelta != nil
 			st.mu.Unlock()
-			if want := st.unchainedDelta(diff); !bytes.Equal(got.bytes, want.bytes) {
+			if !recorded && !weighted {
+				t.Fatalf("epoch %d: no undirected delta recorded at commit", epoch)
+			}
+			var want []byte
+			if int64(len(diff.Ops)) <= st.Info().edges/2 {
+				want = diff.Encode()
+			}
+			if got, _ := st.shipDelta(variantUndirected); !bytes.Equal(got, want) {
 				t.Fatalf("weighted=%v epoch %d: undirected ship delta differs from Diff's", weighted, epoch)
 			}
 		}
@@ -560,7 +562,7 @@ func TestCommitHubBeyondBatchLimit(t *testing.T) {
 		t.Fatalf("undirected variant %v, want %v", gotU, wantU)
 	}
 	// Too large to ship as a delta: workers get the full blob.
-	if _, _, _, ok := st.shipDelta(variantUndirected); ok {
+	if delta, _ := st.shipDelta(variantUndirected); delta != nil {
 		t.Fatal("an over-limit symmetric delta was offered for delta shipping")
 	}
 }

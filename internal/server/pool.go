@@ -56,11 +56,14 @@ type entryKey struct {
 	mode     core.Mode
 }
 
-// slot is one leased unit: a warm engine plus the key it was built for,
-// so Release can route it home without the caller re-stating it.
+// slot is one leased unit: a warm engine plus the key it is filed
+// under, so Release can route it home without the caller re-stating it.
+// at is the epoch of the engine's graph, older than the key's while a
+// commit's re-filing awaits the next lease's advance.
 type slot struct {
 	entryKey
 	eng Engine
+	at  uint64
 }
 
 // PoolConfig configures the engine pool.
@@ -198,13 +201,15 @@ func (p *Pool) ProviderNames() []string {
 }
 
 // Lease hands out an engine for (provider, graphName, epoch, variant,
-// mode): an idle one when the entry holds any — a stale one is retired
-// on the way, never handed out — and a freshly built one otherwise. It
-// never waits: how many leases may be out at once is admission's
-// decision, the pool only caches what they leave behind. An empty
-// provider selects the pool's default; epoch 0 resolves to latest and is
-// pinned to a concrete epoch here, so a commit landing during the build
-// cannot move the query to a different version than the one reported.
+// mode): an idle one when the entry holds any — advanced to the epoch
+// first when a commit re-filed it; a stale one, or one that cannot
+// advance, is retired on the way, never handed out — and a freshly
+// built one otherwise. It never waits: how many leases may be out at
+// once is admission's decision, the pool only caches what they leave
+// behind. An empty provider selects the pool's default; epoch 0 resolves
+// to latest and is pinned to a concrete epoch here, so a commit landing
+// during the build cannot move the query to a different version than
+// the one reported.
 func (p *Pool) Lease(provider, graphName string, epoch uint64, v graphVariant, mode core.Mode) (*slot, error) {
 	if provider == "" {
 		provider = p.defName
@@ -223,12 +228,29 @@ func (p *Pool) Lease(provider, graphName string, epoch uint64, v graphVariant, m
 	}
 	k := entryKey{provider: provider, graph: graphName, epoch: st.Epoch(), variant: v, mode: mode}
 	for s := p.popIdle(k); s != nil; s = p.popIdle(k) {
-		if !isStale(s.eng) {
+		if !isStale(s.eng) && p.advance(ge, s, st) == nil {
 			return s, nil
 		}
 		p.retire(s)
 	}
 	return p.build(prov, k, st)
+}
+
+// advance moves a re-filed engine up to its key's epoch, st, in one
+// Cluster.Advance; it fails when an epoch between left the window.
+func (p *Pool) advance(ge *graphEntry, s *slot, st *epochState) error {
+	if s.at == s.epoch {
+		return nil
+	}
+	delta, err := ge.effectiveSince(s.at, s.epoch)
+	if err != nil {
+		return err
+	}
+	if err := s.eng.(*localEngine).Engine.(*core.Cluster).Advance(st.Graph(s.variant), delta); err != nil {
+		return err
+	}
+	s.at = s.epoch
+	return nil
 }
 
 // popIdle takes one idle engine off k's entry, deleting the entry with
@@ -270,7 +292,7 @@ func (p *Pool) build(prov EngineProvider, k entryKey, st *epochState) (*slot, er
 	if err != nil {
 		return nil, fmt.Errorf("provider %s: %w", k.provider, err)
 	}
-	s := &slot{entryKey: k, eng: eng}
+	s := &slot{entryKey: k, eng: eng, at: k.epoch}
 	p.mu.Lock()
 	p.open[s] = struct{}{}
 	p.builds[s.provider]++
@@ -333,11 +355,12 @@ func (p *Pool) park(s *slot) bool {
 	return true
 }
 
-// RetireEpochs closes every idle engine of graphName built for an epoch
-// older than the latest, reclaiming engines (and remote worker slots)
-// the new version obsoletes. Leased slots are untouched: their queries
-// finish on the epoch they started on, and Release retires them on the
-// way back.
+// RetireEpochs runs after a commit to graphName and leaves no idle list
+// of a superseded epoch: an idle in-process engine is re-filed under the
+// latest epoch (a map move; the lease that pops it advances it), every
+// other one — remote rings, degraded fallbacks, re-filed engines past
+// SlotsPerEntry — is closed and counted. Leased slots finish on their
+// epoch, and Release retires them on the way back.
 func (p *Pool) RetireEpochs(graphName string) int {
 	ge, ok := p.graphs[graphName]
 	if !ok {
@@ -347,9 +370,19 @@ func (p *Pool) RetireEpochs(graphName string) int {
 	var victims []*slot
 	p.mu.Lock()
 	for k, idle := range p.entries {
-		if k.graph == graphName && k.epoch < hi {
-			victims = append(victims, idle...)
-			delete(p.entries, k)
+		if k.graph != graphName || k.epoch >= hi {
+			continue
+		}
+		delete(p.entries, k)
+		latest := k
+		latest.epoch = hi
+		for _, s := range idle {
+			if _, local := s.eng.(*localEngine); !local || len(p.entries[latest]) >= p.cfg.SlotsPerEntry {
+				victims = append(victims, s)
+				continue
+			}
+			s.entryKey = latest
+			p.entries[latest] = append(p.entries[latest], s)
 		}
 	}
 	p.mu.Unlock()

@@ -57,14 +57,12 @@ type BuildSpec struct {
 	// Blob lazily serializes Graph (memoized per epoch/variant) for
 	// full-graph shipping; delta shipping never calls it.
 	Blob func() ([]byte, string, error)
-	// ParentFP/DeltaBytes, when set, offer the cheap ship path: a
-	// worker holding ParentFP applies the canonical delta instead of
-	// receiving the whole graph. DeltaChained marks deltas whose
-	// result fingerprint is ChainFingerprint(ParentFP, DeltaBytes),
-	// which the worker verifies before trusting the frame.
-	ParentFP     string
-	DeltaBytes   []byte
-	DeltaChained bool
+	// ParentFP and Delta, when set, offer the cheap ship path: a worker
+	// holding ParentFP applies the canonical delta, which Delta computes
+	// lazily like Blob (nil: the blob is cheaper). chained marks a delta
+	// the worker verifies: FP == ChainFingerprint(ParentFP, bytes).
+	ParentFP string
+	Delta    func() (bytes []byte, chained bool)
 }
 
 // EngineProvider builds warm engines for the pool. The provider owns

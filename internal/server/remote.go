@@ -328,19 +328,21 @@ func (p *RemoteProvider) shipGraph(cc *comm.CtrlConn, announce string, msg any, 
 	default:
 		return fmt.Errorf("unexpected control message %q answering %s", env.Type, announce)
 	}
-	switch {
-	case gs.Have:
+	if gs.Have {
 		return nil
-	case gs.HaveParent && len(spec.DeltaBytes) > 0:
-		sum := sha256.Sum256(spec.DeltaBytes)
-		if err := cc.Send("delta", deltaMsg{Size: len(spec.DeltaBytes), SHA: hex.EncodeToString(sum[:]), Chained: spec.DeltaChained}); err != nil {
-			return err
+	}
+	if gs.HaveParent && spec.Delta != nil {
+		if delta, chained := spec.Delta(); len(delta) > 0 {
+			sum := sha256.Sum256(delta)
+			if err := cc.Send("delta", deltaMsg{Size: len(delta), SHA: hex.EncodeToString(sum[:]), Chained: chained}); err != nil {
+				return err
+			}
+			if err := cc.SendBlobChunked(delta, 0, comm.DefaultChunkBytes); err != nil {
+				return err
+			}
+			p.deltaShips.Add(1)
+			return nil
 		}
-		if err := cc.SendBlobChunked(spec.DeltaBytes, 0, comm.DefaultChunkBytes); err != nil {
-			return err
-		}
-		p.deltaShips.Add(1)
-		return nil
 	}
 	blob, sha, err := spec.Blob()
 	if err != nil {

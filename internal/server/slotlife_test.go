@@ -258,10 +258,13 @@ func TestRejoinPreloadsNewestEpochOnly(t *testing.T) {
 	}
 }
 
-// TestRetiredSlotsRemoveCheckpointDirs: every commit retires every slot,
-// and slot ids are never reused, so a checkpoint root must hold the live
-// slots' directories only — not one per slot ever built. Shutdown keeps
-// them: a restarted daemon resumes from what Close left behind.
+// TestRetiredSlotsRemoveCheckpointDirs: slot ids are never reused, so a
+// checkpoint root must hold the live slots' directories only — not one
+// per slot ever built. A commit re-files the idle slots under the new
+// epoch, directories and all; a query pinned to the superseded epoch
+// builds a slot that is retired on release, and its directory goes with
+// it. Shutdown keeps the live ones: a restarted daemon resumes from what
+// Close left behind.
 func TestRetiredSlotsRemoveCheckpointDirs(t *testing.T) {
 	const commits = 6
 	root := t.TempDir()
@@ -276,11 +279,17 @@ func TestRetiredSlotsRemoveCheckpointDirs(t *testing.T) {
 		}
 		return len(ents)
 	}
+	query := func(args string) {
+		if code, _, body := getResponse(t, ts.URL+"/query?graph=g&no_cache=1&"+args); code != http.StatusOK {
+			t.Fatalf("%s: %d %s", args, code, body)
+		}
+	}
 	for c := 0; c <= commits; c++ {
 		for _, algo := range []string{"bfs", "kcore"} {
-			if code, _, body := getResponse(t, ts.URL+"/query?graph=g&no_cache=1&algo="+algo); code != http.StatusOK {
-				t.Fatalf("epoch %d %s: %d %s", c+1, algo, code, body)
-			}
+			query("algo=" + algo)
+		}
+		if c > 0 {
+			query(fmt.Sprintf("algo=bfs&epoch=%d", c)) // the epoch the last commit superseded
 		}
 		if got := dirs(); got != 2 || got > openSlots(s.pool) {
 			t.Fatalf("epoch %d: checkpoint root holds %d slot directories with %d live slots, want 2", c+1, got, openSlots(s.pool))
@@ -291,12 +300,12 @@ func TestRetiredSlotsRemoveCheckpointDirs(t *testing.T) {
 		if code, _, body := postMutate(t, ts.URL, MutateRequest{Graph: "g", Mutations: []MutationJSON{addEdge(c, 40+c)}}); code != http.StatusOK {
 			t.Fatalf("commit %d: %d %s", c, code, body)
 		}
-		if got := dirs(); got != 0 {
-			t.Fatalf("commit %d retired every slot but %d directories remain", c, got)
+		if got := dirs(); got != 2 {
+			t.Fatalf("commit %d re-filed the 2 idle slots but %d directories remain", c, got)
 		}
 	}
-	if s.pool.Slots() != 2*(commits+1) {
-		t.Fatalf("pool built %d slots, want %d", s.pool.Slots(), 2*(commits+1))
+	if s.pool.Slots() != 2+commits {
+		t.Fatalf("pool built %d slots, want the 2 advanced ones and one per pinned query, %d", s.pool.Slots(), 2+commits)
 	}
 	s.pool.Close()
 	if got := dirs(); got != 2 {
