@@ -39,6 +39,81 @@ func benchUpdateAlgo(b *testing.B, derive func(*graph.Graph) *graph.Graph, run f
 	}
 }
 
+// benchDepAlgo times one dependency algorithm on a warm 4-node
+// memory-transport cluster over Graph500 R-MAT graphs, in both modes at
+// the repo benchmark's engine options (threshold 32 and 2 buffers for
+// SympleGraph; 0 and 1 for Gemini), and reports the edges a run traverses
+// next to its time — the microbenchmark view of the dep_mem workload.
+// derive turns the directed base graph into the algorithm's input.
+func benchDepAlgo(b *testing.B, derive func(*graph.Graph) *graph.Graph, run func(c core.Engine) error) {
+	for _, scale := range []int{13, 15} {
+		var g *graph.Graph // built once, not once per mode and b.N calibration round
+		for _, mode := range []core.Mode{core.ModeSympleGraph, core.ModeGemini} {
+			b.Run(fmt.Sprintf("scale%d/%s", scale, mode), func(b *testing.B) {
+				if g == nil {
+					g = derive(graph.RMAT(scale, 16, graph.Graph500Params(), 1))
+				}
+				opts := core.Options{NumNodes: 4, Mode: mode, Workers: 1, DepThreshold: core.DefaultDepThreshold, NumBuffers: 2}
+				if mode == core.ModeGemini {
+					opts.DepThreshold, opts.NumBuffers = 0, 1
+				}
+				c := mustAlgCluster(b, g, opts)
+				if err := run(c); err != nil { // warm-up: slabs, heap
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				var edges int64
+				for i := 0; i < b.N; i++ {
+					if err := run(c); err != nil {
+						b.Fatal(err)
+					}
+					edges += c.Stats().Totals.EdgesTraversed
+				}
+				b.ReportMetric(float64(edges)/float64(b.N), "edges/op")
+			})
+		}
+	}
+}
+
+func directed(g *graph.Graph) *graph.Graph { return g }
+
+func BenchmarkBFS(b *testing.B) {
+	benchDepAlgo(b, directed, func(c core.Engine) error {
+		root, _ := graph.LargestOutDegreeVertex(c.Graph())
+		_, err := BFS(c, root)
+		return err
+	})
+}
+
+func BenchmarkKCore(b *testing.B) {
+	benchDepAlgo(b, graph.Symmetrize, func(c core.Engine) error {
+		_, err := KCore(c, 8)
+		return err
+	})
+}
+
+func BenchmarkMIS(b *testing.B) {
+	benchDepAlgo(b, graph.Symmetrize, func(c core.Engine) error {
+		_, err := MIS(c, 5)
+		return err
+	})
+}
+
+func BenchmarkKMeans(b *testing.B) {
+	benchDepAlgo(b, graph.Symmetrize, func(c core.Engine) error {
+		_, err := KMeans(c, 16, 3, 5)
+		return err
+	})
+}
+
+func BenchmarkSample(b *testing.B) {
+	benchDepAlgo(b, directed, func(c core.Engine) error {
+		_, err := Sample(c, 5, 4)
+		return err
+	})
+}
+
 func BenchmarkCC(b *testing.B) {
 	benchUpdateAlgo(b, graph.Symmetrize, func(c core.Engine) error {
 		_, err := ConnectedComponents(c)
@@ -56,7 +131,6 @@ func BenchmarkSSSP(b *testing.B) {
 }
 
 func BenchmarkPageRank(b *testing.B) {
-	directed := func(g *graph.Graph) *graph.Graph { return g }
 	benchUpdateAlgo(b, directed, func(c core.Engine) error {
 		_, err := PageRank(c, 5, 0.85)
 		return err

@@ -11,7 +11,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/seq"
-	"repro/internal/xrand"
 )
 
 // KMeans runs distributed graph K-means (paper Figure 3c, §2.1):
@@ -173,12 +172,13 @@ func recenterDistributed(w *core.Worker, cluster []uint32, prev []graph.VertexID
 		bestV[cid] = prev[cid]
 	}
 	lo, hi := w.MasterRange()
+	draw := seq.RecenterKey(seed, iter)
 	for v := lo; v < hi; v++ {
 		cid := cluster[v]
 		if cid == seq.NoCluster {
 			continue
 		}
-		key := xrand.Uniform01(seed, 0x7e, uint64(iter), uint64(v))
+		key := draw.Uniform01(uint64(v))
 		if key < bestKey[cid] {
 			bestKey[cid] = key
 			bestV[cid] = graph.VertexID(v)

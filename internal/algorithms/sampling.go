@@ -96,8 +96,8 @@ func Sample(c core.Engine, seed uint64, rounds int) (*SampleResult, error) {
 		}
 
 		lo, hi := w.MasterRange()
-		hierMass := make([]float64, n) // running mass at master
-		hierSeq := make([]uint64, n)   // arrival index at master
+		hierMass := make([]float64, hi-lo) // running mass per master, at dst−lo
+		hierSeq := make([]uint64, hi-lo)   // arrival index per master, at dst−lo
 		var pick []uint32
 		if w.ID() != 0 {
 			pick = make([]uint32, n)
@@ -112,13 +112,17 @@ func Sample(c core.Engine, seed uint64, rounds int) (*SampleResult, error) {
 			for v := lo; v < hi; v++ {
 				pick[v] = None
 			}
-			clear(hierMass[lo:hi])
-			clear(hierSeq[lo:hi])
+			clear(hierMass)
+			clear(hierSeq)
+			// Both draws hash (seed, tag, round) once per round, leaving
+			// one step per visit for r_v and two per combine.
+			draw := seq.NewSampleDraw(seed, round)
+			combine := xrand.Key(seed, 0x99, uint64(round))
 			err := core.ProcessEdgesDense(w, core.DenseParams[core.WeightedPick]{
 				Signal: func(ctx *core.DenseCtx[core.WeightedPick], dst graph.VertexID, srcs []graph.VertexID, _ []float32) {
 					if ctx.Tracked() {
 						acc := ctx.DepFloat(0)
-						r := seq.SampleThresholdFromTotal(seed, round, dst, totalW[dst])
+						r := draw.Threshold(dst, totalW[dst])
 						for _, u := range srcs {
 							ctx.Edge()
 							acc += wt[u]
@@ -139,18 +143,20 @@ func Sample(c core.Engine, seed uint64, rounds int) (*SampleResult, error) {
 						ctx.Edge()
 						mass += wt[u]
 					}
-					r := seq.SampleThresholdFromTotal(seed, round, dst, mass)
-					acc := 0.0
 					cand := srcs[len(srcs)-1]
-					for _, u := range srcs {
-						acc += wt[u]
-						if acc >= r {
-							cand = u
-							// Machine-local pick over neighbors the mass
-							// loop above already scanned in full: later
-							// machines still need their own scans, so no
-							// dependency is emitted.
-							break //sgc:local
+					if len(srcs) > 1 { // a lone neighbor is picked whatever r is: r ≤ mass
+						r := draw.Threshold(dst, mass)
+						acc := 0.0
+						for _, u := range srcs {
+							acc += wt[u]
+							if acc >= r {
+								cand = u
+								// Machine-local pick over neighbors the mass
+								// loop above already scanned in full: later
+								// machines still need their own scans, so no
+								// dependency is emitted.
+								break //sgc:local
+							}
 						}
 					}
 					ctx.Emit(core.WeightedPick{Sum: mass, Cand: uint32(cand)})
@@ -163,12 +169,14 @@ func Sample(c core.Engine, seed uint64, rounds int) (*SampleResult, error) {
 						exactPicks++
 						return
 					}
-					hierMass[dst] += msg.Sum
-					take := xrand.Uniform01(seed, 0x99, uint64(round), uint64(dst), hierSeq[dst]) < msg.Sum/hierMass[dst]
-					hierSeq[dst]++
-					if pick[dst] == None || take {
+					i := int(dst) - lo
+					hierMass[i] += msg.Sum
+					// The first arrival is taken whatever the draw says,
+					// so only a later one draws.
+					if pick[dst] == None || combine.Uniform01(uint64(dst), hierSeq[i]) < msg.Sum/hierMass[i] {
 						pick[dst] = msg.Cand
 					}
+					hierSeq[i]++
 				},
 				Lanes: 1,
 			})

@@ -70,6 +70,7 @@ const emitChunkBytes = 64 << 10
 // Figure 5).
 type DenseCtx[M Wire] struct {
 	codec *codec[M]
+	rec   int    // record width: the 4-byte destination, then the message
 	buf   []byte // the open emit chunk: fixed capacity, from bufpool
 	sc    *denseScratch
 
@@ -129,13 +130,14 @@ func (sc *denseScratch) beginStep(class *partition.DegreeClass, tracked, lanes i
 func (ctx *DenseCtx[M]) Edge() { ctx.edges++ }
 
 // Emit sends msg for the current destination to its master's slot.
+// The record is written in place: the chunk is extended by its width and
+// every byte of it is then stored, so nothing zero-fills it first.
 func (ctx *DenseCtx[M]) Emit(msg M) {
-	rec := 4 + ctx.codec.size
-	if cap(ctx.buf)-len(ctx.buf) < rec {
+	if cap(ctx.buf)-len(ctx.buf) < ctx.rec {
 		ctx.flushChunk()
 	}
 	off := len(ctx.buf)
-	ctx.buf = append(ctx.buf, make([]byte, rec)...)
+	ctx.buf = ctx.buf[:off+ctx.rec]
 	binary.LittleEndian.PutUint32(ctx.buf[off:], uint32(ctx.curDst))
 	ctx.codec.put(ctx.buf[off+4:], msg)
 }
@@ -234,7 +236,7 @@ func ProcessEdgesDense[M Wire](w *Worker, params DenseParams[M]) error {
 	c := codecOf[M]()
 	ctxs := make([]DenseCtx[M], opts.Workers)
 	for k := range ctxs {
-		ctxs[k] = DenseCtx[M]{codec: c, sc: sc}
+		ctxs[k] = DenseCtx[M]{codec: c, rec: 4 + c.size, sc: sc}
 	}
 	base := w.nextTags(int32(p*B + p)) // p*B dependency segments + p update rounds
 	rn := (w.id + 1) % p

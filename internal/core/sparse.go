@@ -58,6 +58,7 @@ type SparseParams[M Wire] struct {
 type SparseCtx[M Wire] struct {
 	w     *Worker
 	codec *codec[M]
+	rec   int // record width, as DenseCtx's
 	edges int64
 	least float64 // this scan range's contribution to SparseParams.Least
 
@@ -96,9 +97,8 @@ func (ctx *SparseCtx[M]) EmitTo(dst graph.VertexID, msg M) {
 		panic(fmt.Sprintf("core: sparse signal emitted to vertex %d outside partition %d [%d,%d)",
 			dst, ctx.curQ, ctx.curLo, ctx.curHi))
 	}
-	rec := 4 + ctx.codec.size
 	buf := ctx.cur
-	if cap(buf)-len(buf) < rec {
+	if cap(buf)-len(buf) < ctx.rec {
 		if len(buf) > 0 {
 			ctx.chunks[ctx.curQ] = append(ctx.chunks[ctx.curQ], buf)
 		} else if buf != nil {
@@ -107,7 +107,7 @@ func (ctx *SparseCtx[M]) EmitTo(dst graph.VertexID, msg M) {
 		buf = bufpool.Get(emitChunkBytes)[:0]
 	}
 	off := len(buf)
-	buf = append(buf, make([]byte, rec)...)
+	buf = buf[:off+ctx.rec] // written in place, as DenseCtx.Emit
 	binary.LittleEndian.PutUint32(buf[off:], uint32(dst))
 	ctx.codec.put(buf[off+4:], msg)
 	ctx.cur = buf
@@ -253,6 +253,7 @@ func ProcessEdgesSparse[M Wire](w *Worker, params SparseParams[M]) (int64, error
 		ctx := &SparseCtx[M]{
 			w:      w,
 			codec:  c,
+			rec:    4 + c.size,
 			least:  math.Inf(1),
 			bufs:   make([][]byte, p),
 			chunks: make([][][]byte, p),

@@ -159,11 +159,12 @@ func TestFoldKCoreCountsMatchDegrees(t *testing.T) {
 
 // sampleFold is the prefix-sum sampling kernel as a fold.
 func sampleFold(seed uint64, round int, totalW []float64) FoldWhile[float64, uint32] {
+	draw := seq.NewSampleDraw(seed, round)
 	return FoldWhile[float64, uint32]{
 		Init: func(graph.VertexID) float64 { return 0 },
 		Step: func(acc float64, dst, u graph.VertexID, _ float32) (float64, bool) {
 			acc += seq.VertexWeight(seed, u)
-			return acc, acc >= seq.SampleThresholdFromTotal(seed, round, dst, totalW[dst])
+			return acc, acc >= draw.Threshold(dst, totalW[dst])
 		},
 		Emit:  func(_ float64, _, u graph.VertexID) (uint32, bool) { return uint32(u), true },
 		Lanes: 1,

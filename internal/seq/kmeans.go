@@ -106,6 +106,12 @@ func KMeansCenters(n, centers int, seed uint64) []graph.VertexID {
 	return cs
 }
 
+// RecenterKey keys iteration iter's per-member hash, which Recenter and
+// the engine's distributed re-centring both minimise.
+func RecenterKey(seed uint64, iter int) xrand.Prefix {
+	return xrand.Key(seed, 0x7e, uint64(iter))
+}
+
 // Recenter picks each cluster's next center: the member minimizing a
 // deterministic per-iteration hash — a seeded stand-in for "pick a random
 // member", computable identically by every machine. Empty clusters keep
@@ -117,11 +123,12 @@ func Recenter(cluster []uint32, k int, seed uint64, iter int, prev []graph.Verte
 		best[cid] = prev[cid]
 		bestKey[cid] = math.Inf(1)
 	}
+	draw := RecenterKey(seed, iter)
 	for v, cid := range cluster {
 		if cid == NoCluster {
 			continue
 		}
-		key := xrand.Uniform01(seed, 0x7e, uint64(iter), uint64(v))
+		key := draw.Uniform01(uint64(v))
 		if key < bestKey[cid] {
 			bestKey[cid] = key
 			best[cid] = graph.VertexID(v)

@@ -26,6 +26,7 @@ func SampleNeighbors(g *graph.Graph, seed uint64, round int, order NeighborOrder
 	n := g.NumVertices()
 	wt := VertexWeights(seed, n)
 	pick := make([]uint32, n)
+	draw := NewSampleDraw(seed, round)
 	var visits int64
 	for v := 0; v < n; v++ {
 		pick[v] = NotSampled
@@ -43,7 +44,7 @@ func SampleNeighbors(g *graph.Graph, seed uint64, round int, order NeighborOrder
 		for _, u := range nbrs {
 			total += wt[u]
 		}
-		r := SampleThresholdFromTotal(seed, round, graph.VertexID(v), total)
+		r := draw.Threshold(graph.VertexID(v), total)
 		acc := 0.0
 		for _, u := range nbrs {
 			visits++
@@ -61,16 +62,21 @@ func SampleNeighbors(g *graph.Graph, seed uint64, round int, order NeighborOrder
 	return pick, visits
 }
 
-// SampleThresholdFromTotal returns r_v, the deterministic uniform draw in
-// (0, total], given v's total in-neighbor weight.
-func SampleThresholdFromTotal(seed uint64, round int, v graph.VertexID, total float64) float64 {
-	return sampleUnit(seed, round, v) * total
+// SampleDraw is round's r_v draw, keyed once on (seed, round) so each
+// vertex's threshold costs one hash step. The oracle and the engine both
+// draw through it.
+type SampleDraw xrand.Prefix
+
+// NewSampleDraw returns the draw of round under seed.
+func NewSampleDraw(seed uint64, round int) SampleDraw {
+	return SampleDraw(xrand.Key(seed, 0x5a, uint64(round)))
 }
 
-func sampleUnit(seed uint64, round int, v graph.VertexID) float64 {
-	// Keep the draw in (0, 1] so a zero cannot select "before" the
-	// first neighbor.
-	return 1 - xrand.Uniform01(seed, 0x5a, uint64(round), uint64(v))
+// Threshold returns r_v, the deterministic uniform draw in (0, total],
+// given v's total in-neighbor weight. The unit draw is kept in (0, 1] so
+// a zero cannot select "before" the first neighbor.
+func (d SampleDraw) Threshold(v graph.VertexID, total float64) float64 {
+	return (1 - xrand.Prefix(d).Uniform01(uint64(v))) * total
 }
 
 // ValidateSample checks that every vertex with incoming edges picked one

@@ -60,17 +60,21 @@ func RingOrder(pt *partition.Partition) NeighborOrder {
 // VertexWeight is the deterministic positive weight of v used by weighted
 // neighbor sampling, identical on every machine and in the oracle.
 func VertexWeight(seed uint64, v graph.VertexID) float64 {
-	return xrand.UniformWeight(seed, 0xabcd, uint64(v))
+	return weightKey(seed).UniformWeight(uint64(v))
 }
+
+func weightKey(seed uint64) xrand.Prefix { return xrand.Key(seed, 0xabcd) }
 
 // VertexWeights tabulates VertexWeight for vertices [0, n): the sampling
 // kernel's replicated vertex property (paper Figure 3d). A prefix walk
 // reads the table per scanned edge instead of re-hashing, and the entries
-// are the very float64s VertexWeight returns, so picks do not change.
+// are the very float64s VertexWeight returns (its leading coordinates
+// hashed once), so picks do not change.
 func VertexWeights(seed uint64, n int) []float64 {
 	wt := make([]float64, n)
+	k := weightKey(seed)
 	for v := range wt {
-		wt[v] = VertexWeight(seed, graph.VertexID(v))
+		wt[v] = k.UniformWeight(uint64(v))
 	}
 	return wt
 }

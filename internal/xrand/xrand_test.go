@@ -44,7 +44,7 @@ func TestUniform01Distribution(t *testing.T) {
 
 func TestUniformWeightPositive(t *testing.T) {
 	for i := uint64(0); i < 10000; i++ {
-		w := UniformWeight(3, i)
+		w := Key(3).UniformWeight(i)
 		if w <= 0 || w > 1 {
 			t.Fatalf("UniformWeight = %g out of (0,1]", w)
 		}
@@ -101,5 +101,47 @@ func TestPermVariesWithSeed(t *testing.T) {
 	}
 	if same == 100 {
 		t.Fatal("different seeds gave identical permutations")
+	}
+}
+
+// refMix is the tuple hash written as one loop over the coordinates: the
+// definition every seeded draw in the repository must reproduce.
+func refMix(vals ...uint64) uint64 {
+	h := uint64(0x9e3779b97f4a7c15)
+	for _, v := range vals {
+		h ^= v + 0x9e3779b97f4a7c15 + (h << 6) + (h >> 2)
+		h = splitmix(h)
+	}
+	return h
+}
+
+// TestKeyMatchesMix holds the keyed forms to the one-shot ones bit for
+// bit: for tuples of 0–6 coordinates split at every point — the empty
+// key included — Key(a…).Mix(b…), .Uniform01(b…) and .Intn(n, b…) equal
+// Mix, Uniform01 and Intn over the whole tuple, and Mix equals refMix.
+func TestKeyMatchesMix(t *testing.T) {
+	f := func(all [6]uint64, length uint8, nRaw uint16) bool {
+		coords := all[:length%7]
+		n := int(nRaw) + 1
+		if Mix(coords...) != refMix(coords...) {
+			return false
+		}
+		for split := 0; split <= len(coords); split++ {
+			k := Key(coords[:split]...)
+			rest := coords[split:]
+			if k.Mix(rest...) != Mix(coords...) ||
+				k.Uniform01(rest...) != Uniform01(coords...) ||
+				k.Intn(n, rest...) != Intn(n, coords...) ||
+				k.UniformWeight(rest...) != 1-Uniform01(coords...) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
+		t.Fatal(err)
+	}
+	if Key().Mix() != refMix() || Key().Uniform01() != Uniform01() {
+		t.Fatal("the empty key differs from the empty tuple")
 	}
 }
