@@ -43,7 +43,7 @@ func AnalyzeTargets(resolve bool, targets ...string) (*Document, error) {
 	if resolve {
 		doc.Mode = "typed"
 	}
-	var ld *Loader // built on first use; memoizes across targets
+	var ld *loader.Loader // built on first use; memoizes across targets
 	for _, target := range targets {
 		fi, err := os.Stat(target)
 		if err != nil {
@@ -72,7 +72,7 @@ func AnalyzeTargets(resolve bool, targets ...string) (*Document, error) {
 
 // analyzeLoaded loads the target's directory as a package and analyzes
 // it. When the target is a single file, the report is filtered to it.
-func analyzeLoaded(ld **Loader, target string, isDir bool) (*analyzer.Report, error) {
+func analyzeLoaded(ld **loader.Loader, target string, isDir bool) (*analyzer.Report, error) {
 	dir := target
 	if !isDir {
 		dir = filepath.Dir(target)
@@ -81,7 +81,7 @@ func analyzeLoaded(ld **Loader, target string, isDir bool) (*analyzer.Report, er
 		// Outside any module the root stays empty and NewLoader falls
 		// back to the working directory.
 		root, _ := loader.FindModuleRoot(dir)
-		l, err := NewLoader(Config{ModuleRoot: root})
+		l, err := loader.NewLoader(loader.Config{ModuleRoot: root})
 		if err != nil {
 			return nil, err
 		}

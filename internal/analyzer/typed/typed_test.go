@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/analyzer"
+	"repro/internal/loader"
 )
 
 // shared is the one loader of this test binary (the module is found by
@@ -13,12 +14,12 @@ import (
 // path and every fixture lives in its own temp dir, so internal/core,
 // internal/graph and the stdlib behind them are type-checked once, not
 // once per test.
-var shared *Loader
+var shared *loader.Loader
 
-func sharedLoader(t *testing.T) *Loader {
+func sharedLoader(t *testing.T) *loader.Loader {
 	t.Helper()
 	if shared == nil {
-		l, err := NewLoader(Config{})
+		l, err := loader.NewLoader(loader.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -29,7 +30,7 @@ func sharedLoader(t *testing.T) *Loader {
 
 // loadFixture writes src as a single-file package in a temp dir and
 // loads it with imports resolving against the real module.
-func loadFixture(t *testing.T, src string) *Package {
+func loadFixture(t *testing.T, src string) *loader.Package {
 	t.Helper()
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, "fixture.go"), []byte(src), 0o644); err != nil {
@@ -353,8 +354,8 @@ func partial(ctx *core.DenseCtx[uint32], srcs []graph.VertexID) {
 // function in internal/algorithms must analyze as fully instrumented —
 // the framework's own kernels obey the invariant sgvet enforces.
 func TestRealAlgorithmsPackage(t *testing.T) {
-	loader := sharedLoader(t)
-	pkg, err := loader.LoadDir(filepath.Join(loader.ModuleRoot(), "internal", "algorithms"))
+	ld := sharedLoader(t)
+	pkg, err := ld.LoadDir(filepath.Join(ld.ModuleRoot(), "internal", "algorithms"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,9 +11,7 @@
 // golang.org/x/tools/go/packages is not available. Imports inside the
 // current module are resolved by walking the module tree itself;
 // everything else is delegated to importer.ForCompiler(fset, "source").
-// A second entry point, LoadVetUnit, type-checks one package against
-// the toolchain's pre-built export data — the `go vet -vettool` unit
-// protocol — and yields the same Package shape.
+// Only non-test files are loaded, so sgvet polices shipped code only.
 package loader
 
 import (

@@ -37,6 +37,10 @@ import (
 // are tracked per (receiver, field) pair so one receiver's hand-off
 // never taints another's. internal/comm and internal/bufpool — the
 // layers that implement the contract — are exempt.
+//
+// Evidence: the contract itself — internal/comm's Message and Buffers
+// docs and DESIGN §5.2 name this analyzer as its enforcement, and every
+// engine send path hands off slab buffers this way.
 var BufOwn = &Analyzer{
 	Name: "bufown",
 	Doc:  "payload or buffer used after Release()/SendBufs ownership hand-off",
@@ -238,7 +242,7 @@ func (a *bufownAnalysis) node(n ast.Node, f *bufFact, report bool, depth int) {
 		}
 
 	case *SelectBlocking:
-		// lockorder's marker; no buffer semantics.
+		// A blocking-select marker; no buffer semantics.
 
 	default:
 		if report {

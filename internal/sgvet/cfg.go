@@ -34,8 +34,7 @@ import (
 // Function literals are the one kind of nesting a node may contain: a
 // closure body is a different function, so it stays whole inside the
 // node and analyzers decide whether to descend (bufown does, matching
-// the historical block-scoped checker) or build a separate CFG for it
-// (leakgo does).
+// the historical block-scoped checker) or build a separate CFG for it.
 
 // Block is one straight-line run of nodes.
 type Block struct {
@@ -62,7 +61,7 @@ type CFG struct {
 
 // ExitReachable reports whether any path through the function reaches
 // the exit — false means the body can never return (an unconditional
-// infinite loop, the shape leakgo convicts).
+// infinite loop), so a helper summary has no exit fact to read.
 func (c *CFG) ExitReachable() bool { return c.Exit.Index >= 0 }
 
 // RangeHead stands for one evaluation of a range loop's header.

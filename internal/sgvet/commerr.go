@@ -7,7 +7,7 @@ import (
 	"strings"
 )
 
-// CommErr polices the comm/engine error taxonomy (PR 3): transport and
+// CommErr polices the comm/engine error taxonomy: transport and
 // engine failures travel as wrapped typed errors (*comm.TimeoutError,
 // *comm.CrashError, *core.StallError, ...), so classification must use
 // errors.As / errors.Is — pointer identity (==) is never true for a
@@ -26,6 +26,13 @@ import (
 //  3. An error result from a repro/internal/comm or repro/internal/core
 //     call discarded via a bare call statement or a blank identifier.
 //     Close in a defer is conventionally fire-and-forget and exempt.
+//
+// Evidence: rule 2 caught the debug server's serve loop comparing
+// http.ErrServerClosed by identity, so a wrapped close read as a
+// failure; internal/obs's TestServeResultClassifiesWrappedClose pins
+// the fix. Rule 3 backs 13 justified suppressions in internal/server,
+// each a best-effort send or deadline whose failure later traffic
+// reports.
 var CommErr = &Analyzer{
 	Name: "commerr",
 	Doc:  "comm/engine taxonomy errors compared by identity or discarded",

@@ -8,7 +8,7 @@ import (
 	"strings"
 )
 
-// CtxBlock guards the query service's graceful-drain contract (PR 4):
+// CtxBlock guards the query service's graceful-drain contract:
 // every blocking channel operation on a serving path must carry an
 // escape hatch, or one wedged peer pins a handler goroutine forever —
 // admission slots leak, drain never completes, and shutdown hangs.
@@ -28,6 +28,10 @@ import (
 // admission token to a buffered channel that by construction has room —
 // are annotated with //sgvet:ignore ctxblock and a proof of why they
 // cannot block.
+//
+// Evidence: the two such proofs in internal/server/admission.go, where
+// a request returns the admission token it took; every other channel
+// op on the serving path carries its escape arm.
 var CtxBlock = &Analyzer{
 	Name: "ctxblock",
 	Doc:  "channel op on a serving path without a shutdown/deadline escape arm",

@@ -22,6 +22,12 @@ import (
 // follows what the instrumenter can do — it patches breaks; a return or
 // a helper's exit needs its ctx.EmitDep() written by hand. Intentional
 // machine-local exits are declared with //sgc:local on the exit.
+//
+// Evidence: the invariant is the paper's §4, and the helper break is
+// the failure a per-function pass cannot see — testdata/sgc/udfpkg's
+// viaHelper exits its traversal inside firstActive, which the isolated
+// `sgc analyze` misses and the loaded package must report
+// (TestSgcAnalyzeJSONGolden).
 var DepBreak = &Analyzer{
 	Name: "depbreak",
 	Doc:  "neighbor-loop early exit without ctx.EmitDep() in a signal UDF",

@@ -183,253 +183,6 @@ func TestBufOwnFlowFixture(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------------
-// lockorder
-// ---------------------------------------------------------------------------
-
-const lockOrderFixture = `package fixture
-
-import (
-	"sync"
-
-	"repro/internal/comm"
-)
-
-var ep comm.Endpoint
-
-var (
-	muA sync.Mutex
-	muB sync.Mutex
-	muC sync.Mutex
-	muD sync.Mutex
-	ch  = make(chan int, 1)
-)
-
-// lockAB + lockBA acquire the pair in opposite orders: a two-lock
-// cycle, reported once per direction at the inner acquire site.
-func lockAB() {
-	muA.Lock()
-	muB.Lock() // want:lockorder
-	muB.Unlock()
-	muA.Unlock()
-}
-
-func lockBA() {
-	muB.Lock()
-	muA.Lock() // want:lockorder
-	muA.Unlock()
-	muB.Unlock()
-}
-
-// The same inversion with one direction hidden inside a helper: the
-// call site inherits the helper's summarized acquisition.
-func lockD() {
-	muD.Lock()
-	muD.Unlock()
-}
-
-func helperCD() {
-	muC.Lock()
-	lockD() // want:lockorder
-	muC.Unlock()
-}
-
-func lockDC() {
-	muD.Lock()
-	muC.Lock() // want:lockorder
-	muC.Unlock()
-	muD.Unlock()
-}
-
-type box struct{ mu sync.Mutex }
-
-// Go mutexes are not reentrant: a must-held re-acquire deadlocks.
-func (b *box) double() {
-	b.mu.Lock()
-	b.mu.Lock() // want:lockorder
-	b.mu.Unlock()
-}
-
-func (b *box) lockIt() {
-	b.mu.Lock()
-}
-
-func (b *box) helperSelfDeadlock() {
-	b.mu.Lock()
-	b.lockIt() // want:lockorder
-	b.mu.Unlock()
-}
-
-// Parking while holding: channel ops, no-default selects, blocking
-// comm calls — directly or through a helper.
-func (b *box) sendWhileHeld() {
-	b.mu.Lock()
-	ch <- 1 // want:lockorder
-	b.mu.Unlock()
-}
-
-func (b *box) deferHeldRecv() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return <-ch // want:lockorder
-}
-
-func (b *box) selectHeld() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	select { // want:lockorder
-	case v := <-ch:
-		return v
-	}
-}
-
-func (b *box) commHeld() error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return ep.SendBufs(1, comm.KindUpdate, 1, nil) // want:lockorder
-}
-
-func waitCh() int {
-	return <-ch
-}
-
-func (b *box) helperBlocked() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return waitCh() // want:lockorder
-}
-
-// Clean shapes: release before parking, default-armed select, a
-// conditional unlock that covers every path, and a spawned goroutine
-// whose blocking is its own flow.
-func (b *box) okSendAfterUnlock() {
-	b.mu.Lock()
-	b.mu.Unlock()
-	ch <- 1
-}
-
-func (b *box) okSelectDefault() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	select {
-	case v := <-ch:
-		return v
-	default:
-		return 0
-	}
-}
-
-func (b *box) okConditionalUnlock(c bool) {
-	b.mu.Lock()
-	if c {
-		b.mu.Unlock()
-		return
-	}
-	b.mu.Unlock()
-}
-
-func (b *box) okSpawnWhileHeld() {
-	b.mu.Lock()
-	go waitCh()
-	b.mu.Unlock()
-}
-
-func okNestedConsistent() {
-	muA.Lock()
-	muB.Lock()
-	muB.Unlock()
-	muA.Unlock()
-}
-`
-
-func TestLockOrderFixture(t *testing.T) {
-	checkFixture(t, lockOrderFixture, "", LockOrder)
-}
-
-// ---------------------------------------------------------------------------
-// leakgo
-// ---------------------------------------------------------------------------
-
-const leakGoFixture = `package fixture
-
-func forever() {
-	for {
-	}
-}
-
-func drainAll(ch chan int) {
-	for v := range ch {
-		_ = v
-	}
-}
-
-func spin(stop chan struct{}, work chan int) {
-	// break exits the select, not the for: the loop never ends.
-	go func() { // want:leakgo
-		for {
-			select {
-			case <-stop:
-				break
-			case w := <-work:
-				_ = w
-			}
-		}
-	}()
-
-	// return actually leaves the loop.
-	go func() {
-		for {
-			select {
-			case <-stop:
-				return
-			case w := <-work:
-				_ = w
-			}
-		}
-	}()
-
-	// A labeled break does too.
-	go func() {
-	loop:
-		for {
-			select {
-			case <-stop:
-				break loop
-			case w := <-work:
-				_ = w
-			}
-		}
-	}()
-
-	// Named in-package callee with an unconditional infinite loop.
-	go forever() // want:leakgo
-
-	// Range over a channel exits when the channel closes.
-	go drainAll(work)
-
-	// A conditioned loop can exit.
-	go func() {
-		for len(work) > 0 {
-			<-work
-		}
-	}()
-
-	// A goroutine that can only end by panicking still ends.
-	go func() {
-		for {
-			if len(work) > 10 {
-				panic("overflow")
-			}
-			<-work
-		}
-	}()
-}
-`
-
-func TestLeakGoFixture(t *testing.T) {
-	checkFixture(t, leakGoFixture, "", LeakGo)
-}
-
-// ---------------------------------------------------------------------------
 // CFG builder: structural unit tests + the invariants the fuzz target
 // asserts on arbitrary parseable input.
 // ---------------------------------------------------------------------------

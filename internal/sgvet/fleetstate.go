@@ -8,7 +8,7 @@ import (
 	"strings"
 )
 
-// FleetState polices the fleet health-state machine (PR 7): worker
+// FleetState polices the fleet health-state machine: worker
 // health travels as the typed server.WorkerState enum, with String()
 // existing only for logs and the /statusz JSON rendering. Branching on
 // the rendered string — `w.State.String() == "dead"` or comparing a
@@ -27,6 +27,10 @@ import (
 //     "rejoining") and a non-constant string expression that names a
 //     state/health/status variable → carry the typed enum instead of a
 //     raw string.
+//
+// Evidence: internal/server/roster.go's name→enum decoding table, the
+// one place that may compare state names and carries the suppression
+// that says so.
 var FleetState = &Analyzer{
 	Name: "fleetstate",
 	Doc:  "fleet health states compared as raw strings instead of the typed enum",

@@ -1,17 +1,14 @@
 // Package sgvet is SympleGraph's project-invariant lint suite: a small
 // go/analysis-style framework (stdlib-only — the build environment pins
-// dependencies, so golang.org/x/tools is unavailable) plus the nine
-// analyzers that machine-check invariants the engine's correctness
-// leans on. The flow-sensitive ones run on a shared analysis engine —
-// a per-function CFG (cfg.go), a generic forward dataflow solver
-// (dataflow.go), and bottom-up interprocedural summaries cached in the
-// per-package Facts (summary.go):
+// dependencies, so golang.org/x/tools is unavailable) plus six
+// analyzers, each of which names the invariant it machine-checks and
+// the evidence that the invariant needs a guard — a bug it caught, a
+// test that pins the fix, or live suppressions that document where it
+// holds anyway:
 //
 //   - depbreak — a dense-signal UDF whose neighbor traversal exits
 //     early without ctx.EmitDep() silently loses the precise
-//     loop-carried-dependency guarantee (paper Listing 2's failure
-//     class). Reads the §4 record of internal/analyzer over the loaded
-//     package, including interprocedural helper breaks.
+//     loop-carried-dependency guarantee (the paper's §4).
 //   - snapdet — map iteration feeding an order-sensitive sink inside
 //     snapshot/checkpoint/stats code is nondeterministic and breaks the
 //     bit-identical recovery contract.
@@ -23,26 +20,23 @@
 //     defeat graceful drain.
 //   - bufown — a Message.Payload read after Release(), or a buffer
 //     touched after SendBufs handed its ownership to the transport,
-//     races with the slab recycling it for the next superstep.
+//     races with the slab recycling it for the next superstep. It runs
+//     on the flow-sensitive engine: a per-function CFG (cfg.go), a
+//     generic forward dataflow solver (dataflow.go), and bottom-up
+//     interprocedural summaries cached in the per-package Facts
+//     (summary.go).
 //   - fleetstate — fleet health compared via WorkerState.String() or
 //     raw state-name strings instead of the typed enum; a renamed or
 //     added state then fails silently at the branch, not the build.
-//   - epochpin — a raw *graph.Graph struct-field read in the serving
-//     front-end bypasses the epoch snapshot accessor and can observe a
-//     mutation mid-query; versions must come from graphEntry.Resolve.
-//   - lockorder — engine-backed: per-path mutex acquire/release
-//     tracking; lock-order inversions, self-deadlocks, and locks held
-//     across channel ops or blocking comm calls.
-//   - leakgo — engine-backed: goroutine launches whose body's CFG has
-//     no reachable exit, so no shutdown signal can ever stop them.
 //
-// Diagnostics can be suppressed per line with
+// Diagnostics can be suppressed with
 //
 //	//sgvet:ignore <analyzer>[,<analyzer>] <reason>
 //
-// on the offending line or the line above. The reason is mandatory:
-// an ignore documents why the invariant holds anyway, and `sgvet
-// -audit` lists every suppression and fails on an empty justification.
+// trailing the offending line, or alone on the line above it. The
+// reason is mandatory: an ignore documents why the invariant holds
+// anyway, and `sgvet -audit` lists every suppression and fails on an
+// empty justification.
 package sgvet
 
 import (
@@ -93,11 +87,11 @@ func (p *Pass) ReportAt(file string, line, col int, format string, args ...any) 
 
 // Diagnostic is one finding.
 type Diagnostic struct {
-	Analyzer string `json:"analyzer"`
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Message  string `json:"message"`
+	Analyzer string
+	File     string
+	Line     int
+	Col      int
+	Message  string
 }
 
 func (d Diagnostic) String() string {
@@ -106,52 +100,22 @@ func (d Diagnostic) String() string {
 
 // All returns the full analyzer suite in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{DepBreak, SnapDet, CommErr, CtxBlock, BufOwn, FleetState, EpochPin, LockOrder, LeakGo}
-}
-
-// ByName resolves a comma-separated analyzer list ("" = all).
-func ByName(names string) ([]*Analyzer, error) {
-	if names == "" {
-		return All(), nil
-	}
-	byName := map[string]*Analyzer{}
-	for _, a := range All() {
-		byName[a.Name] = a
-	}
-	var out []*Analyzer
-	for _, n := range strings.Split(names, ",") {
-		n = strings.TrimSpace(n)
-		if n == "" {
-			continue
-		}
-		a, ok := byName[n]
-		if !ok {
-			return nil, fmt.Errorf("sgvet: unknown analyzer %q", n)
-		}
-		out = append(out, a)
-	}
-	return out, nil
-}
-
-// Run executes the analyzers over the packages and returns surviving
-// diagnostics, sorted by position, with //sgvet:ignore suppressions
-// applied.
-func Run(pkgs []*loader.Package, analyzers []*Analyzer) []Diagnostic {
-	diags, _ := RunTimed(pkgs, analyzers)
-	return diags
+	return []*Analyzer{DepBreak, SnapDet, CommErr, CtxBlock, BufOwn, FleetState}
 }
 
 // Timing is one analyzer's aggregate wall time and surviving finding
-// count over a RunTimed call — the `make lint` per-analyzer report.
+// count over a Run call — the `make lint` per-analyzer report.
 type Timing struct {
 	Analyzer string
 	Millis   float64
 	Findings int
 }
 
-// RunTimed is Run with a per-analyzer wall-time and finding-count
-// breakdown (ordered like the analyzers argument).
-func RunTimed(pkgs []*loader.Package, analyzers []*Analyzer) ([]Diagnostic, []Timing) {
+// Run executes the analyzers over the packages and returns surviving
+// diagnostics, sorted by position, with //sgvet:ignore suppressions
+// applied, and a per-analyzer wall-time and finding-count breakdown
+// (ordered like the analyzers argument).
+func Run(pkgs []*loader.Package, analyzers []*Analyzer) ([]Diagnostic, []Timing) {
 	var diags []Diagnostic
 	elapsed := make([]time.Duration, len(analyzers))
 	for _, pkg := range pkgs {
@@ -164,18 +128,9 @@ func RunTimed(pkgs []*loader.Package, analyzers []*Analyzer) ([]Diagnostic, []Ti
 			elapsed[i] += time.Since(start)
 		}
 		for _, d := range pkgDiags {
-			if ignores.covers(d) {
-				continue
+			if !ignores.covers(d) {
+				diags = append(diags, d)
 			}
-			// Test files exercise failure paths on purpose — wedging
-			// channels, asserting exact error identity — so the suite
-			// polices shipped code only. (The source loader never feeds
-			// test files; this matters in `go vet -vettool` mode, where
-			// the toolchain hands us the test variant of each package.)
-			if strings.HasSuffix(d.File, "_test.go") {
-				continue
-			}
-			diags = append(diags, d)
 		}
 	}
 	sort.Slice(diags, func(i, j int) bool {
@@ -206,24 +161,13 @@ func RunTimed(pkgs []*loader.Package, analyzers []*Analyzer) ([]Diagnostic, []Ti
 	return diags, timings
 }
 
-// ignoreSet maps file → line → set of ignored analyzer names ("*" for
-// all).
+// ignoreSet maps file → covered line → set of ignored analyzer names
+// ("*" for all).
 type ignoreSet map[string]map[int]map[string]bool
 
 func (s ignoreSet) covers(d Diagnostic) bool {
-	lines := s[d.File]
-	if lines == nil {
-		return false
-	}
-	for _, line := range []int{d.Line, d.Line - 1} {
-		if names := lines[line]; names != nil && (names["*"] || names[d.Analyzer]) {
-			return true
-		}
-	}
-	// An ignore placed above the diagnostic line must be adjacent;
-	// handled by the line-1 check. Same-line trailing comments are the
-	// d.Line check.
-	return false
+	names := s[d.File][d.Line]
+	return names["*"] || names[d.Analyzer]
 }
 
 // Suppression is one //sgvet:ignore directive, with its justification
@@ -233,6 +177,10 @@ type Suppression struct {
 	Line      int
 	Analyzers []string
 	Reason    string
+	// alone is set when the directive is the only thing on its line,
+	// so it covers the line below; a trailing directive covers only
+	// its own line.
+	alone bool
 }
 
 // CollectSuppressions parses every //sgvet:ignore directive in the
@@ -258,6 +206,7 @@ func CollectSuppressions(pkgs []*loader.Package) []Suppression {
 func parseSuppressions(pkg *loader.Package) []Suppression {
 	var out []Suppression
 	for _, file := range pkg.Files {
+		var code map[int]token.Pos
 		for _, cg := range file.Comments {
 			for _, c := range cg.List {
 				text := strings.TrimPrefix(c.Text, "//")
@@ -281,6 +230,11 @@ func parseSuppressions(pkg *loader.Package) []Suppression {
 				pos := pkg.Fset.Position(c.Pos())
 				sup.File = pos.Filename
 				sup.Line = pos.Line
+				if code == nil {
+					code = firstCode(pkg.Fset, file)
+				}
+				first, ok := code[sup.Line]
+				sup.alone = !ok || first > c.Pos()
 				out = append(out, sup)
 			}
 		}
@@ -288,21 +242,54 @@ func parseSuppressions(pkg *loader.Package) []Suppression {
 	return out
 }
 
+// firstCode maps each line of file to the position of the first
+// syntax it holds — the start or the last byte of any non-comment
+// node — so a directive can tell whether code precedes it on its line.
+func firstCode(fset *token.FileSet, file *ast.File) map[int]token.Pos {
+	first := map[int]token.Pos{}
+	note := func(p token.Pos) {
+		if !p.IsValid() {
+			return
+		}
+		line := fset.Position(p).Line
+		if q, ok := first[line]; !ok || p < q {
+			first[line] = p
+		}
+	}
+	ast.Inspect(file, func(n ast.Node) bool {
+		switch n.(type) {
+		case nil, *ast.CommentGroup:
+			return false
+		}
+		note(n.Pos())
+		note(n.End() - 1)
+		return true
+	})
+	return first
+}
+
 // ignoreLines folds a package's suppressions into the line-lookup shape
-// Run consults.
+// Run consults: each directive covers its own line, and the line below
+// when it stands alone.
 func ignoreLines(pkg *loader.Package) ignoreSet {
 	set := ignoreSet{}
-	for _, sup := range parseSuppressions(pkg) {
-		lines := set[sup.File]
+	cover := func(file string, line int, analyzers []string) {
+		lines := set[file]
 		if lines == nil {
 			lines = map[int]map[string]bool{}
-			set[sup.File] = lines
+			set[file] = lines
 		}
-		if lines[sup.Line] == nil {
-			lines[sup.Line] = map[string]bool{}
+		if lines[line] == nil {
+			lines[line] = map[string]bool{}
 		}
-		for _, n := range sup.Analyzers {
-			lines[sup.Line][n] = true
+		for _, n := range analyzers {
+			lines[line][n] = true
+		}
+	}
+	for _, sup := range parseSuppressions(pkg) {
+		cover(sup.File, sup.Line, sup.Analyzers)
+		if sup.alone {
+			cover(sup.File, sup.Line+1, sup.Analyzers)
 		}
 	}
 	return set

@@ -57,7 +57,7 @@ func loadFixture(t *testing.T, subdir, src string) *loader.Package {
 func checkFixture(t *testing.T, src, subdir string, analyzers ...*Analyzer) []Diagnostic {
 	t.Helper()
 	pkg := loadFixture(t, subdir, src)
-	diags := Run([]*loader.Package{pkg}, analyzers)
+	diags, _ := Run([]*loader.Package{pkg}, analyzers)
 
 	want := map[int][]string{}
 	for i, line := range strings.Split(src, "\n") {
@@ -461,22 +461,14 @@ func (d *daemon) wrongName() int {
 	//sgvet:ignore snapdet wrong analyzer name does not suppress
 	return <-d.queue // want:ctxblock
 }
+
+func (d *daemon) trailingStaysOnItsLine() int {
+	a := <-d.queue //sgvet:ignore ctxblock buffered by construction
+	b := <-d.queue // want:ctxblock
+	return a + b
+}
 `
 	checkFixture(t, src, "internal/server", CtxBlock)
-}
-
-func TestByName(t *testing.T) {
-	all, err := ByName("")
-	if err != nil || len(all) != len(All()) {
-		t.Fatalf("ByName(\"\") = %v, %v", all, err)
-	}
-	two, err := ByName("depbreak, snapdet")
-	if err != nil || len(two) != 2 || two[0].Name != "depbreak" || two[1].Name != "snapdet" {
-		t.Fatalf("ByName list = %v, %v", two, err)
-	}
-	if _, err := ByName("nosuch"); err == nil {
-		t.Fatal("expected error for unknown analyzer")
-	}
 }
 
 func TestBufOwnFixture(t *testing.T) {
@@ -657,71 +649,4 @@ func okIgnored(state string) bool {
 }
 `
 	checkFixture(t, src, "", FleetState)
-}
-
-func TestEpochPinFixture(t *testing.T) {
-	src := `package fixture
-
-import "repro/internal/graph"
-
-type holder struct {
-	g    *graph.Graph
-	many map[string]*graph.Graph
-	list []*graph.Graph
-}
-
-type holderConfig struct {
-	Graphs map[string]*graph.Graph
-}
-
-type BuildSpec struct {
-	Graph *graph.Graph
-	Name  string
-}
-
-type WorkerDaemon struct {
-	graphs map[string]*graph.Graph
-}
-
-func badDirect(h *holder) *graph.Graph {
-	return h.g // want:epochpin
-}
-
-func badMap(h holder) *graph.Graph {
-	return h.many["g"] // want:epochpin
-}
-
-func badSlice(h *holder) *graph.Graph {
-	return h.list[0] // want:epochpin
-}
-
-func okConfig(c holderConfig) int { return len(c.Graphs) }
-
-func okSpec(s BuildSpec) *graph.Graph { return s.Graph }
-
-func okWorkerCache(d *WorkerDaemon) int { return len(d.graphs) }
-
-func okLocal() *graph.Graph {
-	var g *graph.Graph
-	return g
-}
-
-func okIgnored(h *holder) *graph.Graph {
-	//sgvet:ignore epochpin fixture proves the directive works
-	return h.g
-}
-`
-	checkFixture(t, src, "internal/server", EpochPin)
-}
-
-func TestEpochPinScopedToServer(t *testing.T) {
-	src := `package fixture
-
-import "repro/internal/graph"
-
-type holder struct{ g *graph.Graph }
-
-func outsideServer(h *holder) *graph.Graph { return h.g }
-`
-	checkFixture(t, src, "", EpochPin)
 }

@@ -7,7 +7,7 @@ import (
 	"regexp"
 )
 
-// SnapDet enforces the bit-identical recovery contract from PR 2: a
+// SnapDet enforces the bit-identical recovery contract: a
 // checkpoint blob, fingerprint, or stats emission assembled by ranging
 // over a map is nondeterministic (Go randomizes map iteration), so a
 // restart can produce a byte-different snapshot of identical state —
@@ -31,6 +31,11 @@ import (
 // Iterating a map to build another map, to delete keys, or to fold an
 // order-insensitive reduction (integer sums, max) is fine and not
 // flagged.
+//
+// Evidence: rule 2 caught the serving pool's GraphNames and
+// ProviderNames returning map order, so /statusz and error messages
+// changed run to run; the sort that fixed them is pinned by
+// internal/server's TestPoolNamesSorted.
 var SnapDet = &Analyzer{
 	Name: "snapdet",
 	Doc:  "nondeterministic map iteration in snapshot/checkpoint/stats emission",

@@ -7,12 +7,12 @@ import (
 	"repro/internal/loader"
 )
 
-// Facts is the per-package cache the engine-backed analyzers share:
-// the function-declaration index, memoized CFGs, and the bottom-up
-// interprocedural summaries each analysis computes on demand. One
-// Facts value is built per package per Run and handed to every
-// analyzer through the Pass, so bufown's summary of a helper is
-// computed once even when lockorder walks the same call site.
+// Facts is the per-package cache of the flow-sensitive engine: the
+// function-declaration index, memoized CFGs, and the bottom-up
+// interprocedural summaries bufown computes on demand. One Facts value
+// is built per package per Run and handed to every analyzer through
+// the Pass, so a helper's summary is computed once however many call
+// sites reach it.
 //
 // Summaries are depth-bounded (maxSummaryDepth, the same discipline as
 // the §4 analysis in internal/analyzer) and memoized with an
@@ -26,12 +26,10 @@ type Facts struct {
 
 	bufownSums map[types.Object]*bufownSummary
 	bufownBusy map[types.Object]bool
-	lockSums   map[types.Object]*lockSummary
-	lockBusy   map[types.Object]bool
 }
 
 // maxSummaryDepth bounds transitive helper-summary computation: a
-// release (or lock acquisition) more than four in-package calls deep
+// release more than four in-package calls deep
 // is out of scope, matching packageHelperDepth in internal/analyzer.
 const maxSummaryDepth = 4
 
@@ -42,8 +40,6 @@ func newFacts(pkg *loader.Package) *Facts {
 		cfgs:       map[ast.Node]*CFG{},
 		bufownSums: map[types.Object]*bufownSummary{},
 		bufownBusy: map[types.Object]bool{},
-		lockSums:   map[types.Object]*lockSummary{},
-		lockBusy:   map[types.Object]bool{},
 	}
 	for _, file := range pkg.Files {
 		for _, d := range file.Decls {

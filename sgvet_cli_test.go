@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/sgvet"
 )
 
 // goldenCompare checks got against the golden file, after normalizing
@@ -113,10 +115,16 @@ func TestSgvetCLI(t *testing.T) {
 	if strings.TrimSpace(out) != "" {
 		t.Fatalf("sgvet not clean over the repository:\n%s", out)
 	}
-	// -times adds the per-analyzer ledger (stderr) and nothing else.
+	// -times adds the per-analyzer ledger (stderr), one line per
+	// analyzer of the suite, and nothing else.
 	out = run(t, tools["sgvet"], "-times", "./internal/bufpool")
-	if !strings.Contains(out, "per-analyzer wall time") || strings.Count(out, "finding(s)") != 9 || !strings.Contains(out, "lockorder") {
+	if !strings.Contains(out, "per-analyzer wall time") || strings.Count(out, "finding(s)") != len(sgvet.All()) {
 		t.Fatalf("-times report:\n%s", out)
+	}
+	for _, a := range sgvet.All() {
+		if !strings.Contains(out, "  "+a.Name+" ") {
+			t.Fatalf("-times report misses %s:\n%s", a.Name, out)
+		}
 	}
 
 	// A broken fixture: uncovered break → exit 1, file:line:col format.
@@ -153,33 +161,11 @@ func udf(ctx *core.DenseCtx[uint32], dst graph.VertexID, srcs []graph.VertexID, 
 	if !strings.Contains(outStr, "broken.go:14:") || !strings.Contains(outStr, "EmitDep") || !strings.Contains(outStr, "(depbreak)") {
 		t.Fatalf("diagnostic format:\n%s", outStr)
 	}
-
-	// -json mode emits the same finding machine-readably.
-	cmd = exec.Command(tools["sgvet"], "-json", dir)
-	b, _ = cmd.CombinedOutput()
-	var diags []struct {
-		Analyzer string `json:"analyzer"`
-		Line     int    `json:"line"`
-	}
-	if err := json.Unmarshal(b, &diags); err != nil {
-		t.Fatalf("sgvet -json output not JSON: %v\n%s", err, b)
-	}
-	if len(diags) != 1 || diags[0].Analyzer != "depbreak" || diags[0].Line != 14 {
-		t.Fatalf("json diagnostics: %+v", diags)
-	}
-
-	// Unknown analyzer name is a usage error.
-	cmd = exec.Command(tools["sgvet"], "-c", "nosuch", "./...")
-	if err := cmd.Run(); err == nil {
-		t.Fatal("unknown analyzer accepted")
-	}
 }
 
-// TestSgvetEngineCLI drives the three engine-backed analyzers through
-// the built binary over one deliberately broken fixture package: a
-// use-after-Release that only a helper summary can see (bufown), a
-// lock-order inversion (lockorder), and an exit-free goroutine
-// (leakgo).
+// TestSgvetEngineCLI drives the flow-sensitive engine through the
+// built binary with the whole suite on: a use-after-Release that only
+// bufown's helper summary can see is the fixture's one finding.
 func TestSgvetEngineCLI(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries")
@@ -189,67 +175,35 @@ func TestSgvetEngineCLI(t *testing.T) {
 	dir := t.TempDir()
 	src := `package broken
 
-import (
-	"sync"
-
-	"repro/internal/comm"
-)
+import "repro/internal/comm"
 
 var ep comm.Endpoint
-
-var (
-	muA sync.Mutex
-	muB sync.Mutex
-)
 
 func drain(m *comm.Message) { m.Release() }
 
 func useAfterHelperRelease() byte {
-	m, _ := ep.Recv(0, comm.KindUpdate, 1)
+	m, err := ep.Recv(0, comm.KindUpdate, 1)
+	if err != nil {
+		return 0
+	}
 	drain(&m)
 	return m.Payload[0]
-}
-
-func lockAB() {
-	muA.Lock()
-	muB.Lock()
-	muB.Unlock()
-	muA.Unlock()
-}
-
-func lockBA() {
-	muB.Lock()
-	muA.Lock()
-	muA.Unlock()
-	muB.Unlock()
-}
-
-func leak() {
-	go func() {
-		for {
-		}
-	}()
 }
 `
 	if err := os.WriteFile(filepath.Join(dir, "broken.go"), []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cmd := exec.Command(tools["sgvet"], "-c", "bufown,lockorder,leakgo", dir)
+	cmd := exec.Command(tools["sgvet"], dir)
 	cmd.Dir = "."
 	b, err := cmd.CombinedOutput()
 	ee, ok := err.(*exec.ExitError)
 	if !ok || ee.ExitCode() != 1 {
 		t.Fatalf("want exit 1 on engine findings, got %v\n%s", err, b)
 	}
-	out := string(b)
-	for _, needle := range []string{"(bufown)", "(lockorder)", "(leakgo)", "payload used after Release", "lock order inversion", "no reachable exit"} {
-		if !strings.Contains(out, needle) {
-			t.Errorf("engine diagnostics missing %q:\n%s", needle, out)
-		}
-	}
-	// Both directions of the inversion are named.
-	if strings.Count(out, "lock order inversion") != 2 {
-		t.Errorf("want one inversion diagnostic per direction:\n%s", out)
+	out := strings.TrimSpace(string(b))
+	if strings.Count(out, "\n") != 0 || !strings.Contains(out, "broken.go:15:") ||
+		!strings.Contains(out, "payload used after Release") || !strings.HasSuffix(out, "(bufown)") {
+		t.Fatalf("want exactly the bufown finding at line 15:\n%s", out)
 	}
 }
 
@@ -300,39 +254,5 @@ var x = 1
 	}
 	if !strings.Contains(string(b), "<no justification>") {
 		t.Fatalf("audit failure output:\n%s", b)
-	}
-}
-
-// TestSgvetVettool exercises the `go vet -vettool` protocol over the
-// subtrees with the richest invariant surfaces: internal/server and
-// internal/obs for the historical analyzers, and internal/comm +
-// internal/core for the engine-backed three (mutex discipline, spawned
-// worker goroutines, and the SendBufs ownership hand-offs all live
-// there). The protocol depends on the toolchain writing export data; if
-// this environment's go vet cannot run the tool at all, the test skips
-// with the reason — the standalone mode above is the supported gate.
-func TestSgvetVettool(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds binaries")
-	}
-	tools := buildTools(t, "sgvet")
-
-	cmd := exec.Command("go", "vet", "-vettool="+tools["sgvet"],
-		"./internal/server/...", "./internal/obs/...", "./internal/comm/...", "./internal/core/...")
-	cmd.Env = os.Environ()
-	b, err := cmd.CombinedOutput()
-	if err != nil {
-		if strings.Contains(string(b), "no export data") || strings.Contains(string(b), "unsupported version") {
-			t.Skipf("toolchain cannot feed the vettool protocol here: %v\n%s", err, b)
-		}
-		t.Fatalf("go vet -vettool: %v\n%s", err, b)
-	}
-
-	// And it must still *report* through vet: a broken file in a throwaway
-	// module would need network for go.mod resolution, so instead assert
-	// the tool's unit-checker honors -V=full (the cache handshake).
-	out := run(t, tools["sgvet"], "-V=full")
-	if !strings.Contains(out, "sgvet version") {
-		t.Fatalf("-V=full handshake: %q", out)
 	}
 }
