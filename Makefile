@@ -70,8 +70,8 @@ lint:
 # after: non-test Go lines (the repo outside benchmark/, the engine's two
 # hot packages, the algorithms, the serving layer, the D-Galois baseline,
 # the §4 tool and the invariant lint suite with its loader),
-# the exported surface of the engine, the harness, the baseline and the
-# §4 analysis (declarations, methods, fields and grouped
+# the exported surface of the engine, the harness, the baseline, the
+# §4 analysis, the serving layer and the version chain (declarations, methods, fields and grouped
 # constants, one per line of `go doc -all`), core.Options fields, the
 # methods of the core.Engine interface, and the
 # flags each command defines (internal/cliutil holds the groups several
@@ -85,7 +85,7 @@ size:
 	@echo "non-test Go LOC, internal/gluon: $$(find internal/gluon -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
 	@echo "non-test Go LOC, internal/analyzer/... + cmd/sgc: $$(find internal/analyzer cmd/sgc -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
 	@echo "non-test Go LOC, internal/sgvet + internal/loader + cmd/sgvet: $$(find internal/sgvet internal/loader cmd/sgvet -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
-	@for p in core comm bench gluon analyzer analyzer/typed; do \
+	@for p in core comm bench gluon analyzer analyzer/typed server mutate; do \
 		echo "exported identifiers, internal/$$p: $$(go doc -all ./internal/$$p | grep -cE '^(func|type) |^(const|var) [A-Z]|^	[A-Z]')"; \
 	done
 	@echo "core.Options fields: $$(go doc ./internal/core Options | grep -c '^	[A-Z]')"
@@ -100,16 +100,18 @@ size:
 # surface, options or flags raises the number here, in its own diff, and
 # says why in CHANGES.md; one that shrinks a figure lowers it.
 define SIZE_BUDGET
-non-test Go LOC, repo: 23281
+non-test Go LOC, repo: 23155
 non-test Go LOC, internal/core + internal/comm: 4717
 non-test Go LOC, internal/algorithms: 1192
-non-test Go LOC, internal/server: 4368
+non-test Go LOC, internal/server: 4261
 non-test Go LOC, internal/gluon: 586
 non-test Go LOC, internal/sgvet + internal/loader + cmd/sgvet: 3003
 exported identifiers, internal/core: 152
 exported identifiers, internal/comm: 150
 exported identifiers, internal/bench: 87
 exported identifiers, internal/gluon: 7
+exported identifiers, internal/server: 275
+exported identifiers, internal/mutate: 64
 core.Options fields: 13
 methods, core.Engine: 9
 flags, cmd/sgbench/: 12

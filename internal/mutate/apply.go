@@ -166,25 +166,14 @@ func effective(g *graph.Graph, b Batch) delta {
 	return d
 }
 
-// SymmetricDelta derives the canonical delta between the symmetrized
-// variants of parent and child (graph.Symmetrize: both directions, no
-// self loops) from the directed effective delta eff between them,
-// without materializing either variant. Only an unordered pair {u, v}
-// that eff touches can change, and it is linked in a variant iff
-// either arc is present in the base graph. Additions carry weight 1:
-// on a weighted base the result describes the topology change only.
-func SymmetricDelta(parent, child *graph.Graph, eff Batch) Batch {
-	return symmetricDelta(parent, child, eff).batch()
-}
-
 // PatchUndirected advances the undirected variant of an unweighted
 // graph across one commit: parentU is graph.Symmetrize(parent), and the
 // result is graph.Symmetrize(child) array for array, built by patching
-// parentU with the symmetric delta (also returned, as SymmetricDelta
-// spells it) instead of re-symmetrizing child. When eff changes no
-// undirected pair and adds no vertex the result is parentU itself. The
-// delta goes to graph.Patch as arc lists, so it may hold more than
-// MaxBatchOps arcs: removing one hub vertex touches every pair it is in.
+// parentU with the symmetric delta (also returned) instead of
+// re-symmetrizing child. When eff changes no undirected pair and adds
+// no vertex the result is parentU itself. The delta goes to
+// graph.Patch as arc lists, so it may hold more than MaxBatchOps arcs:
+// removing one hub vertex touches every pair it is in.
 func PatchUndirected(parentU, parent, child *graph.Graph, eff Batch) (*graph.Graph, Batch, error) {
 	d := symmetricDelta(parent, child, eff)
 	if d.grow == 0 && len(d.removes) == 0 && len(d.upserts) == 0 {
@@ -197,6 +186,13 @@ func PatchUndirected(parentU, parent, child *graph.Graph, eff Batch) (*graph.Gra
 	return g, d.batch(), nil
 }
 
+// symmetricDelta derives the canonical delta between the symmetrized
+// variants of parent and child (graph.Symmetrize: both directions, no
+// self loops) from the directed effective delta eff between them,
+// without materializing either variant. Only an unordered pair {u, v}
+// that eff touches can change, and it is linked in a variant iff
+// either arc is present in the base graph. Additions carry weight 1:
+// on a weighted base the result describes the topology change only.
 func symmetricDelta(parent, child *graph.Graph, eff Batch) delta {
 	linked := func(g *graph.Graph, u, v graph.VertexID) bool {
 		n := graph.VertexID(g.NumVertices())

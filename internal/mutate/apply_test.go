@@ -115,7 +115,7 @@ func checkCommit(t testing.TB, parent, parentU *graph.Graph, b Batch) (child, ch
 	wantU := graph.Symmetrize(child)
 	if parent.Weighted() {
 		// Topology only; the serving layer re-symmetrizes a weighted base.
-		return child, wantU, eff, SymmetricDelta(parent, child, eff)
+		return child, wantU, eff, symmetricDelta(parent, child, eff).batch()
 	}
 	childU, symEff, err = PatchUndirected(parentU, parent, child, eff)
 	if err != nil {
@@ -127,7 +127,7 @@ func checkCommit(t testing.TB, parent, parentU *graph.Graph, b Batch) (child, ch
 		t.Fatal(err)
 	}
 	requireSameOps(t, "symmetric delta vs Diff", symEff, symDiff)
-	requireSameOps(t, "symmetric delta vs SymmetricDelta", symEff, SymmetricDelta(parent, child, eff))
+	requireSameOps(t, "symmetric delta vs symmetricDelta", symEff, symmetricDelta(parent, child, eff).batch())
 	return child, childU, eff, symEff
 }
 

@@ -14,7 +14,7 @@ import (
 //
 //	/healthz        200 "ok" while the process serves (liveness probe)
 //	/debug/metrics  registry JSON snapshot
-//	/debug/vars     expvar (stdlib memstats + published registries)
+//	/debug/vars     expvar (stdlib memstats)
 //	/debug/trace    Chrome trace_event timeline (capturing tracers)
 //	/debug/pprof/*  runtime profiles
 //

@@ -12,8 +12,8 @@
 //     logs, with optional bounded event capture for timeline export;
 //   - a metrics Registry of named live gauges that subsumes the comm
 //     package's byte counters (per-kind and per-link traffic, frame
-//     counts, simulated-link queueing delay) and exports them as an
-//     expvar-compatible JSON snapshot;
+//     counts, simulated-link queueing delay) and exports them as a
+//     JSON snapshot;
 //   - export endpoints: a Chrome trace_event-format timeline writer
 //     (chrome://tracing, Perfetto) and a net/http debug handler wiring
 //     /debug/metrics, /debug/vars, /debug/trace and /debug/pprof.

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"io"
 	"sync"
@@ -12,8 +11,7 @@ import (
 // function sampled at snapshot time, so registered values (endpoint
 // byte counters, clamp counts, histogram summaries) are always current
 // without any update path. Snapshots marshal to JSON with sorted keys,
-// making exports diff cleanly, and the registry can publish itself as a
-// single expvar variable for stdlib interoperability.
+// making exports diff cleanly.
 type Registry struct {
 	mu   sync.Mutex
 	vars map[string]func() any
@@ -65,19 +63,6 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	}
 	_, err = w.Write(append(b, '\n'))
 	return err
-}
-
-// published guards expvar.Publish, which panics on duplicate names;
-// re-publishing under a used name is a silent no-op instead.
-var published sync.Map
-
-// PublishExpvar exposes the registry as one expvar.Func variable under
-// name, visible on /debug/vars alongside the stdlib's memstats.
-func (r *Registry) PublishExpvar(name string) {
-	if _, loaded := published.LoadOrStore(name, true); loaded {
-		return
-	}
-	expvar.Publish(name, expvar.Func(func() any { return r.Snapshot() }))
 }
 
 // RegisterHistogram exposes one histogram's summary under name: count,

@@ -197,7 +197,7 @@ func TestWeightedVariantSharesDraws(t *testing.T) {
 				b.Ops = append(b.Ops, mutate.Mutation{Op: mutate.OpAddEdge, Src: graph.VertexID(rng.Intn(128)), Dst: graph.VertexID(rng.Intn(128))})
 			}
 		}
-		res, err := ge.commit(b, false)
+		res, err := ge.commit(b)
 		if err != nil {
 			t.Fatal(err)
 		}

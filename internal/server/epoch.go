@@ -1,15 +1,13 @@
 // Graph versioning: this file is the snapshot accessor — the only
 // place in the serving layer allowed to reach into a graph entry's raw
 // graphs. Everything else resolves an epoch through Resolve/Latest and
-// works on the immutable epochState it gets back (the epochpin
-// analyzer enforces this).
+// works on the immutable epochState it gets back.
 package server
 
 import (
 	"fmt"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -17,9 +15,8 @@ import (
 	"repro/internal/mutate"
 )
 
-// graphEntry is one served graph's version chain: the snapshot store,
-// the per-epoch derived state (variants, fingerprints, ship deltas),
-// and the incremental trackers the mutation path keeps warm.
+// graphEntry is one served graph's version chain: the snapshot store
+// and the per-epoch derived state (variants, fingerprints, ship deltas).
 type graphEntry struct {
 	name  string
 	store *mutate.Store
@@ -32,20 +29,6 @@ type graphEntry struct {
 	states map[uint64]*epochState
 
 	weights weightStream // every epoch's synthesized-weights variant draws here
-
-	// Incremental recompute trackers, advanced under commitMu on every
-	// commit. The k-core tracker follows the undirected variant at the
-	// serving default k; the BFS tracker follows the base graph from
-	// the root epoch's default root.
-	core    *mutate.CoreTracker
-	coreK   int
-	bfs     *mutate.BFSTracker
-	bfsRoot graph.VertexID
-
-	incNanos     atomic.Int64
-	scratchNanos atomic.Int64
-	verifies     atomic.Int64
-	verifyFails  atomic.Int64
 }
 
 // weightStream is graph.RandomWeights(g, 7)'s draw sequence, kept across
@@ -110,9 +93,6 @@ func newGraphEntry(name string, g *graph.Graph, retention int) (*graphEntry, err
 	}
 	e := &graphEntry{name: name, store: store, states: make(map[uint64]*epochState)}
 	e.weights.rng = rand.New(rand.NewSource(7))
-	root, _ := graph.LargestOutDegreeVertex(g)
-	e.bfsRoot = root
-	e.coreK = 8 // the kcore serving default; canonicalize uses the same fallback
 	e.stateFor(store.Latest())
 	return e, nil
 }
@@ -341,124 +321,68 @@ func (st *epochState) buildSpec(name string, v graphVariant, mode core.Mode, slo
 
 // commitResult reports one applied mutation batch.
 type commitResult struct {
-	snap         *mutate.Snapshot
-	state        *epochState
-	coreChanged  int
-	bfsRelabeled int
-	incDur       time.Duration
-	scratchDur   time.Duration
-	verified     bool
+	snap   *mutate.Snapshot
+	state  *epochState
+	incDur time.Duration // carrying derived state (the undirected variant) forward
 }
 
-// commit validates and applies one batch, advances the incremental
-// trackers on the snapshot's effective delta, and (when verify is set)
-// asserts the trackers are bit-identical to a from-scratch recompute
-// on the new epoch. Nothing here rebuilds or diffs a whole graph: the
-// store patches the parent snapshot, and the undirected variant is the
-// parent epoch's patched with the symmetric form of the same delta.
-// Caller-visible invariant: the store, the state map, and the trackers
-// move together — the commit mutex makes the epoch bump atomic with
-// respect to other commits, and queries pinned to older epochs keep
-// resolving their snapshots untouched.
-func (e *graphEntry) commit(b mutate.Batch, verify bool) (commitResult, error) {
+// commit validates and applies one batch, then carries the epoch's
+// derived state forward. Nothing here rebuilds or diffs a whole graph:
+// the store patches the parent snapshot, and the undirected variant is
+// the parent epoch's patched with the symmetric form of the same delta.
+// The commit mutex makes the epoch bump atomic with respect to other
+// commits, and queries pinned to older epochs keep resolving their
+// snapshots untouched.
+func (e *graphEntry) commit(b mutate.Batch) (commitResult, error) {
 	e.commitMu.Lock()
 	defer e.commitMu.Unlock()
 
 	parent := e.Latest()
-	parentG := parent.Graph(variantDirected)
-	if err := b.Validate(parentG); err != nil {
+	if err := b.Validate(parent.Graph(variantDirected)); err != nil {
 		return commitResult{}, err
 	}
-
-	// Initialize trackers lazily on the first commit, against the
-	// parent (pre-mutation) epoch, so their first Update exercises the
-	// incremental path.
-	if e.core == nil {
-		e.core = mutate.NewCoreTracker(parent.Graph(variantUndirected), e.coreK)
-	}
-	if e.bfs == nil {
-		e.bfs = mutate.NewBFSTracker(parentG, e.bfsRoot)
-	}
-
 	snap, err := e.store.Commit(b)
 	if err != nil {
 		return commitResult{}, err
 	}
 	st := e.stateFor(snap)
 
-	res := commitResult{snap: snap, state: st}
 	incStart := time.Now()
-	eff := snap.Effective()
-	res.bfsRelabeled = e.bfs.Update(snap.Graph(), eff)
-	res.coreChanged = e.advanceUndirected(parent, st, eff)
-	res.incDur = time.Since(incStart)
-	e.incNanos.Add(res.incDur.Nanoseconds())
-
-	if verify {
-		scratchStart := time.Now()
-		_, coreOK := e.core.VerifyScratch(st.Graph(variantUndirected))
-		_, bfsOK := e.bfs.VerifyScratch(st.Graph(variantDirected))
-		res.scratchDur = time.Since(scratchStart)
-		e.scratchNanos.Add(res.scratchDur.Nanoseconds())
-		e.verifies.Add(1)
-		res.verified = true
-		if !coreOK || !bfsOK {
-			e.verifyFails.Add(1)
-			// Re-anchor the diverged tracker from scratch so later
-			// commits are not poisoned, then surface the bug loudly.
-			e.reanchor(st)
-			return res, fmt.Errorf("server: incremental recompute diverged from scratch at epoch %d (core_ok=%v bfs_ok=%v)",
-				snap.Epoch(), coreOK, bfsOK)
-		}
-	}
-	return res, nil
+	advanceUndirected(parent, st, snap.Effective())
+	return commitResult{snap: snap, state: st, incDur: time.Since(incStart)}, nil
 }
 
-// advanceUndirected carries the undirected variant and the k-core
-// tracker that follows it across the commit parent→st, and returns how
-// many vertices changed core membership. On an unweighted base the
-// variant is a function of the arc set, so it is the parent epoch's
-// variant patched with the symmetric form of eff, installed at commit
-// time so the first undirected query of the epoch finds it memoized. A
-// weighted base keeps the full Symmetrize: there an arc added as a
-// reverse carries the weight of the arc it reverses, so one edit can
-// change two arcs' weights, and PatchUndirected does not derive the
-// second yet. The commit has landed by now, so this cannot
-// fail it: if the patch is ever refused, the variant is re-symmetrized
-// and the tracker rebuilt on it.
-func (e *graphEntry) advanceUndirected(parent, st *epochState, eff mutate.Batch) int {
-	parentG, childG := parent.Graph(variantDirected), st.Graph(variantDirected)
+// advanceUndirected carries the undirected variant across the commit
+// parent→st. On an unweighted base the variant is a function of the
+// arc set, so it is the parent epoch's variant patched with the
+// symmetric form of eff, installed at commit time so the first
+// undirected query of the epoch finds it memoized. A weighted base
+// keeps the full Symmetrize, memoized here too: there an arc added as a reverse carries
+// the weight of the arc it reverses, so one edit can change two arcs'
+// weights, and PatchUndirected does not derive the second yet. The
+// commit has landed by now, so this cannot fail it: if the patch is
+// ever refused, the variant is left to the lazy Symmetrize.
+func advanceUndirected(parent, st *epochState, eff mutate.Batch) {
 	if st.info.weighted {
-		return e.core.Update(st.Graph(variantUndirected), mutate.SymmetricDelta(parentG, childG, eff))
+		st.Graph(variantUndirected)
+		return
 	}
-	g, symDelta, err := mutate.PatchUndirected(parent.Graph(variantUndirected), parentG, childG, eff)
-	if err != nil {
-		e.core = mutate.NewCoreTracker(st.Graph(variantUndirected), e.coreK)
-		return 0
+	g, symDelta, err := mutate.PatchUndirected(parent.Graph(variantUndirected),
+		parent.Graph(variantDirected), st.Graph(variantDirected), eff)
+	if err == nil {
+		st.install(variantUndirected, g, symDelta)
 	}
-	st.install(variantUndirected, g, symDelta)
-	return e.core.Update(g, symDelta)
-}
-
-// reanchor rebuilds both trackers from scratch on st's epoch.
-func (e *graphEntry) reanchor(st *epochState) {
-	e.core = mutate.NewCoreTracker(st.Graph(variantUndirected), e.coreK)
-	e.bfs = mutate.NewBFSTracker(st.Graph(variantDirected), e.bfsRoot)
 }
 
 // EpochStatus is one graph's versioning state for /statusz.
 type EpochStatus struct {
-	Epoch       uint64  `json:"epoch"`
-	Fingerprint string  `json:"fingerprint"`
-	WindowLo    uint64  `json:"window_lo"`
-	WindowHi    uint64  `json:"window_hi"`
-	Commits     uint64  `json:"commits"`
-	OpsApplied  uint64  `json:"ops_applied"`
-	Evictions   uint64  `json:"evictions"`
-	IncMs       float64 `json:"inc_ms_total"`
-	ScratchMs   float64 `json:"scratch_ms_total"`
-	Verifies    int64   `json:"verifies"`
-	VerifyFails int64   `json:"verify_fails"`
+	Epoch       uint64 `json:"epoch"`
+	Fingerprint string `json:"fingerprint"`
+	WindowLo    uint64 `json:"window_lo"`
+	WindowHi    uint64 `json:"window_hi"`
+	Commits     uint64 `json:"commits"`
+	OpsApplied  uint64 `json:"ops_applied"`
+	Evictions   uint64 `json:"evictions"`
 }
 
 // epochStatus snapshots the entry's versioning counters.
@@ -473,9 +397,5 @@ func (e *graphEntry) epochStatus() EpochStatus {
 		Commits:     commits,
 		OpsApplied:  ops,
 		Evictions:   evictions,
-		IncMs:       float64(e.incNanos.Load()) / 1e6,
-		ScratchMs:   float64(e.scratchNanos.Load()) / 1e6,
-		Verifies:    e.verifies.Load(),
-		VerifyFails: e.verifyFails.Load(),
 	}
 }

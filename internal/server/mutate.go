@@ -22,10 +22,6 @@ type MutationJSON struct {
 type MutateRequest struct {
 	Graph     string         `json:"graph"`
 	Mutations []MutationJSON `json:"mutations"`
-	// Verify forces a from-scratch recompute of the incremental
-	// trackers and asserts bit-identical results (500 on divergence —
-	// which is a server bug, never a data error).
-	Verify bool `json:"verify"`
 }
 
 // MutateResponse reports one committed batch.
@@ -37,14 +33,9 @@ type MutateResponse struct {
 	Applied     int    `json:"applied"`
 	Vertices    int    `json:"vertices"`
 	Edges       int64  `json:"edges"`
-	// Incremental recompute effort: vertices whose k-core membership /
-	// BFS label changed, and the time the incremental path took vs the
-	// from-scratch verification (when requested).
-	CoreChanged  int     `json:"core_changed"`
-	BFSRelabeled int     `json:"bfs_relabeled"`
-	IncMs        float64 `json:"inc_ms"`
-	ScratchMs    float64 `json:"scratch_ms,omitempty"`
-	Verified     bool    `json:"verified,omitempty"`
+	// IncMs is the time the commit spent carrying derived state
+	// forward: patching the undirected variant.
+	IncMs float64 `json:"inc_ms"`
 	// Cache consequences of the commit.
 	CachePromoted int `json:"cache_promoted"`
 	CacheDropped  int `json:"cache_dropped"`
@@ -72,7 +63,7 @@ func batchFromJSON(ops []MutationJSON) (mutate.Batch, error) {
 
 // handleMutate commits one mutation batch: validate → apply on the
 // version chain (new immutable snapshot, chained fingerprint) →
-// advance the incremental trackers → promote/drop cache entries by
+// carry the undirected variant forward → promote/drop cache entries by
 // read-set intersection → retire idle old-epoch pool slots. In-flight
 // queries are untouched: they hold epoch-pinned slots and finish on
 // the version they started on.
@@ -110,15 +101,10 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	res, err := ge.commit(batch, req.Verify)
+	res, err := ge.commit(batch)
 	if err != nil {
 		s.mutateErr.Add(1)
-		if res.snap != nil {
-			// The commit landed but verification failed: a server bug.
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		} else {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-		}
+		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
 	s.mutations.Add(1)
@@ -138,11 +124,7 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		Applied:       len(batch.Ops),
 		Vertices:      info.vertices,
 		Edges:         info.edges,
-		CoreChanged:   res.coreChanged,
-		BFSRelabeled:  res.bfsRelabeled,
 		IncMs:         durMs(res.incDur),
-		ScratchMs:     durMs(res.scratchDur),
-		Verified:      res.verified,
 		CachePromoted: promoted,
 		CacheDropped:  dropped,
 		PoolRetired:   retired,

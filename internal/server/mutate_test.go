@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -58,8 +59,8 @@ func chainGraph(t *testing.T) *graph.Graph {
 	return g
 }
 
-// TestMutateEndpoint walks the /mutate lifecycle: a verified commit
-// advances the epoch, queries pin to any retained epoch (and reject
+// TestMutateEndpoint walks the /mutate lifecycle: a commit advances
+// the epoch, queries pin to any retained epoch (and reject
 // unretained ones), and /statusz reports the version chain.
 func TestMutateEndpoint(t *testing.T) {
 	s := testServer(t, Config{Graphs: map[string]*graph.Graph{"g": chainGraph(t)}})
@@ -81,16 +82,33 @@ func TestMutateEndpoint(t *testing.T) {
 		resp.Body.Close()
 	}
 
-	// A verified commit: epoch 1 → 2, scratch recompute bit-identical.
-	code, mr, body := postMutate(t, ts.URL, MutateRequest{
-		Graph:     "g",
-		Mutations: []MutationJSON{addEdge(2, 3), {Op: "add_vertex"}},
-		Verify:    true,
-	})
-	if code != http.StatusOK {
-		t.Fatalf("mutate: %d %s", code, body)
+	// A commit, epoch 1 → 2, from a client that still sends the
+	// retired "verify" field: it is ignored, and the response carries
+	// none of the retired tracker fields.
+	resp, err := http.Post(ts.URL+"/mutate", "application/json", strings.NewReader(
+		`{"graph":"g","mutations":[{"op":"add_edge","src":2,"dst":3},{"op":"add_vertex"}],"verify":true}`))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if mr.Epoch != 2 || mr.ParentEpoch != 1 || !mr.Verified || mr.Applied != 2 {
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("mutate: %d %s", resp.StatusCode, raw)
+	}
+	var mr MutateResponse
+	var keys map[string]any
+	if err := json.Unmarshal(raw, &mr); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(raw, &keys); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"verified", "core_changed", "scratch_ms"} {
+		if _, ok := keys[k]; ok {
+			t.Fatalf("mutate response carries retired key %q: %s", k, raw)
+		}
+	}
+	if mr.Epoch != 2 || mr.ParentEpoch != 1 || mr.Applied != 2 {
 		t.Fatalf("mutate response %+v", mr)
 	}
 	if mr.Vertices != 11 || mr.Edges != 5 {
@@ -118,7 +136,7 @@ func TestMutateEndpoint(t *testing.T) {
 	}
 
 	// /statusz surfaces the chain and the commit counters.
-	resp, err := http.Get(ts.URL + "/statusz")
+	resp, err = http.Get(ts.URL + "/statusz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +150,7 @@ func TestMutateEndpoint(t *testing.T) {
 	if !ok {
 		t.Fatalf("statusz has no epochs section: %+v", st)
 	}
-	if es.Epoch != 2 || es.Commits != 1 || es.OpsApplied != 2 || es.Verifies != 1 || es.VerifyFails != 0 {
+	if es.Epoch != 2 || es.Commits != 1 || es.OpsApplied != 2 {
 		t.Fatalf("epoch status %+v", es)
 	}
 	if st.Mutations.Applied != 1 || st.Mutations.Errors == 0 {
@@ -280,16 +298,11 @@ func TestMutateChaos(t *testing.T) {
 		return remote
 	}
 
-	mutate := func(stage string, ops ...MutationJSON) MutateResponse {
+	mutate := func(stage string, ops ...MutationJSON) {
 		t.Helper()
-		code, mr, body := postMutate(t, ts.URL, MutateRequest{Graph: "g", Mutations: ops, Verify: true})
-		if code != http.StatusOK {
+		if code, _, body := postMutate(t, ts.URL, MutateRequest{Graph: "g", Mutations: ops}); code != http.StatusOK {
 			t.Fatalf("%s mutate: %d %s", stage, code, body)
 		}
-		if !mr.Verified {
-			t.Fatalf("%s commit not verified: %+v", stage, mr)
-		}
-		return mr
 	}
 
 	// Epoch 1 baseline: both workers hold the directed and undirected
@@ -357,7 +370,7 @@ func TestMutateChaos(t *testing.T) {
 		t.Fatal(err)
 	}
 	es := st.Epochs["g"]
-	if es.Epoch != 3 || es.Commits != 2 || es.VerifyFails != 0 {
+	if es.Epoch != 3 || es.Commits != 2 {
 		t.Fatalf("chaos epoch status %+v", es)
 	}
 }
@@ -392,12 +405,11 @@ func TestMutateBinnedScanIdentity(t *testing.T) {
 			addEdge(1, 200), addEdge(200, 1),
 			{Op: "remove_edge", Src: uint32(g.OutNeighbors(3)[0]), Dst: 3},
 		},
-		Verify: true,
 	}
 	epochs := map[int]uint64{}
 	for B, ts := range servers {
 		code, mr, body := postMutate(t, ts.URL, batch)
-		if code != http.StatusOK || !mr.Verified {
+		if code != http.StatusOK {
 			t.Fatalf("NumBuffers %d mutate: %d %s", B, code, body)
 		}
 		epochs[B] = mr.Epoch
@@ -489,7 +501,7 @@ func TestCommitDerivesUndirectedVariant(t *testing.T) {
 					b.Ops = append(b.Ops, mutate.Mutation{Op: mutate.OpRemoveEdge, Src: 2, Dst: nb[0]})
 				}
 			}
-			res, err := ge.commit(b, true)
+			res, err := ge.commit(b)
 			if err != nil {
 				t.Fatalf("weighted=%v epoch %d: %v", weighted, epoch, err)
 			}
@@ -540,7 +552,7 @@ func TestCommitHubBeyondBatchLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ge.commit(mutate.Batch{Ops: []mutate.Mutation{{Op: mutate.OpRemoveVertex, Src: 0}}}, true)
+	res, err := ge.commit(mutate.Batch{Ops: []mutate.Mutation{{Op: mutate.OpRemoveVertex, Src: 0}}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -261,7 +261,7 @@ func TestPoolDropsClosedSlots(t *testing.T) {
 			p.Release(b)
 			idle[v]++
 		}
-		if _, err := ge.commit(mutate.Batch{Ops: []mutate.Mutation{{Op: mutate.OpAddEdge, Src: graph.VertexID(c), Dst: graph.VertexID(c + 40)}}}, false); err != nil {
+		if _, err := ge.commit(mutate.Batch{Ops: []mutate.Mutation{{Op: mutate.OpAddEdge, Src: graph.VertexID(c), Dst: graph.VertexID(c + 40)}}}); err != nil {
 			t.Fatal(err)
 		}
 		p.RetireEpochs("g")
@@ -352,7 +352,7 @@ func TestPoolEntriesBounded(t *testing.T) {
 		if !held {
 			p.Release(s)
 		}
-		if _, err := ge.commit(mutate.Batch{Ops: []mutate.Mutation{{Op: mutate.OpAddEdge, Src: graph.VertexID(c % 64), Dst: graph.VertexID((c*7 + 1) % 64)}}}, false); err != nil {
+		if _, err := ge.commit(mutate.Batch{Ops: []mutate.Mutation{{Op: mutate.OpAddEdge, Src: graph.VertexID(c % 64), Dst: graph.VertexID((c*7 + 1) % 64)}}}); err != nil {
 			t.Fatal(err)
 		}
 		p.RetireEpochs("g")

@@ -110,15 +110,7 @@ type Server struct {
 
 	deltaMu   sync.Mutex
 	deltaAt   time.Time
-	deltaBase deltaBaseline
-}
-
-// deltaBaseline is the monotonic-counter snapshot taken at the last
-// /statusz?delta=1 scrape; the next scrape reports counters minus it.
-type deltaBaseline struct {
-	requests                               RequestCounters
-	cacheHits, cacheMisses, cacheEvictions int64
-	restarts                               int64
+	deltaBase DeltaStatus // the counters at the last /statusz?delta=1 scrape
 }
 
 // New builds the service: graphs indexed, pool warm-ready, admission
@@ -523,8 +515,7 @@ type Status struct {
 	Admission AdmissionCounters    `json:"admission"`
 	Algos     map[string]AlgoStats `json:"algos"`
 	// Epochs reports each graph's version chain: current epoch and
-	// fingerprint, retained window, commit counters, and the
-	// incremental-vs-scratch recompute time split.
+	// fingerprint, retained window and commit counters.
 	Epochs map[string]EpochStatus `json:"epochs"`
 	// Mutations counts /mutate commits (and rejected batches).
 	Mutations MutationCounters `json:"mutations"`
@@ -600,29 +591,22 @@ type AlgoStats struct {
 
 // StatusSnapshot assembles the current serving state.
 func (s *Server) StatusSnapshot() Status {
+	c := s.counters()
 	st := Status{
 		UptimeSec: time.Since(s.start).Seconds(),
 		Draining:  s.draining.Load(),
 		Graphs:    make(map[string]GraphInfo),
-		Requests: RequestCounters{
-			Total:        s.total.Load(),
-			OK:           s.ok.Load(),
-			ClientErrors: s.clientErr.Load(),
-			ServerErrors: s.serverErr.Load(),
-			Timeouts:     s.timeouts.Load(),
-			Rejected:     s.adm.rejected.Load(),
-			Coalesced:    s.coalesced.Load(),
-		},
+		Requests:  c.Requests,
 		Cache: CacheCounters{
-			Hits:      s.cache.hits.Load(),
-			Misses:    s.cache.misses.Load(),
-			Evictions: s.cache.evictions.Load(),
+			Hits:      c.Cache.Hits,
+			Misses:    c.Cache.Misses,
+			Evictions: c.Cache.Evictions,
 			Entries:   s.cache.Len(),
 			Bytes:     s.cache.Bytes(),
 		},
 		Pool: PoolCounters{
 			Clusters:        s.pool.Slots(),
-			Restarts:        s.pool.Restarts(),
+			Restarts:        c.Pool.Restarts,
 			Providers:       s.pool.ProviderSlots(),
 			DefaultProvider: s.pool.DefaultProvider(),
 		},
@@ -683,14 +667,11 @@ type PoolDelta struct {
 	Restarts int64 `json:"restarts"`
 }
 
-// DeltaSnapshot reports counters accumulated since the last
-// DeltaSnapshot call (or server start) and resets the baseline.
-func (s *Server) DeltaSnapshot() DeltaStatus {
-	s.deltaMu.Lock()
-	defer s.deltaMu.Unlock()
-	now := time.Now()
-	cur := deltaBaseline{
-		requests: RequestCounters{
+// counters reads the server's monotonic counters, the one read both
+// /statusz documents share.
+func (s *Server) counters() DeltaStatus {
+	return DeltaStatus{
+		Requests: RequestCounters{
 			Total:        s.total.Load(),
 			OK:           s.ok.Load(),
 			ClientErrors: s.clientErr.Load(),
@@ -699,23 +680,33 @@ func (s *Server) DeltaSnapshot() DeltaStatus {
 			Rejected:     s.adm.rejected.Load(),
 			Coalesced:    s.coalesced.Load(),
 		},
-		cacheHits:      s.cache.hits.Load(),
-		cacheMisses:    s.cache.misses.Load(),
-		cacheEvictions: s.cache.evictions.Load(),
-		restarts:       s.pool.Restarts(),
+		Cache: CacheDelta{
+			Hits:      s.cache.hits.Load(),
+			Misses:    s.cache.misses.Load(),
+			Evictions: s.cache.evictions.Load(),
+		},
+		Pool: PoolDelta{Restarts: s.pool.Restarts()},
 	}
+}
+
+// DeltaSnapshot reports counters accumulated since the last
+// DeltaSnapshot call (or server start) and resets the baseline.
+func (s *Server) DeltaSnapshot() DeltaStatus {
+	s.deltaMu.Lock()
+	defer s.deltaMu.Unlock()
+	now := time.Now()
+	cur, base := s.counters(), s.deltaBase
 	d := DeltaStatus{
 		WindowSec: now.Sub(s.deltaAt).Seconds(),
-		Requests:  cur.requests.sub(s.deltaBase.requests),
+		Requests:  cur.Requests.sub(base.Requests),
 		Cache: CacheDelta{
-			Hits:      cur.cacheHits - s.deltaBase.cacheHits,
-			Misses:    cur.cacheMisses - s.deltaBase.cacheMisses,
-			Evictions: cur.cacheEvictions - s.deltaBase.cacheEvictions,
+			Hits:      cur.Cache.Hits - base.Cache.Hits,
+			Misses:    cur.Cache.Misses - base.Cache.Misses,
+			Evictions: cur.Cache.Evictions - base.Cache.Evictions,
 		},
-		Pool: PoolDelta{Restarts: cur.restarts - s.deltaBase.restarts},
+		Pool: PoolDelta{Restarts: cur.Pool.Restarts - base.Pool.Restarts},
 	}
-	s.deltaBase = cur
-	s.deltaAt = now
+	s.deltaBase, s.deltaAt = cur, now
 	return d
 }
 
