@@ -20,20 +20,58 @@ import (
 	"repro/internal/server"
 )
 
-// buildTools compiles the repository's CLIs once into a temp dir and
-// returns their paths.
+// TestMain owns the directory buildTools links into, so each command
+// is built once per test binary however many tests ask for it.
+func TestMain(m *testing.M) {
+	dir, err := os.MkdirTemp("", "repro-tools-")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	toolDir = dir
+	code := m.Run()
+	os.RemoveAll(dir)
+	os.Exit(code)
+}
+
+var (
+	toolDir   string
+	toolMu    sync.Mutex
+	toolBuild = map[string]*builtTool{}
+)
+
+// builtTool is one command's memoized build.
+type builtTool struct {
+	once sync.Once
+	bin  string
+	err  error
+}
+
+// buildTools compiles the repository's CLIs into the shared tool
+// directory — each at most once per test binary — and returns their
+// paths.
 func buildTools(t *testing.T, names ...string) map[string]string {
 	t.Helper()
-	dir := t.TempDir()
 	out := map[string]string{}
 	for _, name := range names {
-		bin := filepath.Join(dir, name)
-		cmd := exec.Command("go", "build", "-o", bin, "./cmd/"+name)
-		cmd.Env = os.Environ()
-		if b, err := cmd.CombinedOutput(); err != nil {
-			t.Fatalf("building %s: %v\n%s", name, err, b)
+		toolMu.Lock()
+		b := toolBuild[name]
+		if b == nil {
+			b = &builtTool{}
+			toolBuild[name] = b
 		}
-		out[name] = bin
+		toolMu.Unlock()
+		b.once.Do(func() {
+			b.bin = filepath.Join(toolDir, name)
+			cmd := exec.Command("go", "build", "-o", b.bin, "./cmd/"+name)
+			if log, err := cmd.CombinedOutput(); err != nil {
+				b.err = fmt.Errorf("%v\n%s", err, log)
+			}
+		})
+		if b.err != nil {
+			t.Fatalf("building %s: %v", name, b.err)
+		}
+		out[name] = b.bin
 	}
 	return out
 }

@@ -643,7 +643,6 @@ func (e *remoteEngine) FinishQuery() error {
 	e.inFlight = false
 	deadline := time.Now().Add(defaultFinishTimeout)
 	for _, l := range e.links {
-		//sgvet:ignore commerr deadline-arm failure means the conn is already dead; Expect below reports it
 		l.cc.SetDeadline(deadline)
 		var d doneMsg
 		if err := l.cc.Expect("done", &d); err != nil {

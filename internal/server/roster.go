@@ -397,7 +397,6 @@ func (r *rosterManager) probe(addr string) (time.Duration, pongMsg, error) {
 		return 0, pongMsg{}, err
 	}
 	defer cc.Close()
-	//sgvet:ignore commerr deadline-arm failure means the conn is already dead; the ping below reports the real error
 	cc.SetDeadline(time.Now().Add(r.cfg.ProbeTimeout))
 	if err := cc.Send("ping", nil); err != nil {
 		return 0, pongMsg{}, err

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 	"strings"
 )
 
@@ -90,38 +91,19 @@ type bufFact struct {
 }
 
 func (f bufFact) clone() bufFact {
-	out := bufFact{
-		vars:  make(map[types.Object]poison, len(f.vars)),
-		sels:  make(map[selKey]poison, len(f.sels)),
-		alias: make(map[types.Object]types.Object, len(f.alias)),
-	}
-	for k, v := range f.vars {
-		out.vars[k] = v
-	}
-	for k, v := range f.sels {
-		out.sels[k] = v
-	}
-	for k, v := range f.alias {
-		out.alias[k] = v
-	}
+	out := bufFact{vars: map[types.Object]poison{}, sels: map[selKey]poison{}, alias: map[types.Object]types.Object{}}
+	maps.Copy(out.vars, f.vars)
+	maps.Copy(out.sels, f.sels)
+	maps.Copy(out.alias, f.alias)
 	return out
 }
-
-func (f *bufFact) setVar(obj types.Object, pz poison) { f.vars[obj] = pz }
-func (f *bufFact) setSel(key selKey, pz poison)       { f.sels[key] = pz }
-func (f *bufFact) setAlias(p, m types.Object)         { f.alias[p] = m }
-func (f *bufFact) clearSel(key selKey)                { delete(f.sels, key) }
 
 // clearVar is a re-binding of obj: its own poison, every field pair
 // rooted at it, and any alias edge from it are gone.
 func (f *bufFact) clearVar(obj types.Object) {
 	delete(f.vars, obj)
 	delete(f.alias, obj)
-	for key := range f.sels {
-		if key.root == obj {
-			delete(f.sels, key)
-		}
-	}
+	maps.DeleteFunc(f.sels, func(key selKey, _ poison) bool { return key.root == obj })
 }
 
 // bufJoin unions poisons (may-analysis; earliest position wins for
@@ -150,25 +132,7 @@ func bufJoin(a, b bufFact) bufFact {
 }
 
 func bufEqual(a, b bufFact) bool {
-	if len(a.vars) != len(b.vars) || len(a.sels) != len(b.sels) || len(a.alias) != len(b.alias) {
-		return false
-	}
-	for k, v := range a.vars {
-		if w, ok := b.vars[k]; !ok || w != v {
-			return false
-		}
-	}
-	for k, v := range a.sels {
-		if w, ok := b.sels[k]; !ok || w != v {
-			return false
-		}
-	}
-	for k, v := range a.alias {
-		if w, ok := b.alias[k]; !ok || w != v {
-			return false
-		}
-	}
-	return true
+	return maps.Equal(a.vars, b.vars) && maps.Equal(a.sels, b.sels) && maps.Equal(a.alias, b.alias)
 }
 
 type bufownAnalysis struct {
@@ -280,7 +244,7 @@ func (a *bufownAnalysis) checkAssign(s *ast.AssignStmt, f *bufFact) {
 // buffer list is reused once its buffers were handed off: a re-binding,
 // not a use.
 func isTruncation(e ast.Expr) bool {
-	se, ok := unparen(e).(*ast.SliceExpr)
+	se, ok := ast.Unparen(e).(*ast.SliceExpr)
 	if !ok || se.Low != nil || se.Max != nil {
 		return false
 	}
@@ -372,7 +336,7 @@ func (a *bufownAnalysis) applyEffects(n ast.Node, f *bufFact, depth int) {
 
 func (a *bufownAnalysis) applyCall(call *ast.CallExpr, f *bufFact, depth int) {
 	info := a.info
-	if sel, ok := unparen(call.Fun).(*ast.SelectorExpr); ok {
+	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 		switch sel.Sel.Name {
 		case "Release":
 			recv, ok := sel.X.(*ast.Ident)
@@ -380,7 +344,7 @@ func (a *bufownAnalysis) applyCall(call *ast.CallExpr, f *bufFact, depth int) {
 				return
 			}
 			if obj := info.Uses[recv]; obj != nil {
-				f.setVar(obj, poison{kind: "Release", pos: call.Pos()})
+				f.vars[obj] = poison{kind: "Release", pos: call.Pos()}
 			}
 			return
 		case "SendBufs":
@@ -393,12 +357,12 @@ func (a *bufownAnalysis) applyCall(call *ast.CallExpr, f *bufFact, depth int) {
 			}
 			for _, id := range buffersRoots(last) {
 				if obj := info.Uses[id]; obj != nil {
-					f.setVar(obj, poison{kind: "SendBufs", pos: call.Pos()})
+					f.vars[obj] = poison{kind: "SendBufs", pos: call.Pos()}
 				}
 			}
 			for _, bsel := range buffersSelectors(last) {
 				if key, ok := selObjects(info, bsel); ok {
-					f.setSel(key, poison{kind: "SendBufs", pos: call.Pos()})
+					f.sels[key] = poison{kind: "SendBufs", pos: call.Pos()}
 				}
 			}
 			return
@@ -417,7 +381,7 @@ func (a *bufownAnalysis) applyCall(call *ast.CallExpr, f *bufFact, depth int) {
 		}
 		if id := rootIdent(args[idx]); id != nil {
 			if obj := info.Uses[id]; obj != nil {
-				f.setVar(obj, poison{kind: kind, pos: call.Pos()})
+				f.vars[obj] = poison{kind: kind, pos: call.Pos()}
 			}
 		}
 	}
@@ -427,9 +391,9 @@ func (a *bufownAnalysis) applyCall(call *ast.CallExpr, f *bufFact, depth int) {
 // at the identifier m — so helper(&m) poisons the same object
 // helper(m) would.
 func rootIdent(e ast.Expr) *ast.Ident {
-	e = unparen(e)
+	e = ast.Unparen(e)
 	if ue, ok := e.(*ast.UnaryExpr); ok && ue.Op == token.AND {
-		e = unparen(ue.X)
+		e = ast.Unparen(ue.X)
 	}
 	id, _ := e.(*ast.Ident)
 	return id
@@ -448,7 +412,7 @@ func (a *bufownAnalysis) applyAssign(as *ast.AssignStmt, f *bufFact, depth int) 
 		}
 		if sel, ok := lhs.(*ast.SelectorExpr); ok {
 			if key, kok := selObjects(info, sel); kok {
-				f.clearSel(key)
+				delete(f.sels, key)
 			}
 		}
 	}
@@ -465,14 +429,14 @@ func (a *bufownAnalysis) applyAssign(as *ast.AssignStmt, f *bufFact, depth int) 
 	if obj == nil {
 		return
 	}
-	switch rhs := unparen(as.Rhs[0]).(type) {
+	switch rhs := ast.Unparen(as.Rhs[0]).(type) {
 	case *ast.SelectorExpr:
 		if rhs.Sel.Name != "Payload" {
 			return
 		}
 		if recv, ok := rhs.X.(*ast.Ident); ok && isCommNamed(info.Types[rhs.X].Type, "Message") {
 			if msg := info.Uses[recv]; msg != nil {
-				f.setAlias(obj, msg)
+				f.alias[obj] = msg
 			}
 		}
 	case *ast.CallExpr:
@@ -486,7 +450,7 @@ func (a *bufownAnalysis) applyAssign(as *ast.AssignStmt, f *bufFact, depth int) 
 		}
 		if id := rootIdent(args[sum.aliasOf]); id != nil {
 			if msg := info.Uses[id]; msg != nil {
-				f.setAlias(obj, msg)
+				f.alias[obj] = msg
 			}
 		}
 	}
@@ -505,14 +469,14 @@ func (a *bufownAnalysis) applyValueSpec(vs *ast.ValueSpec, f *bufFact) {
 	if len(vs.Names) != 1 || len(vs.Values) != 1 {
 		return
 	}
-	sel, ok := unparen(vs.Values[0]).(*ast.SelectorExpr)
+	sel, ok := ast.Unparen(vs.Values[0]).(*ast.SelectorExpr)
 	if !ok || sel.Sel.Name != "Payload" {
 		return
 	}
 	if recv, rok := sel.X.(*ast.Ident); rok && isCommNamed(info.Types[sel.X].Type, "Message") {
 		if msg := info.Uses[recv]; msg != nil {
 			if obj := info.Defs[vs.Names[0]]; obj != nil {
-				f.setAlias(obj, msg)
+				f.alias[obj] = msg
 			}
 		}
 	}
@@ -602,7 +566,7 @@ func returnAliasParam(info *types.Info, decl *ast.FuncDecl, params []types.Objec
 }
 
 func aliasedParam(info *types.Info, e ast.Expr, params []types.Object) int {
-	switch x := unparen(e).(type) {
+	switch x := ast.Unparen(e).(type) {
 	case *ast.Ident:
 		obj := info.Uses[x]
 		if obj == nil {

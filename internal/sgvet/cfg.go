@@ -28,13 +28,13 @@ import (
 //   - *SelectBlocking sits in the head block of a select with no
 //     default clause: the select as a whole blocks there. The per-arm
 //     comm operations are the first node of each arm block, and those
-//     blocks carry SelectArm so analyzers know the op itself does not
-//     block (the head already did).
+//     blocks carry SelectArm so analyzers (ctxblock) know the op itself
+//     does not block (the head already did).
 //
 // Function literals are the one kind of nesting a node may contain: a
 // closure body is a different function, so it stays whole inside the
-// node and analyzers decide whether to descend (bufown does, matching
-// the historical block-scoped checker) or build a separate CFG for it.
+// node and analyzers decide whether to descend (bufown does) or build
+// a separate CFG for it (ctxblock and commerr do).
 
 // Block is one straight-line run of nodes.
 type Block struct {

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 	"strings"
 )
 
@@ -24,15 +25,22 @@ import (
 //  2. ==/!= between two error-typed operands, neither nil → use
 //     errors.Is (sentinels like http.ErrServerClosed arrive wrapped).
 //  3. An error result from a repro/internal/comm or repro/internal/core
-//     call discarded via a bare call statement or a blank identifier.
-//     Close in a defer is conventionally fire-and-forget and exempt.
+//     call discarded via a bare call statement or a blank identifier,
+//     unless a checked call on the same receiver follows on every path
+//     to the exit (it reports the dead connection). Close is
+//     fire-and-forget and exempt; deferred and go'd calls are not drops.
+//
+// Rules 1–2 stay matchers: a comparison is wrong wherever it stands.
+// Rule 3 is a flow question, a forward may-analysis on the engine
+// (commErrDrops) over each function's CFG, every literal on its own.
 //
 // Evidence: rule 2 caught the debug server's serve loop comparing
 // http.ErrServerClosed by identity, so a wrapped close read as a
 // failure; internal/obs's TestServeResultClassifiesWrappedClose pins
-// the fix. Rule 3 backs 13 justified suppressions in internal/server,
+// the fix. Rule 3 backs 11 justified suppressions in internal/server,
 // each a best-effort send or deadline whose failure later traffic
-// reports.
+// reports on some path only — a loop-carried deadline reset, a loop
+// that may run zero times, a reply before return, a teardown.
 var CommErr = &Analyzer{
 	Name: "commerr",
 	Doc:  "comm/engine taxonomy errors compared by identity or discarded",
@@ -40,36 +48,15 @@ var CommErr = &Analyzer{
 }
 
 func runCommErr(p *Pass) {
-	for _, f := range p.Pkg.Files {
-		var stack []ast.Node
-		ast.Inspect(f, func(n ast.Node) bool {
-			if n == nil {
-				stack = stack[:len(stack)-1]
-				return true
-			}
-			stack = append(stack, n)
-			switch s := n.(type) {
-			case *ast.BinaryExpr:
-				commErrCompare(p, s)
-			case *ast.ExprStmt:
-				if call, ok := s.X.(*ast.CallExpr); ok {
-					commErrDiscard(p, call, parentOf(stack))
-				}
-			case *ast.AssignStmt:
-				commErrBlankAssign(p, s)
-			}
-			return true
-		})
-	}
-}
-
-// parentOf returns the statement enclosing the node on top of the
-// stack (stack[len-1] is the current node).
-func parentOf(stack []ast.Node) ast.Node {
-	if len(stack) < 2 {
-		return nil
-	}
-	return stack[len(stack)-2]
+	p.inspectFiles(func(n ast.Node) bool {
+		switch s := n.(type) {
+		case *ast.BinaryExpr:
+			commErrCompare(p, s)
+		case *ast.FuncDecl, *ast.FuncLit:
+			commErrDrops(p, p.Facts.CFG(s))
+		}
+		return true
+	})
 }
 
 func commErrCompare(p *Pass, be *ast.BinaryExpr) {
@@ -124,63 +111,112 @@ func isErrorInterface(t types.Type) bool {
 	return iface.NumMethods() == 1 && iface.Method(0).Name() == "Error"
 }
 
-// commErrDiscard flags a bare call statement that throws away an error
-// returned by a comm/core function.
-func commErrDiscard(p *Pass, call *ast.CallExpr, parent ast.Node) {
-	fn, last := taxonomyCallee(p, call)
-	if fn == nil || !isErrorInterface(last) {
-		return
-	}
-	if fn.Name() == "Close" {
-		return // fire-and-forget Close is conventional
-	}
-	if _, isDefer := parent.(*ast.DeferStmt); isDefer {
-		return
-	}
-	p.Reportf(call.Pos(), "error from %s discarded: a dropped comm/engine failure never reaches the recovery loop — handle it or assign and classify with errors.As", fn.Name())
+// pendingDrops is rule 3's dataflow fact: the dropped errors no
+// checked call on their receiver has followed yet, keyed by the drop
+// statement's position.
+type pendingDrops map[token.Pos]selKey
+
+func joinDrops(a, b pendingDrops) pendingDrops {
+	out := pendingDrops{}
+	maps.Copy(out, a)
+	maps.Copy(out, b)
+	return out
 }
 
-// commErrBlankAssign flags `_ = call()` / `x, _ := call()` where the
-// blank slot is the error result of a comm/core call.
-func commErrBlankAssign(p *Pass, as *ast.AssignStmt) {
-	if len(as.Rhs) != 1 {
-		return
+// commErrDrops reports every drop still pending at the function's
+// exit — at the drop's own line, so a suppression there keeps working
+// — and, in a function that never returns, every drop.
+func commErrDrops(p *Pass, g *CFG) {
+	info := p.Pkg.Info
+	in := solveForward(g, pendingDrops{}, joinDrops, maps.Equal, func(blk *Block, f pendingDrops) pendingDrops {
+		out := joinDrops(f, nil)
+		for _, n := range blk.Nodes {
+			applyDrops(info, n, out)
+		}
+		return out
+	})
+	var atExit pendingDrops
+	if g.ExitReachable() {
+		atExit = in[g.Exit.Index]
 	}
-	call, ok := as.Rhs[0].(*ast.CallExpr)
-	if !ok {
-		return
-	}
-	fn, last := taxonomyCallee(p, call)
-	if fn == nil || !isErrorInterface(last) || fn.Name() == "Close" {
-		return
-	}
-	// The error is the final result; the final LHS must not be blank.
-	lastLHS := as.Lhs[len(as.Lhs)-1]
-	if id, ok := lastLHS.(*ast.Ident); ok && id.Name == "_" {
-		p.Reportf(as.Pos(), "error from %s assigned to _: a dropped comm/engine failure never reaches the recovery loop — handle it or classify with errors.As", fn.Name())
+	for _, blk := range g.Blocks {
+		for _, n := range blk.Nodes {
+			_, fn, _ := droppedCall(info, n)
+			if _, pending := atExit[n.Pos()]; fn != nil && (pending || atExit == nil) {
+				p.Reportf(n.Pos(), "error from %s discarded: a dropped comm/engine failure never reaches the recovery loop — handle it, classify it with errors.As, or check a later call on the same receiver on every path", fn.Name())
+			}
+		}
 	}
 }
 
-// taxonomyCallee resolves a call to a function or method declared in
-// the module's comm or core package and returns it plus the type of
-// its final result (types.Typ[types.Invalid] when none).
-func taxonomyCallee(p *Pass, call *ast.CallExpr) (*types.Func, types.Type) {
-	var id *ast.Ident
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		id = fun
-	case *ast.SelectorExpr:
-		id = fun.Sel
-	default:
-		return nil, nil
+// applyDrops is rule 3's transfer for one CFG node: every checked
+// call clears its receiver's pending drops, then the node's own drop
+// becomes pending. Deferred, go'd and closure calls are not checks.
+func applyDrops(info *types.Info, n ast.Node, f pendingDrops) {
+	switch s := n.(type) {
+	case *RangeHead:
+		n = s.Range.X
+	case *DeferredCall, *SelectBlocking:
+		return
 	}
-	fn, ok := p.Pkg.Info.Uses[id].(*types.Func)
-	if !ok || fn.Pkg() == nil || !taxonomyPkg(fn.Pkg().Path()) {
-		return nil, nil
+	drop, dropFn, dropKey := droppedCall(info, n)
+	ast.Inspect(n, func(m ast.Node) bool {
+		switch c := m.(type) {
+		case *ast.FuncLit, *ast.GoStmt, *ast.DeferStmt:
+			return false
+		case *ast.CallExpr:
+			if _, key := commCall(info, c); c != drop && key != (selKey{}) {
+				maps.DeleteFunc(f, func(_ token.Pos, k selKey) bool { return k == key })
+			}
+		}
+		return true
+	})
+	if dropFn != nil {
+		f[n.Pos()] = dropKey
 	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Results().Len() == 0 {
-		return nil, nil
+}
+
+// droppedCall resolves the call a statement discards the result of —
+// a bare call statement, or an assignment whose final left-hand side
+// is blank — with commCall.
+func droppedCall(info *types.Info, n ast.Node) (call *ast.CallExpr, fn *types.Func, key selKey) {
+	switch s := n.(type) {
+	case *ast.ExprStmt:
+		call, _ = s.X.(*ast.CallExpr)
+	case *ast.AssignStmt:
+		if id, ok := s.Lhs[len(s.Lhs)-1].(*ast.Ident); ok && id.Name == "_" && len(s.Rhs) == 1 {
+			call, _ = s.Rhs[0].(*ast.CallExpr)
+		}
 	}
-	return fn, sig.Results().At(sig.Results().Len() - 1).Type()
+	if call != nil {
+		fn, key = commCall(info, call)
+	}
+	return call, fn, key
+}
+
+// commCall resolves a call to a comm/core function or method, other
+// than Close, whose final result is an error (nil otherwise), and keys
+// its receiver the way bufown keys field buffers: `cc` by its
+// variable, `l.cc` by the (l, cc) pair. The key is zero for a package
+// function or a receiver of any other shape, so nothing clears its
+// drop.
+func commCall(info *types.Info, call *ast.CallExpr) (*types.Func, selKey) {
+	fn := calleeObj(info, call)
+	if fn == nil || fn.Pkg() == nil || !taxonomyPkg(fn.Pkg().Path()) || fn.Name() == "Close" {
+		return nil, selKey{}
+	}
+	sig := fn.Type().(*types.Signature)
+	if res := sig.Results(); res.Len() == 0 || !isErrorInterface(res.At(res.Len()-1).Type()) {
+		return nil, selKey{}
+	}
+	var key selKey
+	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && sig.Recv() != nil {
+		switch x := ast.Unparen(sel.X).(type) {
+		case *ast.Ident:
+			key.root = info.Uses[x]
+		case *ast.SelectorExpr:
+			key, _ = selObjects(info, x)
+		}
+	}
+	return fn, key
 }

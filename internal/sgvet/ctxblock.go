@@ -16,18 +16,20 @@ import (
 // Scope: packages whose import path ends in internal/server (the
 // daemon, scheduler, pool, and admission layers).
 //
+// The check scans each function's CFG (every function literal on its
+// own), where the builder already says where a goroutine parks.
 // Flagged:
-//   - a send or receive outside any select statement;
-//   - a select statement none of whose arms is an escape: a default
-//     clause, a receive from a Done()/deadline channel (ctx.Done(),
-//     time.After, a Timer/Ticker .C), or a receive from a channel whose
-//     name signals lifecycle (done, stop, quit, closed, shutdown).
+//   - a SelectBlocking head (a select with no default) none of whose
+//     arms is an escape: a receive from a Done()/deadline channel
+//     (ctx.Done(), time.After, a Timer/Ticker .C) or from a channel
+//     whose name signals lifecycle (done, stop, quit, closed, shutdown);
+//   - any other send, and any other receive not from an escape channel.
 //
-// Not flagged: range-over-channel consumers (terminated by close) and
-// close() itself. Deliberately-blocking ops — e.g. returning an
-// admission token to a buffered channel that by construction has room —
-// are annotated with //sgvet:ignore ctxblock and a proof of why they
-// cannot block.
+// Not flagged: the op leading a SelectArm block (its head parked), a
+// RangeHead over a channel (terminated by close), and close() itself.
+// Deliberately-blocking ops — e.g. returning an admission token to a
+// buffered channel that by construction has room — are annotated with
+// //sgvet:ignore ctxblock and a proof of why they cannot block.
 //
 // Evidence: the two such proofs in internal/server/admission.go, where
 // a request returns the admission token it took; every other channel
@@ -44,71 +46,73 @@ func runCtxBlock(p *Pass) {
 	if !strings.HasSuffix(p.Pkg.ImportPath, "internal/server") {
 		return
 	}
-	for _, f := range p.Pkg.Files {
-		// First pass: record every channel op that is the comm clause
-		// of a select — those are judged per-select, not as bare ops.
-		inSelect := map[ast.Node]bool{}
-		ast.Inspect(f, func(n ast.Node) bool {
-			sel, ok := n.(*ast.SelectStmt)
-			if !ok {
-				return true
-			}
-			for _, c := range sel.Body.List {
-				clause := c.(*ast.CommClause)
-				if clause.Comm == nil {
+	p.inspectFiles(func(n ast.Node) bool {
+		switch n.(type) {
+		case *ast.FuncDecl, *ast.FuncLit:
+			ctxBlockFunc(p, p.Facts.CFG(n))
+		}
+		return true
+	})
+}
+
+func ctxBlockFunc(p *Pass, g *CFG) {
+	for _, blk := range g.Blocks {
+		for i, n := range blk.Nodes {
+			switch s := n.(type) {
+			case *SelectBlocking:
+				if !hasEscapeArm(s.Select) {
+					p.Reportf(s.Pos(), "select has no escape arm: add a default, ctx.Done(), deadline, or shutdown-channel case so a wedged peer cannot pin this goroutine")
+				}
+				continue
+			case *RangeHead:
+				if isChanRecv(p, s.Range.X) {
 					continue
 				}
-				markCommOps(clause.Comm, inSelect)
+				n = s.Range.X
+			case *DeferredCall:
+				continue // scanned at its registration
 			}
-			if !hasEscapeArm(sel) {
-				p.Reportf(sel.Pos(), "select has no escape arm: add a default, ctx.Done(), deadline, or shutdown-channel case so a wedged peer cannot pin this goroutine")
+			var parked ast.Node // an arm's own op: the head parked for it
+			if i == 0 && blk.SelectArm {
+				parked = commOp(n.(ast.Stmt))
 			}
-			return true
-		})
-		// Second pass: bare ops.
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch s := n.(type) {
-			case *ast.RangeStmt:
-				// Range-over-channel is terminated by close; skip the X
-				// expression but keep walking the body.
-				if isChanRecv(p, s.X) {
-					ast.Inspect(s.Body, func(m ast.Node) bool { return reportBareOp(p, m, inSelect) })
-					return false
-				}
-			default:
-				return reportBareOp(p, n, inSelect)
-			}
-			return true
-		})
+			reportBareOps(p, n, parked)
+		}
 	}
 }
 
-func reportBareOp(p *Pass, n ast.Node, inSelect map[ast.Node]bool) bool {
-	switch s := n.(type) {
-	case *ast.SendStmt:
-		if !inSelect[s] {
-			p.Reportf(s.Arrow, "blocking send outside select: wrap in a select with a ctx.Done()/shutdown arm (or //sgvet:ignore ctxblock with a proof it cannot block)")
+// reportBareOps flags the channel ops one CFG node evaluates, except
+// parked. Function literals are left to their own CFG.
+func reportBareOps(p *Pass, n, parked ast.Node) {
+	ast.Inspect(n, func(m ast.Node) bool {
+		switch s := m.(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.SendStmt:
+			if s != parked {
+				p.Reportf(s.Arrow, "blocking send outside select: wrap in a select with a ctx.Done()/shutdown arm (or //sgvet:ignore ctxblock with a proof it cannot block)")
+			}
+		case *ast.UnaryExpr:
+			if s.Op == token.ARROW && s != parked && !isEscapeChan(s.X) {
+				p.Reportf(s.OpPos, "blocking receive outside select: wrap in a select with a ctx.Done()/shutdown arm (or //sgvet:ignore ctxblock with a proof it cannot block)")
+			}
 		}
-	case *ast.UnaryExpr:
-		if s.Op == token.ARROW && !inSelect[s] && !isEscapeChan(s.X) {
-			p.Reportf(s.OpPos, "blocking receive outside select: wrap in a select with a ctx.Done()/shutdown arm (or //sgvet:ignore ctxblock with a proof it cannot block)")
-		}
-	}
-	return true
+		return true
+	})
 }
 
-// markCommOps records the channel operations that form a select comm
-// clause: `case ch <- v:`, `case <-ch:`, `case v := <-ch:`.
-func markCommOps(comm ast.Stmt, set map[ast.Node]bool) {
-	set[comm] = true
+// commOp returns the channel operation of a select clause's comm
+// statement: `case ch <- v:`, `case <-ch:`, `case v := <-ch:`.
+func commOp(comm ast.Stmt) ast.Node {
 	switch s := comm.(type) {
 	case *ast.ExprStmt:
-		set[s.X] = true
+		return s.X
 	case *ast.AssignStmt:
-		for _, r := range s.Rhs {
-			set[r] = true
+		if len(s.Rhs) == 1 {
+			return s.Rhs[0]
 		}
 	}
+	return comm
 }
 
 // hasEscapeArm reports whether any arm of the select lets the goroutine
@@ -119,16 +123,7 @@ func hasEscapeArm(sel *ast.SelectStmt) bool {
 		if clause.Comm == nil {
 			return true // default
 		}
-		var recv ast.Expr
-		switch s := clause.Comm.(type) {
-		case *ast.ExprStmt:
-			recv = s.X
-		case *ast.AssignStmt:
-			if len(s.Rhs) == 1 {
-				recv = s.Rhs[0]
-			}
-		}
-		ue, ok := recv.(*ast.UnaryExpr)
+		ue, ok := commOp(clause.Comm).(*ast.UnaryExpr)
 		if !ok || ue.Op != token.ARROW {
 			continue
 		}

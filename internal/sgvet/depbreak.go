@@ -21,7 +21,9 @@ import (
 // functions the slice is handed to (interprocedural breaks). Its advice
 // follows what the instrumenter can do — it patches breaks; a return or
 // a helper's exit needs its ctx.EmitDep() written by hand. Intentional
-// machine-local exits are declared with //sgc:local on the exit.
+// machine-local exits are declared with //sgc:local on the exit. It
+// stays a matcher over that record, not a CFG question: "covered" must
+// mean what the rewriter emits (DESIGN §5.1).
 //
 // Evidence: the invariant is the paper's §4, and the helper break is
 // the failure a per-function pass cannot see — testdata/sgc/udfpkg's

@@ -28,6 +28,9 @@ import (
 //     state/health/status variable → carry the typed enum instead of a
 //     raw string.
 //
+// A matcher: a state compared as a string is wrong wherever it
+// stands, so there is no path to follow.
+//
 // Evidence: internal/server/roster.go's name→enum decoding table, the
 // one place that may compare state names and carries the suppression
 // that says so.

@@ -13,21 +13,22 @@
 //     snapshot/checkpoint/stats code is nondeterministic and breaks the
 //     bit-identical recovery contract.
 //   - commerr — comm/engine taxonomy errors compared with == (pointer
-//     identity — never true for wrapped errors) or discarded; the
-//     recovery loop and CLI exit codes classify with errors.As.
+//     identity — never true for wrapped errors) or discarded unchecked;
+//     the recovery loop and CLI exit codes classify with errors.As.
 //   - ctxblock — channel operations in serving paths without a
 //     ctx.Done()/default escape arm can wedge a handler forever and
 //     defeat graceful drain.
 //   - bufown — a Message.Payload read after Release(), or a buffer
 //     touched after SendBufs handed its ownership to the transport,
-//     races with the slab recycling it for the next superstep. It runs
-//     on the flow-sensitive engine: a per-function CFG (cfg.go), a
-//     generic forward dataflow solver (dataflow.go), and bottom-up
-//     interprocedural summaries cached in the per-package Facts
-//     (summary.go).
+//     races with the slab recycling it for the next superstep.
 //   - fleetstate — fleet health compared via WorkerState.String() or
 //     raw state-name strings instead of the typed enum; a renamed or
 //     added state then fails silently at the branch, not the build.
+//
+// bufown, ctxblock and commerr's drop rule run on one engine: a CFG
+// per function (cfg.go), a forward solver (dataflow.go) and summaries
+// cached in the per-package Facts (summary.go). The rest are matchers,
+// each doc comment saying why.
 //
 // Diagnostics can be suppressed with
 //

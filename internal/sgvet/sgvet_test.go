@@ -313,10 +313,14 @@ func TestCommErrFixture(t *testing.T) {
 
 import (
 	"errors"
+	"time"
+
 	"repro/internal/comm"
+	"repro/internal/core"
 )
 
 var ep comm.Endpoint
+var w *core.Worker
 var errSentinel = errors.New("sentinel")
 
 func classifyByIdentity(err error) bool {
@@ -352,6 +356,62 @@ func handled() error {
 
 func deferred() {
 	defer comm.Barrier(ep, 1)
+}
+
+func genericBare(a []uint32) {
+	core.AllGather[uint32](w, a) // want:commerr
+}
+
+func genericBlank(a []uint32) {
+	_ = core.Gather[uint32](w, a) // want:commerr
+}
+
+func recheckedOnEveryPath(cc *comm.CtrlConn) error {
+	cc.SetDeadline(time.Now())
+	return cc.Send("ping", nil)
+}
+
+func recheckedOnOneBranch(cc *comm.CtrlConn, ok bool) error {
+	cc.SetDeadline(time.Now()) // want:commerr
+	if ok {
+		return cc.Expect("pong", nil)
+	}
+	return nil
+}
+
+func recheckedOnOtherReceiver(cc, other *comm.CtrlConn) error {
+	cc.SetDeadline(time.Now()) // want:commerr
+	return other.Send("ping", nil)
+}
+
+func recheckedNextIteration(cc *comm.CtrlConn, n int) error {
+	for i := 0; i < n; i++ {
+		if err := cc.Send("ping", nil); err != nil {
+			return err
+		}
+		cc.SetDeadline(time.Time{}) // want:commerr
+	}
+	return nil
+}
+
+func neverReturns(cc *comm.CtrlConn) {
+	for {
+		cc.SetDeadline(time.Now()) // want:commerr
+		if err := cc.Send("ping", nil); err != nil {
+			continue
+		}
+	}
+}
+
+type link struct{ cc *comm.CtrlConn }
+
+func fieldReceiver(l link) error {
+	l.cc.SetDeadline(time.Now())
+	var pong struct{}
+	if err := l.cc.Expect("pong", &pong); err != nil {
+		return err
+	}
+	return nil
 }
 `
 	checkFixture(t, src, "", CommErr)
@@ -421,6 +481,35 @@ func (d *daemon) deadlineWait(other chan int) int {
 func (d *daemon) drain() {
 	for range d.queue {
 	}
+}
+
+func (d *daemon) goroutineSend(v int) {
+	go func() {
+		d.queue <- v // want:ctxblock
+	}()
+}
+
+func (d *daemon) nestedInArmBody(ctx context.Context, other chan int) int {
+	select {
+	case v := <-d.queue:
+		return v + <-other // want:ctxblock
+	case <-ctx.Done():
+		return -1
+	}
+}
+
+func (d *daemon) selectInRangeBody(ctx context.Context, in chan int) {
+	for v := range in {
+		select {
+		case d.queue <- v:
+		case <-ctx.Done():
+			return
+		}
+	}
+}
+
+func (d *daemon) parkForever() {
+	select {} // want:ctxblock
 }
 
 func (d *daemon) provedNonBlocking() int {

@@ -30,7 +30,8 @@ import (
 //
 // Iterating a map to build another map, to delete keys, or to fold an
 // order-insensitive reduction (integer sums, max) is fine and not
-// flagged.
+// flagged. A matcher, not an engine client: whether a map range feeds
+// a sink is a property of its body, not of a path through it.
 //
 // Evidence: rule 2 caught the serving pool's GraphNames and
 // ProviderNames returning map order, so /statusz and error messages

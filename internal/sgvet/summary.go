@@ -8,8 +8,8 @@ import (
 )
 
 // Facts is the per-package cache of the flow-sensitive engine: the
-// function-declaration index, memoized CFGs, and the bottom-up
-// interprocedural summaries bufown computes on demand. One Facts value
+// function-declaration index, memoized CFGs (shared by three analyzers),
+// and the bottom-up summaries bufown computes on demand. One Facts value
 // is built per package per Run and handed to every analyzer through
 // the Pass, so a helper's summary is computed once however many call
 // sites reach it.
@@ -75,24 +75,21 @@ func (f *Facts) DeclOf(obj types.Object) *ast.FuncDecl {
 	return f.decls[obj]
 }
 
-// unparen strips parentheses.
-func unparen(e ast.Expr) ast.Expr {
-	for {
-		p, ok := e.(*ast.ParenExpr)
-		if !ok {
-			return e
-		}
-		e = p.X
-	}
-}
-
 // calleeObj resolves the object a call invokes: a plain function for
-// ident calls, the method object for selector calls. Returns nil for
+// ident calls, the method object for selector calls, the generic
+// function for an explicit instantiation (f[T](...)). Returns nil for
 // func-typed values, type conversions resolve to the type object
 // (filtered by the *types.Func assertion).
 func calleeObj(info *types.Info, call *ast.CallExpr) *types.Func {
+	fun := ast.Unparen(call.Fun)
+	switch ix := fun.(type) {
+	case *ast.IndexExpr:
+		fun = ix.X
+	case *ast.IndexListExpr:
+		fun = ix.X
+	}
 	var obj types.Object
-	switch fun := unparen(call.Fun).(type) {
+	switch fun := ast.Unparen(fun).(type) {
 	case *ast.Ident:
 		obj = info.Uses[fun]
 	case *ast.SelectorExpr:
@@ -106,7 +103,7 @@ func calleeObj(info *types.Info, call *ast.CallExpr) *types.Func {
 // receiver first for method calls — the summary convention: parameter
 // #0 of a method summary is the receiver.
 func callArgs(call *ast.CallExpr) []ast.Expr {
-	if sel, ok := unparen(call.Fun).(*ast.SelectorExpr); ok {
+	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 		args := make([]ast.Expr, 0, len(call.Args)+1)
 		args = append(args, sel.X)
 		return append(args, call.Args...)
