@@ -101,10 +101,10 @@ size:
 # surface, options or flags raises the number here, in its own diff, and
 # says why in CHANGES.md; one that shrinks a figure lowers it.
 define SIZE_BUDGET
-non-test Go LOC, repo: 23152
+non-test Go LOC, repo: 23051
 non-test Go LOC, internal/core + internal/comm: 4717
 non-test Go LOC, internal/algorithms: 1192
-non-test Go LOC, internal/server: 4259
+non-test Go LOC, internal/server: 4182
 non-test Go LOC, internal/gluon: 586
 non-test Go LOC, internal/sgvet + internal/loader + cmd/sgvet: 3002
 exported identifiers, internal/core: 152
@@ -112,7 +112,7 @@ exported identifiers, internal/comm: 150
 exported identifiers, internal/bench: 87
 exported identifiers, internal/gluon: 7
 exported identifiers, internal/server: 275
-exported identifiers, internal/mutate: 64
+exported identifiers, internal/mutate: 62
 core.Options fields: 13
 methods, core.Engine: 9
 flags, cmd/sgbench/: 12

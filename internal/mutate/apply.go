@@ -169,21 +169,21 @@ func effective(g *graph.Graph, b Batch) delta {
 // PatchUndirected advances the undirected variant of an unweighted
 // graph across one commit: parentU is graph.Symmetrize(parent), and the
 // result is graph.Symmetrize(child) array for array, built by patching
-// parentU with the symmetric delta (also returned) instead of
-// re-symmetrizing child. When eff changes no undirected pair and adds
-// no vertex the result is parentU itself. The delta goes to
-// graph.Patch as arc lists, so it may hold more than MaxBatchOps arcs:
-// removing one hub vertex touches every pair it is in.
-func PatchUndirected(parentU, parent, child *graph.Graph, eff Batch) (*graph.Graph, Batch, error) {
+// parentU with the symmetric delta instead of re-symmetrizing child.
+// When eff changes no undirected pair and adds no vertex the result is
+// parentU itself. The delta goes to graph.Patch as arc lists, so it may
+// hold more than MaxBatchOps arcs: removing one hub vertex touches
+// every pair it is in.
+func PatchUndirected(parentU, parent, child *graph.Graph, eff Batch) (*graph.Graph, error) {
 	d := symmetricDelta(parent, child, eff)
 	if d.grow == 0 && len(d.removes) == 0 && len(d.upserts) == 0 {
-		return parentU, Batch{}, nil
+		return parentU, nil
 	}
 	g, err := graph.Patch(parentU, child.NumVertices(), d.removes, d.upserts)
 	if err != nil {
-		return nil, Batch{}, fmt.Errorf("mutate: patching the undirected variant: %w", err)
+		return nil, fmt.Errorf("mutate: patching the undirected variant: %w", err)
 	}
-	return g, d.batch(), nil
+	return g, nil
 }
 
 // symmetricDelta derives the canonical delta between the symmetrized

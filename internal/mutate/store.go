@@ -91,18 +91,6 @@ func ChainFingerprint(parentFP string, deltaBytes []byte) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// SerializeGraph writes g's binary form and returns it with its
-// sha256, for full-graph shipping of derived variants (the snapshot's
-// own blob memoization covers the base graph).
-func SerializeGraph(g *graph.Graph) ([]byte, string, error) {
-	var buf bytes.Buffer
-	if err := graph.WriteBinary(&buf, g); err != nil {
-		return nil, "", err
-	}
-	sum := sha256.Sum256(buf.Bytes())
-	return buf.Bytes(), hex.EncodeToString(sum[:]), nil
-}
-
 // RootFingerprint fingerprints a root snapshot's graph content.
 func RootFingerprint(g *graph.Graph) (string, error) {
 	var buf bytes.Buffer
@@ -111,18 +99,6 @@ func RootFingerprint(g *graph.Graph) (string, error) {
 	}
 	sum := sha256.Sum256(buf.Bytes())
 	return hex.EncodeToString(sum[:]), nil
-}
-
-// DeriveFingerprint names a deterministic transformation of a
-// fingerprinted graph (a serving variant: symmetrized, weighted).
-// Chaining off the base fingerprint keeps variant identity O(1)
-// instead of serializing and hashing each materialized variant.
-func DeriveFingerprint(baseFP, transform string) string {
-	h := sha256.New()
-	h.Write([]byte(baseFP))
-	h.Write([]byte("\x00variant\x00"))
-	h.Write([]byte(transform))
-	return hex.EncodeToString(h.Sum(nil))
 }
 
 // Store is the versioned snapshot chain for one served graph. Commits

@@ -139,33 +139,8 @@ func TestCommitAdvancesIdleEngines(t *testing.T) {
 	}
 }
 
-// TestLocalCommitComputesNoDelta: a ship delta exists for remote builds
-// only, so a commit followed by queries on every variant of the local
-// provider — SSSP's synthesized weights among them — computes none.
-func TestLocalCommitComputesNoDelta(t *testing.T) {
-	s := testServer(t, Config{Graphs: map[string]*graph.Graph{"g": testGraph(7, 3)}})
-	t.Cleanup(s.pool.Close)
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	if code, _, body := postMutate(t, ts.URL, MutateRequest{Graph: "g", Mutations: []MutationJSON{addEdge(1, 2), addEdge(3, 4)}}); code != http.StatusOK {
-		t.Fatalf("commit: %d %s", code, body)
-	}
-	for _, algo := range []string{"sssp", "bfs", "kcore"} {
-		if code, _, body := getResponse(t, ts.URL+"/query?graph=g&no_cache=1&algo="+algo); code != http.StatusOK {
-			t.Fatalf("%s: %d %s", algo, code, body)
-		}
-	}
-	ge, _ := s.pool.Entry("g")
-	st := ge.Latest()
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if len(st.deltas) != 0 {
-		t.Fatalf("local queries after a commit computed ship deltas for %d variants", len(st.deltas))
-	}
-}
-
 // TestWeightedVariantSharesDraws: every epoch's synthesized-weights
-// variant is bit for bit graph.RandomWeights(g, 7) over the epoch's
+// variant is bit for bit graph.RandomWeights(g, synthWeightSeed) over the epoch's
 // graph, over a chain whose edge count grows and shrinks, while the
 // epochs share one stream of draws.
 func TestWeightedVariantSharesDraws(t *testing.T) {
@@ -175,12 +150,12 @@ func TestWeightedVariantSharesDraws(t *testing.T) {
 	}
 	check := func(st *epochState) {
 		t.Helper()
-		got, want := st.Graph(variantWeighted), graph.RandomWeights(st.Graph(variantDirected), 7)
+		got, want := st.Graph(variantWeighted), graph.RandomWeights(st.Graph(variantDirected), synthWeightSeed)
 		gotOff, gotSrc, gotW := got.InCSC()
 		wantOff, wantSrc, wantW := want.InCSC()
 		if !mutate.Equal(got, want) || !reflect.DeepEqual(gotOff, wantOff) || !reflect.DeepEqual(gotSrc, wantSrc) ||
 			!bitsEqual(gotW, wantW) || math.Float32bits(got.MaxWeight()) != math.Float32bits(want.MaxWeight()) {
-			t.Fatalf("epoch %d (%d arcs): weighted variant differs from RandomWeights(g, 7)", st.Epoch(), st.Info().edges)
+			t.Fatalf("epoch %d (%d arcs): weighted variant differs from RandomWeights(g, synthWeightSeed)", st.Epoch(), st.Info().edges)
 		}
 	}
 	check(ge.Latest())

@@ -16,7 +16,7 @@ import (
 )
 
 // graphEntry is one served graph's version chain: the snapshot store
-// and the per-epoch derived state (variants, fingerprints, ship deltas).
+// and the per-epoch derived state (canonicalization defaults, variants).
 type graphEntry struct {
 	name  string
 	store *mutate.Store
@@ -31,9 +31,9 @@ type graphEntry struct {
 	weights weightStream // every epoch's synthesized-weights variant draws here
 }
 
-// weightStream is graph.RandomWeights(g, 7)'s draw sequence, kept across
-// epochs: every epoch's synthesized weights are its first |E| draws, one
-// prefix shared and never written again.
+// weightStream is graph.RandomWeights(g, synthWeightSeed)'s draw
+// sequence, kept across epochs: every epoch's synthesized weights are its
+// first |E| draws, one prefix shared and never written again.
 type weightStream struct {
 	mu    sync.Mutex
 	rng   *rand.Rand
@@ -41,7 +41,7 @@ type weightStream struct {
 }
 
 // weigh returns g carrying the stream's first |E| draws, bit for bit
-// graph.RandomWeights(g, 7).
+// graph.RandomWeights(g, synthWeightSeed).
 func (ws *weightStream) weigh(g *graph.Graph) *graph.Graph {
 	ws.mu.Lock()
 	if ws.draws == nil { // sized once, with room for the chain to grow
@@ -54,8 +54,8 @@ func (ws *weightStream) weigh(g *graph.Graph) *graph.Graph {
 }
 
 // epochState is everything derived from one immutable snapshot:
-// canonicalization defaults, lazily built serving variants, their
-// fingerprints, and the per-variant ship payloads (blob or delta).
+// canonicalization defaults and the lazily built serving variants.
+// What ships to workers is the snapshot alone (buildSpec).
 type epochState struct {
 	snap    *mutate.Snapshot
 	info    graphInfo
@@ -63,27 +63,6 @@ type epochState struct {
 
 	mu       sync.Mutex
 	variants map[graphVariant]*graph.Graph
-	blobs    map[graphVariant]*variantBlob  // memoized full serializations
-	deltas   map[graphVariant]*variantDelta // memoized deltas vs parent epoch
-	symDelta *mutate.Batch                  // the undirected variant's, when the commit patched it
-	parent   *epochState                    // nil when the parent epoch aged out
-}
-
-type variantBlob struct {
-	once sync.Once
-	data []byte
-	sha  string
-	err  error
-}
-
-// variantDelta is the canonical delta from the parent epoch's variant
-// graph to this epoch's, for delta shipping, computed at most once and
-// only when a remote build ships it. nil bytes mean "no delta path"
-// (the delta would not beat a full ship).
-type variantDelta struct {
-	once    sync.Once
-	bytes   []byte
-	chained bool // FP == ChainFingerprint(parent FP, bytes), verifiable by the receiver
 }
 
 func newGraphEntry(name string, g *graph.Graph, retention int) (*graphEntry, error) {
@@ -92,13 +71,13 @@ func newGraphEntry(name string, g *graph.Graph, retention int) (*graphEntry, err
 		return nil, fmt.Errorf("server: versioning %s: %w", name, err)
 	}
 	e := &graphEntry{name: name, store: store, states: make(map[uint64]*epochState)}
-	e.weights.rng = rand.New(rand.NewSource(7))
+	e.weights.rng = rand.New(rand.NewSource(synthWeightSeed))
 	e.stateFor(store.Latest())
 	return e, nil
 }
 
 // stateFor returns the cached epochState for a resolved snapshot,
-// creating and linking it to its parent (when retained) on first use.
+// creating it on first use.
 func (e *graphEntry) stateFor(snap *mutate.Snapshot) *epochState {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -118,24 +97,14 @@ func (e *graphEntry) stateFor(snap *mutate.Snapshot) *epochState {
 			epoch:       snap.Epoch(),
 		},
 		variants: map[graphVariant]*graph.Graph{variantDirected: g},
-		blobs:    make(map[graphVariant]*variantBlob),
-		deltas:   make(map[graphVariant]*variantDelta),
-		parent:   e.states[snap.Epoch()-1],
 	}
 	e.states[snap.Epoch()] = st
-	// Prune states the store no longer resolves, and cut parent links
-	// that would pin pruned graphs.
+	// Prune states the store no longer resolves.
 	lo, _ := e.store.Window()
-	for ep, old := range e.states {
+	for ep := range e.states {
 		if ep < lo {
 			delete(e.states, ep)
-			continue
 		}
-		old.mu.Lock() // shipDelta reads the link under the state's own mutex
-		if old.parent != nil && old.parent.snap.Epoch() < lo {
-			old.parent = nil
-		}
-		old.mu.Unlock()
 	}
 	return st
 }
@@ -175,9 +144,6 @@ func (st *epochState) Epoch() uint64 { return st.snap.Epoch() }
 // Info returns the canonicalization defaults for this epoch.
 func (st *epochState) Info() graphInfo { return st.info }
 
-// Fingerprint returns the base chained fingerprint of this epoch.
-func (st *epochState) Fingerprint() string { return st.snap.Fingerprint() }
-
 // Graph materializes (once) and returns the serving variant of this
 // epoch's snapshot.
 func (st *epochState) Graph(v graphVariant) *graph.Graph {
@@ -191,113 +157,29 @@ func (st *epochState) graphLocked(v graphVariant) *graph.Graph {
 		return g
 	}
 	base := st.variants[variantDirected]
-	g := base
-	switch v {
-	case variantUndirected:
-		g = graph.Symmetrize(base)
-	case variantWeighted:
-		if !base.Weighted() {
-			g = st.weights.weigh(base)
-		}
+	var g *graph.Graph
+	if v == variantWeighted && !base.Weighted() {
+		g = st.weights.weigh(base) // deriveVariant's draws, shared across epochs
+	} else {
+		g = deriveVariant(base, v)
 	}
 	st.variants[v] = g
 	return g
 }
 
-// VariantFP names a variant of this epoch: the base chain fingerprint
-// for the directed variant, a derived fingerprint for the rest — O(1)
-// either way, never re-hashing adjacency.
-func (st *epochState) VariantFP(v graphVariant) string {
-	if v == variantDirected {
-		return st.snap.Fingerprint()
-	}
-	return mutate.DeriveFingerprint(st.snap.Fingerprint(), v.String())
-}
-
-// blob memoizes the full serialization of one variant for full-graph
-// shipping. The directed variant reuses the snapshot's own memoized
-// blob.
-func (st *epochState) blob(v graphVariant) ([]byte, string, error) {
-	if v == variantDirected {
-		return st.snap.Blob()
-	}
-	st.mu.Lock()
-	b, ok := st.blobs[v]
-	if !ok {
-		b = &variantBlob{}
-		st.blobs[v] = b
-	}
-	g := st.graphLocked(v)
-	st.mu.Unlock()
-	b.once.Do(func() {
-		b.data, b.sha, b.err = mutate.SerializeGraph(g)
-	})
-	return b.data, b.sha, b.err
-}
-
-// shipDelta returns, computed once, the canonical delta from the parent
-// epoch's variant to this one, or nil when the full blob is cheaper.
-func (st *epochState) shipDelta(v graphVariant) (bytes []byte, chained bool) {
-	st.mu.Lock()
-	d, ok := st.deltas[v]
-	if !ok {
-		d = &variantDelta{}
-		st.deltas[v] = d
-	}
-	parent := st.parent
-	st.mu.Unlock()
-	d.once.Do(func() {
-		if parent != nil {
-			d.bytes, d.chained = st.computeDelta(v, parent)
-		}
-	})
-	return d.bytes, d.chained
-}
-
-func (st *epochState) computeDelta(v graphVariant, parent *epochState) ([]byte, bool) {
-	if v == variantDirected {
-		// The committed batch is exactly the delta the base chain
-		// fingerprint hashed, so the receiver can verify
-		// ChainFingerprint(parentFP, bytes) == FP.
-		b := st.snap.Delta()
-		if len(b.Ops) == 0 {
-			return nil, false
-		}
-		return b.Encode(), true
-	}
-	st.mu.Lock()
-	diff := st.symDelta
-	st.mu.Unlock()
-	if diff == nil || v != variantUndirected {
-		// Diff what the commit does not patch: the undirected variant of
-		// a weighted base, and a weighted base itself.
-		d, err := mutate.Diff(parent.Graph(v), st.Graph(v))
-		if err != nil {
-			return nil, false
-		}
-		diff = &d
-	}
-	// A delta near the graph's own edge count ships more bytes than
-	// the blob (13 B/op vs ~8 B/edge serialized); fall back to full.
-	if len(diff.Ops) > mutate.MaxBatchOps || int64(len(diff.Ops)) > st.info.edges/2 {
-		return nil, false
-	}
-	return diff.Encode(), false
-}
-
 // install memoizes a variant the commit path derived from the parent
-// epoch's, and the canonical delta between the two for shipping.
-func (st *epochState) install(v graphVariant, g *graph.Graph, delta mutate.Batch) {
+// epoch's.
+func (st *epochState) install(v graphVariant, g *graph.Graph) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	st.variants[v] = g
-	st.symDelta = &delta
 }
 
 // buildSpec assembles the provider handoff for one (epoch, variant)
-// slot build: the graph, its fingerprint, the lazy blob and, while the
-// parent is retained, the lazy delta — but not for synthesized weights,
-// which are positional and churn wholesale on any topology change.
+// slot build: the variant graph for in-process engines, and for workers
+// the epoch's directed snapshot alone — its blob, or the committed batch
+// against the parent fingerprint, which the worker verifies with
+// ChainFingerprint and derives the variant from itself.
 func (st *epochState) buildSpec(name string, v graphVariant, mode core.Mode, slotID int) BuildSpec {
 	spec := BuildSpec{
 		GraphName: name,
@@ -306,15 +188,12 @@ func (st *epochState) buildSpec(name string, v graphVariant, mode core.Mode, slo
 		Mode:      mode,
 		SlotID:    slotID,
 		Epoch:     st.Epoch(),
-		FP:        st.VariantFP(v),
-		Blob:      func() ([]byte, string, error) { return st.blob(v) },
+		FP:        st.snap.Fingerprint(),
+		Blob:      st.snap.Blob,
+		ParentFP:  st.snap.ParentFingerprint(),
 	}
-	st.mu.Lock()
-	parent := st.parent
-	st.mu.Unlock()
-	if parent != nil && (v != variantWeighted || st.info.weighted) {
-		spec.ParentFP = parent.VariantFP(v)
-		spec.Delta = func() ([]byte, bool) { return st.shipDelta(v) }
+	if spec.ParentFP != "" {
+		spec.Delta = func() []byte { return st.snap.Delta().Encode() }
 	}
 	return spec
 }
@@ -367,10 +246,10 @@ func advanceUndirected(parent, st *epochState, eff mutate.Batch) {
 		st.Graph(variantUndirected)
 		return
 	}
-	g, symDelta, err := mutate.PatchUndirected(parent.Graph(variantUndirected),
+	g, err := mutate.PatchUndirected(parent.Graph(variantUndirected),
 		parent.Graph(variantDirected), st.Graph(variantDirected), eff)
 	if err == nil {
-		st.install(variantUndirected, g, symDelta)
+		st.install(variantUndirected, g)
 	}
 }
 

@@ -18,8 +18,26 @@ type graphVariant int
 const (
 	variantDirected   graphVariant = iota // the graph as loaded
 	variantUndirected                     // Symmetrize(g), for mis/kcore/kmeans
-	variantWeighted                       // RandomWeights(g, 7) when unweighted, for sssp
+	variantWeighted                       // RandomWeights(g, synthWeightSeed) when unweighted, for sssp
 )
+
+// synthWeightSeed seeds the weights SSSP runs on when the served graph
+// carries none.
+const synthWeightSeed = 7
+
+// deriveVariant is the one derivation of a serving variant from its
+// directed base: the front-end's epochs memoize it (the commit-time
+// undirected patch and the weight stream reproduce it bit for bit), and
+// an sgworker runs it on the base the front-end shipped.
+func deriveVariant(base *graph.Graph, v graphVariant) *graph.Graph {
+	switch {
+	case v == variantUndirected:
+		return graph.Symmetrize(base)
+	case v == variantWeighted && !base.Weighted():
+		return graph.RandomWeights(base, synthWeightSeed)
+	}
+	return base
+}
 
 func (v graphVariant) String() string {
 	switch v {

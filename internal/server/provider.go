@@ -40,7 +40,7 @@ type Engine interface {
 // reading spec.Graph are epoch-pinned for free.
 type BuildSpec struct {
 	// GraphName is the serving name; Graph the (variant-derived) graph
-	// the engine must load.
+	// an in-process engine loads.
 	GraphName string
 	Variant   graphVariant
 	Graph     *graph.Graph
@@ -50,19 +50,19 @@ type BuildSpec struct {
 	// diagnostics.
 	SlotID int
 
-	// Epoch identifies the graph version; FP names this (epoch,
-	// variant) for worker-side caching.
+	// Epoch identifies the graph version; FP is its directed snapshot's
+	// chained fingerprint. One graph per epoch ships: a worker derives
+	// Variant from that snapshot itself.
 	Epoch uint64
 	FP    string
-	// Blob lazily serializes Graph (memoized per epoch/variant) for
+	// Blob lazily serializes the directed snapshot (memoized on it) for
 	// full-graph shipping; delta shipping never calls it.
 	Blob func() ([]byte, string, error)
-	// ParentFP and Delta, when set, offer the cheap ship path: a worker
-	// holding ParentFP applies the canonical delta, which Delta computes
-	// lazily like Blob (nil: the blob is cheaper). chained marks a delta
-	// the worker verifies: FP == ChainFingerprint(ParentFP, bytes).
+	// ParentFP and Delta, set past the root epoch, offer the cheap ship
+	// path: a worker holding ParentFP applies the committed batch Delta
+	// encodes, after checking FP == ChainFingerprint(ParentFP, bytes).
 	ParentFP string
-	Delta    func() (bytes []byte, chained bool)
+	Delta    func() []byte
 }
 
 // EngineProvider builds warm engines for the pool. The provider owns

@@ -27,10 +27,11 @@ import (
 //
 //	front-end → worker   build {graph, variant, fp, parent_fp, epoch, node, nodes, opts}
 //	worker → front-end   build-reject {reason}  (worker at slot capacity)
-//	worker → front-end   graph-state {have, have_parent, offset, epoch}
-//	front-end → worker   delta {size, sha, chained} + chunked batch  (when
-//	                     the worker holds parent_fp; it applies the
-//	                     canonical mutation batch locally)
+//	worker → front-end   graph-state {have, have_parent, offset}
+//	front-end → worker   delta {size, sha} + chunked batch  (when the
+//	                     worker holds parent_fp; it checks
+//	                     ChainFingerprint(parent_fp, batch) == fp and
+//	                     applies the committed batch locally)
 //	front-end → worker   graph {size, chunk, sha} + chunked blob  (when the
 //	                     worker lacks both fp and parent; resumes from offset)
 //	worker → front-end   ready {data_addr}
@@ -39,7 +40,10 @@ import (
 //	…per query…          run {Request} / done {error}
 //	front-end → worker   close               (slot teardown)
 //
-// Graphs ship in fixed-size CRC-checked chunks (comm.SendBlobChunked);
+// One graph ships per epoch: fp and parent_fp name the epoch's directed
+// snapshot, whatever the variant, and the worker derives the variant the
+// slot runs on (deriveVariant) from the base it caches. Graphs ship in
+// fixed-size CRC-checked chunks (comm.SendBlobChunked);
 // the worker retains the acknowledged prefix across a disconnect, and
 // graph-state's offset lets the next transfer resume where the last one
 // died instead of starting over.
@@ -82,15 +86,15 @@ type wireOptions struct {
 }
 
 type buildMsg struct {
-	Graph   string `json:"graph"`
-	Variant string `json:"variant"`
-	// FP names the (epoch, variant) graph version; ParentFP the same
-	// variant at the parent epoch, offered so the worker can answer
-	// whether a delta ship suffices. Epoch is the version number, for
-	// worker-side bookkeeping and chaos assertions.
+	Graph   string       `json:"graph"`
+	Variant graphVariant `json:"variant"`
+	// FP names the epoch's directed snapshot; ParentFP the parent
+	// epoch's, offered so the worker can answer whether a delta ship
+	// suffices. Epoch is the version number, which orders the worker's
+	// cache eviction.
 	FP       string      `json:"fp"`
 	ParentFP string      `json:"parent_fp,omitempty"`
-	Epoch    uint64      `json:"epoch,omitempty"`
+	Epoch    uint64      `json:"epoch"`
 	Node     int         `json:"node"`
 	Nodes    int         `json:"nodes"`
 	Opts     wireOptions `json:"opts"`
@@ -103,15 +107,12 @@ type rejectMsg struct {
 
 type graphStateMsg struct {
 	Have bool `json:"have"`
-	// HaveParent reports the worker holds the parent-epoch variant, so
-	// the sender may ship the canonical delta instead of the blob.
+	// HaveParent reports the worker holds the parent epoch, so the
+	// sender may ship the committed batch instead of the blob.
 	HaveParent bool `json:"have_parent,omitempty"`
 	// Offset is how many bytes of a previously interrupted transfer of
 	// this fingerprint the worker retained; the sender resumes there.
 	Offset int `json:"offset,omitempty"`
-	// Epoch is the newest epoch the worker has seen for this
-	// graph/variant, for observability.
-	Epoch uint64 `json:"epoch,omitempty"`
 }
 
 // graphMsg announces a chunked full-graph transfer.
@@ -122,18 +123,19 @@ type graphMsg struct {
 }
 
 // deltaMsg announces a chunked delta transfer: the worker applies the
-// canonical batch to the parent-epoch graph it already holds instead
-// of receiving the whole adjacency. Chained deltas additionally prove
-// the result: FP == ChainFingerprint(ParentFP, bytes).
+// committed batch to the parent epoch it already holds instead of
+// receiving the whole adjacency, after checking the result's lineage:
+// FP == ChainFingerprint(ParentFP, bytes).
 type deltaMsg struct {
-	Size    int    `json:"size"`
-	SHA     string `json:"sha"` // sha256 of the delta bytes
-	Chained bool   `json:"chained,omitempty"`
+	Size int    `json:"size"`
+	SHA  string `json:"sha"` // sha256 of the delta bytes
 }
 
-// preloadMsg asks a rejoining worker to warm one graph fingerprint
+// preloadMsg asks a rejoining worker to warm one graph's newest epoch
 // ahead of slot builds.
 type preloadMsg struct {
+	Graph    string `json:"graph"`
+	Epoch    uint64 `json:"epoch"`
 	FP       string `json:"fp"`
 	ParentFP string `json:"parent_fp,omitempty"`
 }
@@ -186,9 +188,9 @@ type RemoteProvider struct {
 	cfg    RemoteProviderConfig
 	roster *rosterManager
 
-	// newest is the latest-epoch spec Build was handed per graph/variant:
-	// what the rejoin hook preloads. The payloads are memoized once, on
-	// the epoch (epochState.blob, shipDelta); a spec only points at them.
+	// newest is the latest-epoch spec Build was handed per graph: what
+	// the rejoin hook preloads. The blob is memoized once, on the
+	// snapshot; a spec only points at it.
 	mu     sync.Mutex
 	newest map[string]BuildSpec
 
@@ -240,18 +242,17 @@ func (p *RemoteProvider) Fleet() FleetStatus { return p.roster.Fleet() }
 func (p *RemoteProvider) DeltaShips() int64 { return p.deltaShips.Load() }
 
 // remember keeps spec as what a rejoining worker is preloaded with for
-// its graph/variant, unless a newer epoch's is already held.
+// its graph, unless a newer epoch's is already held.
 func (p *RemoteProvider) remember(spec BuildSpec) {
-	k := spec.GraphName + "/" + spec.Variant.String()
 	p.mu.Lock()
-	if cur, ok := p.newest[k]; !ok || spec.Epoch >= cur.Epoch {
-		p.newest[k] = spec
+	if cur, ok := p.newest[spec.GraphName]; !ok || spec.Epoch >= cur.Epoch {
+		p.newest[spec.GraphName] = spec
 	}
 	p.mu.Unlock()
 }
 
-// newestSpecs snapshots the remembered specs in graph/variant order, so
-// rejoin transfers are ordered deterministically.
+// newestSpecs snapshots the remembered specs in graph order, so rejoin
+// transfers are ordered deterministically.
 func (p *RemoteProvider) newestSpecs() []BuildSpec {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -267,8 +268,8 @@ func (p *RemoteProvider) newestSpecs() []BuildSpec {
 	return out
 }
 
-// preload is the roster's rejoin hook: ship the newest version of every
-// graph/variant slots were built for to a worker coming back from dead,
+// preload is the roster's rejoin hook: ship the newest epoch of every
+// graph slots were built for to a worker coming back from dead,
 // so its re-admission never stalls a slot build on a cold transfer.
 // Superseded epochs are not re-shipped — no build will ask for them. A
 // worker that retained the parent epoch gets only the delta; interrupted
@@ -286,7 +287,8 @@ func (p *RemoteProvider) preload(addr string) error {
 	//sgvet:ignore commerr deadline-arm failure means the conn is already dead; the preload traffic below reports the real error
 	cc.SetDeadline(time.Now().Add(defaultBuildTimeout))
 	for _, spec := range specs {
-		if err := p.shipGraph(cc, "preload", preloadMsg{FP: spec.FP, ParentFP: spec.ParentFP}, spec); err != nil {
+		msg := preloadMsg{Graph: spec.GraphName, Epoch: spec.Epoch, FP: spec.FP, ParentFP: spec.ParentFP}
+		if err := p.shipGraph(cc, "preload", msg, spec); err != nil {
 			return fmt.Errorf("preloading %s: %w", addr, err)
 		}
 		var up upMsg
@@ -303,8 +305,8 @@ func (p *RemoteProvider) preload(addr string) error {
 // shipGraph is the front-end's half of the one graph negotiation, shared
 // by preloading and slot builds: announce, read the worker's graph-state
 // (the fingerprint itself, the parent epoch, a retained partial offset)
-// and ship the cheapest sufficient payload — nothing, the canonical
-// delta, or the full blob's missing suffix. A build-reject in place of
+// and ship the cheapest sufficient payload — nothing, the committed
+// batch, or the full blob's missing suffix. A build-reject in place of
 // the state is a *rejectedError.
 func (p *RemoteProvider) shipGraph(cc *comm.CtrlConn, announce string, msg any, spec BuildSpec) error {
 	if err := cc.Send(announce, msg); err != nil {
@@ -318,8 +320,7 @@ func (p *RemoteProvider) shipGraph(cc *comm.CtrlConn, announce string, msg any, 
 	switch env.Type {
 	case "build-reject":
 		var rej rejectMsg
-		//sgvet:ignore commerr a malformed reject body still rejects; the reason is advisory
-		json.Unmarshal(env.Body, &rej)
+		json.Unmarshal(env.Body, &rej) // a malformed reject body still rejects; the reason is advisory
 		return &rejectedError{reason: rej.Reason}
 	case "graph-state":
 		if err := json.Unmarshal(env.Body, &gs); err != nil {
@@ -332,17 +333,16 @@ func (p *RemoteProvider) shipGraph(cc *comm.CtrlConn, announce string, msg any, 
 		return nil
 	}
 	if gs.HaveParent && spec.Delta != nil {
-		if delta, chained := spec.Delta(); len(delta) > 0 {
-			sum := sha256.Sum256(delta)
-			if err := cc.Send("delta", deltaMsg{Size: len(delta), SHA: hex.EncodeToString(sum[:]), Chained: chained}); err != nil {
-				return err
-			}
-			if err := cc.SendBlobChunked(delta, 0, comm.DefaultChunkBytes); err != nil {
-				return err
-			}
-			p.deltaShips.Add(1)
-			return nil
+		delta := spec.Delta()
+		sum := sha256.Sum256(delta)
+		if err := cc.Send("delta", deltaMsg{Size: len(delta), SHA: hex.EncodeToString(sum[:])}); err != nil {
+			return err
 		}
+		if err := cc.SendBlobChunked(delta, 0, comm.DefaultChunkBytes); err != nil {
+			return err
+		}
+		p.deltaShips.Add(1)
+		return nil
 	}
 	blob, sha, err := spec.Blob()
 	if err != nil {
@@ -462,7 +462,7 @@ func (p *RemoteProvider) buildAttempt(spec BuildSpec, targets []string) (eng Eng
 	addrs := make([]string, n)
 	for i, l := range links {
 		node := i + 1
-		msg := buildMsg{Graph: spec.GraphName, Variant: spec.Variant.String(),
+		msg := buildMsg{Graph: spec.GraphName, Variant: spec.Variant,
 			FP: spec.FP, ParentFP: spec.ParentFP, Epoch: spec.Epoch,
 			Node: node, Nodes: n, Opts: wire}
 		if err := p.shipGraph(l.cc, "build", msg, spec); err != nil {

@@ -10,6 +10,10 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/comm"
+	"repro/internal/graph"
+	"repro/internal/mutate"
 )
 
 // startWorkers launches n in-process worker daemons and returns their
@@ -139,6 +143,131 @@ func TestWorkerLossMidQueryRebuildsSlot(t *testing.T) {
 	}
 	if !reflect.DeepEqual(r.Result, local.Result) {
 		t.Fatalf("post-kill results diverged: remote %+v local %+v", r.Result, local.Result)
+	}
+}
+
+// TestRemoteVariantsArriveByDelta: one graph ships per epoch. After
+// each commit the first remote ring — bfs, kcore or sssp in turn —
+// reaches every worker as the committed batch against the parent the
+// worker holds, applied once per epoch; the other two variants' rings
+// derive from that base and ship nothing. Every answer equals the
+// local provider's.
+func TestRemoteVariantsArriveByDelta(t *testing.T) {
+	daemons, addrs := startWorkers(t, 2)
+	s := testServer(t, Config{Graphs: map[string]*graph.Graph{"g": testGraph(7, 3)}, Workers: addrs})
+	t.Cleanup(s.pool.Close)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	prov := s.pool.providers["remote"].(*RemoteProvider)
+
+	serve := func(stage, algo string) {
+		t.Helper()
+		base := ts.URL + "/query?graph=g&no_cache=1&algo=" + algo
+		code, remote, body := getResponse(t, base+"&provider=remote")
+		if code != http.StatusOK || remote.Degraded {
+			t.Fatalf("%s remote %s: %d degraded=%v %s", stage, algo, code, remote.Degraded, body)
+		}
+		_, local, _ := getResponse(t, base+"&provider=local")
+		if remote.Epoch != local.Epoch || !reflect.DeepEqual(remote.Result, local.Result) {
+			t.Fatalf("%s %s: remote %+v@%d local %+v@%d", stage, algo, remote.Result, remote.Epoch, local.Result, local.Epoch)
+		}
+	}
+	applied := func() (n int64) {
+		for _, d := range daemons {
+			n += d.DeltasApplied()
+		}
+		return n
+	}
+	algos := []string{"bfs", "kcore", "sssp"}
+	for _, algo := range algos {
+		serve("epoch 1", algo)
+	}
+	for c, first := range algos {
+		if code, _, body := postMutate(t, ts.URL, MutateRequest{Graph: "g", Mutations: []MutationJSON{addEdge(c+1, 100+c), addEdge(100+c, 0)}}); code != http.StatusOK {
+			t.Fatalf("commit %d: %d %s", c, code, body)
+		}
+		stage := fmt.Sprintf("epoch %d", c+2)
+		ships, apps := prov.DeltaShips(), applied()
+		serve(stage, first)
+		if got := prov.DeltaShips() - ships; got != int64(len(daemons)) {
+			t.Fatalf("%s: the %s ring shipped %d deltas, want one per worker (%d)", stage, first, got, len(daemons))
+		}
+		if got := applied() - apps; got != int64(len(daemons)) {
+			t.Fatalf("%s: the %s ring applied %d deltas, want one per worker (%d)", stage, first, got, len(daemons))
+		}
+		for _, algo := range algos {
+			serve(stage, algo)
+		}
+		if prov.DeltaShips()-ships != int64(len(daemons)) || applied()-apps != int64(len(daemons)) {
+			t.Fatalf("%s: the other variants shipped again: %d ships, %d applications",
+				stage, prov.DeltaShips()-ships, applied()-apps)
+		}
+		for i, d := range daemons {
+			if got := d.GraphsCached(); got != c+2 {
+				t.Fatalf("%s: worker %d holds %d base graphs, want one per epoch (%d)", stage, i, got, c+2)
+			}
+		}
+	}
+}
+
+// TestWorkerCacheKeepsRetentionEpochs: a worker serving a graph across
+// more commits than mutate.DefaultRetention holds only the newest
+// DefaultRetention epochs' bases, and a query pinned to an epoch it
+// evicted (still retained by a front-end with a longer window) gets
+// that epoch shipped again.
+func TestWorkerCacheKeepsRetentionEpochs(t *testing.T) {
+	const commits = mutate.DefaultRetention + 3
+	daemons, addrs := startWorkers(t, 2)
+	s := testServer(t, Config{Graphs: map[string]*graph.Graph{"g": testGraph(7, 3)}, Workers: addrs, Retention: commits + 1})
+	t.Cleanup(s.pool.Close)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	serve := func(stage, query string) {
+		t.Helper()
+		base := ts.URL + "/query?graph=g&algo=bfs&no_cache=1" + query
+		code, remote, body := getResponse(t, base+"&provider=remote")
+		if code != http.StatusOK || remote.Degraded {
+			t.Fatalf("%s remote: %d degraded=%v %s", stage, code, remote.Degraded, body)
+		}
+		_, local, _ := getResponse(t, base+"&provider=local")
+		if remote.Epoch != local.Epoch || !reflect.DeepEqual(remote.Result, local.Result) {
+			t.Fatalf("%s: remote %+v@%d local %+v@%d", stage, remote.Result, remote.Epoch, local.Result, local.Epoch)
+		}
+		for i, d := range daemons {
+			if got := d.GraphsCached(); got > mutate.DefaultRetention {
+				t.Fatalf("%s: worker %d holds %d base graphs, want at most %d", stage, i, got, mutate.DefaultRetention)
+			}
+		}
+	}
+	serve("epoch 1", "")
+	for c := 0; c < commits; c++ {
+		if code, _, body := postMutate(t, ts.URL, MutateRequest{Graph: "g", Mutations: []MutationJSON{addEdge(c+1, 100+c)}}); code != http.StatusOK {
+			t.Fatalf("commit %d: %d %s", c, code, body)
+		}
+		serve(fmt.Sprintf("epoch %d", c+2), "")
+	}
+	serve("pinned to evicted epoch 2", "&epoch=2")
+}
+
+// TestWorkerRefusesUnknownVariant: the worker derives the variant a
+// build names, so a build naming none it knows is dropped before any
+// graph negotiation rather than served on the wrong graph.
+func TestWorkerRefusesUnknownVariant(t *testing.T) {
+	daemons, addrs := startWorkers(t, 1)
+	cc, err := comm.DialCtrl(addrs[0], time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cc.Close()
+	if err := cc.Send("build", buildMsg{Graph: "g", Variant: variantWeighted + 1, FP: "f", Epoch: 1, Node: 1, Nodes: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if env, err := cc.Recv(); err == nil {
+		t.Fatalf("worker answered %q to a build naming an unknown variant", env.Type)
+	}
+	if daemons[0].SlotsBuilt() != 0 || daemons[0].GraphsCached() != 0 {
+		t.Fatal("worker built a slot for an unknown variant")
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -40,8 +41,9 @@ type WorkerConfig struct {
 // WorkerDaemon is the sgworker runtime: it accepts control connections
 // from a serving front-end. A connection starts in a lightweight
 // request loop — health pings and graph preloads — and becomes one
-// engine slot when a build arrives: graph (shipped chunked once per
-// fingerprint and cached, with interrupted transfers resumed),
+// engine slot when a build arrives: graph (each epoch's directed
+// snapshot shipped once, as a blob or a chained delta, and cached with
+// the variants derived from it; interrupted transfers resume),
 // data-plane endpoint, distributed engine — then answers run requests
 // in lockstep with node 0. One connection is one slot; the front-end's
 // RemoteProvider holds one per pooled remote engine.
@@ -55,9 +57,8 @@ type WorkerDaemon struct {
 	wg     sync.WaitGroup
 
 	graphMu sync.Mutex
-	graphs  map[string]*graph.Graph // fingerprint → deserialized graph
-	partial map[string][]byte       // fingerprint → acked prefix of an interrupted transfer
-	epochs  map[string]uint64       // "graph/variant" → newest epoch seen
+	bases   map[string]*baseGraph // snapshot fingerprint → cached epoch
+	partial map[string][]byte     // fingerprint → acked prefix of an interrupted transfer
 
 	slotsActive   atomic.Int64
 	slotsBuilt    atomic.Int64
@@ -67,6 +68,30 @@ type WorkerDaemon struct {
 	pings         atomic.Int64
 	preloads      atomic.Int64
 	deltasApplied atomic.Int64
+}
+
+// baseGraph is one cached epoch of a served graph: the directed
+// snapshot the front-end shipped, and the serving variants derived from
+// it on first use.
+type baseGraph struct {
+	name  string
+	epoch uint64
+	g     *graph.Graph // the directed snapshot
+
+	mu      sync.Mutex
+	derived map[graphVariant]*graph.Graph
+}
+
+// variant returns (deriving once) variant v of the base.
+func (b *baseGraph) variant(v graphVariant) *graph.Graph {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	g, ok := b.derived[v]
+	if !ok {
+		g = deriveVariant(b.g, v)
+		b.derived[v] = g
+	}
+	return g
 }
 
 // workerConn is one control connection and the slot state hanging off
@@ -110,9 +135,8 @@ func StartWorkerDaemon(cfg WorkerConfig) (*WorkerDaemon, error) {
 		cfg:     cfg,
 		ln:      ln,
 		conns:   make(map[*workerConn]struct{}),
-		graphs:  make(map[string]*graph.Graph),
+		bases:   make(map[string]*baseGraph),
 		partial: make(map[string][]byte),
-		epochs:  make(map[string]uint64),
 	}
 	if cfg.Registry != nil {
 		cfg.Registry.RegisterInt("worker.slots_active", d.slotsActive.Load)
@@ -123,11 +147,7 @@ func StartWorkerDaemon(cfg WorkerConfig) (*WorkerDaemon, error) {
 		cfg.Registry.RegisterInt("worker.pings", d.pings.Load)
 		cfg.Registry.RegisterInt("worker.preloads", d.preloads.Load)
 		cfg.Registry.RegisterInt("worker.deltas_applied", d.deltasApplied.Load)
-		cfg.Registry.RegisterInt("worker.graphs_cached", func() int64 {
-			d.graphMu.Lock()
-			defer d.graphMu.Unlock()
-			return int64(len(d.graphs))
-		})
+		cfg.Registry.RegisterInt("worker.graphs_cached", func() int64 { return int64(d.GraphsCached()) })
 	}
 	d.wg.Add(1)
 	go d.acceptLoop()
@@ -144,16 +164,16 @@ func (d *WorkerDaemon) RunsStarted() int64 { return d.runsStarted.Load() }
 // SlotsBuilt counts engine slots successfully negotiated.
 func (d *WorkerDaemon) SlotsBuilt() int64 { return d.slotsBuilt.Load() }
 
-// DeltasApplied counts graph versions materialized from a delta frame
-// instead of a full blob; test harnesses assert the cheap path ran.
+// DeltasApplied counts epochs materialized from a delta frame instead
+// of a full blob; test harnesses assert the cheap path ran.
 func (d *WorkerDaemon) DeltasApplied() int64 { return d.deltasApplied.Load() }
 
-// GraphsCached counts distinct graph fingerprints held in memory; test
+// GraphsCached counts the base graphs (epochs) held in memory; test
 // harnesses poll it to observe a preload landing.
 func (d *WorkerDaemon) GraphsCached() int {
 	d.graphMu.Lock()
 	defer d.graphMu.Unlock()
-	return len(d.graphs)
+	return len(d.bases)
 }
 
 // Close stops accepting, severs every control connection and data
@@ -200,19 +220,36 @@ func (d *WorkerDaemon) acceptLoop() {
 	}
 }
 
-// graphFor returns the cached graph for a fingerprint.
-func (d *WorkerDaemon) graphFor(fp string) (*graph.Graph, bool) {
+// baseFor returns the cached epoch for a snapshot fingerprint, nil when
+// none is held.
+func (d *WorkerDaemon) baseFor(fp string) *baseGraph {
 	d.graphMu.Lock()
 	defer d.graphMu.Unlock()
-	g, ok := d.graphs[fp]
-	return g, ok
+	return d.bases[fp]
 }
 
-func (d *WorkerDaemon) storeGraph(fp string, g *graph.Graph) {
+// storeBase caches a received epoch under its snapshot fingerprint,
+// keeping only the newest mutate.DefaultRetention epochs of its graph:
+// an older one a pinned query needs is shipped again.
+func (d *WorkerDaemon) storeBase(ref graphRef, g *graph.Graph) *baseGraph {
+	b := &baseGraph{name: ref.name, epoch: ref.epoch, g: g, derived: make(map[graphVariant]*graph.Graph)}
 	d.graphMu.Lock()
-	d.graphs[fp] = g
-	delete(d.partial, fp)
-	d.graphMu.Unlock()
+	defer d.graphMu.Unlock()
+	d.bases[ref.fp] = b
+	delete(d.partial, ref.fp)
+	var held []string
+	for f, c := range d.bases {
+		if c.name == ref.name {
+			held = append(held, f)
+		}
+	}
+	if len(held) > mutate.DefaultRetention {
+		sort.Slice(held, func(i, j int) bool { return d.bases[held[i]].epoch > d.bases[held[j]].epoch })
+		for _, f := range held[mutate.DefaultRetention:] {
+			delete(d.bases, f)
+		}
+	}
+	return b
 }
 
 // takePartial claims the retained prefix of an interrupted transfer of
@@ -259,53 +296,48 @@ func (d *WorkerDaemon) tryAcquireSlot() bool {
 	}
 }
 
-// noteEpoch records the newest epoch seen for a graph/variant and
-// returns what was recorded before — the graph-state reply reports the
-// prior high-water mark.
-func (d *WorkerDaemon) noteEpoch(graphName, variant string, epoch uint64) uint64 {
-	key := graphName + "/" + variant
-	d.graphMu.Lock()
-	defer d.graphMu.Unlock()
-	prev := d.epochs[key]
-	if epoch > prev {
-		d.epochs[key] = epoch
-	}
-	return prev
+// graphRef names one epoch of a served graph: its snapshot fingerprint
+// and its parent's, as a build or preload announces them.
+type graphRef struct {
+	name     string
+	epoch    uint64
+	fp       string
+	parentFP string
 }
 
-// recvGraphPayload receives one graph version announced by a build or
-// preload the worker lacks: either a delta frame (the canonical
-// mutation batch, applied to the cached parent-epoch graph) or a
-// chunked full blob, caching the result under fp.
-func (d *WorkerDaemon) recvGraphPayload(cc *comm.CtrlConn, fp, parentFP string, buf []byte) (*graph.Graph, error) {
+// recvGraphPayload receives one epoch announced by a build or preload
+// the worker lacks: either a delta frame (the committed batch, applied
+// to the cached parent epoch) or a chunked full blob, caching the
+// result under ref.fp.
+func (d *WorkerDaemon) recvGraphPayload(cc *comm.CtrlConn, ref graphRef, parent *baseGraph, buf []byte) (*baseGraph, error) {
 	env, err := cc.Recv()
 	if err != nil {
-		d.stashPartial(fp, buf)
+		d.stashPartial(ref.fp, buf)
 		return nil, err
 	}
 	switch env.Type {
 	case "graph":
 		var gm graphMsg
 		if err := json.Unmarshal(env.Body, &gm); err != nil {
-			d.stashPartial(fp, buf)
+			d.stashPartial(ref.fp, buf)
 			return nil, err
 		}
-		return d.recvGraphChunked(cc, fp, gm, buf)
+		return d.recvGraphChunked(cc, ref, gm, buf)
 	case "delta":
 		var dm deltaMsg
 		if err := json.Unmarshal(env.Body, &dm); err != nil {
 			return nil, err
 		}
-		return d.recvDelta(cc, fp, parentFP, dm)
+		return d.recvDelta(cc, ref, parent, dm)
 	default:
 		return nil, fmt.Errorf("unexpected control message %q announcing graph payload", env.Type)
 	}
 }
 
 // recvGraphChunked receives one chunked full-graph transfer, resuming
-// from (and on failure re-stashing) the retained prefix for fp, and
+// from (and on failure re-stashing) the retained prefix for ref.fp, and
 // verifies the content hash before caching.
-func (d *WorkerDaemon) recvGraphChunked(cc *comm.CtrlConn, fp string, gm graphMsg, buf []byte) (*graph.Graph, error) {
+func (d *WorkerDaemon) recvGraphChunked(cc *comm.CtrlConn, ref graphRef, gm graphMsg, buf []byte) (*baseGraph, error) {
 	if gm.Size <= 0 || len(buf) > gm.Size {
 		buf = nil
 	}
@@ -313,7 +345,7 @@ func (d *WorkerDaemon) recvGraphChunked(cc *comm.CtrlConn, fp string, gm graphMs
 	if err != nil {
 		// Keep the acknowledged prefix: the next transfer of this
 		// fingerprint resumes here instead of starting over.
-		d.stashPartial(fp, blob)
+		d.stashPartial(ref.fp, blob)
 		return nil, err
 	}
 	sum := sha256.Sum256(blob)
@@ -324,19 +356,16 @@ func (d *WorkerDaemon) recvGraphChunked(cc *comm.CtrlConn, fp string, gm graphMs
 	if err != nil {
 		return nil, fmt.Errorf("bad graph blob: %w", err)
 	}
-	d.storeGraph(fp, g)
-	return g, nil
+	return d.storeBase(ref, g), nil
 }
 
-// recvDelta materializes fp by applying a shipped mutation batch to the
-// cached parent-epoch graph. Integrity is the delta hash; chained
-// deltas additionally prove lineage: the sender's fingerprint must
-// equal ChainFingerprint(parentFP, bytes), so a torn or misdirected
-// batch cannot silently produce a wrong graph.
-func (d *WorkerDaemon) recvDelta(cc *comm.CtrlConn, fp, parentFP string, dm deltaMsg) (*graph.Graph, error) {
-	parent, ok := d.graphFor(parentFP)
-	if !ok {
-		return nil, fmt.Errorf("delta announced but parent fp %.12s not cached", parentFP)
+// recvDelta materializes ref.fp by applying a shipped batch to the
+// cached parent epoch. Integrity is the delta hash, lineage the chain:
+// ref.fp must equal ChainFingerprint(ref.parentFP, bytes), so a torn or
+// misdirected batch cannot silently produce a wrong graph.
+func (d *WorkerDaemon) recvDelta(cc *comm.CtrlConn, ref graphRef, parent *baseGraph, dm deltaMsg) (*baseGraph, error) {
+	if parent == nil {
+		return nil, fmt.Errorf("delta announced but parent fp %.12s not cached", ref.parentFP)
 	}
 	blob, err := cc.RecvBlobChunked(nil, dm.Size)
 	if err != nil {
@@ -346,28 +375,19 @@ func (d *WorkerDaemon) recvDelta(cc *comm.CtrlConn, fp, parentFP string, dm delt
 	if hex.EncodeToString(sum[:]) != dm.SHA {
 		return nil, fmt.Errorf("delta hash mismatch from %s", cc.RemoteAddr())
 	}
-	if dm.Chained {
-		if got := mutate.ChainFingerprint(parentFP, blob); got != fp {
-			return nil, fmt.Errorf("delta chain mismatch: parent %.12s + batch → %.12s, want %.12s", parentFP, got, fp)
-		}
+	if got := mutate.ChainFingerprint(ref.parentFP, blob); got != ref.fp {
+		return nil, fmt.Errorf("delta chain mismatch: parent %.12s + batch → %.12s, want %.12s", ref.parentFP, got, ref.fp)
 	}
 	batch, err := mutate.DecodeBatch(blob)
 	if err != nil {
 		return nil, fmt.Errorf("bad delta: %w", err)
 	}
-	// An empty delta is a legitimate ship: the new fingerprint names a
-	// graph structurally identical to its parent (e.g. a symmetrized
-	// variant that already contained every added arc's reverse). Graphs
-	// are immutable, so the new fp can alias the parent outright.
-	g := parent
-	if len(batch.Ops) > 0 {
-		if g, err = mutate.Apply(parent, batch); err != nil {
-			return nil, fmt.Errorf("applying delta: %w", err)
-		}
+	g, err := mutate.Apply(parent.g, batch)
+	if err != nil {
+		return nil, fmt.Errorf("applying delta: %w", err)
 	}
 	d.deltasApplied.Add(1)
-	d.storeGraph(fp, g)
-	return g, nil
+	return d.storeBase(ref, g), nil
 }
 
 // serveConn drives one control connection: health pings and graph
@@ -423,58 +443,64 @@ func (d *WorkerDaemon) serveConn(wc *workerConn) {
 }
 
 // negotiateGraph is the worker's half of the one graph negotiation,
-// shared by preloads and slot builds: announce what is held of fp (the
-// graph itself, its parent epoch, the retained prefix of an interrupted
-// transfer; seenEpoch rides along for observability) and receive
-// whatever the front-end then ships. shipped is false when fp was cached.
-func (d *WorkerDaemon) negotiateGraph(cc *comm.CtrlConn, fp, parentFP string, seenEpoch uint64) (g *graph.Graph, shipped bool, err error) {
-	g, have := d.graphFor(fp)
-	var haveParent bool
-	if !have && parentFP != "" {
-		_, haveParent = d.graphFor(parentFP)
+// shared by preloads and slot builds: announce what is held of ref (the
+// epoch itself, its parent, the retained prefix of an interrupted
+// transfer) and receive whatever the front-end then ships. shipped is
+// false when the epoch was cached.
+func (d *WorkerDaemon) negotiateGraph(cc *comm.CtrlConn, ref graphRef) (b *baseGraph, shipped bool, err error) {
+	b = d.baseFor(ref.fp)
+	var parent *baseGraph
+	if b == nil && ref.parentFP != "" {
+		parent = d.baseFor(ref.parentFP)
 	}
-	buf := d.takePartial(fp)
-	if err := cc.Send("graph-state", graphStateMsg{Have: have, HaveParent: haveParent, Offset: len(buf), Epoch: seenEpoch}); err != nil {
-		d.stashPartial(fp, buf)
+	buf := d.takePartial(ref.fp)
+	if err := cc.Send("graph-state", graphStateMsg{Have: b != nil, HaveParent: parent != nil, Offset: len(buf)}); err != nil {
+		d.stashPartial(ref.fp, buf)
 		return nil, false, err
 	}
-	if have {
-		return g, false, nil
+	if b != nil {
+		return b, false, nil
 	}
-	g, err = d.recvGraphPayload(cc, fp, parentFP, buf)
-	return g, true, err
+	b, err = d.recvGraphPayload(cc, ref, parent, buf)
+	return b, true, err
 }
 
-// handlePreload warms one graph fingerprint ahead of slot builds: a
-// rejoining worker receives the newest version of every graph the
-// front-end built slots for, chunked, resuming interrupted transfers.
+// handlePreload warms one graph ahead of slot builds: a rejoining
+// worker receives the newest epoch of every graph the front-end built
+// slots for, chunked, resuming interrupted transfers.
 func (d *WorkerDaemon) handlePreload(cc *comm.CtrlConn, pm preloadMsg) error {
 	d.preloads.Add(1)
-	g, shipped, err := d.negotiateGraph(cc, pm.FP, pm.ParentFP, 0)
+	b, shipped, err := d.negotiateGraph(cc, graphRef{name: pm.Graph, epoch: pm.Epoch, fp: pm.FP, parentFP: pm.ParentFP})
 	if err != nil {
 		return err
 	}
 	if shipped {
-		d.cfg.Logf("sgworker: preloaded graph fp %.12s (%d vertices)", pm.FP, g.NumVertices())
+		d.cfg.Logf("sgworker: preloaded graph %s@%d (%d vertices, fp %.12s)",
+			pm.Graph, pm.Epoch, b.g.NumVertices(), pm.FP)
 	}
 	return cc.Send("preloaded", upMsg{})
 }
 
 // serveSlot drives one slot's lifetime after its build was accepted:
-// graph transfer when the fingerprint is new, mesh formation, then the
-// run/done loop until the front-end closes the slot or either side
-// fails.
+// graph transfer when the epoch is new, variant derivation, mesh
+// formation, then the run/done loop until the front-end closes the slot
+// or either side fails.
 func (d *WorkerDaemon) serveSlot(wc *workerConn, bm buildMsg) {
 	cc := wc.cc
-	g, shipped, err := d.negotiateGraph(cc, bm.FP, bm.ParentFP, d.noteEpoch(bm.Graph, bm.Variant, bm.Epoch))
+	if bm.Variant < variantDirected || bm.Variant > variantWeighted {
+		d.cfg.Logf("sgworker: build names unknown graph variant %d", bm.Variant)
+		return
+	}
+	b, shipped, err := d.negotiateGraph(cc, graphRef{name: bm.Graph, epoch: bm.Epoch, fp: bm.FP, parentFP: bm.ParentFP})
 	if err != nil {
 		d.cfg.Logf("sgworker: graph transfer failed: %v", err)
 		return
 	}
 	if shipped {
-		d.cfg.Logf("sgworker: cached graph %s/%s@%d (%d vertices, fp %.12s)",
-			bm.Graph, bm.Variant, bm.Epoch, g.NumVertices(), bm.FP)
+		d.cfg.Logf("sgworker: cached graph %s@%d (%d vertices, fp %.12s)",
+			bm.Graph, bm.Epoch, b.g.NumVertices(), bm.FP)
 	}
+	g := b.variant(bm.Variant)
 
 	dataLn, err := net.Listen("tcp", net.JoinHostPort(d.cfg.DataHost, "0"))
 	if err != nil {
