@@ -86,7 +86,7 @@ size:
 	@echo "non-test Go LOC, internal/gluon: $$(find internal/gluon -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
 	@echo "non-test Go LOC, internal/analyzer/... + cmd/sgc: $$(find internal/analyzer cmd/sgc -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
 	@echo "non-test Go LOC, internal/sgvet + internal/loader + cmd/sgvet: $$(find internal/sgvet internal/loader cmd/sgvet -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
-	@for p in core comm bench gluon analyzer analyzer/typed server mutate; do \
+	@for p in core comm bench gluon analyzer analyzer/typed server mutate obs; do \
 		echo "exported identifiers, internal/$$p: $$(go doc -all ./internal/$$p | grep -cE '^(func|type) |^(const|var) [A-Z]|^	[A-Z]')"; \
 	done
 	@echo "core.Options fields: $$(go doc ./internal/core Options | grep -c '^	[A-Z]')"
@@ -101,18 +101,19 @@ size:
 # surface, options or flags raises the number here, in its own diff, and
 # says why in CHANGES.md; one that shrinks a figure lowers it.
 define SIZE_BUDGET
-non-test Go LOC, repo: 23051
+non-test Go LOC, repo: 22916
 non-test Go LOC, internal/core + internal/comm: 4717
 non-test Go LOC, internal/algorithms: 1192
-non-test Go LOC, internal/server: 4182
+non-test Go LOC, internal/server: 4071
 non-test Go LOC, internal/gluon: 586
 non-test Go LOC, internal/sgvet + internal/loader + cmd/sgvet: 3002
 exported identifiers, internal/core: 152
 exported identifiers, internal/comm: 150
 exported identifiers, internal/bench: 87
 exported identifiers, internal/gluon: 7
-exported identifiers, internal/server: 275
+exported identifiers, internal/server: 265
 exported identifiers, internal/mutate: 62
+exported identifiers, internal/obs: 61
 core.Options fields: 13
 methods, core.Engine: 9
 flags, cmd/sgbench/: 12

@@ -20,7 +20,9 @@
 //	curl 'http://localhost:8090/query?graph=web&algo=bfs'
 //	curl 'http://localhost:8090/query?graph=web&algo=bfs&provider=local'
 //	curl 'http://localhost:8090/statusz'
-//	curl 'http://localhost:8090/statusz?delta=1'
+//
+// With -debug-addr, /debug/metrics carries the same /statusz document
+// under its "server" key.
 package main
 
 import (
@@ -38,7 +40,6 @@ import (
 	"repro/internal/cliutil"
 	"repro/internal/core"
 	"repro/internal/graph"
-	"repro/internal/obs"
 	"repro/internal/server"
 )
 
@@ -123,11 +124,6 @@ func main() {
 	if err := obsFlags.Start("sgserve"); err != nil {
 		fatalf("%v", err)
 	}
-	registry := obsFlags.Registry
-	if registry == nil {
-		registry = obs.NewRegistry()
-	}
-
 	opts := core.Options{
 		NumNodes:     *nodes,
 		Workers:      *engineWorkers,
@@ -159,11 +155,13 @@ func main() {
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		},
-		Registry: registry,
-		Tracer:   obsFlags.Tracer,
+		Tracer: obsFlags.Tracer,
 	})
 	if err != nil {
 		fatalf("%v", err)
+	}
+	if obsFlags.Registry != nil {
+		obsFlags.Registry.Register("server", func() any { return srv.StatusSnapshot() })
 	}
 	if len(roster) > 0 {
 		fmt.Fprintf(os.Stderr, "sgserve: remote provider enabled over %d worker(s): %s\n", len(roster), strings.Join(roster, ","))

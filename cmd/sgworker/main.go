@@ -23,7 +23,6 @@ import (
 	"syscall"
 
 	"repro/internal/cliutil"
-	"repro/internal/obs"
 	"repro/internal/server"
 )
 
@@ -41,11 +40,6 @@ func main() {
 	if err := obsFlags.Start("sgworker"); err != nil {
 		fatalf("%v", err)
 	}
-	registry := obsFlags.Registry
-	if registry == nil {
-		registry = obs.NewRegistry()
-	}
-
 	logf := func(string, ...any) {}
 	if *verbose {
 		logf = func(format string, args ...any) {
@@ -58,7 +52,7 @@ func main() {
 		DataHost: *dataHost,
 		MaxSlots: *slots,
 		Logf:     logf,
-		Registry: registry,
+		Registry: obsFlags.Registry,
 	})
 	if err != nil {
 		fatalf("%v", err)

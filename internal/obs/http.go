@@ -10,7 +10,7 @@ import (
 	"sync"
 )
 
-// NewDebugMux builds the engine's debug handler:
+// newDebugMux builds the debug handler StartDebugServer serves:
 //
 //	/healthz        200 "ok" while the process serves (liveness probe)
 //	/debug/metrics  registry JSON snapshot
@@ -20,7 +20,7 @@ import (
 //
 // reg and tr may each be nil; the corresponding endpoints then report
 // 404/503 instead of being absent, so probes keep stable URLs.
-func NewDebugMux(reg *Registry, tr *Tracer) *http.ServeMux {
+func newDebugMux(reg *Registry, tr *Tracer) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, "ok")
@@ -78,7 +78,7 @@ func StartDebugServer(addr string, reg *Registry, tr *Tracer) (*DebugServer, err
 	s := &DebugServer{
 		Addr: ln.Addr().String(),
 		ln:   ln,
-		srv:  &http.Server{Handler: NewDebugMux(reg, tr)},
+		srv:  &http.Server{Handler: newDebugMux(reg, tr)},
 	}
 	go func() {
 		err := serveResult(s.srv.Serve(ln))

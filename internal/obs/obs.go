@@ -10,13 +10,16 @@
 //     step × buffer group; spans aggregate into per-(node, phase)
 //     duration histograms (p50/p95/max) rather than unbounded event
 //     logs, with optional bounded event capture for timeline export;
-//   - a metrics Registry of named live gauges that subsumes the comm
-//     package's byte counters (per-kind and per-link traffic, frame
-//     counts, simulated-link queueing delay) and exports them as a
-//     JSON snapshot;
+//   - a metrics Registry of named values sampled at snapshot time and
+//     exported as one JSON document: a cluster's byte counters
+//     (per-kind and per-link traffic, frame counts, simulated-link
+//     queueing delay) and tracer summaries, sgworker's worker.*
+//     counters, and sgserve's whole /statusz document under one
+//     "server" entry;
 //   - export endpoints: a Chrome trace_event-format timeline writer
-//     (chrome://tracing, Perfetto) and a net/http debug handler wiring
-//     /debug/metrics, /debug/vars, /debug/trace and /debug/pprof.
+//     (chrome://tracing, Perfetto) and StartDebugServer, which serves
+//     /debug/metrics (the registry), /debug/vars (the runtime's
+//     memstats), /debug/trace and /debug/pprof.
 //
 // The package has no dependency on the engine; core and the CLIs thread
 // a *Tracer and a *Registry through their options. A nil *Tracer is a

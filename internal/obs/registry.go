@@ -9,9 +9,9 @@ import (
 
 // Registry is a flat namespace of live metrics: each name maps to a
 // function sampled at snapshot time, so registered values (endpoint
-// byte counters, clamp counts, histogram summaries) are always current
-// without any update path. Snapshots marshal to JSON with sorted keys,
-// making exports diff cleanly.
+// byte counters, tracer summaries, a service's status document) are
+// always current without any update path. Snapshots marshal to JSON
+// with sorted keys, making exports diff cleanly.
 type Registry struct {
 	mu   sync.Mutex
 	vars map[string]func() any
@@ -63,25 +63,6 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	}
 	_, err = w.Write(append(b, '\n'))
 	return err
-}
-
-// RegisterHistogram exposes one histogram's summary under name: count,
-// total/p50/p95/p99/max nanoseconds, freshly snapshotted per sample.
-func (r *Registry) RegisterHistogram(name string, h *Histogram) {
-	if h == nil {
-		return
-	}
-	r.Register(name, func() any {
-		s := h.Snapshot()
-		return map[string]int64{
-			"count":  s.Count,
-			"sum_ns": int64(s.Sum),
-			"p50_ns": int64(s.P50),
-			"p95_ns": int64(s.P95),
-			"p99_ns": int64(s.P99),
-			"max_ns": int64(s.Max),
-		}
-	})
 }
 
 // RegisterTracer exposes a tracer's per-(node, phase) aggregates under

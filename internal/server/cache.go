@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/mutate"
-	"repro/internal/obs"
 )
 
 // resultCache is an LRU over computed responses, bounded both by entry
@@ -177,16 +176,4 @@ func (rc *resultCache) Bytes() int64 {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
 	return rc.bytes
-}
-
-// RegisterMetrics exports the cache counters into reg under the
-// server.cache.* namespace.
-func (rc *resultCache) RegisterMetrics(reg *obs.Registry) {
-	reg.RegisterInt("server.cache.hits", rc.hits.Load)
-	reg.RegisterInt("server.cache.misses", rc.misses.Load)
-	reg.RegisterInt("server.cache.evictions", rc.evictions.Load)
-	reg.RegisterInt("server.cache.promoted", rc.promoted.Load)
-	reg.RegisterInt("server.cache.dropped_invalid", rc.dropped.Load)
-	reg.RegisterInt("server.cache.entries", func() int64 { return int64(rc.Len()) })
-	reg.RegisterInt("server.cache.bytes", rc.Bytes)
 }

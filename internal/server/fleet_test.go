@@ -117,7 +117,7 @@ func TestFleetRosterStateMachine(t *testing.T) {
 	default:
 		t.Fatal("worker rejoined without the rejoin hook running")
 	}
-	if r.rejoins.Load() == 0 {
+	if r.Fleet().Rejoins == 0 {
 		t.Fatal("rejoin counter never incremented")
 	}
 }

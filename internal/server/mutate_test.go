@@ -325,7 +325,7 @@ func TestMutateChaos(t *testing.T) {
 	if daemons[0].DeltasApplied() == 0 {
 		t.Fatal("survivor materialized epoch 2 without a delta frame")
 	}
-	if s.pool.providers["remote"].(*RemoteProvider).DeltaShips() == 0 {
+	if s.pool.providers["remote"].(*RemoteProvider).Fleet().DeltaShips == 0 {
 		t.Fatal("front-end shipped epoch 2 without counting a delta ship")
 	}
 

@@ -179,8 +179,6 @@ type RemoteProviderConfig struct {
 	// Logf receives fleet state transitions and degraded-build notices
 	// when non-nil.
 	Logf func(format string, args ...any)
-	// Registry receives server.fleet.* metrics when non-nil.
-	Registry *obs.Registry
 }
 
 // RemoteProvider builds engines over a roster of sgworker processes.
@@ -222,11 +220,7 @@ func NewRemoteProvider(cfg RemoteProviderConfig) EngineProvider {
 		BackoffCap:    cfg.BackoffCap,
 		OnRejoin:      p.preload,
 		Logf:          cfg.Logf,
-		Registry:      cfg.Registry,
 	})
-	if cfg.Registry != nil {
-		cfg.Registry.RegisterInt("server.fleet.degraded_builds", p.degradedBuilds.Load)
-	}
 	return p
 }
 
@@ -234,12 +228,15 @@ func (p *RemoteProvider) Name() string { return "remote" }
 
 func (p *RemoteProvider) Close() { p.roster.Close() }
 
-// Fleet exposes the roster snapshot for /statusz.
-func (p *RemoteProvider) Fleet() FleetStatus { return p.roster.Fleet() }
-
-// DeltaShips counts graph transfers satisfied by a delta frame instead
-// of a full blob; test harnesses assert the cheap path was taken.
-func (p *RemoteProvider) DeltaShips() int64 { return p.deltaShips.Load() }
+// Fleet exposes the roster snapshot for /statusz, with the provider's
+// own counters: in-process fallback builds, and graph transfers
+// satisfied by a delta frame instead of a full blob.
+func (p *RemoteProvider) Fleet() FleetStatus {
+	fs := p.roster.Fleet()
+	fs.DegradedBuilds = p.degradedBuilds.Load()
+	fs.DeltaShips = p.deltaShips.Load()
+	return fs
+}
 
 // remember keeps spec as what a rejoining worker is preloaded with for
 // its graph, unless a newer epoch's is already held.

@@ -187,9 +187,9 @@ func TestRemoteVariantsArriveByDelta(t *testing.T) {
 			t.Fatalf("commit %d: %d %s", c, code, body)
 		}
 		stage := fmt.Sprintf("epoch %d", c+2)
-		ships, apps := prov.DeltaShips(), applied()
+		ships, apps := prov.Fleet().DeltaShips, applied()
 		serve(stage, first)
-		if got := prov.DeltaShips() - ships; got != int64(len(daemons)) {
+		if got := prov.Fleet().DeltaShips - ships; got != int64(len(daemons)) {
 			t.Fatalf("%s: the %s ring shipped %d deltas, want one per worker (%d)", stage, first, got, len(daemons))
 		}
 		if got := applied() - apps; got != int64(len(daemons)) {
@@ -198,9 +198,9 @@ func TestRemoteVariantsArriveByDelta(t *testing.T) {
 		for _, algo := range algos {
 			serve(stage, algo)
 		}
-		if prov.DeltaShips()-ships != int64(len(daemons)) || applied()-apps != int64(len(daemons)) {
+		if prov.Fleet().DeltaShips-ships != int64(len(daemons)) || applied()-apps != int64(len(daemons)) {
 			t.Fatalf("%s: the other variants shipped again: %d ships, %d applications",
-				stage, prov.DeltaShips()-ships, applied()-apps)
+				stage, prov.Fleet().DeltaShips-ships, applied()-apps)
 		}
 		for i, d := range daemons {
 			if got := d.GraphsCached(); got != c+2 {

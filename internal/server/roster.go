@@ -116,8 +116,6 @@ type RosterConfig struct {
 	OnRejoin func(addr string) error
 	// Logf receives one line per state transition when non-nil.
 	Logf func(format string, args ...any)
-	// Registry receives server.fleet.* metrics when non-nil.
-	Registry *obs.Registry
 }
 
 // workerHealth is the mutable per-worker record; guarded by roster.mu.
@@ -142,12 +140,21 @@ type FleetWorker struct {
 	GraphsCached int         `json:"graphs_cached"`
 }
 
-// FleetStatus is the roster's snapshot for /statusz and tests.
+// FleetStatus is the roster's snapshot for /statusz and tests. The
+// counters are monotonic; DegradedBuilds and DeltaShips are the remote
+// provider's, the rest the roster's.
 type FleetStatus struct {
-	Workers  []FleetWorker `json:"workers"`
-	Healthy  int           `json:"healthy"`
-	Total    int           `json:"total"`
-	Degraded bool          `json:"degraded"`
+	Workers        []FleetWorker `json:"workers"`
+	Healthy        int           `json:"healthy"`
+	Total          int           `json:"total"`
+	Degraded       bool          `json:"degraded"`
+	Probes         int64         `json:"probes"`
+	ProbeFailures  int64         `json:"probe_failures"`
+	Rejoins        int64         `json:"rejoins"`
+	Transitions    int64         `json:"transitions"`
+	ProbeRTT       histJSON      `json:"probe_rtt"`
+	DegradedBuilds int64         `json:"degraded_builds"`
+	DeltaShips     int64         `json:"delta_ships"`
 }
 
 // rosterManager runs the probe loops and answers scheduling queries.
@@ -193,16 +200,6 @@ func newRosterManager(cfg RosterConfig) *rosterManager {
 	}
 	for _, addr := range cfg.Workers {
 		r.workers[addr] = &workerHealth{addr: addr, state: StateHealthy}
-	}
-	if cfg.Registry != nil {
-		cfg.Registry.RegisterInt("server.fleet.probes", r.probes.Load)
-		cfg.Registry.RegisterInt("server.fleet.probe_failures", r.probeFailures.Load)
-		cfg.Registry.RegisterInt("server.fleet.rejoins", r.rejoins.Load)
-		cfg.Registry.RegisterInt("server.fleet.transitions", r.transitions.Load)
-		cfg.Registry.RegisterInt("server.fleet.healthy_workers", func() int64 {
-			return int64(len(r.Usable()))
-		})
-		cfg.Registry.RegisterHistogram("server.fleet.probe_rtt", &r.rtt)
 	}
 	for _, addr := range cfg.Workers {
 		r.wg.Add(1)
@@ -272,7 +269,14 @@ func (r *rosterManager) ObserveFailure(addr string) {
 func (r *rosterManager) Fleet() FleetStatus {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	fs := FleetStatus{Total: len(r.order)}
+	fs := FleetStatus{
+		Total:         len(r.order),
+		Probes:        r.probes.Load(),
+		ProbeFailures: r.probeFailures.Load(),
+		Rejoins:       r.rejoins.Load(),
+		Transitions:   r.transitions.Load(),
+		ProbeRTT:      histToJSON(&r.rtt),
+	}
 	for _, addr := range r.order {
 		w := r.workers[addr]
 		if w.state == StateHealthy {

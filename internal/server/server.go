@@ -59,8 +59,6 @@ type Config struct {
 	// Logf receives fleet state transitions and degraded-serving
 	// notices when non-nil.
 	Logf func(format string, args ...any)
-	// Registry receives serving metrics when non-nil.
-	Registry *obs.Registry
 	// Tracer is the shared engine tracer (may be nil).
 	Tracer *obs.Tracer
 }
@@ -107,10 +105,6 @@ type Server struct {
 	coalesced atomic.Int64
 	mutations atomic.Int64
 	mutateErr atomic.Int64
-
-	deltaMu   sync.Mutex
-	deltaAt   time.Time
-	deltaBase DeltaStatus // the counters at the last /statusz?delta=1 scrape
 }
 
 // New builds the service: graphs indexed, pool warm-ready, admission
@@ -142,7 +136,6 @@ func New(cfg Config) (*Server, error) {
 			DeadAfter:     cfg.ProbeDeadAfter,
 			BackoffCap:    cfg.ProbeBackoffCap,
 			Logf:          cfg.Logf,
-			Registry:      cfg.Registry,
 		}))
 		def = "remote"
 	}
@@ -166,12 +159,8 @@ func New(cfg Config) (*Server, error) {
 		flights: make(map[string]*flight),
 		start:   time.Now(),
 	}
-	s.deltaAt = s.start
 	for _, a := range algoNames {
 		s.algos[a] = &perAlgo{}
-	}
-	if cfg.Registry != nil {
-		s.RegisterMetrics(cfg.Registry)
 	}
 	return s, nil
 }
@@ -186,7 +175,9 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/query", s.handleQuery)
 	mux.HandleFunc("/mutate", s.handleMutate)
-	mux.HandleFunc("/statusz", s.handleStatusz)
+	mux.HandleFunc("/statusz", func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, http.StatusOK, s.StatusSnapshot())
+	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		if s.draining.Load() {
 			http.Error(w, "draining", http.StatusServiceUnavailable)
@@ -548,19 +539,6 @@ type RequestCounters struct {
 	Coalesced    int64 `json:"coalesced"`
 }
 
-// sub returns the counter deltas since base; every field is monotonic.
-func (c RequestCounters) sub(base RequestCounters) RequestCounters {
-	return RequestCounters{
-		Total:        c.Total - base.Total,
-		OK:           c.OK - base.OK,
-		ClientErrors: c.ClientErrors - base.ClientErrors,
-		ServerErrors: c.ServerErrors - base.ServerErrors,
-		Timeouts:     c.Timeouts - base.Timeouts,
-		Rejected:     c.Rejected - base.Rejected,
-		Coalesced:    c.Coalesced - base.Coalesced,
-	}
-}
-
 type CacheCounters struct {
 	Hits      int64   `json:"hits"`
 	Misses    int64   `json:"misses"`
@@ -589,24 +567,34 @@ type AlgoStats struct {
 	Engine histJSON `json:"engine"`
 }
 
-// StatusSnapshot assembles the current serving state.
+// StatusSnapshot assembles the current serving state: the one listing
+// of the serving counters, behind both /statusz and the "server" entry
+// of sgserve's /debug/metrics. Every counter is monotonic, so a rate is
+// the difference of two scrapes; reading it changes no state.
 func (s *Server) StatusSnapshot() Status {
-	c := s.counters()
 	st := Status{
 		UptimeSec: time.Since(s.start).Seconds(),
 		Draining:  s.draining.Load(),
 		Graphs:    make(map[string]GraphInfo),
-		Requests:  c.Requests,
+		Requests: RequestCounters{
+			Total:        s.total.Load(),
+			OK:           s.ok.Load(),
+			ClientErrors: s.clientErr.Load(),
+			ServerErrors: s.serverErr.Load(),
+			Timeouts:     s.timeouts.Load(),
+			Rejected:     s.adm.rejected.Load(),
+			Coalesced:    s.coalesced.Load(),
+		},
 		Cache: CacheCounters{
-			Hits:      c.Cache.Hits,
-			Misses:    c.Cache.Misses,
-			Evictions: c.Cache.Evictions,
+			Hits:      s.cache.hits.Load(),
+			Misses:    s.cache.misses.Load(),
+			Evictions: s.cache.evictions.Load(),
 			Entries:   s.cache.Len(),
 			Bytes:     s.cache.Bytes(),
 		},
 		Pool: PoolCounters{
 			Clusters:        s.pool.Slots(),
-			Restarts:        c.Pool.Restarts,
+			Restarts:        s.pool.Restarts(),
 			Providers:       s.pool.ProviderSlots(),
 			DefaultProvider: s.pool.DefaultProvider(),
 		},
@@ -645,93 +633,6 @@ func (s *Server) StatusSnapshot() Status {
 		st.Algos[name] = AlgoStats{Queue: histToJSON(&pa.queue), Engine: histToJSON(&pa.engine)}
 	}
 	return st
-}
-
-// DeltaStatus is the /statusz?delta=1 document: monotonic counters
-// since the previous delta scrape, so a scraper reads rates directly
-// instead of subtracting successive absolute snapshots.
-type DeltaStatus struct {
-	WindowSec float64         `json:"window_sec"`
-	Requests  RequestCounters `json:"requests"`
-	Cache     CacheDelta      `json:"cache"`
-	Pool      PoolDelta       `json:"pool"`
-}
-
-type CacheDelta struct {
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Evictions int64 `json:"evictions"`
-}
-
-type PoolDelta struct {
-	Restarts int64 `json:"restarts"`
-}
-
-// counters reads the server's monotonic counters, the one read both
-// /statusz documents share.
-func (s *Server) counters() DeltaStatus {
-	return DeltaStatus{
-		Requests: RequestCounters{
-			Total:        s.total.Load(),
-			OK:           s.ok.Load(),
-			ClientErrors: s.clientErr.Load(),
-			ServerErrors: s.serverErr.Load(),
-			Timeouts:     s.timeouts.Load(),
-			Rejected:     s.adm.rejected.Load(),
-			Coalesced:    s.coalesced.Load(),
-		},
-		Cache: CacheDelta{
-			Hits:      s.cache.hits.Load(),
-			Misses:    s.cache.misses.Load(),
-			Evictions: s.cache.evictions.Load(),
-		},
-		Pool: PoolDelta{Restarts: s.pool.Restarts()},
-	}
-}
-
-// DeltaSnapshot reports counters accumulated since the last
-// DeltaSnapshot call (or server start) and resets the baseline.
-func (s *Server) DeltaSnapshot() DeltaStatus {
-	s.deltaMu.Lock()
-	defer s.deltaMu.Unlock()
-	now := time.Now()
-	cur, base := s.counters(), s.deltaBase
-	d := DeltaStatus{
-		WindowSec: now.Sub(s.deltaAt).Seconds(),
-		Requests:  cur.Requests.sub(base.Requests),
-		Cache: CacheDelta{
-			Hits:      cur.Cache.Hits - base.Cache.Hits,
-			Misses:    cur.Cache.Misses - base.Cache.Misses,
-			Evictions: cur.Cache.Evictions - base.Cache.Evictions,
-		},
-		Pool: PoolDelta{Restarts: cur.Pool.Restarts - base.Pool.Restarts},
-	}
-	s.deltaBase, s.deltaAt = cur, now
-	return d
-}
-
-func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
-	if v := r.URL.Query().Get("delta"); v == "1" || v == "true" {
-		writeJSON(w, http.StatusOK, s.DeltaSnapshot())
-		return
-	}
-	writeJSON(w, http.StatusOK, s.StatusSnapshot())
-}
-
-// RegisterMetrics exports serving counters into reg under server.*.
-func (s *Server) RegisterMetrics(reg *obs.Registry) {
-	reg.RegisterInt("server.requests.total", s.total.Load)
-	reg.RegisterInt("server.requests.ok", s.ok.Load)
-	reg.RegisterInt("server.requests.client_errors", s.clientErr.Load)
-	reg.RegisterInt("server.requests.server_errors", s.serverErr.Load)
-	reg.RegisterInt("server.requests.timeouts", s.timeouts.Load)
-	reg.RegisterInt("server.requests.rejected", s.adm.rejected.Load)
-	reg.RegisterInt("server.requests.coalesced", s.coalesced.Load)
-	reg.RegisterInt("server.mutations.applied", s.mutations.Load)
-	reg.RegisterInt("server.mutations.errors", s.mutateErr.Load)
-	reg.RegisterInt("server.pool.clusters", func() int64 { return int64(s.pool.Slots()) })
-	reg.RegisterInt("server.pool.restarts", s.pool.Restarts)
-	s.cache.RegisterMetrics(reg)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

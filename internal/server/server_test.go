@@ -451,14 +451,17 @@ func TestCoalescingSharesOneRun(t *testing.T) {
 	}
 }
 
-// TestStatuszDelta pins the ?delta=1 contract: the first scrape reports
-// counters since start, the second only what happened in between.
-func TestStatuszDelta(t *testing.T) {
+// TestStatuszCounters pins /statusz as absolute, monotonic counters:
+// a scrape changes no server state (so concurrent scrapers do not
+// disturb each other), a retired ?delta=1 is ignored, and a rate is the
+// difference of two scrapes.
+func TestStatuszCounters(t *testing.T) {
 	s := testServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	for i := 0; i < 3; i++ {
+	query := func() {
+		t.Helper()
 		resp, err := http.Get(ts.URL + "/query?graph=g1&algo=bfs")
 		if err != nil {
 			t.Fatal(err)
@@ -466,52 +469,40 @@ func TestStatuszDelta(t *testing.T) {
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 	}
-
-	scrape := func() DeltaStatus {
+	scrape := func(path string) Status {
 		t.Helper()
-		resp, err := http.Get(ts.URL + "/statusz?delta=1")
+		resp, err := http.Get(ts.URL + path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
-		var d DeltaStatus
-		if err := json.NewDecoder(resp.Body).Decode(&d); err != nil {
+		var st Status
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 			t.Fatal(err)
 		}
-		return d
+		return st
 	}
 
-	first := scrape()
-	if first.Requests.Total != 3 || first.Requests.OK != 3 {
-		t.Fatalf("first delta %+v", first.Requests)
+	for i := 0; i < 3; i++ {
+		query()
 	}
-	if first.Cache.Hits != 2 || first.Cache.Misses != 1 {
-		t.Fatalf("first delta cache %+v", first.Cache)
-	}
-	if first.WindowSec <= 0 {
-		t.Fatalf("window %v", first.WindowSec)
+	// Back-to-back scrapes, one of them with the retired ?delta=1, read
+	// the same absolute counters.
+	for _, path := range []string{"/statusz", "/statusz?delta=1", "/statusz"} {
+		st := scrape(path)
+		if st.Requests.Total != 3 || st.Requests.OK != 3 {
+			t.Fatalf("%s: requests %+v", path, st.Requests)
+		}
+		if st.Cache.Hits != 2 || st.Cache.Misses != 1 {
+			t.Fatalf("%s: cache %+v", path, st.Cache)
+		}
+		if st.Pool.DefaultProvider != "local" {
+			t.Fatalf("%s: pool %+v", path, st.Pool)
+		}
 	}
 
-	// Nothing happened since: the next window is all zeros.
-	second := scrape()
-	if second.Requests.Total != 0 || second.Cache.Hits != 0 || second.Cache.Misses != 0 {
-		t.Fatalf("second delta not zeroed: %+v / %+v", second.Requests, second.Cache)
-	}
-
-	// One more query lands in the third window alone, and the absolute
-	// /statusz view stays monotonic throughout.
-	resp, err := http.Get(ts.URL + "/query?graph=g1&algo=bfs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	third := scrape()
-	if third.Requests.Total != 1 || third.Cache.Hits != 1 {
-		t.Fatalf("third delta %+v / %+v", third.Requests, third.Cache)
-	}
-	full := s.StatusSnapshot()
-	if full.Requests.Total != 4 || full.Pool.DefaultProvider != "local" {
-		t.Fatalf("absolute statusz drifted: %+v pool %+v", full.Requests, full.Pool)
+	query()
+	if st := scrape("/statusz"); st.Requests.Total != 4 || st.Cache.Hits != 3 {
+		t.Fatalf("after a fourth query: %+v / %+v", st.Requests, st.Cache)
 	}
 }

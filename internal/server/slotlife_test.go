@@ -240,7 +240,7 @@ func TestRejoinPreloadsNewestEpochOnly(t *testing.T) {
 	}
 
 	remoteProv := s.pool.providers["remote"].(*RemoteProvider)
-	deltaShips := remoteProv.DeltaShips()
+	deltaShips := remoteProv.Fleet().DeltaShips
 	deadline := time.Now().Add(15 * time.Second)
 	for serve("post-rejoin") {
 		if time.Now().After(deadline) {
@@ -251,9 +251,9 @@ func TestRejoinPreloadsNewestEpochOnly(t *testing.T) {
 	if d2.SlotsBuilt() == 0 {
 		t.Fatal("restarted worker never hosted a slot")
 	}
-	if got := d2.GraphsCached(); got != preloaded || d2.DeltasApplied() != 0 || remoteProv.DeltaShips() != deltaShips {
+	if got := d2.GraphsCached(); got != preloaded || d2.DeltasApplied() != 0 || remoteProv.Fleet().DeltaShips != deltaShips {
 		t.Fatalf("the build after the preload shipped: graphs cached %d → %d, deltas applied %d, delta ships %d → %d",
-			preloaded, got, d2.DeltasApplied(), deltaShips, remoteProv.DeltaShips())
+			preloaded, got, d2.DeltasApplied(), deltaShips, remoteProv.Fleet().DeltaShips)
 	}
 }
 

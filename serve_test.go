@@ -4,8 +4,10 @@ import (
 	"bufio"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"os/exec"
+	"reflect"
 	"strings"
 	"syscall"
 	"testing"
@@ -252,10 +254,18 @@ func TestServeSmoke(t *testing.T) {
 	}
 	tools := buildTools(t, "sgserve")
 
+	// Reserve a loopback port for the debug endpoint.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	debugAddr := ln.Addr().String()
+	ln.Close()
+
 	// The startup line carries the resolved :0 port.
 	cmd, line, errText, wait := startDaemon(t, tools["sgserve"],
 		"-graph", "g=rmat:10,8,1", "-addr", "127.0.0.1:0",
-		"-max-inflight", "1", "-max-queue", "0")
+		"-max-inflight", "1", "-max-queue", "0", "-debug-addr", debugAddr)
 	idx := strings.Index(line, "http://")
 	if idx < 0 {
 		t.Fatalf("startup line %q has no URL", line)
@@ -354,7 +364,31 @@ func TestServeSmoke(t *testing.T) {
 		t.Fatalf("statusz counters: %s", body)
 	}
 
-	// 5. SIGTERM drains cleanly: process exits 0.
+	// 5. /debug/metrics samples the same document under "server": with
+	// no traffic in between, its requests and cache equal /statusz's.
+	var statusz map[string]any
+	if err := json.Unmarshal(body, &statusz); err != nil {
+		t.Fatal(err)
+	}
+	mresp, err := http.Get("http://" + debugAddr + "/debug/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mbody, _ := io.ReadAll(mresp.Body)
+	mresp.Body.Close()
+	var metrics struct {
+		Server map[string]any `json:"server"`
+	}
+	if mresp.StatusCode != http.StatusOK || json.Unmarshal(mbody, &metrics) != nil || metrics.Server == nil {
+		t.Fatalf("debug metrics: %d %s", mresp.StatusCode, mbody)
+	}
+	for _, k := range []string{"requests", "cache"} {
+		if !reflect.DeepEqual(metrics.Server[k], statusz[k]) {
+			t.Fatalf("/debug/metrics server.%s = %v, /statusz %s = %v", k, metrics.Server[k], k, statusz[k])
+		}
+	}
+
+	// 6. SIGTERM drains cleanly: process exits 0.
 	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
