@@ -73,7 +73,10 @@ lint:
 # the §4 tool and the invariant lint suite with its loader),
 # the exported surface of the engine, the harness, the baseline, the
 # §4 analysis, the serving layer and the version chain (declarations, methods, fields and grouped
-# constants, one per line of `go doc -all`), core.Options fields, the
+# constants, one per line of `go doc -all`), how many of the engine's,
+# the transport's and the serving layer's exported top-level funcs and
+# types no Go file outside the package names as pkg.Name (tests, cmd/,
+# examples/, benchmark/ and sgvet's fixtures included), core.Options fields, the
 # methods of the core.Engine interface, and the
 # flags each command defines (internal/cliutil holds the groups several
 # commands share).
@@ -89,6 +92,13 @@ size:
 	@for p in core comm bench gluon analyzer analyzer/typed server mutate obs; do \
 		echo "exported identifiers, internal/$$p: $$(go doc -all ./internal/$$p | grep -cE '^(func|type) |^(const|var) [A-Z]|^	[A-Z]')"; \
 	done
+	@for p in core comm server; do \
+		files=$$(find . -name '*.go' -not -path './.bench_build/*' | grep -v "^\./internal/$$p/[^/]*$$"); n=0; \
+		for id in $$(go doc -short ./internal/$$p | sed -nE 's/^ *(func|type) ([A-Z][A-Za-z0-9_]*).*/\2/p'); do \
+			grep -qE "\b$$p\.$$id\b" $$files || n=$$((n+1)); \
+		done; \
+		echo "exported funcs and types named by no other package, internal/$$p: $$n"; \
+	done
 	@echo "core.Options fields: $$(go doc ./internal/core Options | grep -c '^	[A-Z]')"
 	@echo "methods, core.Engine: $$(go doc ./internal/core Engine | grep -cE '^	[A-Z][A-Za-z]*\(')"
 	@for d in cmd/*/ internal/cliutil/; do \
@@ -101,19 +111,22 @@ size:
 # surface, options or flags raises the number here, in its own diff, and
 # says why in CHANGES.md; one that shrinks a figure lowers it.
 define SIZE_BUDGET
-non-test Go LOC, repo: 22916
-non-test Go LOC, internal/core + internal/comm: 4717
+non-test Go LOC, repo: 22742
+non-test Go LOC, internal/core + internal/comm: 4714
 non-test Go LOC, internal/algorithms: 1192
-non-test Go LOC, internal/server: 4071
+non-test Go LOC, internal/server: 3900
 non-test Go LOC, internal/gluon: 586
 non-test Go LOC, internal/sgvet + internal/loader + cmd/sgvet: 3002
-exported identifiers, internal/core: 152
-exported identifiers, internal/comm: 150
+exported identifiers, internal/core: 146
+exported identifiers, internal/comm: 122
 exported identifiers, internal/bench: 87
 exported identifiers, internal/gluon: 7
-exported identifiers, internal/server: 265
+exported identifiers, internal/server: 122
 exported identifiers, internal/mutate: 62
 exported identifiers, internal/obs: 61
+exported funcs and types named by no other package, internal/core: 2
+exported funcs and types named by no other package, internal/comm: 2
+exported funcs and types named by no other package, internal/server: 2
 core.Options fields: 13
 methods, core.Engine: 9
 flags, cmd/sgbench/: 12

@@ -106,7 +106,7 @@ func main() {
 		threshold     = flag.Int("threshold", core.DefaultDepThreshold, "differentiated-propagation degree threshold")
 		buffers       = flag.Int("buffers", 2, "double-buffering group count (1 = off)")
 		maxInflight   = flag.Int("max-inflight", 2, "queries executing concurrently")
-		maxQueue      = flag.Int("max-queue", 0, "queries waiting for a slot before shedding with 429 (0 = 4×max-inflight)")
+		maxQueue      = flag.Int("max-queue", 0, "queries waiting for a slot before shedding with 429 (0 = 4×max-inflight, negative = no queue: shed every query beyond -max-inflight)")
 		cacheEntries  = flag.Int("cache-entries", 256, "result cache capacity in entries (-1 disables)")
 		cacheBytes    = flag.Int64("cache-bytes", 64<<20, "result cache capacity in marshaled bytes")
 		retention     = flag.Int("retention", 0, "graph epochs kept resolvable for ?epoch= pinned queries (0 = default)")

@@ -28,9 +28,9 @@ type Backoff struct {
 	Key uint64
 }
 
-// DefaultBackoff is the dial-retry policy cluster formation has always
+// defaultBackoff is the dial-retry policy cluster formation has always
 // used: snappy once the peer is up, spread out under contention.
-func DefaultBackoff(key uint64) Backoff {
+func defaultBackoff(key uint64) Backoff {
 	return Backoff{Base: 5 * time.Millisecond, Cap: 200 * time.Millisecond, Key: key}
 }
 

@@ -95,8 +95,8 @@ func (m *Message) Release() {
 // may be empty; a nil Buffers is an empty frame.
 type Buffers [][]byte
 
-// TotalLen returns the summed length of all elements.
-func (b Buffers) TotalLen() int {
+// totalLen returns the summed length of all elements.
+func (b Buffers) totalLen() int {
 	n := 0
 	for _, buf := range b {
 		n += len(buf)
@@ -163,17 +163,17 @@ type Endpoint interface {
 	Close() error
 }
 
-// StepObserver is the optional superstep-progress capability: the engine
+// stepObserver is the optional superstep-progress capability: the engine
 // announces each edge-processing pass so step-keyed fault rules (crash at
 // superstep k, partition windows) fire deterministically. Transports
 // without fault injection ignore it.
-type StepObserver interface {
+type stepObserver interface {
 	ObserveSuperstep(step int)
 }
 
 // ObserveSuperstep forwards a superstep announcement to e when it cares.
 func ObserveSuperstep(e Endpoint, step int) {
-	if so, ok := e.(StepObserver); ok {
+	if so, ok := e.(stepObserver); ok {
 		so.ObserveSuperstep(step)
 	}
 }

@@ -134,11 +134,11 @@ func TestStatsAccounting(t *testing.T) {
 		if got := r.ReceivedBytes(KindDependency); got != wantBytes {
 			t.Fatalf("recv bytes = %d, want %d", got, wantBytes)
 		}
-		if s.TotalSentBytes() != wantBytes {
-			t.Fatalf("total = %d", s.TotalSentBytes())
+		if s.totalSentBytes() != wantBytes {
+			t.Fatalf("total = %d", s.totalSentBytes())
 		}
 		s.Reset()
-		if s.TotalSentBytes() != 0 || s.SentMessages(KindDependency) != 0 {
+		if s.totalSentBytes() != 0 || s.SentMessages(KindDependency) != 0 {
 			t.Fatal("Reset did not zero counters")
 		}
 	})

@@ -30,14 +30,14 @@ const (
 	ctrlFrameJSON = 'J'
 	ctrlFrameBlob = 'B'
 
-	// MaxCtrlFrame bounds a single control frame. Graph blobs dominate;
+	// maxCtrlFrame bounds a single control frame. Graph blobs dominate;
 	// 1 GiB comfortably covers every graph this runtime can hold while
 	// still rejecting a corrupt length prefix before allocating.
-	MaxCtrlFrame = 1 << 30
+	maxCtrlFrame = 1 << 30
 )
 
-// CtrlMsg is the JSON envelope every non-blob control frame carries.
-type CtrlMsg struct {
+// ctrlMsg is the JSON envelope every non-blob control frame carries.
+type ctrlMsg struct {
 	Type string          `json:"type"`
 	Body json.RawMessage `json:"body,omitempty"`
 }
@@ -131,8 +131,8 @@ func (cc *CtrlConn) readFrame() (kind byte, payload []byte, err error) {
 		return 0, nil, cc.classify("recv", err)
 	}
 	size := binary.LittleEndian.Uint32(hdr[1:])
-	if size > MaxCtrlFrame {
-		return 0, nil, fmt.Errorf("comm: control frame of %d bytes exceeds limit %d", size, MaxCtrlFrame)
+	if size > maxCtrlFrame {
+		return 0, nil, fmt.Errorf("comm: control frame of %d bytes exceeds limit %d", size, maxCtrlFrame)
 	}
 	payload = make([]byte, size)
 	if _, err := io.ReadFull(cc.br, payload); err != nil {
@@ -144,7 +144,7 @@ func (cc *CtrlConn) readFrame() (kind byte, payload []byte, err error) {
 // Send marshals body into a typed JSON envelope and writes it as one
 // frame. A nil body sends an envelope with no payload.
 func (cc *CtrlConn) Send(msgType string, body any) error {
-	env := CtrlMsg{Type: msgType}
+	env := ctrlMsg{Type: msgType}
 	if body != nil {
 		b, err := json.Marshal(body)
 		if err != nil {
@@ -161,17 +161,17 @@ func (cc *CtrlConn) Send(msgType string, body any) error {
 
 // Recv reads the next JSON envelope. A blob frame in this position is a
 // protocol violation.
-func (cc *CtrlConn) Recv() (CtrlMsg, error) {
+func (cc *CtrlConn) Recv() (ctrlMsg, error) {
 	kind, payload, err := cc.readFrame()
 	if err != nil {
-		return CtrlMsg{}, err
+		return ctrlMsg{}, err
 	}
 	if kind != ctrlFrameJSON {
-		return CtrlMsg{}, fmt.Errorf("comm: expected control message, got frame kind %q", kind)
+		return ctrlMsg{}, fmt.Errorf("comm: expected control message, got frame kind %q", kind)
 	}
-	var env CtrlMsg
+	var env ctrlMsg
 	if err := json.Unmarshal(payload, &env); err != nil {
-		return CtrlMsg{}, fmt.Errorf("comm: bad control envelope: %w", err)
+		return ctrlMsg{}, fmt.Errorf("comm: bad control envelope: %w", err)
 	}
 	return env, nil
 }
@@ -195,13 +195,13 @@ func (cc *CtrlConn) Expect(msgType string, out any) error {
 	return nil
 }
 
-// SendBlob writes one opaque blob frame.
-func (cc *CtrlConn) SendBlob(b []byte) error {
+// sendBlob writes one opaque blob frame.
+func (cc *CtrlConn) sendBlob(b []byte) error {
 	return cc.writeFrame(ctrlFrameBlob, b)
 }
 
-// RecvBlob reads the next frame, which must be a blob.
-func (cc *CtrlConn) RecvBlob() ([]byte, error) {
+// recvBlob reads the next frame, which must be a blob.
+func (cc *CtrlConn) recvBlob() ([]byte, error) {
 	kind, payload, err := cc.readFrame()
 	if err != nil {
 		return nil, err
@@ -236,17 +236,17 @@ func (cc *CtrlConn) Close() error {
 // that a flaky link loses at most one chunk of progress.
 const DefaultChunkBytes = 256 << 10
 
-// ChunkMsg is the per-chunk header envelope.
-type ChunkMsg struct {
+// chunkMsg is the per-chunk header envelope.
+type chunkMsg struct {
 	Offset int    `json:"offset"` // byte offset of this chunk in the blob
 	Size   int    `json:"size"`   // chunk length in bytes
 	Total  int    `json:"total"`  // full blob length
 	CRC    uint32 `json:"crc"`    // CRC32 (IEEE) of the chunk bytes
 }
 
-// ChunkAckMsg acknowledges a chunk: Offset is the receiver's contiguous
+// chunkAckMsg acknowledges a chunk: Offset is the receiver's contiguous
 // byte count after absorbing it.
-type ChunkAckMsg struct {
+type chunkAckMsg struct {
 	Offset int `json:"offset"`
 }
 
@@ -268,14 +268,14 @@ func (cc *CtrlConn) SendBlobChunked(data []byte, offset, chunkBytes int) error {
 			n = chunkBytes
 		}
 		chunk := data[off : off+n]
-		hdr := ChunkMsg{Offset: off, Size: n, Total: len(data), CRC: crc32.ChecksumIEEE(chunk)}
+		hdr := chunkMsg{Offset: off, Size: n, Total: len(data), CRC: crc32.ChecksumIEEE(chunk)}
 		if err := cc.Send("chunk", hdr); err != nil {
 			return err
 		}
-		if err := cc.SendBlob(chunk); err != nil {
+		if err := cc.sendBlob(chunk); err != nil {
 			return err
 		}
-		var ack ChunkAckMsg
+		var ack chunkAckMsg
 		if err := cc.Expect("chunk-ack", &ack); err != nil {
 			return err
 		}
@@ -297,7 +297,7 @@ func (cc *CtrlConn) RecvBlobChunked(buf []byte, total int) ([]byte, error) {
 		return buf, fmt.Errorf("comm: chunked recv holds %d bytes of a %d-byte blob", len(buf), total)
 	}
 	for len(buf) < total {
-		var hdr ChunkMsg
+		var hdr chunkMsg
 		if err := cc.Expect("chunk", &hdr); err != nil {
 			return buf, err
 		}
@@ -305,7 +305,7 @@ func (cc *CtrlConn) RecvBlobChunked(buf []byte, total int) ([]byte, error) {
 			return buf, fmt.Errorf("comm: chunk framing offset=%d size=%d total=%d, receiver at %d/%d",
 				hdr.Offset, hdr.Size, hdr.Total, len(buf), total)
 		}
-		chunk, err := cc.RecvBlob()
+		chunk, err := cc.recvBlob()
 		if err != nil {
 			return buf, err
 		}
@@ -316,7 +316,7 @@ func (cc *CtrlConn) RecvBlobChunked(buf []byte, total int) ([]byte, error) {
 			return buf, fmt.Errorf("comm: chunk at offset %d failed CRC", hdr.Offset)
 		}
 		buf = append(buf, chunk...)
-		if err := cc.Send("chunk-ack", ChunkAckMsg{Offset: len(buf)}); err != nil {
+		if err := cc.Send("chunk-ack", chunkAckMsg{Offset: len(buf)}); err != nil {
 			return buf, err
 		}
 	}

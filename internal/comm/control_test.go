@@ -72,13 +72,13 @@ func TestCtrlConnRoundTrip(t *testing.T) {
 	if err := client.Send("graph", nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := client.SendBlob(blob); err != nil {
+	if err := client.sendBlob(blob); err != nil {
 		t.Fatal(err)
 	}
 	if err := server.Expect("graph", nil); err != nil {
 		t.Fatal(err)
 	}
-	got2, err := server.RecvBlob()
+	got2, err := server.recvBlob()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestCtrlConnExpectMismatch(t *testing.T) {
 
 	// A blob where a JSON envelope is expected is rejected, and vice
 	// versa.
-	if err := client.SendBlob([]byte{1, 2, 3}); err != nil {
+	if err := client.sendBlob([]byte{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := server.Recv(); err == nil {
@@ -108,7 +108,7 @@ func TestCtrlConnExpectMismatch(t *testing.T) {
 	if err := client.Send("x", nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := server.RecvBlob(); err == nil {
+	if _, err := server.recvBlob(); err == nil {
 		t.Fatal("JSON envelope accepted as blob")
 	}
 }
@@ -119,7 +119,7 @@ func TestCtrlConnFrameLimitAndEOF(t *testing.T) {
 	// A corrupt length prefix is rejected before allocation.
 	raw := make([]byte, 5)
 	raw[0] = ctrlFrameJSON
-	binary.LittleEndian.PutUint32(raw[1:], uint32(MaxCtrlFrame)+1)
+	binary.LittleEndian.PutUint32(raw[1:], uint32(maxCtrlFrame)+1)
 	if _, err := client.c.Write(raw); err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestCtrlConnFrameLimitAndEOF(t *testing.T) {
 
 func TestCtrlMsgEnvelopeShape(t *testing.T) {
 	// The wire envelope is stable JSON: {type, body}.
-	env := CtrlMsg{Type: "build", Body: json.RawMessage(`{"nodes":2}`)}
+	env := ctrlMsg{Type: "build", Body: json.RawMessage(`{"nodes":2}`)}
 	b, err := json.Marshal(env)
 	if err != nil {
 		t.Fatal(err)
@@ -242,7 +242,7 @@ func TestChunkedBlobResumeAfterDisconnect(t *testing.T) {
 	go func() { sendErr <- client.SendBlobChunked(blob, 0, chunk) }()
 	var partial []byte
 	for i := 0; i < 4; i++ {
-		var hdr ChunkMsg
+		var hdr chunkMsg
 		if err := server.Expect("chunk", &hdr); err != nil {
 			t.Errorf("chunk %d header: %v", i, err)
 			return
@@ -252,13 +252,13 @@ func TestChunkedBlobResumeAfterDisconnect(t *testing.T) {
 				i, hdr.Offset, hdr.Total, len(partial), len(blob))
 			return
 		}
-		piece, err := server.RecvBlob()
+		piece, err := server.recvBlob()
 		if err != nil {
 			t.Errorf("chunk %d blob: %v", i, err)
 			return
 		}
 		partial = append(partial, piece...)
-		if err := server.Send("chunk-ack", ChunkAckMsg{Offset: len(partial)}); err != nil {
+		if err := server.Send("chunk-ack", chunkAckMsg{Offset: len(partial)}); err != nil {
 			t.Errorf("chunk %d ack: %v", i, err)
 			return
 		}
@@ -299,9 +299,9 @@ func TestChunkedBlobRejectsCorruptChunk(t *testing.T) {
 
 	go func() {
 		// Hand-roll one chunk with a wrong CRC.
-		hdr := ChunkMsg{Offset: 0, Size: len(blob), Total: len(blob), CRC: 0xdeadbeef}
+		hdr := chunkMsg{Offset: 0, Size: len(blob), Total: len(blob), CRC: 0xdeadbeef}
 		client.Send("chunk", hdr)
-		client.SendBlob(blob)
+		client.sendBlob(blob)
 	}()
 	if _, err := server.RecvBlobChunked(nil, len(blob)); err == nil || !strings.Contains(err.Error(), "CRC") {
 		t.Fatalf("corrupt chunk accepted: %v", err)

@@ -52,7 +52,7 @@ type FaultPlan struct {
 	CrashNode        NodeID
 	CrashAtSuperstep int
 
-	counters   FaultCounters
+	counters   faultCounters
 	crashFired atomic.Bool
 }
 
@@ -68,9 +68,9 @@ type PartitionWindow struct {
 	Drop     bool
 }
 
-// FaultCounters tallies injected faults, for observability surfaces and
+// faultCounters tallies injected faults, for observability surfaces and
 // test assertions. Read with FaultPlan.Counters.
-type FaultCounters struct {
+type faultCounters struct {
 	Delays   int64
 	SendErrs int64
 	Drops    int64
@@ -78,17 +78,14 @@ type FaultCounters struct {
 }
 
 // Counters returns a snapshot of the faults injected so far.
-func (p *FaultPlan) Counters() FaultCounters {
-	return FaultCounters{
+func (p *FaultPlan) Counters() faultCounters {
+	return faultCounters{
 		Delays:   atomic.LoadInt64(&p.counters.Delays),
 		SendErrs: atomic.LoadInt64(&p.counters.SendErrs),
 		Drops:    atomic.LoadInt64(&p.counters.Drops),
 		Crashes:  atomic.LoadInt64(&p.counters.Crashes),
 	}
 }
-
-// CrashFired reports whether the plan's crash has been consumed.
-func (p *FaultPlan) CrashFired() bool { return p.crashFired.Load() }
 
 // Wrap layers the plan over every endpoint of a cluster. The returned
 // endpoints share the plan's counters and one-shot crash state, so
@@ -108,7 +105,7 @@ func (p *FaultPlan) WrapOne(ep Endpoint) Endpoint {
 }
 
 // faultEndpoint interposes the plan on one endpoint. It implements
-// Endpoint and StepObserver, forwarding to the wrapped transport after
+// Endpoint and stepObserver, forwarding to the wrapped transport after
 // the fault draw.
 type faultEndpoint struct {
 	inner Endpoint
@@ -124,7 +121,7 @@ func (e *faultEndpoint) N() int        { return e.inner.N() }
 func (e *faultEndpoint) Stats() *Stats { return e.inner.Stats() }
 func (e *faultEndpoint) Close() error  { return e.inner.Close() }
 
-// ObserveSuperstep implements StepObserver: it advances the step counter
+// ObserveSuperstep implements stepObserver: it advances the step counter
 // and fires the plan's crash when this node's time has come.
 func (e *faultEndpoint) ObserveSuperstep(step int) {
 	e.step.Store(int64(step))

@@ -28,7 +28,7 @@ func chatter(t *testing.T, eps []Endpoint, rounds int) (sendErrs int) {
 }
 
 func TestFaultPlanDeterministicSendErrors(t *testing.T) {
-	run := func(seed uint64) (int, FaultCounters) {
+	run := func(seed uint64) (int, faultCounters) {
 		plan := &FaultPlan{Seed: seed, SendErrProb: 0.3}
 		c := NewMemCluster(2)
 		defer c.Close()
@@ -96,8 +96,8 @@ func TestFaultPlanCrashAtSuperstep(t *testing.T) {
 	if _, err := eps[1].Recv(0, KindControl, 1); !errors.As(err, &ce) {
 		t.Fatalf("post-crash recv returned %v, want *CrashError", err)
 	}
-	if !plan.CrashFired() || plan.Counters().Crashes != 1 {
-		t.Fatalf("crash bookkeeping: fired=%v counters=%+v", plan.CrashFired(), plan.Counters())
+	if !plan.crashFired.Load() || plan.Counters().Crashes != 1 {
+		t.Fatalf("crash bookkeeping: fired=%v counters=%+v", plan.crashFired.Load(), plan.Counters())
 	}
 
 	// The crash fires once per plan: a re-formed cluster (fresh wrap,

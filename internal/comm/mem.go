@@ -153,7 +153,7 @@ func (e *memEndpoint) SendBufs(to NodeID, kind Kind, tag int32, bufs Buffers) er
 	var payload []byte
 	if len(bufs) == 1 {
 		payload = bufs[0]
-	} else if total := bufs.TotalLen(); total > 0 {
+	} else if total := bufs.totalLen(); total > 0 {
 		payload = bufpool.Get(total)
 		off := 0
 		for _, b := range bufs {

@@ -72,8 +72,8 @@ func (s *Stats) ReceivedBytes(kind Kind) int64 { return s.recvBytes[kind].Load()
 // ReceivedMessages returns the number of messages received of the given kind.
 func (s *Stats) ReceivedMessages(kind Kind) int64 { return s.recvMsgs[kind].Load() }
 
-// TotalSentBytes returns bytes sent across all kinds.
-func (s *Stats) TotalSentBytes() int64 {
+// totalSentBytes returns bytes sent across all kinds.
+func (s *Stats) totalSentBytes() int64 {
 	var t int64
 	for k := Kind(0); k < numKinds; k++ {
 		t += s.SentBytes(k)
@@ -87,25 +87,25 @@ func (s *Stats) QueueDelay() time.Duration {
 	return time.Duration(s.queueDelayNs.Load())
 }
 
-// NumPeers returns the cluster size the per-link counters were sized
+// numPeers returns the cluster size the per-link counters were sized
 // for (0 when the transport did not initialize them).
-func (s *Stats) NumPeers() int { return len(s.peers) }
+func (s *Stats) numPeers() int { return len(s.peers) }
 
-// LinkSnapshot is an immutable copy of one peer link's counters, summed
+// linkSnapshot is an immutable copy of one peer link's counters, summed
 // over all kinds and including per-message header overhead.
-type LinkSnapshot struct {
+type linkSnapshot struct {
 	SentMessages, SentBytes         int64
 	ReceivedMessages, ReceivedBytes int64
 }
 
 // Peer returns the counters for the link to/from the given peer; zero
 // for out-of-range peers.
-func (s *Stats) Peer(peer NodeID) LinkSnapshot {
+func (s *Stats) Peer(peer NodeID) linkSnapshot {
 	if int(peer) < 0 || int(peer) >= len(s.peers) {
-		return LinkSnapshot{}
+		return linkSnapshot{}
 	}
 	p := &s.peers[peer]
-	return LinkSnapshot{
+	return linkSnapshot{
 		SentMessages:     p.sentMsgs.Load(),
 		SentBytes:        p.sentBytes.Load(),
 		ReceivedMessages: p.recvMsgs.Load(),

@@ -78,7 +78,7 @@ func parseFrameHeader(hdr []byte) (from NodeID, kind Kind, tag int32, payloadLen
 func (tc *tcpConn) writeFrame(from NodeID, kind Kind, tag int32, bufs Buffers) error {
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
-	putFrameHeader(tc.hdr[:], from, kind, tag, bufs.TotalLen())
+	putFrameHeader(tc.hdr[:], from, kind, tag, bufs.totalLen())
 	tc.vec = append(tc.vec[:0], tc.hdr[:])
 	for _, b := range bufs {
 		if len(b) > 0 {
@@ -202,7 +202,7 @@ func NewTCPEndpoint(id NodeID, ln net.Listener, addrs []string, opts ...TCPOptio
 // decorrelate without shared rand state.
 func dialWithRetry(addr string, budget time.Duration, dialKey uint64) (net.Conn, error) {
 	var c net.Conn
-	err := DefaultBackoff(dialKey).Retry(budget, func(uint64) error {
+	err := defaultBackoff(dialKey).Retry(budget, func(uint64) error {
 		var err error
 		c, err = net.Dial("tcp", addr)
 		return err
@@ -271,7 +271,7 @@ func (e *TCPEndpoint) SendBufs(to NodeID, kind Kind, tag int32, bufs Buffers) er
 	if int(to) < 0 || int(to) >= e.n || to == e.id {
 		return fmt.Errorf("comm: node %d cannot send to %d", e.id, to)
 	}
-	total := bufs.TotalLen()
+	total := bufs.totalLen()
 	// A failed write means the peer (or our own endpoint) is gone — the
 	// same transport cut a closed inbox reports — so it carries the
 	// peer-lost type, not a bare I/O error.

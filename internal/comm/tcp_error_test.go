@@ -132,15 +132,15 @@ func TestPerLinkAccounting(t *testing.T) {
 	if got := s.Peer(2).SentBytes; got != 20+headerBytes {
 		t.Fatalf("link 0→2 sent %d", got)
 	}
-	if s.NumPeers() != 3 {
-		t.Fatalf("NumPeers %d", s.NumPeers())
+	if s.numPeers() != 3 {
+		t.Fatalf("numPeers %d", s.numPeers())
 	}
 	var perLink int64
 	for p := NodeID(0); p < 3; p++ {
 		perLink += s.Peer(p).SentBytes
 	}
-	if perLink != s.TotalSentBytes() {
-		t.Fatalf("per-link sum %d != total %d", perLink, s.TotalSentBytes())
+	if perLink != s.totalSentBytes() {
+		t.Fatalf("per-link sum %d != total %d", perLink, s.totalSentBytes())
 	}
 	if _, err := c.Endpoint(1).Recv(0, KindUpdate, 0); err != nil {
 		t.Fatal(err)

@@ -9,8 +9,8 @@ import (
 	"sync"
 )
 
-// CheckpointStats summarizes a store's lifetime activity.
-type CheckpointStats struct {
+// checkpointStats summarizes a store's lifetime activity.
+type checkpointStats struct {
 	// Saved counts blobs accepted, Commits iterations fully committed,
 	// Restores blobs handed back to recovering workers.
 	Saved, Commits, Restores int64
@@ -41,7 +41,7 @@ type CheckpointStore interface {
 	// Clear discards every staged and committed snapshot.
 	Clear()
 	// Stats reports lifetime counters.
-	Stats() CheckpointStats
+	Stats() checkpointStats
 }
 
 // FileCheckpointStore is the one CheckpointStore. It holds the staged
@@ -287,8 +287,8 @@ func (s *FileCheckpointStore) clearLocked() {
 
 // Stats reports lifetime counters of this store instance (a reopened
 // store starts its counters fresh but adopts the committed iteration).
-func (s *FileCheckpointStore) Stats() CheckpointStats {
+func (s *FileCheckpointStore) Stats() checkpointStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return CheckpointStats{Saved: s.saved, Commits: s.commits, Restores: s.restores, CommittedIter: s.committedIter}
+	return checkpointStats{Saved: s.saved, Commits: s.commits, Restores: s.restores, CommittedIter: s.committedIter}
 }

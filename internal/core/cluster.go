@@ -35,7 +35,7 @@ type Cluster struct {
 
 	statsMu   sync.Mutex
 	lastStats RunStats
-	lastNodes []NodeRunStats
+	lastNodes []nodeRunStats
 
 	// poisoned is the error of the run that closed the transport to
 	// unblock its survivors; Reset clears it and re-forms the cluster.
@@ -87,11 +87,11 @@ type RunStats struct {
 // TotalBytes returns all sent traffic.
 func (s RunStats) TotalBytes() int64 { return s.UpdateBytes + s.DependencyBytes + s.ControlBytes }
 
-// NodeRunStats is one machine's share of a Run: RunStats' work and
+// nodeRunStats is one machine's share of a Run: RunStats' work and
 // traffic counters attributed to a single node (Elapsed, which belongs
 // to the run, stays zero). Byte counts are sender-side, so adding up the
 // nodes yields exactly the run's totals.
-type NodeRunStats struct {
+type nodeRunStats struct {
 	Node int
 	RunStats
 }
@@ -106,7 +106,7 @@ type StatsSnapshot struct {
 	Totals RunStats
 	// Nodes holds each hosted machine's share, ordered by node ID.
 	// Per-field sums over Nodes equal the corresponding Totals fields.
-	Nodes []NodeRunStats
+	Nodes []nodeRunStats
 	// Phases summarizes the spans recorded by Options.Tracer since the
 	// tracer was created (across runs); empty without a tracer.
 	Phases []obs.PhaseSummary
@@ -510,7 +510,7 @@ func (c *Cluster) runOnce(ctx context.Context, prog func(w *Worker) error) error
 	elapsed := time.Since(start)
 
 	var stats RunStats
-	nodeStats := make([]NodeRunStats, 0, len(nodes))
+	nodeStats := make([]nodeRunStats, 0, len(nodes))
 	for _, i := range nodes {
 		w := workers[i]
 		ns := sentTraffic(c.endpoints[i].Stats())
@@ -524,7 +524,7 @@ func (c *Cluster) runOnce(ctx context.Context, prog func(w *Worker) error) error
 		ns.DependencyWait = time.Duration(w.depWait.Load())
 		ns.UpdateWait = time.Duration(w.updWait.Load())
 		ns.Supersteps = int64(w.densePass + w.sparsePass)
-		nodeStats = append(nodeStats, NodeRunStats{Node: i, RunStats: ns})
+		nodeStats = append(nodeStats, nodeRunStats{Node: i, RunStats: ns})
 		stats.Add(ns)
 	}
 	stats.Elapsed = elapsed
@@ -574,7 +574,7 @@ func (c *Cluster) localNodes() []int {
 func (c *Cluster) Stats() StatsSnapshot {
 	c.statsMu.Lock()
 	totals := c.lastStats
-	nodes := make([]NodeRunStats, len(c.lastNodes))
+	nodes := make([]nodeRunStats, len(c.lastNodes))
 	copy(nodes, c.lastNodes)
 	tr := c.opts.Tracer
 	c.statsMu.Unlock()

@@ -24,13 +24,9 @@ type admission struct {
 	rejected atomic.Int64
 }
 
+// newAdmission sizes the gate from New's filled Config: maxInflight at
+// least 1, maxQueue at least 0.
 func newAdmission(maxInflight, maxQueue int) *admission {
-	if maxInflight <= 0 {
-		maxInflight = 1
-	}
-	if maxQueue < 0 {
-		maxQueue = 0
-	}
 	return &admission{
 		queue:    make(chan struct{}, maxQueue),
 		inflight: make(chan struct{}, maxInflight),

@@ -44,10 +44,10 @@ func TestCommitAdvancesIdleEngines(t *testing.T) {
 	cfg := Config{Graphs: map[string]*graph.Graph{"g": testGraph(7, 3)}, Workers: addrs}
 	fastFleet(&cfg)
 	s := testServer(t, cfg)
-	t.Cleanup(s.pool.Close)
+	t.Cleanup(s.pool.close)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	ge, _ := s.pool.Entry("g")
+	ge, _ := s.pool.entry("g")
 	algos := []string{"bfs", "pagerank", "kcore", "mis", "cc", "sssp"}
 	modes := []core.Mode{core.ModeSympleGraph, core.ModeGemini}
 
@@ -124,8 +124,8 @@ func TestCommitAdvancesIdleEngines(t *testing.T) {
 			t.Fatalf("commit %d: /statusz counts %d clusters built, want %d: a lease built instead of advancing", c, got, built)
 		}
 		remote()
-		if built++; s.pool.Slots() != built {
-			t.Fatalf("commit %d: the remote query built %d engines, want 1", c, s.pool.Slots()-built+1)
+		if built++; s.pool.slots() != built {
+			t.Fatalf("commit %d: the remote query built %d engines, want 1", c, s.pool.slots()-built+1)
 		}
 	}
 
@@ -134,7 +134,7 @@ func TestCommitAdvancesIdleEngines(t *testing.T) {
 	if code, resp, body := getResponse(t, fmt.Sprintf("%s/query?graph=g&algo=bfs&epoch=%d&no_cache=1&provider=local", ts.URL, hi-1)); code != http.StatusOK || resp.Epoch != hi-1 {
 		t.Fatalf("pinned query: %d at epoch %d, %s", code, resp.Epoch, body)
 	}
-	if got := s.pool.Slots(); got != built+1 {
+	if got := s.pool.slots(); got != built+1 {
 		t.Fatalf("the pinned query built %d engines, want 1", got-built)
 	}
 }

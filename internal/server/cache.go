@@ -43,9 +43,6 @@ type cacheEntry struct {
 // newResultCache builds a cache; maxEntries <= 0 disables caching
 // entirely (every Get misses, Put drops).
 func newResultCache(maxEntries int, maxBytes int64) *resultCache {
-	if maxBytes <= 0 {
-		maxBytes = 64 << 20
-	}
 	return &resultCache{
 		ll:         list.New(),
 		entries:    make(map[string]*list.Element),

@@ -180,8 +180,8 @@ func (st *epochState) install(v graphVariant, g *graph.Graph) {
 // the epoch's directed snapshot alone — its blob, or the committed batch
 // against the parent fingerprint, which the worker verifies with
 // ChainFingerprint and derives the variant from itself.
-func (st *epochState) buildSpec(name string, v graphVariant, mode core.Mode, slotID int) BuildSpec {
-	spec := BuildSpec{
+func (st *epochState) buildSpec(name string, v graphVariant, mode core.Mode, slotID int) buildSpec {
+	spec := buildSpec{
 		GraphName: name,
 		Variant:   v,
 		Graph:     st.Graph(v),
@@ -253,8 +253,8 @@ func advanceUndirected(parent, st *epochState, eff mutate.Batch) {
 	}
 }
 
-// EpochStatus is one graph's versioning state for /statusz.
-type EpochStatus struct {
+// epochStatus is one graph's versioning state for /statusz.
+type epochStatus struct {
 	Epoch       uint64 `json:"epoch"`
 	Fingerprint string `json:"fingerprint"`
 	WindowLo    uint64 `json:"window_lo"`
@@ -265,10 +265,10 @@ type EpochStatus struct {
 }
 
 // epochStatus snapshots the entry's versioning counters.
-func (e *graphEntry) epochStatus() EpochStatus {
+func (e *graphEntry) epochStatus() epochStatus {
 	lo, hi := e.store.Window()
 	commits, ops, evictions := e.store.Stats()
-	return EpochStatus{
+	return epochStatus{
 		Epoch:       hi,
 		Fingerprint: e.store.Latest().Fingerprint(),
 		WindowLo:    lo,

@@ -21,13 +21,13 @@ func fastFleet(cfg *Config) {
 }
 
 // fleetOf reads the remote provider's roster snapshot out of a server.
-func fleetOf(s *Server) FleetStatus {
-	return s.pool.Fleets()["remote"]
+func fleetOf(s *Server) fleetStatus {
+	return s.pool.remote.fleet()
 }
 
 // waitFleet polls until cond holds on the fleet snapshot or the
 // deadline passes.
-func waitFleet(t *testing.T, s *Server, what string, cond func(FleetStatus) bool) FleetStatus {
+func waitFleet(t *testing.T, s *Server, what string, cond func(fleetStatus) bool) fleetStatus {
 	t.Helper()
 	deadline := time.Now().Add(15 * time.Second)
 	for {
@@ -42,7 +42,7 @@ func waitFleet(t *testing.T, s *Server, what string, cond func(FleetStatus) bool
 	}
 }
 
-func stateOf(fs FleetStatus, addr string) WorkerState {
+func stateOf(fs fleetStatus, addr string) WorkerState {
 	for _, w := range fs.Workers {
 		if w.Addr == addr {
 			return w.State
@@ -63,14 +63,13 @@ func TestFleetRosterStateMachine(t *testing.T) {
 	addr := d.Addr()
 
 	rejoined := make(chan string, 1)
-	r := newRosterManager(RosterConfig{
-		Workers:       []string{addr},
-		ProbeInterval: 20 * time.Millisecond,
-		ProbeTimeout:  250 * time.Millisecond,
-		DeadAfter:     2,
-		BackoffCap:    100 * time.Millisecond,
-		OnRejoin:      func(a string) error { rejoined <- a; return nil },
-	})
+	r := newRosterManager(Config{
+		Workers:         []string{addr},
+		ProbeInterval:   20 * time.Millisecond,
+		ProbeTimeout:    250 * time.Millisecond,
+		ProbeDeadAfter:  2,
+		ProbeBackoffCap: 100 * time.Millisecond,
+	}.withDefaults(), func(a string) error { rejoined <- a; return nil })
 	defer r.Close()
 
 	wait := func(what string, cond func() bool) {
@@ -126,12 +125,12 @@ func TestFleetRosterStateMachine(t *testing.T) {
 // dial failure suspects the worker immediately instead of waiting out
 // the probe interval.
 func TestFleetBuildFailureMarksWorker(t *testing.T) {
-	r := newRosterManager(RosterConfig{
-		Workers:       []string{"127.0.0.1:1"}, // nothing listens here
-		ProbeInterval: time.Hour,               // probes effectively off
-		ProbeTimeout:  50 * time.Millisecond,
-		DeadAfter:     2,
-	})
+	r := newRosterManager(Config{
+		Workers:        []string{"127.0.0.1:1"}, // nothing listens here
+		ProbeInterval:  time.Hour,               // probes effectively off
+		ProbeTimeout:   50 * time.Millisecond,
+		ProbeDeadAfter: 2,
+	}.withDefaults(), func(string) error { return nil })
 	defer r.Close()
 	// The first scheduled probe may or may not have fired yet; the
 	// explicit failure reports must drive the state machine regardless.
@@ -156,20 +155,20 @@ func TestFleetCapacityReject(t *testing.T) {
 	}
 	defer d.Close()
 
-	prov := NewRemoteProvider(RemoteProviderConfig{
+	prov := newRemoteProvider(Config{
 		Workers:       []string{d.Addr()},
-		Options:       core.Options{NumNodes: 2, Mode: core.ModeSympleGraph},
+		Engine:        core.Options{NumNodes: 2, Mode: core.ModeSympleGraph},
 		ProbeInterval: 20 * time.Millisecond,
 		ProbeTimeout:  250 * time.Millisecond,
-	}).(*RemoteProvider)
-	defer prov.Close()
+	}.withDefaults())
+	defer prov.close()
 
 	ge, err := newGraphEntry("g", testGraph(6, 1), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	spec := ge.Latest().buildSpec("g", variantDirected, core.ModeSympleGraph, 0)
-	first, err := prov.Build(spec)
+	first, err := prov.build(spec)
 	if err != nil {
 		t.Fatalf("first build: %v", err)
 	}
@@ -180,7 +179,7 @@ func TestFleetCapacityReject(t *testing.T) {
 
 	// The only worker is at capacity: the second build must not steal
 	// its slot — it degrades to an in-process engine instead.
-	second, err := prov.Build(spec)
+	second, err := prov.build(spec)
 	if err != nil {
 		t.Fatalf("second build: %v", err)
 	}
@@ -188,8 +187,8 @@ func TestFleetCapacityReject(t *testing.T) {
 	if dg, ok := second.(interface{ Degraded() bool }); !ok || !dg.Degraded() {
 		t.Fatalf("over-capacity build not degraded: %T", second)
 	}
-	if d.SlotsBuilt() != 1 {
-		t.Fatalf("worker built %d slots, want 1", d.SlotsBuilt())
+	if d.slotsBuilt.Load() != 1 {
+		t.Fatalf("worker built %d slots, want 1", d.slotsBuilt.Load())
 	}
 }
 
@@ -205,11 +204,11 @@ func TestFleetKillRejoinServesDegradedThenFullWidth(t *testing.T) {
 	cfg := Config{Workers: addrs}
 	fastFleet(&cfg)
 	s := testServer(t, cfg)
-	t.Cleanup(s.pool.Close)
+	t.Cleanup(s.pool.close)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	waitFleet(t, s, "all healthy", func(fs FleetStatus) bool { return fs.Healthy == 2 })
+	waitFleet(t, s, "all healthy", func(fs fleetStatus) bool { return fs.Healthy == 2 })
 
 	// Baseline: remote matches local at full width.
 	code, full, body := getResponse(t, ts.URL+"/query?graph=g1&algo=bfs&no_cache=1&provider=remote")
@@ -224,13 +223,13 @@ func TestFleetKillRejoinServesDegradedThenFullWidth(t *testing.T) {
 	// Kill worker 1 mid-query: the in-flight query fails with the
 	// peer-lost classification.
 	victim := addrs[1]
-	startedBefore := daemons[0].RunsStarted() + daemons[1].RunsStarted()
+	startedBefore := daemons[0].runsStarted.Load() + daemons[1].runsStarted.Load()
 	killed := make(chan struct{})
 	go func() {
 		defer close(killed)
 		deadline := time.Now().Add(10 * time.Second)
 		for time.Now().Before(deadline) {
-			if daemons[0].RunsStarted()+daemons[1].RunsStarted() > startedBefore {
+			if daemons[0].runsStarted.Load()+daemons[1].runsStarted.Load() > startedBefore {
 				daemons[1].Close()
 				return
 			}
@@ -245,7 +244,7 @@ func TestFleetKillRejoinServesDegradedThenFullWidth(t *testing.T) {
 
 	// The roster declares the victim dead; queries keep flowing on the
 	// survivor, flagged degraded, bit-identical to local.
-	waitFleet(t, s, "victim dead", func(fs FleetStatus) bool { return stateOf(fs, victim) == StateDead })
+	waitFleet(t, s, "victim dead", func(fs fleetStatus) bool { return stateOf(fs, victim) == StateDead })
 	code, degResp, body := getResponse(t, ts.URL+"/query?graph=g1&algo=bfs&no_cache=1&provider=remote")
 	if code != http.StatusOK {
 		t.Fatalf("degraded query: %d %s", code, body)
@@ -265,8 +264,8 @@ func TestFleetKillRejoinServesDegradedThenFullWidth(t *testing.T) {
 		t.Fatalf("restarting worker on %s: %v", victim, err)
 	}
 	t.Cleanup(func() { d2.Close() })
-	waitFleet(t, s, "victim healthy again", func(fs FleetStatus) bool { return stateOf(fs, victim) == StateHealthy })
-	if d2.GraphsCached() == 0 {
+	waitFleet(t, s, "victim healthy again", func(fs fleetStatus) bool { return stateOf(fs, victim) == StateHealthy })
+	if d2.graphsCached() == 0 {
 		t.Fatal("rejoined worker was not preloaded with the served graphs")
 	}
 
@@ -291,7 +290,7 @@ func TestFleetKillRejoinServesDegradedThenFullWidth(t *testing.T) {
 	if !sawFullWidth {
 		t.Fatal("pool never regained full width after rejoin")
 	}
-	if d2.SlotsBuilt() == 0 {
+	if d2.slotsBuilt.Load() == 0 {
 		t.Fatal("restarted worker never hosted a slot")
 	}
 
@@ -316,18 +315,18 @@ func TestFleetSoakKillRestartCycles(t *testing.T) {
 	cfg := Config{Workers: addrs}
 	fastFleet(&cfg)
 	s := testServer(t, cfg)
-	t.Cleanup(s.pool.Close)
+	t.Cleanup(s.pool.close)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	waitFleet(t, s, "all healthy", func(fs FleetStatus) bool { return fs.Healthy == 2 })
+	waitFleet(t, s, "all healthy", func(fs fleetStatus) bool { return fs.Healthy == 2 })
 	_, want, _ := getResponse(t, ts.URL+"/query?graph=g1&algo=bfs&no_cache=1&provider=local")
 
 	cur := daemons[1]
 	for cycle := 0; cycle < 3; cycle++ {
 		victim := addrs[1]
 		cur.Close()
-		waitFleet(t, s, "victim dead", func(fs FleetStatus) bool { return stateOf(fs, victim) == StateDead })
+		waitFleet(t, s, "victim dead", func(fs fleetStatus) bool { return stateOf(fs, victim) == StateDead })
 
 		// Degraded serving stays correct while the worker is down.
 		code, r, body := getResponse(t, ts.URL+"/query?graph=g1&algo=bfs&no_cache=1&provider=remote")
@@ -341,7 +340,7 @@ func TestFleetSoakKillRestartCycles(t *testing.T) {
 		}
 		t.Cleanup(func() { d.Close() })
 		cur = d
-		waitFleet(t, s, "victim healthy", func(fs FleetStatus) bool { return stateOf(fs, victim) == StateHealthy })
+		waitFleet(t, s, "victim healthy", func(fs fleetStatus) bool { return stateOf(fs, victim) == StateHealthy })
 
 		code, r, body = getResponse(t, ts.URL+"/query?graph=g1&algo=bfs&no_cache=1&provider=remote")
 		if code != http.StatusOK || !reflect.DeepEqual(r.Result, want.Result) {

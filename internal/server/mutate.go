@@ -88,10 +88,10 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("bad JSON body: %v", err), http.StatusBadRequest)
 		return
 	}
-	ge, ok := s.pool.Entry(req.Graph)
+	ge, ok := s.pool.entry(req.Graph)
 	if !ok {
 		s.mutateErr.Add(1)
-		http.Error(w, fmt.Sprintf("unknown graph %q (serving %v)", req.Graph, s.pool.GraphNames()), http.StatusBadRequest)
+		http.Error(w, fmt.Sprintf("unknown graph %q (serving %v)", req.Graph, s.pool.graphNames()), http.StatusBadRequest)
 		return
 	}
 	batch, err := batchFromJSON(req.Mutations)
@@ -113,7 +113,7 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	// adds no endpoints, and the full-region override for synthesized
 	// weights happened at Put time.
 	promoted, dropped := s.cache.Advance(req.Graph, res.snap.Epoch(), batch.Region())
-	retired := s.pool.RetireEpochs(req.Graph)
+	retired := s.pool.retireEpochs(req.Graph)
 
 	info := res.state.Info()
 	writeJSON(w, http.StatusOK, MutateResponse{

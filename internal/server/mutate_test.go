@@ -273,11 +273,11 @@ func TestMutateChaos(t *testing.T) {
 	cfg := Config{Graphs: map[string]*graph.Graph{"g": testGraph(7, 3)}, Workers: addrs}
 	fastFleet(&cfg)
 	s := testServer(t, cfg)
-	t.Cleanup(s.pool.Close)
+	t.Cleanup(s.pool.close)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	waitFleet(t, s, "all healthy", func(fs FleetStatus) bool { return fs.Healthy == 2 })
+	waitFleet(t, s, "all healthy", func(fs fleetStatus) bool { return fs.Healthy == 2 })
 
 	compare := func(stage, algo string) Response {
 		t.Helper()
@@ -322,10 +322,10 @@ func TestMutateChaos(t *testing.T) {
 		t.Fatalf("post-kill epoch %d, want 2", r.Epoch)
 	}
 	compare("post-kill", "kcore")
-	if daemons[0].DeltasApplied() == 0 {
+	if daemons[0].deltasApplied.Load() == 0 {
 		t.Fatal("survivor materialized epoch 2 without a delta frame")
 	}
-	if s.pool.providers["remote"].(*RemoteProvider).Fleet().DeltaShips == 0 {
+	if s.pool.remote.fleet().DeltaShips == 0 {
 		t.Fatal("front-end shipped epoch 2 without counting a delta ship")
 	}
 
@@ -336,7 +336,7 @@ func TestMutateChaos(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { d2.Close() })
-	waitFleet(t, s, "victim healthy again", func(fs FleetStatus) bool {
+	waitFleet(t, s, "victim healthy again", func(fs fleetStatus) bool {
 		return stateOf(fs, addrs[1]) == StateHealthy
 	})
 

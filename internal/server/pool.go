@@ -2,12 +2,12 @@ package server
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
 	"repro/internal/core"
 	"repro/internal/graph"
-	"repro/internal/obs"
 )
 
 // graphVariant selects which derived form of a loaded graph an
@@ -80,46 +80,25 @@ type entryKey struct {
 // commit's re-filing awaits the next lease's advance.
 type slot struct {
 	entryKey
-	eng Engine
+	eng engine
 	at  uint64
 }
 
-// PoolConfig configures the engine pool.
-type PoolConfig struct {
-	// Graphs maps serving names to loaded graphs (each becomes the
-	// root epoch of a version chain).
-	Graphs map[string]*graph.Graph
-	// Providers lists the engine providers slots can be built on,
-	// keyed into the pool by Name(). At least one is required.
-	Providers []EngineProvider
-	// DefaultProvider names the provider used when a request does not
-	// pick one; empty selects the first entry of Providers.
-	DefaultProvider string
-	// SlotsPerEntry caps the idle engines kept per (provider, graph,
-	// epoch, variant, mode). It does not cap leases: admission decides
-	// how many queries run at once, the pool caches what they release.
-	SlotsPerEntry int
-	// Retention is how many epochs each graph keeps resolvable
-	// (default mutate.DefaultRetention).
-	Retention int
-	// Tracer is the shared tracer slots record into when no
-	// per-request capture is active.
-	Tracer *obs.Tracer
-}
-
-// Pool caches the warm engines the server leases per request. Slots
-// from different providers coexist: the pool key is (provider, graph,
-// epoch, variant, mode), so an in-process cluster and a remote worker
-// ring for the same graph are separate idle lists, and two epochs of one
-// graph never share an engine.
-type Pool struct {
-	cfg       PoolConfig
-	providers map[string]EngineProvider
-	defName   string
-	graphs    map[string]*graphEntry
-	mu        sync.Mutex
-	entries   map[entryKey][]*slot // idle engines, at most SlotsPerEntry per key
-	nextID    int
+// pool caches the warm engines the server leases per request. It
+// builds on two providers: "local", in-process clusters from
+// newLocalEngine, always; "remote", rings of sgworker processes, when
+// the server has Workers (remote is nil otherwise). Their slots coexist:
+// the pool key is (provider, graph, epoch, variant, mode), so an
+// in-process cluster and a remote worker ring for the same graph are
+// separate idle lists, and two epochs of one graph never share an
+// engine.
+type pool struct {
+	cfg     Config // the server's, defaults filled; MaxInflight caps each idle list
+	remote  *remoteProvider
+	graphs  map[string]*graphEntry
+	mu      sync.Mutex
+	entries map[entryKey][]*slot // idle engines, at most MaxInflight per key
+	nextID  int
 
 	// Stats aggregation over every slot ever built, without keeping a
 	// closed slot (its engine, layouts and blocked CSR) reachable: open
@@ -129,39 +108,20 @@ type Pool struct {
 	closedRestarts int64          // Restarts of engines already closed
 }
 
-// NewPool validates the configuration and indexes the graphs and
-// providers. Engines are not built yet; the first query for each
-// (provider, graph, epoch, variant) pays that cost.
-func NewPool(cfg PoolConfig) (*Pool, error) {
+// newPool indexes cfg's graphs and, with cfg.Workers, starts the remote
+// provider's roster. Engines are not built yet; the first query for
+// each (provider, graph, epoch, variant) pays that cost. cfg carries
+// New's defaults.
+func newPool(cfg Config) (*pool, error) {
 	if len(cfg.Graphs) == 0 {
 		return nil, fmt.Errorf("server: pool needs at least one graph")
 	}
-	if len(cfg.Providers) == 0 {
-		return nil, fmt.Errorf("server: pool needs at least one engine provider")
-	}
-	if cfg.SlotsPerEntry <= 0 {
-		cfg.SlotsPerEntry = 1
-	}
-	p := &Pool{
-		cfg:       cfg,
-		providers: make(map[string]EngineProvider, len(cfg.Providers)),
-		graphs:    make(map[string]*graphEntry, len(cfg.Graphs)),
-		entries:   make(map[entryKey][]*slot),
-		open:      make(map[*slot]struct{}),
-		builds:    make(map[string]int, len(cfg.Providers)),
-	}
-	for _, prov := range cfg.Providers {
-		if _, dup := p.providers[prov.Name()]; dup {
-			return nil, fmt.Errorf("server: duplicate engine provider %q", prov.Name())
-		}
-		p.providers[prov.Name()] = prov
-	}
-	p.defName = cfg.DefaultProvider
-	if p.defName == "" {
-		p.defName = cfg.Providers[0].Name()
-	}
-	if _, ok := p.providers[p.defName]; !ok {
-		return nil, fmt.Errorf("server: default provider %q not in provider list", p.defName)
+	p := &pool{
+		cfg:     cfg,
+		graphs:  make(map[string]*graphEntry, len(cfg.Graphs)),
+		entries: make(map[entryKey][]*slot),
+		open:    make(map[*slot]struct{}),
+		builds:  make(map[string]int, 2),
 	}
 	for name, g := range cfg.Graphs {
 		ge, err := newGraphEntry(name, g, cfg.Retention)
@@ -170,17 +130,20 @@ func NewPool(cfg PoolConfig) (*Pool, error) {
 		}
 		p.graphs[name] = ge
 	}
+	if len(cfg.Workers) > 0 {
+		p.remote = newRemoteProvider(cfg)
+	}
 	return p, nil
 }
 
-// Entry returns the version chain for a served graph.
-func (p *Pool) Entry(name string) (*graphEntry, bool) {
+// entry returns the version chain for a served graph.
+func (p *pool) entry(name string) (*graphEntry, bool) {
 	e, ok := p.graphs[name]
 	return e, ok
 }
 
-// Info returns the latest epoch's graph-derived defaults for name.
-func (p *Pool) Info(name string) (graphInfo, bool) {
+// info returns the latest epoch's graph-derived defaults for name.
+func (p *pool) info(name string) (graphInfo, bool) {
 	e, ok := p.graphs[name]
 	if !ok {
 		return graphInfo{}, false
@@ -188,9 +151,9 @@ func (p *Pool) Info(name string) (graphInfo, bool) {
 	return e.Latest().Info(), true
 }
 
-// GraphNames lists the served graphs in sorted order, so status
+// graphNames lists the served graphs in sorted order, so status
 // snapshots and logs render identically across calls.
-func (p *Pool) GraphNames() []string {
+func (p *pool) graphNames() []string {
 	names := make([]string, 0, len(p.graphs))
 	for n := range p.graphs {
 		names = append(names, n)
@@ -199,26 +162,24 @@ func (p *Pool) GraphNames() []string {
 	return names
 }
 
-// DefaultProvider names the provider used when a request picks none.
-func (p *Pool) DefaultProvider() string { return p.defName }
-
-// HasProvider reports whether the pool can schedule onto name.
-func (p *Pool) HasProvider(name string) bool {
-	_, ok := p.providers[name]
-	return ok
-}
-
-// ProviderNames lists the configured providers in sorted order.
-func (p *Pool) ProviderNames() []string {
-	names := make([]string, 0, len(p.providers))
-	for n := range p.providers {
-		names = append(names, n)
+// providers names the providers a request may pick, in sorted order.
+func (p *pool) providers() []string {
+	if p.remote != nil {
+		return []string{"local", "remote"}
 	}
-	sort.Strings(names)
-	return names
+	return []string{"local"}
 }
 
-// Lease hands out an engine for (provider, graphName, epoch, variant,
+// defaultProvider names the provider used when a request picks none:
+// the worker ring when there is one.
+func (p *pool) defaultProvider() string {
+	if p.remote != nil {
+		return "remote"
+	}
+	return "local"
+}
+
+// lease hands out an engine for (provider, graphName, epoch, variant,
 // mode): an idle one when the entry holds any — advanced to the epoch
 // first when a commit re-filed it; a stale one, or one that cannot
 // advance, is retired on the way, never handed out — and a freshly
@@ -228,12 +189,11 @@ func (p *Pool) ProviderNames() []string {
 // to latest and is pinned to a concrete epoch here, so a commit landing
 // during the build cannot move the query to a different version than
 // the one reported.
-func (p *Pool) Lease(provider, graphName string, epoch uint64, v graphVariant, mode core.Mode) (*slot, error) {
+func (p *pool) lease(provider, graphName string, epoch uint64, v graphVariant, mode core.Mode) (*slot, error) {
 	if provider == "" {
-		provider = p.defName
+		provider = p.defaultProvider()
 	}
-	prov, ok := p.providers[provider]
-	if !ok {
+	if !slices.Contains(p.providers(), provider) {
 		return nil, fmt.Errorf("unknown engine provider %q", provider)
 	}
 	ge, ok := p.graphs[graphName]
@@ -251,12 +211,12 @@ func (p *Pool) Lease(provider, graphName string, epoch uint64, v graphVariant, m
 		}
 		p.retire(s)
 	}
-	return p.build(prov, k, st)
+	return p.build(k, st)
 }
 
 // advance moves a re-filed engine up to its key's epoch, st, in one
 // Cluster.Advance; it fails when an epoch between left the window.
-func (p *Pool) advance(ge *graphEntry, s *slot, st *epochState) error {
+func (p *pool) advance(ge *graphEntry, s *slot, st *epochState) error {
 	if s.at == s.epoch {
 		return nil
 	}
@@ -273,7 +233,7 @@ func (p *Pool) advance(ge *graphEntry, s *slot, st *epochState) error {
 
 // popIdle takes one idle engine off k's entry, deleting the entry with
 // its last one: an entry exists only while it holds idle engines.
-func (p *Pool) popIdle(k entryKey) *slot {
+func (p *pool) popIdle(k entryKey) *slot {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	idle := p.entries[k]
@@ -295,18 +255,25 @@ func (p *Pool) popIdle(k entryKey) *slot {
 // on — for remote engines, whether the worker roster diverged from the
 // ring members (a member died, or a rejoined worker could widen the
 // ring). Engines without the hook are never stale.
-func isStale(e Engine) bool {
+func isStale(e engine) bool {
 	st, ok := e.(interface{ Stale() bool })
 	return ok && st.Stale()
 }
 
-func (p *Pool) build(prov EngineProvider, k entryKey, st *epochState) (*slot, error) {
+func (p *pool) build(k entryKey, st *epochState) (*slot, error) {
 	p.mu.Lock()
 	id := p.nextID
 	p.nextID++
 	p.mu.Unlock()
 
-	eng, err := prov.Build(st.buildSpec(k.graph, k.variant, k.mode, id))
+	spec := st.buildSpec(k.graph, k.variant, k.mode, id)
+	var eng engine
+	var err error
+	if k.provider == "remote" {
+		eng, err = p.remote.build(spec)
+	} else {
+		eng, err = newLocalEngine(spec, p.cfg.Engine, p.cfg.Tracer, p.cfg.CheckpointRoot)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("provider %s: %w", k.provider, err)
 	}
@@ -322,7 +289,7 @@ func (p *Pool) build(prov EngineProvider, k entryKey, st *epochState) (*slot, er
 // removes what it kept on disk (slot ids are pool-unique, so nothing
 // would ever read its checkpoint directory again), and stops tracking it,
 // keeping only what the "ever built" statistics need.
-func (p *Pool) retire(s *slot) {
+func (p *pool) retire(s *slot) {
 	restarts := s.eng.Stats().Restarts
 	p.mu.Lock()
 	delete(p.open, s)
@@ -334,18 +301,18 @@ func (p *Pool) retire(s *slot) {
 	}
 }
 
-// Release takes a slot back. The engine first completes its request
+// release takes a slot back. The engine first completes its request
 // protocol (FinishQuery — for remote engines, collecting worker
 // acknowledgements). A clean engine of the current epoch is parked for
 // the next lease; a poisoned one is Reset in place when the
 // implementation supports it and parked too. Everything else — a failed
 // finish, a poisoned engine that cannot Reset (a remote ring), a ring the
 // roster moved away from, a superseded epoch, an entry already holding
-// SlotsPerEntry idle engines — is retired, and the next lease builds:
+// MaxInflight idle engines — is retired, and the next lease builds:
 // over the roster's survivors, at the epoch it asks for. Nothing is
 // built here, so the request that broke a slot is answered without
 // waiting for a replacement it will never use.
-func (p *Pool) Release(s *slot) {
+func (p *pool) release(s *slot) {
 	fit := s.eng.FinishQuery() == nil
 	s.eng.SetBaseContext(nil)
 	s.eng.SetTracer(p.cfg.Tracer)
@@ -360,26 +327,26 @@ func (p *Pool) Release(s *slot) {
 
 // park puts s on its entry's idle list unless its epoch has been
 // superseded or the list is full. The window is read under mu, which
-// RetireEpochs takes after the commit that moves it: either this sees the
+// retireEpochs takes after the commit that moves it: either this sees the
 // new window, or the retire pass sees the parked slot.
-func (p *Pool) park(s *slot) bool {
+func (p *pool) park(s *slot) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	idle := p.entries[s.entryKey]
-	if _, hi := p.graphs[s.graph].store.Window(); s.epoch < hi || len(idle) >= p.cfg.SlotsPerEntry {
+	if _, hi := p.graphs[s.graph].store.Window(); s.epoch < hi || len(idle) >= p.cfg.MaxInflight {
 		return false
 	}
 	p.entries[s.entryKey] = append(idle, s)
 	return true
 }
 
-// RetireEpochs runs after a commit to graphName and leaves no idle list
+// retireEpochs runs after a commit to graphName and leaves no idle list
 // of a superseded epoch: an idle in-process engine is re-filed under the
 // latest epoch (a map move; the lease that pops it advances it), every
 // other one — remote rings, degraded fallbacks, re-filed engines past
-// SlotsPerEntry — is closed and counted. Leased slots finish on their
+// MaxInflight — is closed and counted. Leased slots finish on their
 // epoch, and Release retires them on the way back.
-func (p *Pool) RetireEpochs(graphName string) int {
+func (p *pool) retireEpochs(graphName string) int {
 	ge, ok := p.graphs[graphName]
 	if !ok {
 		return 0
@@ -395,7 +362,7 @@ func (p *Pool) RetireEpochs(graphName string) int {
 		latest := k
 		latest.epoch = hi
 		for _, s := range idle {
-			if _, local := s.eng.(*localEngine); !local || len(p.entries[latest]) >= p.cfg.SlotsPerEntry {
+			if _, local := s.eng.(*localEngine); !local || len(p.entries[latest]) >= p.cfg.MaxInflight {
 				victims = append(victims, s)
 				continue
 			}
@@ -410,11 +377,12 @@ func (p *Pool) RetireEpochs(graphName string) int {
 	return len(victims)
 }
 
-// Close tears down every idle engine and then the providers. Leased
-// slots are abandoned; call only after the server has drained. Engines
-// are closed, not retired: their checkpoint directories stay, so a
-// restarted daemon re-running the same query resumes it.
-func (p *Pool) Close() {
+// close tears down every idle engine and then the remote provider's
+// roster. Leased slots are abandoned; call only after the server has
+// drained. Engines are closed, not retired: their checkpoint
+// directories stay, so a restarted daemon re-running the same query
+// resumes it.
+func (p *pool) close() {
 	p.mu.Lock()
 	for k, idle := range p.entries {
 		for _, s := range idle {
@@ -423,15 +391,15 @@ func (p *Pool) Close() {
 		delete(p.entries, k)
 	}
 	p.mu.Unlock()
-	for _, prov := range p.providers {
-		prov.Close()
+	if p.remote != nil {
+		p.remote.close()
 	}
 }
 
-// Restarts sums recovery restarts across every engine the pool ever
+// restarts sums recovery restarts across every engine the pool ever
 // built — the serving-level view of how much chaos the resilience loop
 // absorbed. Reading a leased engine's stats mid-run is safe.
-func (p *Pool) Restarts() int64 {
+func (p *pool) restarts() int64 {
 	p.mu.Lock()
 	total := p.closedRestarts
 	open := make([]*slot, 0, len(p.open))
@@ -445,8 +413,8 @@ func (p *Pool) Restarts() int64 {
 	return total
 }
 
-// Slots reports how many engines the pool has built.
-func (p *Pool) Slots() int {
+// slots reports how many engines the pool has built.
+func (p *pool) slots() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	total := 0
@@ -456,24 +424,12 @@ func (p *Pool) Slots() int {
 	return total
 }
 
-// Fleets collects the roster snapshot of every provider that tracks
-// worker health, keyed by provider name, for /statusz.
-func (p *Pool) Fleets() map[string]FleetStatus {
-	out := make(map[string]FleetStatus)
-	for n, prov := range p.providers {
-		if f, ok := prov.(interface{ Fleet() FleetStatus }); ok {
-			out[n] = f.Fleet()
-		}
-	}
-	return out
-}
-
-// ProviderSlots breaks Slots down by provider, for /statusz.
-func (p *Pool) ProviderSlots() map[string]int {
+// providerSlots breaks slots down by provider, for /statusz.
+func (p *pool) providerSlots() map[string]int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	out := make(map[string]int, len(p.providers))
-	for n := range p.providers {
+	out := make(map[string]int, 2)
+	for _, n := range p.providers() {
 		out[n] = p.builds[n]
 	}
 	return out

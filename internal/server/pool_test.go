@@ -13,22 +13,22 @@ import (
 )
 
 // localTestPool builds a pool backed by the in-process provider alone.
-func localTestPool(t *testing.T, g *graph.Graph, opts core.Options, slots int) *Pool {
+func localTestPool(t *testing.T, g *graph.Graph, opts core.Options, slots int) *pool {
 	t.Helper()
-	p, err := NewPool(PoolConfig{
-		Graphs:        map[string]*graph.Graph{"g": g},
-		Providers:     []EngineProvider{NewLocalProvider(LocalProviderConfig{Options: opts})},
-		SlotsPerEntry: slots,
+	p, err := newPool(Config{
+		Graphs:      map[string]*graph.Graph{"g": g},
+		Engine:      opts,
+		MaxInflight: slots,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(p.Close)
+	t.Cleanup(p.close)
 	return p
 }
 
 // openSlots counts the engines the pool still tracks: built, not retired.
-func openSlots(p *Pool) int {
+func openSlots(p *pool) int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return len(p.open)
@@ -68,11 +68,11 @@ func TestPoolConcurrentLeasesMatchSequential(t *testing.T) {
 	// Concurrent: two different algorithms on two leased slots, several
 	// rounds so the slots are recycled through Release in between.
 	for round := 0; round < 3; round++ {
-		s1, err := p.Lease("", "g", 0, variantDirected, mode)
+		s1, err := p.lease("", "g", 0, variantDirected, mode)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s2, err := p.Lease("local", "g", 0, variantUndirected, mode)
+		s2, err := p.lease("local", "g", 0, variantUndirected, mode)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,8 +93,8 @@ func TestPoolConcurrentLeasesMatchSequential(t *testing.T) {
 			gotKC, err2 = algorithms.KCore(s2.eng, 3)
 		}()
 		wg.Wait()
-		p.Release(s1)
-		p.Release(s2)
+		p.release(s1)
+		p.release(s2)
 		if err1 != nil || err2 != nil {
 			t.Fatalf("round %d: bfs err=%v kcore err=%v", round, err1, err2)
 		}
@@ -106,18 +106,18 @@ func TestPoolConcurrentLeasesMatchSequential(t *testing.T) {
 		}
 	}
 	// Both variants reuse warm engines across rounds: 2 slots total.
-	if p.Slots() != 2 {
-		t.Fatalf("pool built %d engines, want 2", p.Slots())
+	if p.slots() != 2 {
+		t.Fatalf("pool built %d engines, want 2", p.slots())
 	}
-	if got := p.ProviderSlots()["local"]; got != 2 {
+	if got := p.providerSlots()["local"]; got != 2 {
 		t.Fatalf("provider slot count = %d, want 2", got)
 	}
 }
 
 // TestPoolLeaseNeverWaits pins the cache contract that replaced the
-// per-entry slot cap: with SlotsPerEntry engines already out, a further
+// per-entry slot cap: with MaxInflight engines already out, a further
 // lease builds at once instead of queueing for a release (admission is
-// the one concurrency gate), an entry keeps at most SlotsPerEntry idle
+// the one concurrency gate), an entry keeps at most MaxInflight idle
 // engines — the surplus is retired on release — and exists only while it
 // holds some.
 func TestPoolLeaseNeverWaits(t *testing.T) {
@@ -136,7 +136,7 @@ func TestPoolLeaseNeverWaits(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		done := make(chan *slot, 1)
 		go func() {
-			s, err := p.Lease("", "g", 0, variantDirected, mode)
+			s, err := p.lease("", "g", 0, variantDirected, mode)
 			if err != nil {
 				t.Errorf("lease %d: %v", i, err)
 			}
@@ -149,64 +149,60 @@ func TestPoolLeaseNeverWaits(t *testing.T) {
 			t.Fatalf("lease %d waited with %d slots out", i, len(held))
 		}
 	}
-	if p.Slots() != 3 {
-		t.Fatalf("three concurrent leases built %d engines, want 3", p.Slots())
+	if p.slots() != 3 {
+		t.Fatalf("three concurrent leases built %d engines, want 3", p.slots())
 	}
 	if e, n := idle(); e != 0 || n != 0 {
 		t.Fatalf("with every engine leased the pool holds %d entries / %d idle engines, want none", e, n)
 	}
 	for _, s := range held {
-		p.Release(s)
+		p.release(s)
 	}
 	if e, n := idle(); e != 1 || n != 2 {
-		t.Fatalf("after three releases: %d entries / %d idle engines, want 1 / 2 (SlotsPerEntry)", e, n)
+		t.Fatalf("after three releases: %d entries / %d idle engines, want 1 / 2 (MaxInflight)", e, n)
 	}
 	if open := openSlots(p); open != 2 {
 		t.Fatalf("pool tracks %d open slots, want 2: the surplus engine must be retired, not dropped", open)
 	}
 	// Warm leases reuse the parked engines.
-	a, _ := p.Lease("", "g", 0, variantDirected, mode)
-	b, _ := p.Lease("", "g", 0, variantDirected, mode)
-	if e, _ := idle(); e != 0 || p.Slots() != 3 {
-		t.Fatalf("warm leases: %d entries left, %d engines built (want 0, 3)", e, p.Slots())
+	a, _ := p.lease("", "g", 0, variantDirected, mode)
+	b, _ := p.lease("", "g", 0, variantDirected, mode)
+	if e, _ := idle(); e != 0 || p.slots() != 3 {
+		t.Fatalf("warm leases: %d entries left, %d engines built (want 0, 3)", e, p.slots())
 	}
-	p.Release(a)
-	p.Release(b)
+	p.release(a)
+	p.release(b)
 
-	if _, err := p.Lease("", "missing", 0, variantDirected, mode); err == nil {
+	if _, err := p.lease("", "missing", 0, variantDirected, mode); err == nil {
 		t.Fatal("unknown graph leased")
 	}
-	if _, err := p.Lease("nosuch", "g", 0, variantDirected, mode); err == nil {
+	if _, err := p.lease("nosuch", "g", 0, variantDirected, mode); err == nil {
 		t.Fatal("unknown provider leased")
 	}
 }
 
-// TestPoolNamesSorted pins the sgvet snapdet fix: GraphNames and
-// ProviderNames are built by map iteration, so without an explicit sort
-// their order — and with it /statusz rendering and error messages —
-// changed run to run.
+// TestPoolNamesSorted pins the sgvet snapdet fix: graphNames is built
+// by map iteration, so without an explicit sort its order — and with it
+// /statusz rendering and error messages — changed run to run.
 func TestPoolNamesSorted(t *testing.T) {
 	graphs := map[string]*graph.Graph{}
 	for _, n := range []string{"zeta", "alpha", "mid", "beta", "omega"} {
 		graphs[n] = testGraph(4, 1)
 	}
-	p, err := NewPool(PoolConfig{
-		Graphs:        graphs,
-		Providers:     []EngineProvider{NewLocalProvider(LocalProviderConfig{Options: core.Options{NumNodes: 1}})},
-		SlotsPerEntry: 1,
+	p, err := newPool(Config{
+		Graphs:      graphs,
+		Engine:      core.Options{NumNodes: 1},
+		MaxInflight: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(p.Close)
+	t.Cleanup(p.close)
 	want := []string{"alpha", "beta", "mid", "omega", "zeta"}
 	for i := 0; i < 8; i++ {
-		if got := p.GraphNames(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("GraphNames() = %v, want sorted %v", got, want)
+		if got := p.graphNames(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("graphNames() = %v, want sorted %v", got, want)
 		}
-	}
-	if got := p.ProviderNames(); !reflect.DeepEqual(got, []string{"local"}) {
-		t.Fatalf("ProviderNames() = %v", got)
 	}
 }
 
@@ -219,17 +215,17 @@ func TestPoolNamesSorted(t *testing.T) {
 // and Restarts keep counting every engine ever built.
 func TestPoolDropsClosedSlots(t *testing.T) {
 	const retention, commits = 3, 12
-	p, err := NewPool(PoolConfig{
-		Graphs:        map[string]*graph.Graph{"g": testGraph(7, 1)},
-		Providers:     []EngineProvider{NewLocalProvider(LocalProviderConfig{Options: core.Options{NumNodes: 2, Mode: core.ModeSympleGraph}})},
-		SlotsPerEntry: 2,
-		Retention:     retention,
+	p, err := newPool(Config{
+		Graphs:      map[string]*graph.Graph{"g": testGraph(7, 1)},
+		Engine:      core.Options{NumNodes: 2, Mode: core.ModeSympleGraph},
+		MaxInflight: 2,
+		Retention:   retention,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(p.Close)
-	ge, _ := p.Entry("g")
+	t.Cleanup(p.close)
+	ge, _ := p.entry("g")
 	variants := []graphVariant{variantDirected, variantUndirected, variantWeighted}
 	perEpoch := len(variants) * 2 // two leases per variant below
 
@@ -237,7 +233,7 @@ func TestPoolDropsClosedSlots(t *testing.T) {
 	built := 0
 	idle := map[graphVariant]int{} // engines parked per variant: a lease pops (and advances) one before it builds
 	lease := func(v graphVariant) *slot {
-		s, err := p.Lease("", "g", 0, v, core.ModeSympleGraph)
+		s, err := p.lease("", "g", 0, v, core.ModeSympleGraph)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -255,16 +251,16 @@ func TestPoolDropsClosedSlots(t *testing.T) {
 			if c == 1 && v == variantDirected {
 				held = a
 			} else {
-				p.Release(a)
+				p.release(a)
 				idle[v]++
 			}
-			p.Release(b)
+			p.release(b)
 			idle[v]++
 		}
 		if _, err := ge.commit(mutate.Batch{Ops: []mutate.Mutation{{Op: mutate.OpAddEdge, Src: graph.VertexID(c), Dst: graph.VertexID(c + 40)}}}); err != nil {
 			t.Fatal(err)
 		}
-		p.RetireEpochs("g")
+		p.retireEpochs("g")
 		if got, max := live(), retention*perEpoch; got > max {
 			t.Fatalf("after commit %d the pool still tracks %d slots, want at most %d (retention %d × %d per epoch)",
 				c, got, max, retention, perEpoch)
@@ -274,15 +270,15 @@ func TestPoolDropsClosedSlots(t *testing.T) {
 	if got := live(); got != 1+parked {
 		t.Fatalf("idle pool after the last retire tracks %d slots, want the held lease and the %d re-filed ones", got, parked)
 	}
-	p.Release(held) // superseded epoch: closed on the way back
+	p.release(held) // superseded epoch: closed on the way back
 	if got := live(); got != parked {
 		t.Fatalf("pool tracks %d slots after the last release, want the %d re-filed ones", got, parked)
 	}
-	if p.Slots() != built || p.ProviderSlots()["local"] != built {
-		t.Fatalf("ever-built counters: Slots=%d ProviderSlots=%v, want %d", p.Slots(), p.ProviderSlots(), built)
+	if p.slots() != built || p.providerSlots()["local"] != built {
+		t.Fatalf("ever-built counters: Slots=%d ProviderSlots=%v, want %d", p.slots(), p.providerSlots(), built)
 	}
-	if p.Restarts() != 0 {
-		t.Fatalf("Restarts = %d on a fault-free pool", p.Restarts())
+	if p.restarts() != 0 {
+		t.Fatalf("Restarts = %d on a fault-free pool", p.restarts())
 	}
 }
 
@@ -294,17 +290,17 @@ func TestPoolDropsClosedSlots(t *testing.T) {
 // entries, and only the latest epoch's once everything is home.
 func TestPoolEntriesBounded(t *testing.T) {
 	const retention, commits = 3, 200
-	p, err := NewPool(PoolConfig{
-		Graphs:        map[string]*graph.Graph{"g": testGraph(6, 1)},
-		Providers:     []EngineProvider{NewLocalProvider(LocalProviderConfig{Options: core.Options{NumNodes: 2}})},
-		SlotsPerEntry: 2,
-		Retention:     retention,
+	p, err := newPool(Config{
+		Graphs:      map[string]*graph.Graph{"g": testGraph(6, 1)},
+		Engine:      core.Options{NumNodes: 2},
+		MaxInflight: 2,
+		Retention:   retention,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(p.Close)
-	ge, _ := p.Entry("g")
+	t.Cleanup(p.close)
+	ge, _ := p.entry("g")
 	variants := []graphVariant{variantDirected, variantUndirected, variantWeighted}
 	modes := []core.Mode{core.ModeSympleGraph, core.ModeGemini}
 	bound := retention * len(variants) * len(modes)
@@ -332,8 +328,8 @@ func TestPoolEntriesBounded(t *testing.T) {
 			if i%2 == 1 {
 				_, epoch = ge.store.Window()
 			}
-			if s, err := p.Lease("", "g", epoch, variants[i%len(variants)], modes[i%len(modes)]); err == nil {
-				p.Release(s)
+			if s, err := p.lease("", "g", epoch, variants[i%len(variants)], modes[i%len(modes)]); err == nil {
+				p.release(s)
 			}
 		}
 	}()
@@ -344,20 +340,20 @@ func TestPoolEntriesBounded(t *testing.T) {
 		if c%5 == 4 {
 			pin = hi - 1 // the epoch the last commit superseded
 		}
-		s, err := p.Lease("", "g", pin, variants[c%len(variants)], modes[c%len(modes)])
+		s, err := p.lease("", "g", pin, variants[c%len(variants)], modes[c%len(modes)])
 		if err != nil {
 			t.Fatal(err)
 		}
 		held := c%7 == 0
 		if !held {
-			p.Release(s)
+			p.release(s)
 		}
 		if _, err := ge.commit(mutate.Batch{Ops: []mutate.Mutation{{Op: mutate.OpAddEdge, Src: graph.VertexID(c % 64), Dst: graph.VertexID((c*7 + 1) % 64)}}}); err != nil {
 			t.Fatal(err)
 		}
-		p.RetireEpochs("g")
+		p.retireEpochs("g")
 		if held {
-			p.Release(s) // superseded: closed, and its entry goes with it
+			p.release(s) // superseded: closed, and its entry goes with it
 		}
 		// The reader may hold one lease of an epoch past retention.
 		if got := entries(); got > bound+1 {
@@ -367,7 +363,7 @@ func TestPoolEntriesBounded(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	p.RetireEpochs("g")
+	p.retireEpochs("g")
 	_, hi := ge.store.Window()
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -376,7 +372,7 @@ func TestPoolEntriesBounded(t *testing.T) {
 			t.Errorf("entry for superseded epoch %d (latest %d) survives with %d idle engines", k.epoch, hi, len(idle))
 		}
 		if len(idle) == 0 || len(idle) > 2 {
-			t.Errorf("entry %+v holds %d idle engines, want 1..SlotsPerEntry", k, len(idle))
+			t.Errorf("entry %+v holds %d idle engines, want 1..MaxInflight", k, len(idle))
 		}
 	}
 	if got, max := len(p.entries), len(variants)*len(modes); got > max {

@@ -11,11 +11,11 @@ import (
 	"repro/internal/obs"
 )
 
-// Engine is one schedulable query engine as the pool sees it: the full
+// engine is one schedulable query engine as the pool sees it: the full
 // core.Engine surface plus the per-request binding hooks. The pool
-// leases Engines without knowing whether they are in-process clusters
+// leases engines without knowing whether they are in-process clusters
 // or front-ends to a ring of worker processes.
-type Engine interface {
+type engine interface {
 	core.Engine
 
 	// BindQuery prepares the engine for one leased request: the
@@ -34,11 +34,12 @@ type Engine interface {
 	FinishQuery() error
 }
 
-// BuildSpec describes one engine the pool asks a provider to build.
+// buildSpec describes one engine the pool builds: in process through
+// newLocalEngine, or on the worker ring through the remote provider.
 // It is assembled by the snapshot accessor, so the graph, epoch and
-// fingerprints are mutually consistent by construction; providers
-// reading spec.Graph are epoch-pinned for free.
-type BuildSpec struct {
+// fingerprints are mutually consistent by construction; a build reading
+// spec.Graph is epoch-pinned for free.
+type buildSpec struct {
 	// GraphName is the serving name; Graph the (variant-derived) graph
 	// an in-process engine loads.
 	GraphName string
@@ -65,59 +66,10 @@ type BuildSpec struct {
 	Delta    func() []byte
 }
 
-// EngineProvider builds warm engines for the pool. The provider owns
-// everything behind the Engine surface — where the machines live, how
-// the graph reaches them, what happens when one dies. Build is called
-// by every lease that finds no idle engine — the first of a pool entry,
-// and the one after a slot was retired — so a provider backed by
-// fallible workers re-evaluates its roster on every build.
-type EngineProvider interface {
-	// Name identifies the provider in pool keys, request routing and
-	// /statusz ("local", "remote").
-	Name() string
-	// Build constructs one warm engine for spec.
-	Build(spec BuildSpec) (Engine, error)
-	// Close releases provider-held resources once the pool is done.
-	Close()
-}
-
-// LocalProviderConfig configures the in-process provider.
-type LocalProviderConfig struct {
-	// Options is the base engine configuration every cluster is built
-	// with; Mode, Tracer and Checkpoints are managed per slot.
-	Options core.Options
-	// Tracer is the shared tracer slots record into when no
-	// per-request capture is active.
-	Tracer *obs.Tracer
-	// CheckpointRoot, when set, gives each slot a file-backed
-	// checkpoint store under CheckpointRoot/slot-<id>.
-	CheckpointRoot string
-}
-
-// localProvider builds in-process simulated clusters — the single-node
-// deployment every sgserve has served since PR 3, now behind the
-// provider boundary.
-type localProvider struct {
-	cfg LocalProviderConfig
-}
-
-// NewLocalProvider returns the in-process engine provider.
-func NewLocalProvider(cfg LocalProviderConfig) EngineProvider {
-	return &localProvider{cfg: cfg}
-}
-
-func (p *localProvider) Name() string { return "local" }
-
-func (p *localProvider) Close() {}
-
-func (p *localProvider) Build(spec BuildSpec) (Engine, error) {
-	return newLocalEngine(spec, p.cfg.Options, p.cfg.Tracer, p.cfg.CheckpointRoot)
-}
-
-// newLocalEngine is the one constructor of in-process engines: the local
-// provider's slots, and the remote provider's degraded fallback (which
-// passes no checkpoint root).
-func newLocalEngine(spec BuildSpec, opts core.Options, tr *obs.Tracer, checkpointRoot string) (*localEngine, error) {
+// newLocalEngine is the one constructor of in-process engines: the
+// "local" provider's slots, and the remote provider's degraded fallback
+// (which passes no checkpoint root).
+func newLocalEngine(spec buildSpec, opts core.Options, tr *obs.Tracer, checkpointRoot string) (*localEngine, error) {
 	opts.Mode = spec.Mode
 	opts.Tracer = tr
 	var fs *core.FileCheckpointStore

@@ -251,9 +251,9 @@ type Result struct {
 	TopRank       float64 `json:"top_rank,omitempty"`        // pagerank
 }
 
-// EngineStats is the paper's per-run metric set, attached to every
+// engineStats is the paper's per-run metric set, attached to every
 // uncached response.
-type EngineStats struct {
+type engineStats struct {
 	EdgesTraversed  int64 `json:"edges_traversed"`
 	UpdateBytes     int64 `json:"update_bytes"`
 	DependencyBytes int64 `json:"dependency_bytes"`
@@ -261,8 +261,8 @@ type EngineStats struct {
 	Restarts        int64 `json:"restarts"`
 }
 
-// TraceSpan is one (node, phase) aggregate from a per-request capture.
-type TraceSpan struct {
+// traceSpan is one (node, phase) aggregate from a per-request capture.
+type traceSpan struct {
 	Node  int     `json:"node"`
 	Phase string  `json:"phase"`
 	Count int64   `json:"count"`
@@ -279,7 +279,7 @@ type Response struct {
 	// Epoch is the graph version this answer was computed on.
 	Epoch     uint64      `json:"epoch,omitempty"`
 	Result    Result      `json:"result"`
-	Engine    EngineStats `json:"engine"`
+	Engine    engineStats `json:"engine"`
 	Cached    bool        `json:"cached"`
 	Coalesced bool        `json:"coalesced,omitempty"`
 	Provider  string      `json:"provider,omitempty"`
@@ -289,7 +289,7 @@ type Response struct {
 	Degraded    bool        `json:"degraded,omitempty"`
 	QueueWaitMs float64     `json:"queue_wait_ms"`
 	EngineMs    float64     `json:"engine_ms"`
-	Trace       []TraceSpan `json:"trace,omitempty"`
+	Trace       []traceSpan `json:"trace,omitempty"`
 }
 
 // RunAlgorithm dispatches a canonicalized request on an engine and

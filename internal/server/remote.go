@@ -19,7 +19,7 @@ import (
 	"repro/internal/obs"
 )
 
-// The remote provider turns a worker roster into pool slots: each Build
+// The remote provider turns a worker roster into pool slots: each build
 // forms one distributed cluster with this process as node 0 and one
 // sgworker process per healthy roster member as nodes 1..p-1, connected
 // by the engine's TCP endpoints. The control protocol (comm.CtrlConn)
@@ -70,7 +70,7 @@ const (
 	// acknowledgements; a worker that cannot answer by then is treated
 	// as lost and the slot is retired.
 	defaultFinishTimeout = 30 * time.Second
-	// maxBuildAttempts bounds how many times one Build re-forms the
+	// maxBuildAttempts bounds how many times one build re-forms the
 	// ring after a worker dies mid-handshake before going degraded.
 	maxBuildAttempts = 3
 )
@@ -156,41 +156,20 @@ type doneMsg struct {
 	Error string `json:"error,omitempty"`
 }
 
-// RemoteProviderConfig configures the remote engine provider.
-type RemoteProviderConfig struct {
-	// Workers lists sgworker control addresses. Required non-empty.
-	Workers []string
-	// Options is the base engine configuration; NumNodes is derived
-	// from the surviving roster, and recovery/checkpoint fields are
-	// forced off (see the failure model above).
-	Options core.Options
-	// Tracer receives node-0 phase spans (worker-side spans stay on the
-	// workers).
-	Tracer *obs.Tracer
-	// AdvertiseHost is the host workers dial back for node 0's data
-	// plane; default 127.0.0.1.
-	AdvertiseHost string
-	// ProbeInterval / ProbeTimeout / DeadAfter / BackoffCap tune the
-	// roster's health probing (see RosterConfig for defaults).
-	ProbeInterval time.Duration
-	ProbeTimeout  time.Duration
-	DeadAfter     int
-	BackoffCap    time.Duration
-	// Logf receives fleet state transitions and degraded-build notices
-	// when non-nil.
-	Logf func(format string, args ...any)
-}
-
-// RemoteProvider builds engines over a roster of sgworker processes.
-type RemoteProvider struct {
-	cfg    RemoteProviderConfig
+// remoteProvider builds engines over a roster of sgworker processes.
+// It reads the server's Config: Workers, Engine (NumNodes is derived
+// from the surviving roster, and recovery/checkpoint fields are forced
+// off, see the failure model above), Tracer (node-0 phase spans;
+// worker-side spans stay on the workers), AdvertiseHost and Logf.
+type remoteProvider struct {
+	cfg    Config
 	roster *rosterManager
 
-	// newest is the latest-epoch spec Build was handed per graph: what
+	// newest is the latest-epoch spec build was handed per graph: what
 	// the rejoin hook preloads. The blob is memoized once, on the
 	// snapshot; a spec only points at it.
 	mu     sync.Mutex
-	newest map[string]BuildSpec
+	newest map[string]buildSpec
 
 	deltaShips     atomic.Int64
 	degradedBuilds atomic.Int64
@@ -202,36 +181,20 @@ type rejectedError struct{ reason string }
 
 func (e *rejectedError) Error() string { return "rejected build: " + e.reason }
 
-// NewRemoteProvider returns a provider that schedules onto cfg.Workers,
-// tracking their health with a probing roster.
-func NewRemoteProvider(cfg RemoteProviderConfig) EngineProvider {
-	if cfg.AdvertiseHost == "" {
-		cfg.AdvertiseHost = "127.0.0.1"
-	}
-	if cfg.Logf == nil {
-		cfg.Logf = func(string, ...any) {}
-	}
-	p := &RemoteProvider{cfg: cfg, newest: make(map[string]BuildSpec)}
-	p.roster = newRosterManager(RosterConfig{
-		Workers:       cfg.Workers,
-		ProbeInterval: cfg.ProbeInterval,
-		ProbeTimeout:  cfg.ProbeTimeout,
-		DeadAfter:     cfg.DeadAfter,
-		BackoffCap:    cfg.BackoffCap,
-		OnRejoin:      p.preload,
-		Logf:          cfg.Logf,
-	})
+// newRemoteProvider returns a provider that schedules onto
+// cfg.Workers, tracking their health with a probing roster.
+func newRemoteProvider(cfg Config) *remoteProvider {
+	p := &remoteProvider{cfg: cfg, newest: make(map[string]buildSpec)}
+	p.roster = newRosterManager(cfg, p.preload)
 	return p
 }
 
-func (p *RemoteProvider) Name() string { return "remote" }
+func (p *remoteProvider) close() { p.roster.Close() }
 
-func (p *RemoteProvider) Close() { p.roster.Close() }
-
-// Fleet exposes the roster snapshot for /statusz, with the provider's
+// fleet exposes the roster snapshot for /statusz, with the provider's
 // own counters: in-process fallback builds, and graph transfers
 // satisfied by a delta frame instead of a full blob.
-func (p *RemoteProvider) Fleet() FleetStatus {
+func (p *remoteProvider) fleet() fleetStatus {
 	fs := p.roster.Fleet()
 	fs.DegradedBuilds = p.degradedBuilds.Load()
 	fs.DeltaShips = p.deltaShips.Load()
@@ -240,7 +203,7 @@ func (p *RemoteProvider) Fleet() FleetStatus {
 
 // remember keeps spec as what a rejoining worker is preloaded with for
 // its graph, unless a newer epoch's is already held.
-func (p *RemoteProvider) remember(spec BuildSpec) {
+func (p *remoteProvider) remember(spec buildSpec) {
 	p.mu.Lock()
 	if cur, ok := p.newest[spec.GraphName]; !ok || spec.Epoch >= cur.Epoch {
 		p.newest[spec.GraphName] = spec
@@ -250,7 +213,7 @@ func (p *RemoteProvider) remember(spec BuildSpec) {
 
 // newestSpecs snapshots the remembered specs in graph order, so rejoin
 // transfers are ordered deterministically.
-func (p *RemoteProvider) newestSpecs() []BuildSpec {
+func (p *remoteProvider) newestSpecs() []buildSpec {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	keys := make([]string, 0, len(p.newest))
@@ -258,7 +221,7 @@ func (p *RemoteProvider) newestSpecs() []BuildSpec {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	out := make([]BuildSpec, len(keys))
+	out := make([]buildSpec, len(keys))
 	for i, k := range keys {
 		out[i] = p.newest[k]
 	}
@@ -271,7 +234,7 @@ func (p *RemoteProvider) newestSpecs() []BuildSpec {
 // Superseded epochs are not re-shipped — no build will ask for them. A
 // worker that retained the parent epoch gets only the delta; interrupted
 // full transfers resume from the worker's retained offset.
-func (p *RemoteProvider) preload(addr string) error {
+func (p *remoteProvider) preload(addr string) error {
 	specs := p.newestSpecs()
 	if len(specs) == 0 {
 		return nil
@@ -305,7 +268,7 @@ func (p *RemoteProvider) preload(addr string) error {
 // and ship the cheapest sufficient payload — nothing, the committed
 // batch, or the full blob's missing suffix. A build-reject in place of
 // the state is a *rejectedError.
-func (p *RemoteProvider) shipGraph(cc *comm.CtrlConn, announce string, msg any, spec BuildSpec) error {
+func (p *remoteProvider) shipGraph(cc *comm.CtrlConn, announce string, msg any, spec buildSpec) error {
 	if err := cc.Send(announce, msg); err != nil {
 		return err
 	}
@@ -354,13 +317,13 @@ func (p *RemoteProvider) shipGraph(cc *comm.CtrlConn, announce string, msg any, 
 	return cc.SendBlobChunked(blob, gs.Offset, comm.DefaultChunkBytes)
 }
 
-// Build forms a ring over the roster's healthy workers. A worker that
+// build forms a ring over the roster's healthy workers. A worker that
 // fails mid-handshake is reported to the roster and the attempt retried
 // over the survivors; a worker at capacity is excluded without a health
 // penalty. When no worker is usable (or every attempt failed), the
 // build degrades to an in-process engine flagged degraded rather than
 // failing the query path.
-func (p *RemoteProvider) Build(spec BuildSpec) (Engine, error) {
+func (p *remoteProvider) build(spec buildSpec) (engine, error) {
 	p.remember(spec)
 	exclude := make(map[string]bool)
 	var lastErr error
@@ -404,7 +367,7 @@ type workerLink struct {
 // buildAttempt forms one ring over targets. On failure it names the
 // worker that broke the handshake (empty when the failure was local); a
 // capacity rejection rather than a fault wraps a *rejectedError.
-func (p *RemoteProvider) buildAttempt(spec BuildSpec, targets []string) (eng Engine, badAddr string, err error) {
+func (p *remoteProvider) buildAttempt(spec buildSpec, targets []string) (eng engine, badAddr string, err error) {
 	var links []workerLink
 	for _, addr := range targets {
 		cc, derr := comm.DialCtrl(addr, defaultCtrlDialTimeout)
@@ -424,13 +387,13 @@ func (p *RemoteProvider) buildAttempt(spec BuildSpec, targets []string) (eng Eng
 			l.cc.Close()
 		}
 	}
-	fail := func(l workerLink, e error) (Engine, string, error) {
+	fail := func(l workerLink, e error) (engine, string, error) {
 		closeAll()
 		return nil, l.addr, fmt.Errorf("worker %s: %w", l.addr, e)
 	}
 
 	n := len(links) + 1 // node 0 is this process
-	opts := p.cfg.Options
+	opts := p.cfg.Engine
 	opts.NumNodes = n
 	opts.Mode = spec.Mode
 	opts.Tracer = p.cfg.Tracer
@@ -532,9 +495,9 @@ func (p *RemoteProvider) buildAttempt(spec BuildSpec, targets []string) (eng Eng
 // worker ring can be formed: reduced capacity, but never a hard 500 for
 // want of a fleet. The slot reports degraded on every response and goes
 // stale as soon as a worker becomes usable again.
-func (p *RemoteProvider) buildDegraded(spec BuildSpec) (Engine, error) {
+func (p *remoteProvider) buildDegraded(spec buildSpec) (engine, error) {
 	p.degradedBuilds.Add(1)
-	opts := p.cfg.Options
+	opts := p.cfg.Engine
 	opts.Endpoints = nil
 	opts.Link = nil
 	opts.Fault = nil
@@ -553,7 +516,7 @@ func (p *RemoteProvider) buildDegraded(spec BuildSpec) (Engine, error) {
 // cluster behind the remote provider's name, flagged on every response.
 type degradedEngine struct {
 	*localEngine
-	prov *RemoteProvider
+	prov *remoteProvider
 }
 
 // Degraded marks responses served below the requested fleet width.
@@ -578,7 +541,7 @@ type remoteEngine struct {
 	core.Engine
 	ep       *comm.TCPEndpoint
 	links    []workerLink
-	prov     *RemoteProvider
+	prov     *remoteProvider
 	members  []string
 	degraded bool
 

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -86,13 +87,61 @@ func TestRemoteProviderMatchesLocal(t *testing.T) {
 	if code != http.StatusOK || r.Provider != "remote" {
 		t.Fatalf("default provider: %d %q %s", code, r.Provider, body)
 	}
-	if daemons[0].SlotsBuilt() == 0 || daemons[1].SlotsBuilt() == 0 {
-		t.Fatalf("worker slots built: %d, %d", daemons[0].SlotsBuilt(), daemons[1].SlotsBuilt())
+	if daemons[0].slotsBuilt.Load() == 0 || daemons[1].slotsBuilt.Load() == 0 {
+		t.Fatalf("worker slots built: %d, %d", daemons[0].slotsBuilt.Load(), daemons[1].slotsBuilt.Load())
 	}
 
 	// Unknown providers are a client error, not a scheduling surprise.
 	if code, _, _ := getResponse(t, ts.URL+"/query?graph=g1&algo=bfs&provider=cloud"); code != http.StatusBadRequest {
 		t.Fatalf("unknown provider: %d", code)
+	}
+}
+
+// TestStatuszKeysRemote pins /statusz's key set with one in-process
+// worker: the fleet section and a worker row join the local document's
+// sections, and pool.providers lists both providers.
+func TestStatuszKeysRemote(t *testing.T) {
+	_, addrs := startWorkers(t, 1)
+	cfg := Config{Workers: addrs}
+	fastFleet(&cfg)
+	s := testServer(t, cfg)
+	t.Cleanup(s.pool.close)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	waitFleet(t, s, "healthy", func(fs fleetStatus) bool { return fs.Healthy == 1 })
+	if code, _, body := getResponse(t, ts.URL+"/query?graph=g1&algo=bfs"); code != http.StatusOK {
+		t.Fatalf("query: %d %s", code, body)
+	}
+	// The local document's keys, plus the fleet section with one worker
+	// row (a healthy worker omits consecutive_fails) and the remote
+	// provider's build count.
+	want := slices.Concat(localStatuszKeys, []string{
+		"fleet.remote.degraded",
+		"fleet.remote.degraded_builds",
+		"fleet.remote.delta_ships",
+		"fleet.remote.healthy",
+		"fleet.remote.probe_failures",
+		"fleet.remote.probe_rtt.count",
+		"fleet.remote.probe_rtt.max_ms",
+		"fleet.remote.probe_rtt.mean_ms",
+		"fleet.remote.probe_rtt.p50_ms",
+		"fleet.remote.probe_rtt.p95_ms",
+		"fleet.remote.probe_rtt.p99_ms",
+		"fleet.remote.probes",
+		"fleet.remote.rejoins",
+		"fleet.remote.total",
+		"fleet.remote.transitions",
+		"fleet.remote.workers[].addr",
+		"fleet.remote.workers[].graphs_cached",
+		"fleet.remote.workers[].last_rtt_ms",
+		"fleet.remote.workers[].max_slots",
+		"fleet.remote.workers[].slots_active",
+		"fleet.remote.workers[].state",
+		"pool.providers.remote",
+	})
+	slices.Sort(want)
+	if got := statuszKeys(t, ts.URL); !reflect.DeepEqual(got, want) {
+		t.Fatalf("/statusz key paths:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }
 
@@ -113,7 +162,7 @@ func TestWorkerLossMidQueryRebuildsSlot(t *testing.T) {
 		defer close(killed)
 		deadline := time.Now().Add(10 * time.Second)
 		for time.Now().Before(deadline) {
-			if daemons[0].RunsStarted()+daemons[1].RunsStarted() > 0 {
+			if daemons[0].runsStarted.Load()+daemons[1].runsStarted.Load() > 0 {
 				daemons[1].Close()
 				return
 			}
@@ -155,10 +204,10 @@ func TestWorkerLossMidQueryRebuildsSlot(t *testing.T) {
 func TestRemoteVariantsArriveByDelta(t *testing.T) {
 	daemons, addrs := startWorkers(t, 2)
 	s := testServer(t, Config{Graphs: map[string]*graph.Graph{"g": testGraph(7, 3)}, Workers: addrs})
-	t.Cleanup(s.pool.Close)
+	t.Cleanup(s.pool.close)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	prov := s.pool.providers["remote"].(*RemoteProvider)
+	prov := s.pool.remote
 
 	serve := func(stage, algo string) {
 		t.Helper()
@@ -174,7 +223,7 @@ func TestRemoteVariantsArriveByDelta(t *testing.T) {
 	}
 	applied := func() (n int64) {
 		for _, d := range daemons {
-			n += d.DeltasApplied()
+			n += d.deltasApplied.Load()
 		}
 		return n
 	}
@@ -187,9 +236,9 @@ func TestRemoteVariantsArriveByDelta(t *testing.T) {
 			t.Fatalf("commit %d: %d %s", c, code, body)
 		}
 		stage := fmt.Sprintf("epoch %d", c+2)
-		ships, apps := prov.Fleet().DeltaShips, applied()
+		ships, apps := prov.fleet().DeltaShips, applied()
 		serve(stage, first)
-		if got := prov.Fleet().DeltaShips - ships; got != int64(len(daemons)) {
+		if got := prov.fleet().DeltaShips - ships; got != int64(len(daemons)) {
 			t.Fatalf("%s: the %s ring shipped %d deltas, want one per worker (%d)", stage, first, got, len(daemons))
 		}
 		if got := applied() - apps; got != int64(len(daemons)) {
@@ -198,12 +247,12 @@ func TestRemoteVariantsArriveByDelta(t *testing.T) {
 		for _, algo := range algos {
 			serve(stage, algo)
 		}
-		if prov.Fleet().DeltaShips-ships != int64(len(daemons)) || applied()-apps != int64(len(daemons)) {
+		if prov.fleet().DeltaShips-ships != int64(len(daemons)) || applied()-apps != int64(len(daemons)) {
 			t.Fatalf("%s: the other variants shipped again: %d ships, %d applications",
-				stage, prov.Fleet().DeltaShips-ships, applied()-apps)
+				stage, prov.fleet().DeltaShips-ships, applied()-apps)
 		}
 		for i, d := range daemons {
-			if got := d.GraphsCached(); got != c+2 {
+			if got := d.graphsCached(); got != c+2 {
 				t.Fatalf("%s: worker %d holds %d base graphs, want one per epoch (%d)", stage, i, got, c+2)
 			}
 		}
@@ -219,7 +268,7 @@ func TestWorkerCacheKeepsRetentionEpochs(t *testing.T) {
 	const commits = mutate.DefaultRetention + 3
 	daemons, addrs := startWorkers(t, 2)
 	s := testServer(t, Config{Graphs: map[string]*graph.Graph{"g": testGraph(7, 3)}, Workers: addrs, Retention: commits + 1})
-	t.Cleanup(s.pool.Close)
+	t.Cleanup(s.pool.close)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -235,7 +284,7 @@ func TestWorkerCacheKeepsRetentionEpochs(t *testing.T) {
 			t.Fatalf("%s: remote %+v@%d local %+v@%d", stage, remote.Result, remote.Epoch, local.Result, local.Epoch)
 		}
 		for i, d := range daemons {
-			if got := d.GraphsCached(); got > mutate.DefaultRetention {
+			if got := d.graphsCached(); got > mutate.DefaultRetention {
 				t.Fatalf("%s: worker %d holds %d base graphs, want at most %d", stage, i, got, mutate.DefaultRetention)
 			}
 		}
@@ -266,7 +315,7 @@ func TestWorkerRefusesUnknownVariant(t *testing.T) {
 	if env, err := cc.Recv(); err == nil {
 		t.Fatalf("worker answered %q to a build naming an unknown variant", env.Type)
 	}
-	if daemons[0].SlotsBuilt() != 0 || daemons[0].GraphsCached() != 0 {
+	if daemons[0].slotsBuilt.Load() != 0 || daemons[0].graphsCached() != 0 {
 		t.Fatal("worker built a slot for an unknown variant")
 	}
 }

@@ -18,15 +18,15 @@ import (
 // control-protocol ping on a fresh connection and keeps a small state
 // machine per worker:
 //
-//	healthy ──probe fails──▶ suspect ──DeadAfter consecutive──▶ dead
-//	   ▲                        │ probe succeeds                  │
-//	   └────────────────────────┘            probe succeeds       │
-//	   ▲                                                          ▼
-//	   └──────── rejoin hook succeeds ◀──────────────────── rejoining
+//	healthy ──probe fails──▶ suspect ──ProbeDeadAfter consecutive──▶ dead
+//	   ▲                        │ probe succeeds                       │
+//	   └────────────────────────┘            probe succeeds            │
+//	   ▲                                                               ▼
+//	   └──────── rejoin hook succeeds ◀───────────────────────── rejoining
 //
 // Healthy and suspect workers are probed on a fixed interval with full
 // jitter; dead workers are probed on an exponential backoff capped at
-// BackoffCap, so a crashed fleet does not get hammered while a
+// ProbeBackoffCap, so a crashed fleet does not get hammered while a
 // restarted worker is still noticed within a few seconds. A worker
 // coming back from dead passes through rejoining: the rejoin hook
 // (graph preloading, in the remote provider) runs before the worker is
@@ -44,7 +44,7 @@ const (
 	// StateSuspect workers missed at least one probe; they are excluded
 	// from new builds but not yet declared gone.
 	StateSuspect
-	// StateDead workers missed DeadAfter consecutive probes; probing
+	// StateDead workers missed ProbeDeadAfter consecutive probes; probing
 	// drops to a capped backoff until they answer again.
 	StateDead
 	// StateRejoining workers answered a probe after being dead; the
@@ -96,28 +96,6 @@ type pongMsg struct {
 	GraphsCached int `json:"graphs_cached"`
 }
 
-// RosterConfig configures fleet health probing.
-type RosterConfig struct {
-	// Workers lists the sgworker control addresses to track.
-	Workers []string
-	// ProbeInterval paces probes to healthy/suspect workers
-	// (default 500ms).
-	ProbeInterval time.Duration
-	// ProbeTimeout bounds one dial+ping round trip (default 1s).
-	ProbeTimeout time.Duration
-	// DeadAfter is how many consecutive probe failures turn a worker
-	// dead (default 3). The first failure already makes it suspect.
-	DeadAfter int
-	// BackoffCap bounds the probe backoff for dead workers (default 5s).
-	BackoffCap time.Duration
-	// OnRejoin runs when a dead worker answers again, before it is
-	// offered to builds; a non-nil error keeps the worker dead until a
-	// later probe retries the hook.
-	OnRejoin func(addr string) error
-	// Logf receives one line per state transition when non-nil.
-	Logf func(format string, args ...any)
-}
-
 // workerHealth is the mutable per-worker record; guarded by roster.mu.
 type workerHealth struct {
 	addr     string
@@ -140,10 +118,10 @@ type FleetWorker struct {
 	GraphsCached int         `json:"graphs_cached"`
 }
 
-// FleetStatus is the roster's snapshot for /statusz and tests. The
+// fleetStatus is the roster's snapshot for /statusz and tests. The
 // counters are monotonic; DegradedBuilds and DeltaShips are the remote
 // provider's, the rest the roster's.
-type FleetStatus struct {
+type fleetStatus struct {
 	Workers        []FleetWorker `json:"workers"`
 	Healthy        int           `json:"healthy"`
 	Total          int           `json:"total"`
@@ -157,14 +135,16 @@ type FleetStatus struct {
 	DeltaShips     int64         `json:"delta_ships"`
 }
 
-// rosterManager runs the probe loops and answers scheduling queries.
+// rosterManager runs the probe loops and answers scheduling queries. It
+// reads the server's Config: Workers, the four Probe* settings and Logf.
 type rosterManager struct {
-	cfg     RosterConfig
-	mu      sync.Mutex
-	workers map[string]*workerHealth
-	order   []string
-	stop    chan struct{}
-	wg      sync.WaitGroup
+	cfg      Config
+	onRejoin func(addr string) error
+	mu       sync.Mutex
+	workers  map[string]*workerHealth
+	order    []string
+	stop     chan struct{}
+	wg       sync.WaitGroup
 
 	probes        atomic.Int64
 	probeFailures atomic.Int64
@@ -175,28 +155,16 @@ type rosterManager struct {
 
 // newRosterManager starts one probe loop per worker. Every worker
 // begins healthy — the fleet was just configured, and an immediate
-// first probe corrects optimism within one interval.
-func newRosterManager(cfg RosterConfig) *rosterManager {
-	if cfg.ProbeInterval <= 0 {
-		cfg.ProbeInterval = 500 * time.Millisecond
-	}
-	if cfg.ProbeTimeout <= 0 {
-		cfg.ProbeTimeout = time.Second
-	}
-	if cfg.DeadAfter <= 0 {
-		cfg.DeadAfter = 3
-	}
-	if cfg.BackoffCap <= 0 {
-		cfg.BackoffCap = 5 * time.Second
-	}
-	if cfg.Logf == nil {
-		cfg.Logf = func(string, ...any) {}
-	}
+// first probe corrects optimism within one interval. onRejoin runs when
+// a dead worker answers again, before it is offered to builds; a
+// non-nil error keeps the worker dead until a later probe retries it.
+func newRosterManager(cfg Config, onRejoin func(addr string) error) *rosterManager {
 	r := &rosterManager{
-		cfg:     cfg,
-		workers: make(map[string]*workerHealth, len(cfg.Workers)),
-		order:   append([]string(nil), cfg.Workers...),
-		stop:    make(chan struct{}),
+		cfg:      cfg,
+		onRejoin: onRejoin,
+		workers:  make(map[string]*workerHealth, len(cfg.Workers)),
+		order:    append([]string(nil), cfg.Workers...),
+		stop:     make(chan struct{}),
 	}
 	for _, addr := range cfg.Workers {
 		r.workers[addr] = &workerHealth{addr: addr, state: StateHealthy}
@@ -266,10 +234,10 @@ func (r *rosterManager) ObserveFailure(addr string) {
 }
 
 // Fleet snapshots every worker for /statusz.
-func (r *rosterManager) Fleet() FleetStatus {
+func (r *rosterManager) Fleet() fleetStatus {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	fs := FleetStatus{
+	fs := fleetStatus{
 		Total:         len(r.order),
 		Probes:        r.probes.Load(),
 		ProbeFailures: r.probeFailures.Load(),
@@ -302,7 +270,7 @@ func (r *rosterManager) probeLoop(addr string) {
 	defer r.wg.Done()
 	h := fnv.New64a()
 	h.Write([]byte(addr))
-	bo := comm.Backoff{Base: r.cfg.ProbeInterval, Cap: r.cfg.BackoffCap, Key: h.Sum64()}
+	bo := comm.Backoff{Base: r.cfg.ProbeInterval, Cap: r.cfg.ProbeBackoffCap, Key: h.Sum64()}
 	timer := time.NewTimer(0) // first probe fires immediately
 	defer timer.Stop()
 	for {
@@ -339,10 +307,7 @@ func (r *rosterManager) probeLoop(addr string) {
 
 		if state == StateRejoining {
 			// Run the rejoin hook outside the lock — it ships graphs.
-			rejoinErr := error(nil)
-			if r.cfg.OnRejoin != nil {
-				rejoinErr = r.cfg.OnRejoin(addr)
-			}
+			rejoinErr := r.onRejoin(addr)
 			r.mu.Lock()
 			if rejoinErr != nil {
 				r.cfg.Logf("server: worker %s rejoin failed, keeping dead: %v", addr, rejoinErr)
@@ -372,7 +337,7 @@ func (r *rosterManager) recordFailureLocked(w *workerHealth) {
 	case StateHealthy, StateRejoining:
 		r.transitionLocked(w, StateSuspect)
 	case StateSuspect:
-		if w.fails >= r.cfg.DeadAfter {
+		if w.fails >= r.cfg.ProbeDeadAfter {
 			r.transitionLocked(w, StateDead)
 		}
 	case StateDead:

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,17 +18,22 @@ import (
 	"repro/internal/obs"
 )
 
-// Config configures the query service.
+// Config configures the query service: the one configuration of the
+// front-end, its engine pool, the remote provider and its roster. New
+// fills every default once, and each reads the result.
 type Config struct {
 	// Graphs maps serving names to loaded graphs. Required.
 	Graphs map[string]*graph.Graph
 	// Engine is the base engine configuration (nodes, mode defaults,
 	// resilience policy) every pooled cluster is built with.
 	Engine core.Options
-	// MaxInflight bounds concurrently executing queries (default 2).
+	// MaxInflight bounds concurrently executing queries (default 2). It
+	// also caps the idle engines the pool keeps per (provider, graph,
+	// epoch, variant, mode).
 	MaxInflight int
 	// MaxQueue bounds queries waiting for an execution slot; beyond
-	// it requests are shed with 429 (default 4×MaxInflight).
+	// it requests are shed with 429 (default 4×MaxInflight; negative
+	// means no queue, so every query beyond MaxInflight is shed).
 	MaxQueue int
 	// CacheEntries / CacheBytes bound the result cache (defaults 256
 	// entries, 64 MiB; CacheEntries < 0 disables caching).
@@ -41,26 +47,67 @@ type Config struct {
 	// engines are rebuilt, not resumed).
 	CheckpointRoot string
 	// Workers lists sgworker control addresses (host:port). When
-	// non-empty a remote provider is registered alongside the local one
-	// and becomes the default: queries run on a TCP ring of worker
-	// processes with this server as node 0. Requests pick explicitly
-	// with provider=local|remote.
+	// non-empty the remote provider joins the local one and becomes the
+	// default: queries run on a TCP ring of worker processes with this
+	// server as node 0. Requests pick explicitly with
+	// provider=local|remote.
 	Workers []string
 	// AdvertiseHost is the host workers dial back for the data plane
 	// (default 127.0.0.1; set to this machine's reachable address when
 	// workers are remote).
 	AdvertiseHost string
-	// ProbeInterval / ProbeTimeout / ProbeDeadAfter / ProbeBackoffCap
-	// tune the fleet health prober (see RosterConfig for defaults).
+	// ProbeInterval paces the fleet health prober's probes to healthy
+	// and suspect workers (default 500ms), ProbeTimeout bounds one
+	// dial+ping round trip (default 1s), ProbeDeadAfter consecutive
+	// failures turn a worker dead (default 3; the first already makes it
+	// suspect), and ProbeBackoffCap bounds the probe backoff for dead
+	// workers (default 5s).
 	ProbeInterval   time.Duration
 	ProbeTimeout    time.Duration
 	ProbeDeadAfter  int
 	ProbeBackoffCap time.Duration
 	// Logf receives fleet state transitions and degraded-serving
-	// notices when non-nil.
+	// notices (default: discarded).
 	Logf func(format string, args ...any)
 	// Tracer is the shared engine tracer (may be nil).
 	Tracer *obs.Tracer
+}
+
+// withDefaults returns cfg with every unset field that has a default
+// filled in, and MaxQueue clamped to what admission enforces.
+func (cfg Config) withDefaults() Config {
+	if cfg.MaxInflight <= 0 {
+		cfg.MaxInflight = 2
+	}
+	if cfg.MaxQueue == 0 {
+		cfg.MaxQueue = 4 * cfg.MaxInflight
+	}
+	cfg.MaxQueue = max(cfg.MaxQueue, 0)
+	if cfg.CacheEntries == 0 {
+		cfg.CacheEntries = 256
+	}
+	if cfg.CacheBytes <= 0 {
+		cfg.CacheBytes = 64 << 20
+	}
+	if cfg.AdvertiseHost == "" {
+		cfg.AdvertiseHost = "127.0.0.1"
+	}
+	if cfg.ProbeInterval <= 0 {
+		cfg.ProbeInterval = 500 * time.Millisecond
+	}
+	if cfg.ProbeTimeout <= 0 {
+		cfg.ProbeTimeout = time.Second
+	}
+	if cfg.ProbeDeadAfter <= 0 {
+		cfg.ProbeDeadAfter = 3
+	}
+	if cfg.ProbeBackoffCap <= 0 {
+		cfg.ProbeBackoffCap = 5 * time.Second
+	}
+	if cfg.Logf == nil {
+		cfg.Logf = func(string, ...any) {}
+	}
+	return cfg
 }
 
 // perAlgo holds one algorithm's serving histograms: time spent queued
@@ -84,7 +131,7 @@ type flight struct {
 // an http.Server, and call Drain on shutdown.
 type Server struct {
 	cfg   Config
-	pool  *Pool
+	pool  *pool
 	adm   *admission
 	cache *resultCache
 	algos map[string]*perAlgo
@@ -107,52 +154,17 @@ type Server struct {
 	mutateErr atomic.Int64
 }
 
-// New builds the service: graphs indexed, pool warm-ready, admission
-// and cache sized from cfg.
+// New builds the service: defaults filled, graphs indexed, pool
+// warm-ready, admission and cache sized from cfg.
 func New(cfg Config) (*Server, error) {
-	if cfg.MaxInflight <= 0 {
-		cfg.MaxInflight = 2
-	}
-	if cfg.MaxQueue == 0 {
-		cfg.MaxQueue = 4 * cfg.MaxInflight
-	}
-	if cfg.CacheEntries == 0 {
-		cfg.CacheEntries = 256
-	}
-	providers := []EngineProvider{NewLocalProvider(LocalProviderConfig{
-		Options:        cfg.Engine,
-		Tracer:         cfg.Tracer,
-		CheckpointRoot: cfg.CheckpointRoot,
-	})}
-	def := "local"
-	if len(cfg.Workers) > 0 {
-		providers = append(providers, NewRemoteProvider(RemoteProviderConfig{
-			Workers:       cfg.Workers,
-			Options:       cfg.Engine,
-			Tracer:        cfg.Tracer,
-			AdvertiseHost: cfg.AdvertiseHost,
-			ProbeInterval: cfg.ProbeInterval,
-			ProbeTimeout:  cfg.ProbeTimeout,
-			DeadAfter:     cfg.ProbeDeadAfter,
-			BackoffCap:    cfg.ProbeBackoffCap,
-			Logf:          cfg.Logf,
-		}))
-		def = "remote"
-	}
-	pool, err := NewPool(PoolConfig{
-		Graphs:          cfg.Graphs,
-		Providers:       providers,
-		DefaultProvider: def,
-		SlotsPerEntry:   cfg.MaxInflight,
-		Retention:       cfg.Retention,
-		Tracer:          cfg.Tracer,
-	})
+	cfg = cfg.withDefaults()
+	p, err := newPool(cfg)
 	if err != nil {
 		return nil, err
 	}
 	s := &Server{
 		cfg:     cfg,
-		pool:    pool,
+		pool:    p,
 		adm:     newAdmission(cfg.MaxInflight, cfg.MaxQueue),
 		cache:   newResultCache(cfg.CacheEntries, cfg.CacheBytes),
 		algos:   make(map[string]*perAlgo, len(algoNames)),
@@ -205,7 +217,7 @@ func (s *Server) Drain(ctx context.Context) error {
 	}()
 	select {
 	case <-done:
-		s.pool.Close()
+		s.pool.close()
 		return nil
 	case <-ctx.Done():
 		return fmt.Errorf("drain: %d queries still in flight: %w",
@@ -235,10 +247,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	ge, ok := s.pool.Entry(q.Graph)
+	ge, ok := s.pool.entry(q.Graph)
 	if !ok {
 		s.clientErr.Add(1)
-		http.Error(w, fmt.Sprintf("unknown graph %q (serving %v)", q.Graph, s.pool.GraphNames()), http.StatusBadRequest)
+		http.Error(w, fmt.Sprintf("unknown graph %q (serving %v)", q.Graph, s.pool.graphNames()), http.StatusBadRequest)
 		return
 	}
 	// Pin the version now: epoch 0 resolves to the latest snapshot,
@@ -258,9 +270,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	if q.Provider != "" && !s.pool.HasProvider(q.Provider) {
+	if q.Provider != "" && !slices.Contains(s.pool.providers(), q.Provider) {
 		s.clientErr.Add(1)
-		http.Error(w, fmt.Sprintf("unknown provider %q (have %v)", q.Provider, s.pool.ProviderNames()), http.StatusBadRequest)
+		http.Error(w, fmt.Sprintf("unknown provider %q (have %v)", q.Provider, s.pool.providers()), http.StatusBadRequest)
 		return
 	}
 	key := cacheKey(q)
@@ -373,11 +385,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 func (s *Server) execute(ctx context.Context, q Request, key string) (Response, int, error) {
 	v := variantFor(q.Algo)
 	mode, _ := cliutil.ParseMode(q.Mode) // canonicalize validated it
-	slot, err := s.pool.Lease(q.Provider, q.Graph, q.Epoch, v, mode)
+	slot, err := s.pool.lease(q.Provider, q.Graph, q.Epoch, v, mode)
 	if err != nil {
 		return Response{}, http.StatusInternalServerError, err
 	}
-	defer s.pool.Release(slot)
+	defer s.pool.release(slot)
 
 	var reqTracer *obs.Tracer
 	if q.Trace {
@@ -407,7 +419,7 @@ func (s *Server) execute(ctx context.Context, q Request, key string) (Response, 
 	// seeded weights are positional, so any topology change reshuffles
 	// weights on unrelated edges. Its read-set is the whole graph.
 	if q.Algo == "sssp" {
-		if info, ok := s.pool.Info(q.Graph); ok && !info.weighted {
+		if info, ok := s.pool.info(q.Graph); ok && !info.weighted {
 			region = mutate.FullRegion()
 		}
 	}
@@ -421,7 +433,7 @@ func (s *Server) execute(ctx context.Context, q Request, key string) (Response, 
 		Provider: slot.provider,
 		Degraded: degraded,
 		Result:   result,
-		Engine: EngineStats{
+		Engine: engineStats{
 			EdgesTraversed:  run.EdgesTraversed,
 			UpdateBytes:     run.UpdateBytes,
 			DependencyBytes: run.DependencyBytes,
@@ -457,11 +469,11 @@ func classifyMessage(err error) string {
 	return msg
 }
 
-func traceSpans(tr *obs.Tracer) []TraceSpan {
+func traceSpans(tr *obs.Tracer) []traceSpan {
 	sums := tr.Summaries()
-	spans := make([]TraceSpan, 0, len(sums))
+	spans := make([]traceSpan, 0, len(sums))
 	for _, ps := range sums {
-		spans = append(spans, TraceSpan{
+		spans = append(spans, traceSpan{
 			Node:  ps.Node,
 			Phase: ps.Phase.String(),
 			Count: ps.Hist.Count,
@@ -497,25 +509,25 @@ func histToJSON(h *obs.Histogram) histJSON {
 
 // Status is the /statusz document.
 type Status struct {
-	UptimeSec float64              `json:"uptime_sec"`
-	Draining  bool                 `json:"draining"`
-	Graphs    map[string]GraphInfo `json:"graphs"`
-	Requests  RequestCounters      `json:"requests"`
-	Cache     CacheCounters        `json:"cache"`
-	Pool      PoolCounters         `json:"pool"`
-	Admission AdmissionCounters    `json:"admission"`
-	Algos     map[string]AlgoStats `json:"algos"`
+	UptimeSec float64                `json:"uptime_sec"`
+	Draining  bool                   `json:"draining"`
+	Graphs    map[string]graphStatus `json:"graphs"`
+	Requests  requestCounters        `json:"requests"`
+	Cache     cacheCounters          `json:"cache"`
+	Pool      poolCounters           `json:"pool"`
+	Admission admissionCounters      `json:"admission"`
+	Algos     map[string]algoStats   `json:"algos"`
 	// Epochs reports each graph's version chain: current epoch and
 	// fingerprint, retained window and commit counters.
-	Epochs map[string]EpochStatus `json:"epochs"`
+	Epochs map[string]epochStatus `json:"epochs"`
 	// Mutations counts /mutate commits (and rejected batches).
-	Mutations MutationCounters `json:"mutations"`
+	Mutations mutationCounters `json:"mutations"`
 	// Fleet reports worker health per provider that tracks a roster
 	// (the remote provider); absent for purely local serving.
-	Fleet map[string]FleetStatus `json:"fleet,omitempty"`
+	Fleet map[string]fleetStatus `json:"fleet,omitempty"`
 }
 
-type MutationCounters struct {
+type mutationCounters struct {
 	Applied int64 `json:"applied"`
 	Errors  int64 `json:"errors"`
 	// CachePromoted/CacheDropped count cache entries carried across
@@ -524,12 +536,12 @@ type MutationCounters struct {
 	CacheDropped  int64 `json:"cache_dropped"`
 }
 
-type GraphInfo struct {
+type graphStatus struct {
 	Vertices int   `json:"vertices"`
 	Edges    int64 `json:"edges"`
 }
 
-type RequestCounters struct {
+type requestCounters struct {
 	Total        int64 `json:"total"`
 	OK           int64 `json:"ok"`
 	ClientErrors int64 `json:"client_errors"`
@@ -539,7 +551,7 @@ type RequestCounters struct {
 	Coalesced    int64 `json:"coalesced"`
 }
 
-type CacheCounters struct {
+type cacheCounters struct {
 	Hits      int64   `json:"hits"`
 	Misses    int64   `json:"misses"`
 	Evictions int64   `json:"evictions"`
@@ -548,21 +560,21 @@ type CacheCounters struct {
 	HitRate   float64 `json:"hit_rate"`
 }
 
-type PoolCounters struct {
+type poolCounters struct {
 	Clusters        int            `json:"clusters"`
 	Restarts        int64          `json:"restarts"`
 	Providers       map[string]int `json:"providers"` // built slots per provider
 	DefaultProvider string         `json:"default_provider"`
 }
 
-type AdmissionCounters struct {
+type admissionCounters struct {
 	Running     int64 `json:"running"`
 	Waiting     int64 `json:"waiting"`
 	MaxInflight int   `json:"max_inflight"`
 	MaxQueue    int   `json:"max_queue"`
 }
 
-type AlgoStats struct {
+type algoStats struct {
 	Queue  histJSON `json:"queue"`
 	Engine histJSON `json:"engine"`
 }
@@ -575,8 +587,8 @@ func (s *Server) StatusSnapshot() Status {
 	st := Status{
 		UptimeSec: time.Since(s.start).Seconds(),
 		Draining:  s.draining.Load(),
-		Graphs:    make(map[string]GraphInfo),
-		Requests: RequestCounters{
+		Graphs:    make(map[string]graphStatus),
+		Requests: requestCounters{
 			Total:        s.total.Load(),
 			OK:           s.ok.Load(),
 			ClientErrors: s.clientErr.Load(),
@@ -585,28 +597,28 @@ func (s *Server) StatusSnapshot() Status {
 			Rejected:     s.adm.rejected.Load(),
 			Coalesced:    s.coalesced.Load(),
 		},
-		Cache: CacheCounters{
+		Cache: cacheCounters{
 			Hits:      s.cache.hits.Load(),
 			Misses:    s.cache.misses.Load(),
 			Evictions: s.cache.evictions.Load(),
 			Entries:   s.cache.Len(),
 			Bytes:     s.cache.Bytes(),
 		},
-		Pool: PoolCounters{
-			Clusters:        s.pool.Slots(),
-			Restarts:        s.pool.Restarts(),
-			Providers:       s.pool.ProviderSlots(),
-			DefaultProvider: s.pool.DefaultProvider(),
+		Pool: poolCounters{
+			Clusters:        s.pool.slots(),
+			Restarts:        s.pool.restarts(),
+			Providers:       s.pool.providerSlots(),
+			DefaultProvider: s.pool.defaultProvider(),
 		},
-		Admission: AdmissionCounters{
+		Admission: admissionCounters{
 			Running:     s.adm.running.Load(),
 			Waiting:     s.adm.waiting.Load(),
 			MaxInflight: s.cfg.MaxInflight,
 			MaxQueue:    s.cfg.MaxQueue,
 		},
-		Algos:  make(map[string]AlgoStats),
-		Epochs: make(map[string]EpochStatus),
-		Mutations: MutationCounters{
+		Algos:  make(map[string]algoStats),
+		Epochs: make(map[string]epochStatus),
+		Mutations: mutationCounters{
 			Applied:       s.mutations.Load(),
 			Errors:        s.mutateErr.Load(),
 			CachePromoted: s.cache.promoted.Load(),
@@ -616,13 +628,13 @@ func (s *Server) StatusSnapshot() Status {
 	if lookups := st.Cache.Hits + st.Cache.Misses; lookups > 0 {
 		st.Cache.HitRate = float64(st.Cache.Hits) / float64(lookups)
 	}
-	if fleets := s.pool.Fleets(); len(fleets) > 0 {
-		st.Fleet = fleets
+	if s.pool.remote != nil {
+		st.Fleet = map[string]fleetStatus{"remote": s.pool.remote.fleet()}
 	}
-	for _, n := range s.pool.GraphNames() { // already sorted
-		info, _ := s.pool.Info(n)
-		st.Graphs[n] = GraphInfo{Vertices: info.vertices, Edges: info.edges}
-		if ge, ok := s.pool.Entry(n); ok {
+	for _, n := range s.pool.graphNames() { // already sorted
+		info, _ := s.pool.info(n)
+		st.Graphs[n] = graphStatus{Vertices: info.vertices, Edges: info.edges}
+		if ge, ok := s.pool.entry(n); ok {
 			st.Epochs[n] = ge.epochStatus()
 		}
 	}
@@ -630,7 +642,7 @@ func (s *Server) StatusSnapshot() Status {
 		if pa.queue.Snapshot().Count == 0 && pa.engine.Snapshot().Count == 0 {
 			continue
 		}
-		st.Algos[name] = AlgoStats{Queue: histToJSON(&pa.queue), Engine: histToJSON(&pa.engine)}
+		st.Algos[name] = algoStats{Queue: histToJSON(&pa.queue), Engine: histToJSON(&pa.engine)}
 	}
 	return st
 }

@@ -7,6 +7,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -158,57 +160,76 @@ func TestResultCacheLRUAndBudgets(t *testing.T) {
 	}
 }
 
+// TestAdmissionShedsBeyondQueue runs the gate at each queue bound a
+// Config can ask for: /statusz reports the bound admission enforces
+// (a negative MaxQueue means no queue at all), the request past
+// MaxInflight plus the queue is shed — at the gate with errOverloaded,
+// over HTTP with 429 — and a queued request runs once a slot frees.
 func TestAdmissionShedsBeyondQueue(t *testing.T) {
-	a := newAdmission(1, 1)
-
-	rel1, _, err := a.admit(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Second occupies the single waiting slot.
-	var wg sync.WaitGroup
-	wg.Add(1)
-	admitted := make(chan struct{})
-	go func() {
-		defer wg.Done()
-		rel2, _, err := a.admit(context.Background())
-		if err != nil {
-			t.Errorf("queued admit: %v", err)
-			return
+	for _, tc := range []struct{ maxQueue, queue int }{{1, 1}, {-1, 0}} {
+		s := testServer(t, Config{MaxInflight: 1, MaxQueue: tc.maxQueue})
+		if got := s.StatusSnapshot().Admission.MaxQueue; got != tc.queue {
+			t.Fatalf("MaxQueue %d: /statusz max_queue = %d, want %d", tc.maxQueue, got, tc.queue)
 		}
-		close(admitted)
-		rel2()
-	}()
-	// Wait until the goroutine holds the waiting slot.
-	for i := 0; a.waiting.Load() == 0 && i < 1000; i++ {
-		time.Sleep(time.Millisecond)
-	}
-	// Third finds the queue full and is shed immediately.
-	if _, _, err := a.admit(context.Background()); err != errOverloaded {
-		t.Fatalf("want errOverloaded, got %v", err)
-	}
-	if a.rejected.Load() != 1 {
-		t.Fatalf("rejected %d", a.rejected.Load())
-	}
-	rel1()
-	wg.Wait()
-	select {
-	case <-admitted:
-	default:
-		t.Fatal("queued request never ran")
-	}
+		a := s.adm
 
-	// A queued request whose deadline fires unwinds cleanly.
-	rel3, _, err := a.admit(context.Background())
-	if err != nil {
-		t.Fatal(err)
+		rel1, _, err := a.admit(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The next ones occupy the waiting slots.
+		var wg sync.WaitGroup
+		admitted := make(chan struct{}, tc.queue)
+		for i := 0; i < tc.queue; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				rel2, _, err := a.admit(context.Background())
+				if err != nil {
+					t.Errorf("queued admit: %v", err)
+					return
+				}
+				admitted <- struct{}{}
+				rel2()
+			}()
+		}
+		// Wait until the goroutines hold the waiting slots.
+		for i := 0; a.waiting.Load() < int64(tc.queue) && i < 1000; i++ {
+			time.Sleep(time.Millisecond)
+		}
+		// The next one finds the queue full and is shed immediately.
+		if _, _, err := a.admit(context.Background()); err != errOverloaded {
+			t.Fatalf("MaxQueue %d: want errOverloaded, got %v", tc.maxQueue, err)
+		}
+		if a.rejected.Load() != 1 {
+			t.Fatalf("rejected %d", a.rejected.Load())
+		}
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/query?graph=g1&algo=bfs&no_cache=1", nil))
+		if rec.Code != http.StatusTooManyRequests {
+			t.Fatalf("MaxQueue %d: query beyond MaxInflight got %d, want 429: %s", tc.maxQueue, rec.Code, rec.Body)
+		}
+		rel1()
+		wg.Wait()
+		if len(admitted) != tc.queue {
+			t.Fatalf("%d of %d queued requests ran", len(admitted), tc.queue)
+		}
+		if tc.queue == 0 {
+			continue
+		}
+
+		// A queued request whose deadline fires unwinds cleanly.
+		rel3, _, err := a.admit(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+		if _, _, err := a.admit(ctx); err != context.DeadlineExceeded {
+			t.Fatalf("queued deadline: %v", err)
+		}
+		cancel()
+		rel3()
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
-	defer cancel()
-	if _, _, err := a.admit(ctx); err != context.DeadlineExceeded {
-		t.Fatalf("queued deadline: %v", err)
-	}
-	rel3()
 }
 
 func TestQueryEndpoint(t *testing.T) {
@@ -505,4 +526,105 @@ func TestStatuszCounters(t *testing.T) {
 	if st := scrape("/statusz"); st.Requests.Total != 4 || st.Cache.Hits != 3 {
 		t.Fatalf("after a fourth query: %+v / %+v", st.Requests, st.Cache)
 	}
+
+	// After a commit every section is populated, and the document's key
+	// set is pinned: a field that loses its export (encoding/json drops
+	// it) or its tag shows up here.
+	if code, _, body := postMutate(t, ts.URL, MutateRequest{Graph: "g1", Mutations: []MutationJSON{{Op: "add_edge", Src: 0, Dst: 1}}}); code != http.StatusOK {
+		t.Fatalf("commit: %d %s", code, body)
+	}
+	if got := statuszKeys(t, ts.URL); !reflect.DeepEqual(got, localStatuszKeys) {
+		t.Fatalf("/statusz key paths:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(localStatuszKeys, "\n"))
+	}
+}
+
+// localStatuszKeys is /statusz's key set on a local server after a
+// query and a commit.
+var localStatuszKeys = []string{
+	"admission.max_inflight",
+	"admission.max_queue",
+	"admission.running",
+	"admission.waiting",
+	"algos.bfs.engine.count",
+	"algos.bfs.engine.max_ms",
+	"algos.bfs.engine.mean_ms",
+	"algos.bfs.engine.p50_ms",
+	"algos.bfs.engine.p95_ms",
+	"algos.bfs.engine.p99_ms",
+	"algos.bfs.queue.count",
+	"algos.bfs.queue.max_ms",
+	"algos.bfs.queue.mean_ms",
+	"algos.bfs.queue.p50_ms",
+	"algos.bfs.queue.p95_ms",
+	"algos.bfs.queue.p99_ms",
+	"cache.bytes",
+	"cache.entries",
+	"cache.evictions",
+	"cache.hit_rate",
+	"cache.hits",
+	"cache.misses",
+	"draining",
+	"epochs.g1.commits",
+	"epochs.g1.epoch",
+	"epochs.g1.evictions",
+	"epochs.g1.fingerprint",
+	"epochs.g1.ops_applied",
+	"epochs.g1.window_hi",
+	"epochs.g1.window_lo",
+	"graphs.g1.edges",
+	"graphs.g1.vertices",
+	"mutations.applied",
+	"mutations.cache_dropped",
+	"mutations.cache_promoted",
+	"mutations.errors",
+	"pool.clusters",
+	"pool.default_provider",
+	"pool.providers.local",
+	"pool.restarts",
+	"requests.client_errors",
+	"requests.coalesced",
+	"requests.ok",
+	"requests.rejected",
+	"requests.server_errors",
+	"requests.timeouts",
+	"requests.total",
+	"uptime_sec",
+}
+
+// statuszKeys scrapes /statusz and lists the key path of every leaf in
+// it, sorted and once each: object members join with ".", array
+// elements with "[]".
+func statuszKeys(t *testing.T, url string) []string {
+	t.Helper()
+	resp, err := http.Get(url + "/statusz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var doc any
+	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+		t.Fatal(err)
+	}
+	var paths []string
+	var walk func(path string, v any)
+	walk = func(path string, v any) {
+		switch v := v.(type) {
+		case map[string]any:
+			for k, e := range v {
+				if path != "" {
+					k = path + "." + k
+				}
+				walk(k, e)
+			}
+		case []any:
+			for _, e := range v {
+				walk(path+"[]", e)
+			}
+		default:
+			paths = append(paths, path)
+		}
+	}
+	walk("", doc)
+	slices.Sort(paths)
+	return slices.Compact(paths)
 }

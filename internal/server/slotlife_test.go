@@ -20,7 +20,7 @@ import (
 // idleEngines reports the pool's idle-list shape: how many entries it
 // holds, the longest list, and how many entries belong to an epoch older
 // than graphName's latest.
-func idleEngines(p *Pool, graphName string) (entries, longest, superseded int) {
+func idleEngines(p *pool, graphName string) (entries, longest, superseded int) {
 	_, hi := p.graphs[graphName].store.Window()
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -41,7 +41,7 @@ func idleEngines(p *Pool, graphName string) (entries, longest, superseded int) {
 // back 200 inside a 2 s guard — and each answer equals the sequential
 // oracle on the graph of the epoch it reports (Def. 2.2/2.4: which engine
 // computed it does not matter). The pool stays a bounded cache throughout:
-// no entry holds more than SlotsPerEntry idle engines, and once everything
+// no entry holds more than MaxInflight idle engines, and once everything
 // is home no entry of a superseded epoch is left.
 func TestNoCacheQueriesRacingCommitsNeverWait(t *testing.T) {
 	const inflight, commits, guard = 3, 24, 2 * time.Second
@@ -52,7 +52,7 @@ func TestNoCacheQueriesRacingCommitsNeverWait(t *testing.T) {
 		MaxInflight: inflight,
 		Retention:   commits + 2, // every reported epoch stays resolvable for the oracle
 	})
-	t.Cleanup(s.pool.Close)
+	t.Cleanup(s.pool.close)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	url := fmt.Sprintf("%s/query?graph=g&algo=bfs&root=%d&no_cache=1", ts.URL, root)
@@ -96,14 +96,14 @@ func TestNoCacheQueriesRacingCommitsNeverWait(t *testing.T) {
 			t.Fatalf("commit %d: %d %s", c, code, body)
 		}
 		if _, longest, _ := idleEngines(s.pool, "g"); longest > inflight {
-			t.Fatalf("after commit %d an entry holds %d idle engines, SlotsPerEntry is %d", c, longest, inflight)
+			t.Fatalf("after commit %d an entry holds %d idle engines, MaxInflight is %d", c, longest, inflight)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
 	close(stop)
 	wg.Wait()
 
-	ge, _ := s.pool.Entry("g")
+	ge, _ := s.pool.entry("g")
 	want := map[uint64]int{}
 	for _, a := range answers {
 		if _, ok := want[a.epoch]; !ok {
@@ -138,7 +138,7 @@ func TestNoCacheQueriesRacingCommitsNeverWait(t *testing.T) {
 func TestRemoteDeadlineAnsweredWithoutRebuild(t *testing.T) {
 	daemons, addrs := startWorkers(t, 2)
 	s := testServer(t, Config{Workers: addrs})
-	t.Cleanup(s.pool.Close)
+	t.Cleanup(s.pool.close)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -147,16 +147,16 @@ func TestRemoteDeadlineAnsweredWithoutRebuild(t *testing.T) {
 	if code, _, body := getResponse(t, ts.URL+"/query?graph=g1&algo=pagerank&iters=2&no_cache=1&provider=remote"); code != http.StatusOK {
 		t.Fatalf("warm-up: %d %s", code, body)
 	}
-	built, workerSlots := s.pool.Slots(), daemons[0].SlotsBuilt()
+	built, workerSlots := s.pool.slots(), daemons[0].slotsBuilt.Load()
 
 	code, _, body := getResponse(t, ts.URL+"/query?graph=g1&algo=pagerank&iters=200000&deadline_ms=30&no_cache=1&provider=remote")
 	if code != http.StatusGatewayTimeout {
 		t.Fatalf("deadline query: %d %s", code, body)
 	}
-	if got := s.pool.Slots(); got != built {
+	if got := s.pool.slots(); got != built {
 		t.Fatalf("pool built %d engines by the time the 504 was written, had %d before the request: Release rebuilt", got, built)
 	}
-	if got := daemons[0].SlotsBuilt(); got != workerSlots {
+	if got := daemons[0].slotsBuilt.Load(); got != workerSlots {
 		t.Fatalf("worker negotiated %d slots by the time the 504 was written, had %d", got, workerSlots)
 	}
 	if entries, _, _ := idleEngines(s.pool, "g1"); entries != 0 {
@@ -167,7 +167,7 @@ func TestRemoteDeadlineAnsweredWithoutRebuild(t *testing.T) {
 	if code != http.StatusOK || remote.Provider != "remote" || remote.Degraded {
 		t.Fatalf("post-deadline query: %d provider=%q degraded=%v %s", code, remote.Provider, remote.Degraded, body)
 	}
-	if got := s.pool.Slots(); got != built+1 {
+	if got := s.pool.slots(); got != built+1 {
 		t.Fatalf("the next lease built %d engines, want exactly 1", got-built)
 	}
 	code, local, body := getResponse(t, ts.URL+"/query?graph=g1&algo=pagerank&iters=3&no_cache=1&provider=local")
@@ -191,10 +191,10 @@ func TestRejoinPreloadsNewestEpochOnly(t *testing.T) {
 	cfg := Config{Graphs: map[string]*graph.Graph{"g": testGraph(7, 3)}, Workers: addrs}
 	fastFleet(&cfg)
 	s := testServer(t, cfg)
-	t.Cleanup(s.pool.Close)
+	t.Cleanup(s.pool.close)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	waitFleet(t, s, "all healthy", func(fs FleetStatus) bool { return fs.Healthy == 2 })
+	waitFleet(t, s, "all healthy", func(fs fleetStatus) bool { return fs.Healthy == 2 })
 
 	serve := func(stage string) (degraded bool) {
 		t.Helper()
@@ -218,12 +218,12 @@ func TestRejoinPreloadsNewestEpochOnly(t *testing.T) {
 		}
 		serve(fmt.Sprintf("epoch %d", c+2))
 	}
-	if got := daemons[1].GraphsCached(); got < commits+1 {
+	if got := daemons[1].graphsCached(); got < commits+1 {
 		t.Fatalf("victim holds %d base graphs before the kill, want one per epoch it served: %d", got, commits+1)
 	}
 
 	daemons[1].Close()
-	waitFleet(t, s, "victim dead", func(fs FleetStatus) bool { return stateOf(fs, addrs[1]) == StateDead })
+	waitFleet(t, s, "victim dead", func(fs fleetStatus) bool { return stateOf(fs, addrs[1]) == StateDead })
 	if !serve("victim dead") {
 		t.Fatal("survivor-only ring not flagged degraded")
 	}
@@ -232,15 +232,15 @@ func TestRejoinPreloadsNewestEpochOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { d2.Close() })
-	waitFleet(t, s, "victim healthy again", func(fs FleetStatus) bool { return stateOf(fs, addrs[1]) == StateHealthy })
+	waitFleet(t, s, "victim healthy again", func(fs fleetStatus) bool { return stateOf(fs, addrs[1]) == StateHealthy })
 
-	preloaded := d2.GraphsCached()
+	preloaded := d2.graphsCached()
 	if preloaded != 1 {
 		t.Fatalf("rejoined worker was preloaded with %d base graphs, want the newest epoch's one", preloaded)
 	}
 
-	remoteProv := s.pool.providers["remote"].(*RemoteProvider)
-	deltaShips := remoteProv.Fleet().DeltaShips
+	remoteProv := s.pool.remote
+	deltaShips := remoteProv.fleet().DeltaShips
 	deadline := time.Now().Add(15 * time.Second)
 	for serve("post-rejoin") {
 		if time.Now().After(deadline) {
@@ -248,12 +248,12 @@ func TestRejoinPreloadsNewestEpochOnly(t *testing.T) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	if d2.SlotsBuilt() == 0 {
+	if d2.slotsBuilt.Load() == 0 {
 		t.Fatal("restarted worker never hosted a slot")
 	}
-	if got := d2.GraphsCached(); got != preloaded || d2.DeltasApplied() != 0 || remoteProv.Fleet().DeltaShips != deltaShips {
+	if got := d2.graphsCached(); got != preloaded || d2.deltasApplied.Load() != 0 || remoteProv.fleet().DeltaShips != deltaShips {
 		t.Fatalf("the build after the preload shipped: graphs cached %d → %d, deltas applied %d, delta ships %d → %d",
-			preloaded, got, d2.DeltasApplied(), deltaShips, remoteProv.Fleet().DeltaShips)
+			preloaded, got, d2.deltasApplied.Load(), deltaShips, remoteProv.fleet().DeltaShips)
 	}
 }
 
@@ -303,10 +303,10 @@ func TestRetiredSlotsRemoveCheckpointDirs(t *testing.T) {
 			t.Fatalf("commit %d re-filed the 2 idle slots but %d directories remain", c, got)
 		}
 	}
-	if s.pool.Slots() != 2+commits {
-		t.Fatalf("pool built %d slots, want the 2 advanced ones and one per pinned query, %d", s.pool.Slots(), 2+commits)
+	if s.pool.slots() != 2+commits {
+		t.Fatalf("pool built %d slots, want the 2 advanced ones and one per pinned query, %d", s.pool.slots(), 2+commits)
 	}
-	s.pool.Close()
+	s.pool.close()
 	if got := dirs(); got != 2 {
 		t.Fatalf("shutdown left %d slot directories, want the 2 live ones kept for resume", got)
 	}
@@ -323,7 +323,7 @@ func TestCheckpointDirRestartAtOtherShape(t *testing.T) {
 	}
 	root := t.TempDir()
 	run := func(nodes int) *algorithms.BFSResult {
-		eng, err := newLocalEngine(BuildSpec{GraphName: "g", Graph: g, SlotID: 1},
+		eng, err := newLocalEngine(buildSpec{GraphName: "g", Graph: g, SlotID: 1},
 			core.Options{NumNodes: nodes, CheckpointEvery: 4}, nil, root)
 		if err != nil {
 			t.Fatal(err)

@@ -46,7 +46,7 @@ type WorkerConfig struct {
 // the variants derived from it; interrupted transfers resume),
 // data-plane endpoint, distributed engine — then answers run requests
 // in lockstep with node 0. One connection is one slot; the front-end's
-// RemoteProvider holds one per pooled remote engine.
+// remote provider holds one per pooled remote engine.
 type WorkerDaemon struct {
 	cfg WorkerConfig
 	ln  net.Listener
@@ -147,7 +147,7 @@ func StartWorkerDaemon(cfg WorkerConfig) (*WorkerDaemon, error) {
 		cfg.Registry.RegisterInt("worker.pings", d.pings.Load)
 		cfg.Registry.RegisterInt("worker.preloads", d.preloads.Load)
 		cfg.Registry.RegisterInt("worker.deltas_applied", d.deltasApplied.Load)
-		cfg.Registry.RegisterInt("worker.graphs_cached", func() int64 { return int64(d.GraphsCached()) })
+		cfg.Registry.RegisterInt("worker.graphs_cached", func() int64 { return int64(d.graphsCached()) })
 	}
 	d.wg.Add(1)
 	go d.acceptLoop()
@@ -157,20 +157,8 @@ func StartWorkerDaemon(cfg WorkerConfig) (*WorkerDaemon, error) {
 // Addr is the control address the daemon is reachable on.
 func (d *WorkerDaemon) Addr() string { return d.ln.Addr().String() }
 
-// RunsStarted counts queries this worker has begun executing; test
-// harnesses poll it to time a mid-run kill deterministically.
-func (d *WorkerDaemon) RunsStarted() int64 { return d.runsStarted.Load() }
-
-// SlotsBuilt counts engine slots successfully negotiated.
-func (d *WorkerDaemon) SlotsBuilt() int64 { return d.slotsBuilt.Load() }
-
-// DeltasApplied counts epochs materialized from a delta frame instead
-// of a full blob; test harnesses assert the cheap path ran.
-func (d *WorkerDaemon) DeltasApplied() int64 { return d.deltasApplied.Load() }
-
-// GraphsCached counts the base graphs (epochs) held in memory; test
-// harnesses poll it to observe a preload landing.
-func (d *WorkerDaemon) GraphsCached() int {
+// graphsCached counts the base graphs (epochs) held in memory.
+func (d *WorkerDaemon) graphsCached() int {
 	d.graphMu.Lock()
 	defer d.graphMu.Unlock()
 	return len(d.bases)
@@ -278,7 +266,7 @@ func (d *WorkerDaemon) pong() pongMsg {
 	return pongMsg{
 		SlotsActive:  int(d.slotsActive.Load()),
 		MaxSlots:     d.cfg.MaxSlots,
-		GraphsCached: d.GraphsCached(),
+		GraphsCached: d.graphsCached(),
 	}
 }
 

@@ -33,9 +33,9 @@ import (
 // flagged. A matcher, not an engine client: whether a map range feeds
 // a sink is a property of its body, not of a path through it.
 //
-// Evidence: rule 2 caught the serving pool's GraphNames and
-// ProviderNames returning map order, so /statusz and error messages
-// changed run to run; the sort that fixed them is pinned by
+// Evidence: rule 2 caught the serving pool's graph-name listing
+// (graphNames) returning map order, so /statusz and error messages
+// changed run to run; the sort that fixed it is pinned by
 // internal/server's TestPoolNamesSorted.
 var SnapDet = &Analyzer{
 	Name: "snapdet",
