@@ -41,11 +41,14 @@ func BenchmarkCell(b *testing.B) {
 	cfg := benchConfig()
 	d := s.ByName("s27")
 	for _, a := range bench.Algos {
-		for _, v := range []bench.Variant{bench.VariantGemini, bench.VariantSympleGraph} {
+		for _, v := range []bench.Variant{bench.VariantGemini, bench.VariantSympleGraph, bench.VariantDGalois} {
+			if v == bench.VariantDGalois && a == bench.AlgoSampling {
+				continue // not available in D-Galois (§7.1)
+			}
 			b.Run(fmt.Sprintf("%s/%s", a, v.Name), func(b *testing.B) {
 				var last bench.Measurement
 				for i := 0; i < b.N; i++ {
-					m, err := bench.RunVariant(v, a, d, cfg)
+					m, err := bench.Run(v, a, d, cfg)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -54,20 +57,6 @@ func BenchmarkCell(b *testing.B) {
 				reportCell(b, last)
 			})
 		}
-		if a == bench.AlgoSampling {
-			continue // not available in D-Galois (§7.1)
-		}
-		b.Run(fmt.Sprintf("%s/D-Galois", a), func(b *testing.B) {
-			var last bench.Measurement
-			for i := 0; i < b.N; i++ {
-				m, err := bench.RunDGalois(a, d, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = m
-			}
-			reportCell(b, last)
-		})
 	}
 }
 
@@ -86,7 +75,7 @@ func BenchmarkTable2KCoreSweep(b *testing.B) {
 	s := benchSuite()
 	cfg := benchConfig()
 	for i := 0; i < b.N; i++ {
-		if _, err := bench.Table2(s, cfg); err != nil {
+		if _, err := bench.Table2(s, &bench.Matrix{}, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -97,24 +86,21 @@ func BenchmarkTable3LargeGraphs(b *testing.B) {
 	s := benchSuite()
 	cfg := benchConfig()
 	for i := 0; i < b.N; i++ {
-		if _, err := bench.Table3(s, cfg); err != nil {
+		if _, err := bench.Table3(s, &bench.Matrix{}, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 // BenchmarkTable4Main regenerates the main comparison matrix and Table 4;
-// the same matrix underlies Tables 5 and 6, which BenchmarkTable5 and
-// BenchmarkTable6 render from a fresh measurement.
+// the same cells underlie Tables 5 and 6, which BenchmarkTable5 and
+// BenchmarkTable6 render from a fresh measurement. Each iteration
+// measures into a fresh matrix.
 func BenchmarkTable4Main(b *testing.B) {
 	s := benchSuite()
 	cfg := benchConfig()
 	for i := 0; i < b.N; i++ {
-		m, err := bench.RunMatrix(s, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := bench.Table4(s, m, cfg); err != nil {
+		if _, err := bench.Table4(s, &bench.Matrix{}, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -125,12 +111,8 @@ func BenchmarkTable5EdgesTraversed(b *testing.B) {
 	s := benchSuite()
 	cfg := benchConfig()
 	for i := 0; i < b.N; i++ {
-		m, err := bench.RunMatrix(s, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if out := bench.Table5(s, m); len(out) == 0 {
-			b.Fatal("empty table")
+		if out, err := bench.Table5(s, &bench.Matrix{}, cfg); err != nil || len(out) == 0 {
+			b.Fatal("empty table", err)
 		}
 	}
 }
@@ -140,12 +122,8 @@ func BenchmarkTable6Communication(b *testing.B) {
 	s := benchSuite()
 	cfg := benchConfig()
 	for i := 0; i < b.N; i++ {
-		m, err := bench.RunMatrix(s, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if out := bench.Table6(s, m); len(out) == 0 {
-			b.Fatal("empty table")
+		if out, err := bench.Table6(s, &bench.Matrix{}, cfg); err != nil || len(out) == 0 {
+			b.Fatal("empty table", err)
 		}
 	}
 }
@@ -155,7 +133,7 @@ func BenchmarkTable7BestNodes(b *testing.B) {
 	s := benchSuite()
 	cfg := benchConfig()
 	for i := 0; i < b.N; i++ {
-		if _, err := bench.Table7(s, cfg, []int{2, 4, 8}); err != nil {
+		if _, err := bench.Table7(s, &bench.Matrix{}, cfg, []int{2, 4, 8}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -166,7 +144,7 @@ func BenchmarkFigure10Scalability(b *testing.B) {
 	s := benchSuite()
 	cfg := benchConfig()
 	for i := 0; i < b.N; i++ {
-		rows, err := bench.Figure10(s, cfg, []int{2, 4, 8, 16})
+		rows, err := bench.Figure10(s, &bench.Matrix{}, cfg, []int{2, 4, 8, 16})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -182,7 +160,7 @@ func BenchmarkFigure11Ablation(b *testing.B) {
 	s := benchSuite()
 	cfg := benchConfig()
 	for i := 0; i < b.N; i++ {
-		rows, err := bench.Figure11(s, cfg)
+		rows, err := bench.Figure11(s, &bench.Matrix{}, cfg, bench.Algos)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -197,7 +175,7 @@ func BenchmarkCOST(b *testing.B) {
 	s := benchSuite()
 	cfg := benchConfig()
 	for i := 0; i < b.N; i++ {
-		if _, err := bench.COST(s, cfg, []int{2, 4}); err != nil {
+		if _, err := bench.COST(s, &bench.Matrix{}, cfg, []int{2, 4}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -67,64 +67,64 @@ func main() {
 		cliutil.Fatalf("sgbench", "%s: %v", what, err)
 	}
 
-	var matrix *bench.Matrix
-	needMatrix := func() *bench.Matrix {
-		if matrix == nil {
-			m, err := bench.RunMatrix(suite, cfg)
-			if err != nil {
-				fail("matrix", err)
-			}
-			matrix = m
-		}
-		return matrix
-	}
+	// Every table, figure and the export read their cells from one
+	// matrix, so a cell two of them share is measured once.
+	m := new(bench.Matrix)
 
 	if *all || *table == 1 {
 		emit("Table 1: dataset statistics", bench.Table1(suite))
 	}
 	if *all || *table == 2 {
-		out, err := bench.Table2(suite, cfg)
+		out, err := bench.Table2(suite, m, cfg)
 		if err != nil {
 			fail("table 2", err)
 		}
 		emit("Table 2: K-core runtime vs K", out)
 	}
 	if *all || *table == 3 {
-		out, err := bench.Table3(suite, cfg)
+		out, err := bench.Table3(suite, m, cfg)
 		if err != nil {
 			fail("table 3", err)
 		}
 		emit("Table 3: large graphs", out)
 	}
 	if *all || *table == 4 {
-		out, err := bench.Table4(suite, needMatrix(), cfg)
+		out, err := bench.Table4(suite, m, cfg)
 		if err != nil {
 			fail("table 4", err)
 		}
 		emit("Table 4: execution time", out)
 	}
 	if *all || *table == 5 {
-		emit("Table 5: edges traversed (normalized to |E|)", bench.Table5(suite, needMatrix()))
+		out, err := bench.Table5(suite, m, cfg)
+		if err != nil {
+			fail("table 5", err)
+		}
+		emit("Table 5: edges traversed (normalized to |E|)", out)
 	}
 	if *all || *table == 6 {
-		emit("Table 6: communication breakdown (normalized to Gemini)", bench.Table6(suite, needMatrix()))
+		out, err := bench.Table6(suite, m, cfg)
+		if err != nil {
+			fail("table 6", err)
+		}
+		emit("Table 6: communication breakdown (normalized to Gemini)", out)
 	}
 	if *all || *table == 7 {
-		out, err := bench.Table7(suite, cfg, sweep)
+		out, err := bench.Table7(suite, m, cfg, sweep)
 		if err != nil {
 			fail("table 7", err)
 		}
 		emit("Table 7: best-performing node count (MIS)", out)
 	}
 	if *all || *figure == 10 {
-		rows, err := bench.Figure10(suite, cfg, sweep)
+		rows, err := bench.Figure10(suite, m, cfg, sweep)
 		if err != nil {
 			fail("figure 10", err)
 		}
 		emit("Figure 10: scalability (MIS/s27, normalized runtime)", bench.FormatFigure10(rows))
 	}
 	if *all || *figure == 11 {
-		rows, err := bench.Figure11(suite, cfg)
+		rows, err := bench.Figure11(suite, m, cfg, bench.Algos)
 		if err != nil {
 			fail("figure 11", err)
 		}
@@ -135,14 +135,14 @@ func main() {
 		// the paper's Figure 11 measures.
 		depCfg := cfg
 		depCfg.Link = &comm.LinkModel{Latency: 100 * time.Microsecond, BytesPerSecond: 1e6}
-		depRows, err := bench.Figure11Algos(suite, depCfg, []bench.Algo{bench.AlgoSampling})
+		depRows, err := bench.Figure11(suite, m, depCfg, []bench.Algo{bench.AlgoSampling})
 		if err != nil {
 			fail("figure 11 (dependency-bound)", err)
 		}
 		emit("Figure 11 (dependency-bound: sampling on a 100µs/1MB/s link)", bench.FormatFigure11(depRows))
 	}
 	if *all || *cost {
-		out, err := bench.COST(suite, cfg, sweep)
+		out, err := bench.COST(suite, m, cfg, sweep)
 		if err != nil {
 			fail("cost", err)
 		}
@@ -171,11 +171,14 @@ func main() {
 			fail("export", err)
 		}
 		defer f.Close()
-		m := needMatrix()
+		cells, err := m.Main(suite, cfg)
+		if err != nil {
+			fail("export", err)
+		}
 		if strings.HasSuffix(*export, ".json") {
-			err = m.WriteJSON(f)
+			err = bench.WriteJSON(f, cells)
 		} else {
-			err = m.WriteCSV(f)
+			err = bench.WriteCSV(f, cells)
 		}
 		if err != nil {
 			fail("export", err)

@@ -3,6 +3,8 @@ package bench
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // testSuite returns a small suite so harness tests stay fast.
@@ -57,7 +59,7 @@ func TestRunVariantAllAlgos(t *testing.T) {
 	s := testSuite()
 	d := s.ByName("s27")
 	for _, a := range Algos {
-		m, err := RunVariant(VariantSympleGraph, a, d, testConfig())
+		m, err := Run(VariantSympleGraph, a, d, testConfig())
 		if err != nil {
 			t.Fatalf("%s: %v", a, err)
 		}
@@ -73,14 +75,14 @@ func TestRunVariantAllAlgos(t *testing.T) {
 func TestRunDGalois(t *testing.T) {
 	s := testSuite()
 	d := s.ByName("s27")
-	m, err := RunDGalois(AlgoMIS, d, testConfig())
+	m, err := Run(VariantDGalois, AlgoMIS, d, testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !m.Supported || m.UpdateBytes == 0 {
 		t.Fatalf("%+v", m)
 	}
-	samp, err := RunDGalois(AlgoSampling, d, testConfig())
+	samp, err := Run(VariantDGalois, AlgoSampling, d, testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +95,7 @@ func TestRunSequential(t *testing.T) {
 	s := testSuite()
 	d := s.ByName("tw")
 	for _, a := range Algos {
-		m, err := RunSequential(a, d, testConfig())
+		m, err := Run(VariantSequential, a, d, testConfig())
 		if err != nil {
 			t.Fatalf("%s: %v", a, err)
 		}
@@ -112,7 +114,7 @@ func TestTable1Rendering(t *testing.T) {
 	}
 }
 
-// TestMatrixAndMainTables runs a reduced matrix and checks the shape
+// TestMatrixAndMainTables measures a reduced matrix and checks the shape
 // claims the paper's tables make: SympleGraph traverses fewer edges than
 // Gemini, dependency traffic only exists for SympleGraph, and rendering
 // includes all cells.
@@ -122,20 +124,20 @@ func TestMatrixAndMainTables(t *testing.T) {
 	}
 	s := testSuite()
 	cfg := testConfig()
-	m, err := RunMatrix(s, cfg)
+	m := &Matrix{}
+	cells, err := m.Main(s, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// 5 datasets × 5 algos × 3 systems.
-	if len(m.Cells) != 75 {
-		t.Fatalf("%d cells, want 75", len(m.Cells))
+	if len(cells) != 75 || len(m.cells) != 75 {
+		t.Fatalf("%d cells, %d measured, want 75", len(cells), len(m.cells))
 	}
 	for _, a := range []Algo{AlgoBFS, AlgoKCore, AlgoMIS, AlgoKMeans} {
 		for _, d := range s.Main {
-			gem, ok1 := m.Get("Gemini", a, d.Name)
-			sym, ok2 := m.Get("SympleGraph", a, d.Name)
-			if !ok1 || !ok2 {
-				t.Fatalf("missing cells for %s/%s", a, d.Name)
+			gem, sym, err := versus(m, a, d, cfg)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", a, d.Name, err)
 			}
 			if sym.EdgesTraversed > gem.EdgesTraversed {
 				t.Errorf("%s/%s: SympleGraph traversed %d > Gemini %d", a, d.Name,
@@ -154,13 +156,18 @@ func TestMatrixAndMainTables(t *testing.T) {
 	if !strings.Contains(t4, "Speedup") || !strings.Contains(t4, "N/A") {
 		t.Fatalf("Table 4:\n%s", t4)
 	}
-	t5 := Table5(s, m)
-	if !strings.Contains(t5, "SympG./Gemini") {
-		t.Fatalf("Table 5:\n%s", t5)
+	t5, err := Table5(s, m, cfg)
+	if err != nil || !strings.Contains(t5, "SympG./Gemini") {
+		t.Fatalf("Table 5 (%v):\n%s", err, t5)
 	}
-	t6 := Table6(s, m)
-	if !strings.Contains(t6, "SymG.dep") {
-		t.Fatalf("Table 6:\n%s", t6)
+	t6, err := Table6(s, m, cfg)
+	if err != nil || !strings.Contains(t6, "SymG.dep") {
+		t.Fatalf("Table 6 (%v):\n%s", err, t6)
+	}
+	// The tables read the exported cells; Table 4 adds only its five
+	// sequential K-core cells.
+	if len(m.cells) != 80 {
+		t.Fatalf("%d cells measured after Tables 4-6, want 80", len(m.cells))
 	}
 }
 
@@ -168,7 +175,7 @@ func TestFigure10SeriesComplete(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep in short mode")
 	}
-	rows, err := Figure10(testSuite(), testConfig(), []int{2, 4})
+	rows, err := Figure10(testSuite(), &Matrix{}, testConfig(), []int{2, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +204,7 @@ func TestFigure11AblationComplete(t *testing.T) {
 	}
 	s := NewSuite(7)
 	cfg := testConfig()
-	rows, err := Figure11(s, cfg)
+	rows, err := Figure11(s, &Matrix{}, cfg, Algos)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +227,7 @@ func TestFigure11AblationComplete(t *testing.T) {
 }
 
 func TestCOSTRenders(t *testing.T) {
-	out, err := COST(testSuite(), testConfig(), []int{2, 4})
+	out, err := COST(testSuite(), &Matrix{}, testConfig(), []int{2, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,14 +242,15 @@ func TestTable2And3Render(t *testing.T) {
 	}
 	s := testSuite()
 	cfg := testConfig()
-	t2, err := Table2(s, cfg)
+	m := &Matrix{}
+	t2, err := Table2(s, m, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(t2, "Speedup") || strings.Count(t2, "\n") < 10 {
 		t.Fatalf("Table 2:\n%s", t2)
 	}
-	t3, err := Table3(s, cfg)
+	t3, err := Table3(s, m, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,11 +264,55 @@ func TestTable7Renders(t *testing.T) {
 		t.Skip("sweep in short mode")
 	}
 	s := NewSuite(7)
-	out, err := Table7(s, testConfig(), []int{2, 4})
+	out, err := Table7(s, &Matrix{}, testConfig(), []int{2, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out, "D-Galois") {
 		t.Fatal(out)
+	}
+}
+
+// TestMatrixMeasuresCellOnce checks that a cell is measured on first
+// request only: asking again returns the stored measurement although
+// Defaults gives each request a fresh DefaultLink, and after Table 7,
+// COST adds no engine spans — its SympleGraph cells are Table 7's and
+// its sequential cell is not traced.
+func TestMatrixMeasuresCellOnce(t *testing.T) {
+	s := NewSuite(7)
+	tr := obs.NewCapturingTracer(0)
+	cfg := testConfig()
+	cfg.Tracer = tr
+	m := &Matrix{}
+	d := s.ByName("s27")
+	first, err := m.Cell(VariantSympleGraph, AlgoBFS, d, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spans := len(tr.Events())
+	again, err := m.Cell(VariantSympleGraph, AlgoBFS, d, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again != first || len(m.cells) != 1 || len(tr.Events()) != spans {
+		t.Fatalf("second request re-measured: %d cells, %d spans then %d", len(m.cells), spans, len(tr.Events()))
+	}
+
+	nodes := []int{2, 4}
+	if _, err := Table7(s, m, cfg, nodes); err != nil {
+		t.Fatal(err)
+	}
+	cells, spans := len(m.cells), len(tr.Events())
+	if spans == 0 || tr.Dropped() != 0 {
+		t.Fatalf("Table 7 captured %d spans, dropped %d", spans, tr.Dropped())
+	}
+	if _, err := COST(s, m, cfg, nodes); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(tr.Events()); got != spans {
+		t.Fatalf("COST after Table 7 recorded %d engine spans, want 0", got-spans)
+	}
+	if got := len(m.cells); got != cells+1 {
+		t.Fatalf("COST after Table 7 measured %d cells, want 1 (the sequential one)", got-cells)
 	}
 }

@@ -22,15 +22,27 @@ type Dataset struct {
 	// Description explains what the stand-in models.
 	Description string
 
-	build func() *graph.Graph
-	once  sync.Once
-	g     *graph.Graph
+	build   func() *graph.Graph
+	once    sync.Once
+	g       *graph.Graph
+	symOnce sync.Once
+	sym     *graph.Graph
 }
 
 // Graph builds (once) and returns the dataset graph.
 func (d *Dataset) Graph() *graph.Graph {
 	d.once.Do(func() { d.g = d.build() })
 	return d.g
+}
+
+// graphFor returns the graph the algorithm runs on: the dataset graph,
+// or for the undirected algorithms its symmetrization, built once too.
+func (d *Dataset) graphFor(a Algo) *graph.Graph {
+	if !a.Undirected() {
+		return d.Graph()
+	}
+	d.symOnce.Do(func() { d.sym = graph.Symmetrize(d.Graph()) })
+	return d.sym
 }
 
 // Suite is the set of datasets an experiment run uses. Scale is the base

@@ -8,11 +8,11 @@ import (
 	"sort"
 )
 
-// WriteCSV exports every matrix cell as CSV — system, algorithm, dataset,
-// seconds, edges traversed, update/dependency/control bytes, dependency/
-// update wait seconds, supported — sorted by (algo, dataset, system) so
-// exports diff cleanly.
-func (m *Matrix) WriteCSV(w io.Writer) error {
+// WriteCSV exports cells as CSV — system, algorithm, dataset, seconds,
+// edges traversed, update/dependency/control bytes, dependency/update
+// wait seconds, supported — sorted by (algo, dataset, system) so exports
+// diff cleanly.
+func WriteCSV(w io.Writer, cells []Measurement) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write([]string{
 		"system", "algo", "dataset", "seconds",
@@ -21,7 +21,7 @@ func (m *Matrix) WriteCSV(w io.Writer) error {
 	}); err != nil {
 		return err
 	}
-	for _, c := range m.sortedCells() {
+	for _, c := range sorted(cells) {
 		rec := []string{
 			c.System, string(c.Algo), c.Dataset,
 			fmt.Sprintf("%.6f", c.Seconds),
@@ -42,17 +42,15 @@ func (m *Matrix) WriteCSV(w io.Writer) error {
 }
 
 // WriteJSON exports the sorted cells as a JSON array.
-func (m *Matrix) WriteJSON(w io.Writer) error {
+func WriteJSON(w io.Writer, cells []Measurement) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(m.sortedCells())
+	return enc.Encode(sorted(cells))
 }
 
-func (m *Matrix) sortedCells() []Measurement {
-	cells := make([]Measurement, 0, len(m.Cells))
-	for _, c := range m.Cells {
-		cells = append(cells, c)
-	}
+// sorted returns a copy of cells in (algo, dataset, system) order.
+func sorted(cells []Measurement) []Measurement {
+	cells = append([]Measurement(nil), cells...)
 	sort.Slice(cells, func(i, j int) bool {
 		if cells[i].Algo != cells[j].Algo {
 			return cells[i].Algo < cells[j].Algo

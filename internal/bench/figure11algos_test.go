@@ -18,11 +18,11 @@ func TestFigure11DoubleBufferingIsLive(t *testing.T) {
 	const frameHeader = 13
 	cfg := Config{Nodes: 4, SampleRounds: 2, Seed: 3, Link: &comm.LinkModel{}}
 	for _, d := range NewSuite(9).Main {
-		circ, err := RunVariant(VariantCirculant, AlgoSampling, d, cfg)
+		circ, err := Run(VariantCirculant, AlgoSampling, d, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		db, err := RunVariant(VariantDB, AlgoSampling, d, cfg)
+		db, err := Run(VariantDB, AlgoSampling, d, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -40,7 +40,8 @@ func TestFigure11DoubleBufferingIsLive(t *testing.T) {
 }
 
 // TestFigure11AlgosDependencyBound exercises the dependency-bound
-// ablation path sgbench uses: sampling only, on a slow link. The
+// ablation path sgbench uses: Figure 11 over sampling only, on a slow
+// link. The
 // differentiated-propagation variant must not be slower than
 // circulant-only (it sends ~6× less dependency data), and the
 // double-buffering variant must be faster: a segment crosses the link
@@ -62,11 +63,12 @@ func TestFigure11AlgosDependencyBound(t *testing.T) {
 		Link: &comm.LinkModel{Latency: 100 * time.Microsecond, BytesPerSecond: 1e6},
 	}
 	// The box is shared: one co-tenant burst can slow a variant's cells on
-	// several datasets at once, so a failed trend is re-measured once.
+	// several datasets at once, so a failed trend is re-measured once, in
+	// a fresh matrix.
 	var rows []Figure11Row
 	for attempt := 0; attempt < 2; attempt++ {
 		var err error
-		if rows, err = Figure11Algos(s, cfg, []Algo{AlgoSampling}); err != nil {
+		if rows, err = Figure11(s, &Matrix{}, cfg, []Algo{AlgoSampling}); err != nil {
 			t.Fatal(err)
 		}
 		if len(rows) != len(s.Main) {

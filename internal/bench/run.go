@@ -36,8 +36,10 @@ func (a Algo) Undirected() bool {
 	return a == AlgoMIS || a == AlgoKCore || a == AlgoKMeans
 }
 
-// Variant is an engine configuration under measurement — a system of the
-// paper's comparison or an ablation point of Figure 11.
+// Variant is a system under measurement — one of the paper's comparison
+// or an ablation point of Figure 11. Mode, DepThreshold and NumBuffers
+// configure the engine; the D-Galois and sequential variants leave them
+// zero.
 type Variant struct {
 	Name         string
 	Mode         core.Mode
@@ -58,6 +60,13 @@ var (
 	VariantDB = Variant{Name: "Circulant+DB", Mode: core.ModeSympleGraph, DepThreshold: 0, NumBuffers: 2}
 	// VariantDP adds differentiated propagation only.
 	VariantDP = Variant{Name: "Circulant+DP", Mode: core.ModeSympleGraph, DepThreshold: core.DefaultDepThreshold, NumBuffers: 1}
+	// VariantDGalois is the D-Galois baseline (internal/gluon). It has no
+	// sampling (§7.1), so its Sampling cells are unsupported.
+	VariantDGalois = Variant{Name: "D-Galois"}
+	// VariantSequential is the single-thread reference, the COST
+	// baseline: GAPBS-style BFS, greedy MIS, the linear-time Matula–Beck
+	// K-core.
+	VariantSequential = Variant{Name: "sequential"}
 )
 
 // Config are experiment-wide knobs, shared across systems so every cell
@@ -82,8 +91,9 @@ type Config struct {
 	// comm.DefaultLink; use &comm.LinkModel{} for instant delivery in
 	// correctness-only runs).
 	Link *comm.LinkModel
-	// Repeats re-runs each cell and keeps the fastest time (work and
-	// traffic are deterministic across repeats). Defaults to 1.
+	// Repeats re-runs each cell, the sequential one included, and keeps
+	// the fastest time (work and traffic are deterministic across
+	// repeats). Defaults to 1.
 	Repeats int
 	// Tracer, when non-nil, records per-phase spans for every cell that
 	// runs on core.Cluster: the Gemini/SympleGraph variants and D-Galois
@@ -165,32 +175,6 @@ func (m Measurement) TotalBytes() int64 {
 	return m.UpdateBytes + m.DependencyBytes + m.ControlBytes
 }
 
-// workGraph returns the dataset's graph in the orientation the algorithm
-// needs, cached.
-func workGraph(d *Dataset, a Algo) *graph.Graph {
-	if a.Undirected() {
-		return symmetrized(d)
-	}
-	return d.Graph()
-}
-
-var symCache = struct {
-	m map[*Dataset]*graph.Graph
-}{m: map[*Dataset]*graph.Graph{}}
-
-var symCacheMu chan struct{} = make(chan struct{}, 1)
-
-func symmetrized(d *Dataset) *graph.Graph {
-	symCacheMu <- struct{}{}
-	defer func() { <-symCacheMu }()
-	if g, ok := symCache.m[d]; ok {
-		return g
-	}
-	g := graph.Symmetrize(d.Graph())
-	symCache.m[d] = g
-	return g
-}
-
 // bfsRoots draws deterministic non-isolated roots, as the paper draws
 // "64 randomly generated non-isolated roots".
 func bfsRoots(g *graph.Graph, seed uint64, n int) []graph.VertexID {
@@ -205,14 +189,34 @@ func bfsRoots(g *graph.Graph, seed uint64, n int) []graph.VertexID {
 	return roots
 }
 
-// RunVariant runs one cell on the core engine, repeating cfg.Repeats
-// times and keeping the fastest wall time (the workload is deterministic,
-// so work and traffic metrics are identical across repeats).
-func RunVariant(v Variant, a Algo, d *Dataset, cfg Config) (Measurement, error) {
+// options turns a variant and a defaulted config into the options of the
+// cell's cluster. D-Galois cells get no checkpoint, restart or fault
+// fields, for the reason Config gives.
+func options(v Variant, cfg Config) core.Options {
+	o := core.Options{
+		NumNodes:     cfg.Nodes,
+		Mode:         v.Mode,
+		DepThreshold: v.DepThreshold,
+		NumBuffers:   v.NumBuffers,
+		Workers:      cfg.Workers,
+		Link:         cfg.Link,
+		Tracer:       cfg.Tracer,
+		StallTimeout: cfg.StallTimeout,
+	}
+	if v != VariantDGalois {
+		o.CheckpointEvery, o.MaxRestarts, o.Fault = cfg.CheckpointEvery, cfg.MaxRestarts, cfg.Fault
+	}
+	return o
+}
+
+// Run measures one cell: variant v running algorithm a on dataset d,
+// cfg.Repeats times, keeping the fastest wall time (the workload is
+// deterministic, so work and traffic are identical across repeats).
+func Run(v Variant, a Algo, d *Dataset, cfg Config) (Measurement, error) {
 	cfg = cfg.Defaults()
-	best := Measurement{}
+	var best Measurement
 	for r := 0; r < cfg.Repeats; r++ {
-		m, err := runVariantOnce(v, a, d, cfg)
+		m, err := runOnce(v, a, d, cfg)
 		if err != nil {
 			return m, err
 		}
@@ -223,61 +227,90 @@ func RunVariant(v Variant, a Algo, d *Dataset, cfg Config) (Measurement, error) 
 	return best, nil
 }
 
-func runVariantOnce(v Variant, a Algo, d *Dataset, cfg Config) (Measurement, error) {
-	g := workGraph(d, a)
-	c, err := core.NewCluster(g, core.Options{
-		NumNodes:        cfg.Nodes,
-		Mode:            v.Mode,
-		DepThreshold:    v.DepThreshold,
-		NumBuffers:      v.NumBuffers,
-		Workers:         cfg.Workers,
-		Link:            cfg.Link,
-		Tracer:          cfg.Tracer,
-		StallTimeout:    cfg.StallTimeout,
-		CheckpointEvery: cfg.CheckpointEvery,
-		MaxRestarts:     cfg.MaxRestarts,
-		Fault:           cfg.Fault,
-	})
-	if err != nil {
-		return Measurement{}, err
+func runOnce(v Variant, a Algo, d *Dataset, cfg Config) (Measurement, error) {
+	m := Measurement{System: v.Name, Dataset: d.Name, Algo: a}
+	if v == VariantDGalois && a == AlgoSampling {
+		return m, nil
 	}
-	defer c.Close()
+	g := d.graphFor(a)
+	var c *core.Cluster // nil for the sequential reference
+	var e *gluon.Engine // non-nil for D-Galois, whose cluster c is
+	var err error
+	switch v {
+	case VariantSequential:
+	case VariantDGalois:
+		if e, err = gluon.New(g, options(v, cfg)); err == nil {
+			c = e.Cluster
+		}
+	default:
+		c, err = core.NewCluster(g, options(v, cfg))
+	}
+	if err != nil {
+		return m, err
+	}
+	if c != nil {
+		defer c.Close()
+	}
+	m.Supported = true
 
-	m := Measurement{System: v.Name, Dataset: d.Name, Algo: a, Supported: true}
+	// call makes one algorithm call on the cell's system — the engine's,
+	// the baseline's or the reference's version of it — and adds the run
+	// to the cell: the cluster's own Stats, or the reference's wall time.
+	call := func(engine, baseline func() error, reference func()) error {
+		if c == nil {
+			start := time.Now()
+			reference()
+			m.Seconds += time.Since(start).Seconds()
+			return nil
+		}
+		run := engine
+		if e != nil {
+			run = baseline
+		}
+		if err := run(); err != nil {
+			return err
+		}
+		m.accumulate(c)
+		return nil
+	}
+	centers := int(math.Sqrt(float64(g.NumVertices())))
 	switch a {
 	case AlgoBFS:
 		for _, root := range bfsRoots(g, cfg.Seed, cfg.BFSRoots) {
-			if _, err := algorithms.BFS(c, root); err != nil {
-				return m, err
+			err = call(func() error { return errOf(algorithms.BFS(c, root)) },
+				func() error { return errOf(gluon.BFS(e, root)) },
+				func() { seq.DirectionOptimizingBFS(g, root) })
+			if err != nil {
+				break
 			}
-			m.accumulate(c)
 		}
 	case AlgoMIS:
-		if _, err := algorithms.MIS(c, cfg.Seed); err != nil {
-			return m, err
-		}
-		m.accumulate(c)
+		err = call(func() error { return errOf(algorithms.MIS(c, cfg.Seed)) },
+			func() error { return errOf(gluon.MIS(e, cfg.Seed)) },
+			func() { seq.GreedyMIS(g, seq.MISColors(g.NumVertices(), cfg.Seed)) })
 	case AlgoKCore:
-		if _, err := algorithms.KCore(c, cfg.KCoreK); err != nil {
-			return m, err
-		}
-		m.accumulate(c)
+		err = call(func() error { return errOf(algorithms.KCore(c, cfg.KCoreK)) },
+			func() error { return errOf(gluon.KCore(e, cfg.KCoreK)) },
+			func() { seq.KCoreFromCoreness(seq.Coreness(g), cfg.KCoreK) })
 	case AlgoKMeans:
-		centers := int(math.Sqrt(float64(g.NumVertices())))
-		if _, err := algorithms.KMeans(c, centers, cfg.KMeansIters, cfg.Seed); err != nil {
-			return m, err
-		}
-		m.accumulate(c)
+		err = call(func() error { return errOf(algorithms.KMeans(c, centers, cfg.KMeansIters, cfg.Seed)) },
+			func() error { return errOf(gluon.KMeans(e, centers, cfg.KMeansIters, cfg.Seed)) },
+			func() { seq.KMeans(g, centers, cfg.KMeansIters, cfg.Seed, nil) })
 	case AlgoSampling:
-		if _, err := algorithms.Sample(c, cfg.Seed, cfg.SampleRounds); err != nil {
-			return m, err
-		}
-		m.accumulate(c)
+		err = call(func() error { return errOf(algorithms.Sample(c, cfg.Seed, cfg.SampleRounds)) }, nil,
+			func() {
+				for round := 0; round < cfg.SampleRounds; round++ {
+					seq.SampleNeighbors(g, cfg.Seed, round, nil)
+				}
+			})
 	default:
-		return m, fmt.Errorf("bench: unknown algorithm %q", a)
+		err = fmt.Errorf("bench: unknown algorithm %q", a)
 	}
-	return m, nil
+	return m, err
 }
+
+// errOf drops a result, keeping its error.
+func errOf[T any](_ T, err error) error { return err }
 
 // accumulate adds the cluster's most recent run to the cell: its time is
 // the run's Elapsed, its work and traffic the run's totals.
@@ -293,137 +326,64 @@ func (m *Measurement) accumulate(c *core.Cluster) {
 	m.UpdateWaitSeconds += s.UpdateWait.Seconds()
 }
 
-// RunDGalois runs one cell on the gluon baseline, repeating like
-// RunVariant. Sampling is unsupported (as in D-Galois) and returns
-// Supported=false.
-func RunDGalois(a Algo, d *Dataset, cfg Config) (Measurement, error) {
-	cfg = cfg.Defaults()
-	best := Measurement{}
-	for r := 0; r < cfg.Repeats; r++ {
-		m, err := runDGaloisOnce(a, d, cfg)
-		if err != nil {
-			return m, err
-		}
-		if r == 0 || (m.Supported && m.Seconds < best.Seconds) {
-			best = m
-		}
-	}
-	return best, nil
-}
-
-func runDGaloisOnce(a Algo, d *Dataset, cfg Config) (Measurement, error) {
-	m := Measurement{System: "D-Galois", Dataset: d.Name, Algo: a}
-	if a == AlgoSampling {
-		return m, nil
-	}
-	g := workGraph(d, a)
-	e, err := gluon.New(g, core.Options{
-		NumNodes:     cfg.Nodes,
-		Link:         cfg.Link,
-		Tracer:       cfg.Tracer,
-		StallTimeout: cfg.StallTimeout,
-	})
-	if err != nil {
-		return m, err
-	}
-	defer e.Close()
-	m.Supported = true
-	switch a {
-	case AlgoBFS:
-		for _, root := range bfsRoots(g, cfg.Seed, cfg.BFSRoots) {
-			if _, err := gluon.BFS(e, root); err != nil {
-				return m, err
-			}
-			m.accumulate(e.Cluster)
-		}
-	case AlgoMIS:
-		if _, err := gluon.MIS(e, cfg.Seed); err != nil {
-			return m, err
-		}
-		m.accumulate(e.Cluster)
-	case AlgoKCore:
-		if _, err := gluon.KCore(e, cfg.KCoreK); err != nil {
-			return m, err
-		}
-		m.accumulate(e.Cluster)
-	case AlgoKMeans:
-		centers := int(math.Sqrt(float64(g.NumVertices())))
-		if _, err := gluon.KMeans(e, centers, cfg.KMeansIters, cfg.Seed); err != nil {
-			return m, err
-		}
-		m.accumulate(e.Cluster)
-	default:
-		return m, fmt.Errorf("bench: unknown algorithm %q", a)
-	}
-	return m, nil
-}
-
-// RunSequential runs the single-thread reference (the COST baseline:
-// GAPBS-style BFS, greedy MIS, the linear-time Matula–Beck K-core).
-func RunSequential(a Algo, d *Dataset, cfg Config) (Measurement, error) {
-	cfg = cfg.Defaults()
-	g := workGraph(d, a)
-	m := Measurement{System: "sequential", Dataset: d.Name, Algo: a, Supported: true}
-	start := time.Now()
-	switch a {
-	case AlgoBFS:
-		for _, root := range bfsRoots(g, cfg.Seed, cfg.BFSRoots) {
-			seq.DirectionOptimizingBFS(g, root)
-		}
-	case AlgoMIS:
-		seq.GreedyMIS(g, seq.MISColors(g.NumVertices(), cfg.Seed))
-	case AlgoKCore:
-		seq.KCoreFromCoreness(seq.Coreness(g), cfg.KCoreK)
-	case AlgoKMeans:
-		centers := int(math.Sqrt(float64(g.NumVertices())))
-		seq.KMeans(g, centers, cfg.KMeansIters, cfg.Seed, nil)
-	case AlgoSampling:
-		for round := 0; round < cfg.SampleRounds; round++ {
-			seq.SampleNeighbors(g, cfg.Seed, round, nil)
-		}
-	default:
-		return m, fmt.Errorf("bench: unknown algorithm %q", a)
-	}
-	m.Seconds = time.Since(start).Seconds()
-	return m, nil
-}
-
-// Matrix holds every measured cell of a multi-system sweep, keyed by
-// (system, algo, dataset).
+// Matrix is one session's measured cells. Cell measures a cell the first
+// time it is asked for and returns the stored Measurement after, so a
+// cell several tables read is one measurement: Table 4's SympleGraph
+// column is Figure 11's, and Table 7, Figure 10 and COST sweep the same
+// MIS cells. The zero Matrix is empty and ready to use; it is not safe
+// for concurrent use.
 type Matrix struct {
-	Cells map[string]Measurement
+	cells map[cellKey]Measurement
 }
 
-func cellKey(system string, a Algo, dataset string) string {
-	return system + "/" + string(a) + "/" + dataset
+// cellKey names a cell by its defaulted config with the link model taken
+// by value: Defaults allocates a fresh DefaultLink on every call.
+type cellKey struct {
+	v    Variant
+	a    Algo
+	d    *Dataset
+	cfg  Config
+	link comm.LinkModel
 }
 
-// Get returns a cell.
-func (m *Matrix) Get(system string, a Algo, dataset string) (Measurement, bool) {
-	c, ok := m.Cells[cellKey(system, a, dataset)]
-	return c, ok
+// Cell returns variant v's measurement of algorithm a on dataset d under
+// cfg, running it on first request.
+func (m *Matrix) Cell(v Variant, a Algo, d *Dataset, cfg Config) (Measurement, error) {
+	cfg = cfg.Defaults()
+	key := cellKey{v: v, a: a, d: d, cfg: cfg, link: *cfg.Link}
+	key.cfg.Link = nil
+	if cell, ok := m.cells[key]; ok {
+		return cell, nil
+	}
+	cell, err := Run(v, a, d, cfg)
+	if err != nil {
+		return cell, fmt.Errorf("bench: %s/%s/%s: %w", v.Name, a, d.Name, err)
+	}
+	if m.cells == nil {
+		m.cells = map[cellKey]Measurement{}
+	}
+	m.cells[key] = cell
+	return cell, nil
 }
 
-// RunMatrix measures every (system, algo, dataset) combination over the
-// suite's main datasets: Gemini, D-Galois, SympleGraph — the shared input
-// of Tables 4, 5 and 6.
-func RunMatrix(s *Suite, cfg Config) (*Matrix, error) {
-	m := &Matrix{Cells: map[string]Measurement{}}
+// comparison lists the systems of Tables 4, 5 and 6.
+var comparison = []Variant{VariantGemini, VariantDGalois, VariantSympleGraph}
+
+// Main returns the cells of Tables 4, 5 and 6 — every system of the
+// comparison on every algorithm and main dataset — measuring those not
+// yet measured.
+func (m *Matrix) Main(s *Suite, cfg Config) ([]Measurement, error) {
+	var cells []Measurement
 	for _, d := range s.Main {
 		for _, a := range Algos {
-			for _, v := range []Variant{VariantGemini, VariantSympleGraph} {
-				cell, err := RunVariant(v, a, d, cfg)
+			for _, v := range comparison {
+				cell, err := m.Cell(v, a, d, cfg)
 				if err != nil {
-					return nil, fmt.Errorf("bench: %s/%s/%s: %w", v.Name, a, d.Name, err)
+					return nil, err
 				}
-				m.Cells[cellKey(v.Name, a, d.Name)] = cell
+				cells = append(cells, cell)
 			}
-			cell, err := RunDGalois(a, d, cfg)
-			if err != nil {
-				return nil, fmt.Errorf("bench: D-Galois/%s/%s: %w", a, d.Name, err)
-			}
-			m.Cells[cellKey("D-Galois", a, d.Name)] = cell
 		}
 	}
-	return m, nil
+	return cells, nil
 }

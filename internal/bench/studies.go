@@ -136,7 +136,8 @@ func largestInDegree(g *graph.Graph) (graph.VertexID, int) {
 // skewed (tw) and low-skew (cl) stand-ins — the mechanism behind Table
 // 3's cl rows, where the adaptive switch rarely chooses bottom-up so
 // SympleGraph ≈ Gemini. Reported per direction: edges traversed by each
-// mode and their ratio.
+// mode and their ratio. Its clusters take the Gemini and SympleGraph
+// cells' options.
 func DirectionStudy(s *Suite, cfg Config) (string, error) {
 	cfg = cfg.Defaults()
 	b, w := newTable("Graph", "Direction", "Gemini edges", "SympG. edges", "ratio")
@@ -153,13 +154,9 @@ func DirectionStudy(s *Suite, cfg Config) (string, error) {
 		g := d.Graph()
 		roots := bfsRoots(g, cfg.Seed, cfg.BFSRoots)
 		for _, dir := range dirs {
-			edges := map[core.Mode]int64{}
-			for _, mode := range []core.Mode{core.ModeGemini, core.ModeSympleGraph} {
-				opts := core.Options{NumNodes: cfg.Nodes, Mode: mode, NumBuffers: 2, Link: cfg.Link}
-				if mode == core.ModeSympleGraph {
-					opts.DepThreshold = core.DefaultDepThreshold
-				}
-				c, err := core.NewCluster(g, opts)
+			var edges [2]int64 // Gemini, SympleGraph
+			for i, v := range []Variant{VariantGemini, VariantSympleGraph} {
+				c, err := core.NewCluster(g, options(v, cfg))
 				if err != nil {
 					return "", err
 				}
@@ -168,13 +165,12 @@ func DirectionStudy(s *Suite, cfg Config) (string, error) {
 						c.Close()
 						return "", err
 					}
-					edges[mode] += c.Stats().Totals.EdgesTraversed
+					edges[i] += c.Stats().Totals.EdgesTraversed
 				}
 				c.Close()
 			}
-			fmt.Fprintf(w, "%s\t%s\t%d\t%d\t%.3f\n", d.Name, dir.name,
-				edges[core.ModeGemini], edges[core.ModeSympleGraph],
-				ratio(float64(edges[core.ModeSympleGraph]), float64(edges[core.ModeGemini])))
+			fmt.Fprintf(w, "%s\t%s\t%d\t%d\t%.3f\n", d.Name, dir.name, edges[0], edges[1],
+				ratio(float64(edges[1]), float64(edges[0])))
 		}
 	}
 	w.Flush()

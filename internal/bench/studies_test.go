@@ -3,6 +3,8 @@ package bench
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 func TestPartitionStudy(t *testing.T) {
@@ -36,6 +38,20 @@ func TestDirectionStudy(t *testing.T) {
 		if strings.Contains(line, "top-down") && !strings.Contains(line, "1.000") {
 			t.Fatalf("top-down ratio not 1.0: %s", line)
 		}
+	}
+}
+
+// TestDirectionStudyTraced checks that the study's clusters take the
+// config's options: a capturing tracer in cfg records their spans.
+func TestDirectionStudyTraced(t *testing.T) {
+	tr := obs.NewCapturingTracer(0)
+	cfg := testConfig()
+	cfg.Tracer = tr
+	if _, err := DirectionStudy(NewSuite(7), cfg); err != nil {
+		t.Fatal(err)
+	}
+	if len(tr.Events()) == 0 {
+		t.Fatal("the direction study recorded no engine spans")
 	}
 }
 

@@ -31,19 +31,14 @@ func Table1(s *Suite) string {
 
 // Table2 renders the K-core K-sweep on the two social-graph stand-ins
 // (paper Table 2: K ∈ {4, 8, 16, 32, 64}, Gemini vs SympleGraph).
-func Table2(s *Suite, cfg Config) (string, error) {
-	cfg = cfg.Defaults()
+func Table2(s *Suite, m *Matrix, cfg Config) (string, error) {
 	b, w := newTable("Graph", "K", "Gemini(s)", "SympleG.(s)", "Speedup", "EdgeRatio")
 	for _, name := range []string{"tw", "fr"} {
 		d := s.ByName(name)
 		for _, k := range []int{4, 8, 16, 32, 64} {
 			kcfg := cfg
 			kcfg.KCoreK = k
-			gem, err := RunVariant(VariantGemini, AlgoKCore, d, kcfg)
-			if err != nil {
-				return "", err
-			}
-			sym, err := RunVariant(VariantSympleGraph, AlgoKCore, d, kcfg)
+			gem, sym, err := versus(m, AlgoKCore, d, kcfg)
 			if err != nil {
 				return "", err
 			}
@@ -56,20 +51,24 @@ func Table2(s *Suite, cfg Config) (string, error) {
 	return b.String(), nil
 }
 
+// versus returns the Gemini and SympleGraph cells of a on d.
+func versus(m *Matrix, a Algo, d *Dataset, cfg Config) (gem, sym Measurement, err error) {
+	if gem, err = m.Cell(VariantGemini, a, d, cfg); err != nil {
+		return
+	}
+	sym, err = m.Cell(VariantSympleGraph, a, d, cfg)
+	return
+}
+
 // Table3 renders the large-graph comparison (paper Table 3: gsh and cl,
 // all five algorithms, Gemini vs SympleGraph). The cl stand-in is
 // low-skew, reproducing the BFS≈1.0 rows where bottom-up is rarely
 // chosen.
-func Table3(s *Suite, cfg Config) (string, error) {
-	cfg = cfg.Defaults()
+func Table3(s *Suite, m *Matrix, cfg Config) (string, error) {
 	b, w := newTable("Graph", "App", "Gemini(s)", "SympleG.(s)", "Speedup")
 	for _, d := range s.Large {
 		for _, a := range Algos {
-			gem, err := RunVariant(VariantGemini, a, d, cfg)
-			if err != nil {
-				return "", err
-			}
-			sym, err := RunVariant(VariantSympleGraph, a, d, cfg)
+			gem, sym, err := versus(m, a, d, cfg)
 			if err != nil {
 				return "", err
 			}
@@ -81,21 +80,24 @@ func Table3(s *Suite, cfg Config) (string, error) {
 	return b.String(), nil
 }
 
-// Table4 renders the main result from a measured matrix (paper Table 4):
-// execution time per system with SympleGraph speedup over the best
-// baseline; the K-core rows carry the sequential Matula–Beck time in
-// parentheses.
+// Table4 renders the main result (paper Table 4): execution time per
+// system with SympleGraph speedup over the best baseline; the K-core rows
+// carry the sequential Matula–Beck time in parentheses.
 func Table4(s *Suite, m *Matrix, cfg Config) (string, error) {
-	cfg = cfg.Defaults()
 	b, w := newTable("App", "Graph", "Gemini(s)", "D-Galois(s)", "SymG.(s)", "Speedup")
 	for _, a := range Algos {
 		for _, d := range s.Main {
-			gem, _ := m.Get(VariantGemini.Name, a, d.Name)
-			dg, _ := m.Get("D-Galois", a, d.Name)
-			sym, _ := m.Get(VariantSympleGraph.Name, a, d.Name)
+			gem, sym, err := versus(m, a, d, cfg)
+			if err != nil {
+				return "", err
+			}
+			dg, err := m.Cell(VariantDGalois, a, d, cfg)
+			if err != nil {
+				return "", err
+			}
 			gemCol := fmt.Sprintf("%.4f", gem.Seconds)
 			if a == AlgoKCore {
-				mb, err := RunSequential(AlgoKCore, d, cfg)
+				mb, err := m.Cell(VariantSequential, AlgoKCore, d, cfg)
 				if err != nil {
 					return "", err
 				}
@@ -119,20 +121,22 @@ func Table4(s *Suite, m *Matrix, cfg Config) (string, error) {
 
 // Table5 renders edge-traversal counts normalized to the dataset's edge
 // total, with the SympleGraph/Gemini ratio (paper Table 5).
-func Table5(s *Suite, m *Matrix) string {
+func Table5(s *Suite, m *Matrix, cfg Config) (string, error) {
 	b, w := newTable("App", "Graph", "Gemini", "SympG.", "SympG./Gemini")
 	for _, a := range Algos {
 		for _, d := range s.Main {
-			gem, _ := m.Get(VariantGemini.Name, a, d.Name)
-			sym, _ := m.Get(VariantSympleGraph.Name, a, d.Name)
-			e := float64(workGraph(d, a).NumEdges())
+			gem, sym, err := versus(m, a, d, cfg)
+			if err != nil {
+				return "", err
+			}
+			e := float64(d.graphFor(a).NumEdges())
 			fmt.Fprintf(w, "%s\t%s\t%.4f\t%.4f\t%.4f\n", a, d.Name,
 				float64(gem.EdgesTraversed)/e, float64(sym.EdgesTraversed)/e,
 				ratio(float64(sym.EdgesTraversed), float64(gem.EdgesTraversed)))
 		}
 	}
 	w.Flush()
-	return b.String()
+	return b.String(), nil
 }
 
 // Table6 renders SympleGraph's communication breakdown normalized to
@@ -140,12 +144,14 @@ func Table5(s *Suite, m *Matrix) string {
 // sum. Control traffic (frontier/termination exchanges) is identical in
 // both systems by construction and excluded from the normalization, as
 // the paper's counts cover signal/slot message volume.
-func Table6(s *Suite, m *Matrix) string {
+func Table6(s *Suite, m *Matrix, cfg Config) (string, error) {
 	b, w := newTable("App", "Graph", "SymG.upt", "SymG.dep", "SymG")
 	for _, a := range Algos {
 		for _, d := range s.Main {
-			gem, _ := m.Get(VariantGemini.Name, a, d.Name)
-			sym, _ := m.Get(VariantSympleGraph.Name, a, d.Name)
+			gem, sym, err := versus(m, a, d, cfg)
+			if err != nil {
+				return "", err
+			}
 			gemTotal := float64(gem.UpdateBytes)
 			upt := float64(sym.UpdateBytes) / gemTotal
 			dep := float64(sym.DependencyBytes) / gemTotal
@@ -153,36 +159,44 @@ func Table6(s *Suite, m *Matrix) string {
 		}
 	}
 	w.Flush()
-	return b.String()
+	return b.String(), nil
+}
+
+// nodeSweep returns v's MIS cells on d at each node count: the one sweep
+// Table 7, Figure 10 and COST read.
+func nodeSweep(m *Matrix, v Variant, d *Dataset, cfg Config, nodeCounts []int) ([]Measurement, error) {
+	cells := make([]Measurement, len(nodeCounts))
+	for i, nodes := range nodeCounts {
+		ncfg := cfg
+		ncfg.Nodes = nodes
+		var err error
+		if cells[i], err = m.Cell(v, AlgoMIS, d, ncfg); err != nil {
+			return nil, err
+		}
+	}
+	return cells, nil
 }
 
 // Table7 renders the best-performing node count for MIS (paper Table 7:
 // D-Galois needed 128 Stampede2 nodes where SympleGraph needed 2–4).
-func Table7(s *Suite, cfg Config, nodeCounts []int) (string, error) {
-	cfg = cfg.Defaults()
+func Table7(s *Suite, m *Matrix, cfg Config, nodeCounts []int) (string, error) {
 	b, w := newTable("Graph", "D-Galois(s)", "SympleGraph(s)")
 	for _, d := range s.Main {
-		bestDG, bestDGNodes := math.Inf(1), 0
-		bestSym, bestSymNodes := math.Inf(1), 0
-		for _, nodes := range nodeCounts {
-			ncfg := cfg
-			ncfg.Nodes = nodes
-			dg, err := RunDGalois(AlgoMIS, d, ncfg)
+		fmt.Fprintf(w, "%s", d.Name)
+		for _, v := range []Variant{VariantDGalois, VariantSympleGraph} {
+			cells, err := nodeSweep(m, v, d, cfg, nodeCounts)
 			if err != nil {
 				return "", err
 			}
-			if dg.Seconds < bestDG {
-				bestDG, bestDGNodes = dg.Seconds, nodes
+			best, bestNodes := math.Inf(1), 0
+			for i, c := range cells {
+				if c.Seconds < best {
+					best, bestNodes = c.Seconds, nodeCounts[i]
+				}
 			}
-			sym, err := RunVariant(VariantSympleGraph, AlgoMIS, d, ncfg)
-			if err != nil {
-				return "", err
-			}
-			if sym.Seconds < bestSym {
-				bestSym, bestSymNodes = sym.Seconds, nodes
-			}
+			fmt.Fprintf(w, "\t%.4f(%d)", best, bestNodes)
 		}
-		fmt.Fprintf(w, "%s\t%.4f(%d)\t%.4f(%d)\n", d.Name, bestDG, bestDGNodes, bestSym, bestSymNodes)
+		fmt.Fprintln(w)
 	}
 	w.Flush()
 	return b.String(), nil
@@ -197,27 +211,20 @@ type Figure10Row struct {
 // Figure10 measures MIS scalability on the s27 stand-in (paper
 // Figure 10): runtime per system across cluster sizes, which the caller
 // normalizes or plots.
-func Figure10(s *Suite, cfg Config, nodeCounts []int) ([]Figure10Row, error) {
-	cfg = cfg.Defaults()
+func Figure10(s *Suite, m *Matrix, cfg Config, nodeCounts []int) ([]Figure10Row, error) {
 	d := s.ByName("s27")
-	var rows []Figure10Row
-	for _, nodes := range nodeCounts {
-		ncfg := cfg
-		ncfg.Nodes = nodes
-		row := Figure10Row{Nodes: nodes, Seconds: map[string]float64{}}
-		for _, v := range []Variant{VariantGemini, VariantSympleGraph} {
-			cell, err := RunVariant(v, AlgoMIS, d, ncfg)
-			if err != nil {
-				return nil, err
-			}
-			row.Seconds[v.Name] = cell.Seconds
-		}
-		dg, err := RunDGalois(AlgoMIS, d, ncfg)
+	rows := make([]Figure10Row, len(nodeCounts))
+	for i, nodes := range nodeCounts {
+		rows[i] = Figure10Row{Nodes: nodes, Seconds: map[string]float64{}}
+	}
+	for _, v := range comparison {
+		cells, err := nodeSweep(m, v, d, cfg, nodeCounts)
 		if err != nil {
 			return nil, err
 		}
-		row.Seconds["D-Galois"] = dg.Seconds
-		rows = append(rows, row)
+		for i, c := range cells {
+			rows[i].Seconds[v.Name] = c.Seconds
+		}
 	}
 	return rows, nil
 }
@@ -250,17 +257,11 @@ type Figure11Row struct {
 
 // Figure11 measures the optimization ablation (paper Figure 11):
 // circulant-only vs +DB vs +DP vs full SympleGraph, geometric mean over
-// all five algorithms per dataset.
-func Figure11(s *Suite, cfg Config) ([]Figure11Row, error) {
-	return Figure11Algos(s, cfg, Algos)
-}
-
-// Figure11Algos is Figure11 restricted to a subset of algorithms — used
-// for the dependency-bound configuration, where the data-dependency
-// algorithm (sampling, whose frames carry 8 bytes per vertex) isolates
-// the effect the paper's Figure 11 measures.
-func Figure11Algos(s *Suite, cfg Config, algos []Algo) ([]Figure11Row, error) {
-	cfg = cfg.Defaults()
+// the given algorithms per dataset — all five for the paper's figure,
+// sampling alone for the dependency-bound configuration, where the
+// data-dependency algorithm (whose frames carry 8 bytes per vertex)
+// isolates the effect the paper's Figure 11 measures.
+func Figure11(s *Suite, m *Matrix, cfg Config, algos []Algo) ([]Figure11Row, error) {
 	variants := []Variant{VariantCirculant, VariantDB, VariantDP, VariantSympleGraph}
 	var rows []Figure11Row
 	for _, d := range s.Main {
@@ -268,7 +269,7 @@ func Figure11Algos(s *Suite, cfg Config, algos []Algo) ([]Figure11Row, error) {
 		for _, v := range variants {
 			logSum, count := 0.0, 0
 			for _, a := range algos {
-				cell, err := RunVariant(v, a, d, cfg)
+				cell, err := m.Cell(v, a, d, cfg)
 				if err != nil {
 					return nil, err
 				}
@@ -306,24 +307,22 @@ func FormatFigure11(rows []Figure11Row) string {
 // COST reports the single-thread baseline time against the distributed
 // system across node counts (paper §7.4). In this simulated setting the
 // "cores" axis is simulated machines; the shape of interest is how small
-// the cluster can be while beating one thread.
-func COST(s *Suite, cfg Config, nodeCounts []int) (string, error) {
-	cfg = cfg.Defaults()
+// the cluster can be while beating one thread. Both sides keep the best
+// of cfg.Repeats.
+func COST(s *Suite, m *Matrix, cfg Config, nodeCounts []int) (string, error) {
 	d := s.ByName("s27")
 	b, w := newTable("System", "Nodes", "MIS time(s)")
-	seqCell, err := RunSequential(AlgoMIS, d, cfg)
+	seqCell, err := m.Cell(VariantSequential, AlgoMIS, d, cfg)
+	if err != nil {
+		return "", err
+	}
+	sym, err := nodeSweep(m, VariantSympleGraph, d, cfg, nodeCounts)
 	if err != nil {
 		return "", err
 	}
 	fmt.Fprintf(w, "single-thread (Galois-style greedy)\t1\t%.4f\n", seqCell.Seconds)
-	for _, nodes := range nodeCounts {
-		ncfg := cfg
-		ncfg.Nodes = nodes
-		sym, err := RunVariant(VariantSympleGraph, AlgoMIS, d, ncfg)
-		if err != nil {
-			return "", err
-		}
-		fmt.Fprintf(w, "SympleGraph\t%d\t%.4f\n", nodes, sym.Seconds)
+	for i, nodes := range nodeCounts {
+		fmt.Fprintf(w, "SympleGraph\t%d\t%.4f\n", nodes, sym[i].Seconds)
 	}
 	w.Flush()
 	return b.String(), nil

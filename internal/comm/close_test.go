@@ -131,19 +131,18 @@ func TestRecvTimeout(t *testing.T) {
 	})
 }
 
-// TestDialBudgetConfigurable verifies the WithDialBudget option: dialing
-// a cluster whose peer never listens must fail within the small budget
-// rather than the 30s default.
-func TestDialBudgetConfigurable(t *testing.T) {
-	ln := mustListen(t)
-	defer ln.Close()
+// TestDialGivesUpOnVacatedPort verifies that cluster formation's dial
+// retry gives up on a peer that never listens once its budget elapses,
+// rather than retrying forever.
+func TestDialGivesUpOnVacatedPort(t *testing.T) {
 	dead := mustListen(t)
-	addrs := []string{dead.Addr().String(), ln.Addr().String()}
-	dead.Close() // node 1 will dial a vacated port
+	addr := dead.Addr().String()
+	dead.Close() // dial a vacated port
 	start := time.Now()
-	_, err := NewTCPEndpoint(1, ln, addrs, WithDialBudget(150*time.Millisecond))
+	c, err := dialWithRetry(addr, 150*time.Millisecond, 1)
 	if err == nil {
-		t.Fatal("dial to dead peer succeeded")
+		c.Close()
+		t.Fatal("dial to a vacated port succeeded")
 	}
 	if waited := time.Since(start); waited > 5*time.Second {
 		t.Fatalf("dial gave up after %v, want ~150ms budget", waited)

@@ -94,36 +94,14 @@ func (tc *tcpConn) writeFrame(from NodeID, kind Kind, tag int32, bufs Buffers) e
 	return err
 }
 
-// DefaultDialBudget bounds how long an endpoint retries dialing a peer
-// before giving up on cluster formation, unless WithDialBudget overrides
-// it.
-const DefaultDialBudget = 30 * time.Second
-
-// TCPOption configures NewTCPEndpoint.
-type TCPOption func(*tcpConfig)
-
-type tcpConfig struct {
-	dialBudget time.Duration
-}
-
-// WithDialBudget sets the total time an endpoint keeps retrying each
-// peer dial during cluster formation. Non-positive values select
-// DefaultDialBudget.
-func WithDialBudget(d time.Duration) TCPOption {
-	return func(c *tcpConfig) { c.dialBudget = d }
-}
+// dialBudget bounds how long an endpoint retries dialing a peer before
+// giving up on cluster formation.
+const dialBudget = 30 * time.Second
 
 // NewTCPEndpoint joins a cluster of n nodes as node id. ln must already be
 // listening on addrs[id]; addrs lists every node's address. The call
 // blocks until the full mesh is established.
-func NewTCPEndpoint(id NodeID, ln net.Listener, addrs []string, opts ...TCPOption) (*TCPEndpoint, error) {
-	cfg := tcpConfig{dialBudget: DefaultDialBudget}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	if cfg.dialBudget <= 0 {
-		cfg.dialBudget = DefaultDialBudget
-	}
+func NewTCPEndpoint(id NodeID, ln net.Listener, addrs []string) (*TCPEndpoint, error) {
 	n := len(addrs)
 	if int(id) < 0 || int(id) >= n {
 		return nil, fmt.Errorf("comm: node id %d outside cluster of %d", id, n)
@@ -144,7 +122,7 @@ func NewTCPEndpoint(id NodeID, ln net.Listener, addrs []string, opts ...TCPOptio
 		wg.Add(1)
 		go func(j int) {
 			defer wg.Done()
-			c, err := dialWithRetry(addrs[j], cfg.dialBudget, uint64(id)<<32|uint64(j))
+			c, err := dialWithRetry(addrs[j], dialBudget, uint64(id)<<32|uint64(j))
 			if err != nil {
 				errc <- fmt.Errorf("comm: node %d dialing node %d: %w", id, j, err)
 				return
@@ -305,7 +283,7 @@ func (e *TCPEndpoint) Close() error {
 // ports within this process — the transport-integration configuration used
 // by tests and the tcpcluster example. For a genuinely distributed run,
 // call NewTCPEndpoint in each process with a shared address list.
-func NewTCPClusterLoopback(n int, opts ...TCPOption) ([]*TCPEndpoint, error) {
+func NewTCPClusterLoopback(n int) ([]*TCPEndpoint, error) {
 	listeners := make([]net.Listener, n)
 	addrs := make([]string, n)
 	for i := 0; i < n; i++ {
@@ -326,7 +304,7 @@ func NewTCPClusterLoopback(n int, opts ...TCPOption) ([]*TCPEndpoint, error) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			endpoints[i], errs[i] = NewTCPEndpoint(NodeID(i), listeners[i], addrs, opts...)
+			endpoints[i], errs[i] = NewTCPEndpoint(NodeID(i), listeners[i], addrs)
 		}(i)
 	}
 	wg.Wait()

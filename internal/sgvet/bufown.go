@@ -355,14 +355,16 @@ func (a *bufownAnalysis) applyCall(call *ast.CallExpr, f *bufFact, depth int) {
 			if tv, ok := info.Types[last]; !ok || !isCommNamed(tv.Type, "Buffers") {
 				return
 			}
-			for _, id := range buffersRoots(last) {
-				if obj := info.Uses[id]; obj != nil {
-					f.vars[obj] = poison{kind: "SendBufs", pos: call.Pos()}
-				}
-			}
-			for _, bsel := range buffersSelectors(last) {
-				if key, ok := selObjects(info, bsel); ok {
-					f.sels[key] = poison{kind: "SendBufs", pos: call.Pos()}
+			for _, x := range handedOff(last) {
+				switch x := x.(type) {
+				case *ast.Ident:
+					if obj := info.Uses[x]; obj != nil {
+						f.vars[obj] = poison{kind: "SendBufs", pos: call.Pos()}
+					}
+				case *ast.SelectorExpr:
+					if key, ok := selObjects(info, x); ok {
+						f.sels[key] = poison{kind: "SendBufs", pos: call.Pos()}
+					}
 				}
 			}
 			return
@@ -614,52 +616,23 @@ func selObjects(info *types.Info, sel *ast.SelectorExpr) (selKey, bool) {
 	return selKey{root: root, field: field}, true
 }
 
-// buffersRoots extracts the identifiers whose buffers a SendBufs
-// argument hands off: a plain ident, a comm.Buffers(x) conversion of
-// one, or the ident elements of a Buffers{...} literal. Indexing
-// expressions (bufs[i]) are deliberately not traced to the root slice —
-// only the indexed element is transferred.
-func buffersRoots(e ast.Expr) []*ast.Ident {
+// handedOff returns the expressions whose buffers a SendBufs argument
+// hands off: the argument itself, the operand of a comm.Buffers(x)
+// conversion, or the elements of a Buffers{...} literal. The caller
+// tracks the plain identifiers and the field selectors (x.f) among them.
+// Indexing expressions (bufs[i]) are deliberately not traced to the root
+// slice — only the indexed element is transferred.
+func handedOff(e ast.Expr) []ast.Expr {
 	switch x := e.(type) {
-	case *ast.Ident:
-		return []*ast.Ident{x}
 	case *ast.CallExpr: // conversion: comm.Buffers(chunks)
 		if len(x.Args) == 1 {
-			return buffersRoots(x.Args[0])
+			return handedOff(x.Args[0])
 		}
-	case *ast.CompositeLit: // comm.Buffers{a, b}
-		var out []*ast.Ident
-		for _, elt := range x.Elts {
-			if id, ok := elt.(*ast.Ident); ok {
-				out = append(out, id)
-			}
-		}
-		return out
+		return nil
+	case *ast.CompositeLit: // comm.Buffers{a, ctx.frame}
+		return x.Elts
 	}
-	return nil
-}
-
-// buffersSelectors is buffersRoots for field-rooted buffers: a `x.f`
-// selector handed off directly, through a comm.Buffers(x.f)
-// conversion, or as a Buffers{x.f, ...} literal element.
-func buffersSelectors(e ast.Expr) []*ast.SelectorExpr {
-	switch x := e.(type) {
-	case *ast.SelectorExpr:
-		return []*ast.SelectorExpr{x}
-	case *ast.CallExpr: // conversion: comm.Buffers(ctx.bins)
-		if len(x.Args) == 1 {
-			return buffersSelectors(x.Args[0])
-		}
-	case *ast.CompositeLit: // comm.Buffers{ctx.frame}
-		var out []*ast.SelectorExpr
-		for _, elt := range x.Elts {
-			if sel, ok := elt.(*ast.SelectorExpr); ok {
-				out = append(out, sel)
-			}
-		}
-		return out
-	}
-	return nil
+	return []ast.Expr{e}
 }
 
 // identObject resolves an identifier whether it defines (:=) or uses
