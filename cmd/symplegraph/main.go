@@ -52,7 +52,7 @@ func main() {
 		iters     = flag.Int("iters", 0, "K-means outer iterations / PageRank iterations (0 = the service default, 3 / 20)")
 		rounds    = flag.Int("rounds", 0, "sampling rounds (0 = the service default, 4)")
 		seed      = flag.Uint64("seed", 0, "algorithm seed (0 = the service default, 42)")
-		verbose   = flag.Bool("v", false, "verbose: per-node stats, phase histograms, engine warnings")
+		verbose   = flag.Bool("v", false, "verbose: per-node stats and phase histograms")
 		tcpID     = flag.Int("tcp-id", -1, "multi-process mode: this process's node ID")
 		tcpAddrs  = flag.String("tcp-addrs", "", "multi-process mode: comma-separated listen addresses, one per node")
 	)
@@ -87,9 +87,6 @@ func main() {
 	defer release()
 	if obsFlags.Registry != nil {
 		cluster.RegisterMetrics(obsFlags.Registry)
-	}
-	for _, warn := range cluster.Stats().Warnings {
-		cliutil.Warnf("symplegraph", "%s", warn)
 	}
 
 	fmt.Printf("graph: %v  nodes: %d  mode: %v\n", g, cluster.Options().NumNodes, m)
@@ -133,7 +130,9 @@ func newCluster(g *graph.Graph, opts core.Options, tcpID int, tcpAddrs string) (
 		return nil, nil, fmt.Errorf("joining cluster: %w", err)
 	}
 	opts.NumNodes = len(addrs)
-	if c, err = core.NewDistributedNode(g, opts, ep); err != nil {
+	opts.Endpoints = make([]comm.Endpoint, len(addrs))
+	opts.Endpoints[tcpID] = ep
+	if c, err = core.NewCluster(g, opts); err != nil {
 		ep.Close()
 		return nil, nil, err
 	}

@@ -247,16 +247,6 @@ func (b *Bitmap) segmentWord(wi, lo, hi int) uint64 {
 	return w
 }
 
-// AppendSet appends the indices of all set bits to dst and returns it.
-func (b *Bitmap) AppendSet(dst []int) []int {
-	b.Range(func(i int) bool { dst = append(dst, i); return true })
-	return dst
-}
-
-// Words exposes the underlying word slice for bulk operations such as
-// serialization. The slice must not be resized by callers.
-func (b *Bitmap) Words() []uint64 { return b.words }
-
 // MarshalBinaryTo appends the bitmap payload (words in little-endian order)
 // to dst and returns the extended slice. The length is not encoded; the
 // receiver must know it (dependency bitmaps always cover a fixed vertex

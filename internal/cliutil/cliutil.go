@@ -89,11 +89,6 @@ func FatalErr(tool string, err error) {
 	os.Exit(code)
 }
 
-// Warnf prints "tool: warning: message" to stderr.
-func Warnf(tool, format string, args ...any) {
-	fmt.Fprintf(os.Stderr, tool+": warning: "+format+"\n", args...)
-}
-
 // ParseMode maps the shared -mode vocabulary onto core.Mode.
 func ParseMode(s string) (core.Mode, error) {
 	switch s {
@@ -300,7 +295,7 @@ func (o *Obs) Close() error {
 }
 
 // PrintStats writes the standard stats report shared by symplegraph
-// runs: totals always, per-node breakdown and engine warnings when
+// runs: totals always, per-node breakdown and phase histograms when
 // verbose.
 func PrintStats(w *os.File, s core.StatsSnapshot, numEdges int64, verbose bool) {
 	t := s.Totals
@@ -328,9 +323,6 @@ func PrintStats(w *os.File, s core.StatsSnapshot, numEdges int64, verbose bool) 
 		}
 		fmt.Fprintf(w, "phase node%d %-11s count=%d p50=%v p95=%v max=%v\n",
 			ps.Node, ps.Phase, ps.Hist.Count, ps.Hist.P50, ps.Hist.P95, ps.Hist.Max)
-	}
-	for _, warn := range s.Warnings {
-		fmt.Fprintf(w, "warning: %s\n", warn)
 	}
 }
 

@@ -87,21 +87,18 @@ func (p *FaultPlan) Counters() faultCounters {
 	}
 }
 
-// Wrap layers the plan over every endpoint of a cluster. The returned
-// endpoints share the plan's counters and one-shot crash state, so
-// re-wrapping fresh endpoints after a recovery keeps the history.
+// Wrap layers the plan over every endpoint of a cluster; a nil entry (a
+// machine another process hosts) stays nil. The returned endpoints share
+// the plan's counters and one-shot crash state, so re-wrapping fresh
+// endpoints after a recovery keeps the history.
 func (p *FaultPlan) Wrap(eps []Endpoint) []Endpoint {
 	out := make([]Endpoint, len(eps))
 	for i, ep := range eps {
-		out[i] = p.WrapOne(ep)
+		if ep != nil {
+			out[i] = &faultEndpoint{inner: ep, plan: p}
+		}
 	}
 	return out
-}
-
-// WrapOne layers the plan over a single endpoint (the distributed-mode
-// entry point, where each process hosts one machine).
-func (p *FaultPlan) WrapOne(ep Endpoint) Endpoint {
-	return &faultEndpoint{inner: ep, plan: p}
 }
 
 // faultEndpoint interposes the plan on one endpoint. It implements

@@ -26,12 +26,10 @@ type Cluster struct {
 	class   *partition.DegreeClass
 	layouts []*partition.Layout
 
+	// endpoints is indexed by machine id; nil entries are machines
+	// another process hosts.
 	endpoints []comm.Endpoint
 	mem       *comm.MemCluster // non-nil when the cluster owns a memory transport
-	// localNode is -1 for in-process clusters (Run spawns every
-	// machine); otherwise the single machine this process hosts
-	// (distributed mode, NewDistributedNode).
-	localNode int
 
 	statsMu   sync.Mutex
 	lastStats RunStats
@@ -98,11 +96,11 @@ type nodeRunStats struct {
 
 // StatsSnapshot is the cluster's full statistics surface for the most
 // recent Run: aggregate totals, per-node shares, per-(node, phase) span
-// histograms (when a tracer is attached), and configuration warnings.
+// histograms (when a tracer is attached), and resilience counters.
 type StatsSnapshot struct {
-	// Totals aggregates the run across all machines this process
-	// hosts (all of them for in-process clusters; this machine only in
-	// distributed mode).
+	// Totals aggregates the run across the machines the cluster hosts
+	// (all of them without Options.Endpoints; the ones it holds an
+	// endpoint for with them).
 	Totals RunStats
 	// Nodes holds each hosted machine's share, ordered by node ID.
 	// Per-field sums over Nodes equal the corresponding Totals fields.
@@ -110,9 +108,6 @@ type StatsSnapshot struct {
 	// Phases summarizes the spans recorded by Options.Tracer since the
 	// tracer was created (across runs); empty without a tracer.
 	Phases []obs.PhaseSummary
-	// Warnings lists configuration adjustments made during validation
-	// (e.g. an out-of-range NumBuffers clamped to 1).
-	Warnings []string
 	// Restarts counts recovery re-runs performed over the cluster's
 	// lifetime (Options.MaxRestarts); Stalls counts receives that hit
 	// Options.StallTimeout.
@@ -135,49 +130,29 @@ func (s *RunStats) Add(other RunStats) {
 	s.Elapsed += other.Elapsed
 }
 
-// NewCluster partitions g across opts.NumNodes machines and connects
-// them. Close releases the transport. Over caller-supplied
-// opts.Endpoints, opts.MaxRestarts must be 0.
+// NewCluster partitions g across opts.NumNodes machines, connects them
+// and lays out the ones it hosts: every machine over a cluster-owned
+// memory transport, or the machines opts.Endpoints holds an endpoint for.
+// Close releases the transport. Over caller-supplied opts.Endpoints,
+// opts.MaxRestarts must be 0.
 func NewCluster(g *graph.Graph, opts Options) (*Cluster, error) {
 	if err := opts.validateAndDefault(); err != nil {
 		return nil, err
 	}
-	if opts.Endpoints != nil && opts.MaxRestarts > 0 {
-		return nil, errNoReset(opts)
-	}
-	machines := make([]int, opts.NumNodes)
-	for m := range machines {
-		machines[m] = m
-	}
-	c, err := newCluster(g, opts, machines)
-	if err != nil {
-		return nil, err
-	}
-	c.localNode = -1
-	if opts.Endpoints != nil {
-		c.endpoints = opts.Endpoints
-		if opts.Fault != nil {
-			c.endpoints = opts.Fault.Wrap(c.endpoints)
-		}
-	} else {
-		c.buildMemTransport()
-	}
-	c.initCheckpoints()
-	return c, nil
-}
-
-// newCluster is the part of construction every kind of cluster shares:
-// chunk the vertices, classify them by the mode's threshold, and lay out
-// the listed machines (all of them in process; the one this process
-// hosts in distributed mode). opts must already be validated. Endpoints,
-// localNode and checkpoints are the caller's to fill in.
-func newCluster(g *graph.Graph, opts Options, machines []int) (*Cluster, error) {
 	pt, err := partition.NewChunked(g, opts.NumNodes, 0) // 0: partition.DefaultAlpha
 	if err != nil {
 		return nil, err
 	}
 	c := &Cluster{opts: opts}
-	return c, c.derive(g, pt, machines)
+	c.connect()
+	// Only the hosted machines' layouts exist in this process — the
+	// memory footprint a real cluster member would have.
+	if err := c.derive(g, pt, c.localNodes()); err != nil {
+		c.Close()
+		return nil, err
+	}
+	c.initCheckpoints()
+	return c, nil
 }
 
 // derive sets the cluster's graph and everything laid out from it over
@@ -235,14 +210,6 @@ func (c *Cluster) Advance(g *graph.Graph, delta mutate.Batch) error {
 	return nil
 }
 
-// errNoReset refuses MaxRestarts on a cluster that does not own its
-// transport. Such a cluster cannot Reset, so its recovery loop could
-// only fail, burying the run's typed error (*StallError, a lost peer)
-// under the Reset refusal.
-func errNoReset(opts Options) error {
-	return fmt.Errorf("core: MaxRestarts = %d (flag -max-restarts) needs a cluster-owned transport; over external endpoints or as a distributed node, rebuild the cluster instead", opts.MaxRestarts)
-}
-
 // initCheckpoints binds the configured (or default in-memory)
 // checkpoint store to this cluster's quorum.
 func (c *Cluster) initCheckpoints() {
@@ -256,51 +223,20 @@ func (c *Cluster) initCheckpoints() {
 	c.ckpt.SetMembers(c.localNodes())
 }
 
-// buildMemTransport (re)creates the cluster-owned memory transport,
-// layering the fault plan when one is configured. Used at construction
-// and by Reset after a poisoned run.
-func (c *Cluster) buildMemTransport() {
-	c.mem = comm.NewMemClusterWithLink(c.opts.NumNodes, c.opts.Link)
-	eps := c.mem.Endpoints()
+// connect sets the cluster's endpoints: the caller's, or a freshly
+// built memory transport it owns, with the fault plan layered over them
+// when one is configured. Used at construction and by Reset after a
+// poisoned run.
+func (c *Cluster) connect() {
+	eps := c.opts.Endpoints
+	if eps == nil {
+		c.mem = comm.NewMemClusterWithLink(c.opts.NumNodes, c.opts.Link)
+		eps = c.mem.Endpoints()
+	}
 	if c.opts.Fault != nil {
 		eps = c.opts.Fault.Wrap(eps)
 	}
 	c.endpoints = eps
-}
-
-// NewDistributedNode creates this process's view of a genuinely
-// distributed cluster: ep connects to opts.NumNodes peers (for example a
-// comm.TCPEndpoint built from a shared address list), this process hosts
-// machine ep.ID() only, and Run executes the program once for that
-// machine. Every process of the cluster must load the same graph and
-// call the same programs in the same order; results materialize on the
-// node-0 process, and Stats reports this machine's share.
-// opts.Endpoints and opts.Link are ignored; opts.MaxRestarts must be 0.
-func NewDistributedNode(g *graph.Graph, opts Options, ep comm.Endpoint) (*Cluster, error) {
-	if err := opts.validateAndDefault(); err != nil {
-		return nil, err
-	}
-	if ep.N() != opts.NumNodes {
-		return nil, fmt.Errorf("core: endpoint knows %d nodes, options say %d", ep.N(), opts.NumNodes)
-	}
-	if opts.MaxRestarts > 0 {
-		return nil, errNoReset(opts)
-	}
-	// Only the local machine's layout and endpoint exist in this
-	// process — the memory footprint a real cluster member would have.
-	id := int(ep.ID())
-	c, err := newCluster(g, opts, []int{id})
-	if err != nil {
-		return nil, err
-	}
-	c.localNode = id
-	if opts.Fault != nil {
-		ep = opts.Fault.WrapOne(ep)
-	}
-	c.endpoints = make([]comm.Endpoint, opts.NumNodes)
-	c.endpoints[id] = ep
-	c.initCheckpoints()
-	return c, nil
 }
 
 // Graph returns the cluster's graph.
@@ -412,15 +348,14 @@ func (c *Cluster) tracer() *obs.Tracer {
 // Reset re-forms a poisoned cluster: the old transport is torn down, a
 // fresh one is built (re-applying the fault plan, whose one-shot crash
 // and counters carry over), and the poison mark is cleared. Only
-// clusters that own their memory transport can be reset; distributed
-// nodes and externally supplied endpoints must be re-formed by the
-// caller, who owns them.
+// clusters that own their memory transport can be reset; externally
+// supplied endpoints must be re-formed by the caller, who owns them.
 func (c *Cluster) Reset() error {
 	if c.mem == nil {
 		return fmt.Errorf("core: Reset needs a cluster-owned memory transport; re-form external endpoints and build a new cluster instead")
 	}
 	c.mem.Close()
-	c.buildMemTransport()
+	c.connect()
 	c.poisonMu.Lock()
 	c.poisoned = nil
 	c.poisonMu.Unlock()
@@ -556,21 +491,21 @@ func sentTraffic(st *comm.Stats) RunStats {
 	}
 }
 
-// localNodes lists the machine IDs this process hosts.
+// localNodes lists the machine IDs this process hosts: those it holds
+// an endpoint for.
 func (c *Cluster) localNodes() []int {
-	if c.localNode >= 0 {
-		return []int{c.localNode}
-	}
-	out := make([]int, c.opts.NumNodes)
-	for i := range out {
-		out[i] = i
+	var out []int
+	for i, ep := range c.endpoints {
+		if ep != nil {
+			out = append(out, i)
+		}
 	}
 	return out
 }
 
 // Stats returns the full statistics snapshot for the most recent Run:
 // aggregate totals, per-node shares, tracer phase histograms, and
-// configuration warnings. The snapshot is a copy, safe to retain.
+// resilience counters. The snapshot is a copy, safe to retain.
 func (c *Cluster) Stats() StatsSnapshot {
 	c.statsMu.Lock()
 	totals := c.lastStats
@@ -578,15 +513,10 @@ func (c *Cluster) Stats() StatsSnapshot {
 	copy(nodes, c.lastNodes)
 	tr := c.opts.Tracer
 	c.statsMu.Unlock()
-	var warnings []string
-	if len(c.opts.warnings) > 0 {
-		warnings = append(warnings, c.opts.warnings...)
-	}
 	return StatsSnapshot{
 		Totals:   totals,
 		Nodes:    nodes,
 		Phases:   tr.Summaries(),
-		Warnings: warnings,
 		Restarts: c.restarts.Load(),
 		Stalls:   c.stalls.Load(),
 	}
@@ -594,7 +524,7 @@ func (c *Cluster) Stats() StatsSnapshot {
 
 // RegisterMetrics exposes the cluster's live transport counters in r:
 // per-node, per-kind sent/received bytes and frame counts, per-link
-// traffic, simulated-link queueing delay, and configuration warnings.
+// traffic, simulated-link queueing delay, and resilience counters.
 // The registered gauges sample the endpoints at snapshot time, so a
 // /debug/metrics scrape during a Run sees traffic as it happens.
 func (c *Cluster) RegisterMetrics(r *obs.Registry) {
@@ -605,7 +535,6 @@ func (c *Cluster) RegisterMetrics(r *obs.Registry) {
 	r.Set("config.mode", c.opts.Mode.String())
 	r.Set("config.buffers", c.opts.NumBuffers)
 	r.Set("config.workers", c.opts.Workers)
-	r.Set("config.warnings", append([]string(nil), c.opts.warnings...))
 	r.RegisterTracer("phases", c.tracer())
 	r.RegisterInt("resilience.restarts", func() int64 { return c.restarts.Load() })
 	r.RegisterInt("resilience.stalls", func() int64 { return c.stalls.Load() })

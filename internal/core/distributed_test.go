@@ -8,10 +8,18 @@ import (
 	"repro/internal/graph"
 )
 
+// hosting returns the Options.Endpoints of a process that hosts only
+// ep's machine in a cluster of n: ep at its own index, nil elsewhere.
+func hosting(n int, ep comm.Endpoint) []comm.Endpoint {
+	eps := make([]comm.Endpoint, n)
+	eps[ep.ID()] = ep
+	return eps
+}
+
 // TestDistributedNodeClusters runs the multi-process configuration
 // faithfully in one test: each "process" builds its own Cluster with
-// NewDistributedNode over its own TCP endpoint (no shared engine state)
-// and they jointly execute a dense pass.
+// NewCluster over its own TCP endpoint (no shared engine state) and
+// they jointly execute a dense pass.
 func TestDistributedNodeClusters(t *testing.T) {
 	const p = 3
 	g := graph.RMAT(8, 8, graph.Graph500Params(), 31)
@@ -32,11 +40,12 @@ func TestDistributedNodeClusters(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			c, err := NewDistributedNode(g, Options{
+			c, err := NewCluster(g, Options{
 				NumNodes:   p,
 				Mode:       ModeSympleGraph,
 				NumBuffers: 2,
-			}, tcps[i])
+				Endpoints:  hosting(p, tcps[i]),
+			})
 			if err != nil {
 				errs[i] = err
 				return
@@ -96,8 +105,14 @@ func TestDistributedNodeValidation(t *testing.T) {
 			e.Close()
 		}
 	}()
-	if _, err := NewDistributedNode(g, Options{NumNodes: 3}, tcps[0]); err == nil {
+	if _, err := NewCluster(g, Options{NumNodes: 3, Endpoints: hosting(3, tcps[0])}); err == nil {
 		t.Fatal("mismatched cluster size accepted")
+	}
+	if _, err := NewCluster(g, Options{NumNodes: 2, Endpoints: make([]comm.Endpoint, 2)}); err == nil {
+		t.Fatal("a cluster hosting no machine accepted")
+	}
+	if _, err := NewCluster(g, Options{NumNodes: 2, Endpoints: []comm.Endpoint{nil, tcps[0]}}); err == nil {
+		t.Fatal("node 0's endpoint accepted at index 1")
 	}
 }
 

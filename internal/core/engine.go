@@ -13,9 +13,9 @@ import (
 // a pool binds before dispatching a query — without naming the concrete
 // implementation.
 //
-// *Cluster is the canonical implementation, covering both the
-// in-process simulation (NewCluster) and one machine of a genuinely
-// distributed ring (NewDistributedNode). The serving layer adds a
+// *Cluster is the canonical implementation: NewCluster builds both the
+// in-process simulation and this process's machines of a genuinely
+// distributed ring (Options.Endpoints). The serving layer adds a
 // remote implementation that fronts a cluster of worker processes; an
 // algorithm written against Engine runs unchanged on any of them.
 type Engine interface {
@@ -34,8 +34,9 @@ type Engine interface {
 	// engine, or nil while it is healthy.
 	Poisoned() error
 	// Reset re-forms a poisoned engine in place when the implementation
-	// supports it; implementations that cannot (a distributed node does
-	// not own its peers) return an error and the caller rebuilds.
+	// supports it; implementations that cannot (a cluster over external
+	// endpoints does not own its peers) return an error and the caller
+	// rebuilds.
 	Reset() error
 	// Close releases the engine's transport and resources.
 	Close() error

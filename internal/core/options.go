@@ -96,9 +96,17 @@ type Options struct {
 	// in-memory transport (nil = instant delivery). Ignored when
 	// Endpoints is set.
 	Link *comm.LinkModel
-	// Endpoints optionally supplies pre-connected transport endpoints
-	// (e.g. comm.NewTCPClusterLoopback). When nil, an in-memory
-	// cluster is created. len(Endpoints) must equal NumNodes.
+	// Endpoints, indexed by machine id, supplies pre-connected
+	// transport endpoints (e.g. comm.NewTCPClusterLoopback, or one
+	// comm.NewTCPEndpoint per process). The cluster hosts exactly the
+	// machines it holds an endpoint for: it lays them out, runs the
+	// program once for each, checkpoints them and reports their stats.
+	// A nil entry is a machine another process hosts, and every process
+	// of such a ring must load the same graph and call the same programs
+	// in the same order; results materialize on the node-0 process. When
+	// set, len(Endpoints) must equal NumNodes, at least one entry must be
+	// non-nil, and entry i must be node i of NumNodes. When nil, an
+	// in-memory cluster of every machine is created.
 	Endpoints []comm.Endpoint
 	// Tracer receives per-phase span timings from the workers (dense
 	// steps and their scan/bin/flush sub-phases, dependency/update waits,
@@ -128,78 +136,77 @@ type Options struct {
 	// MaxRestarts is how many times Run re-forms the cluster and
 	// re-runs a program after a recoverable failure (stall, peer loss,
 	// injected fault). 0 disables recovery. Only a cluster that owns
-	// its transport can re-form, so NewDistributedNode and NewCluster
-	// over Endpoints refuse a positive value.
+	// its transport can re-form, so NewCluster over Endpoints refuses a
+	// positive value.
 	MaxRestarts int
 	// Fault, when non-nil, layers deterministic fault injection over the
 	// cluster's transport — the chaos-testing substrate. The plan's
 	// one-shot crash state and counters survive Reset, so a recovery
 	// re-run proceeds against the remaining schedule.
 	Fault *comm.FaultPlan
-
-	// warnings records non-fatal adjustments validateAndDefault made
-	// to explicitly set but out-of-range fields, surfaced through
-	// Cluster.Stats().Warnings so misconfiguration is visible.
-	warnings []string
 }
 
-// Warnings lists configuration adjustments recorded during validation
-// (nil before a cluster is built from these options).
-func (o Options) Warnings() []string { return o.warnings }
-
-// validateAndDefault checks o and fills defaults. Error messages name
-// the CLI flag conventionally bound to the offending field so
-// command-line users can see what to change.
+// validateAndDefault checks o and fills defaults: a zero field selects
+// its default, and any other out-of-range value is an error. Error
+// messages name the CLI flag conventionally bound to the offending field
+// so command-line users can see what to change.
 func (o *Options) validateAndDefault() error {
-	o.warnings = nil
 	if o.NumNodes < 1 {
 		return fmt.Errorf("core: NumNodes = %d (flag -nodes): need at least 1 machine", o.NumNodes)
 	}
-	// A zero NumBuffers/Workers means "unset, use the default"; other
-	// out-of-range values were explicitly chosen, so clamping them
-	// silently would hide a misconfiguration — record it.
-	if o.NumBuffers < 1 {
-		if o.NumBuffers != 0 {
-			o.warnings = append(o.warnings,
-				fmt.Sprintf("NumBuffers clamped from %d to 1 (flag -buffers)", o.NumBuffers))
-		}
+	if o.NumBuffers < 0 || o.NumBuffers > maxNumBuffers {
+		return fmt.Errorf("core: NumBuffers = %d (flag -buffers): need 1 to %d ranges per step, or 0 for the default", o.NumBuffers, maxNumBuffers)
+	}
+	if o.NumBuffers == 0 {
 		o.NumBuffers = 1
 	}
-	if o.NumBuffers > maxNumBuffers {
-		return fmt.Errorf("core: NumBuffers = %d (flag -buffers): at most %d ranges per step", o.NumBuffers, maxNumBuffers)
+	if o.Workers < 0 {
+		return fmt.Errorf("core: Workers = %d (flag -workers): must be ≥ 0", o.Workers)
 	}
-	if o.Workers < 1 {
-		if o.Workers != 0 {
-			o.warnings = append(o.warnings,
-				fmt.Sprintf("Workers clamped from %d to 1 (flag -workers)", o.Workers))
-		}
+	if o.Workers == 0 {
 		o.Workers = 1
 	}
 	if o.DepThreshold < 0 {
 		return fmt.Errorf("core: DepThreshold = %d (flag -threshold): must be ≥ 0", o.DepThreshold)
 	}
 	if o.StallTimeout < 0 {
-		o.warnings = append(o.warnings,
-			fmt.Sprintf("StallTimeout clamped from %v to 0 (flag -stall-timeout)", o.StallTimeout))
-		o.StallTimeout = 0
+		return fmt.Errorf("core: StallTimeout = %v (flag -stall-timeout): must be ≥ 0", o.StallTimeout)
 	}
 	if o.CheckpointEvery < 0 {
-		o.warnings = append(o.warnings,
-			fmt.Sprintf("CheckpointEvery clamped from %d to 0 (flag -checkpoint-every)", o.CheckpointEvery))
-		o.CheckpointEvery = 0
+		return fmt.Errorf("core: CheckpointEvery = %d (flag -checkpoint-every): must be ≥ 0", o.CheckpointEvery)
 	}
 	if o.MaxRestarts < 0 {
-		o.warnings = append(o.warnings,
-			fmt.Sprintf("MaxRestarts clamped from %d to 0 (flag -max-restarts)", o.MaxRestarts))
-		o.MaxRestarts = 0
-	}
-	if o.Endpoints != nil && len(o.Endpoints) != o.NumNodes {
-		return fmt.Errorf("core: %d endpoints for %d nodes (flag -nodes must match Options.Endpoints)", len(o.Endpoints), o.NumNodes)
+		return fmt.Errorf("core: MaxRestarts = %d (flag -max-restarts): must be ≥ 0", o.MaxRestarts)
 	}
 	switch o.Mode {
 	case ModeSympleGraph, ModeGemini:
 	default:
 		return fmt.Errorf("core: unknown mode %v (flag -mode): want symplegraph or gemini", o.Mode)
+	}
+	if o.Endpoints == nil {
+		return nil
+	}
+	if len(o.Endpoints) != o.NumNodes {
+		return fmt.Errorf("core: %d endpoints for %d nodes (flag -nodes must match Options.Endpoints)", len(o.Endpoints), o.NumNodes)
+	}
+	hosted := 0
+	for i, ep := range o.Endpoints {
+		if ep == nil {
+			continue
+		}
+		hosted++
+		if int(ep.ID()) != i || ep.N() != o.NumNodes {
+			return fmt.Errorf("core: Endpoints[%d] is node %d of %d, options say node %d of %d (flag -nodes)", i, ep.ID(), ep.N(), i, o.NumNodes)
+		}
+	}
+	if hosted == 0 {
+		return fmt.Errorf("core: Endpoints holds no endpoint: a cluster hosts at least one machine")
+	}
+	// A cluster over external endpoints cannot Reset, so its recovery
+	// loop could only fail, burying the run's typed error (*StallError,
+	// a lost peer) under the Reset refusal.
+	if o.MaxRestarts > 0 {
+		return fmt.Errorf("core: MaxRestarts = %d (flag -max-restarts) needs a cluster-owned transport; over external endpoints, rebuild the cluster instead", o.MaxRestarts)
 	}
 	return nil
 }

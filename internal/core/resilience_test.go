@@ -219,8 +219,8 @@ func TestExecuteHonorsMaxRestarts(t *testing.T) {
 	}
 }
 
-// TestMaxRestartsNeedsOwnedTransport: a cluster that cannot Reset — a
-// distributed node, or one over caller-supplied endpoints — refuses
+// TestMaxRestartsNeedsOwnedTransport: a cluster that cannot Reset — one
+// over caller-supplied endpoints, all of them or one — refuses
 // MaxRestarts at construction. Accepting it used to bury a stalled
 // run's *StallError under the Reset refusal of the recovery loop.
 func TestMaxRestartsNeedsOwnedTransport(t *testing.T) {
@@ -231,14 +231,14 @@ func TestMaxRestartsNeedsOwnedTransport(t *testing.T) {
 	if _, err := NewCluster(g, Options{NumNodes: 2, Endpoints: eps, MaxRestarts: 1}); err == nil {
 		t.Fatal("NewCluster over external endpoints accepted MaxRestarts")
 	}
-	if _, err := NewDistributedNode(g, Options{NumNodes: 2, MaxRestarts: 1}, eps[0]); err == nil {
-		t.Fatal("NewDistributedNode accepted MaxRestarts")
+	if _, err := NewCluster(g, Options{NumNodes: 2, Endpoints: hosting(2, eps[0]), MaxRestarts: 1}); err == nil {
+		t.Fatal("NewCluster over one of two endpoints accepted MaxRestarts")
 	}
 	// MaxRestarts 0 builds both, and an owned transport takes any value.
 	if _, err := NewCluster(g, Options{NumNodes: 2, Endpoints: eps}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewDistributedNode(g, Options{NumNodes: 2}, eps[0]); err != nil {
+	if _, err := NewCluster(g, Options{NumNodes: 2, Endpoints: hosting(2, eps[0])}); err != nil {
 		t.Fatal(err)
 	}
 	mustCluster(t, g, Options{NumNodes: 2, MaxRestarts: 1})

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/bitset"
 	"repro/internal/comm"
@@ -195,32 +196,6 @@ func TestStatsTracerPhases(t *testing.T) {
 	}
 }
 
-// TestStatsWarningsReportClamps checks that explicitly out-of-range
-// NumBuffers/Workers are clamped loudly, while the zero default stays
-// silent.
-func TestStatsWarningsReportClamps(t *testing.T) {
-	g := graph.Ring(64)
-	c := mustCluster(t, g, Options{NumNodes: 2, NumBuffers: -3, Workers: -1})
-	warns := c.Stats().Warnings
-	if len(warns) != 2 {
-		t.Fatalf("warnings %v, want 2 entries", warns)
-	}
-	joined := strings.Join(warns, "\n")
-	for _, want := range []string{"NumBuffers clamped from -3", "-buffers", "Workers clamped from -1", "-workers"} {
-		if !strings.Contains(joined, want) {
-			t.Fatalf("warnings %v missing %q", warns, want)
-		}
-	}
-	if c.Options().NumBuffers != 1 || c.Options().Workers != 1 {
-		t.Fatalf("clamp not applied: %+v", c.Options())
-	}
-
-	quiet := mustCluster(t, g, Options{NumNodes: 2})
-	if w := quiet.Stats().Warnings; len(w) != 0 {
-		t.Fatalf("default options produced warnings %v", w)
-	}
-}
-
 // TestOptionErrorsNameFlags checks validation errors carry the CLI flag
 // vocabulary.
 func TestOptionErrorsNameFlags(t *testing.T) {
@@ -240,6 +215,33 @@ func TestOptionErrorsNameFlags(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.flag) {
 			t.Fatalf("opts %+v: error %v does not name %s", tc.opts, err, tc.flag)
 		}
+	}
+}
+
+// TestNegativeOptionsAreErrors checks that an explicitly negative count
+// or duration is an error naming its flag, never a silent clamp, while
+// zero NumBuffers/Workers selects the default.
+func TestNegativeOptionsAreErrors(t *testing.T) {
+	g := graph.Ring(64)
+	cases := []struct {
+		opts Options
+		flag string
+	}{
+		{Options{NumNodes: 2, NumBuffers: -3}, "-buffers"},
+		{Options{NumNodes: 2, Workers: -1}, "-workers"},
+		{Options{NumNodes: 2, StallTimeout: -time.Second}, "-stall-timeout"},
+		{Options{NumNodes: 2, CheckpointEvery: -1}, "-checkpoint-every"},
+		{Options{NumNodes: 2, MaxRestarts: -1}, "-max-restarts"},
+	}
+	for _, tc := range cases {
+		_, err := NewCluster(g, tc.opts)
+		if err == nil || !strings.Contains(err.Error(), tc.flag) {
+			t.Fatalf("opts %+v: error %v does not name %s", tc.opts, err, tc.flag)
+		}
+	}
+	c := mustCluster(t, g, Options{NumNodes: 2})
+	if got := c.Options(); got.NumBuffers != 1 || got.Workers != 1 {
+		t.Fatalf("zero NumBuffers/Workers did not select the default 1: %+v", got)
 	}
 }
 

@@ -183,11 +183,6 @@ func (bc *BlockedCSR) Block(b int) (lo, hi int) {
 	return lo, hi
 }
 
-// PartRange returns the destination vertex range [lo, hi) of partition q.
-func (bc *BlockedCSR) PartRange(q int) (lo, hi int) {
-	return bc.partStarts[q], bc.partStarts[q+1]
-}
-
 // Row returns src's out-edges destined to partition q: targets and (for
 // weighted graphs) the parallel weights, in adjacency order. The slices
 // alias the graph's storage and must not be modified.

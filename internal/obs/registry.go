@@ -35,7 +35,7 @@ func (r *Registry) RegisterInt(name string, fn func() int64) {
 	r.Register(name, func() any { return fn() })
 }
 
-// Set binds name to a constant value (configuration echoes, warnings).
+// Set binds name to a constant value (configuration echoes).
 func (r *Registry) Set(name string, v any) {
 	r.Register(name, func() any { return v })
 }

@@ -56,10 +56,7 @@ func stateOf(fs fleetStatus, addr string) WorkerState {
 // rejoining → healthy (with the preload hook having run) after a
 // restart on the same port.
 func TestFleetRosterStateMachine(t *testing.T) {
-	d, err := StartWorkerDaemon(WorkerConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := startWorker(t, WorkerConfig{})
 	addr := d.Addr()
 
 	rejoined := make(chan string, 1)

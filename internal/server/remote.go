@@ -397,8 +397,6 @@ func (p *remoteProvider) buildAttempt(spec buildSpec, targets []string) (eng eng
 	opts.NumNodes = n
 	opts.Mode = spec.Mode
 	opts.Tracer = p.cfg.Tracer
-	opts.Endpoints = nil
-	opts.Link = nil
 	opts.Fault = nil
 	opts.MaxRestarts = 0
 	opts.CheckpointEvery = 0
@@ -471,7 +469,9 @@ func (p *remoteProvider) buildAttempt(spec buildSpec, targets []string) (eng eng
 		l.cc.SetDeadline(time.Time{})
 	}
 
-	ceng, err := core.NewDistributedNode(spec.Graph, opts, ep)
+	opts.Endpoints = make([]comm.Endpoint, n)
+	opts.Endpoints[0] = ep
+	ceng, err := core.NewCluster(spec.Graph, opts)
 	if err != nil {
 		ep.Close()
 		closeAll()

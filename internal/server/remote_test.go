@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -17,6 +18,31 @@ import (
 	"repro/internal/mutate"
 )
 
+// Tests kill worker daemons and restart them on the same address. A
+// port the kernel handed out for ":0" is from its ephemeral range, so
+// while the daemon is down any listener the test opens on ":0" (a ring
+// endpoint, an httptest server) can be given that port, and the restart
+// fails with "address already in use". Worker ports are therefore drawn
+// from a band below the default ephemeral range of Linux (32768–60999)
+// and of BSD, macOS and Windows (49152–65535).
+const workerPortLo, workerPortHi = 20000, 32768
+
+// startWorker starts a worker daemon on a loopback port from the
+// restartable band, retrying ports another listener holds.
+func startWorker(t *testing.T, cfg WorkerConfig) *WorkerDaemon {
+	t.Helper()
+	var err error
+	for try := 0; try < 64; try++ {
+		cfg.Addr = fmt.Sprintf("127.0.0.1:%d", workerPortLo+rand.IntN(workerPortHi-workerPortLo))
+		var d *WorkerDaemon
+		if d, err = StartWorkerDaemon(cfg); err == nil {
+			return d
+		}
+	}
+	t.Fatalf("no free worker port in [%d, %d): %v", workerPortLo, workerPortHi, err)
+	return nil
+}
+
 // startWorkers launches n in-process worker daemons and returns their
 // control addresses.
 func startWorkers(t *testing.T, n int) ([]*WorkerDaemon, []string) {
@@ -24,10 +50,7 @@ func startWorkers(t *testing.T, n int) ([]*WorkerDaemon, []string) {
 	daemons := make([]*WorkerDaemon, n)
 	addrs := make([]string, n)
 	for i := range daemons {
-		d, err := StartWorkerDaemon(WorkerConfig{Logf: t.Logf})
-		if err != nil {
-			t.Fatal(err)
-		}
+		d := startWorker(t, WorkerConfig{Logf: t.Logf})
 		t.Cleanup(func() { d.Close() })
 		daemons[i] = d
 		addrs[i] = d.Addr()

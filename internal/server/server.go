@@ -278,18 +278,18 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	key := cacheKey(q)
 	pa := s.algos[q.Algo]
 
-	// Cache hits skip admission entirely: they cost microseconds and
-	// must stay fast exactly when the engine is saturated.
-	if !q.NoCache {
-		if resp, ok := s.cache.Get(key); ok {
-			resp.Cached = true
-			resp.QueueWaitMs = 0
-			s.ok.Add(1)
-			writeJSON(w, http.StatusOK, resp)
-			return
-		}
-	} else {
+	// Cache hits skip admission: they cost microseconds and must stay
+	// fast exactly when the engine is saturated. Traced (spans) and
+	// no-cache answers are request-specific: no cache, no coalescing.
+	shared := !q.NoCache && !q.Trace
+	if !shared {
 		s.cache.misses.Add(1)
+	} else if resp, ok := s.cache.Get(key); ok {
+		resp.Cached = true
+		resp.QueueWaitMs = 0
+		s.ok.Add(1)
+		writeJSON(w, http.StatusOK, resp)
+		return
 	}
 
 	ctx := r.Context()
@@ -302,12 +302,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// Coalesce concurrent identical queries: one leader runs the engine,
 	// followers wait for its answer and — like cache hits — never pass
 	// admission, so a thundering herd on one key costs one pool slot.
-	// Traced and no-cache requests opt out: their answers are
-	// request-specific. Provider is part of the cache key's identity
-	// problem only insofar as results are provider-independent, so
-	// requests naming different providers still coalesce.
+	// Provider is not part of the key: results are provider-independent,
+	// so requests naming different providers still coalesce.
 	var lead *flight
-	if !q.NoCache && !q.Trace {
+	if shared {
 		s.flightMu.Lock()
 		if f, ok := s.flights[key]; ok {
 			s.flightMu.Unlock()

@@ -289,6 +289,18 @@ func TestQueryEndpoint(t *testing.T) {
 		t.Fatal("trace=1 returned no spans")
 	}
 
+	// A traced query of a key the cache already holds (the bfs above)
+	// still runs the engine and returns its spans.
+	code, body = get("/query?graph=g1&algo=bfs&trace=1")
+	var tracedHit Response
+	if code != http.StatusOK || json.Unmarshal(body, &tracedHit) != nil {
+		t.Fatalf("trace of a cached key: status %d: %s", code, body)
+	}
+	if tracedHit.Cached || len(tracedHit.Trace) == 0 || tracedHit.Result.Reached != first.Result.Reached {
+		t.Fatalf("trace=1 of a cached key: cached=%v, %d spans, reached %d want %d",
+			tracedHit.Cached, len(tracedHit.Trace), tracedHit.Result.Reached, first.Result.Reached)
+	}
+
 	// POST JSON body works too.
 	resp, err := http.Post(ts.URL+"/query", "application/json",
 		strings.NewReader(`{"graph":"g1","algo":"cc"}`))

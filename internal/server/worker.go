@@ -527,8 +527,10 @@ func (d *WorkerDaemon) serveSlot(wc *workerConn, bm buildMsg) {
 		NumBuffers:   bm.Opts.NumBuffers,
 		Workers:      bm.Opts.Workers,
 		StallTimeout: time.Duration(bm.Opts.StallMs) * time.Millisecond,
+		Endpoints:    make([]comm.Endpoint, len(st.Addrs)),
 	}
-	eng, err := core.NewDistributedNode(g, opts, ep)
+	opts.Endpoints[bm.Node] = ep // NewTCPEndpoint checked it indexes st.Addrs
+	eng, err := core.NewCluster(g, opts)
 	if err != nil {
 		//sgvet:ignore commerr best-effort error reply: if the send fails the master's Expect fails too and reports the drop
 		cc.Send("up", upMsg{Error: err.Error()})
