@@ -44,7 +44,8 @@ inline-check:
 	done; echo "inline-check: the hash step and the keyed draws inline"
 
 # The per-layer microbenchmarks (bitset kernels and the single-bit probe,
-# bufpool, blocked CSR, graph.Patch, Symmetrize, mutate.Apply/Commit,
+# bufpool, blocked CSR, FromEdges, RMAT at scale 16, graph.Patch,
+# Symmetrize, mutate.Apply/Commit,
 # BuildLayout, NewCluster, one dense pass in both modes, CC/SSSP/PageRank
 # with their update bytes) are only ever read by hand;
 # one iteration each keeps them compiling and running, so a signature
@@ -116,7 +117,7 @@ size:
 # surface, options or flags raises the number here, in its own diff, and
 # says why in CHANGES.md; one that shrinks a figure lowers it.
 define SIZE_BUDGET
-non-test Go LOC, repo: 22571
+non-test Go LOC, repo: 22608
 non-test Go LOC, internal/core + internal/comm: 4626
 non-test Go LOC, internal/algorithms: 1192
 non-test Go LOC, internal/server: 3900

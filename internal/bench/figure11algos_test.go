@@ -48,6 +48,11 @@ func TestFigure11DoubleBufferingIsLive(t *testing.T) {
 // while the next range scans, and the successor starts on it before the
 // rest of the step's state has left.
 //
+// The link is bandwidth-bound: two ABBA cycles over the five datasets
+// took 13.0 s at this 100 µs latency and 13.1 s at 300 µs, but 50.4 s at
+// 250 kB/s instead of 1 MB/s. So what +DB hides here is a segment's
+// transfer time, not the 100 µs latency.
+//
 // Suite scale 11 is the smallest where the DB column can be told from
 // noise: run on the commit before double buffering reached the dense
 // driver, where +DB was a no-op, the column read 0.97–1.05 (one cell in

@@ -2,7 +2,7 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // DefaultMaxVertices bounds vertex counts accepted from untrusted input:
@@ -24,10 +24,17 @@ type BuildOptions struct {
 	MaxVertices int
 }
 
-// FromEdges builds a Graph over n vertices from an edge list. The input
-// slice is not modified. It returns an error if any endpoint is out of
-// range or n is negative.
+// FromEdges builds a Graph over n vertices from an edge list, in time
+// linear in n and the edge count. Copies of one arc keep their input
+// order. The input slice is not modified. It returns an error if any
+// endpoint is out of range or n is negative.
 func FromEdges(n int, edges []Edge, opts BuildOptions) (*Graph, error) {
+	return fromEdges(n, edges, false, opts)
+}
+
+// fromEdges is FromEdges for a caller that may give edges up: when owned
+// is set, the build reuses it as scratch.
+func fromEdges(n int, edges []Edge, owned bool, opts BuildOptions) (*Graph, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("graph: negative vertex count %d", n)
 	}
@@ -44,38 +51,49 @@ func FromEdges(n int, edges []Edge, opts BuildOptions) (*Graph, error) {
 		}
 	}
 
-	work := make([]Edge, 0, len(edges))
+	// Two stable counting passes, by destination and then by source, sort
+	// the kept edges by (src, dst) and leave equal pairs in input order.
+	// The first drops self loops as it goes and the second lands in work,
+	// which is edges itself when the caller gave it up.
+	pos := make([]int64, n+1)
+	keep := func(e Edge) bool { return !opts.DropSelfLoops || e.Src != e.Dst }
 	for _, e := range edges {
-		if opts.DropSelfLoops && e.Src == e.Dst {
-			continue
+		if keep(e) {
+			pos[e.Dst+1]++
 		}
-		work = append(work, e)
 	}
-	sort.Slice(work, func(i, j int) bool {
-		if work[i].Src != work[j].Src {
-			return work[i].Src < work[j].Src
+	prefixSum(pos)
+	byDst := make([]Edge, pos[n])
+	for _, e := range edges {
+		if keep(e) {
+			byDst[pos[e.Dst]] = e
+			pos[e.Dst]++
 		}
-		return work[i].Dst < work[j].Dst
-	})
+	}
+	work := edges[:len(byDst)]
+	if !owned {
+		work = make([]Edge, len(byDst))
+	}
+	clear(pos)
+	for _, e := range byDst {
+		pos[e.Src+1]++
+	}
+	prefixSum(pos)
+	for _, e := range byDst {
+		work[pos[e.Src]] = e
+		pos[e.Src]++
+	}
 	if opts.Dedupe {
-		out := work[:0]
-		for i, e := range work {
-			if i > 0 && e.Src == work[i-1].Src && e.Dst == work[i-1].Dst {
-				continue
-			}
-			out = append(out, e)
-		}
-		work = out
+		work = slices.CompactFunc(work, func(a, b Edge) bool { return a.Src == b.Src && a.Dst == b.Dst })
 	}
 
 	g := &Graph{n: n}
-	g.outOffsets = make([]int64, n+1)
+	g.outOffsets = pos // the passes are done with it
+	clear(g.outOffsets)
 	for _, e := range work {
 		g.outOffsets[e.Src+1]++
 	}
-	for v := 0; v < n; v++ {
-		g.outOffsets[v+1] += g.outOffsets[v]
-	}
+	prefixSum(g.outOffsets)
 	g.outTargets = make([]VertexID, len(work))
 	if opts.Weighted {
 		g.outWeights = make([]float32, len(work))
@@ -97,9 +115,7 @@ func FromEdges(n int, edges []Edge, opts BuildOptions) (*Graph, error) {
 	for _, e := range work {
 		g.inOffsets[e.Dst+1]++
 	}
-	for v := 0; v < n; v++ {
-		g.inOffsets[v+1] += g.inOffsets[v]
-	}
+	prefixSum(g.inOffsets)
 	g.inSources = make([]VertexID, len(work))
 	if opts.Weighted {
 		g.inWeights = make([]float32, len(work))
@@ -117,10 +133,22 @@ func FromEdges(n int, edges []Edge, opts BuildOptions) (*Graph, error) {
 	return g.cacheMaxWeight(), nil
 }
 
+// prefixSum turns per-vertex counts at c[v+1] into offsets: c[v] becomes
+// the number of items before v's.
+func prefixSum(c []int64) {
+	for v := 1; v < len(c); v++ {
+		c[v] += c[v-1]
+	}
+}
+
 // MustFromEdges is FromEdges that panics on error, for tests and
 // generators whose inputs are constructed to be valid.
 func MustFromEdges(n int, edges []Edge, opts BuildOptions) *Graph {
-	g, err := FromEdges(n, edges, opts)
+	return must(FromEdges(n, edges, opts))
+}
+
+// must returns g, panicking on err: for inputs built to be valid.
+func must(g *Graph, err error) *Graph {
 	if err != nil {
 		panic(err)
 	}

@@ -24,32 +24,39 @@ func Graph500Params() RMATParams { return RMATParams{A: 0.57, B: 0.19, C: 0.19} 
 func RMAT(scale int, edgeFactor int, params RMATParams, seed int64) *Graph {
 	n := 1 << uint(scale)
 	m := int64(edgeFactor) * int64(n)
-	rng := rand.New(rand.NewSource(seed))
-	edges := make([]Edge, 0, m)
-	for i := int64(0); i < m; i++ {
-		src, dst := rmatEdge(scale, params, rng)
-		edges = append(edges, Edge{Src: src, Dst: dst, Weight: 1})
+	rng := rand.NewSource(seed)
+	ab, abc := params.A+params.B, params.A+params.B+params.C
+	edges := make([]Edge, m)
+	for i := range edges {
+		// Each level draws a quadrant: below A neither bit, then dst,
+		// then src, then both — set from three compares, without branches.
+		var src, dst uint32
+		for level := 0; level < scale; level++ {
+			r := float64In01(rng)
+			src |= bit(r >= ab) << level
+			dst |= (bit(r >= params.A) ^ bit(r >= ab) ^ bit(r >= abc)) << level
+		}
+		edges[i] = Edge{Src: VertexID(src), Dst: VertexID(dst), Weight: 1}
 	}
-	return MustFromEdges(n, edges, BuildOptions{Dedupe: true, DropSelfLoops: true})
+	return must(fromEdges(n, edges, true, BuildOptions{Dedupe: true, DropSelfLoops: true}))
 }
 
-func rmatEdge(scale int, p RMATParams, rng *rand.Rand) (VertexID, VertexID) {
-	var src, dst uint32
-	for level := 0; level < scale; level++ {
-		r := rng.Float64()
-		switch {
-		case r < p.A:
-			// top-left: both bits 0
-		case r < p.A+p.B:
-			dst |= 1 << uint(level)
-		case r < p.A+p.B+p.C:
-			src |= 1 << uint(level)
-		default:
-			src |= 1 << uint(level)
-			dst |= 1 << uint(level)
+// float64In01 is math/rand's Float64 read straight from src, the same
+// value stream without the Rand wrapper.
+func float64In01(src rand.Source) float64 {
+	for {
+		if f := float64(src.Int63()) / (1 << 63); f < 1 {
+			return f
 		}
 	}
-	return VertexID(src), VertexID(dst)
+}
+
+// bit is 1 for true and 0 for false.
+func bit(b bool) uint32 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // Uniform generates an Erdős–Rényi-style directed graph with n vertices
@@ -66,7 +73,7 @@ func Uniform(n int, m int64, seed int64) *Graph {
 			Weight: 1,
 		})
 	}
-	return MustFromEdges(n, edges, BuildOptions{Dedupe: true, DropSelfLoops: true})
+	return must(fromEdges(n, edges, true, BuildOptions{Dedupe: true, DropSelfLoops: true}))
 }
 
 // Ring generates a directed cycle 0→1→…→n-1→0.

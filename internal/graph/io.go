@@ -98,7 +98,7 @@ func ReadEdgeListText(r io.Reader, opts BuildOptions) (*Graph, error) {
 			n = int(maxID) + 1
 		}
 	}
-	return FromEdges(n, edges, opts)
+	return fromEdges(n, edges, true, opts)
 }
 
 const binaryMagic = "SGG1"
@@ -184,7 +184,7 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 		}
 		edges = append(edges, e)
 	}
-	g, err := FromEdges(n, edges, BuildOptions{Weighted: weighted})
+	g, err := fromEdges(n, edges, true, BuildOptions{Weighted: weighted})
 	if err != nil {
 		return nil, err
 	}

@@ -86,7 +86,7 @@ func Reverse(g *Graph) *Graph {
 	for i := range edges {
 		edges[i].Src, edges[i].Dst = edges[i].Dst, edges[i].Src
 	}
-	return MustFromEdges(g.NumVertices(), edges, BuildOptions{Weighted: g.Weighted()})
+	return must(fromEdges(g.NumVertices(), edges, true, BuildOptions{Weighted: g.Weighted()}))
 }
 
 // IsSymmetric reports whether every edge has its reverse edge.

@@ -6,9 +6,11 @@ import (
 )
 
 // symmetrizeReference is the edge-list build Symmetrize replaced: list
-// every arc and its reverse, then sort and dedupe. Its weights on a
-// weighted graph depend on which copy an unstable sort leaves first, so
-// it is the oracle for unweighted graphs only.
+// every arc and its reverse, then sort and dedupe. Its dedupe keeps the
+// copy listed first, and for an arc (u,v) with u > v whose reverse g
+// also has, that is the reverse of (v,u), not g's own (u,v): its
+// weights break Symmetrize's rule, so it is the oracle for unweighted
+// graphs only.
 func symmetrizeReference(g *Graph) *Graph {
 	edges := g.Edges()
 	both := make([]Edge, 0, 2*len(edges))
@@ -94,7 +96,7 @@ func TestSymmetrizeMatchesReference(t *testing.T) {
 func TestSymmetrizeWeightRule(t *testing.T) {
 	// 0→1 and 1→0 both exist with different weights: each keeps its own.
 	// 1→2 exists alone: 2→1 takes its weight. 2→2 is dropped. 3→0 is
-	// repeated: its first copy's weight is the one that counts.
+	// repeated: its first copy's weight, 2, is the one that counts.
 	g := MustFromEdges(4, []Edge{
 		{Src: 0, Dst: 1, Weight: 0.25},
 		{Src: 1, Dst: 0, Weight: 0.5},
@@ -103,13 +105,12 @@ func TestSymmetrizeWeightRule(t *testing.T) {
 		{Src: 3, Dst: 0, Weight: 2},
 		{Src: 3, Dst: 0, Weight: 3},
 	}, BuildOptions{Weighted: true})
-	first, _ := g.EdgeWeight(3, 0) // whichever copy FromEdges filed first
 	s := Symmetrize(g)
 	for _, c := range []struct {
 		src, dst VertexID
 		w        float32
 	}{
-		{0, 1, 0.25}, {1, 0, 0.5}, {1, 2, 0.75}, {2, 1, 0.75}, {3, 0, first}, {0, 3, first},
+		{0, 1, 0.25}, {1, 0, 0.5}, {1, 2, 0.75}, {2, 1, 0.75}, {3, 0, 2}, {0, 3, 2},
 	} {
 		if w, ok := s.EdgeWeight(c.src, c.dst); !ok || w != c.w {
 			t.Fatalf("arc (%d,%d): weight %v (present=%v), want %v", c.src, c.dst, w, ok, c.w)

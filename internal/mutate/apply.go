@@ -41,9 +41,11 @@ func apply(g *graph.Graph, b Batch) (*graph.Graph, Batch, error) {
 }
 
 // collapseParallel rebuilds a graph loaded with parallel arcs as a
-// simple one, keeping each arc's last weight. A batch addresses an arc
-// by its endpoints, so a successor never carries parallel arcs; only a
-// root snapshot read from a file can, and it pays this once.
+// simple one, keeping each arc's last weight — its last copy in the
+// file, since FromEdges keeps parallel arcs in input order. A batch
+// addresses an arc by its endpoints, so a successor never carries
+// parallel arcs; only a root snapshot read from a file can, and it pays
+// this once.
 func collapseParallel(g *graph.Graph) (*graph.Graph, error) {
 	edges := g.Edges()
 	kept := edges[:0]

@@ -1,9 +1,11 @@
 package mutate
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -314,6 +316,42 @@ func TestApplyCollapsesParallelArcs(t *testing.T) {
 	requireIdentical(t, "successor of a multigraph", got, want)
 	if got.NumEdges() != 3 || !got.Simple() {
 		t.Fatalf("successor kept parallel arcs: %v", got.Edges())
+	}
+}
+
+// TestApplyKeepsLastWeightInFile: a weighted file may list an arc many
+// times — more than a comparison sort's insertion cutoff — and the first
+// batch leaves each arc with the weight of its last line in the file.
+func TestApplyKeepsLastWeightInFile(t *testing.T) {
+	arcs := [][2]graph.VertexID{{0, 1}, {0, 2}, {1, 2}, {2, 0}}
+	var text strings.Builder
+	last := map[[2]graph.VertexID]float32{}
+	for i := 0; i < 60; i++ {
+		a := arcs[i%len(arcs)]
+		fmt.Fprintf(&text, "%d %d %d\n", a[0], a[1], i+1)
+		last[a] = float32(i + 1)
+	}
+	multi, err := graph.ReadEdgeListText(strings.NewReader(text.String()), graph.BuildOptions{Weighted: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if multi.Simple() {
+		t.Fatal("file read without its parallel arcs")
+	}
+	b := Batch{Ops: []Mutation{{Op: OpAddEdge, Src: 1, Dst: 0, Weight: 0.5}}}
+	got, err := Apply(multi, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := applyReference(multi, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireIdentical(t, "successor of a weighted multigraph", got, want)
+	for _, e := range got.Edges() {
+		if w, ok := last[[2]graph.VertexID{e.Src, e.Dst}]; ok && e.Weight != w {
+			t.Errorf("arc %d→%d weighs %g, want its last line's %g", e.Src, e.Dst, e.Weight, w)
+		}
 	}
 }
 
