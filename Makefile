@@ -5,7 +5,7 @@
 # those again), the sgserve process smoke tests, then the full suite
 # (which includes the CLI trace smoke test and the sustained serving load
 # test).
-.PHONY: verify build vet lint test race smoke serve-smoke serve-dist-smoke chaos fleet-chaos mutate-chaos bench-build microbench-smoke fuzz-smoke inline-check size size-check
+.PHONY: verify build vet lint test race smoke serve-smoke serve-dist-smoke chaos fleet-chaos mutate-chaos bench-build microbench-smoke fuzz-smoke inline-check size size-check pair
 
 verify: build inline-check size-check bench-build microbench-smoke fuzz-smoke lint race serve-smoke serve-dist-smoke test
 
@@ -45,7 +45,7 @@ inline-check:
 
 # The per-layer microbenchmarks (bitset kernels and the single-bit probe,
 # bufpool, blocked CSR, FromEdges, RMAT at scale 16, graph.Patch,
-# Symmetrize, mutate.Apply/Commit,
+# Symmetrize, mutate.Apply/Commit, PatchUndirected,
 # BuildLayout, NewCluster, one dense pass in both modes, CC/SSSP/PageRank
 # with their update bytes) are only ever read by hand;
 # one iteration each keeps them compiling and running, so a signature
@@ -87,7 +87,7 @@ lint:
 # commands share).
 FLAGDEF = \b(flag|fs|f)\.(Bool|Int|Int64|Uint|Uint64|Float64|String|Duration|Var|Func)(Var)?\(
 size:
-	@echo "non-test Go LOC, repo: $$(find . -name '*.go' ! -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l)"
+	@echo "non-test Go LOC, repo: $$(find . -name '*.go' ! -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' | xargs cat | wc -l)"
 	@echo "non-test Go LOC, internal/core + internal/comm: $$(find internal/core internal/comm -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
 	@echo "non-test Go LOC, internal/algorithms: $$(find internal/algorithms -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
 	@echo "non-test Go LOC, internal/server: $$(find internal/server -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
@@ -117,10 +117,10 @@ size:
 # surface, options or flags raises the number here, in its own diff, and
 # says why in CHANGES.md; one that shrinks a figure lowers it.
 define SIZE_BUDGET
-non-test Go LOC, repo: 22608
+non-test Go LOC, repo: 22660
 non-test Go LOC, internal/core + internal/comm: 4626
 non-test Go LOC, internal/algorithms: 1192
-non-test Go LOC, internal/server: 3900
+non-test Go LOC, internal/server: 3892
 non-test Go LOC, internal/bench: 1077
 non-test Go LOC, internal/gluon: 586
 non-test Go LOC, internal/sgvet + internal/loader + cmd/sgvet: 2975
@@ -131,7 +131,7 @@ exported identifiers, internal/gluon: 7
 exported identifiers, internal/server: 122
 exported identifiers, internal/mutate: 62
 exported identifiers, internal/obs: 61
-exported identifiers, internal/graph: 67
+exported identifiers, internal/graph: 68
 exported identifiers, internal/bitset: 30
 exported funcs and types named by no other package, internal/core: 2
 exported funcs and types named by no other package, internal/comm: 0
@@ -201,3 +201,12 @@ serve-smoke:
 # checked identical to the in-process provider.
 serve-dist-smoke:
 	go test -run TestServeDistSmoke -count=1 .
+
+# Paired benchmark runs of PARENT against this checkout, alternating
+# the two trees, with the statistics a timed claim reports (see
+# scripts/pair.sh), e.g.
+#   make pair PARENT=HEAD~1 WORKLOAD=serve_mutate SEED=29
+PAIRS ?= 10
+pair:
+	@test -n "$(PARENT)" -a -n "$(WORKLOAD)" -a -n "$(SEED)" || { echo "usage: make pair PARENT=<ref> WORKLOAD=<workload> SEED=<seed> [PAIRS=10]"; exit 2; }
+	bash scripts/pair.sh "$(PARENT)" "$(WORKLOAD)" "$(SEED)" "$(PAIRS)"

@@ -41,18 +41,18 @@ type DenseParams[M Wire] struct {
 	// Finalize, when non-nil, is called at the master for every tracked
 	// destination of its own partition after the circulant ring
 	// completes, with the final carried dependency state (skip bit and
-	// data lanes). This is where algorithms with data dependency decide
-	// from the fully accumulated value — e.g. K-core compares the
-	// carried neighbor count against K. It is invoked only when
-	// dependency propagation is active (ModeSympleGraph, p > 1); UDFs
+	// data lanes). This is where algorithms with data dependency read
+	// the fully accumulated value — e.g. Sampling's setup pass stores
+	// the carried weight sum W_v of each vertex. It is invoked only
+	// when dependency propagation is active (ModeSympleGraph, p > 1); UDFs
 	// must emit ordinary updates for untracked vertices instead, which
 	// also covers ModeGemini and single-machine runs where ctx.Tracked
 	// reports false.
 	Finalize func(dst graph.VertexID, skip bool, data []float64)
 	// Lanes is the number of float64 data-dependency lanes carried per
 	// tracked vertex in this pass's dependency frames, for algorithms
-	// whose loop-carried state is data (K-core counts, sampling prefix
-	// sums). 0 for control-only dependency (BFS, MIS, K-means).
+	// whose loop-carried state is data (Sampling's weight and prefix
+	// sums). 0 for control-only dependency (BFS, K-core, MIS, K-means).
 	Lanes int
 }
 

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -20,6 +21,14 @@ import (
 // with no per-edge sort or hash. For a simple graph the dual CSR arrays
 // are a function of the arc set alone, so the result is array-for-array
 // what FromEdges builds from the edited edge list.
+//
+// A symmetric graph whose in-side offsets and sources are its out-side
+// arrays (Symmetrize builds it so) stays that way when the edit's
+// topology is its own transpose (every (u,v) edit has a (v,u) edit of
+// the same kind): the result is symmetric too, so its topology is
+// merged once and shared by both sides. Weights, which Symmetrize's
+// rule leaves direction-dependent, are still patched per side, each
+// from its own side's edit weights. Any other edit un-shares.
 func Patch(g *Graph, n int, removes, upserts []Edge) (*Graph, error) {
 	if n < g.n {
 		return nil, fmt.Errorf("graph: patch shrinks vertex count %d to %d", g.n, n)
@@ -40,14 +49,40 @@ func Patch(g *Graph, n int, removes, upserts []Edge) (*Graph, error) {
 	}
 	sort.Slice(in, func(i, j int) bool { return in[i].before(in[j]) })
 
-	p := &Graph{n: n}
-	if p.outOffsets, p.outTargets, p.outWeights, err = patchSide(g.n, n, g.outOffsets, g.outTargets, g.outWeights, out); err != nil {
+	outPlan, err := planSide(g.n, n, g.outOffsets, g.outTargets, out)
+	if err != nil {
 		return nil, err
 	}
-	if p.inOffsets, p.inSources, p.inWeights, err = patchSide(g.n, n, g.inOffsets, g.inSources, g.inWeights, in); err != nil {
-		return nil, err
+	p := &Graph{n: n, outOffsets: outPlan.off, outTargets: patchArray(outPlan, g.outTargets, out, edit.target)}
+	inPlan := outPlan // while the sides are shared, the in-side is planned as the out-side
+	if g.SidesShared() && sameTopology(out, in) {
+		p.inOffsets, p.inSources = p.outOffsets, p.outTargets
+	} else {
+		if inPlan, err = planSide(g.n, n, g.inOffsets, g.inSources, in); err != nil {
+			return nil, err
+		}
+		p.inOffsets, p.inSources = inPlan.off, patchArray(inPlan, g.inSources, in, edit.target)
+	}
+	if g.Weighted() {
+		p.outWeights = patchArray(outPlan, g.outWeights, out, edit.weight)
+		p.inWeights = patchArray(inPlan, g.inWeights, in, edit.weight)
 	}
 	return p.cacheMaxWeight(), nil
+}
+
+// SidesShared reports whether g's in-side offsets and sources are its
+// out-side arrays: one copy of the topology serves both sides, as
+// Symmetrize builds a symmetric graph and a transpose-closed Patch
+// keeps it.
+func (g *Graph) SidesShared() bool {
+	same := func(a, b []VertexID) bool { return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0]) }
+	return &g.inOffsets[0] == &g.outOffsets[0] && same(g.inSources, g.outTargets)
+}
+
+// sameTopology reports whether two edit lists add and remove the same
+// (row, col) positions; weights may differ.
+func sameTopology(a, b []edit) bool {
+	return slices.EqualFunc(a, b, func(x, y edit) bool { return x.row == y.row && x.col == y.col && x.remove == y.remove })
 }
 
 // edit is one arc of a patch, addressed as (row, col) of whichever side
@@ -57,6 +92,9 @@ type edit struct {
 	w        float32
 	remove   bool
 }
+
+func (e edit) target() VertexID { return e.col }
+func (e edit) weight() float32  { return e.w }
 
 func (a edit) before(b edit) bool {
 	if a.row != b.row {
@@ -102,13 +140,23 @@ func arcLess(a, b Edge) bool {
 	return a.Dst < b.Dst
 }
 
-// patchSide rebuilds one side of the dual CSR. Viewing adj as one long
-// (row, col)-sorted sequence, each edit has a global position: the
-// lower bound of its col within its row. Positions are non-decreasing
-// in edit order, so a single cursor walks adj, copying the span before
-// each edit and then skipping (remove), overwriting (upsert of an
-// existing arc) or inserting at it.
-func patchSide(n0, n1 int, off []int64, adj []VertexID, wts []float32, edits []edit) ([]int64, []VertexID, []float32, error) {
+// sidePlan places a sorted edit list in one side of the dual CSR.
+// Viewing the side's adjacency as one long (row, col)-sorted sequence,
+// each edit has a global position: the lower bound of its col within
+// its row. Positions are non-decreasing in edit order, so a single
+// cursor can walk any array parallel to the adjacency (the adjacency
+// itself, or its weights), copying the span before each edit and then
+// skipping (remove), overwriting (upsert of an existing arc) or
+// inserting at it.
+type sidePlan struct {
+	off  []int64 // the patched side's offsets
+	pos  []int64 // per edit, its position in the old adjacency
+	hit  []bool  // per edit, whether the old adjacency has the arc there
+	size int64   // the patched side's arc count
+}
+
+// planSide locates every edit, sizes the result and shifts the offsets.
+func planSide(n0, n1 int, off []int64, adj []VertexID, edits []edit) (sidePlan, error) {
 	// Rows n0..n1-1 are new: empty, at the end of adj.
 	rowStart := func(v int) int64 {
 		if v > n0 {
@@ -116,60 +164,48 @@ func patchSide(n0, n1 int, off []int64, adj []VertexID, wts []float32, edits []e
 		}
 		return off[v]
 	}
-	// Pass 1: locate every edit, size the result, shift the offsets.
-	pos := make([]int64, len(edits))
-	hit := make([]bool, len(edits))
-	newOff := make([]int64, n1+1)
+	pl := sidePlan{off: make([]int64, n1+1), pos: make([]int64, len(edits)), hit: make([]bool, len(edits))}
 	var shift int64
 	row := 0 // next row whose new start is still unset
 	for i, e := range edits {
 		for ; row <= int(e.row); row++ {
-			newOff[row] = rowStart(row) + shift
+			pl.off[row] = rowStart(row) + shift
 		}
 		lo, hi := rowStart(int(e.row)), rowStart(int(e.row)+1)
 		k := lo + int64(sort.Search(int(hi-lo), func(k int) bool { return adj[lo+int64(k)] >= e.col }))
-		pos[i], hit[i] = k, k < hi && adj[k] == e.col
+		pl.pos[i], pl.hit[i] = k, k < hi && adj[k] == e.col
 		switch {
-		case e.remove && !hit[i]:
-			return nil, nil, nil, fmt.Errorf("graph: patch removes arc (%d,%d) the graph does not have", e.row, e.col)
+		case e.remove && !pl.hit[i]:
+			return sidePlan{}, fmt.Errorf("graph: patch removes arc (%d,%d) the graph does not have", e.row, e.col)
 		case e.remove:
 			shift--
-		case !hit[i]:
+		case !pl.hit[i]:
 			shift++
 		}
 	}
 	for ; row <= n1; row++ {
-		newOff[row] = rowStart(row) + shift
+		pl.off[row] = rowStart(row) + shift
 	}
+	pl.size = int64(len(adj)) + shift
+	return pl, nil
+}
 
-	// Pass 2: merge.
-	newAdj := make([]VertexID, int64(len(adj))+shift)
-	var newWts []float32
-	if wts != nil {
-		newWts = make([]float32, len(newAdj))
-	}
-	var r, w int64 // read cursor in adj, write cursor in newAdj
-	copySpan := func(to int64) {
-		copy(newAdj[w:], adj[r:to])
-		if wts != nil {
-			copy(newWts[w:], wts[r:to])
-		}
-		w += to - r
-		r = to
-	}
+// patchArray merges one array parallel to a planned side's adjacency
+// with the edits, an inserted or overwritten element taking val(edit).
+func patchArray[T VertexID | float32](pl sidePlan, old []T, edits []edit, val func(edit) T) []T {
+	merged := make([]T, pl.size)
+	var r, w int64 // read cursor in old, write cursor in merged
 	for i, e := range edits {
-		copySpan(pos[i])
-		if e.remove || hit[i] {
+		w += int64(copy(merged[w:], old[r:pl.pos[i]]))
+		r = pl.pos[i]
+		if e.remove || pl.hit[i] {
 			r++ // consume the old arc
 		}
 		if !e.remove {
-			newAdj[w] = e.col
-			if wts != nil {
-				newWts[w] = e.w
-			}
+			merged[w] = val(e)
 			w++
 		}
 	}
-	copySpan(int64(len(adj)))
-	return newOff, newAdj, newWts, nil
+	copy(merged[w:], old[r:])
+	return merged
 }

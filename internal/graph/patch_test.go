@@ -179,6 +179,112 @@ func TestPatchRandom(t *testing.T) {
 	}
 }
 
+// TestPatchKeepsSymmetricSidesShared: on a Symmetrize'd graph a
+// transpose-closed edit keeps the in-side topology on the out-side
+// arrays, weights patched per side, and the result is Symmetrize's of
+// its own arc set. An edit that is not closed must un-share: a Patch
+// that aliased whenever its input did would leave the in-side of
+// "add 0→3 only" claiming 3→0 too.
+func TestPatchKeepsSymmetricSidesShared(t *testing.T) {
+	for _, weighted := range []bool{false, true} {
+		// 0–1, 0–2, 1–2 and 2–3, each with its own weight per direction.
+		s := Symmetrize(MustFromEdges(4, []Edge{{0, 1, 1}, {1, 0, 2}, {0, 2, 3}, {1, 2, 4}, {3, 2, 5}}, BuildOptions{Weighted: weighted}))
+		if !s.SidesShared() {
+			t.Fatal("Symmetrize does not share its sides")
+		}
+		closed := checkPatch(t, s, 5,
+			[]Edge{{0, 2, 0}, {2, 0, 0}},
+			[]Edge{{0, 1, 7}, {1, 0, 8}, {1, 4, 6}, {4, 1, 9}})
+		if !closed.SidesShared() {
+			t.Errorf("weighted=%v: a transpose-closed edit un-shared the sides", weighted)
+		}
+		if !sameArrays(closed, Symmetrize(closed)) {
+			t.Errorf("weighted=%v: closed patch differs from Symmetrize of its arcs", weighted)
+		}
+		if w, _ := closed.EdgeWeight(1, 0); weighted && w != 8 {
+			t.Errorf("weight(1,0) = %v, want 8", w)
+		}
+		open := checkPatch(t, s, 4, nil, []Edge{{0, 3, 1}})
+		if open.SidesShared() {
+			t.Errorf("weighted=%v: a one-direction edit kept the sides shared", weighted)
+		}
+		// A weight-only upsert of one direction is not closed either.
+		if weighted && checkPatch(t, s, 4, nil, []Edge{{1, 0, 3}}).SidesShared() {
+			t.Error("a one-direction weight update kept the sides shared")
+		}
+	}
+}
+
+// TestPatchSharedRandom runs random edits, closed and not, against
+// Symmetrize'd random graphs: every result matches the rebuild, and it
+// shares its sides exactly when the edit was closed.
+func TestPatchSharedRandom(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(24)
+		var edges []Edge
+		for i := rng.Intn(4 * n); i > 0; i-- {
+			edges = append(edges, Edge{Src: VertexID(rng.Intn(n)), Dst: VertexID(rng.Intn(n)), Weight: float32(rng.Intn(9))})
+		}
+		s := Symmetrize(MustFromEdges(n, edges, BuildOptions{Weighted: trial%2 == 0}))
+		n1 := n + rng.Intn(3)
+		removes, upserts := randomEdit(rng, s, n1, 1+rng.Intn(12))
+		if trial%3 != 0 {
+			removes, upserts = closeEdit(rng, removes, upserts)
+		}
+		got := checkPatch(t, s, n1, removes, upserts)
+		if closed := isClosed(removes, upserts); got.SidesShared() != closed {
+			t.Fatalf("trial %d: edit closed=%v but shared=%v", trial, closed, got.SidesShared())
+		}
+	}
+}
+
+// isClosed reports whether an edit's topology is its own transpose.
+func isClosed(removes, upserts []Edge) bool {
+	type arc struct{ s, d VertexID }
+	kind := map[arc]bool{} // arc → removed
+	for _, e := range removes {
+		kind[arc{e.Src, e.Dst}] = true
+	}
+	for _, e := range upserts {
+		kind[arc{e.Src, e.Dst}] = false
+	}
+	for a, removed := range kind {
+		if r, ok := kind[arc{a.d, a.s}]; !ok || r != removed {
+			return false
+		}
+	}
+	return true
+}
+
+// closeEdit adds the reverse of every arc of a (removes, upserts) edit
+// on a symmetric graph, upserts taking a weight of their own, and drops
+// upserts that would then collide with a removal.
+func closeEdit(rng *rand.Rand, removes, upserts []Edge) ([]Edge, []Edge) {
+	type arc struct{ s, d VertexID }
+	gone := map[arc]bool{}
+	for _, e := range removes {
+		gone[arc{e.Src, e.Dst}], gone[arc{e.Dst, e.Src}] = true, true
+	}
+	set := map[arc]float32{}
+	for _, e := range upserts {
+		if !gone[arc{e.Src, e.Dst}] && !gone[arc{e.Dst, e.Src}] {
+			set[arc{e.Src, e.Dst}], set[arc{e.Dst, e.Src}] = e.Weight, float32(rng.Intn(9))
+		}
+	}
+	removes, upserts = nil, nil
+	for a := range gone {
+		removes = append(removes, Edge{Src: a.s, Dst: a.d})
+	}
+	for a, w := range set {
+		upserts = append(upserts, Edge{Src: a.s, Dst: a.d, Weight: w})
+	}
+	for _, l := range [][]Edge{removes, upserts} {
+		sort.Slice(l, func(i, j int) bool { return arcLess(l[i], l[j]) })
+	}
+	return removes, upserts
+}
+
 func TestSimple(t *testing.T) {
 	if !RMAT(8, 8, Graph500Params(), 1).Simple() {
 		t.Error("deduped R-MAT reported as not simple")

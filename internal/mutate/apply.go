@@ -168,14 +168,15 @@ func effective(g *graph.Graph, b Batch) delta {
 	return d
 }
 
-// PatchUndirected advances the undirected variant of an unweighted
-// graph across one commit: parentU is graph.Symmetrize(parent), and the
-// result is graph.Symmetrize(child) array for array, built by patching
-// parentU with the symmetric delta instead of re-symmetrizing child.
-// When eff changes no undirected pair and adds no vertex the result is
-// parentU itself. The delta goes to graph.Patch as arc lists, so it may
-// hold more than MaxBatchOps arcs: removing one hub vertex touches
-// every pair it is in.
+// PatchUndirected advances the undirected variant across one commit:
+// parentU is graph.Symmetrize(parent), and the result is
+// graph.Symmetrize(child) array for array, weights included, built by
+// patching parentU with the symmetric delta instead of re-symmetrizing
+// child. That delta is its own transpose, so graph.Patch keeps the
+// variant's topology shared between its two sides. When eff changes no
+// undirected arc and adds no vertex the result is parentU itself. The
+// delta goes to graph.Patch as arc lists, so it may hold more than
+// MaxBatchOps arcs: removing one hub vertex touches every pair it is in.
 func PatchUndirected(parentU, parent, child *graph.Graph, eff Batch) (*graph.Graph, error) {
 	d := symmetricDelta(parent, child, eff)
 	if d.grow == 0 && len(d.removes) == 0 && len(d.upserts) == 0 {
@@ -188,18 +189,15 @@ func PatchUndirected(parentU, parent, child *graph.Graph, eff Batch) (*graph.Gra
 	return g, nil
 }
 
-// symmetricDelta derives the canonical delta between the symmetrized
-// variants of parent and child (graph.Symmetrize: both directions, no
-// self loops) from the directed effective delta eff between them,
-// without materializing either variant. Only an unordered pair {u, v}
-// that eff touches can change, and it is linked in a variant iff
-// either arc is present in the base graph. Additions carry weight 1:
-// on a weighted base the result describes the topology change only.
+// symmetricDelta derives the delta between the symmetrized variants of
+// parent and child from the directed effective delta eff between them,
+// without materializing either variant. Only an unordered pair {u, v},
+// u ≠ v, that eff touches can change. A pair whose linkage or either
+// arc's weight changed (see undirectedPair) emits both of its arcs:
+// two removes, or two upserts carrying the child variant's weights. So
+// the delta is its own transpose, and on a weighted base one of a
+// pair's upserts may rewrite a weight unchanged.
 func symmetricDelta(parent, child *graph.Graph, eff Batch) delta {
-	linked := func(g *graph.Graph, u, v graph.VertexID) bool {
-		n := graph.VertexID(g.NumVertices())
-		return u < n && v < n && (g.HasEdge(u, v) || g.HasEdge(v, u))
-	}
 	var pairs []uint64 // arcKey(min, max) of every touched pair
 	for _, m := range eff.Ops {
 		if (m.Op == OpAddEdge || m.Op == OpRemoveEdge) && m.Src != m.Dst {
@@ -217,18 +215,44 @@ func symmetricDelta(parent, child *graph.Graph, eff Batch) delta {
 			continue
 		}
 		u, v := graph.VertexID(p>>32), graph.VertexID(p)
-		was, is := linked(parent, u, v), linked(child, u, v)
+		was, is := symmetrizedPair(parent, u, v), symmetrizedPair(child, u, v)
 		switch {
-		case was && !is:
+		case was == is:
+		case !is.linked:
 			d.removes = append(d.removes, graph.Edge{Src: u, Dst: v}, graph.Edge{Src: v, Dst: u})
-		case !was && is:
-			d.upserts = append(d.upserts, graph.Edge{Src: u, Dst: v, Weight: 1}, graph.Edge{Src: v, Dst: u, Weight: 1})
+		default:
+			d.upserts = append(d.upserts, graph.Edge{Src: u, Dst: v, Weight: math.Float32frombits(is.uv)},
+				graph.Edge{Src: v, Dst: u, Weight: math.Float32frombits(is.vu)})
 		}
 	}
 	for _, l := range [][]graph.Edge{d.removes, d.upserts} {
 		sort.Slice(l, func(i, j int) bool { return arcKey(l[i].Src, l[i].Dst) < arcKey(l[j].Src, l[j].Dst) })
 	}
 	return d
+}
+
+// undirectedPair is the pair {u, v} as graph.Symmetrize(g) has it. It is
+// linked iff g has either arc, and the variant's arc u→v carries g's
+// u→v weight if g has that arc, else the v→u weight (and likewise v→u).
+// Weights are float32 bit patterns, 1 on an unweighted graph.
+type undirectedPair struct {
+	linked bool
+	uv, vu uint32
+}
+
+func symmetrizedPair(g *graph.Graph, u, v graph.VertexID) undirectedPair {
+	if n := graph.VertexID(g.NumVertices()); u >= n || v >= n {
+		return undirectedPair{}
+	}
+	wuv, hasUV := g.EdgeWeight(u, v)
+	wvu, hasVU := g.EdgeWeight(v, u)
+	if !hasUV {
+		wuv = wvu
+	}
+	if !hasVU {
+		wvu = wuv
+	}
+	return undirectedPair{linked: hasUV || hasVU, uv: math.Float32bits(wuv), vu: math.Float32bits(wvu)}
 }
 
 // Diff computes a canonical batch transforming old into new:

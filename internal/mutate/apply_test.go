@@ -95,8 +95,10 @@ func requireSameOps(t testing.TB, what string, got, want Batch) {
 // checkCommit asserts the four identities of one commit parent→child
 // and returns the child and its symmetrized variant:
 // (a) Apply ≡ applyReference, (b) effective delta ≡ Diff, (c) the
-// patched undirected variant ≡ Symmetrize(child), and the symmetric
-// delta ≡ Diff between the two variants.
+// patched undirected variant ≡ Symmetrize(child), weights included,
+// with its sides shared, and the symmetric delta ≡ Diff between the two
+// variants, once the upserts that rewrite a weight unchanged are
+// dropped.
 func checkCommit(t testing.TB, parent, parentU *graph.Graph, b Batch) (child, childU *graph.Graph, eff, symEff Batch) {
 	t.Helper()
 	want, err := applyReference(parent, b)
@@ -116,21 +118,35 @@ func checkCommit(t testing.TB, parent, parentU *graph.Graph, b Batch) (child, ch
 
 	wantU := graph.Symmetrize(child)
 	symEff = symmetricDelta(parent, child, eff).batch()
-	if parent.Weighted() {
-		// Topology only; the serving layer re-symmetrizes a weighted base.
-		return child, wantU, eff, symEff
-	}
 	childU, err = PatchUndirected(parentU, parent, child, eff)
 	if err != nil {
 		t.Fatal(err)
 	}
 	requireIdentical(t, "patched undirected variant vs Symmetrize", childU, wantU)
+	if !childU.SidesShared() {
+		t.Fatal("patched undirected variant keeps two copies of its topology")
+	}
 	symDiff, err := Diff(parentU, wantU)
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireSameOps(t, "symmetric delta vs Diff", symEff, symDiff)
+	requireSameOps(t, "symmetric delta vs Diff", changesTo(parentU, symEff), symDiff)
 	return child, childU, eff, symEff
+}
+
+// changesTo is b without the upserts that give an arc of g the weight
+// it already has.
+func changesTo(g *graph.Graph, b Batch) Batch {
+	var out Batch
+	for _, m := range b.Ops {
+		if m.Op == OpAddEdge && int(m.Src) < g.NumVertices() {
+			if w, ok := g.EdgeWeight(m.Src, m.Dst); ok && math.Float32bits(w) == math.Float32bits(m.Weight) {
+				continue
+			}
+		}
+		out.Ops = append(out.Ops, m)
+	}
+	return out
 }
 
 // adversarialBatch draws an ordered batch that leans on the cases a
@@ -375,10 +391,11 @@ func TestSnapshotEffective(t *testing.T) {
 	}})
 }
 
-// serveMutateShape is the serve_mutate workload's commit: a scale-13
-// R-MAT graph and 32-op batches, a third of each removals.
-func serveMutateShape(batches int) (*graph.Graph, []Batch) {
-	g := graph.RMAT(13, 16, graph.Graph500Params(), 7)
+// serveMutateShape is the serve_mutate workload's commit: an R-MAT
+// graph (scale 13 there) and 32-op batches, a third of each removals,
+// the additions weighted 1.
+func serveMutateShape(scale, batches int) (*graph.Graph, []Batch) {
+	g := graph.RMAT(scale, 16, graph.Graph500Params(), 7)
 	rng := rand.New(rand.NewSource(7))
 	n := g.NumVertices()
 	out := make([]Batch, batches)
@@ -388,7 +405,7 @@ func serveMutateShape(batches int) (*graph.Graph, []Batch) {
 			if nb := g.OutNeighbors(s); rng.Intn(3) == 0 && len(nb) > 0 {
 				out[i].Ops = append(out[i].Ops, Mutation{Op: OpRemoveEdge, Src: s, Dst: nb[rng.Intn(len(nb))]})
 			} else {
-				out[i].Ops = append(out[i].Ops, Mutation{Op: OpAddEdge, Src: s, Dst: graph.VertexID(rng.Intn(n))})
+				out[i].Ops = append(out[i].Ops, Mutation{Op: OpAddEdge, Src: s, Dst: graph.VertexID(rng.Intn(n)), Weight: 1})
 			}
 		}
 	}
@@ -398,7 +415,7 @@ func serveMutateShape(batches int) (*graph.Graph, []Batch) {
 var benchGraph *graph.Graph
 
 func BenchmarkApply(b *testing.B) {
-	g, batches := serveMutateShape(16)
+	g, batches := serveMutateShape(13, 16)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -414,7 +431,7 @@ func BenchmarkApply(b *testing.B) {
 // as it does in serving. The chain restarts from the root when the
 // batches run out: replayed on their own result they would be no-ops.
 func BenchmarkStoreCommit(b *testing.B) {
-	g, batches := serveMutateShape(16)
+	g, batches := serveMutateShape(13, 16)
 	var st *Store
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -432,5 +449,40 @@ func BenchmarkStoreCommit(b *testing.B) {
 			b.Fatal(err)
 		}
 		benchGraph = snap.Graph()
+	}
+}
+
+// BenchmarkPatchUndirected is the commit's second patch: the undirected
+// variant carried across a serve_mutate batch, on an unweighted and a
+// weighted base (graph.RandomWeights) at scale 13 and 15. Children and
+// effective deltas are built before the timer starts.
+func BenchmarkPatchUndirected(b *testing.B) {
+	for _, scale := range []int{13, 15} {
+		g, batches := serveMutateShape(scale, 16)
+		for _, weighted := range []bool{false, true} {
+			base := g
+			if weighted {
+				base = graph.RandomWeights(g, 5)
+			}
+			baseU := graph.Symmetrize(base)
+			children, effs := make([]*graph.Graph, len(batches)), make([]Batch, len(batches))
+			for i, bt := range batches {
+				var err error
+				if children[i], effs[i], err = apply(base, bt); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.Run(fmt.Sprintf("scale=%d/weighted=%v", scale, weighted), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					k := i % len(batches)
+					u, err := PatchUndirected(baseU, base, children[k], effs[k])
+					if err != nil {
+						b.Fatal(err)
+					}
+					benchGraph = u
+				}
+			})
+		}
 	}
 }

@@ -232,20 +232,12 @@ func (e *graphEntry) commit(b mutate.Batch) (commitResult, error) {
 }
 
 // advanceUndirected carries the undirected variant across the commit
-// parent→st. On an unweighted base the variant is a function of the
-// arc set, so it is the parent epoch's variant patched with the
-// symmetric form of eff, installed at commit time so the first
-// undirected query of the epoch finds it memoized. A weighted base
-// keeps the full Symmetrize, memoized here too: there an arc added as a reverse carries
-// the weight of the arc it reverses, so one edit can change two arcs'
-// weights, and PatchUndirected does not derive the second yet. The
-// commit has landed by now, so this cannot fail it: if the patch is
-// ever refused, the variant is left to the lazy Symmetrize.
+// parent→st: the parent epoch's variant patched with the symmetric form
+// of eff, weights included, installed at commit time so the first
+// undirected query of the epoch finds it memoized. The commit has
+// landed by now, so this cannot fail it: if the patch is ever refused,
+// the variant is left to the lazy Symmetrize.
 func advanceUndirected(parent, st *epochState, eff mutate.Batch) {
-	if st.info.weighted {
-		st.Graph(variantUndirected)
-		return
-	}
 	g, err := mutate.PatchUndirected(parent.Graph(variantUndirected),
 		parent.Graph(variantDirected), st.Graph(variantDirected), eff)
 	if err == nil {

@@ -457,7 +457,8 @@ func TestMutateBinnedScanIdentity(t *testing.T) {
 // the O(delta) commit: at every epoch the undirected variant installed
 // at commit time equals graph.Symmetrize of the snapshot, and a batch
 // that changes no undirected pair shares the parent's variant outright.
-// A weighted base keeps the full Symmetrize.
+// Weighted bases are patched too, reverse-arc weights included, and
+// every installed variant keeps one topology for both of its sides.
 func TestCommitDerivesUndirectedVariant(t *testing.T) {
 	for _, weighted := range []bool{false, true} {
 		base := graph.RMAT(7, 6, graph.Graph500Params(), 3)
@@ -517,6 +518,9 @@ func TestCommitDerivesUndirectedVariant(t *testing.T) {
 			}
 			if !reflect.DeepEqual(gotU.Edges(), wantU.Edges()) || gotU.NumVertices() != wantU.NumVertices() {
 				t.Fatalf("weighted=%v epoch %d: undirected variant differs from Symmetrize", weighted, epoch)
+			}
+			if !gotU.SidesShared() {
+				t.Fatalf("weighted=%v epoch %d: undirected variant holds two copies of its topology", weighted, epoch)
 			}
 			if !weighted && epoch == 3 && gotU != parent.Graph(variantUndirected) {
 				t.Fatalf("epoch %d: a batch of reverse arcs should share the parent's undirected variant", epoch)
