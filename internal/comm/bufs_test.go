@@ -195,6 +195,35 @@ func TestTCPFrameFromWrongSenderClosesInbox(t *testing.T) {
 	}
 }
 
+// TestTCPFrameOfUnknownKindClosesInbox pins that a kind byte outside
+// the kinds this build knows — a byte the peer controls, which would
+// index past the per-kind counters — closes the inbox like any other
+// stream corruption instead of panicking the reader goroutine.
+func TestTCPFrameOfUnknownKindClosesInbox(t *testing.T) {
+	eps, err := NewTCPClusterLoopback(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eps[0].Close()
+	defer eps[1].Close()
+	frame := make([]byte, headerBytes+4)
+	putFrameHeader(frame, 0, Kind(200), 0, 4)
+	c := eps[0].conns[1]
+	c.mu.Lock()
+	_, err = c.c.Write(frame)
+	c.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ce *ClosedError
+	if _, err = eps[1].Recv(0, KindUpdate, 0); !errors.As(err, &ce) {
+		t.Fatalf("Recv after a frame of kind 200: %v, want *ClosedError", err)
+	}
+	if got := eps[1].Stats().Peer(0).ReceivedMessages; got != 0 {
+		t.Fatalf("the corrupt frame was counted: %d messages received", got)
+	}
+}
+
 // TestSlabReuseNoCrossPollination floods the slab from concurrent
 // sender/receiver pairs — every frame acquired from the pool, handed
 // off, verified and Released — and checks no receiver ever observes

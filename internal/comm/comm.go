@@ -178,58 +178,141 @@ func ObserveSuperstep(e Endpoint, step int) {
 	}
 }
 
-// demux routes incoming messages to per-(from, kind) queues so that
+// demux routes incoming messages to per-(from, kind) streams so that
 // concurrent receivers of disjoint streams never contend, mirroring the
 // paper's separation of worker (update) and coordinator (dependency)
-// threads.
+// threads. The streams are one fixed array, laid out in newDemux and
+// indexed by (from, kind): routing a message takes no demux-wide lock
+// and no map lookup.
 type demux struct {
-	self   NodeID // owning endpoint, for error context
-	n      int
-	mu     sync.Mutex
-	queues map[demuxKey]chan Message
-	done   chan struct{} // closed on shutdown; the data queues never are
-	closed bool
-}
+	self    NodeID // owning endpoint, for error context
+	n       int
+	streams []stream // [from*numKinds + kind]
 
-type demuxKey struct {
-	from NodeID
-	kind Kind
+	done      chan struct{} // closed on shutdown; the streams never are
+	closeOnce sync.Once
 }
 
 func newDemux(self NodeID, n int) *demux {
 	return &demux{
-		self:   self,
-		n:      n,
-		queues: make(map[demuxKey]chan Message),
-		done:   make(chan struct{}),
+		self:    self,
+		n:       n,
+		streams: make([]stream, n*int(numKinds)),
+		done:    make(chan struct{}),
 	}
 }
 
-// queueCap bounds each (from, kind) stream. The engine protocol keeps at
-// most a handful of in-flight messages per stream (double buffering sends
-// a few group frames ahead); 1024 gives slack without unbounded memory.
-const queueCap = 1024
+// queueCap bounds each (from, kind) stream's backlog. The engine
+// protocol keeps at most a handful of in-flight messages per stream
+// (double buffering sends a few group frames ahead); 1024 gives slack
+// before a sender blocks. A stream's ring is sized by its backlog, not
+// by this bound: it starts empty, doubles when full, and is dropped once
+// a backlog of more than minRing messages has drained, so a stream holds
+// no ring before its first message and minRing slots at rest.
+const (
+	queueCap = 1024
+	minRing  = 8
+)
 
-func (d *demux) queue(from NodeID, kind Kind) chan Message {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	key := demuxKey{from, kind}
-	q, ok := d.queues[key]
-	if !ok {
-		q = make(chan Message, queueCap)
-		d.queues[key] = q
+// stream is one (from, kind) inbox: a FIFO ring that grows with its
+// backlog up to queueCap messages. Its two wake-up channels are made on
+// the first wait that needs one and hold at most one pending signal;
+// a woken waiter re-checks the ring, so a stale signal costs one loop.
+type stream struct {
+	mu    sync.Mutex
+	ring  []Message // len is 0 or a power of two
+	head  int
+	n     int
+	ready chan struct{} // a message arrived
+	space chan struct{} // a message left a full stream
+}
+
+// stream returns the (from, kind) stream, or nil outside the cluster's
+// node and kind ranges.
+func (d *demux) stream(from NodeID, kind Kind) *stream {
+	if from < 0 || int(from) >= d.n || kind >= numKinds {
+		return nil
 	}
-	return q
+	return &d.streams[int(from)*int(numKinds)+int(kind)]
+}
+
+// wake posts one pending signal on c unless it has one; a nil c has no
+// waiter to wake.
+func wake(c chan struct{}) {
+	select {
+	case c <- struct{}{}:
+	default:
+	}
+}
+
+// push enqueues m unless the backlog is at queueCap; when it is, it
+// returns the channel a dequeue signals instead.
+func (s *stream) push(m Message) (space chan struct{}) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.n == queueCap {
+		if s.space == nil {
+			s.space = make(chan struct{}, 1)
+		}
+		return s.space
+	}
+	if s.n == len(s.ring) {
+		ring := make([]Message, max(minRing, 2*len(s.ring)))
+		k := copy(ring, s.ring[s.head:])
+		copy(ring[k:], s.ring[:s.head])
+		s.ring, s.head = ring, 0
+	}
+	s.ring[(s.head+s.n)&(len(s.ring)-1)] = m
+	s.n++
+	wake(s.ready)
+	if s.n < queueCap {
+		wake(s.space) // pass room on to any other blocked sender
+	}
+	return nil
+}
+
+// pop dequeues the oldest message; when the stream is empty it returns
+// the channel an enqueue signals instead.
+func (s *stream) pop() (m Message, ok bool, ready chan struct{}) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.n == 0 {
+		if s.ready == nil {
+			s.ready = make(chan struct{}, 1)
+		}
+		return Message{}, false, s.ready
+	}
+	m = s.ring[s.head]
+	s.ring[s.head] = Message{} // the payload is the receiver's now
+	s.head = (s.head + 1) & (len(s.ring) - 1)
+	s.n--
+	if s.n == 0 && len(s.ring) > minRing {
+		s.ring, s.head = nil, 0 // the backlog drained: give its ring back
+	}
+	wake(s.space)
+	return m, true, nil
 }
 
 // deliver enqueues m, blocking under backpressure until the receiver
 // drains or the endpoint shuts down. Shutdown drops the message: a
 // poisoned run closes endpoints precisely to unblock peers mid-Send, so
-// deliveries racing the close are abandoned, not delivered.
+// deliveries racing the close are abandoned, not delivered. So is a
+// message outside the stream ranges, which no receive can name.
 func (d *demux) deliver(m Message) {
-	select {
-	case d.queue(m.From, m.Kind) <- m:
-	case <-d.done:
+	for s := d.stream(m.From, m.Kind); s != nil; {
+		select {
+		case <-d.done:
+			return
+		default:
+		}
+		space := s.push(m)
+		if space == nil {
+			return
+		}
+		select {
+		case <-space:
+		case <-d.done:
+		}
 	}
 }
 
@@ -240,40 +323,41 @@ func (d *demux) deliver(m Message) {
 // defined here and nowhere else. A non-positive timeout blocks
 // indefinitely.
 func (d *demux) RecvTimeout(from NodeID, kind Kind, tag int32, timeout time.Duration) (Message, error) {
-	q := d.queue(from, kind)
-	// Fast path: a message is already queued (also the only path a
-	// zero-timeout caller should pay a timer for — it never does).
-	select {
-	case m := <-q:
-		return d.checkTag(m, from, kind, tag)
-	default:
+	s := d.stream(from, kind)
+	if s == nil {
+		return Message{}, fmt.Errorf("comm: node %d cannot receive kind %v from node %d of %d", d.self, kind, from, d.n)
 	}
 	var expired <-chan time.Time // never fires without a deadline
-	if timeout > 0 {
-		t := time.NewTimer(timeout)
-		defer t.Stop()
-		expired = t.C
-	}
-	select {
-	case m := <-q:
-		return d.checkTag(m, from, kind, tag)
-	case <-d.done:
-		return d.drain(q, from, kind, tag)
-	case <-expired:
-		return Message{}, &TimeoutError{Node: d.self, From: from, Kind: kind, Tag: tag, Timeout: timeout}
+	for {
+		// A message already queued is taken at once: only a receive that
+		// has to wait pays for a timer.
+		m, ok, ready := s.pop()
+		if ok {
+			return d.checkTag(m, from, kind, tag)
+		}
+		if expired == nil && timeout > 0 {
+			t := time.NewTimer(timeout)
+			defer t.Stop()
+			expired = t.C
+		}
+		select {
+		case <-ready:
+		case <-d.done:
+			return d.drain(s, from, kind, tag)
+		case <-expired:
+			return Message{}, &TimeoutError{Node: d.self, From: from, Kind: kind, Tag: tag, Timeout: timeout}
+		}
 	}
 }
 
 // drain gives messages enqueued before shutdown one last chance to be
 // received — a closed demux refuses new deliveries but does not discard
 // what already arrived.
-func (d *demux) drain(q chan Message, from NodeID, kind Kind, tag int32) (Message, error) {
-	select {
-	case m := <-q:
+func (d *demux) drain(s *stream, from NodeID, kind Kind, tag int32) (Message, error) {
+	if m, ok, _ := s.pop(); ok {
 		return d.checkTag(m, from, kind, tag)
-	default:
-		return Message{}, &ClosedError{Node: d.self, From: from, Kind: kind}
 	}
+	return Message{}, &ClosedError{Node: d.self, From: from, Kind: kind}
 }
 
 // Recv implements Endpoint.
@@ -288,12 +372,4 @@ func (d *demux) checkTag(m Message, from NodeID, kind Kind, tag int32) (Message,
 	return m, nil
 }
 
-func (d *demux) close() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
-		return
-	}
-	d.closed = true
-	close(d.done)
-}
+func (d *demux) close() { d.closeOnce.Do(func() { close(d.done) }) }

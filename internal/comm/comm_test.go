@@ -5,6 +5,7 @@ import (
 	"errors"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/bufpool"
 )
@@ -260,6 +261,67 @@ func TestKindString(t *testing.T) {
 	}
 	if Kind(9).String() == "" {
 		t.Fatal("unknown kind empty")
+	}
+}
+
+// TestStreamBackpressure holds the inbox bound: a stream nobody receives
+// from takes queueCap messages, blocks the next sender until one is
+// received, and delivers all of them in order. Its ring grew with the
+// backlog and is given back once the backlog drains.
+func TestStreamBackpressure(t *testing.T) {
+	c := NewMemCluster(2)
+	defer c.Close()
+	for i := 0; i < queueCap; i++ {
+		if err := c.Endpoint(0).SendBufs(1, KindUpdate, int32(i), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sent := make(chan error, 1)
+	go func() { sent <- c.Endpoint(0).SendBufs(1, KindUpdate, queueCap, nil) }()
+	select {
+	case err := <-sent:
+		t.Fatalf("send %d into a full stream returned %v without blocking", queueCap+1, err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	s := c.endpoints[1].stream(0, KindUpdate)
+	for i := 0; i <= queueCap; i++ {
+		m, err := c.Endpoint(1).Recv(0, KindUpdate, int32(i))
+		if err != nil {
+			t.Fatalf("message %d: %v", i, err)
+		}
+		m.Release()
+		if i == 0 {
+			if err := <-sent; err != nil {
+				t.Fatalf("blocked send: %v", err)
+			}
+		}
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.n != 0 || s.ring != nil {
+		t.Fatalf("drained stream holds %d messages in a %d-slot ring, want none", s.n, len(s.ring))
+	}
+}
+
+// TestStreamRingFollowsBacklog sends a short backlog: the stream's ring
+// is the smallest that holds it, not the bound.
+func TestStreamRingFollowsBacklog(t *testing.T) {
+	c := NewMemCluster(2)
+	defer c.Close()
+	for i := 0; i < minRing+1; i++ {
+		if err := c.Endpoint(0).SendBufs(1, KindDependency, int32(i), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := c.endpoints[1].stream(0, KindDependency)
+	s.mu.Lock()
+	n := len(s.ring)
+	s.mu.Unlock()
+	if n != 2*minRing {
+		t.Fatalf("a %d-message backlog grew a %d-slot ring, want %d", minRing+1, n, 2*minRing)
+	}
+	if _, err := c.Endpoint(1).Recv(0, Kind(7), 0); err == nil {
+		t.Fatal("receive of an unknown kind succeeded")
 	}
 }
 

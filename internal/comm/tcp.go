@@ -206,11 +206,11 @@ func (e *TCPEndpoint) readLoop(from NodeID) {
 			return
 		}
 		src, kind, tag, size := parseFrameHeader(hdr[:])
-		// The header is the peer's to write: an absurd length or a
-		// frame naming another sender is stream corruption — the peer
-		// is as good as lost — not a length to allocate or a local bug
-		// to crash a daemon over.
-		if size > maxFrameSize || src != from {
+		// The header is the peer's to write: an absurd length, a frame
+		// naming another sender or a kind this build has no stream for
+		// is stream corruption — the peer is as good as lost — not a
+		// length to allocate or a local bug to crash a daemon over.
+		if size > maxFrameSize || src != from || kind >= numKinds {
 			return
 		}
 		m := Message{From: src, Kind: kind, Tag: tag}
@@ -226,11 +226,9 @@ func (e *TCPEndpoint) readLoop(from NodeID) {
 	}
 }
 
-// deliverSafe counts and delivers a frame, absorbing the race where
-// another read loop (or Close) shut the inbox while this delivery was
-// in flight.
+// deliverSafe counts and delivers a frame whose kind readLoop checked;
+// the demux drops one that races the inbox's shutdown.
 func (e *TCPEndpoint) deliverSafe(m Message) {
-	defer func() { recover() }()
 	e.stats.countRecv(m.From, m.Kind, len(m.Payload))
 	e.demux.deliver(m)
 }

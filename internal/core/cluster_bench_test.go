@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/bitset"
@@ -11,27 +12,37 @@ import (
 )
 
 // BenchmarkNewCluster is what a pool slot pays per (epoch, variant,
-// mode): chunking, degree classes, four layout views and four blocked
-// CSRs over a scale-13 graph.
+// mode): chunking, degree classes, the layout views and blocked CSRs of
+// four machines over a scale-13 graph, and of sixteen in the p16 case.
+// Beside B/op, live-B/op is what one cluster keeps once collections have
+// run.
 func BenchmarkNewCluster(b *testing.B) {
 	base := graph.RMAT(13, 16, graph.Graph500Params(), 1)
 	for _, c := range []struct {
-		name string
-		g    *graph.Graph
+		name  string
+		g     *graph.Graph
+		nodes int
 	}{
-		{"directed", base},
-		{"undirected", graph.Symmetrize(base)},
-		{"weighted", graph.RandomWeights(base, 7)},
+		{"directed", base, 4},
+		{"undirected", graph.Symmetrize(base), 4},
+		{"weighted", graph.RandomWeights(base, 7), 4},
+		{"p16", base, 16},
 	} {
 		b.Run(c.name, func(b *testing.B) {
+			var cl *Cluster
+			before := LiveHeap()
 			b.ReportAllocs()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				cl, err := NewCluster(c.g, Options{NumNodes: 4, Mode: ModeSympleGraph})
-				if err != nil {
+				var err error
+				if cl, err = NewCluster(c.g, Options{NumNodes: c.nodes, Mode: ModeSympleGraph}); err != nil {
 					b.Fatal(err)
 				}
 				cl.Close()
 			}
+			b.StopTimer()
+			b.ReportMetric(float64(LiveHeap()-before), "live-B/op")
+			runtime.KeepAlive(cl)
 		})
 	}
 }

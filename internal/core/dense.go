@@ -281,7 +281,7 @@ func ProcessEdgesDense[M Wire](w *Worker, params DenseParams[M]) error {
 			}
 			n := len(rest) // the last range takes the remainder
 			if g < B-1 {
-				n = sort.Search(len(rest), func(i int) bool { return int(rest[i].Idx) >= hi })
+				n = sort.Search(len(rest), func(i int) bool { return int(w.cluster.class.TrackIndex[rest[i].Dst]) >= hi })
 			}
 			if n > 0 {
 				scanStart = w.spanStart()
@@ -395,30 +395,34 @@ func scanDests[M Wire](w *Worker, params *DenseParams[M], ctxs []DenseCtx[M], de
 }
 
 // scanRange walks a run of stream entries front to back. An entry carries
-// the destination, its tracked index and its range in the graph's
-// in-arrays, so a visit costs the filter probes, the dependency skip test
-// when dep is set (never on the low stream) and the signal call.
+// the destination and its range in the graph's in-arrays, so a visit
+// costs the filter probes, the signal call and, when dep is set (never on
+// the low stream), the tracked-index read and the dependency skip test.
 func scanRange[M Wire](w *Worker, params *DenseParams[M], ctx *DenseCtx[M], dests []partition.Dest, dep bool) {
 	_, inSrc, inW := w.cluster.g.InCSC()
 	active, except, skip := params.Active, params.Except, w.dense.skip
+	trackIndex := w.cluster.class.TrackIndex
 	ctx.tracked = dep
 	for i := range dests {
 		e := &dests[i]
 		if (active != nil && !active.Get(int(e.Dst))) || (except != nil && except.Get(int(e.Dst))) {
 			continue
 		}
-		if dep && skip.GetAtomic(int(e.Idx)) {
-			ctx.skipped++
-			continue
+		if dep {
+			ctx.trackIdx = trackIndex[e.Dst]
+			if skip.GetAtomic(int(ctx.trackIdx)) {
+				ctx.skipped++
+				continue
+			}
 		}
-		ctx.curDst, ctx.trackIdx, ctx.depBreak = e.Dst, e.Idx, false
+		ctx.curDst, ctx.depBreak = e.Dst, false
 		var ws []float32
 		if inW != nil {
-			ws = inW[e.Lo:e.Hi]
+			ws = inW[e.Lo:e.Hi()]
 		}
-		params.Signal(ctx, e.Dst, inSrc[e.Lo:e.Hi], ws)
+		params.Signal(ctx, e.Dst, inSrc[e.Lo:e.Hi()], ws)
 		if dep && ctx.depBreak {
-			skip.SetAtomic(int(e.Idx))
+			skip.SetAtomic(int(ctx.trackIdx))
 		}
 	}
 }

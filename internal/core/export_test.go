@@ -1,6 +1,10 @@
 package core
 
-import "repro/internal/graph"
+import (
+	"runtime"
+
+	"repro/internal/graph"
+)
 
 // DepSegments returns how many dependency segments one ring hop of a
 // dense pass moves at NumBuffers B, by the driver's own cuts: one per
@@ -23,3 +27,13 @@ func DepSegments(highs [][]graph.VertexID, B int) int64 {
 // graph, partition, degree class and per-machine layouts with their
 // blocked CSRs — for field-for-field identity tests.
 func Derived(c *Cluster) []any { return []any{c.g, c.part, c.class, c.layouts} }
+
+// LiveHeap returns the heap in use once two collections have emptied
+// the sync.Pools' victim caches too: what the live objects hold.
+func LiveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"slices"
 )
 
@@ -14,8 +15,10 @@ import (
 // destination partition it lands in. Because a vertex's out-neighbors
 // are sorted by ID and partitions are contiguous ascending vertex
 // ranges, every (source, partition) range is a contiguous subrange of
-// the flat adjacency — so the blocked CSR stores offsets into the
-// graph's own edge arrays and never copies an edge. That makes the
+// the flat adjacency — so the blocked CSR stores one 4-byte cut per
+// (source, partition), counted from the start of the source's own row,
+// and never copies an edge; a row the graph moves without editing keeps
+// its cuts. That makes the
 // derivation trivially deterministic: two builds over the same graph
 // and partition boundaries produce identical offsets, so content
 // fingerprints and mutation deltas (computed over the graph itself)
@@ -32,12 +35,12 @@ type BlockedCSR struct {
 	blockVerts   int
 	partStarts   []int // len p+1, ascending, partStarts[p] == |V|
 
-	// rowOff has one entry per (source, partition) pair plus a final
-	// sentinel: rowOff[(v-srcLo)*p+q] is the absolute offset into the
-	// graph's out-edge array where v's edges destined to partition q
-	// begin. The entry after a source's last partition is the next
-	// source's first, so every range is rowOff[i] : rowOff[i+1].
-	rowOff []int64
+	// cut has one entry per (source, partition) pair: cut[(v-srcLo)*p+q]
+	// is where, counted from the start of v's out-row, v's edges
+	// destined to partitions ≤ q end. Partition q's edges are the row's
+	// cut[i-1]:cut[i] (0:cut[i] for q == 0), and a source's last cut is
+	// its out-degree.
+	cut []uint32
 
 	// blockOff are prefix sums of edge counts per (block, partition):
 	// blockOff[b*p+q+1]-blockOff[b*p+q] edges go from block b to
@@ -82,22 +85,23 @@ func BuildBlockedCSR(g *Graph, srcLo, srcHi, blockVerts int, partStarts []int) (
 		blockVerts: blockVerts,
 		partStarts: partStarts,
 	}
-	n := srcHi - srcLo
-	bc.rowOff = make([]int64, n*p+1)
+	bc.cut = make([]uint32, (srcHi-srcLo)*p)
 	bc.blockOff = make([]int64, bc.NumBlocks()*p+1)
 
 	for v := srcLo; v < srcHi; v++ {
 		nbrs := g.outTargets[g.outOffsets[v]:g.outOffsets[v+1]]
-		base := g.outOffsets[v]
+		if uint64(len(nbrs)) > math.MaxUint32 {
+			return nil, fmt.Errorf("graph: vertex %d has %d out-edges, a blocked CSR cuts rows of at most %d", v, len(nbrs), uint32(math.MaxUint32))
+		}
 		b := (v - srcLo) / blockVerts
 		i := 0 // adjacency cursor: nbrs[:i] assigned to partitions < q
 		for q := 0; q < p; q++ {
-			bc.rowOff[(v-srcLo)*p+q] = base + int64(i)
 			bound := VertexID(partStarts[q+1])
 			start := i
 			for i < len(nbrs) && nbrs[i] < bound {
 				i++
 			}
+			bc.cut[(v-srcLo)*p+q] = uint32(i)
 			bc.blockOff[b*p+q+1] += int64(i - start)
 		}
 		if i != len(nbrs) {
@@ -106,7 +110,6 @@ func BuildBlockedCSR(g *Graph, srcLo, srcHi, blockVerts int, partStarts []int) (
 			return nil, fmt.Errorf("graph: vertex %d has %d edges beyond the last partition", v, len(nbrs)-i)
 		}
 	}
-	bc.rowOff[n*p] = g.outOffsets[srcHi]
 	for i := 1; i < len(bc.blockOff); i++ {
 		bc.blockOff[i] += bc.blockOff[i-1]
 	}
@@ -114,42 +117,26 @@ func BuildBlockedCSR(g *Graph, srcLo, srcHi, blockVerts int, partStarts []int) (
 }
 
 // Advance re-points the view at g, a successor of its graph in which
-// only the out-rows of touched (ascending) may differ: those are split
-// afresh, every other row's split shifts by how far the row moved. The
-// result equals BuildBlockedCSR over g.
+// only the out-rows of touched may differ: those are split afresh, and
+// every other row keeps its cuts, which are row-relative, however far
+// the row moved. The result equals BuildBlockedCSR over g.
 func (bc *BlockedCSR) Advance(g *Graph, touched []VertexID) {
-	old, p := bc.g, bc.NumParts()
+	p := bc.NumParts()
 	diff := make([]int64, len(bc.blockOff)) // count changes per (block, partition)
-	for v := bc.srcLo; ; v++ {
-		for len(touched) > 0 && int(touched[0]) < v {
-			touched = touched[1:]
+	for _, v := range touched {
+		if int(v) < bc.srcLo || int(v) >= bc.srcHi {
+			continue
 		}
-		// Rows [v, next) are untouched and all moved by one count.
-		next := bc.srcHi
-		if len(touched) > 0 && int(touched[0]) < next {
-			next = int(touched[0])
-		}
-		if shift := g.outOffsets[v] - old.outOffsets[v]; v < next && shift != 0 {
-			run := bc.rowOff[(v-bc.srcLo)*p : (next-bc.srcLo)*p]
-			for i := range run {
-				run[i] += shift
-			}
-		}
-		if v = next; v == bc.srcHi {
-			break
-		}
-		b := (v - bc.srcLo) / bc.blockVerts
-		row := bc.rowOff[(v-bc.srcLo)*p : (v-bc.srcLo+1)*p+1] // row[p], the next row's start, is still old
+		b := (int(v) - bc.srcLo) / bc.blockVerts
+		row := bc.cut[(int(v)-bc.srcLo)*p : (int(v)-bc.srcLo+1)*p]
 		nbrs := g.outTargets[g.outOffsets[v]:g.outOffsets[v+1]]
-		for q := 0; q < p; q++ {
-			diff[b*p+q] -= row[q+1] - row[q]
-			i, _ := slices.BinarySearch(nbrs, VertexID(bc.partStarts[q]))
+		var was, at uint32 // old and new end of the previous partition
+		for q := range row {
 			j, _ := slices.BinarySearch(nbrs, VertexID(bc.partStarts[q+1]))
-			row[q] = g.outOffsets[v] + int64(i)
-			diff[b*p+q] += int64(j - i)
+			diff[b*p+q] += int64(uint32(j)-at) - int64(row[q]-was)
+			was, at, row[q] = row[q], uint32(j), uint32(j)
 		}
 	}
-	bc.rowOff[len(bc.rowOff)-1] = g.outOffsets[bc.srcHi]
 	var acc int64
 	for k := 0; k+1 < len(bc.blockOff); k++ {
 		acc += diff[k]
@@ -188,7 +175,11 @@ func (bc *BlockedCSR) Block(b int) (lo, hi int) {
 // alias the graph's storage and must not be modified.
 func (bc *BlockedCSR) Row(src VertexID, q int) ([]VertexID, []float32) {
 	i := (int(src)-bc.srcLo)*bc.NumParts() + q
-	lo, hi := bc.rowOff[i], bc.rowOff[i+1]
+	base := bc.g.outOffsets[src]
+	lo, hi := base, base+int64(bc.cut[i])
+	if q > 0 {
+		lo += int64(bc.cut[i-1])
+	}
 	if bc.g.outWeights == nil {
 		return bc.g.outTargets[lo:hi], nil
 	}
@@ -202,16 +193,16 @@ func (bc *BlockedCSR) RangeEdges(b, q int) int64 {
 	return bc.blockOff[b*p+q+1] - bc.blockOff[b*p+q]
 }
 
-// Validate checks the blocked view against the flat CSR: row offsets
-// are monotone and within each source's adjacency, every edge is
+// Validate checks the blocked view against the flat CSR: each source's
+// cuts are monotone and end at its out-degree, every edge is
 // covered exactly once by exactly the partition that owns its
 // destination, and the per-(block, partition) counts agree with the
 // rows they aggregate. Fuzzed in blocked_fuzz_test.go.
 func (bc *BlockedCSR) Validate() error {
 	p := bc.NumParts()
 	n := bc.srcHi - bc.srcLo
-	if len(bc.rowOff) != n*p+1 {
-		return fmt.Errorf("graph: blocked CSR row offsets sized %d, want %d", len(bc.rowOff), n*p+1)
+	if len(bc.cut) != n*p {
+		return fmt.Errorf("graph: blocked CSR cuts sized %d, want %d", len(bc.cut), n*p)
 	}
 	if len(bc.blockOff) != bc.NumBlocks()*p+1 {
 		return fmt.Errorf("graph: blocked CSR block offsets sized %d, want %d", len(bc.blockOff), bc.NumBlocks()*p+1)
@@ -221,11 +212,11 @@ func (bc *BlockedCSR) Validate() error {
 		deg := int64(0)
 		for q := 0; q < p; q++ {
 			i := (v-bc.srcLo)*p + q
-			if bc.rowOff[i] > bc.rowOff[i+1] {
-				return fmt.Errorf("graph: blocked CSR row offsets not monotone at (%d,%d)", v, q)
+			if q > 0 && bc.cut[i-1] > bc.cut[i] {
+				return fmt.Errorf("graph: blocked CSR cuts not monotone at (%d,%d)", v, q)
 			}
-			if q == 0 && bc.rowOff[i] != bc.g.outOffsets[v] {
-				return fmt.Errorf("graph: vertex %d rows start at %d, adjacency at %d", v, bc.rowOff[i], bc.g.outOffsets[v])
+			if q == p-1 && int64(bc.cut[i]) != int64(bc.g.OutDegree(VertexID(v))) {
+				return fmt.Errorf("graph: vertex %d rows end at %d, out-degree %d", v, bc.cut[i], bc.g.OutDegree(VertexID(v)))
 			}
 			dsts, ws := bc.Row(VertexID(v), q)
 			if bc.g.Weighted() != (ws != nil) {

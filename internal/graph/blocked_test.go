@@ -97,12 +97,12 @@ func TestBlockedCSRDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a.rowOff) != len(b.rowOff) || len(a.blockOff) != len(b.blockOff) {
+	if len(a.cut) != len(b.cut) || len(a.blockOff) != len(b.blockOff) {
 		t.Fatal("offset arrays differ in size across builds")
 	}
-	for i := range a.rowOff {
-		if a.rowOff[i] != b.rowOff[i] {
-			t.Fatalf("rowOff[%d] differs across builds", i)
+	for i := range a.cut {
+		if a.cut[i] != b.cut[i] {
+			t.Fatalf("cut[%d] differs across builds", i)
 		}
 	}
 	for i := range a.blockOff {

@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync"
 
 	"repro/internal/graph"
 )
@@ -27,26 +28,33 @@ import (
 // each ascending by destination — and sources within a destination are
 // ascending too, so a dependency-respecting scan visits neighbors in a
 // deterministic global order fixed by the circulant ring. A dense step
-// reads each stream front to back and finds in the entry itself all it
-// needs to run the signal: Low holds the destinations that take no part
-// in dependency propagation, so its scan never consults the degree class;
-// Tracked holds the rest with their tracked index, which ascends with the
-// destination, so a buffer group is an index range of the stream.
+// reads each stream front to back: Low holds the destinations that take
+// no part in dependency propagation, so its scan never consults the
+// degree class; Tracked holds the rest, whose tracked indices ascend with
+// the destination, so a buffer group is a run of the stream. Each stream
+// is exactly as long as its entries: a machine holds 16 bytes per
+// destination its masters reach, one backing array for all its blocks.
 type Block struct {
-	Low     []Dest // Idx is -1
+	Low     []Dest
 	Tracked []Dest
 
 	edges int64
 }
 
-// Dest is one destination of a block: in-arcs [Lo, Hi) of the graph's
-// in-CSC are the arcs from the machine's masters to Dst, and Idx is Dst's
-// tracked index within its partition (DegreeClass.TrackIndex).
+// Dest is one destination of a block, packed into 16 bytes: in-arcs
+// [Lo, Hi()) of the graph's in-CSC — N of them — are the arcs from the
+// machine's masters to Dst. A tracked destination's index within its
+// partition is DegreeClass.TrackIndex[Dst], read only when dependency
+// propagates. N is at most Dst's in-degree, so layouts hold for
+// vertices of fewer than 2³² in-arcs.
 type Dest struct {
-	Dst    graph.VertexID
-	Idx    int32
-	Lo, Hi int64
+	Dst graph.VertexID
+	N   uint32
+	Lo  int64
 }
+
+// Hi is the end of the destination's in-arc run.
+func (e *Dest) Hi() int64 { return e.Lo + int64(e.N) }
 
 // NumEdges returns the edge count of the block.
 func (b *Block) NumEdges() int64 { return b.edges }
@@ -139,6 +147,8 @@ type Layout struct {
 	// layout no engine runs on). Blocks are its pull-side counterpart
 	// over the in-CSC.
 	Blocked *graph.BlockedCSR
+
+	entries []Dest // backs every block's streams: all low entries, then all tracked
 }
 
 // BuildLayout constructs machine m's layout: one forward sweep over the
@@ -146,66 +156,92 @@ type Layout struct {
 // range in every row by binary search (the first position not below each
 // end of the machine's ID range). The cost is O(|V|·log) index work
 // per machine; nothing is sorted and nothing proportional to |E| is
-// allocated or copied.
+// allocated or copied. The sweep lands in a scratch buffer that
+// successive builds reuse, so the streams kept are allocated once, at
+// their exact length.
 func BuildLayout(g *graph.Graph, pt *Partition, dc *DegreeClass, m int) *Layout {
-	mlo, mhi := pt.Range(m)
 	blocks := make([]Block, pt.P)
 	lay := &Layout{Machine: m, Part: pt, Class: dc, Blocks: make([]*Block, pt.P)}
 	for d := range blocks {
 		lay.Blocks[d] = &blocks[d]
 	}
-
-	// A destination is listed in at most one of the machine's blocks, and
-	// only if one of the machine's out-arcs reaches it, so min(|V|, |E_m|)
-	// bounds the p blocks together — and the class sizes bound each stream
-	// — and one backing array per stream serves them all.
-	arcs := 0
-	for u := mlo; u < mhi; u++ {
-		arcs += g.OutDegree(graph.VertexID(u))
-	}
-	nTracked := 0
-	for _, highs := range dc.Highs {
-		nTracked += len(highs)
-	}
-	low := make([]Dest, 0, min(arcs, g.NumVertices()-nTracked))
-	tracked := make([]Dest, 0, min(arcs, nTracked))
+	// A destination is listed in at most one of the machine's blocks, so
+	// |V| bounds every machine's sweep: one scratch serves them all.
+	buf := getScratch(g.NumVertices())
 	for d := range blocks {
-		low, tracked = lay.sweep(g, d, low, tracked)
+		*buf = lay.sweep(g, d, *buf)
 	}
+	lay.settle(buf)
 	return lay
 }
 
-// sweep lists block d afresh, one forward pass over the in-rows of
-// partition d, and points the block at the two streams' new tails.
-func (lay *Layout) sweep(g *graph.Graph, d int, low, tracked []Dest) ([]Dest, []Dest) {
-	b := lay.Blocks[d]
-	l0, t0 := len(low), len(tracked)
+// scratchPool holds sweeps' entries, every block of one machine in turn,
+// until settle copies them out.
+var scratchPool = sync.Pool{New: func() any { return new([]Dest) }}
+
+// getScratch returns an empty scratch buffer that holds n entries.
+func getScratch(n int) *[]Dest {
+	buf := scratchPool.Get().(*[]Dest)
+	*buf = slices.Grow((*buf)[:0], n)
+	return buf
+}
+
+// sweep appends block d's entries, afresh, to buf: one forward pass over
+// the in-rows of partition d.
+func (lay *Layout) sweep(g *graph.Graph, d int, buf []Dest) []Dest {
 	mlo, mhi := lay.Part.Range(lay.Machine)
 	plo, phi := lay.Part.Range(d)
 	inOff, inSrc, _ := g.InCSC()
-	trackIndex := lay.Class.TrackIndex
-	var edges int64
 	for v := plo; v < phi; v++ {
 		// locate, inlined by hand: this loop is every cluster build's.
 		row := inSrc[inOff[v]:inOff[v+1]]
 		lo, _ := slices.BinarySearch(row, graph.VertexID(mlo))
 		n, _ := slices.BinarySearch(row[lo:], graph.VertexID(mhi))
-		if n == 0 {
-			continue
+		if n > 0 {
+			buf = append(buf, Dest{Dst: graph.VertexID(v), N: uint32(n), Lo: inOff[v] + int64(lo)})
 		}
-		at := inOff[v] + int64(lo)
-		e := Dest{Dst: graph.VertexID(v), Idx: trackIndex[v], Lo: at, Hi: at + int64(n)}
-		if e.Idx >= 0 {
-			tracked = append(tracked, e)
-		} else {
-			low = append(low, e)
-		}
-		edges += int64(n)
 	}
-	b.Low = low[l0:len(low):len(low)]
-	b.Tracked = tracked[t0:len(tracked):len(tracked)]
-	b.edges = edges
-	return low, tracked
+	return buf
+}
+
+// settle copies the scratch's entries — block after block, the entries
+// of each class ascending within a block — into the layout's streams,
+// each split off by class at its exact length, recounts every block's
+// edges and gives the scratch back. The streams' backing array is reused
+// when it holds them all (an Advance rewrites it in place) and allocated
+// at their exact length otherwise.
+func (lay *Layout) settle(sc *[]Dest) {
+	buf, trackIndex := *sc, lay.Class.TrackIndex
+	nLow := 0
+	for i := range buf {
+		if trackIndex[buf[i].Dst] < 0 {
+			nLow++
+		}
+	}
+	if cap(lay.entries) < len(buf) {
+		lay.entries = make([]Dest, len(buf))
+	}
+	lay.entries = lay.entries[:len(buf)]
+	low, tracked := lay.entries[:0:nLow], lay.entries[nLow:nLow]
+	from := 0
+	for d, b := range lay.Blocks {
+		l0, t0 := len(low), len(tracked)
+		var edges int64
+		_, phi := lay.Part.Range(d)
+		for ; from < len(buf) && int(buf[from].Dst) < phi; from++ {
+			e := buf[from]
+			if trackIndex[e.Dst] < 0 {
+				low = append(low, e)
+			} else {
+				tracked = append(tracked, e)
+			}
+			edges += int64(e.N)
+		}
+		b.Low = low[l0:len(low):len(low)]
+		b.Tracked = tracked[t0:len(tracked):len(tracked)]
+		b.edges = edges
+	}
+	scratchPool.Put(sc)
 }
 
 // locate finds the run of the machine's masters in v's in-row; ok is
@@ -216,8 +252,7 @@ func (lay *Layout) locate(g *graph.Graph, v graph.VertexID) (e Dest, ok bool) {
 	row := inSrc[inOff[v]:inOff[v+1]]
 	lo, _ := slices.BinarySearch(row, graph.VertexID(mlo))
 	n, _ := slices.BinarySearch(row[lo:], graph.VertexID(mhi))
-	at := inOff[v] + int64(lo)
-	return Dest{Dst: v, Idx: lay.Class.TrackIndex[v], Lo: at, Hi: at + int64(n)}, n > 0
+	return Dest{Dst: v, N: uint32(n), Lo: inOff[v] + int64(lo)}, n > 0
 }
 
 // Advance moves the layout from old to g, a successor in which only the
@@ -229,9 +264,8 @@ func (lay *Layout) locate(g *graph.Graph, v graph.VertexID) (e Dest, ok bool) {
 func (lay *Layout) Advance(old, g *graph.Graph, touched []graph.VertexID, reclassed []bool) {
 	oldOff, _, _ := old.InCSC()
 	inOff, _, _ := g.InCSC()
-	// move appends stream s, advanced, and returns its arc-count change.
-	move := func(out, s []Dest, ts []graph.VertexID, tracked bool) ([]Dest, int64) {
-		var edges int64
+	// move appends stream s, advanced, to out.
+	move := func(out, s []Dest, ts []graph.VertexID, tracked bool) []Dest {
 		for {
 			j := len(s)
 			if len(ts) > 0 {
@@ -242,16 +276,14 @@ func (lay *Layout) Advance(old, g *graph.Graph, touched []graph.VertexID, reclas
 				out = append(out, s[:j]...)
 				for k := at; shift != 0 && k < len(out); k++ {
 					out[k].Lo += shift
-					out[k].Hi += shift
 				}
 			}
 			if len(ts) == 0 {
-				return out, edges
+				return out
 			}
 			v := ts[0]
 			ts, s = ts[1:], s[j:]
 			if len(s) > 0 && s[0].Dst == v {
-				edges -= s[0].Hi - s[0].Lo
 				s = s[1:]
 			}
 			if lay.Class.Tracked(v) != tracked {
@@ -259,32 +291,22 @@ func (lay *Layout) Advance(old, g *graph.Graph, touched []graph.VertexID, reclas
 			}
 			if e, ok := lay.locate(g, v); ok {
 				out = append(out, e)
-				edges += e.Hi - e.Lo
 			}
 		}
 	}
-	var nLow, nTracked int
-	for _, b := range lay.Blocks {
-		nLow, nTracked = nLow+len(b.Low), nTracked+len(b.Tracked)
-	}
-	low := make([]Dest, 0, nLow+len(touched))
-	tracked := make([]Dest, 0, nTracked+len(touched))
+	buf := getScratch(g.NumVertices())
 	for d, b := range lay.Blocks {
 		if reclassed[d] {
-			low, tracked = lay.sweep(g, d, low, tracked)
-			continue
+			*buf = lay.sweep(g, d, *buf)
+		} else {
+			plo, phi := lay.Part.Range(d)
+			ts := touched[sort.Search(len(touched), func(i int) bool { return int(touched[i]) >= plo }):]
+			ts = ts[:sort.Search(len(ts), func(i int) bool { return int(ts[i]) >= phi })]
+			*buf = move(*buf, b.Low, ts, false)
+			*buf = move(*buf, b.Tracked, ts, true)
 		}
-		plo, phi := lay.Part.Range(d)
-		ts := touched[sort.Search(len(touched), func(i int) bool { return int(touched[i]) >= plo }):]
-		ts = ts[:sort.Search(len(ts), func(i int) bool { return int(ts[i]) >= phi })]
-		l0, t0 := len(low), len(tracked)
-		var dl, dt int64
-		low, dl = move(low, b.Low, ts, false)
-		tracked, dt = move(tracked, b.Tracked, ts, true)
-		b.Low = low[l0:len(low):len(low)]
-		b.Tracked = tracked[t0:len(tracked):len(tracked)]
-		b.edges += dl + dt
 	}
+	lay.settle(buf)
 	lay.Blocked.Advance(g, touched)
 }
 
@@ -311,7 +333,7 @@ func (lay *Layout) AttachBlocked(g *graph.Graph, blockVerts int) error {
 // Validate checks layout invariants against the source graph, for tests:
 // every block's two streams together list exactly the destinations of its
 // partition that some local master points at — each in the stream of its
-// dependency class, with its tracked index, ascending — each with exactly
+// dependency class, ascending — each with exactly
 // the maximal run of local masters in its in-row — so the runs of one
 // in-row across the p machines tile it — every listed arc exists on the
 // out side with the same weight bit for bit, and every out-edge of the
@@ -339,9 +361,8 @@ func (lay *Layout) Validate(g *graph.Graph) error {
 			for rhi < inOff[v+1] && int(inSrc[rhi]) < hi {
 				rhi++
 			}
-			idx := lay.Class.TrackIndex[v]
 			class := 0
-			if idx >= 0 {
+			if lay.Class.Tracked(graph.VertexID(v)) {
 				class = 1
 			}
 			listed := len(rest[class]) > 0 && rest[class][0].Dst == graph.VertexID(v)
@@ -356,12 +377,9 @@ func (lay *Layout) Validate(g *graph.Graph) error {
 			}
 			e := rest[class][0]
 			rest[class] = rest[class][1:]
-			if e.Lo != rlo || e.Hi != rhi {
+			if e.Lo != rlo || e.Hi() != rhi {
 				return fmt.Errorf("layout: block %d dst %d covers in-arcs [%d,%d), local masters are [%d,%d)",
-					d, v, e.Lo, e.Hi, rlo, rhi)
-			}
-			if e.Idx != idx {
-				return fmt.Errorf("layout: block %d dst %d carries tracked index %d, class says %d", d, v, e.Idx, idx)
+					d, v, e.Lo, e.Hi(), rlo, rhi)
 			}
 			for at := rlo; at < rhi; at++ {
 				w, ok := g.EdgeWeight(inSrc[at], graph.VertexID(v))

@@ -5,9 +5,11 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"repro/internal/graph"
 )
@@ -76,8 +78,7 @@ func buildLayoutReference(g *graph.Graph, pt *Partition, m int) []*refBlock {
 // returns it. Merged, the two streams must list exactly the reference's
 // ascending destinations: each destination is looked for at the head of
 // its own class's stream, so an entry in the wrong stream, out of order,
-// missing or extra fails, and so does a tracked index that is not the
-// degree class's (which ascends with the destination).
+// missing or extra fails.
 func requireMatchesReference(t testing.TB, g *graph.Graph, pt *Partition, dc *DegreeClass, m int) *Layout {
 	t.Helper()
 	lay := BuildLayout(g, pt, dc, m)
@@ -103,17 +104,17 @@ func requireMatchesReference(t testing.TB, g *graph.Graph, pt *Partition, dc *De
 			if dc.Tracked(dst) {
 				stream = &tracked
 			}
-			if len(*stream) == 0 || (*stream)[0].Dst != dst || (*stream)[0].Idx != dc.TrackIndex[dst] {
+			if len(*stream) == 0 || (*stream)[0].Dst != dst {
 				t.Fatalf("m=%d d=%d: dst %d (tracked index %d) is not next in its stream (low %v | tracked %v)",
 					m, d, dst, dc.TrackIndex[dst], b.Low, b.Tracked)
 			}
 			e := (*stream)[0]
 			*stream = (*stream)[1:]
 			rlo, rhi := r.Offsets[i], r.Offsets[i+1]
-			if !slices.Equal(inSrc[e.Lo:e.Hi], r.Srcs[rlo:rhi]) {
-				t.Fatalf("m=%d d=%d dst=%d: sources %v, reference %v", m, d, dst, inSrc[e.Lo:e.Hi], r.Srcs[rlo:rhi])
+			if !slices.Equal(inSrc[e.Lo:e.Hi()], r.Srcs[rlo:rhi]) {
+				t.Fatalf("m=%d d=%d dst=%d: sources %v, reference %v", m, d, dst, inSrc[e.Lo:e.Hi()], r.Srcs[rlo:rhi])
 			}
-			for j := e.Lo; inW != nil && j < e.Hi; j++ {
+			for j := e.Lo; inW != nil && j < e.Hi(); j++ {
 				if want := r.Weights[rlo+j-e.Lo]; math.Float32bits(inW[j]) != math.Float32bits(want) {
 					t.Fatalf("m=%d d=%d dst=%d src=%d: weight %v, reference %v", m, d, dst, inSrc[j], inW[j], want)
 				}
@@ -182,8 +183,8 @@ func TestLayoutMatchesReference(t *testing.T) {
 
 // TestLayoutValidateRejectsTampering checks the invariants Validate adds
 // for the view: a range that is not the maximal run of local masters, a
-// missing destination, a destination in the wrong class's stream, and a
-// tracked index that is not the degree class's.
+// missing destination, a destination in the wrong class's stream, and
+// tracked destinations out of order.
 func TestLayoutValidateRejectsTampering(t *testing.T) {
 	g := graph.RandomWeights(graph.Uniform(256, 4096, 3), 4)
 	pt, err := NewChunked(g, 4, 0)
@@ -194,7 +195,7 @@ func TestLayoutValidateRejectsTampering(t *testing.T) {
 	fresh := func() (*Layout, *Block) {
 		lay := BuildLayout(g, pt, dc, 1)
 		for _, b := range lay.Blocks {
-			if len(b.Low) > 1 && len(b.Tracked) > 1 && b.Low[0].Hi-b.Low[0].Lo > 1 {
+			if len(b.Low) > 1 && len(b.Tracked) > 1 && b.Low[0].N > 1 {
 				return lay, b
 			}
 		}
@@ -206,7 +207,7 @@ func TestLayoutValidateRejectsTampering(t *testing.T) {
 	}
 
 	lay, b := fresh()
-	b.Low[0].Hi-- // drops the row's last local master: the machines no longer tile it
+	b.Low[0].N-- // drops the row's last local master: the machines no longer tile it
 	b.edges--
 	if lay.Validate(g) == nil {
 		t.Fatal("short range accepted")
@@ -225,9 +226,9 @@ func TestLayoutValidateRejectsTampering(t *testing.T) {
 	}
 
 	lay, b = fresh()
-	b.Tracked[0].Idx, b.Tracked[1].Idx = b.Tracked[1].Idx, b.Tracked[0].Idx
+	b.Tracked[0], b.Tracked[1] = b.Tracked[1], b.Tracked[0]
 	if lay.Validate(g) == nil {
-		t.Fatal("tracked indices out of order accepted")
+		t.Fatal("tracked destinations out of order accepted")
 	}
 }
 
@@ -273,62 +274,99 @@ func FuzzLayoutView(f *testing.F) {
 }
 
 // BenchmarkBuildLayout builds all four machines' layouts of a scale-13
-// graph. The ef8/ef32 pair shares its vertex set: a view's B/op follows
-// |V|, not |E|, so the two must report nearly the same bytes.
+// graph, or all sixteen in the p16 case. The ef8/ef32 pair shares its
+// vertex set: B/op follows the stream entries, at most |V| per machine,
+// not |E|, so the denser graph costs more only by the destinations it
+// adds. Beside B/op, live-B/op is what one build's layouts keep once
+// collections have run.
 func BenchmarkBuildLayout(b *testing.B) {
-	const scale, nodes = 13, 4
+	const scale = 13
 	base := graph.RMAT(scale, 16, graph.Graph500Params(), 1)
 	cases := []struct {
-		name string
-		g    *graph.Graph
+		name  string
+		g     *graph.Graph
+		nodes int
 	}{
-		{"directed", base},
-		{"undirected", graph.Symmetrize(base)},
-		{"weighted", graph.RandomWeights(base, 7)},
-		{"ef8", graph.RMAT(scale, 8, graph.Graph500Params(), 1)},
-		{"ef32", graph.RMAT(scale, 32, graph.Graph500Params(), 1)},
+		{"directed", base, 4},
+		{"undirected", graph.Symmetrize(base), 4},
+		{"weighted", graph.RandomWeights(base, 7), 4},
+		{"ef8", graph.RMAT(scale, 8, graph.Graph500Params(), 1), 4},
+		{"ef32", graph.RMAT(scale, 32, graph.Graph500Params(), 1), 4},
+		{"p16", base, 16},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
-			pt, err := NewChunked(c.g, nodes, 0)
+			pt, err := NewChunked(c.g, c.nodes, 0)
 			if err != nil {
 				b.Fatal(err)
 			}
 			dc := BuildDegreeClass(c.g, pt, 32)
+			lays := make([]*Layout, c.nodes)
+			before := liveHeap()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				for m := 0; m < nodes; m++ {
-					benchLayout = BuildLayout(c.g, pt, dc, m)
+				for m := range lays {
+					lays[m] = BuildLayout(c.g, pt, dc, m)
 				}
 			}
+			b.StopTimer()
+			b.ReportMetric(float64(liveHeap()-before), "live-B/op")
+			runtime.KeepAlive(lays)
 		})
 	}
 }
 
-var benchLayout *Layout
+// liveHeap returns the heap in use once two collections have emptied
+// the sync.Pools' victim caches too: what the live objects hold.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
 
-// TestBuildLayoutAllocatesPerVertex is the benchmark's B/op property as a
-// test: quadrupling the edge factor over the same vertices moves the
-// bytes a layout build allocates by less than 10 %.
+// TestBuildLayoutAllocatesPerVertex holds what a 4-machine build
+// allocates to what its layouts keep: 16 bytes per stream entry, one
+// sweep scratch of 16 bytes per vertex shared by the machines, a page
+// per machine for the allocator's size-class rounding and a few hundred
+// bytes per (machine, partition) — nothing per arc, and no stream
+// capacity beyond its length. Garbage collection is off while it
+// measures, so the scratch is not dropped between machines.
 func TestBuildLayoutAllocatesPerVertex(t *testing.T) {
-	bytesPerBuild := func(ef int) float64 {
+	const p = 4
+	for _, ef := range []int{8, 32} {
 		g := graph.RMAT(13, ef, graph.Graph500Params(), 1)
-		pt, err := NewChunked(g, 4, 0)
+		pt, err := NewChunked(g, p, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		dc := BuildDegreeClass(g, pt, 32)
+		lays := make([]*Layout, p)
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		for m := 0; m < 4; m++ {
-			benchLayout = BuildLayout(g, pt, dc, m)
+		for m := range lays {
+			lays[m] = BuildLayout(g, pt, dc, m)
 		}
 		runtime.ReadMemStats(&after)
-		return float64(after.TotalAlloc - before.TotalAlloc)
-	}
-	lo, hi := bytesPerBuild(8), bytesPerBuild(32)
-	if math.Abs(hi-lo) > 0.1*lo {
-		t.Fatalf("edge factor 8 allocates %.0f B per build, edge factor 32 %.0f B: more than 10%% apart", lo, hi)
+		entries := 0
+		for _, lay := range lays {
+			for _, b := range lay.Blocks {
+				entries += len(b.Low) + len(b.Tracked)
+				if cap(b.Low) != len(b.Low) || cap(b.Tracked) != len(b.Tracked) {
+					t.Fatalf("ef %d: a stream holds %d+%d entries in %d+%d slots", ef, len(b.Low), len(b.Tracked), cap(b.Low), cap(b.Tracked))
+				}
+			}
+		}
+		bound := uint64(16*(entries+g.NumVertices()) + p*8192 + p*p*512)
+		if got := after.TotalAlloc - before.TotalAlloc; got > bound {
+			t.Fatalf("ef %d: %d machines allocate %d B for %d stream entries over %d vertices, bound %d B",
+				ef, p, got, entries, g.NumVertices(), bound)
+		}
+		if size := unsafe.Sizeof(Dest{}); size != 16 {
+			t.Fatalf("a stream entry is %d bytes, want 16", size)
+		}
 	}
 }

@@ -225,7 +225,7 @@ func TestLayoutWeightsPreserved(t *testing.T) {
 		lay := BuildLayout(g, pt, dc, m)
 		for _, b := range lay.Blocks {
 			for _, e := range slices.Concat(b.Low, b.Tracked) {
-				for j := e.Lo; j < e.Hi; j++ {
+				for j := e.Lo; j < e.Hi(); j++ {
 					// Find weight of (src, dst) in the graph.
 					found := false
 					gws := g.OutWeights(inSrc[j])
@@ -265,7 +265,7 @@ func TestQuickBlocksPartitionEdges(t *testing.T) {
 			}
 			for _, b := range lay.Blocks {
 				for _, e := range slices.Concat(b.Low, b.Tracked) {
-					for _, src := range inSrc[e.Lo:e.Hi] {
+					for _, src := range inSrc[e.Lo:e.Hi()] {
 						seen[edge{src, e.Dst}]++
 					}
 				}
