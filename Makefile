@@ -119,10 +119,10 @@ size:
 # surface, options or flags raises the number here, in its own diff, and
 # says why in CHANGES.md; one that shrinks a figure lowers it.
 define SIZE_BUDGET
-non-test Go LOC, repo: 22750
+non-test Go LOC, repo: 22905
 non-test Go LOC, internal/core + internal/comm: 4704
 non-test Go LOC, internal/algorithms: 1195
-non-test Go LOC, internal/server: 3892
+non-test Go LOC, internal/server: 3913
 non-test Go LOC, internal/bench: 1077
 non-test Go LOC, internal/gluon: 586
 non-test Go LOC, internal/sgvet + internal/loader + cmd/sgvet: 2975
@@ -131,7 +131,7 @@ exported identifiers, internal/comm: 118
 exported identifiers, internal/bench: 85
 exported identifiers, internal/gluon: 7
 exported identifiers, internal/server: 122
-exported identifiers, internal/mutate: 62
+exported identifiers, internal/mutate: 63
 exported identifiers, internal/obs: 61
 exported identifiers, internal/graph: 68
 exported identifiers, internal/bitset: 30

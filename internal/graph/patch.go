@@ -6,13 +6,15 @@ import (
 	"sort"
 )
 
-// Patch builds the successor of g over n ≥ |V| vertices with the arcs
-// in removes deleted and the arcs in upserts inserted (or, when the
-// arc already exists, its weight replaced; a no-op on an unweighted
-// graph). The edit lists must be strictly sorted by (Src, Dst) and
-// disjoint, every removed arc must exist in g, and g must be simple
-// (see Simple). Weights in removes are ignored, as are weights in
-// upserts when g is unweighted.
+// Patch builds the successor of g over n vertices with the arcs in
+// removes deleted and the arcs in upserts inserted (or, when the arc
+// already exists, its weight replaced; a no-op on an unweighted graph).
+// The edit lists must be strictly sorted by (Src, Dst) and disjoint,
+// every removed arc must exist in g, and g must be simple (see Simple).
+// Weights in removes are ignored, as are weights in upserts when g is
+// unweighted. n may be below |V| only when the vertices it drops, the
+// trailing ones, have no arc left after the edit (undoing vertex
+// growth); any other shrink is an error.
 //
 // The out-CSR and in-CSC are each built by one linear merge: untouched
 // spans move with copy, touched positions are found by binary search in
@@ -30,16 +32,13 @@ import (
 // rule leaves direction-dependent, are still patched per side, each
 // from its own side's edit weights. Any other edit un-shares.
 func Patch(g *Graph, n int, removes, upserts []Edge) (*Graph, error) {
-	if n < g.n {
-		return nil, fmt.Errorf("graph: patch shrinks vertex count %d to %d", g.n, n)
-	}
 	if g.parallel {
 		return nil, fmt.Errorf("graph: patch needs a simple graph, %v has parallel arcs", g)
 	}
 	if n > DefaultMaxVertices {
 		return nil, fmt.Errorf("graph: %d vertices exceeds limit %d", n, DefaultMaxVertices)
 	}
-	out, err := mergeEdits(n, removes, upserts)
+	out, err := mergeEdits(max(n, g.n), removes, upserts) // a shrink's edits may name the vertices it drops
 	if err != nil {
 		return nil, err
 	}
@@ -156,6 +155,8 @@ type sidePlan struct {
 }
 
 // planSide locates every edit, sizes the result and shifts the offsets.
+// A shrink (n1 < n0) is planned over all n0 rows and then cut, once the
+// dropped rows are seen to end up empty.
 func planSide(n0, n1 int, off []int64, adj []VertexID, edits []edit) (sidePlan, error) {
 	// Rows n0..n1-1 are new: empty, at the end of adj.
 	rowStart := func(v int) int64 {
@@ -164,7 +165,8 @@ func planSide(n0, n1 int, off []int64, adj []VertexID, edits []edit) (sidePlan, 
 		}
 		return off[v]
 	}
-	pl := sidePlan{off: make([]int64, n1+1), pos: make([]int64, len(edits)), hit: make([]bool, len(edits))}
+	top := max(n0, n1)
+	pl := sidePlan{off: make([]int64, top+1), pos: make([]int64, len(edits)), hit: make([]bool, len(edits))}
 	var shift int64
 	row := 0 // next row whose new start is still unset
 	for i, e := range edits {
@@ -183,9 +185,13 @@ func planSide(n0, n1 int, off []int64, adj []VertexID, edits []edit) (sidePlan, 
 			shift++
 		}
 	}
-	for ; row <= n1; row++ {
+	for ; row <= top; row++ {
 		pl.off[row] = rowStart(row) + shift
 	}
+	if pl.off[n1] != pl.off[top] {
+		return sidePlan{}, fmt.Errorf("graph: patch shrinks vertex count %d to %d, but the dropped vertices keep arcs", n0, n1)
+	}
+	pl.off = pl.off[: n1+1 : n1+1]
 	pl.size = int64(len(adj)) + shift
 	return pl, nil
 }

@@ -80,12 +80,23 @@ func TestPatchEdges(t *testing.T) {
 		{"upsert of an existing arc is a no-op", 5, nil, []Edge{{0, 1, 1}}},
 		{"growth only", 8, nil, nil},
 		{"growth with arcs on the new vertices", 7, []Edge{{4, 3, 1}}, []Edge{{0, 6, 1}, {5, 5, 1}, {6, 0, 1}, {6, 5, 1}}},
+		{"shrink over a vertex the edit empties", 4, []Edge{{4, 3, 1}}, []Edge{{1, 3, 1}}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) { checkPatch(t, base, c.n, c.removes, c.upserts) })
 	}
 	t.Run("from empty graph", func(t *testing.T) {
 		checkPatch(t, MustFromEdges(0, nil, BuildOptions{}), 3, nil, []Edge{{0, 2, 1}, {2, 1, 1}})
+	})
+	t.Run("growth undone", func(t *testing.T) {
+		for _, weighted := range []bool{false, true} {
+			g := MustFromEdges(5, []Edge{{0, 1, 2}, {2, 0, 3}, {4, 3, 4}}, BuildOptions{Weighted: weighted})
+			grown := checkPatch(t, g, 7, []Edge{{4, 3, 0}}, []Edge{{0, 6, 5}, {5, 5, 6}, {6, 0, 7}})
+			back := checkPatch(t, grown, 5, []Edge{{0, 6, 0}, {5, 5, 0}, {6, 0, 0}}, []Edge{{4, 3, 4}})
+			if !sameArrays(back, g) {
+				t.Fatalf("weighted=%v: growth and its undo do not give the graph back", weighted)
+			}
+		}
 	})
 }
 
@@ -118,7 +129,9 @@ func TestPatchRejects(t *testing.T) {
 		n                int
 		removes, upserts []Edge
 	}{
-		{"shrink", 2, nil, nil},
+		{"shrink past a vertex with an out-arc", 1, nil, nil},
+		{"shrink past a vertex with only an in-arc", 2, nil, nil},
+		{"shrink past a vertex an upsert reaches", 2, []Edge{{1, 2, 1}}, []Edge{{0, 2, 1}}},
 		{"out of range", 3, nil, []Edge{{0, 3, 1}}},
 		{"unsorted", 3, nil, []Edge{{1, 0, 1}, {0, 2, 1}}},
 		{"duplicate", 3, nil, []Edge{{0, 2, 1}, {0, 2, 1}}},

@@ -13,7 +13,7 @@ import (
 // weightedness. Ops execute in order, so "remove-vertex 3; add-edge
 // 3→5" leaves 3→5 present while the reverse order removes it.
 func Apply(g *graph.Graph, b Batch) (*graph.Graph, error) {
-	ng, _, err := apply(g, b)
+	ng, _, _, err := apply(g, b, nil)
 	return ng, err
 }
 
@@ -21,23 +21,34 @@ func Apply(g *graph.Graph, b Batch) (*graph.Graph, error) {
 // canonical batch (vertex growth, then sorted removals, then sorted
 // additions and weight updates) that Diff(g, successor) would compute.
 // The successor is g patched with that delta, so a commit costs row
-// copies plus work proportional to the arcs the batch touches.
-func apply(g *graph.Graph, b Batch) (*graph.Graph, Batch, error) {
+// copies plus work proportional to the arcs the batch touches. undo is
+// the delta that patches the successor back into g (into g with its
+// parallel arcs collapsed, if it had any). A non-nil derive runs on the
+// effective delta while the successor is built, and apply returns once
+// both are done.
+func apply(g *graph.Graph, b Batch, derive func(eff Batch)) (ng *graph.Graph, eff Batch, undo delta, err error) {
 	if err := b.Validate(g); err != nil {
-		return nil, Batch{}, err
+		return nil, Batch{}, delta{}, err
 	}
 	if !g.Simple() {
-		var err error
 		if g, err = collapseParallel(g); err != nil {
-			return nil, Batch{}, err
+			return nil, Batch{}, delta{}, err
 		}
 	}
-	d := effective(g, b)
-	ng, err := graph.Patch(g, g.NumVertices()+d.grow, d.removes, d.upserts)
-	if err != nil {
-		return nil, Batch{}, fmt.Errorf("mutate: patch after batch: %w", err)
+	d, undo := effective(g, b)
+	eff = d.batch()
+	if derive != nil {
+		derived := make(chan struct{})
+		go func() {
+			defer close(derived)
+			derive(eff)
+		}()
+		defer func() { <-derived }()
 	}
-	return ng, d.batch(), nil
+	if ng, err = d.patch(g); err != nil {
+		return nil, Batch{}, delta{}, fmt.Errorf("mutate: patch after batch: %w", err)
+	}
+	return ng, eff, undo, nil
 }
 
 // collapseParallel rebuilds a graph loaded with parallel arcs as a
@@ -62,9 +73,14 @@ func collapseParallel(g *graph.Graph) (*graph.Graph, error) {
 // graph.Patch takes: both arc lists strictly sorted by (src, dst) and
 // disjoint.
 type delta struct {
-	grow    int          // vertices appended
+	grow    int          // vertices appended (dropped, when negative)
 	removes []graph.Edge // arcs the old graph has and the new one lacks
 	upserts []graph.Edge // arcs the new graph gains, or whose weight changed
+}
+
+// patch applies the delta to the old graph.
+func (d delta) patch(g *graph.Graph) (*graph.Graph, error) {
+	return graph.Patch(g, g.NumVertices()+d.grow, d.removes, d.upserts)
 }
 
 // batch spells the delta in Diff's op order.
@@ -101,11 +117,13 @@ func arcKey(src, dst graph.VertexID) uint64 { return uint64(src)<<32 | uint64(ds
 // iff that edge op is an add and comes after both removals. Comparing
 // the final state with the parent's (one binary search per touched arc)
 // drops the no-ops: adds of present arcs, removes of absent ones,
-// add-then-remove pairs.
-func effective(g *graph.Graph, b Batch) delta {
+// add-then-remove pairs. The same lookups give the old weight of every
+// arc the delta removes or reweights, so the inverse delta (undo) comes
+// with it: the removed arcs and old weights back, the added arcs out,
+// the added vertices dropped.
+func effective(g *graph.Graph, b Batch) (d, undo delta) {
 	n0 := graph.VertexID(g.NumVertices())
 	weighted := g.Weighted()
-	var d delta
 	var touches []touch
 	var removedAt map[graph.VertexID]int32 // last remove-vertex op per vertex
 	for i, m := range b.Ops {
@@ -158,31 +176,41 @@ func effective(g *graph.Graph, b Batch) delta {
 		if src < n0 {
 			oldW, had = g.EdgeWeight(src, dst)
 		}
+		arc, old := graph.Edge{Src: src, Dst: dst}, graph.Edge{Src: src, Dst: dst, Weight: oldW}
 		switch {
 		case had && !present:
-			d.removes = append(d.removes, graph.Edge{Src: src, Dst: dst})
-		case present && (!had || weighted && math.Float32bits(oldW) != math.Float32bits(last.w)):
+			d.removes = append(d.removes, arc)
+			undo.upserts = append(undo.upserts, old)
+		case present && !had:
 			d.upserts = append(d.upserts, graph.Edge{Src: src, Dst: dst, Weight: last.w})
+			undo.removes = append(undo.removes, arc)
+		case present && weighted && math.Float32bits(oldW) != math.Float32bits(last.w):
+			d.upserts = append(d.upserts, graph.Edge{Src: src, Dst: dst, Weight: last.w})
+			undo.upserts = append(undo.upserts, old)
 		}
 	}
-	return d
+	undo.grow = -d.grow
+	return d, undo
 }
 
 // PatchUndirected advances the undirected variant across one commit:
-// parentU is graph.Symmetrize(parent), and the result is
-// graph.Symmetrize(child) array for array, weights included, built by
-// patching parentU with the symmetric delta instead of re-symmetrizing
-// child. That delta is its own transpose, so graph.Patch keeps the
-// variant's topology shared between its two sides. When eff changes no
-// undirected arc and adds no vertex the result is parentU itself. The
-// delta goes to graph.Patch as arc lists, so it may hold more than
-// MaxBatchOps arcs: removing one hub vertex touches every pair it is in.
-func PatchUndirected(parentU, parent, child *graph.Graph, eff Batch) (*graph.Graph, error) {
-	d := symmetricDelta(parent, child, eff)
+// parentU is graph.Symmetrize(parent), eff the commit's effective delta,
+// and the result is graph.Symmetrize(child) array for array, weights
+// included, built by patching parentU with the symmetric delta instead
+// of re-symmetrizing the child. It reads the child's arcs off parent and
+// eff, so it never needs the child graph and can run while the commit
+// builds it (Store.CommitWith). That delta is its own transpose, so
+// graph.Patch keeps the variant's topology shared between its two
+// sides. When eff changes no undirected arc and adds no vertex the
+// result is parentU itself. The delta goes to graph.Patch as arc lists,
+// so it may hold more than MaxBatchOps arcs: removing one hub vertex
+// touches every pair it is in.
+func PatchUndirected(parentU, parent *graph.Graph, eff Batch) (*graph.Graph, error) {
+	d := symmetricDelta(parent, eff)
 	if d.grow == 0 && len(d.removes) == 0 && len(d.upserts) == 0 {
 		return parentU, nil
 	}
-	g, err := graph.Patch(parentU, child.NumVertices(), d.removes, d.upserts)
+	g, err := d.patch(parentU)
 	if err != nil {
 		return nil, fmt.Errorf("mutate: patching the undirected variant: %w", err)
 	}
@@ -190,32 +218,50 @@ func PatchUndirected(parentU, parent, child *graph.Graph, eff Batch) (*graph.Gra
 }
 
 // symmetricDelta derives the delta between the symmetrized variants of
-// parent and child from the directed effective delta eff between them,
-// without materializing either variant. Only an unordered pair {u, v},
-// u ≠ v, that eff touches can change. A pair whose linkage or either
-// arc's weight changed (see undirectedPair) emits both of its arcs:
-// two removes, or two upserts carrying the child variant's weights. So
-// the delta is its own transpose, and on a weighted base one of a
-// pair's upserts may rewrite a weight unchanged.
-func symmetricDelta(parent, child *graph.Graph, eff Batch) delta {
-	var pairs []uint64 // arcKey(min, max) of every touched pair
+// parent and its child from the directed effective delta eff between
+// them, without materializing either variant or the child: an arc eff
+// touches is in the child as eff leaves it, any other as in parent.
+// Only an unordered pair {u, v}, u ≠ v, that eff touches can change. A
+// pair whose linkage or either arc's weight changed (see
+// undirectedPair) emits both of its arcs: two removes, or two upserts
+// carrying the child variant's weights. So the delta is its own
+// transpose, and on a weighted base one of a pair's upserts may
+// rewrite a weight unchanged.
+func symmetricDelta(parent *graph.Graph, eff Batch) delta {
+	n := graph.VertexID(parent.NumVertices())
+	inParent := func(u, v graph.VertexID) (float32, bool) {
+		if u >= n || v >= n {
+			return 0, false
+		}
+		return parent.EdgeWeight(u, v)
+	}
+	edited := make(map[uint64]Mutation) // the child's state of every arc eff touches
+	var pairs []uint64                  // arcKey(min, max) of every touched pair
+	var d delta
 	for _, m := range eff.Ops {
-		if (m.Op == OpAddEdge || m.Op == OpRemoveEdge) && m.Src != m.Dst {
-			u, v := m.Src, m.Dst
-			if u > v {
-				u, v = v, u
+		switch m.Op {
+		case OpAddVertex:
+			d.grow++
+		case OpAddEdge, OpRemoveEdge:
+			edited[arcKey(m.Src, m.Dst)] = m
+			if u, v := m.Src, m.Dst; u != v {
+				pairs = append(pairs, arcKey(min(u, v), max(u, v)))
 			}
-			pairs = append(pairs, arcKey(u, v))
 		}
 	}
+	inChild := func(u, v graph.VertexID) (float32, bool) {
+		if m, ok := edited[arcKey(u, v)]; ok {
+			return m.Weight, m.Op == OpAddEdge
+		}
+		return inParent(u, v)
+	}
 	sort.Slice(pairs, func(i, j int) bool { return pairs[i] < pairs[j] })
-	d := delta{grow: child.NumVertices() - parent.NumVertices()}
 	for i, p := range pairs {
 		if i > 0 && pairs[i-1] == p {
 			continue
 		}
 		u, v := graph.VertexID(p>>32), graph.VertexID(p)
-		was, is := symmetrizedPair(parent, u, v), symmetrizedPair(child, u, v)
+		was, is := symmetrizedPair(inParent, u, v), symmetrizedPair(inChild, u, v)
 		switch {
 		case was == is:
 		case !is.linked:
@@ -240,12 +286,10 @@ type undirectedPair struct {
 	uv, vu uint32
 }
 
-func symmetrizedPair(g *graph.Graph, u, v graph.VertexID) undirectedPair {
-	if n := graph.VertexID(g.NumVertices()); u >= n || v >= n {
-		return undirectedPair{}
-	}
-	wuv, hasUV := g.EdgeWeight(u, v)
-	wvu, hasVU := g.EdgeWeight(v, u)
+// symmetrizedPair reads the pair {u, v} off arc, g's EdgeWeight.
+func symmetrizedPair(arc func(u, v graph.VertexID) (float32, bool), u, v graph.VertexID) undirectedPair {
+	wuv, hasUV := arc(u, v)
+	wvu, hasVU := arc(v, u)
 	if !hasUV {
 		wuv = wvu
 	}

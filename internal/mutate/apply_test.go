@@ -105,7 +105,7 @@ func checkCommit(t testing.TB, parent, parentU *graph.Graph, b Batch) (child, ch
 	if err != nil {
 		t.Fatalf("applyReference: %v", err)
 	}
-	child, eff, err = apply(parent, b)
+	child, eff, _, err = apply(parent, b, nil)
 	if err != nil {
 		t.Fatalf("apply: %v", err)
 	}
@@ -117,8 +117,8 @@ func checkCommit(t testing.TB, parent, parentU *graph.Graph, b Batch) (child, ch
 	requireSameOps(t, "effective delta vs Diff", eff, diff)
 
 	wantU := graph.Symmetrize(child)
-	symEff = symmetricDelta(parent, child, eff).batch()
-	childU, err = PatchUndirected(parentU, parent, child, eff)
+	symEff = symmetricDelta(parent, eff).batch()
+	childU, err = PatchUndirected(parentU, parent, eff)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -454,8 +454,8 @@ func BenchmarkStoreCommit(b *testing.B) {
 
 // BenchmarkPatchUndirected is the commit's second patch: the undirected
 // variant carried across a serve_mutate batch, on an unweighted and a
-// weighted base (graph.RandomWeights) at scale 13 and 15. Children and
-// effective deltas are built before the timer starts.
+// weighted base (graph.RandomWeights) at scale 13 and 15. The effective
+// deltas are built before the timer starts.
 func BenchmarkPatchUndirected(b *testing.B) {
 	for _, scale := range []int{13, 15} {
 		g, batches := serveMutateShape(scale, 16)
@@ -465,10 +465,10 @@ func BenchmarkPatchUndirected(b *testing.B) {
 				base = graph.RandomWeights(g, 5)
 			}
 			baseU := graph.Symmetrize(base)
-			children, effs := make([]*graph.Graph, len(batches)), make([]Batch, len(batches))
+			effs := make([]Batch, len(batches))
 			for i, bt := range batches {
 				var err error
-				if children[i], effs[i], err = apply(base, bt); err != nil {
+				if _, effs[i], _, err = apply(base, bt, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -476,7 +476,7 @@ func BenchmarkPatchUndirected(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					k := i % len(batches)
-					u, err := PatchUndirected(baseU, base, children[k], effs[k])
+					u, err := PatchUndirected(baseU, base, effs[k])
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -17,6 +17,10 @@ import (
 
 // graphEntry is one served graph's version chain: the snapshot store
 // and the per-epoch derived state (canonicalization defaults, variants).
+// Only the newest epoch's state, with the variants it materialized, is
+// kept; a query pinned to an older epoch gets a state of its own whose
+// variants derive from the snapshot's rebuilt graph, and which goes
+// when the query does.
 type graphEntry struct {
 	name  string
 	store *mutate.Store
@@ -26,7 +30,8 @@ type graphEntry struct {
 	commitMu sync.Mutex
 
 	mu     sync.Mutex
-	states map[uint64]*epochState
+	states map[uint64]*epochState // the newest epoch's (and its parent's while a commit carries variants across)
+	infos  map[uint64]graphInfo   // every retained epoch's, so resolving one needs no graph
 
 	weights weightStream // every epoch's synthesized-weights variant draws here
 }
@@ -70,43 +75,61 @@ func newGraphEntry(name string, g *graph.Graph, retention int) (*graphEntry, err
 	if err != nil {
 		return nil, fmt.Errorf("server: versioning %s: %w", name, err)
 	}
-	e := &graphEntry{name: name, store: store, states: make(map[uint64]*epochState)}
+	e := &graphEntry{name: name, store: store, states: make(map[uint64]*epochState), infos: make(map[uint64]graphInfo)}
 	e.weights.rng = rand.New(rand.NewSource(synthWeightSeed))
 	e.stateFor(store.Latest())
 	return e, nil
 }
 
-// stateFor returns the cached epochState for a resolved snapshot,
-// creating it on first use.
+// stateFor returns the epochState for a resolved snapshot: the kept
+// one for the newest epoch (created on first use), a fresh one for an
+// older epoch.
 func (e *graphEntry) stateFor(snap *mutate.Snapshot) *epochState {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if st, ok := e.states[snap.Epoch()]; ok {
+	ep := snap.Epoch()
+	if st, ok := e.states[ep]; ok {
 		return st
 	}
-	g := snap.Graph()
-	root, _ := graph.LargestOutDegreeVertex(g)
-	st := &epochState{
-		snap:    snap,
-		weights: &e.weights,
-		info: graphInfo{
+	st := &epochState{snap: snap, weights: &e.weights, variants: make(map[graphVariant]*graph.Graph)}
+	info, ok := e.infos[ep]
+	if !ok { // every epoch is first seen as the newest, whose graph is held
+		g := snap.Graph()
+		root, _ := graph.LargestOutDegreeVertex(g)
+		info = graphInfo{
 			vertices:    g.NumVertices(),
 			edges:       g.NumEdges(),
 			defaultRoot: int(root),
 			weighted:    g.Weighted(),
-			epoch:       snap.Epoch(),
-		},
-		variants: map[graphVariant]*graph.Graph{variantDirected: g},
+			epoch:       ep,
+		}
+		e.infos[ep] = info
+		st.variants[variantDirected] = g
 	}
-	e.states[snap.Epoch()] = st
-	// Prune states the store no longer resolves.
-	lo, _ := e.store.Window()
+	st.info = info
+	if _, hi := e.store.Window(); ep == hi {
+		e.states[ep] = st
+	}
+	return st
+}
+
+// forget drops the states of epochs before the newest, once a commit
+// has carried their variants across, and the infos of epochs the store
+// no longer resolves.
+func (e *graphEntry) forget() {
+	lo, hi := e.store.Window()
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	for ep := range e.states {
-		if ep < lo {
+		if ep < hi {
 			delete(e.states, ep)
 		}
 	}
-	return st
+	for ep := range e.infos {
+		if ep < lo {
+			delete(e.infos, ep)
+		}
+	}
 }
 
 // Resolve maps a requested epoch (0 = latest) to its epochState. A
@@ -156,12 +179,14 @@ func (st *epochState) graphLocked(v graphVariant) *graph.Graph {
 	if g, ok := st.variants[v]; ok {
 		return g
 	}
-	base := st.variants[variantDirected]
 	var g *graph.Graph
-	if v == variantWeighted && !base.Weighted() {
-		g = st.weights.weigh(base) // deriveVariant's draws, shared across epochs
-	} else {
-		g = deriveVariant(base, v)
+	switch {
+	case v == variantDirected:
+		g = st.snap.Graph()
+	case v == variantWeighted && !st.info.weighted:
+		g = st.weights.weigh(st.graphLocked(variantDirected)) // deriveVariant's draws, shared across epochs
+	default:
+		g = deriveVariant(st.graphLocked(variantDirected), v)
 	}
 	st.variants[v] = g
 	return g
@@ -208,10 +233,11 @@ type commitResult struct {
 // commit validates and applies one batch, then carries the epoch's
 // derived state forward. Nothing here rebuilds or diffs a whole graph:
 // the store patches the parent snapshot, and the undirected variant is
-// the parent epoch's patched with the symmetric form of the same delta.
-// The commit mutex makes the epoch bump atomic with respect to other
-// commits, and queries pinned to older epochs keep resolving their
-// snapshots untouched.
+// the parent epoch's patched with the symmetric form of the same delta,
+// built while the store builds the snapshot and installed before the
+// epoch's first query, which finds it memoized. The commit mutex makes the
+// epoch bump atomic with respect to other commits, and queries pinned
+// to older epochs keep resolving their snapshots untouched.
 func (e *graphEntry) commit(b mutate.Batch) (commitResult, error) {
 	e.commitMu.Lock()
 	defer e.commitMu.Unlock()
@@ -220,29 +246,24 @@ func (e *graphEntry) commit(b mutate.Batch) (commitResult, error) {
 	if err := b.Validate(parent.Graph(variantDirected)); err != nil {
 		return commitResult{}, err
 	}
-	snap, err := e.store.Commit(b)
+	var undirected *graph.Graph
+	var incDur time.Duration
+	snap, err := e.store.CommitWith(b, func(eff mutate.Batch) {
+		start := time.Now()
+		// The commit cannot fail on the variant's account: were the patch
+		// ever refused, the variant is left to the lazy Symmetrize.
+		undirected, _ = mutate.PatchUndirected(parent.Graph(variantUndirected), parent.Graph(variantDirected), eff)
+		incDur = time.Since(start)
+	})
 	if err != nil {
 		return commitResult{}, err
 	}
 	st := e.stateFor(snap)
-
-	incStart := time.Now()
-	advanceUndirected(parent, st, snap.Effective())
-	return commitResult{snap: snap, state: st, incDur: time.Since(incStart)}, nil
-}
-
-// advanceUndirected carries the undirected variant across the commit
-// parent→st: the parent epoch's variant patched with the symmetric form
-// of eff, weights included, installed at commit time so the first
-// undirected query of the epoch finds it memoized. The commit has
-// landed by now, so this cannot fail it: if the patch is ever refused,
-// the variant is left to the lazy Symmetrize.
-func advanceUndirected(parent, st *epochState, eff mutate.Batch) {
-	g, err := mutate.PatchUndirected(parent.Graph(variantUndirected),
-		parent.Graph(variantDirected), st.Graph(variantDirected), eff)
-	if err == nil {
-		st.install(variantUndirected, g)
+	if undirected != nil {
+		st.install(variantUndirected, undirected)
 	}
+	e.forget() // the parent's state, now that its variants are carried across
+	return commitResult{snap: snap, state: st, incDur: incDur}, nil
 }
 
 // epochStatus is one graph's versioning state for /statusz.

@@ -560,3 +560,152 @@ func TestCommitHubBeyondBatchLimit(t *testing.T) {
 		t.Fatalf("undirected variant %v, want %v", gotU, wantU)
 	}
 }
+
+// TestMutateChaosPinnedEpochs: while commits land, queries pin random
+// retained epochs — BFS, K-core and SSSP, one per variant, in-process
+// and on a worker ring — and each answer equals a direct engine run on
+// the graph the mutate.Apply chain built at that epoch. Only the newest
+// epoch's graph is kept, so every pinned answer ran on a rebuilt graph;
+// the ring's first query, pinned to a superseded epoch before any other
+// remote one, gets that graph as a full ship (Snapshot.Blob).
+func TestMutateChaosPinnedEpochs(t *testing.T) {
+	daemons, addrs := startWorkers(t, 2)
+	base := testGraph(7, 3)
+	cfg := Config{Graphs: map[string]*graph.Graph{"g": base}, Workers: addrs}
+	fastFleet(&cfg)
+	s := testServer(t, cfg)
+	t.Cleanup(s.pool.close)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	waitFleet(t, s, "all healthy", func(fs fleetStatus) bool { return fs.Healthy == 2 })
+
+	var chainMu sync.Mutex
+	chain := map[uint64]*graph.Graph{1: base}
+	rng := rand.New(rand.NewSource(11))
+	commit := func() {
+		t.Helper()
+		chainMu.Lock()
+		latest := uint64(len(chain))
+		parent := chain[latest]
+		chainMu.Unlock()
+		n := parent.NumVertices()
+		var ops []MutationJSON
+		for len(ops) < 12 {
+			switch r := rng.Intn(10); {
+			case r == 0:
+				ops = append(ops, MutationJSON{Op: "add_vertex"})
+				n++
+			case r == 1:
+				ops = append(ops, MutationJSON{Op: "remove_vertex", Src: uint32(rng.Intn(n))})
+			case r < 5:
+				ops = append(ops, MutationJSON{Op: "remove_edge", Src: uint32(rng.Intn(n)), Dst: uint32(rng.Intn(n))})
+			default:
+				ops = append(ops, addEdge(rng.Intn(n), rng.Intn(n)))
+			}
+		}
+		code, mr, body := postMutate(t, ts.URL, MutateRequest{Graph: "g", Mutations: ops})
+		if code != http.StatusOK || mr.Epoch != latest+1 {
+			t.Fatalf("mutate: %d epoch %d %s", code, mr.Epoch, body)
+		}
+		b, err := batchFromJSON(ops)
+		if err != nil {
+			t.Fatal(err)
+		}
+		child, err := mutate.Apply(parent, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chainMu.Lock()
+		chain[mr.Epoch] = child
+		chainMu.Unlock()
+	}
+
+	type answer struct {
+		epoch uint64
+		algo  string
+		res   Result
+	}
+	var answersMu sync.Mutex
+	var answers []answer
+	query := func(epoch uint64, algo, provider string) bool {
+		code, r, body := getResponse(t, fmt.Sprintf("%s/query?graph=g&algo=%s&epoch=%d&no_cache=1&provider=%s", ts.URL, algo, epoch, provider))
+		switch {
+		case code == http.StatusBadRequest && strings.Contains(body, "not retained"):
+			return false // aged out between picking it and asking
+		case code != http.StatusOK || r.Epoch != epoch:
+			t.Errorf("%s %s @%d: %d epoch %d %s", provider, algo, epoch, code, r.Epoch, body)
+			return false
+		}
+		answersMu.Lock()
+		answers = append(answers, answer{epoch, algo, r.Result})
+		answersMu.Unlock()
+		return true
+	}
+
+	for i := 0; i < 3; i++ {
+		commit()
+	}
+	if !query(2, "bfs", "remote") {
+		t.Fatal("first remote query failed")
+	}
+	if daemons[0].deltasApplied.Load()+daemons[1].deltasApplied.Load() != 0 {
+		t.Fatal("a ring with no epoch cached got a delta, not a full ship")
+	}
+
+	ge := s.pool.graphs["g"]
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for c := 0; c < 2; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			qrng := rand.New(rand.NewSource(int64(c)))
+			for i := 0; ; i++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				lo, hi := ge.store.Window()
+				epoch := lo + uint64(qrng.Intn(int(hi-lo+1)))
+				query(epoch, []string{"bfs", "kcore", "sssp"}[i%3], []string{"local", "remote"}[qrng.Intn(2)])
+			}
+		}(c)
+	}
+	for i := 0; i < 2*mutate.DefaultRetention; i++ {
+		commit()
+		time.Sleep(20 * time.Millisecond)
+	}
+	close(done)
+	wg.Wait()
+
+	opts := core.Options{NumNodes: 2, Mode: core.ModeSympleGraph}
+	direct := map[string]Result{}
+	for _, a := range answers {
+		key := fmt.Sprintf("%s@%d", a.algo, a.epoch)
+		want, ok := direct[key]
+		if !ok {
+			q, g, err := Prepare(Request{Graph: "g", Algo: a.algo, Root: -1}, chain[a.epoch])
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, err := core.NewCluster(g, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _, err = RunAlgorithm(c, q)
+			c.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			direct[key] = want
+		}
+		if !reflect.DeepEqual(a.res, want) {
+			t.Fatalf("%s: served %+v, direct run on the Apply chain's graph %+v", key, a.res, want)
+		}
+	}
+	if len(direct) < 6 {
+		t.Fatalf("only %d (algo, epoch) pairs answered", len(direct))
+	}
+	t.Logf("%d pinned answers over %d (algo, epoch) pairs", len(answers), len(direct))
+}
