@@ -119,9 +119,9 @@ size:
 # surface, options or flags raises the number here, in its own diff, and
 # says why in CHANGES.md; one that shrinks a figure lowers it.
 define SIZE_BUDGET
-non-test Go LOC, repo: 22905
-non-test Go LOC, internal/core + internal/comm: 4704
-non-test Go LOC, internal/algorithms: 1195
+non-test Go LOC, repo: 23085
+non-test Go LOC, internal/core + internal/comm: 4804
+non-test Go LOC, internal/algorithms: 1191
 non-test Go LOC, internal/server: 3913
 non-test Go LOC, internal/bench: 1077
 non-test Go LOC, internal/gluon: 586
@@ -133,8 +133,8 @@ exported identifiers, internal/gluon: 7
 exported identifiers, internal/server: 122
 exported identifiers, internal/mutate: 63
 exported identifiers, internal/obs: 61
-exported identifiers, internal/graph: 68
-exported identifiers, internal/bitset: 30
+exported identifiers, internal/graph: 70
+exported identifiers, internal/bitset: 31
 exported funcs and types named by no other package, internal/core: 2
 exported funcs and types named by no other package, internal/comm: 0
 exported funcs and types named by no other package, internal/server: 2
@@ -159,7 +159,7 @@ size-check:
 			if (!bad) print "size-check: every figure within its budget"; exit bad }'
 
 race:
-	go test -race -count=1 ./internal/comm/... ./internal/core/... ./internal/algorithms/... ./internal/gluon/... ./internal/mutate/... ./internal/server/...
+	go test -race -count=1 ./internal/comm/... ./internal/core/... ./internal/algorithms/... ./internal/gluon/... ./internal/graph/... ./internal/mutate/... ./internal/partition/... ./internal/server/...
 
 test:
 	go test ./...

@@ -64,13 +64,9 @@ func MIS(c core.Engine, seed uint64) (*MISResult, error) {
 				return err
 			}
 			newMIS.ClearAll()
-			w.ProcessVertices(func(v graph.VertexID) int64 {
-				if active.Get(int(v)) && !vetoed.Get(int(v)) {
-					member.SetAtomic(int(v)) // workers share words
-					newMIS.SetAtomic(int(v))
-				}
-				return 0
-			})
+			lo, hi := w.MasterRange()
+			newMIS.OrAndNotSegment(active, vetoed, lo, hi)
+			member.OrAndNotSegment(active, vetoed, lo, hi)
 			if err := w.SyncBitmap(newMIS); err != nil {
 				return err
 			}

@@ -229,6 +229,18 @@ func (b *Bitmap) CountSegment(lo, hi int) int {
 	return c
 }
 
+// OrAndNotSegment sets every bit i with lo <= i < hi that x has and y
+// lacks, a word at a time; b's other bits are left alone. All three
+// bitmaps must have the same length.
+func (b *Bitmap) OrAndNotSegment(x, y *Bitmap, lo, hi int) {
+	b.sameLen(x)
+	b.sameLen(y)
+	b.checkSegment(lo, hi)
+	for wi := lo / wordBits; wi*wordBits < hi; wi++ {
+		b.words[wi] |= x.segmentWord(wi, lo, hi) &^ y.words[wi]
+	}
+}
+
 func (b *Bitmap) checkSegment(lo, hi int) {
 	if lo < 0 || hi > b.n || lo > hi {
 		panic(fmt.Sprintf("bitset: segment [%d,%d) out of range [0,%d)", lo, hi, b.n))

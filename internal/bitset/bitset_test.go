@@ -120,6 +120,43 @@ func TestRangeSegment(t *testing.T) {
 	}
 }
 
+// TestOrAndNotSegment checks b |= x &^ y against a bit-by-bit reference
+// over word-aligned, unaligned, empty and whole-length segments, with b
+// starting non-empty so the bits it keeps outside and inside the segment
+// are checked too.
+func TestOrAndNotSegment(t *testing.T) {
+	const n = 200
+	x, y, init := New(n), New(n), New(n)
+	for i := 0; i < n; i++ {
+		if i%3 != 0 {
+			x.Set(i)
+		}
+		if i%5 == 0 {
+			y.Set(i)
+		}
+		if i%7 == 0 {
+			init.Set(i)
+		}
+	}
+	for _, seg := range [][2]int{{0, n}, {0, 64}, {64, 128}, {63, 65}, {5, 190}, {128, 200}, {199, 200}, {70, 70}} {
+		lo, hi := seg[0], seg[1]
+		b := init.Clone()
+		b.OrAndNotSegment(x, y, lo, hi)
+		for i := 0; i < n; i++ {
+			want := init.Get(i) || (lo <= i && i < hi && x.Get(i) && !y.Get(i))
+			if b.Get(i) != want {
+				t.Fatalf("segment [%d,%d): bit %d = %v, want %v", lo, hi, i, b.Get(i), want)
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("OrAndNotSegment past the end did not panic")
+		}
+	}()
+	New(n).OrAndNotSegment(x, y, 0, n+1)
+}
+
 func TestSetOps(t *testing.T) {
 	a, b := New(100), New(100)
 	a.Set(1)

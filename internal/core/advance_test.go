@@ -141,12 +141,7 @@ func TestAdvanceMatchesFreshBuild(t *testing.T) {
 						if err := clusters[i].Advance(vg, snap.Effective()); err != nil {
 							t.Fatal(err)
 						}
-						fresh, err := core.NewCluster(vg, opts)
-						if err != nil {
-							t.Fatal(err)
-						}
-						fresh.Close()
-						if !reflect.DeepEqual(core.Derived(clusters[i]), core.Derived(fresh)) {
+						if !reflect.DeepEqual(core.Derived(clusters[i]), core.FreshDerived(clusters[i], vg)) {
 							t.Fatalf("epoch %d, variant %d: the advanced cluster differs from a fresh build", e, i)
 						}
 					}
@@ -155,6 +150,100 @@ func TestAdvanceMatchesFreshBuild(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestAdvanceForksSharedDerivation: a SympleGraph cluster and a Gemini
+// sibling share one derivation per serving variant until the first
+// advances. It forks once, then patches its own copy in place, equalling
+// a fresh build at every epoch of the chain (one step crosses the tracked
+// threshold, so the class is patched too). The sibling keeps equalling a
+// fresh build at the root, a cluster built over the root later adopts the
+// sibling's derivation, and both answer like the oracles at their epochs.
+func TestAdvanceForksSharedDerivation(t *testing.T) {
+	const nodes = 4
+	root := graph.RMAT(9, 16, graph.Graph500Params(), 3)
+	rootEdges := root.Edges()
+	variants := []func(*graph.Graph) *graph.Graph{
+		func(g *graph.Graph) *graph.Graph { return g },
+		graph.Symmetrize,
+		func(g *graph.Graph) *graph.Graph { return graph.RandomWeights(g, 7) },
+	}
+	build := func(g *graph.Graph, mode core.Mode) *core.Cluster {
+		opts := core.Options{NumNodes: nodes, Mode: mode, DepThreshold: core.DefaultDepThreshold, NumBuffers: 2}
+		if mode == core.ModeGemini {
+			opts.DepThreshold, opts.NumBuffers = 0, 1
+		}
+		c, err := core.NewCluster(g, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		return c
+	}
+	roots := make([]*graph.Graph, len(variants))
+	movers, siblings := make([]*core.Cluster, len(variants)), make([]*core.Cluster, len(variants))
+	for i, variant := range variants {
+		roots[i] = variant(root)
+		movers[i], siblings[i] = build(roots[i], core.ModeSympleGraph), build(roots[i], core.ModeGemini)
+		if !sameDerivation(movers[i], siblings[i]) {
+			t.Fatalf("variant %d: the two modes' clusters derive separately", i)
+		}
+	}
+	forked := make([]*partition.Layout, len(variants))
+	rng := rand.New(rand.NewSource(5))
+	g := root
+	for e := 2; e <= 4; e++ {
+		b := shapedBatch(rng, g.NumVertices(), rootEdges)
+		if e == 3 {
+			b = crossingBatch(g, core.DefaultDepThreshold)
+		}
+		store, err := mutate.NewStore(g, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap, err := store.Commit(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g = snap.Graph()
+		for i, variant := range variants {
+			vg := variant(g)
+			if err := movers[i].Advance(vg, snap.Effective()); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(core.Derived(movers[i]), core.FreshDerived(movers[i], vg)) {
+				t.Fatalf("epoch %d, variant %d: the advanced cluster differs from a fresh build", e, i)
+			}
+			if !reflect.DeepEqual(core.Derived(siblings[i]), core.FreshDerived(siblings[i], roots[i])) {
+				t.Fatalf("epoch %d, variant %d: the sibling moved with the advanced cluster", e, i)
+			}
+			if sameDerivation(movers[i], siblings[i]) {
+				t.Fatalf("epoch %d, variant %d: the advanced cluster still shares its sibling's derivation", e, i)
+			}
+			lay := core.Derived(movers[i])[3].([]*partition.Layout)[0]
+			if forked[i] == nil {
+				forked[i] = lay
+			} else if lay != forked[i] {
+				t.Fatalf("epoch %d, variant %d: a sole holder forked again instead of patching in place", e, i)
+			}
+			if late := build(roots[i], core.ModeSympleGraph); !sameDerivation(late, siblings[i]) {
+				t.Fatalf("epoch %d, variant %d: a cluster built over the root does not adopt the sibling's derivation", e, i)
+			}
+		}
+		checkOracles(t, e, movers)
+		checkOracles(t, 1, siblings)
+	}
+}
+
+// sameDerivation reports whether two clusters hold one derivation: the
+// same degree class and the same layout per machine, by pointer.
+func sameDerivation(a, b *core.Cluster) bool {
+	da, db := core.Derived(a), core.Derived(b)
+	if da[2] != db[2] {
+		return false
+	}
+	la, lb := da[3].([]*partition.Layout), db[3].([]*partition.Layout)
+	return len(la) == len(lb) && slices.Equal(la, lb)
 }
 
 // checkOracles runs the six serving algorithms on the advanced clusters

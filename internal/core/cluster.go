@@ -20,11 +20,9 @@ import (
 // and can execute many programs; communication statistics are collected
 // per Run.
 type Cluster struct {
-	g       *graph.Graph
-	opts    Options
-	part    *partition.Partition
-	class   *partition.DegreeClass
-	layouts []*partition.Layout
+	*derivation // shared with every live cluster over the same key
+	released    sync.Once
+	opts        Options
 
 	// endpoints is indexed by machine id; nil entries are machines
 	// another process hosts.
@@ -133,58 +131,147 @@ func (s *RunStats) Add(other RunStats) {
 // NewCluster partitions g across opts.NumNodes machines, connects them
 // and lays out the ones it hosts: every machine over a cluster-owned
 // memory transport, or the machines opts.Endpoints holds an endpoint for.
-// Close releases the transport. Over caller-supplied opts.Endpoints,
-// opts.MaxRestarts must be 0.
+// Clusters over one graph share the layout while none of them advances
+// (see derivation). Close releases the transport and the layout. Over
+// caller-supplied opts.Endpoints, opts.MaxRestarts must be 0.
 func NewCluster(g *graph.Graph, opts Options) (*Cluster, error) {
 	if err := opts.validateAndDefault(); err != nil {
-		return nil, err
-	}
-	pt, err := partition.NewChunked(g, opts.NumNodes, 0) // 0: partition.DefaultAlpha
-	if err != nil {
 		return nil, err
 	}
 	c := &Cluster{opts: opts}
 	c.connect()
 	// Only the hosted machines' layouts exist in this process — the
 	// memory footprint a real cluster member would have.
-	if err := c.derive(g, pt, c.localNodes()); err != nil {
+	d, err := acquire(c.derivationKey(g), c.localNodes())
+	if err != nil {
 		c.Close()
 		return nil, err
 	}
+	c.derivation = d
 	c.initCheckpoints()
 	return c, nil
 }
 
-// derive sets the cluster's graph and everything laid out from it over
-// pt: the degree class and the listed machines' layouts.
-func (c *Cluster) derive(g *graph.Graph, pt *partition.Partition, machines []int) error {
+// derivation is everything a cluster lays out from its graph, a function
+// of its derivationKey alone: clusters differing in anything else share
+// it, since runs only read it (DESIGN §5.4, "One derivation per graph").
+type derivation struct {
+	g       *graph.Graph // also pins the arrays the layouts' blocks alias
+	part    *partition.Partition
+	class   *partition.DegreeClass
+	layouts []*partition.Layout
+
+	key  derivationKey // what it is registered under, while it is
+	refs int           // clusters holding it, under derivations' lock
+	once sync.Once     // the first holder builds; the others wait
+	err  error
+}
+
+// derivationKey names a derivation. Graphs are immutable, so a pointer
+// names one.
+type derivationKey struct {
+	g         *graph.Graph
+	nodes     int
+	threshold int
+	machines  string // the hosted machine ids, formatted
+}
+
+// derivations holds every live derivation a NewCluster can adopt.
+var derivations = struct {
+	sync.Mutex
+	m map[derivationKey]*derivation
+}{m: map[derivationKey]*derivation{}}
+
+// derivationKey keys the cluster's derivation over g. Gemini reads no
+// degree class, so it classifies at the default threshold, sharing
+// SympleGraph's layouts: the class only picks the stream of each entry.
+func (c *Cluster) derivationKey(g *graph.Graph) derivationKey {
 	threshold := c.opts.DepThreshold
 	if c.opts.Mode == ModeGemini {
-		threshold = 0 // classification irrelevant; track-all keeps layouts uniform
+		threshold = DefaultDepThreshold
 	}
-	c.g = g // also pins the arrays the layouts' blocks alias
-	c.part = pt
-	c.class = partition.BuildDegreeClass(g, pt, threshold)
-	c.layouts = make([]*partition.Layout, c.opts.NumNodes)
+	return derivationKey{g: g, nodes: c.opts.NumNodes, threshold: threshold, machines: fmt.Sprint(c.localNodes())}
+}
+
+// acquire returns a held reference to key's derivation over machines,
+// adopting a live one; concurrent callers with one key derive it once.
+func acquire(key derivationKey, machines []int) (*derivation, error) {
+	derivations.Lock()
+	d := derivations.m[key]
+	if d == nil {
+		d = &derivation{key: key}
+		derivations.m[key] = d
+	}
+	d.refs++
+	derivations.Unlock()
+	d.once.Do(func() { d.err = d.build(key, machines) })
+	if d.err != nil {
+		d.release()
+		return nil, d.err
+	}
+	return d, nil
+}
+
+// build derives everything from key's graph.
+func (d *derivation) build(key derivationKey, machines []int) error {
+	pt, err := partition.NewChunked(key.g, key.nodes, 0) // 0: partition.DefaultAlpha
+	if err != nil {
+		return err
+	}
+	d.g, d.part = key.g, pt
+	d.class = partition.BuildDegreeClass(key.g, pt, key.threshold)
+	d.layouts = make([]*partition.Layout, key.nodes)
 	for _, m := range machines {
-		c.layouts[m] = partition.BuildLayout(g, pt, c.class, m)
-		// The sparse scan reads the partition-blocked CSR. Like the
-		// blocks, it is derived from (graph, partition) alone, so a
-		// rebuilt engine over any epoch snapshot lays out identically.
-		if err := c.layouts[m].AttachBlocked(g, 0); err != nil {
+		d.layouts[m] = partition.BuildLayout(key.g, pt, d.class, m)
+		// The sparse scan reads the partition-blocked CSR.
+		if err := d.layouts[m].AttachBlocked(key.g, 0); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
+// release drops one holder's reference; the last one unregisters it.
+func (d *derivation) release() {
+	derivations.Lock()
+	defer derivations.Unlock()
+	if d.refs--; d.refs == 0 && derivations.m[d.key] == d {
+		delete(derivations.m, d.key)
+	}
+}
+
+// own makes the cluster's derivation its own to patch: a sole holder
+// unregisters it, since the patch moves it off its key; a shared one is
+// forked into a private copy.
+func (c *Cluster) own() {
+	d := c.derivation
+	derivations.Lock()
+	sole := d.refs == 1
+	if sole && derivations.m[d.key] == d {
+		delete(derivations.m, d.key)
+	}
+	derivations.Unlock()
+	if sole {
+		return
+	}
+	class := d.class.Clone()
+	f := &derivation{g: d.g, part: d.part, class: class, layouts: make([]*partition.Layout, len(d.layouts)), refs: 1}
+	for _, m := range c.localNodes() {
+		f.layouts[m] = d.layouts[m].Clone(class)
+	}
+	c.derivation = f
+	d.release() // only now: until here no other holder could patch it
+}
+
 // Advance moves the cluster to g, the next version of its graph, keeping
 // its transport. delta names every arc that differs (Snapshot.Effective,
 // or several epochs' concatenated). When |V| and the chunk starts hold,
 // only the rows at delta's endpoints are derived again and every other
-// layout entry shifts; otherwise the layouts are derived afresh. Either
-// way the cluster equals NewCluster(g) field for field; after an error
-// it is unusable. Must not be called while a run is in progress.
+// layout entry shifts — in the cluster's own copy, forked first when
+// other clusters share it; otherwise the cluster takes g's derivation as
+// NewCluster does. Either way the cluster equals NewCluster(g) field for
+// field; after an error it is unusable. Must not be called while a run
+// is in progress.
 func (c *Cluster) Advance(g *graph.Graph, delta mutate.Batch) error {
 	pt, err := partition.NewChunked(g, c.opts.NumNodes, 0)
 	if err != nil {
@@ -198,10 +285,17 @@ func (c *Cluster) Advance(g *graph.Graph, delta mutate.Batch) error {
 		patch = patch && (m.Op == mutate.OpAddEdge || m.Op == mutate.OpRemoveEdge)
 	}
 	if !patch {
-		return c.derive(g, pt, c.localNodes())
+		d, err := acquire(c.derivationKey(g), c.localNodes())
+		if err != nil {
+			return err
+		}
+		c.derivation.release()
+		c.derivation = d
+		return nil
 	}
 	slices.Sort(touched)
 	touched = slices.Compact(touched)
+	c.own()
 	reclassed := c.class.Reclassify(g, c.part, touched)
 	for _, m := range c.localNodes() {
 		c.layouts[m].Advance(c.g, g, touched, reclassed)
@@ -248,9 +342,15 @@ func (c *Cluster) Options() Options { return c.opts }
 // Partition returns the vertex partition.
 func (c *Cluster) Partition() *partition.Partition { return c.part }
 
-// Close releases the transport if the cluster owns it. Externally
-// supplied endpoints are left open for the caller to close.
+// Close releases the cluster's hold on its layout, and the transport if
+// the cluster owns it. Externally supplied endpoints are left open for
+// the caller to close.
 func (c *Cluster) Close() error {
+	c.released.Do(func() {
+		if c.derivation != nil {
+			c.derivation.release()
+		}
+	})
 	if c.mem != nil {
 		return c.mem.Close()
 	}

@@ -145,6 +145,14 @@ func (bc *BlockedCSR) Advance(g *Graph, touched []VertexID) {
 	bc.g = g
 }
 
+// Clone returns a copy of the view that an Advance moves without
+// touching bc.
+func (bc *BlockedCSR) Clone() *BlockedCSR {
+	c := *bc
+	c.cut, c.blockOff = slices.Clone(bc.cut), slices.Clone(bc.blockOff)
+	return &c
+}
+
 // SrcRange returns the source vertex range [lo, hi) the view covers.
 func (bc *BlockedCSR) SrcRange() (lo, hi int) { return bc.srcLo, bc.srcHi }
 

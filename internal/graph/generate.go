@@ -165,21 +165,15 @@ func DrawWeights(draws []float32, rng *rand.Rand, n int) []float32 {
 }
 
 // WithWeights returns g sharing its arrays and carrying out (|E| weights
-// in Edges() order, kept without copying) with the in-side scattered.
+// in Edges() order, kept without copying). The in-side weights are
+// scattered from them on their first read (InCSC, InWeights): a push
+// pass never reads them.
 func WithWeights(g *Graph, out []float32) *Graph {
 	if out == nil {
 		out = []float32{} // an arcless graph is weighted too
 	}
 	w := *g
 	w.outWeights = out[:len(g.outTargets):len(g.outTargets)]
-	// Visiting arcs source-major reaches each destination's in-arcs in
-	// ascending source order, which is the order inSources stores them.
-	w.inWeights = make([]float32, len(g.inSources))
-	cursor := make([]int64, g.n)
-	copy(cursor, g.inOffsets[:g.n])
-	for i, dst := range g.outTargets {
-		w.inWeights[cursor[dst]] = w.outWeights[i]
-		cursor[dst]++
-	}
+	w.inWeights, w.lazyIn = nil, &inSide{}
 	return w.cacheMaxWeight()
 }

@@ -10,7 +10,10 @@
 // adding reverse edges").
 package graph
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // VertexID identifies a vertex. The paper's datasets reach ~1B vertices;
 // at this repository's simulated scale uint32 is ample and halves the
@@ -44,9 +47,42 @@ type Graph struct {
 
 	inOffsets []int64
 	inSources []VertexID
-	inWeights []float32 // nil if unweighted
+	inWeights []float32 // nil if unweighted or derived on first read (lazyIn)
+	// lazyIn, set by WithWeights, scatters the in-side weights when a
+	// reader first asks for them: a push-only run never does.
+	lazyIn *inSide
 
 	maxWeight float32 // largest out-side weight (0 if none is positive), set by cacheMaxWeight
+}
+
+// inSide is a weight array derived on its first read.
+type inSide struct {
+	once sync.Once
+	w    []float32
+}
+
+// inW returns the in-side weights (nil when unweighted), scattering a
+// WithWeights graph's on their first read.
+func (g *Graph) inW() []float32 {
+	if l := g.lazyIn; l != nil {
+		l.once.Do(func() { l.w = g.scatterIn() })
+		return l.w
+	}
+	return g.inWeights
+}
+
+// scatterIn derives the in-side weights from the out-side ones. Visiting
+// arcs source-major reaches each destination's in-arcs in ascending
+// source order, which is the order inSources stores them.
+func (g *Graph) scatterIn() []float32 {
+	in := make([]float32, len(g.inSources))
+	cursor := make([]int64, g.n)
+	copy(cursor, g.inOffsets[:g.n])
+	for i, dst := range g.outTargets {
+		in[cursor[dst]] = g.outWeights[i]
+		cursor[dst]++
+	}
+	return in
 }
 
 // NumVertices returns |V|.
@@ -115,10 +151,11 @@ func (g *Graph) OutWeights(v VertexID) []float32 {
 // InWeights returns the weights parallel to InNeighbors(v), or nil for
 // unweighted graphs.
 func (g *Graph) InWeights(v VertexID) []float32 {
-	if g.inWeights == nil {
+	in := g.inW()
+	if in == nil {
 		return nil
 	}
-	return g.inWeights[g.inOffsets[v]:g.inOffsets[v+1]]
+	return in[g.inOffsets[v]:g.inOffsets[v+1]]
 }
 
 // InCSC returns the in-side arrays whole: the sources of every arc in
@@ -128,7 +165,13 @@ func (g *Graph) InWeights(v VertexID) []float32 {
 // (partition.Block) keep positions into these arrays instead of copying
 // arcs. The slices alias internal storage and must not be modified.
 func (g *Graph) InCSC() (offsets []int64, sources []VertexID, weights []float32) {
-	return g.inOffsets, g.inSources, g.inWeights
+	return g.inOffsets, g.inSources, g.inW()
+}
+
+// InTopology is InCSC without the weights, for readers that only index
+// arcs: it does not make a WithWeights graph scatter its in-side.
+func (g *Graph) InTopology() (offsets []int64, sources []VertexID) {
+	return g.inOffsets, g.inSources
 }
 
 // Edges materializes all edges in source-major order. Intended for tests
@@ -242,7 +285,7 @@ func (g *Graph) Validate() error {
 	if len(g.outTargets) != len(g.inSources) {
 		return fmt.Errorf("graph: %d out edges but %d in edges", len(g.outTargets), len(g.inSources))
 	}
-	if (g.outWeights == nil) != (g.inWeights == nil) {
+	if (g.outWeights == nil) != (g.inW() == nil) {
 		return fmt.Errorf("graph: weight arrays present on one side only")
 	}
 	for v := 0; v < g.n; v++ {

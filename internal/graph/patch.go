@@ -64,7 +64,7 @@ func Patch(g *Graph, n int, removes, upserts []Edge) (*Graph, error) {
 	}
 	if g.Weighted() {
 		p.outWeights = patchArray(outPlan, g.outWeights, out, edit.weight)
-		p.inWeights = patchArray(inPlan, g.inWeights, in, edit.weight)
+		p.inWeights = patchArray(inPlan, g.inW(), in, edit.weight)
 	}
 	return p.cacheMaxWeight(), nil
 }

@@ -13,7 +13,7 @@ import (
 func sameArrays(a, b *Graph) bool {
 	return a.n == b.n && a.Weighted() == b.Weighted() &&
 		slices.Equal(a.outOffsets, b.outOffsets) && slices.Equal(a.outTargets, b.outTargets) && slices.Equal(a.outWeights, b.outWeights) &&
-		slices.Equal(a.inOffsets, b.inOffsets) && slices.Equal(a.inSources, b.inSources) && slices.Equal(a.inWeights, b.inWeights)
+		slices.Equal(a.inOffsets, b.inOffsets) && slices.Equal(a.inSources, b.inSources) && slices.Equal(a.inW(), b.inW())
 }
 
 // patchOracle applies the same edit by rebuilding from the edge list.

@@ -126,6 +126,13 @@ func (dc *DegreeClass) Reclassify(g *graph.Graph, pt *Partition, touched []graph
 	return changed
 }
 
+// Clone returns a copy that Reclassify moves without touching dc. The
+// copy's Highs share dc's per-partition lists, which classify replaces
+// and never writes.
+func (dc *DegreeClass) Clone() *DegreeClass {
+	return &DegreeClass{Threshold: dc.Threshold, TrackIndex: slices.Clone(dc.TrackIndex), Highs: slices.Clone(dc.Highs)}
+}
+
 // Tracked reports whether v participates in dependency propagation.
 func (dc *DegreeClass) Tracked(v graph.VertexID) bool { return dc.TrackIndex[v] >= 0 }
 
@@ -191,7 +198,7 @@ func getScratch(n int) *[]Dest {
 func (lay *Layout) sweep(g *graph.Graph, d int, buf []Dest) []Dest {
 	mlo, mhi := lay.Part.Range(lay.Machine)
 	plo, phi := lay.Part.Range(d)
-	inOff, inSrc, _ := g.InCSC()
+	inOff, inSrc := g.InTopology()
 	for v := plo; v < phi; v++ {
 		// locate, inlined by hand: this loop is every cluster build's.
 		row := inSrc[inOff[v]:inOff[v+1]]
@@ -248,7 +255,7 @@ func (lay *Layout) settle(sc *[]Dest) {
 // false when it is empty.
 func (lay *Layout) locate(g *graph.Graph, v graph.VertexID) (e Dest, ok bool) {
 	mlo, mhi := lay.Part.Range(lay.Machine)
-	inOff, inSrc, _ := g.InCSC()
+	inOff, inSrc := g.InTopology()
 	row := inSrc[inOff[v]:inOff[v+1]]
 	lo, _ := slices.BinarySearch(row, graph.VertexID(mlo))
 	n, _ := slices.BinarySearch(row[lo:], graph.VertexID(mhi))
@@ -262,8 +269,8 @@ func (lay *Layout) locate(g *graph.Graph, v graph.VertexID) (e Dest, ok bool) {
 // partitions' blocks are swept afresh. The result equals BuildLayout
 // plus AttachBlocked over g.
 func (lay *Layout) Advance(old, g *graph.Graph, touched []graph.VertexID, reclassed []bool) {
-	oldOff, _, _ := old.InCSC()
-	inOff, _, _ := g.InCSC()
+	oldOff, _ := old.InTopology()
+	inOff, _ := g.InTopology()
 	// move appends stream s, advanced, to out.
 	move := func(out, s []Dest, ts []graph.VertexID, tracked bool) []Dest {
 		for {
@@ -308,6 +315,26 @@ func (lay *Layout) Advance(old, g *graph.Graph, touched []graph.VertexID, reclas
 	}
 	lay.settle(buf)
 	lay.Blocked.Advance(g, touched)
+}
+
+// Clone returns a copy of the layout over dc, a Clone of its class, that
+// an Advance moves without touching lay: its streams and blocked CSR are
+// copies.
+func (lay *Layout) Clone(dc *DegreeClass) *Layout {
+	c := &Layout{Machine: lay.Machine, Part: lay.Part, Class: dc, Blocks: make([]*Block, len(lay.Blocks)),
+		Blocked: lay.Blocked.Clone(), entries: slices.Clone(lay.entries)}
+	blocks := make([]Block, len(lay.Blocks))
+	low, tracked := 0, 0 // stream cursors: all low entries come first
+	for _, b := range lay.Blocks {
+		tracked += len(b.Low)
+	}
+	for d, b := range lay.Blocks {
+		nl, nt := low+len(b.Low), tracked+len(b.Tracked)
+		blocks[d] = Block{Low: c.entries[low:nl:nl], Tracked: c.entries[tracked:nt:nt], edges: b.edges}
+		c.Blocks[d] = &blocks[d]
+		low, tracked = nl, nt
+	}
+	return c
 }
 
 // AttachBlocked builds the machine's partition-blocked CSR view over

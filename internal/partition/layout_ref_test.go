@@ -335,6 +335,9 @@ func liveHeap() uint64 {
 // capacity beyond its length. Garbage collection is off while it
 // measures, so the scratch is not dropped between machines.
 func TestBuildLayoutAllocatesPerVertex(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation totals differ under the race detector")
+	}
 	const p = 4
 	for _, ef := range []int{8, 32} {
 		g := graph.RMAT(13, ef, graph.Graph500Params(), 1)
