@@ -5,9 +5,9 @@
 # those again), the sgserve process smoke tests, then the full suite
 # (which includes the CLI trace smoke test and the sustained serving load
 # test).
-.PHONY: verify build vet lint test race smoke serve-smoke serve-dist-smoke chaos fleet-chaos mutate-chaos bench-build microbench-smoke fuzz-smoke inline-check size size-check pair
+.PHONY: verify build vet lint test race smoke serve-smoke serve-dist-smoke chaos fleet-chaos mutate-chaos bench-build microbench-smoke examples-smoke fuzz-smoke inline-check size size-check pair
 
-verify: build inline-check size-check bench-build microbench-smoke fuzz-smoke lint race serve-smoke serve-dist-smoke test
+verify: build inline-check size-check bench-build microbench-smoke examples-smoke fuzz-smoke lint race serve-smoke serve-dist-smoke test
 
 build:
 	go build ./...
@@ -54,6 +54,14 @@ inline-check:
 # change or a panic breaks the gate.
 microbench-smoke:
 	go test -run '^$$' -bench . -benchtime 1x ./internal/graph ./internal/partition ./internal/mutate ./internal/core ./internal/algorithms ./internal/bitset ./internal/bufpool
+
+# `go build ./...` compiles the examples but nothing runs them: run each
+# one, so an example that panics or exits non-zero breaks the gate.
+examples-smoke:
+	@for e in examples/*/; do \
+		echo "examples-smoke: $$e"; \
+		go run ./$$e >/dev/null || { echo "examples-smoke: $$e failed"; exit 1; }; \
+	done
 
 # The two analysis front ends that must hold on any parseable Go, fuzzed
 # for 15 s each: the instrumenter (output parses, is a fixed point, and
@@ -119,7 +127,7 @@ size:
 # surface, options or flags raises the number here, in its own diff, and
 # says why in CHANGES.md; one that shrinks a figure lowers it.
 define SIZE_BUDGET
-non-test Go LOC, repo: 23085
+non-test Go LOC, repo: 22860
 non-test Go LOC, internal/core + internal/comm: 4804
 non-test Go LOC, internal/algorithms: 1191
 non-test Go LOC, internal/server: 3913
@@ -133,9 +141,9 @@ exported identifiers, internal/gluon: 7
 exported identifiers, internal/server: 122
 exported identifiers, internal/mutate: 63
 exported identifiers, internal/obs: 61
-exported identifiers, internal/graph: 70
+exported identifiers, internal/graph: 71
 exported identifiers, internal/bitset: 31
-exported funcs and types named by no other package, internal/core: 2
+exported funcs and types named by no other package, internal/core: 3
 exported funcs and types named by no other package, internal/comm: 0
 exported funcs and types named by no other package, internal/server: 2
 core.Options fields: 13

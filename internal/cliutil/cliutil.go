@@ -100,8 +100,8 @@ func ParseMode(s string) (core.Mode, error) {
 	return 0, fmt.Errorf("unknown mode %q (flag -mode): want symplegraph or gemini", s)
 }
 
-// GraphSpec holds the shared graph-input flags: -graph (a binary file
-// produced by sggen) and -rmat (generate in-process).
+// GraphSpec holds the shared graph-input flags: -graph (a file sggen
+// wrote, in either format) and -rmat (generate in-process).
 type GraphSpec struct {
 	Path string
 	RMAT string
@@ -109,7 +109,7 @@ type GraphSpec struct {
 
 // Register installs -graph and -rmat on fs.
 func (s *GraphSpec) Register(fs *flag.FlagSet) {
-	fs.StringVar(&s.Path, "graph", "", "binary graph file (see sggen)")
+	fs.StringVar(&s.Path, "graph", "", "graph file, binary or text edge list (see sggen)")
 	fs.StringVar(&s.RMAT, "rmat", "12,16,1", "generate R-MAT graph: scale,edgefactor,seed")
 }
 
@@ -121,7 +121,7 @@ func (s *GraphSpec) Load() (*graph.Graph, error) {
 			return nil, err
 		}
 		defer f.Close()
-		return graph.ReadBinary(f)
+		return graph.Read(f)
 	}
 	parts := strings.Split(s.RMAT, ",")
 	if len(parts) != 3 {

@@ -5,14 +5,17 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/comm"
 	"repro/internal/core"
+	"repro/internal/graph"
 	"repro/internal/obs"
 )
 
@@ -46,6 +49,37 @@ func TestGraphSpecLoad(t *testing.T) {
 	s.RMAT = "8,4"
 	if _, err := s.Load(); err == nil || !strings.Contains(err.Error(), "-rmat") {
 		t.Fatalf("bad spec error: %v", err)
+	}
+}
+
+// TestGraphSpecLoadsEitherFormat writes one weighted graph as sggen's
+// binary and text files and loads each through -graph: both must give
+// the graph's vertices and edges, weights included.
+func TestGraphSpecLoadsEitherFormat(t *testing.T) {
+	g := graph.RandomWeights(graph.RMAT(8, 4, graph.Graph500Params(), 7), 7)
+	dir := t.TempDir()
+	for name, write := range map[string]func(io.Writer, *graph.Graph) error{
+		"g.sg":  graph.WriteBinary,
+		"g.txt": graph.WriteEdgeListText,
+	} {
+		path := filepath.Join(dir, name)
+		f, err := os.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := write(f, g); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		got, err := (&GraphSpec{Path: path}).Load()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got.NumVertices() != g.NumVertices() || !slices.Equal(got.Edges(), g.Edges()) {
+			t.Fatalf("%s: loaded %v, wrote %v", name, got, g)
+		}
 	}
 }
 

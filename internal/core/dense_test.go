@@ -279,6 +279,78 @@ func TestDenseDataLane(t *testing.T) {
 	}
 }
 
+// TestDenseCappedCount verifies a lane-carrying destination that breaks:
+// each pass counts active in-degrees capped at k, stopping at k with Emit
+// and EmitDep and otherwise carrying the count, so a tracked destination
+// whose ring breaks reaches Finalize with skip set, and only one whose
+// ring completes adds its carried count there. Every count is at least k
+// exactly when the in-degree is, never above it (partial sums may pass k
+// when machines cap independently, as untracked ones do), and a tracked
+// destination's is exactly min(in-degree, k).
+func TestDenseCappedCount(t *testing.T) {
+	g := graph.Symmetrize(graph.RMAT(8, 8, graph.Graph500Params(), 4))
+	n := g.NumVertices()
+	const k = 4
+	for _, p := range []int{1, 3} {
+		for _, mode := range []Mode{ModeGemini, ModeSympleGraph} {
+			t.Run(fmt.Sprintf("p=%d/%v", p, mode), func(t *testing.T) {
+				c := mustCluster(t, g, Options{NumNodes: p, Mode: mode, NumBuffers: 2})
+				counts := make([]int64, n)
+				// Which destinations reached Finalize, and which of those with
+				// their skip bit set (masters own disjoint ranges).
+				tracked, skipped := make([]bool, n), make([]bool, n)
+				err := c.Run(func(w *Worker) error {
+					return ProcessEdgesDense(w, DenseParams[int64]{
+						Signal: func(ctx *DenseCtx[int64], dst graph.VertexID, srcs []graph.VertexID, _ []float32) {
+							cnt := int64(ctx.DepFloat(0))
+							for range srcs {
+								ctx.Edge()
+								if cnt++; cnt >= k {
+									ctx.Emit(cnt)
+									ctx.EmitDep()
+									return
+								}
+							}
+							if ctx.Tracked() {
+								ctx.SetDepFloat(0, float64(cnt))
+							} else if cnt > 0 {
+								ctx.Emit(cnt)
+							}
+						},
+						Slot: func(dst graph.VertexID, msg int64) {
+							counts[dst] += msg
+						},
+						Finalize: func(dst graph.VertexID, skip bool, data []float64) {
+							tracked[dst], skipped[dst] = true, skip
+							if !skip {
+								counts[dst] += int64(data[0])
+							}
+						},
+						Lanes: 1,
+					})
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				sawSkip := false
+				for v := 0; v < n; v++ {
+					got, deg := counts[v], int64(g.InDegree(graph.VertexID(v)))
+					if (got >= k) != (deg >= k) || got > deg {
+						t.Fatalf("vertex %d: count %d against in-degree %d at k=%d", v, got, deg, k)
+					}
+					if tracked[v] && got != min(deg, k) {
+						t.Fatalf("tracked vertex %d: count %d, want min(in-degree %d, k=%d)", v, got, deg, k)
+					}
+					sawSkip = sawSkip || skipped[v]
+				}
+				if mode == ModeSympleGraph && p > 1 && !sawSkip {
+					t.Fatal("no tracked destination reached Finalize with its skip bit set")
+				}
+			})
+		}
+	}
+}
+
 // TestDenseActiveDstFilter holds the destination filter to a hand-computed
 // answer: under {no filter, Active, Except, both} × both modes ×
 // NumBuffers {1, 2, 3} × {1, 2, 4} machines × {1, 2} workers, a pass that

@@ -137,6 +137,16 @@ func WriteBinary(w io.Writer, g *Graph) error {
 	return bw.Flush()
 }
 
+// Read parses a graph in either format: WriteBinary's when the input
+// starts with its magic, WriteEdgeListText's otherwise.
+func Read(r io.Reader) (*Graph, error) {
+	br := bufio.NewReader(r)
+	if magic, _ := br.Peek(len(binaryMagic)); string(magic) == binaryMagic {
+		return ReadBinary(br)
+	}
+	return ReadEdgeListText(br, BuildOptions{})
+}
+
 // ReadBinary parses the format written by WriteBinary and validates the
 // result.
 func ReadBinary(r io.Reader) (*Graph, error) {
