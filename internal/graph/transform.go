@@ -80,15 +80,6 @@ func mergeRows(g *Graph, v VertexID, s *Graph, at int64) int64 {
 	return n
 }
 
-// Reverse returns the transpose of g: edge (u,v) becomes (v,u).
-func Reverse(g *Graph) *Graph {
-	edges := g.Edges()
-	for i := range edges {
-		edges[i].Src, edges[i].Dst = edges[i].Dst, edges[i].Src
-	}
-	return must(fromEdges(g.NumVertices(), edges, true, BuildOptions{Weighted: g.Weighted()}))
-}
-
 // IsSymmetric reports whether every edge has its reverse edge.
 func IsSymmetric(g *Graph) bool {
 	for v := 0; v < g.NumVertices(); v++ {

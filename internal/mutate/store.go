@@ -189,13 +189,21 @@ func NewStore(g *graph.Graph, retention int) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
+	return NewStoreAt(g, 1, fp, retention), nil
+}
+
+// NewStoreAt roots a version chain at an epoch of another chain: g is
+// that chain's graph at epoch, fp its fingerprint there. Commits then
+// chain from fp exactly as the original chain did, so a replica shipped
+// one epoch in full follows later epochs by their deltas alone.
+func NewStoreAt(g *graph.Graph, epoch uint64, fp string, retention int) *Store {
 	if retention <= 0 {
 		retention = DefaultRetention
 	}
 	return &Store{
-		snaps:     []*Snapshot{{epoch: 1, held: g, fp: fp, blob: &blobMemo{}}},
+		snaps:     []*Snapshot{{epoch: epoch, held: g, fp: fp, blob: &blobMemo{}}},
 		retention: retention,
-	}, nil
+	}
 }
 
 // Latest returns the newest snapshot.

@@ -114,3 +114,46 @@ func TestRetainedEpochsRebuild(t *testing.T) {
 		}
 	}
 }
+
+// TestStoreRootedAtEpochFollowsChain: a store rooted at epoch k of
+// another chain, with that epoch's graph and fingerprint, commits the
+// chain's later batches to the same epochs, fingerprints and graphs,
+// and resolves nothing before k.
+func TestStoreRootedAtEpochFollowsChain(t *testing.T) {
+	const k = 3
+	rng := rand.New(rand.NewSource(5))
+	st, err := NewStore(randomGraph(rng, 24, 80, true), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var replica *Store
+	for i := 1; i < 3*k; i++ {
+		if i == k {
+			at := st.Latest()
+			replica = NewStoreAt(at.Graph(), at.Epoch(), at.Fingerprint(), 0)
+		}
+		b := adversarialBatch(rng, st.Latest().Graph(), 1+rng.Intn(12))
+		want, err := st.Commit(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if replica == nil {
+			continue
+		}
+		got, err := replica.Commit(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Epoch() != want.Epoch() || got.Fingerprint() != want.Fingerprint() {
+			t.Fatalf("commit %d: replica at epoch %d fp %.12s, chain at %d fp %.12s",
+				i, got.Epoch(), got.Fingerprint(), want.Epoch(), want.Fingerprint())
+		}
+		requireSameArrays(t, fmt.Sprintf("commit %d", i), got.Graph(), want.Graph())
+	}
+	if lo, _ := replica.Window(); lo != k {
+		t.Fatalf("replica window starts at %d, want %d", lo, k)
+	}
+	if _, err := replica.At(k - 1); err == nil {
+		t.Fatalf("replica resolved epoch %d, before its root", k-1)
+	}
+}

@@ -144,10 +144,7 @@ func TestCommitAdvancesIdleEngines(t *testing.T) {
 // graph, over a chain whose edge count grows and shrinks, while the
 // epochs share one stream of draws.
 func TestWeightedVariantSharesDraws(t *testing.T) {
-	ge, err := newGraphEntry("g", testGraph(7, 3), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ge := servedEntry(t, "g", testGraph(7, 3))
 	check := func(st *epochState) {
 		t.Helper()
 		got, want := st.Graph(variantWeighted), graph.RandomWeights(st.Graph(variantDirected), synthWeightSeed)

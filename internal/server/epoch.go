@@ -5,7 +5,6 @@
 package server
 
 import (
-	"fmt"
 	"math/rand"
 	"sync"
 	"time"
@@ -15,8 +14,9 @@ import (
 	"repro/internal/mutate"
 )
 
-// graphEntry is one served graph's version chain: the snapshot store
-// and the per-epoch derived state (canonicalization defaults, variants).
+// graphEntry is one served graph's version chain, in the front-end and
+// in every sgworker alike: the snapshot store and the per-epoch derived
+// state (canonicalization defaults, variants).
 // Only the newest epoch's state, with the variants it materialized, is
 // kept; a query pinned to an older epoch gets a state of its own whose
 // variants derive from the snapshot's rebuilt graph, and which goes
@@ -70,15 +70,13 @@ type epochState struct {
 	variants map[graphVariant]*graph.Graph
 }
 
-func newGraphEntry(name string, g *graph.Graph, retention int) (*graphEntry, error) {
-	store, err := mutate.NewStore(g, retention)
-	if err != nil {
-		return nil, fmt.Errorf("server: versioning %s: %w", name, err)
-	}
+// newGraphEntry serves a version chain: the front-end's, rooted at a
+// loaded graph, or a worker's, rooted at the epoch it was shipped whole.
+func newGraphEntry(name string, store *mutate.Store) *graphEntry {
 	e := &graphEntry{name: name, store: store, states: make(map[uint64]*epochState), infos: make(map[uint64]graphInfo)}
 	e.weights.rng = rand.New(rand.NewSource(synthWeightSeed))
 	e.stateFor(store.Latest())
-	return e, nil
+	return e
 }
 
 // stateFor returns the epochState for a resolved snapshot: the kept
@@ -183,10 +181,12 @@ func (st *epochState) graphLocked(v graphVariant) *graph.Graph {
 	switch {
 	case v == variantDirected:
 		g = st.snap.Graph()
-	case v == variantWeighted && !st.info.weighted:
-		g = st.weights.weigh(st.graphLocked(variantDirected)) // deriveVariant's draws, shared across epochs
+	case v == variantUndirected: // a commit installs its parent's, patched
+		g = graph.Symmetrize(st.graphLocked(variantDirected))
+	case v == variantWeighted && !st.info.weighted: // RandomWeights' draws, shared across epochs
+		g = st.weights.weigh(st.graphLocked(variantDirected))
 	default:
-		g = deriveVariant(st.graphLocked(variantDirected), v)
+		g = st.graphLocked(variantDirected)
 	}
 	st.variants[v] = g
 	return g
@@ -204,7 +204,8 @@ func (st *epochState) install(v graphVariant, g *graph.Graph) {
 // slot build: the variant graph for in-process engines, and for workers
 // the epoch's directed snapshot alone — its blob, or the committed batch
 // against the parent fingerprint, which the worker verifies with
-// ChainFingerprint and derives the variant from itself.
+// ChainFingerprint and commits to its own chain, whose epochState
+// serves the variant.
 func (st *epochState) buildSpec(name string, v graphVariant, mode core.Mode, slotID int) buildSpec {
 	spec := buildSpec{
 		GraphName: name,

@@ -152,18 +152,15 @@ func TestFleetCapacityReject(t *testing.T) {
 	}
 	defer d.Close()
 
+	ge := servedEntry(t, "g", testGraph(6, 1))
 	prov := newRemoteProvider(Config{
 		Workers:       []string{d.Addr()},
 		Engine:        core.Options{NumNodes: 2, Mode: core.ModeSympleGraph},
 		ProbeInterval: 20 * time.Millisecond,
 		ProbeTimeout:  250 * time.Millisecond,
-	}.withDefaults())
+	}.withDefaults(), map[string]*graphEntry{"g": ge})
 	defer prov.close()
 
-	ge, err := newGraphEntry("g", testGraph(6, 1), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	spec := ge.Latest().buildSpec("g", variantDirected, core.ModeSympleGraph, 0)
 	first, err := prov.build(spec)
 	if err != nil {

@@ -465,10 +465,7 @@ func TestCommitDerivesUndirectedVariant(t *testing.T) {
 		if weighted {
 			base = graph.RandomWeights(base, 5)
 		}
-		ge, err := newGraphEntry("g", base, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ge := servedEntry(t, "g", base)
 		rng := rand.New(rand.NewSource(9))
 		n := base.NumVertices()
 		for epoch := 0; epoch < 12; epoch++ {
@@ -534,10 +531,7 @@ func TestCommitDerivesUndirectedVariant(t *testing.T) {
 // variant is patched with hold more arcs than MaxBatchOps. The limit
 // bounds what a client submits, not what a commit derives.
 func TestCommitHubBeyondBatchLimit(t *testing.T) {
-	ge, err := newGraphEntry("star", graph.Star(40000), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ge := servedEntry(t, "star", graph.Star(40000))
 	res, err := ge.commit(mutate.Batch{Ops: []mutate.Mutation{{Op: mutate.OpRemoveVertex, Src: 0}}})
 	if err != nil {
 		t.Fatal(err)

@@ -7,7 +7,7 @@ import (
 	"sync"
 
 	"repro/internal/core"
-	"repro/internal/graph"
+	"repro/internal/mutate"
 )
 
 // graphVariant selects which derived form of a loaded graph an
@@ -24,20 +24,6 @@ const (
 // synthWeightSeed seeds the weights SSSP runs on when the served graph
 // carries none.
 const synthWeightSeed = 7
-
-// deriveVariant is the one derivation of a serving variant from its
-// directed base: the front-end's epochs memoize it (the commit-time
-// undirected patch and the weight stream reproduce it bit for bit), and
-// an sgworker runs it on the base the front-end shipped.
-func deriveVariant(base *graph.Graph, v graphVariant) *graph.Graph {
-	switch {
-	case v == variantUndirected:
-		return graph.Symmetrize(base)
-	case v == variantWeighted && !base.Weighted():
-		return graph.RandomWeights(base, synthWeightSeed)
-	}
-	return base
-}
 
 func (v graphVariant) String() string {
 	switch v {
@@ -124,14 +110,14 @@ func newPool(cfg Config) (*pool, error) {
 		builds:  make(map[string]int, 2),
 	}
 	for name, g := range cfg.Graphs {
-		ge, err := newGraphEntry(name, g, cfg.Retention)
+		store, err := mutate.NewStore(g, cfg.Retention)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("server: versioning %s: %w", name, err)
 		}
-		p.graphs[name] = ge
+		p.graphs[name] = newGraphEntry(name, store)
 	}
 	if len(cfg.Workers) > 0 {
-		p.remote = newRemoteProvider(cfg)
+		p.remote = newRemoteProvider(cfg, p.graphs)
 	}
 	return p, nil
 }

@@ -52,8 +52,8 @@ type buildSpec struct {
 	SlotID int
 
 	// Epoch identifies the graph version; FP is its directed snapshot's
-	// chained fingerprint. One graph per epoch ships: a worker derives
-	// Variant from that snapshot itself.
+	// chained fingerprint. One graph per epoch ships: a worker's chain
+	// serves Variant from that snapshot itself.
 	Epoch uint64
 	FP    string
 	// Blob lazily serializes the directed snapshot (memoized on it) for

@@ -197,12 +197,9 @@ func canonicalize(q Request, info graphInfo) (Request, error) {
 // engine (symplegraph): q canonicalized against base as a one-epoch
 // graph entry, and the variant that epoch materializes for q.Algo.
 func Prepare(q Request, base *graph.Graph) (Request, *graph.Graph, error) {
-	ge, err := newGraphEntry(q.Graph, base, 1)
+	st := newGraphEntry(q.Graph, mutate.NewStoreAt(base, 1, "", 1)).Latest() // never shipped, so never fingerprinted
+	q, err := canonicalize(q, st.Info())
 	if err != nil {
-		return q, nil, err
-	}
-	st := ge.Latest()
-	if q, err = canonicalize(q, st.Info()); err != nil {
 		return q, nil, err
 	}
 	return q, st.Graph(variantFor(q.Algo)), nil

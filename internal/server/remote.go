@@ -28,12 +28,12 @@ import (
 //	front-end → worker   build {graph, variant, fp, parent_fp, epoch, node, nodes, opts}
 //	worker → front-end   build-reject {reason}  (worker at slot capacity)
 //	worker → front-end   graph-state {have, have_parent, offset}
-//	front-end → worker   delta {size, sha} + chunked batch  (when the
-//	                     worker holds parent_fp; it checks
-//	                     ChainFingerprint(parent_fp, batch) == fp and
-//	                     applies the committed batch locally)
-//	front-end → worker   graph {size, chunk, sha} + chunked blob  (when the
-//	                     worker lacks both fp and parent; resumes from offset)
+//	front-end → worker   delta {size, sha} + chunked batch  (when
+//	                     parent_fp is the newest epoch the worker holds; it
+//	                     checks ChainFingerprint(parent_fp, batch) == fp and
+//	                     commits the batch to its chain)
+//	front-end → worker   graph {size, chunk, sha} + chunked blob  (otherwise;
+//	                     the blob roots a fresh chain; resumes from offset)
 //	worker → front-end   ready {data_addr}
 //	front-end → worker   start {addrs}       (the full data-plane address list)
 //	worker → front-end   up {error}          (mesh formed, engine built)
@@ -41,8 +41,10 @@ import (
 //	front-end → worker   close               (slot teardown)
 //
 // One graph ships per epoch: fp and parent_fp name the epoch's directed
-// snapshot, whatever the variant, and the worker derives the variant the
-// slot runs on (deriveVariant) from the base it caches. Graphs ship in
+// snapshot, whatever the variant. The worker keeps each graph in the
+// front-end's own version chain (graphEntry): a blob roots it, a delta
+// is committed to it, and the slot's variant is epochState.Graph's, the
+// undirected one patched at commit as the front-end's is. Graphs ship in
 // fixed-size CRC-checked chunks (comm.SendBlobChunked);
 // the worker retains the acknowledged prefix across a disconnect, and
 // graph-state's offset lets the next transfer resume where the last one
@@ -90,8 +92,7 @@ type buildMsg struct {
 	Variant graphVariant `json:"variant"`
 	// FP names the epoch's directed snapshot; ParentFP the parent
 	// epoch's, offered so the worker can answer whether a delta ship
-	// suffices. Epoch is the version number, which orders the worker's
-	// cache eviction.
+	// suffices. Epoch is the version number the worker's chain resolves.
 	FP       string      `json:"fp"`
 	ParentFP string      `json:"parent_fp,omitempty"`
 	Epoch    uint64      `json:"epoch"`
@@ -107,8 +108,9 @@ type rejectMsg struct {
 
 type graphStateMsg struct {
 	Have bool `json:"have"`
-	// HaveParent reports the worker holds the parent epoch, so the
-	// sender may ship the committed batch instead of the blob.
+	// HaveParent reports the parent epoch is the newest the worker
+	// holds, so the sender may ship the committed batch instead of the
+	// blob.
 	HaveParent bool `json:"have_parent,omitempty"`
 	// Offset is how many bytes of a previously interrupted transfer of
 	// this fingerprint the worker retained; the sender resumes there.
@@ -163,13 +165,13 @@ type doneMsg struct {
 // worker-side spans stay on the workers), AdvertiseHost and Logf.
 type remoteProvider struct {
 	cfg    Config
+	graphs map[string]*graphEntry // the pool's
 	roster *rosterManager
 
-	// newest is the latest-epoch spec build was handed per graph: what
-	// the rejoin hook preloads. The blob is memoized once, on the
-	// snapshot; a spec only points at it.
-	mu     sync.Mutex
-	newest map[string]buildSpec
+	// built names the graphs slots were built for: what the rejoin hook
+	// preloads, each at its newest epoch.
+	mu    sync.Mutex
+	built map[string]bool
 
 	deltaShips     atomic.Int64
 	degradedBuilds atomic.Int64
@@ -182,9 +184,10 @@ type rejectedError struct{ reason string }
 func (e *rejectedError) Error() string { return "rejected build: " + e.reason }
 
 // newRemoteProvider returns a provider that schedules onto
-// cfg.Workers, tracking their health with a probing roster.
-func newRemoteProvider(cfg Config) *remoteProvider {
-	p := &remoteProvider{cfg: cfg, newest: make(map[string]buildSpec)}
+// cfg.Workers, tracking their health with a probing roster, for the
+// pool's graphs.
+func newRemoteProvider(cfg Config, graphs map[string]*graphEntry) *remoteProvider {
+	p := &remoteProvider{cfg: cfg, graphs: graphs, built: make(map[string]bool)}
 	p.roster = newRosterManager(cfg, p.preload)
 	return p
 }
@@ -201,44 +204,24 @@ func (p *remoteProvider) fleet() fleetStatus {
 	return fs
 }
 
-// remember keeps spec as what a rejoining worker is preloaded with for
-// its graph, unless a newer epoch's is already held.
-func (p *remoteProvider) remember(spec buildSpec) {
-	p.mu.Lock()
-	if cur, ok := p.newest[spec.GraphName]; !ok || spec.Epoch >= cur.Epoch {
-		p.newest[spec.GraphName] = spec
-	}
-	p.mu.Unlock()
-}
-
-// newestSpecs snapshots the remembered specs in graph order, so rejoin
-// transfers are ordered deterministically.
-func (p *remoteProvider) newestSpecs() []buildSpec {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	keys := make([]string, 0, len(p.newest))
-	for k := range p.newest {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]buildSpec, len(keys))
-	for i, k := range keys {
-		out[i] = p.newest[k]
-	}
-	return out
-}
-
 // preload is the roster's rejoin hook: ship the newest epoch of every
 // graph slots were built for to a worker coming back from dead,
 // so its re-admission never stalls a slot build on a cold transfer.
-// Superseded epochs are not re-shipped — no build will ask for them. A
-// worker that retained the parent epoch gets only the delta; interrupted
-// full transfers resume from the worker's retained offset.
+// The epoch is read now, not at the last build: superseded epochs are
+// not re-shipped — no build will ask for them. A worker that retained
+// the parent epoch gets only the delta; interrupted full transfers
+// resume from the worker's retained offset.
 func (p *remoteProvider) preload(addr string) error {
-	specs := p.newestSpecs()
-	if len(specs) == 0 {
+	p.mu.Lock()
+	names := make([]string, 0, len(p.built))
+	for name := range p.built {
+		names = append(names, name)
+	}
+	p.mu.Unlock()
+	if len(names) == 0 {
 		return nil
 	}
+	sort.Strings(names) // rejoin transfers go in a deterministic order
 	cc, err := comm.DialCtrl(addr, defaultCtrlDialTimeout)
 	if err != nil {
 		return err
@@ -246,8 +229,9 @@ func (p *remoteProvider) preload(addr string) error {
 	defer cc.Close()
 	//sgvet:ignore commerr deadline-arm failure means the conn is already dead; the preload traffic below reports the real error
 	cc.SetDeadline(time.Now().Add(defaultBuildTimeout))
-	for _, spec := range specs {
-		msg := preloadMsg{Graph: spec.GraphName, Epoch: spec.Epoch, FP: spec.FP, ParentFP: spec.ParentFP}
+	for _, name := range names {
+		spec := p.graphs[name].Latest().buildSpec(name, variantDirected, 0, 0)
+		msg := preloadMsg{Graph: name, Epoch: spec.Epoch, FP: spec.FP, ParentFP: spec.ParentFP}
 		if err := p.shipGraph(cc, "preload", msg, spec); err != nil {
 			return fmt.Errorf("preloading %s: %w", addr, err)
 		}
@@ -324,7 +308,9 @@ func (p *remoteProvider) shipGraph(cc *comm.CtrlConn, announce string, msg any, 
 // build degrades to an in-process engine flagged degraded rather than
 // failing the query path.
 func (p *remoteProvider) build(spec buildSpec) (engine, error) {
-	p.remember(spec)
+	p.mu.Lock()
+	p.built[spec.GraphName] = true
+	p.mu.Unlock()
 	exclude := make(map[string]bool)
 	var lastErr error
 	for attempt := 0; attempt < maxBuildAttempts; attempt++ {

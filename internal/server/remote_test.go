@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -221,9 +222,9 @@ func TestWorkerLossMidQueryRebuildsSlot(t *testing.T) {
 // TestRemoteVariantsArriveByDelta: one graph ships per epoch. After
 // each commit the first remote ring — bfs, kcore or sssp in turn —
 // reaches every worker as the committed batch against the parent the
-// worker holds, applied once per epoch; the other two variants' rings
-// derive from that base and ship nothing. Every answer equals the
-// local provider's.
+// worker holds, committed to its chain once per epoch; the other two
+// variants' rings are served from that epoch and ship nothing. Every
+// answer equals the local provider's.
 func TestRemoteVariantsArriveByDelta(t *testing.T) {
 	daemons, addrs := startWorkers(t, 2)
 	s := testServer(t, Config{Graphs: map[string]*graph.Graph{"g": testGraph(7, 3)}, Workers: addrs})
@@ -276,17 +277,84 @@ func TestRemoteVariantsArriveByDelta(t *testing.T) {
 		}
 		for i, d := range daemons {
 			if got := d.graphsCached(); got != c+2 {
-				t.Fatalf("%s: worker %d holds %d base graphs, want one per epoch (%d)", stage, i, got, c+2)
+				t.Fatalf("%s: worker %d holds %d epochs, want every epoch so far (%d)", stage, i, got, c+2)
 			}
+		}
+	}
+}
+
+// TestConcurrentBuildsCommitDeltaOnce: after each commit, slots on two
+// variants of the new epoch are built at once on one worker. Both may be
+// shipped the delta, but the worker commits it once: the parent check
+// and the commit are one step under its lock, and the connection that
+// comes second finds the epoch committed. Every answer equals the local
+// provider's.
+func TestConcurrentBuildsCommitDeltaOnce(t *testing.T) {
+	const commits = 8
+	daemons, addrs := startWorkers(t, 1)
+	s := testServer(t, Config{Graphs: map[string]*graph.Graph{"g": testGraph(7, 3)}, Workers: addrs})
+	t.Cleanup(s.pool.close)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	d := daemons[0]
+
+	algos := []string{"bfs", "kcore"}
+	query := func(algo, provider string) (Response, error) {
+		resp, err := http.Get(ts.URL + "/query?graph=g&no_cache=1&algo=" + algo + "&provider=" + provider)
+		if err != nil {
+			return Response{}, err
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		var r Response
+		if resp.StatusCode != http.StatusOK {
+			return r, fmt.Errorf("%s %s: %d %s", provider, algo, resp.StatusCode, body)
+		}
+		return r, json.Unmarshal(body, &r)
+	}
+	for c := 0; c <= commits; c++ {
+		if c > 0 {
+			if code, _, body := postMutate(t, ts.URL, MutateRequest{Graph: "g", Mutations: []MutationJSON{addEdge(c, 100+c), addEdge(100+c, 0)}}); code != http.StatusOK {
+				t.Fatalf("commit %d: %d %s", c, code, body)
+			}
+		}
+		applied := d.deltasApplied.Load()
+		remote := make([]Response, len(algos))
+		errs := make([]error, len(algos))
+		var wg sync.WaitGroup
+		for i, algo := range algos {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				remote[i], errs[i] = query(algo, "remote")
+			}()
+		}
+		wg.Wait()
+		for i, algo := range algos {
+			if errs[i] != nil {
+				t.Fatalf("epoch %d: %v", c+1, errs[i])
+			}
+			local, err := query(algo, "local")
+			if err != nil {
+				t.Fatalf("epoch %d: %v", c+1, err)
+			}
+			if remote[i].Degraded || remote[i].Epoch != local.Epoch || !reflect.DeepEqual(remote[i].Result, local.Result) {
+				t.Fatalf("epoch %d %s: remote %+v@%d degraded=%v, local %+v@%d",
+					c+1, algo, remote[i].Result, remote[i].Epoch, remote[i].Degraded, local.Result, local.Epoch)
+			}
+		}
+		want := int64(min(c, 1))
+		if got := d.deltasApplied.Load() - applied; got != want {
+			t.Fatalf("epoch %d: the worker committed %d deltas for two concurrent builds, want %d", c+1, got, want)
 		}
 	}
 }
 
 // TestWorkerCacheKeepsRetentionEpochs: a worker serving a graph across
 // more commits than mutate.DefaultRetention holds only the newest
-// DefaultRetention epochs' bases, and a query pinned to an epoch it
-// evicted (still retained by a front-end with a longer window) gets
-// that epoch shipped again.
+// DefaultRetention epochs in its chain, and a query pinned to an epoch
+// the chain let go (still retained by a front-end with a longer window)
+// gets that epoch shipped again, without disturbing the chain.
 func TestWorkerCacheKeepsRetentionEpochs(t *testing.T) {
 	const commits = mutate.DefaultRetention + 3
 	daemons, addrs := startWorkers(t, 2)
@@ -308,7 +376,7 @@ func TestWorkerCacheKeepsRetentionEpochs(t *testing.T) {
 		}
 		for i, d := range daemons {
 			if got := d.graphsCached(); got > mutate.DefaultRetention {
-				t.Fatalf("%s: worker %d holds %d base graphs, want at most %d", stage, i, got, mutate.DefaultRetention)
+				t.Fatalf("%s: worker %d holds %d epochs, want at most %d", stage, i, got, mutate.DefaultRetention)
 			}
 		}
 	}
@@ -322,7 +390,7 @@ func TestWorkerCacheKeepsRetentionEpochs(t *testing.T) {
 	serve("pinned to evicted epoch 2", "&epoch=2")
 }
 
-// TestWorkerRefusesUnknownVariant: the worker derives the variant a
+// TestWorkerRefusesUnknownVariant: the worker serves the variant a
 // build names, so a build naming none it knows is dropped before any
 // graph negotiation rather than served on the wrong graph.
 func TestWorkerRefusesUnknownVariant(t *testing.T) {

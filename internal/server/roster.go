@@ -92,8 +92,8 @@ func (s *WorkerState) UnmarshalJSON(data []byte) error {
 // decisions (capacity-aware slot placement, rejoin detection).
 type pongMsg struct {
 	SlotsActive  int `json:"slots_active"`
-	MaxSlots     int `json:"max_slots"` // 0 = unlimited
-	GraphsCached int `json:"graphs_cached"`
+	MaxSlots     int `json:"max_slots"`     // 0 = unlimited
+	GraphsCached int `json:"graphs_cached"` // epochs servable without a ship
 }
 
 // workerHealth is the mutable per-worker record; guarded by roster.mu.

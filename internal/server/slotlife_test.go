@@ -181,10 +181,10 @@ func TestRemoteDeadlineAnsweredWithoutRebuild(t *testing.T) {
 
 // TestRejoinPreloadsNewestEpochOnly: after K commits — each served on
 // two variants, so the provider saw a build per (epoch, variant) — a
-// worker coming back from dead is preloaded with the newest epoch's one
-// base graph and nothing older (superseded epochs are payloads no build
-// will ask for), and the builds that fold it back into the ring find
-// that base cached and derive every variant from it: nothing ships.
+// worker coming back from dead is preloaded with the newest epoch alone
+// (superseded epochs are payloads no build will ask for), and the
+// builds that fold it back into the ring find that epoch held and serve
+// every variant from it: nothing ships.
 func TestRejoinPreloadsNewestEpochOnly(t *testing.T) {
 	const commits = 4
 	daemons, addrs := startWorkers(t, 2)
@@ -219,7 +219,7 @@ func TestRejoinPreloadsNewestEpochOnly(t *testing.T) {
 		serve(fmt.Sprintf("epoch %d", c+2))
 	}
 	if got := daemons[1].graphsCached(); got < commits+1 {
-		t.Fatalf("victim holds %d base graphs before the kill, want one per epoch it served: %d", got, commits+1)
+		t.Fatalf("victim holds %d epochs before the kill, want every epoch it served: %d", got, commits+1)
 	}
 
 	daemons[1].Close()
@@ -236,7 +236,7 @@ func TestRejoinPreloadsNewestEpochOnly(t *testing.T) {
 
 	preloaded := d2.graphsCached()
 	if preloaded != 1 {
-		t.Fatalf("rejoined worker was preloaded with %d base graphs, want the newest epoch's one", preloaded)
+		t.Fatalf("rejoined worker was preloaded with %d epochs, want the newest alone", preloaded)
 	}
 
 	remoteProv := s.pool.remote
@@ -252,8 +252,56 @@ func TestRejoinPreloadsNewestEpochOnly(t *testing.T) {
 		t.Fatal("restarted worker never hosted a slot")
 	}
 	if got := d2.graphsCached(); got != preloaded || d2.deltasApplied.Load() != 0 || remoteProv.fleet().DeltaShips != deltaShips {
-		t.Fatalf("the build after the preload shipped: graphs cached %d → %d, deltas applied %d, delta ships %d → %d",
+		t.Fatalf("the build after the preload shipped: epochs held %d → %d, deltas applied %d, delta ships %d → %d",
 			preloaded, got, d2.deltasApplied.Load(), deltaShips, remoteProv.fleet().DeltaShips)
+	}
+}
+
+// TestRejoinPreloadsLatestCommit: the rejoin preload ships a graph's
+// newest committed epoch, not the one its last remote build used. After
+// a remote query at epoch 1, a commit no remote query follows and a
+// worker restart, the build that brings the worker back finds the
+// preloaded epoch held: no delta ships and the worker commits none.
+func TestRejoinPreloadsLatestCommit(t *testing.T) {
+	daemons, addrs := startWorkers(t, 1)
+	cfg := Config{Graphs: map[string]*graph.Graph{"g": testGraph(7, 3)}, Workers: addrs}
+	fastFleet(&cfg)
+	s := testServer(t, cfg)
+	t.Cleanup(s.pool.close)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	waitFleet(t, s, "healthy", func(fs fleetStatus) bool { return fs.Healthy == 1 })
+
+	serve := func(stage string, epoch uint64) {
+		t.Helper()
+		base := ts.URL + "/query?graph=g&algo=bfs&no_cache=1"
+		code, remote, body := getResponse(t, base+"&provider=remote")
+		if code != http.StatusOK || remote.Degraded || remote.Epoch != epoch {
+			t.Fatalf("%s remote: %d degraded=%v epoch %d (want %d) %s", stage, code, remote.Degraded, remote.Epoch, epoch, body)
+		}
+		_, local, _ := getResponse(t, base+"&provider=local")
+		if !reflect.DeepEqual(remote.Result, local.Result) {
+			t.Fatalf("%s: remote %+v local %+v", stage, remote.Result, local.Result)
+		}
+	}
+	serve("epoch 1", 1)
+	if code, _, body := postMutate(t, ts.URL, MutateRequest{Graph: "g", Mutations: []MutationJSON{addEdge(1, 100)}}); code != http.StatusOK {
+		t.Fatalf("commit: %d %s", code, body)
+	}
+	daemons[0].Close()
+	waitFleet(t, s, "worker dead", func(fs fleetStatus) bool { return stateOf(fs, addrs[0]) == StateDead })
+	d2, err := StartWorkerDaemon(WorkerConfig{Addr: addrs[0], Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { d2.Close() })
+	waitFleet(t, s, "worker healthy again", func(fs fleetStatus) bool { return stateOf(fs, addrs[0]) == StateHealthy })
+
+	ships := s.pool.remote.fleet().DeltaShips
+	serve("epoch 2 after the rejoin", 2)
+	if got := s.pool.remote.fleet().DeltaShips; got != ships || d2.deltasApplied.Load() != 0 || d2.graphsCached() != 1 {
+		t.Fatalf("the build after the preload shipped: delta ships %d → %d, deltas applied %d, epochs held %d",
+			ships, got, d2.deltasApplied.Load(), d2.graphsCached())
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -41,12 +40,13 @@ type WorkerConfig struct {
 // WorkerDaemon is the sgworker runtime: it accepts control connections
 // from a serving front-end. A connection starts in a lightweight
 // request loop — health pings and graph preloads — and becomes one
-// engine slot when a build arrives: graph (each epoch's directed
-// snapshot shipped once, as a blob or a chained delta, and cached with
-// the variants derived from it; interrupted transfers resume),
-// data-plane endpoint, distributed engine — then answers run requests
-// in lockstep with node 0. One connection is one slot; the front-end's
-// remote provider holds one per pooled remote engine.
+// engine slot when a build arrives: graph, data-plane endpoint,
+// distributed engine — then answers run requests in lockstep with node
+// 0. One connection is one slot; the front-end's remote provider holds
+// one per pooled remote engine. The worker keeps each served graph as
+// the front-end does, in a graphEntry: a shipped blob roots its version
+// chain, a chained delta is committed to it, and every variant a slot
+// runs on comes from epochState.Graph. Interrupted transfers resume.
 type WorkerDaemon struct {
 	cfg WorkerConfig
 	ln  net.Listener
@@ -57,8 +57,8 @@ type WorkerDaemon struct {
 	wg     sync.WaitGroup
 
 	graphMu sync.Mutex
-	bases   map[string]*baseGraph // snapshot fingerprint → cached epoch
-	partial map[string][]byte     // fingerprint → acked prefix of an interrupted transfer
+	chains  map[string]*graphEntry // served graph name → the epochs held of it
+	partial map[string][]byte      // fingerprint → acked prefix of an interrupted transfer
 
 	slotsActive   atomic.Int64
 	slotsBuilt    atomic.Int64
@@ -68,30 +68,6 @@ type WorkerDaemon struct {
 	pings         atomic.Int64
 	preloads      atomic.Int64
 	deltasApplied atomic.Int64
-}
-
-// baseGraph is one cached epoch of a served graph: the directed
-// snapshot the front-end shipped, and the serving variants derived from
-// it on first use.
-type baseGraph struct {
-	name  string
-	epoch uint64
-	g     *graph.Graph // the directed snapshot
-
-	mu      sync.Mutex
-	derived map[graphVariant]*graph.Graph
-}
-
-// variant returns (deriving once) variant v of the base.
-func (b *baseGraph) variant(v graphVariant) *graph.Graph {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	g, ok := b.derived[v]
-	if !ok {
-		g = deriveVariant(b.g, v)
-		b.derived[v] = g
-	}
-	return g
 }
 
 // workerConn is one control connection and the slot state hanging off
@@ -135,7 +111,7 @@ func StartWorkerDaemon(cfg WorkerConfig) (*WorkerDaemon, error) {
 		cfg:     cfg,
 		ln:      ln,
 		conns:   make(map[*workerConn]struct{}),
-		bases:   make(map[string]*baseGraph),
+		chains:  make(map[string]*graphEntry),
 		partial: make(map[string][]byte),
 	}
 	if cfg.Registry != nil {
@@ -157,11 +133,17 @@ func StartWorkerDaemon(cfg WorkerConfig) (*WorkerDaemon, error) {
 // Addr is the control address the daemon is reachable on.
 func (d *WorkerDaemon) Addr() string { return d.ln.Addr().String() }
 
-// graphsCached counts the base graphs (epochs) held in memory.
+// graphsCached counts the epochs the worker can serve without a ship:
+// every epoch its chains resolve.
 func (d *WorkerDaemon) graphsCached() int {
 	d.graphMu.Lock()
 	defer d.graphMu.Unlock()
-	return len(d.bases)
+	n := 0
+	for _, ge := range d.chains {
+		lo, hi := ge.store.Window()
+		n += int(hi - lo + 1)
+	}
+	return n
 }
 
 // Close stops accepting, severs every control connection and data
@@ -208,36 +190,75 @@ func (d *WorkerDaemon) acceptLoop() {
 	}
 }
 
-// baseFor returns the cached epoch for a snapshot fingerprint, nil when
-// none is held.
-func (d *WorkerDaemon) baseFor(fp string) *baseGraph {
-	d.graphMu.Lock()
-	defer d.graphMu.Unlock()
-	return d.bases[fp]
+// heldLocked returns ref's epoch when the chain of ref's graph resolves
+// it to ref's fingerprint, nil otherwise. graphMu must be held.
+func (d *WorkerDaemon) heldLocked(ref graphRef) *epochState {
+	ge := d.chains[ref.name]
+	if ge == nil {
+		return nil
+	}
+	st, err := ge.Resolve(ref.epoch)
+	if err != nil || st.snap.Fingerprint() != ref.fp {
+		return nil
+	}
+	return st
 }
 
-// storeBase caches a received epoch under its snapshot fingerprint,
-// keeping only the newest mutate.DefaultRetention epochs of its graph:
-// an older one a pinned query needs is shipped again.
-func (d *WorkerDaemon) storeBase(ref graphRef, g *graph.Graph) *baseGraph {
-	b := &baseGraph{name: ref.name, epoch: ref.epoch, g: g, derived: make(map[graphVariant]*graph.Graph)}
+// parentHeldLocked reports whether ref's parent is the newest epoch of
+// the chain of ref's graph: the one epoch a delta commits to. graphMu
+// must be held.
+func (d *WorkerDaemon) parentHeldLocked(ref graphRef) bool {
+	ge := d.chains[ref.name]
+	return ge != nil && ref.parentFP != "" && ge.store.Latest().Fingerprint() == ref.parentFP
+}
+
+// root serves a full ship of ref's epoch, g: it roots a fresh chain
+// there, which replaces the graph's old one. An epoch older than every
+// epoch the old chain holds (a query pinned to one it let go) serves
+// from a chain nothing keeps, and the old chain stays. A chain that
+// already holds the epoch, shipped on another connection meanwhile, is
+// used as it is.
+func (d *WorkerDaemon) root(ref graphRef, g *graph.Graph) *epochState {
+	ge := newGraphEntry(ref.name, mutate.NewStoreAt(g, ref.epoch, ref.fp, mutate.DefaultRetention))
 	d.graphMu.Lock()
 	defer d.graphMu.Unlock()
-	d.bases[ref.fp] = b
 	delete(d.partial, ref.fp)
-	var held []string
-	for f, c := range d.bases {
-		if c.name == ref.name {
-			held = append(held, f)
+	if st := d.heldLocked(ref); st != nil {
+		return st
+	}
+	if cur := d.chains[ref.name]; cur != nil {
+		if lo, _ := cur.store.Window(); ref.epoch < lo {
+			return ge.Latest()
 		}
 	}
-	if len(held) > mutate.DefaultRetention {
-		sort.Slice(held, func(i, j int) bool { return d.bases[held[i]].epoch > d.bases[held[j]].epoch })
-		for _, f := range held[mutate.DefaultRetention:] {
-			delete(d.bases, f)
-		}
+	d.chains[ref.name] = ge
+	return ge.Latest()
+}
+
+// commitDelta serves a delta ship of ref's epoch: b committed to the
+// chain whose newest epoch is ref's parent, as the front-end committed
+// it. The parent check and the commit run under graphMu, so however many
+// connections ship one delta it is committed once: a later one finds
+// the epoch held and uses it.
+func (d *WorkerDaemon) commitDelta(ref graphRef, b mutate.Batch) (*epochState, error) {
+	d.graphMu.Lock()
+	defer d.graphMu.Unlock()
+	if st := d.heldLocked(ref); st != nil {
+		return st, nil
 	}
-	return b
+	if !d.parentHeldLocked(ref) {
+		return nil, fmt.Errorf("delta announced but parent fp %.12s is not the newest epoch held", ref.parentFP)
+	}
+	res, err := d.chains[ref.name].commit(b)
+	if err != nil {
+		return nil, fmt.Errorf("committing delta: %w", err)
+	}
+	if got := res.snap.Fingerprint(); got != ref.fp {
+		delete(d.chains, ref.name) // its newest epoch is not the front-end's
+		return nil, fmt.Errorf("delta committed to fp %.12s, want %.12s", got, ref.fp)
+	}
+	d.deltasApplied.Add(1)
+	return res.state, nil
 }
 
 // takePartial claims the retained prefix of an interrupted transfer of
@@ -294,10 +315,9 @@ type graphRef struct {
 }
 
 // recvGraphPayload receives one epoch announced by a build or preload
-// the worker lacks: either a delta frame (the committed batch, applied
-// to the cached parent epoch) or a chunked full blob, caching the
-// result under ref.fp.
-func (d *WorkerDaemon) recvGraphPayload(cc *comm.CtrlConn, ref graphRef, parent *baseGraph, buf []byte) (*baseGraph, error) {
+// the worker lacks: either a delta frame (the committed batch, committed
+// to the chain) or a chunked full blob (rooting one).
+func (d *WorkerDaemon) recvGraphPayload(cc *comm.CtrlConn, ref graphRef, buf []byte) (*epochState, error) {
 	env, err := cc.Recv()
 	if err != nil {
 		d.stashPartial(ref.fp, buf)
@@ -316,7 +336,7 @@ func (d *WorkerDaemon) recvGraphPayload(cc *comm.CtrlConn, ref graphRef, parent 
 		if err := json.Unmarshal(env.Body, &dm); err != nil {
 			return nil, err
 		}
-		return d.recvDelta(cc, ref, parent, dm)
+		return d.recvDelta(cc, ref, dm)
 	default:
 		return nil, fmt.Errorf("unexpected control message %q announcing graph payload", env.Type)
 	}
@@ -324,8 +344,8 @@ func (d *WorkerDaemon) recvGraphPayload(cc *comm.CtrlConn, ref graphRef, parent 
 
 // recvGraphChunked receives one chunked full-graph transfer, resuming
 // from (and on failure re-stashing) the retained prefix for ref.fp, and
-// verifies the content hash before caching.
-func (d *WorkerDaemon) recvGraphChunked(cc *comm.CtrlConn, ref graphRef, gm graphMsg, buf []byte) (*baseGraph, error) {
+// verifies the content hash before rooting a chain at it.
+func (d *WorkerDaemon) recvGraphChunked(cc *comm.CtrlConn, ref graphRef, gm graphMsg, buf []byte) (*epochState, error) {
 	if gm.Size <= 0 || len(buf) > gm.Size {
 		buf = nil
 	}
@@ -344,17 +364,14 @@ func (d *WorkerDaemon) recvGraphChunked(cc *comm.CtrlConn, ref graphRef, gm grap
 	if err != nil {
 		return nil, fmt.Errorf("bad graph blob: %w", err)
 	}
-	return d.storeBase(ref, g), nil
+	return d.root(ref, g), nil
 }
 
-// recvDelta materializes ref.fp by applying a shipped batch to the
-// cached parent epoch. Integrity is the delta hash, lineage the chain:
-// ref.fp must equal ChainFingerprint(ref.parentFP, bytes), so a torn or
-// misdirected batch cannot silently produce a wrong graph.
-func (d *WorkerDaemon) recvDelta(cc *comm.CtrlConn, ref graphRef, parent *baseGraph, dm deltaMsg) (*baseGraph, error) {
-	if parent == nil {
-		return nil, fmt.Errorf("delta announced but parent fp %.12s not cached", ref.parentFP)
-	}
+// recvDelta materializes ref.fp by committing a shipped batch to the
+// chain. Integrity is the delta hash, lineage the chain: ref.fp must
+// equal ChainFingerprint(ref.parentFP, bytes), so a torn or misdirected
+// batch cannot silently produce a wrong graph.
+func (d *WorkerDaemon) recvDelta(cc *comm.CtrlConn, ref graphRef, dm deltaMsg) (*epochState, error) {
 	blob, err := cc.RecvBlobChunked(nil, dm.Size)
 	if err != nil {
 		return nil, err
@@ -370,12 +387,7 @@ func (d *WorkerDaemon) recvDelta(cc *comm.CtrlConn, ref graphRef, parent *baseGr
 	if err != nil {
 		return nil, fmt.Errorf("bad delta: %w", err)
 	}
-	g, err := mutate.Apply(parent.g, batch)
-	if err != nil {
-		return nil, fmt.Errorf("applying delta: %w", err)
-	}
-	d.deltasApplied.Add(1)
-	return d.storeBase(ref, g), nil
+	return d.commitDelta(ref, batch)
 }
 
 // serveConn drives one control connection: health pings and graph
@@ -432,25 +444,24 @@ func (d *WorkerDaemon) serveConn(wc *workerConn) {
 
 // negotiateGraph is the worker's half of the one graph negotiation,
 // shared by preloads and slot builds: announce what is held of ref (the
-// epoch itself, its parent, the retained prefix of an interrupted
-// transfer) and receive whatever the front-end then ships. shipped is
-// false when the epoch was cached.
-func (d *WorkerDaemon) negotiateGraph(cc *comm.CtrlConn, ref graphRef) (b *baseGraph, shipped bool, err error) {
-	b = d.baseFor(ref.fp)
-	var parent *baseGraph
-	if b == nil && ref.parentFP != "" {
-		parent = d.baseFor(ref.parentFP)
-	}
+// epoch itself, its parent as the chain's newest epoch, the retained
+// prefix of an interrupted transfer) and receive whatever the front-end
+// then ships. shipped is false when the epoch was held.
+func (d *WorkerDaemon) negotiateGraph(cc *comm.CtrlConn, ref graphRef) (st *epochState, shipped bool, err error) {
+	d.graphMu.Lock()
+	st = d.heldLocked(ref)
+	haveParent := st == nil && d.parentHeldLocked(ref)
+	d.graphMu.Unlock()
 	buf := d.takePartial(ref.fp)
-	if err := cc.Send("graph-state", graphStateMsg{Have: b != nil, HaveParent: parent != nil, Offset: len(buf)}); err != nil {
+	if err := cc.Send("graph-state", graphStateMsg{Have: st != nil, HaveParent: haveParent, Offset: len(buf)}); err != nil {
 		d.stashPartial(ref.fp, buf)
 		return nil, false, err
 	}
-	if b != nil {
-		return b, false, nil
+	if st != nil {
+		return st, false, nil
 	}
-	b, err = d.recvGraphPayload(cc, ref, parent, buf)
-	return b, true, err
+	st, err = d.recvGraphPayload(cc, ref, buf)
+	return st, true, err
 }
 
 // handlePreload warms one graph ahead of slot builds: a rejoining
@@ -458,19 +469,19 @@ func (d *WorkerDaemon) negotiateGraph(cc *comm.CtrlConn, ref graphRef) (b *baseG
 // slots for, chunked, resuming interrupted transfers.
 func (d *WorkerDaemon) handlePreload(cc *comm.CtrlConn, pm preloadMsg) error {
 	d.preloads.Add(1)
-	b, shipped, err := d.negotiateGraph(cc, graphRef{name: pm.Graph, epoch: pm.Epoch, fp: pm.FP, parentFP: pm.ParentFP})
+	st, shipped, err := d.negotiateGraph(cc, graphRef{name: pm.Graph, epoch: pm.Epoch, fp: pm.FP, parentFP: pm.ParentFP})
 	if err != nil {
 		return err
 	}
 	if shipped {
 		d.cfg.Logf("sgworker: preloaded graph %s@%d (%d vertices, fp %.12s)",
-			pm.Graph, pm.Epoch, b.g.NumVertices(), pm.FP)
+			pm.Graph, pm.Epoch, st.Info().vertices, pm.FP)
 	}
 	return cc.Send("preloaded", upMsg{})
 }
 
 // serveSlot drives one slot's lifetime after its build was accepted:
-// graph transfer when the epoch is new, variant derivation, mesh
+// graph transfer when the epoch is not held, the slot's variant, mesh
 // formation, then the run/done loop until the front-end closes the slot
 // or either side fails.
 func (d *WorkerDaemon) serveSlot(wc *workerConn, bm buildMsg) {
@@ -479,16 +490,16 @@ func (d *WorkerDaemon) serveSlot(wc *workerConn, bm buildMsg) {
 		d.cfg.Logf("sgworker: build names unknown graph variant %d", bm.Variant)
 		return
 	}
-	b, shipped, err := d.negotiateGraph(cc, graphRef{name: bm.Graph, epoch: bm.Epoch, fp: bm.FP, parentFP: bm.ParentFP})
+	state, shipped, err := d.negotiateGraph(cc, graphRef{name: bm.Graph, epoch: bm.Epoch, fp: bm.FP, parentFP: bm.ParentFP})
 	if err != nil {
 		d.cfg.Logf("sgworker: graph transfer failed: %v", err)
 		return
 	}
 	if shipped {
-		d.cfg.Logf("sgworker: cached graph %s@%d (%d vertices, fp %.12s)",
-			bm.Graph, bm.Epoch, b.g.NumVertices(), bm.FP)
+		d.cfg.Logf("sgworker: received graph %s@%d (%d vertices, fp %.12s)",
+			bm.Graph, bm.Epoch, state.Info().vertices, bm.FP)
 	}
-	g := b.variant(bm.Variant)
+	g := state.Graph(bm.Variant)
 
 	dataLn, err := net.Listen("tcp", net.JoinHostPort(d.cfg.DataHost, "0"))
 	if err != nil {
