@@ -9,8 +9,8 @@
 // the difference is the work and traffic recorded in the cluster's
 // RunStats. UDFs here are the instrumented forms of the paper's Figure 5:
 // the engine performs receive_dep before invoking the signal, the UDF
-// calls ctx.EmitDep at its break, and ctx.Edge where the analyzer inserts
-// traversal accounting.
+// calls ctx.EmitDep at its break (its pass declares Breaks), and ctx.Edge
+// where the analyzer inserts traversal accounting.
 package algorithms
 
 import (

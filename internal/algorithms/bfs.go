@@ -106,7 +106,8 @@ func BFSWithDirection(c core.Engine, root graph.VertexID, dir Direction) (*BFSRe
 							}
 						}
 					},
-					Slot: adopt,
+					Slot:   adopt,
+					Breaks: true,
 				})
 			} else {
 				// Top-down (sparse/push).

@@ -44,6 +44,10 @@ type goldenRow struct {
 // count to count + least (the minimum SSSP's bucket bound advances on):
 // every sparse frame is 8 bytes longer, so BFS, MIS and K-means rows rose
 // by 8 B per remote frame of their pushed passes and nothing else moved.
+// Re-pinned once more, Sampling's SympleGraph dependency bytes only
+// (both tables), when a pass began to declare what it carries: Sampling's
+// setup pass carries a lane and never breaks, so its frames stopped
+// shipping all-zero skip words; every other counter and digest held.
 var goldenCounters = map[string]goldenRow{
 	"bfs/gemini/n2":           {2219, 0, 10, 6946, 0, 11186, 0xfb50a439f7bac106},
 	"bfs/gemini/n4":           {2790, 0, 20, 13748, 0, 17570, 0xc816ee75619cfd21},
@@ -63,8 +67,8 @@ var goldenCounters = map[string]goldenRow{
 	"kmeans/symplegraph/n4":   {12610, 1562, 40, 31552, 1620, 22342, 0xd32b6f2552638a08},
 	"sampling/gemini/n2":      {41523, 0, 6, 53166, 0, 15441, 0xeb9a3b468a57d39e},
 	"sampling/gemini/n4":      {41523, 0, 12, 116004, 0, 21747, 0xae5d78690d5554af},
-	"sampling/symplegraph/n2": {38222, 283, 8, 46824, 7496, 31851, 0x316da2225974cd06},
-	"sampling/symplegraph/n4": {37924, 951, 16, 92096, 22992, 71055, 0xd91ee7fa082c61ec},
+	"sampling/symplegraph/n2": {38222, 283, 8, 46824, 7464, 31851, 0x316da2225974cd06},
+	"sampling/symplegraph/n4": {37924, 951, 16, 92096, 22848, 71055, 0xd91ee7fa082c61ec},
 }
 
 // goldenCountersB2 is the same table at NumBuffers 2, pinned when the
@@ -91,8 +95,8 @@ var goldenCountersB2 = map[string]goldenRow{
 	"kmeans/symplegraph/n4":   {12610, 1562, 40, 31552, 2205, 22342, 0xd32b6f2552638a08},
 	"sampling/gemini/n2":      {41523, 0, 6, 53166, 0, 15441, 0xeb9a3b468a57d39e},
 	"sampling/gemini/n4":      {41523, 0, 12, 116004, 0, 21747, 0xae5d78690d5554af},
-	"sampling/symplegraph/n2": {38222, 283, 8, 46824, 7548, 31851, 0x316da2225974cd06},
-	"sampling/symplegraph/n4": {37924, 951, 16, 92096, 23304, 71055, 0xd91ee7fa082c61ec},
+	"sampling/symplegraph/n2": {38222, 283, 8, 46824, 7516, 31851, 0x316da2225974cd06},
+	"sampling/symplegraph/n4": {37924, 951, 16, 92096, 23160, 71055, 0xd91ee7fa082c61ec},
 }
 
 // digest folds result arrays into one FNV-1a value.

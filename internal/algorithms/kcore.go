@@ -71,6 +71,7 @@ func KCore(c core.Engine, k int) (*KCoreResult, error) {
 				Slot: func(dst graph.VertexID, partial int64) {
 					counts[dst] += partial
 				},
+				Breaks: true,
 			}); err != nil {
 				return err
 			}

@@ -100,7 +100,8 @@ func KMeans(c core.Engine, centers, iters int, seed uint64) (*seq.KMeansResult, 
 								}
 							}
 						},
-						Slot: adopt,
+						Slot:   adopt,
+						Breaks: true,
 					})
 				}
 				if err != nil {

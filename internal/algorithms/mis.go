@@ -60,6 +60,7 @@ func MIS(c core.Engine, seed uint64) (*MISResult, error) {
 				Slot: func(dst graph.VertexID, _ struct{}) {
 					vetoed.Set(int(dst))
 				},
+				Breaks: true,
 			}); err != nil {
 				return err
 			}
@@ -108,7 +109,8 @@ func MIS(c core.Engine, seed uint64) (*MISResult, error) {
 							}
 						}
 					},
-					Slot: cover,
+					Slot:   cover,
+					Breaks: true,
 				})
 			}
 			if err != nil {

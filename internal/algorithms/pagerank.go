@@ -9,14 +9,10 @@ import (
 
 // PageRank runs power-iteration PageRank in dense pull mode for a fixed
 // number of iterations with the given damping factor (dangling mass is
-// not redistributed, as in Gemini's reference implementation). PageRank's
-// signal has *no* loop-carried dependency — every neighbor contributes to
-// the sum — so SympleGraph mode traverses Gemini's edges, but its dense
-// passes still circulate all-zero skip frames that tracked ranges wait on
-// (scale 16, four machines: ≈2.8 kB per pass at the default threshold,
-// 25 kB tracking all). It is included (like CC and SSSP) to show the
-// engine is a complete vertex-centric framework, and serves as the
-// analyzer's negative example.
+// not redistributed, as in Gemini's reference implementation). Its signal
+// carries nothing — every neighbor contributes to the sum — so its pass
+// declares neither Breaks nor Lanes and runs as in Gemini mode. It is
+// the analyzer's negative example.
 func PageRank(c core.Engine, iters int, damping float64) ([]float64, error) {
 	if iters < 1 || damping <= 0 || damping >= 1 {
 		return nil, fmt.Errorf("algorithms: PageRank iters=%d damping=%g", iters, damping)

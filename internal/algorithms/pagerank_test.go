@@ -82,23 +82,43 @@ func TestPageRankRejectsBadArgs(t *testing.T) {
 	}
 }
 
-// PageRank has no loop-carried dependency, so SympleGraph mode must not
-// reduce its edge traversals — the engine's pruning applies only when
-// UDFs emit dependency.
-func TestPageRankNoDependencySavings(t *testing.T) {
-	g := graph.RMAT(9, 8, graph.Graph500Params(), 15)
-	run := func(mode core.Mode) int64 {
-		c, err := core.NewCluster(g, core.Options{NumNodes: 4, Mode: mode})
-		if err != nil {
-			t.Fatal(err)
+// TestPageRankCarriesNothing: PageRank's signal has no loop-carried
+// dependency, so its pass declares neither Breaks nor Lanes and
+// SympleGraph mode runs it as Gemini mode does: the same ranks bit for
+// bit, every golden-row counter equal (edges, skips, supersteps, update,
+// dependency and control bytes), and no dependency frame sent or waited
+// on.
+func TestPageRankCarriesNothing(t *testing.T) {
+	g := graph.RMAT(11, 8, graph.Graph500Params(), 20)
+	for _, nodes := range []int{2, 4} {
+		run := func(mode core.Mode) ([]float64, core.RunStats) {
+			c, err := core.NewCluster(g, core.Options{NumNodes: nodes, Mode: mode, DepThreshold: 16})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			rank, err := PageRank(c, 5, 0.85)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return rank, c.Stats().Totals
 		}
-		defer c.Close()
-		if _, err := PageRank(c, 3, 0.85); err != nil {
-			t.Fatal(err)
+		row := func(s core.RunStats) goldenRow {
+			return goldenRow{edges: s.EdgesTraversed, skipped: s.VerticesSkipped, supersteps: s.Supersteps,
+				updateB: s.UpdateBytes, depB: s.DependencyBytes, controlB: s.ControlBytes}
 		}
-		return c.Stats().Totals.EdgesTraversed
-	}
-	if gem, sym := run(core.ModeGemini), run(core.ModeSympleGraph); gem != sym {
-		t.Fatalf("edge traversals differ without dependency: gemini %d, symple %d", gem, sym)
+		gem, gs := run(core.ModeGemini)
+		sym, ss := run(core.ModeSympleGraph)
+		for v := range gem {
+			if math.Float64bits(sym[v]) != math.Float64bits(gem[v]) {
+				t.Fatalf("p=%d, vertex %d: rank %v, Gemini mode %v", nodes, v, sym[v], gem[v])
+			}
+		}
+		if row(ss) != row(gs) {
+			t.Fatalf("p=%d: counters %+v, Gemini mode %+v", nodes, row(ss), row(gs))
+		}
+		if ss.DependencyMessages != 0 || ss.DependencyWait != 0 {
+			t.Fatalf("p=%d: %d dependency frames, %v dependency wait", nodes, ss.DependencyMessages, ss.DependencyWait)
+		}
 	}
 }

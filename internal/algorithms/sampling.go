@@ -178,7 +178,8 @@ func Sample(c core.Engine, seed uint64, rounds int) (*SampleResult, error) {
 					}
 					hierSeq[i]++
 				},
-				Lanes: 1,
+				Breaks: true,
+				Lanes:  1,
 			})
 			if err != nil {
 				return err

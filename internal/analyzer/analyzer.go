@@ -145,11 +145,15 @@ type FuncReport struct {
 	// Instrumented is one of the Instrumented* constants.
 	Instrumented string `json:"instrumented"`
 
-	// emitsDep records an EmitDep call anywhere in the function — it was
+	// EmitsDep records an EmitDep call anywhere in the function — it was
 	// instrumented before, by hand or by an earlier pass. Instrument
 	// still adds the EmitDep calls it lacks but leaves its traversal
 	// accounting as written.
-	emitsDep bool
+	EmitsDep bool `json:"emits_dep,omitempty"`
+	// Lanes is one more than the highest constant lane the function
+	// passes to ctx.DepFloat or ctx.SetDepFloat: the lanes its pass must
+	// declare.
+	Lanes int `json:"lanes,omitempty"`
 }
 
 // Report is the analysis of one package, or of one isolated file or

@@ -50,7 +50,7 @@ func Instrument(filename string, src []byte) ([]byte, *Report, error) {
 					emits = append(emits, insertion{ex, f.CtxParam, "EmitDep"})
 				}
 			}
-			if !l.edged && !f.emitsDep {
+			if !l.edged && !f.EmitsDep {
 				edges = append(edges, insertion{exit{list: &l.body.List}, f.CtxParam, "Edge"})
 			}
 		}

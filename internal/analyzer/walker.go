@@ -2,6 +2,7 @@ package analyzer
 
 import (
 	"go/ast"
+	"go/constant"
 	"go/token"
 	"go/types"
 	"path/filepath"
@@ -107,10 +108,18 @@ func (w *walker) analyzeFunc(name string, typ *ast.FuncType, body *ast.BlockStmt
 	ctxAliases := &ctxRef{w.aliasSet(body, ctx), ctx.Name()}
 	nbrAliases := w.aliasSet(body, nbr)
 	ast.Inspect(body, func(n ast.Node) bool {
-		if call, ok := n.(*ast.CallExpr); ok && w.isCtxCall(call, ctxAliases, "EmitDep") {
-			fr.emitsDep = true
+		call, ok := n.(*ast.CallExpr)
+		switch {
+		case !ok:
+		case w.isCtxCall(call, ctxAliases, "EmitDep"):
+			fr.EmitsDep = true
+		case len(call.Args) > 0 && (w.isCtxCall(call, ctxAliases, "DepFloat") || w.isCtxCall(call, ctxAliases, "SetDepFloat")):
+			if v := w.info.Types[call.Args[0]].Value; v != nil && v.Kind() == constant.Int {
+				lane, _ := constant.Int64Val(v)
+				fr.Lanes = max(fr.Lanes, int(lane)+1)
+			}
 		}
-		return !fr.emitsDep
+		return true
 	})
 
 	covered, uncovered := 0, 0

@@ -119,7 +119,8 @@ func firstHitPass(c *Cluster, visited, frontier *bitset.Bitmap, passes int) (vis
 					}
 				}
 			},
-			Slot: func(graph.VertexID, uint32) {},
+			Slot:   func(graph.VertexID, uint32) {},
+			Breaks: true,
 		}
 		for i := 0; i < passes; i++ {
 			if err := ProcessEdgesDense(w, params); err != nil {

@@ -44,16 +44,18 @@ type DenseParams[M Wire] struct {
 	// data lanes). This is where algorithms with data dependency read
 	// the fully accumulated value — e.g. Sampling's setup pass stores
 	// the carried weight sum W_v of each vertex. It is invoked only
-	// when dependency propagation is active (ModeSympleGraph, p > 1); UDFs
-	// must emit ordinary updates for untracked vertices instead, which
-	// also covers ModeGemini and single-machine runs where ctx.Tracked
-	// reports false.
+	// when dependency propagates; UDFs must emit ordinary updates for
+	// untracked vertices instead, which also covers every pass where
+	// ctx.Tracked reports false.
 	Finalize func(dst graph.VertexID, skip bool, data []float64)
-	// Lanes is the number of float64 data-dependency lanes carried per
-	// tracked vertex in this pass's dependency frames, for algorithms
-	// whose loop-carried state is data (Sampling's weight and prefix
-	// sums). 0 for control-only dependency (BFS, K-core, MIS, K-means).
-	Lanes int
+	// Breaks and Lanes declare what the pass carries, and sgvet's
+	// depbreak holds them to Signal: Breaks that it may call ctx.EmitDep
+	// (skip bits), Lanes how many float64 lanes per tracked vertex it
+	// reads and writes (Sampling's weight and prefix sums). Dependency
+	// propagates only for a pass declaring one, in ModeSympleGraph at
+	// p > 1; one declaring neither (PageRank) runs as in ModeGemini.
+	Breaks bool
+	Lanes  int
 }
 
 // emitChunkBytes is the slab chunk size for update assembly: signal
@@ -160,13 +162,14 @@ func (ctx *DenseCtx[M]) flushChunk() {
 // EmitDep marks the loop-carried break: all following neighbors of the
 // current destination — on this machine (the UDF breaks) and on machines
 // later in the circulant ring (the engine propagates the bit) — are
-// skipped. It has no cross-machine effect for untracked vertices or in
-// ModeGemini; the UDF's local break still applies.
+// skipped. It has no cross-machine effect for untracked vertices or in a
+// pass that does not declare Breaks; the UDF's local break still applies.
 func (ctx *DenseCtx[M]) EmitDep() { ctx.depBreak = true }
 
 // Tracked reports whether dependency state propagates across machines for
-// the current destination. UDFs with data dependency use it to fall back
-// to a parallel-decomposable path (e.g. hierarchical sampling) when the
+// the current destination: never where DenseParams says it does not
+// propagate. UDFs with data dependency use it to fall back to a
+// parallel-decomposable path (e.g. hierarchical sampling) when the
 // carried state is unavailable.
 func (ctx *DenseCtx[M]) Tracked() bool { return ctx.tracked }
 
@@ -227,7 +230,7 @@ func ProcessEdgesDense[M Wire](w *Worker, params DenseParams[M]) error {
 			return fmt.Errorf("core: destination filter holds %d bits, the graph has %d vertices", f.Len(), n)
 		}
 	}
-	depOn := opts.Mode == ModeSympleGraph && p > 1
+	depOn := opts.Mode == ModeSympleGraph && p > 1 && (params.Breaks || params.Lanes > 0)
 	B := opts.NumBuffers
 	if !depOn {
 		B = 1 // nothing circulates, so nothing to pipeline
@@ -268,13 +271,17 @@ func ProcessEdgesDense[M Wire](w *Worker, params DenseParams[M]) error {
 			if lo == hi {
 				continue
 			}
+			wHi := lo // skip words cover [lo, wHi): none unless the pass breaks
+			if params.Breaks {
+				wHi = hi
+			}
 			if depOn && j > 0 {
 				m, err := w.recvTimed(&w.depWait, comm.NodeID(rn), comm.KindDependency, base+int32((j-1)*B+g),
 					obs.PhaseDepWait, pass, j, g)
 				if err != nil {
 					return err
 				}
-				if err := applyDepFrame(m.Payload, sc.skip, sc.data, lo, hi); err != nil {
+				if err := applyDepFrame(m.Payload, sc.skip, sc.data, lo, wHi, hi); err != nil {
 					return err
 				}
 				m.Release()
@@ -291,7 +298,7 @@ func ProcessEdgesDense[M Wire](w *Worker, params DenseParams[M]) error {
 			}
 			if depOn && j < p-1 {
 				binStart := w.spanStart()
-				frame := encodeDepFrame(sc.skip, sc.data, lo, hi)
+				frame := encodeDepFrame(sc.skip, sc.data, lo, wHi, hi)
 				w.endSpan(obs.PhaseDenseBin, pass, j, g, binStart)
 				flushStart := w.spanStart()
 				if err := w.ep.SendBufs(comm.NodeID(ln), comm.KindDependency, base+int32(j*B+g), comm.Buffers{frame}); err != nil {
@@ -439,15 +446,17 @@ func groupCut(T, B, g int) int {
 }
 
 // encodeDepFrame serializes the dependency state for tracked indices
-// [gLo, gHi): the skip bitmap words followed by each data lane's values —
-// the paper's DepMessage in struct-of-arrays form (§6). The frame lives
-// in a slab buffer whose ownership passes to the transport via SendBufs.
-func encodeDepFrame(depSkip *bitset.Bitmap, depData [][]float64, gLo, gHi int) []byte {
+// [gLo, gHi): the skip bitmap words covering [gLo, wHi) — gHi for a pass
+// that breaks, gLo (no words) for one that does not — followed by each
+// data lane's values: the paper's DepMessage in struct-of-arrays form
+// (§6). The frame lives in a slab buffer whose ownership passes to the
+// transport via SendBufs.
+func encodeDepFrame(depSkip *bitset.Bitmap, depData [][]float64, gLo, wHi, gHi int) []byte {
 	if gLo%64 != 0 {
 		panic("core: dependency frame start not word-aligned")
 	}
-	n := bitset.SegmentWordBytes(gLo, gHi) + len(depData)*(gHi-gLo)*8
-	out := depSkip.AppendSegmentLE(bufpool.Get(n)[:0], gLo, gHi)
+	n := bitset.SegmentWordBytes(gLo, wHi) + len(depData)*(gHi-gLo)*8
+	out := depSkip.AppendSegmentLE(bufpool.Get(n)[:0], gLo, wHi)
 	for _, lane := range depData {
 		off := len(out)
 		out = out[:off+(gHi-gLo)*8]
@@ -456,17 +465,17 @@ func encodeDepFrame(depSkip *bitset.Bitmap, depData [][]float64, gLo, gHi int) [
 	return out
 }
 
-// applyDepFrame merges a received dependency frame: skip bits are OR-ed
-// (a break anywhere earlier in the ring holds), data lanes are
-// overwritten (the predecessor's value is the accumulated state). The
-// caller Releases the payload afterwards.
-func applyDepFrame(payload []byte, depSkip *bitset.Bitmap, depData [][]float64, gLo, gHi int) error {
-	wb := bitset.SegmentWordBytes(gLo, gHi)
+// applyDepFrame merges a received dependency frame, laid out as
+// encodeDepFrame writes it: skip bits are OR-ed (a break anywhere earlier
+// in the ring holds), data lanes are overwritten (the predecessor's value
+// is the accumulated state). The caller Releases the payload afterwards.
+func applyDepFrame(payload []byte, depSkip *bitset.Bitmap, depData [][]float64, gLo, wHi, gHi int) error {
+	wb := bitset.SegmentWordBytes(gLo, wHi)
 	want := wb + len(depData)*(gHi-gLo)*8
 	if len(payload) != want {
 		return fmt.Errorf("core: dependency frame is %d bytes, want %d", len(payload), want)
 	}
-	if err := depSkip.OrSegmentLE(payload[:wb], gLo, gHi); err != nil {
+	if err := depSkip.OrSegmentLE(payload[:wb], gLo, wHi); err != nil {
 		return fmt.Errorf("core: dependency frame: %w", err)
 	}
 	for l, lane := range depData {

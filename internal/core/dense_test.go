@@ -129,6 +129,7 @@ func TestDenseBreakFirstMatch(t *testing.T) {
 						parent[dst] = msg
 					}
 				},
+				Breaks: true,
 			})
 			return err
 		})
@@ -192,6 +193,7 @@ func TestDenseDepPruningExactness(t *testing.T) {
 			Slot: func(dst graph.VertexID, msg uint32) {
 				emitted[dst]++ // master-only, disjoint
 			},
+			Breaks: true,
 		})
 		return err
 	})
@@ -223,54 +225,79 @@ func TestDenseDepPruningExactness(t *testing.T) {
 // TestDenseDataLane verifies float64 data-dependency propagation: each
 // machine accumulates its local source count into the carried lane, and
 // the master's Finalize sees the full in-degree for tracked vertices
-// while untracked vertices fall back to partial-count updates.
+// while untracked vertices fall back to partial-count updates. The pass
+// declares no break, so its frames hold the lane alone: 8 B per tracked
+// vertex per segment plus the frame header. Declaring no lane either, the
+// same UDF finds every destination untracked: no dependency frame, no
+// Finalize, and the counts still add up.
 func TestDenseDataLane(t *testing.T) {
 	g := graph.RMAT(9, 8, graph.Graph500Params(), 77)
 	n := g.NumVertices()
+	const frameHeader = 13 // comm's accounted per-message header
 	for _, threshold := range []int{0, 8} {
 		for _, mode := range []Mode{ModeGemini, ModeSympleGraph} {
 			for _, p := range []int{1, 3, 4} {
 				t.Run(fmt.Sprintf("thr=%d/%v/p=%d", threshold, mode, p), func(t *testing.T) {
-					c := mustCluster(t, g, Options{
-						NumNodes:     p,
-						Mode:         mode,
-						DepThreshold: threshold,
-						NumBuffers:   2,
-					})
-					counts := make([]int64, n)
-					err := c.Run(func(w *Worker) error {
-						err := ProcessEdgesDense(w, DenseParams[int64]{
-							Signal: func(ctx *DenseCtx[int64], dst graph.VertexID, srcs []graph.VertexID, _ []float32) {
-								if ctx.Tracked() {
-									acc := ctx.DepFloat(0)
-									for range srcs {
-										ctx.Edge()
-										acc++
-									}
-									ctx.SetDepFloat(0, acc)
-								} else {
-									for range srcs {
-										ctx.Edge()
-									}
-									ctx.Emit(int64(len(srcs)))
-								}
-							},
-							Slot: func(dst graph.VertexID, msg int64) {
-								counts[dst] += msg
-							},
-							Finalize: func(dst graph.VertexID, skip bool, data []float64) {
-								counts[dst] += int64(data[0])
-							},
-							Lanes: 1,
+					for _, lanes := range []int{1, 0} {
+						c := mustCluster(t, g, Options{
+							NumNodes:     p,
+							Mode:         mode,
+							DepThreshold: threshold,
+							NumBuffers:   2,
 						})
-						return err
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					for v := 0; v < n; v++ {
-						if got, want := counts[v], int64(g.InDegree(graph.VertexID(v))); got != want {
-							t.Fatalf("vertex %d: %d, want %d", v, got, want)
+						counts := make([]int64, n)
+						err := c.Run(func(w *Worker) error {
+							err := ProcessEdgesDense(w, DenseParams[int64]{
+								Signal: func(ctx *DenseCtx[int64], dst graph.VertexID, srcs []graph.VertexID, _ []float32) {
+									if ctx.Tracked() {
+										acc := ctx.DepFloat(0)
+										for range srcs {
+											ctx.Edge()
+											acc++
+										}
+										ctx.SetDepFloat(0, acc)
+									} else {
+										for range srcs {
+											ctx.Edge()
+										}
+										ctx.Emit(int64(len(srcs)))
+									}
+								},
+								Slot: func(dst graph.VertexID, msg int64) {
+									counts[dst] += msg
+								},
+								Finalize: func(dst graph.VertexID, skip bool, data []float64) {
+									if lanes == 0 {
+										t.Errorf("Finalize ran for %d in a pass that carries nothing", dst)
+									}
+									counts[dst] += int64(data[0])
+								},
+								Lanes: lanes,
+							})
+							return err
+						})
+						if err != nil {
+							t.Fatal(err)
+						}
+						for v := 0; v < n; v++ {
+							if got, want := counts[v], int64(g.InDegree(graph.VertexID(v))); got != want {
+								t.Fatalf("Lanes %d, vertex %d: %d, want %d", lanes, v, got, want)
+							}
+						}
+						s := c.Stats().Totals
+						var frames, bytes int64
+						if mode == ModeSympleGraph && p > 1 && lanes > 0 {
+							// Each partition's tracked ranges reach it from
+							// the p-1 other machines, one frame per range.
+							frames = int64(p-1) * DepSegments(c.class.Highs, 2)
+							for _, h := range c.class.Highs {
+								bytes += int64(p-1) * 8 * int64(len(h))
+							}
+							bytes += frameHeader * frames
+						}
+						if s.DependencyMessages != frames || s.DependencyBytes != bytes {
+							t.Fatalf("Lanes %d: %d dependency frames of %d B in all, want %d of %d B",
+								lanes, s.DependencyMessages, s.DependencyBytes, frames, bytes)
 						}
 					}
 				})
@@ -326,7 +353,8 @@ func TestDenseCappedCount(t *testing.T) {
 								counts[dst] += int64(data[0])
 							}
 						},
-						Lanes: 1,
+						Breaks: true,
+						Lanes:  1,
 					})
 				})
 				if err != nil {
@@ -479,7 +507,8 @@ func TestDenseSkippedVerticesCounted(t *testing.T) {
 					}
 				}
 			},
-			Slot: func(graph.VertexID, uint32) {},
+			Slot:   func(graph.VertexID, uint32) {},
+			Breaks: true,
 		})
 		return err
 	})

@@ -117,7 +117,9 @@ func TestDistributedNodeValidation(t *testing.T) {
 }
 
 // TestWaitInstrumentation: under a latency link, dependency and update
-// wait counters must be populated in SympleGraph mode.
+// wait counters must be populated in SympleGraph mode. The pass carries
+// its in-degree count in a lane, since a pass that carries nothing
+// circulates no dependency frame to wait on.
 func TestWaitInstrumentation(t *testing.T) {
 	g := graph.RMAT(8, 8, graph.Graph500Params(), 32)
 	c := mustCluster(t, g, Options{
@@ -131,9 +133,11 @@ func TestWaitInstrumentation(t *testing.T) {
 				for range srcs {
 					ctx.Edge()
 				}
+				ctx.SetDepFloat(0, ctx.DepFloat(0)+float64(len(srcs)))
 				ctx.Emit(1)
 			},
-			Slot: func(graph.VertexID, uint32) {},
+			Slot:  func(graph.VertexID, uint32) {},
+			Lanes: 1,
 		})
 		return err
 	})

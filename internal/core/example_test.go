@@ -45,6 +45,7 @@ func Example() {
 				parent[dst] = u
 				found.SetAtomic(int(dst)) // machines share words
 			},
+			Breaks: true, // the signal calls ctx.EmitDep
 		})
 	})
 	if err != nil {

@@ -599,7 +599,8 @@ func TestSparseAppliesInRingOrder(t *testing.T) {
 								}
 							}
 						},
-						Slot: pullSlot,
+						Slot:   pullSlot,
+						Breaks: true,
 					})
 				})
 				if err != nil {

@@ -29,7 +29,8 @@ func denseCountProgram(breakEarly bool) func(w *Worker) error {
 				}
 				ctx.Emit(uint32(len(srcs)))
 			},
-			Slot: func(dst graph.VertexID, msg uint32) {},
+			Slot:   func(dst graph.VertexID, msg uint32) {},
+			Breaks: breakEarly,
 		})
 		if err != nil {
 			return err

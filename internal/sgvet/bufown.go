@@ -340,7 +340,7 @@ func (a *bufownAnalysis) applyCall(call *ast.CallExpr, f *bufFact, depth int) {
 		switch sel.Sel.Name {
 		case "Release":
 			recv, ok := sel.X.(*ast.Ident)
-			if !ok || !isCommNamed(info.Types[sel.X].Type, "Message") {
+			if !ok || !isNamed(info.Types[sel.X].Type, "internal/comm", "Message") {
 				return
 			}
 			if obj := info.Uses[recv]; obj != nil {
@@ -352,7 +352,7 @@ func (a *bufownAnalysis) applyCall(call *ast.CallExpr, f *bufFact, depth int) {
 				return
 			}
 			last := call.Args[len(call.Args)-1]
-			if tv, ok := info.Types[last]; !ok || !isCommNamed(tv.Type, "Buffers") {
+			if tv, ok := info.Types[last]; !ok || !isNamed(tv.Type, "internal/comm", "Buffers") {
 				return
 			}
 			for _, x := range handedOff(last) {
@@ -436,7 +436,7 @@ func (a *bufownAnalysis) applyAssign(as *ast.AssignStmt, f *bufFact, depth int) 
 		if rhs.Sel.Name != "Payload" {
 			return
 		}
-		if recv, ok := rhs.X.(*ast.Ident); ok && isCommNamed(info.Types[rhs.X].Type, "Message") {
+		if recv, ok := rhs.X.(*ast.Ident); ok && isNamed(info.Types[rhs.X].Type, "internal/comm", "Message") {
 			if msg := info.Uses[recv]; msg != nil {
 				f.alias[obj] = msg
 			}
@@ -475,7 +475,7 @@ func (a *bufownAnalysis) applyValueSpec(vs *ast.ValueSpec, f *bufFact) {
 	if !ok || sel.Sel.Name != "Payload" {
 		return
 	}
-	if recv, rok := sel.X.(*ast.Ident); rok && isCommNamed(info.Types[sel.X].Type, "Message") {
+	if recv, rok := sel.X.(*ast.Ident); rok && isNamed(info.Types[sel.X].Type, "internal/comm", "Message") {
 		if msg := info.Uses[recv]; msg != nil {
 			if obj := info.Defs[vs.Names[0]]; obj != nil {
 				f.alias[obj] = msg
@@ -583,7 +583,7 @@ func aliasedParam(info *types.Info, e ast.Expr, params []types.Object) int {
 		if x.Sel.Name != "Payload" {
 			return -1
 		}
-		if id, ok := x.X.(*ast.Ident); ok && isCommNamed(info.Types[x.X].Type, "Message") {
+		if id, ok := x.X.(*ast.Ident); ok && isNamed(info.Types[x.X].Type, "internal/comm", "Message") {
 			obj := info.Uses[id]
 			for i, p := range params {
 				if p != nil && p == obj {
@@ -644,9 +644,9 @@ func identObject(info *types.Info, id *ast.Ident) types.Object {
 	return info.Uses[id]
 }
 
-// isCommNamed reports whether t is (a pointer to) the named type
-// internal/comm.<name>.
-func isCommNamed(t types.Type, name string) bool {
+// isNamed reports whether t is (a pointer to) the named type <name>
+// declared in the package whose import path ends in pkg.
+func isNamed(t types.Type, pkg, name string) bool {
 	if t == nil {
 		return false
 	}
@@ -659,5 +659,5 @@ func isCommNamed(t types.Type, name string) bool {
 	}
 	obj := named.Obj()
 	return obj != nil && obj.Name() == name && obj.Pkg() != nil &&
-		strings.HasSuffix(obj.Pkg().Path(), "internal/comm")
+		strings.HasSuffix(obj.Pkg().Path(), pkg)
 }

@@ -1,6 +1,10 @@
 package sgvet
 
 import (
+	"go/ast"
+	"go/constant"
+	"go/token"
+	"go/types"
 	"slices"
 
 	"repro/internal/analyzer"
@@ -25,6 +29,12 @@ import (
 // stays a matcher over that record, not a CFG question: "covered" must
 // mean what the rewriter emits (DESIGN §5.1).
 //
+// It also holds each core.DenseParams literal's constant Breaks and
+// Lanes to its Signal both ways: an EmitDep (or covered helper exit) a
+// literal does not declare stays machine-local, a lane past Lanes is
+// never carried, and a declared break or lane the Signal never uses
+// costs frames that carry nothing.
+//
 // Evidence: the invariant is the paper's §4, and the helper break is
 // the failure a per-function pass cannot see — testdata/sgc/udfpkg's
 // viaHelper exits its traversal inside firstActive, which the isolated
@@ -32,12 +42,14 @@ import (
 // (TestSgcAnalyzeJSONGolden).
 var DepBreak = &Analyzer{
 	Name: "depbreak",
-	Doc:  "neighbor-loop early exit without ctx.EmitDep() in a signal UDF",
+	Doc:  "neighbor-loop early exit without ctx.EmitDep() in a signal UDF, or a DenseParams declaration its signal disagrees with",
 	Run:  runDepBreak,
 }
 
 func runDepBreak(p *Pass) {
-	for _, f := range analyzer.AnalyzeFiles(p.Pkg.Fset, p.Pkg.Files, p.Pkg.Info) {
+	funcs := analyzer.AnalyzeFiles(p.Pkg.Fset, p.Pkg.Files, p.Pkg.Info)
+	checkDeclarations(p, funcs)
+	for _, f := range funcs {
 		for _, l := range f.Loops {
 			for _, line := range l.UncoveredExits {
 				fix := "run `sgc instrument`"
@@ -56,4 +68,64 @@ func runDepBreak(p *Pass) {
 				"signal UDF %s: helper %s exits neighbor traversal early (line %d) without ctx.EmitDep() — interprocedural loop-carried dependency is not propagated (add `ctx.EmitDep()` before the exit)", f.Name, ib.Callee, ib.ExitLine)
 		}
 	}
+}
+
+// checkDeclarations finds each core.DenseParams literal's Signal, a func
+// literal or a function of the package, among the records by position,
+// and compares its declaration with the record.
+func checkDeclarations(p *Pass, funcs []analyzer.FuncReport) {
+	records := map[token.Position]*analyzer.FuncReport{}
+	for i, f := range funcs {
+		records[token.Position{Filename: f.Path, Line: f.Line}] = &funcs[i]
+	}
+	info := p.Pkg.Info
+	p.inspectFiles(func(n ast.Node) bool {
+		lit, ok := n.(*ast.CompositeLit)
+		if !ok || !isNamed(info.TypeOf(lit), "internal/core", "DenseParams") {
+			return true
+		}
+		fields := map[string]ast.Expr{}
+		for _, el := range lit.Elts {
+			if kv, ok := el.(*ast.KeyValueExpr); ok {
+				fields[kv.Key.(*ast.Ident).Name] = kv.Value
+			}
+		}
+		var sig token.Pos
+		switch s := fields["Signal"].(type) {
+		case *ast.FuncLit:
+			sig = s.Pos()
+		case *ast.Ident:
+			if fn, ok := info.Uses[s].(*types.Func); ok && fn.Pkg() == p.Pkg.Types {
+				sig = fn.Pos()
+			}
+		}
+		pos := p.Pkg.Fset.Position(sig)
+		f := records[token.Position{Filename: pos.Filename, Line: pos.Line}]
+		if f == nil {
+			return true
+		}
+		// declared returns a field's constant value (nil, reported, if it
+		// is not one) and where a mismatch is reported.
+		declared := func(field string, zero constant.Value) (constant.Value, ast.Expr) {
+			e := fields[field]
+			if e == nil {
+				return zero, fields["Signal"]
+			}
+			v := info.Types[e].Value
+			if v == nil {
+				p.Reportf(e.Pos(), "DenseParams.%s of signal UDF %s is not a constant: depbreak cannot check it", field, f.Name)
+			}
+			return v, e
+		}
+		emits := f.EmitsDep || slices.ContainsFunc(f.InterBreaks, func(ib analyzer.InterBreak) bool { return ib.Covered })
+		if breaks, at := declared("Breaks", constant.MakeBool(false)); breaks != nil && constant.BoolVal(breaks) != emits {
+			p.Reportf(at.Pos(), "signal UDF %s: calls ctx.EmitDep %v, DenseParams declares Breaks %v (declare Breaks exactly when the signal emits a dependency)", f.Name, emits, breaks)
+		}
+		if lanes, at := declared("Lanes", constant.MakeInt64(0)); lanes != nil {
+			if n, _ := constant.Int64Val(lanes); n != int64(f.Lanes) {
+				p.Reportf(at.Pos(), "signal UDF %s: uses %d dependency lanes, DenseParams declares Lanes %d (an undeclared lane is never carried, an unused one ships for nothing)", f.Name, f.Lanes, n)
+			}
+		}
+		return true
+	})
 }

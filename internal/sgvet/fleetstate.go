@@ -86,20 +86,7 @@ func workerStateString(p *Pass, e ast.Expr) bool {
 	if !ok || sig.Recv() == nil {
 		return false
 	}
-	return isWorkerState(sig.Recv().Type())
-}
-
-func isWorkerState(t types.Type) bool {
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj != nil && obj.Name() == "WorkerState" &&
-		obj.Pkg() != nil && strings.HasSuffix(obj.Pkg().Path(), "internal/server")
+	return isNamed(sig.Recv().Type(), "internal/server", "WorkerState")
 }
 
 // stateNameVocab is the rendered state vocabulary; keep in sync with

@@ -222,6 +222,98 @@ func otherCtxBad(ctx *core.DenseCtx[uint32], dst graph.VertexID, srcs []graph.Ve
 			t.Errorf("wrong advice: %s", d)
 		}
 	}
+
+	// A DenseParams literal's Breaks and Lanes must say what its Signal
+	// does, a func literal or a named function alike: each mismatch, in
+	// both directions, and a non-constant declaration, beside a correctly
+	// declared pass of each form.
+	checkFixture(t, udfHeader+`
+var lanesVar = 1
+
+func breaker(ctx *core.DenseCtx[uint32], dst graph.VertexID, srcs []graph.VertexID, _ []float32) {
+	for _, u := range srcs {
+		if frontier.Get(int(u)) {
+			ctx.EmitDep()
+			break
+		}
+	}
+}
+
+func viaCovered(ctx *core.DenseCtx[uint32], dst graph.VertexID, srcs []graph.VertexID, _ []float32) {
+	if i := firstHit(ctx, srcs); i >= 0 {
+		ctx.Emit(uint32(srcs[i]))
+	}
+}
+
+func firstHit(ctx *core.DenseCtx[uint32], srcs []graph.VertexID) int {
+	for i, u := range srcs {
+		if frontier.Get(int(u)) {
+			ctx.EmitDep()
+			return i
+		}
+	}
+	return -1
+}
+
+var passes = []core.DenseParams[uint32]{
+	{Signal: func(ctx *core.DenseCtx[uint32], dst graph.VertexID, srcs []graph.VertexID, _ []float32) { // want:depbreak
+		for _, u := range srcs {
+			if frontier.Get(int(u)) {
+				ctx.EmitDep()
+				break
+			}
+		}
+	}},
+	{Signal: func(ctx *core.DenseCtx[uint32], dst graph.VertexID, srcs []graph.VertexID, _ []float32) {
+		for _, u := range srcs {
+			if frontier.Get(int(u)) {
+				ctx.EmitDep()
+				break
+			}
+		}
+	}, Breaks: true},
+	{Signal: breaker},    // want:depbreak
+	{Signal: viaCovered}, // want:depbreak
+	{Signal: breaker, Breaks: true},
+	{Signal: viaCovered, Breaks: true},
+	{
+		Signal: func(ctx *core.DenseCtx[uint32], dst graph.VertexID, srcs []graph.VertexID, _ []float32) {
+			ctx.Emit(uint32(len(srcs)))
+		},
+		Breaks: true, // want:depbreak
+	},
+	{Signal: func(ctx *core.DenseCtx[uint32], dst graph.VertexID, srcs []graph.VertexID, _ []float32) {
+		ctx.Emit(uint32(len(srcs)))
+	}},
+	{
+		Signal: func(ctx *core.DenseCtx[uint32], dst graph.VertexID, srcs []graph.VertexID, _ []float32) {
+			ctx.SetDepFloat(1, ctx.DepFloat(1)+float64(len(srcs)))
+		},
+		Lanes: 1, // want:depbreak
+	},
+	{Signal: func(ctx *core.DenseCtx[uint32], dst graph.VertexID, srcs []graph.VertexID, _ []float32) { // want:depbreak
+		ctx.SetDepFloat(0, ctx.DepFloat(0)+float64(len(srcs)))
+	}},
+	{
+		Signal: func(ctx *core.DenseCtx[uint32], dst graph.VertexID, srcs []graph.VertexID, _ []float32) {
+			ctx.Emit(uint32(len(srcs)))
+		},
+		Lanes: 1, // want:depbreak
+	},
+	{
+		Signal: func(ctx *core.DenseCtx[uint32], dst graph.VertexID, srcs []graph.VertexID, _ []float32) {
+			ctx.SetDepFloat(1, ctx.DepFloat(0)+float64(len(srcs)))
+		},
+		Lanes: 2,
+	},
+	{
+		Signal: func(ctx *core.DenseCtx[uint32], dst graph.VertexID, srcs []graph.VertexID, _ []float32) {
+			ctx.SetDepFloat(0, ctx.DepFloat(0)+float64(len(srcs)))
+		},
+		Lanes: lanesVar, // want:depbreak
+	},
+}
+`, "", DepBreak)
 }
 
 func TestSnapDetFixture(t *testing.T) {

@@ -2,10 +2,12 @@
 # Paired benchmark runs: a parent commit against this checkout.
 #
 #   scripts/pair.sh PARENT WORKLOAD SEED PAIRS
-#   make pair PARENT=<ref> WORKLOAD=<workload> SEED=<seed> [PAIRS=10]
+#   make pair PARENT=<ref|dir> WORKLOAD=<workload> SEED=<seed> [PAIRS=10]
 #
-# Checks PARENT out with `git worktree` under .bench_build/parent and
-# runs each tree's own benchmark/run.sh untraced, PAIRS times each,
+# PARENT is a git ref, checked out with `git worktree` under
+# .bench_build/parent (removed on exit), or a directory holding the
+# parent's tree (a `git clone` or `git archive` of it), used in place.
+# It runs each tree's own benchmark/run.sh untraced, PAIRS times each,
 # alternating the two trees and swapping which goes first every pair
 # (the box's speed drifts over minutes; a fixed order would hand one
 # side the fast half). Then it runs one traced pair. It prints, per
@@ -17,8 +19,8 @@
 # side, then every other per-layer metric of it.
 #
 # Each run's result object and the report are kept under
-# .bench_build/pair/<workload>-<seed>-<time>/. The worktree is removed
-# on exit. Exits non-zero if any run fails to produce a result.
+# .bench_build/pair/<workload>-<seed>-<time>/. Exits non-zero if any run
+# fails to produce a result.
 set -euo pipefail
 if [ $# -ne 4 ]; then
 	echo "usage: $0 PARENT WORKLOAD SEED PAIRS" >&2
@@ -26,15 +28,19 @@ if [ $# -ne 4 ]; then
 fi
 parent_ref=$1 workload=$2 seed=$3 pairs=$4
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
-parent="$root/.bench_build/parent"
 out="$root/.bench_build/pair/$workload-$seed-$(date +%Y%m%dT%H%M%S)"
 mkdir -p "$out"
 
-git -C "$root" worktree remove --force "$parent" 2>/dev/null || true
-git -C "$root" worktree prune
-git -C "$root" worktree add --quiet --detach "$parent" "$parent_ref"
-trap 'git -C "$root" worktree remove --force "$parent"; git -C "$root" worktree prune' EXIT
-echo "pair: parent $(git -C "$parent" rev-parse --short HEAD) ($parent_ref) vs this checkout; $workload, seed $seed, $pairs pairs; results in $out" >&2
+if [ -f "$parent_ref/benchmark/run.sh" ]; then
+	parent="$(cd "$parent_ref" && pwd)"
+else
+	parent="$root/.bench_build/parent"
+	git -C "$root" worktree remove --force "$parent" 2>/dev/null || true
+	git -C "$root" worktree prune
+	git -C "$root" worktree add --quiet --detach "$parent" "$parent_ref"
+	trap 'git -C "$root" worktree remove --force "$parent"; git -C "$root" worktree prune' EXIT
+fi
+echo "pair: parent $(git -C "$parent" rev-parse --short HEAD 2>/dev/null || echo "untracked") ($parent_ref) vs this checkout; $workload, seed $seed, $pairs pairs; results in $out" >&2
 
 # run TREE SIDE PAIR TRACE: one run of TREE's benchmark, its result line
 # saved as SIDE-PAIR.json (or SIDE-traced.json).
